@@ -16,7 +16,7 @@ func TestAdmissionHotSetSurvivesScan(t *testing.T) {
 		for round := 0; round < 20; round++ {
 			for id := int32(0); id < hotPages; id++ {
 				if c.Get(id) == nil {
-					c.Put(id, testPage(100))
+					c.Put(id, testPage(100), nil)
 				}
 			}
 		}
@@ -24,7 +24,7 @@ func TestAdmissionHotSetSurvivesScan(t *testing.T) {
 		for i := 0; i < scanLen; i++ {
 			id := int32(1000 + i)
 			if c.Get(id) == nil {
-				c.Put(id, testPage(100))
+				c.Put(id, testPage(100), nil)
 			}
 		}
 		for id := int32(0); id < hotPages; id++ {
@@ -59,14 +59,14 @@ func TestAdmissionColdPageEventuallyAdmitted(t *testing.T) {
 	for round := 0; round < 4; round++ {
 		for id := int32(0); id < 2; id++ {
 			if c.Get(id) == nil {
-				c.Put(id, testPage(100))
+				c.Put(id, testPage(100), nil)
 			}
 		}
 	}
 	admitted := false
 	for i := 0; i < 10 && !admitted; i++ {
 		if c.Get(99) == nil {
-			admitted = c.Put(99, testPage(100))
+			admitted = c.Put(99, testPage(100), nil)
 		} else {
 			admitted = true
 		}
@@ -88,7 +88,7 @@ func TestAdmissionDeterministic(t *testing.T) {
 		id := int32(x % 64)
 		for _, c := range []*BlockCache{a, b} {
 			if c.Get(id) == nil {
-				c.Put(id, testPage(100))
+				c.Put(id, testPage(100), nil)
 			}
 		}
 	}
@@ -107,7 +107,7 @@ func TestAdmissionDeterministic(t *testing.T) {
 // its first demand Get only; Contains never counts anything.
 func TestPrefetchHitCounting(t *testing.T) {
 	c := NewBlockCache(1000)
-	if !c.PutPrefetched(5, testPage(100)) {
+	if !c.PutPrefetched(5, testPage(100), nil) {
 		t.Fatal("prefetched page not admitted")
 	}
 	if c.Contains(5) != true {

@@ -72,6 +72,9 @@ type BlockCache struct {
 	// Doubly-linked LRU list threaded through the entries; head is the
 	// most recently used, tail the eviction candidate.
 	head, tail *blockEntry
+	// spare chains evicted entries (through next) for the next insert, so
+	// steady-state eviction churn allocates no entries.
+	spare *blockEntry
 
 	hits, misses, evictions        int64
 	prefetchHits, admissionRejects int64
@@ -147,25 +150,36 @@ func (c *BlockCache) Contains(id int32) bool {
 // hotter than the candidate, the candidate is rejected (returns false)
 // and the resident set is untouched. Callers keep using their transient
 // copy of a rejected block, so rejection changes cache contents only.
-func (c *BlockCache) Put(id int32, b Block) bool {
-	return c.insert(id, b, false)
+//
+// Every block the call leaves outside the cache — the evicted victims, or
+// b itself when it was rejected or lost to an already-resident copy — is
+// appended to *dropped (when non-nil), so the owning store can reuse the
+// buffers once nothing reads them any more.
+func (c *BlockCache) Put(id int32, b Block, dropped *[]Block) bool {
+	return c.insert(id, b, false, dropped)
 }
 
 // PutPrefetched is Put for pages faulted ahead of demand: the entry is
 // marked so the first demand Get on it counts as a prefetch hit.
-func (c *BlockCache) PutPrefetched(id int32, b Block) bool {
-	return c.insert(id, b, true)
+func (c *BlockCache) PutPrefetched(id int32, b Block, dropped *[]Block) bool {
+	return c.insert(id, b, true, dropped)
 }
 
-func (c *BlockCache) insert(id int32, b Block, prefetched bool) bool {
+func (c *BlockCache) insert(id int32, b Block, prefetched bool, dropped *[]Block) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	drop := func(b Block) {
+		if dropped != nil {
+			*dropped = append(*dropped, b)
+		}
+	}
 	if e, ok := c.entries[id]; ok {
 		// Another worker faulted the page in between our Get and Put;
 		// keep the resident copy (identical bytes — page production is
 		// deterministic) and just promote it.
 		c.unlink(e)
 		c.pushFront(e)
+		drop(b)
 		return true
 	}
 	if c.sketch != nil && c.tail != nil && c.bytes+b.CacheBytes() > c.capacity {
@@ -173,10 +187,17 @@ func (c *BlockCache) insert(id int32, b Block, prefetched bool) bool {
 		// the victim it would displace.
 		if c.sketch.estimate(c.tail.id) > c.sketch.estimate(id) {
 			c.admissionRejects++
+			drop(b)
 			return false
 		}
 	}
-	e := &blockEntry{id: id, b: b, prefetched: prefetched}
+	e := c.spare
+	if e != nil {
+		c.spare = e.next
+		*e = blockEntry{id: id, b: b, prefetched: prefetched}
+	} else {
+		e = &blockEntry{id: id, b: b, prefetched: prefetched}
+	}
 	c.entries[id] = e
 	c.pushFront(e)
 	c.bytes += b.CacheBytes()
@@ -186,6 +207,9 @@ func (c *BlockCache) insert(id int32, b Block, prefetched bool) bool {
 		delete(c.entries, victim.id)
 		c.bytes -= victim.b.CacheBytes()
 		c.evictions++
+		drop(victim.b)
+		*victim = blockEntry{next: c.spare}
+		c.spare = victim
 	}
 	return true
 }

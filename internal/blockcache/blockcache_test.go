@@ -19,7 +19,7 @@ func TestBlockCacheLRU(t *testing.T) {
 		if c.Get(id) != nil {
 			t.Fatalf("page %d resident before put", id)
 		}
-		c.Put(id, testPage(100))
+		c.Put(id, testPage(100), nil)
 	}
 	st := c.Stats()
 	if st.ResidentPages != 3 || st.Misses != 3 || st.Hits != 0 || st.Evictions != 0 {
@@ -29,7 +29,7 @@ func TestBlockCacheLRU(t *testing.T) {
 	if c.Get(0) == nil {
 		t.Fatal("page 0 missing")
 	}
-	c.Put(3, testPage(100))
+	c.Put(3, testPage(100), nil)
 	if c.Get(1) != nil {
 		t.Error("LRU page 1 not evicted")
 	}
@@ -51,8 +51,8 @@ func TestBlockCacheLRU(t *testing.T) {
 // (gathers must proceed) and evicts everything else.
 func TestBlockCacheOversizedPage(t *testing.T) {
 	c := NewBlockCache(200)
-	c.Put(0, testPage(100))
-	c.Put(1, testPage(500))
+	c.Put(0, testPage(100), nil)
+	c.Put(1, testPage(500), nil)
 	if c.Get(1) == nil {
 		t.Error("oversized page not admitted")
 	}
@@ -65,8 +65,8 @@ func TestBlockCacheOversizedPage(t *testing.T) {
 // resident copy and does not double-count bytes.
 func TestBlockCacheDoublePut(t *testing.T) {
 	c := NewBlockCache(1000)
-	c.Put(7, testPage(100))
-	c.Put(7, testPage(100))
+	c.Put(7, testPage(100), nil)
+	c.Put(7, testPage(100), nil)
 	st := c.Stats()
 	if st.ResidentPages != 1 || st.ResidentBytes != 108 {
 		t.Errorf("double put: %+v", st)
@@ -94,7 +94,7 @@ func TestBlockCacheConcurrent(t *testing.T) {
 				x = x*6364136223846793005 + 1442695040888963407
 				id := int32(x % pages)
 				if c.Get(id) == nil {
-					c.Put(id, testPage(100))
+					c.Put(id, testPage(100), nil)
 				}
 			}
 		}(int64(w))
@@ -109,5 +109,71 @@ func TestBlockCacheConcurrent(t *testing.T) {
 	}
 	if st.ResidentPages == 0 {
 		t.Error("cache empty after hammer")
+	}
+}
+
+// TestPutHandsBackDroppedBlocks: every block a Put leaves outside the
+// cache — LRU victims, a duplicate, an admission-rejected candidate —
+// comes back through dropped exactly once, and nothing resident does.
+func TestPutHandsBackDroppedBlocks(t *testing.T) {
+	c := NewBlockCache(330) // fits three 100-byte pages
+	var dropped []Block
+	for id := int32(0); id < 3; id++ {
+		c.Put(id, testBlock{100 + int64(id)}, &dropped)
+	}
+	if len(dropped) != 0 {
+		t.Fatalf("fill dropped %v", dropped)
+	}
+	c.Put(3, testBlock{103}, &dropped) // evicts page 0
+	c.Put(3, testBlock{999}, &dropped) // duplicate: the new copy is not kept
+	// A page worth two evicts the two LRU victims.
+	c.PutPrefetched(4, testBlock{208}, &dropped)
+	want := []Block{testBlock{100}, testBlock{999}, testBlock{101}, testBlock{102}}
+	if len(dropped) != len(want) {
+		t.Fatalf("dropped %v, want %v", dropped, want)
+	}
+	for i := range want {
+		if dropped[i] != want[i] {
+			t.Fatalf("dropped %v, want %v", dropped, want)
+		}
+	}
+
+	a := NewBlockCacheWithPolicy(216, PolicyAdmit) // fits two
+	for i := 0; i < 5; i++ {
+		a.Get(0)
+		a.Get(1)
+	}
+	a.Put(0, testBlock{100}, nil)
+	a.Put(1, testBlock{100}, nil)
+	dropped = dropped[:0]
+	a.Get(2)
+	if a.Put(2, testBlock{102}, &dropped) {
+		t.Fatal("cold candidate admitted over a hot victim")
+	}
+	if len(dropped) != 1 || dropped[0] != (testBlock{102}) {
+		t.Fatalf("rejected candidate not handed back: %v", dropped)
+	}
+}
+
+// TestEvictionChurnAllocatesNothing: in steady state an insert reuses the
+// entry of the block it evicts.
+func TestEvictionChurnAllocatesNothing(t *testing.T) {
+	c := NewBlockCache(4 * 108)
+	blocks := make([]Block, 64)
+	for i := range blocks {
+		blocks[i] = &testBlock{100}
+	}
+	dropped := make([]Block, 0, 8)
+	id := int32(0)
+	put := func() {
+		dropped = dropped[:0]
+		c.Put(id, blocks[id%64], &dropped)
+		id++
+	}
+	for i := 0; i < 16; i++ {
+		put()
+	}
+	if avg := testing.AllocsPerRun(200, put); avg != 0 {
+		t.Errorf("evicting insert allocates %.1f objects, want 0", avg)
 	}
 }

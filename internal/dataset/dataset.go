@@ -171,7 +171,7 @@ func Generate(s Spec) (*Dataset, error) {
 
 // GenerateOutOfCore builds the dataset without materializing either big
 // array: Dataset.Feat stays nil (rows come on demand from Dataset.Gen,
-// each from its own hash-seeded stream) and Dataset.Graph stays nil too —
+// each from its own hash-keyed stream) and Dataset.Graph stays nil too —
 // the adjacency is Dataset.Topo, an EdgeGen that computes any neighbor
 // range by hashing, so the ~26 GB papers100M CSR column is never built.
 // Labels, splits and feature centroids still come from the spec-seeded
@@ -273,9 +273,11 @@ func generate(s Spec, materialize bool) (*Dataset, error) {
 // FeatureGen regenerates any node's label-correlated feature row on
 // demand: each class has a random centroid direction (drawn once from the
 // dataset RNG) and every node is its centroid plus Gaussian noise from the
-// node's own hash-seeded stream. FillRow is deterministic per node and
-// safe for concurrent calls with distinct dst buffers, which makes the
-// generator a featstore.RowSource — the backing for out-of-core datasets.
+// node's own counter-based stream (a splitmix64 sequence keyed by the
+// hash of (seed, v), like EdgeGen's slots). FillRow is deterministic per
+// node, allocates nothing, and is safe for concurrent calls with distinct
+// dst buffers, which makes the generator a featstore.RowSource — the
+// backing for out-of-core datasets.
 type FeatureGen struct {
 	spec      Spec
 	centroids []float32
@@ -300,11 +302,11 @@ func (g *FeatureGen) FillRow(v int64, dst []float32) {
 	s := g.spec
 	dim := s.FeatDim
 	cls := int(s.Class(v))
-	// Per-node noise from a cheap hash-seeded stream keeps generation
-	// deterministic regardless of node order.
-	nr := rand.New(rand.NewSource(s.Seed ^ (v+1)*0x9e3779b9))
-	for j := 0; j < dim; j++ {
-		dst[j] = g.centroids[cls*dim+j] + float32(nr.NormFloat64())*float32(s.NoiseSigma)
+	cent := g.centroids[cls*dim : (cls+1)*dim]
+	sigma := float32(s.NoiseSigma)
+	noise := noiseStream(mix64(hashBase(s.Seed, v, featSlot)))
+	for j, c := range cent {
+		dst[j] = c + float32(noise.normal())*sigma
 	}
 }
 

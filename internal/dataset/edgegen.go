@@ -84,7 +84,7 @@ func (g *EdgeGen) Degree(v int64) int64 {
 	slot := g.perm.invert(v)
 	d := g.zipfCoef*math.Pow(float64(slot+1), -g.spec.ZipfS)/g.hNorm + g.unif
 	base := math.Floor(d)
-	u := uniform(mix64(g.hashBase(v, -1) + gamma1))
+	u := uniform(mix64(hashBase(g.spec.Seed, v, degreeSlot) + gamma1))
 	deg := int64(base)
 	if u < d-base {
 		deg++
@@ -120,7 +120,7 @@ func (g *EdgeGen) FillNeighbors(v, k0, k1 int64, dst []int64) {
 	cls := v % c
 	cnt := (n-cls-1)/c + 1
 	for k := k0; k < k1; k++ {
-		base := g.hashBase(v, k)
+		base := hashBase(s.Seed, v, k)
 		u1 := uniform(mix64(base + gamma1))
 		u2 := mix64(base + gamma2)
 		var d int64
@@ -166,9 +166,15 @@ const (
 	gamma3 uint64 = 0xdaa66d2c7ddf743f // 3*gamma1 mod 2^64
 )
 
-// hashBase keys the (v, k) slot; k = -1 keys per-node draws.
-func (g *EdgeGen) hashBase(v, k int64) uint64 {
-	return uint64(g.spec.Seed)*gamma1 +
+// Slots below zero key per-node draws rather than a neighbor slot.
+const (
+	degreeSlot int64 = -1 // EdgeGen's degree rounding
+	featSlot   int64 = -2 // FeatureGen's noise stream
+)
+
+// hashBase keys the (v, k) slot of the dataset seeded by seed.
+func hashBase(seed, v, k int64) uint64 {
+	return uint64(seed)*gamma1 +
 		uint64(v)*0xbf58476d1ce4e5b9 + uint64(k)*0x94d049bb133111eb
 }
 

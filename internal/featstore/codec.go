@@ -84,11 +84,21 @@ func (e Encoding) decodeFLOPsPerElem() float64 {
 	return 0
 }
 
-// page is one encoded page resident in a BlockCache: PageRows (or fewer,
-// for the table's last page) rows of dim elements each.
+// page is one page resident in a BlockCache: PageRows (or fewer, for the
+// table's last page) rows of dim elements each. It is a residency record
+// — id, footprint and ready event are fixed the moment it is faulted in,
+// and that is all the cache and the virtual clock ever look at — whose
+// encoded payload is produced on first touch (Store.row): a Raw or
+// Float16 page one row at a time, a Quant8 page whole, since its codec
+// needs the page's min/max. Row values are a pure function of the source,
+// so what a row decodes to never depends on touch order or cache history.
 type page struct {
+	id   int32
 	data []byte
-	// minV and maxV bound the page's values; Quant8 decodes against them.
+	// have marks the rows whose bytes in data are valid (bit r = row r).
+	have []uint64
+	// minV and maxV bound the page's values once the whole page has been
+	// materialized; Quant8 decodes against them.
 	minV, maxV float32
 	rows       int
 	// ready is the copy-stream event after which the page is resident on
@@ -98,14 +108,33 @@ type page struct {
 	ready sim.Event
 }
 
-// CacheBytes implements Block: encoded payload plus page metadata.
-func (p *page) CacheBytes() int64 { return int64(len(p.data)) + 8 }
+// pageMetaBytes is the per-page metadata charged on top of the payload.
+const pageMetaBytes = 8
 
-// encodePage encodes src (rows*dim float32s, row-major) with enc. The
-// output is deterministic in src alone, so an evicted page re-encodes to
-// identical bytes — decoded values never depend on cache history.
-func encodePage(enc Encoding, src []float32, rows, dim int) *page {
-	p := &page{rows: rows, data: make([]byte, rows*dim*enc.BytesPerElem())}
+// CacheBytes implements Block: encoded payload plus page metadata.
+func (p *page) CacheBytes() int64 { return int64(len(p.data)) + pageMetaBytes }
+
+// reset re-targets p — fresh or recycled — at page id holding rows rows
+// of dataBytes encoded bytes, with nothing materialized and no ready
+// event, reusing the payload and bitmap buffers when they are big enough.
+func (p *page) reset(id int32, rows, dataBytes int) {
+	if cap(p.data) < dataBytes {
+		p.data = make([]byte, dataBytes)
+	}
+	words := (rows + 63) / 64
+	if cap(p.have) < words {
+		p.have = make([]uint64, words)
+	}
+	*p = page{id: id, rows: rows, data: p.data[:dataBytes], have: p.have[:words]}
+	clear(p.have)
+}
+
+func (p *page) has(r int) bool { return p.have[r>>6]&(1<<(r&63)) != 0 }
+
+// encodeAll materializes the whole page from src (rows*dim float32s,
+// row-major), recording the value range.
+func (p *page) encodeAll(enc Encoding, src []float32) {
+	p.minV, p.maxV = 0, 0
 	if len(src) > 0 {
 		p.minV, p.maxV = src[0], src[0]
 		for _, x := range src {
@@ -117,37 +146,58 @@ func encodePage(enc Encoding, src []float32, rows, dim int) *page {
 			}
 		}
 	}
+	encode(enc, src, p.data, p.minV, p.maxV)
+	for i := range p.have {
+		p.have[i] = ^uint64(0)
+	}
+}
+
+// encodeRow materializes row r from its dim source values. Not for
+// Quant8, whose bytes depend on the whole page's range.
+func (p *page) encodeRow(enc Encoding, r int, src []float32) {
+	n := len(src) * enc.BytesPerElem()
+	encode(enc, src, p.data[r*n:(r+1)*n], 0, 0)
+	p.have[r>>6] |= 1 << (r & 63)
+}
+
+// encode writes src's elements to dst with enc (Quant8 against the range
+// [minV, maxV]). The output is deterministic in its arguments alone, so
+// an evicted page re-encodes to identical bytes — decoded values never
+// depend on cache history.
+func encode(enc Encoding, src []float32, dst []byte, minV, maxV float32) {
 	switch enc {
 	case Raw:
 		for i, x := range src {
 			bits := math.Float32bits(x)
-			p.data[4*i] = byte(bits)
-			p.data[4*i+1] = byte(bits >> 8)
-			p.data[4*i+2] = byte(bits >> 16)
-			p.data[4*i+3] = byte(bits >> 24)
+			dst[4*i] = byte(bits)
+			dst[4*i+1] = byte(bits >> 8)
+			dst[4*i+2] = byte(bits >> 16)
+			dst[4*i+3] = byte(bits >> 24)
 		}
 	case Float16:
 		for i, x := range src {
 			h := uint16(math.Float32bits(x) >> 16)
-			p.data[2*i] = byte(h)
-			p.data[2*i+1] = byte(h >> 8)
+			dst[2*i] = byte(h)
+			dst[2*i+1] = byte(h >> 8)
 		}
 	case Quant8:
-		scale := float64(p.maxV) - float64(p.minV)
+		scale := float64(maxV) - float64(minV)
 		if scale > 0 {
 			inv := 255 / scale
 			for i, x := range src {
-				q := math.Round((float64(x) - float64(p.minV)) * inv)
-				p.data[i] = byte(q)
+				q := math.Round((float64(x) - float64(minV)) * inv)
+				dst[i] = byte(q)
 			}
-		} // degenerate page (all equal): zeros decode to minV
+		} else {
+			clear(dst) // degenerate page (all equal): zeros decode to minV
+		}
 	default:
-		panic(fmt.Sprintf("featstore: encodePage: %v", enc))
+		panic(fmt.Sprintf("featstore: encode: %v", enc))
 	}
-	return p
 }
 
-// decodeRow decodes row r (within the page) into dst[:dim].
+// decodeRow decodes the materialized row r (within the page) into
+// dst[:dim].
 func (p *page) decodeRow(enc Encoding, r, dim int, dst []float32) {
 	switch enc {
 	case Raw:

@@ -6,6 +6,15 @@ import (
 	"testing"
 )
 
+// encodePage materializes a whole page from src, as Spill and a Quant8
+// first touch do.
+func encodePage(enc Encoding, src []float32, rows, dim int) *page {
+	p := new(page)
+	p.reset(0, rows, rows*dim*enc.BytesPerElem())
+	p.encodeAll(enc, src)
+	return p
+}
+
 func randMatrix(rng *rand.Rand, rows, dim int) []float32 {
 	m := make([]float32, rows*dim)
 	for i := range m {

@@ -68,14 +68,15 @@ func (s *Store) Spill(w io.Writer) error {
 	// encode passes — one to size the index, one to stream payloads —
 	// keep resident memory at one page regardless of store size.
 	var buf []float32
+	var pg page
 	var off int64
 	if err := binary.Write(cw, binary.LittleEndian, int64(s.nPages)); err != nil {
 		return err
 	}
 	metas := make([]spillPageMeta, 0, s.nPages)
 	for id := int32(0); id < s.nPages; id++ {
-		var pg *page
-		pg, buf = s.encodePageInto(id, buf)
+		s.resetPage(&pg, id)
+		s.fillAll(&pg, &buf)
 		metas = append(metas, spillPageMeta{
 			Off: off, Rows: int32(pg.rows), Min: pg.minV, Max: pg.maxV,
 		})
@@ -87,8 +88,8 @@ func (s *Store) Spill(w io.Writer) error {
 		}
 	}
 	for id := int32(0); id < s.nPages; id++ {
-		var pg *page
-		pg, buf = s.encodePageInto(id, buf)
+		s.resetPage(&pg, id)
+		s.fillAll(&pg, &buf)
 		if err := dataset.WriteBytes(cw, pg.data); err != nil {
 			return err
 		}
@@ -197,6 +198,8 @@ func LoadSpill(r io.Reader) (*Spilled, error) {
 			return nil, fmt.Errorf("featstore: page %d index/payload mismatch", i)
 		}
 		wantOff += int64(len(data))
+		// Spilled pages are never demand-filled; Spilled.FillRow decodes
+		// their bytes directly, so they carry no materialization bitmap.
 		sp.pages[i] = &page{data: data, minV: m.Min, maxV: m.Max, rows: int(m.Rows)}
 	}
 	sum := cr.Sum32()

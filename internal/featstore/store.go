@@ -4,12 +4,13 @@ import (
 	"fmt"
 	"sync"
 
+	"wholegraph/internal/blockcache"
 	"wholegraph/internal/sim"
 )
 
 // RowSource produces feature rows on demand; the store never materializes
 // the full float32 table. Implementations: a materialized slab
-// (SliceSource), the dataset generator's hash-seeded per-node stream
+// (SliceSource), the dataset generator's counter-based per-node stream
 // (dataset.FeatureGen, which satisfies this interface structurally), or a
 // spilled page file (Spilled).
 type RowSource interface {
@@ -82,12 +83,12 @@ type Store struct {
 	// gathers are read-only, so no lock is needed around the slice itself.
 	caches []*devCache
 
-	// hostPg memoizes the last page encoded by ReadRow (an uncharged
-	// host-side path used by cache fills and evaluation), so sequential
-	// host reads don't re-encode a page per row.
-	hostMu sync.Mutex
-	hostID int32
-	hostPg *page
+	// hostPg is the page ReadRow last touched (an uncharged host-side
+	// path used by cache fills and evaluation), re-targeted in place when
+	// a read lands on another page; hostBuf is its staging scratch.
+	hostMu  sync.Mutex
+	hostPg  page
+	hostBuf []float32
 }
 
 // devCache is one device's view of the store: its BlockCache plus gather
@@ -96,12 +97,33 @@ type Store struct {
 // sim.RunParallel — while the BlockCache keeps its own mutex so direct
 // concurrent use (and the race detector) stay sound.
 type devCache struct {
-	dev    *sim.Device
-	bc     *BlockCache
+	dev *sim.Device
+	bc  *BlockCache
+	// pages maps the page ids the current gather touched to their pages
+	// (nil for an id PrefetchRows merely marked as seen).
 	pages  map[int32]*page
 	fresh  []*page
 	ids    []int32
 	rowBuf []float32
+
+	// spare recycles the pages bc drops; released when a gather ends.
+	spare blockcache.FreeList[*page]
+}
+
+// newPage returns an unmaterialized page id, recycled when one is free.
+func (s *Store) newPage(dc *devCache, id int32) *page {
+	pg, ok := dc.spare.Take()
+	if !ok {
+		pg = new(page)
+	}
+	s.resetPage(pg, id)
+	return pg
+}
+
+func (s *Store) resetPage(pg *page, id int32) {
+	lo, hi := s.pageSpan(id)
+	rows := int(hi - lo)
+	pg.reset(id, rows, rows*s.dim*s.opts.Encoding.BytesPerElem())
 }
 
 // New builds a store over src. Attach devices before gathering.
@@ -114,20 +136,23 @@ func New(src RowSource, opts Options) (*Store, error) {
 	s := &Store{
 		src: src, opts: opts, nRows: n, dim: dim,
 		nPages: int32((n + int64(opts.PageRows) - 1) / int64(opts.PageRows)),
-		hostID: -1,
 	}
+	s.hostPg.id = -1
 	return s, nil
 }
 
 // Attach gives each device its own BlockCache. Call once per device before
 // the first gather; attaching mid-training would race with lookups.
 func (s *Store) Attach(devs ...*sim.Device) {
+	pageBytes := int64(s.opts.PageRows*s.dim*s.opts.Encoding.BytesPerElem()) + pageMetaBytes
 	for _, d := range devs {
-		s.caches = append(s.caches, &devCache{
+		dc := &devCache{
 			dev:   d,
 			bc:    NewBlockCacheWithPolicy(s.opts.CacheBytes, s.opts.Policy),
 			pages: make(map[int32]*page),
-		})
+		}
+		dc.spare.Max = int(s.opts.CacheBytes/pageBytes) + 1
+		s.caches = append(s.caches, dc)
 	}
 }
 
@@ -175,20 +200,36 @@ func (s *Store) pageSpan(id int32) (lo, hi int64) {
 	return
 }
 
-// encodePageInto encodes page id from the row source, using buf (grown as
-// needed) as the float32 staging area. Deterministic in (src, id).
-func (s *Store) encodePageInto(id int32, buf []float32) (*page, []float32) {
-	lo, hi := s.pageSpan(id)
-	rows := int(hi - lo)
-	need := rows * s.dim
-	if cap(buf) < need {
-		buf = make([]float32, need)
+// fillAll materializes every row of pg from the row source, using *buf
+// (grown as needed) as the float32 staging area.
+func (s *Store) fillAll(pg *page, buf *[]float32) {
+	lo, _ := s.pageSpan(pg.id)
+	need := pg.rows * s.dim
+	if cap(*buf) < need {
+		*buf = make([]float32, need)
 	}
-	buf = buf[:need]
-	for r := 0; r < rows; r++ {
-		s.src.FillRow(lo+int64(r), buf[r*s.dim:(r+1)*s.dim])
+	stage := (*buf)[:need]
+	for r := 0; r < pg.rows; r++ {
+		s.src.FillRow(lo+int64(r), stage[r*s.dim:(r+1)*s.dim])
 	}
-	return encodePage(s.opts.Encoding, buf, rows, s.dim), buf
+	pg.encodeAll(s.opts.Encoding, stage)
+}
+
+// row decodes row r of pg into dst[:dim], first materializing it — the
+// one row for Raw and Float16, the whole page for Quant8 — if no earlier
+// read has. The host pays for the rows that are read; the virtual clock
+// charged the whole page when it was faulted in.
+func (s *Store) row(pg *page, r int, dst []float32, buf *[]float32) {
+	if !pg.has(r) {
+		if s.opts.Encoding == Quant8 {
+			s.fillAll(pg, buf)
+		} else {
+			lo, _ := s.pageSpan(pg.id)
+			s.src.FillRow(lo+int64(r), dst)
+			pg.encodeRow(s.opts.Encoding, r, dst[:s.dim])
+		}
+	}
+	pg.decodeRow(s.opts.Encoding, r, s.dim, dst)
 }
 
 // GatherRows implements graph.FeatureSource. It resolves each requested
@@ -223,10 +264,10 @@ func (s *Store) GatherRows(dev *sim.Device, rows []int64, dim int, dst []float32
 		}
 		pg, _ := dc.bc.Get(id).(*page)
 		if pg == nil {
-			pg, dc.rowBuf = s.encodePageInto(id, dc.rowBuf)
+			pg = s.newPage(dc, id)
 			// A rejected insert (PolicyAdmit) still serves this gather via
 			// dc.pages; only residency for future gathers changes.
-			dc.bc.Put(id, pg)
+			dc.bc.Put(id, pg, &dc.spare.Dropped)
 			dc.fresh = append(dc.fresh, pg)
 			missBytes += pg.CacheBytes()
 		} else if pg.ready.T > inflight.T {
@@ -261,8 +302,9 @@ func (s *Store) GatherRows(dev *sim.Device, rows []int64, dim int, dst []float32
 	for i, row := range rows {
 		id := int32(row / pageRows)
 		r := int(row - int64(id)*pageRows)
-		dc.pages[id].decodeRow(s.opts.Encoding, r, dim, dst[i*dim:(i+1)*dim])
+		s.row(dc.pages[id], r, dst[i*dim:(i+1)*dim], &dc.rowBuf)
 	}
+	dc.spare.Release()
 	elems := len(rows) * dim
 	dev.Kernel(sim.KernelCost{
 		RandBytes:   float64(elems * s.opts.Encoding.BytesPerElem()),
@@ -286,25 +328,20 @@ func (s *Store) GatherRows(dev *sim.Device, rows []int64, dim int, dst []float32
 func (s *Store) PrefetchRows(dev *sim.Device, rows []int64, maxPages int) int {
 	dc := s.cacheFor(dev)
 	dc.ids = dc.ids[:0]
+	clear(dc.pages)
 	pageRows := int64(s.opts.PageRows)
 	for _, row := range rows {
+		if maxPages > 0 && len(dc.ids) == maxPages {
+			break
+		}
 		if row < 0 || row >= s.nRows {
 			continue
 		}
 		id := int32(row / pageRows)
-		dup := false
-		for _, seen := range dc.ids {
-			if seen == id {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if _, seen := dc.pages[id]; !seen {
+			dc.pages[id] = nil
 			dc.ids = append(dc.ids, id)
 		}
-	}
-	if maxPages > 0 && len(dc.ids) > maxPages {
-		dc.ids = dc.ids[:maxPages]
 	}
 	dc.fresh = dc.fresh[:0]
 	var missBytes int64
@@ -312,9 +349,8 @@ func (s *Store) PrefetchRows(dev *sim.Device, rows []int64, maxPages int) int {
 		if dc.bc.Contains(id) {
 			continue
 		}
-		pg, buf := s.encodePageInto(id, dc.rowBuf)
-		dc.rowBuf = buf
-		if !dc.bc.PutPrefetched(id, pg) {
+		pg := s.newPage(dc, id)
+		if !dc.bc.PutPrefetched(id, pg, &dc.spare.Dropped) {
 			continue // admission rejected a speculative page: skip, no charge
 		}
 		dc.fresh = append(dc.fresh, pg)
@@ -347,12 +383,11 @@ func (s *Store) ReadRow(row int64, dst []float32) {
 	id := int32(row / int64(s.opts.PageRows))
 	s.hostMu.Lock()
 	defer s.hostMu.Unlock()
-	if s.hostID != id {
-		s.hostPg, _ = s.encodePageInto(id, nil)
-		s.hostID = id
+	if s.hostPg.id != id {
+		s.resetPage(&s.hostPg, id)
 	}
 	lo, _ := s.pageSpan(id)
-	s.hostPg.decodeRow(s.opts.Encoding, int(row-lo), s.dim, dst)
+	s.row(&s.hostPg, int(row-lo), dst, &s.hostBuf)
 }
 
 // Stats aggregates the store's configuration with every attached device's

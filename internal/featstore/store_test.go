@@ -2,6 +2,7 @@ package featstore
 
 import (
 	"bytes"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"os"
@@ -269,5 +270,197 @@ func TestStoreConcurrentGathers(t *testing.T) {
 	st := s.Stats()
 	if st.Hits+st.Misses == 0 {
 		t.Error("no lookups recorded")
+	}
+}
+
+// eagerRow decodes row of a page materialized whole from src in one pass
+// — the reference a demand-materialized page must reproduce.
+func eagerRow(s *Store, src *SliceSource, row int64, dst []float32) {
+	id := int32(row / int64(s.PageRows()))
+	lo, hi := s.pageSpan(id)
+	pg := encodePage(s.Encoding(), src.Data[lo*int64(src.D):hi*int64(src.D)], int(hi-lo), src.D)
+	pg.decodeRow(s.Encoding(), int(row-lo), src.D, dst)
+}
+
+// TestDemandMaterializationMatchesEagerFill: whatever order rows are
+// touched in — repeats, the partial last page, pages that arrived by
+// prefetch, host-side ReadRow, all three encodings — every read decodes
+// exactly what filling the whole page up front would have given.
+func TestDemandMaterializationMatchesEagerFill(t *testing.T) {
+	const rows, dim, pageRows = 1003, 6, 32 // 1003/32: partial last page
+	for _, enc := range []Encoding{Raw, Float16, Quant8} {
+		for seed := int64(1); seed <= 5; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			src := testSource(rng, rows, dim)
+			pageBytes := int64(pageRows*dim*enc.BytesPerElem()) + 8
+			s, dev := newTestStore(t, src, Options{Encoding: enc, PageRows: pageRows, CacheBytes: 5 * pageBytes})
+			want := make([]float32, dim)
+			check := func(what string, row int64, got []float32) {
+				t.Helper()
+				eagerRow(s, src, row, want)
+				for j := range want {
+					if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
+						t.Fatalf("%v seed %d %s row %d col %d: %g != eager %g", enc, seed, what, row, j, got[j], want[j])
+					}
+				}
+			}
+			for round := 0; round < 40; round++ {
+				idx := make([]int64, 1+rng.Intn(24))
+				for i := range idx {
+					idx[i] = rng.Int63n(rows)
+				}
+				if rng.Intn(3) == 0 {
+					idx[0] = rows - 1 - rng.Int63n(rows%pageRows) // partial page
+				}
+				if len(idx) > 2 {
+					idx[len(idx)-1] = idx[0] // a repeat inside the batch
+				}
+				switch rng.Intn(3) {
+				case 0:
+					s.PrefetchRows(dev, idx, rng.Intn(4))
+					fallthrough
+				case 1:
+					dst := make([]float32, len(idx)*dim)
+					s.GatherRows(dev, idx, dim, dst, "t")
+					for i, row := range idx {
+						check("gather", row, dst[i*dim:(i+1)*dim])
+					}
+				default:
+					got := make([]float32, dim)
+					for _, row := range idx {
+						s.ReadRow(row, got)
+						check("ReadRow", row, got)
+					}
+				}
+			}
+			if st := s.Stats(); st.Evictions == 0 || st.Hits == 0 {
+				t.Fatalf("%v seed %d: test exercised no eviction or no hit: %+v", enc, seed, st)
+			}
+		}
+	}
+}
+
+// fixedSource is a formula-defined table (no RNG), the input of the
+// pinned spill checksums.
+func fixedSource(rows, dim int) *SliceSource {
+	data := make([]float32, rows*dim)
+	for i := range data {
+		data[i] = float32(int32(uint32(i)*2654435761)>>8) / (1 << 20)
+	}
+	return &SliceSource{Data: data, D: dim}
+}
+
+// TestSpillBytesPinned: Spill materializes every page in full (min/max
+// included), so its output for a fixed source is byte-identical to what
+// the eager-fill store wrote — the CRCs below were recorded at the commit
+// before pages became demand-materialized.
+func TestSpillBytesPinned(t *testing.T) {
+	want := map[Encoding]uint32{Raw: 0x33192e4e, Float16: 0xb0361e2f, Quant8: 0x58953ae4}
+	for _, enc := range []Encoding{Raw, Float16, Quant8} {
+		s, dev := newTestStore(t, fixedSource(777, 5), Options{Encoding: enc, PageRows: 50})
+		// Touch some rows first: spilling must not depend on cache state.
+		dst := make([]float32, 2*5)
+		s.GatherRows(dev, []int64{3, 700}, 5, dst, "t")
+		var buf bytes.Buffer
+		if err := s.Spill(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if got := crc32.ChecksumIEEE(buf.Bytes()); got != want[enc] {
+			t.Errorf("%v: spill CRC %#08x, pinned %#08x (%d bytes)", enc, got, want[enc], buf.Len())
+		}
+	}
+}
+
+// TestRecycledPagesInsideOneGather: with a budget of one or two pages a
+// single gather evicts pages it is still decoding from, and later faults
+// reuse recycled buffers; every value must still match the source, on one
+// device and on four driven concurrently (the -race surface).
+func TestRecycledPagesInsideOneGather(t *testing.T) {
+	const rows, dim, pageRows = 640, 8, 16
+	for _, enc := range []Encoding{Raw, Float16, Quant8} {
+		for _, budgetPages := range []int64{1, 2} {
+			rng := rand.New(rand.NewSource(9))
+			src := testSource(rng, rows, dim)
+			pageBytes := int64(pageRows*dim*enc.BytesPerElem()) + 8
+			s, err := New(src, Options{Encoding: enc, PageRows: pageRows, CacheBytes: budgetPages * pageBytes})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := sim.NewMachine(sim.DGXA100(1))
+			devs := m.Devs[:4]
+			s.Attach(devs...)
+			run := func(r int) {
+				lr := rand.New(rand.NewSource(int64(100 + r)))
+				idx := make([]int64, 48)
+				dst := make([]float32, len(idx)*dim)
+				want := make([]float32, dim)
+				for it := 0; it < 30; it++ {
+					for i := range idx {
+						idx[i] = lr.Int63n(rows)
+					}
+					// Interleave two pages so each is needed again after
+					// later misses have pushed it out of the cache.
+					idx[0], idx[10], idx[20], idx[30], idx[40] = 0, 17, 1, 18, 2
+					if it%3 == 0 {
+						s.PrefetchRows(devs[r], idx[5:], 3)
+					}
+					s.GatherRows(devs[r], idx, dim, dst, "t")
+					for i, row := range idx {
+						eagerRow(s, src, row, want)
+						for j := range want {
+							if math.Float32bits(dst[i*dim+j]) != math.Float32bits(want[j]) {
+								t.Errorf("%v budget %d rank %d iter %d: row %d col %d wrong", enc, budgetPages, r, it, row, j)
+								return
+							}
+						}
+					}
+				}
+			}
+			run(0)
+			sim.RunParallel(len(devs), run)
+			st := s.Stats()
+			if st.Evictions == 0 {
+				t.Fatalf("%v budget %d: no evictions: %+v", enc, budgetPages, st)
+			}
+			if st.ResidentBytes > int64(len(devs))*budgetPages*pageBytes {
+				t.Errorf("%v budget %d: resident %d over budget", enc, budgetPages, st.ResidentBytes)
+			}
+		}
+	}
+}
+
+// TestSteadyStateFaultingGatherAllocs: once the cache is full and the
+// free list primed, a gather that faults and evicts on every page
+// allocates nothing — page records, payload buffers, bitmaps and cache
+// entries are all recycled. (The free list is capped at the cache's page
+// count, so this holds for gathers that miss no more pages than that.)
+func TestSteadyStateFaultingGatherAllocs(t *testing.T) {
+	const rows, dim, pageRows = 4096, 16, 16
+	rng := rand.New(rand.NewSource(10))
+	src := testSource(rng, rows, dim)
+	for _, enc := range []Encoding{Raw, Float16, Quant8} {
+		pageBytes := int64(pageRows*dim*enc.BytesPerElem()) + 8
+		s, dev := newTestStore(t, src, Options{Encoding: enc, PageRows: pageRows, CacheBytes: 16 * pageBytes})
+		idx := make([]int64, 32)
+		dst := make([]float32, len(idx)*dim)
+		next := int64(0)
+		gather := func() {
+			for i := range idx { // 32 rows on 16 fresh pages: all misses
+				idx[i] = next % rows
+				next += pageRows / 2
+			}
+			s.GatherRows(dev, idx, dim, dst, "t")
+		}
+		for i := 0; i < 8; i++ {
+			gather()
+		}
+		before := s.Stats()
+		if avg := testing.AllocsPerRun(50, gather); avg != 0 {
+			t.Errorf("%v: faulting gather allocates %.1f objects per call, want 0", enc, avg)
+		}
+		after := s.Stats()
+		if after.Misses-before.Misses < 50*16 || after.Evictions == before.Evictions {
+			t.Fatalf("%v: gathers did not fault and evict: %+v -> %+v", enc, before, after)
+		}
 	}
 }

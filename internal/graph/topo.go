@@ -119,8 +119,7 @@ func PartitionPaged(src TopoSource, feat []float32, dim int, comm *wholemem.Comm
 // them to GlobalIDs — exactly what PartitionBy writes into Col.
 func (p *Partitioned) pagedFill(src TopoSource) topostore.Fill {
 	parts := p.Comm.Size()
-	return func(e0, e1 int64, dst []uint64) {
-		var buf []int64
+	return func(e0, e1 int64, dst []uint64, scratch []int64) {
 		e := e0
 		for e < e1 {
 			// First rank whose shard extends past e (skips empty shards).
@@ -135,10 +134,7 @@ func (p *Partitioned) pagedFill(src TopoSource) topostore.Fill {
 					v := p.Orig[r][li]
 					k0 := e - p.colBase[r] - rp[li]
 					cnt := stop - e
-					if int64(cap(buf)) < cnt {
-						buf = make([]int64, cnt)
-					}
-					b := buf[:cnt]
+					b := scratch[:cnt]
 					src.FillNeighbors(v, k0, k0+cnt, b)
 					for i, d := range b {
 						dst[e-e0+int64(i)] = uint64(p.Owner[d])

@@ -19,10 +19,18 @@ import (
 )
 
 // Fill writes the column values (destination GlobalIDs as uint64) for
-// global edge indices [e0, e1) into dst. Implementations must be
-// deterministic and safe for concurrent calls with distinct dst buffers
+// global edge indices [e0, e1) into dst. scratch is e1-e0 int64s of the
+// caller's, for the fill's own use. Implementations must be deterministic
+// — each value a function of its edge index alone — and safe for
+// concurrent calls with distinct dst and scratch buffers
 // (graph.PartitionPaged provides one backed by a graph.TopoSource).
-type Fill func(e0, e1 int64, dst []uint64)
+type Fill func(e0, e1 int64, dst []uint64, scratch []int64)
+
+// fillRun is the granule at which a resident page's payload is produced:
+// the first read of an entry fills the aligned run of fillRun entries
+// around it. Short adjacency lists are read whole, so a run amortizes the
+// fill's row lookup over them without generating the rest of the page.
+const fillRun = 64
 
 // Options configures a Store.
 type Options struct {
@@ -48,16 +56,41 @@ func (o Options) normalize() Options {
 	return o
 }
 
-// colPage is one resident column range.
+// colPage is one resident column range: a residency record — id,
+// footprint and ready event, all the cache and the virtual clock look at
+// — whose entries are filled run by run as they are first read (see
+// fillRun). Values are a pure function of the edge index, so reads decode
+// the same in any order.
 type colPage struct {
+	id  int32
 	col []uint64
+	// have marks the filled runs (bit g = entries [g*fillRun, (g+1)*fillRun)).
+	have []uint64
 	// ready is the copy-stream event after which the page is resident
 	// (zero for demand faults, which wait inline; set by PrefetchPages).
 	ready sim.Event
 }
 
+// pageMetaBytes is the per-page metadata charged on top of the payload.
+const pageMetaBytes = 16
+
 // CacheBytes implements blockcache.Block.
-func (p *colPage) CacheBytes() int64 { return int64(len(p.col))*8 + 16 }
+func (p *colPage) CacheBytes() int64 { return int64(len(p.col))*8 + pageMetaBytes }
+
+// reset re-targets p — fresh or recycled — at page id holding n entries,
+// none filled and with no ready event, reusing its buffers when they are
+// big enough.
+func (p *colPage) reset(id int32, n int) {
+	if cap(p.col) < n {
+		p.col = make([]uint64, n)
+	}
+	words := (n + 64*fillRun - 1) / (64 * fillRun)
+	if cap(p.have) < words {
+		p.have = make([]uint64, words)
+	}
+	*p = colPage{id: id, col: p.col[:n], have: p.have[:words]}
+	clear(p.have)
+}
 
 // Store is the paged column table. Immutable after construction; all
 // mutable state lives in the per-device caches.
@@ -71,11 +104,12 @@ type Store struct {
 	// Attach, before training starts.
 	caches []*devCache
 
-	// hostPg memoizes the last page decoded by ReadEdge (the uncharged
-	// host-side path used by tests and host-side neighbor walks).
-	hostMu sync.Mutex
-	hostID int32
-	hostPg *colPage
+	// hostPg is the page ReadEdge last touched (the uncharged host-side
+	// path used by tests and host-side neighbor walks), re-targeted in
+	// place when a read lands on another page.
+	hostMu      sync.Mutex
+	hostPg      colPage
+	hostScratch [fillRun]int64
 }
 
 // devCache is one device's view of the store: its BlockCache plus the
@@ -83,9 +117,14 @@ type Store struct {
 // each device is driven by exactly one goroutine at a time — while the
 // BlockCache keeps its own mutex.
 type devCache struct {
-	dev *sim.Device
-	bc  *blockcache.BlockCache
-	acc Access
+	dev     *sim.Device
+	bc      *blockcache.BlockCache
+	acc     Access
+	fresh   []*colPage // PrefetchPages scratch
+	scratch [fillRun]int64
+
+	// spare recycles the pages bc drops; released when a batch ends.
+	spare blockcache.FreeList[*colPage]
 }
 
 // New builds a store over numEdges column entries served by fill.
@@ -100,8 +139,8 @@ func New(numEdges int64, fill Fill, opts Options) (*Store, error) {
 	s := &Store{
 		fill: fill, opts: opts, numEdges: numEdges,
 		nPages: int32((numEdges + int64(opts.PageEdges) - 1) / int64(opts.PageEdges)),
-		hostID: -1,
 	}
+	s.hostPg.id = -1
 	return s, nil
 }
 
@@ -114,6 +153,7 @@ func (s *Store) Attach(devs ...*sim.Device) {
 			bc:  blockcache.NewBlockCacheWithPolicy(s.opts.CacheBytes, s.opts.Policy),
 		}
 		dc.acc = Access{s: s, dc: dc, pages: make(map[int32]*colPage)}
+		dc.spare.Max = int(s.opts.CacheBytes/(int64(s.opts.PageEdges)*8+pageMetaBytes)) + 1
 		s.caches = append(s.caches, dc)
 	}
 }
@@ -157,14 +197,34 @@ func (s *Store) pageSpan(id int32) (lo, hi int64) {
 	return
 }
 
-// fillPage produces page id. Deterministic in (fill, id): an evicted page
-// refills to identical values, so decoded neighbors never depend on cache
-// history.
-func (s *Store) fillPage(id int32) *colPage {
-	lo, hi := s.pageSpan(id)
-	pg := &colPage{col: make([]uint64, hi-lo)}
-	s.fill(lo, hi, pg.col)
+// newPage returns an unfilled page id, recycled when one is free.
+func (s *Store) newPage(dc *devCache, id int32) *colPage {
+	pg, ok := dc.spare.Take()
+	if !ok {
+		pg = new(colPage)
+	}
+	s.resetPage(pg, id)
 	return pg
+}
+
+func (s *Store) resetPage(pg *colPage, id int32) {
+	lo, hi := s.pageSpan(id)
+	pg.reset(id, int(hi-lo))
+}
+
+// at returns entry off of pg, first filling the run around it if no
+// earlier read has. The host pays for the runs that are read; the virtual
+// clock charged the whole page when it was faulted in.
+func (s *Store) at(pg *colPage, off int64, scratch *[fillRun]int64) uint64 {
+	g := off / fillRun
+	if pg.have[g>>6]&(1<<(g&63)) == 0 {
+		r0 := g * fillRun
+		r1 := min(r0+fillRun, int64(len(pg.col)))
+		lo, _ := s.pageSpan(pg.id)
+		s.fill(lo+r0, lo+r1, pg.col[r0:r1], scratch[:r1-r0])
+		pg.have[g>>6] |= 1 << (g & 63)
+	}
+	return pg.col[off]
 }
 
 // Begin starts a page-aware access batch on dev: At decodes single
@@ -188,7 +248,10 @@ type Access struct {
 	inflight  sim.Event
 }
 
+// reset ends the batch: nothing reads its pages any more, so the ones
+// the cache dropped meanwhile become reusable.
 func (a *Access) reset() {
+	a.dc.spare.Release()
 	clear(a.pages)
 	a.fresh = a.fresh[:0]
 	a.missBytes = 0
@@ -209,10 +272,10 @@ func (a *Access) At(e int64) uint64 {
 	if !ok {
 		pg, _ = a.dc.bc.Get(id).(*colPage)
 		if pg == nil {
-			pg = s.fillPage(id)
+			pg = s.newPage(a.dc, id)
 			// A rejected insert (PolicyAdmit) still serves this batch via
 			// a.pages; only residency for future batches changes.
-			a.dc.bc.Put(id, pg)
+			a.dc.bc.Put(id, pg, &a.dc.spare.Dropped)
 			a.fresh = append(a.fresh, pg)
 			a.missBytes += pg.CacheBytes()
 		} else if pg.ready.T > a.inflight.T {
@@ -220,8 +283,7 @@ func (a *Access) At(e int64) uint64 {
 		}
 		a.pages[id] = pg
 	}
-	lo := int64(id) * int64(s.opts.PageEdges)
-	return pg.col[e-lo]
+	return s.at(pg, e-int64(id)*int64(s.opts.PageEdges), &a.dc.scratch)
 }
 
 // Flush charges the batch's page faults — one copy-stream UM fault dance
@@ -260,19 +322,20 @@ func (a *Access) Flush(tag string) int {
 // which case no fault is charged. Returns the pages actually faulted.
 func (s *Store) PrefetchPages(dev *sim.Device, ids []int32) int {
 	dc := s.cacheFor(dev)
-	var fresh []*colPage
+	fresh := dc.fresh[:0]
 	var missBytes int64
 	for _, id := range ids {
 		if id < 0 || id >= s.nPages || dc.bc.Contains(id) {
 			continue
 		}
-		pg := s.fillPage(id)
-		if !dc.bc.PutPrefetched(id, pg) {
+		pg := s.newPage(dc, id)
+		if !dc.bc.PutPrefetched(id, pg, &dc.spare.Dropped) {
 			continue
 		}
 		fresh = append(fresh, pg)
 		missBytes += pg.CacheBytes()
 	}
+	dc.fresh = fresh
 	if len(fresh) == 0 {
 		return 0
 	}
@@ -299,12 +362,10 @@ func (s *Store) ReadEdge(e int64) uint64 {
 	id := s.PageOf(e)
 	s.hostMu.Lock()
 	defer s.hostMu.Unlock()
-	if s.hostID != id {
-		s.hostPg = s.fillPage(id)
-		s.hostID = id
+	if s.hostPg.id != id {
+		s.resetPage(&s.hostPg, id)
 	}
-	lo := int64(id) * int64(s.opts.PageEdges)
-	return s.hostPg.col[e-lo]
+	return s.at(&s.hostPg, e-int64(id)*int64(s.opts.PageEdges), &s.hostScratch)
 }
 
 // Stats aggregates the store's configuration with every attached

@@ -9,7 +9,7 @@ import (
 
 // testFill writes a deterministic function of the edge index so decoded
 // values are checkable without a backing array.
-func testFill(e0, e1 int64, dst []uint64) {
+func testFill(e0, e1 int64, dst []uint64, _ []int64) {
 	for e := e0; e < e1; e++ {
 		dst[e-e0] = uint64(e)*2654435761 + 7
 	}
@@ -267,5 +267,187 @@ func TestPerDeviceIsolation(t *testing.T) {
 	}
 	if st.Hits+st.Misses != 2*200 {
 		t.Errorf("lookups %d != %d", st.Hits+st.Misses, 2*200)
+	}
+}
+
+// TestDemandFillMatchesEagerFill: whatever order entries are read in —
+// repeats, run boundaries, the partial last page and its partial last
+// run, pages that arrived by prefetch, host-side ReadEdge — every read
+// returns what filling the whole page up front would have given, and the
+// fill is only ever asked for aligned runs inside one page.
+func TestDemandFillMatchesEagerFill(t *testing.T) {
+	const numEdges, pageEdges = 5000, 300 // 300 = 4 runs + 44; last page 200 = 3 runs + 8
+	pageBytes := int64(pageEdges*8) + 16
+	for seed := uint64(1); seed <= 5; seed++ {
+		var filled int64
+		fill := func(e0, e1 int64, dst []uint64, scratch []int64) {
+			if e0/pageEdges != (e1-1)/pageEdges || (e0%pageEdges)%fillRun != 0 ||
+				e1-e0 > fillRun || int64(len(dst)) != e1-e0 || int64(len(scratch)) != e1-e0 {
+				t.Errorf("fill asked for [%d,%d) with %d dst, %d scratch", e0, e1, len(dst), len(scratch))
+			}
+			filled += e1 - e0
+			testFill(e0, e1, dst, scratch)
+		}
+		s, err := New(numEdges, fill, Options{PageEdges: pageEdges, CacheBytes: 4 * pageBytes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := sim.NewMachine(sim.DGXA100(1))
+		s.Attach(m.Devs...)
+		dev := m.Devs[0]
+		x := seed * 0x9e3779b97f4a7c15
+		next := func(n int64) int64 {
+			x = x*6364136223846793005 + 1442695040888963407
+			return int64((x >> 33) % uint64(n))
+		}
+		var reads int64
+		for round := 0; round < 60; round++ {
+			switch next(3) {
+			case 0:
+				s.PrefetchPages(dev, []int32{int32(next(18)) - 1, int32(next(18))})
+				fallthrough
+			case 1:
+				acc := s.Begin(dev)
+				first := next(numEdges)
+				for i := int64(0); i < 1+next(40); i++ {
+					e := next(numEdges)
+					switch i % 5 {
+					case 1:
+						e = first // repeat
+					case 2:
+						e = numEdges - 1 - next(200) // partial last page
+					}
+					if got := acc.At(e); got != wantCol(e) {
+						t.Fatalf("seed %d round %d: At(%d) = %d, want %d", seed, round, e, got, wantCol(e))
+					}
+					reads++
+				}
+				acc.Flush("t")
+			default:
+				e := next(numEdges)
+				if got := s.ReadEdge(e); got != wantCol(e) {
+					t.Fatalf("seed %d round %d: ReadEdge(%d) = %d, want %d", seed, round, e, got, wantCol(e))
+				}
+				reads++
+			}
+		}
+		st := s.Stats()
+		if st.Evictions == 0 || st.Hits == 0 {
+			t.Fatalf("seed %d: test exercised no eviction or no hit: %+v", seed, st)
+		}
+		if filled > reads*fillRun {
+			t.Errorf("seed %d: filled %d entries for %d reads: more than one run per read", seed, filled, reads)
+		}
+	}
+}
+
+// TestRecycledPagesInsideOneBatch: with a budget of one or two pages a
+// single Begin…Flush batch evicts pages it is still reading from, and
+// later faults reuse recycled buffers; every value must still match the
+// fill, on one device and on four driven concurrently (the -race surface).
+func TestRecycledPagesInsideOneBatch(t *testing.T) {
+	const numEdges, pageEdges = 64 * 200, 200
+	pageBytes := int64(pageEdges*8) + 16
+	for _, budgetPages := range []int64{1, 2} {
+		s, err := New(numEdges, testFill, Options{PageEdges: pageEdges, CacheBytes: budgetPages * pageBytes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := sim.NewMachine(sim.DGXA100(1))
+		devs := m.Devs[:4]
+		s.Attach(devs...)
+		run := func(r int) {
+			x := uint64(r)*2654435761 + 99
+			for it := 0; it < 40; it++ {
+				if it%3 == 0 {
+					s.PrefetchPages(devs[r], []int32{int32(it % 64), int32((it + 7) % 64)})
+				}
+				acc := s.Begin(devs[r])
+				for i := 0; i < 64; i++ {
+					x = x*6364136223846793005 + 1442695040888963407
+					e := int64((x >> 33) % numEdges)
+					if i%8 < 2 {
+						// Alternate two pages so each is read again after
+						// later misses have pushed it out of the cache.
+						e = int64(i%8)*pageEdges + int64(i)
+					}
+					if got := acc.At(e); got != wantCol(e) {
+						t.Errorf("budget %d rank %d iter %d: At(%d) = %d, want %d", budgetPages, r, it, e, got, wantCol(e))
+						return
+					}
+				}
+				acc.Flush("t")
+			}
+		}
+		run(0)
+		sim.RunParallel(len(devs), run)
+		st := s.Stats()
+		if st.Evictions == 0 {
+			t.Fatalf("budget %d: no evictions: %+v", budgetPages, st)
+		}
+		if st.ResidentBytes > int64(len(devs))*budgetPages*pageBytes {
+			t.Errorf("budget %d: resident %d over budget", budgetPages, st.ResidentBytes)
+		}
+	}
+}
+
+// TestRecycledPageForgetsPrefetch: a page buffer that carried an
+// in-flight prefetch's ready event comes back from the free list with the
+// event cleared, so a later demand batch never joins the stale transfer.
+func TestRecycledPageForgetsPrefetch(t *testing.T) {
+	const pageEdges = 128
+	pageBytes := int64(pageEdges*8) + 16
+	s, dev := newTestStore(t, 64*pageEdges, Options{PageEdges: pageEdges, CacheBytes: pageBytes})
+	s.PrefetchPages(dev, []int32{0})
+	// Two demand batches push the prefetched page out and recycle it.
+	for _, p := range []int64{1, 2} {
+		acc := s.Begin(dev)
+		acc.At(p * pageEdges)
+		acc.Flush("t")
+	}
+	acc := s.Begin(dev)
+	acc.At(3 * pageEdges)
+	if got := s.cacheFor(dev).acc.pages[3].ready; got != (sim.Event{}) {
+		t.Fatalf("recycled page kept a ready event: %+v", got)
+	}
+	acc.Flush("t")
+}
+
+// TestSteadyStateFaultingBatchAllocs: once the cache is full and the
+// free list primed, an access batch — and a prefetch — that faults and
+// evicts on every page allocates nothing. (The free list is capped at the
+// cache's page count, so this holds for batches that miss no more pages
+// than that.)
+func TestSteadyStateFaultingBatchAllocs(t *testing.T) {
+	const pageEdges, pages = 256, 512
+	pageBytes := int64(pageEdges*8) + 16
+	s, dev := newTestStore(t, pages*pageEdges, Options{PageEdges: pageEdges, CacheBytes: 16 * pageBytes})
+	next := int64(0)
+	ids := make([]int32, 4)
+	batch := func() {
+		for i := range ids {
+			ids[i] = int32((next + 8 + int64(i)) % pages)
+		}
+		s.PrefetchPages(dev, ids)
+		acc := s.Begin(dev)
+		for i := 0; i < 8; i++ { // 8 fresh pages, two runs each; the prefetch covered 4
+			e := (next % pages) * pageEdges
+			acc.At(e + 3)
+			acc.At(e + 200)
+			next++
+		}
+		acc.Flush("t")
+	}
+	for i := 0; i < 8; i++ {
+		batch()
+	}
+	before := s.Stats()
+	if avg := testing.AllocsPerRun(50, batch); avg != 0 {
+		t.Errorf("faulting access batch allocates %.1f objects per call, want 0", avg)
+	}
+	after := s.Stats()
+	if after.Misses-before.Misses < 50*4 || after.PrefetchHits-before.PrefetchHits < 50*4 ||
+		after.Evictions-before.Evictions < 50*8 {
+		t.Fatalf("batches did not fault and evict: %+v -> %+v", before, after)
 	}
 }

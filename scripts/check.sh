@@ -9,3 +9,7 @@ cd "$(dirname "$0")/.."
 go vet ./...
 go build ./...
 go test -race ./...
+# The benchmark is its own module (benchmark/go.mod), so the commands above
+# never compile it: vet it and run its toy-size smoke (< 10 s), or a changed
+# internal/* signature breaks the harness unseen.
+(cd benchmark && go vet . && go test .)
