@@ -9,6 +9,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"wholegraph/internal/cache"
 	"wholegraph/internal/dataset"
@@ -218,6 +219,10 @@ type Loader struct {
 	next int
 	// pending is set between Prefetch and Collect.
 	pending bool
+
+	// PrefetchPages scratch: predicted topology page ids and feature rows.
+	pfIDs  []int32
+	pfRows []int64
 }
 
 // NewLoader creates a loader on dev sampling with the given per-layer
@@ -365,14 +370,8 @@ func (l *Loader) PrefetchPages(targets []int64, maxPages int) int {
 	var total int
 	if ts := pg.PagedTopo(); ts != nil && len(l.Fanouts) > 0 {
 		fan := int64(l.Fanouts[0])
-		seen := make(map[int32]struct{}, maxPages)
-		ids := make([]int32, 0, maxPages)
-		add := func(id int32) {
-			if _, ok := seen[id]; !ok {
-				seen[id] = struct{}{}
-				ids = append(ids, id)
-			}
-		}
+		// At most maxPages ids, so a linear scan beats a set.
+		ids := l.pfIDs[:0]
 	predict:
 		for _, v := range targets {
 			gid := pg.Owner[v]
@@ -392,16 +391,20 @@ func (l *Loader) PrefetchPages(targets []int64, maxPages int) int {
 				if len(ids) >= maxPages {
 					break predict
 				}
-				add(id)
+				if !slices.Contains(ids, id) {
+					ids = append(ids, id)
+				}
 			}
 		}
+		l.pfIDs = ids
 		total += ts.PrefetchPages(l.Dev, ids)
 	}
 	if fs := l.Store.FeatStore(); fs != nil {
-		rows := make([]int64, len(targets))
-		for i, v := range targets {
-			rows[i] = pg.FeatRow(pg.Owner[v])
+		rows := l.pfRows[:0]
+		for _, v := range targets {
+			rows = append(rows, pg.FeatRow(pg.Owner[v]))
 		}
+		l.pfRows = rows
 		total += fs.PrefetchRows(l.Dev, rows, maxPages)
 	}
 	return total

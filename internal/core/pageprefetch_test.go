@@ -135,3 +135,17 @@ func TestNewStoreOptsValidation(t *testing.T) {
 		t.Error("weighted dataset accepted with paged topology")
 	}
 }
+
+// TestPagePrefetchPredictionAllocFree: predicting pages uses loader-owned
+// scratch, so a prefetch that finds its pages resident allocates nothing.
+func TestPagePrefetchPredictionAllocFree(t *testing.T) {
+	_, s := testPagedStore(t)
+	ld := NewLoader(s, s.Comm.Devs[0], []int{4, 4}, 3)
+	targets := s.DS.Train[:8]
+	if ld.PrefetchPages(targets, 64) == 0 {
+		t.Fatal("prefetch faulted no pages on a cold store")
+	}
+	if n := testing.AllocsPerRun(20, func() { ld.PrefetchPages(targets, 64) }); n != 0 {
+		t.Errorf("warm PrefetchPages allocates %.0f times per call, want 0", n)
+	}
+}

@@ -1,8 +1,10 @@
 // Package tensor implements the dense float32 matrix math underlying the
-// neural-network stack: blocked matrix multiply, broadcast elementwise
-// operations, row softmax and reductions. It is the stand-in for the dense
-// CUDA kernels PyTorch provides to the real WholeGraph; cost accounting for
-// the simulated devices happens in the layers that call it, not here.
+// neural-network stack: matrix multiply (a register-tiled scalar kernel that
+// keeps the naive loops' summation order, row-parallel over a goroutine
+// pool; see matmul.go), broadcast elementwise operations, row softmax and
+// reductions. It is the stand-in for the dense CUDA kernels PyTorch provides
+// to the real WholeGraph; cost accounting for the simulated devices happens
+// in the layers that call it, not here.
 package tensor
 
 import (

@@ -1,0 +1,415 @@
+package tensor
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
+	"sync"
+	"testing"
+
+	"wholegraph/internal/sim"
+)
+
+// The three loops the kernels replaced, kept verbatim as the reference: they
+// define the summation order every product is pinned to, bit for bit.
+
+func refMatMulInto(dst, a, b *Dense) {
+	dst.Zero()
+	for i := 0; i < a.R; i++ {
+		ar := a.Row(i)
+		dr := dst.Row(i)
+		for k, av := range ar {
+			if av == 0 {
+				continue
+			}
+			br := b.Row(k)
+			for j, bv := range br {
+				dr[j] += av * bv
+			}
+		}
+	}
+}
+
+func refMatMulTInto(dst, a, b *Dense) {
+	for i := 0; i < a.R; i++ {
+		ar := a.Row(i)
+		dr := dst.Row(i)
+		for j := 0; j < b.R; j++ {
+			br := b.Row(j)
+			var sum float32
+			for k, av := range ar {
+				sum += av * br[k]
+			}
+			dr[j] = sum
+		}
+	}
+}
+
+func refTMatMulInto(dst, a, b *Dense) {
+	dst.Zero()
+	for k := 0; k < a.R; k++ {
+		ar := a.Row(k)
+		br := b.Row(k)
+		for i, av := range ar {
+			if av == 0 {
+				continue
+			}
+			dr := dst.Row(i)
+			for j, bv := range br {
+				dr[j] += av * bv
+			}
+		}
+	}
+}
+
+// kernelCase is one driver with its reference and the operand shapes it
+// takes for an [m x k]·[k x n] product.
+type kernelCase struct {
+	name     string
+	got, ref func(dst, a, b *Dense)
+	aT, bT   bool // operand is passed transposed
+}
+
+var kernelCases = []kernelCase{
+	{name: "MatMul", got: MatMulInto, ref: refMatMulInto},
+	{name: "MatMulT", got: MatMulTInto, ref: refMatMulTInto, bT: true},
+	{name: "TMatMul", got: TMatMulInto, ref: refTMatMulInto, aT: true},
+}
+
+// operands builds a [m x k] and b [k x n] (each stored transposed when the
+// driver wants it so) from logical fill functions.
+func (kc kernelCase) operands(m, k, n int, fa, fb func(i, j int) float32) (a, b *Dense) {
+	a, b = New(m, k), New(k, n)
+	for i := 0; i < m; i++ {
+		for j := 0; j < k; j++ {
+			a.Set(i, j, fa(i, j))
+		}
+	}
+	for i := 0; i < k; i++ {
+		for j := 0; j < n; j++ {
+			b.Set(i, j, fb(i, j))
+		}
+	}
+	if kc.aT {
+		a = Transpose(a)
+	}
+	if kc.bT {
+		b = Transpose(b)
+	}
+	return a, b
+}
+
+// sameBits reports whether two results have the same bit pattern, NaN
+// payloads aside (which operand's payload an add propagates is the
+// compiler's choice).
+func sameBits(got, want float32) bool {
+	return math.Float32bits(got) == math.Float32bits(want) ||
+		math.IsNaN(float64(got)) && math.IsNaN(float64(want))
+}
+
+func (kc kernelCase) check(t *testing.T, what string, a, b *Dense, m, n int) {
+	t.Helper()
+	want, got := New(m, n), New(m, n)
+	kc.ref(want, a, b)
+	for i := range got.V {
+		got.V[i] = float32(math.NaN()) // the kernel must overwrite, not accumulate
+	}
+	kc.got(got, a, b)
+	for i := range want.V {
+		if !sameBits(got.V[i], want.V[i]) {
+			t.Fatalf("%s %s %v·%v [%d] = %g (%#08x), want %g (%#08x)", kc.name, what,
+				[2]int{a.R, a.C}, [2]int{b.R, b.C}, i,
+				got.V[i], math.Float32bits(got.V[i]), want.V[i], math.Float32bits(want.V[i]))
+		}
+	}
+}
+
+// TestKernelsBitIdentical pins all three drivers to the reference loops over
+// every block tail, zero pattern and special value, at several worker counts.
+// Non-finite inputs included: the kernels visit exactly the terms the loops
+// did, so an Inf or NaN lands in the same outputs.
+func TestKernelsBitIdentical(t *testing.T) {
+	defer SetWorkers(SetWorkers(1))
+	rng := rand.New(rand.NewSource(13))
+	negZero := float32(math.Copysign(0, -1))
+	inf := float32(math.Inf(1))
+	nan := float32(math.NaN())
+
+	randn := func(int, int) float32 { return float32(rng.NormFloat64()) }
+	sparse := func(i, j int) float32 { // ReLU + dropout: ~75 % zeros
+		if rng.Intn(4) != 0 {
+			return 0
+		}
+		return randn(i, j)
+	}
+	zeroLines := func(i, j int) float32 { // all-zero rows and columns
+		if i%3 == 1 || j%5 == 2 {
+			return 0
+		}
+		return randn(i, j)
+	}
+	signedZeros := func(i, j int) float32 { // -0 among zeros and values
+		switch rng.Intn(4) {
+		case 0:
+			return negZero
+		case 1:
+			return 0
+		}
+		return randn(i, j)
+	}
+	tiny := func(i, j int) float32 { // denormals, and products that underflow to ±0
+		return float32(rng.NormFloat64()) * 1e-30 * float32(math.Pow(10, -float64(rng.Intn(12))))
+	}
+	withSpecials := func(base func(i, j int) float32) func(i, j int) float32 {
+		return func(i, j int) float32 {
+			switch rng.Intn(24) {
+			case 0:
+				return inf
+			case 1:
+				return -inf
+			case 2:
+				return nan
+			}
+			return base(i, j)
+		}
+	}
+	patterns := []struct {
+		name   string
+		fa, fb func(i, j int) float32
+	}{
+		{"dense", randn, randn},
+		{"sparse-a", sparse, randn},
+		{"sparse-both", sparse, sparse},
+		{"zero-lines", zeroLines, zeroLines},
+		{"signed-zeros", signedZeros, signedZeros},
+		{"denormal", tiny, tiny},
+		{"denormal-a", tiny, randn},
+		{"nonfinite-b", sparse, withSpecials(randn)},
+		{"nonfinite-a", withSpecials(sparse), randn},
+		{"nonfinite-both", withSpecials(signedZeros), withSpecials(sparse)},
+	}
+
+	// Every tail of every blocking (4 in k, 2 in rows), n = 1 and empty
+	// dimensions. These all run below the serial cut-off.
+	shapes := [][3]int{
+		{0, 3, 4}, {3, 0, 4}, {3, 4, 0}, {0, 0, 0}, {1, 1, 1}, {2, 4, 1}, {7, 9, 1},
+		{1, 5, 3}, {2, 3, 2}, {3, 4, 5}, {4, 8, 4}, {5, 7, 3}, {6, 13, 7}, {9, 6, 16},
+		{13, 17, 11}, {16, 16, 16}, {33, 10, 9}, {128, 1, 16}, {400, 16, 1}, {41, 131, 19},
+	}
+	for s := 0; s < 8; s++ {
+		shapes = append(shapes, [3]int{1 + rng.Intn(40), 1 + rng.Intn(40), 1 + rng.Intn(24)})
+	}
+	for _, kc := range kernelCases {
+		for _, sh := range shapes {
+			for _, p := range patterns {
+				a, b := kc.operands(sh[0], sh[1], sh[2], p.fa, p.fb)
+				kc.check(t, p.name, a, b, sh[0], sh[2])
+			}
+		}
+	}
+
+	// Past the cut-off rows really are split, evenly or not, and every
+	// worker count must give the same bits.
+	for _, kc := range kernelCases {
+		for _, sh := range [][3]int{{151, 70, 51}, {34000, 16, 1}} {
+			for _, p := range patterns[:2] {
+				a, b := kc.operands(sh[0], sh[1], sh[2], p.fa, p.fb)
+				for _, w := range []int{1, 2, 3, 8} {
+					SetWorkers(w)
+					kc.check(t, fmt.Sprintf("%s w=%d", p.name, w), a, b, sh[0], sh[2])
+				}
+			}
+		}
+	}
+}
+
+// TestKernelsParallelAboveCutoff guards the test above against vacuity: its
+// larger shapes must actually take the pooled path.
+func TestKernelsParallelAboveCutoff(t *testing.T) {
+	defer SetWorkers(SetWorkers(3))
+	var mu sync.Mutex
+	var ranges [][2]int
+	record := func(_ *scratch, _, _, _ *Dense, lo, hi int) {
+		mu.Lock()
+		ranges = append(ranges, [2]int{lo, hi})
+		mu.Unlock()
+	}
+	j := getJob()
+	defer putJob(j)
+	j.run(record, nil, nil, nil, 151, 151*70*51)
+	if len(ranges) != 3 {
+		t.Fatalf("151x70x51 ran as %d ranges at 3 workers, want 3", len(ranges))
+	}
+	ranges = ranges[:0]
+	j.run(record, nil, nil, nil, 10000, minParallelWork-1)
+	if len(ranges) != 1 || ranges[0] != [2]int{0, 10000} {
+		t.Fatalf("below the work cut-off ran as %v, want one inline range", ranges)
+	}
+}
+
+func TestKernelShapePanics(t *testing.T) {
+	cases := []struct {
+		f         func(dst, a, b *Dense)
+		dst, a, b *Dense
+		want      string
+	}{
+		{MatMulInto, New(2, 2), New(2, 3), New(4, 2), "tensor: matmul inner dims 3 vs 4"},
+		{MatMulInto, New(2, 3), New(2, 3), New(3, 2), "tensor: matmul dst 2x3 for 2x2"},
+		{MatMulTInto, New(2, 2), New(2, 3), New(2, 4), "tensor: matmulT inner dims 3 vs 4"},
+		{MatMulTInto, New(3, 2), New(2, 3), New(2, 3), "tensor: matmulT dst 3x2 for 2x2"},
+		{TMatMulInto, New(3, 2), New(2, 3), New(4, 2), "tensor: tmatmul outer dims 2 vs 4"},
+		{TMatMulInto, New(2, 2), New(2, 3), New(2, 2), "tensor: tmatmul dst 2x2 for 3x2"},
+	}
+	for _, c := range cases {
+		func() {
+			defer func() {
+				if r := recover(); r != c.want {
+					t.Errorf("panic %v, want %q", r, c.want)
+				}
+			}()
+			c.f(c.dst, c.a, c.b)
+		}()
+	}
+}
+
+// denseOperands returns a destination and seeded random operands for an
+// [m x k]·[k x n] product whose a is zero with probability zeroFrac.
+func denseOperands(kc kernelCase, m, k, n int, zeroFrac float64, seed int64) (dst, a, b *Dense) {
+	rng := rand.New(rand.NewSource(seed))
+	fa := func(int, int) float32 {
+		if rng.Float64() < zeroFrac {
+			return 0
+		}
+		return float32(rng.NormFloat64())
+	}
+	fb := func(int, int) float32 { return float32(rng.NormFloat64()) }
+	a, b = kc.operands(m, k, n, fa, fb)
+	return New(m, n), a, b
+}
+
+// TestKernelsAllocFree checks that a warm kernel call allocates nothing,
+// serial or pooled: tasks are values and job records are recycled.
+func TestKernelsAllocFree(t *testing.T) {
+	defer SetWorkers(SetWorkers(1))
+	for _, kc := range kernelCases {
+		dst, a, b := denseOperands(kc, 260, 64, 32, 0.5, 3) // past the serial cut-off
+		for _, w := range []int{1, 2} {
+			SetWorkers(w)
+			kc.got(dst, a, b) // warm: pool, job record, scratch
+			if n := testing.AllocsPerRun(20, func() { kc.got(dst, a, b) }); n != 0 {
+				t.Errorf("%s at %d workers: %.0f allocs per call, want 0", kc.name, w, n)
+			}
+		}
+	}
+}
+
+// TestKernelsConcurrentCallers drives the shared pool from many goroutines
+// at once — plain ones and sim.RunParallel slots, the shape training under
+// RealWorkers = 4 produces — and checks every result against serial.
+func TestKernelsConcurrentCallers(t *testing.T) {
+	defer SetWorkers(SetWorkers(1))
+	type problem struct {
+		kc        kernelCase
+		a, b      *Dense
+		want, got *Dense
+	}
+	const callers = 4
+	var probs []*problem
+	for c := 0; c < callers; c++ {
+		for _, kc := range kernelCases {
+			m, k, n := 260+7*c, 64+c, 32+c // past the serial cut-off
+			dst, a, b := denseOperands(kc, m, k, n, 0.5, int64(c))
+			kc.got(dst, a, b)
+			probs = append(probs, &problem{kc, a, b, dst, New(m, n)})
+		}
+	}
+	SetWorkers(4)
+	per := len(kernelCases)
+	slot := func(c int) {
+		for rep := 0; rep < 8; rep++ {
+			for _, p := range probs[c*per : (c+1)*per] {
+				p.kc.got(p.got, p.a, p.b)
+				for i := range p.want.V {
+					if math.Float32bits(p.got.V[i]) != math.Float32bits(p.want.V[i]) {
+						t.Errorf("caller %d %s: element %d differs from serial", c, p.kc.name, i)
+						return
+					}
+				}
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			slot(c)
+		}(c)
+	}
+	wg.Wait()
+	defer sim.SetParallel(sim.SetParallel(true))
+	sim.RunParallel(callers, slot)
+}
+
+// TestKernelsSaturatedQueue parks every pool worker and fills the task queue,
+// then checks that kernel calls still complete (each range falls back to the
+// submitter) and are correct.
+func TestKernelsSaturatedQueue(t *testing.T) {
+	defer SetWorkers(SetWorkers(4))
+	startPool()
+	gate := make(chan struct{})
+	blocker := getJob()
+	blocker.kern = func(*scratch, *Dense, *Dense, *Dense, int, int) { <-gate }
+	// One task per worker to park on plus a full queue behind them; the
+	// sends complete exactly when every worker is parked.
+	parked := runtime.NumCPU() + cap(pool.tasks)
+	blocker.wg.Add(parked)
+	for i := 0; i < parked; i++ {
+		pool.tasks <- task{blocker, 0, 0}
+	}
+	for _, kc := range kernelCases {
+		dst, a, b := denseOperands(kc, 260, 64, 32, 0.5, 5)
+		kc.check(t, "saturated", a, b, dst.R, dst.C)
+	}
+	close(gate)
+	blocker.wg.Wait()
+	blocker.kern = nil
+	putJob(blocker)
+}
+
+// TestRunBalancedCoverage checks that the row ranges of a pooled call tile
+// [0, rows) exactly once with sizes differing by at most one.
+func TestRunBalancedCoverage(t *testing.T) {
+	defer SetWorkers(SetWorkers(1))
+	j := getJob()
+	defer putJob(j)
+	for _, w := range []int{2, 3, 7, 8} {
+		for _, n := range []int{1, w - 1, w, 4*w + 1, 97, 128} {
+			SetWorkers(w)
+			var mu sync.Mutex
+			covered := make([]int, n)
+			var sizes []int
+			j.run(func(_ *scratch, _, _, _ *Dense, lo, hi int) {
+				mu.Lock()
+				defer mu.Unlock()
+				sizes = append(sizes, hi-lo)
+				for i := lo; i < hi; i++ {
+					covered[i]++
+				}
+			}, nil, nil, nil, n, minParallelWork)
+			for i, c := range covered {
+				if c != 1 {
+					t.Fatalf("w=%d n=%d: row %d covered %d times", w, n, i, c)
+				}
+			}
+			mn, mx := sizes[0], sizes[0]
+			for _, s := range sizes {
+				mn, mx = min(mn, s), max(mx, s)
+			}
+			if mx-mn > 1 || mn == 0 {
+				t.Fatalf("w=%d n=%d: range sizes %v not balanced", w, n, sizes)
+			}
+		}
+	}
+}

@@ -43,23 +43,28 @@ func LeakyReLUGrad(x, slope float32) float32 {
 	return slope
 }
 
-// LogSoftmaxInto sets dst to the row-wise log-softmax of a (numerically
-// stable: subtract the row max).
+// logSumExp returns log(sum(exp(row))), numerically stable: the row max is
+// subtracted before exponentiating.
+func logSumExp(row []float32) float32 {
+	maxv := row[0]
+	for _, v := range row[1:] {
+		if v > maxv {
+			maxv = v
+		}
+	}
+	var sum float64
+	for _, v := range row {
+		sum += math.Exp(float64(v - maxv))
+	}
+	return float32(math.Log(sum)) + maxv
+}
+
+// LogSoftmaxInto sets dst to the row-wise log-softmax of a.
 func LogSoftmaxInto(dst, a *Dense) {
 	a.mustSameShape(dst, "logsoftmax")
 	for i := 0; i < a.R; i++ {
 		ar, dr := a.Row(i), dst.Row(i)
-		maxv := ar[0]
-		for _, v := range ar[1:] {
-			if v > maxv {
-				maxv = v
-			}
-		}
-		var sum float64
-		for _, v := range ar {
-			sum += math.Exp(float64(v - maxv))
-		}
-		lse := float32(math.Log(sum)) + maxv
+		lse := logSumExp(ar)
 		for j, v := range ar {
 			dr[j] = v - lse
 		}
@@ -77,13 +82,17 @@ func SoftmaxInto(dst, a *Dense) {
 // CrossEntropy computes the mean negative log-likelihood of the labels
 // under row-wise softmax of logits, and, if grad is non-nil, writes the
 // gradient d(loss)/d(logits) = (softmax - onehot)/rows into grad. Rows with
-// label < 0 are ignored (unlabeled).
+// label < 0 are ignored (unlabeled). It allocates nothing: with a grad the
+// log-softmax is staged there, without one only each labelled row's
+// log-sum-exp is needed.
 func CrossEntropy(logits *Dense, labels []int32, grad *Dense) float64 {
 	if len(labels) != logits.R {
 		panic("tensor: label count mismatch")
 	}
-	ls := New(logits.R, logits.C)
-	LogSoftmaxInto(ls, logits)
+	if grad != nil {
+		grad.mustSameShape(logits, "crossentropy")
+		LogSoftmaxInto(grad, logits)
+	}
 	var loss float64
 	n := 0
 	for i, lab := range labels {
@@ -91,7 +100,12 @@ func CrossEntropy(logits *Dense, labels []int32, grad *Dense) float64 {
 			continue
 		}
 		n++
-		loss -= float64(ls.Row(i)[lab])
+		if grad != nil {
+			loss -= float64(grad.Row(i)[lab])
+		} else {
+			row := logits.Row(i)
+			loss -= float64(row[lab] - logSumExp(row))
+		}
 	}
 	if n == 0 {
 		if grad != nil {
@@ -100,19 +114,15 @@ func CrossEntropy(logits *Dense, labels []int32, grad *Dense) float64 {
 		return 0
 	}
 	if grad != nil {
-		grad.mustSameShape(logits, "crossentropy")
 		inv := float32(1.0 / float64(n))
 		for i, lab := range labels {
 			gr := grad.Row(i)
 			if lab < 0 {
-				for j := range gr {
-					gr[j] = 0
-				}
+				clear(gr)
 				continue
 			}
-			lr := ls.Row(i)
-			for j := range gr {
-				gr[j] = float32(math.Exp(float64(lr[j]))) * inv
+			for j, ls := range gr {
+				gr[j] = float32(math.Exp(float64(ls))) * inv
 			}
 			gr[lab] -= inv
 		}

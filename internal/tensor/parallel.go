@@ -6,18 +6,25 @@ import (
 	"sync/atomic"
 )
 
-// Host-side parallelism for the row-independent kernels. Output rows of a
-// matrix product are independent, so splitting them across goroutines
-// changes nothing numerically — results are bit-identical to the serial
-// path. The worker count defaults to GOMAXPROCS and can be pinned for
-// reproducible benchmarking.
+// Host-side parallelism for the matrix kernels. Output rows of a matrix
+// product are independent, so splitting them across goroutines changes
+// nothing numerically — results are bit-identical to the serial path. The
+// worker count defaults to GOMAXPROCS and can be pinned for reproducible
+// benchmarking.
 //
 // Work runs on a lazily started persistent pool rather than per-call
-// goroutines: a parallelRows call enqueues its chunks on a shared task
-// channel and executes the last chunk itself. When the queue is full (e.g.
-// many simulated devices inside sim.RunParallel all hitting dense kernels
-// at once) the submitting goroutine runs the chunk inline, which both
-// bounds memory and makes nested parallelism deadlock-free.
+// goroutines: a kernel call enqueues its row ranges on a shared task channel
+// and executes the last range itself. When the queue is full (e.g. many
+// simulated devices inside sim.RunParallel all hitting dense kernels at
+// once) the submitting goroutine runs the range inline, which both bounds
+// memory and makes nested parallelism deadlock-free.
+//
+// Dispatch allocates nothing: a task is a value (job pointer plus row
+// range), and the job record — the kernel's operands, the join, and the
+// submitting goroutine's kernel scratch — is recycled through a free list.
+// Ownership: a job belongs to the goroutine that took it from getJob until
+// it hands it back with putJob; pool workers only read its operands, between
+// the send of a task and that task's Done, and bring their own scratch.
 
 var numWorkers int64 = int64(runtime.GOMAXPROCS(0))
 
@@ -34,9 +41,55 @@ func SetWorkers(n int) int {
 // Workers returns the current worker count.
 func Workers() int { return int(atomic.LoadInt64(&numWorkers)) }
 
+// minParallelWork is the number of multiply-adds (m*k*n) below which a
+// product runs on the calling goroutine. Waking a parked pool worker and
+// joining it measured ~70 µs on the 2-vCPU reference box, which two workers
+// win back only from ~150 µs of serial kernel time, i.e. 2^19 multiply-adds;
+// GAT's [h x 1] attention products are a tenth of that.
+const minParallelWork = 1 << 19
+
+// rowKernel computes output rows [lo, hi) of dst from a and b, using s as
+// its working memory.
+type rowKernel func(s *scratch, dst, a, b *Dense, lo, hi int)
+
+// job is one kernel call in flight.
+type job struct {
+	kern      rowKernel
+	dst, a, b *Dense
+	wg        sync.WaitGroup
+	scr       scratch // the submitting goroutine's kernel scratch
+	bt        Dense   // MatMulTInto's transposed b
+}
+
+type task struct {
+	j      *job
+	lo, hi int
+}
+
+// jobs is the free list of job records. 64 is more than the goroutines ever
+// inside a kernel at once (sim.RunParallel runs at most one per simulated
+// GPU of a node); past that, records are simply allocated and dropped.
+var jobs = make(chan *job, 64)
+
+func getJob() *job {
+	select {
+	case j := <-jobs:
+		return j
+	default:
+		return new(job)
+	}
+}
+
+func putJob(j *job) {
+	select {
+	case jobs <- j:
+	default:
+	}
+}
+
 var pool struct {
 	once  sync.Once
-	tasks chan func()
+	tasks chan task
 }
 
 // startPool launches the persistent workers, once, sized to the physical
@@ -45,51 +98,52 @@ var pool struct {
 func startPool() {
 	pool.once.Do(func() {
 		n := runtime.NumCPU()
-		pool.tasks = make(chan func(), 4*n)
+		// Room for every worker to have a few ranges waiting; a full queue
+		// is not an error, the submitter runs the range itself.
+		pool.tasks = make(chan task, 4*n)
 		for i := 0; i < n; i++ {
 			go func() {
+				var s scratch
 				for t := range pool.tasks {
-					t()
+					t.j.kern(&s, t.j.dst, t.j.a, t.j.b, t.lo, t.hi)
+					t.j.wg.Done()
 				}
 			}()
 		}
 	})
 }
 
-// parallelRows invokes f over disjoint [lo, hi) row ranges covering [0, n),
-// in parallel when both the worker count and the row count warrant it.
-// Chunk sizes differ by at most one row (the first n%w chunks take the
-// extra row), so no tail chunk straggles.
-func parallelRows(n int, f func(lo, hi int)) {
-	w := Workers()
-	// Tiny matrices are not worth the round-trip through the pool.
-	if w <= 1 || n < 4*w {
-		f(0, n)
+// run invokes kern over disjoint row ranges covering [0, rows), in parallel
+// when the worker count and the product's size (work = m*k*n multiply-adds)
+// warrant it. Range sizes differ by at most one row (the first rows%w
+// ranges take the extra row), so no tail range straggles.
+func (j *job) run(kern rowKernel, dst, a, b *Dense, rows, work int) {
+	w := min(Workers(), rows)
+	if w <= 1 || work < minParallelWork {
+		kern(&j.scr, dst, a, b, 0, rows)
 		return
 	}
 	startPool()
-	base, extra := n/w, n%w
-	var wg sync.WaitGroup
+	j.kern, j.dst, j.a, j.b = kern, dst, a, b
+	base, extra := rows/w, rows%w
 	lo := 0
 	for i := 0; i < w-1; i++ {
 		hi := lo + base
 		if i < extra {
 			hi++
 		}
-		cl, ch := lo, hi
-		lo = hi
-		wg.Add(1)
-		task := func() {
-			defer wg.Done()
-			f(cl, ch)
-		}
+		j.wg.Add(1)
 		select {
-		case pool.tasks <- task:
+		case pool.tasks <- task{j, lo, hi}:
 		default:
-			task() // queue full: run inline on the submitter
+			// Queue full: run inline on the submitter.
+			kern(&j.scr, dst, a, b, lo, hi)
+			j.wg.Done()
 		}
+		lo = hi
 	}
-	// The caller works the final chunk itself instead of idling in Wait.
-	f(lo, n)
-	wg.Wait()
+	// The caller works the final range itself instead of idling in Wait.
+	kern(&j.scr, dst, a, b, lo, rows)
+	j.wg.Wait()
+	j.kern, j.dst, j.a, j.b = nil, nil, nil, nil
 }

@@ -14,7 +14,7 @@ import (
 // size, fanout, or feature width. The seed code allocated hundreds of times
 // per iteration (every tensor, neighborhood, hash table, and sort buffer
 // was fresh); this test fails tier-1 if that regresses.
-const epochAllocBudget = 60 // per iteration
+const epochAllocBudget = 44 // per iteration
 
 // TestSteadyStateEpochAllocs measures second-and-later epochs of a small
 // trainer under serial execution (goroutine fan-out is wall-clock

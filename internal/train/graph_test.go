@@ -281,7 +281,7 @@ func TestCaptureGraphEvaluateInterleaved(t *testing.T) {
 // per-epoch bookkeeping (shuffled batch list, stats) amortized over the
 // iterations. Eager iterations allocate the backward closures every step
 // (epochAllocBudget); replay must be well under that.
-const replayAllocBudget = 25 // per iteration
+const replayAllocBudget = 7 // per iteration
 
 // TestReplayEpochAllocs pins the host-side win of capture/replay: once both
 // loader slots are captured, a replay epoch allocates strictly less than

@@ -9,6 +9,10 @@ cd "$(dirname "$0")/.."
 go vet ./...
 go build ./...
 go test -race ./...
+# The dense kernels' pool is shared by every goroutine that multiplies:
+# hammer it — concurrent callers, nested under sim.RunParallel, a saturated
+# queue — repeatedly and at two GOMAXPROCS settings (~80 s).
+go test -race -count=10 -cpu 1,4 ./internal/tensor
 # The benchmark is its own module (benchmark/go.mod), so the commands above
 # never compile it: vet it and run its toy-size smoke (< 10 s), or a changed
 # internal/* signature breaks the harness unseen.
