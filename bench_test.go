@@ -235,52 +235,6 @@ func benchmarkSpMM(b *testing.B, be spops.Backend) {
 	}
 }
 
-// BenchmarkMatMul times the three dense kernels of one linear layer —
-// forward Y = X·W, input gradient dX = dY·Wᵀ, weight gradient dW = Xᵀ·dY,
-// 2·m·k·n FLOPs each — at the shapes the benchmark/ workloads run them.
-func BenchmarkMatMul(b *testing.B) {
-	shapes := []struct {
-		name     string
-		m, k, n  int
-		zeroFrac float64 // share of X that ReLU + dropout zeroed
-	}{
-		{"sage0_1408x200x64", 1408, 200, 64, 0},
-		{"sage1_128x128x47", 128, 128, 47, 0.75},
-		{"gat_10000x100x16", 10000, 100, 16, 0},
-		{"serve_300x200x64", 300, 200, 64, 0},
-	}
-	for _, sh := range shapes {
-		rng := rand.New(rand.NewSource(4))
-		x := tensor.Randn(sh.m, sh.k, 1, rng)
-		for i := range x.V {
-			if rng.Float64() < sh.zeroFrac {
-				x.V[i] = 0
-			}
-		}
-		w := tensor.Randn(sh.k, sh.n, 1, rng)
-		dy := tensor.Randn(sh.m, sh.n, 1, rng)
-		y, dx, dw := tensor.New(sh.m, sh.n), tensor.New(sh.m, sh.k), tensor.New(sh.k, sh.n)
-		kernels := []struct {
-			name string
-			run  func()
-		}{
-			{"MatMul", func() { tensor.MatMulInto(y, x, w) }},
-			{"MatMulT", func() { tensor.MatMulTInto(dx, dy, w) }},
-			{"TMatMul", func() { tensor.TMatMulInto(dw, x, dy) }},
-		}
-		for _, kn := range kernels {
-			b.Run(kn.name+"/"+sh.name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					kn.run()
-				}
-				flops := 2 * float64(sh.m) * float64(sh.k) * float64(sh.n)
-				b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-			})
-		}
-	}
-}
-
 func BenchmarkEndToEndEpoch(b *testing.B) {
 	ds, err := wholegraph.GenerateDataset(wholegraph.OgbnProducts.Scaled(0.001))
 	if err != nil {

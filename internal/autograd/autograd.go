@@ -191,6 +191,18 @@ func (t *Tape) NewTensor(r, c int) *tensor.Dense {
 	return d
 }
 
+// newProduct is NewTensor for the output of a matrix product: the *Into
+// kernels set every element, so a recycled arena slab is not zeroed first.
+// (Capturing and replaying tapes have no arena.)
+func (t *Tape) newProduct(r, c int) *tensor.Dense {
+	if t == nil || t.arena == nil {
+		return t.NewTensor(r, c)
+	}
+	d := t.arena.GetUninit(r, c)
+	t.owned = append(t.owned, d)
+	return d
+}
+
 // NewView returns an [r x c] header over v (not copied). The header is
 // pooled; the backing memory stays whoever's it was.
 func (t *Tape) NewView(r, c int, v []float32) *tensor.Dense {
@@ -478,7 +490,7 @@ func (t *Tape) replay(loss *Var, seed *tensor.Dense, watch []*Var, onReady func(
 
 // MatMul returns x*w with gradients to both inputs.
 func MatMul(x, w *Var) *Var {
-	out := x.tape.NewTensor(x.Value.R, w.Value.C)
+	out := x.tape.newProduct(x.Value.R, w.Value.C)
 	tensor.MatMulInto(out, x.Value, w.Value)
 	if x.tape.capturing {
 		x.tape.CaptureRW("matmul", func() {
@@ -488,12 +500,12 @@ func MatMul(x, w *Var) *Var {
 	}
 	return x.tape.Op(out, []*Var{x, w}, func(v *Var) {
 		if x.needGrad {
-			gx := x.tape.NewTensor(x.Value.R, x.Value.C)
+			gx := x.tape.newProduct(x.Value.R, x.Value.C)
 			tensor.MatMulTInto(gx, v.Grad, w.Value) // dX = dY * Wᵀ
 			x.AccumGrad(gx)
 		}
 		if w.needGrad {
-			gw := w.tape.NewTensor(w.Value.R, w.Value.C)
+			gw := w.tape.newProduct(w.Value.R, w.Value.C)
 			tensor.TMatMulInto(gw, x.Value, v.Grad) // dW = Xᵀ * dY
 			w.AccumGrad(gw)
 		}

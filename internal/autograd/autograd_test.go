@@ -66,6 +66,54 @@ func TestMatMulGradient(t *testing.T) {
 	numericCheck(t, wv, build)
 }
 
+// TestMatMulRecycledSlabsNotZeroed pins that MatMul's output and gradients
+// do not depend on the arena zeroing their slabs (newProduct skips it): with
+// every recycled slab poisoned with NaN, a second iteration still matches a
+// plain tape bit for bit.
+func TestMatMulRecycledSlabsNotZeroed(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	xv := tensor.Randn(9, 13, 1, rng)
+	wv := tensor.Randn(13, 10, 1, rng)
+	for i := range xv.V { // ReLU-like zeros, so the kernels' skip paths run
+		if i%3 == 0 {
+			xv.V[i] = 0
+		}
+	}
+	seed := tensor.Randn(9, 10, 1, rng)
+	step := func(tp *Tape) (y, gx, gw *tensor.Dense) {
+		x, w := tp.Param(xv), tp.Param(wv)
+		out := MatMul(x, w)
+		tp.Backward(out, seed)
+		return out.Value, x.Grad, w.Grad
+	}
+	wantY, wantGX, wantGW := step(NewTape())
+
+	tp := NewTapeArena(tensor.NewArena())
+	step(tp)
+	nan := float32(math.NaN())
+	for _, d := range tp.owned {
+		slab := d.V[:cap(d.V)]
+		for i := range slab {
+			slab[i] = nan
+		}
+	}
+	tp.Reset()
+	gotY, gotGX, gotGW := step(tp)
+	if st := tp.Arena().Stats(); st.Hits == 0 {
+		t.Fatal("second iteration recycled no slab: the test is vacuous")
+	}
+	for _, c := range []struct {
+		name      string
+		got, want *tensor.Dense
+	}{{"y", gotY, wantY}, {"dx", gotGX, wantGX}, {"dw", gotGW, wantGW}} {
+		for i := range c.want.V {
+			if math.Float32bits(c.got.V[i]) != math.Float32bits(c.want.V[i]) {
+				t.Fatalf("%s[%d] = %g on poisoned slabs, want %g", c.name, i, c.got.V[i], c.want.V[i])
+			}
+		}
+	}
+}
+
 func TestChainedGradient(t *testing.T) {
 	// y = ReLU(x*w + b) * w2, loss = sum(y): checks the whole tape replay.
 	rng := rand.New(rand.NewSource(2))

@@ -7,7 +7,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // COO is an edge list over nodes [0, N).
@@ -66,8 +66,7 @@ func FromCOO(coo COO, undirected bool) (*CSR, error) {
 		}
 	}
 	for v := int64(0); v < n; v++ {
-		nb := col[rowptr[v]:rowptr[v+1]]
-		sort.Slice(nb, func(i, j int) bool { return nb[i] < nb[j] })
+		slices.Sort(col[rowptr[v]:rowptr[v+1]])
 	}
 	return &CSR{N: n, RowPtr: rowptr, Col: col}, nil
 }

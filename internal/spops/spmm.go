@@ -94,10 +94,7 @@ func SpMM(dev *sim.Device, be Backend, g *SubCSR, x *autograd.Var, w *autograd.V
 					if w != nil {
 						we *= w.Value.V[e]
 					}
-					dst := gx.Row(int(g.Col[e]))
-					for j, gv := range gr {
-						dst[j] += we * gv
-					}
+					tensor.Axpy(gx.Row(int(g.Col[e])), gr, we)
 				}
 			}
 			chargeSpMMBackwardDX(dev, be, g, d)
@@ -195,9 +192,7 @@ func spmmRun(be Backend, g *SubCSR, xVal *tensor.Dense, w *autograd.Var, norm []
 				if w != nil {
 					we *= w.Value.V[e]
 				}
-				for j, v := range src {
-					or[j] += we * v
-				}
+				tensor.Axpy(or, src, we)
 			}
 		}
 	}

@@ -13,7 +13,8 @@ import "math/bits"
 // elements is served from bucket ceil(log2(n)), whose slabs all have
 // capacity >= n. Get zeroes the returned memory, so a pooled tensor is
 // indistinguishable from a freshly allocated one — this is what keeps
-// pooled and non-pooled runs bit-identical.
+// pooled and non-pooled runs bit-identical. (GetUninit skips that for
+// outputs that are overwritten whole.)
 //
 // Ownership: an Arena is NOT safe for concurrent use. Under sim.RunParallel
 // each worker goroutine owns its own arena (one per training worker, one
@@ -51,7 +52,11 @@ func slabClass(c int) int {
 
 // GetSlice returns a zeroed float32 slice of length n, reusing pooled
 // memory when available.
-func (a *Arena) GetSlice(n int) []float32 {
+func (a *Arena) GetSlice(n int) []float32 { return a.slab(n, true) }
+
+// slab returns a length-n slice, recycled if the pool has one. A recycled
+// slab still holds what its last user left unless zero is set.
+func (a *Arena) slab(n int, zero bool) []float32 {
 	if n == 0 {
 		return nil
 	}
@@ -61,7 +66,9 @@ func (a *Arena) GetSlice(n int) []float32 {
 		s[len(s)-1] = nil
 		a.slabs[b] = s[:len(s)-1]
 		v = v[:n]
-		clear(v)
+		if zero {
+			clear(v)
+		}
 		a.hits++
 		a.heldBytes -= int64(4 * cap(v))
 		return v
@@ -88,6 +95,16 @@ func (a *Arena) Get(r, c int) *Dense {
 	d := a.header()
 	d.R, d.C = r, c
 	d.V = a.GetSlice(r * c)
+	return d
+}
+
+// GetUninit is Get without the zeroing, for a destination the caller
+// overwrites in full (the *Into matrix products clear their own): what a
+// recycled slab last held is still in it.
+func (a *Arena) GetUninit(r, c int) *Dense {
+	d := a.header()
+	d.R, d.C = r, c
+	d.V = a.slab(r*c, false)
 	return d
 }
 

@@ -1,10 +1,11 @@
 // Package tensor implements the dense float32 matrix math underlying the
-// neural-network stack: matrix multiply (a register-tiled scalar kernel that
-// keeps the naive loops' summation order, row-parallel over a goroutine
-// pool; see matmul.go), broadcast elementwise operations, row softmax and
-// reductions. It is the stand-in for the dense CUDA kernels PyTorch provides
-// to the real WholeGraph; cost accounting for the simulated devices happens
-// in the layers that call it, not here.
+// neural-network stack: matrix multiply (a register-tiled kernel, AVX lanes
+// on amd64 and plain Go elsewhere, that keeps the naive loops' summation
+// order, row-parallel over a goroutine pool; see matmul.go), broadcast
+// elementwise operations, row softmax and reductions. It is the stand-in for
+// the dense CUDA kernels PyTorch provides to the real WholeGraph; cost
+// accounting for the simulated devices happens in the layers that call it,
+// not here.
 package tensor
 
 import (
@@ -115,9 +116,7 @@ func AddInto(dst, a, b *Dense) {
 // AccumInto adds src into dst elementwise.
 func AccumInto(dst, src *Dense) {
 	dst.mustSameShape(src, "accum")
-	for i := range dst.V {
-		dst.V[i] += src.V[i]
-	}
+	axpy1(dst.V, src.V, 1) // 1*s is s exactly
 }
 
 // ScaleInto sets dst = s * a.

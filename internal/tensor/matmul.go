@@ -4,9 +4,14 @@ import "fmt"
 
 // Matrix multiplication: one register-tiled micro-kernel (axpy4, its two-row
 // form axpy4x2 and the one-term tail axpy1) behind three thin drivers,
-// MatMulInto, MatMulTInto and TMatMulInto. Pure Go, scalar: the compiler
-// neither vectorises nor (on amd64) fuses multiply-add, so the kernel's job is
-// to keep the loop at one load per multiply-add and free of bounds checks.
+// MatMulInto, MatMulTInto and TMatMulInto. The micro-kernel is a loop over
+// output columns j with one load per multiply-add and no bounds checks. On
+// amd64 with AVX its first len(d)&^7 columns run eight to a 256-bit register
+// in assembly (axpy_amd64.s, chosen once at init by haveAVX) and the Go loop
+// of the same function finishes the tail; everywhere else, and for rows under
+// eight columns, the Go loop is the whole kernel. The Go compiler neither
+// vectorises nor (on amd64) fuses multiply-add, so the two do the same
+// arithmetic, and the tests hold the assembly to the loop bit for bit.
 //
 // Summation-order contract. Every output element is the float32 recurrence
 //
@@ -16,9 +21,15 @@ import "fmt"
 // hence virtual times are pinned to it bit for bit. What may be re-tiled is
 // where s lives and which elements share loads: the kernel carries s in a
 // register across four k instead of storing and reloading dst once per k, and
-// two output rows share the four b loads. What may not: splitting k across
-// accumulators, reordering terms, math.FMA. Output rows never interact, so
-// any split of them over goroutines is bit-identical too (parallel.go).
+// two output rows share the four b loads. Vector lanes are legal for the same
+// reason: a lane is one column j, columns never interact, each lane runs the
+// recurrence above with VMULPS and VADDPS as two instructions (one IEEE
+// rounding each, as MULSS and ADDSS), and MXCSR stays Go's default — round to
+// nearest, no flush-to-zero, no denormals-are-zero. What may not: fused
+// multiply-add (VFMADD, math.FMA: one rounding where there were two),
+// horizontal adds or any sum across lanes, splitting k across accumulators,
+// reordering terms. Output rows never interact either, so any split of them
+// over goroutines is bit-identical too (parallel.go).
 //
 // Zeros. MatMulInto and TMatMulInto leave out the terms whose a is exactly
 // zero — ReLU and dropout zero ~75 % of hidden activations — and leave out
@@ -30,16 +41,30 @@ import "fmt"
 // axpy1 adds a0*b0 to d element-wise.
 func axpy1(d, b0 []float32, a0 float32) {
 	b0 = b0[:len(d)]
-	for j := range d {
+	j := 0
+	if v := len(d) &^ 7; haveAVX && v != 0 {
+		axpy1AVX(&d[0], &b0[0], v, a0)
+		j = v
+	}
+	for ; j < len(d); j++ {
 		d[j] += a0 * b0[j]
 	}
 }
+
+// Axpy adds a*x to d element-wise: the micro-kernel's one-term form, for
+// row accumulations outside this package (SpMM). len(x) must be >= len(d).
+func Axpy(d, x []float32, a float32) { axpy1(d, x, a) }
 
 // axpy4 adds a0*b0, a1*b1, a2*b2, a3*b3 to d element-wise, in that order,
 // with the running sum held in a register between the four.
 func axpy4(d, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32) {
 	b0, b1, b2, b3 = b0[:len(d)], b1[:len(d)], b2[:len(d)], b3[:len(d)]
-	for j := range d {
+	j := 0
+	if v := len(d) &^ 7; haveAVX && v != 0 {
+		axpy4AVX(&d[0], &b0[0], &b1[0], &b2[0], &b3[0], v, a0, a1, a2, a3)
+		j = v
+	}
+	for ; j < len(d); j++ {
 		s := d[j]
 		s += a0 * b0[j]
 		s += a1 * b1[j]
@@ -53,7 +78,12 @@ func axpy4(d, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32) {
 // a terms, e the c terms.
 func axpy4x2(d, e, b0, b1, b2, b3 []float32, a0, a1, a2, a3, c0, c1, c2, c3 float32) {
 	e, b0, b1, b2, b3 = e[:len(d)], b0[:len(d)], b1[:len(d)], b2[:len(d)], b3[:len(d)]
-	for j := range d {
+	j := 0
+	if v := len(d) &^ 7; haveAVX && v != 0 {
+		axpy4x2AVX(&d[0], &e[0], &b0[0], &b1[0], &b2[0], &b3[0], v, a0, a1, a2, a3, c0, c1, c2, c3)
+		j = v
+	}
+	for ; j < len(d); j++ {
 		v0, v1, v2, v3 := b0[j], b1[j], b2[j], b3[j]
 		s, t := d[j], e[j]
 		s += a0 * v0

@@ -125,11 +125,129 @@ func (kc kernelCase) check(t *testing.T, what string, a, b *Dense, m, n int) {
 	}
 }
 
+// bothKernels runs a kernel test twice: with the micro-kernel's AVX prefix
+// (where the CPU has one) and with the pure-Go loops alone.
+func bothKernels(t *testing.T, test func(t *testing.T)) {
+	defer func(v bool) { haveAVX = v }(haveAVX)
+	t.Run("avx", func(t *testing.T) {
+		if !haveAVX {
+			t.Skip("no AVX on this CPU")
+		}
+		test(t)
+	})
+	haveAVX = false
+	t.Run("go", test)
+}
+
+// TestAxpyVectorMatchesScalar pins the assembly to the scalar loops it
+// stands in for, bit for bit: every n through two vector widths and all
+// tails, operands at odd element offsets (so nothing is 32-byte aligned), b
+// rows longer than d, denormals, signed zeros, infinities and NaNs in every
+// operand. Whole backing arrays are compared: the scalar loops are
+// bounds-checked Go and cannot write outside d and e, so equality also shows
+// the assembly leaves the guard words around them and every b row alone.
+func TestAxpyVectorMatchesScalar(t *testing.T) {
+	if !haveAVX {
+		t.Skip("no AVX on this CPU")
+	}
+	defer func() { haveAVX = true }()
+	rng := rand.New(rand.NewSource(15))
+	randn := func() float32 { return float32(rng.NormFloat64()) }
+	tiny := func() float32 { return randn() * 1e-30 * float32(math.Pow(10, -float64(rng.Intn(12)))) }
+	mixed := func() float32 {
+		switch rng.Intn(10) {
+		case 0:
+			return float32(math.Copysign(0, -1))
+		case 1:
+			return 0
+		case 2:
+			return float32(math.Inf(1))
+		case 3:
+			return float32(math.Inf(-1))
+		case 4:
+			return float32(math.NaN())
+		case 5:
+			return tiny()
+		}
+		return randn()
+	}
+	const guard = -12345.5
+	// operand returns a guard-filled array with n+extra generated values
+	// starting at element off; the operand proper is [off, off+n+extra).
+	operand := func(off, n, extra int, gen func() float32) []float32 {
+		back := make([]float32, off+n+extra+9)
+		for i := range back {
+			back[i] = guard
+		}
+		for i := off; i < off+n+extra; i++ {
+			back[i] = gen()
+		}
+		return back
+	}
+	kernels := []struct {
+		name string
+		run  func(d, e []float32, b [4][]float32, a, c [4]float32)
+	}{
+		{"axpy1", func(d, _ []float32, b [4][]float32, a, _ [4]float32) { axpy1(d, b[0], a[0]) }},
+		{"axpy4", func(d, _ []float32, b [4][]float32, a, _ [4]float32) {
+			axpy4(d, b[0], b[1], b[2], b[3], a[0], a[1], a[2], a[3])
+		}},
+		{"axpy4x2", func(d, e []float32, b [4][]float32, a, c [4]float32) {
+			axpy4x2(d, e, b[0], b[1], b[2], b[3], a[0], a[1], a[2], a[3], c[0], c[1], c[2], c[3])
+		}},
+	}
+	gens := []struct {
+		name string
+		gen  func() float32
+	}{{"normal", randn}, {"denormal", tiny}, {"mixed", mixed}}
+	const bExtra = 5 // len(b) > len(d)
+	offs := [6]int{1, 3, 5, 7, 9, 11}
+	for _, k := range kernels {
+		for _, g := range gens {
+			for n := 0; n <= 72; n++ {
+				var backs [6][]float32 // d, e, b0..b3
+				backs[0], backs[1] = operand(offs[0], n, 0, g.gen), operand(offs[1], n, 0, g.gen)
+				for i := 2; i < 6; i++ {
+					backs[i] = operand(offs[i], n, bExtra, g.gen)
+				}
+				var a, c [4]float32
+				for i := range a {
+					a[i], c[i] = g.gen(), g.gen()
+				}
+				run := func(avx bool) (out [6][]float32) {
+					for i, back := range backs {
+						out[i] = append([]float32(nil), back...)
+					}
+					var b [4][]float32
+					for i := range b {
+						b[i] = out[2+i][offs[2+i] : offs[2+i]+n+bExtra]
+					}
+					haveAVX = avx
+					k.run(out[0][offs[0]:offs[0]+n], out[1][offs[1]:offs[1]+n], b, a, c)
+					return out
+				}
+				want, got := run(false), run(true)
+				for i := range want {
+					for j := range want[i] {
+						if !sameBits(got[i][j], want[i][j]) {
+							t.Fatalf("%s %s n=%d: operand %d element %d (data from %d) = %g (%#08x), scalar %g (%#08x)",
+								k.name, g.name, n, i, j, offs[i], got[i][j], math.Float32bits(got[i][j]),
+								want[i][j], math.Float32bits(want[i][j]))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestKernelsBitIdentical pins all three drivers to the reference loops over
 // every block tail, zero pattern and special value, at several worker counts.
 // Non-finite inputs included: the kernels visit exactly the terms the loops
 // did, so an Inf or NaN lands in the same outputs.
-func TestKernelsBitIdentical(t *testing.T) {
+func TestKernelsBitIdentical(t *testing.T) { bothKernels(t, testKernelsBitIdentical) }
+
+func testKernelsBitIdentical(t *testing.T) {
 	defer SetWorkers(SetWorkers(1))
 	rng := rand.New(rand.NewSource(13))
 	negZero := float32(math.Copysign(0, -1))
@@ -290,7 +408,9 @@ func denseOperands(kc kernelCase, m, k, n int, zeroFrac float64, seed int64) (ds
 
 // TestKernelsAllocFree checks that a warm kernel call allocates nothing,
 // serial or pooled: tasks are values and job records are recycled.
-func TestKernelsAllocFree(t *testing.T) {
+func TestKernelsAllocFree(t *testing.T) { bothKernels(t, testKernelsAllocFree) }
+
+func testKernelsAllocFree(t *testing.T) {
 	defer SetWorkers(SetWorkers(1))
 	for _, kc := range kernelCases {
 		dst, a, b := denseOperands(kc, 260, 64, 32, 0.5, 3) // past the serial cut-off
@@ -307,7 +427,9 @@ func TestKernelsAllocFree(t *testing.T) {
 // TestKernelsConcurrentCallers drives the shared pool from many goroutines
 // at once — plain ones and sim.RunParallel slots, the shape training under
 // RealWorkers = 4 produces — and checks every result against serial.
-func TestKernelsConcurrentCallers(t *testing.T) {
+func TestKernelsConcurrentCallers(t *testing.T) { bothKernels(t, testKernelsConcurrentCallers) }
+
+func testKernelsConcurrentCallers(t *testing.T) {
 	defer SetWorkers(SetWorkers(1))
 	type problem struct {
 		kc        kernelCase
@@ -355,7 +477,9 @@ func TestKernelsConcurrentCallers(t *testing.T) {
 // TestKernelsSaturatedQueue parks every pool worker and fills the task queue,
 // then checks that kernel calls still complete (each range falls back to the
 // submitter) and are correct.
-func TestKernelsSaturatedQueue(t *testing.T) {
+func TestKernelsSaturatedQueue(t *testing.T) { bothKernels(t, testKernelsSaturatedQueue) }
+
+func testKernelsSaturatedQueue(t *testing.T) {
 	defer SetWorkers(SetWorkers(4))
 	startPool()
 	gate := make(chan struct{})
@@ -409,6 +533,65 @@ func TestRunBalancedCoverage(t *testing.T) {
 			}
 			if mx-mn > 1 || mn == 0 {
 				t.Fatalf("w=%d n=%d: range sizes %v not balanced", w, n, sizes)
+			}
+		}
+	}
+}
+
+// BenchmarkMatMul times the three dense kernels of one linear layer —
+// forward Y = X·W, input gradient dX = dY·Wᵀ, weight gradient dW = Xᵀ·dY,
+// 2·m·k·n FLOPs each — at the shapes the benchmark/ workloads run them, on
+// the vector micro-kernel (/avx) and on the pure-Go one (/go).
+func BenchmarkMatMul(b *testing.B) {
+	defer func(v bool) { haveAVX = v }(haveAVX)
+	cpuAVX := haveAVX
+	shapes := []struct {
+		name     string
+		m, k, n  int
+		zeroFrac float64 // share of X that ReLU + dropout zeroed
+	}{
+		{"sage0_1408x200x64", 1408, 200, 64, 0},
+		{"sage1_128x128x47", 128, 128, 47, 0.75},
+		{"gat_10000x100x16", 10000, 100, 16, 0},
+		{"serve_300x200x64", 300, 200, 64, 0},
+	}
+	for _, sh := range shapes {
+		rng := rand.New(rand.NewSource(4))
+		x := Randn(sh.m, sh.k, 1, rng)
+		for i := range x.V {
+			if rng.Float64() < sh.zeroFrac {
+				x.V[i] = 0
+			}
+		}
+		w := Randn(sh.k, sh.n, 1, rng)
+		dy := Randn(sh.m, sh.n, 1, rng)
+		y, dx, dw := New(sh.m, sh.n), New(sh.m, sh.k), New(sh.k, sh.n)
+		kernels := []struct {
+			name string
+			run  func()
+		}{
+			{"MatMul", func() { MatMulInto(y, x, w) }},
+			{"MatMulT", func() { MatMulTInto(dx, dy, w) }},
+			{"TMatMul", func() { TMatMulInto(dw, x, dy) }},
+		}
+		for _, kn := range kernels {
+			for _, avx := range []bool{true, false} {
+				path := "go"
+				if avx {
+					path = "avx"
+				}
+				b.Run(kn.name+"/"+sh.name+"/"+path, func(b *testing.B) {
+					if avx && !cpuAVX {
+						b.Skip("no AVX on this CPU")
+					}
+					haveAVX = avx
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						kn.run()
+					}
+					flops := 2 * float64(sh.m) * float64(sh.k) * float64(sh.n)
+					b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+				})
 			}
 		}
 	}

@@ -8,6 +8,11 @@ set -eux
 cd "$(dirname "$0")/.."
 go vet ./...
 go build ./...
+# The dense micro-kernel has an amd64 assembly prefix (internal/tensor/
+# axpy_amd64.s); everything else runs the portable Go loops, which must keep
+# compiling.
+GOARCH=arm64 go vet ./...
+GOARCH=arm64 go build ./...
 go test -race ./...
 # The dense kernels' pool is shared by every goroutine that multiplies:
 # hammer it — concurrent callers, nested under sim.RunParallel, a saturated
