@@ -138,14 +138,22 @@ func main() {
 		st := trainer.RunEpoch()
 		val := "-"
 		if *evalEvery > 0 && e%*evalEvery == 0 {
-			val = fmt.Sprintf("%.3f", trainer.Evaluate(ds.Val, 512))
+			acc, err := trainer.Evaluate(ds.Val, 512)
+			if err != nil {
+				fatal(err)
+			}
+			val = fmt.Sprintf("%.3f", acc)
 		}
 		fmt.Printf("%5d %10s %10s %10s %10s %10s %8.3f %8.3f %8s\n",
 			st.Epoch, ms(st.EpochTime), ms(st.Timing.Sample), ms(st.Timing.Gather),
 			ms(st.Timing.Train), ms(st.Timing.Crit), st.Loss, st.TrainAcc, val)
 	}
 	if len(ds.Test) > 0 {
-		fmt.Printf("\ntest accuracy: %.3f\n", trainer.Evaluate(ds.Test, 1024))
+		acc, err := trainer.Evaluate(ds.Test, 1024)
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Printf("\ntest accuracy: %.3f\n", acc)
 	}
 	if hits, misses := trainer.CacheStats(); hits+misses > 0 {
 		fmt.Printf("feature cache: %d hits / %d misses (%.1f%% hit rate)\n",

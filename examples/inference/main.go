@@ -51,7 +51,10 @@ func main() {
 	for i := range ids {
 		ids[i] = int64(i)
 	}
-	sampled := trainer.Predict(ids)
+	sampled, err := trainer.Predict(ids)
+	if err != nil {
+		log.Fatal(err)
+	}
 	sampledTime := machine.MaxTime() - t1
 
 	// Agreement on predicted classes (sampling uses finite fanout, so

@@ -55,11 +55,11 @@ func main() {
 			st := tr.RunEpoch()
 			sumEpoch += st.EpochTime
 		}
-		results = append(results, result{
-			name:      name,
-			epochTime: sumEpoch / epochs,
-			valAcc:    tr.Evaluate(ds.Val, 0),
-		})
+		valAcc, err := tr.Evaluate(ds.Val, 0)
+		if err != nil {
+			log.Fatal(err)
+		}
+		results = append(results, result{name: name, epochTime: sumEpoch / epochs, valAcc: valAcc})
 	}
 
 	run("WholeGraph", func(m *wholegraph.Machine) (*wholegraph.Trainer, error) {

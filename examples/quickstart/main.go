@@ -51,5 +51,9 @@ func main() {
 			st.Timing.Sample*1e3, st.Timing.Gather*1e3, st.Timing.Train*1e3,
 			st.Loss, st.TrainAcc)
 	}
-	fmt.Printf("\nvalidation accuracy: %.3f\n", trainer.Evaluate(ds.Val, 0))
+	acc, err := trainer.Evaluate(ds.Val, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\nvalidation accuracy: %.3f\n", acc)
 }

@@ -112,10 +112,12 @@ func Fig7(cfg Config) ([]Fig7Point, error) {
 	for e := 1; e <= cfg.Epochs; e++ {
 		dgl.RunEpoch()
 		wg.RunEpoch()
-		p := Fig7Point{
-			Epoch:  e,
-			DGLAcc: dgl.EvaluateWithLabels(evalIDs, evalLabels),
-			WGAcc:  wg.EvaluateWithLabels(evalIDs, evalLabels),
+		p := Fig7Point{Epoch: e}
+		if p.DGLAcc, err = dgl.EvaluateWithLabels(evalIDs, evalLabels); err != nil {
+			return nil, err
+		}
+		if p.WGAcc, err = wg.EvaluateWithLabels(evalIDs, evalLabels); err != nil {
+			return nil, err
 		}
 		pts = append(pts, p)
 		cfg.printf("%6d %9.2f%% %11.2f%%\n", e, 100*p.DGLAcc, 100*p.WGAcc)

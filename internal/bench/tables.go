@@ -165,8 +165,12 @@ func Table3(cfg Config) ([]Table3Row, error) {
 			for e := 0; e < cfg.Epochs; e++ {
 				tr.RunEpoch()
 			}
-			row.Valid[fw] = tr.EvaluateWithLabels(c.valIDs, c.valLabels)
-			row.Test[fw] = tr.EvaluateWithLabels(c.testIDs, c.tstLabels)
+			if row.Valid[fw], err = tr.EvaluateWithLabels(c.valIDs, c.valLabels); err != nil {
+				return err
+			}
+			if row.Test[fw], err = tr.EvaluateWithLabels(c.testIDs, c.tstLabels); err != nil {
+				return err
+			}
 		}
 		rows[ci] = row
 		return nil

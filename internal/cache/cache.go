@@ -18,12 +18,9 @@ package cache
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"wholegraph/internal/graph"
 	"wholegraph/internal/sim"
-	"wholegraph/internal/unique"
 )
 
 // FeatureCache caches hot feature rows of a partitioned graph in one
@@ -33,8 +30,14 @@ type FeatureCache struct {
 	PG  *graph.Partitioned
 	Dev *sim.Device
 
-	src  graph.FeatureSource
-	rows map[int64][]float32 // feature-row index -> cached copy
+	src graph.FeatureSource
+	// slot[row] is the position of feature row `row` in slab (in rows of
+	// PG.Dim elements), or -1 when the row is not cached. The index is dense
+	// over the graph's rows, so a lookup is one load and the cached copies
+	// are one allocation.
+	slot []int32
+	slab []float32
+	size int
 	// Hits and Misses count row lookups since construction.
 	Hits, Misses int64
 
@@ -46,64 +49,13 @@ type FeatureCache struct {
 	missBuf  []float32
 }
 
-// degreeOrder returns node IDs sorted degree-descending, ties broken by
-// ascending ID — the PaGraph fill order. Nodes and degrees both fit in 32
-// bits for every graph the harness generates (papers100M at full scale is
-// 1.1e8 nodes), so one unsigned key packs (^degree, node) and a single LSD
-// radix sort replaces the old sort.Slice comparator: O(N) passes instead
-// of O(N log N) comparisons, and the radix passes over uniform high bytes
-// are skipped outright. The comparator path remains as the fallback for
-// out-of-range inputs and as the reference the equivalence test pins.
-func degreeOrder(pg *graph.Partitioned) []uint64 {
-	if pg.N > math.MaxUint32 {
-		return degreeOrderSlow(pg)
-	}
-	keys := make([]uint64, pg.N)
-	buf := make([]uint64, pg.N)
-	for v := int64(0); v < pg.N; v++ {
-		deg := pg.Degree(pg.Owner[v])
-		if deg > math.MaxUint32 {
-			deg = math.MaxUint32
-		}
-		keys[v] = uint64(^uint32(deg))<<32 | uint64(uint32(v))
-	}
-	return unique.RadixSortUint64(keys, buf)
-}
-
-// degreeOrderSlow is the comparator-based ordering, kept as the oversized-
-// graph fallback and the test oracle.
-func degreeOrderSlow(pg *graph.Partitioned) []uint64 {
-	type nd struct {
-		v   int64
-		deg int64
-	}
-	nodes := make([]nd, pg.N)
-	for v := int64(0); v < pg.N; v++ {
-		nodes[v] = nd{v: v, deg: pg.Degree(pg.Owner[v])}
-	}
-	sort.Slice(nodes, func(i, j int) bool {
-		if nodes[i].deg != nodes[j].deg {
-			return nodes[i].deg > nodes[j].deg
-		}
-		return nodes[i].v < nodes[j].v
-	})
-	keys := make([]uint64, pg.N)
-	for i, n := range nodes {
-		deg := n.deg
-		if deg > math.MaxUint32 {
-			deg = math.MaxUint32
-		}
-		keys[i] = uint64(^uint32(deg))<<32 | uint64(uint32(n.v))
-	}
-	return keys
-}
-
 // NewDegreeCache builds a cache of the capacityRows highest-degree nodes
-// (ties broken by node ID), copying their rows into the device's local
-// memory and charging that one-time fill. Rows homed on the device are not
-// cached when the source is ranked (they are free anyway); over an
-// unranked source (the paged store) every row is cacheable, since no row
-// is local.
+// (pg.DegreeOrder: ties broken by node ID — under neighbor sampling a node's
+// chance of appearing in a batch grows with its degree), copying their rows
+// into the device's local memory and charging that one-time fill. Rows homed
+// on the device are not cached when the source is ranked (they are free
+// anyway); over an unranked source (the paged store) every row is cacheable,
+// since no row is local.
 func NewDegreeCache(pg *graph.Partitioned, dev *sim.Device, capacityRows int) (*FeatureCache, error) {
 	src := pg.Features()
 	if src == nil {
@@ -113,42 +65,48 @@ func NewDegreeCache(pg *graph.Partitioned, dev *sim.Device, capacityRows int) (*
 	if rank < 0 {
 		return nil, fmt.Errorf("cache: device %d not in the graph's communicator", dev.ID)
 	}
-	c := &FeatureCache{PG: pg, Dev: dev, src: src, rows: make(map[int64][]float32, capacityRows)}
+	c := &FeatureCache{PG: pg, Dev: dev, src: src, slot: make([]int32, pg.N)}
+	for i := range c.slot {
+		c.slot[i] = -1
+	}
 	_, isRanked := src.(graph.RankedFeatures)
 
-	dim := pg.Dim
 	var fill []int64
-	for _, key := range degreeOrder(pg) {
-		if len(c.rows) >= capacityRows {
+	for _, v := range pg.DegreeOrder() {
+		if len(fill) >= capacityRows {
 			break
 		}
-		v := int64(uint32(key))
 		gid := pg.Owner[v]
 		if isRanked && gid.Rank() == rank {
 			continue // local rows need no cache
 		}
 		row := pg.FeatRow(gid)
-		buf := make([]float32, dim)
-		src.ReadRow(row, buf)
-		c.rows[row] = buf
+		c.slot[row] = int32(len(fill))
 		fill = append(fill, row)
 	}
 	// One-time fill: a bulk gather through the source (remote HBM for the
 	// slab, page-ins for the paged store) plus the local store.
+	c.size = len(fill)
+	c.slab = make([]float32, len(fill)*pg.Dim)
 	if len(fill) > 0 {
-		dst := make([]float32, len(fill)*dim)
-		src.GatherRows(dev, fill, dim, dst, "cache.fill")
+		src.GatherRows(dev, fill, pg.Dim, c.slab, "cache.fill")
 	}
 	return c, nil
 }
 
 // Size returns the number of cached rows.
-func (c *FeatureCache) Size() int { return len(c.rows) }
+func (c *FeatureCache) Size() int { return c.size }
 
 // Contains reports whether the given feature row is cached.
-func (c *FeatureCache) Contains(row int64) bool {
-	_, ok := c.rows[row]
-	return ok
+func (c *FeatureCache) Contains(row int64) bool { return c.slot[row] >= 0 }
+
+// cached returns the cached copy of row, or nil.
+func (c *FeatureCache) cached(row int64, dim int) []float32 {
+	at := int(c.slot[row])
+	if at < 0 {
+		return nil
+	}
+	return c.slab[at*dim : (at+1)*dim]
 }
 
 // HitRate returns the fraction of lookups served from the cache.
@@ -187,7 +145,7 @@ func (c *FeatureCache) gatherRanked(src graph.RankedFeatures, rows []int64, dim 
 	var localElems, remoteElems int64
 	for i, row := range rows {
 		out := dst[i*dim : (i+1)*dim]
-		if buf, ok := c.rows[row]; ok {
+		if buf := c.cached(row, dim); buf != nil {
 			copy(out, buf)
 			c.Hits++
 			localElems += int64(dim)
@@ -216,7 +174,7 @@ func (c *FeatureCache) gatherDelegate(rows []int64, dim int, dst []float32, tag 
 	c.missIdx = c.missIdx[:0]
 	var localElems int64
 	for i, row := range rows {
-		if buf, ok := c.rows[row]; ok {
+		if buf := c.cached(row, dim); buf != nil {
 			copy(dst[i*dim:(i+1)*dim], buf)
 			c.Hits++
 			localElems += int64(dim)
@@ -251,5 +209,5 @@ func (c *FeatureCache) gatherDelegate(rows []int64, dim int, dst []float32, tag 
 
 // MemoryBytes returns the device memory the cache occupies.
 func (c *FeatureCache) MemoryBytes() int64 {
-	return int64(len(c.rows)) * int64(c.PG.Dim) * 4
+	return int64(len(c.slab)) * 4
 }

@@ -374,12 +374,10 @@ func (l *Loader) PrefetchPages(targets []int64, maxPages int) int {
 		ids := l.pfIDs[:0]
 	predict:
 		for _, v := range targets {
-			gid := pg.Owner[v]
-			deg := pg.Degree(gid)
+			_, e0, deg := pg.Adj(pg.Owner[v])
 			if deg == 0 {
 				continue
 			}
-			e0 := pg.EdgeIndex(gid, 0)
 			last := e0
 			if deg <= fan {
 				// Full-list read: every page the row spans.

@@ -2,6 +2,9 @@ package graph
 
 import (
 	"fmt"
+	"math"
+	"slices"
+	"sync"
 
 	"wholegraph/internal/topostore"
 	"wholegraph/internal/wholemem"
@@ -46,6 +49,15 @@ type Partitioned struct {
 	// when the graph was partitioned with a slab, or a paged store
 	// installed with SetFeatures. Nil when the graph has no features.
 	featSrc FeatureSource
+
+	// deg memoises DegreeOrder. Behind a pointer so that a copied
+	// Partitioned shares it instead of copying a lock.
+	deg *degreeMemo
+}
+
+type degreeMemo struct {
+	once  sync.Once
+	order []int64
 }
 
 // Partition distributes csr and its node features (row-major, feat[dim*i:]
@@ -65,7 +77,7 @@ func PartitionBy(csr *CSR, feat []float32, dim int, comm *wholemem.Comm, ownerOf
 		return nil, fmt.Errorf("graph: feature length %d != N*dim = %d", len(feat), csr.N*int64(dim))
 	}
 	parts := comm.Size()
-	p := &Partitioned{Comm: comm, N: csr.N, Dim: dim}
+	p := &Partitioned{Comm: comm, N: csr.N, Dim: dim, deg: new(degreeMemo)}
 
 	// Assign GlobalIDs, locals in original-ID order.
 	p.Owner = make([]GlobalID, csr.N)
@@ -163,48 +175,78 @@ func (p *Partitioned) FeatRow(gid GlobalID) int64 {
 	return p.rowBase[gid.Rank()] + gid.Local()
 }
 
-// Degree returns gid's out-degree (uncharged host read; kernels account
-// their rowptr traffic through ChargeAccess).
-func (p *Partitioned) Degree(gid GlobalID) int64 {
-	base := p.RowPtr.ShardStart(gid.Rank())
-	lo := p.RowPtr.Get(base + gid.Local())
-	hi := p.RowPtr.Get(base + gid.Local() + 1)
-	return hi - lo
+// Adj resolves gid's adjacency in one step: the owning rank and its row
+// pointers are looked up once, giving the degree, the global element index e0
+// of the first edge (into Col and EdgeW, or the paged column store; edge k is
+// e0+k) and the neighbour list itself as a sub-slice of the rank's Col shard.
+// Under paged topology there is no column array and nbrs is nil: entries come
+// from the topostore accessor. An uncharged host read; kernels account their
+// rowptr and column traffic through their KernelCost.
+func (p *Partitioned) Adj(gid GlobalID) (nbrs []uint64, e0, deg int64) {
+	rank, li := gid.Rank(), gid.Local()
+	rp := p.RowPtr.Shard(rank)
+	lo, hi := rp[li], rp[li+1]
+	if p.topo != nil {
+		return nil, p.colBase[rank] + lo, hi - lo
+	}
+	return p.Col.Shard(rank)[lo:hi], p.Col.ShardStart(rank) + lo, hi - lo
 }
 
-// NeighborAt returns gid's k-th neighbor (uncharged host read).
+// Degree returns gid's out-degree.
+func (p *Partitioned) Degree(gid GlobalID) int64 {
+	_, _, deg := p.Adj(gid)
+	return deg
+}
+
+// EdgeIndex returns the global element index of gid's k-th edge.
+func (p *Partitioned) EdgeIndex(gid GlobalID, k int64) int64 {
+	_, e0, _ := p.Adj(gid)
+	return e0 + k
+}
+
+// NeighborAt returns gid's k-th neighbor.
 func (p *Partitioned) NeighborAt(gid GlobalID, k int64) GlobalID {
 	return GlobalID(p.ColValue(p.EdgeIndex(gid, k)))
-}
-
-// EdgeIndex returns the global element index (into Col and EdgeW, or the
-// paged column store) of gid's k-th edge.
-func (p *Partitioned) EdgeIndex(gid GlobalID, k int64) int64 {
-	rank := gid.Rank()
-	lo := p.RowPtr.Get(p.RowPtr.ShardStart(rank) + gid.Local())
-	if p.topo != nil {
-		return p.colBase[rank] + lo + k
-	}
-	return p.Col.ShardStart(rank) + lo + k
 }
 
 // Neighbors returns gid's full neighbor list: a shared sub-slice of the
 // owning rank's edge shard, or (paged topology) a freshly decoded copy —
 // a host-side path; kernels go through the page-aware accessor.
 func (p *Partitioned) Neighbors(gid GlobalID) []uint64 {
-	rank := gid.Rank()
-	base := p.RowPtr.ShardStart(rank)
-	lo := p.RowPtr.Get(base + gid.Local())
-	hi := p.RowPtr.Get(base + gid.Local() + 1)
+	nbrs, e0, deg := p.Adj(gid)
 	if p.topo != nil {
-		e0 := p.colBase[rank] + lo
-		out := make([]uint64, hi-lo)
-		for i := range out {
-			out[i] = p.topo.ReadEdge(e0 + int64(i))
+		nbrs = make([]uint64, deg)
+		for i := range nbrs {
+			nbrs[i] = p.topo.ReadEdge(e0 + int64(i))
 		}
-		return out
 	}
-	return p.Col.Shard(rank)[lo:hi]
+	return nbrs
+}
+
+// DegreeOrder returns every node ID ordered by out-degree descending, ties
+// by ascending ID: the popularity ranking under neighbor sampling, which the
+// hot-row caches fill in and the serving router and request generator rank
+// by. It is computed once per graph — one sort of packed (^degree, id) keys —
+// and shared; callers must not modify it. Node IDs and degrees are packed
+// into 32 bits each, which every graph that fits in memory here satisfies
+// (papers100M at full scale has 1.1e8 nodes).
+func (p *Partitioned) DegreeOrder() []int64 {
+	p.deg.once.Do(func() {
+		if p.N > math.MaxUint32 {
+			panic("graph: DegreeOrder packs node IDs into 32 bits")
+		}
+		keys := make([]uint64, p.N)
+		for v, gid := range p.Owner {
+			_, _, deg := p.Adj(gid)
+			keys[v] = uint64(^uint32(min(deg, math.MaxUint32)))<<32 | uint64(v)
+		}
+		slices.Sort(keys)
+		p.deg.order = make([]int64, p.N)
+		for i, k := range keys {
+			p.deg.order[i] = int64(uint32(k))
+		}
+	})
+	return p.deg.order
 }
 
 // StructureBytesPerRank reports the adjacency bytes held by each rank

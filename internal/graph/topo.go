@@ -53,7 +53,7 @@ func PartitionPaged(src TopoSource, feat []float32, dim int, comm *wholemem.Comm
 		return nil, fmt.Errorf("graph: feature length %d != N*dim = %d", len(feat), n*int64(dim))
 	}
 	parts := comm.Size()
-	p := &Partitioned{Comm: comm, N: n, Dim: dim}
+	p := &Partitioned{Comm: comm, N: n, Dim: dim, deg: new(degreeMemo)}
 
 	// Assign GlobalIDs, locals in original-ID order (hash partitioning).
 	p.Owner = make([]GlobalID, n)

@@ -36,9 +36,41 @@ func radixSort64(keys []uint64) {
 	radixSort64Buf(keys, make([]uint64, len(keys)))
 }
 
+// insertionSortMax is the largest key count sorted by insertion instead of by
+// counting passes. A pass clears and prefix-sums 256 counters whatever n is,
+// and Algorithm 1 sorts one key per sampled neighbour — 5 to 30 of them — so
+// below this size the eight passes are nearly all counter traffic.
+// BenchmarkSortCutoff sizes it: on Algorithm 1's keys insertion sort is 20x
+// faster at 5 keys (30 ns against 640), 2x at 32, level with the passes
+// between 64 and 96 keys and slower from 128.
+const insertionSortMax = 48
+
 // radixSort64Buf is radixSort64 with a caller-supplied ping-pong buffer of
-// the same length, so steady-state callers can reuse it across sorts.
+// the same length, so steady-state callers can reuse it across sorts. Both
+// branches produce the ascending order of the key values, so which one ran
+// is invisible in the result (and Algorithm 1's keys are distinct anyway:
+// the index sits in the low half).
 func radixSort64Buf(keys, buf []uint64) {
+	if len(keys) <= insertionSortMax {
+		insertionSort64(keys)
+		return
+	}
+	radixPasses64(keys, buf)
+}
+
+func insertionSort64(keys []uint64) {
+	for i := 1; i < len(keys); i++ {
+		k := keys[i]
+		j := i
+		for ; j > 0 && keys[j-1] > k; j-- {
+			keys[j] = keys[j-1]
+		}
+		keys[j] = k
+	}
+}
+
+// radixPasses64 is the eight-pass LSD byte radix sort proper.
+func radixPasses64(keys, buf []uint64) {
 	n := len(keys)
 	if n < 2 {
 		return

@@ -80,18 +80,12 @@ func (s *GPUSampler) SampleLayerInto(nb *Neighborhood, targets []graph.GlobalID,
 	if ts := s.PG.PagedTopo(); ts != nil {
 		acc = ts.Begin(s.Dev)
 	}
-	neighbor := func(t graph.GlobalID, k int64) graph.GlobalID {
-		e := s.PG.EdgeIndex(t, k)
-		nb.EdgePos = append(nb.EdgePos, e)
-		if acc != nil {
-			return graph.GlobalID(acc.At(e))
-		}
-		return graph.GlobalID(s.PG.ColValue(e))
-	}
 
 	var localBytes, remoteBytes, remoteSegs, sortKeys float64
 	for _, t := range targets {
-		deg := s.PG.Degree(t)
+		// One resolve per target: the owner's row pointers and, when the
+		// column array is resident, the neighbour list to index.
+		nbrs, e0, deg := s.PG.Adj(t)
 		// Two rowptr reads (one 16-byte segment). RowPtr is resident
 		// distributed shared memory in both modes.
 		if t.Rank() == rank {
@@ -100,12 +94,14 @@ func (s *GPUSampler) SampleLayerInto(nb *Neighborhood, targets []graph.GlobalID,
 			remoteBytes += 16
 			remoteSegs++
 		}
+		colLocal := acc != nil || t.Rank() == rank
 		if deg <= int64(fanout) {
 			// Take all neighbors: one contiguous read of the list.
 			for k := int64(0); k < deg; k++ {
-				nb.Neighbors = append(nb.Neighbors, neighbor(t, k))
+				nb.EdgePos = append(nb.EdgePos, e0+k)
+				nb.Neighbors = append(nb.Neighbors, colAt(nbrs, acc, e0, k))
 			}
-			if acc != nil || t.Rank() == rank {
+			if colLocal {
 				localBytes += float64(8 * deg)
 			} else {
 				remoteBytes += float64(8 * deg)
@@ -115,11 +111,12 @@ func (s *GPUSampler) SampleLayerInto(nb *Neighborhood, targets []graph.GlobalID,
 			idx := s.scratch.SampleWithoutReplacement(fanout, int(deg), s.Rng)
 			sortKeys += float64(fanout)
 			for _, k := range idx {
-				nb.Neighbors = append(nb.Neighbors, neighbor(t, k))
+				nb.EdgePos = append(nb.EdgePos, e0+k)
+				nb.Neighbors = append(nb.Neighbors, colAt(nbrs, acc, e0, k))
 			}
 			// Sampled positions are scattered inside the list: 8-byte
 			// random accesses.
-			if acc != nil || t.Rank() == rank {
+			if colLocal {
 				localBytes += float64(8 * fanout)
 			} else {
 				remoteBytes += float64(8 * fanout)
@@ -150,6 +147,16 @@ func (s *GPUSampler) SampleLayerInto(nb *Neighborhood, targets []graph.GlobalID,
 		Tag:            "sample",
 	})
 	return nb
+}
+
+// colAt reads the k-th entry of an adjacency resolved by Partitioned.Adj:
+// from the resident neighbour slice, or, under paged topology, through the
+// kernel's page accessor at global edge index e0+k.
+func colAt(nbrs []uint64, acc *topostore.Access, e0, k int64) graph.GlobalID {
+	if acc != nil {
+		return graph.GlobalID(acc.At(e0 + k))
+	}
+	return graph.GlobalID(nbrs[k])
 }
 
 // Fanouts applies SampleLayer per hop: hop l samples fanouts[l] neighbors

@@ -8,6 +8,7 @@ import (
 	"wholegraph/internal/core"
 	"wholegraph/internal/gnn"
 	"wholegraph/internal/sim"
+	"wholegraph/internal/tensor"
 )
 
 // Outcome records what happened to one request.
@@ -82,6 +83,7 @@ type replica struct {
 	targets int // unique seed nodes executed (<= requests served)
 
 	// scratch reused across batches.
+	queue     []*Request
 	batchReqs []*Request
 	ids       []int64
 	reqSlot   []int
@@ -126,7 +128,13 @@ func (r *replica) dedupe(batch []*Request) ([]int64, []int) {
 // overlaps batch b's forward exactly like the training pipeline.
 func (r *replica) serve(reqs []*Request) {
 	o := r.srv.Opts
-	var queue []*Request
+	// The waiting requests are queue[head:], a window sliding over one
+	// backing array of QueueCap entries (kept across runs) that moves back
+	// to the front when it reaches the end.
+	if cap(r.queue) < o.QueueCap {
+		r.queue = make([]*Request, 0, o.QueueCap)
+	}
+	queue, head := r.queue[:0], 0
 	// slotDone[p] is the completion time of the forward that last
 	// consumed loader ring slot p; a build into that slot must wait for
 	// it (the two-slot ring of core.Loader).
@@ -135,12 +143,13 @@ func (r *replica) serve(reqs []*Request) {
 	copyFree := 0.0
 	next := 0 // next arrival index
 
-	for next < len(reqs) || len(queue) > 0 {
+	for next < len(reqs) || head < len(queue) {
+		waiting := queue[head:]
 		tForm := math.Inf(1)
-		if len(queue) > 0 {
-			trigger := queue[0].Arrival + o.MaxDelay
-			if len(queue) >= o.MaxBatch {
-				if t := queue[o.MaxBatch-1].Arrival; t < trigger {
+		if len(waiting) > 0 {
+			trigger := waiting[0].Arrival + o.MaxDelay
+			if len(waiting) >= o.MaxBatch {
+				if t := waiting[o.MaxBatch-1].Arrival; t < trigger {
 					trigger = t
 				}
 			}
@@ -149,9 +158,12 @@ func (r *replica) serve(reqs []*Request) {
 		if next < len(reqs) && reqs[next].Arrival < tForm {
 			q := reqs[next]
 			next++
-			if len(queue) >= o.QueueCap {
+			if len(waiting) >= o.QueueCap {
 				q.Outcome = OutcomeShed
 				continue
+			}
+			if len(queue) == cap(queue) {
+				queue, head = queue[:copy(queue, waiting)], 0
 			}
 			queue = append(queue, q)
 			continue
@@ -160,15 +172,14 @@ func (r *replica) serve(reqs []*Request) {
 		// Form the batch at tForm: drop requests whose deadline already
 		// passed, then take up to MaxBatch of the rest, oldest first.
 		batch := r.batchReqs[:0]
-		for len(queue) > 0 && len(batch) < o.MaxBatch {
-			q := queue[0]
+		for head < len(queue) && len(batch) < o.MaxBatch {
+			q := queue[head]
+			head++
 			if o.Deadline > 0 && q.Arrival+o.Deadline < tForm {
 				q.Outcome = OutcomeTimedOut
-				queue = queue[1:]
 				continue
 			}
 			batch = append(batch, q)
-			queue = queue[1:]
 		}
 		r.batchReqs = batch
 		if len(batch) == 0 {
@@ -225,19 +236,9 @@ func (r *replica) runBatch(batch []*Request, tStart float64) float64 {
 		q.Done = done
 		q.Batch = r.batches
 		q.BatchSize = len(batch)
-		q.Class = argmaxRow(logits.Value.Row(reqSlot[i]))
+		q.Class = int32(tensor.ArgMax(logits.Value.Row(reqSlot[i])))
 	}
 	r.batches++
 	r.targets += len(ids)
 	return done
-}
-
-func argmaxRow(row []float32) int32 {
-	best := 0
-	for j, v := range row {
-		if v > row[best] {
-			best = j
-		}
-	}
-	return int32(best)
 }

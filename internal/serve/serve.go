@@ -31,7 +31,6 @@ package serve
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"wholegraph/internal/ann"
 	"wholegraph/internal/autograd"
@@ -219,11 +218,12 @@ type Server struct {
 	Model gnn.LayerwiseModel
 
 	replicas []*replica
-	// byDegree maps a popularity rank (0 = hottest) to a node ID; built
-	// when Opts.Skew draws seed nodes by popularity or the cache-aware
-	// router needs hotness. rankOf is its lazily-built inverse.
+	// byDegree maps a popularity rank (0 = hottest) to a node ID: the
+	// store's degree ranking, shared with the replica caches. Set when
+	// Opts.Skew draws seed nodes by popularity or the cache-aware router
+	// needs hotness. rankOf is its lazily-built inverse, indexed by node.
 	byDegree []int64
-	rankOf   map[int64]int64
+	rankOf   []uint32
 	rr       int // round-robin cursor shared by the routing policies
 
 	// Retrieval-workload state (nil for inference): the ANN index the
@@ -309,7 +309,7 @@ func New(m *sim.Machine, node int, ds *dataset.Dataset, model gnn.LayerwiseModel
 		s.replicas = append(s.replicas, rep)
 	}
 	if opts.Skew > 1 || (opts.Policy == PolicyCacheAware && opts.CacheRows > 0) {
-		s.byDegree = degreeRanking(store)
+		s.byDegree = store.PG.DegreeOrder()
 	}
 	return s, nil
 }
@@ -385,6 +385,8 @@ func (s *Server) generate() []*Request {
 	if o.Skew > 1 {
 		zipf = rand.NewZipf(rng, o.Skew, 1, uint64(s.numNodes()-1))
 	}
+	// One slab for the whole stream; the trace points into it.
+	slab := make([]Request, o.Requests)
 	reqs := make([]*Request, o.Requests)
 	t := 0.0
 	for i := range reqs {
@@ -402,7 +404,8 @@ func (s *Server) generate() []*Request {
 		default:
 			node = rng.Int63n(s.numNodes())
 		}
-		reqs[i] = &Request{ID: i, Node: node, Arrival: t}
+		slab[i] = Request{ID: i, Node: node, Arrival: t}
+		reqs[i] = &slab[i]
 	}
 	return reqs
 }
@@ -456,28 +459,10 @@ func (s *Server) routeOne(q *Request) int {
 // highest degree), matching cache.NewDegreeCache's fill order.
 func (s *Server) degreeRank(node int64) int64 {
 	if s.rankOf == nil {
-		s.rankOf = make(map[int64]int64, len(s.byDegree))
+		s.rankOf = make([]uint32, len(s.byDegree))
 		for i, v := range s.byDegree {
-			s.rankOf[v] = int64(i)
+			s.rankOf[v] = uint32(i)
 		}
 	}
-	return s.rankOf[node]
-}
-
-// degreeRanking orders all node IDs by degree descending, ties by ID —
-// the exact order cache.NewDegreeCache fills in.
-func degreeRanking(store *core.Store) []int64 {
-	pg := store.PG
-	nodes := make([]int64, pg.N)
-	for v := range nodes {
-		nodes[v] = int64(v)
-	}
-	sort.Slice(nodes, func(i, j int) bool {
-		di, dj := pg.Degree(pg.Owner[nodes[i]]), pg.Degree(pg.Owner[nodes[j]])
-		if di != dj {
-			return di > dj
-		}
-		return nodes[i] < nodes[j]
-	})
-	return nodes
+	return int64(s.rankOf[node])
 }

@@ -2,29 +2,81 @@ package tensor
 
 import "math"
 
-// ReLUInto sets dst = max(a, 0).
-func ReLUInto(dst, a *Dense) {
-	a.mustSameShape(dst, "relu")
-	for i, v := range a.V {
-		if v > 0 {
-			dst.V[i] = v
+// Element-wise selects: ReLU, its gradient and the dropout mask product.
+//
+// Value contract. Each output element is a select on one comparison, and the
+// unselected side is +0 — never the input, never a product with zero:
+//
+//	relu:     d = a > 0 ? a : +0      (NaN -> +0, -0 -> +0, denormals kept)
+//	reluGrad: d = a > 0 ? g : +0      (g's bits pass through, NaN included)
+//	maskMul:  d = m != 0 ? a*m : +0   (one rounding; a dropped NaN or Inf is +0)
+//
+// Activation signs are close to random, so as branches these mispredict on
+// about every other element. On amd64 with AVX the first len(d)&^7 elements go
+// through eltwise_amd64.s — MAXPS against +0, or a compare mask ANDed onto the
+// selected bits — and the Go loop of the same function finishes the tail;
+// everywhere else the Go loop is the whole op, and it is the reference the
+// tests and fuzz targets hold the lanes to bit for bit.
+
+func relu(d, a []float32) {
+	a = a[:len(d)]
+	j := 0
+	if v := len(d) &^ 7; haveAVX && v != 0 {
+		reluAVX(&d[0], &a[0], v)
+		j = v
+	}
+	for ; j < len(d); j++ {
+		if v := a[j]; v > 0 {
+			d[j] = v
 		} else {
-			dst.V[i] = 0
+			d[j] = 0
 		}
 	}
+}
+
+func reluGrad(d, a, g []float32) {
+	a, g = a[:len(d)], g[:len(d)]
+	j := 0
+	if v := len(d) &^ 7; haveAVX && v != 0 {
+		reluGradAVX(&d[0], &a[0], &g[0], v)
+		j = v
+	}
+	for ; j < len(d); j++ {
+		if a[j] > 0 {
+			d[j] = g[j]
+		} else {
+			d[j] = 0
+		}
+	}
+}
+
+func maskMul(d, a, m []float32) {
+	a, m = a[:len(d)], m[:len(d)]
+	j := 0
+	if v := len(d) &^ 7; haveAVX && v != 0 {
+		maskMulAVX(&d[0], &a[0], &m[0], v)
+		j = v
+	}
+	for ; j < len(d); j++ {
+		if m[j] != 0 {
+			d[j] = a[j] * m[j]
+		} else {
+			d[j] = 0
+		}
+	}
+}
+
+// ReLUInto sets dst = max(a, 0), with NaN and -0 mapped to +0.
+func ReLUInto(dst, a *Dense) {
+	a.mustSameShape(dst, "relu")
+	relu(dst.V, a.V)
 }
 
 // ReLUGradInto sets dst = grad where a > 0, else 0 (backward of ReLU).
 func ReLUGradInto(dst, a, grad *Dense) {
 	a.mustSameShape(grad, "relugrad")
 	a.mustSameShape(dst, "relugrad")
-	for i, v := range a.V {
-		if v > 0 {
-			dst.V[i] = grad.V[i]
-		} else {
-			dst.V[i] = 0
-		}
-	}
+	reluGrad(dst.V, a.V, grad.V)
 }
 
 // LeakyReLU applies max(x, slope*x) elementwise to a scalar.
@@ -130,6 +182,18 @@ func CrossEntropy(logits *Dense, labels []int32, grad *Dense) float64 {
 	return loss / float64(n)
 }
 
+// ArgMax returns the index of the first largest element of row (0 when row
+// is empty or all NaN).
+func ArgMax(row []float32) int {
+	best := 0
+	for j, v := range row {
+		if v > row[best] {
+			best = j
+		}
+	}
+	return best
+}
+
 // Accuracy returns the fraction of rows whose argmax equals the label,
 // ignoring rows with label < 0.
 func Accuracy(logits *Dense, labels []int32) float64 {
@@ -139,14 +203,7 @@ func Accuracy(logits *Dense, labels []int32) float64 {
 			continue
 		}
 		n++
-		row := logits.Row(i)
-		best := 0
-		for j, v := range row {
-			if v > row[best] {
-				best = j
-			}
-		}
-		if int32(best) == lab {
+		if int32(ArgMax(logits.Row(i))) == lab {
 			correct++
 		}
 	}
@@ -170,15 +227,14 @@ func DropoutInto(dst, a, mask *Dense, p float32, rnd func() float32) {
 		return
 	}
 	scale := 1 / (1 - p)
-	for i, v := range a.V {
+	for i := range mask.V {
 		if rnd() < p {
 			mask.V[i] = 0
-			dst.V[i] = 0
 		} else {
 			mask.V[i] = scale
-			dst.V[i] = v * scale
 		}
 	}
+	maskMul(dst.V, a.V, mask.V)
 }
 
 // BCEWithLogits computes the mean binary cross-entropy of labels (0 or 1)

@@ -260,7 +260,11 @@ func TestCaptureGraphEvaluateInterleaved(t *testing.T) {
 		}
 		for e := 0; e < 3; e++ {
 			losses = append(losses, tr.RunEpoch().Loss)
-			evals = append(evals, tr.Evaluate(ds.Val, 64))
+			acc, err := tr.Evaluate(ds.Val, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			evals = append(evals, acc)
 		}
 		return losses, evals
 	}

@@ -122,7 +122,11 @@ func TestParallelEvaluateDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		tr.RunEpoch()
-		return tr.Evaluate(ds.Val, 128)
+		acc, err := tr.Evaluate(ds.Val, 128)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return acc
 	}
 	if s, p := score(false), score(true); s != p {
 		t.Errorf("eval accuracy serial %v vs parallel %v", s, p)

@@ -27,7 +27,11 @@ func runPipelineEpochs(t *testing.T, epochs int, pipeline bool) (*train.Trainer,
 	for e := 0; e < epochs; e++ {
 		stats = append(stats, tr.RunEpoch())
 	}
-	return tr, stats, tr.Evaluate(ds.Val, 128)
+	acc, err := tr.Evaluate(ds.Val, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr, stats, acc
 }
 
 // TestPipelinedSequentialEquivalence is the correctness anchor for the

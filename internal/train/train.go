@@ -18,6 +18,7 @@ package train
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"wholegraph/internal/autograd"
 	"wholegraph/internal/blockcache"
@@ -682,88 +683,108 @@ func (t *Trainer) isRealWorker(dev *sim.Device) bool {
 	return false
 }
 
-// Evaluate measures accuracy on up to maxNodes of the given split using
-// worker 0's model and sampled inference (no dropout), charged to the
-// worker's device. Epoch statistics are measured as deltas, so interleaving
-// evaluation between epochs does not distort them.
-func (t *Trainer) Evaluate(ids []int64, maxNodes int) float64 {
-	if len(ids) == 0 {
-		return 0
-	}
-	if maxNodes > 0 && len(ids) > maxNodes {
-		ids = ids[:maxNodes]
+// inferBatches runs sampled inference in evaluation mode (no dropout) on
+// worker 0 over ids, Opts.Batch at a time, charged to the worker's device.
+// The loader needs distinct targets, so duplicate ids within a batch are
+// coalesced the way the serving replicas do it: sampled and forwarded once,
+// with slot mapping every position back to its row. visit gets each batch's
+// offset into ids, its logits (one row per distinct id, valid until the next
+// batch) and that mapping. An id outside [0, N) is an error, found before
+// anything is charged.
+func (t *Trainer) inferBatches(ids []int64, visit func(off int, logits *tensor.Dense, slot []int)) error {
+	n := int64(len(t.ds.Labels))
+	for _, v := range ids {
+		if v < 0 || v >= n {
+			return fmt.Errorf("train: node id %d outside [0, %d)", v, n)
+		}
 	}
 	model := t.Models[0]
 	dev := t.loaders[0].Device()
-	var correct, total float64
+	at := make(map[int64]int)
+	var uniq []int64
+	var slot []int
 	for off := 0; off < len(ids); off += t.Opts.Batch {
-		end := off + t.Opts.Batch
-		if end > len(ids) {
-			end = len(ids)
+		end := min(off+t.Opts.Batch, len(ids))
+		clear(at)
+		uniq, slot = uniq[:0], slot[:0]
+		for _, v := range ids[off:end] {
+			i, seen := at[v]
+			if !seen {
+				i = len(uniq)
+				at[v] = i
+				uniq = append(uniq, v)
+			}
+			slot = append(slot, i)
 		}
-		b, _ := t.loaders[0].BuildBatch(ids[off:end])
+		b, _ := t.loaders[0].BuildBatch(uniq)
 		tp := t.tapes[0]
 		tp.Reset()
-		logits := model.Forward(dev, tp, b, false)
-		correct += tensor.Accuracy(logits.Value, b.Labels) * float64(end-off)
-		total += float64(end - off)
+		visit(off, model.Forward(dev, tp, b, false).Value, slot)
 	}
-	return correct / total
+	return nil
+}
+
+// accuracy is the share of positions of ids, among those with a label >= 0,
+// whose predicted class (argmax of the logit row) equals label(i).
+func (t *Trainer) accuracy(ids []int64, label func(i int) int32) (float64, error) {
+	var correct, total float64
+	err := t.inferBatches(ids, func(off int, logits *tensor.Dense, slot []int) {
+		for i, at := range slot {
+			if lab := label(off + i); lab >= 0 {
+				total++
+				if int32(tensor.ArgMax(logits.Row(at))) == lab {
+					correct++
+				}
+			}
+		}
+	})
+	if err != nil || total == 0 {
+		return 0, err
+	}
+	return correct / total, nil
+}
+
+// Evaluate measures accuracy on up to maxNodes of the given split using
+// worker 0's model and sampled inference (no dropout), charged to the
+// worker's device. Epoch statistics are measured as deltas, so interleaving
+// evaluation between epochs does not distort them. It fails on an id that is
+// not a node of the dataset.
+func (t *Trainer) Evaluate(ids []int64, maxNodes int) (float64, error) {
+	if maxNodes > 0 && len(ids) > maxNodes {
+		ids = ids[:maxNodes]
+	}
+	return t.accuracy(ids, func(i int) int32 { return t.ds.Labels[ids[i]] })
 }
 
 // EvaluateWithLabels measures accuracy over the given nodes against
 // caller-provided ground-truth labels (the synthetic datasets know every
 // node's true class, which gives the harness a lower-variance estimate
-// than the small held-out splits of a scaled graph).
-func (t *Trainer) EvaluateWithLabels(ids []int64, labels []int32) float64 {
+// than the small held-out splits of a scaled graph). Positions with a
+// negative label are not counted. It fails on an id that is not a node of
+// the dataset, or when the two lists differ in length.
+func (t *Trainer) EvaluateWithLabels(ids []int64, labels []int32) (float64, error) {
 	if len(ids) != len(labels) {
-		panic(fmt.Sprintf("train: %d ids, %d labels", len(ids), len(labels)))
+		return 0, fmt.Errorf("train: %d ids, %d labels", len(ids), len(labels))
 	}
-	if len(ids) == 0 {
-		return 0
-	}
-	model := t.Models[0]
-	dev := t.loaders[0].Device()
-	var correct, total float64
-	for off := 0; off < len(ids); off += t.Opts.Batch {
-		end := off + t.Opts.Batch
-		if end > len(ids) {
-			end = len(ids)
-		}
-		b, _ := t.loaders[0].BuildBatch(ids[off:end])
-		tp := t.tapes[0]
-		tp.Reset()
-		logits := model.Forward(dev, tp, b, false)
-		correct += tensor.Accuracy(logits.Value, labels[off:end]) * float64(end-off)
-		total += float64(end - off)
-	}
-	return correct / total
+	return t.accuracy(ids, func(i int) int32 { return labels[i] })
 }
 
 // Predict returns the model's output vectors (logit rows) for the given
 // nodes, running sampled inference in evaluation mode on worker 0. Output
-// row i corresponds to ids[i]. Downstream tasks such as link prediction use
-// the rows as node embeddings.
-func (t *Trainer) Predict(ids []int64) [][]float32 {
+// row i corresponds to ids[i], whether or not ids repeats a node. Downstream
+// tasks such as link prediction use the rows as node embeddings. It fails on
+// an id that is not a node of the dataset.
+func (t *Trainer) Predict(ids []int64) ([][]float32, error) {
 	out := make([][]float32, 0, len(ids))
-	model := t.Models[0]
-	dev := t.loaders[0].Device()
-	for off := 0; off < len(ids); off += t.Opts.Batch {
-		end := off + t.Opts.Batch
-		if end > len(ids) {
-			end = len(ids)
+	err := t.inferBatches(ids, func(_ int, logits *tensor.Dense, slot []int) {
+		for _, at := range slot {
+			out = append(out, slices.Clone(logits.Row(at)))
 		}
-		b, _ := t.loaders[0].BuildBatch(ids[off:end])
-		tp := t.tapes[0]
-		tp.Reset()
-		logits := model.Forward(dev, tp, b, false)
-		for i := 0; i < logits.Value.R; i++ {
-			row := make([]float32, logits.Value.C)
-			copy(row, logits.Value.Row(i))
-			out = append(out, row)
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	return out
+	return out, nil
 }
 
 // Worker0Device returns the traced device of the first real worker.

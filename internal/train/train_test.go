@@ -80,7 +80,10 @@ func TestTrainingLearns(t *testing.T) {
 		t.Errorf("train accuracy did not improve: %.3f -> %.3f", first.TrainAcc, last.TrainAcc)
 	}
 	// Validation accuracy should clear the random baseline (1/47).
-	val := tr.Evaluate(ds.Val, 0)
+	val, err := tr.Evaluate(ds.Val, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if val < 0.15 {
 		t.Errorf("validation accuracy %.3f barely above chance", val)
 	}

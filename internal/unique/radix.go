@@ -19,47 +19,6 @@ type sortPair struct {
 // the (key, pos) tie-break for free without ever comparing pos. Passes
 // whose byte is identical across every key (common: GlobalID's high rank
 // bytes) are skipped, as a GPU radix sort would skip empty digit bins.
-// RadixSortUint64 sorts keys ascending with the same LSD radix sort,
-// ping-ponging between keys and buf (same length required). It returns the
-// slice holding the sorted data — after an odd number of passes that is
-// buf, so callers must use the return value. Uniform-byte passes are
-// skipped, so packed keys whose high bytes rarely vary (e.g. a clamped
-// degree in the top word) sort in few passes.
-//
-// Exported for the degree-ordered cache fill (internal/cache), which packs
-// (^degree, node) into one key so one unsigned sort yields
-// degree-descending, node-ascending order without a comparator.
-func RadixSortUint64(keys, buf []uint64) []uint64 {
-	if len(keys) != len(buf) {
-		panic("unique: radix buffers length mismatch")
-	}
-	if len(keys) < 2 {
-		return keys
-	}
-	var count [256]int
-	for shift := 0; shift < 64; shift += 8 {
-		clear(count[:])
-		for _, k := range keys {
-			count[byte(k>>shift)]++
-		}
-		if count[byte(keys[0]>>shift)] == len(keys) {
-			continue // uniform byte: pass is the identity
-		}
-		sum := 0
-		for i, c := range count {
-			count[i] = sum
-			sum += c
-		}
-		for _, k := range keys {
-			b := byte(k >> shift)
-			buf[count[b]] = k
-			count[b]++
-		}
-		keys, buf = buf, keys
-	}
-	return keys
-}
-
 func radixSortPairs(pairs, buf []sortPair) []sortPair {
 	if len(pairs) != len(buf) {
 		panic("unique: radix buffers length mismatch")

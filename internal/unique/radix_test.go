@@ -183,50 +183,3 @@ func TestDeduperSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("warm Deduper allocated %.1f times per run, want 0", n)
 	}
 }
-
-func TestRadixSortUint64(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	cases := map[string][]uint64{
-		"empty":     {},
-		"single":    {42},
-		"sorted":    {1, 2, 3, 4, 5},
-		"reverse":   {5, 4, 3, 2, 1},
-		"dups":      {7, 7, 7, 1, 1, 9},
-		"extremes":  {0, ^uint64(0), 1, ^uint64(0) - 1, 0},
-		"highbytes": {1 << 56, 1 << 48, 1 << 40, 1, 0},
-	}
-	random := make([]uint64, 5000)
-	for i := range random {
-		random[i] = rng.Uint64()
-	}
-	cases["random"] = random
-	// Uniform high bytes exercise the skipped-pass fast path.
-	lowOnly := make([]uint64, 1000)
-	for i := range lowOnly {
-		lowOnly[i] = uint64(rng.Intn(1 << 16))
-	}
-	cases["lowonly"] = lowOnly
-	for name, keys := range cases {
-		in := append([]uint64(nil), keys...)
-		want := append([]uint64(nil), keys...)
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		got := RadixSortUint64(in, make([]uint64, len(in)))
-		if len(got) != len(want) {
-			t.Fatalf("%s: length %d, want %d", name, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: element %d = %d, want %d", name, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestRadixSortUint64PanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("mismatched buffer length accepted")
-		}
-	}()
-	RadixSortUint64(make([]uint64, 3), make([]uint64, 2))
-}

@@ -25,7 +25,10 @@ import (
 // value only shifts constant factors).
 const bucketSlots = 128
 
-const emptyKey = ^uint64(0)
+// emptySlot marks a free table slot. Slots store the complement of the
+// GlobalID, so that the free marker is zero and refilling the table is one
+// memclr; the all-ones GlobalID is the one value the table cannot hold.
+const emptySlot = 0
 
 // Result of an AppendUnique op.
 type Result struct {
@@ -79,13 +82,14 @@ func hash64(x uint64) uint64 {
 // found reports whether the key was already present.
 func (t *table) insert(key uint64, v int32) (slot int, found bool) {
 	i := hash64(key) & t.mask
+	stored := ^key
 	for {
 		t.probes++
 		switch t.keys[i] {
-		case key:
+		case stored:
 			return int(i), true
-		case emptyKey:
-			t.keys[i] = key
+		case emptySlot:
+			t.keys[i] = stored
 			t.vals[i] = v
 			return int(i), false
 		}
@@ -94,23 +98,21 @@ func (t *table) insert(key uint64, v int32) (slot int, found bool) {
 }
 
 // Deduper is a reusable AppendUnique workspace: the hash table's key/value
-// arrays, the per-position slot record, the bucket counters and the Result
-// buffers all persist across calls, so the steady-state sampling loop pays
-// no allocation for deduplication after warm-up. A Deduper is owned by one
-// goroutine (one per training worker / inference rank under
-// sim.RunParallel) and the Result it returns is only valid until its next
-// AppendUnique call.
+// arrays, the per-position slot record and the Result buffers all persist
+// across calls, so the steady-state sampling loop pays no allocation for
+// deduplication after warm-up. A Deduper is owned by one goroutine (one per
+// training worker / inference rank under sim.RunParallel) and the Result it
+// returns is only valid until its next AppendUnique call.
 //
 // Reuse is invisible in the output: the table size (and hence the
 // bucket-contiguous ID order) is a pure function of the input sizes, keys
-// are refilled with the empty marker before every call, and values are only
+// are cleared to the empty marker before every call, and values are only
 // ever read from slots whose key was inserted this call.
 type Deduper struct {
-	keys        []uint64
-	vals        []int32
-	slots       []int32
-	bucketCount []int32
-	res         Result
+	keys  []uint64
+	vals  []int32
+	slots []int32
+	res   Result
 }
 
 // NewDeduper returns an empty workspace; buffers grow on first use.
@@ -127,9 +129,7 @@ func (d *Deduper) AppendUnique(dev *sim.Device, targets, neighbors []graph.Globa
 		d.vals = make([]int32, size)
 	}
 	t := &table{keys: d.keys[:size], vals: d.vals[:size], mask: uint64(size - 1)}
-	for i := range t.keys {
-		t.keys[i] = emptyKey
-	}
+	clear(t.keys)
 
 	total := len(targets) + len(neighbors)
 	res := &d.res
@@ -162,49 +162,29 @@ func (d *Deduper) AppendUnique(dev *sim.Device, targets, neighbors []graph.Globa
 		slots[i] = int32(slot)
 	}
 
-	// Phase 3: per-bucket count of -1 values, exclusive prefix sum, then
-	// assign neighbor IDs bucket-contiguously after the targets.
-	nBuckets := len(t.keys) / bucketSlots
-	if cap(d.bucketCount) < nBuckets {
-		d.bucketCount = make([]int32, nBuckets)
-	}
-	bucketCount := d.bucketCount[:nBuckets]
-	clear(bucketCount)
-	for b := 0; b < nBuckets; b++ {
-		for s := b * bucketSlots; s < (b+1)*bucketSlots; s++ {
-			if t.keys[s] != emptyKey && t.vals[s] == -1 {
-				bucketCount[b]++
-			}
-		}
-	}
-	var sum int32
-	for b, c := range bucketCount {
-		bucketCount[b] = sum
-		sum += c
-	}
+	// Phase 3: assign neighbor IDs bucket-contiguously after the targets and
+	// emit the unique list. The GPU counts the -1 values per bucket, takes an
+	// exclusive prefix sum and numbers each bucket's entries from its offset;
+	// buckets are consecutive slot ranges, so that order is ascending slot
+	// order, and one scan of the table assigns and emits together.
 	base := int32(len(targets))
-	for b := 0; b < nBuckets; b++ {
-		next := base + bucketCount[b]
-		for s := b * bucketSlots; s < (b+1)*bucketSlots; s++ {
-			if t.keys[s] != emptyKey && t.vals[s] == -1 {
-				t.vals[s] = next
-				next++
-			}
+	next := base
+	res.Unique = res.Unique[:total]
+	for s, k := range t.keys {
+		if k != emptySlot && t.vals[s] == -1 {
+			t.vals[s] = next
+			res.Unique[next] = graph.GlobalID(^k)
+			next++
 		}
 	}
+	res.Unique = res.Unique[:next]
 
-	// Phase 4: emit unique neighbors and the per-position sub-graph IDs.
-	res.Unique = res.Unique[:int(base)+int(sum)]
+	// Phase 4: the per-position sub-graph IDs and duplicate counts.
 	if cap(res.DupCount) < len(res.Unique) {
 		res.DupCount = make([]int32, len(res.Unique))
 	}
 	res.DupCount = res.DupCount[:len(res.Unique)]
 	clear(res.DupCount)
-	for s, k := range t.keys {
-		if k != emptyKey && t.vals[s] >= base {
-			res.Unique[t.vals[s]] = graph.GlobalID(k)
-		}
-	}
 	for i := range neighbors {
 		id := t.vals[slots[i]]
 		res.NeighborSubID[i] = id

@@ -2,6 +2,7 @@ package unique
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -166,6 +167,74 @@ func TestAppendUniqueLarge(t *testing.T) {
 	for i, id := range res.NeighborSubID {
 		if res.Unique[id] != neighbors[i] {
 			t.Fatalf("mapping broken at %d", i)
+		}
+	}
+}
+
+// bucketOrderRef numbers the new neighbours the way the GPU op is specified:
+// count them per bucketSlots-slot bucket, exclusive prefix sum over the
+// buckets, then number each bucket's entries from its offset in slot order.
+// It returns the unique list that numbering produces.
+func bucketOrderRef(targets, neighbors []graph.GlobalID) []graph.GlobalID {
+	size := tableSize(len(targets) + len(neighbors))
+	tb := &table{keys: make([]uint64, size), vals: make([]int32, size), mask: uint64(size - 1)}
+	for i, g := range targets {
+		tb.insert(uint64(g), int32(i))
+	}
+	for _, g := range neighbors {
+		tb.insert(uint64(g), -1)
+	}
+	isNew := func(s int) bool { return tb.keys[s] != emptySlot && tb.vals[s] == -1 }
+	nBuckets := size / bucketSlots
+	offset := make([]int, nBuckets+1)
+	for b := 0; b < nBuckets; b++ {
+		offset[b+1] = offset[b]
+		for s := b * bucketSlots; s < (b+1)*bucketSlots; s++ {
+			if isNew(s) {
+				offset[b+1]++
+			}
+		}
+	}
+	out := append(make([]graph.GlobalID, 0, len(targets)+offset[nBuckets]), targets...)
+	out = out[:len(targets)+offset[nBuckets]]
+	for b := 0; b < nBuckets; b++ {
+		next := len(targets) + offset[b]
+		for s := b * bucketSlots; s < (b+1)*bucketSlots; s++ {
+			if isNew(s) {
+				out[next] = graph.GlobalID(^tb.keys[s])
+				next++
+			}
+		}
+	}
+	return out
+}
+
+// TestSingleScanMatchesBucketPrefixSum: the one-pass assignment is the
+// bucket-contiguous order of the three-scan formulation it replaced, from a
+// one-bucket table to sixty-four buckets.
+func TestSingleScanMatchesBucketPrefixSum(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	var d Deduper
+	for _, n := range []int{0, 1, 5, 60, 200, 1000, 4000} {
+		for trial := 0; trial < 5; trial++ {
+			span := int64(1 + n/(1+trial))
+			targets := make([]graph.GlobalID, 0, 16)
+			seen := map[graph.GlobalID]bool{}
+			for len(targets) < 16 {
+				g := graph.MakeGlobalID(rng.Intn(8), rng.Int63n(span+16))
+				if !seen[g] {
+					seen[g] = true
+					targets = append(targets, g)
+				}
+			}
+			neighbors := make([]graph.GlobalID, n)
+			for i := range neighbors {
+				neighbors[i] = graph.MakeGlobalID(rng.Intn(8), rng.Int63n(span+16))
+			}
+			got := d.AppendUnique(nil, targets, neighbors).Unique
+			if want := bucketOrderRef(targets, neighbors); !slices.Equal(got, want) {
+				t.Fatalf("n=%d trial %d: unique order diverges from the bucket prefix sum", n, trial)
+			}
 		}
 	}
 }

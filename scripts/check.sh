@@ -8,16 +8,25 @@ set -eux
 cd "$(dirname "$0")/.."
 go vet ./...
 go build ./...
-# The dense micro-kernel has an amd64 assembly prefix (internal/tensor/
-# axpy_amd64.s); everything else runs the portable Go loops, which must keep
-# compiling.
+# The dense micro-kernel and the element-wise selects have amd64 assembly
+# prefixes (internal/tensor/axpy_amd64.s, eltwise_amd64.s); everything else
+# runs the portable Go loops beside the stubs of axpy_other.go and
+# eltwise_other.go, which must keep compiling.
 GOARCH=arm64 go vet ./...
 GOARCH=arm64 go build ./...
 go test -race ./...
 # The dense kernels' pool is shared by every goroutine that multiplies:
 # hammer it — concurrent callers, nested under sim.RunParallel, a saturated
-# queue — repeatedly and at two GOMAXPROCS settings (~80 s).
+# queue — repeatedly and at two GOMAXPROCS settings, on the AVX and the Go
+# path (the kernel, element-wise and fuzz-seed tests run both) (~140 s).
 go test -race -count=10 -cpu 1,4 ./internal/tensor
+# The assembly against the Go loops on generated inputs: NaN payloads, signed
+# zeros, infinities, denormals, every tail length, unaligned operands. The
+# seed corpus already ran above; this searches beyond it, 10 s per target
+# (-fuzz takes one target and one package at a time).
+for target in FuzzReLU FuzzReLUGrad FuzzAxpy; do
+	go test -run '^$' -fuzz "^$target\$" -fuzztime 10s ./internal/tensor
+done
 # The benchmark is its own module (benchmark/go.mod), so the commands above
 # never compile it: vet it and run its toy-size smoke (< 10 s), or a changed
 # internal/* signature breaks the harness unseen.

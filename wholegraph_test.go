@@ -36,11 +36,11 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if last.EpochTime <= 0 {
 		t.Error("no virtual time measured")
 	}
-	if acc := trainer.Evaluate(ds.Val, 0); acc <= 0 {
-		t.Errorf("validation accuracy %.3f", acc)
+	if acc, err := trainer.Evaluate(ds.Val, 0); err != nil || acc <= 0 {
+		t.Errorf("validation accuracy %.3f, err %v", acc, err)
 	}
-	if emb := trainer.Predict(ds.Val[:4]); len(emb) != 4 || len(emb[0]) != ds.Spec.NumClasses {
-		t.Error("Predict returned wrong shape")
+	if emb, err := trainer.Predict(ds.Val[:4]); err != nil || len(emb) != 4 || len(emb[0]) != ds.Spec.NumClasses {
+		t.Errorf("Predict returned wrong shape (err %v)", err)
 	}
 }
 
