@@ -165,17 +165,28 @@ func (t *Tape) Len() int { return len(t.nodes) }
 // NewTensor returns a zeroed [r x c] tensor owned by the tape: with an
 // arena it is pooled memory that Reset reclaims, without one it is a plain
 // allocation. All op outputs and gradients are allocated through it.
-func (t *Tape) NewTensor(r, c int) *tensor.Dense {
+func (t *Tape) NewTensor(r, c int) *tensor.Dense { return t.newTensor(r, c, true) }
+
+// newProduct is NewTensor for the output of a matrix product: the *Into
+// kernels set every element, so recycled memory — an arena slab, or the
+// tensor a backward replay hands back — is not zeroed first.
+func (t *Tape) newProduct(r, c int) *tensor.Dense { return t.newTensor(r, c, false) }
+
+func (t *Tape) newTensor(r, c int, zero bool) *tensor.Dense {
 	if t != nil && t.replayBwd {
 		// Replaying a captured backward pass: hand back the tensors the
 		// capture run allocated, in the same deterministic order, resized
-		// (and zeroed) to the live shapes.
+		// to the live shapes.
 		if t.bwdCursor >= len(t.bwdSeq) {
 			panic("autograd: backward replay allocates more tensors than its capture did")
 		}
 		d := t.bwdSeq[t.bwdCursor]
 		t.bwdCursor++
-		d.Resize(r, c)
+		if zero {
+			d.Resize(r, c)
+		} else {
+			d.ResizeUninit(r, c)
+		}
 		return d
 	}
 	if t != nil && t.capBwd {
@@ -186,19 +197,12 @@ func (t *Tape) NewTensor(r, c int) *tensor.Dense {
 	if t == nil || t.arena == nil {
 		return tensor.New(r, c)
 	}
-	d := t.arena.Get(r, c)
-	t.owned = append(t.owned, d)
-	return d
-}
-
-// newProduct is NewTensor for the output of a matrix product: the *Into
-// kernels set every element, so a recycled arena slab is not zeroed first.
-// (Capturing and replaying tapes have no arena.)
-func (t *Tape) newProduct(r, c int) *tensor.Dense {
-	if t == nil || t.arena == nil {
-		return t.NewTensor(r, c)
+	var d *tensor.Dense
+	if zero {
+		d = t.arena.Get(r, c)
+	} else {
+		d = t.arena.GetUninit(r, c)
 	}
-	d := t.arena.GetUninit(r, c)
 	t.owned = append(t.owned, d)
 	return d
 }
@@ -494,7 +498,7 @@ func MatMul(x, w *Var) *Var {
 	tensor.MatMulInto(out, x.Value, w.Value)
 	if x.tape.capturing {
 		x.tape.CaptureRW("matmul", func() {
-			out.Resize(x.Value.R, w.Value.C)
+			out.ResizeUninit(x.Value.R, w.Value.C)
 			tensor.MatMulInto(out, x.Value, w.Value)
 		}, []*tensor.Dense{x.Value, w.Value}, []*tensor.Dense{out})
 	}
@@ -518,7 +522,7 @@ func Add(a, b *Var) *Var {
 	tensor.AddInto(out, a.Value, b.Value)
 	if a.tape.capturing {
 		a.tape.CaptureRW("add", func() {
-			out.Resize(a.Value.R, a.Value.C)
+			out.ResizeUninit(a.Value.R, a.Value.C)
 			tensor.AddInto(out, a.Value, b.Value)
 		}, []*tensor.Dense{a.Value, b.Value}, []*tensor.Dense{out})
 	}
@@ -534,7 +538,7 @@ func AddBias(x, b *Var) *Var {
 	tensor.AddRowInto(out, x.Value, b.Value)
 	if x.tape.capturing {
 		x.tape.CaptureRW("addbias", func() {
-			out.Resize(x.Value.R, x.Value.C)
+			out.ResizeUninit(x.Value.R, x.Value.C)
 			tensor.AddRowInto(out, x.Value, b.Value)
 		}, []*tensor.Dense{x.Value, b.Value}, []*tensor.Dense{out})
 	}
@@ -554,7 +558,7 @@ func ReLU(x *Var) *Var {
 	tensor.ReLUInto(out, x.Value)
 	if x.tape.capturing {
 		x.tape.CaptureRW("relu", func() {
-			out.Resize(x.Value.R, x.Value.C)
+			out.ResizeUninit(x.Value.R, x.Value.C)
 			tensor.ReLUInto(out, x.Value)
 		}, []*tensor.Dense{x.Value}, []*tensor.Dense{out})
 	}
@@ -571,7 +575,7 @@ func Scale(x *Var, s float32) *Var {
 	tensor.ScaleInto(out, x.Value, s)
 	if x.tape.capturing {
 		x.tape.CaptureRW("scale", func() {
-			out.Resize(x.Value.R, x.Value.C)
+			out.ResizeUninit(x.Value.R, x.Value.C)
 			tensor.ScaleInto(out, x.Value, s)
 		}, []*tensor.Dense{x.Value}, []*tensor.Dense{out})
 	}
@@ -593,8 +597,8 @@ func Dropout(x *Var, p float32, rnd func() float32) *Var {
 		// live shapes, a replayed epoch consumes the same random stream the
 		// eager epoch would, keeping the two bit-identical.
 		x.tape.CaptureRW("dropout", func() {
-			out.Resize(x.Value.R, x.Value.C)
-			mask.Resize(x.Value.R, x.Value.C)
+			out.ResizeUninit(x.Value.R, x.Value.C)
+			mask.ResizeUninit(x.Value.R, x.Value.C)
 			tensor.DropoutInto(out, x.Value, mask, p, rnd)
 		}, []*tensor.Dense{x.Value}, []*tensor.Dense{out, mask})
 	}
@@ -662,7 +666,7 @@ func ConcatCols(a, b *Var) *Var {
 		// Column widths are structural (fixed per capture); row counts are
 		// read live.
 		a.tape.CaptureRW("concat", func() {
-			out.Resize(a.Value.R, ca+cb)
+			out.ResizeUninit(a.Value.R, ca+cb)
 			concat()
 		}, []*tensor.Dense{a.Value, b.Value}, []*tensor.Dense{out})
 	}
@@ -700,7 +704,7 @@ func GatherRows(x *Var, idx []int) *Var {
 		// idx is structural: a capture is only valid while the caller keeps
 		// feeding the same index set.
 		x.tape.CaptureRW("gather", func() {
-			out.Resize(len(idx), x.Value.C)
+			out.ResizeUninit(len(idx), x.Value.C)
 			gather()
 		}, []*tensor.Dense{x.Value}, []*tensor.Dense{out})
 	}
@@ -736,7 +740,7 @@ func RowDot(a, b *Var) *Var {
 	rowdot()
 	if a.tape.capturing {
 		a.tape.CaptureRW("rowdot", func() {
-			out.Resize(a.Value.R, 1)
+			out.ResizeUninit(a.Value.R, 1)
 			rowdot()
 		}, []*tensor.Dense{a.Value, b.Value}, []*tensor.Dense{out})
 	}
@@ -781,7 +785,7 @@ func ScaleByScalarPlusOne(x, s *Var) *Var {
 	tensor.ScaleInto(out, x.Value, 1+s.Value.V[0])
 	if x.tape.capturing {
 		x.tape.CaptureRW("scale1p", func() {
-			out.Resize(x.Value.R, x.Value.C)
+			out.ResizeUninit(x.Value.R, x.Value.C)
 			tensor.ScaleInto(out, x.Value, 1+s.Value.V[0])
 		}, []*tensor.Dense{x.Value, s.Value}, []*tensor.Dense{out})
 	}

@@ -1,6 +1,7 @@
 package autograd
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -183,5 +184,93 @@ func TestReplaySteadyStateAllocs(t *testing.T) {
 	}
 	if replay >= eager {
 		t.Errorf("replay allocations %.1f not below eager tape rebuild %.1f", replay, eager)
+	}
+}
+
+// TestReplayOverwritesUnzeroedBuffers pins the replay paths that skip the
+// zeroing reshape (ResizeUninit in the captured closures of the ops whose
+// kernel sets every element, and in a replayed backward's matrix products):
+// with every captured tensor — op outputs, masks, gradient buffers —
+// poisoned with NaN over its whole capacity, a replay at a smaller row count
+// still matches a fresh eager pass bit for bit, values and gradients.
+func TestReplayOverwritesUnzeroedBuffers(t *testing.T) {
+	x := tensor.New(6, 4)
+	w := tensor.New(4, 3)
+	b := tensor.New(1, 3)
+	eps := tensor.New(1, 1)
+	fillSeq(x, 0.5)
+	fillSeq(w, -0.25)
+	fillSeq(b, 0.125)
+	eps.V[0] = 0.25
+	idx := []int{2, 0, 2} // rows that exist at both row counts
+
+	var draws int
+	rnd := func() float32 { // replayable uniform stream
+		draws++
+		return float32(draws*37%101) / 101
+	}
+	// One of every op whose capture closure reshapes without zeroing.
+	chain := func(tp *Tape) (out *Var, params []*Var) {
+		xv, wv, bv, ev := tp.Param(x), tp.Param(w), tp.Param(b), tp.Param(eps)
+		h := ReLU(AddBias(MatMul(xv, wv), bv))
+		h = Scale(Dropout(h, 0.5, rnd), 0.5)
+		h = ScaleByScalarPlusOne(Add(h, h), ev)
+		g := GatherRows(ConcatCols(h, h), idx)
+		return RowDot(g, g), []*Var{xv, wv, bv, ev}
+	}
+	seedFor := func(v *Var) *tensor.Dense {
+		s := tensor.New(v.Value.R, v.Value.C)
+		fillSeq(s, 1)
+		return s
+	}
+
+	ct := NewTape()
+	ct.BeginCapture()
+	out, params := chain(ct)
+	ct.Backward(out, seedFor(out))
+	ct.EndCapture()
+
+	nan := float32(math.NaN())
+	poison := func(d *tensor.Dense) {
+		v := d.V[:cap(d.V)]
+		for i := range v {
+			v[i] = nan
+		}
+	}
+	for _, s := range ct.program {
+		for _, d := range s.writes {
+			poison(d)
+		}
+	}
+	for _, d := range ct.bwdSeq {
+		poison(d)
+	}
+
+	x.Resize(3, 4)
+	fillSeq(x, 2)
+	fillSeq(w, 0.75)
+	draws = 0
+	ct.ReplayForward()
+	ct.ReplayBackward(out, seedFor(out), nil, nil)
+
+	draws = 0
+	et := NewTape()
+	eOut, eParams := chain(et)
+	et.Backward(eOut, seedFor(eOut))
+
+	same := func(name string, got, want *tensor.Dense) {
+		t.Helper()
+		if !got.SameShape(want) {
+			t.Fatalf("%s: replay %dx%d, eager %dx%d", name, got.R, got.C, want.R, want.C)
+		}
+		for i := range want.V {
+			if math.Float32bits(got.V[i]) != math.Float32bits(want.V[i]) {
+				t.Fatalf("%s[%d] = %g on poisoned buffers, eager %g", name, i, got.V[i], want.V[i])
+			}
+		}
+	}
+	same("out", out.Value, eOut.Value)
+	for i, name := range []string{"dx", "dw", "db", "deps"} {
+		same(name, params[i].Grad, eParams[i].Grad)
 	}
 }

@@ -189,6 +189,10 @@ type loaderSlot struct {
 	labels []int32
 	batch  gnn.Batch
 	tm     Timing
+	// sample and gather list, in launch order, the kernels the two phases
+	// of the slot's build staged on the loader's twin, for apply to issue on
+	// the device. Empty when the build charged the device directly.
+	sample, gather []sim.KernelCost
 	// ready is recorded on the copy stream when a prefetched build
 	// completes; free is recorded on the compute stream when the slot's
 	// batch has been consumed (Release). The zero events never block.
@@ -202,16 +206,37 @@ type loaderSlot struct {
 // Batches come out of a two-slot ring: a returned batch aliases its slot's
 // scratch and stays valid while the other slot is (re)built, which is what
 // lets Prefetch construct batch i+1 on the device's copy stream while
-// compute still reads batch i. Ownership: the loader — and both slots —
-// belongs to its worker's goroutine; prefetching overlaps virtual time,
-// not host execution, so no locking is involved.
+// compute still reads batch i.
+//
+// A build is two halves. compute is the host math — sample, AppendUnique,
+// gather — and charges a staging twin of the device, which only lists the
+// kernels; apply issues that list on the device at the call point, so the
+// clocks, Stats and trace are those of a build that ran there. Prefetching
+// overlaps virtual time only. Plan overlaps host execution: it announces
+// the next BuildBatch calls, and while the caller works on batch k a second
+// goroutine computes batch k+1 into the ring slot batch k-1 just vacated.
+//
+// Ownership: the loader — device, both slots, plan — belongs to its
+// worker's goroutine. Between the start of a run-ahead build and the
+// BuildBatch call that joins it, the builder goroutine owns the sampler
+// (its RNG and sampling.Scratch), the hot-row cache's counters, the twin
+// and the slot it fills, and reads plan and next; it never touches the
+// device or the slot holding the live batch. The store is immutable. The go
+// statement and the done channel order the hand-overs, so no locking is
+// involved.
+//
+// Stores whose reads consult the clock (paged features or topology compare
+// page-ready times with it and run the copy-stream event dance) cannot be
+// staged: bdev is then the device itself, compute charges it at the call
+// point, and a plan only checks the call order.
 type Loader struct {
 	Store   *Store
 	Dev     *sim.Device
 	Fanouts []int
+	// bdev is the device builds charge: a staging twin of Dev, or Dev.
+	bdev    *sim.Device
 	sampler *sampling.GPUSampler
 	cache   *cache.FeatureCache
-	rng     *rand.Rand
 
 	slots [2]loaderSlot
 	// next indexes the slot the next build (BuildBatch or Prefetch) writes
@@ -219,6 +244,16 @@ type Loader struct {
 	next int
 	// pending is set between Prefetch and Collect.
 	pending bool
+
+	// plan holds the announced target lists BuildBatch has not handed out
+	// yet. ahead is set while the build of plan[0] into slots[next] is
+	// running, or has finished, on the builder goroutine; its outcome (nil,
+	// or the value it panicked with) arrives on done. buildAhead is that
+	// goroutine's body, made once so that starting it allocates nothing.
+	plan       [][]int64
+	ahead      bool
+	done       chan any
+	buildAhead func()
 
 	// PrefetchPages scratch: predicted topology page ids and feature rows.
 	pfIDs  []int32
@@ -228,12 +263,16 @@ type Loader struct {
 // NewLoader creates a loader on dev sampling with the given per-layer
 // fanouts (paper: 30,30,30).
 func NewLoader(s *Store, dev *sim.Device, fanouts []int, seed int64) *Loader {
+	bdev := dev
+	if s.FeatStore() == nil && s.TopoStore() == nil {
+		bdev = dev.StagingTwin()
+	}
 	return &Loader{
 		Store:   s,
 		Dev:     dev,
 		Fanouts: fanouts,
-		sampler: sampling.NewGPUSampler(s.PG, dev, seed),
-		rng:     rand.New(rand.NewSource(seed ^ 0x5eed)),
+		bdev:    bdev,
+		sampler: sampling.NewGPUSampler(s.PG, bdev, seed),
 	}
 }
 
@@ -291,16 +330,73 @@ func (t *Timing) Add(o Timing) {
 // input features with the single-kernel global gather, and returns the
 // batch plus the sample/gather timing split. Everything is charged to the
 // device's current stream (the compute stream in the sequential training
-// path). The returned batch aliases loader scratch and is valid only until
-// the next-but-one build on this loader.
+// path) at the time of the call, whether or not the host math ran ahead of
+// it. The returned batch aliases loader scratch and is valid only until the
+// next-but-one build on this loader begins — with a plan open, that is
+// inside the next BuildBatch call.
 func (l *Loader) BuildBatch(targets []int64) (*gnn.Batch, Timing) {
 	if l.pending {
 		panic("core: BuildBatch with a prefetch pending; Collect it first")
 	}
+	planned := len(l.plan) > 0
+	if planned && !slices.Equal(l.plan[0], targets) {
+		// A build that ran ahead has consumed sampler RNG for the planned
+		// list and cannot be undone.
+		panic(fmt.Sprintf("core: BuildBatch out of plan: %d targets that are not the next planned list (%d targets, %d lists outstanding)",
+			len(targets), len(l.plan[0]), len(l.plan)))
+	}
 	s := &l.slots[l.next]
+	if l.ahead {
+		l.ahead = false
+		if p := <-l.done; p != nil {
+			panic(p)
+		}
+	} else {
+		l.compute(s, targets)
+	}
 	l.next ^= 1
-	l.buildInto(s, targets)
+	if planned {
+		l.plan = l.plan[1:]
+		l.startAhead()
+	}
+	l.apply(s)
 	return &s.batch, s.tm
+}
+
+// Plan announces the target lists of the next len(lists) BuildBatch calls,
+// in order, so their builds may run ahead of the calls on a second
+// goroutine: batch contents, Timing, clocks, Stats and trace are those of
+// the same calls without a plan. While a plan is open every build must be
+// the BuildBatch of its head — anything else panics — and lists and the
+// slices it holds must not change. The builder goroutine lives from one
+// BuildBatch to the next; once the last planned call has returned nothing
+// of the plan is left.
+func (l *Loader) Plan(lists [][]int64) {
+	if len(l.plan) > 0 {
+		panic(fmt.Sprintf("core: Plan with %d planned builds outstanding", len(l.plan)))
+	}
+	if l.pending {
+		panic("core: Plan with a prefetch pending; Collect it first")
+	}
+	l.plan = lists
+}
+
+// startAhead starts the build of the plan's head into the slot the next
+// BuildBatch will return, if there is a head and the store can be staged.
+func (l *Loader) startAhead() {
+	if len(l.plan) == 0 || l.bdev == l.Dev {
+		return
+	}
+	if l.done == nil {
+		l.done = make(chan any, 1)
+		l.buildAhead = func() {
+			// A panic travels to the BuildBatch that joins this build.
+			defer func() { l.done <- recover() }()
+			l.compute(&l.slots[l.next], l.plan[0])
+		}
+	}
+	l.ahead = true
+	go l.buildAhead()
 }
 
 // Prefetch builds the batch for the given targets on the device's copy
@@ -317,6 +413,9 @@ func (l *Loader) Prefetch(targets []int64) {
 	if l.pending {
 		panic("core: Prefetch with a prefetch already pending")
 	}
+	if len(l.plan) > 0 {
+		panic("core: Prefetch with a plan open; planned builds go through BuildBatch")
+	}
 	s := &l.slots[l.next]
 	// The build starts no earlier than its issue point on the current
 	// (compute) stream — a stream cannot run work before the host enqueued
@@ -325,7 +424,8 @@ func (l *Loader) Prefetch(targets []int64) {
 	prev := l.Dev.SetStream(sim.StreamCopy)
 	l.Dev.WaitEvent(issue, "wait.issue")
 	l.Dev.WaitEvent(s.free, "wait.slot")
-	l.buildInto(s, targets)
+	l.compute(s, targets)
+	l.apply(s)
 	s.ready = l.Dev.RecordEvent()
 	l.Dev.SetStream(prev)
 	l.pending = true
@@ -408,11 +508,16 @@ func (l *Loader) PrefetchPages(targets []int64, maxPages int) int {
 	return total
 }
 
-// buildInto runs the sample/dedup/gather chain for targets into slot s,
-// charging the device's current stream.
-func (l *Loader) buildInto(s *loaderSlot, targets []int64) {
+// compute runs the sample/dedup/gather chain for targets into slot s,
+// charging bdev. On a staging twin that leaves the kernels in the slot for
+// apply and touches nothing of the device, so it may run on the builder
+// goroutine; on the device itself (a store that cannot be staged) the
+// charges land on the current stream here and s.tm is final.
+func (l *Loader) compute(s *loaderSlot, targets []int64) {
 	s.tm = Timing{}
 	pg := l.Store.PG
+	dev := l.bdev
+	staged := dev != l.Dev
 
 	if s.nbs == nil {
 		s.nbs = make([]*sampling.Neighborhood, len(l.Fanouts))
@@ -433,11 +538,14 @@ func (l *Loader) buildInto(s *loaderSlot, targets []int64) {
 		cur[i] = pg.Owner[v]
 	}
 
-	t0 := l.Dev.Now()
+	var t0 float64
+	if !staged {
+		t0 = dev.Now()
+	}
 	blocks := s.blocks
 	for hop, fan := range l.Fanouts {
 		nb := l.sampler.SampleLayerInto(s.nbs[hop], cur, fan)
-		uq := s.deds[hop].AppendUnique(l.Dev, cur, nb.Neighbors)
+		uq := s.deds[hop].AppendUnique(dev, cur, nb.Neighbors)
 		// The first sampled hop feeds the last GNN layer.
 		blk := blocks[len(l.Fanouts)-1-hop]
 		blk.NumTargets = len(cur)
@@ -452,11 +560,15 @@ func (l *Loader) buildInto(s *loaderSlot, targets []int64) {
 				blk.EdgeW = make([]float32, len(nb.EdgePos))
 			}
 			blk.EdgeW = blk.EdgeW[:len(nb.EdgePos)]
-			pg.EdgeW.GatherElems(l.Dev, nb.EdgePos, blk.EdgeW, "gather.edgew")
+			pg.EdgeW.GatherElems(dev, nb.EdgePos, blk.EdgeW, "gather.edgew")
 		}
 		cur = uq.Unique
 	}
-	s.tm.Sample = l.Dev.Now() - t0
+	if staged {
+		s.sample = dev.SwapStaged(s.sample)
+	} else {
+		s.tm.Sample = dev.Now() - t0
+	}
 
 	// Global gather: one kernel reading every input node's feature row
 	// from whichever GPU owns it.
@@ -478,13 +590,20 @@ func (l *Loader) buildInto(s *loaderSlot, targets []int64) {
 		s.feat.R, s.feat.C, s.feat.V = len(cur), dim, s.feat.V[:n]
 	}
 	feat := s.feat
-	t1 := l.Dev.Now()
-	if l.cache != nil {
-		l.cache.GatherRows(rows, dim, feat.V, "gather.feat")
-	} else {
-		pg.Features().GatherRows(l.Dev, rows, dim, feat.V, "gather.feat")
+	var t1 float64
+	if !staged {
+		t1 = dev.Now()
 	}
-	s.tm.Gather = l.Dev.Now() - t1
+	if l.cache != nil {
+		l.cache.GatherRowsOn(dev, rows, dim, feat.V, "gather.feat")
+	} else {
+		pg.Features().GatherRows(dev, rows, dim, feat.V, "gather.feat")
+	}
+	if staged {
+		s.gather = dev.SwapStaged(s.gather)
+	} else {
+		s.tm.Gather = dev.Now() - t1
+	}
 
 	if cap(s.labels) < len(targets) {
 		s.labels = make([]int32, len(targets))
@@ -496,19 +615,47 @@ func (l *Loader) buildInto(s *loaderSlot, targets []int64) {
 	s.batch = gnn.Batch{Blocks: blocks, Feat: feat, Labels: labels}
 }
 
+// apply issues the kernels slot s's build staged, in order, on the device's
+// current stream and times the two phases on its clock: every busy
+// interval, Stats increment and clock value is the one compute would have
+// produced by charging the device directly at this point. After a build
+// that did charge the device directly there is nothing to issue.
+func (l *Loader) apply(s *loaderSlot) {
+	if l.bdev == l.Dev {
+		return
+	}
+	t0 := l.Dev.Now()
+	for _, c := range s.sample {
+		l.Dev.Kernel(c)
+	}
+	t1 := l.Dev.Now()
+	s.tm.Sample = t1 - t0
+	for _, c := range s.gather {
+		l.Dev.Kernel(c)
+	}
+	s.tm.Gather = l.Dev.Now() - t1
+}
+
 // EpochBatches partitions the training set into shuffled mini-batches for
 // one epoch. Every call reshuffles.
 func EpochBatches(train []int64, batchSize int, rng *rand.Rand) [][]int64 {
-	ids := append([]int64(nil), train...)
-	rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
-	var out [][]int64
-	for len(ids) > 0 {
-		n := batchSize
-		if n > len(ids) {
-			n = len(ids)
-		}
-		out = append(out, ids[:n])
-		ids = ids[n:]
+	var ids []int64
+	return EpochBatchesInto(nil, &ids, train, batchSize, rng)
+}
+
+// EpochBatchesInto is EpochBatches on caller-owned scratch: the shuffled
+// copy of train overwrites *ids (grown when too small) and the batches,
+// which alias it, overwrite out. A trainer that keeps both across epochs
+// reshuffles without allocating.
+func EpochBatchesInto(out [][]int64, ids *[]int64, train []int64, batchSize int, rng *rand.Rand) [][]int64 {
+	rest := append((*ids)[:0], train...)
+	*ids = rest
+	rng.Shuffle(len(rest), func(i, j int) { rest[i], rest[j] = rest[j], rest[i] })
+	out = out[:0]
+	for len(rest) > 0 {
+		n := min(batchSize, len(rest))
+		out = append(out, rest[:n])
+		rest = rest[n:]
 	}
 	return out
 }

@@ -68,6 +68,11 @@ type Device struct {
 	// schedNode labels subsequently recorded intervals with a scheduler DAG
 	// node ID (see Interval.Node); 0 means unlabelled.
 	schedNode int
+	// twinOf is non-nil on a staging twin (see stage.go): Kernel appends to
+	// staged instead of charging, and everything that needs a timeline
+	// panics.
+	twinOf *Device
+	staged []KernelCost
 }
 
 // ChargeRecorder receives the charges a device would have applied to its
@@ -80,7 +85,10 @@ type ChargeRecorder interface {
 // AttachRecorder routes this device's busy/commBusy charges to r until
 // DetachRecorder. Idle time is dropped while recording (waits are a
 // scheduling outcome, not a cost of the recorded work).
-func (d *Device) AttachRecorder(r ChargeRecorder) { d.rec = r }
+func (d *Device) AttachRecorder(r ChargeRecorder) {
+	d.mustHaveTimeline()
+	d.rec = r
+}
 
 // DetachRecorder restores normal clock-advancing charging.
 func (d *Device) DetachRecorder() { d.rec = nil }
@@ -115,6 +123,7 @@ func (d *Device) Machine() *Machine { return d.m }
 
 // Now returns the current stream's virtual clock in seconds.
 func (d *Device) Now() float64 {
+	d.mustHaveTimeline()
 	if d.stream == StreamCopy {
 		return d.copyNow
 	}
@@ -131,6 +140,7 @@ func (d *Device) clock() *float64 {
 
 // busy advances the current stream by dt seconds of busy (kernel) time.
 func (d *Device) busy(dt float64, tag string) {
+	d.mustHaveTimeline()
 	if dt <= 0 {
 		return
 	}
@@ -154,6 +164,7 @@ func (d *Device) busy(dt float64, tag string) {
 // time: like busy, but the interval is flagged as a collective transfer
 // (its own Chrome-trace lane) and accrues to Stats.CommSeconds.
 func (d *Device) commBusy(dt float64, tag string) {
+	d.mustHaveTimeline()
 	if dt <= 0 {
 		return
 	}
@@ -176,6 +187,7 @@ func (d *Device) commBusy(dt float64, tag string) {
 
 // idle advances the current stream by dt seconds of idle (waiting) time.
 func (d *Device) idle(dt float64, tag string) {
+	d.mustHaveTimeline()
 	if dt <= 0 || d.rec != nil {
 		return
 	}
@@ -279,6 +291,12 @@ func (d *Device) Kernel(c KernelCost) float64 {
 		d.Stats.GraphKernels++
 	}
 	dt := launch + math.Max(math.Max(math.Max(tc, tm), math.Max(tr, tp)), math.Max(tu, th))
+	if d.twinOf != nil {
+		// Staging twin: keep the cost for the device to charge later; dt is
+		// what it charges outside a graph replay.
+		d.staged = append(d.staged, c)
+		return dt
+	}
 	tag := c.Tag
 	if tag == "" {
 		tag = "kernel"

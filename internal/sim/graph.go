@@ -19,6 +19,7 @@ package sim
 // outermost call charges the one-time graph launch overhead as busy time
 // tagged with the given tag (empty defaults to "graph-launch").
 func (d *Device) BeginGraphReplay(tag string) {
+	d.mustHaveTimeline()
 	d.graphDepth++
 	if d.graphDepth == 1 {
 		if tag == "" {

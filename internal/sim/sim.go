@@ -300,8 +300,8 @@ func (m *Machine) MaxTime() float64 {
 func Barrier(devs []*Device) float64 {
 	t := 0.0
 	for _, d := range devs {
-		if d.now > t {
-			t = d.now
+		if n := d.StreamNow(StreamCompute); n > t {
+			t = n
 		}
 	}
 	for _, d := range devs {

@@ -52,12 +52,16 @@ type Event struct {
 }
 
 // CurrentStream returns the stream subsequent charges land on.
-func (d *Device) CurrentStream() StreamKind { return d.stream }
+func (d *Device) CurrentStream() StreamKind {
+	d.mustHaveTimeline()
+	return d.stream
+}
 
 // SetStream selects the stream subsequent charges land on and returns the
 // previous selection. Like every Device method it may only be called by
 // the device's owning goroutine.
 func (d *Device) SetStream(k StreamKind) StreamKind {
+	d.mustHaveTimeline()
 	prev := d.stream
 	d.stream = k
 	return prev
@@ -74,6 +78,7 @@ func (d *Device) OnStream(k StreamKind, fn func()) {
 // StreamNow returns the named stream's virtual clock in seconds,
 // regardless of which stream is current.
 func (d *Device) StreamNow(k StreamKind) float64 {
+	d.mustHaveTimeline()
 	if k == StreamCopy {
 		return d.copyNow
 	}
@@ -85,6 +90,7 @@ func (d *Device) StreamNow(k StreamKind) float64 {
 // end-of-run number for code that drove both streams (like the serving
 // replicas and the pipelined loaders).
 func (d *Device) Span() float64 {
+	d.mustHaveTimeline()
 	if d.copyNow > d.now {
 		return d.copyNow
 	}

@@ -221,7 +221,7 @@ func EdgeScore(dev *sim.Device, g *SubCSR, sl, sr *autograd.Var) *autograd.Var {
 	chargeSDDMM(dev, g, 1)
 	if tp.Capturing() {
 		tp.CaptureRW("sddmm", func() {
-			out.Resize(int(g.NumEdges()), 1)
+			out.ResizeUninit(int(g.NumEdges()), 1)
 			score()
 			chargeSDDMM(dev, g, 1)
 		}, []*tensor.Dense{sl.Value, sr.Value}, []*tensor.Dense{out})
@@ -264,7 +264,7 @@ func EdgeLeakyReLU(dev *sim.Device, x *autograd.Var, slope float32) *autograd.Va
 	lrelu()
 	if tp.Capturing() {
 		tp.CaptureRW("leakyrelu", func() {
-			out.Resize(x.Value.R, x.Value.C)
+			out.ResizeUninit(x.Value.R, x.Value.C)
 			lrelu()
 		}, []*tensor.Dense{x.Value}, []*tensor.Dense{out})
 	}

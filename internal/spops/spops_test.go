@@ -394,3 +394,43 @@ func TestSpMMStaticWeightGradientNumeric(t *testing.T) {
 		}
 	}
 }
+
+// TestEdgeOpsReplayOverwriteUnzeroedOutputs: the captured closures of
+// EdgeScore and EdgeLeakyReLU reshape their outputs without zeroing, because
+// every edge's element is written. With both outputs poisoned with NaN and
+// the graph shrunk in place, a replay matches a fresh eager pass bit for bit.
+func TestEdgeOpsReplayOverwriteUnzeroedOutputs(t *testing.T) {
+	g := testGraph()
+	slv := tensor.FromSlice(3, 1, []float32{1, -2, 3})
+	srv := tensor.FromSlice(6, 1, []float32{0.1, -0.2, 0.3, 0.4, -0.5, 0.6})
+	chain := func(tp *autograd.Tape) (score, act *autograd.Var) {
+		score = EdgeScore(nil, g, tp.Const(slv), tp.Const(srv))
+		return score, EdgeLeakyReLU(nil, score, 0.2)
+	}
+	ct := autograd.NewTape()
+	ct.BeginCapture()
+	score, act := chain(ct)
+	ct.EndCapture()
+
+	nan := float32(math.NaN())
+	for _, v := range []*autograd.Var{score, act} {
+		for i := range v.Value.V {
+			v.Value.V[i] = nan
+		}
+	}
+	// Drop the last target: fewer edges than the buffers hold.
+	g.NumTargets, g.RowPtr, g.Col = 2, g.RowPtr[:3], g.Col[:5]
+	slv.Resize(2, 1)
+	copy(slv.V, []float32{-4, 5})
+	ct.ReplayForward()
+
+	_, want := chain(autograd.NewTape())
+	if !act.Value.SameShape(want.Value) {
+		t.Fatalf("replay %dx%d, eager %dx%d", act.Value.R, act.Value.C, want.Value.R, want.Value.C)
+	}
+	for i := range want.Value.V {
+		if math.Float32bits(act.Value.V[i]) != math.Float32bits(want.Value.V[i]) {
+			t.Fatalf("edge %d = %g on poisoned outputs, eager %g", i, act.Value.V[i], want.Value.V[i])
+		}
+	}
+}

@@ -95,6 +95,22 @@ func (d *Dense) Resize(r, c int) {
 	d.R, d.C = r, c
 }
 
+// ResizeUninit is Resize without the zeroing, for a destination the caller
+// overwrites in full before reading it (the *Into kernels that set every
+// element): capacity that is reused keeps whatever it held.
+func (d *Dense) ResizeUninit(r, c int) {
+	if r < 0 || c < 0 {
+		panic(fmt.Sprintf("tensor: negative shape %dx%d", r, c))
+	}
+	n := r * c
+	if n > cap(d.V) {
+		d.V = make([]float32, n)
+	} else {
+		d.V = d.V[:n]
+	}
+	d.R, d.C = r, c
+}
+
 // SameShape reports whether d and o have identical shapes.
 func (d *Dense) SameShape(o *Dense) bool { return d.R == o.R && d.C == o.C }
 

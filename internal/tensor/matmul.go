@@ -305,7 +305,7 @@ func MatMulTInto(dst, a, b *Dense) {
 		panic(fmt.Sprintf("tensor: matmulT dst %dx%d for %dx%d", dst.R, dst.C, a.R, b.R))
 	}
 	j := getJob()
-	j.bt.Resize(b.C, b.R)
+	j.bt.ResizeUninit(b.C, b.R)
 	transposeInto(&j.bt, b)
 	j.run(mulRowsAllTerms, dst, a, &j.bt, a.R, a.R*a.C*b.R)
 	putJob(j)

@@ -249,6 +249,7 @@ func TestKernelsBitIdentical(t *testing.T) { bothKernels(t, testKernelsBitIdenti
 
 func testKernelsBitIdentical(t *testing.T) {
 	defer SetWorkers(SetWorkers(1))
+	defer smallCutoff()()
 	rng := rand.New(rand.NewSource(13))
 	negZero := float32(math.Copysign(0, -1))
 	inf := float32(math.Inf(1))
@@ -342,10 +343,21 @@ func testKernelsBitIdentical(t *testing.T) {
 	}
 }
 
+// smallCutoff lowers minParallelWork to the 2^19 multiply-adds these tests'
+// pooled shapes were sized for, so they reach the pool without multiplying
+// matrices of the production cut-off's size under the race detector. The
+// returned function restores it.
+func smallCutoff() func() {
+	prev := minParallelWork
+	minParallelWork = 1 << 19
+	return func() { minParallelWork = prev }
+}
+
 // TestKernelsParallelAboveCutoff guards the test above against vacuity: its
 // larger shapes must actually take the pooled path.
 func TestKernelsParallelAboveCutoff(t *testing.T) {
 	defer SetWorkers(SetWorkers(3))
+	defer smallCutoff()()
 	var mu sync.Mutex
 	var ranges [][2]int
 	record := func(_ *scratch, _, _, _ *Dense, lo, hi int) {
@@ -412,6 +424,7 @@ func TestKernelsAllocFree(t *testing.T) { bothKernels(t, testKernelsAllocFree) }
 
 func testKernelsAllocFree(t *testing.T) {
 	defer SetWorkers(SetWorkers(1))
+	defer smallCutoff()()
 	for _, kc := range kernelCases {
 		dst, a, b := denseOperands(kc, 260, 64, 32, 0.5, 3) // past the serial cut-off
 		for _, w := range []int{1, 2} {
@@ -431,6 +444,7 @@ func TestKernelsConcurrentCallers(t *testing.T) { bothKernels(t, testKernelsConc
 
 func testKernelsConcurrentCallers(t *testing.T) {
 	defer SetWorkers(SetWorkers(1))
+	defer smallCutoff()()
 	type problem struct {
 		kc        kernelCase
 		a, b      *Dense
@@ -481,6 +495,7 @@ func TestKernelsSaturatedQueue(t *testing.T) { bothKernels(t, testKernelsSaturat
 
 func testKernelsSaturatedQueue(t *testing.T) {
 	defer SetWorkers(SetWorkers(4))
+	defer smallCutoff()()
 	startPool()
 	gate := make(chan struct{})
 	blocker := getJob()
@@ -593,6 +608,32 @@ func BenchmarkMatMul(b *testing.B) {
 					b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 				})
 			}
+		}
+	}
+}
+
+// BenchmarkPoolCrossover is what minParallelWork was sized with: the forward
+// product of an [m x 128] by [128 x 64] layer run on the calling goroutine
+// (/inline) and split over two pool workers (/pooled), by multiply-add
+// count. The pool wins from the size at which /pooled drops below /inline;
+// run it with -cpu 2 (at -cpu 1 the pool can only lose).
+func BenchmarkPoolCrossover(b *testing.B) {
+	defer SetWorkers(SetWorkers(2))
+	const k, n = 128, 64
+	for _, m := range []int{32, 64, 128, 256, 384, 512, 768, 1024, 2048} {
+		rng := rand.New(rand.NewSource(int64(m)))
+		x, w, y := Randn(m, k, 1, rng), Randn(k, n, 1, rng), New(m, n)
+		for _, mode := range []struct {
+			name string
+			work int // what job.run is told the product costs
+		}{{"inline", 0}, {"pooled", minParallelWork}} {
+			b.Run(fmt.Sprintf("%s/madds=2^%.1f", mode.name, math.Log2(float64(m*k*n))), func(b *testing.B) {
+				j := getJob()
+				defer putJob(j)
+				for i := 0; i < b.N; i++ {
+					j.run(mulRowsSkipZeros, y, x, w, m, mode.work)
+				}
+			})
 		}
 	}
 }

@@ -42,11 +42,17 @@ func SetWorkers(n int) int {
 func Workers() int { return int(atomic.LoadInt64(&numWorkers)) }
 
 // minParallelWork is the number of multiply-adds (m*k*n) below which a
-// product runs on the calling goroutine. Waking a parked pool worker and
-// joining it measured ~70 µs on the 2-vCPU reference box, which two workers
-// win back only from ~150 µs of serial kernel time, i.e. 2^19 multiply-adds;
-// GAT's [h x 1] attention products are a tenth of that.
-const minParallelWork = 1 << 19
+// product runs on the calling goroutine. It is the crossover measured with
+// the vector kernels on the 2-vCPU reference box (BenchmarkPoolCrossover,
+// -cpu 2): two workers only tie one up to 2^22 multiply-adds (~350 µs of
+// kernel) even when the pool worker never parks, and win from there; waking
+// a parked worker costs another ~70 µs. The second core is also no longer
+// idle below that size: the loader's run-ahead builder works there. Of the
+// benchmark's products only the [1408 x 200 x 64]-class layer-0 GEMMs and
+// GAT's [10000 x 100 x 16] projections are above it. It is a variable only so
+// that the package's tests can reach the pool with small products
+// (smallCutoff); nothing else writes it.
+var minParallelWork = 1 << 22
 
 // rowKernel computes output rows [lo, hi) of dst from a and b, using s as
 // its working memory.

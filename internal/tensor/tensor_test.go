@@ -457,3 +457,40 @@ func benchMatMul(b *testing.B, workers int) {
 func BenchmarkMatMulSerial(b *testing.B)  { benchMatMul(b, 1) }
 func BenchmarkMatMulPooled(b *testing.B)  { benchMatMul(b, runtime.NumCPU()) }
 func BenchmarkMatMulPooled8(b *testing.B) { benchMatMul(b, 8) }
+
+// TestResizeUninit: the un-zeroed reshape keeps reused capacity as it was
+// (that is the saving, and why only full-overwrite destinations may use it),
+// grows like Resize, and leaves Resize itself zeroing.
+func TestResizeUninit(t *testing.T) {
+	d := New(4, 3)
+	for i := range d.V {
+		d.V[i] = float32(i + 1)
+	}
+	base := &d.V[0]
+	d.ResizeUninit(2, 5)
+	if d.R != 2 || d.C != 5 || len(d.V) != 10 || &d.V[0] != base {
+		t.Fatalf("reshape within capacity: %dx%d len %d, moved %v", d.R, d.C, len(d.V), &d.V[0] != base)
+	}
+	for i, v := range d.V {
+		if v != float32(i+1) {
+			t.Fatalf("elem %d = %g after an un-zeroed reshape, want the old %d", i, v, i+1)
+		}
+	}
+	d.ResizeUninit(5, 5)
+	if d.R != 5 || d.C != 5 || len(d.V) != 25 {
+		t.Fatalf("growth: %dx%d len %d", d.R, d.C, len(d.V))
+	}
+	d.V[7] = 9
+	d.Resize(3, 3)
+	for i, v := range d.V {
+		if v != 0 {
+			t.Fatalf("elem %d = %g after Resize, want 0", i, v)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("negative shape did not panic")
+		}
+	}()
+	d.ResizeUninit(-1, 2)
+}

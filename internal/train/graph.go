@@ -275,7 +275,7 @@ func (t *Trainer) replayStep(w int, mdl gnn.Model, dev *sim.Device, b *gnn.Batch
 	mdl.Params().RebindVars(g.paramVars)
 	dev.BeginGraphReplay("step-graph")
 	g.tape.ReplayForward()
-	g.grad.Resize(g.logits.Value.R, g.logits.Value.C)
+	g.grad.ResizeUninit(g.logits.Value.R, g.logits.Value.C) // CrossEntropy sets every element
 	res := stepResult{
 		loss: tensor.CrossEntropy(g.logits.Value, b.Labels, g.grad),
 		acc:  tensor.Accuracy(g.logits.Value, b.Labels),
@@ -313,7 +313,7 @@ func (t *Trainer) scheduledStep(w int, mdl gnn.Model, dev *sim.Device, b *gnn.Ba
 	g.tape.SetReplayObserver(rec)
 	g.tape.ReplayForward()
 	rec.LossNode(g.logits)
-	g.grad.Resize(g.logits.Value.R, g.logits.Value.C)
+	g.grad.ResizeUninit(g.logits.Value.R, g.logits.Value.C) // CrossEntropy sets every element
 	res := stepResult{
 		loss: tensor.CrossEntropy(g.logits.Value, b.Labels, g.grad),
 		acc:  tensor.Accuracy(g.logits.Value, b.Labels),

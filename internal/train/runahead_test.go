@@ -1,0 +1,211 @@
+package train_test
+
+import (
+	"bytes"
+	"math"
+	"reflect"
+	"runtime"
+	"testing"
+	"time"
+
+	"wholegraph/internal/dataset"
+	"wholegraph/internal/sim"
+	"wholegraph/internal/train"
+)
+
+// epochRun is everything a short training run leaves behind that a caller
+// can observe: epoch statistics, an evaluation between epochs, and every
+// device's two stream clocks, Stats and trace.
+type epochRun struct {
+	stats  []train.EpochStats
+	acc    float64
+	clocks [][2]float64
+	devs   []sim.DeviceStats
+	trace  []sim.Interval
+}
+
+// runAheadRun trains two epochs, evaluates, and trains a third, with
+// parallel execution on (each worker's loader is told its epoch and builds
+// ahead on a second goroutine) or off (everything inline on the caller).
+func runAheadRun(t *testing.T, ds *dataset.Dataset, opts train.Options, parallel bool) epochRun {
+	t.Helper()
+	prev := sim.SetParallel(parallel)
+	defer sim.SetParallel(prev)
+	m := sim.NewMachine(sim.DGXA100(1))
+	opts.Trace = true
+	tr, err := train.New(m, ds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r epochRun
+	r.stats = append(r.stats, tr.RunEpoch(), tr.RunEpoch())
+	// Evaluate builds through worker 0's loader between two plans: the third
+	// epoch matches only if it found, and left, the sampler where an inline
+	// run does.
+	if r.acc, err = tr.Evaluate(ds.Val, 96); err != nil {
+		t.Fatal(err)
+	}
+	r.stats = append(r.stats, tr.RunEpoch())
+	for _, d := range m.Devs {
+		r.clocks = append(r.clocks, [2]float64{d.StreamNow(sim.StreamCompute), d.StreamNow(sim.StreamCopy)})
+		r.devs = append(r.devs, d.Stats)
+	}
+	r.trace = tr.Worker0Device().Trace()
+	return r
+}
+
+// runAheadOpts is eqOpts at a batch size that gives every worker's 24-node
+// shard six iterations per epoch, so five of six builds run ahead.
+func runAheadOpts() train.Options {
+	opts := eqOpts("graphsage")
+	opts.Batch = 4
+	return opts
+}
+
+// trimTrain cuts ds.Train so that it shards over 8 workers as k+1, k, k, …:
+// with Batch = k worker 0 runs two iterations and every other worker has one
+// batch, which the epoch loop wraps around to in the second.
+func trimTrain(t *testing.T, ds *dataset.Dataset) (batch int) {
+	t.Helper()
+	n := len(ds.Train)
+	n -= (n - 1) % 8
+	if n < 17 {
+		t.Fatalf("training set of %d too small to wrap", len(ds.Train))
+	}
+	ds.Train = ds.Train[:n]
+	return n / 8
+}
+
+// TestRunAheadEqualsInline pins run-ahead as a pure refactor at trainer
+// level: with sim.SetParallel on the sequential loop plans every epoch and
+// batches are built ahead of their steps, with it off nothing is planned,
+// and the two runs agree bit for bit in every epoch statistic (Timing
+// included), the evaluation between epochs, both stream clocks and the Stats
+// of every device, and worker 0's trace — over resident, weighted, cached
+// and paged stores, one and three real workers, a shard whose batch list
+// wraps, and a capped epoch.
+func TestRunAheadEqualsInline(t *testing.T) {
+	plain := eqDataset(t)
+	wspec := dataset.OgbnProducts.Scaled(0.001)
+	wspec.Weighted = true
+	weighted, err := dataset.Generate(wspec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrapping := eqDataset(t)
+	wrapBatch := trimTrain(t, wrapping)
+
+	for _, tc := range []struct {
+		name string
+		ds   *dataset.Dataset
+		mod  func(*train.Options)
+	}{
+		{"resident", plain, func(o *train.Options) {}},
+		{"resident-3workers", plain, func(o *train.Options) { o.RealWorkers = 3 }},
+		{"wrapping-shard", wrapping, func(o *train.Options) { o.RealWorkers = 3; o.Batch = wrapBatch }},
+		{"capped", plain, func(o *train.Options) { o.RealWorkers = 2; o.MaxItersPerEpoch = 3 }},
+		{"weighted-gcn", weighted, func(o *train.Options) { o.Arch = "gcn" }},
+		{"cached", plain, func(o *train.Options) { o.CacheRows = 200; o.RealWorkers = 2 }},
+		{"captured", plain, func(o *train.Options) { o.CaptureGraph = true }},
+		{"paged", plain, func(o *train.Options) {
+			o.PagedFeatures, o.PagedTopo = true, true
+			o.FeatPageRows, o.TopoPageEdges, o.PrefetchPages = 16, 256, 4
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := runAheadOpts()
+			tc.mod(&opts)
+			inline := runAheadRun(t, tc.ds, opts, false)
+			ahead := runAheadRun(t, tc.ds, opts, true)
+			for e := range inline.stats {
+				if inline.stats[e] != ahead.stats[e] {
+					t.Errorf("epoch %d: inline %+v\n run-ahead %+v", e+1, inline.stats[e], ahead.stats[e])
+				}
+			}
+			if inline.acc != ahead.acc {
+				t.Errorf("evaluation between epochs: inline %v, run-ahead %v", inline.acc, ahead.acc)
+			}
+			if !reflect.DeepEqual(inline.clocks, ahead.clocks) {
+				t.Errorf("stream clocks differ:\n inline    %v\n run-ahead %v", inline.clocks, ahead.clocks)
+			}
+			if !reflect.DeepEqual(inline.devs, ahead.devs) {
+				t.Error("DeviceStats differ")
+			}
+			if len(inline.trace) == 0 || !reflect.DeepEqual(inline.trace, ahead.trace) {
+				t.Errorf("worker 0 trace: %d intervals inline, %d run-ahead, or contents differ", len(inline.trace), len(ahead.trace))
+			}
+			if inline.stats[0].Iters < 2 {
+				t.Fatalf("%d iteration per epoch: nothing to build ahead", inline.stats[0].Iters)
+			}
+			if tc.name == "wrapping-shard" && len(tc.ds.Train)/8 > opts.Batch {
+				t.Fatalf("case does not wrap: shard of %d at batch %d", len(tc.ds.Train)/8, opts.Batch)
+			}
+		})
+	}
+}
+
+// parentRunAhead is what the run of TestRunAheadMatchesParent produced on
+// the parent of the run-ahead loader (commit b5df75f), where every batch was
+// built at its call: the evaluation between epochs, and the next epoch's
+// sampling time and duration — virtual times are functions of what the
+// sampler drew, so they pin the state Evaluate found and left.
+var parentRunAhead = struct {
+	acc               float64
+	sample, epochTime uint64
+}{acc: 8.0 / 24, sample: 0x3f1c55c812191360, epochTime: 0x3f44969a5f750790}
+
+func TestRunAheadMatchesParent(t *testing.T) {
+	opts := runAheadOpts()
+	opts.RealWorkers = 2
+	r := runAheadRun(t, eqDataset(t), opts, true)
+	got := parentRunAhead
+	got.acc = r.acc
+	got.sample, got.epochTime = math.Float64bits(r.stats[2].Timing.Sample), math.Float64bits(r.stats[2].EpochTime)
+	if got != parentRunAhead {
+		t.Errorf("evaluation %v, third epoch Sample %#x EpochTime %#x; the parent gave %v, %#x, %#x",
+			got.acc, got.sample, got.epochTime, parentRunAhead.acc, parentRunAhead.sample, parentRunAhead.epochTime)
+	}
+}
+
+// TestNothingOutlivesRunEpoch: when RunEpoch returns its plans are drained —
+// no builder goroutine is left — and a trainer nobody holds is collected
+// with everything it built.
+func TestNothingOutlivesRunEpoch(t *testing.T) {
+	prev := sim.SetParallel(true)
+	defer sim.SetParallel(prev)
+	collected := make(chan struct{})
+	func() {
+		opts := runAheadOpts()
+		opts.RealWorkers = 2
+		tr, err := train.New(sim.NewMachine(sim.DGXA100(1)), eqDataset(t), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(tr, func(*train.Trainer) { close(collected) })
+		tr.RunEpoch()
+		tr.RunEpoch()
+	}()
+	builders := func() int {
+		buf := make([]byte, 1<<20)
+		buf = buf[:runtime.Stack(buf, true)]
+		return bytes.Count(buf, []byte("core.(*Loader).startAhead"))
+	}
+	// The last builder reported before the last BuildBatch returned; give
+	// its goroutine the instant it needs to finish returning.
+	for deadline := time.Now().Add(5 * time.Second); builders() > 0; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d builder goroutine(s) alive after RunEpoch returned", builders())
+		}
+	}
+	deadline := time.After(5 * time.Second)
+	for {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-deadline:
+			t.Fatal("a dropped trainer was not collected")
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+}

@@ -229,6 +229,16 @@ type PagePrefetcher interface {
 	PrefetchPages(targets []int64, maxPages int) int
 }
 
+// BatchPlanner is a BatchLoader that can be told the target lists of its
+// next BuildBatch calls in advance, so that it may build ahead of them
+// (core.Loader's run-ahead builder). The sequential epoch loop announces
+// each worker's epoch through it when the loader offers it.
+type BatchPlanner interface {
+	// Plan announces the target lists of the next len(lists) BuildBatch
+	// calls, in order; lists stays untouched until the last of them returns.
+	Plan(lists [][]int64)
+}
+
 // Trainer is the data-parallel trainer over a simulated machine. With the
 // WholeGraph loader each machine node holds one replica of the graph store
 // (§III-D); with a baseline loader the graph lives in host memory.
@@ -263,6 +273,42 @@ type Trainer struct {
 	// plans is per-worker scratch for the pipelined loop's scheduler-issued
 	// action sequence (sched.PipelinePlan).
 	plans [][]sched.PlanStep
+	// ep is RunEpoch's per-worker scratch, kept across epochs so a
+	// steady-state epoch allocates nothing of its own.
+	ep epochScratch
+}
+
+// epochScratch is what RunEpoch needs per worker: the epoch's shuffled ids
+// and the batches cut from them, the build order announced to a
+// BatchPlanner, and each iteration's timings, start clocks and results.
+type epochScratch struct {
+	ids          [][]int64
+	batches      [][][]int64
+	planned      [][][]int64
+	timings      []core.Timing
+	iterDevStart []float64
+	trainStart   []float64
+	// results holds one iteration's per-worker outcome; losses and
+	// accuracies are reduced in worker order after the join so the sums are
+	// bit-identical to serial execution.
+	results []stepResult
+}
+
+// epochScratch returns the scratch sized for the trainer's workers.
+func (t *Trainer) epochScratch() *epochScratch {
+	ep := &t.ep
+	if n := len(t.Models); len(ep.results) != n {
+		*ep = epochScratch{
+			ids:          make([][]int64, n),
+			batches:      make([][][]int64, n),
+			planned:      make([][][]int64, n),
+			timings:      make([]core.Timing, n),
+			iterDevStart: make([]float64, n),
+			trainStart:   make([]float64, n),
+			results:      make([]stepResult, n),
+		}
+	}
+	return ep
 }
 
 // New builds a WholeGraph trainer: it partitions the store onto every node
@@ -525,19 +571,31 @@ func (t *Trainer) RunEpoch() EpochStats {
 		t.ensureGraphState()
 	}
 	start := t.Machine.MaxTime()
-	batches := make([][][]int64, len(t.Models))
+	ep := t.epochScratch()
+	batches, timings, results := ep.batches, ep.timings, ep.results
+	iterDevStart, trainStart := ep.iterDevStart, ep.trainStart
 	for w := range t.Models {
-		batches[w] = core.EpochBatches(t.shards[w], t.Opts.Batch, t.rng)
+		batches[w] = core.EpochBatchesInto(batches[w], &ep.ids[w], t.shards[w], t.Opts.Batch, t.rng)
+	}
+	// Announce the epoch's builds — exactly the lists the sequential loop
+	// below asks for, wrap and cap included — so a loader that can will
+	// build batch it+1 on a second goroutine while iteration it computes.
+	// Never across the epoch boundary: Evaluate and Predict build between
+	// epochs and must find the sampler where this epoch leaves it. With
+	// parallel execution switched off everything stays on this goroutine.
+	if !pipelined && sim.ParallelEnabled() {
+		for w, ld := range t.loaders {
+			if p, ok := ld.(BatchPlanner); ok {
+				ep.planned[w] = ep.planned[w][:0]
+				for it := 0; it < measured; it++ {
+					ep.planned[w] = append(ep.planned[w], batches[w][it%len(batches[w])])
+				}
+				p.Plan(ep.planned[w])
+			}
+		}
 	}
 
 	var lossSum, accSum float64
-	timings := make([]core.Timing, len(t.Models))
-	iterDevStart := make([]float64, len(t.Models))
-	trainStart := make([]float64, len(t.Models))
-	// Per-worker results of one iteration's parallel region; losses and
-	// accuracies are reduced in worker order after the join so the sums are
-	// bit-identical to serial execution.
-	results := make([]stepResult, len(t.Models))
 	for it := 0; it < measured; it++ {
 		iterStart := t.Machine.MaxTime()
 		if pipelined {

@@ -11,11 +11,12 @@ import (
 // the NVLink peer-access model with the actual contiguous segment size, so
 // small-segment reads pay the Figure 8 bandwidth penalty.
 
-// RankOfDevice returns the communicator rank of device d, or -1 if d is not
-// part of the communicator.
+// RankOfDevice returns the communicator rank of device d — for a staging
+// twin, of the device it stands for — or -1 if d is not part of the
+// communicator.
 func (c *Comm) RankOfDevice(d *sim.Device) int {
 	for r, dev := range c.Devs {
-		if dev == d {
+		if dev == d.Real() {
 			return r
 		}
 	}

@@ -320,3 +320,50 @@ func TestWithKindRelabels(t *testing.T) {
 		t.Fatalf("WithKind did not stick: %v", got)
 	}
 }
+
+// TestStagingTwinGathersAsItsDevice: a staging twin resolves to its
+// device's rank, so a gather through it moves the same data and stages the
+// kernel the device would have been charged — and a twin of a device
+// outside the communicator is still outside it.
+func TestStagingTwinGathersAsItsDevice(t *testing.T) {
+	m, c := testComm(t)
+	const n, dim = 64, 4
+	mem := Alloc[float32](c, n*dim)
+	for i := int64(0); i < n*dim; i++ {
+		mem.Set(i, float32(i))
+	}
+	m.Reset()
+	d := c.Devs[3]
+	twin := d.StagingTwin()
+	if got := c.RankOfDevice(twin); got != 3 {
+		t.Fatalf("twin of rank 3 resolves to rank %d", got)
+	}
+	rows := []int64{0, 63, 17, 17, 5, 26} // rows 24..31 are local to rank 3
+	want, got := make([]float32, len(rows)*dim), make([]float32, len(rows)*dim)
+	dtTwin := mem.GatherRows(twin, rows, dim, got, "gather")
+	if d.Now() != 0 || d.Stats.Kernels != 0 {
+		t.Fatal("gather through the twin charged the device")
+	}
+	dt := mem.GatherRows(d, rows, dim, want, "gather")
+	if dtTwin != dt {
+		t.Errorf("twin gather priced at %g, device gather at %g", dtTwin, dt)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("dst[%d] = %g through the twin, %g on the device", i, got[i], want[i])
+		}
+	}
+	direct := d.Stats
+	m.Reset()
+	for _, k := range twin.SwapStaged(nil) {
+		d.Kernel(k)
+	}
+	if d.Stats != direct || d.Now() != dt {
+		t.Errorf("issuing the staged gather: stats %+v clock %g, direct %+v clock %g", d.Stats, d.Now(), direct, dt)
+	}
+
+	m2 := sim.NewMachine(sim.DGXA100(2))
+	if r := c.RankOfDevice(m2.NodeDevs(1)[0].StagingTwin()); r != -1 {
+		t.Errorf("twin of a foreign device resolves to rank %d", r)
+	}
+}

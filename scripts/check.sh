@@ -20,6 +20,11 @@ go test -race ./...
 # queue — repeatedly and at two GOMAXPROCS settings, on the AVX and the Go
 # path (the kernel, element-wise and fuzz-seed tests run both) (~140 s).
 go test -race -count=10 -cpu 1,4 ./internal/tensor
+# The loader's run-ahead builder shares a ring, a sampler and a staging twin
+# with the goroutine that owns the device, ordered by a go statement and one
+# channel receive: hammer planned against unplanned builds (every batch read
+# in full while the next one is built) at three GOMAXPROCS settings (~90 s).
+go test -race -count=20 -cpu 1,2,4 -run '^TestPlannedEqualsUnplanned$' ./internal/core
 # The assembly against the Go loops on generated inputs: NaN payloads, signed
 # zeros, infinities, denormals, every tail length, unaligned operands. The
 # seed corpus already ran above; this searches beyond it, 10 s per target
