@@ -256,7 +256,7 @@ func BenchmarkEndToEndEpoch(b *testing.B) {
 }
 
 // benchmarkPipelineEpoch is the sequential-vs-overlapped pair behind
-// BENCH_pipeline.json: identical workloads (batch 8 so each epoch has
+// EXPERIMENTS.md's pipeline pair: identical workloads (batch 8 so each epoch has
 // several iterations to pipeline), differing only in whether the loader
 // prefetches the next batch on the copy stream. ns/op is the host cost of
 // running the simulation; virtual-ms/epoch is the modeled training time.

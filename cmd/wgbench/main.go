@@ -76,45 +76,18 @@ func wrap[T any](f func(bench.Config) (T, error)) func(bench.Config) (any, error
 	}
 }
 
-// jsonReport is the -json output: run metadata plus one entry per executed
-// experiment with its typed result rows (virtual seconds live inside them)
-// and the host wall-clock the experiment took.
+// jsonReport is the -json output: the configuration the run used — scale,
+// seed, and under "train" every execution and storage knob as bound by
+// train.Options.BindExecFlags — its closing totals (under "totals"), and one
+// entry per executed experiment with its typed result rows (virtual seconds
+// live inside them) and the host wall-clock the experiment took. The Config
+// is embedded as it ran, so a new knob needs no edit here.
 type jsonReport struct {
-	Scale       float64                   `json:"scale"`
-	Quick       bool                      `json:"quick"`
-	Epochs      int                       `json:"epochs"`
-	Seed        int64                     `json:"seed"`
-	Parallel    bool                      `json:"parallel"`
-	Pipeline    bool                      `json:"pipeline"`
-	CacheRows   int                       `json:"cache_rows"`
-	OverlapG    bool                      `json:"overlap_grads"`
-	CaptureG    bool                      `json:"capture_graph"`
-	Schedule    bool                      `json:"schedule"`
-	PagedFeat   bool                      `json:"paged_features"`
-	FeatEnc     string                    `json:"feat_encoding,omitempty"`
-	PagedTopo   bool                      `json:"paged_topo"`
-	PrefetchPgs int                       `json:"prefetch_pages,omitempty"`
-	CachePolicy string                    `json:"cache_policy,omitempty"`
-	CacheHits   int64                     `json:"cache_hits"`
-	CacheMisses int64                     `json:"cache_misses"`
-	CacheHit    float64                   `json:"cache_hit_rate"`
-	FeatStore   *jsonStore                `json:"featstore,omitempty"`
-	TopoStore   *jsonStore                `json:"topostore,omitempty"`
-	Graph       *bench.GraphCounterTotals `json:"graph_counters,omitempty"`
-	NVLinkTxGB  float64                   `json:"nvlink_tx_gb"`
-	IBTxGB      float64                   `json:"ib_tx_gb"`
-	CommSeconds float64                   `json:"comm_seconds"`
-	GOMAXPROCS  int                       `json:"gomaxprocs"`
-	StartedAt   time.Time                 `json:"started_at"`
-	WallSeconds float64                   `json:"wall_seconds"`
-	Experiments []jsonExperiment          `json:"experiments"`
-}
-
-// jsonStore is the aggregate BlockCache accounting for one paged-store kind
-// (features or topology) across every trainer the run built.
-type jsonStore struct {
-	bench.StoreCounters
-	HitRate float64 `json:"hit_rate"`
+	bench.Config
+	GOMAXPROCS  int              `json:"gomaxprocs"`
+	StartedAt   time.Time        `json:"started_at"`
+	WallSeconds float64          `json:"wall_seconds"`
+	Experiments []jsonExperiment `json:"experiments"`
 }
 
 type jsonExperiment struct {
@@ -125,32 +98,20 @@ type jsonExperiment struct {
 }
 
 func main() {
+	cfg := bench.Config{Totals: &bench.Totals{}, W: os.Stdout}
 	var (
-		exp        = flag.String("exp", "all", "comma-separated experiments (all, "+names()+")")
-		scale      = flag.Float64("scale", 1e-3, "dataset scale factor vs the paper's full-size graphs")
-		quick      = flag.Bool("quick", false, "reduced model sizes and iteration counts")
-		epochs     = flag.Int("epochs", 0, "epochs for accuracy experiments (0 = default)")
-		seed       = flag.Int64("seed", 1, "random seed")
-		parallel   = flag.Bool("parallel", false, "run independent experiment cells on parallel goroutines (identical output, less wall-clock)")
-		pipeline   = flag.Bool("pipeline", false, "overlap batch building with training on each device's copy stream (identical math, shorter virtual epochs)")
-		cacheRows  = flag.Int("cache-rows", 0, "per-worker hot-node feature cache size in rows (0 = no cache)")
-		overlapG   = flag.Bool("overlap-grads", false, "overlap bucketed gradient AllReduce with backward on the copy stream (identical math, different virtual epochs)")
-		captureG   = flag.Bool("capture-graph", false, "capture the training step once per loader slot and replay it graph-launch style (identical math, shorter virtual epochs)")
-		schedule   = flag.Bool("schedule", false, "replay captured steps through the whole-step DAG scheduler (implies -capture-graph; identical math, shorter virtual epochs)")
-		pagedF     = flag.Bool("paged-features", false, "serve features from the out-of-core paged store (bit-identical math with raw encoding)")
-		featEnc    = flag.String("feat-encoding", "", "paged-store page encoding: raw, f16, q8 (lossy below raw)")
-		featPgRows = flag.Int("feat-page-rows", 0, "paged-store rows per page (0 = default)")
-		featCache  = flag.Int("feat-cache-mb", 0, "paged-store per-device BlockCache budget in MiB (0 = default)")
-		pagedT     = flag.Bool("paged-topo", false, "serve the CSR column array from the paged topology store (bit-identical sampling)")
-		topoPgEdge = flag.Int("topo-page-edges", 0, "topology-store column entries per page (0 = default)")
-		topoCache  = flag.Int("topo-cache-mb", 0, "topology-store per-device BlockCache budget in MiB (0 = default)")
-		prefetchPg = flag.Int("prefetch-pages", 0, "fault-prefetch up to this many predicted pages per paged store ahead of each batch (0 = off)")
-		cachePol   = flag.String("cache-policy", "", "paged-store BlockCache policy: lru (default) or admit (frequency-aware admission)")
-		jsonPath   = flag.String("json", "", "also write machine-readable results to this path")
-		list       = flag.Bool("list", false, "list experiments and exit")
-		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this path")
-		memProf    = flag.String("memprofile", "", "write a heap profile taken after the selected experiments to this path")
+		exp      = flag.String("exp", "all", "comma-separated experiments (all, "+names()+")")
+		jsonPath = flag.String("json", "", "also write machine-readable results to this path")
+		list     = flag.Bool("list", false, "list experiments and exit")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this path")
+		memProf  = flag.String("memprofile", "", "write a heap profile taken after the selected experiments to this path")
 	)
+	flag.Float64Var(&cfg.Scale, "scale", 1e-3, "dataset scale factor vs the paper's full-size graphs")
+	flag.BoolVar(&cfg.Quick, "quick", false, "reduced model sizes and iteration counts")
+	flag.IntVar(&cfg.Epochs, "epochs", 0, "epochs for accuracy experiments (0 = default)")
+	flag.Int64Var(&cfg.Seed, "seed", 1, "random seed")
+	flag.BoolVar(&cfg.Parallel, "parallel", false, "run independent experiment cells on parallel goroutines (identical output, less wall-clock)")
+	cfg.Train.BindExecFlags(flag.CommandLine)
 	flag.Parse()
 
 	if *list {
@@ -160,28 +121,11 @@ func main() {
 		return
 	}
 
-	cfg := bench.Config{
-		Scale: *scale, Quick: *quick, Epochs: *epochs, Seed: *seed,
-		Parallel: *parallel, Pipeline: *pipeline, CacheRows: *cacheRows,
-		OverlapGrads: *overlapG, CaptureGraph: *captureG, Schedule: *schedule,
-		PagedFeatures: *pagedF, FeatEncoding: *featEnc,
-		FeatPageRows: *featPgRows, FeatCacheMB: *featCache,
-		PagedTopo: *pagedT, TopoPageEdges: *topoPgEdge, TopoCacheMB: *topoCache,
-		PrefetchPages: *prefetchPg, CachePolicy: *cachePol,
-		W: os.Stdout,
-	}
 	want := map[string]bool{}
 	for _, n := range strings.Split(*exp, ",") {
 		want[strings.TrimSpace(n)] = true
 	}
-	report := jsonReport{
-		Scale: *scale, Quick: *quick, Epochs: *epochs, Seed: *seed,
-		Parallel: *parallel, Pipeline: *pipeline, CacheRows: *cacheRows,
-		OverlapG: *overlapG, CaptureG: *captureG, Schedule: *schedule,
-		PagedFeat: *pagedF, FeatEnc: *featEnc,
-		PagedTopo: *pagedT, PrefetchPgs: *prefetchPg, CachePolicy: *cachePol,
-		GOMAXPROCS: runtime.GOMAXPROCS(0), StartedAt: time.Now(),
-	}
+	report := jsonReport{Config: cfg, GOMAXPROCS: runtime.GOMAXPROCS(0), StartedAt: time.Now()}
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
@@ -233,36 +177,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "wgbench: no experiment matched %q (use -list)\n", *exp)
 		os.Exit(2)
 	}
-	if hits, misses := bench.CacheCounters(); hits+misses > 0 {
-		report.CacheHits, report.CacheMisses = hits, misses
-		report.CacheHit = float64(hits) / float64(hits+misses)
-		fmt.Printf("feature cache: %d hits / %d misses (%.1f%% hit rate)\n",
-			hits, misses, 100*report.CacheHit)
-	}
-	if c := bench.FeatStoreCounters(); c.Hits+c.Misses > 0 {
-		report.FeatStore = &jsonStore{StoreCounters: c, HitRate: c.HitRate()}
-		fmt.Printf("feature store: %d page hits / %d misses (%.1f%% hit rate), %d evictions, %d prefetch hits, %d admission rejects, %.1f MiB resident\n",
-			c.Hits, c.Misses, 100*c.HitRate(), c.Evictions,
-			c.PrefetchHits, c.AdmissionRejects, float64(c.ResidentBytes)/(1<<20))
-	}
-	if c := bench.TopoStoreCounters(); c.Hits+c.Misses > 0 {
-		report.TopoStore = &jsonStore{StoreCounters: c, HitRate: c.HitRate()}
-		fmt.Printf("topology store: %d page hits / %d misses (%.1f%% hit rate), %d evictions, %d prefetch hits, %d admission rejects, %.1f MiB resident\n",
-			c.Hits, c.Misses, 100*c.HitRate(), c.Evictions,
-			c.PrefetchHits, c.AdmissionRejects, float64(c.ResidentBytes)/(1<<20))
-	}
-	if g := bench.GraphCountersTotal(); g.Captures+g.Replays+g.Fallbacks > 0 {
-		report.Graph = &g
-		fmt.Printf("step graphs: %d captures / %d replays (%d scheduled), %d invalidations, %d fallbacks\n",
-			g.Captures, g.Replays, g.Scheduled, g.Invalidations, g.Fallbacks)
-	}
-	if nvlink, ib, comm := bench.CommCounters(); comm > 0 {
-		report.NVLinkTxGB = nvlink / 1e9
-		report.IBTxGB = ib / 1e9
-		report.CommSeconds = comm
-		fmt.Printf("collectives: %.3f GB NVLink, %.3f GB IB, %s stream time\n",
-			nvlink/1e9, ib/1e9, (time.Duration(comm * float64(time.Second))).Round(time.Microsecond))
-	}
+	fmt.Print(cfg.Totals.Report())
 	if *jsonPath != "" {
 		report.WallSeconds = time.Since(start).Seconds()
 		buf, err := json.MarshalIndent(report, "", "  ")

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strings"
 
 	"wholegraph"
 )
@@ -29,16 +28,7 @@ func main() {
 	)
 	flag.Parse()
 
-	var spec wholegraph.DatasetSpec
-	found := false
-	for _, s := range []wholegraph.DatasetSpec{
-		wholegraph.OgbnProducts, wholegraph.OgbnPapers100M,
-		wholegraph.Friendster, wholegraph.UKDomain,
-	} {
-		if strings.EqualFold(s.Name, *dsName) {
-			spec, found = s, true
-		}
-	}
+	spec, found := wholegraph.LookupDataset(*dsName)
 	if !found {
 		fatal(fmt.Errorf("unknown dataset %q", *dsName))
 	}

@@ -16,8 +16,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"wholegraph"
 )
@@ -37,7 +35,6 @@ func main() {
 		slo       = flag.Float64("slo", 10e-3, "latency SLO reported against, virtual seconds")
 		deadline  = flag.Float64("deadline", 0, "drop requests not launched within this, virtual seconds (0 = never)")
 		queueCap  = flag.Int("queue-cap", 0, "per-replica queue bound; arrivals beyond it are shed (0 = 8*max-batch)")
-		cacheRows = flag.Int("cache-rows", 0, "per-replica hot-node feature cache size in rows (0 = no cache)")
 		skew      = flag.Float64("skew", 0, "Zipf popularity skew over the degree ranking (>1; 0 = uniform)")
 		policy    = flag.String("policy", "cache", "routing policy: cache, owner, rr")
 		workload  = flag.String("workload", "inference", "workload: inference (node classification) or retrieval (ANN top-K over embeddings)")
@@ -46,19 +43,19 @@ func main() {
 		seed      = flag.Int64("seed", 1, "random seed (fixes arrivals, nodes and sampling)")
 		jsonPath  = flag.String("json", "", "write the aggregated result as JSON to this path")
 		trace     = flag.Bool("trace", false, "print the per-request trace")
-		pagedF    = flag.Bool("paged-features", false, "serve features from the out-of-core paged store (bit-identical with raw encoding)")
-		featEnc   = flag.String("feat-encoding", "", "paged-store page encoding: raw, f16, q8 (lossy below raw)")
-		featRows  = flag.Int("feat-page-rows", 0, "paged-store rows per page (0 = default)")
-		featCache = flag.Int("feat-cache-mb", 0, "paged-store per-device BlockCache budget in MiB (0 = default)")
-		cachePol  = flag.String("cache-policy", "", "paged-store BlockCache policy: lru (default) or admit (frequency-aware admission)")
 	)
+	// The storage flags serving shares with training come from train.Options'
+	// binding rather than a second declaration.
+	var storage wholegraph.TrainOptions
+	storage.BindExecFlags(flag.CommandLine,
+		"cache-rows", "paged-features", "feat-encoding", "feat-page-rows", "feat-cache-mb", "cache-policy")
 	flag.Parse()
 
-	fanouts, err := parseFanouts(*fanoutStr)
+	fanouts, err := wholegraph.ParseFanouts(*fanoutStr)
 	if err != nil {
 		fatal(err)
 	}
-	spec, ok := lookupSpec(*dsName)
+	spec, ok := wholegraph.LookupDataset(*dsName)
 	if !ok {
 		fatal(fmt.Errorf("unknown dataset %q", *dsName))
 	}
@@ -84,10 +81,10 @@ func main() {
 	sopts := wholegraph.ServeOptions{
 		Rate: *rate, Requests: *requests, MaxBatch: *maxBatch,
 		MaxDelay: *maxDelay, SLO: *slo, Deadline: *deadline,
-		QueueCap: *queueCap, CacheRows: *cacheRows, Fanouts: fanouts,
+		QueueCap: *queueCap, CacheRows: storage.CacheRows, Fanouts: fanouts,
 		Skew: *skew, Policy: wholegraph.ServePolicy(*policy), Seed: *seed,
-		PagedFeatures: *pagedF, FeatEncoding: *featEnc,
-		FeatPageRows: *featRows, FeatCacheMB: *featCache, CachePolicy: *cachePol,
+		PagedFeatures: storage.PagedFeatures, FeatEncoding: storage.FeatEncoding,
+		FeatPageRows: storage.FeatPageRows, FeatCacheMB: storage.FeatCacheMB, CachePolicy: storage.CachePolicy,
 	}
 	var srv *wholegraph.Server
 	switch *workload {
@@ -156,17 +153,14 @@ func main() {
 		line := fmt.Sprintf("  replica %d: %d reqs (%d served, %d shed, %d t/out), %d batches, busy %.2f/%.2f ms compute/copy",
 			st.Replica, st.Requests, st.Served, st.Shed, st.TimedOut,
 			st.Batches, st.BusySeconds*1e3, st.CopyBusySeconds*1e3)
-		if *cacheRows > 0 {
+		if storage.CacheRows > 0 {
 			line += fmt.Sprintf(", cache hit %.0f%%", 100*st.CacheHitRate)
 		}
 		fmt.Println(line)
 	}
 
 	if fst := srv.FeatStoreStats(); fst.Hits+fst.Misses > 0 {
-		fmt.Printf("feature store (%s, %d rows/page, %s): %d page hits / %d misses (%.1f%% hit rate), %d evictions, %d prefetch hits, %d admission rejects, %.1f MiB resident of %.1f MiB budget\n",
-			fst.Encoding, fst.PageRows, fst.Policy, fst.Hits, fst.Misses, 100*fst.HitRate(),
-			fst.Evictions, fst.PrefetchHits, fst.AdmissionRejects,
-			float64(fst.ResidentBytes)/(1<<20), float64(fst.CacheBytes)/(1<<20))
+		fmt.Println(fst)
 	}
 
 	if *jsonPath != "" {
@@ -179,30 +173,6 @@ func main() {
 		}
 		fmt.Printf("result written: %s\n", *jsonPath)
 	}
-}
-
-func lookupSpec(name string) (wholegraph.DatasetSpec, bool) {
-	for _, s := range []wholegraph.DatasetSpec{
-		wholegraph.OgbnProducts, wholegraph.OgbnPapers100M,
-		wholegraph.Friendster, wholegraph.UKDomain,
-	} {
-		if strings.EqualFold(s.Name, name) {
-			return s, true
-		}
-	}
-	return wholegraph.DatasetSpec{}, false
-}
-
-func parseFanouts(s string) ([]int, error) {
-	var out []int
-	for _, p := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad fanout %q", p)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }
 
 func fatal(err error) {

@@ -12,44 +12,29 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	"wholegraph"
 )
 
 func main() {
+	// The model and execution flags are train.Options' own binding; what is
+	// set here before binding is this command's defaults.
+	opts := wholegraph.TrainOptions{
+		Arch: "graphsage", Batch: 64, Fanouts: []int{5, 5}, Hidden: 32,
+		Heads: 4, LR: 0.01, Dropout: 0.3, Seed: 1,
+	}
+	opts.BindModelFlags(flag.CommandLine)
+	opts.BindExecFlags(flag.CommandLine)
 	var (
 		dsName    = flag.String("dataset", "ogbn-products", "dataset: ogbn-products, ogbn-papers100M, Friendster, UK_domain")
 		scale     = flag.Float64("scale", 1e-3, "dataset scale factor")
-		model     = flag.String("model", "graphsage", "model: gcn, graphsage, gat, gin")
 		framework = flag.String("framework", "wholegraph", "pipeline: wholegraph, dgl, pyg")
 		nodes     = flag.Int("nodes", 1, "simulated DGX-A100 nodes")
 		epochs    = flag.Int("epochs", 10, "training epochs")
-		batch     = flag.Int("batch", 64, "mini-batch size per GPU")
-		fanoutStr = flag.String("fanouts", "5,5", "per-layer sample counts")
-		hidden    = flag.Int("hidden", 32, "hidden size")
-		heads     = flag.Int("heads", 4, "GAT attention heads")
-		lr        = flag.Float64("lr", 0.01, "Adam learning rate")
-		dropout   = flag.Float64("dropout", 0.3, "dropout probability")
-		seed      = flag.Int64("seed", 1, "random seed")
 		evalEvery = flag.Int("eval-every", 1, "epochs between validation runs (0 = never)")
 		loadPath  = flag.String("load", "", "load a dataset saved with wggen -save instead of generating")
 		weighted  = flag.Bool("weighted", false, "attach synthetic edge weights (weighted aggregation)")
-		pipeline  = flag.Bool("pipeline", false, "overlap batch building with training on each device's copy stream (WholeGraph only; identical math)")
-		cacheRows = flag.Int("cache-rows", 0, "per-worker hot-node feature cache size in rows (WholeGraph only; 0 = no cache)")
-		overlapG  = flag.Bool("overlap-grads", false, "overlap bucketed gradient AllReduce with backward on the copy stream (WholeGraph only; identical math)")
-		captureG  = flag.Bool("capture-graph", false, "capture the training step per loader slot and replay it graph-launch style (WholeGraph only; identical math)")
-		schedule  = flag.Bool("schedule", false, "replay captured steps through the whole-step DAG scheduler (implies -capture-graph; WholeGraph only; identical math)")
-		pagedF    = flag.Bool("paged-features", false, "serve features from the out-of-core paged store (WholeGraph only; bit-identical with raw encoding)")
-		featEnc   = flag.String("feat-encoding", "", "paged-store page encoding: raw, f16, q8 (lossy below raw)")
-		featRows  = flag.Int("feat-page-rows", 0, "paged-store rows per page (0 = default)")
-		featCache = flag.Int("feat-cache-mb", 0, "paged-store per-device BlockCache budget in MiB (0 = default)")
-		pagedT    = flag.Bool("paged-topo", false, "serve the CSR column array from the paged topology store (WholeGraph only; bit-identical sampling)")
-		topoEdges = flag.Int("topo-page-edges", 0, "topology-store column entries per page (0 = default)")
-		topoCache = flag.Int("topo-cache-mb", 0, "topology-store per-device BlockCache budget in MiB (0 = default)")
-		prefetchP = flag.Int("prefetch-pages", 0, "fault-prefetch up to this many predicted pages per paged store ahead of each batch (0 = off)")
-		cachePol  = flag.String("cache-policy", "", "paged-store BlockCache policy: lru (default) or admit (frequency-aware admission)")
 		outOfCore = flag.Bool("out-of-core", false, "generate the dataset without materializing features or topology (implies -paged-features and -paged-topo)")
 		traceOut  = flag.String("trace-out", "", "write worker 0's device timeline as a Chrome trace JSON")
 		fullInfer = flag.Bool("full-infer", false, "run full-graph layer-wise inference after training (WholeGraph only)")
@@ -58,10 +43,7 @@ func main() {
 	)
 	flag.Parse()
 
-	fanouts, err := parseFanouts(*fanoutStr)
-	if err != nil {
-		fatal(err)
-	}
+	var err error
 	var ds *wholegraph.Dataset
 	if *loadPath != "" {
 		fmt.Printf("loading dataset from %s...\n", *loadPath)
@@ -70,7 +52,7 @@ func main() {
 			fatal(err)
 		}
 	} else {
-		spec, ok := lookupSpec(*dsName)
+		spec, ok := wholegraph.LookupDataset(*dsName)
 		if !ok {
 			fatal(fmt.Errorf("unknown dataset %q", *dsName))
 		}
@@ -78,8 +60,7 @@ func main() {
 		spec.Weighted = *weighted
 		fmt.Printf("generating %s at scale %g...\n", *dsName, *scale)
 		if *outOfCore {
-			*pagedF = true
-			*pagedT = true
+			opts.PagedFeatures, opts.PagedTopo = true, true
 			ds, err = wholegraph.GenerateDatasetOutOfCore(spec)
 		} else {
 			ds, err = wholegraph.GenerateDataset(spec)
@@ -97,17 +78,6 @@ func main() {
 	}
 
 	machine := wholegraph.NewDGXA100(*nodes)
-	opts := wholegraph.TrainOptions{
-		Arch: *model, Batch: *batch, Fanouts: fanouts, Hidden: *hidden,
-		Heads: *heads, LR: *lr, Dropout: float32(*dropout), Seed: *seed,
-		Pipeline: *pipeline, CacheRows: *cacheRows, OverlapGrads: *overlapG,
-		CaptureGraph:  *captureG,
-		Schedule:      *schedule,
-		PagedFeatures: *pagedF, FeatEncoding: *featEnc,
-		FeatPageRows: *featRows, FeatCacheMB: *featCache,
-		PagedTopo: *pagedT, TopoPageEdges: *topoEdges, TopoCacheMB: *topoCache,
-		PrefetchPages: *prefetchP, CachePolicy: *cachePol,
-	}
 	opts.Trace = *traceOut != ""
 	var trainer *wholegraph.Trainer
 	switch strings.ToLower(*framework) {
@@ -160,20 +130,13 @@ func main() {
 			hits, misses, 100*float64(hits)/float64(hits+misses))
 	}
 	if fst := trainer.FeatStoreStats(); fst.Hits+fst.Misses > 0 {
-		fmt.Printf("feature store (%s, %d rows/page, %s): %d page hits / %d misses (%.1f%% hit rate), %d evictions, %d prefetch hits, %d admission rejects, %.1f MiB resident of %.1f MiB budget\n",
-			fst.Encoding, fst.PageRows, fst.Policy, fst.Hits, fst.Misses, 100*fst.HitRate(),
-			fst.Evictions, fst.PrefetchHits, fst.AdmissionRejects,
-			float64(fst.ResidentBytes)/(1<<20), float64(fst.CacheBytes)/(1<<20))
+		fmt.Println(fst)
 	}
-	if gc := trainer.GraphStats(); gc.Captures+gc.Replays+gc.Fallbacks > 0 {
-		fmt.Printf("step graphs: %d captures / %d replays (%d scheduled), %d invalidations, %d fallbacks\n",
-			gc.Captures, gc.Replays, gc.Scheduled, gc.Invalidations, gc.Fallbacks)
+	if gc := trainer.GraphStats(); gc.Active() {
+		fmt.Println(gc)
 	}
 	if tst := trainer.TopoStoreStats(); tst.Hits+tst.Misses > 0 {
-		fmt.Printf("topology store (%d edges/page, %s): %d page hits / %d misses (%.1f%% hit rate), %d evictions, %d prefetch hits, %d admission rejects, %.1f MiB resident of %.1f MiB budget\n",
-			tst.PageEdges, tst.Policy, tst.Hits, tst.Misses, 100*tst.HitRate(),
-			tst.Evictions, tst.PrefetchHits, tst.AdmissionRejects,
-			float64(tst.ResidentBytes)/(1<<20), float64(tst.CacheBytes)/(1<<20))
+		fmt.Println(tst)
 	}
 	if *fullInfer {
 		if len(trainer.Stores) == 0 {
@@ -210,30 +173,6 @@ func main() {
 		}
 		fmt.Printf("device timeline written: %s (open in chrome://tracing)\n", *traceOut)
 	}
-}
-
-func lookupSpec(name string) (wholegraph.DatasetSpec, bool) {
-	for _, s := range []wholegraph.DatasetSpec{
-		wholegraph.OgbnProducts, wholegraph.OgbnPapers100M,
-		wholegraph.Friendster, wholegraph.UKDomain,
-	} {
-		if strings.EqualFold(s.Name, name) {
-			return s, true
-		}
-	}
-	return wholegraph.DatasetSpec{}, false
-}
-
-func parseFanouts(s string) ([]int, error) {
-	var out []int
-	for _, p := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad fanout %q", p)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }
 
 func ms(s float64) string { return fmt.Sprintf("%.2fms", s*1e3) }

@@ -39,10 +39,11 @@ func AblationStorage(cfg Config) ([]StorageRow, error) {
 	var rows []StorageRow
 	for _, kind := range []wholemem.Kind{wholemem.DeviceP2P, wholemem.DeviceUM, wholemem.PinnedHost} {
 		m := sim.NewMachine(sim.DGXA100(1))
-		store, err := core.NewStoreWithFeatureKind(m, 0, ds, kind)
+		store, err := core.NewStore(m, 0, ds)
 		if err != nil {
 			return nil, err
 		}
+		store.PG.Feat.WithKind(kind)
 		m.Reset()
 		// Per-batch gather cost on a representative batch.
 		ld := core.NewLoader(store, m.Devs[0], opts.Fanouts, cfg.Seed)
@@ -55,10 +56,11 @@ func AblationStorage(cfg Config) ([]StorageRow, error) {
 		// Epoch time with the same backing, reusing the loader's store via
 		// a custom trainer wiring.
 		m2 := sim.NewMachine(sim.DGXA100(1))
-		store2, err := core.NewStoreWithFeatureKind(m2, 0, ds, kind)
+		store2, err := core.NewStore(m2, 0, ds)
 		if err != nil {
 			return nil, err
 		}
+		store2.PG.Feat.WithKind(kind)
 		tr, err := newStoreTrainer(m2, store2, opts)
 		if err != nil {
 			return nil, err

@@ -25,77 +25,36 @@ import (
 	"wholegraph/internal/train"
 )
 
-// Config controls an experiment run.
+// Config controls an experiment run. It defines no training knob of its own:
+// Train is a train.Options — the one definition of every knob, its flag and
+// its JSON key — that every trainer an experiment builds starts from, so a
+// new train.Options field reaches the harness, wgbench's flags and the -json
+// report without an edit here.
 type Config struct {
 	// Scale multiplies every dataset's node and edge counts (default 1e-3).
-	Scale float64
+	Scale float64 `json:"scale"`
 	// Quick shrinks model sizes and iteration counts for CI-speed runs.
-	Quick bool
+	Quick bool `json:"quick"`
 	// Epochs for accuracy experiments (0 = default: 24 full / 8 quick).
-	Epochs int
+	Epochs int `json:"epochs"`
 	// Seed fixes all randomness.
-	Seed int64
+	Seed int64 `json:"seed"`
 	// Parallel fans independent experiment cells (dataset x model x
 	// framework groups) across goroutines. Reported virtual times and
 	// printed rows are identical either way: cells share only read-only
 	// state, and rows are printed in order after all cells finish.
-	Parallel bool
-	// Pipeline runs every WholeGraph trainer with cross-iteration batch
-	// prefetch on the copy stream (see train.Options.Pipeline). Model math
-	// and accuracy are bit-identical; epoch times shrink by the overlap.
-	Pipeline bool
-	// CacheRows > 0 gives every WholeGraph worker a hot-node feature cache
-	// of that many highest-degree rows (see train.Options.CacheRows).
-	// Aggregate hit/miss counts are available from CacheCounters.
-	CacheRows int
-	// OverlapGrads runs every WholeGraph trainer with bucketed gradient
-	// AllReduce overlapped into the backward pass on the copy stream (see
-	// train.Options.OverlapGrads). Model math and accuracy are
-	// bit-identical; epoch times change by the hidden communication.
-	OverlapGrads bool
-	// CaptureGraph runs every WholeGraph trainer with step capture/replay
-	// (see train.Options.CaptureGraph): after the capture warm-up,
-	// iterations replay the recorded step DAG with one graph launch instead
-	// of per-kernel launches. Model math and accuracy are bit-identical.
-	CaptureGraph bool
-	// Schedule routes every WholeGraph trainer's replays through the
-	// whole-step scheduler (see train.Options.Schedule): the captured step's
-	// charges are list-scheduled onto the compute and copy streams from the
-	// recovered dependency DAG. Implies CaptureGraph; model math and
-	// accuracy are bit-identical.
-	Schedule bool
-	// PagedFeatures routes every WholeGraph trainer's features through the
-	// out-of-core paged store (see train.Options.PagedFeatures): host
-	// features live in encoded pages behind per-device LRU BlockCaches,
-	// and page misses are priced through the UM/PCIe fault model. With the
-	// raw encoding, model math is bit-identical to the flat slab.
-	PagedFeatures bool
-	// FeatEncoding selects the page encoding ("raw", "f16", "q8"); only
-	// meaningful with PagedFeatures. Non-raw encodings are lossy.
-	FeatEncoding string
-	// FeatPageRows is the rows-per-page of the paged store (0 = default).
-	FeatPageRows int
-	// FeatCacheMB is each device's BlockCache budget in MiB (0 = default).
-	FeatCacheMB int
-	// PagedTopo routes every WholeGraph trainer's CSR column array through
-	// the paged topology store (see train.Options.PagedTopo): sampling
-	// reads neighbors through page-aware accessors, bit-identical to the
-	// in-memory CSR.
-	PagedTopo bool
-	// TopoPageEdges is the column entries per topology page (0 = default).
-	TopoPageEdges int
-	// TopoCacheMB is each device's topology BlockCache budget in MiB
-	// (0 = default).
-	TopoCacheMB int
-	// PrefetchPages > 0 has each worker fault-prefetch up to that many
-	// predicted pages per paged store ahead of compute (see
-	// train.Options.PrefetchPages).
-	PrefetchPages int
-	// CachePolicy is the BlockCache replacement policy for both paged
-	// stores: "lru" (default) or "admit".
-	CachePolicy string
+	Parallel bool `json:"parallel"`
+	// Train is the template of every trainer's options: trainOpts and
+	// accuracyOpts copy it and set only what the experiment fixes (model,
+	// batch shape, seed), so its execution and storage knobs — Pipeline,
+	// CacheRows, PagedFeatures, ... — apply to every WholeGraph trainer.
+	// Model math and accuracy are bit-identical under all of them (raw
+	// feature encoding); virtual times and hit rates move.
+	Train train.Options `json:"train"`
+	// Totals, when set, receives every finished trainer's counters.
+	Totals *Totals `json:"totals,omitempty"`
 	// W receives the human-readable report (nil = io.Discard).
-	W io.Writer
+	W io.Writer `json:"-"`
 }
 
 func (c Config) normalize() Config {
@@ -126,16 +85,8 @@ func (c Config) printf(format string, args ...any) {
 // parameters (batch 512, fanout 30/30/30, hidden 256) are reported next to
 // the substituted values.
 func (c Config) trainOpts(arch string) train.Options {
-	o := train.Options{
-		Arch: arch, Heads: 4, Dropout: 0.5, LR: 0.003, Seed: c.Seed,
-		Pipeline: c.Pipeline, CacheRows: c.CacheRows, OverlapGrads: c.OverlapGrads,
-		CaptureGraph: c.CaptureGraph, Schedule: c.Schedule,
-		PagedFeatures: c.PagedFeatures, FeatEncoding: c.FeatEncoding,
-		FeatPageRows: c.FeatPageRows, FeatCacheMB: c.FeatCacheMB,
-		PagedTopo: c.PagedTopo, TopoPageEdges: c.TopoPageEdges,
-		TopoCacheMB:   c.TopoCacheMB,
-		PrefetchPages: c.PrefetchPages, CachePolicy: c.CachePolicy,
-	}
+	o := c.Train
+	o.Arch, o.Heads, o.Dropout, o.LR, o.Seed = arch, 4, 0.5, 0.003, c.Seed
 	if c.Quick {
 		o.Batch = 64
 		o.Fanouts = []int{5, 5, 5}
@@ -153,16 +104,8 @@ func (c Config) trainOpts(arch string) train.Options {
 // accuracyOpts returns smaller options for the convergence experiments
 // (full epochs, many of them).
 func (c Config) accuracyOpts(arch string) train.Options {
-	o := train.Options{
-		Arch: arch, Heads: 2, Dropout: 0.3, LR: 0.01, Seed: c.Seed,
-		Pipeline: c.Pipeline, CacheRows: c.CacheRows, OverlapGrads: c.OverlapGrads,
-		CaptureGraph: c.CaptureGraph, Schedule: c.Schedule,
-		PagedFeatures: c.PagedFeatures, FeatEncoding: c.FeatEncoding,
-		FeatPageRows: c.FeatPageRows, FeatCacheMB: c.FeatCacheMB,
-		PagedTopo: c.PagedTopo, TopoPageEdges: c.TopoPageEdges,
-		TopoCacheMB:   c.TopoCacheMB,
-		PrefetchPages: c.PrefetchPages, CachePolicy: c.CachePolicy,
-	}
+	o := c.Train
+	o.Arch, o.Heads, o.Dropout, o.LR, o.Seed = arch, 2, 0.3, 0.01, c.Seed
 	if c.Quick {
 		o.Batch = 64
 		o.Fanouts = []int{4, 4}
@@ -256,8 +199,9 @@ const (
 	FwWholeGraph Framework = "WholeGraph"
 )
 
-// newTrainer builds the trainer for a framework on a fresh machine.
-func newTrainer(fw Framework, nodes int, ds *dataset.Dataset, opts train.Options) (*sim.Machine, *train.Trainer, error) {
+// newTrainer builds the trainer for a framework on a fresh machine. The
+// caller folds it into its Config's Totals when it is done with it.
+func newTrainer(fw Framework, nodes int, ds *dataset.Dataset, opts train.Options) (*train.Trainer, error) {
 	m := sim.NewMachine(sim.DGXA100(nodes))
 	var tr *train.Trainer
 	var err error
@@ -268,20 +212,14 @@ func newTrainer(fw Framework, nodes int, ds *dataset.Dataset, opts train.Options
 		tr, err = baseline.New(m, ds, opts, baseline.DGL)
 	case FwWholeGraph:
 		tr, err = train.New(m, ds, opts)
-		if err == nil {
-			registerCaches(tr.Caches())
-			registerFeatStores(tr.FeatStores())
-			registerTopoStores(tr.TopoStores())
-		}
 	default:
 		err = fmt.Errorf("bench: unknown framework %q", fw)
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	registerComm(m)
 	m.Reset() // measure training, not store setup
-	return m, tr, nil
+	return tr, nil
 }
 
 // newStoreTrainer builds a WholeGraph trainer over an existing store

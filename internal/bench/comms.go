@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"sync"
-
 	"wholegraph/internal/dataset"
 	"wholegraph/internal/sim"
 	"wholegraph/internal/train"
@@ -78,11 +76,12 @@ func AblationOverlapGrads(cfg Config) ([]CommsRow, error) {
 
 		epoch := func(overlap bool) (train.EpochStats, *sim.Machine, error) {
 			opts.OverlapGrads = overlap
-			m, tr, err := newTrainer(FwWholeGraph, c.nodes, ds, opts)
+			tr, err := newTrainer(FwWholeGraph, c.nodes, ds, opts)
 			if err != nil {
 				return train.EpochStats{}, nil, err
 			}
-			return tr.RunEpoch(), m, nil
+			defer cfg.Totals.Fold(tr)
+			return tr.RunEpoch(), tr.Machine, nil
 		}
 		block, _, err := epoch(false)
 		if err != nil {
@@ -115,34 +114,4 @@ func AblationOverlapGrads(cfg Config) ([]CommsRow, error) {
 			r.Speedup, r.NVLinkMB, r.IBMB, fmtSeconds(r.CommSeconds))
 	}
 	return rows, nil
-}
-
-// commAgg collects every machine the harness builds so the CLI can report
-// aggregate per-link collective traffic in its -json output. Locked:
-// experiment cells build trainers concurrently under -parallel.
-var commAgg struct {
-	sync.Mutex
-	machines []*sim.Machine
-}
-
-func registerComm(m *sim.Machine) {
-	commAgg.Lock()
-	commAgg.machines = append(commAgg.machines, m)
-	commAgg.Unlock()
-}
-
-// CommCounters sums the collective-engine link counters — NVLink and
-// InfiniBand egress bytes plus stream-seconds spent in collectives — across
-// every machine built since process start.
-func CommCounters() (nvlinkTxBytes, ibTxBytes, commSeconds float64) {
-	commAgg.Lock()
-	defer commAgg.Unlock()
-	for _, m := range commAgg.machines {
-		for _, d := range m.Devs {
-			nvlinkTxBytes += d.Stats.NVLinkTxBytes
-			ibTxBytes += d.Stats.IBTxBytes
-			commSeconds += d.Stats.CommSeconds
-		}
-	}
-	return
 }

@@ -5,11 +5,8 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"sync"
 
 	"wholegraph/internal/dataset"
-	"wholegraph/internal/featstore"
-	"wholegraph/internal/topostore"
 )
 
 // FeatstoreVariantRow is one row of the paged-feature-store ablation: the
@@ -63,10 +60,11 @@ func AblationFeatstore(cfg Config) ([]FeatstoreVariantRow, error) {
 		if v.paged && opts.FeatPageRows == 0 {
 			opts.FeatPageRows = 64
 		}
-		_, tr, err := newTrainer(FwWholeGraph, 1, ds, opts)
+		tr, err := newTrainer(FwWholeGraph, 1, ds, opts)
 		if err != nil {
 			return err
 		}
+		defer cfg.Totals.Fold(tr)
 		row := FeatstoreVariantRow{Variant: v.name}
 		for e := 0; e < epochs; e++ {
 			st := tr.RunEpoch()
@@ -197,10 +195,11 @@ func FeatstoreFull(cfg Config) (*FeatstoreFullResult, error) {
 		// host work per miss) tractable at 1e8-node scale.
 		opts.FeatPageRows = 16
 	}
-	_, tr, err := newTrainer(FwWholeGraph, 1, ds, opts)
+	tr, err := newTrainer(FwWholeGraph, 1, ds, opts)
 	if err != nil {
 		return nil, err
 	}
+	defer cfg.Totals.Fold(tr)
 	// Two epochs minimum: the second revisits the first's training nodes,
 	// so the BlockCache hit rates reflect steady-state reuse rather than
 	// the cold first pass.
@@ -275,94 +274,4 @@ func fmtBytes(b int64) string {
 	default:
 		return fmt.Sprintf("%d B", b)
 	}
-}
-
-// featAgg collects every paged feature store the harness builds (only when
-// Config.PagedFeatures asks for them), so the CLI can report aggregate
-// BlockCache counters in its -json output. Locked: experiment cells build
-// trainers concurrently under -parallel.
-var featAgg struct {
-	sync.Mutex
-	stores []*featstore.Store
-}
-
-func registerFeatStores(ss []*featstore.Store) {
-	if len(ss) == 0 {
-		return
-	}
-	featAgg.Lock()
-	featAgg.stores = append(featAgg.stores, ss...)
-	featAgg.Unlock()
-}
-
-// StoreCounters aggregates BlockCache counters across every paged store of
-// one kind (features or topology) built since process start.
-type StoreCounters struct {
-	Hits             int64 `json:"hits"`
-	Misses           int64 `json:"misses"`
-	Evictions        int64 `json:"evictions"`
-	PrefetchHits     int64 `json:"prefetch_hits"`
-	AdmissionRejects int64 `json:"admission_rejects"`
-	ResidentBytes    int64 `json:"resident_bytes"`
-}
-
-// HitRate returns the fraction of page lookups served from a BlockCache.
-func (c StoreCounters) HitRate() float64 {
-	if c.Hits+c.Misses == 0 {
-		return 0
-	}
-	return float64(c.Hits) / float64(c.Hits+c.Misses)
-}
-
-// FeatStoreCounters sums BlockCache hits, misses, evictions, prefetch hits,
-// admission rejects and resident bytes across every paged feature store
-// built since process start. All zero unless Config.PagedFeatures was set.
-func FeatStoreCounters() StoreCounters {
-	featAgg.Lock()
-	defer featAgg.Unlock()
-	var c StoreCounters
-	for _, s := range featAgg.stores {
-		st := s.Stats()
-		c.Hits += st.Hits
-		c.Misses += st.Misses
-		c.Evictions += st.Evictions
-		c.PrefetchHits += st.PrefetchHits
-		c.AdmissionRejects += st.AdmissionRejects
-		c.ResidentBytes += st.ResidentBytes
-	}
-	return c
-}
-
-// topoAgg mirrors featAgg for the paged topology stores (built when
-// Config.PagedTopo asks for them).
-var topoAgg struct {
-	sync.Mutex
-	stores []*topostore.Store
-}
-
-func registerTopoStores(ss []*topostore.Store) {
-	if len(ss) == 0 {
-		return
-	}
-	topoAgg.Lock()
-	topoAgg.stores = append(topoAgg.stores, ss...)
-	topoAgg.Unlock()
-}
-
-// TopoStoreCounters sums BlockCache counters across every paged topology
-// store built since process start. All zero unless Config.PagedTopo was set.
-func TopoStoreCounters() StoreCounters {
-	topoAgg.Lock()
-	defer topoAgg.Unlock()
-	var c StoreCounters
-	for _, s := range topoAgg.stores {
-		st := s.Stats()
-		c.Hits += st.Hits
-		c.Misses += st.Misses
-		c.Evictions += st.Evictions
-		c.PrefetchHits += st.PrefetchHits
-		c.AdmissionRejects += st.AdmissionRejects
-		c.ResidentBytes += st.ResidentBytes
-	}
-	return c
 }

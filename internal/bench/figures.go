@@ -55,11 +55,12 @@ func Table5(cfg Config) ([]Table5Row, error) {
 			Timing:    map[Framework]core.Timing{},
 		}
 		for _, fw := range []Framework{FwPyG, FwDGL, FwWholeGraph} {
-			_, tr, err := newTrainer(fw, 1, c.ds, cfg.trainOpts(c.arch))
+			tr, err := newTrainer(fw, 1, c.ds, cfg.trainOpts(c.arch))
 			if err != nil {
 				return err
 			}
 			st := tr.RunEpoch()
+			cfg.Totals.Fold(tr)
 			row.EpochTime[fw] = st.EpochTime
 			row.Timing[fw] = st.Timing
 		}
@@ -98,14 +99,16 @@ func Fig7(cfg Config) ([]Fig7Point, error) {
 	}
 	evalIDs, evalLabels := evalSet(cfg, ds, 7)
 	opts := cfg.accuracyOpts("graphsage")
-	_, dgl, err := newTrainer(FwDGL, 1, ds, opts)
+	dgl, err := newTrainer(FwDGL, 1, ds, opts)
 	if err != nil {
 		return nil, err
 	}
-	_, wg, err := newTrainer(FwWholeGraph, 1, ds, opts)
+	defer cfg.Totals.Fold(dgl)
+	wg, err := newTrainer(FwWholeGraph, 1, ds, opts)
 	if err != nil {
 		return nil, err
 	}
+	defer cfg.Totals.Fold(wg)
 	cfg.printf("Figure 7: validation accuracy per epoch (GraphSAGE, ogbn-products)\n")
 	cfg.printf("%6s %10s %12s\n", "epoch", "DGL", "WholeGraph")
 	var pts []Fig7Point
@@ -338,11 +341,12 @@ func Fig11(cfg Config) ([]Fig11Row, error) {
 			for _, be := range backends {
 				opts := cfg.trainOpts(arch)
 				opts.Backend = be
-				_, tr, err := newTrainer(FwWholeGraph, 1, ds, opts)
+				tr, err := newTrainer(FwWholeGraph, 1, ds, opts)
 				if err != nil {
 					return nil, err
 				}
 				st := tr.RunEpoch()
+				cfg.Totals.Fold(tr)
 				row.Timing[be.String()] = st.Timing
 				row.EpochTime[be.String()] = st.EpochTime
 				cfg.printf("%-22s %-10s %-12s %12s %12s %12s %12s\n",
@@ -382,7 +386,7 @@ func Fig12(cfg Config) ([]Fig12Series, error) {
 	for _, fw := range []Framework{FwPyG, FwDGL, FwWholeGraph} {
 		opts := cfg.trainOpts("graphsage")
 		opts.Trace = true
-		_, tr, err := newTrainer(fw, 1, ds, opts)
+		tr, err := newTrainer(fw, 1, ds, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -392,6 +396,7 @@ func Fig12(cfg Config) ([]Fig12Series, error) {
 		for e := 0; e < epochs; e++ {
 			tr.RunEpoch()
 		}
+		cfg.Totals.Fold(tr)
 		u := sim.Utilization(dev.Trace(), t0, dev.Now(), buckets)
 		mean := 0.0
 		for _, v := range u {
@@ -487,11 +492,12 @@ func Fig13(cfg Config) ([]Fig13Row, error) {
 		row := Fig13Row{Dataset: c.ds.Spec.Name, Model: c.arch, Nodes: nodeCounts}
 		var base float64
 		for _, n := range nodeCounts {
-			_, tr, err := newTrainer(FwWholeGraph, n, c.ds, opts)
+			tr, err := newTrainer(FwWholeGraph, n, c.ds, opts)
 			if err != nil {
 				return err
 			}
 			et := tr.RunEpoch().EpochTime
+			cfg.Totals.Fold(tr)
 			if n == 1 {
 				base = et
 			}
@@ -542,10 +548,11 @@ func claim80Epochs(cfg Config) (float64, float64, error) {
 	if opts.Batch < 4 {
 		opts.Batch = 4
 	}
-	_, tr, err := newTrainer(FwWholeGraph, 8, ds, opts)
+	tr, err := newTrainer(FwWholeGraph, 8, ds, opts)
 	if err != nil {
 		return 0, 0, err
 	}
 	st := tr.RunEpoch()
+	cfg.Totals.Fold(tr)
 	return 80 * st.EpochTime, scale, nil
 }

@@ -91,7 +91,7 @@ func AblationGraph(cfg Config) ([]GraphRow, error) {
 		}
 		newRun := func(capture bool) (*outcome, error) {
 			opts.CaptureGraph = capture
-			_, tr, err := newTrainer(FwWholeGraph, c.nodes, ds, opts)
+			tr, err := newTrainer(FwWholeGraph, c.nodes, ds, opts)
 			if err != nil {
 				return nil, err
 			}
@@ -141,6 +141,8 @@ func AblationGraph(cfg Config) ([]GraphRow, error) {
 				break
 			}
 		}
+		cfg.Totals.Fold(eager.tr)
+		cfg.Totals.Fold(graph.tr)
 		gc := graph.tr.GraphStats()
 		rows[i] = GraphRow{
 			Arch: c.arch, Nodes: c.nodes,

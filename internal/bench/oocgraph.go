@@ -65,7 +65,7 @@ func AblationOOCGraph(cfg Config) ([]OOCGraphRow, error) {
 	// paged variant runs under the same eviction pressure at any scale.
 	topoBudget := ooc.Topo.NumEdges() * 8 / 4
 	featBudget := spec.Nodes * int64(spec.FeatDim) * 4 / 4
-	prefetch := cfg.PrefetchPages
+	prefetch := cfg.Train.PrefetchPages
 	if prefetch == 0 {
 		prefetch = 16
 	}
@@ -122,9 +122,7 @@ func AblationOOCGraph(cfg Config) ([]OOCGraphRow, error) {
 			return err
 		}
 		tr.Stores = []*core.Store{store}
-		registerFeatStores(tr.FeatStores())
-		registerTopoStores(tr.TopoStores())
-		registerComm(m)
+		defer cfg.Totals.Fold(tr)
 		m.Reset() // measure training, not store setup
 		row := OOCGraphRow{Variant: v.name}
 		for e := 0; e < epochs; e++ {

@@ -2,9 +2,7 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 
-	fcache "wholegraph/internal/cache"
 	"wholegraph/internal/dataset"
 	"wholegraph/internal/train"
 )
@@ -79,10 +77,11 @@ func AblationPipeline(cfg Config) ([]PipelineRow, error) {
 
 		epoch := func(pipeline bool) (train.EpochStats, error) {
 			opts.Pipeline = pipeline
-			_, tr, err := newTrainer(FwWholeGraph, 1, ds, opts)
+			tr, err := newTrainer(FwWholeGraph, 1, ds, opts)
 			if err != nil {
 				return train.EpochStats{}, err
 			}
+			defer cfg.Totals.Fold(tr)
 			return tr.RunEpoch(), nil
 		}
 		seq, err := epoch(false)
@@ -120,34 +119,4 @@ func AblationPipeline(cfg Config) ([]PipelineRow, error) {
 			fmtSeconds(r.Bound), fmtSeconds(r.SeqEpoch-r.PipeEpoch), r.Speedup)
 	}
 	return rows, nil
-}
-
-// cacheAgg collects every per-worker feature cache the harness builds (only
-// when Config.CacheRows asks for them), so the CLI can report an aggregate
-// hit rate in its -json output. Locked: experiment cells build trainers
-// concurrently under -parallel.
-var cacheAgg struct {
-	sync.Mutex
-	caches []*fcache.FeatureCache
-}
-
-func registerCaches(cs []*fcache.FeatureCache) {
-	if len(cs) == 0 {
-		return
-	}
-	cacheAgg.Lock()
-	cacheAgg.caches = append(cacheAgg.caches, cs...)
-	cacheAgg.Unlock()
-}
-
-// CacheCounters sums hits and misses across every feature cache built since
-// process start. Both are zero unless Config.CacheRows was set.
-func CacheCounters() (hits, misses int64) {
-	cacheAgg.Lock()
-	defer cacheAgg.Unlock()
-	for _, c := range cacheAgg.caches {
-		hits += c.Hits
-		misses += c.Misses
-	}
-	return hits, misses
 }

@@ -11,11 +11,10 @@ import (
 // Schedule), which list-schedules each step's recovered dependency DAG onto
 // the compute and copy streams.
 type SchedRow struct {
-	Arch    string
-	Nodes   int
-	Overlap bool // bucketed gradient overlap active in both runs
-	// CapturedEpoch / ScheduledEpoch: virtual epoch time of a steady-state
-	// epoch. Model math is bit-identical either way.
+	Arch  string
+	Nodes int
+	// CapturedEpoch / ScheduledEpoch: mean virtual epoch time over the
+	// measured replayed epochs. Model math is bit-identical either way.
 	CapturedEpoch, ScheduledEpoch float64
 	Speedup                       float64
 	// Scheduled counts the scheduled run's scheduler-placed replays.
@@ -32,16 +31,24 @@ type SchedRow struct {
 // The scheduler's serial fallback guarantees scheduled <= captured per
 // step; the interesting number is how much the DAG's width buys per
 // architecture.
+//
+// Gradient sync is the blocking AllReduce in every cell, on purpose: with
+// Options.OverlapGrads these models' ~100 KB of gradients fit one default
+// bucket (ready only when backward ends, so nothing moves), and with a
+// BucketBytes that splits them the guarantee above does not hold — on GAT the
+// scheduled epoch is slower than the captured one (149.5 vs 149.4 us),
+// because the serial fallback does not see the per-bucket AllReduces sharing
+// the copy stream with scheduler-placed kernels (ROADMAP.md item 4).
+// AblationOverlapGrads covers bucketed sync.
 func AblationSched(cfg Config) ([]SchedRow, error) {
 	cfg = cfg.normalize()
 	cfg.printf("Ablation: whole-step DAG scheduling vs plain capture/replay (ogbn-products)\n")
-	cfg.printf("%10s %6s %8s %12s %12s %9s %10s %6s\n",
-		"arch", "nodes", "overlap", "captured", "scheduled", "speedup", "sched-its", "loss")
+	cfg.printf("%10s %6s %12s %12s %9s %10s %6s\n",
+		"arch", "nodes", "captured", "scheduled", "speedup", "sched-its", "loss")
 
 	type cell struct {
-		arch    string
-		nodes   int
-		overlap bool
+		arch  string
+		nodes int
 	}
 	var cells []cell
 	archs := []string{"gcn", "graphsage", "gat"}
@@ -53,16 +60,13 @@ func AblationSched(cfg Config) ([]SchedRow, error) {
 			if cfg.Quick && nodes > 1 && arch != "graphsage" {
 				continue
 			}
-			for _, overlap := range []bool{false, true} {
-				if cfg.Quick && overlap && arch != "graphsage" {
-					continue
-				}
-				cells = append(cells, cell{arch, nodes, overlap})
-			}
+			cells = append(cells, cell{arch, nodes})
 		}
 	}
 
-	const warmEpochs, measureEpochs = 2, 1
+	// Two warm epochs capture both loader slots; the reported epoch is the
+	// mean over measureEpochs replayed ones, not a single iteration.
+	const warmEpochs, measureEpochs = 2, 4
 	rows := make([]SchedRow, len(cells))
 	err := cfg.runCells(len(cells), func(i int) error {
 		c := cells[i]
@@ -71,26 +75,30 @@ func AblationSched(cfg Config) ([]SchedRow, error) {
 			return err
 		}
 		opts := cfg.trainOpts(c.arch)
-		opts.OverlapGrads = c.overlap
+		opts.OverlapGrads = false
 
-		run := func(schedule bool) (losses []float64, last train.EpochStats, tr *train.Trainer, err error) {
+		run := func(schedule bool) (losses []float64, epoch float64, tr *train.Trainer, err error) {
 			opts.CaptureGraph = true
 			opts.Schedule = schedule
-			_, tr, err = newTrainer(FwWholeGraph, c.nodes, ds, opts)
+			tr, err = newTrainer(FwWholeGraph, c.nodes, ds, opts)
 			if err != nil {
-				return nil, train.EpochStats{}, nil, err
+				return nil, 0, nil, err
 			}
+			defer cfg.Totals.Fold(tr)
 			for e := 0; e < warmEpochs+measureEpochs; e++ {
-				last = tr.RunEpoch()
-				losses = append(losses, last.Loss)
+				st := tr.RunEpoch()
+				losses = append(losses, st.Loss)
+				if e >= warmEpochs {
+					epoch += st.EpochTime / measureEpochs
+				}
 			}
-			return losses, last, tr, nil
+			return losses, epoch, tr, nil
 		}
-		capLosses, capLast, _, err := run(false)
+		capLosses, capEpoch, _, err := run(false)
 		if err != nil {
 			return err
 		}
-		schedLosses, schedLast, schedTr, err := run(true)
+		schedLosses, schedEpoch, schedTr, err := run(true)
 		if err != nil {
 			return err
 		}
@@ -102,9 +110,9 @@ func AblationSched(cfg Config) ([]SchedRow, error) {
 			}
 		}
 		rows[i] = SchedRow{
-			Arch: c.arch, Nodes: c.nodes, Overlap: c.overlap,
-			CapturedEpoch: capLast.EpochTime, ScheduledEpoch: schedLast.EpochTime,
-			Speedup:   capLast.EpochTime / schedLast.EpochTime,
+			Arch: c.arch, Nodes: c.nodes,
+			CapturedEpoch: capEpoch, ScheduledEpoch: schedEpoch,
+			Speedup:   capEpoch / schedEpoch,
 			Scheduled: schedTr.GraphStats().Scheduled,
 			LossMatch: match,
 		}
@@ -118,38 +126,9 @@ func AblationSched(cfg Config) ([]SchedRow, error) {
 		if !r.LossMatch {
 			loss = "DRIFT"
 		}
-		ov := "off"
-		if r.Overlap {
-			ov = "on"
-		}
-		cfg.printf("%10s %6d %8s %12s %12s %8.2fx %10d %6s\n",
-			r.Arch, r.Nodes, ov, fmtSeconds(r.CapturedEpoch), fmtSeconds(r.ScheduledEpoch),
+		cfg.printf("%10s %6d %12s %12s %8.2fx %10d %6s\n",
+			r.Arch, r.Nodes, fmtSeconds(r.CapturedEpoch), fmtSeconds(r.ScheduledEpoch),
 			r.Speedup, r.Scheduled, loss)
 	}
 	return rows, nil
-}
-
-// GraphCounterTotals is the aggregate step-graph accounting across every
-// trainer built since process start.
-type GraphCounterTotals struct {
-	Captures      int64 `json:"captures"`
-	Replays       int64 `json:"replays"`
-	Invalidations int64 `json:"invalidations"`
-	Fallbacks     int64 `json:"fallbacks"`
-	Scheduled     int64 `json:"scheduled"`
-}
-
-// GraphCountersTotal reports capture/replay/invalidation/fallback/scheduled
-// counts across every trainer built since process start. It reads the train
-// package's process-wide atomic totals rather than holding trainers in a
-// registry — a registry would keep every cell's machine alive for the run.
-func GraphCountersTotal() GraphCounterTotals {
-	c := train.GlobalGraphCounters()
-	return GraphCounterTotals{
-		Captures:      c.Captures,
-		Replays:       c.Replays,
-		Invalidations: c.Invalidations,
-		Fallbacks:     c.Fallbacks,
-		Scheduled:     c.Scheduled,
-	}
 }

@@ -158,7 +158,7 @@ func Table3(cfg Config) ([]Table3Row, error) {
 			Valid: map[Framework]float64{}, Test: map[Framework]float64{},
 		}
 		for _, fw := range fws {
-			_, tr, err := newTrainer(fw, 1, c.ds, cfg.accuracyOpts(c.arch))
+			tr, err := newTrainer(fw, 1, c.ds, cfg.accuracyOpts(c.arch))
 			if err != nil {
 				return err
 			}
@@ -171,6 +171,7 @@ func Table3(cfg Config) ([]Table3Row, error) {
 			if row.Test[fw], err = tr.EvaluateWithLabels(c.testIDs, c.tstLabels); err != nil {
 				return err
 			}
+			cfg.Totals.Fold(tr)
 		}
 		rows[ci] = row
 		return nil

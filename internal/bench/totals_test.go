@@ -1,0 +1,132 @@
+package bench
+
+import (
+	"math"
+	"runtime"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"wholegraph/internal/cache"
+	"wholegraph/internal/dataset"
+	"wholegraph/internal/train"
+)
+
+// knobbedConfig turns on every kind of counter Totals carries: hot-row
+// caches, both paged stores under eviction pressure, step graphs.
+func knobbedConfig() Config {
+	return Config{
+		Quick: true, Scale: 2e-4, Epochs: 2, Seed: 1,
+		Train: train.Options{
+			CacheRows: 40, CaptureGraph: true,
+			PagedFeatures: true, FeatPageRows: 16, FeatCacheMB: 1,
+			PagedTopo: true, TopoPageEdges: 256, TopoCacheMB: 1,
+		},
+	}
+}
+
+// TestTotalsSerialEqualsParallel: the same experiment folds to the same
+// totals whether its cells run one after another or concurrently. Every
+// counter is an integer and exact; the three link sums are floats added in
+// fold order, which under Parallel is completion order, so they are held to
+// a rounding error rather than to the bit.
+func TestTotalsSerialEqualsParallel(t *testing.T) {
+	run := func(parallel bool) *Totals {
+		cfg := knobbedConfig()
+		cfg.Parallel = parallel
+		cfg.Totals = &Totals{}
+		if _, err := Table5(cfg); err != nil {
+			t.Fatal(err)
+		}
+		return cfg.Totals
+	}
+	s, p := run(false), run(true)
+	if s.CacheHits != p.CacheHits || s.CacheMisses != p.CacheMisses ||
+		s.FeatStore != p.FeatStore || s.TopoStore != p.TopoStore || s.Graph != p.Graph {
+		t.Errorf("counters differ\nserial   %s\nparallel %s", s.Report(), p.Report())
+	}
+	for _, f := range []struct {
+		name string
+		s, p float64
+	}{
+		{"NVLinkTxBytes", s.NVLinkTxBytes, p.NVLinkTxBytes},
+		{"IBTxBytes", s.IBTxBytes, p.IBTxBytes},
+		{"CommSeconds", s.CommSeconds, p.CommSeconds},
+	} {
+		if math.Abs(f.s-f.p) > 1e-12*math.Abs(f.s) {
+			t.Errorf("%s: serial %v, parallel %v", f.name, f.s, f.p)
+		}
+	}
+	if s.Report() != p.Report() {
+		t.Errorf("closing lines differ\nserial   %s\nparallel %s", s.Report(), p.Report())
+	}
+	if s.CacheHits == 0 || s.FeatStore.Misses == 0 || s.FeatStore.Evictions == 0 ||
+		s.TopoStore.Misses == 0 || s.Graph.Captures == 0 || s.CommSeconds == 0 {
+		t.Errorf("a kind of counter never moved, so its fold was not exercised:\n%s", s.Report())
+	}
+	for _, line := range []string{"feature cache: ", "feature store: ", "topology store: ", "step graphs: ", "collectives: "} {
+		if !strings.Contains(s.Report(), line) {
+			t.Errorf("closing lines lack %q:\n%s", line, s.Report())
+		}
+	}
+}
+
+// liveHeap is the heap in use after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC() // the first cycle's finalizers free what the second collects
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestTotalsKeepNothingAlive: Fold copies numbers, so once an experiment
+// returns, every machine, paged store and hot-row cache its cells built is
+// garbage. Two readings of that. The live heap does not grow over repeated
+// runs of an experiment that builds 36 trainers (behind a registry of
+// machines, stores and caches it grew by 19 MiB a run). And a single cell's
+// trainer and hot-row cache are finalized; the machine and the paged store
+// cannot carry finalizers of their own — Machine and Device, Store and
+// Partitioned point at each other, and Go never finalizes a cycle — which is
+// why the heap is the witness for those.
+func TestTotalsKeepNothingAlive(t *testing.T) {
+	cfg := knobbedConfig().normalize()
+	cfg.Totals = &Totals{}
+	if _, err := Table5(cfg); err != nil { // fills dsCache, which does stay
+		t.Fatal(err)
+	}
+	before := liveHeap()
+	for i := 0; i < 3; i++ {
+		if _, err := Table5(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if grown := int64(liveHeap()) - int64(before); grown > 2<<20 {
+		t.Errorf("live heap grew %d KiB over three runs: the experiment's cells are still reachable", grown>>10)
+	}
+
+	ds, err := generate(dataset.OgbnProducts.Scaled(cfg.Scale))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var freed atomic.Int32
+	const want = 2
+	cell := func() {
+		tr, err := newTrainer(FwWholeGraph, 1, ds, cfg.trainOpts("graphsage"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cfg.Totals.Fold(tr)
+		tr.RunEpoch()
+		runtime.SetFinalizer(tr, func(*train.Trainer) { freed.Add(1) })
+		runtime.SetFinalizer(tr.Caches()[0], func(*cache.FeatureCache) { freed.Add(1) })
+	}
+	cell()
+	for deadline := time.Now().Add(5 * time.Second); freed.Load() < want; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d finalizers ran: something still holds the cell's trainer or cache", freed.Load(), want)
+		}
+		runtime.GC()
+	}
+}

@@ -239,18 +239,50 @@ func (c *BlockCache) unlink(e *blockEntry) {
 	e.prev, e.next = nil, nil
 }
 
-// CacheStats is a point-in-time snapshot of one BlockCache.
+// CacheStats is a point-in-time snapshot of one BlockCache, or — through Add
+// — the sum over several. It is the one statement of the page-cache counters:
+// featstore.Stats and topostore.Stats embed it, the trainer and the bench
+// totals add it up, and every CLI prints its String.
 type CacheStats struct {
-	Hits, Misses, Evictions int64
+	Hits      int64 `json:"hits"`
+	Misses    int64 `json:"misses"`
+	Evictions int64 `json:"evictions"`
 	// PrefetchHits counts demand lookups served by a page that a prefetch
 	// faulted in ahead of time (each prefetched page counts at most once).
-	PrefetchHits int64
+	PrefetchHits int64 `json:"prefetch_hits"`
 	// AdmissionRejects counts candidate pages the PolicyAdmit sketch kept
 	// out of the resident set. Always zero under PolicyLRU.
-	AdmissionRejects int64
-	ResidentBytes    int64
-	ResidentPages    int
-	CapacityBytes    int64
+	AdmissionRejects int64 `json:"admission_rejects"`
+	ResidentBytes    int64 `json:"resident_bytes"`
+	ResidentPages    int   `json:"resident_pages"`
+	CapacityBytes    int64 `json:"capacity_bytes"`
+}
+
+// Add accumulates o into s.
+func (s *CacheStats) Add(o CacheStats) {
+	s.Hits += o.Hits
+	s.Misses += o.Misses
+	s.Evictions += o.Evictions
+	s.PrefetchHits += o.PrefetchHits
+	s.AdmissionRejects += o.AdmissionRejects
+	s.ResidentBytes += o.ResidentBytes
+	s.ResidentPages += o.ResidentPages
+	s.CapacityBytes += o.CapacityBytes
+}
+
+// HitRate returns the fraction of page lookups served from the cache.
+func (s CacheStats) HitRate() float64 {
+	if s.Hits+s.Misses == 0 {
+		return 0
+	}
+	return float64(s.Hits) / float64(s.Hits+s.Misses)
+}
+
+// String is the counters' one-line report.
+func (s CacheStats) String() string {
+	return fmt.Sprintf("%d page hits / %d misses (%.1f%% hit rate), %d evictions, %d prefetch hits, %d admission rejects, %.1f MiB resident",
+		s.Hits, s.Misses, 100*s.HitRate(), s.Evictions, s.PrefetchHits, s.AdmissionRejects,
+		float64(s.ResidentBytes)/(1<<20))
 }
 
 // Stats snapshots the cache counters.

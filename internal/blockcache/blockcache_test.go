@@ -177,3 +177,29 @@ func TestEvictionChurnAllocatesNothing(t *testing.T) {
 		t.Errorf("evicting insert allocates %.1f objects, want 0", avg)
 	}
 }
+
+// TestCacheStatsAddHitRateString: Add sums every field, HitRate is hits over
+// lookups (0 when there were none), String is the one-line report the CLIs
+// print.
+func TestCacheStatsAddHitRateString(t *testing.T) {
+	a := CacheStats{Hits: 1, Misses: 3, Evictions: 5, PrefetchHits: 7, AdmissionRejects: 11,
+		ResidentBytes: 3 << 19, ResidentPages: 13, CapacityBytes: 17}
+	var sum CacheStats
+	if sum.HitRate() != 0 {
+		t.Errorf("empty HitRate = %v", sum.HitRate())
+	}
+	sum.Add(a)
+	sum.Add(a)
+	want := CacheStats{Hits: 2, Misses: 6, Evictions: 10, PrefetchHits: 14, AdmissionRejects: 22,
+		ResidentBytes: 3 << 20, ResidentPages: 26, CapacityBytes: 34}
+	if sum != want {
+		t.Errorf("Add twice = %+v, want %+v", sum, want)
+	}
+	if sum.HitRate() != 0.25 {
+		t.Errorf("HitRate = %v, want 0.25", sum.HitRate())
+	}
+	const line = "2 page hits / 6 misses (25.0% hit rate), 10 evictions, 14 prefetch hits, 22 admission rejects, 3.0 MiB resident"
+	if sum.String() != line {
+		t.Errorf("String() = %q, want %q", sum.String(), line)
+	}
+}

@@ -120,36 +120,8 @@ func NewStoreOpts(m *sim.Machine, node int, ds *dataset.Dataset, opts StoreOptio
 // maximum device clock right after NewStore on a fresh machine).
 func (s *Store) SetupTime() float64 { return s.Machine.MaxTime() }
 
-// NewStoreWithFeatureKind is NewStore with the node-feature table backed by
-// the given memory kind (DeviceP2P, DeviceUM or PinnedHost). It exists for
-// the storage ablation: the paper's design choice of GPUDirect peer access
-// is evaluated against the Unified Memory and host-memory alternatives it
-// rejects (§II-B, Table I).
-func NewStoreWithFeatureKind(m *sim.Machine, node int, ds *dataset.Dataset, kind wholemem.Kind) (*Store, error) {
-	s, err := NewStore(m, node, ds)
-	if err != nil {
-		return nil, err
-	}
-	if s.PG.Feat != nil {
-		s.PG.Feat.WithKind(kind)
-	}
-	return s, nil
-}
-
-// NewStorePaged is NewStore with node features served by the paged,
-// compressed feature store (internal/featstore) instead of the flat
-// wholemem slab: the graph is partitioned without a feature table and a
-// Store over the dataset's rows — the materialized slab when present, the
-// on-demand generator for out-of-core datasets — is installed as the
-// graph's FeatureSource, with one BlockCache per GPU. With the Raw
-// encoding the decoded rows are bit-identical to the slab, so training
-// losses match the flat path exactly; lossy encodings are opt-in.
-func NewStorePaged(m *sim.Machine, node int, ds *dataset.Dataset, opts featstore.Options) (*Store, error) {
-	return NewStoreOpts(m, node, ds, StoreOptions{PagedFeatures: true, Feat: opts})
-}
-
-// FeatStore returns the paged feature store behind a NewStorePaged store,
-// or nil for slab-backed stores.
+// FeatStore returns the paged feature store behind a
+// StoreOptions.PagedFeatures store, or nil for slab-backed stores.
 func (s *Store) FeatStore() *featstore.Store {
 	fs, _ := s.PG.Features().(*featstore.Store)
 	return fs

@@ -235,10 +235,9 @@ func TestEdgeWeightValuesMatchHashFunction(t *testing.T) {
 	pg := s.PG
 	// Every stored weight equals HashEdgeWeight(src, dst).
 	for v := int64(0); v < min(ds.Graph.N, 100); v++ {
-		gid := pg.Owner[v]
+		_, e0, _ := pg.Adj(pg.Owner[v])
 		for k, w := range ds.Graph.Neighbors(v) {
-			pos := pg.EdgeIndex(gid, int64(k))
-			got := pg.EdgeW.Get(pos)
+			got := pg.EdgeW.Get(e0 + int64(k))
 			want := graph.HashEdgeWeight(v, w)
 			if got != want {
 				t.Fatalf("edge (%d,%d): stored %g, want %g", v, w, got, want)

@@ -52,7 +52,7 @@ type Options struct {
 	// Policy selects the BlockCache replacement/admission policy
 	// (default PolicyLRU). PolicyAdmit changes only which pages stay
 	// resident — decoded values are identical under either policy.
-	Policy Policy
+	Policy blockcache.Policy
 }
 
 func (o Options) normalize() Options {
@@ -98,7 +98,7 @@ type Store struct {
 // concurrent use (and the race detector) stay sound.
 type devCache struct {
 	dev *sim.Device
-	bc  *BlockCache
+	bc  *blockcache.BlockCache
 	// pages maps the page ids the current gather touched to their pages
 	// (nil for an id PrefetchRows merely marked as seen).
 	pages  map[int32]*page
@@ -148,7 +148,7 @@ func (s *Store) Attach(devs ...*sim.Device) {
 	for _, d := range devs {
 		dc := &devCache{
 			dev:   d,
-			bc:    NewBlockCacheWithPolicy(s.opts.CacheBytes, s.opts.Policy),
+			bc:    blockcache.NewBlockCacheWithPolicy(s.opts.CacheBytes, s.opts.Policy),
 			pages: make(map[int32]*page),
 		}
 		dc.spare.Max = int(s.opts.CacheBytes/pageBytes) + 1
@@ -390,30 +390,36 @@ func (s *Store) ReadRow(row int64, dst []float32) {
 	s.row(&s.hostPg, int(row-lo), dst, &s.hostBuf)
 }
 
-// Stats aggregates the store's configuration with every attached device's
-// BlockCache counters.
+// Stats is the store's configuration with the sum of every attached
+// device's BlockCache counters (promoted from the embedded CacheStats).
 type Stats struct {
-	Encoding         string `json:"encoding"`
-	PageRows         int    `json:"page_rows"`
-	Pages            int    `json:"pages"`
-	EncodedBytes     int64  `json:"encoded_bytes"`
-	CacheBytes       int64  `json:"cache_budget_bytes"`
-	Devices          int    `json:"devices"`
-	Policy           string `json:"policy"`
-	Hits             int64  `json:"hits"`
-	Misses           int64  `json:"misses"`
-	Evictions        int64  `json:"evictions"`
-	PrefetchHits     int64  `json:"prefetch_hits"`
-	AdmissionRejects int64  `json:"admission_rejects"`
-	ResidentBytes    int64  `json:"resident_bytes"`
+	Encoding     string `json:"encoding"`
+	PageRows     int    `json:"page_rows"`
+	Pages        int    `json:"pages"`
+	EncodedBytes int64  `json:"encoded_bytes"`
+	CacheBytes   int64  `json:"cache_budget_bytes"`
+	Devices      int    `json:"devices"`
+	Policy       string `json:"policy"`
+	blockcache.CacheStats
 }
 
-// HitRate returns the fraction of page lookups served from a BlockCache.
-func (st Stats) HitRate() float64 {
-	if st.Hits+st.Misses == 0 {
-		return 0
+// Add folds another store's snapshot into st: the first store's
+// configuration stands for all of them, sizes and counters sum.
+func (st *Stats) Add(o Stats) {
+	if st.Encoding == "" {
+		st.Encoding, st.PageRows, st.Policy = o.Encoding, o.PageRows, o.Policy
 	}
-	return float64(st.Hits) / float64(st.Hits+st.Misses)
+	st.Pages += o.Pages
+	st.EncodedBytes += o.EncodedBytes
+	st.CacheBytes += o.CacheBytes
+	st.Devices += o.Devices
+	st.CacheStats.Add(o.CacheStats)
+}
+
+// String is the store's one-line report.
+func (st Stats) String() string {
+	return fmt.Sprintf("feature store (%s, %d rows/page, %s): %v of %.1f MiB budget",
+		st.Encoding, st.PageRows, st.Policy, st.CacheStats, float64(st.CacheBytes)/(1<<20))
 }
 
 // Stats snapshots the aggregate counters.
@@ -425,13 +431,7 @@ func (s *Store) Stats() Stats {
 		Policy: s.opts.Policy.String(),
 	}
 	for _, dc := range s.caches {
-		cs := dc.bc.Stats()
-		st.Hits += cs.Hits
-		st.Misses += cs.Misses
-		st.Evictions += cs.Evictions
-		st.PrefetchHits += cs.PrefetchHits
-		st.AdmissionRejects += cs.AdmissionRejects
-		st.ResidentBytes += cs.ResidentBytes
+		st.CacheStats.Add(dc.bc.Stats())
 	}
 	return st
 }

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"wholegraph/internal/blockcache"
 	"wholegraph/internal/sim"
 )
 
@@ -462,5 +463,58 @@ func TestSteadyStateFaultingGatherAllocs(t *testing.T) {
 		if after.Misses-before.Misses < 50*16 || after.Evictions == before.Evictions {
 			t.Fatalf("%v: gathers did not fault and evict: %+v -> %+v", enc, before, after)
 		}
+	}
+}
+
+// TestStatsSumPerDeviceCaches: on a paged run that faults, hits, prefetches
+// and evicts on two devices, the store's promoted counters — summed by
+// CacheStats.Add — equal the field-by-field sums over the per-device caches
+// that Stats carried before the counters moved into one type.
+func TestStatsSumPerDeviceCaches(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const rows, dim = 2048, 8
+	src := testSource(rng, rows, dim)
+	pageBytes := int64(64*dim*4) + 8
+	s, err := New(src, Options{PageRows: 64, CacheBytes: 3 * pageBytes, Policy: blockcache.PolicyAdmit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := sim.NewMachine(sim.DGXA100(1))
+	s.Attach(m.Devs[:2]...)
+	dst := make([]float32, dim)
+	for i := 0; i < 600; i++ {
+		dev := m.Devs[i%2]
+		if i%7 == 0 {
+			s.PrefetchRows(dev, []int64{rng.Int63n(rows)}, 1)
+		}
+		s.GatherRows(dev, []int64{rng.Int63n(rows / (1 + int64(i%3)))}, dim, dst, "test")
+	}
+	var hits, misses, evictions, prefetchHits, rejects, resident int64
+	for _, dc := range s.caches {
+		cs := dc.bc.Stats()
+		hits += cs.Hits
+		misses += cs.Misses
+		evictions += cs.Evictions
+		prefetchHits += cs.PrefetchHits
+		rejects += cs.AdmissionRejects
+		resident += cs.ResidentBytes
+	}
+	st := s.Stats()
+	if st.Hits != hits || st.Misses != misses || st.Evictions != evictions ||
+		st.PrefetchHits != prefetchHits || st.AdmissionRejects != rejects || st.ResidentBytes != resident {
+		t.Errorf("Stats() = %+v, per-device sums: hits %d misses %d evictions %d prefetch hits %d rejects %d resident %d",
+			st.CacheStats, hits, misses, evictions, prefetchHits, rejects, resident)
+	}
+	if hits == 0 || misses == 0 || evictions == 0 || prefetchHits == 0 || rejects == 0 || resident == 0 {
+		t.Errorf("the run left a counter at zero, so its sum was not exercised: %+v", st.CacheStats)
+	}
+	if want := float64(hits) / float64(hits+misses); st.HitRate() != want {
+		t.Errorf("HitRate() = %v, want %v", st.HitRate(), want)
+	}
+	var twice Stats
+	twice.Add(st)
+	twice.Add(st)
+	if twice.Hits != 2*hits || twice.Devices != 4 || twice.Encoding != st.Encoding || twice.PageRows != st.PageRows {
+		t.Errorf("Stats.Add twice: %+v", twice)
 	}
 }

@@ -151,12 +151,13 @@ func TestPartitionPreservesTopology(t *testing.T) {
 		if p.Orig[gid.Rank()][gid.Local()] != v {
 			t.Fatalf("Owner/Orig mismatch for node %d", v)
 		}
-		if p.Degree(gid) != csr.Degree(v) {
-			t.Fatalf("degree mismatch for node %d: %d vs %d", v, p.Degree(gid), csr.Degree(v))
+		_, e0, deg := p.Adj(gid)
+		if deg != csr.Degree(v) {
+			t.Fatalf("degree mismatch for node %d: %d vs %d", v, deg, csr.Degree(v))
 		}
 		want := csr.Neighbors(v)
 		for k, w := range want {
-			got := p.NeighborAt(gid, int64(k))
+			got := GlobalID(p.ColValue(e0 + int64(k)))
 			if p.Orig[got.Rank()][got.Local()] != w {
 				t.Fatalf("neighbor %d of node %d: got %v (orig %d), want %d",
 					k, v, got, p.Orig[got.Rank()][got.Local()], w)

@@ -192,23 +192,6 @@ func (p *Partitioned) Adj(gid GlobalID) (nbrs []uint64, e0, deg int64) {
 	return p.Col.Shard(rank)[lo:hi], p.Col.ShardStart(rank) + lo, hi - lo
 }
 
-// Degree returns gid's out-degree.
-func (p *Partitioned) Degree(gid GlobalID) int64 {
-	_, _, deg := p.Adj(gid)
-	return deg
-}
-
-// EdgeIndex returns the global element index of gid's k-th edge.
-func (p *Partitioned) EdgeIndex(gid GlobalID, k int64) int64 {
-	_, e0, _ := p.Adj(gid)
-	return e0 + k
-}
-
-// NeighborAt returns gid's k-th neighbor.
-func (p *Partitioned) NeighborAt(gid GlobalID, k int64) GlobalID {
-	return GlobalID(p.ColValue(p.EdgeIndex(gid, k)))
-}
-
 // Neighbors returns gid's full neighbor list: a shared sub-slice of the
 // owning rank's edge shard, or (paged topology) a freshly decoded copy —
 // a host-side path; kernels go through the page-aware accessor.

@@ -47,18 +47,19 @@ func TestPartitionPagedMatchesMaterialized(t *testing.T) {
 			t.Fatalf("owner mismatch for node %d", v)
 		}
 		gid := pg.Owner[v]
-		if pg.Degree(gid) != mat.Degree(gid) {
+		_, pe0, pdeg := pg.Adj(gid)
+		_, me0, deg := mat.Adj(gid)
+		if pdeg != deg {
 			t.Fatalf("degree mismatch for node %d", v)
 		}
 		if pg.FeatRow(gid) != mat.FeatRow(gid) {
 			t.Fatalf("feature row mismatch for node %d", v)
 		}
-		deg := mat.Degree(gid)
+		if pe0 != me0 {
+			t.Fatalf("first edge index mismatch for node %d", v)
+		}
 		for k := int64(0); k < deg; k++ {
-			if pg.EdgeIndex(gid, k) != mat.EdgeIndex(gid, k) {
-				t.Fatalf("edge index mismatch at (%d,%d)", v, k)
-			}
-			if pg.NeighborAt(gid, k) != mat.NeighborAt(gid, k) {
+			if pg.ColValue(pe0+k) != mat.ColValue(me0+k) {
 				t.Fatalf("neighbor mismatch at (%d,%d)", v, k)
 			}
 		}

@@ -41,6 +41,7 @@ import (
 	"wholegraph/internal/gnn"
 	"wholegraph/internal/sim"
 	"wholegraph/internal/tensor"
+	"wholegraph/internal/train"
 )
 
 // Policy selects how arriving requests are routed to replicas. All
@@ -247,26 +248,15 @@ func New(m *sim.Machine, node int, ds *dataset.Dataset, model gnn.LayerwiseModel
 	if opts.Workload == WorkloadRetrieval {
 		return nil, fmt.Errorf("serve: retrieval deployments are built with NewRetrieval over an ann.Index")
 	}
-	var store *core.Store
-	var err error
-	if opts.PagedFeatures {
-		enc, encErr := featstore.ParseEncoding(opts.FeatEncoding)
-		if encErr != nil {
-			return nil, encErr
-		}
-		policy, polErr := featstore.ParsePolicy(opts.CachePolicy)
-		if polErr != nil {
-			return nil, polErr
-		}
-		store, err = core.NewStorePaged(m, node, ds, featstore.Options{
-			Encoding:   enc,
-			PageRows:   opts.FeatPageRows,
-			CacheBytes: int64(opts.FeatCacheMB) << 20,
-			Policy:     policy,
-		})
-	} else {
-		store, err = core.NewStore(m, node, ds)
+	so, err := train.Options{
+		PagedFeatures: opts.PagedFeatures, FeatEncoding: opts.FeatEncoding,
+		FeatPageRows: opts.FeatPageRows, FeatCacheMB: opts.FeatCacheMB,
+		CachePolicy: opts.CachePolicy,
+	}.StoreOptions()
+	if err != nil {
+		return nil, err
 	}
+	store, err := core.NewStoreOpts(m, node, ds, so)
 	if err != nil {
 		return nil, err
 	}

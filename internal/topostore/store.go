@@ -368,29 +368,35 @@ func (s *Store) ReadEdge(e int64) uint64 {
 	return s.at(&s.hostPg, e-int64(id)*int64(s.opts.PageEdges), &s.hostScratch)
 }
 
-// Stats aggregates the store's configuration with every attached
-// device's BlockCache counters.
+// Stats is the store's configuration with the sum of every attached
+// device's BlockCache counters (promoted from the embedded CacheStats).
 type Stats struct {
-	PageEdges        int    `json:"page_edges"`
-	Pages            int    `json:"pages"`
-	TopoBytes        int64  `json:"topo_bytes"`
-	CacheBytes       int64  `json:"cache_budget_bytes"`
-	Devices          int    `json:"devices"`
-	Policy           string `json:"policy"`
-	Hits             int64  `json:"hits"`
-	Misses           int64  `json:"misses"`
-	Evictions        int64  `json:"evictions"`
-	PrefetchHits     int64  `json:"prefetch_hits"`
-	AdmissionRejects int64  `json:"admission_rejects"`
-	ResidentBytes    int64  `json:"resident_bytes"`
+	PageEdges  int    `json:"page_edges"`
+	Pages      int    `json:"pages"`
+	TopoBytes  int64  `json:"topo_bytes"`
+	CacheBytes int64  `json:"cache_budget_bytes"`
+	Devices    int    `json:"devices"`
+	Policy     string `json:"policy"`
+	blockcache.CacheStats
 }
 
-// HitRate returns the fraction of page lookups served from a BlockCache.
-func (st Stats) HitRate() float64 {
-	if st.Hits+st.Misses == 0 {
-		return 0
+// Add folds another store's snapshot into st: the first store's
+// configuration and column size stand for all of them (every machine node
+// pages the same graph), budgets and counters sum.
+func (st *Stats) Add(o Stats) {
+	if st.PageEdges == 0 {
+		st.PageEdges, st.Policy, st.TopoBytes = o.PageEdges, o.Policy, o.TopoBytes
 	}
-	return float64(st.Hits) / float64(st.Hits+st.Misses)
+	st.Pages += o.Pages
+	st.CacheBytes += o.CacheBytes
+	st.Devices += o.Devices
+	st.CacheStats.Add(o.CacheStats)
+}
+
+// String is the store's one-line report.
+func (st Stats) String() string {
+	return fmt.Sprintf("topology store (%d edges/page, %s): %v of %.1f MiB budget",
+		st.PageEdges, st.Policy, st.CacheStats, float64(st.CacheBytes)/(1<<20))
 }
 
 // Stats snapshots the aggregate counters.
@@ -401,13 +407,7 @@ func (s *Store) Stats() Stats {
 		Devices: len(s.caches), Policy: s.opts.Policy.String(),
 	}
 	for _, dc := range s.caches {
-		cs := dc.bc.Stats()
-		st.Hits += cs.Hits
-		st.Misses += cs.Misses
-		st.Evictions += cs.Evictions
-		st.PrefetchHits += cs.PrefetchHits
-		st.AdmissionRejects += cs.AdmissionRejects
-		st.ResidentBytes += cs.ResidentBytes
+		st.CacheStats.Add(dc.bc.Stats())
 	}
 	return st
 }

@@ -1,6 +1,7 @@
 package topostore
 
 import (
+	"math/rand"
 	"testing"
 
 	"wholegraph/internal/blockcache"
@@ -449,5 +450,48 @@ func TestSteadyStateFaultingBatchAllocs(t *testing.T) {
 	if after.Misses-before.Misses < 50*4 || after.PrefetchHits-before.PrefetchHits < 50*4 ||
 		after.Evictions-before.Evictions < 50*8 {
 		t.Fatalf("batches did not fault and evict: %+v -> %+v", before, after)
+	}
+}
+
+// TestStatsSumPerDeviceCaches: the store's promoted counters — summed by
+// CacheStats.Add — equal the field-by-field sums over the per-device caches
+// on a run that faults, hits and evicts on two devices.
+func TestStatsSumPerDeviceCaches(t *testing.T) {
+	const numEdges, pageEdges = 1 << 14, 128
+	s, err := New(numEdges, testFill, Options{PageEdges: pageEdges, CacheBytes: 4 * (pageEdges*8 + 8)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := sim.NewMachine(sim.DGXA100(1))
+	s.Attach(m.Devs[:2]...)
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 200; i++ {
+		dev := m.Devs[i%2]
+		if i%5 == 0 {
+			s.PrefetchPages(dev, []int32{int32(rng.Intn(numEdges / pageEdges))})
+		}
+		acc := s.Begin(dev)
+		for k := 0; k < 6; k++ {
+			acc.At(rng.Int63n(numEdges / (1 + int64(i%3))))
+		}
+		acc.Flush("test")
+	}
+	var hits, misses, evictions, prefetchHits, resident int64
+	for _, dc := range s.caches {
+		cs := dc.bc.Stats()
+		hits += cs.Hits
+		misses += cs.Misses
+		evictions += cs.Evictions
+		prefetchHits += cs.PrefetchHits
+		resident += cs.ResidentBytes
+	}
+	st := s.Stats()
+	if st.Hits != hits || st.Misses != misses || st.Evictions != evictions ||
+		st.PrefetchHits != prefetchHits || st.ResidentBytes != resident {
+		t.Errorf("Stats() = %+v, per-device sums: hits %d misses %d evictions %d prefetch hits %d resident %d",
+			st.CacheStats, hits, misses, evictions, prefetchHits, resident)
+	}
+	if hits == 0 || misses == 0 || evictions == 0 || prefetchHits == 0 || resident == 0 {
+		t.Errorf("the run left a counter at zero, so its sum was not exercised: %+v", st.CacheStats)
 	}
 }

@@ -1,7 +1,7 @@
 package train
 
 import (
-	"sync/atomic"
+	"fmt"
 
 	"wholegraph/internal/autograd"
 	"wholegraph/internal/gnn"
@@ -91,11 +91,29 @@ type graphState struct {
 // GraphCounters aggregates the step-graph machinery's counters across
 // workers. All zero unless Options.CaptureGraph ran.
 type GraphCounters struct {
-	Captures      int64 // eager-priced capture iterations
-	Replays       int64 // iterations replayed from a captured graph
-	Invalidations int64 // captures dropped because batch structure moved
-	Fallbacks     int64 // workers that dropped to permanent eager fallback
-	Scheduled     int64 // replays routed through the whole-step scheduler
+	Captures      int64 `json:"captures"`      // eager-priced capture iterations
+	Replays       int64 `json:"replays"`       // iterations replayed from a captured graph
+	Invalidations int64 `json:"invalidations"` // captures dropped because batch structure moved
+	Fallbacks     int64 `json:"fallbacks"`     // workers that dropped to permanent eager fallback
+	Scheduled     int64 `json:"scheduled"`     // replays routed through the whole-step scheduler
+}
+
+// Add accumulates o into c.
+func (c *GraphCounters) Add(o GraphCounters) {
+	c.Captures += o.Captures
+	c.Replays += o.Replays
+	c.Invalidations += o.Invalidations
+	c.Fallbacks += o.Fallbacks
+	c.Scheduled += o.Scheduled
+}
+
+// Active reports whether the capture machinery ran at all.
+func (c GraphCounters) Active() bool { return c.Captures+c.Replays+c.Fallbacks > 0 }
+
+// String is the counters' one-line report.
+func (c GraphCounters) String() string {
+	return fmt.Sprintf("step graphs: %d captures / %d replays (%d scheduled), %d invalidations, %d fallbacks",
+		c.Captures, c.Replays, c.Scheduled, c.Invalidations, c.Fallbacks)
 }
 
 // GraphStats sums the capture machinery's counters across workers.
@@ -112,26 +130,6 @@ func (t *Trainer) GraphStats() GraphCounters {
 		c.Scheduled += t.gs.scheduled[w]
 	}
 	return c
-}
-
-// globalGraph mirrors every trainer's counters process-wide, so harnesses
-// can report step-graph totals without holding the trainers themselves
-// alive (counters are bumped per iteration at most; atomic because workers
-// increment concurrently under sim.RunParallel).
-var globalGraph struct {
-	captures, replays, invalidations, fallbacks, scheduled atomic.Int64
-}
-
-// GlobalGraphCounters returns the process-wide step-graph totals across
-// every trainer since process start.
-func GlobalGraphCounters() GraphCounters {
-	return GraphCounters{
-		Captures:      globalGraph.captures.Load(),
-		Replays:       globalGraph.replays.Load(),
-		Invalidations: globalGraph.invalidations.Load(),
-		Fallbacks:     globalGraph.fallbacks.Load(),
-		Scheduled:     globalGraph.scheduled.Load(),
-	}
 }
 
 func (t *Trainer) ensureGraphState() {
@@ -174,13 +172,29 @@ func (t *Trainer) resetOverlapWatch(w int, vars []*autograd.Var) []*autograd.Var
 	return wl
 }
 
-// eagerStep is the classic training step: reset the worker's arena tape,
-// forward, loss, backward. Runs inside the parallel region.
-func (t *Trainer) eagerStep(w int, mdl gnn.Model, dev *sim.Device, b *gnn.Batch, overlap bool) stepResult {
-	tp := t.tapes[w]
-	tp.Reset()
+// eagerStep is the classic training step — forward, loss and accuracy,
+// backward, every kernel launched and priced on its own — and, with capture
+// set, also the iteration that freezes the step graph for b. The two differ
+// only in the tape: eager execution resets and reuses the worker's arena tape
+// (the loss gradient comes from its arena), a capture runs on a fresh plain
+// tape with recording on (the loss gradient is a plain tensor the graph
+// keeps). Runs inside the parallel region.
+func (t *Trainer) eagerStep(w int, mdl gnn.Model, dev *sim.Device, b *gnn.Batch, overlap, capture bool) stepResult {
+	var tp *autograd.Tape
+	if capture {
+		tp = autograd.NewTape()
+		tp.BeginCapture()
+	} else {
+		tp = t.tapes[w]
+		tp.Reset()
+	}
 	logits := mdl.Forward(dev, tp, b, true)
-	grad := tp.NewTensor(logits.Value.R, logits.Value.C)
+	var grad *tensor.Dense
+	if capture {
+		grad = tensor.New(logits.Value.R, logits.Value.C)
+	} else {
+		grad = tp.NewTensor(logits.Value.R, logits.Value.C)
+	}
 	res := stepResult{
 		loss: tensor.CrossEntropy(logits.Value, b.Labels, grad),
 		acc:  tensor.Accuracy(logits.Value, b.Labels),
@@ -198,6 +212,18 @@ func (t *Trainer) eagerStep(w int, mdl gnn.Model, dev *sim.Device, b *gnn.Batch,
 	} else {
 		tp.Backward(logits, grad)
 	}
+	if capture {
+		tp.EndCapture()
+		t.gs.graphs[w][b] = &stepGraph{
+			tape:      tp,
+			logits:    logits,
+			grad:      grad,
+			paramVars: mdl.Params().BoundVars(nil),
+			feat:      b.Feat,
+			blocks:    append([]*spops.SubCSR(nil), b.Blocks...),
+		}
+		t.gs.captures[w]++
+	}
 	return res
 }
 
@@ -208,58 +234,20 @@ func (t *Trainer) graphStep(w int, mdl gnn.Model, dev *sim.Device, b *gnn.Batch,
 	if g, ok := gs.graphs[w][b]; ok {
 		if g.matches(b) {
 			gs.replays[w]++
-			globalGraph.replays.Add(1)
 			return t.replayStep(w, mdl, dev, b, g, overlap)
 		}
 		// Structure moved under the same batch object: drop and re-capture.
 		delete(gs.graphs[w], b)
 		gs.invalidations[w]++
-		globalGraph.invalidations.Add(1)
 	}
 	if len(gs.graphs[w]) >= maxGraphsPerWorker {
 		// The loader is not reusing batch objects; capture cannot amortize.
 		gs.fallback[w] = true
 		gs.fallbacks[w]++
-		globalGraph.fallbacks.Add(1)
-		return t.eagerStep(w, mdl, dev, b, overlap)
+		return t.eagerStep(w, mdl, dev, b, overlap, false)
 	}
-	return t.captureStep(w, mdl, dev, b, overlap)
-}
-
-// captureStep runs one eager-priced iteration on a fresh plain tape with
-// capture enabled, freezing the step graph for b.
-func (t *Trainer) captureStep(w int, mdl gnn.Model, dev *sim.Device, b *gnn.Batch, overlap bool) stepResult {
-	tp := autograd.NewTape()
-	tp.BeginCapture()
-	logits := mdl.Forward(dev, tp, b, true)
-	grad := tensor.New(logits.Value.R, logits.Value.C)
-	res := stepResult{
-		loss: tensor.CrossEntropy(logits.Value, b.Labels, grad),
-		acc:  tensor.Accuracy(logits.Value, b.Labels),
-	}
-	if overlap {
-		s := t.ov
-		wl := t.resetOverlapWatch(w, nil)
-		for _, p := range mdl.Params().Params() {
-			wl = append(wl, p.Var())
-		}
-		s.watch[w] = wl
-		tp.BackwardHooked(logits, grad, wl, s.readyFns[w])
-	} else {
-		tp.Backward(logits, grad)
-	}
-	tp.EndCapture()
-	t.gs.graphs[w][b] = &stepGraph{
-		tape:      tp,
-		logits:    logits,
-		grad:      grad,
-		paramVars: mdl.Params().BoundVars(nil),
-		feat:      b.Feat,
-		blocks:    append([]*spops.SubCSR(nil), b.Blocks...),
-	}
-	t.gs.captures[w]++
-	globalGraph.captures.Add(1)
-	return res
+	// One eager-priced iteration that freezes the step graph for b.
+	return t.eagerStep(w, mdl, dev, b, overlap, true)
 }
 
 // replayStep re-executes a captured step: rebind the parameters to the
@@ -339,7 +327,6 @@ func (t *Trainer) scheduledStep(w int, mdl gnn.Model, dev *sim.Device, b *gnn.Ba
 		}
 	}
 	t.gs.scheduled[w]++
-	globalGraph.scheduled.Add(1)
 	t.gs.schedOpen[w] = true
 	return res
 }

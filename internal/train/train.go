@@ -37,40 +37,44 @@ import (
 
 // Options configures a training run. Zero values take paper defaults via
 // Normalize.
+//
+// This struct is the one definition of a training knob. The CLIs' flags are
+// bound to its fields by BindModelFlags / BindExecFlags (flags.go), the bench
+// harness carries one Options as the template of every trainer it builds
+// (bench.Config.Train), `wgbench -json` marshals that template, and
+// StoreOptions turns the storage spellings into a core.StoreOptions. To add a
+// knob: one field here (with its JSON tag) and one row in flags.go —
+// TestEveryOptionIsBoundOrListed fails until both exist.
 type Options struct {
-	Arch    string // "gcn", "graphsage", "gat"
-	Batch   int
-	Fanouts []int
-	Hidden  int
-	Heads   int
-	Dropout float32
-	LR      float64
-	// WeightDecay enables AdamW-style decoupled decay when non-zero.
-	WeightDecay float64
-	// ClipNorm clips the global gradient norm per step when positive.
-	ClipNorm float64
-	Backend  spops.Backend
-	Seed     int64
+	Arch    string        `json:"arch,omitempty"` // "gcn", "graphsage", "gat"
+	Batch   int           `json:"batch,omitempty"`
+	Fanouts []int         `json:"fanouts,omitempty"`
+	Hidden  int           `json:"hidden,omitempty"`
+	Heads   int           `json:"heads,omitempty"`
+	Dropout float32       `json:"dropout,omitempty"`
+	LR      float64       `json:"lr,omitempty"`
+	Backend spops.Backend `json:"backend,omitempty"`
+	Seed    int64         `json:"seed,omitempty"`
 	// RealWorkers is how many data-parallel workers execute for real per
 	// node; the rest mirror their timing.
-	RealWorkers int
+	RealWorkers int `json:"real_workers,omitempty"`
 	// MaxItersPerEpoch caps the measured iterations per epoch (0 = full
 	// epoch); the epoch time is extrapolated from the measured mean.
-	MaxItersPerEpoch int
+	MaxItersPerEpoch int `json:"max_iters_per_epoch,omitempty"`
 	// Trace enables busy/idle interval recording on worker 0's device.
-	Trace bool
+	Trace bool `json:"trace,omitempty"`
 	// Pipeline overlaps batch extraction with model compute: each worker's
 	// loader prefetches batch i+1 on its device's copy stream while
 	// iteration i runs forward/backward on the compute stream (§IV,
 	// Fig. 10). Model state, losses and gradients are bit-identical to the
 	// sequential run; only virtual time improves. Ignored when a loader
 	// does not implement PrefetchingLoader (the host-memory baselines).
-	Pipeline bool
+	Pipeline bool `json:"pipeline"`
 	// CacheRows, when positive, fronts each worker's feature gathers with
 	// a degree-ordered hot-node cache of that many rows (internal/cache).
 	// Gather values are unchanged; only the local/remote traffic split —
 	// and therefore virtual gather time — moves.
-	CacheRows int
+	CacheRows int `json:"cache_rows"`
 	// OverlapGrads overlaps gradient synchronization with the backward
 	// pass: parameters are bucketed per layer (DDP-style) and each bucket's
 	// hierarchical AllReduce is issued on the copy stream the moment
@@ -78,7 +82,7 @@ type Options struct {
 	// hides under the backward compute of the next. Losses, gradients and
 	// model state are bit-identical to the blocking path; only virtual time
 	// improves. Composes with Pipeline.
-	OverlapGrads bool
+	OverlapGrads bool `json:"overlap_grads"`
 	// CaptureGraph captures each worker's training step as a replayable
 	// graph (CUDA-Graph style): the first iterations on a given batch slot
 	// record the op sequence, and subsequent iterations replay it with no
@@ -88,7 +92,7 @@ type Options struct {
 	// structure invalidates the capture and falls back to eager execution
 	// with re-capture. Losses, gradients and model state are bit-identical
 	// to eager execution. Composes with Pipeline and OverlapGrads.
-	CaptureGraph bool
+	CaptureGraph bool `json:"capture_graph"`
 	// Schedule routes each captured step's replay through the whole-step
 	// scheduler (internal/sched, DESIGN.md §13): the replay's device charges
 	// are recorded into a dependency DAG recovered from the tape's tensor
@@ -101,12 +105,12 @@ type Options struct {
 	// slower than a plain captured one (the scheduler falls back to the
 	// serial order when list scheduling finds no win). Implies CaptureGraph;
 	// composes with Pipeline and OverlapGrads.
-	Schedule bool
+	Schedule bool `json:"schedule"`
 	// BucketBytes is the gradient-bucket coalescing threshold in bytes for
 	// OverlapGrads (DDP bucket_cap_mb-style): consecutive parameters are
 	// packed into one bucket until it holds at least this many gradient
 	// bytes. 0 takes the 256 KiB default.
-	BucketBytes int
+	BucketBytes int `json:"bucket_bytes,omitempty"`
 	// PagedFeatures serves node features from the paged, compressed
 	// feature store (internal/featstore) instead of the flat wholemem
 	// slab: rows decode out of per-GPU LRU BlockCaches and page misses pay
@@ -114,14 +118,14 @@ type Options struct {
 	// encoding losses are bit-identical to the slab path; f16/q8 are
 	// lossy and opt-in. Required for out-of-core datasets
 	// (dataset.GenerateOutOfCore), whose slab was never materialized.
-	PagedFeatures bool
+	PagedFeatures bool `json:"paged_features"`
 	// FeatEncoding selects the page codec ("raw", "f16", "q8"; default
 	// raw). Only meaningful with PagedFeatures.
-	FeatEncoding string
+	FeatEncoding string `json:"feat_encoding"`
 	// FeatPageRows is the paged store's rows-per-page (0 = 256).
-	FeatPageRows int
+	FeatPageRows int `json:"feat_page_rows"`
 	// FeatCacheMB is each GPU's BlockCache budget in MiB (0 = 256).
-	FeatCacheMB int
+	FeatCacheMB int `json:"feat_cache_mb"`
 	// PagedTopo serves the CSR column array from the paged topology store
 	// (internal/topostore) instead of a resident wholemem array: sampling
 	// reads neighbors through a page-aware accessor whose misses pay the
@@ -129,13 +133,13 @@ type Options struct {
 	// bit-identical to the in-memory CSR. Required for out-of-core
 	// datasets, whose edge list was never materialized. Incompatible with
 	// Weighted datasets (edge weights need a materialized column).
-	PagedTopo bool
+	PagedTopo bool `json:"paged_topo"`
 	// TopoPageEdges is the paged topology store's column entries per page
 	// (0 = 4096).
-	TopoPageEdges int
+	TopoPageEdges int `json:"topo_page_edges"`
 	// TopoCacheMB is each GPU's topology BlockCache budget in MiB
 	// (0 = 256).
-	TopoCacheMB int
+	TopoCacheMB int `json:"topo_cache_mb"`
 	// PrefetchPages, when positive, has each worker predict the paged
 	// pages (topology and features) an upcoming batch will touch and fault
 	// up to that many of each on the copy stream ahead of compute.
@@ -144,12 +148,12 @@ type Options struct {
 	// the only effect. Under Options.Pipeline the prediction targets the
 	// batch one past the in-flight prefetch (whose full build already
 	// faults its own pages); sequentially it targets the next batch.
-	PrefetchPages int
+	PrefetchPages int `json:"prefetch_pages"`
 	// CachePolicy selects the BlockCache replacement policy for both paged
 	// stores: "lru" (default) or "admit" (TinyLFU-style frequency sketch
 	// that rejects cold pages instead of evicting hot ones). Residency
 	// only — decoded values never change.
-	CachePolicy string
+	CachePolicy string `json:"cache_policy"`
 }
 
 // Normalize fills defaults (paper's §IV settings scaled only where the
@@ -180,6 +184,37 @@ func (o Options) Normalize() Options {
 		o.CaptureGraph = true
 	}
 	return o
+}
+
+// StoreOptions translates the storage knobs' user spellings — policy and
+// encoding names, budgets in MiB — into the store's own options. It is the
+// one such translation: New and serve.New build their stores from it.
+func (o Options) StoreOptions() (core.StoreOptions, error) {
+	so := core.StoreOptions{PagedFeatures: o.PagedFeatures, PagedTopo: o.PagedTopo}
+	policy, err := blockcache.ParsePolicy(o.CachePolicy)
+	if err != nil {
+		return so, err
+	}
+	if o.PagedFeatures {
+		enc, err := featstore.ParseEncoding(o.FeatEncoding)
+		if err != nil {
+			return so, err
+		}
+		so.Feat = featstore.Options{
+			Encoding:   enc,
+			PageRows:   o.FeatPageRows,
+			CacheBytes: int64(o.FeatCacheMB) << 20,
+			Policy:     policy,
+		}
+	}
+	if o.PagedTopo {
+		so.Topo = topostore.Options{
+			PageEdges:  o.TopoPageEdges,
+			CacheBytes: int64(o.TopoCacheMB) << 20,
+			Policy:     policy,
+		}
+	}
+	return so, nil
 }
 
 // EpochStats reports one epoch of training.
@@ -323,32 +358,9 @@ func New(m *sim.Machine, ds *dataset.Dataset, opts Options) (*Trainer, error) {
 	if ds.Graph == nil && !opts.PagedTopo {
 		return nil, fmt.Errorf("train: %s is out-of-core (no materialized CSR); set Options.PagedTopo", ds.Spec.Name)
 	}
-	policy, err := blockcache.ParsePolicy(opts.CachePolicy)
+	so, err := opts.StoreOptions()
 	if err != nil {
 		return nil, err
-	}
-	so := core.StoreOptions{
-		PagedFeatures: opts.PagedFeatures,
-		PagedTopo:     opts.PagedTopo,
-	}
-	if opts.PagedFeatures {
-		enc, encErr := featstore.ParseEncoding(opts.FeatEncoding)
-		if encErr != nil {
-			return nil, encErr
-		}
-		so.Feat = featstore.Options{
-			Encoding:   enc,
-			PageRows:   opts.FeatPageRows,
-			CacheBytes: int64(opts.FeatCacheMB) << 20,
-			Policy:     policy,
-		}
-	}
-	if opts.PagedTopo {
-		so.Topo = topostore.Options{
-			PageEdges:  opts.TopoPageEdges,
-			CacheBytes: int64(opts.TopoCacheMB) << 20,
-			Policy:     policy,
-		}
 	}
 	var stores []*core.Store
 	for n := 0; n < m.Cfg.Nodes; n++ {
@@ -407,9 +419,7 @@ func NewCustom(m *sim.Machine, ds *dataset.Dataset, opts Options,
 	}
 	for w := 0; w < opts.RealWorkers; w++ {
 		t.Models = append(t.Models, gnn.New(opts.Arch, cfg))
-		opt := nn.NewAdam(opts.LR)
-		opt.WeightDecay = opts.WeightDecay
-		t.Opts4 = append(t.Opts4, opt)
+		t.Opts4 = append(t.Opts4, nn.NewAdam(opts.LR))
 		dev := m.NodeDevs(0)[w]
 		if opts.Trace && w == 0 {
 			dev.Tracing = true
@@ -685,9 +695,6 @@ func (t *Trainer) RunEpoch() EpochStats {
 				// its own last gradient bucket on the copy stream.
 				dev.WaitEvent(sim.Event{T: t.ov.lastDone[dev.ID]}, "grad-sync")
 			}
-			if t.Opts.ClipNorm > 0 {
-				nn.ClipGradNorm(mdl.Params(), t.Opts.ClipNorm)
-			}
 			t.Opts4[w].Step(dev, mdl.Params())
 			if captureGraph && t.gs.schedOpen[w] {
 				// Close the scheduled step's graph bracket: loss, gradient
@@ -729,7 +736,7 @@ func (t *Trainer) trainOn(w int, mdl gnn.Model, dev *sim.Device, b *gnn.Batch, o
 	if captureGraph && !t.gs.fallback[w] {
 		return t.graphStep(w, mdl, dev, b, overlap)
 	}
-	return t.eagerStep(w, mdl, dev, b, overlap)
+	return t.eagerStep(w, mdl, dev, b, overlap, false)
 }
 
 func (t *Trainer) isRealWorker(dev *sim.Device) bool {
@@ -862,73 +869,26 @@ func (t *Trainer) CacheStats() (hits, misses int64) {
 	return hits, misses
 }
 
-// FeatStores returns the paged feature stores behind the trainer's stores
-// (one per machine node); empty unless Options.PagedFeatures was set.
-func (t *Trainer) FeatStores() []*featstore.Store {
-	var out []*featstore.Store
-	for _, s := range t.Stores {
-		if fs := s.FeatStore(); fs != nil {
-			out = append(out, fs)
-		}
-	}
-	return out
-}
-
-// FeatStoreStats aggregates BlockCache counters across every paged store.
-// The zero Stats is returned when the trainer is not paged.
+// FeatStoreStats aggregates BlockCache counters across every node's paged
+// feature store. The zero Stats is returned when the trainer is not paged.
 func (t *Trainer) FeatStoreStats() featstore.Stats {
 	var agg featstore.Stats
-	for _, fs := range t.FeatStores() {
-		st := fs.Stats()
-		if agg.Encoding == "" {
-			agg.Encoding, agg.PageRows, agg.Policy = st.Encoding, st.PageRows, st.Policy
+	for _, s := range t.Stores {
+		if fs := s.FeatStore(); fs != nil {
+			agg.Add(fs.Stats())
 		}
-		agg.Pages += st.Pages
-		agg.EncodedBytes += st.EncodedBytes
-		agg.CacheBytes += st.CacheBytes
-		agg.Devices += st.Devices
-		agg.Hits += st.Hits
-		agg.Misses += st.Misses
-		agg.Evictions += st.Evictions
-		agg.PrefetchHits += st.PrefetchHits
-		agg.AdmissionRejects += st.AdmissionRejects
-		agg.ResidentBytes += st.ResidentBytes
 	}
 	return agg
 }
 
-// TopoStores returns the paged topology stores behind the trainer's stores
-// (one per machine node); empty unless Options.PagedTopo was set.
-func (t *Trainer) TopoStores() []*topostore.Store {
-	var out []*topostore.Store
-	for _, s := range t.Stores {
-		if ts := s.TopoStore(); ts != nil {
-			out = append(out, ts)
-		}
-	}
-	return out
-}
-
-// TopoStoreStats aggregates topology BlockCache counters across every
-// paged topology store. The zero Stats is returned when topology is
-// resident.
+// TopoStoreStats aggregates BlockCache counters across every node's paged
+// topology store. The zero Stats is returned when topology is resident.
 func (t *Trainer) TopoStoreStats() topostore.Stats {
 	var agg topostore.Stats
-	for _, ts := range t.TopoStores() {
-		st := ts.Stats()
-		if agg.PageEdges == 0 {
-			agg.PageEdges, agg.Policy = st.PageEdges, st.Policy
-			agg.TopoBytes = st.TopoBytes
+	for _, s := range t.Stores {
+		if ts := s.TopoStore(); ts != nil {
+			agg.Add(ts.Stats())
 		}
-		agg.Pages += st.Pages
-		agg.CacheBytes += st.CacheBytes
-		agg.Devices += st.Devices
-		agg.Hits += st.Hits
-		agg.Misses += st.Misses
-		agg.Evictions += st.Evictions
-		agg.PrefetchHits += st.PrefetchHits
-		agg.AdmissionRejects += st.AdmissionRejects
-		agg.ResidentBytes += st.ResidentBytes
 	}
 	return agg
 }

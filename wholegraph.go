@@ -31,6 +31,8 @@
 package wholegraph
 
 import (
+	"strings"
+
 	"wholegraph/internal/analytics"
 	"wholegraph/internal/ann"
 	"wholegraph/internal/baseline"
@@ -114,6 +116,17 @@ var (
 	Friendster     = dataset.Friendster
 	UKDomain       = dataset.UKDomain
 )
+
+// LookupDataset finds one of the paper's four evaluation graphs by its
+// name, ignoring case.
+func LookupDataset(name string) (DatasetSpec, bool) {
+	for _, s := range dataset.All() {
+		if strings.EqualFold(s.Name, name) {
+			return s, true
+		}
+	}
+	return DatasetSpec{}, false
+}
 
 // GenerateDataset builds the synthetic dataset described by spec.
 func GenerateDataset(spec DatasetSpec) (*Dataset, error) { return dataset.Generate(spec) }
@@ -241,8 +254,14 @@ const (
 )
 
 // TrainOptions configures a training run; zero values take the paper's §IV
-// defaults (batch 512, fanout 30/30/30, hidden 256, 4 heads).
+// defaults (batch 512, fanout 30/30/30, hidden 256, 4 heads). Its
+// BindModelFlags and BindExecFlags methods declare the command-line flag of
+// every field.
 type TrainOptions = train.Options
+
+// ParseFanouts reads per-layer sample counts from their command-line
+// spelling, "10,10,5".
+var ParseFanouts = train.ParseFanouts
 
 // Trainer runs data-parallel GNN training over a simulated machine.
 type Trainer = train.Trainer

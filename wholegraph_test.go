@@ -1,7 +1,10 @@
 package wholegraph_test
 
 import (
+	"flag"
+	"fmt"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 
@@ -174,5 +177,46 @@ func TestFacadeDatasetIO(t *testing.T) {
 	}
 	if got.Graph.N != ds.Graph.N {
 		t.Error("load round trip lost nodes")
+	}
+}
+
+// flagTables renders the two groups of train.Options flags as the README
+// shows them: name, -json key (execution/storage group) and help text.
+func flagTables() string {
+	var o wholegraph.TrainOptions
+	var b strings.Builder
+	model := flag.NewFlagSet("model", flag.ContinueOnError)
+	o.BindModelFlags(model)
+	b.WriteString("Model and optimizer (`BindModelFlags`):\n\n| flag | meaning |\n|---|---|\n")
+	model.VisitAll(func(f *flag.Flag) {
+		_, usage := flag.UnquoteUsage(f)
+		fmt.Fprintf(&b, "| `-%s` | %s |\n", f.Name, usage)
+	})
+	exec := flag.NewFlagSet("exec", flag.ContinueOnError)
+	o.BindExecFlags(exec)
+	b.WriteString("\nExecution and storage (`BindExecFlags`):\n\n| flag | `-json` key | meaning |\n|---|---|---|\n")
+	exec.VisitAll(func(f *flag.Flag) {
+		_, usage := flag.UnquoteUsage(f)
+		fmt.Fprintf(&b, "| `-%s` | `train.%s` | %s |\n", f.Name, strings.ReplaceAll(f.Name, "-", "_"), usage)
+	})
+	return b.String()
+}
+
+// TestREADMEFlagTables: the README's flag tables are the binding's own
+// names and help texts, so the document cannot drift from the one place a
+// knob is defined. On a mismatch the failure prints the block to paste.
+func TestREADMEFlagTables(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const begin, end = "<!-- flags:begin -->\n", "<!-- flags:end -->"
+	_, rest, ok := strings.Cut(string(readme), begin)
+	got, _, ok2 := strings.Cut(rest, end)
+	if !ok || !ok2 {
+		t.Fatalf("README.md lacks the %q … %q block", strings.TrimSpace(begin), end)
+	}
+	if want := flagTables(); got != want {
+		t.Errorf("README.md's flag tables differ from the binding in internal/train/flags.go; the block should read:\n%s", want)
 	}
 }
