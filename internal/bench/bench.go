@@ -153,17 +153,26 @@ func generate(spec dataset.Spec) (*dataset.Dataset, error) {
 // runCells executes n independent experiment cells, concurrently when
 // cfg.Parallel is set. Cells must confine writes to their own result slot
 // and not touch cfg.W (printing happens after the join, in cell order, so
-// reports are byte-identical to a serial run). The lowest-indexed cell
-// error is returned, matching what a serial run would have hit first.
+// reports are byte-identical to a serial run), and fold their trainers into
+// the Totals they are handed: one per cell, added to cfg.Totals after the
+// join in cell order, so the float sums do not depend on which cell finished
+// first. The lowest-indexed cell error is returned, matching what a serial
+// run would have hit first.
 //
 // In-flight cells are capped at GOMAXPROCS: each cell holds a whole
 // simulated machine (up to 64 devices for the multi-node experiments)
 // live, so unbounded fan-out inflates the heap and turns into GC time
 // instead of speedup once cells outnumber cores.
-func (c Config) runCells(n int, fn func(cell int) error) error {
+func (c Config) runCells(n int, fn func(cell int, tot *Totals) error) error {
+	tots := make([]Totals, n)
+	defer func() {
+		for i := range tots {
+			c.Totals.add(&tots[i])
+		}
+	}()
 	if !c.Parallel || n <= 1 {
 		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
+			if err := fn(i, &tots[i]); err != nil {
 				return err
 			}
 		}
@@ -177,7 +186,7 @@ func (c Config) runCells(n int, fn func(cell int) error) error {
 		sem <- struct{}{}
 		go func(i int) {
 			defer func() { <-sem; wg.Done() }()
-			errs[i] = fn(i)
+			errs[i] = fn(i, &tots[i])
 		}(i)
 	}
 	wg.Wait()

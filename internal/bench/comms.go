@@ -52,7 +52,7 @@ func AblationOverlapGrads(cfg Config) ([]CommsRow, error) {
 		}
 	}
 	rows := make([]CommsRow, len(cells))
-	err := cfg.runCells(len(cells), func(i int) error {
+	err := cfg.runCells(len(cells), func(i int, tot *Totals) error {
 		c := cells[i]
 		ds, err := generate(dataset.OgbnProducts.Scaled(cfg.Scale))
 		if err != nil {
@@ -80,7 +80,7 @@ func AblationOverlapGrads(cfg Config) ([]CommsRow, error) {
 			if err != nil {
 				return train.EpochStats{}, nil, err
 			}
-			defer cfg.Totals.Fold(tr)
+			defer tot.Fold(tr)
 			return tr.RunEpoch(), tr.Machine, nil
 		}
 		block, _, err := epoch(false)

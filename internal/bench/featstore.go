@@ -52,7 +52,7 @@ func AblationFeatstore(cfg Config) ([]FeatstoreVariantRow, error) {
 		{"paged/q8", true, "q8"},
 	}
 	rows := make([]FeatstoreVariantRow, len(variants))
-	err = cfg.runCells(len(variants), func(cell int) error {
+	err = cfg.runCells(len(variants), func(cell int, tot *Totals) error {
 		v := variants[cell]
 		opts := cfg.trainOpts("graphsage")
 		opts.PagedFeatures = v.paged
@@ -64,7 +64,7 @@ func AblationFeatstore(cfg Config) ([]FeatstoreVariantRow, error) {
 		if err != nil {
 			return err
 		}
-		defer cfg.Totals.Fold(tr)
+		defer tot.Fold(tr)
 		row := FeatstoreVariantRow{Variant: v.name}
 		for e := 0; e < epochs; e++ {
 			st := tr.RunEpoch()

@@ -47,7 +47,7 @@ func Table5(cfg Config) ([]Table5Row, error) {
 		}
 	}
 	rows := make([]Table5Row, len(cells))
-	err := cfg.runCells(len(cells), func(ci int) error {
+	err := cfg.runCells(len(cells), func(ci int, tot *Totals) error {
 		c := cells[ci]
 		row := Table5Row{
 			Dataset: c.ds.Spec.Name, Model: c.arch,
@@ -60,7 +60,7 @@ func Table5(cfg Config) ([]Table5Row, error) {
 				return err
 			}
 			st := tr.RunEpoch()
-			cfg.Totals.Fold(tr)
+			tot.Fold(tr)
 			row.EpochTime[fw] = st.EpochTime
 			row.Timing[fw] = st.Timing
 		}
@@ -479,7 +479,7 @@ func Fig13(cfg Config) ([]Fig13Row, error) {
 		}
 	}
 	rows := make([]Fig13Row, len(cells))
-	err := cfg.runCells(len(cells), func(ci int) error {
+	err := cfg.runCells(len(cells), func(ci int, tot *Totals) error {
 		c := cells[ci]
 		opts := cfg.trainOpts(c.arch)
 		// Size the batch so a single node runs ~32 iterations per
@@ -497,7 +497,7 @@ func Fig13(cfg Config) ([]Fig13Row, error) {
 				return err
 			}
 			et := tr.RunEpoch().EpochTime
-			cfg.Totals.Fold(tr)
+			tot.Fold(tr)
 			if n == 1 {
 				base = et
 			}

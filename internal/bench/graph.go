@@ -73,7 +73,7 @@ func AblationGraph(cfg Config) ([]GraphRow, error) {
 	// repetitions — the usual noise-robust estimator — instead of one mean.
 	const warmEpochs, measureEpochs, measureReps = 3, 1, 12
 	rows := make([]GraphRow, len(cells))
-	err := cfg.runCells(len(cells), func(i int) error {
+	err := cfg.runCells(len(cells), func(i int, tot *Totals) error {
 		c := cells[i]
 		ds, err := generate(dataset.OgbnProducts.Scaled(cfg.Scale))
 		if err != nil {
@@ -141,8 +141,8 @@ func AblationGraph(cfg Config) ([]GraphRow, error) {
 				break
 			}
 		}
-		cfg.Totals.Fold(eager.tr)
-		cfg.Totals.Fold(graph.tr)
+		tot.Fold(eager.tr)
+		tot.Fold(graph.tr)
 		gc := graph.tr.GraphStats()
 		rows[i] = GraphRow{
 			Arch: c.arch, Nodes: c.nodes,

@@ -85,7 +85,7 @@ func AblationOOCGraph(cfg Config) ([]OOCGraphRow, error) {
 		{"paged+prefetch+admit", true, prefetch, blockcache.PolicyAdmit},
 	}
 	rows := make([]OOCGraphRow, len(variants))
-	err = cfg.runCells(len(variants), func(cell int) error {
+	err = cfg.runCells(len(variants), func(cell int, tot *Totals) error {
 		v := variants[cell]
 		m := sim.NewMachine(sim.DGXA100(1))
 		ds := mat
@@ -122,7 +122,7 @@ func AblationOOCGraph(cfg Config) ([]OOCGraphRow, error) {
 			return err
 		}
 		tr.Stores = []*core.Store{store}
-		defer cfg.Totals.Fold(tr)
+		defer tot.Fold(tr)
 		m.Reset() // measure training, not store setup
 		row := OOCGraphRow{Variant: v.name}
 		for e := 0; e < epochs; e++ {

@@ -43,7 +43,7 @@ func TestParallelCellsIdenticalOutput(t *testing.T) {
 func TestRunCellsErrorAndOrder(t *testing.T) {
 	var serialOrder []int
 	cfg := Config{}.normalize()
-	if err := cfg.runCells(4, func(i int) error {
+	if err := cfg.runCells(4, func(i int, _ *Totals) error {
 		serialOrder = append(serialOrder, i)
 		return nil
 	}); err != nil {
@@ -58,7 +58,7 @@ func TestRunCellsErrorAndOrder(t *testing.T) {
 	pcfg := cfg
 	pcfg.Parallel = true
 	wantErr := false
-	err := pcfg.runCells(3, func(i int) error {
+	err := pcfg.runCells(3, func(i int, _ *Totals) error {
 		if i == 1 {
 			wantErr = true
 			return errTest

@@ -49,7 +49,7 @@ func AblationPipeline(cfg Config) ([]PipelineRow, error) {
 		}
 	}
 	rows := make([]PipelineRow, len(cells))
-	err := cfg.runCells(len(cells), func(i int) error {
+	err := cfg.runCells(len(cells), func(i int, tot *Totals) error {
 		c := cells[i]
 		spec := dataset.OgbnProducts.Scaled(cfg.Scale)
 		spec.FeatDim = c.dim
@@ -81,7 +81,7 @@ func AblationPipeline(cfg Config) ([]PipelineRow, error) {
 			if err != nil {
 				return train.EpochStats{}, err
 			}
-			defer cfg.Totals.Fold(tr)
+			defer tot.Fold(tr)
 			return tr.RunEpoch(), nil
 		}
 		seq, err := epoch(false)

@@ -68,7 +68,7 @@ func AblationSched(cfg Config) ([]SchedRow, error) {
 	// mean over measureEpochs replayed ones, not a single iteration.
 	const warmEpochs, measureEpochs = 2, 4
 	rows := make([]SchedRow, len(cells))
-	err := cfg.runCells(len(cells), func(i int) error {
+	err := cfg.runCells(len(cells), func(i int, tot *Totals) error {
 		c := cells[i]
 		ds, err := generate(dataset.OgbnProducts.Scaled(cfg.Scale))
 		if err != nil {
@@ -84,7 +84,7 @@ func AblationSched(cfg Config) ([]SchedRow, error) {
 			if err != nil {
 				return nil, 0, nil, err
 			}
-			defer cfg.Totals.Fold(tr)
+			defer tot.Fold(tr)
 			for e := 0; e < warmEpochs+measureEpochs; e++ {
 				st := tr.RunEpoch()
 				losses = append(losses, st.Loss)

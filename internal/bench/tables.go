@@ -151,7 +151,7 @@ func Table3(cfg Config) ([]Table3Row, error) {
 		}
 	}
 	rows := make([]Table3Row, len(cells))
-	err := cfg.runCells(len(cells), func(ci int) error {
+	err := cfg.runCells(len(cells), func(ci int, tot *Totals) error {
 		c := cells[ci]
 		row := Table3Row{
 			Dataset: c.ds.Spec.Name, Model: c.arch,
@@ -171,7 +171,7 @@ func Table3(cfg Config) ([]Table3Row, error) {
 			if row.Test[fw], err = tr.EvaluateWithLabels(c.testIDs, c.tstLabels); err != nil {
 				return err
 			}
-			cfg.Totals.Fold(tr)
+			tot.Fold(tr)
 		}
 		rows[ci] = row
 		return nil

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"wholegraph/internal/blockcache"
@@ -14,11 +13,9 @@ import (
 // engine's link traffic. An experiment cell folds each trainer in when it is
 // done with it; Fold copies numbers and keeps no pointer, so a cell's
 // machine, stores and caches are garbage the moment the cell returns. Reached
-// through Config.Totals, one value per run; locked because cells fold
-// concurrently under Config.Parallel.
+// through Config.Totals, one value per run. Unlocked: concurrent cells each
+// fold into a value of their own, which runCells adds up after the join.
 type Totals struct {
-	mu sync.Mutex
-
 	CacheHits   int64                 `json:"cache_hits"`
 	CacheMisses int64                 `json:"cache_misses"`
 	FeatStore   blockcache.CacheStats `json:"featstore"`
@@ -37,27 +34,38 @@ func (t *Totals) Fold(tr *train.Trainer) {
 	if t == nil {
 		return
 	}
-	hits, misses := tr.CacheStats()
-	feat, topo, graph := tr.FeatStoreStats(), tr.TopoStoreStats(), tr.GraphStats()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.CacheHits += hits
-	t.CacheMisses += misses
-	t.FeatStore.Add(feat.CacheStats)
-	t.TopoStore.Add(topo.CacheStats)
-	t.Graph.Add(graph)
-	for _, d := range tr.Machine.Devs {
-		t.NVLinkTxBytes += d.Stats.NVLinkTxBytes
-		t.IBTxBytes += d.Stats.IBTxBytes
-		t.CommSeconds += d.Stats.CommSeconds
+	o := Totals{
+		FeatStore: tr.FeatStoreStats().CacheStats,
+		TopoStore: tr.TopoStoreStats().CacheStats,
+		Graph:     tr.GraphStats(),
 	}
+	o.CacheHits, o.CacheMisses = tr.CacheStats()
+	for _, d := range tr.Machine.Devs {
+		o.NVLinkTxBytes += d.Stats.NVLinkTxBytes
+		o.IBTxBytes += d.Stats.IBTxBytes
+		o.CommSeconds += d.Stats.CommSeconds
+	}
+	t.add(&o)
+}
+
+// add accumulates o into t; a nil t discards it.
+func (t *Totals) add(o *Totals) {
+	if t == nil {
+		return
+	}
+	t.CacheHits += o.CacheHits
+	t.CacheMisses += o.CacheMisses
+	t.FeatStore.Add(o.FeatStore)
+	t.TopoStore.Add(o.TopoStore)
+	t.Graph.Add(o.Graph)
+	t.NVLinkTxBytes += o.NVLinkTxBytes
+	t.IBTxBytes += o.IBTxBytes
+	t.CommSeconds += o.CommSeconds
 }
 
 // Report renders the closing lines of a run, one per kind of counter that
 // moved.
 func (t *Totals) Report() string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	var s string
 	if n := t.CacheHits + t.CacheMisses; n > 0 {
 		s += fmt.Sprintf("feature cache: %d hits / %d misses (%.1f%% hit rate)\n",

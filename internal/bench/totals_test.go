@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"math"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -27,10 +26,9 @@ func knobbedConfig() Config {
 }
 
 // TestTotalsSerialEqualsParallel: the same experiment folds to the same
-// totals whether its cells run one after another or concurrently. Every
-// counter is an integer and exact; the three link sums are floats added in
-// fold order, which under Parallel is completion order, so they are held to
-// a rounding error rather than to the bit.
+// totals, to the bit, whether its cells run one after another or
+// concurrently: each cell folds into a value of its own and those are added
+// in cell order, so the three float link sums do not see completion order.
 func TestTotalsSerialEqualsParallel(t *testing.T) {
 	run := func(parallel bool) *Totals {
 		cfg := knobbedConfig()
@@ -42,21 +40,8 @@ func TestTotalsSerialEqualsParallel(t *testing.T) {
 		return cfg.Totals
 	}
 	s, p := run(false), run(true)
-	if s.CacheHits != p.CacheHits || s.CacheMisses != p.CacheMisses ||
-		s.FeatStore != p.FeatStore || s.TopoStore != p.TopoStore || s.Graph != p.Graph {
-		t.Errorf("counters differ\nserial   %s\nparallel %s", s.Report(), p.Report())
-	}
-	for _, f := range []struct {
-		name string
-		s, p float64
-	}{
-		{"NVLinkTxBytes", s.NVLinkTxBytes, p.NVLinkTxBytes},
-		{"IBTxBytes", s.IBTxBytes, p.IBTxBytes},
-		{"CommSeconds", s.CommSeconds, p.CommSeconds},
-	} {
-		if math.Abs(f.s-f.p) > 1e-12*math.Abs(f.s) {
-			t.Errorf("%s: serial %v, parallel %v", f.name, f.s, f.p)
-		}
+	if *s != *p {
+		t.Errorf("totals differ\nserial   %+v\nparallel %+v", *s, *p)
 	}
 	if s.Report() != p.Report() {
 		t.Errorf("closing lines differ\nserial   %s\nparallel %s", s.Report(), p.Report())

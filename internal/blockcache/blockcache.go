@@ -1,9 +1,11 @@
-// Package blockcache is the byte-budgeted per-device page cache shared
-// by the out-of-core stores: internal/featstore (encoded feature pages)
-// and internal/topostore (decoded CSR column ranges). It provides plain
-// LRU replacement plus an opt-in TinyLFU-style frequency-sketch
-// admission policy, and per-cache hit/miss/eviction/prefetch/admission
-// counters.
+// Package blockcache is the paged half of the out-of-core stores,
+// internal/featstore (encoded feature pages) and internal/topostore (decoded
+// CSR column ranges). BlockCache is the byte-budgeted per-device page cache
+// — plain LRU replacement plus an opt-in TinyLFU-style frequency-sketch
+// admission policy, with hit/miss/eviction/prefetch/admission counters —
+// and Table (table.go) is everything the stores do with it: residency per
+// device, the access batch, the Unified-Memory fault service, prefetch and
+// page recycling.
 package blockcache
 
 import (
@@ -66,7 +68,6 @@ type BlockCache struct {
 	mu       sync.Mutex
 	capacity int64
 	bytes    int64
-	policy   Policy
 	sketch   *freqSketch
 	entries  map[int32]*blockEntry
 	// Doubly-linked LRU list threaded through the entries; head is the
@@ -89,25 +90,17 @@ type blockEntry struct {
 	prev, next *blockEntry
 }
 
-// NewBlockCache creates an LRU cache bounded to capacityBytes of page
-// payload (plus fixed per-page metadata). A single page larger than the
+// NewBlockCache creates a cache under policy p bounded to capacityBytes of
+// page payload (plus fixed per-page metadata). A single page larger than the
 // budget is still admitted — gathers must be able to proceed — so the
 // effective floor is one page.
-func NewBlockCache(capacityBytes int64) *BlockCache {
-	return NewBlockCacheWithPolicy(capacityBytes, PolicyLRU)
-}
-
-// NewBlockCacheWithPolicy is NewBlockCache with an explicit policy.
-func NewBlockCacheWithPolicy(capacityBytes int64, p Policy) *BlockCache {
-	c := &BlockCache{capacity: capacityBytes, policy: p, entries: make(map[int32]*blockEntry)}
+func NewBlockCache(capacityBytes int64, p Policy) *BlockCache {
+	c := &BlockCache{capacity: capacityBytes, entries: make(map[int32]*blockEntry)}
 	if p == PolicyAdmit {
 		c.sketch = newFreqSketch()
 	}
 	return c
 }
-
-// Policy returns the cache's replacement/admission policy.
-func (c *BlockCache) Policy() Policy { return c.policy }
 
 // Get returns the cached block and promotes it to most-recently-used, or
 // nil on a miss. Hit/miss counters track demand lookups; with PolicyAdmit

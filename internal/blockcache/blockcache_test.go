@@ -14,7 +14,7 @@ func testPage(bytes int) Block { return testBlock{int64(bytes)} }
 
 func TestBlockCacheLRU(t *testing.T) {
 	// Each page costs 100 data bytes + 8 metadata; capacity fits 3.
-	c := NewBlockCache(330)
+	c := NewBlockCache(330, PolicyLRU)
 	for id := int32(0); id < 3; id++ {
 		if c.Get(id) != nil {
 			t.Fatalf("page %d resident before put", id)
@@ -50,7 +50,7 @@ func TestBlockCacheLRU(t *testing.T) {
 // TestBlockCacheOversizedPage: a single page above the budget is admitted
 // (gathers must proceed) and evicts everything else.
 func TestBlockCacheOversizedPage(t *testing.T) {
-	c := NewBlockCache(200)
+	c := NewBlockCache(200, PolicyLRU)
 	c.Put(0, testPage(100), nil)
 	c.Put(1, testPage(500), nil)
 	if c.Get(1) == nil {
@@ -64,7 +64,7 @@ func TestBlockCacheOversizedPage(t *testing.T) {
 // TestBlockCacheDoublePut: a racing second put of the same page keeps the
 // resident copy and does not double-count bytes.
 func TestBlockCacheDoublePut(t *testing.T) {
-	c := NewBlockCache(1000)
+	c := NewBlockCache(1000, PolicyLRU)
 	c.Put(7, testPage(100), nil)
 	c.Put(7, testPage(100), nil)
 	st := c.Stats()
@@ -83,7 +83,7 @@ func TestBlockCacheConcurrent(t *testing.T) {
 		ops     = 2000
 		pages   = 64
 	)
-	c := NewBlockCache(20 * 108) // ~20 resident of 64 hot pages
+	c := NewBlockCache(20*108, PolicyLRU) // ~20 resident of 64 hot pages
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -116,7 +116,7 @@ func TestBlockCacheConcurrent(t *testing.T) {
 // cache — LRU victims, a duplicate, an admission-rejected candidate —
 // comes back through dropped exactly once, and nothing resident does.
 func TestPutHandsBackDroppedBlocks(t *testing.T) {
-	c := NewBlockCache(330) // fits three 100-byte pages
+	c := NewBlockCache(330, PolicyLRU) // fits three 100-byte pages
 	var dropped []Block
 	for id := int32(0); id < 3; id++ {
 		c.Put(id, testBlock{100 + int64(id)}, &dropped)
@@ -138,7 +138,7 @@ func TestPutHandsBackDroppedBlocks(t *testing.T) {
 		}
 	}
 
-	a := NewBlockCacheWithPolicy(216, PolicyAdmit) // fits two
+	a := NewBlockCache(216, PolicyAdmit) // fits two
 	for i := 0; i < 5; i++ {
 		a.Get(0)
 		a.Get(1)
@@ -158,7 +158,7 @@ func TestPutHandsBackDroppedBlocks(t *testing.T) {
 // TestEvictionChurnAllocatesNothing: in steady state an insert reuses the
 // entry of the block it evicts.
 func TestEvictionChurnAllocatesNothing(t *testing.T) {
-	c := NewBlockCache(4 * 108)
+	c := NewBlockCache(4*108, PolicyLRU)
 	blocks := make([]Block, 64)
 	for i := range blocks {
 		blocks[i] = &testBlock{100}

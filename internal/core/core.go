@@ -227,9 +227,8 @@ type Loader struct {
 	done       chan any
 	buildAhead func()
 
-	// PrefetchPages scratch: predicted topology page ids and feature rows.
-	pfIDs  []int32
-	pfRows []int64
+	// PrefetchPages scratch: the predicted page ids of one store.
+	pfIDs []int32
 }
 
 // NewLoader creates a loader on dev sampling with the given per-layer
@@ -439,11 +438,21 @@ func (l *Loader) PrefetchPages(targets []int64, maxPages int) int {
 		return 0
 	}
 	pg := l.Store.PG
+	// At most maxPages distinct ids per store, chosen in target order before
+	// any residency check, so a linear scan beats a set.
+	ids := l.pfIDs[:0]
+	add := func(id int32) bool {
+		if len(ids) >= maxPages {
+			return false
+		}
+		if !slices.Contains(ids, id) {
+			ids = append(ids, id)
+		}
+		return true
+	}
 	var total int
 	if ts := pg.PagedTopo(); ts != nil && len(l.Fanouts) > 0 {
 		fan := int64(l.Fanouts[0])
-		// At most maxPages ids, so a linear scan beats a set.
-		ids := l.pfIDs[:0]
 	predict:
 		for _, v := range targets {
 			_, e0, deg := pg.Adj(pg.Owner[v])
@@ -458,25 +467,23 @@ func (l *Loader) PrefetchPages(targets []int64, maxPages int) int {
 			// Hubs get their first page only — sampled positions are
 			// scattered and prefetching a hub's whole list would thrash.
 			for id := ts.PageOf(e0); id <= ts.PageOf(last); id++ {
-				if len(ids) >= maxPages {
+				if !add(id) {
 					break predict
-				}
-				if !slices.Contains(ids, id) {
-					ids = append(ids, id)
 				}
 			}
 		}
-		l.pfIDs = ids
 		total += ts.PrefetchPages(l.Dev, ids)
+		ids = ids[:0]
 	}
 	if fs := l.Store.FeatStore(); fs != nil {
-		rows := l.pfRows[:0]
 		for _, v := range targets {
-			rows = append(rows, pg.FeatRow(pg.Owner[v]))
+			if !add(fs.PageOf(pg.FeatRow(pg.Owner[v]))) {
+				break
+			}
 		}
-		l.pfRows = rows
-		total += fs.PrefetchRows(l.Dev, rows, maxPages)
+		total += fs.PrefetchPages(l.Dev, ids)
 	}
+	l.pfIDs = ids
 	return total
 }
 

@@ -84,14 +84,12 @@ func (e Encoding) decodeFLOPsPerElem() float64 {
 	return 0
 }
 
-// page is one page resident in a BlockCache: PageRows (or fewer, for the
-// table's last page) rows of dim elements each. It is a residency record
-// — id, footprint and ready event are fixed the moment it is faulted in,
-// and that is all the cache and the virtual clock ever look at — whose
-// encoded payload is produced on first touch (Store.row): a Raw or
-// Float16 page one row at a time, a Quant8 page whole, since its codec
-// needs the page's min/max. Row values are a pure function of the source,
-// so what a row decodes to never depends on touch order or cache history.
+// page is one page of a blockcache.Table: PageRows (or fewer, for the
+// table's last page) rows of dim elements each, whose encoded payload is
+// produced on first touch (Store.row): a Raw or Float16 page one row at a
+// time, a Quant8 page whole, since its codec needs the page's min/max. Row
+// values are a pure function of the source, so what a row decodes to never
+// depends on touch order or cache history.
 type page struct {
 	id   int32
 	data []byte
@@ -101,23 +99,23 @@ type page struct {
 	// materialized; Quant8 decodes against them.
 	minV, maxV float32
 	rows       int
-	// ready is the copy-stream event after which the page is resident on
-	// its device (zero — always in the past — for demand faults, which
-	// wait inline; set by PrefetchRows so a demand hit on an in-flight
-	// prefetch joins the migration instead of time-traveling).
-	ready sim.Event
+	// rowBytes is the encoded size of one row, fixed for the page's life.
+	rowBytes int
+	ready    sim.Event
 }
 
 // pageMetaBytes is the per-page metadata charged on top of the payload.
 const pageMetaBytes = 8
 
-// CacheBytes implements Block: encoded payload plus page metadata.
+// CacheBytes implements blockcache.Block: encoded payload plus page metadata.
 func (p *page) CacheBytes() int64 { return int64(len(p.data)) + pageMetaBytes }
 
-// reset re-targets p — fresh or recycled — at page id holding rows rows
-// of dataBytes encoded bytes, with nothing materialized and no ready
-// event, reusing the payload and bitmap buffers when they are big enough.
-func (p *page) reset(id int32, rows, dataBytes int) {
+// ReadyEvent implements blockcache.Page.
+func (p *page) ReadyEvent() *sim.Event { return &p.ready }
+
+// Reset implements blockcache.Page: rows rows, none materialized.
+func (p *page) Reset(id int32, rows int) {
+	dataBytes := rows * p.rowBytes
 	if cap(p.data) < dataBytes {
 		p.data = make([]byte, dataBytes)
 	}
@@ -125,7 +123,7 @@ func (p *page) reset(id int32, rows, dataBytes int) {
 	if cap(p.have) < words {
 		p.have = make([]uint64, words)
 	}
-	*p = page{id: id, rows: rows, data: p.data[:dataBytes], have: p.have[:words]}
+	*p = page{id: id, rows: rows, rowBytes: p.rowBytes, data: p.data[:dataBytes], have: p.have[:words]}
 	clear(p.have)
 }
 

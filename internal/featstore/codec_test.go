@@ -6,11 +6,11 @@ import (
 	"testing"
 )
 
-// encodePage materializes a whole page from src, as Spill and a Quant8
-// first touch do.
+// encodePage materializes a whole page from src, as a Quant8 first touch
+// does.
 func encodePage(enc Encoding, src []float32, rows, dim int) *page {
-	p := new(page)
-	p.reset(0, rows, rows*dim*enc.BytesPerElem())
+	p := &page{rowBytes: dim * enc.BytesPerElem()}
+	p.Reset(0, rows)
 	p.encodeAll(enc, src)
 	return p
 }
@@ -162,4 +162,71 @@ func TestParseEncoding(t *testing.T) {
 	if Raw.BytesPerElem() != 4 || Float16.BytesPerElem() != 2 || Quant8.BytesPerElem() != 1 {
 		t.Error("wrong encoded element sizes")
 	}
+}
+
+// FuzzPageCodec drives the three codecs over arbitrary float32 bit patterns
+// — NaN payloads, ±Inf, ±0, denormals — and page shapes. Whatever the bits,
+// a row the store materializes on demand decodes exactly as the same row of
+// a whole-page encode; Raw round-trips every bit, Float16 is the documented
+// truncation to the upper 16 bits, and Quant8 of an all-finite page lands
+// within half a quantization step.
+func FuzzPageCodec(f *testing.F) {
+	le := func(vals ...uint32) []byte {
+		var b []byte
+		for _, v := range vals {
+			b = append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+		}
+		return b
+	}
+	f.Add(le(0x3f800000, 0xbf800000, 0x40490fdb, 0x00000000), uint8(5), uint8(3), uint8(2))
+	f.Add(le(0x7fc00001, 0xffc12345, 0x7f800000, 0xff800000, 0x80000000), uint8(7), uint8(2), uint8(3)) // NaN payloads, ±Inf, -0
+	f.Add(le(0x00000001, 0x807fffff, 0x00800000, 0x7f7fffff, 0xff7fffff), uint8(9), uint8(4), uint8(1)) // denormals, extremes
+	f.Add(le(0x42280000), uint8(3), uint8(1), uint8(8))                                                 // constant page
+	f.Fuzz(func(t *testing.T, raw []byte, nRows, nDim, nPage uint8) {
+		rows, dim, pageRows := 1+int(nRows)%40, 1+int(nDim)%9, 1+int(nPage)%16
+		if len(raw) < 4 {
+			raw = append(raw, 0, 0, 0, 0)
+		}
+		src := &SliceSource{Data: make([]float32, rows*dim), D: dim}
+		for i := range src.Data {
+			o := 4 * (i % (len(raw) / 4))
+			bits := uint32(raw[o]) | uint32(raw[o+1])<<8 | uint32(raw[o+2])<<16 | uint32(raw[o+3])<<24
+			src.Data[i] = math.Float32frombits(bits + uint32(i/(len(raw)/4))) // later repeats differ
+		}
+		got, want := make([]float32, dim), make([]float32, dim)
+		for _, enc := range []Encoding{Raw, Float16, Quant8} {
+			s, dev := newTestStore(t, src, Options{Encoding: enc, PageRows: pageRows})
+			for k := 0; k < rows; k++ {
+				row := int64(k*7+3) % int64(rows) // out of order; repeats when 7 | rows
+				s.GatherRows(dev, []int64{row}, dim, got, "t")
+				lo, hi := s.tab.Span(s.PageOf(row))
+				pageSrc := src.Data[lo*int64(dim) : hi*int64(dim)]
+				pg := encodePage(enc, pageSrc, int(hi-lo), dim)
+				pg.decodeRow(enc, int(row-lo), dim, want)
+				finite := true
+				for _, x := range pageSrc {
+					finite = finite && !math.IsNaN(float64(x)) && !math.IsInf(float64(x), 0)
+				}
+				step := (float64(pg.maxV) - float64(pg.minV)) / 255
+				for j, x := range src.Data[row*int64(dim) : (row+1)*int64(dim)] {
+					g, xb := math.Float32bits(got[j]), math.Float32bits(x)
+					if g != math.Float32bits(want[j]) {
+						t.Fatalf("%v row %d col %d: demand-materialized %#08x, whole-page encode %#08x", enc, row, j, g, math.Float32bits(want[j]))
+					}
+					switch {
+					case enc == Raw && g != xb:
+						t.Fatalf("raw row %d col %d: %#08x came back as %#08x", row, j, xb, g)
+					case enc == Float16 && g != xb&0xffff0000:
+						t.Fatalf("f16 row %d col %d: %#08x decoded to %#08x, want the upper 16 bits", row, j, xb, g)
+					case enc == Quant8 && finite:
+						// Half a step, plus the float32 rounding of the decoded value.
+						ulp := math.Max(math.Abs(float64(got[j]))/(1<<23), math.SmallestNonzeroFloat32)
+						if diff := math.Abs(float64(got[j]) - float64(x)); diff > step/2*(1+1e-9)+ulp {
+							t.Fatalf("q8 row %d col %d: %g decoded to %g, off by %g > half a step %g", row, j, x, got[j], diff, step/2)
+						}
+					}
+				}
+			}
+		}
+	})
 }

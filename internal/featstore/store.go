@@ -2,7 +2,6 @@ package featstore
 
 import (
 	"fmt"
-	"sync"
 
 	"wholegraph/internal/blockcache"
 	"wholegraph/internal/sim"
@@ -10,9 +9,8 @@ import (
 
 // RowSource produces feature rows on demand; the store never materializes
 // the full float32 table. Implementations: a materialized slab
-// (SliceSource), the dataset generator's counter-based per-node stream
-// (dataset.FeatureGen, which satisfies this interface structurally), or a
-// spilled page file (Spilled).
+// (SliceSource) or the dataset generator's counter-based per-node stream
+// (dataset.FeatureGen, which satisfies this interface structurally).
 type RowSource interface {
 	NumRows() int64
 	Dim() int
@@ -66,64 +64,22 @@ func (o Options) normalize() Options {
 }
 
 // Store is the paged feature table. It implements graph.FeatureSource:
-// GatherRows decodes the requested rows out of each device's BlockCache,
-// faulting missing pages in over the Unified-Memory path on the device's
-// copy stream. The store itself is immutable after construction; all
-// mutable state lives in the per-device caches.
+// GatherRows decodes the requested rows out of each device's pages, which a
+// blockcache.Table keeps resident, faults in over the Unified-Memory path
+// and recycles; what is left here is what a feature page holds — the codecs
+// and the demand materialisation of rows. The store itself is immutable
+// after construction; all mutable state lives in the table's per-device
+// batches and in rowBufs.
 type Store struct {
 	src  RowSource
 	opts Options
 
-	nRows  int64
-	dim    int
-	nPages int32
-
-	// caches holds one BlockCache per attached device. The slice is
-	// extended only by Attach (before training starts); lookups during
-	// gathers are read-only, so no lock is needed around the slice itself.
-	caches []*devCache
-
-	// hostPg is the page ReadRow last touched (an uncharged host-side
-	// path used by cache fills and evaluation), re-targeted in place when
-	// a read lands on another page; hostBuf is its staging scratch.
-	hostMu  sync.Mutex
-	hostPg  page
-	hostBuf []float32
-}
-
-// devCache is one device's view of the store: its BlockCache plus gather
-// scratch. The scratch is unlocked — like the loader's slot ring, each
-// device is driven by exactly one goroutine at a time under
-// sim.RunParallel — while the BlockCache keeps its own mutex so direct
-// concurrent use (and the race detector) stay sound.
-type devCache struct {
-	dev *sim.Device
-	bc  *blockcache.BlockCache
-	// pages maps the page ids the current gather touched to their pages
-	// (nil for an id PrefetchRows merely marked as seen).
-	pages  map[int32]*page
-	fresh  []*page
-	ids    []int32
-	rowBuf []float32
-
-	// spare recycles the pages bc drops; released when a gather ends.
-	spare blockcache.FreeList[*page]
-}
-
-// newPage returns an unmaterialized page id, recycled when one is free.
-func (s *Store) newPage(dc *devCache, id int32) *page {
-	pg, ok := dc.spare.Take()
-	if !ok {
-		pg = new(page)
-	}
-	s.resetPage(pg, id)
-	return pg
-}
-
-func (s *Store) resetPage(pg *page, id int32) {
-	lo, hi := s.pageSpan(id)
-	rows := int(hi - lo)
-	pg.reset(id, rows, rows*s.dim*s.opts.Encoding.BytesPerElem())
+	nRows int64
+	dim   int
+	tab   *blockcache.Table[*page]
+	// rowBufs is one float32 staging buffer per attached device (Quant8
+	// materialises a page whole), indexed by the batch's attach order.
+	rowBufs [][]float32
 }
 
 // New builds a store over src. Attach devices before gathering.
@@ -133,27 +89,20 @@ func New(src RowSource, opts Options) (*Store, error) {
 	if n < 0 || dim <= 0 {
 		return nil, fmt.Errorf("featstore: bad source shape %d x %d", n, dim)
 	}
-	s := &Store{
-		src: src, opts: opts, nRows: n, dim: dim,
-		nPages: int32((n + int64(opts.PageRows) - 1) / int64(opts.PageRows)),
-	}
-	s.hostPg.id = -1
-	return s, nil
+	rowBytes := dim * opts.Encoding.BytesPerElem()
+	tab := blockcache.NewTable(blockcache.Shape{
+		Name: "featstore", Items: n, PageItems: opts.PageRows,
+		ItemBytes: rowBytes, MetaBytes: pageMetaBytes,
+		CacheBytes: opts.CacheBytes, Policy: opts.Policy,
+	}, func() *page { return &page{rowBytes: rowBytes} })
+	return &Store{src: src, opts: opts, nRows: n, dim: dim, tab: tab}, nil
 }
 
 // Attach gives each device its own BlockCache. Call once per device before
 // the first gather; attaching mid-training would race with lookups.
 func (s *Store) Attach(devs ...*sim.Device) {
-	pageBytes := int64(s.opts.PageRows*s.dim*s.opts.Encoding.BytesPerElem()) + pageMetaBytes
-	for _, d := range devs {
-		dc := &devCache{
-			dev:   d,
-			bc:    blockcache.NewBlockCacheWithPolicy(s.opts.CacheBytes, s.opts.Policy),
-			pages: make(map[int32]*page),
-		}
-		dc.spare.Max = int(s.opts.CacheBytes/pageBytes) + 1
-		s.caches = append(s.caches, dc)
-	}
+	s.tab.Attach(devs...)
+	s.rowBufs = append(s.rowBufs, make([][]float32, len(devs))...)
 }
 
 // NumRows implements graph.FeatureSource.
@@ -162,14 +111,11 @@ func (s *Store) NumRows() int64 { return s.nRows }
 // Dim implements graph.FeatureSource.
 func (s *Store) Dim() int { return s.dim }
 
-// Encoding returns the page codec in use.
-func (s *Store) Encoding() Encoding { return s.opts.Encoding }
-
-// PageRows returns the rows-per-page setting.
-func (s *Store) PageRows() int { return s.opts.PageRows }
-
 // NumPages returns the page count (last page possibly partial).
-func (s *Store) NumPages() int { return int(s.nPages) }
+func (s *Store) NumPages() int { return s.tab.NumPages() }
+
+// PageOf returns the page holding row.
+func (s *Store) PageOf(row int64) int32 { return s.tab.PageOf(row) }
 
 // EncodedBytes returns the store's total encoded payload size — the
 // virtual footprint a flat encoded table would occupy, and the UM working
@@ -178,32 +124,10 @@ func (s *Store) EncodedBytes() int64 {
 	return s.nRows * int64(s.dim) * int64(s.opts.Encoding.BytesPerElem())
 }
 
-// CacheBudgetBytes returns the per-device BlockCache capacity.
-func (s *Store) CacheBudgetBytes() int64 { return s.opts.CacheBytes }
-
-func (s *Store) cacheFor(dev *sim.Device) *devCache {
-	for _, dc := range s.caches {
-		if dc.dev == dev {
-			return dc
-		}
-	}
-	panic(fmt.Sprintf("featstore: device %d not attached", dev.ID))
-}
-
-// pageSpan returns page id's row range [lo, hi).
-func (s *Store) pageSpan(id int32) (lo, hi int64) {
-	lo = int64(id) * int64(s.opts.PageRows)
-	hi = lo + int64(s.opts.PageRows)
-	if hi > s.nRows {
-		hi = s.nRows
-	}
-	return
-}
-
 // fillAll materializes every row of pg from the row source, using *buf
 // (grown as needed) as the float32 staging area.
 func (s *Store) fillAll(pg *page, buf *[]float32) {
-	lo, _ := s.pageSpan(pg.id)
+	lo, _ := s.tab.Span(pg.id)
 	need := pg.rows * s.dim
 	if cap(*buf) < need {
 		*buf = make([]float32, need)
@@ -224,7 +148,7 @@ func (s *Store) row(pg *page, r int, dst []float32, buf *[]float32) {
 		if s.opts.Encoding == Quant8 {
 			s.fillAll(pg, buf)
 		} else {
-			lo, _ := s.pageSpan(pg.id)
+			lo, _ := s.tab.Span(pg.id)
 			s.src.FillRow(lo+int64(r), dst)
 			pg.encodeRow(s.opts.Encoding, r, dst[:s.dim])
 		}
@@ -234,9 +158,8 @@ func (s *Store) row(pg *page, r int, dst []float32, buf *[]float32) {
 
 // GatherRows implements graph.FeatureSource. It resolves each requested
 // row's page against dev's BlockCache; distinct missing pages are faulted
-// in on the copy stream — per-page UM fault latency plus encoded-byte
-// migration at UM bulk bandwidth — and the current stream waits on the
-// transfer before one decode kernel reads the (now resident, still
+// in by one fault service on the copy stream, and the current stream waits
+// on the transfer before one decode kernel reads the (now resident, still
 // encoded) rows at HBM random-access cost and widens them to float32
 // in dst. Returns the virtual seconds the current stream advanced.
 func (s *Store) GatherRows(dev *sim.Device, rows []int64, dim int, dst []float32, tag string) float64 {
@@ -246,65 +169,23 @@ func (s *Store) GatherRows(dev *sim.Device, rows []int64, dim int, dst []float32
 	if len(dst) < len(rows)*dim {
 		panic("featstore: dst too small")
 	}
-	dc := s.cacheFor(dev)
 	t0 := dev.Now()
-
-	clear(dc.pages)
-	dc.fresh = dc.fresh[:0]
 	pageRows := int64(s.opts.PageRows)
-	var missBytes int64
-	var inflight sim.Event
+	b := s.tab.Begin(dev)
 	for _, row := range rows {
 		if row < 0 || row >= s.nRows {
 			panic(fmt.Sprintf("featstore: row %d outside [0,%d)", row, s.nRows))
 		}
-		id := int32(row / pageRows)
-		if _, ok := dc.pages[id]; ok {
-			continue
-		}
-		pg, _ := dc.bc.Get(id).(*page)
-		if pg == nil {
-			pg = s.newPage(dc, id)
-			// A rejected insert (PolicyAdmit) still serves this gather via
-			// dc.pages; only residency for future gathers changes.
-			dc.bc.Put(id, pg, &dc.spare.Dropped)
-			dc.fresh = append(dc.fresh, pg)
-			missBytes += pg.CacheBytes()
-		} else if pg.ready.T > inflight.T {
-			// Hit on a page a prefetch may still be migrating: join its
-			// copy-stream ready event instead of reading the future.
-			inflight = pg.ready
-		}
-		dc.pages[id] = pg
+		b.Page(int32(row / pageRows))
 	}
+	b.Flush()
 
-	if len(dc.fresh) > 0 {
-		// Fault service runs on the copy stream: it can start no earlier
-		// than this gather's issue point, and the gather's decode kernel
-		// waits for the migration — the PR-3 event dance. Per-page fault
-		// latency follows the Table I UM model at the store's working-set
-		// size; the payload moves at UM bulk bandwidth.
-		issue := dev.RecordEvent()
-		prev := dev.SetStream(sim.StreamCopy)
-		dev.WaitEvent(issue, "featstore.issue")
-		ws := float64(s.EncodedBytes()) / 1e9
-		dev.IdleFor(float64(len(dc.fresh))*dev.UMAccessLatency(ws), "featstore.fault")
-		dev.Kernel(sim.KernelCost{UMBytes: float64(missBytes), Tag: "featstore.pagein"})
-		ready := dev.RecordEvent()
-		dev.SetStream(prev)
-		for _, pg := range dc.fresh {
-			pg.ready = ready
-		}
-		dev.WaitEvent(ready, "featstore.ready")
-	}
-	dev.WaitEvent(inflight, "featstore.prefetch.join")
-
+	buf := &s.rowBufs[b.Index]
 	for i, row := range rows {
 		id := int32(row / pageRows)
-		r := int(row - int64(id)*pageRows)
-		s.row(dc.pages[id], r, dst[i*dim:(i+1)*dim], &dc.rowBuf)
+		s.row(b.Page(id), int(row-int64(id)*pageRows), dst[i*dim:(i+1)*dim], buf)
 	}
-	dc.spare.Release()
+	b.End()
 	elems := len(rows) * dim
 	dev.Kernel(sim.KernelCost{
 		RandBytes:   float64(elems * s.opts.Encoding.BytesPerElem()),
@@ -315,79 +196,10 @@ func (s *Store) GatherRows(dev *sim.Device, rows []int64, dim int, dst []float32
 	return dev.Now() - t0
 }
 
-// PrefetchRows faults the pages holding rows into dev's BlockCache ahead
-// of demand, at most maxPages of them (0 = unlimited). The migration is
-// issued on the copy stream and — unlike a demand fault — nothing waits
-// on it: pages carry the transfer's ready event, and the first gather to
-// touch one joins that event (free if the transfer already finished,
-// the overlap win; a stall only if compute caught up with the copy
-// stream). Already-resident pages are skipped without touching the
-// demand hit/miss counters; under PolicyAdmit the sketch can reject a
-// prefetch outright, in which case no fault is charged. Returns the
-// number of pages actually faulted.
-func (s *Store) PrefetchRows(dev *sim.Device, rows []int64, maxPages int) int {
-	dc := s.cacheFor(dev)
-	dc.ids = dc.ids[:0]
-	clear(dc.pages)
-	pageRows := int64(s.opts.PageRows)
-	for _, row := range rows {
-		if maxPages > 0 && len(dc.ids) == maxPages {
-			break
-		}
-		if row < 0 || row >= s.nRows {
-			continue
-		}
-		id := int32(row / pageRows)
-		if _, seen := dc.pages[id]; !seen {
-			dc.pages[id] = nil
-			dc.ids = append(dc.ids, id)
-		}
-	}
-	dc.fresh = dc.fresh[:0]
-	var missBytes int64
-	for _, id := range dc.ids {
-		if dc.bc.Contains(id) {
-			continue
-		}
-		pg := s.newPage(dc, id)
-		if !dc.bc.PutPrefetched(id, pg, &dc.spare.Dropped) {
-			continue // admission rejected a speculative page: skip, no charge
-		}
-		dc.fresh = append(dc.fresh, pg)
-		missBytes += pg.CacheBytes()
-	}
-	if len(dc.fresh) == 0 {
-		return 0
-	}
-	issue := dev.RecordEvent()
-	prev := dev.SetStream(sim.StreamCopy)
-	dev.WaitEvent(issue, "featstore.prefetch.issue")
-	ws := float64(s.EncodedBytes()) / 1e9
-	dev.IdleFor(float64(len(dc.fresh))*dev.UMAccessLatency(ws), "featstore.prefetch.fault")
-	dev.Kernel(sim.KernelCost{UMBytes: float64(missBytes), Tag: "featstore.prefetch"})
-	ready := dev.RecordEvent()
-	dev.SetStream(prev)
-	for _, pg := range dc.fresh {
-		pg.ready = ready
-	}
-	return len(dc.fresh)
-}
-
-// ReadRow implements graph.FeatureSource: an uncharged host-side read that
-// returns exactly what GatherRows would decode for the row (for Raw, the
-// source bits verbatim; for lossy encodings, the codec's reconstruction).
-func (s *Store) ReadRow(row int64, dst []float32) {
-	if row < 0 || row >= s.nRows {
-		panic(fmt.Sprintf("featstore: row %d outside [0,%d)", row, s.nRows))
-	}
-	id := int32(row / int64(s.opts.PageRows))
-	s.hostMu.Lock()
-	defer s.hostMu.Unlock()
-	if s.hostPg.id != id {
-		s.resetPage(&s.hostPg, id)
-	}
-	lo, _ := s.pageSpan(id)
-	s.row(&s.hostPg, int(row-lo), dst, &s.hostBuf)
+// PrefetchPages faults pages ids into dev's BlockCache ahead of demand;
+// see blockcache.Table.Prefetch. Returns the pages actually faulted.
+func (s *Store) PrefetchPages(dev *sim.Device, ids []int32) int {
+	return s.tab.Prefetch(dev, ids)
 }
 
 // Stats is the store's configuration with the sum of every attached
@@ -403,14 +215,14 @@ type Stats struct {
 	blockcache.CacheStats
 }
 
-// Add folds another store's snapshot into st: the first store's
-// configuration stands for all of them, sizes and counters sum.
+// Add folds another machine node's store into st. Every node pages the same
+// table, so the first store's shape (encoding, page size, pages, table
+// bytes, policy) stands for all of them; budgets, devices and counters sum.
 func (st *Stats) Add(o Stats) {
-	if st.Encoding == "" {
-		st.Encoding, st.PageRows, st.Policy = o.Encoding, o.PageRows, o.Policy
+	if st.Devices == 0 {
+		st.Encoding, st.PageRows, st.Pages, st.EncodedBytes, st.Policy =
+			o.Encoding, o.PageRows, o.Pages, o.EncodedBytes, o.Policy
 	}
-	st.Pages += o.Pages
-	st.EncodedBytes += o.EncodedBytes
 	st.CacheBytes += o.CacheBytes
 	st.Devices += o.Devices
 	st.CacheStats.Add(o.CacheStats)
@@ -424,14 +236,10 @@ func (st Stats) String() string {
 
 // Stats snapshots the aggregate counters.
 func (s *Store) Stats() Stats {
-	st := Stats{
+	return Stats{
 		Encoding: s.opts.Encoding.String(), PageRows: s.opts.PageRows,
-		Pages: int(s.nPages), EncodedBytes: s.EncodedBytes(),
-		CacheBytes: s.opts.CacheBytes, Devices: len(s.caches),
-		Policy: s.opts.Policy.String(),
+		Pages: s.NumPages(), EncodedBytes: s.EncodedBytes(),
+		CacheBytes: s.opts.CacheBytes, Devices: s.tab.Devices(),
+		Policy: s.opts.Policy.String(), CacheStats: s.tab.Stats(),
 	}
-	for _, dc := range s.caches {
-		st.CacheStats.Add(dc.bc.Stats())
-	}
-	return st
 }

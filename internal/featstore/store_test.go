@@ -1,13 +1,9 @@
 package featstore
 
 import (
-	"bytes"
-	"hash/crc32"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
-	"strings"
+	"slices"
 	"testing"
 
 	"wholegraph/internal/blockcache"
@@ -27,6 +23,21 @@ func newTestStore(t *testing.T, src RowSource, opts Options) (*Store, *sim.Devic
 	m := sim.NewMachine(sim.DGXA100(1))
 	s.Attach(m.Devs...)
 	return s, m.Devs[0]
+}
+
+// prefetchRows prefetches the first maxPages (0 = all) distinct pages of
+// rows, in order — the selection core.Loader.PrefetchPages makes.
+func prefetchRows(s *Store, dev *sim.Device, rows []int64, maxPages int) int {
+	var ids []int32
+	for _, row := range rows {
+		if maxPages > 0 && len(ids) == maxPages {
+			break
+		}
+		if id := s.PageOf(row); !slices.Contains(ids, id) {
+			ids = append(ids, id)
+		}
+	}
+	return s.PrefetchPages(dev, ids)
 }
 
 // TestGatherRawBitExact: gathering through the paged store with the raw
@@ -129,29 +140,6 @@ func TestGatherEvictsUnderPressure(t *testing.T) {
 	}
 }
 
-// TestReadRowMatchesGather: the uncharged host read decodes exactly what a
-// device gather returns, for every encoding (lossy ones included).
-func TestReadRowMatchesGather(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	const rows, dim = 300, 5
-	for _, enc := range []Encoding{Raw, Float16, Quant8} {
-		src := testSource(rng, rows, dim)
-		s, dev := newTestStore(t, src, Options{Encoding: enc, PageRows: 37})
-		got := make([]float32, dim)
-		want := make([]float32, dim)
-		for i := 0; i < 50; i++ {
-			row := rng.Int63n(rows)
-			s.ReadRow(row, got)
-			s.GatherRows(dev, []int64{row}, dim, want, "test")
-			for j := 0; j < dim; j++ {
-				if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
-					t.Fatalf("%v row %d col %d: ReadRow %g != Gather %g", enc, row, j, got[j], want[j])
-				}
-			}
-		}
-	}
-}
-
 // TestPerDeviceCaches: each attached device faults its own pages; one
 // device's misses do not warm another's cache.
 func TestPerDeviceCaches(t *testing.T) {
@@ -168,73 +156,6 @@ func TestPerDeviceCaches(t *testing.T) {
 	st := s.Stats()
 	if st.Misses != 2 || st.Hits != 1 {
 		t.Errorf("cross-device stats: %+v", st)
-	}
-}
-
-// TestSpillRoundtrip: spill -> load -> rebuild store serves identical
-// values, and a corrupted spill file is rejected by the checksum.
-func TestSpillRoundtrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	const rows, dim = 500, 6
-	for _, enc := range []Encoding{Raw, Float16, Quant8} {
-		src := testSource(rng, rows, dim)
-		s, dev := newTestStore(t, src, Options{Encoding: enc, PageRows: 64})
-		path := filepath.Join(t.TempDir(), "feat.spill")
-		if err := s.SpillFile(path); err != nil {
-			t.Fatalf("%v: spill: %v", enc, err)
-		}
-		sp, err := LoadSpillFile(path)
-		if err != nil {
-			t.Fatalf("%v: load: %v", enc, err)
-		}
-		if sp.NumRows() != rows || sp.Dim() != dim {
-			t.Fatalf("%v: spill shape %dx%d", enc, sp.NumRows(), sp.Dim())
-		}
-		// A store over the spill decodes the same values as the original.
-		s2, err := New(sp, Options{Encoding: enc, PageRows: 64})
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := sim.NewMachine(sim.DGXA100(1))
-		s2.Attach(m.Devs...)
-		want := make([]float32, dim)
-		got := make([]float32, dim)
-		for i := 0; i < 40; i++ {
-			row := rng.Int63n(rows)
-			s.GatherRows(dev, []int64{row}, dim, want, "t")
-			s2.GatherRows(m.Devs[0], []int64{row}, dim, got, "t")
-			for j := 0; j < dim; j++ {
-				if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
-					t.Fatalf("%v row %d col %d: spill %g != store %g", enc, row, j, got[j], want[j])
-				}
-			}
-		}
-	}
-}
-
-func TestSpillCorruptionDetected(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	src := testSource(rng, 200, 4)
-	s, _ := newTestStore(t, src, Options{PageRows: 32})
-	path := filepath.Join(t.TempDir(), "feat.spill")
-	if err := s.SpillFile(path); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Flip one payload byte well past the header.
-	bad := bytes.Clone(raw)
-	bad[len(bad)/2] ^= 0x40
-	if _, err := LoadSpill(bytes.NewReader(bad)); err == nil {
-		t.Error("corrupted spill accepted")
-	} else if !strings.Contains(err.Error(), "checksum") && !strings.Contains(err.Error(), "mismatch") {
-		t.Logf("corruption surfaced as: %v", err) // structural errors also acceptable
-	}
-	// Truncation is detected too.
-	if _, err := LoadSpill(bytes.NewReader(raw[:len(raw)-3])); err == nil {
-		t.Error("truncated spill accepted")
 	}
 }
 
@@ -277,15 +198,14 @@ func TestStoreConcurrentGathers(t *testing.T) {
 // eagerRow decodes row of a page materialized whole from src in one pass
 // — the reference a demand-materialized page must reproduce.
 func eagerRow(s *Store, src *SliceSource, row int64, dst []float32) {
-	id := int32(row / int64(s.PageRows()))
-	lo, hi := s.pageSpan(id)
-	pg := encodePage(s.Encoding(), src.Data[lo*int64(src.D):hi*int64(src.D)], int(hi-lo), src.D)
-	pg.decodeRow(s.Encoding(), int(row-lo), src.D, dst)
+	lo, hi := s.tab.Span(s.PageOf(row))
+	pg := encodePage(s.opts.Encoding, src.Data[lo*int64(src.D):hi*int64(src.D)], int(hi-lo), src.D)
+	pg.decodeRow(s.opts.Encoding, int(row-lo), src.D, dst)
 }
 
 // TestDemandMaterializationMatchesEagerFill: whatever order rows are
 // touched in — repeats, the partial last page, pages that arrived by
-// prefetch, host-side ReadRow, all three encodings — every read decodes
+// prefetch, one-row gathers, all three encodings — every read decodes
 // exactly what filling the whole page up front would have given.
 func TestDemandMaterializationMatchesEagerFill(t *testing.T) {
 	const rows, dim, pageRows = 1003, 6, 32 // 1003/32: partial last page
@@ -318,7 +238,7 @@ func TestDemandMaterializationMatchesEagerFill(t *testing.T) {
 				}
 				switch rng.Intn(3) {
 				case 0:
-					s.PrefetchRows(dev, idx, rng.Intn(4))
+					prefetchRows(s, dev, idx, rng.Intn(4))
 					fallthrough
 				case 1:
 					dst := make([]float32, len(idx)*dim)
@@ -329,45 +249,14 @@ func TestDemandMaterializationMatchesEagerFill(t *testing.T) {
 				default:
 					got := make([]float32, dim)
 					for _, row := range idx {
-						s.ReadRow(row, got)
-						check("ReadRow", row, got)
+						s.GatherRows(dev, []int64{row}, dim, got, "t")
+						check("one-row gather", row, got)
 					}
 				}
 			}
 			if st := s.Stats(); st.Evictions == 0 || st.Hits == 0 {
 				t.Fatalf("%v seed %d: test exercised no eviction or no hit: %+v", enc, seed, st)
 			}
-		}
-	}
-}
-
-// fixedSource is a formula-defined table (no RNG), the input of the
-// pinned spill checksums.
-func fixedSource(rows, dim int) *SliceSource {
-	data := make([]float32, rows*dim)
-	for i := range data {
-		data[i] = float32(int32(uint32(i)*2654435761)>>8) / (1 << 20)
-	}
-	return &SliceSource{Data: data, D: dim}
-}
-
-// TestSpillBytesPinned: Spill materializes every page in full (min/max
-// included), so its output for a fixed source is byte-identical to what
-// the eager-fill store wrote — the CRCs below were recorded at the commit
-// before pages became demand-materialized.
-func TestSpillBytesPinned(t *testing.T) {
-	want := map[Encoding]uint32{Raw: 0x33192e4e, Float16: 0xb0361e2f, Quant8: 0x58953ae4}
-	for _, enc := range []Encoding{Raw, Float16, Quant8} {
-		s, dev := newTestStore(t, fixedSource(777, 5), Options{Encoding: enc, PageRows: 50})
-		// Touch some rows first: spilling must not depend on cache state.
-		dst := make([]float32, 2*5)
-		s.GatherRows(dev, []int64{3, 700}, 5, dst, "t")
-		var buf bytes.Buffer
-		if err := s.Spill(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if got := crc32.ChecksumIEEE(buf.Bytes()); got != want[enc] {
-			t.Errorf("%v: spill CRC %#08x, pinned %#08x (%d bytes)", enc, got, want[enc], buf.Len())
 		}
 	}
 }
@@ -403,7 +292,7 @@ func TestRecycledPagesInsideOneGather(t *testing.T) {
 					// later misses have pushed it out of the cache.
 					idx[0], idx[10], idx[20], idx[30], idx[40] = 0, 17, 1, 18, 2
 					if it%3 == 0 {
-						s.PrefetchRows(devs[r], idx[5:], 3)
+						prefetchRows(s, devs[r], idx[5:], 3)
 					}
 					s.GatherRows(devs[r], idx, dim, dst, "t")
 					for i, row := range idx {
@@ -466,32 +355,38 @@ func TestSteadyStateFaultingGatherAllocs(t *testing.T) {
 	}
 }
 
-// TestStatsSumPerDeviceCaches: on a paged run that faults, hits, prefetches
-// and evicts on two devices, the store's promoted counters — summed by
-// CacheStats.Add — equal the field-by-field sums over the per-device caches
-// that Stats carried before the counters moved into one type.
+// TestStatsSumPerDeviceCaches: devices share nothing but the source, so on a
+// run that faults, hits, prefetches, evicts and rejects on two devices the
+// store's promoted counters equal the field-by-field sums over two
+// one-device stores driven with each device's half of the run.
 func TestStatsSumPerDeviceCaches(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
 	const rows, dim = 2048, 8
-	src := testSource(rng, rows, dim)
+	src := testSource(rand.New(rand.NewSource(11)), rows, dim)
 	pageBytes := int64(64*dim*4) + 8
-	s, err := New(src, Options{PageRows: 64, CacheBytes: 3 * pageBytes, Policy: blockcache.PolicyAdmit})
+	opts := Options{PageRows: 64, CacheBytes: 3 * pageBytes, Policy: blockcache.PolicyAdmit}
+	// drive runs device slot's share of the 600 steps on dev.
+	drive := func(s *Store, dev *sim.Device, slot int) {
+		rng := rand.New(rand.NewSource(int64(12 + slot)))
+		dst := make([]float32, dim)
+		for i := slot; i < 600; i += 2 {
+			if i%7 == 0 {
+				prefetchRows(s, dev, []int64{rng.Int63n(rows)}, 1)
+			}
+			s.GatherRows(dev, []int64{rng.Int63n(rows / (1 + int64(i%3)))}, dim, dst, "test")
+		}
+	}
+	both, err := New(src, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := sim.NewMachine(sim.DGXA100(1))
-	s.Attach(m.Devs[:2]...)
-	dst := make([]float32, dim)
-	for i := 0; i < 600; i++ {
-		dev := m.Devs[i%2]
-		if i%7 == 0 {
-			s.PrefetchRows(dev, []int64{rng.Int63n(rows)}, 1)
-		}
-		s.GatherRows(dev, []int64{rng.Int63n(rows / (1 + int64(i%3)))}, dim, dst, "test")
-	}
+	both.Attach(m.Devs[:2]...)
 	var hits, misses, evictions, prefetchHits, rejects, resident int64
-	for _, dc := range s.caches {
-		cs := dc.bc.Stats()
+	for slot := 0; slot < 2; slot++ {
+		drive(both, m.Devs[slot], slot)
+		one, dev := newTestStore(t, src, opts)
+		drive(one, dev, slot)
+		cs := one.Stats()
 		hits += cs.Hits
 		misses += cs.Misses
 		evictions += cs.Evictions
@@ -499,7 +394,7 @@ func TestStatsSumPerDeviceCaches(t *testing.T) {
 		rejects += cs.AdmissionRejects
 		resident += cs.ResidentBytes
 	}
-	st := s.Stats()
+	st := both.Stats()
 	if st.Hits != hits || st.Misses != misses || st.Evictions != evictions ||
 		st.PrefetchHits != prefetchHits || st.AdmissionRejects != rejects || st.ResidentBytes != resident {
 		t.Errorf("Stats() = %+v, per-device sums: hits %d misses %d evictions %d prefetch hits %d rejects %d resident %d",
@@ -511,10 +406,15 @@ func TestStatsSumPerDeviceCaches(t *testing.T) {
 	if want := float64(hits) / float64(hits+misses); st.HitRate() != want {
 		t.Errorf("HitRate() = %v, want %v", st.HitRate(), want)
 	}
+	// Two machine nodes page the same table: counters, devices and budgets
+	// sum, the table's shape does not.
 	var twice Stats
 	twice.Add(st)
 	twice.Add(st)
-	if twice.Hits != 2*hits || twice.Devices != 4 || twice.Encoding != st.Encoding || twice.PageRows != st.PageRows {
-		t.Errorf("Stats.Add twice: %+v", twice)
+	want := st
+	want.Devices, want.CacheBytes = 2*st.Devices, 2*st.CacheBytes
+	want.CacheStats.Add(st.CacheStats)
+	if twice != want {
+		t.Errorf("Stats.Add twice: %+v, want %+v", twice, want)
 	}
 }

@@ -11,9 +11,22 @@ import (
 	"wholegraph/internal/wholemem"
 )
 
+// colValue reads the column entry at global edge index e: from the
+// materialized array, or, paged, through a one-entry access batch on the
+// communicator's first device.
+func colValue(p *Partitioned, e int64) uint64 {
+	if p.topo == nil {
+		return p.Col.Get(e)
+	}
+	acc := p.topo.Begin(p.Comm.Devs[0])
+	v := acc.At(e)
+	acc.Flush("test")
+	return v
+}
+
 // TestAdjMatchesGlobalIndexReads holds Adj to the reads it replaced: degree
 // and first-edge index from two RowPtr.Get binary searches over the global
-// row-pointer index, every neighbour from ColValue at that edge index — on a
+// row-pointer index, every neighbour from the column entry at that edge index — on a
 // resident, a weighted and a paged partition of one graph.
 func TestAdjMatchesGlobalIndexReads(t *testing.T) {
 	m := sim.NewMachine(sim.DGXA100(1))
@@ -57,8 +70,8 @@ func TestAdjMatchesGlobalIndexReads(t *testing.T) {
 			}
 			for k, w := range csr.Neighbors(v) {
 				want := p.Owner[w]
-				if got := GlobalID(p.ColValue(e0 + int64(k))); got != want {
-					t.Fatalf("%s node %d: ColValue(e0+%d) = %v, want %v", name, v, k, got, want)
+				if got := GlobalID(colValue(p, e0+int64(k))); got != want {
+					t.Fatalf("%s node %d: column entry e0+%d = %v, want %v", name, v, k, got, want)
 				}
 				if nbrs != nil && GlobalID(nbrs[k]) != want {
 					t.Fatalf("%s node %d: nbrs[%d] = %v, want %v", name, v, k, GlobalID(nbrs[k]), want)

@@ -22,9 +22,6 @@ type FeatureSource interface {
 	// the charged virtual seconds. Row indices are global feature-row
 	// indices (Partitioned.FeatRow).
 	GatherRows(dev *sim.Device, rows []int64, dim int, dst []float32, tag string) float64
-	// ReadRow copies one row into dst without charging any device —
-	// host-side setup and evaluation paths only.
-	ReadRow(row int64, dst []float32)
 }
 
 // RankedFeatures is implemented by feature sources whose rows have a home
@@ -36,6 +33,9 @@ type RankedFeatures interface {
 	FeatureSource
 	// HomeRank returns the communicator rank whose local memory holds row.
 	HomeRank(row int64) int
+	// ReadRow copies one row into dst without charging any device: the
+	// hot-node cache reads the rows of a gather it prices itself.
+	ReadRow(row int64, dst []float32)
 }
 
 // memFeats adapts the sharded wholemem slab to FeatureSource. Charging is

@@ -151,21 +151,16 @@ func TestPartitionPreservesTopology(t *testing.T) {
 		if p.Orig[gid.Rank()][gid.Local()] != v {
 			t.Fatalf("Owner/Orig mismatch for node %d", v)
 		}
-		_, e0, deg := p.Adj(gid)
-		if deg != csr.Degree(v) {
-			t.Fatalf("degree mismatch for node %d: %d vs %d", v, deg, csr.Degree(v))
+		nbrs, e0, deg := p.Adj(gid)
+		if deg != csr.Degree(v) || int64(len(nbrs)) != deg {
+			t.Fatalf("degree mismatch for node %d: %d (%d neighbours) vs %d", v, deg, len(nbrs), csr.Degree(v))
 		}
-		want := csr.Neighbors(v)
-		for k, w := range want {
-			got := GlobalID(p.ColValue(e0 + int64(k)))
-			if p.Orig[got.Rank()][got.Local()] != w {
+		for k, w := range csr.Neighbors(v) {
+			got := GlobalID(p.Col.Get(e0 + int64(k)))
+			if GlobalID(nbrs[k]) != got || p.Orig[got.Rank()][got.Local()] != w {
 				t.Fatalf("neighbor %d of node %d: got %v (orig %d), want %d",
 					k, v, got, p.Orig[got.Rank()][got.Local()], w)
 			}
-		}
-		nb := p.Neighbors(gid)
-		if int64(len(nb)) != csr.Degree(v) {
-			t.Fatalf("Neighbors slice length %d != degree %d", len(nb), csr.Degree(v))
 		}
 	}
 }

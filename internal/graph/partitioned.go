@@ -192,20 +192,6 @@ func (p *Partitioned) Adj(gid GlobalID) (nbrs []uint64, e0, deg int64) {
 	return p.Col.Shard(rank)[lo:hi], p.Col.ShardStart(rank) + lo, hi - lo
 }
 
-// Neighbors returns gid's full neighbor list: a shared sub-slice of the
-// owning rank's edge shard, or (paged topology) a freshly decoded copy —
-// a host-side path; kernels go through the page-aware accessor.
-func (p *Partitioned) Neighbors(gid GlobalID) []uint64 {
-	nbrs, e0, deg := p.Adj(gid)
-	if p.topo != nil {
-		nbrs = make([]uint64, deg)
-		for i := range nbrs {
-			nbrs[i] = p.topo.ReadEdge(e0 + int64(i))
-		}
-	}
-	return nbrs
-}
-
 // DegreeOrder returns every node ID ordered by out-degree descending, ties
 // by ascending ID: the popularity ranking under neighbor sampling, which the
 // hot-row caches fill in and the serving router and request generator rank

@@ -154,15 +154,6 @@ func (p *Partitioned) pagedFill(src TopoSource) topostore.Fill {
 // a materialized Col array.
 func (p *Partitioned) PagedTopo() *topostore.Store { return p.topo }
 
-// ColValue returns the column entry at global edge index e (uncharged
-// host read), from the materialized array or the paged store.
-func (p *Partitioned) ColValue(e int64) uint64 {
-	if p.topo != nil {
-		return p.topo.ReadEdge(e)
-	}
-	return p.Col.Get(e)
-}
-
 func min64(a, b int64) int64 {
 	if a < b {
 		return a

@@ -2,17 +2,16 @@
 // internal/featstore: the CSR column array (destination GlobalIDs,
 // sharded by source rank and concatenated into one global edge index
 // space) is served from fixed-edge-range pages produced on demand by a
-// fill function, behind the same per-device byte-budgeted BlockCaches.
-// A page miss pays the Unified-Memory fault dance on the device's copy
-// stream; a hit reads local HBM. Sampling reads neighbors through an
-// Access, which batches one fault dance per sampling kernel and joins
-// any in-flight prefetch transfers, so paged sampling is bit-identical
-// to the in-memory CSR — only virtual time and hit rates change.
+// fill function, behind the same blockcache.Table: a page miss pays the
+// Unified-Memory fault service on the device's copy stream; a hit reads
+// local HBM. Sampling reads neighbors through an Access, which batches one
+// fault service per sampling kernel and joins any in-flight prefetch
+// transfers, so paged sampling is bit-identical to the in-memory CSR — only
+// virtual time and hit rates change.
 package topostore
 
 import (
 	"fmt"
-	"sync"
 
 	"wholegraph/internal/blockcache"
 	"wholegraph/internal/sim"
@@ -56,18 +55,14 @@ func (o Options) normalize() Options {
 	return o
 }
 
-// colPage is one resident column range: a residency record — id,
-// footprint and ready event, all the cache and the virtual clock look at
-// — whose entries are filled run by run as they are first read (see
-// fillRun). Values are a pure function of the edge index, so reads decode
-// the same in any order.
+// colPage is one page of a blockcache.Table: a column range whose entries
+// are filled run by run as they are first read (see fillRun). Values are a
+// pure function of the edge index, so reads decode the same in any order.
 type colPage struct {
 	id  int32
 	col []uint64
 	// have marks the filled runs (bit g = entries [g*fillRun, (g+1)*fillRun)).
-	have []uint64
-	// ready is the copy-stream event after which the page is resident
-	// (zero for demand faults, which wait inline; set by PrefetchPages).
+	have  []uint64
 	ready sim.Event
 }
 
@@ -77,10 +72,11 @@ const pageMetaBytes = 16
 // CacheBytes implements blockcache.Block.
 func (p *colPage) CacheBytes() int64 { return int64(len(p.col))*8 + pageMetaBytes }
 
-// reset re-targets p — fresh or recycled — at page id holding n entries,
-// none filled and with no ready event, reusing its buffers when they are
-// big enough.
-func (p *colPage) reset(id int32, n int) {
+// ReadyEvent implements blockcache.Page.
+func (p *colPage) ReadyEvent() *sim.Event { return &p.ready }
+
+// Reset implements blockcache.Page: n entries, none filled.
+func (p *colPage) Reset(id int32, n int) {
 	if cap(p.col) < n {
 		p.col = make([]uint64, n)
 	}
@@ -92,39 +88,16 @@ func (p *colPage) reset(id int32, n int) {
 	clear(p.have)
 }
 
-// Store is the paged column table. Immutable after construction; all
-// mutable state lives in the per-device caches.
+// Store is the paged column table: what a column page holds, over a
+// blockcache.Table that keeps pages resident per device. Immutable after
+// construction; all mutable state lives in the per-device accesses.
 type Store struct {
 	fill     Fill
 	opts     Options
 	numEdges int64
-	nPages   int32
-
-	// caches holds one entry per attached device; extended only by
-	// Attach, before training starts.
-	caches []*devCache
-
-	// hostPg is the page ReadEdge last touched (the uncharged host-side
-	// path used by tests and host-side neighbor walks), re-targeted in
-	// place when a read lands on another page.
-	hostMu      sync.Mutex
-	hostPg      colPage
-	hostScratch [fillRun]int64
-}
-
-// devCache is one device's view of the store: its BlockCache plus the
-// Access scratch. Like featstore's devCache, the scratch is unlocked —
-// each device is driven by exactly one goroutine at a time — while the
-// BlockCache keeps its own mutex.
-type devCache struct {
-	dev     *sim.Device
-	bc      *blockcache.BlockCache
-	acc     Access
-	fresh   []*colPage // PrefetchPages scratch
-	scratch [fillRun]int64
-
-	// spare recycles the pages bc drops; released when a batch ends.
-	spare blockcache.FreeList[*colPage]
+	tab      *blockcache.Table[*colPage]
+	// accs holds one Access per attached device, in attach order.
+	accs []*Access
 }
 
 // New builds a store over numEdges column entries served by fill.
@@ -136,25 +109,20 @@ func New(numEdges int64, fill Fill, opts Options) (*Store, error) {
 	if fill == nil {
 		return nil, fmt.Errorf("topostore: nil fill function")
 	}
-	s := &Store{
-		fill: fill, opts: opts, numEdges: numEdges,
-		nPages: int32((numEdges + int64(opts.PageEdges) - 1) / int64(opts.PageEdges)),
-	}
-	s.hostPg.id = -1
-	return s, nil
+	tab := blockcache.NewTable(blockcache.Shape{
+		Name: "topostore", Items: numEdges, PageItems: opts.PageEdges,
+		ItemBytes: 8, MetaBytes: pageMetaBytes,
+		CacheBytes: opts.CacheBytes, Policy: opts.Policy,
+	}, func() *colPage { return new(colPage) })
+	return &Store{fill: fill, opts: opts, numEdges: numEdges, tab: tab}, nil
 }
 
 // Attach gives each device its own BlockCache. Call once per device
 // before the first access.
 func (s *Store) Attach(devs ...*sim.Device) {
-	for _, d := range devs {
-		dc := &devCache{
-			dev: d,
-			bc:  blockcache.NewBlockCacheWithPolicy(s.opts.CacheBytes, s.opts.Policy),
-		}
-		dc.acc = Access{s: s, dc: dc, pages: make(map[int32]*colPage)}
-		dc.spare.Max = int(s.opts.CacheBytes/(int64(s.opts.PageEdges)*8+pageMetaBytes)) + 1
-		s.caches = append(s.caches, dc)
+	s.tab.Attach(devs...)
+	for range devs {
+		s.accs = append(s.accs, &Access{s: s})
 	}
 }
 
@@ -162,55 +130,15 @@ func (s *Store) Attach(devs ...*sim.Device) {
 func (s *Store) NumEdges() int64 { return s.numEdges }
 
 // NumPages returns the page count (last page possibly partial).
-func (s *Store) NumPages() int { return int(s.nPages) }
-
-// PageEdges returns the edges-per-page setting.
-func (s *Store) PageEdges() int { return s.opts.PageEdges }
+func (s *Store) NumPages() int { return s.tab.NumPages() }
 
 // TopoBytes returns the virtual column footprint — what a materialized
 // wholemem Col array would occupy, and the UM working set the
 // fault-latency model sees.
 func (s *Store) TopoBytes() int64 { return s.numEdges * 8 }
 
-// CacheBudgetBytes returns the per-device BlockCache capacity.
-func (s *Store) CacheBudgetBytes() int64 { return s.opts.CacheBytes }
-
 // PageOf returns the page holding global edge index e.
-func (s *Store) PageOf(e int64) int32 { return int32(e / int64(s.opts.PageEdges)) }
-
-func (s *Store) cacheFor(dev *sim.Device) *devCache {
-	for _, dc := range s.caches {
-		if dc.dev == dev {
-			return dc
-		}
-	}
-	panic(fmt.Sprintf("topostore: device %d not attached", dev.ID))
-}
-
-// pageSpan returns page id's edge range [lo, hi).
-func (s *Store) pageSpan(id int32) (lo, hi int64) {
-	lo = int64(id) * int64(s.opts.PageEdges)
-	hi = lo + int64(s.opts.PageEdges)
-	if hi > s.numEdges {
-		hi = s.numEdges
-	}
-	return
-}
-
-// newPage returns an unfilled page id, recycled when one is free.
-func (s *Store) newPage(dc *devCache, id int32) *colPage {
-	pg, ok := dc.spare.Take()
-	if !ok {
-		pg = new(colPage)
-	}
-	s.resetPage(pg, id)
-	return pg
-}
-
-func (s *Store) resetPage(pg *colPage, id int32) {
-	lo, hi := s.pageSpan(id)
-	pg.reset(id, int(hi-lo))
-}
+func (s *Store) PageOf(e int64) int32 { return s.tab.PageOf(e) }
 
 // at returns entry off of pg, first filling the run around it if no
 // earlier read has. The host pays for the runs that are read; the virtual
@@ -220,7 +148,7 @@ func (s *Store) at(pg *colPage, off int64, scratch *[fillRun]int64) uint64 {
 	if pg.have[g>>6]&(1<<(g&63)) == 0 {
 		r0 := g * fillRun
 		r1 := min(r0+fillRun, int64(len(pg.col)))
-		lo, _ := s.pageSpan(pg.id)
+		lo := int64(pg.id) * int64(s.opts.PageEdges)
 		s.fill(lo+r0, lo+r1, pg.col[r0:r1], scratch[:r1-r0])
 		pg.have[g>>6] |= 1 << (g & 63)
 	}
@@ -229,33 +157,21 @@ func (s *Store) at(pg *colPage, off int64, scratch *[fillRun]int64) uint64 {
 
 // Begin starts a page-aware access batch on dev: At decodes single
 // column entries, tracking which pages were touched and which missed;
-// Flush charges one copy-stream fault dance for all misses, joins any
-// in-flight prefetch transfers, and resets the batch. One Access per
-// device — Begin while a batch is open resets it.
+// Flush charges one copy-stream fault service for all misses, joins any
+// in-flight prefetch transfers, and ends the batch. One Access per
+// device — Begin while a batch holds unflushed misses panics.
 func (s *Store) Begin(dev *sim.Device) *Access {
-	acc := &s.cacheFor(dev).acc
-	acc.reset()
+	b := s.tab.Begin(dev)
+	acc := s.accs[b.Index]
+	acc.b = b
 	return acc
 }
 
 // Access is an open access batch; see Store.Begin.
 type Access struct {
-	s         *Store
-	dc        *devCache
-	pages     map[int32]*colPage
-	fresh     []*colPage
-	missBytes int64
-	inflight  sim.Event
-}
-
-// reset ends the batch: nothing reads its pages any more, so the ones
-// the cache dropped meanwhile become reusable.
-func (a *Access) reset() {
-	a.dc.spare.Release()
-	clear(a.pages)
-	a.fresh = a.fresh[:0]
-	a.missBytes = 0
-	a.inflight = sim.Event{}
+	s       *Store
+	b       *blockcache.Batch[*colPage]
+	scratch [fillRun]int64
 }
 
 // At returns the column value at global edge index e, faulting the
@@ -267,105 +183,26 @@ func (a *Access) At(e int64) uint64 {
 	if e < 0 || e >= s.numEdges {
 		panic(fmt.Sprintf("topostore: edge %d outside [0,%d)", e, s.numEdges))
 	}
-	id := s.PageOf(e)
-	pg, ok := a.pages[id]
-	if !ok {
-		pg, _ = a.dc.bc.Get(id).(*colPage)
-		if pg == nil {
-			pg = s.newPage(a.dc, id)
-			// A rejected insert (PolicyAdmit) still serves this batch via
-			// a.pages; only residency for future batches changes.
-			a.dc.bc.Put(id, pg, &a.dc.spare.Dropped)
-			a.fresh = append(a.fresh, pg)
-			a.missBytes += pg.CacheBytes()
-		} else if pg.ready.T > a.inflight.T {
-			a.inflight = pg.ready
-		}
-		a.pages[id] = pg
-	}
-	return s.at(pg, e-int64(id)*int64(s.opts.PageEdges), &a.dc.scratch)
+	id := int32(e / int64(s.opts.PageEdges))
+	return s.at(a.b.Page(id), e-int64(id)*int64(s.opts.PageEdges), &a.scratch)
 }
 
-// Flush charges the batch's page faults — one copy-stream UM fault dance
-// covering every page missed since Begin/the last Flush — and makes the
-// current stream wait for the migration plus any in-flight prefetched
-// page the batch touched. Call before the kernel that consumes the
-// decoded values. Returns the number of pages faulted.
+// Flush charges the batch's page faults — one fault service covering every
+// page missed since Begin — makes the current stream wait for the migration
+// plus any in-flight prefetched page the batch touched, and ends the batch.
+// Call before the kernel that consumes the decoded values. The tag is
+// unused (the table's trace tags are fixed); the parameter stays because
+// benchmark/ passes one. Returns the number of pages faulted.
 func (a *Access) Flush(tag string) int {
-	dev := a.dc.dev
-	faulted := len(a.fresh)
-	if faulted > 0 {
-		issue := dev.RecordEvent()
-		prev := dev.SetStream(sim.StreamCopy)
-		dev.WaitEvent(issue, "topostore.issue")
-		ws := float64(a.s.TopoBytes()) / 1e9
-		dev.IdleFor(float64(faulted)*dev.UMAccessLatency(ws), "topostore.fault")
-		dev.Kernel(sim.KernelCost{UMBytes: float64(a.missBytes), Tag: "topostore.pagein"})
-		ready := dev.RecordEvent()
-		dev.SetStream(prev)
-		for _, pg := range a.fresh {
-			pg.ready = ready
-		}
-		dev.WaitEvent(ready, "topostore.ready")
-	}
-	dev.WaitEvent(a.inflight, "topostore.prefetch.join")
-	a.reset()
+	faulted := a.b.Flush()
+	a.b.End()
 	return faulted
 }
 
-// PrefetchPages faults pages ids into dev's BlockCache ahead of demand.
-// Issued on the copy stream with nothing waiting on it: pages carry the
-// transfer's ready event and the first access batch to touch one joins
-// it (free if the transfer already finished — the overlap win). Already
-// resident pages are skipped without touching the demand counters; under
-// PolicyAdmit the sketch can reject a speculative page outright, in
-// which case no fault is charged. Returns the pages actually faulted.
+// PrefetchPages faults pages ids into dev's BlockCache ahead of demand;
+// see blockcache.Table.Prefetch. Returns the pages actually faulted.
 func (s *Store) PrefetchPages(dev *sim.Device, ids []int32) int {
-	dc := s.cacheFor(dev)
-	fresh := dc.fresh[:0]
-	var missBytes int64
-	for _, id := range ids {
-		if id < 0 || id >= s.nPages || dc.bc.Contains(id) {
-			continue
-		}
-		pg := s.newPage(dc, id)
-		if !dc.bc.PutPrefetched(id, pg, &dc.spare.Dropped) {
-			continue
-		}
-		fresh = append(fresh, pg)
-		missBytes += pg.CacheBytes()
-	}
-	dc.fresh = fresh
-	if len(fresh) == 0 {
-		return 0
-	}
-	issue := dev.RecordEvent()
-	prev := dev.SetStream(sim.StreamCopy)
-	dev.WaitEvent(issue, "topostore.prefetch.issue")
-	ws := float64(s.TopoBytes()) / 1e9
-	dev.IdleFor(float64(len(fresh))*dev.UMAccessLatency(ws), "topostore.prefetch.fault")
-	dev.Kernel(sim.KernelCost{UMBytes: float64(missBytes), Tag: "topostore.prefetch"})
-	ready := dev.RecordEvent()
-	dev.SetStream(prev)
-	for _, pg := range fresh {
-		pg.ready = ready
-	}
-	return len(fresh)
-}
-
-// ReadEdge is the uncharged host-side read: the column value at e,
-// exactly what an Access would decode, without touching device caches.
-func (s *Store) ReadEdge(e int64) uint64 {
-	if e < 0 || e >= s.numEdges {
-		panic(fmt.Sprintf("topostore: edge %d outside [0,%d)", e, s.numEdges))
-	}
-	id := s.PageOf(e)
-	s.hostMu.Lock()
-	defer s.hostMu.Unlock()
-	if s.hostPg.id != id {
-		s.resetPage(&s.hostPg, id)
-	}
-	return s.at(&s.hostPg, e-int64(id)*int64(s.opts.PageEdges), &s.hostScratch)
+	return s.tab.Prefetch(dev, ids)
 }
 
 // Stats is the store's configuration with the sum of every attached
@@ -380,14 +217,13 @@ type Stats struct {
 	blockcache.CacheStats
 }
 
-// Add folds another store's snapshot into st: the first store's
-// configuration and column size stand for all of them (every machine node
-// pages the same graph), budgets and counters sum.
+// Add folds another machine node's store into st. Every node pages the same
+// graph, so the first store's shape (page size, pages, column bytes, policy)
+// stands for all of them; budgets, devices and counters sum.
 func (st *Stats) Add(o Stats) {
-	if st.PageEdges == 0 {
-		st.PageEdges, st.Policy, st.TopoBytes = o.PageEdges, o.Policy, o.TopoBytes
+	if st.Devices == 0 {
+		st.PageEdges, st.Pages, st.TopoBytes, st.Policy = o.PageEdges, o.Pages, o.TopoBytes, o.Policy
 	}
-	st.Pages += o.Pages
 	st.CacheBytes += o.CacheBytes
 	st.Devices += o.Devices
 	st.CacheStats.Add(o.CacheStats)
@@ -401,13 +237,10 @@ func (st Stats) String() string {
 
 // Stats snapshots the aggregate counters.
 func (s *Store) Stats() Stats {
-	st := Stats{
-		PageEdges: s.opts.PageEdges, Pages: int(s.nPages),
+	return Stats{
+		PageEdges: s.opts.PageEdges, Pages: s.NumPages(),
 		TopoBytes: s.TopoBytes(), CacheBytes: s.opts.CacheBytes,
-		Devices: len(s.caches), Policy: s.opts.Policy.String(),
+		Devices: s.tab.Devices(), Policy: s.opts.Policy.String(),
+		CacheStats: s.tab.Stats(),
 	}
-	for _, dc := range s.caches {
-		st.CacheStats.Add(dc.bc.Stats())
-	}
-	return st
 }

@@ -52,9 +52,6 @@ func TestAccessDecodesExact(t *testing.T) {
 		}
 	}
 	acc.Flush("test")
-	if got := s.ReadEdge(999); got != wantCol(999) {
-		t.Fatalf("ReadEdge: %d != %d", got, wantCol(999))
-	}
 }
 
 // TestFlushChargesMissesThenHits: the first batch faults pages on the
@@ -103,6 +100,20 @@ func TestFlushChargesMissesThenHits(t *testing.T) {
 	if got := s.Stats().Hits; got != 7 {
 		t.Errorf("batched lookups: hits = %d, want 7", got)
 	}
+}
+
+// TestBeginOverUnflushedMissesPanics: the missed pages of an open batch are
+// already in the cache, so reopening it before Flush would leave their
+// migration uncharged for good.
+func TestBeginOverUnflushedMissesPanics(t *testing.T) {
+	s, dev := newTestStore(t, 4096, Options{PageEdges: 128})
+	s.Begin(dev).At(0)
+	defer func() {
+		if recover() == nil {
+			t.Error("a second Begin silently dropped the batch's page fault")
+		}
+	}()
+	s.Begin(dev)
 }
 
 // TestEvictionChurnKeepsValues: a tiny budget forces evictions; every
@@ -273,7 +284,7 @@ func TestPerDeviceIsolation(t *testing.T) {
 
 // TestDemandFillMatchesEagerFill: whatever order entries are read in —
 // repeats, run boundaries, the partial last page and its partial last
-// run, pages that arrived by prefetch, host-side ReadEdge — every read
+// run, pages that arrived by prefetch, one-entry batches — every read
 // returns what filling the whole page up front would have given, and the
 // fill is only ever asked for aligned runs inside one page.
 func TestDemandFillMatchesEagerFill(t *testing.T) {
@@ -326,9 +337,11 @@ func TestDemandFillMatchesEagerFill(t *testing.T) {
 				acc.Flush("t")
 			default:
 				e := next(numEdges)
-				if got := s.ReadEdge(e); got != wantCol(e) {
-					t.Fatalf("seed %d round %d: ReadEdge(%d) = %d, want %d", seed, round, e, got, wantCol(e))
+				acc := s.Begin(dev)
+				if got := acc.At(e); got != wantCol(e) {
+					t.Fatalf("seed %d round %d: lone At(%d) = %d, want %d", seed, round, e, got, wantCol(e))
 				}
+				acc.Flush("t")
 				reads++
 			}
 		}
@@ -408,7 +421,7 @@ func TestRecycledPageForgetsPrefetch(t *testing.T) {
 	}
 	acc := s.Begin(dev)
 	acc.At(3 * pageEdges)
-	if got := s.cacheFor(dev).acc.pages[3].ready; got != (sim.Event{}) {
+	if got := acc.b.Page(3).ready; got != (sim.Event{}) {
 		t.Fatalf("recycled page kept a ready event: %+v", got)
 	}
 	acc.Flush("t")
@@ -453,39 +466,46 @@ func TestSteadyStateFaultingBatchAllocs(t *testing.T) {
 	}
 }
 
-// TestStatsSumPerDeviceCaches: the store's promoted counters — summed by
-// CacheStats.Add — equal the field-by-field sums over the per-device caches
-// on a run that faults, hits and evicts on two devices.
+// TestStatsSumPerDeviceCaches: devices share nothing but the fill, so on a
+// run that faults, hits, prefetches and evicts on two devices the store's
+// promoted counters equal the field-by-field sums over two one-device stores
+// driven with each device's half of the run.
 func TestStatsSumPerDeviceCaches(t *testing.T) {
 	const numEdges, pageEdges = 1 << 14, 128
-	s, err := New(numEdges, testFill, Options{PageEdges: pageEdges, CacheBytes: 4 * (pageEdges*8 + 8)})
+	opts := Options{PageEdges: pageEdges, CacheBytes: 4 * (pageEdges*8 + 8)}
+	// drive runs device slot's share of the 200 steps on dev.
+	drive := func(s *Store, dev *sim.Device, slot int) {
+		rng := rand.New(rand.NewSource(int64(3 + slot)))
+		for i := slot; i < 200; i += 2 {
+			if i%5 == 0 {
+				s.PrefetchPages(dev, []int32{int32(rng.Intn(numEdges / pageEdges))})
+			}
+			acc := s.Begin(dev)
+			for k := 0; k < 6; k++ {
+				acc.At(rng.Int63n(numEdges / (1 + int64(i%3))))
+			}
+			acc.Flush("test")
+		}
+	}
+	both, err := New(numEdges, testFill, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := sim.NewMachine(sim.DGXA100(1))
-	s.Attach(m.Devs[:2]...)
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 200; i++ {
-		dev := m.Devs[i%2]
-		if i%5 == 0 {
-			s.PrefetchPages(dev, []int32{int32(rng.Intn(numEdges / pageEdges))})
-		}
-		acc := s.Begin(dev)
-		for k := 0; k < 6; k++ {
-			acc.At(rng.Int63n(numEdges / (1 + int64(i%3))))
-		}
-		acc.Flush("test")
-	}
+	both.Attach(m.Devs[:2]...)
 	var hits, misses, evictions, prefetchHits, resident int64
-	for _, dc := range s.caches {
-		cs := dc.bc.Stats()
+	for slot := 0; slot < 2; slot++ {
+		drive(both, m.Devs[slot], slot)
+		one, dev := newTestStore(t, numEdges, opts)
+		drive(one, dev, slot)
+		cs := one.Stats()
 		hits += cs.Hits
 		misses += cs.Misses
 		evictions += cs.Evictions
 		prefetchHits += cs.PrefetchHits
 		resident += cs.ResidentBytes
 	}
-	st := s.Stats()
+	st := both.Stats()
 	if st.Hits != hits || st.Misses != misses || st.Evictions != evictions ||
 		st.PrefetchHits != prefetchHits || st.ResidentBytes != resident {
 		t.Errorf("Stats() = %+v, per-device sums: hits %d misses %d evictions %d prefetch hits %d resident %d",
@@ -493,5 +513,16 @@ func TestStatsSumPerDeviceCaches(t *testing.T) {
 	}
 	if hits == 0 || misses == 0 || evictions == 0 || prefetchHits == 0 || resident == 0 {
 		t.Errorf("the run left a counter at zero, so its sum was not exercised: %+v", st.CacheStats)
+	}
+	// Two machine nodes page the same graph: counters, devices and budgets
+	// sum, the table's shape does not.
+	var twice Stats
+	twice.Add(st)
+	twice.Add(st)
+	want := st
+	want.Devices, want.CacheBytes = 2*st.Devices, 2*st.CacheBytes
+	want.CacheStats.Add(st.CacheStats)
+	if twice != want {
+		t.Errorf("Stats.Add twice: %+v, want %+v", twice, want)
 	}
 }

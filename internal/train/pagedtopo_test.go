@@ -127,6 +127,38 @@ func TestPrefetchAndAdmissionKeepResults(t *testing.T) {
 	}
 }
 
+// TestTwoNodeStoreStatsShape: every machine node pages the same tables, so a
+// 2-node trainer reports each table's shape — pages, bytes, page size,
+// policy — once, and sums only what each node adds: devices, budgets and
+// cache counters.
+func TestTwoNodeStoreStatsShape(t *testing.T) {
+	opts := smallOpts("graphsage")
+	opts.PagedTopo, opts.TopoPageEdges, opts.TopoCacheMB = true, 512, 1
+	opts.PagedFeatures, opts.FeatPageRows, opts.FeatCacheMB = true, 64, 1
+	tr, err := New(sim.NewMachine(sim.DGXA100(2)), smallDataset(t), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.RunEpoch()
+	if len(tr.Stores) != 2 {
+		t.Fatalf("%d stores on a 2-node machine", len(tr.Stores))
+	}
+	f0, f1, fs := tr.Stores[0].FeatStore().Stats(), tr.Stores[1].FeatStore().Stats(), tr.FeatStoreStats()
+	want := f0
+	want.Devices, want.CacheBytes = f0.Devices+f1.Devices, f0.CacheBytes+f1.CacheBytes
+	want.CacheStats.Add(f1.CacheStats)
+	if fs != want || fs.Pages != f1.Pages || fs.EncodedBytes != f1.EncodedBytes || fs.Misses == 0 {
+		t.Errorf("feature store stats %#v, want %#v", fs, want)
+	}
+	t0, t1, ts := tr.Stores[0].TopoStore().Stats(), tr.Stores[1].TopoStore().Stats(), tr.TopoStoreStats()
+	wantT := t0
+	wantT.Devices, wantT.CacheBytes = t0.Devices+t1.Devices, t0.CacheBytes+t1.CacheBytes
+	wantT.CacheStats.Add(t1.CacheStats)
+	if ts != wantT || ts.Pages != t1.Pages || ts.TopoBytes != t1.TopoBytes || ts.Misses == 0 {
+		t.Errorf("topology store stats %#v, want %#v", ts, wantT)
+	}
+}
+
 // TestPagedTopoRejectsWeighted: edge weights need a materialized column.
 func TestPagedTopoRejectsWeighted(t *testing.T) {
 	spec := dataset.OgbnProducts.Scaled(0.001)

@@ -25,6 +25,10 @@ go test -race -count=10 -cpu 1,4 ./internal/tensor
 # channel receive: hammer planned against unplanned builds (every batch read
 # in full while the next one is built) at three GOMAXPROCS settings (~90 s).
 go test -race -count=20 -cpu 1,2,4 -run '^TestPlannedEqualsUnplanned$' ./internal/core
+# The paged table keeps each device's batch, page map and recycling list
+# unlocked beside a locked cache, on the word that one goroutine drives a
+# device: hammer four devices evicting inside their own batches (a few s).
+go test -race -count=20 -cpu 1,2,4 -run '^TestTableConcurrentDevices$' ./internal/blockcache
 # The assembly against the Go loops on generated inputs: NaN payloads, signed
 # zeros, infinities, denormals, every tail length, unaligned operands. The
 # seed corpus already ran above; this searches beyond it, 10 s per target
@@ -32,6 +36,8 @@ go test -race -count=20 -cpu 1,2,4 -run '^TestPlannedEqualsUnplanned$' ./interna
 for target in FuzzReLU FuzzReLUGrad FuzzAxpy; do
 	go test -run '^$' -fuzz "^$target\$" -fuzztime 10s ./internal/tensor
 done
+# The three page codecs over arbitrary float32 bits and page shapes.
+go test -run '^$' -fuzz '^FuzzPageCodec$' -fuzztime 10s ./internal/featstore
 # The benchmark is its own module (benchmark/go.mod), so the commands above
 # never compile it: vet it and run its toy-size smoke (< 10 s), or a changed
 # internal/* signature breaks the harness unseen.
