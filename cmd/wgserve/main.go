@@ -160,7 +160,7 @@ func main() {
 	}
 
 	if fst := srv.FeatStoreStats(); fst.Hits+fst.Misses > 0 {
-		fmt.Println(fst)
+		fmt.Printf("%v, %d pages allocated\n", fst, fst.PagesAllocated)
 	}
 
 	if *jsonPath != "" {

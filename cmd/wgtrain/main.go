@@ -130,13 +130,13 @@ func main() {
 			hits, misses, 100*float64(hits)/float64(hits+misses))
 	}
 	if fst := trainer.FeatStoreStats(); fst.Hits+fst.Misses > 0 {
-		fmt.Println(fst)
+		fmt.Printf("%v, %d pages allocated\n", fst, fst.PagesAllocated)
 	}
 	if gc := trainer.GraphStats(); gc.Active() {
 		fmt.Println(gc)
 	}
 	if tst := trainer.TopoStoreStats(); tst.Hits+tst.Misses > 0 {
-		fmt.Println(tst)
+		fmt.Printf("%v, %d pages allocated\n", tst, tst.PagesAllocated)
 	}
 	if *fullInfer {
 		if len(trainer.Stores) == 0 {

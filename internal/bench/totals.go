@@ -72,10 +72,10 @@ func (t *Totals) Report() string {
 			t.CacheHits, t.CacheMisses, 100*float64(t.CacheHits)/float64(n))
 	}
 	if t.FeatStore.Hits+t.FeatStore.Misses > 0 {
-		s += fmt.Sprintf("feature store: %v\n", t.FeatStore)
+		s += fmt.Sprintf("feature store: %v, %d pages allocated\n", t.FeatStore, t.FeatStore.PagesAllocated)
 	}
 	if t.TopoStore.Hits+t.TopoStore.Misses > 0 {
-		s += fmt.Sprintf("topology store: %v\n", t.TopoStore)
+		s += fmt.Sprintf("topology store: %v, %d pages allocated\n", t.TopoStore, t.TopoStore.PagesAllocated)
 	}
 	if t.Graph.Active() {
 		s += fmt.Sprintf("%v\n", t.Graph)

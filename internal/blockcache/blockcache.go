@@ -249,6 +249,11 @@ type CacheStats struct {
 	ResidentBytes    int64 `json:"resident_bytes"`
 	ResidentPages    int   `json:"resident_pages"`
 	CapacityBytes    int64 `json:"capacity_bytes"`
+	// PagesAllocated counts the pages a Table ever made for its caches,
+	// resident or recycling (zero for a bare BlockCache). A count that keeps
+	// growing between epochs is a page pool that has not reached a steady
+	// state.
+	PagesAllocated int64 `json:"pages_allocated"`
 }
 
 // Add accumulates o into s.
@@ -261,6 +266,7 @@ func (s *CacheStats) Add(o CacheStats) {
 	s.ResidentBytes += o.ResidentBytes
 	s.ResidentPages += o.ResidentPages
 	s.CapacityBytes += o.CapacityBytes
+	s.PagesAllocated += o.PagesAllocated
 }
 
 // HitRate returns the fraction of page lookups served from the cache.

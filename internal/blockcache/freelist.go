@@ -14,8 +14,9 @@ package blockcache
 type FreeList[P Block] struct {
 	Dropped []Block
 	free    []P
-	// Max bounds the blocks kept for reuse; the stores set it to the page
-	// count of the cache, so recycling at most doubles its footprint.
+	// Max bounds the blocks kept for reuse; a Table sets it to the page
+	// count of the cache plus that of the largest batch it has served, which
+	// is everything that batch can drop.
 	Max int
 }
 

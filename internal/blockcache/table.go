@@ -2,8 +2,10 @@ package blockcache
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"wholegraph/internal/sim"
+	"wholegraph/internal/tensor"
 )
 
 // Page is a Block that a Table faults in, stamps and recycles. It is a
@@ -89,9 +91,10 @@ func (t *Table[P]) Attach(devs ...*sim.Device) {
 		b := &Batch[P]{
 			t: t, dev: d, Index: len(t.batches),
 			bc:    NewBlockCache(t.shape.CacheBytes, t.shape.Policy),
-			pages: make(map[int32]P),
+			slots: make(map[int32]int32),
 		}
-		b.spare.Max = int(t.shape.CacheBytes/pageBytes) + 1
+		b.cachePages = int(t.shape.CacheBytes/pageBytes) + 1
+		b.spare.Max = b.cachePages
 		t.batches = append(t.batches, b)
 	}
 }
@@ -111,11 +114,12 @@ func (t *Table[P]) Span(id int32) (lo, hi int64) {
 	return lo, min(lo+int64(t.shape.PageItems), t.shape.Items)
 }
 
-// Stats sums the attached devices' cache counters.
+// Stats sums the attached devices' cache counters and page pools.
 func (t *Table[P]) Stats() CacheStats {
 	var st CacheStats
 	for _, b := range t.batches {
 		st.Add(b.bc.Stats())
+		st.PagesAllocated += b.allocated.Load()
 	}
 	return st
 }
@@ -131,11 +135,17 @@ func (t *Table[P]) batchFor(dev *sim.Device) *Batch[P] {
 
 // Batch is one device's view of the table: its BlockCache, the pages the
 // open access batch has touched, and the recycling list. A batch is Begin,
-// any number of Page calls, Flush before the kernel that consumes what was
-// read, and End once nothing reads the pages any more. The state is
+// any number of Page or Slot calls, Flush before the kernel that consumes
+// what was read, and End once nothing reads the pages any more. The state is
 // unlocked — like the loader's slot ring, each device is driven by exactly
 // one goroutine at a time under sim.RunParallel — while the BlockCache keeps
 // its own mutex so direct concurrent use (and the race detector) stay sound.
+//
+// Residency is that goroutine's alone: every Slot, Flush and End runs on
+// it, in program order. What the owning store may hand to other goroutines
+// (tensor.Fanout, as many as Claimants allows) is the production of the
+// payload of pages the batch already holds, split so that no page — its
+// payload, its bitmap words — is seen by two of them.
 type Batch[P Page] struct {
 	t   *Table[P]
 	dev *sim.Device
@@ -144,17 +154,23 @@ type Batch[P Page] struct {
 	// store's own per-device scratch.
 	Index int
 
-	// pages maps the ids the batch touched to their pages, resident or
-	// not: a page the cache rejected or has since evicted still serves the
-	// batch from here.
-	pages map[int32]P
+	// slots maps the ids the batch touched to their position in pages,
+	// which lists them in first-touch order, resident or not: a page the
+	// cache rejected or has since evicted still serves the batch from here.
+	slots map[int32]int32
+	pages []P
 	// fresh are the pages missed and not yet charged, missBytes their
 	// footprint; inflight is the latest ready event among the batch's hits.
 	fresh     []P
 	missBytes int64
 	inflight  sim.Event
-	// spare recycles the pages bc drops; released when a batch ends.
-	spare FreeList[P]
+	// spare recycles the pages bc drops; released when a batch ends. Its
+	// bound follows the largest batch seen (End): cachePages, the pages the
+	// budget holds plus one, on top of the pages one batch pinned.
+	spare      FreeList[P]
+	cachePages int
+	// allocated counts the pages newPage made for this device.
+	allocated atomic.Int64
 }
 
 // Begin opens dev's access batch. One batch per device: Begin over a batch
@@ -165,13 +181,22 @@ func (t *Table[P]) Begin(dev *sim.Device) *Batch[P] {
 	return b
 }
 
-// Page resolves page id for the batch: one cache lookup per distinct page
-// per batch, a miss faulted in host-side at once (the virtual-time charge
-// is deferred to Flush). A page the admission policy rejects still serves
-// this batch; only residency for later batches changes.
-func (b *Batch[P]) Page(id int32) P {
-	if pg, ok := b.pages[id]; ok {
-		return pg
+// Page resolves page id for the batch; see Slot.
+func (b *Batch[P]) Page(id int32) P { return b.pages[b.Slot(id)] }
+
+// Pages lists the pages the batch has touched, indexed by slot. Valid until
+// End.
+func (b *Batch[P]) Pages() []P { return b.pages }
+
+// Slot resolves page id for the batch and returns its index in Pages: one
+// cache lookup per distinct page per batch, a miss faulted in host-side at
+// once (the virtual-time charge is deferred to Flush). A page the admission
+// policy rejects still serves this batch; only residency for later batches
+// changes. Slots count up from zero in first-touch order, so a store can
+// sort what it reads by page without a second lookup.
+func (b *Batch[P]) Slot(id int32) int {
+	if slot, ok := b.slots[id]; ok {
+		return int(slot)
 	}
 	pg, hit := b.bc.Get(id).(P)
 	if !hit {
@@ -184,8 +209,9 @@ func (b *Batch[P]) Page(id int32) P {
 		// event.
 		b.inflight = ready
 	}
-	b.pages[id] = pg
-	return pg
+	b.slots[id] = int32(len(b.pages))
+	b.pages = append(b.pages, pg)
+	return len(b.pages) - 1
 }
 
 // take returns an empty page id, recycled when one is free.
@@ -193,6 +219,7 @@ func (b *Batch[P]) take(id int32) P {
 	pg, ok := b.spare.Take()
 	if !ok {
 		pg = b.t.newPage()
+		b.allocated.Add(1)
 	}
 	lo, hi := b.t.Span(id)
 	pg.Reset(id, int(hi-lo))
@@ -213,15 +240,22 @@ func (b *Batch[P]) Flush() int {
 }
 
 // End closes the batch: nothing reads its pages any more, so the ones the
-// cache dropped meanwhile become reusable. A batch may not forget its
-// faults — the missed pages are already in the cache, and ending (or
-// reopening) the batch before Flush would leave their migration uncharged.
+// cache dropped meanwhile become reusable — all of them, even when the batch
+// pinned more pages than the cache holds: the free list's bound grows to the
+// largest batch seen on top of the cache, so such a workload stops
+// allocating after its second batch (CacheStats.PagesAllocated). A batch may
+// not forget its faults — the missed pages are already in the cache, and
+// ending (or reopening) the batch before Flush would leave their migration
+// uncharged.
 func (b *Batch[P]) End() {
 	if len(b.fresh) > 0 {
 		panic(fmt.Sprintf("%s: batch on device %d ended with %d unflushed page faults", b.t.shape.Name, b.dev.ID, len(b.fresh)))
 	}
+	b.spare.Max = max(b.spare.Max, len(b.pages)+b.cachePages)
 	b.spare.Release()
+	clear(b.slots)
 	clear(b.pages)
+	b.pages = b.pages[:0]
 	b.inflight = sim.Event{}
 }
 
@@ -277,3 +311,72 @@ func (b *Batch[P]) service(tags *serviceTags) sim.Event {
 	b.fresh, b.missBytes = b.fresh[:0], 0
 	return ready
 }
+
+// fanoutMinBytes is the decoded payload a batch must read before its fill is
+// shared. On the 2-vCPU reference box a fan-out ties the inline loop up to
+// ~280 µs of fills and wins from ~580 µs (tensor's BenchmarkFillFanout,
+// -cpu 2: 256 and 512 fills of a microsecond; a parked helper takes tens of
+// microseconds to wake). A generated 128-wide feature row — 512 decoded
+// bytes — or the run fills behind five sampled edges cost about that
+// microsecond, a row copied from a resident slab a quarter of it; at 512
+// rows' worth the generators are past the crossover and a slab is at the tie.
+const fanoutMinBytes = 256 << 10
+
+// Claimants returns how many goroutines may share the fill of a batch that
+// reads about payload bytes: tensor.Workers(), or one — the fill is then
+// inline, on the device's goroutine — for a small batch, with
+// sim.SetParallel(false) or with tensor.SetWorkers(1). Pass it to
+// tensor.Fanout together with the batch's page count.
+func Claimants(payload int) int {
+	if payload < fanoutMinBytes || !sim.ParallelEnabled() {
+		return 1
+	}
+	return tensor.Workers()
+}
+
+// ReadList is the reads of one batch sorted by page, the work list of a
+// page-disjoint fan-out: the store notes the Slot of the page each read
+// touched, in read order, and Group turns that into one run of reads per
+// page. The buffers persist, so a steady-state batch allocates nothing.
+type ReadList struct {
+	// Slot holds, per read, Batch.Slot of the page it touched.
+	Slot         []int32
+	start, order []int32
+}
+
+// Reset empties the list and sizes Slot for n reads.
+func (r *ReadList) Reset(n int) {
+	if cap(r.Slot) < n {
+		r.Slot = make([]int32, n)
+		r.order = make([]int32, n)
+	}
+	r.Slot, r.order = r.Slot[:n], r.order[:n]
+}
+
+// Group sorts the reads by slot (a counting sort, stable) for a batch of the
+// given page count.
+func (r *ReadList) Group(pages int) {
+	if cap(r.start) < pages+1 {
+		r.start = make([]int32, pages+1)
+	}
+	r.start = r.start[:pages+1]
+	clear(r.start)
+	for _, s := range r.Slot {
+		r.start[s+1]++
+	}
+	for p := 0; p < pages; p++ {
+		r.start[p+1] += r.start[p]
+	}
+	// Place each read at its page's cursor; afterwards start[p] has moved
+	// to the end of page p's run, which is where page p+1's began, so one
+	// shift restores it.
+	for i, s := range r.Slot {
+		r.order[r.start[s]] = int32(i)
+		r.start[s]++
+	}
+	copy(r.start[1:], r.start[:pages])
+	r.start[0] = 0
+}
+
+// Of returns the reads that touched the page in slot p, in read order.
+func (r *ReadList) Of(p int) []int32 { return r.order[r.start[p]:r.start[p+1]] }

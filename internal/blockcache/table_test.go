@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"wholegraph/internal/sim"
+	"wholegraph/internal/tensor"
 )
 
 // tablePage is the trivial page type of the table suite: no payload, only
@@ -361,38 +362,108 @@ func TestTableConcurrentDevices(t *testing.T) {
 // TestTableSteadyStateAllocs: once the cache is full and the free list
 // primed, batches and prefetches that fault and evict on every page
 // allocate nothing — pages and cache entries are recycled, trace tags were
-// built at construction. (The free list is capped at the cache's page count,
-// so this holds for batches that miss no more pages than that.)
+// built at construction — and the table has stopped making pages. That holds
+// for a batch that pins twice the pages the cache holds as well, from its
+// third run on: the free list's bound follows the largest batch.
 func TestTableSteadyStateAllocs(t *testing.T) {
-	tab, devs := newTestTable(PolicyLRU, 16, nil)
-	dev := devs[0]
-	dev.Tracing = true // tags reach the trace; building one per call would allocate
-	next := int32(0)
-	ids := make([]int32, 4)
-	batch := func() {
-		for i := range ids {
-			ids[i] = (next + 8 + int32(i)) % 101
+	for _, c := range []struct {
+		name                  string
+		budget                int64
+		fresh, warmup, maxNew int
+		prefetchHits          int64 // per batch; the large batch evicts its own prefetch
+	}{
+		{"batch within the cache", 16, 8, 8, 16 + 8 + 4 + 1, 4},
+		{"batch of twice the cache", 8, 16, 2, 8 + 16 + 4, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tab, devs := newTestTable(PolicyLRU, c.budget, nil)
+			dev := devs[0]
+			dev.Tracing = true // tags reach the trace; building one per call would allocate
+			next := int32(0)
+			ids := make([]int32, 4)
+			batch := func() {
+				for i := range ids {
+					ids[i] = (next + int32(c.fresh+i)) % 101
+				}
+				tab.Prefetch(dev, ids)
+				b := tab.Begin(dev)
+				for i := 0; i < c.fresh; i++ { // all fresh pages
+					b.Page(next % 101)
+					next++
+				}
+				b.Flush()
+				b.End()
+			}
+			for i := 0; i < c.warmup; i++ {
+				batch()
+			}
+			dev.Tracing = false // the trace slice itself grows
+			before := tab.Stats()
+			if avg := testing.AllocsPerRun(50, batch); avg != 0 {
+				t.Errorf("faulting batch allocates %.1f objects per call, want 0", avg)
+			}
+			after := tab.Stats()
+			if after.Misses-before.Misses < 50*(int64(c.fresh)-c.prefetchHits) || after.PrefetchHits-before.PrefetchHits < 50*c.prefetchHits ||
+				after.Evictions-before.Evictions < 50*int64(c.fresh) {
+				t.Fatalf("batches did not fault and evict: %+v -> %+v", before, after)
+			}
+			if after.PagesAllocated != before.PagesAllocated || after.PagesAllocated > int64(c.maxNew) {
+				t.Errorf("page pool still growing: %d pages allocated after warm-up, %d after 51 more batches (cache, batch and prefetch hold %d)",
+					before.PagesAllocated, after.PagesAllocated, c.maxNew)
+			}
+			if max, want := tab.batches[0].spare.Max, c.fresh+int(c.budget)+1; max != want {
+				t.Errorf("free list bound %d, want largest batch + cache pages + 1 = %d", max, want)
+			}
+		})
+	}
+}
+
+// TestReadListGroupsByPage: Group is a stable sort of the reads by slot.
+func TestReadListGroupsByPage(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var r ReadList
+	for _, n := range []int{0, 1, 40, 1000, 7} { // shrinking reuses the buffers
+		pages := 1 + rng.Intn(60)
+		r.Reset(n)
+		for i := range r.Slot {
+			r.Slot[i] = int32(rng.Intn(pages))
 		}
-		tab.Prefetch(dev, ids)
-		b := tab.Begin(dev)
-		for i := 0; i < 8; i++ { // 8 fresh pages; the last prefetch covered 4
-			b.Page(next % 101)
-			next++
+		r.Group(pages)
+		seen := 0
+		for p := 0; p < pages; p++ {
+			last := int32(-1)
+			for _, i := range r.Of(p) {
+				if r.Slot[i] != int32(p) || i <= last {
+					t.Fatalf("n=%d: page %d lists read %d (slot %d) after read %d", n, p, i, r.Slot[i], last)
+				}
+				last = i
+				seen++
+			}
 		}
-		b.Flush()
-		b.End()
+		if seen != n {
+			t.Fatalf("n=%d: pages list %d reads", n, seen)
+		}
 	}
-	for i := 0; i < 8; i++ {
-		batch()
+}
+
+// TestClaimantsInline: a fill is shared only when it is large and both
+// switches — sim.SetParallel and tensor.SetWorkers — allow it.
+func TestClaimantsInline(t *testing.T) {
+	defer tensor.SetWorkers(tensor.SetWorkers(3))
+	defer sim.SetParallel(sim.SetParallel(true))
+	if got := Claimants(fanoutMinBytes); got != 3 {
+		t.Errorf("a batch at the cutoff gets %d claimants, want tensor.Workers() = 3", got)
 	}
-	dev.Tracing = false // the trace slice itself grows
-	before := tab.Stats()
-	if avg := testing.AllocsPerRun(50, batch); avg != 0 {
-		t.Errorf("faulting batch allocates %.1f objects per call, want 0", avg)
+	if got := Claimants(fanoutMinBytes - 1); got != 1 {
+		t.Errorf("a batch below the cutoff gets %d claimants", got)
 	}
-	after := tab.Stats()
-	if after.Misses-before.Misses < 50*4 || after.PrefetchHits-before.PrefetchHits < 50*4 ||
-		after.Evictions-before.Evictions < 50*8 {
-		t.Fatalf("batches did not fault and evict: %+v -> %+v", before, after)
+	sim.SetParallel(false)
+	if got := Claimants(1 << 30); got != 1 {
+		t.Errorf("%d claimants with sim.SetParallel(false)", got)
+	}
+	sim.SetParallel(true)
+	tensor.SetWorkers(1)
+	if got := Claimants(1 << 30); got != 1 {
+		t.Errorf("%d claimants with tensor.SetWorkers(1)", got)
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"math/rand"
 
 	"wholegraph/internal/graph"
+	"wholegraph/internal/tensor"
 )
 
 // Spec describes a dataset to generate.
@@ -321,9 +322,13 @@ func (d *Dataset) generateFeatures(rng *rand.Rand, materialize bool) {
 	}
 	dim := int64(s.FeatDim)
 	d.Feat = make([]float32, s.Nodes*dim)
-	for v := int64(0); v < s.Nodes; v++ {
-		d.Gen.FillRow(v, d.Feat[v*dim:(v+1)*dim])
-	}
+	// A row is a function of its node alone (FillRow), so rows are produced
+	// on as many goroutines as the dense kernels use, 256 at a time.
+	tensor.Fanout(tensor.Workers(), int(s.Nodes), 256, func(_, lo, hi int) {
+		for v := int64(lo); v < int64(hi); v++ {
+			d.Gen.FillRow(v, d.Feat[v*dim:(v+1)*dim])
+		}
+	})
 }
 
 // generateSplits labels LabelRatio of the nodes and splits them into

@@ -6,6 +6,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"wholegraph/internal/tensor"
 )
 
 func smallSpec() Spec {
@@ -83,11 +85,17 @@ func TestGenerateShapes(t *testing.T) {
 	}
 }
 
+// TestGenerateDeterministic: one spec generates one dataset, whether the
+// adjacency sort and the feature rows ran on one goroutine or were shared
+// between four (~2400 nodes are three chunks of rows to sort and ten of
+// features).
 func TestGenerateDeterministic(t *testing.T) {
+	defer tensor.SetWorkers(tensor.SetWorkers(1))
 	a, err := Generate(smallSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
+	tensor.SetWorkers(4)
 	b, err := Generate(smallSpec())
 	if err != nil {
 		t.Fatal(err)

@@ -13,6 +13,7 @@
 package featstore
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -166,11 +167,7 @@ func encode(enc Encoding, src []float32, dst []byte, minV, maxV float32) {
 	switch enc {
 	case Raw:
 		for i, x := range src {
-			bits := math.Float32bits(x)
-			dst[4*i] = byte(bits)
-			dst[4*i+1] = byte(bits >> 8)
-			dst[4*i+2] = byte(bits >> 16)
-			dst[4*i+3] = byte(bits >> 24)
+			binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(x))
 		}
 	case Float16:
 		for i, x := range src {
@@ -199,12 +196,9 @@ func encode(enc Encoding, src []float32, dst []byte, minV, maxV float32) {
 func (p *page) decodeRow(enc Encoding, r, dim int, dst []float32) {
 	switch enc {
 	case Raw:
-		base := 4 * r * dim
-		for j := 0; j < dim; j++ {
-			o := base + 4*j
-			bits := uint32(p.data[o]) | uint32(p.data[o+1])<<8 |
-				uint32(p.data[o+2])<<16 | uint32(p.data[o+3])<<24
-			dst[j] = math.Float32frombits(bits)
+		row := p.data[4*r*dim : 4*(r+1)*dim]
+		for j := range dst[:dim] {
+			dst[j] = math.Float32frombits(binary.LittleEndian.Uint32(row[4*j:]))
 		}
 	case Float16:
 		base := 2 * r * dim

@@ -5,6 +5,7 @@ import (
 
 	"wholegraph/internal/blockcache"
 	"wholegraph/internal/sim"
+	"wholegraph/internal/tensor"
 )
 
 // RowSource produces feature rows on demand; the store never materializes
@@ -69,7 +70,7 @@ func (o Options) normalize() Options {
 // and recycles; what is left here is what a feature page holds — the codecs
 // and the demand materialisation of rows. The store itself is immutable
 // after construction; all mutable state lives in the table's per-device
-// batches and in rowBufs.
+// batches and in gathers.
 type Store struct {
 	src  RowSource
 	opts Options
@@ -77,9 +78,47 @@ type Store struct {
 	nRows int64
 	dim   int
 	tab   *blockcache.Table[*page]
-	// rowBufs is one float32 staging buffer per attached device (Quant8
-	// materialises a page whole), indexed by the batch's attach order.
-	rowBufs [][]float32
+	// gathers is one GatherRows scratch per attached device, indexed by the
+	// batch's attach order.
+	gathers []*gather
+}
+
+// gather is one device's GatherRows in flight: the call's arguments, its
+// rows sorted by page, and what the fill — which tensor.Fanout may spread
+// over several goroutines, a few pages at a time — needs per claimant.
+type gather struct {
+	s     *Store
+	pages []*page
+	rows  []int64
+	dst   []float32
+	reads blockcache.ReadList
+	// stage is one float32 staging buffer per claimant (Quant8 materialises
+	// a page whole); a claimant touches only its own.
+	stage [][]float32
+	// fill is the method value g.fillPages, made once so that a gather
+	// allocates nothing.
+	fill func(claimant, lo, hi int)
+}
+
+// fillChunk is how many pages a claimant of the fill takes at a time: a page
+// costs from one decoded row (~0.1 µs) to PageRows generated ones, so a chunk
+// is several microseconds of work against the ~20 ns of claiming it.
+const fillChunk = 16
+
+// fillPages produces and decodes the gather's rows on pages [lo, hi) of the
+// batch. Pages are the unit of ownership: every row of a page, its bitmap and
+// its value range are this claimant's until the fan-out joins, and dst rows
+// belong to the read they answer.
+func (g *gather) fillPages(claimant, lo, hi int) {
+	s, dim := g.s, g.s.dim
+	pageRows := int64(s.opts.PageRows)
+	for p := lo; p < hi; p++ {
+		pg := g.pages[p]
+		first := int64(pg.id) * pageRows
+		for _, i := range g.reads.Of(p) {
+			s.row(pg, int(g.rows[i]-first), g.dst[int(i)*dim:(int(i)+1)*dim], &g.stage[claimant])
+		}
+	}
 }
 
 // New builds a store over src. Attach devices before gathering.
@@ -102,7 +141,11 @@ func New(src RowSource, opts Options) (*Store, error) {
 // the first gather; attaching mid-training would race with lookups.
 func (s *Store) Attach(devs ...*sim.Device) {
 	s.tab.Attach(devs...)
-	s.rowBufs = append(s.rowBufs, make([][]float32, len(devs))...)
+	for range devs {
+		g := &gather{s: s}
+		g.fill = g.fillPages
+		s.gathers = append(s.gathers, g)
+	}
 }
 
 // NumRows implements graph.FeatureSource.
@@ -151,6 +194,9 @@ func (s *Store) row(pg *page, r int, dst []float32, buf *[]float32) {
 			lo, _ := s.tab.Span(pg.id)
 			s.src.FillRow(lo+int64(r), dst)
 			pg.encodeRow(s.opts.Encoding, r, dst[:s.dim])
+			if s.opts.Encoding == Raw {
+				return // bit-exact: dst already holds what the row decodes to
+			}
 		}
 	}
 	pg.decodeRow(s.opts.Encoding, r, s.dim, dst)
@@ -162,6 +208,11 @@ func (s *Store) row(pg *page, r int, dst []float32, buf *[]float32) {
 // on the transfer before one decode kernel reads the (now resident, still
 // encoded) rows at HBM random-access cost and widens them to float32
 // in dst. Returns the virtual seconds the current stream advanced.
+//
+// Everything the clock, the cache or a counter can see happens here, on the
+// device's goroutine, in row order. Producing and decoding the rows is pure
+// host work and is handed out page by page (gather.fillPages) to as many
+// goroutines as blockcache.Claimants allows, which changes no value.
 func (s *Store) GatherRows(dev *sim.Device, rows []int64, dim int, dst []float32, tag string) float64 {
 	if dim != s.dim {
 		panic(fmt.Sprintf("featstore: dim %d != store dim %d", dim, s.dim))
@@ -172,21 +223,26 @@ func (s *Store) GatherRows(dev *sim.Device, rows []int64, dim int, dst []float32
 	t0 := dev.Now()
 	pageRows := int64(s.opts.PageRows)
 	b := s.tab.Begin(dev)
-	for _, row := range rows {
+	g := s.gathers[b.Index]
+	g.reads.Reset(len(rows))
+	for i, row := range rows {
 		if row < 0 || row >= s.nRows {
 			panic(fmt.Sprintf("featstore: row %d outside [0,%d)", row, s.nRows))
 		}
-		b.Page(int32(row / pageRows))
+		g.reads.Slot[i] = int32(b.Slot(int32(row / pageRows)))
 	}
 	b.Flush()
 
-	buf := &s.rowBufs[b.Index]
-	for i, row := range rows {
-		id := int32(row / pageRows)
-		s.row(b.Page(id), int(row-int64(id)*pageRows), dst[i*dim:(i+1)*dim], buf)
-	}
-	b.End()
 	elems := len(rows) * dim
+	g.pages, g.rows, g.dst = b.Pages(), rows, dst
+	g.reads.Group(len(g.pages))
+	w := blockcache.Claimants(4 * elems)
+	for len(g.stage) < w {
+		g.stage = append(g.stage, nil)
+	}
+	tensor.Fanout(w, len(g.pages), fillChunk, g.fill)
+	g.pages, g.rows, g.dst = nil, nil, nil
+	b.End()
 	dev.Kernel(sim.KernelCost{
 		RandBytes:   float64(elems * s.opts.Encoding.BytesPerElem()),
 		FLOPs:       float64(elems) * s.opts.Encoding.decodeFLOPsPerElem(),

@@ -1,6 +1,7 @@
 package featstore
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -8,6 +9,7 @@ import (
 
 	"wholegraph/internal/blockcache"
 	"wholegraph/internal/sim"
+	"wholegraph/internal/tensor"
 )
 
 func testSource(rng *rand.Rand, rows, dim int) *SliceSource {
@@ -416,5 +418,78 @@ func TestStatsSumPerDeviceCaches(t *testing.T) {
 	want.CacheStats.Add(st.CacheStats)
 	if twice != want {
 		t.Errorf("Stats.Add twice: %+v, want %+v", twice, want)
+	}
+}
+
+// TestGatherFanoutEquivalence: with the fill shared between two and four
+// claimants a run of gathers — evicting, prefetching, repeating rows inside
+// a batch, reading the partial last page — returns the bits, leaves every
+// cache counter and stops both device clocks exactly where the inline fill
+// (one worker, and sim.SetParallel(false)) does. Run under -race: pages, dst
+// rows and the per-claimant staging buffers are the state the claimants
+// must not share.
+func TestGatherFanoutEquivalence(t *testing.T) {
+	defer tensor.SetWorkers(tensor.SetWorkers(1))
+	defer sim.SetParallel(sim.SetParallel(true))
+	const rows, dim, pageRows, batch = 5003, 32, 16, 2100
+	if blockcache.Claimants(4*batch*dim) != 1 {
+		t.Fatal("one worker must fill inline")
+	}
+	src := testSource(rand.New(rand.NewSource(9)), rows, dim)
+	type outcome struct {
+		values        []uint32
+		stats         Stats
+		compute, copy float64
+	}
+	run := func(enc Encoding, policy blockcache.Policy) outcome {
+		pageBytes := int64(pageRows*dim*enc.BytesPerElem() + pageMetaBytes)
+		s, dev := newTestStore(t, src, Options{Encoding: enc, PageRows: pageRows, CacheBytes: 40 * pageBytes, Policy: policy})
+		rng := rand.New(rand.NewSource(10))
+		var out outcome
+		idx := make([]int64, batch)
+		dst := make([]float32, batch*dim)
+		for it := 0; it < 3; it++ {
+			for i := range idx {
+				idx[i] = rng.Int63n(rows) / int64(1+it%2) // every other batch re-reads a hot half
+			}
+			idx[0], idx[1], idx[2] = rows-1, idx[3], 0
+			prefetchRows(s, dev, idx[:64], 8)
+			s.GatherRows(dev, idx, dim, dst, "t")
+			for _, x := range dst {
+				out.values = append(out.values, math.Float32bits(x))
+			}
+		}
+		out.stats, out.compute, out.copy = s.Stats(), dev.StreamNow(sim.StreamCompute), dev.StreamNow(sim.StreamCopy)
+		if out.stats.Evictions == 0 || out.stats.Hits == 0 || out.stats.PrefetchHits == 0 {
+			t.Fatalf("%v/%v: the run left a path untaken: %v", enc, policy, out.stats)
+		}
+		return out
+	}
+	for _, enc := range []Encoding{Raw, Float16, Quant8} {
+		for _, policy := range []blockcache.Policy{blockcache.PolicyLRU, blockcache.PolicyAdmit} {
+			want := run(enc, policy)
+			check := func(mode string) {
+				t.Helper()
+				got := run(enc, policy)
+				if !slices.Equal(got.values, want.values) {
+					t.Errorf("%v/%v %s: gathered values differ from the inline fill", enc, policy, mode)
+				}
+				if got.stats != want.stats || got.compute != want.compute || got.copy != want.copy {
+					t.Errorf("%v/%v %s: stats %+v clocks %v/%v, inline %+v clocks %v/%v",
+						enc, policy, mode, got.stats, got.compute, got.copy, want.stats, want.compute, want.copy)
+				}
+			}
+			for _, w := range []int{2, 4} {
+				tensor.SetWorkers(w)
+				if blockcache.Claimants(4*batch*dim) != w {
+					t.Fatalf("a %d-row gather is below the fan-out cutoff", batch)
+				}
+				check(fmt.Sprintf("%d workers", w))
+			}
+			sim.SetParallel(false)
+			check("SetParallel(false)")
+			sim.SetParallel(true)
+			tensor.SetWorkers(1)
+		}
 	}
 }

@@ -39,6 +39,8 @@ type GPUSampler struct {
 	// scratch backs Algorithm 1 across SampleLayer calls, one workspace per
 	// sampler so concurrent samplers never share memory.
 	scratch Scratch
+	// cols receives a paged kernel's column values (topostore reads uint64s).
+	cols []uint64
 }
 
 // NewGPUSampler returns a sampler for pg running on dev with the given seed.
@@ -75,11 +77,15 @@ func (s *GPUSampler) SampleLayerInto(nb *Neighborhood, targets []graph.GlobalID,
 	// instead of the materialized Col array. Decoded values are identical;
 	// only the charging changes — pages are faulted to local HBM (one
 	// copy-stream dance in Flush below), so every column read is a local
-	// 8-byte random access instead of a possibly-remote NVLink read.
+	// 8-byte random access instead of a possibly-remote NVLink read. The
+	// kernel is then two-phase: the loop below only chooses positions —
+	// they depend on the RNG and the row pointers, never on a column value —
+	// and one batched Read after it fetches the values.
 	var acc *topostore.Access
 	if ts := s.PG.PagedTopo(); ts != nil {
 		acc = ts.Begin(s.Dev)
 	}
+	paged := acc != nil
 
 	var localBytes, remoteBytes, remoteSegs, sortKeys float64
 	for _, t := range targets {
@@ -94,12 +100,16 @@ func (s *GPUSampler) SampleLayerInto(nb *Neighborhood, targets []graph.GlobalID,
 			remoteBytes += 16
 			remoteSegs++
 		}
-		colLocal := acc != nil || t.Rank() == rank
+		colLocal := paged || t.Rank() == rank
 		if deg <= int64(fanout) {
 			// Take all neighbors: one contiguous read of the list.
 			for k := int64(0); k < deg; k++ {
 				nb.EdgePos = append(nb.EdgePos, e0+k)
-				nb.Neighbors = append(nb.Neighbors, colAt(nbrs, acc, e0, k))
+			}
+			if !paged {
+				for _, d := range nbrs {
+					nb.Neighbors = append(nb.Neighbors, graph.GlobalID(d))
+				}
 			}
 			if colLocal {
 				localBytes += float64(8 * deg)
@@ -112,7 +122,9 @@ func (s *GPUSampler) SampleLayerInto(nb *Neighborhood, targets []graph.GlobalID,
 			sortKeys += float64(fanout)
 			for _, k := range idx {
 				nb.EdgePos = append(nb.EdgePos, e0+k)
-				nb.Neighbors = append(nb.Neighbors, colAt(nbrs, acc, e0, k))
+				if !paged {
+					nb.Neighbors = append(nb.Neighbors, graph.GlobalID(nbrs[k]))
+				}
 			}
 			// Sampled positions are scattered inside the list: 8-byte
 			// random accesses.
@@ -123,12 +135,21 @@ func (s *GPUSampler) SampleLayerInto(nb *Neighborhood, targets []graph.GlobalID,
 				remoteSegs += float64(fanout)
 			}
 		}
-		nb.Offsets = append(nb.Offsets, int64(len(nb.Neighbors)))
+		nb.Offsets = append(nb.Offsets, int64(len(nb.EdgePos)))
 	}
 
-	// Fault the column pages this kernel needs (no-op when everything is
-	// resident); the sampling kernel below starts after the migration.
-	if acc != nil {
+	// Read the chosen positions — which touches their pages in position
+	// order — and fault the pages this kernel missed (no-op when everything
+	// is resident); the sampling kernel below starts after the migration.
+	if paged {
+		if cap(s.cols) < len(nb.EdgePos) {
+			s.cols = make([]uint64, len(nb.EdgePos))
+		}
+		cols := s.cols[:len(nb.EdgePos)]
+		acc.Read(nb.EdgePos, cols)
+		for _, d := range cols {
+			nb.Neighbors = append(nb.Neighbors, graph.GlobalID(d))
+		}
 		acc.Flush("sample")
 	}
 
@@ -147,16 +168,6 @@ func (s *GPUSampler) SampleLayerInto(nb *Neighborhood, targets []graph.GlobalID,
 		Tag:            "sample",
 	})
 	return nb
-}
-
-// colAt reads the k-th entry of an adjacency resolved by Partitioned.Adj:
-// from the resident neighbour slice, or, under paged topology, through the
-// kernel's page accessor at global edge index e0+k.
-func colAt(nbrs []uint64, acc *topostore.Access, e0, k int64) graph.GlobalID {
-	if acc != nil {
-		return graph.GlobalID(acc.At(e0 + k))
-	}
-	return graph.GlobalID(nbrs[k])
 }
 
 // Fanouts applies SampleLayer per hop: hop l samples fanouts[l] neighbors

@@ -25,6 +25,11 @@ import (
 // Ownership: a job belongs to the goroutine that took it from getJob until
 // it hands it back with putJob; pool workers only read its operands, between
 // the send of a task and that task's Done, and bring their own scratch.
+//
+// The same pool serves Fanout, the host-side fills whose items are
+// independent but uneven (a page's rows, an adjacency list): there a task is
+// a claimant, and every claimant — the submitter among them — takes the next
+// chunk of items from the job's counter until none are left.
 
 var numWorkers int64 = int64(runtime.GOMAXPROCS(0))
 
@@ -58,18 +63,36 @@ var minParallelWork = 1 << 22
 // its working memory.
 type rowKernel func(s *scratch, dst, a, b *Dense, lo, hi int)
 
-// job is one kernel call in flight.
+// job is one kernel call, or one Fanout, in flight.
 type job struct {
 	kern      rowKernel
 	dst, a, b *Dense
 	wg        sync.WaitGroup
 	scr       scratch // the submitting goroutine's kernel scratch
 	bt        Dense   // MatMulTInto's transposed b
+
+	// A Fanout: body over [0, n), claimed chunk items at a time from next.
+	// body is nil in a kernel call.
+	body     func(claimant, lo, hi int)
+	n, chunk int
+	next     atomic.Int64
 }
 
+// task is a row range [lo, hi) of j's kernel or, when j is a Fanout,
+// claimant number lo.
 type task struct {
 	j      *job
 	lo, hi int
+}
+
+// do runs t on a pool worker whose kernel scratch is s.
+func (t task) do(s *scratch) {
+	if j := t.j; j.body != nil {
+		j.claim(t.lo)
+	} else {
+		j.kern(s, j.dst, j.a, j.b, t.lo, t.hi)
+	}
+	t.j.wg.Done()
 }
 
 // jobs is the free list of job records. 64 is more than the goroutines ever
@@ -111,8 +134,7 @@ func startPool() {
 			go func() {
 				var s scratch
 				for t := range pool.tasks {
-					t.j.kern(&s, t.j.dst, t.j.a, t.j.b, t.lo, t.hi)
-					t.j.wg.Done()
+					t.do(&s)
 				}
 			}()
 		}
@@ -152,4 +174,59 @@ func (j *job) run(kern rowKernel, dst, a, b *Dense, rows, work int) {
 	kern(&j.scr, dst, a, b, lo, rows)
 	j.wg.Wait()
 	j.kern, j.dst, j.a, j.b = nil, nil, nil, nil
+}
+
+// Fanout calls body(claimant, lo, hi) over disjoint chunks of at most chunk
+// items that together cover [0, n), on up to w goroutines: the caller, which
+// is claimant 0, and w-1 pool workers. Nobody is handed a share in advance —
+// each claimant takes the next chunk when it has finished its last — so a
+// helper that starts late or is descheduled holds up one chunk, and a helper
+// that never starts (the queue was full) holds up nothing. Claimant numbers
+// are below w and no two concurrent calls of body share one, which is what
+// lets body index per-claimant scratch. With w <= 1, or no more than one
+// chunk of items, body runs once, inline, over the whole range. Items must be
+// independent: which claimant ran which chunk is not reproducible, so body's
+// effect may not depend on it.
+//
+// Fanout allocates nothing when body is a func value the caller keeps; it
+// returns when every item is done. A panic in body on a pool worker is not
+// recovered — check arguments before fanning out.
+func Fanout(w, n, chunk int, body func(claimant, lo, hi int)) {
+	if n <= 0 {
+		return
+	}
+	chunk = max(chunk, 1)
+	if w = min(w, (n+chunk-1)/chunk); w <= 1 {
+		body(0, 0, n)
+		return
+	}
+	startPool()
+	j := getJob()
+	j.body, j.n, j.chunk = body, n, chunk
+	j.next.Store(0)
+	for c := 1; c < w; c++ {
+		j.wg.Add(1)
+		select {
+		case pool.tasks <- task{j: j, lo: c}:
+		default:
+			// Queue full: the claimants that did start cover its share.
+			j.wg.Done()
+		}
+	}
+	j.claim(0)
+	j.wg.Wait()
+	j.body = nil
+	putJob(j)
+}
+
+// claim works off chunks of j's Fanout until the counter passes n.
+func (j *job) claim(claimant int) {
+	for {
+		hi := int(j.next.Add(int64(j.chunk)))
+		lo := hi - j.chunk
+		if lo >= j.n {
+			return
+		}
+		j.body(claimant, lo, min(hi, j.n))
+	}
 }

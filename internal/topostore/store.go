@@ -15,6 +15,7 @@ import (
 
 	"wholegraph/internal/blockcache"
 	"wholegraph/internal/sim"
+	"wholegraph/internal/tensor"
 )
 
 // Fill writes the column values (destination GlobalIDs as uint64) for
@@ -122,7 +123,9 @@ func New(numEdges int64, fill Fill, opts Options) (*Store, error) {
 func (s *Store) Attach(devs ...*sim.Device) {
 	s.tab.Attach(devs...)
 	for range devs {
-		s.accs = append(s.accs, &Access{s: s})
+		a := &Access{s: s, scratch: make([][fillRun]int64, 1)}
+		a.fill = a.fillPages
+		s.accs = append(s.accs, a)
 	}
 }
 
@@ -156,10 +159,10 @@ func (s *Store) at(pg *colPage, off int64, scratch *[fillRun]int64) uint64 {
 }
 
 // Begin starts a page-aware access batch on dev: At decodes single
-// column entries, tracking which pages were touched and which missed;
-// Flush charges one copy-stream fault service for all misses, joins any
-// in-flight prefetch transfers, and ends the batch. One Access per
-// device — Begin while a batch holds unflushed misses panics.
+// column entries and Read a list of them, tracking which pages were touched
+// and which missed; Flush charges one copy-stream fault service for all
+// misses, joins any in-flight prefetch transfers, and ends the batch. One
+// Access per device — Begin while a batch holds unflushed misses panics.
 func (s *Store) Begin(dev *sim.Device) *Access {
 	b := s.tab.Begin(dev)
 	acc := s.accs[b.Index]
@@ -169,10 +172,24 @@ func (s *Store) Begin(dev *sim.Device) *Access {
 
 // Access is an open access batch; see Store.Begin.
 type Access struct {
-	s       *Store
-	b       *blockcache.Batch[*colPage]
-	scratch [fillRun]int64
+	s *Store
+	b *blockcache.Batch[*colPage]
+	// scratch is one fill workspace per claimant of a Read; At uses the
+	// first.
+	scratch [][fillRun]int64
+
+	// A Read in flight: its arguments, its edges sorted by page, and the
+	// method value a.fillPages, made once so that a Read allocates nothing.
+	edges []int64
+	dst   []uint64
+	reads blockcache.ReadList
+	fill  func(claimant, lo, hi int)
 }
+
+// readChunk is how many pages a claimant of a Read takes at a time: a page
+// of a sampling kernel holds around ten reads, each of which may fill a run
+// (several microseconds from a generator), so pages are claimed in fours.
+const readChunk = 4
 
 // At returns the column value at global edge index e, faulting the
 // holding page host-side if missing (the virtual-time charge is deferred
@@ -184,7 +201,52 @@ func (a *Access) At(e int64) uint64 {
 		panic(fmt.Sprintf("topostore: edge %d outside [0,%d)", e, s.numEdges))
 	}
 	id := int32(e / int64(s.opts.PageEdges))
-	return s.at(a.b.Page(id), e-int64(id)*int64(s.opts.PageEdges), &a.scratch)
+	return s.at(a.b.Page(id), e-int64(id)*int64(s.opts.PageEdges), &a.scratch[0])
+}
+
+// Read is At over a list: dst[i] becomes the column value at global edge
+// index edges[i]. Pages are resolved here, on the device's goroutine, in
+// the order At would have — so lookups, evictions, faults and every counter
+// are those of len(edges) At calls; the run fills behind them are pure host
+// work and are handed out page by page to as many goroutines as
+// blockcache.Claimants allows.
+func (a *Access) Read(edges []int64, dst []uint64) {
+	s := a.s
+	if len(dst) < len(edges) {
+		panic("topostore: dst too small")
+	}
+	pageEdges := int64(s.opts.PageEdges)
+	a.reads.Reset(len(edges))
+	for i, e := range edges {
+		if e < 0 || e >= s.numEdges {
+			panic(fmt.Sprintf("topostore: edge %d outside [0,%d)", e, s.numEdges))
+		}
+		a.reads.Slot[i] = int32(a.b.Slot(int32(e / pageEdges)))
+	}
+	a.edges, a.dst = edges, dst
+	pages := len(a.b.Pages())
+	a.reads.Group(pages)
+	// A read fills at most one run.
+	w := blockcache.Claimants(8 * fillRun * len(edges))
+	for len(a.scratch) < w {
+		a.scratch = append(a.scratch, [fillRun]int64{})
+	}
+	tensor.Fanout(w, pages, readChunk, a.fill)
+	a.edges, a.dst = nil, nil
+}
+
+// fillPages serves the Read's edges on pages [lo, hi) of the batch. A page —
+// its column entries and its bitmap of filled runs — belongs to the claimant
+// that took it until the fan-out joins.
+func (a *Access) fillPages(claimant, lo, hi int) {
+	pages, pageEdges := a.b.Pages(), int64(a.s.opts.PageEdges)
+	for p := lo; p < hi; p++ {
+		pg := pages[p]
+		first := int64(pg.id) * pageEdges
+		for _, i := range a.reads.Of(p) {
+			a.dst[i] = a.s.at(pg, a.edges[i]-first, &a.scratch[claimant])
+		}
+	}
 }
 
 // Flush charges the batch's page faults — one fault service covering every

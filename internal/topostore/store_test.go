@@ -6,6 +6,7 @@ import (
 
 	"wholegraph/internal/blockcache"
 	"wholegraph/internal/sim"
+	"wholegraph/internal/tensor"
 )
 
 // testFill writes a deterministic function of the edge index so decoded
@@ -429,9 +430,7 @@ func TestRecycledPageForgetsPrefetch(t *testing.T) {
 
 // TestSteadyStateFaultingBatchAllocs: once the cache is full and the
 // free list primed, an access batch — and a prefetch — that faults and
-// evicts on every page allocates nothing. (The free list is capped at the
-// cache's page count, so this holds for batches that miss no more pages
-// than that.)
+// evicts on every page allocates nothing.
 func TestSteadyStateFaultingBatchAllocs(t *testing.T) {
 	const pageEdges, pages = 256, 512
 	pageBytes := int64(pageEdges*8) + 16
@@ -526,3 +525,91 @@ func TestStatsSumPerDeviceCaches(t *testing.T) {
 		t.Errorf("Stats.Add twice: %+v, want %+v", twice, want)
 	}
 }
+
+// FuzzTopoAccess drives random batches of edge reads through Begin / Read /
+// Flush with the fan-out on (four claimants; every other batch is large
+// enough to be shared) and checks each value three ways: against At, one
+// edge at a time, on a second store driven with the same batches — whose
+// cache counters and clocks must come out the same, since Read resolves
+// pages in At's order — and against the fill function called directly. The
+// fill works through its scratch, so two claimants handed one workspace
+// would corrupt values (and trip -race).
+func FuzzTopoAccess(f *testing.F) {
+	f.Add(uint64(1), uint16(5000), uint8(64), uint8(3), false)
+	f.Add(uint64(2), uint16(100), uint8(1), uint8(1), true)      // one-edge pages
+	f.Add(uint64(3), uint16(65535), uint8(255), uint8(40), true) // a cache that holds most of it
+	f.Add(uint64(4), uint16(63), uint8(200), uint8(0), false)    // a single partial page
+	fill := func(e0, e1 int64, dst []uint64, scratch []int64) {
+		for i := range scratch {
+			scratch[i] = (e0 + int64(i)) * 0x9e3779b9
+		}
+		for i, v := range scratch {
+			dst[i] = uint64(v) ^ uint64(e0+int64(i))<<40
+		}
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, nEdges uint16, nPage, nCache uint8, admit bool) {
+		defer tensor.SetWorkers(tensor.SetWorkers(4))
+		defer sim.SetParallel(sim.SetParallel(true))
+		if blockcache.Claimants(8*fillRun*fanoutReads) != 4 || blockcache.Claimants(8*fillRun*(fanoutReads-1)) != 1 {
+			t.Fatalf("the fan-out cutoff is no longer %d reads", fanoutReads)
+		}
+		numEdges, pageEdges := 1+int64(nEdges), 1+int(nPage)
+		opts := Options{PageEdges: pageEdges, CacheBytes: int64(1+int(nCache)) * int64(pageEdges*8+pageMetaBytes)}
+		if admit {
+			opts.Policy = blockcache.PolicyAdmit
+		}
+		stores, devs := [2]*Store{}, [2]*sim.Device{}
+		for i := range stores {
+			s, err := New(numEdges, fill, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := sim.NewMachine(sim.DGXA100(1))
+			s.Attach(m.Devs...)
+			stores[i], devs[i] = s, m.Devs[0]
+		}
+		rng := rand.New(rand.NewSource(int64(seed)))
+		var one [1]uint64
+		for batch := 0; batch < 4; batch++ {
+			n := 1 + rng.Intn(40)
+			if batch%2 == 1 {
+				n += fanoutReads // above the cutoff: the fill is shared
+			}
+			edges, got := make([]int64, n), make([]uint64, n)
+			for i := range edges {
+				edges[i] = rng.Int63n(numEdges)
+				if i > 0 && rng.Intn(4) == 0 {
+					edges[i] = min(edges[i-1]+1, numEdges-1) // a run of neighbours
+				}
+			}
+			if rng.Intn(2) == 0 {
+				ids := []int32{stores[0].PageOf(edges[0]), stores[0].PageOf(edges[n-1])}
+				stores[0].PrefetchPages(devs[0], ids)
+				stores[1].PrefetchPages(devs[1], ids)
+			}
+			batched, single := stores[0].Begin(devs[0]), stores[1].Begin(devs[1])
+			batched.Read(edges, got)
+			for i, e := range edges {
+				fill(e, e+1, one[:], make([]int64, 1))
+				if at := single.At(e); got[i] != at || at != one[0] {
+					t.Fatalf("batch %d edge %d: Read %#x, At %#x, fill %#x", batch, e, got[i], at, one[0])
+				}
+			}
+			if a, b := batched.Flush("t"), single.Flush("t"); a != b {
+				t.Fatalf("batch %d: Read faulted %d pages, At %d", batch, a, b)
+			}
+		}
+		if a, b := stores[0].Stats(), stores[1].Stats(); a != b {
+			t.Errorf("stats after Read %+v, after At %+v", a, b)
+		}
+		for _, stream := range []sim.StreamKind{sim.StreamCompute, sim.StreamCopy} {
+			if a, b := devs[0].StreamNow(stream), devs[1].StreamNow(stream); a != b {
+				t.Errorf("stream %v at %g after Read, %g after At", stream, a, b)
+			}
+		}
+	})
+}
+
+// fanoutReads is the number of reads from which a Read's fill is shared
+// (FuzzTopoAccess checks it against blockcache.Claimants).
+const fanoutReads = 256 << 10 / (8 * fillRun)

@@ -29,6 +29,14 @@ go test -race -count=20 -cpu 1,2,4 -run '^TestPlannedEqualsUnplanned$' ./interna
 # unlocked beside a locked cache, on the word that one goroutine drives a
 # device: hammer four devices evicting inside their own batches (a few s).
 go test -race -count=20 -cpu 1,2,4 -run '^TestTableConcurrentDevices$' ./internal/blockcache
+# The paged stores resolve a batch's pages on the device's goroutine and hand
+# the fill behind them, a few pages at a time, to the dense kernels' pool
+# (tensor.Fanout, itself hammered with ./internal/tensor above): one worker
+# against two and four — gathered bits, sampled neighbourhoods, every cache
+# counter, both device clocks — with pages, bitmap words and per-claimant
+# scratch as the state two claimants must never share (~90 s and ~40 s).
+go test -race -count=20 -cpu 1,2,4 -run '^TestGatherFanoutEquivalence$' ./internal/featstore
+go test -race -count=20 -cpu 1,2,4 -run '^TestPagedSamplingFanoutEquivalence$' ./internal/sampling
 # The assembly against the Go loops on generated inputs: NaN payloads, signed
 # zeros, infinities, denormals, every tail length, unaligned operands. The
 # seed corpus already ran above; this searches beyond it, 10 s per target
@@ -38,6 +46,9 @@ for target in FuzzReLU FuzzReLUGrad FuzzAxpy; do
 done
 # The three page codecs over arbitrary float32 bits and page shapes.
 go test -run '^$' -fuzz '^FuzzPageCodec$' -fuzztime 10s ./internal/featstore
+# Random batches of edge reads through the batched, fanned-out Access.Read
+# against At one edge at a time and against the fill function itself.
+go test -run '^$' -fuzz '^FuzzTopoAccess$' -fuzztime 10s ./internal/topostore
 # The benchmark is its own module (benchmark/go.mod), so the commands above
 # never compile it: vet it and run its toy-size smoke (< 10 s), or a changed
 # internal/* signature breaks the harness unseen.

@@ -92,8 +92,9 @@ func SetParallel(on bool) bool { return sim.SetParallel(on) }
 func ParallelEnabled() bool { return sim.ParallelEnabled() }
 
 // SetTensorWorkers sets how many goroutines the tensor kernels may use for
-// row-parallel loops (0 restores the default, runtime.NumCPU). Returns the
-// previous setting.
+// row-parallel loops (0 restores the default, runtime.NumCPU), and with them
+// the fills that share their pool: the batches of the paged stores and
+// dataset generation. Returns the previous setting.
 func SetTensorWorkers(n int) int { return tensor.SetWorkers(n) }
 
 // TensorWorkers reports the current tensor kernel worker count.
