@@ -1,6 +1,7 @@
 package gnn
 
 import (
+	"fmt"
 	"math/rand"
 
 	"wholegraph/internal/autograd"
@@ -153,10 +154,11 @@ type GAT struct {
 	sl    loopScratch
 }
 
-// NewGAT builds a GAT from cfg; cfg.Hidden must divide by cfg.Heads.
+// NewGAT builds a GAT from cfg; cfg.Hidden must be a positive multiple of
+// cfg.Heads (Check).
 func NewGAT(cfg Config) *GAT {
-	if cfg.Heads <= 0 || cfg.Hidden%cfg.Heads != 0 {
-		panic("gnn: GAT hidden size must be a positive multiple of heads")
+	if err := checkGAT(cfg); err != nil {
+		panic(err.Error())
 	}
 	m := &GAT{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 	in := cfg.InDim
@@ -239,19 +241,42 @@ func (m *GAT) ForwardLayer(dev *sim.Device, l int, rawBlk *spops.SubCSR, x *auto
 	return dropoutVar(dev, relu, m.cfg.Dropout, train, m.rng)
 }
 
-// New constructs a model by architecture name ("gcn", "graphsage", "gat").
-func New(arch string, cfg Config) Model {
-	switch arch {
-	case "gcn":
-		return NewGCN(cfg)
-	case "graphsage", "sage":
-		return NewSAGE(cfg)
-	case "gat":
-		return NewGAT(cfg)
-	case "gin":
-		return NewGIN(cfg)
+func checkGAT(cfg Config) error {
+	if cfg.Heads <= 0 || cfg.Hidden <= 0 || cfg.Hidden%cfg.Heads != 0 {
+		return fmt.Errorf("gnn: GAT hidden size %d is not a positive multiple of %d heads", cfg.Hidden, cfg.Heads)
 	}
-	panic("gnn: unknown architecture " + arch)
+	return nil
+}
+
+// builders maps every architecture name New accepts to its constructor.
+var builders = map[string]func(Config) Model{
+	"gcn":       func(cfg Config) Model { return NewGCN(cfg) },
+	"graphsage": func(cfg Config) Model { return NewSAGE(cfg) },
+	"sage":      func(cfg Config) Model { return NewSAGE(cfg) },
+	"gat":       func(cfg Config) Model { return NewGAT(cfg) },
+	"gin":       func(cfg Config) Model { return NewGIN(cfg) },
+}
+
+// Check reports why New would refuse arch and cfg: an unknown architecture,
+// or a GAT whose hidden size is not a positive multiple of its heads. Callers
+// that take either from outside the program check before building.
+func Check(arch string, cfg Config) error {
+	if builders[arch] == nil {
+		return fmt.Errorf("gnn: unknown architecture %q", arch)
+	}
+	if arch == "gat" {
+		return checkGAT(cfg)
+	}
+	return nil
+}
+
+// New constructs a model by architecture name ("gcn", "graphsage", "gat",
+// "gin"). It panics where Check returns an error.
+func New(arch string, cfg Config) Model {
+	if err := Check(arch, cfg); err != nil {
+		panic(err.Error())
+	}
+	return builders[arch](cfg)
 }
 
 // Architectures lists the evaluated model names in paper order. GIN is

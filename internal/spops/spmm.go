@@ -183,16 +183,23 @@ func spmmRun(be Backend, g *SubCSR, xVal *tensor.Dense, w *autograd.Var, norm []
 			}
 		}
 	default:
-		// Fused CSR kernel.
+		// Fused CSR kernel: each target row's edges, in edge order, through
+		// the dense tile's one-row form, a stack chunk of coefficients at a
+		// time (AxpyRows accumulates into the row, so chunking keeps the
+		// order).
+		var we [64]float32
 		for t := 0; t < g.NumTargets; t++ {
 			or := out.Row(t)
-			for e := g.RowPtr[t]; e < g.RowPtr[t+1]; e++ {
-				src := xVal.Row(int(g.Col[e]))
-				we := norm[t] * staticW(e)
-				if w != nil {
-					we *= w.Value.V[e]
+			for lo := g.RowPtr[t]; lo < g.RowPtr[t+1]; lo += int64(len(we)) {
+				hi := min(lo+int64(len(we)), g.RowPtr[t+1])
+				for e := lo; e < hi; e++ {
+					c := norm[t] * staticW(e)
+					if w != nil {
+						c *= w.Value.V[e]
+					}
+					we[e-lo] = c
 				}
-				tensor.Axpy(or, src, we)
+				tensor.AxpyRows(or, xVal, g.Col[lo:hi], we[:hi-lo])
 			}
 		}
 	}

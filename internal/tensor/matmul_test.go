@@ -125,8 +125,8 @@ func (kc kernelCase) check(t *testing.T, what string, a, b *Dense, m, n int) {
 	}
 }
 
-// bothKernels runs a kernel test twice: with the micro-kernel's AVX prefix
-// (where the CPU has one) and with the pure-Go loops alone.
+// bothKernels runs a kernel test twice: with the kernels' assembly (where the
+// CPU has AVX) and with the pure-Go loops alone.
 func bothKernels(t *testing.T, test func(t *testing.T)) {
 	defer func(v bool) { haveAVX = v }(haveAVX)
 	t.Run("avx", func(t *testing.T) {
@@ -139,13 +139,15 @@ func bothKernels(t *testing.T, test func(t *testing.T)) {
 	t.Run("go", test)
 }
 
-// TestAxpyVectorMatchesScalar pins the assembly to the scalar loops it
-// stands in for, bit for bit: every n through two vector widths and all
-// tails, operands at odd element offsets (so nothing is 32-byte aligned), b
-// rows longer than d, denormals, signed zeros, infinities and NaNs in every
-// operand. Whole backing arrays are compared: the scalar loops are
-// bounds-checked Go and cannot write outside d and e, so equality also shows
-// the assembly leaves the guard words around them and every b row alone.
+// TestAxpyVectorMatchesScalar pins the assembly to the Go loops it stands in
+// for, bit for bit: every n through four vector widths and all tails,
+// operands at odd element offsets (so nothing is 32-byte aligned), b rows
+// longer than d, the tile over both a layouts with and without zero
+// skipping, the terms form over repeated and unordered rows, denormals,
+// signed zeros, infinities and NaNs in every operand. Whole backing arrays
+// are compared: the Go loops are bounds-checked and cannot write outside
+// their rows, so equality also shows the assembly leaves the guard words
+// around them, the gaps between d rows and every a and b alone.
 func TestAxpyVectorMatchesScalar(t *testing.T) {
 	if !haveAVX {
 		t.Skip("no AVX on this CPU")
@@ -172,66 +174,95 @@ func TestAxpyVectorMatchesScalar(t *testing.T) {
 		return randn()
 	}
 	const guard = -12345.5
-	// operand returns a guard-filled array with n+extra generated values
-	// starting at element off; the operand proper is [off, off+n+extra).
-	operand := func(off, n, extra int, gen func() float32) []float32 {
-		back := make([]float32, off+n+extra+9)
+	// operand returns a guard-filled array with size generated values
+	// starting at element off.
+	operand := func(off, size int, gen func() float32) []float32 {
+		back := make([]float32, off+size+9)
 		for i := range back {
 			back[i] = guard
 		}
-		for i := off; i < off+n+extra; i++ {
+		for i := off; i < off+size; i++ {
 			back[i] = gen()
 		}
 		return back
 	}
-	kernels := []struct {
-		name string
-		run  func(d, e []float32, b [4][]float32, a, c [4]float32)
-	}{
-		{"axpy1", func(d, _ []float32, b [4][]float32, a, _ [4]float32) { axpy1(d, b[0], a[0]) }},
-		{"axpy4", func(d, _ []float32, b [4][]float32, a, _ [4]float32) {
-			axpy4(d, b[0], b[1], b[2], b[3], a[0], a[1], a[2], a[3])
+	// A kernel builds its operands for n columns — backing arrays whose data
+	// starts at off — and a run over copies of them.
+	const off = 3
+	type kernel struct {
+		name  string
+		build func(n int, gen func() float32) (backs [][]float32, run func(ops [][]float32))
+	}
+	tile := func(name string, rowMajor, skip bool) kernel {
+		return kernel{name, func(n int, gen func() float32) ([][]float32, func([][]float32)) {
+			k := 1 + rng.Intn(6)
+			ldd, ldb := n+3, n+5
+			lda, ast, asize := k+2, 1, 3*(k+2)+k // MatMulInto's a
+			if !rowMajor {
+				lda, ast, asize = 1, 7, 4+(k-1)*7 // TMatMulInto's
+			}
+			d := operand(off, 3*ldd+n, gen)
+			if skip {
+				// Sums the drivers hand the tile are never -0 (matmul.go).
+				for i, v := range d[off:] {
+					if v == 0 {
+						d[off+i] = 0
+					}
+				}
+			}
+			backs := [][]float32{d, operand(off, asize, gen), operand(off, (k-1)*ldb+n, gen)}
+			return backs, func(ops [][]float32) {
+				tile4(new(scratch), ops[0][off:], ldd, ops[1][off:], lda, ast, ops[2][off:], ldb, k, n, skip)
+			}
+		}}
+	}
+	kernels := []kernel{
+		{"axpy1", func(n int, gen func() float32) ([][]float32, func([][]float32)) {
+			a := gen()
+			return [][]float32{operand(off, n, gen), operand(off, n+5, gen)}, func(ops [][]float32) {
+				axpy1(ops[0][off:off+n], ops[1][off:], a)
+			}
 		}},
-		{"axpy4x2", func(d, e []float32, b [4][]float32, a, c [4]float32) {
-			axpy4x2(d, e, b[0], b[1], b[2], b[3], a[0], a[1], a[2], a[3], c[0], c[1], c[2], c[3])
+		tile("tile4 rows", true, false),
+		tile("tile4 rows skip", true, true),
+		tile("tile4 columns", false, false),
+		tile("tile4 columns skip", false, true),
+		{"terms", func(n int, gen func() float32) ([][]float32, func([][]float32)) {
+			const rows = 7
+			ldb := n + 2
+			idx, val := make([]int32, 1+rng.Intn(9)), make([]float32, 0, 9)
+			for i := range idx {
+				idx[i] = int32(rng.Intn(rows))
+				val = append(val, gen())
+			}
+			return [][]float32{operand(off, n, gen), operand(off, (rows-1)*ldb+n, gen)}, func(ops [][]float32) {
+				terms(ops[0][off:off+n], ops[1][off:], ldb, idx, val)
+			}
 		}},
 	}
 	gens := []struct {
 		name string
 		gen  func() float32
 	}{{"normal", randn}, {"denormal", tiny}, {"mixed", mixed}}
-	const bExtra = 5 // len(b) > len(d)
-	offs := [6]int{1, 3, 5, 7, 9, 11}
 	for _, k := range kernels {
 		for _, g := range gens {
 			for n := 0; n <= 72; n++ {
-				var backs [6][]float32 // d, e, b0..b3
-				backs[0], backs[1] = operand(offs[0], n, 0, g.gen), operand(offs[1], n, 0, g.gen)
-				for i := 2; i < 6; i++ {
-					backs[i] = operand(offs[i], n, bExtra, g.gen)
-				}
-				var a, c [4]float32
-				for i := range a {
-					a[i], c[i] = g.gen(), g.gen()
-				}
-				run := func(avx bool) (out [6][]float32) {
+				backs, run := k.build(n, g.gen)
+				on := func(avx bool) [][]float32 {
+					ops := make([][]float32, len(backs))
 					for i, back := range backs {
-						out[i] = append([]float32(nil), back...)
-					}
-					var b [4][]float32
-					for i := range b {
-						b[i] = out[2+i][offs[2+i] : offs[2+i]+n+bExtra]
+						ops[i] = append([]float32(nil), back...)
 					}
 					haveAVX = avx
-					k.run(out[0][offs[0]:offs[0]+n], out[1][offs[1]:offs[1]+n], b, a, c)
-					return out
+					run(ops)
+					return ops
 				}
-				want, got := run(false), run(true)
+				want, got := on(false), on(true)
 				for i := range want {
 					for j := range want[i] {
 						if !sameBits(got[i][j], want[i][j]) {
-							t.Fatalf("%s %s n=%d: operand %d element %d (data from %d) = %g (%#08x), scalar %g (%#08x)",
-								k.name, g.name, n, i, j, offs[i], got[i][j], math.Float32bits(got[i][j]),
+							t.Fatalf("%s %s n=%d: operand %d element %d (data from %d) = %g (%#08x), Go %g (%#08x)",
+								k.name, g.name, n, i, j, off, got[i][j], math.Float32bits(got[i][j]),
 								want[i][j], math.Float32bits(want[i][j]))
 						}
 					}
@@ -280,6 +311,12 @@ func testKernelsBitIdentical(t *testing.T) {
 	tiny := func(i, j int) float32 { // denormals, and products that underflow to ±0
 		return float32(rng.NormFloat64()) * 1e-30 * float32(math.Pow(10, -float64(rng.Intn(12))))
 	}
+	oneZeroPerGroup := func(i, j int) float32 { // one zero in each four rows, at every k
+		if i%4 == j%4 {
+			return 0
+		}
+		return randn(i, j)
+	}
 	withSpecials := func(base func(i, j int) float32) func(i, j int) float32 {
 		return func(i, j int) float32 {
 			switch rng.Intn(24) {
@@ -307,14 +344,22 @@ func testKernelsBitIdentical(t *testing.T) {
 		{"nonfinite-b", sparse, withSpecials(randn)},
 		{"nonfinite-a", withSpecials(sparse), randn},
 		{"nonfinite-both", withSpecials(signedZeros), withSpecials(sparse)},
+		{"one-zero-per-group", oneZeroPerGroup, randn},
+		{"one-zero-per-group-nonfinite-b", oneZeroPerGroup, withSpecials(randn)},
 	}
 
-	// Every tail of every blocking (4 in k, 2 in rows), n = 1 and empty
-	// dimensions. These all run below the serial cut-off.
+	// Empty dimensions, n = 1, and rows 1-9 (across the tile's four) by
+	// widths across its 16-column strip, the terms form's 32 and the
+	// compaction cut at 48. These all run below the serial cut-off.
 	shapes := [][3]int{
 		{0, 3, 4}, {3, 0, 4}, {3, 4, 0}, {0, 0, 0}, {1, 1, 1}, {2, 4, 1}, {7, 9, 1},
 		{1, 5, 3}, {2, 3, 2}, {3, 4, 5}, {4, 8, 4}, {5, 7, 3}, {6, 13, 7}, {9, 6, 16},
 		{13, 17, 11}, {16, 16, 16}, {33, 10, 9}, {128, 1, 16}, {400, 16, 1}, {41, 131, 19},
+	}
+	for m := 1; m <= 9; m++ {
+		for _, n := range []int{15, 16, 17, 31, 33, 47, 63, 64, 65, 172} {
+			shapes = append(shapes, [3]int{m, 1 + rng.Intn(12), n})
+		}
 	}
 	for s := 0; s < 8; s++ {
 		shapes = append(shapes, [3]int{1 + rng.Intn(40), 1 + rng.Intn(40), 1 + rng.Intn(24)})
@@ -328,10 +373,25 @@ func testKernelsBitIdentical(t *testing.T) {
 		}
 	}
 
+	// K over two and more k panels (panelK), sums carried from one to the
+	// next through d, on the tile, on compacted wide rows and on the n = 1
+	// products.
+	for _, kc := range kernelCases {
+		for _, sh := range [][3]int{{5, 200, 172}, {5, 300, 64}, {6, 400, 47}, {5, 1100, 16}, {6, 1030, 1}} {
+			if sh[1] <= panelK(sh[2]) && sh[2] > 1 {
+				t.Fatalf("%v fits one panel of %d", sh, panelK(sh[2]))
+			}
+			for _, p := range []int{0, 1, 7, 10, 11} { // dense, sparse, non-finite b, one zero per group
+				a, b := kc.operands(sh[0], sh[1], sh[2], patterns[p].fa, patterns[p].fb)
+				kc.check(t, "panels "+patterns[p].name, a, b, sh[0], sh[2])
+			}
+		}
+	}
+
 	// Past the cut-off rows really are split, evenly or not, and every
 	// worker count must give the same bits.
 	for _, kc := range kernelCases {
-		for _, sh := range [][3]int{{151, 70, 51}, {34000, 16, 1}} {
+		for _, sh := range [][3]int{{151, 70, 51}, {34000, 16, 1}, {29, 120, 172}} {
 			for _, p := range patterns[:2] {
 				a, b := kc.operands(sh[0], sh[1], sh[2], p.fa, p.fb)
 				for _, w := range []int{1, 2, 3, 8} {
@@ -341,6 +401,40 @@ func testKernelsBitIdentical(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzMatMul holds the three drivers to the reference loops, on the assembly
+// and on the Go loops, at shapes and float32 bit patterns the fuzzer picks:
+// rows across the tile's four, columns across its 16-column strips and the
+// compaction cut, K across k panels, a zero pattern set by zeros, and values
+// decoded from raw bits, so -0, infinities, NaNs and denormals all occur.
+func FuzzMatMul(f *testing.F) {
+	rng := rand.New(rand.NewSource(27))
+	for _, sh := range [][4]int{{1, 1, 1, 0}, {4, 16, 16, 0}, {5, 100, 47, 6}, {9, 33, 172, 6}, {3, 7, 1, 2}, {8, 290, 65, 4}} {
+		f.Add(uint8(sh[0]), uint16(sh[1]), uint8(sh[2]), uint8(sh[3]), seedBytes(67, rng))
+	}
+	f.Fuzz(func(t *testing.T, m uint8, k uint16, n uint8, zeros uint8, data []byte) {
+		vals := floatsFrom(data)
+		if len(vals) == 0 {
+			return
+		}
+		M, K, N := int(m%13), int(k%300), int(n%180)
+		fa := func(i, j int) float32 {
+			if (7*i+3*j)%8 < int(zeros%9) {
+				return 0
+			}
+			return vals[(i*K+j)%len(vals)]
+		}
+		fb := func(i, j int) float32 { return vals[(i*N+j+len(vals)/2)%len(vals)] }
+		defer func(v bool) { haveAVX = v }(haveAVX)
+		for _, avx := range []bool{haveAVX, false} {
+			haveAVX = avx
+			for _, kc := range kernelCases {
+				a, b := kc.operands(M, K, N, fa, fb)
+				kc.check(t, fmt.Sprintf("avx=%v", avx), a, b, M, N)
+			}
+		}
+	})
 }
 
 // smallCutoff lowers minParallelWork to the 2^19 multiply-adds these tests'
@@ -419,19 +513,35 @@ func denseOperands(kc kernelCase, m, k, n int, zeroFrac float64, seed int64) (ds
 }
 
 // TestKernelsAllocFree checks that a warm kernel call allocates nothing,
-// serial or pooled: tasks are values and job records are recycled.
+// serial or pooled, on every path: the tile, its masked rerun, tail rows and
+// compacted wide rows through the terms form, k panels, and the n = 1
+// products. Tasks are values, job records and scratch are recycled.
 func TestKernelsAllocFree(t *testing.T) { bothKernels(t, testKernelsAllocFree) }
 
 func testKernelsAllocFree(t *testing.T) {
 	defer SetWorkers(SetWorkers(1))
 	defer smallCutoff()()
-	for _, kc := range kernelCases {
-		dst, a, b := denseOperands(kc, 260, 64, 32, 0.5, 3) // past the serial cut-off
-		for _, w := range []int{1, 2} {
-			SetWorkers(w)
-			kc.got(dst, a, b) // warm: pool, job record, scratch
-			if n := testing.AllocsPerRun(20, func() { kc.got(dst, a, b) }); n != 0 {
-				t.Errorf("%s at %d workers: %.0f allocs per call, want 0", kc.name, w, n)
+	for _, sh := range []struct {
+		m, k, n   int
+		zeroFrac  float64
+		nonfinite bool // an Inf in b: the tile's masked rerun
+	}{
+		{260, 64, 32, 0.5, false}, // past the serial cut-off
+		{260, 64, 32, 0.5, true},
+		{34, 100, 172, 0.75, false}, // compacted rows, two k panels, a partial strip, tail rows
+		{261, 64, 1, 0.5, false},    // the n = 1 products
+	} {
+		for _, kc := range kernelCases {
+			dst, a, b := denseOperands(kc, sh.m, sh.k, sh.n, sh.zeroFrac, 3)
+			if sh.nonfinite {
+				b.V[0] = float32(math.Inf(1))
+			}
+			for _, w := range []int{1, 2} {
+				SetWorkers(w)
+				kc.got(dst, a, b) // warm: pool, job record, scratch
+				if n := testing.AllocsPerRun(20, func() { kc.got(dst, a, b) }); n != 0 {
+					t.Errorf("%s %dx%dx%d at %d workers: %.0f allocs per call, want 0", kc.name, sh.m, sh.k, sh.n, w, n)
+				}
 			}
 		}
 	}
@@ -518,13 +628,14 @@ func testKernelsSaturatedQueue(t *testing.T) {
 }
 
 // TestRunBalancedCoverage checks that the row ranges of a pooled call tile
-// [0, rows) exactly once with sizes differing by at most one.
+// [0, rows) exactly once, start on the tile's four-row boundary, and differ
+// in size by at most one group of four.
 func TestRunBalancedCoverage(t *testing.T) {
 	defer SetWorkers(SetWorkers(1))
 	j := getJob()
 	defer putJob(j)
 	for _, w := range []int{2, 3, 7, 8} {
-		for _, n := range []int{1, w - 1, w, 4*w + 1, 97, 128} {
+		for _, n := range []int{1, w - 1, w, 4*w + 1, 4*w + 3, 97, 128} {
 			SetWorkers(w)
 			var mu sync.Mutex
 			covered := make([]int, n)
@@ -532,6 +643,9 @@ func TestRunBalancedCoverage(t *testing.T) {
 			j.run(func(_ *scratch, _, _, _ *Dense, lo, hi int) {
 				mu.Lock()
 				defer mu.Unlock()
+				if lo%4 != 0 {
+					t.Errorf("w=%d n=%d: range [%d, %d) off the four-row boundary", w, n, lo, hi)
+				}
 				sizes = append(sizes, hi-lo)
 				for i := lo; i < hi; i++ {
 					covered[i]++
@@ -546,7 +660,7 @@ func TestRunBalancedCoverage(t *testing.T) {
 			for _, s := range sizes {
 				mn, mx = min(mn, s), max(mx, s)
 			}
-			if mx-mn > 1 || mn == 0 {
+			if mx-mn > 4 || mn == 0 || len(sizes) != min(w, (n+3)/4) {
 				t.Fatalf("w=%d n=%d: range sizes %v not balanced", w, n, sizes)
 			}
 		}
@@ -555,8 +669,14 @@ func TestRunBalancedCoverage(t *testing.T) {
 
 // BenchmarkMatMul times the three dense kernels of one linear layer —
 // forward Y = X·W, input gradient dX = dY·Wᵀ, weight gradient dW = Xᵀ·dY,
-// 2·m·k·n FLOPs each — at the shapes the benchmark/ workloads run them, on
-// the vector micro-kernel (/avx) and on the pure-Go one (/go).
+// 2·m·k·n FLOPs each, skipped zero terms included — at the shapes the
+// benchmark/ workloads run them, on the assembly (/avx) and on the Go loops
+// (/go). The gat_ rows are train_sched_2node's: a head's projection of the
+// sampled layer-0 nodes, the 47-class output heads over dropout-zeroed
+// hidden rows, and an attention score (X·W with n = 1, whose dY·Wᵀ is an
+// outer product and whose Xᵀ·dY has one column). The guard_ rows are
+// paper-scale shapes the tiling must not slow: a tall Xᵀ·dY that needs k
+// panels and a wide, 75 %-sparse layer that needs compaction.
 func BenchmarkMatMul(b *testing.B) {
 	defer func(v bool) { haveAVX = v }(haveAVX)
 	cpuAVX := haveAVX
@@ -569,6 +689,11 @@ func BenchmarkMatMul(b *testing.B) {
 		{"sage1_128x128x47", 128, 128, 47, 0.75},
 		{"gat_10000x100x16", 10000, 100, 16, 0},
 		{"serve_300x200x64", 300, 200, 64, 0},
+		{"gat_head_1850x100x16", 1850, 100, 16, 0},
+		{"gat_out_400x64x47", 400, 64, 47, 0.75},
+		{"gat_attn_1850x16x1", 1850, 16, 1, 0},
+		{"guard_20000x100x64", 20000, 100, 64, 0},
+		{"guard_4000x256x172", 4000, 256, 172, 0.75},
 	}
 	for _, sh := range shapes {
 		rng := rand.New(rand.NewSource(4))
@@ -631,7 +756,7 @@ func BenchmarkPoolCrossover(b *testing.B) {
 				j := getJob()
 				defer putJob(j)
 				for i := 0; i < b.N; i++ {
-					j.run(mulRowsSkipZeros, y, x, w, m, mode.work)
+					j.run(mulRows, y, x, w, m, mode.work)
 				}
 			})
 		}

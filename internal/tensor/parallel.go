@@ -48,14 +48,15 @@ func Workers() int { return int(atomic.LoadInt64(&numWorkers)) }
 
 // minParallelWork is the number of multiply-adds (m*k*n) below which a
 // product runs on the calling goroutine. It is the crossover measured with
-// the vector kernels on the 2-vCPU reference box (BenchmarkPoolCrossover,
-// -cpu 2): two workers only tie one up to 2^22 multiply-adds (~350 µs of
-// kernel) even when the pool worker never parks, and win from there; waking
-// a parked worker costs another ~70 µs. The second core is also no longer
-// idle below that size: the loader's run-ahead builder works there. Of the
-// benchmark's products only the [1408 x 200 x 64]-class layer-0 GEMMs and
-// GAT's [10000 x 100 x 16] projections are above it. It is a variable only so
-// that the package's tests can reach the pool with small products
+// the register-blocked tile on the 2-vCPU reference box
+// (BenchmarkPoolCrossover, -cpu 2): two workers only tie one at 2^22
+// multiply-adds (~160 µs of kernel) even when the pool worker never parks,
+// and win from 2^22.6; waking a parked worker costs another ~70 µs. The
+// second core is also no longer idle below that size: the loader's run-ahead
+// builder works there. Of the benchmark's products only GraphSAGE's
+// [1408 x 200 x 64]-class layer-0 GEMMs are above it; GAT's head projections,
+// ≈ 1850 x 100 x 16 = 3.0 M multiply-adds, are below. It is a variable only
+// so that the package's tests can reach the pool with small products
 // (smallCutoff); nothing else writes it.
 var minParallelWork = 1 << 22
 
@@ -143,22 +144,25 @@ func startPool() {
 
 // run invokes kern over disjoint row ranges covering [0, rows), in parallel
 // when the worker count and the product's size (work = m*k*n multiply-adds)
-// warrant it. Range sizes differ by at most one row (the first rows%w
-// ranges take the extra row), so no tail range straggles.
+// warrant it. Ranges are cut on the tile's four-row boundary, so only the
+// last one has rows the tile cannot take, and differ in size by at most four
+// rows (the last groups%w ranges take an extra group, the last of them short
+// by the rows the final group lacks), so no range straggles.
 func (j *job) run(kern rowKernel, dst, a, b *Dense, rows, work int) {
-	w := min(Workers(), rows)
+	groups := (rows + 3) / 4
+	w := min(Workers(), groups)
 	if w <= 1 || work < minParallelWork {
 		kern(&j.scr, dst, a, b, 0, rows)
 		return
 	}
 	startPool()
 	j.kern, j.dst, j.a, j.b = kern, dst, a, b
-	base, extra := rows/w, rows%w
+	base, extra := groups/w, groups%w
 	lo := 0
 	for i := 0; i < w-1; i++ {
-		hi := lo + base
-		if i < extra {
-			hi++
+		hi := lo + 4*base
+		if i >= w-extra {
+			hi += 4
 		}
 		j.wg.Add(1)
 		select {

@@ -412,6 +412,9 @@ func NewCustom(m *sim.Machine, ds *dataset.Dataset, opts Options,
 		Backend: opts.Backend,
 		Seed:    opts.Seed,
 	}
+	if err := gnn.Check(opts.Arch, cfg); err != nil {
+		return nil, err
+	}
 	totalWorkers := len(m.Devs)
 	t.shards = core.ShardTraining(ds.Train, totalWorkers)
 	if opts.RealWorkers > m.Cfg.GPUsPerNode {

@@ -1,6 +1,7 @@
 package train
 
 import (
+	"strings"
 	"testing"
 
 	"wholegraph/internal/dataset"
@@ -118,6 +119,44 @@ func TestRealWorkersBounded(t *testing.T) {
 	opts.RealWorkers = 9
 	if _, err := New(m, ds, opts); err == nil {
 		t.Error("RealWorkers > GPUs accepted")
+	}
+}
+
+// newCustomError returns NewCustom's error for opts; a configuration it
+// rejects must not get as far as a loader, which is built after each model.
+func newCustomError(t *testing.T, opts Options) error {
+	t.Helper()
+	ds := &dataset.Dataset{Spec: dataset.OgbnProducts.Scaled(0.001)}
+	_, err := NewCustom(sim.NewMachine(sim.DGXA100(1)), ds, opts, func(int, *sim.Device) BatchLoader {
+		t.Fatal("a model and its loader were built for a rejected configuration")
+		return nil
+	})
+	return err
+}
+
+// The three configurations below are what wgtrain -model gat -hidden 30
+// -heads 4, -model bogus and -model gat -heads -2 ask for: they must come
+// back as errors and never reach gnn.New, which panics on them.
+
+func TestNewCustomRejectsGATHiddenNotMultipleOfHeads(t *testing.T) {
+	opts := smallOpts("gat")
+	opts.Hidden, opts.Heads = 30, 4
+	if err := newCustomError(t, opts); err == nil || !strings.Contains(err.Error(), "multiple of 4 heads") {
+		t.Errorf("hidden 30 with 4 heads: error %v", err)
+	}
+}
+
+func TestNewCustomRejectsUnknownArch(t *testing.T) {
+	if err := newCustomError(t, smallOpts("bogus")); err == nil || !strings.Contains(err.Error(), `unknown architecture "bogus"`) {
+		t.Errorf("arch bogus: error %v", err)
+	}
+}
+
+func TestNewCustomRejectsNegativeHeads(t *testing.T) {
+	opts := smallOpts("gat")
+	opts.Heads = -2
+	if err := newCustomError(t, opts); err == nil || !strings.Contains(err.Error(), "multiple of -2 heads") {
+		t.Errorf("-2 heads: error %v", err)
 	}
 }
 

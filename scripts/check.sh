@@ -8,17 +8,20 @@ set -eux
 cd "$(dirname "$0")/.."
 go vet ./...
 go build ./...
-# The dense micro-kernel and the element-wise selects have amd64 assembly
-# prefixes (internal/tensor/axpy_amd64.s, eltwise_amd64.s); everything else
-# runs the portable Go loops beside the stubs of axpy_other.go and
-# eltwise_other.go, which must keep compiling.
+# The dense kernels (the register-blocked tile, its one-row terms form, axpy)
+# and the element-wise selects have amd64 assembly
+# (internal/tensor/axpy_amd64.s, eltwise_amd64.s); everything else runs the
+# portable Go loops beside the stubs of axpy_other.go and eltwise_other.go,
+# which must keep compiling.
 GOARCH=arm64 go vet ./...
 GOARCH=arm64 go build ./...
 go test -race ./...
 # The dense kernels' pool is shared by every goroutine that multiplies:
 # hammer it — concurrent callers, nested under sim.RunParallel, a saturated
-# queue — repeatedly and at two GOMAXPROCS settings, on the AVX and the Go
-# path (the kernel, element-wise and fuzz-seed tests run both) (~140 s).
+# queue, row ranges cut on the tile's four-row boundary with each worker's
+# own compaction scratch — repeatedly and at two GOMAXPROCS settings, through
+# the tile on the AVX and the Go path (the kernel, element-wise and
+# fuzz-seed tests run both) (~4 min).
 go test -race -count=10 -cpu 1,4 ./internal/tensor
 # The loader's run-ahead builder shares a ring, a sampler and a staging twin
 # with the goroutine that owns the device, ordered by a go statement and one
@@ -38,10 +41,11 @@ go test -race -count=20 -cpu 1,2,4 -run '^TestTableConcurrentDevices$' ./interna
 go test -race -count=20 -cpu 1,2,4 -run '^TestGatherFanoutEquivalence$' ./internal/featstore
 go test -race -count=20 -cpu 1,2,4 -run '^TestPagedSamplingFanoutEquivalence$' ./internal/sampling
 # The assembly against the Go loops on generated inputs: NaN payloads, signed
-# zeros, infinities, denormals, every tail length, unaligned operands. The
-# seed corpus already ran above; this searches beyond it, 10 s per target
-# (-fuzz takes one target and one package at a time).
-for target in FuzzReLU FuzzReLUGrad FuzzAxpy; do
+# zeros, infinities, denormals, every tail length, unaligned operands; and the
+# three matrix-product drivers against the reference loops on fuzzed shapes
+# and bits. The seed corpus already ran above; this searches beyond it, 10 s
+# per target (-fuzz takes one target and one package at a time).
+for target in FuzzReLU FuzzReLUGrad FuzzAxpy FuzzMatMul; do
 	go test -run '^$' -fuzz "^$target\$" -fuzztime 10s ./internal/tensor
 done
 # The three page codecs over arbitrary float32 bits and page shapes.
