@@ -78,13 +78,16 @@ func main() {
 	if !ok {
 		fatal(fmt.Errorf("model %q does not support layer-wise serving", *model))
 	}
+	so, err := storage.StoreOptions()
+	if err != nil {
+		fatal(err)
+	}
 	sopts := wholegraph.ServeOptions{
 		Rate: *rate, Requests: *requests, MaxBatch: *maxBatch,
 		MaxDelay: *maxDelay, SLO: *slo, Deadline: *deadline,
 		QueueCap: *queueCap, CacheRows: storage.CacheRows, Fanouts: fanouts,
 		Skew: *skew, Policy: wholegraph.ServePolicy(*policy), Seed: *seed,
-		PagedFeatures: storage.PagedFeatures, FeatEncoding: storage.FeatEncoding,
-		FeatPageRows: storage.FeatPageRows, FeatCacheMB: storage.FeatCacheMB, CachePolicy: storage.CachePolicy,
+		Store: so,
 	}
 	var srv *wholegraph.Server
 	switch *workload {

@@ -29,31 +29,27 @@ type Var struct {
 	inputs   []*Var
 	// back propagates v.Grad into the inputs' Grad fields.
 	back func(v *Var)
-	// post hooks run right after back during replay (see OnBackward).
+	// post hooks run right after back during replay (see OnBackwardFor).
 	post []postHook
 }
 
-// postHook is one registered backward hook. A nil target rides the
-// variable's backward step; a non-nil target declares the hook's work as
-// the production of target's gradient, which lets the whole-step scheduler
-// give it its own DAG node (e.g. splitting a Linear layer's dX and dW GEMM
-// charges into independently schedulable nodes).
+// postHook is one registered backward hook. Its target declares the hook's
+// work as the production of target's gradient, which lets the whole-step
+// scheduler give it its own DAG node (e.g. splitting a Linear layer's dX and
+// dW GEMM charges into independently schedulable nodes).
 type postHook struct {
 	fn     func()
 	target *Var
 }
 
-// OnBackward registers fn to run immediately after this variable's backward
-// closure executes during tape replay. Hooks fire only if a gradient reached
-// the variable (mirroring how its backward work only happens then); layers
-// use this to charge backward kernel costs on the device at replay time
-// rather than at forward-record time. Hooks are discarded by Tape.Reset.
-func (v *Var) OnBackward(fn func()) { v.post = append(v.post, postHook{fn: fn}) }
-
-// OnBackwardFor is OnBackward with a declared output: fn's work produces
-// target's gradient (reading v's). The scheduler uses the declaration to
-// recover a dependency edge and schedule the hook independently of its
-// siblings; execution order and semantics are identical to OnBackward.
+// OnBackwardFor registers fn to run immediately after this variable's
+// backward closure executes during tape replay; fn's work produces target's
+// gradient (reading v's). Hooks fire only if a gradient reached the variable
+// (mirroring how its backward work only happens then); layers use this to
+// charge backward kernel costs on the device at replay time rather than at
+// forward-record time. The scheduler uses the declared target to recover a
+// dependency edge and schedule the hook independently of its siblings.
+// Hooks are discarded by Tape.Reset.
 func (v *Var) OnBackwardFor(target *Var, fn func()) {
 	v.post = append(v.post, postHook{fn: fn, target: target})
 }
@@ -470,7 +466,7 @@ func (t *Tape) replay(loss *Var, seed *tensor.Dense, watch []*Var, onReady func(
 			}
 			v.back(v)
 			for _, h := range v.post {
-				if t.obs != nil && h.target != nil {
+				if t.obs != nil {
 					t.obs.HookNode(v, h.target)
 				}
 				h.fn()

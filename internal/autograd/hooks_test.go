@@ -20,7 +20,7 @@ func TestOnBackwardFiresAfterBack(t *testing.T) {
 	w := tp.Param(wv)
 	y := MatMul(x, w)
 	fired := 0
-	y.OnBackward(func() {
+	y.OnBackwardFor(w, func() {
 		fired++
 		if w.Grad == nil {
 			t.Error("hook ran before backward closure populated w.Grad")
@@ -35,7 +35,7 @@ func TestOnBackwardFiresAfterBack(t *testing.T) {
 	tp2 := NewTape()
 	a := tp2.Param(tensor.Randn(2, 2, 1, rng))
 	dead := ReLU(a)
-	dead.OnBackward(func() { t.Error("hook fired on unreached node") })
+	dead.OnBackwardFor(a, func() { t.Error("hook fired on unreached node") })
 	live := Scale(tp2.Param(tensor.Randn(2, 2, 1, rng)), 2)
 	tp2.Backward(live, ones(2, 2))
 }
@@ -51,7 +51,7 @@ func TestResetClearsHooks(t *testing.T) {
 	stale := 0
 	w := tp.Param(wv)
 	y := ReLU(w)
-	y.OnBackward(func() { stale++ })
+	y.OnBackwardFor(w, func() { stale++ })
 	tp.Backward(y, ones(2, 2))
 	if stale != 1 {
 		t.Fatalf("hook fired %d times before Reset, want 1", stale)

@@ -615,17 +615,11 @@ func (l *Loader) apply(s *loaderSlot) {
 	s.tm.Gather = l.Dev.Now() - t1
 }
 
-// EpochBatches partitions the training set into shuffled mini-batches for
-// one epoch. Every call reshuffles.
-func EpochBatches(train []int64, batchSize int, rng *rand.Rand) [][]int64 {
-	var ids []int64
-	return EpochBatchesInto(nil, &ids, train, batchSize, rng)
-}
-
-// EpochBatchesInto is EpochBatches on caller-owned scratch: the shuffled
-// copy of train overwrites *ids (grown when too small) and the batches,
-// which alias it, overwrite out. A trainer that keeps both across epochs
-// reshuffles without allocating.
+// EpochBatchesInto partitions the training set into shuffled mini-batches
+// for one epoch; every call reshuffles. It works on caller-owned scratch: the
+// shuffled copy of train overwrites *ids (grown when too small) and the
+// batches, which alias it, overwrite out. A trainer that keeps both across
+// epochs reshuffles without allocating.
 func EpochBatchesInto(out [][]int64, ids *[]int64, train []int64, batchSize int, rng *rand.Rand) [][]int64 {
 	rest := append((*ids)[:0], train...)
 	*ids = rest

@@ -110,7 +110,8 @@ func TestEpochBatches(t *testing.T) {
 	for i := range train {
 		train[i] = int64(i)
 	}
-	batches := EpochBatches(train, 25, rng)
+	var ids []int64
+	batches := EpochBatchesInto(nil, &ids, train, 25, rng)
 	if len(batches) != 5 {
 		t.Fatalf("batches = %d, want 5", len(batches))
 	}
@@ -138,7 +139,7 @@ func TestEpochBatches(t *testing.T) {
 		}
 	}
 	if identity {
-		t.Error("EpochBatches did not shuffle")
+		t.Error("EpochBatchesInto did not shuffle")
 	}
 }
 

@@ -137,13 +137,6 @@ func (g *EdgeGen) FillNeighbors(v, k0, k1 int64, dst []int64) {
 	}
 }
 
-// NeighborAt returns the single neighbor at slot (v, k).
-func (g *EdgeGen) NeighborAt(v, k int64) int64 {
-	var one [1]int64
-	g.FillNeighbors(v, k, k+1, one[:])
-	return one[0]
-}
-
 // zipfSlot inverts the continuous Zipf CDF: t in [0,1) to a slot in
 // [0, n) with P(slot) ~ (slot+1)^-s.
 func (g *EdgeGen) zipfSlot(t float64) int64 {

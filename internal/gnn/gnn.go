@@ -108,16 +108,6 @@ type Config struct {
 	Seed    int64
 }
 
-// PaperConfig returns the evaluation defaults of §IV for a dataset with the
-// given feature dimension and class count.
-func PaperConfig(inDim, classes int) Config {
-	return Config{
-		InDim: inDim, Hidden: 256, Classes: classes,
-		Layers: 3, Heads: 4, Dropout: 0.5,
-		Backend: spops.BackendNative, Seed: 1,
-	}
-}
-
 // withSelfLoops returns g with one self edge (t -> t) appended to every
 // target row; targets are the first NumTargets input nodes, so the column
 // index equals the row index. GCN and GAT aggregate over the closed

@@ -279,11 +279,6 @@ func New(arch string, cfg Config) Model {
 	return builders[arch](cfg)
 }
 
-// Architectures lists the evaluated model names in paper order. GIN is
-// available via New("gin", ...) but excluded here because the paper's
-// experiments cover only these three.
-func Architectures() []string { return []string{"gcn", "graphsage", "gat"} }
-
 func layerName(arch string, l int) string { return arch + "." + string(rune('0'+l)) }
 func headName(h int) string               { return ".h" + string(rune('0'+h)) }
 

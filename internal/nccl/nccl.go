@@ -5,8 +5,8 @@
 // runs each ring as per-step transfers on the modeled NVLink/InfiniBand
 // links — device sets spanning nodes pay InfiniBand cost on the crossing
 // hops. WholeGraph itself needs only AllReduce (multi-node data-parallel
-// gradient sync, §III-D); AlltoAllv and AllGather exist for the
-// distributed-memory gather baseline of Figure 4/10.
+// gradient sync, §III-D); AlltoAllv exists for the distributed-memory
+// gather baseline of Figure 4/10.
 package nccl
 
 import (
@@ -15,15 +15,14 @@ import (
 	"wholegraph/internal/sim"
 )
 
-// AllReduceMean averages the per-device buffers elementwise, leaving the
-// mean in every buffer, and charges a ring AllReduce over the devices.
-// All buffers must have equal length.
-func AllReduceMean(devs []*sim.Device, bufs [][]float32) {
-	if len(devs) != len(bufs) {
-		panic(fmt.Sprintf("nccl: %d devices, %d buffers", len(devs), len(bufs)))
-	}
-	if len(bufs) == 0 {
-		return
+// AllReduceMeanHierarchical averages the per-device buffers of a whole
+// (possibly multi-node) machine elementwise, leaving the mean in every
+// buffer, and charges the blocking NVLink+InfiniBand hierarchical
+// AllReduce. There is one buffer per device, and all buffers must have
+// equal length.
+func AllReduceMeanHierarchical(m *sim.Machine, bufs [][]float32) {
+	if len(bufs) != len(m.Devs) {
+		panic(fmt.Sprintf("nccl: %d buffers for %d devices", len(bufs), len(m.Devs)))
 	}
 	n := len(bufs[0])
 	for i, b := range bufs {
@@ -31,28 +30,6 @@ func AllReduceMean(devs []*sim.Device, bufs [][]float32) {
 			panic(fmt.Sprintf("nccl: buffer %d has %d elements, want %d", i, len(b), n))
 		}
 	}
-	sum := make([]float64, n)
-	for _, b := range bufs {
-		for i, v := range b {
-			sum[i] += float64(v)
-		}
-	}
-	inv := 1 / float64(len(bufs))
-	for _, b := range bufs {
-		for i := range b {
-			b[i] = float32(sum[i] * inv)
-		}
-	}
-	sim.AllReduceBytes(devs, float64(4*n))
-}
-
-// AllReduceMeanHierarchical is AllReduceMean across a whole (possibly
-// multi-node) machine, charged with the NVLink+InfiniBand hierarchical ring.
-func AllReduceMeanHierarchical(m *sim.Machine, bufs [][]float32) {
-	if len(bufs) != len(m.Devs) {
-		panic(fmt.Sprintf("nccl: %d buffers for %d devices", len(bufs), len(m.Devs)))
-	}
-	n := len(bufs[0])
 	sum := make([]float64, n)
 	for _, b := range bufs {
 		for i, v := range b {
@@ -93,26 +70,4 @@ func AlltoAllv[T any](devs []*sim.Device, send [][][]T, elemBytes int) [][][]T {
 	}
 	sim.AlltoAllvBytes(devs, bytes)
 	return recv
-}
-
-// AllGather concatenates each device's shard in rank order on every device
-// and charges the ring AllGather.
-func AllGather[T any](devs []*sim.Device, shards [][]T, elemBytes int) [][]T {
-	if len(devs) != len(shards) {
-		panic(fmt.Sprintf("nccl: %d devices, %d shards", len(devs), len(shards)))
-	}
-	var all []T
-	maxShard := 0
-	for _, s := range shards {
-		all = append(all, s...)
-		if len(s) > maxShard {
-			maxShard = len(s)
-		}
-	}
-	out := make([][]T, len(devs))
-	for i := range out {
-		out[i] = append([]T(nil), all...)
-	}
-	sim.AllGatherBytes(devs, float64(maxShard*elemBytes))
-	return out
 }

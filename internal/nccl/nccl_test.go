@@ -2,18 +2,26 @@ package nccl
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"wholegraph/internal/sim"
 )
 
+// gpus returns a one-node machine of n GPUs.
+func gpus(n int) *sim.Machine {
+	cfg := sim.DGXA100(1)
+	cfg.GPUsPerNode = n
+	return sim.NewMachine(cfg)
+}
+
 func TestAllReduceMean(t *testing.T) {
-	m := sim.NewMachine(sim.DGXA100(1))
-	devs := m.NodeDevs(0)[:4]
+	m := gpus(4)
+	devs := m.Devs
 	bufs := [][]float32{
 		{1, 2}, {3, 4}, {5, 6}, {7, 8},
 	}
-	AllReduceMean(devs, bufs)
+	AllReduceMeanHierarchical(m, bufs)
 	for i, b := range bufs {
 		if b[0] != 4 || b[1] != 5 {
 			t.Fatalf("buffer %d = %v, want [4 5]", i, b)
@@ -47,14 +55,22 @@ func TestAllReduceMeanHierarchical(t *testing.T) {
 	}
 }
 
+// TestAllReduceMismatchPanics: buffers of unequal length are refused with
+// the package's own message, whether the first buffer is the shorter (which
+// would index past the sum) or the longer (which would average silently
+// over the missing tail).
 func TestAllReduceMismatchPanics(t *testing.T) {
-	m := sim.NewMachine(sim.DGXA100(1))
-	defer func() {
-		if recover() == nil {
-			t.Error("mismatched buffers did not panic")
-		}
-	}()
-	AllReduceMean(m.NodeDevs(0)[:2], [][]float32{{1}, {1, 2}})
+	for _, bufs := range [][][]float32{{{1}, {1, 2}}, {{1, 2}, {1}}} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "nccl: buffer 1 has") {
+					t.Errorf("buffers %v: panic %q, want the nccl length check", bufs, msg)
+				}
+			}()
+			AllReduceMeanHierarchical(gpus(2), bufs)
+		}()
+	}
 }
 
 func TestAlltoAllv(t *testing.T) {
@@ -80,26 +96,15 @@ func TestAlltoAllv(t *testing.T) {
 	}
 }
 
-func TestAllGather(t *testing.T) {
-	m := sim.NewMachine(sim.DGXA100(1))
-	devs := m.NodeDevs(0)[:2]
-	out := AllGather(devs, [][]int64{{1, 2}, {3}}, 8)
-	for i := range out {
-		if len(out[i]) != 3 || out[i][0] != 1 || out[i][2] != 3 {
-			t.Fatalf("allgather out[%d] = %v", i, out[i])
-		}
-	}
-}
-
-// meanTime runs AllReduceMean over nd devices with per-buffer length n and
-// returns the resulting machine time.
+// meanTime runs AllReduceMeanHierarchical over nd devices with per-buffer
+// length n and returns the resulting machine time.
 func meanTime(nd, n int) float64 {
-	m := sim.NewMachine(sim.DGXA100(1))
+	m := gpus(nd)
 	bufs := make([][]float32, nd)
 	for i := range bufs {
 		bufs[i] = make([]float32, n)
 	}
-	AllReduceMean(m.NodeDevs(0)[:nd], bufs)
+	AllReduceMeanHierarchical(m, bufs)
 	return m.MaxTime()
 }
 

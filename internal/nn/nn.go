@@ -183,48 +183,6 @@ func ChargeLinearBackwardDW(dev *sim.Device, rows, in, out int) {
 	dev.Gemm(in, out, rows, "linear.bwd.dw")
 }
 
-// ChargeLinearBackward charges dev the two backward GEMMs (dX and dW) of a
-// Linear of the given sizes. nil dev charges nothing.
-func ChargeLinearBackward(dev *sim.Device, rows, in, out int) {
-	ChargeLinearBackwardDX(dev, rows, in, out)
-	ChargeLinearBackwardDW(dev, rows, in, out)
-}
-
-// ChargeLinear charges dev for a Linear of the given sizes: one forward
-// GEMM plus the two backward GEMMs (dX and dW). nil dev charges nothing.
-func ChargeLinear(dev *sim.Device, rows, in, out int) {
-	ChargeLinearForward(dev, rows, in, out)
-	ChargeLinearBackward(dev, rows, in, out)
-}
-
-// ClipGradNorm rescales all gradients in s so their global L2 norm is at
-// most maxNorm, returning the pre-clip norm. A standard stabilizer for GAT
-// training; it is a no-op when the norm is already within bounds or when
-// maxNorm <= 0.
-func ClipGradNorm(s *ParamSet, maxNorm float64) float64 {
-	var sq float64
-	for _, p := range s.Params() {
-		if g := p.Grad(); g != nil {
-			for _, v := range g.V {
-				sq += float64(v) * float64(v)
-			}
-		}
-	}
-	norm := math.Sqrt(sq)
-	if maxNorm <= 0 || norm <= maxNorm || norm == 0 {
-		return norm
-	}
-	scale := float32(maxNorm / norm)
-	for _, p := range s.Params() {
-		if g := p.Grad(); g != nil {
-			for i := range g.V {
-				g.V[i] *= scale
-			}
-		}
-	}
-	return norm
-}
-
 // ChargeElementwiseForward charges dev the forward half of a memory-bound
 // elementwise pass over n float32 elements (read + write), e.g. ReLU or
 // dropout.
@@ -236,7 +194,7 @@ func ChargeElementwiseForward(dev *sim.Device, n int64) {
 }
 
 // ChargeElementwiseBackward charges dev the backward half of an elementwise
-// pass (gradient read + write). Layers hook it via OnBackward so the cost
+// pass (gradient read + write). Layers hook it via OnBackwardFor so the cost
 // lands on the device clock when the gradient work actually happens — the
 // same replay-time charging Linear's backward GEMMs use — which sharpens
 // gradient-bucket ready times for the overlap engine.
@@ -247,18 +205,9 @@ func ChargeElementwiseBackward(dev *sim.Device, n int64) {
 	dev.Kernel(sim.KernelCost{StreamBytes: float64(4 * n * 2), Tag: "eltwise.bwd"})
 }
 
-// ChargeElementwise charges both halves at once (forward-record-time
-// charging, kept for callers without a backward pass to hook).
-func ChargeElementwise(dev *sim.Device, n int64) {
-	ChargeElementwiseForward(dev, n)
-	ChargeElementwiseBackward(dev, n)
-}
-
-// Adam is the Adam optimizer over a ParamSet. A non-zero WeightDecay turns
-// it into AdamW (decoupled decay, applied directly to the weights).
+// Adam is the Adam optimizer over a ParamSet.
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64
-	WeightDecay           float64
 	t                     int
 }
 
@@ -283,14 +232,13 @@ func (a *Adam) Step(dev *sim.Device, s *ParamSet) {
 		}
 		touched += int64(len(p.W.V))
 		b1, b2 := float32(a.Beta1), float32(a.Beta2)
-		decay := float32(a.LR * a.WeightDecay)
 		for i := range p.W.V {
 			gi := g.V[i]
 			p.m.V[i] = b1*p.m.V[i] + (1-b1)*gi
 			p.v.V[i] = b2*p.v.V[i] + (1-b2)*gi*gi
 			mh := float64(p.m.V[i]) / bc1
 			vh := float64(p.v.V[i]) / bc2
-			p.W.V[i] -= float32(a.LR*mh/(math.Sqrt(vh)+a.Eps)) + decay*p.W.V[i]
+			p.W.V[i] -= float32(a.LR * mh / (math.Sqrt(vh) + a.Eps))
 		}
 	}
 	if dev != nil && touched > 0 {

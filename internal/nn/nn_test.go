@@ -133,18 +133,24 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 func TestChargingAdvancesDevice(t *testing.T) {
 	m := sim.NewMachine(sim.DGXA100(1))
 	d := m.Devs[0]
-	ChargeLinear(d, 1024, 256, 256)
+	ChargeLinearForward(d, 1024, 256, 256)
+	ChargeLinearBackwardDX(d, 1024, 256, 256)
+	ChargeLinearBackwardDW(d, 1024, 256, 256)
 	if d.Now() == 0 || d.Stats.Kernels != 3 {
-		t.Errorf("ChargeLinear: now=%g kernels=%d", d.Now(), d.Stats.Kernels)
+		t.Errorf("Linear charges: now=%g kernels=%d", d.Now(), d.Stats.Kernels)
 	}
 	t0 := d.Now()
-	ChargeElementwise(d, 1<<20)
+	ChargeElementwiseForward(d, 1<<20)
+	ChargeElementwiseBackward(d, 1<<20)
 	if d.Now() <= t0 {
-		t.Error("ChargeElementwise did not advance clock")
+		t.Error("elementwise charges did not advance clock")
 	}
 	// nil device is a no-op.
-	ChargeLinear(nil, 10, 10, 10)
-	ChargeElementwise(nil, 10)
+	ChargeLinearForward(nil, 10, 10, 10)
+	ChargeLinearBackwardDX(nil, 10, 10, 10)
+	ChargeLinearBackwardDW(nil, 10, 10, 10)
+	ChargeElementwiseForward(nil, 10)
+	ChargeElementwiseBackward(nil, 10)
 }
 
 func TestAdamChargesDevice(t *testing.T) {
@@ -158,57 +164,6 @@ func TestAdamChargesDevice(t *testing.T) {
 	NewAdam(0.1).Step(d, &ps)
 	if d.Now() == 0 {
 		t.Error("Adam step did not charge device")
-	}
-}
-
-func TestWeightDecayShrinksUnusedDirections(t *testing.T) {
-	// With zero gradients, AdamW decay alone must shrink the weights;
-	// plain Adam must leave them unchanged.
-	run := func(decay float64) float32 {
-		var ps ParamSet
-		w := ps.New("w", tensor.FromSlice(1, 2, []float32{4, -4}))
-		opt := NewAdam(0.1)
-		opt.WeightDecay = decay
-		for i := 0; i < 50; i++ {
-			tp := autograd.NewTape()
-			ps.Bind(tp)
-			w.Var().AccumGrad(tensor.New(1, 2)) // zero gradient
-			opt.Step(nil, &ps)
-		}
-		return w.W.MaxAbs()
-	}
-	if got := run(0); got != 4 {
-		t.Errorf("no-decay weights moved: %g", got)
-	}
-	if got := run(0.1); got >= 4 {
-		t.Errorf("decay did not shrink weights: %g", got)
-	}
-}
-
-func TestClipGradNorm(t *testing.T) {
-	var ps ParamSet
-	w := ps.New("w", tensor.New(1, 2))
-	tp := autograd.NewTape()
-	ps.Bind(tp)
-	w.Var().AccumGrad(tensor.FromSlice(1, 2, []float32{3, 4})) // norm 5
-	if norm := ClipGradNorm(&ps, 1); math.Abs(norm-5) > 1e-6 {
-		t.Fatalf("pre-clip norm = %g, want 5", norm)
-	}
-	g := w.Grad()
-	if math.Abs(float64(g.V[0])-0.6) > 1e-6 || math.Abs(float64(g.V[1])-0.8) > 1e-6 {
-		t.Fatalf("clipped grad = %v, want [0.6 0.8]", g.V)
-	}
-	// Within bounds: untouched.
-	if norm := ClipGradNorm(&ps, 10); math.Abs(norm-1) > 1e-6 {
-		t.Fatalf("second norm = %g, want 1", norm)
-	}
-	if g.V[0] != 0.6 {
-		t.Error("in-bounds clip modified gradients")
-	}
-	// maxNorm <= 0 is a no-op.
-	ClipGradNorm(&ps, 0)
-	if g.V[0] != 0.6 {
-		t.Error("maxNorm=0 modified gradients")
 	}
 }
 

@@ -14,12 +14,6 @@
 // to open nodes and recover producer/consumer edges (value tensors keyed by
 // buffer identity, gradients keyed by their Var), then schedules the DAG
 // and applies each node's charges at its scheduled position.
-//
-// The same package owns the two smaller issue-ordering decisions the
-// trainer used to hand-wire: the readiness order and per-device start gates
-// of gradient-bucket AllReduces (BucketOrder, GateStarts — consumed by
-// train's overlap engine), and the per-iteration action sequence of the
-// pipelined epoch loop (PipelinePlan).
 package sched
 
 import (
@@ -220,10 +214,6 @@ func (r *Recorder) LossNode(logits *autograd.Var) {
 
 // Nodes returns the recorded DAG (valid until the next Reset).
 func (r *Recorder) Nodes() []Node { return r.nodes }
-
-// Makespan returns the completion time of the scheduled step (absolute
-// virtual time), valid after Schedule.
-func (r *Recorder) Makespan() float64 { return r.makespan }
 
 // Serial reports whether Schedule fell back to the serial compute-stream
 // order because list scheduling found no improvement.

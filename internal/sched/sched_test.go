@@ -161,65 +161,3 @@ func TestApplyAdvancesDeviceToMakespan(t *testing.T) {
 		t.Errorf("busy seconds gained %g, want the full 1.1ms of charges", gained)
 	}
 }
-
-// TestBucketOrder: readiness order with ties broken by index.
-func TestBucketOrder(t *testing.T) {
-	order := BucketOrder([]float64{3, 1, 2, 1}, nil)
-	want := []int{1, 3, 2, 0}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order %v, want %v", order, want)
-		}
-	}
-	if len(BucketOrder(nil, order)) != 0 {
-		t.Error("empty readiness produced a non-empty order")
-	}
-}
-
-// TestGateStarts: real workers gate at their own readiness, mirrors at the
-// fleet max.
-func TestGateStarts(t *testing.T) {
-	devWorker := []int{0, -1, 1, -1}
-	readyAt := [][]float64{{5, 7}, {6, 8}}
-	startAt := make([]float64, 4)
-	GateStarts(devWorker, readyAt, 1, 9, startAt)
-	want := []float64{7, 9, 8, 9}
-	for i := range want {
-		if startAt[i] != want[i] {
-			t.Fatalf("startAt %v, want %v", startAt, want)
-		}
-	}
-}
-
-// TestPipelinePlan: the per-iteration action sequence primes only on the
-// first iteration, always collects before re-arming, page-prefetches two
-// batches ahead only when enabled and in range, and computes last.
-func TestPipelinePlan(t *testing.T) {
-	check := func(got []PlanStep, want ...PlanStep) {
-		t.Helper()
-		if len(got) != len(want) {
-			t.Fatalf("plan %v, want %v", got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("plan %v, want %v", got, want)
-			}
-		}
-	}
-	check(PipelinePlan(nil, 0, 4, false),
-		PlanStep{OpPrime, 0}, PlanStep{OpCollect, 0}, PlanStep{OpPrefetch, 1}, PlanStep{OpCompute, 0})
-	check(PipelinePlan(nil, 1, 4, false),
-		PlanStep{OpCollect, 1}, PlanStep{OpPrefetch, 2}, PlanStep{OpCompute, 1})
-	check(PipelinePlan(nil, 3, 4, false),
-		PlanStep{OpCollect, 3}, PlanStep{OpCompute, 3})
-	check(PipelinePlan(nil, 1, 8, true),
-		PlanStep{OpCollect, 1}, PlanStep{OpPrefetch, 2}, PlanStep{OpPrefetchPages, 3}, PlanStep{OpCompute, 1})
-	check(PipelinePlan(nil, 6, 8, true),
-		PlanStep{OpCollect, 6}, PlanStep{OpPrefetch, 7}, PlanStep{OpCompute, 6})
-	// Scratch reuse: a big plan's backing array serves a smaller one.
-	scratch := PipelinePlan(nil, 0, 8, true)
-	reused := PipelinePlan(scratch, 5, 8, false)
-	if &scratch[0] != &reused[0] {
-		t.Error("plan scratch was not reused")
-	}
-}

@@ -41,7 +41,6 @@ import (
 	"wholegraph/internal/gnn"
 	"wholegraph/internal/sim"
 	"wholegraph/internal/tensor"
-	"wholegraph/internal/train"
 )
 
 // Policy selects how arriving requests are routed to replicas. All
@@ -111,18 +110,12 @@ type Options struct {
 	Policy Policy
 	// Seed fixes the arrival process and seed-node draw.
 	Seed int64
-	// PagedFeatures serves node features from the paged feature store
-	// (internal/featstore) instead of a resident wholemem slab — the
-	// serving-side counterpart of train.Options.PagedFeatures.
-	PagedFeatures bool
-	// FeatEncoding is the page codec ("raw", "f16", "q8"; default raw).
-	FeatEncoding string
-	// FeatPageRows is the paged store's rows-per-page (0 = 256).
-	FeatPageRows int
-	// FeatCacheMB is each GPU's BlockCache budget in MiB (0 = 256).
-	FeatCacheMB int
-	// CachePolicy selects the BlockCache policy ("lru" or "admit").
-	CachePolicy string
+	// Store configures the deployment's graph store; its zero value is the
+	// resident wholemem store. Store.PagedFeatures serves node features from
+	// the paged feature store (internal/featstore) instead. Callers with
+	// user spellings of the storage knobs build it with
+	// train.Options.StoreOptions.
+	Store core.StoreOptions
 	// Workload selects what a request asks for: WorkloadInference
 	// (default) or WorkloadRetrieval. New always serves inference;
 	// retrieval deployments come from NewRetrieval.
@@ -248,15 +241,7 @@ func New(m *sim.Machine, node int, ds *dataset.Dataset, model gnn.LayerwiseModel
 	if opts.Workload == WorkloadRetrieval {
 		return nil, fmt.Errorf("serve: retrieval deployments are built with NewRetrieval over an ann.Index")
 	}
-	so, err := train.Options{
-		PagedFeatures: opts.PagedFeatures, FeatEncoding: opts.FeatEncoding,
-		FeatPageRows: opts.FeatPageRows, FeatCacheMB: opts.FeatCacheMB,
-		CachePolicy: opts.CachePolicy,
-	}.StoreOptions()
-	if err != nil {
-		return nil, err
-	}
-	store, err := core.NewStoreOpts(m, node, ds, so)
+	store, err := core.NewStoreOpts(m, node, ds, opts.Store)
 	if err != nil {
 		return nil, err
 	}
@@ -308,7 +293,7 @@ func New(m *sim.Machine, node int, ds *dataset.Dataset, model gnn.LayerwiseModel
 func (s *Server) Replicas() int { return len(s.replicas) }
 
 // FeatStoreStats snapshots the paged feature store's BlockCache counters;
-// the zero Stats when Options.PagedFeatures is off or the deployment has
+// the zero Stats when Options.Store.PagedFeatures is off or the deployment has
 // no store (retrieval).
 func (s *Server) FeatStoreStats() featstore.Stats {
 	if s.Store == nil {

@@ -2,26 +2,33 @@ package sim
 
 // Step-level collective engine.
 //
-// The analytic entry points in link.go used to charge one closed-form busy
-// block behind a Barrier. This engine instead decomposes each ring
-// collective into its per-step transfers: in every round each device
-// forwards one chunk to its ring successor, a hop starts once sender and
-// receiver have finished the previous round and the sender's egress link
-// is free, and the hop occupies that link for its duration. Links are
-// modeled per fabric: a device's NVLink egress port for intra-node hops,
-// the node's aggregate InfiniBand NIC for inter-node hops — so a ring over
-// devices that span nodes pays IB cost on the crossing hops (the analytic
-// code silently charged NVLink), and two collectives in flight at once
-// serialize on any link they share.
+// The paper's system sends three collectives: the IPC-handle AllGather at
+// store setup (StartRingAllGather, §III-B), the hierarchical NVLink +
+// InfiniBand gradient AllReduce (StartHierarchicalAllReduce and its blocking
+// form HierarchicalAllReduce, §III-D), and the AlltoAllv of the
+// distributed-memory gather baseline (AlltoAllvBytes, Fig. 4/10). Barrier
+// (sim.go) is the fourth synchronization point.
 //
-// Collectives can be issued on either stream (CollOpts.Stream) with
+// Each collective decomposes into exchange rounds, and one function,
+// exchange, prices a round: every device sends its own chunk to the peer at
+// a fixed offset — 1 for every round of a ring, r for pairwise round r of an
+// AlltoAllv. A hop starts once sender and receiver have finished the
+// previous round and the sender's egress link is free, and it occupies that
+// link for its duration. Links are modeled per fabric: a device's NVLink
+// egress port for intra-node hops, the node's aggregate InfiniBand NIC for
+// inter-node hops — so a device set that spans nodes pays IB cost on the
+// crossing hops, and two collectives in flight at once serialize on any
+// link they share.
+//
+// The Start* entry points issue on either stream (CollOpts.Stream) with
 // per-device earliest-start gates (CollOpts.StartAt), and the returned
 // Collective carries per-device completion events, so a caller can overlap
 // a collective with independent work and join later with WaitEvent — the
-// mechanism behind train.Options.OverlapGrads. Like Barrier, every entry
-// point here reads and advances multiple device clocks and the machine's
-// link table, so it must run from the orchestrating goroutine, never from
-// inside a RunParallel region.
+// mechanism behind train.Options.OverlapGrads. The blocking entry points run
+// on the compute stream and join every participant at the completion time.
+// Like Barrier, every entry point reads and advances multiple device clocks
+// and the machine's link table, so it must run from the orchestrating
+// goroutine, never from inside a RunParallel region.
 
 // CollOpts configures a step-level collective launch. The zero value means
 // compute stream, no start gates, default trace tag.
@@ -47,8 +54,7 @@ type Collective struct {
 }
 
 // Wait blocks every participating device's issuing stream until the whole
-// collective completed (all devices reach End), the blocking semantics of
-// the analytic-era entry points.
+// collective completed (all devices reach End).
 func (c *Collective) Wait() {
 	for _, d := range c.Devs {
 		prev := d.SetStream(c.Stream)
@@ -67,16 +73,6 @@ func StartRingAllGather(devs []*Device, bytes float64, o CollOpts) *Collective {
 	return newCollective(devs, o.Stream, ready)
 }
 
-// StartRingAllReduce issues a ring AllReduce of a bytes-sized buffer:
-// reduce-scatter plus allgather, 2(n-1) rounds of bytes/n chunks.
-func StartRingAllReduce(devs []*Device, bytes float64, o CollOpts) *Collective {
-	m := devs[0].m
-	ready := m.collReady[:len(devs)]
-	initReady(devs, ready, o.Stream, o.StartAt)
-	ringSteps(devs, ready, 2*(len(devs)-1), bytes/float64(len(devs)), o.Stream, tagOr(o.Tag, "allreduce"))
-	return newCollective(devs, o.Stream, ready)
-}
-
 // StartHierarchicalAllReduce issues a gradient AllReduce across the whole
 // machine: per-node ring reduce-scatter over NVLink, an inter-node ring
 // over InfiniBand on the node shards, and a per-node ring allgather.
@@ -86,6 +82,57 @@ func StartHierarchicalAllReduce(m *Machine, bytes float64, o CollOpts) *Collecti
 	initReady(m.Devs, ready, o.Stream, o.StartAt)
 	hierarchicalSteps(m, bytes, o.Stream, tagOr(o.Tag, "allreduce"), ready)
 	return newCollective(m.Devs, o.Stream, ready)
+}
+
+// HierarchicalAllReduce charges a blocking gradient AllReduce across the
+// machine on the compute stream: the steps of StartHierarchicalAllReduce,
+// then every device joins at the completion time, which it returns. It runs
+// every training iteration, so it allocates no Collective.
+func HierarchicalAllReduce(m *Machine, bytes float64) float64 {
+	if len(m.Devs) < 2 {
+		return 0
+	}
+	ready := m.collReady[:len(m.Devs)]
+	initReady(m.Devs, ready, StreamCompute, nil)
+	hierarchicalSteps(m, bytes, StreamCompute, "allreduce", ready)
+	return joinCompute(m.Devs, ready)
+}
+
+// AlltoAllvBytes charges a blocking AlltoAllv over the devices where
+// sendBytes[i][j] is the payload device i sends to device j, and returns the
+// completion time. NCCL implements AlltoAllv as pairwise exchanges: in round
+// r = 1..n-1 device i sends its payload for peer (i+r) mod n while receiving
+// from peer (i-r) mod n, and the next round starts only once a device
+// finished both sides of the current one. The diagonal is never sent.
+func AlltoAllvBytes(devs []*Device, sendBytes [][]float64) float64 {
+	n := len(devs)
+	if n < 2 {
+		return 0
+	}
+	m := devs[0].m
+	ready := m.collReady[:n]
+	initReady(devs, ready, StreamCompute, nil)
+	chunk := m.collChunk[:n]
+	for r := 1; r < n; r++ {
+		for i := range chunk {
+			chunk[i] = sendBytes[i][(i+r)%n]
+		}
+		exchange(devs, ready, chunk, r, StreamCompute, "alltoallv")
+	}
+	return joinCompute(devs, ready)
+}
+
+// nvlinkP2PTime is the time to move bytes between two GPUs of one node over
+// NVLink as one bulk message.
+func nvlinkP2PTime(m *Machine, bytes float64) float64 {
+	l := m.Cfg.Link
+	return l.P2PBaseLatency + bytes/(l.NVLinkUniGBs*1e9*0.9)
+}
+
+// ibTime is the time to move bytes between two nodes as one bulk message.
+func ibTime(m *Machine, bytes float64) float64 {
+	l := m.Cfg.Link
+	return l.IBLatency + bytes/(l.IBGBs*1e9*0.9)
 }
 
 // initReady seeds the per-device ready times from the stream clocks and the
@@ -119,75 +166,80 @@ func newCollective(devs []*Device, k StreamKind, ready []float64) *Collective {
 	return c
 }
 
-// ringSteps advances the devices through rounds ring steps in which every
-// device sends one chunk to its ring successor. ready carries per-device
-// completion times in and out (exact values, independent of the charged
-// interval rounding). A hop from devs[i] to devs[i+1] starts at
-// max(ready[i], ready[i+1], linkFree) — the receiver must have finished its
-// previous round, and concurrent collectives serialize on shared links —
-// and the sender's egress link (NVLink port intra-node, the node NIC
-// across nodes) stays busy until the hop ends. Scratch lives on the
-// machine, keeping steady-state training allocation-free.
+// exchange runs one round in which every device devs[i] sends chunk[i]
+// bytes to devs[(i+off) mod n]. ready carries per-device completion times
+// in and out (exact values, independent of the charged interval rounding).
+// A hop from devs[i] to devs[j] starts at max(ready[i], ready[j], linkFree)
+// — the receiver must have finished its previous round, and concurrent
+// collectives serialize on shared links — and the sender's egress link
+// (NVLink port intra-node, the node NIC across nodes) stays busy until the
+// hop ends. A device's share of the round spans its own send and the one it
+// receives. Scratch lives on the machine, keeping steady-state training
+// allocation-free.
+func exchange(devs []*Device, ready, chunk []float64, off int, k StreamKind, tag string) {
+	n := len(devs)
+	m := devs[0].m
+	sendStart := m.collSendStart[:n]
+	sendEnd := m.collSendEnd[:n]
+	for i, src := range devs {
+		j := (i + off) % n
+		dst := devs[j]
+		start := ready[i]
+		if ready[j] > start {
+			start = ready[j]
+		}
+		var hop float64
+		var free *float64
+		if src.Node != dst.Node {
+			hop = ibTime(m, chunk[i])
+			free = &m.ibFree[src.Node]
+			src.Stats.IBTxBytes += chunk[i]
+		} else {
+			hop = nvlinkP2PTime(m, chunk[i])
+			free = &m.nvlinkFree[src.ID]
+			src.Stats.NVLinkTxBytes += chunk[i]
+		}
+		if *free > start {
+			start = *free
+		}
+		sendStart[i] = start
+		sendEnd[i] = start + hop
+		*free = sendEnd[i]
+	}
+	for i, d := range devs {
+		p := (i - off + n) % n
+		s := sendStart[i]
+		if sendStart[p] < s {
+			s = sendStart[p]
+		}
+		e := sendEnd[i]
+		if sendEnd[p] > e {
+			e = sendEnd[p]
+		}
+		chargeComm(d, k, s, e, tag)
+		ready[i] = e
+	}
+}
+
+// ringSteps advances the devices through rounds ring rounds in which every
+// device sends one chunk-sized message to its ring successor.
 func ringSteps(devs []*Device, ready []float64, rounds int, chunk float64, k StreamKind, tag string) {
 	n := len(devs)
 	if n < 2 {
 		return
 	}
-	m := devs[0].m
-	sendStart := m.collSendStart[:n]
-	sendEnd := m.collSendEnd[:n]
+	c := devs[0].m.collChunk[:n]
+	for i := range c {
+		c[i] = chunk
+	}
 	for r := 0; r < rounds; r++ {
-		for i, src := range devs {
-			j := i + 1
-			if j == n {
-				j = 0
-			}
-			dst := devs[j]
-			start := ready[i]
-			if ready[j] > start {
-				start = ready[j]
-			}
-			var hop float64
-			var free *float64
-			if src.Node != dst.Node {
-				hop = ibTime(m, chunk)
-				free = &m.ibFree[src.Node]
-				src.Stats.IBTxBytes += chunk
-			} else {
-				hop = nvlinkP2PTime(m, chunk)
-				free = &m.nvlinkFree[src.ID]
-				src.Stats.NVLinkTxBytes += chunk
-			}
-			if *free > start {
-				start = *free
-			}
-			sendStart[i] = start
-			sendEnd[i] = start + hop
-			*free = sendEnd[i]
-		}
-		for i, d := range devs {
-			p := i - 1
-			if p < 0 {
-				p = n - 1
-			}
-			s := sendStart[i]
-			if sendStart[p] < s {
-				s = sendStart[p]
-			}
-			e := sendEnd[i]
-			if sendEnd[p] > e {
-				e = sendEnd[p]
-			}
-			chargeComm(d, k, s, e, tag)
-			ready[i] = e
-		}
+		exchange(devs, ready, c, 1, k, tag)
 	}
 }
 
 // hierarchicalSteps runs the three-phase hierarchical AllReduce on the
-// ready array. With one node it degenerates to the exact step sequence of
-// a single intra-node ring AllReduce (2(g-1) rounds of bytes/g), which is
-// what makes HierarchicalAllReduce and AllReduceBytes bit-identical there.
+// ready array. With one node it degenerates to a single intra-node ring
+// AllReduce: 2(g-1) rounds of bytes/g.
 func hierarchicalSteps(m *Machine, bytes float64, k StreamKind, tag string, ready []float64) {
 	g := m.Cfg.GPUsPerNode
 	nodes := m.Cfg.Nodes
@@ -281,8 +333,8 @@ func chargeComm(d *Device, k StreamKind, s, e float64, tag string) {
 }
 
 // joinCompute idles every device's compute stream to the collective's end
-// and returns it: the blocking, barrier-like semantics the analytic entry
-// points always had.
+// and returns it: the blocking, barrier-like semantics of the blocking
+// entry points.
 func joinCompute(devs []*Device, ready []float64) float64 {
 	end := 0.0
 	for _, t := range ready {

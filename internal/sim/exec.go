@@ -15,7 +15,7 @@ import (
 // partitioned graph, generated datasets) are read-only during parallel
 // regions; writes to shared tables must target disjoint ranges (as the
 // scatter of layer-wise inference does). Barriers, collectives
-// (sim.Barrier, the link.go helpers, nccl) and Machine.MaxTime touch many
+// (sim.Barrier, the collective.go entry points, nccl) and Machine.MaxTime touch many
 // clocks at once and therefore run only from the orchestrating goroutine,
 // outside RunParallel regions.
 //

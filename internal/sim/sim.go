@@ -199,11 +199,12 @@ type Machine struct {
 	// run on the orchestrating goroutine.
 	nvlinkFree []float64
 	ibFree     []float64
-	// Scratch reused across collective calls (per-device ready and
-	// send-interval times, and their per-node counterparts), so the
-	// steady-state training loop stays allocation-free.
-	collReady, collSendStart, collSendEnd []float64
-	nodeReady, nodeSendStart, nodeSendEnd []float64
+	// Scratch reused across collective calls (per-device ready times,
+	// send-interval times and round payloads, and their per-node
+	// counterparts), so the steady-state training loop stays
+	// allocation-free.
+	collReady, collSendStart, collSendEnd, collChunk []float64
+	nodeReady, nodeSendStart, nodeSendEnd            []float64
 }
 
 // NewMachine builds a Machine from cfg. It panics on invalid configuration;
@@ -227,6 +228,7 @@ func NewMachine(cfg MachineConfig) *Machine {
 	m.collReady = make([]float64, nd)
 	m.collSendStart = make([]float64, nd)
 	m.collSendEnd = make([]float64, nd)
+	m.collChunk = make([]float64, nd)
 	m.nodeReady = make([]float64, cfg.Nodes)
 	m.nodeSendStart = make([]float64, cfg.Nodes)
 	m.nodeSendEnd = make([]float64, cfg.Nodes)

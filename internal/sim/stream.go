@@ -67,14 +67,6 @@ func (d *Device) SetStream(k StreamKind) StreamKind {
 	return prev
 }
 
-// OnStream runs fn with the given stream selected, restoring the previous
-// selection afterwards.
-func (d *Device) OnStream(k StreamKind, fn func()) {
-	prev := d.SetStream(k)
-	defer d.SetStream(prev)
-	fn()
-}
-
 // StreamNow returns the named stream's virtual clock in seconds,
 // regardless of which stream is current.
 func (d *Device) StreamNow(k StreamKind) float64 {
@@ -107,19 +99,4 @@ func (d *Device) WaitEvent(ev Event, tag string) {
 	if ev.T > d.Now() {
 		d.idle(ev.T-d.Now(), tag)
 	}
-}
-
-// SyncStreams joins the device's two streams (cudaDeviceSynchronize): both
-// advance to the maximum of their clocks, the later-running stream
-// unchanged and the earlier one idling up to it.
-func (d *Device) SyncStreams(tag string) {
-	ev := Event{T: d.StreamNow(StreamCompute)}
-	if t := d.StreamNow(StreamCopy); t > ev.T {
-		ev.T = t
-	}
-	prev := d.SetStream(StreamCompute)
-	d.WaitEvent(ev, tag)
-	d.SetStream(StreamCopy)
-	d.WaitEvent(ev, tag)
-	d.SetStream(prev)
 }

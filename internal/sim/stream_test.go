@@ -38,12 +38,11 @@ func TestStreamsAdvanceIndependently(t *testing.T) {
 
 func TestKernelChargesCurrentStream(t *testing.T) {
 	d := streamTestDevice()
-	var dtCopy float64
-	d.OnStream(StreamCopy, func() {
-		dtCopy = d.Kernel(KernelCost{StreamBytes: 1e9, Tag: "gather"})
-	})
+	prev := d.SetStream(StreamCopy)
+	dtCopy := d.Kernel(KernelCost{StreamBytes: 1e9, Tag: "gather"})
+	d.SetStream(prev)
 	if d.CurrentStream() != StreamCompute {
-		t.Fatalf("OnStream did not restore the compute stream")
+		t.Fatalf("SetStream did not restore the compute stream")
 	}
 	if d.StreamNow(StreamCompute) != 0 {
 		t.Errorf("compute clock advanced by copy-stream kernel")
@@ -56,11 +55,10 @@ func TestKernelChargesCurrentStream(t *testing.T) {
 func TestEventWaitJoinsStreams(t *testing.T) {
 	d := streamTestDevice()
 	// Produce on the copy stream until t=2, consume on compute from t=0.5.
-	var ev Event
-	d.OnStream(StreamCopy, func() {
-		d.busy(2.0, "produce")
-		ev = d.RecordEvent()
-	})
+	d.SetStream(StreamCopy)
+	d.busy(2.0, "produce")
+	ev := d.RecordEvent()
+	d.SetStream(StreamCompute)
 	d.busy(0.5, "other")
 	d.WaitEvent(ev, "wait.batch")
 	if got := d.Now(); got != 2.0 {
@@ -81,16 +79,6 @@ func TestEventWaitJoinsStreams(t *testing.T) {
 	}
 }
 
-func TestSyncStreamsJoinsBoth(t *testing.T) {
-	d := streamTestDevice()
-	d.busy(1.0, "compute")
-	d.OnStream(StreamCopy, func() { d.busy(3.0, "copy") })
-	d.SyncStreams("sync")
-	if c, k := d.StreamNow(StreamCompute), d.StreamNow(StreamCopy); c != 3.0 || k != 3.0 {
-		t.Errorf("after sync compute=%g copy=%g, want both 3.0", c, k)
-	}
-}
-
 func TestSpanIsLaterStreamClock(t *testing.T) {
 	d := streamTestDevice()
 	if d.Span() != 0 {
@@ -100,7 +88,9 @@ func TestSpanIsLaterStreamClock(t *testing.T) {
 	if got := d.Span(); got != 1.0 {
 		t.Errorf("Span = %g, want compute clock 1.0", got)
 	}
-	d.OnStream(StreamCopy, func() { d.busy(2.5, "copy") })
+	d.SetStream(StreamCopy)
+	d.busy(2.5, "copy")
+	d.SetStream(StreamCompute)
 	if got := d.Span(); got != 2.5 {
 		t.Errorf("Span = %g, want copy clock 2.5", got)
 	}
@@ -109,7 +99,9 @@ func TestSpanIsLaterStreamClock(t *testing.T) {
 func TestMaxTimeAndResetCoverCopyStream(t *testing.T) {
 	m := NewMachine(DGXA100(1))
 	d := m.Devs[3]
-	d.OnStream(StreamCopy, func() { d.busy(7.0, "copy") })
+	d.SetStream(StreamCopy)
+	d.busy(7.0, "copy")
+	d.SetStream(StreamCompute)
 	if got := m.MaxTime(); got != 7.0 {
 		t.Fatalf("MaxTime = %g, want 7.0 from the copy stream", got)
 	}
@@ -130,7 +122,9 @@ func TestTraceMarksStreams(t *testing.T) {
 	d := streamTestDevice()
 	d.Tracing = true
 	d.busy(1.0, "k")
-	d.OnStream(StreamCopy, func() { d.busy(0.5, "g") })
+	d.SetStream(StreamCopy)
+	d.busy(0.5, "g")
+	d.SetStream(StreamCompute)
 	tr := d.Trace()
 	if len(tr) != 2 {
 		t.Fatalf("trace has %d intervals, want 2", len(tr))
@@ -138,16 +132,15 @@ func TestTraceMarksStreams(t *testing.T) {
 	if tr[0].Stream != StreamCompute || tr[1].Stream != StreamCopy {
 		t.Errorf("stream marks = %v, %v", tr[0].Stream, tr[1].Stream)
 	}
-	copyOnly := FilterStream(tr, StreamCopy)
-	if len(copyOnly) != 1 || copyOnly[0].Tag != "g" {
-		t.Errorf("FilterStream(copy) = %+v", copyOnly)
+	if tr[1].Tag != "g" {
+		t.Errorf("copy interval = %+v", tr[1])
 	}
 	// Per-stream busy fractions stay meaningful: the copy stream was busy
 	// 0.5 of its first second, the compute stream all of it.
-	if bf := BusyFraction(FilterStream(tr, StreamCompute), 0, 1); math.Abs(bf-1) > 1e-12 {
+	if bf := BusyFraction(tr[:1], 0, 1); math.Abs(bf-1) > 1e-12 {
 		t.Errorf("compute busy fraction = %g", bf)
 	}
-	if bf := BusyFraction(copyOnly, 0, 1); math.Abs(bf-0.5) > 1e-12 {
+	if bf := BusyFraction(tr[1:], 0, 1); math.Abs(bf-0.5) > 1e-12 {
 		t.Errorf("copy busy fraction = %g", bf)
 	}
 }

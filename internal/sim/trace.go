@@ -2,8 +2,8 @@ package sim
 
 // Interval is one busy or idle span on a device timeline. Stream records
 // which of the device's two timelines the span lies on; utilization
-// helpers below treat the trace as one timeline, so pass a filtered trace
-// (FilterStream) when the run used both streams.
+// helpers below treat the trace as one timeline, so pass one stream's
+// intervals when the run used both streams.
 type Interval struct {
 	Start, End float64
 	Busy       bool
@@ -23,17 +23,6 @@ type Interval struct {
 	// Chrome trace gives these their own lane and the utilization helpers
 	// ignore them via Busy == false.
 	Decision bool
-}
-
-// FilterStream returns the intervals of one stream, preserving order.
-func FilterStream(trace []Interval, k StreamKind) []Interval {
-	out := make([]Interval, 0, len(trace))
-	for _, iv := range trace {
-		if iv.Stream == k {
-			out = append(out, iv)
-		}
-	}
-	return out
 }
 
 // Trace returns the recorded intervals. Tracing must have been enabled

@@ -123,14 +123,6 @@ func LogSoftmaxInto(dst, a *Dense) {
 	}
 }
 
-// SoftmaxInto sets dst to the row-wise softmax of a.
-func SoftmaxInto(dst, a *Dense) {
-	LogSoftmaxInto(dst, a)
-	for i, v := range dst.V {
-		dst.V[i] = float32(math.Exp(float64(v)))
-	}
-}
-
 // CrossEntropy computes the mean negative log-likelihood of the labels
 // under row-wise softmax of logits, and, if grad is non-nil, writes the
 // gradient d(loss)/d(logits) = (softmax - onehot)/rows into grad. Rows with

@@ -165,14 +165,15 @@ func TestSoftmaxRowsSumToOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := Randn(5, 9, 10, rng) // large magnitudes stress stability
 	s := New(5, 9)
-	SoftmaxInto(s, a)
+	LogSoftmaxInto(s, a)
 	for i := 0; i < 5; i++ {
 		var sum float64
-		for _, v := range s.Row(i) {
+		for _, lv := range s.Row(i) {
+			v := math.Exp(float64(lv))
 			if v < 0 || v > 1 {
 				t.Fatalf("softmax out of range: %g", v)
 			}
-			sum += float64(v)
+			sum += v
 		}
 		if !almostEq(sum, 1, 1e-5) {
 			t.Fatalf("row %d sums to %g", i, sum)

@@ -2,7 +2,6 @@ package train
 
 import (
 	"wholegraph/internal/autograd"
-	"wholegraph/internal/sched"
 	"wholegraph/internal/sim"
 )
 
@@ -128,10 +127,9 @@ func (t *Trainer) overlapGradSync() {
 		}
 		s.maxReady[b] = mr
 	}
-	// Issue order and per-device gates are scheduler decisions
-	// (internal/sched): buckets flush in fleet readiness order, each device
-	// joining at its own backward readiness.
-	s.order = sched.BucketOrder(s.maxReady, s.order)
+	// Buckets flush in fleet readiness order, each device joining at its
+	// own backward readiness.
+	s.order = bucketOrder(s.maxReady, s.order)
 	clear(s.lastDone)
 	for _, b := range s.order {
 		if len(t.Models) > 1 {
@@ -139,7 +137,7 @@ func (t *Trainer) overlapGradSync() {
 				t.averageParam(pi)
 			}
 		}
-		sched.GateStarts(s.devWorker, s.readyAt, b, s.maxReady[b], s.startAt)
+		gateStarts(s.devWorker, s.readyAt, b, s.maxReady[b], s.startAt)
 		c := sim.StartHierarchicalAllReduce(m, s.bucketBytes[b], sim.CollOpts{
 			Stream: sim.StreamCopy, StartAt: s.startAt, Tag: "allreduce.grads",
 		})
@@ -152,6 +150,39 @@ func (t *Trainer) overlapGradSync() {
 	for i, d := range m.Devs {
 		if s.devWorker[i] < 0 {
 			d.WaitEvent(sim.Event{T: s.lastDone[i]}, "grad-sync")
+		}
+	}
+}
+
+// bucketOrder fills order with all bucket indices sorted by fleet-wide
+// readiness (ties by index) — the order DDP's reducer flushes buckets.
+// maxReady[b] is bucket b's readiness across workers; order's backing
+// array is reused when large enough.
+func bucketOrder(maxReady []float64, order []int) []int {
+	order = order[:0]
+	for b := range maxReady {
+		order = append(order, b)
+	}
+	// Insertion sort: bucket counts are small and this stays allocation-free.
+	for i := 1; i < len(order); i++ {
+		for j := i; j > 0 && maxReady[order[j]] < maxReady[order[j-1]]; j-- {
+			order[j], order[j-1] = order[j-1], order[j]
+		}
+	}
+	return order
+}
+
+// gateStarts fills startAt (one entry per device) with the earliest time
+// each device may join bucket b's AllReduce: real workers at their own
+// backward readiness, mirror devices at the busiest worker's (matching how
+// their compute is mirrored). devWorker maps device index to real-worker
+// index, -1 for mirrors; readyAt is indexed [worker][bucket].
+func gateStarts(devWorker []int, readyAt [][]float64, b int, maxReady float64, startAt []float64) {
+	for i, w := range devWorker {
+		if w >= 0 {
+			startAt[i] = readyAt[w][b]
+		} else {
+			startAt[i] = maxReady
 		}
 	}
 }

@@ -28,7 +28,6 @@ import (
 	"wholegraph/internal/featstore"
 	"wholegraph/internal/gnn"
 	"wholegraph/internal/nn"
-	"wholegraph/internal/sched"
 	"wholegraph/internal/sim"
 	"wholegraph/internal/spops"
 	"wholegraph/internal/tensor"
@@ -256,8 +255,8 @@ type PrefetchingLoader interface {
 
 // PagePrefetcher is a BatchLoader that can fault the paged-store pages an
 // upcoming batch will touch on the copy stream ahead of demand
-// (core.Loader over paged stores). Options.PrefetchPages uses this path
-// in the sequential loop; loaders without paged stores return 0 from it.
+// (core.Loader over paged stores). Options.PrefetchPages uses this path;
+// loaders without paged stores return 0 from it.
 type PagePrefetcher interface {
 	// PrefetchPages predicts and faults up to maxPages pages per paged
 	// store for the given targets, returning the count actually faulted.
@@ -305,9 +304,6 @@ type Trainer struct {
 	// gs is the step-graph capture state (Options.CaptureGraph), built
 	// lazily by ensureGraphState.
 	gs *graphState
-	// plans is per-worker scratch for the pipelined loop's scheduler-issued
-	// action sequence (sched.PipelinePlan).
-	plans [][]sched.PlanStep
 	// ep is RunEpoch's per-worker scratch, kept across epochs so a
 	// steady-state epoch allocates nothing of its own.
 	ep epochScratch
@@ -443,21 +439,6 @@ func (t *Trainer) ItersPerEpoch() int {
 	return (shard + b - 1) / b
 }
 
-// Step runs forward/backward/optimizer for one worker on one batch and
-// returns (loss, accuracy). All compute is charged to the worker's device.
-func Step(model gnn.Model, opt *nn.Adam, dev *sim.Device, b *gnn.Batch, train bool) (float64, float64) {
-	tp := autograd.NewTape()
-	logits := model.Forward(dev, tp, b, train)
-	grad := tensor.New(logits.Value.R, logits.Value.C)
-	loss := tensor.CrossEntropy(logits.Value, b.Labels, grad)
-	acc := tensor.Accuracy(logits.Value, b.Labels)
-	if train {
-		tp.Backward(logits, grad)
-		opt.Step(dev, model.Params())
-	}
-	return loss, acc
-}
-
 // ensureAvgState builds the stable per-replica parameter lists and the
 // per-parameter accumulator slots used by gradient averaging.
 func (t *Trainer) ensureAvgState() {
@@ -533,6 +514,17 @@ func (t *Trainer) Pipelined() bool {
 	return true
 }
 
+// lookahead is how many batches each worker's loader builds ahead of the
+// one it trains on: 1 on the pipelined path, 0 sequentially. (A method, not
+// a reassigned local, so RunEpoch's per-iteration closure captures it by
+// value and an epoch allocates nothing for it.)
+func (t *Trainer) lookahead() int {
+	if t.Pipelined() {
+		return 1
+	}
+	return 0
+}
+
 // maxComputeTime is the largest compute-stream clock in the machine; the
 // pipelined path uses it as the iteration baseline so in-flight copy
 // streams (which may run ahead) do not skew the mirror-device charge.
@@ -556,13 +548,15 @@ func maxComputeTime(m *sim.Machine) float64 {
 // advanced by the real workers' mean busy time so machine-level clocks and
 // the AllReduce barrier behave as with a full worker set.
 //
-// With Options.Pipeline and prefetch-capable loaders, each worker collects
-// the batch its loader prefetched on the copy stream, immediately issues
-// the prefetch of the next batch, and only then runs forward/backward — so
-// batch i+1's sample/dedup/gather overlaps iteration i's compute. The real
-// (host) execution per worker stays serial and the loader consumes targets
-// in the same order, so losses, gradients and model state are bit-identical
-// to the sequential path; only the virtual clocks differ.
+// A worker's loader builds lookahead batches ahead of the one it trains on.
+// Sequentially (lookahead 0) it builds each batch when the iteration needs
+// it. With Options.Pipeline and prefetch-capable loaders (lookahead 1) each
+// worker collects the batch its loader prefetched on the copy stream,
+// immediately issues the prefetch of the next batch, and only then runs
+// forward/backward — so batch i+1's sample/dedup/gather overlaps iteration
+// i's compute. The real (host) execution per worker stays serial and the
+// loader consumes targets in the same order, so losses, gradients and model
+// state are bit-identical either way; only the virtual clocks differ.
 func (t *Trainer) RunEpoch() EpochStats {
 	t.epoch++
 	stats := EpochStats{Epoch: t.epoch}
@@ -571,10 +565,7 @@ func (t *Trainer) RunEpoch() EpochStats {
 	if t.Opts.MaxItersPerEpoch > 0 && measured > t.Opts.MaxItersPerEpoch {
 		measured = t.Opts.MaxItersPerEpoch
 	}
-	pipelined := t.Pipelined()
-	if pipelined && t.plans == nil {
-		t.plans = make([][]sched.PlanStep, len(t.Models))
-	}
+	lookahead := t.lookahead()
 	overlap := t.Opts.OverlapGrads
 	if overlap {
 		t.ensureOverlap()
@@ -590,13 +581,14 @@ func (t *Trainer) RunEpoch() EpochStats {
 	for w := range t.Models {
 		batches[w] = core.EpochBatchesInto(batches[w], &ep.ids[w], t.shards[w], t.Opts.Batch, t.rng)
 	}
-	// Announce the epoch's builds — exactly the lists the sequential loop
-	// below asks for, wrap and cap included — so a loader that can will
-	// build batch it+1 on a second goroutine while iteration it computes.
+	// Announce the epoch's builds — exactly the lists the loop below asks
+	// for without look-ahead, wrap and cap included — so a loader that can
+	// will build batch it+1 on a second goroutine while iteration it
+	// computes.
 	// Never across the epoch boundary: Evaluate and Predict build between
 	// epochs and must find the sampler where this epoch leaves it. With
 	// parallel execution switched off everything stays on this goroutine.
-	if !pipelined && sim.ParallelEnabled() {
+	if lookahead == 0 && sim.ParallelEnabled() {
 		for w, ld := range t.loaders {
 			if p, ok := ld.(BatchPlanner); ok {
 				ep.planned[w] = ep.planned[w][:0]
@@ -611,55 +603,46 @@ func (t *Trainer) RunEpoch() EpochStats {
 	var lossSum, accSum float64
 	for it := 0; it < measured; it++ {
 		iterStart := t.Machine.MaxTime()
-		if pipelined {
+		if lookahead > 0 {
 			iterStart = maxComputeTime(t.Machine)
 		}
 		// Forward + backward on every real worker. Workers are independent
 		// until the gradient AllReduce: each owns its device, loader, model
 		// replica and RNG streams, so they run on real goroutines.
 		sim.RunParallel(len(t.Models), func(w int) {
-			mdl := t.Models[w]
-			dev := t.loaders[w].Device()
+			ld := t.loaders[w]
+			dev := ld.Device()
+			targets := batches[w]
 			iterDevStart[w] = dev.Now()
-			if pipelined {
-				// The iteration's issue order — prime, collect, re-arm the
-				// ring, optionally page-prefetch further ahead, compute — is a
-				// scheduler decision (sched.PipelinePlan).
-				pl := t.loaders[w].(PrefetchingLoader)
-				pp, hasPP := t.loaders[w].(PagePrefetcher)
-				pagePf := t.Opts.PrefetchPages > 0 && hasPP
-				t.plans[w] = sched.PipelinePlan(t.plans[w], it, measured, pagePf)
-				var b *gnn.Batch
-				for _, step := range t.plans[w] {
-					targets := batches[w][step.Batch%len(batches[w])]
-					switch step.Op {
-					case sched.OpPrime, sched.OpPrefetch:
-						pl.Prefetch(targets)
-					case sched.OpCollect:
-						b, timings[w] = pl.Collect()
-					case sched.OpPrefetchPages:
-						pp.PrefetchPages(targets, t.Opts.PrefetchPages)
-					case sched.OpCompute:
-						trainStart[w] = dev.Now()
-						results[w] = t.trainOn(w, mdl, dev, b, overlap, captureGraph)
-					}
-				}
-				pl.Release()
+			var b *gnn.Batch
+			if lookahead == 0 {
+				b, timings[w] = ld.BuildBatch(targets[it%len(targets)])
 			} else {
-				b, tm := t.loaders[w].BuildBatch(batches[w][it%len(batches[w])])
-				// Fault prefetch: predict the pages the NEXT batch will
-				// touch and migrate them on the copy stream while this
-				// iteration's forward/backward runs on compute.
-				if t.Opts.PrefetchPages > 0 {
-					if pp, ok := t.loaders[w].(PagePrefetcher); ok {
-						if next := it + 1; next < measured {
-							pp.PrefetchPages(batches[w][next%len(batches[w])], t.Opts.PrefetchPages)
-						}
-					}
+				// Prime the ring on the first iteration, collect the batch in
+				// flight and re-arm the ring at once, so the next build
+				// overlaps this step's compute.
+				pl := ld.(PrefetchingLoader)
+				if it == 0 {
+					pl.Prefetch(targets[0])
 				}
-				timings[w] = tm
-				trainStart[w] = dev.Now()
-				results[w] = t.trainOn(w, mdl, dev, b, overlap, captureGraph)
+				b, timings[w] = pl.Collect()
+				if next := it + 1; next < measured {
+					pl.Prefetch(targets[next%len(targets)])
+				}
+			}
+			// Fault prefetch: predict the pages of the batch after the last
+			// one being built (whose own build already faults its pages) and
+			// migrate them on the copy stream while this iteration's
+			// forward/backward runs on compute.
+			if pp, ok := ld.(PagePrefetcher); ok && t.Opts.PrefetchPages > 0 {
+				if ahead := it + 1 + lookahead; ahead < measured {
+					pp.PrefetchPages(targets[ahead%len(targets)], t.Opts.PrefetchPages)
+				}
+			}
+			trainStart[w] = dev.Now()
+			results[w] = t.trainOn(w, t.Models[w], dev, b, overlap, captureGraph)
+			if lookahead > 0 {
+				ld.(PrefetchingLoader).Release()
 			}
 		})
 		for w := range results {

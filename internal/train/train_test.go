@@ -373,3 +373,32 @@ func TestOutOfCoreRequiresPaged(t *testing.T) {
 		t.Error("out-of-core epoch recorded no topology page lookups")
 	}
 }
+
+// TestBucketOrder: readiness order with ties broken by index.
+func TestBucketOrder(t *testing.T) {
+	order := bucketOrder([]float64{3, 1, 2, 1}, nil)
+	want := []int{1, 3, 2, 0}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("order %v, want %v", order, want)
+		}
+	}
+	if len(bucketOrder(nil, order)) != 0 {
+		t.Error("empty readiness produced a non-empty order")
+	}
+}
+
+// TestGateStarts: real workers gate at their own readiness, mirrors at the
+// fleet max.
+func TestGateStarts(t *testing.T) {
+	devWorker := []int{0, -1, 1, -1}
+	readyAt := [][]float64{{5, 7}, {6, 8}}
+	startAt := make([]float64, 4)
+	gateStarts(devWorker, readyAt, 1, 9, startAt)
+	want := []float64{7, 9, 8, 9}
+	for i := range want {
+		if startAt[i] != want[i] {
+			t.Fatalf("startAt %v, want %v", startAt, want)
+		}
+	}
+}

@@ -53,6 +53,10 @@ go test -run '^$' -fuzz '^FuzzPageCodec$' -fuzztime 10s ./internal/featstore
 # Random batches of edge reads through the batched, fanned-out Access.Read
 # against At one edge at a time and against the fill function itself.
 go test -run '^$' -fuzz '^FuzzTopoAccess$' -fuzztime 10s ./internal/topostore
+# Every collective over random machine shapes, payloads, AlltoAllv byte
+# matrices and start gates: link bytes conserved, no clock going back, no
+# device done before its gate, two fresh machines identical.
+go test -run '^$' -fuzz '^FuzzCollectives$' -fuzztime 10s ./internal/sim
 # The benchmark is its own module (benchmark/go.mod), so the commands above
 # never compile it: vet it and run its toy-size smoke (< 10 s), or a changed
 # internal/* signature breaks the harness unseen.
