@@ -1,14 +1,12 @@
 package bench
 
 import (
-	"wholegraph/internal/baseline"
 	fcache "wholegraph/internal/cache"
 	"wholegraph/internal/core"
 	"wholegraph/internal/dataset"
 	"wholegraph/internal/graph"
 	"wholegraph/internal/sampling"
 	"wholegraph/internal/sim"
-	"wholegraph/internal/train"
 	"wholegraph/internal/unique"
 	"wholegraph/internal/wholemem"
 )
@@ -34,43 +32,38 @@ func AblationStorage(cfg Config) ([]StorageRow, error) {
 		return nil, err
 	}
 	opts := cfg.trainOpts("graphsage")
-	cfg.printf("Ablation: feature storage backing (GraphSAGE, ogbn-papers100M)\n")
-	cfg.printf("%-14s %14s %14s\n", "backing", "gather/batch", "epoch")
-	var rows []StorageRow
-	for _, kind := range []wholemem.Kind{wholemem.DeviceP2P, wholemem.DeviceUM, wholemem.PinnedHost} {
-		m := sim.NewMachine(sim.DGXA100(1))
-		store, err := core.NewStore(m, 0, ds)
+	kinds := []wholemem.Kind{wholemem.DeviceP2P, wholemem.DeviceUM, wholemem.PinnedHost}
+	rows := make([]StorageRow, len(kinds))
+	var cells []cell
+	for i, kind := range kinds {
+		// Per-batch gather cost on a representative batch.
+		store, err := flatStore(ds)
 		if err != nil {
 			return nil, err
 		}
 		store.PG.Feat.WithKind(kind)
-		m.Reset()
-		// Per-batch gather cost on a representative batch.
-		ld := core.NewLoader(store, m.Devs[0], opts.Fanouts, cfg.Seed)
-		n := opts.Batch
-		if n > len(ds.Train) {
-			n = len(ds.Train)
-		}
-		_, tm := ld.BuildBatch(ds.Train[:n])
-
-		// Epoch time with the same backing, reusing the loader's store via
-		// a custom trainer wiring.
-		m2 := sim.NewMachine(sim.DGXA100(1))
-		store2, err := core.NewStore(m2, 0, ds)
-		if err != nil {
-			return nil, err
-		}
-		store2.PG.Feat.WithKind(kind)
-		tr, err := newStoreTrainer(m2, store2, opts)
-		if err != nil {
-			return nil, err
-		}
-		m2.Reset()
-		st := tr.RunEpoch()
-
-		row := StorageRow{Kind: kind, GatherTime: tm.Gather, EpochTime: st.EpochTime}
-		rows = append(rows, row)
-		cfg.printf("%-14s %14s %14s\n", kind, fmtSeconds(row.GatherTime), fmtSeconds(row.EpochTime))
+		_, tm := core.NewLoader(store, store.Machine.Devs[0], opts.Fanouts, cfg.Seed).BuildBatch(firstTrain(ds, opts.Batch))
+		rows[i] = StorageRow{Kind: kind, GatherTime: tm.Gather}
+		// Epoch time with the same backing.
+		cells = append(cells, cell{fw: FwWholeGraph, ds: ds, opts: opts, store: func(m *sim.Machine) (*core.Store, error) {
+			s, err := core.NewStore(m, 0, ds)
+			if err == nil {
+				s.PG.Feat.WithKind(kind)
+			}
+			return s, err
+		}})
+	}
+	// The run totals leave the storage and fabric ablations out.
+	cfg.Totals = nil
+	runs, err := cfg.runGroups(cells, 1)
+	if err != nil {
+		return nil, err
+	}
+	cfg.printf("Ablation: feature storage backing (GraphSAGE, ogbn-papers100M)\n")
+	cfg.printf("%-14s %14s %14s\n", "backing", "gather/batch", "epoch")
+	for i := range rows {
+		rows[i].EpochTime = runs[i].last().EpochTime
+		cfg.printf("%-14s %14s %14s\n", rows[i].Kind, fmtSeconds(rows[i].GatherTime), fmtSeconds(rows[i].EpochTime))
 	}
 	return rows, nil
 }
@@ -147,18 +140,12 @@ func AblationDedup(cfg Config) ([]DedupRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		m := sim.NewMachine(sim.DGXA100(1))
-		store, err := core.NewStore(m, 0, ds)
+		store, err := flatStore(ds)
 		if err != nil {
 			return nil, err
 		}
-		m.Reset()
-		ld := core.NewLoader(store, m.Devs[0], opts.Fanouts, cfg.Seed)
-		n := opts.Batch
-		if n > len(ds.Train) {
-			n = len(ds.Train)
-		}
-		b, tm := ld.BuildBatch(ds.Train[:n])
+		m := store.Machine
+		b, tm := core.NewLoader(store, m.Devs[0], opts.Fanouts, cfg.Seed).BuildBatch(firstTrain(ds, opts.Batch))
 
 		// Without dedup: one gather row per edge endpoint of every block
 		// plus the targets, as a pipeline without AppendUnique would fetch.
@@ -216,12 +203,11 @@ func AblationCache(cfg Config) ([]CacheRow, error) {
 	cfg.printf("%10s %10s %14s\n", "cached", "hit rate", "gather total")
 	var rows []CacheRow
 	for _, frac := range []float64{0, 0.1, 0.25, 0.5} {
-		m := sim.NewMachine(sim.DGXA100(1))
-		store, err := core.NewStore(m, 0, ds)
+		store, err := flatStore(ds)
 		if err != nil {
 			return nil, err
 		}
-		m.Reset()
+		m := store.Machine
 		ld := core.NewLoader(store, m.Devs[0], opts.Fanouts, cfg.Seed)
 		var fc *fcache.FeatureCache
 		if frac > 0 {
@@ -233,10 +219,7 @@ func AblationCache(cfg Config) ([]CacheRow, error) {
 		}
 		m.Reset() // cache fill is one-time
 		var gather float64
-		n := opts.Batch
-		if n > len(ds.Train) {
-			n = len(ds.Train)
-		}
+		n := len(firstTrain(ds, opts.Batch))
 		for it := 0; it < 4; it++ {
 			off := (it * n) % (len(ds.Train) - n + 1)
 			_, tm := ld.BuildBatch(ds.Train[off : off+n])
@@ -272,40 +255,22 @@ func AblationHardware(cfg Config) ([]HardwareRow, error) {
 		return nil, err
 	}
 	opts := cfg.trainOpts("graphsage")
+	names := []string{"DGX-A100", "PCIe-server"}
+	var cells []cell
+	for _, hw := range []sim.MachineConfig{sim.DGXA100(1), sim.PCIeServer(1)} {
+		cells = append(cells, cell{fw: FwWholeGraph, ds: ds, hw: hw, opts: opts}, cell{fw: FwDGL, ds: ds, hw: hw, opts: opts})
+	}
+	cfg.Totals = nil // see AblationStorage
+	runs, err := cfg.runGroups(cells, 1)
+	if err != nil {
+		return nil, err
+	}
 	cfg.printf("Ablation: fabric dependence (GraphSAGE, ogbn-papers100M)\n")
 	cfg.printf("%-14s %12s %12s %10s\n", "machine", "WholeGraph", "DGL", "speedup")
 	var rows []HardwareRow
-	for _, hw := range []struct {
-		name string
-		cfgf func(int) sim.MachineConfig
-	}{
-		{"DGX-A100", sim.DGXA100},
-		{"PCIe-server", sim.PCIeServer},
-	} {
-		epoch := func(fw Framework) (float64, error) {
-			m := sim.NewMachine(hw.cfgf(1))
-			var tr *train.Trainer
-			var err error
-			if fw == FwWholeGraph {
-				tr, err = train.New(m, ds, opts)
-			} else {
-				tr, err = baseline.New(m, ds, opts, baseline.DGL)
-			}
-			if err != nil {
-				return 0, err
-			}
-			m.Reset()
-			return tr.RunEpoch().EpochTime, nil
-		}
-		wg, err := epoch(FwWholeGraph)
-		if err != nil {
-			return nil, err
-		}
-		dgl, err := epoch(FwDGL)
-		if err != nil {
-			return nil, err
-		}
-		row := HardwareRow{Machine: hw.name, WGEpoch: wg, DGLEpoch: dgl, SpeedupVsDGL: dgl / wg}
+	for i, name := range names {
+		wg, dgl := runs[2*i], runs[2*i+1]
+		row := HardwareRow{Machine: name, WGEpoch: wg.mean(), DGLEpoch: dgl.mean(), SpeedupVsDGL: speedup(dgl, wg)}
 		rows = append(rows, row)
 		cfg.printf("%-14s %12s %12s %9.2fx\n",
 			row.Machine, fmtSeconds(row.WGEpoch), fmtSeconds(row.DGLEpoch), row.SpeedupVsDGL)
@@ -346,7 +311,7 @@ func AblationPartition(cfg Config) ([]PartitionRow, error) {
 		name  string
 		owner func(int64) int
 	}{
-		{"hash", func(v int64) int { return graph.RankFor(v, parts) }},
+		{"hash", graph.HashOwner(parts)},
 		{"range", graph.RangeOwner(ds.Spec.Nodes, parts)},
 		{"community", func(v int64) int { return int(ds.Spec.Class(v)) % parts }},
 	}

@@ -2,12 +2,10 @@ package bench
 
 import (
 	"wholegraph/internal/ann"
-	"wholegraph/internal/core"
 	"wholegraph/internal/dataset"
 	"wholegraph/internal/gnn"
 	"wholegraph/internal/infer"
 	"wholegraph/internal/serve"
-	"wholegraph/internal/sim"
 	"wholegraph/internal/spops"
 )
 
@@ -84,19 +82,12 @@ func AblationANN(cfg Config) (*ANNResult, error) {
 	cfg = cfg.normalize()
 	// The brute scan must be many times a kernel launch for the
 	// comparison to mean anything: floor the scale so the embedding
-	// table is ~100k rows (~10k quick) — and say so, rather than
-	// silently running a different experiment than asked.
+	// table is ~100k rows (~10k quick).
 	floor := 0.04
 	if cfg.Quick {
 		floor = 4e-3
 	}
-	scale, clamped := cfg.Scale, false
-	if scale < floor {
-		scale = floor
-		clamped = true
-		cfg.printf("note: requested scale %g is below the %g floor for this experiment; running at %g\n",
-			cfg.Scale, floor, floor)
-	}
+	scale := cfg.scaleFloor(floor)
 	spec := dataset.OgbnProducts.Scaled(scale)
 	ds, err := generate(spec)
 	if err != nil {
@@ -117,23 +108,22 @@ func AblationANN(cfg Config) (*ANNResult, error) {
 
 	// Embed every node: full-graph layer-wise inference on the shared
 	// store, final-layer dim = the class count.
-	m := sim.NewMachine(sim.DGXA100(1))
-	store, err := core.NewStore(m, 0, ds)
+	store, err := flatStore(ds)
 	if err != nil {
 		return nil, err
 	}
+	m := store.Machine
 	model := gnn.NewSAGE(gnn.Config{
 		InDim: ds.Spec.FeatDim, Hidden: hidden, Classes: ds.Spec.NumClasses,
 		Layers: 2, Backend: spops.BackendNative, Seed: cfg.Seed,
 	})
-	m.Reset() // measure inference, not store setup
 	emb, err := infer.Embeddings(store, model)
 	if err != nil {
 		return nil, err
 	}
 	res := &ANNResult{
 		Dataset: spec.Name, Nodes: spec.Nodes, Dim: emb.C,
-		Scale: cfg.Scale, ScaleUsed: scale, ScaleClamped: clamped,
+		Scale: cfg.Scale, ScaleUsed: scale, ScaleClamped: scale != cfg.Scale,
 		TopK: topK, EmbedVirtual: m.MaxTime(),
 	}
 

@@ -15,13 +15,9 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
-	"sort"
 	"sync"
 
-	"wholegraph/internal/baseline"
-	"wholegraph/internal/core"
 	"wholegraph/internal/dataset"
-	"wholegraph/internal/sim"
 	"wholegraph/internal/train"
 )
 
@@ -208,38 +204,6 @@ const (
 	FwWholeGraph Framework = "WholeGraph"
 )
 
-// newTrainer builds the trainer for a framework on a fresh machine. The
-// caller folds it into its Config's Totals when it is done with it.
-func newTrainer(fw Framework, nodes int, ds *dataset.Dataset, opts train.Options) (*train.Trainer, error) {
-	m := sim.NewMachine(sim.DGXA100(nodes))
-	var tr *train.Trainer
-	var err error
-	switch fw {
-	case FwPyG:
-		tr, err = baseline.New(m, ds, opts, baseline.PyG)
-	case FwDGL:
-		tr, err = baseline.New(m, ds, opts, baseline.DGL)
-	case FwWholeGraph:
-		tr, err = train.New(m, ds, opts)
-	default:
-		err = fmt.Errorf("bench: unknown framework %q", fw)
-	}
-	if err != nil {
-		return nil, err
-	}
-	m.Reset() // measure training, not store setup
-	return tr, nil
-}
-
-// newStoreTrainer builds a WholeGraph trainer over an existing store
-// (used by ablations that customize the store's memory backing).
-func newStoreTrainer(m *sim.Machine, store *core.Store, opts train.Options) (*train.Trainer, error) {
-	opts = opts.Normalize()
-	return train.NewCustom(m, store.DS, opts, func(w int, dev *sim.Device) train.BatchLoader {
-		return core.NewLoader(store, dev, opts.Fanouts, opts.Seed+int64(w))
-	})
-}
-
 // fmtSeconds renders a virtual duration compactly.
 func fmtSeconds(s float64) string {
 	switch {
@@ -250,16 +214,6 @@ func fmtSeconds(s float64) string {
 	default:
 		return fmt.Sprintf("%.1f us", s*1e6)
 	}
-}
-
-// sortedKeys returns map keys in sorted order for deterministic reports.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // evalSet returns a fixed random node sample with ground-truth labels for
@@ -273,9 +227,7 @@ func evalSet(cfg Config, ds *dataset.Dataset, salt int64) ([]int64, []int32) {
 	if cfg.Quick {
 		n = 512
 	}
-	if int64(n) > ds.Spec.Nodes {
-		n = int(ds.Spec.Nodes)
-	}
+	n = int(min(int64(n), ds.Spec.Nodes))
 	rng := cfg.seededRand(salt)
 	ids := make([]int64, 0, n)
 	labels := make([]int32, 0, n)

@@ -289,6 +289,9 @@ func TestFig13Scaling(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range rows {
+		if r.ScaleUsed != 1e-3 {
+			t.Errorf("%s/%s: ran at scale %g, want the 1e-3 floor over the asked %g", r.Dataset, r.Model, r.ScaleUsed, testCfg().Scale)
+		}
 		if len(r.Speedup) != 4 {
 			t.Fatalf("%s/%s: %d points", r.Dataset, r.Model, len(r.Speedup))
 		}
@@ -331,14 +334,6 @@ func TestReportWriting(t *testing.T) {
 	out := sb.String()
 	if !strings.Contains(out, "Table I") || !strings.Contains(out, "Peer Access") {
 		t.Errorf("report missing headers:\n%s", out)
-	}
-}
-
-func TestSortedKeys(t *testing.T) {
-	m := map[string]int{"b": 1, "a": 2, "c": 3}
-	got := sortedKeys(m)
-	if len(got) != 3 || got[0] != "a" || got[2] != "c" {
-		t.Errorf("sortedKeys = %v", got)
 	}
 }
 

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -41,78 +42,39 @@ func AblationFeatstore(cfg Config) ([]FeatstoreVariantRow, error) {
 	if cfg.Quick {
 		epochs = 2
 	}
-	variants := []struct {
-		name     string
-		paged    bool
-		encoding string
-	}{
-		{"flat", false, ""},
-		{"paged/raw", true, "raw"},
-		{"paged/f16", true, "f16"},
-		{"paged/q8", true, "q8"},
+	var cells []cell
+	for _, enc := range []string{"", "raw", "f16", "q8"} {
+		c := cell{fw: FwWholeGraph, ds: ds, opts: cfg.trainOpts("graphsage"), epochs: epochs}
+		c.opts.PagedFeatures, c.opts.FeatEncoding = enc != "", enc
+		if enc != "" && c.opts.FeatPageRows == 0 {
+			c.opts.FeatPageRows = 64
+		}
+		cells = append(cells, c)
 	}
-	rows := make([]FeatstoreVariantRow, len(variants))
-	err = cfg.runCells(len(variants), func(cell int, tot *Totals) error {
-		v := variants[cell]
-		opts := cfg.trainOpts("graphsage")
-		opts.PagedFeatures = v.paged
-		opts.FeatEncoding = v.encoding
-		if v.paged && opts.FeatPageRows == 0 {
-			opts.FeatPageRows = 64
-		}
-		tr, err := newTrainer(FwWholeGraph, 1, ds, opts)
-		if err != nil {
-			return err
-		}
-		defer tot.Fold(tr)
-		row := FeatstoreVariantRow{Variant: v.name}
-		for e := 0; e < epochs; e++ {
-			st := tr.RunEpoch()
-			row.Losses = append(row.Losses, st.Loss)
-			row.EpochTime = st.EpochTime
-			row.GatherTime = st.Timing.Gather
-		}
-		if v.paged {
-			fst := tr.FeatStoreStats()
-			row.HitRate = fst.HitRate()
-			row.EncodedBytes = fst.EncodedBytes
-			row.ResidentBytes = fst.ResidentBytes
-		}
-		rows[cell] = row
-		return nil
-	})
+	runs, err := cfg.runGroups(cells, 1)
 	if err != nil {
 		return nil, err
 	}
-	for i := range rows {
-		rows[i].BitIdentical = lossesEqual(rows[i].Losses, rows[0].Losses)
-	}
 	cfg.printf("%-10s %12s %12s %12s %9s %12s %12s %6s\n",
 		"variant", "epoch", "gather", "final loss", "hit rate", "encoded", "resident", "exact")
-	for _, r := range rows {
-		hit, enc, res := "-", "-", "-"
-		if strings.HasPrefix(r.Variant, "paged") {
-			hit = fmt.Sprintf("%.1f%%", 100*r.HitRate)
-			enc = fmtBytes(r.EncodedBytes)
-			res = fmtBytes(r.ResidentBytes)
+	var rows []FeatstoreVariantRow
+	for i, r := range runs {
+		row := FeatstoreVariantRow{
+			Variant: "flat", EpochTime: r.last().EpochTime, GatherTime: r.last().Timing.Gather, Losses: r.losses,
+			BitIdentical: slices.Equal(r.losses, runs[0].losses),
 		}
+		hit, enc, res := "-", "-", "-"
+		if cells[i].opts.PagedFeatures {
+			row.Variant = "paged/" + cells[i].opts.FeatEncoding
+			row.HitRate, row.EncodedBytes, row.ResidentBytes = r.feat.HitRate(), r.feat.EncodedBytes, r.feat.ResidentBytes
+			hit, enc, res = fmtPct(row.HitRate), fmtBytes(row.EncodedBytes), fmtBytes(row.ResidentBytes)
+		}
+		rows = append(rows, row)
 		cfg.printf("%-10s %12s %12s %12.4f %9s %12s %12s %6v\n",
-			r.Variant, fmtSeconds(r.EpochTime), fmtSeconds(r.GatherTime),
-			r.Losses[len(r.Losses)-1], hit, enc, res, r.BitIdentical)
+			row.Variant, fmtSeconds(row.EpochTime), fmtSeconds(row.GatherTime),
+			row.Losses[len(row.Losses)-1], hit, enc, res, row.BitIdentical)
 	}
 	return rows, nil
-}
-
-func lossesEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // FeatstoreFullResult reports the headline out-of-core run: the
@@ -195,23 +157,20 @@ func FeatstoreFull(cfg Config) (*FeatstoreFullResult, error) {
 		// host work per miss) tractable at 1e8-node scale.
 		opts.FeatPageRows = 16
 	}
-	tr, err := newTrainer(FwWholeGraph, 1, ds, opts)
+	// Two epochs: the second revisits the first's training nodes, so the
+	// BlockCache hit rates reflect steady-state reuse rather than the cold
+	// first pass.
+	runs, err := cfg.runGroups([]cell{{fw: FwWholeGraph, ds: ds, opts: opts, epochs: 2}}, 1)
 	if err != nil {
 		return nil, err
 	}
-	defer cfg.Totals.Fold(tr)
-	// Two epochs minimum: the second revisits the first's training nodes,
-	// so the BlockCache hit rates reflect steady-state reuse rather than
-	// the cold first pass.
-	epochs := 2
-	res.Epochs = epochs
-	for e := 0; e < epochs; e++ {
-		st := tr.RunEpoch()
-		res.EpochTime = st.EpochTime
-		res.FinalLoss = st.Loss
+	r := runs[0]
+	res.Epochs = len(r.stats)
+	for e, st := range r.stats {
 		cfg.printf("epoch %d: loss %.4f, virtual epoch time %s\n", e+1, st.Loss, fmtSeconds(st.EpochTime))
 	}
-	fst := tr.FeatStoreStats()
+	res.EpochTime, res.FinalLoss = r.last().EpochTime, r.last().Loss
+	fst := r.feat
 	res.Encoding = fst.Encoding
 	res.PageRows = fst.PageRows
 	res.HitRate = fst.HitRate()
@@ -219,7 +178,7 @@ func FeatstoreFull(cfg Config) (*FeatstoreFullResult, error) {
 	res.EncodedBytes = fst.EncodedBytes
 	res.ResidentBytes = fst.ResidentBytes
 	res.CacheBudgetBytes = fst.CacheBytes
-	tst := tr.TopoStoreStats()
+	tst := r.topo
 	res.TopoBytes = tst.TopoBytes
 	res.TopoResidentBytes = tst.ResidentBytes
 	res.TopoCacheBytes = tst.CacheBytes

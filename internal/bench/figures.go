@@ -6,6 +6,7 @@ import (
 	"wholegraph/internal/gather"
 	"wholegraph/internal/sim"
 	"wholegraph/internal/spops"
+	"wholegraph/internal/train"
 	"wholegraph/internal/wholemem"
 )
 
@@ -30,49 +31,38 @@ func Table5(cfg Config) ([]Table5Row, error) {
 	cfg.printf("Table V: average epoch time (virtual seconds at scale %g) and speedups\n", cfg.Scale)
 	cfg.printf("%-22s %-10s %12s %12s %12s %10s %10s\n",
 		"Dataset", "Model", "PyG", "DGL", "Ours", "vs PyG", "vs DGL")
-	// One cell per dataset x model, fanned out under cfg.Parallel; each
-	// cell times the three frameworks on fresh machines.
-	type t5cell struct {
-		ds   *dataset.Dataset
-		arch string
-	}
-	var cells []t5cell
+	// One group per dataset x model: the three frameworks, each on a fresh
+	// machine.
+	fws := []Framework{FwPyG, FwDGL, FwWholeGraph}
+	var cells []cell
 	for _, spec := range specs {
 		ds, err := generate(spec)
 		if err != nil {
 			return nil, err
 		}
 		for _, arch := range []string{"gcn", "graphsage", "gat"} {
-			cells = append(cells, t5cell{ds, arch})
+			for _, fw := range fws {
+				cells = append(cells, cell{fw: fw, ds: ds, opts: cfg.trainOpts(arch)})
+			}
 		}
 	}
-	rows := make([]Table5Row, len(cells))
-	err := cfg.runCells(len(cells), func(ci int, tot *Totals) error {
-		c := cells[ci]
-		row := Table5Row{
-			Dataset: c.ds.Spec.Name, Model: c.arch,
-			EpochTime: map[Framework]float64{},
-			Timing:    map[Framework]core.Timing{},
-		}
-		for _, fw := range []Framework{FwPyG, FwDGL, FwWholeGraph} {
-			tr, err := newTrainer(fw, 1, c.ds, cfg.trainOpts(c.arch))
-			if err != nil {
-				return err
-			}
-			st := tr.RunEpoch()
-			tot.Fold(tr)
-			row.EpochTime[fw] = st.EpochTime
-			row.Timing[fw] = st.Timing
-		}
-		row.SpeedupVsPyG = row.EpochTime[FwPyG] / row.EpochTime[FwWholeGraph]
-		row.SpeedupVsDGL = row.EpochTime[FwDGL] / row.EpochTime[FwWholeGraph]
-		rows[ci] = row
-		return nil
-	})
+	runs, err := cfg.runGroups(cells, len(fws))
 	if err != nil {
 		return nil, err
 	}
-	for _, row := range rows {
+	var rows []Table5Row
+	for i := 0; i < len(cells); i += len(fws) {
+		row := Table5Row{
+			Dataset: cells[i].ds.Spec.Name, Model: cells[i].opts.Arch,
+			EpochTime: map[Framework]float64{},
+			Timing:    map[Framework]core.Timing{},
+		}
+		for j, fw := range fws {
+			row.EpochTime[fw], row.Timing[fw] = runs[i+j].last().EpochTime, runs[i+j].last().Timing
+		}
+		row.SpeedupVsPyG = speedup(runs[i], runs[i+2])
+		row.SpeedupVsDGL = speedup(runs[i+1], runs[i+2])
+		rows = append(rows, row)
 		cfg.printf("%-22s %-10s %12s %12s %12s %9.2fx %9.2fx\n",
 			row.Dataset, row.Model,
 			fmtSeconds(row.EpochTime[FwPyG]), fmtSeconds(row.EpochTime[FwDGL]),
@@ -98,32 +88,27 @@ func Fig7(cfg Config) ([]Fig7Point, error) {
 		return nil, err
 	}
 	evalIDs, evalLabels := evalSet(cfg, ds, 7)
+	wgAcc, dglAcc := make([]float64, cfg.Epochs), make([]float64, cfg.Epochs)
+	evalInto := func(acc []float64) func(*train.Trainer, int) error {
+		return func(tr *train.Trainer, e int) (err error) {
+			acc[e], err = tr.EvaluateWithLabels(evalIDs, evalLabels)
+			return err
+		}
+	}
 	opts := cfg.accuracyOpts("graphsage")
-	dgl, err := newTrainer(FwDGL, 1, ds, opts)
-	if err != nil {
+	cells := []cell{
+		{fw: FwWholeGraph, ds: ds, opts: opts, epochs: cfg.Epochs, after: evalInto(wgAcc)},
+		{fw: FwDGL, ds: ds, opts: opts, epochs: cfg.Epochs, after: evalInto(dglAcc)},
+	}
+	if _, err := cfg.runGroups(cells, 1); err != nil {
 		return nil, err
 	}
-	defer cfg.Totals.Fold(dgl)
-	wg, err := newTrainer(FwWholeGraph, 1, ds, opts)
-	if err != nil {
-		return nil, err
-	}
-	defer cfg.Totals.Fold(wg)
 	cfg.printf("Figure 7: validation accuracy per epoch (GraphSAGE, ogbn-products)\n")
 	cfg.printf("%6s %10s %12s\n", "epoch", "DGL", "WholeGraph")
 	var pts []Fig7Point
-	for e := 1; e <= cfg.Epochs; e++ {
-		dgl.RunEpoch()
-		wg.RunEpoch()
-		p := Fig7Point{Epoch: e}
-		if p.DGLAcc, err = dgl.EvaluateWithLabels(evalIDs, evalLabels); err != nil {
-			return nil, err
-		}
-		if p.WGAcc, err = wg.EvaluateWithLabels(evalIDs, evalLabels); err != nil {
-			return nil, err
-		}
-		pts = append(pts, p)
-		cfg.printf("%6d %9.2f%% %11.2f%%\n", e, 100*p.DGLAcc, 100*p.WGAcc)
+	for e := range wgAcc {
+		pts = append(pts, Fig7Point{Epoch: e + 1, DGLAcc: dglAcc[e], WGAcc: wgAcc[e]})
+		cfg.printf("%6d %9.2f%% %11.2f%%\n", e+1, 100*dglAcc[e], 100*wgAcc[e])
 	}
 	return pts, nil
 }
@@ -159,19 +144,21 @@ func Fig8(cfg Config) ([]Fig8Point, error) {
 
 	cfg.printf("Figure 8: random gather bandwidth vs segment size\n")
 	cfg.printf("%10s %14s %14s\n", "seg (B)", "AlgoBW GB/s", "BusBW GB/s")
+	// One row list and one destination, sized for the smallest segment,
+	// serve every device and segment size.
+	rowBuf := make([]int64, perGPUBytes/4)
+	dst := make([]float32, perGPUBytes/4)
 	var pts []Fig8Point
 	for _, seg := range []int{4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096} {
 		m.Reset()
 		dim := seg / 4
 		end := 0.0
 		for _, dev := range m.NodeDevs(0) {
-			nRows := int(perGPUBytes) / seg
-			rows := make([]int64, nRows)
+			rows := rowBuf[:int(perGPUBytes)/seg]
 			maxRow := mem.Len() / int64(dim)
 			for i := range rows {
 				rows[i] = rng.Int63n(maxRow)
 			}
-			dst := make([]float32, nRows*dim)
 			mem.GatherRows(dev, rows, dim, dst, "fig8")
 			if dev.Now() > end {
 				end = dev.Now()
@@ -240,11 +227,11 @@ func Fig10(cfg Config) ([]Fig10Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		m := sim.NewMachine(sim.DGXA100(1))
-		store, err := core.NewStore(m, 0, ds)
+		store, err := flatStore(ds)
 		if err != nil {
 			return nil, err
 		}
+		m := store.Machine
 		// Build a realistic gather workload: the input node set of one
 		// sampled batch per GPU.
 		opts := cfg.trainOpts("graphsage")
@@ -256,11 +243,7 @@ func Fig10(cfg Config) ([]Fig10Row, error) {
 			// node set; the row IDs themselves are uniform like the hash
 			// partition makes them.
 			ld := core.NewLoader(store, dev, opts.Fanouts, cfg.Seed+int64(i))
-			n := opts.Batch
-			if n > len(ds.Train) {
-				n = len(ds.Train)
-			}
-			b, _ := ld.BuildBatch(ds.Train[:n])
+			b, _ := ld.BuildBatch(firstTrain(ds, opts.Batch))
 			reqs = append(reqs, randomWorkload(cfg, store, dev, b.Feat.R, dim))
 			totalBytes += float64(b.Feat.R * dim * 4)
 		}
@@ -323,42 +306,45 @@ func Fig11(cfg Config) ([]Fig11Row, error) {
 		dataset.OgbnPapers100M.Scaled(cfg.Scale),
 	}
 	backends := []spops.Backend{spops.BackendNative, spops.BackendDGL, spops.BackendPyG}
-	cfg.printf("Figure 11: WholeGraph with native vs third-party GNN layers\n")
-	cfg.printf("%-22s %-10s %-12s %12s %12s %12s %12s\n",
-		"Dataset", "Model", "Layers", "Sample", "Gather", "Train", "Epoch")
-	var rows []Fig11Row
+	var cells []cell
 	for _, spec := range specs {
 		ds, err := generate(spec)
 		if err != nil {
 			return nil, err
 		}
 		for _, arch := range []string{"gcn", "graphsage", "gat"} {
-			row := Fig11Row{
-				Dataset: spec.Name, Model: arch,
-				Timing:    map[string]core.Timing{},
-				EpochTime: map[string]float64{},
-			}
 			for _, be := range backends {
 				opts := cfg.trainOpts(arch)
 				opts.Backend = be
-				tr, err := newTrainer(FwWholeGraph, 1, ds, opts)
-				if err != nil {
-					return nil, err
-				}
-				st := tr.RunEpoch()
-				cfg.Totals.Fold(tr)
-				row.Timing[be.String()] = st.Timing
-				row.EpochTime[be.String()] = st.EpochTime
-				cfg.printf("%-22s %-10s %-12s %12s %12s %12s %12s\n",
-					spec.Name, arch, be,
-					fmtSeconds(st.Timing.Sample), fmtSeconds(st.Timing.Gather),
-					fmtSeconds(st.Timing.Train), fmtSeconds(st.EpochTime))
+				cells = append(cells, cell{fw: FwWholeGraph, ds: ds, opts: opts})
 			}
-			native := row.EpochTime[spops.BackendNative.String()]
-			row.SpeedupVsDGL = row.EpochTime[spops.BackendDGL.String()] / native
-			row.SpeedupVsPyG = row.EpochTime[spops.BackendPyG.String()] / native
-			rows = append(rows, row)
 		}
+	}
+	runs, err := cfg.runGroups(cells, 1)
+	if err != nil {
+		return nil, err
+	}
+	cfg.printf("Figure 11: WholeGraph with native vs third-party GNN layers\n")
+	cfg.printf("%-22s %-10s %-12s %12s %12s %12s %12s\n",
+		"Dataset", "Model", "Layers", "Sample", "Gather", "Train", "Epoch")
+	var rows []Fig11Row
+	for i := 0; i < len(cells); i += len(backends) {
+		row := Fig11Row{
+			Dataset: cells[i].ds.Spec.Name, Model: cells[i].opts.Arch,
+			Timing:    map[string]core.Timing{},
+			EpochTime: map[string]float64{},
+		}
+		for j, be := range backends {
+			st := runs[i+j].last()
+			row.Timing[be.String()], row.EpochTime[be.String()] = st.Timing, st.EpochTime
+			cfg.printf("%-22s %-10s %-12s %12s %12s %12s %12s\n",
+				row.Dataset, row.Model, be,
+				fmtSeconds(st.Timing.Sample), fmtSeconds(st.Timing.Gather),
+				fmtSeconds(st.Timing.Train), fmtSeconds(st.EpochTime))
+		}
+		row.SpeedupVsDGL = speedup(runs[i+1], runs[i])
+		row.SpeedupVsPyG = speedup(runs[i+2], runs[i])
+		rows = append(rows, row)
 	}
 	return rows, nil
 }
@@ -381,31 +367,31 @@ func Fig12(cfg Config) ([]Fig12Series, error) {
 		return nil, err
 	}
 	const buckets = 40
-	cfg.printf("Figure 12: GPU utilization during training (%d buckets over the window)\n", buckets)
-	var out []Fig12Series
-	for _, fw := range []Framework{FwPyG, FwDGL, FwWholeGraph} {
+	fws := []Framework{FwPyG, FwDGL, FwWholeGraph}
+	out := make([]Fig12Series, len(fws))
+	var cells []cell
+	for i, fw := range fws {
 		opts := cfg.trainOpts("graphsage")
 		opts.Trace = true
-		tr, err := newTrainer(fw, 1, ds, opts)
-		if err != nil {
-			return nil, err
+		cells = append(cells, cell{fw: fw, ds: ds, opts: opts, epochs: 2, after: func(tr *train.Trainer, e int) error {
+			if e == 1 {
+				dev := tr.Worker0Device()
+				out[i] = Fig12Series{Framework: fw, Util: sim.Utilization(dev.Trace(), 0, dev.Now(), buckets)}
+			}
+			return nil
+		}})
+	}
+	if _, err := cfg.runGroups(cells, 1); err != nil {
+		return nil, err
+	}
+	cfg.printf("Figure 12: GPU utilization during training (%d buckets over the window)\n", buckets)
+	for i := range out {
+		for _, v := range out[i].Util {
+			out[i].Mean += v
 		}
-		dev := tr.Worker0Device()
-		t0 := dev.Now()
-		epochs := 2
-		for e := 0; e < epochs; e++ {
-			tr.RunEpoch()
-		}
-		cfg.Totals.Fold(tr)
-		u := sim.Utilization(dev.Trace(), t0, dev.Now(), buckets)
-		mean := 0.0
-		for _, v := range u {
-			mean += v
-		}
-		mean /= float64(len(u))
-		out = append(out, Fig12Series{Framework: fw, Util: u, Mean: mean})
-		cfg.printf("%-12s mean %5.1f%%  ", fw, 100*mean)
-		for _, v := range u {
+		out[i].Mean /= float64(len(out[i].Util))
+		cfg.printf("%-12s mean %5.1f%%  ", out[i].Framework, 100*out[i].Mean)
+		for _, v := range out[i].Util {
 			cfg.printf("%s", sparkChar(v))
 		}
 		cfg.printf("\n")
@@ -432,6 +418,8 @@ type Fig13Row struct {
 	// Speedup[i] is the epoch-time speedup at Nodes[i] nodes vs 1 node.
 	Nodes   []int
 	Speedup []float64
+	// ScaleUsed is the scale the row ran at: the requested one, floored.
+	ScaleUsed float64 `json:"scale_used"`
 }
 
 // Fig13 reproduces Figure 13: epoch-time speedup up to 8 DGX nodes with one
@@ -439,12 +427,9 @@ type Fig13Row struct {
 // gradient AllReduce crosses nodes.
 func Fig13(cfg Config) ([]Fig13Row, error) {
 	cfg = cfg.normalize()
-	// Scaling needs enough training nodes that an epoch is many
-	// iterations even when sharded over 64 GPUs; enforce a scale floor.
-	scale := cfg.Scale
-	if scale < 1e-3 {
-		scale = 1e-3
-	}
+	// Scaling needs enough training nodes that an epoch is many iterations
+	// even when sharded over 64 GPUs.
+	scale := cfg.scaleFloor(1e-3)
 	specs := []dataset.Spec{
 		dataset.OgbnPapers100M.Scaled(scale),
 		dataset.Friendster.Scaled(scale),
@@ -462,97 +447,55 @@ func Fig13(cfg Config) ([]Fig13Row, error) {
 		cfg.printf(" %6dN", n)
 	}
 	cfg.printf("\n")
-	// One cell per dataset x model; node counts within a cell stay serial
-	// because every speedup divides by the same cell's 1-node baseline.
-	type f13cell struct {
-		ds   *dataset.Dataset
-		arch string
-	}
-	var cells []f13cell
+	// One group per dataset x model, its node counts in order.
+	var cells []cell
 	for _, spec := range specs {
 		ds, err := generate(spec)
 		if err != nil {
 			return nil, err
 		}
 		for _, arch := range models {
-			cells = append(cells, f13cell{ds, arch})
+			opts := cfg.trainOpts(arch)
+			// Size the batch so a single node runs ~32 iterations per
+			// epoch; scaling then has room to show (the paper's epochs
+			// are hundreds of iterations).
+			opts.Batch = max(len(ds.Train)/8/32, 4)
+			for _, n := range nodeCounts {
+				cells = append(cells, cell{fw: FwWholeGraph, ds: ds, hw: sim.DGXA100(n), opts: opts})
+			}
 		}
 	}
-	rows := make([]Fig13Row, len(cells))
-	err := cfg.runCells(len(cells), func(ci int, tot *Totals) error {
-		c := cells[ci]
-		opts := cfg.trainOpts(c.arch)
-		// Size the batch so a single node runs ~32 iterations per
-		// epoch; scaling then has room to show (the paper's epochs
-		// are hundreds of iterations).
-		opts.Batch = len(c.ds.Train) / 8 / 32
-		if opts.Batch < 4 {
-			opts.Batch = 4
-		}
-		row := Fig13Row{Dataset: c.ds.Spec.Name, Model: c.arch, Nodes: nodeCounts}
-		var base float64
-		for _, n := range nodeCounts {
-			tr, err := newTrainer(FwWholeGraph, n, c.ds, opts)
-			if err != nil {
-				return err
-			}
-			et := tr.RunEpoch().EpochTime
-			tot.Fold(tr)
-			if n == 1 {
-				base = et
-			}
-			row.Speedup = append(row.Speedup, base/et)
-		}
-		rows[ci] = row
-		return nil
-	})
+	runs, err := cfg.runGroups(cells, len(nodeCounts))
 	if err != nil {
 		return nil, err
 	}
-	for _, row := range rows {
+	var rows []Fig13Row
+	for i := 0; i < len(cells); i += len(nodeCounts) {
+		row := Fig13Row{Dataset: cells[i].ds.Spec.Name, Model: cells[i].opts.Arch, Nodes: nodeCounts, ScaleUsed: scale}
 		cfg.printf("%-22s %-10s", row.Dataset, row.Model)
-		for _, s := range row.Speedup {
-			cfg.printf(" %6.2fx", s)
+		for j := range nodeCounts {
+			row.Speedup = append(row.Speedup, speedup(runs[i], runs[i+j]))
+			cfg.printf(" %6.2fx", row.Speedup[j])
 		}
 		cfg.printf("\n")
+		rows = append(rows, row)
 	}
 	// The paper's §IV-D claim: "80 epochs of a 3-layer GraphSAGE ... on
-	// ogbn-papers100M in 66 seconds with 8 DGX-A100 servers". Reproduce
-	// the measurement at our scale: 80 epochs at 8 nodes, virtual time.
-	claim, usedScale, err := claim80Epochs(cfg)
+	// ogbn-papers100M in 66 seconds with 8 DGX-A100 servers". Reproduce the
+	// measurement at our scale: one epoch at 8 nodes, ~16 iterations per
+	// epoch at 64 workers, times 80 (epochs are statistically identical).
+	ds, err := generate(specs[0])
 	if err != nil {
 		return nil, err
 	}
-	cfg.printf("\n80 epochs GraphSAGE on ogbn-papers100M @ 8 nodes: %s virtual at scale %g\n",
-		fmtSeconds(claim), usedScale)
-	cfg.printf("(paper §IV-D: 66 s at full scale; naive x%g volume extrapolation: %s)\n",
-		1/usedScale, fmtSeconds(claim/usedScale))
-	return rows, nil
-}
-
-// claim80Epochs measures the virtual time of 80 GraphSAGE epochs on the
-// scaled papers100M over 8 simulated DGX nodes (one epoch measured, 80
-// extrapolated — epochs are statistically identical). It returns the time
-// and the scale actually used (floored like the rest of Fig13).
-func claim80Epochs(cfg Config) (float64, float64, error) {
-	scale := cfg.Scale
-	if scale < 1e-3 {
-		scale = 1e-3
-	}
-	ds, err := generate(dataset.OgbnPapers100M.Scaled(scale))
-	if err != nil {
-		return 0, 0, err
-	}
 	opts := cfg.trainOpts("graphsage")
-	opts.Batch = len(ds.Train) / 64 / 16 // ~16 iterations per epoch at 64 workers
-	if opts.Batch < 4 {
-		opts.Batch = 4
-	}
-	tr, err := newTrainer(FwWholeGraph, 8, ds, opts)
+	opts.Batch = max(len(ds.Train)/64/16, 4)
+	claim, err := cfg.runGroups([]cell{{fw: FwWholeGraph, ds: ds, hw: sim.DGXA100(8), opts: opts}}, 1)
 	if err != nil {
-		return 0, 0, err
+		return nil, err
 	}
-	st := tr.RunEpoch()
-	cfg.Totals.Fold(tr)
-	return 80 * st.EpochTime, scale, nil
+	t80 := 80 * claim[0].last().EpochTime
+	cfg.printf("\n80 epochs GraphSAGE on ogbn-papers100M @ 8 nodes: %s virtual at scale %g\n", fmtSeconds(t80), scale)
+	cfg.printf("(paper §IV-D: 66 s at full scale; naive x%g volume extrapolation: %s)\n", 1/scale, fmtSeconds(t80/scale))
+	return rows, nil
 }

@@ -46,15 +46,8 @@ func Inference(cfg Config) ([]InferenceResult, error) {
 	cfg.printf("%-22s %10s %14s %14s %14s %9s\n",
 		"dataset", "nodes", "sampled", "full-graph", "pipelined", "speedup")
 	// Embedding the whole graph needs the graph to be many batches wide
-	// for the comparison to be meaningful; enforce a scale floor — and say
-	// so, rather than silently running a different experiment than asked.
-	scale := cfg.Scale
-	clamped := false
-	if scale < 1e-3 {
-		scale = 1e-3
-		clamped = true
-		cfg.printf("note: requested scale %g is below the 1e-3 floor for this experiment; running at 1e-3\n", cfg.Scale)
-	}
+	// for the comparison to be meaningful.
+	scale := cfg.scaleFloor(1e-3)
 	specs := []dataset.Spec{
 		dataset.OgbnProducts.Scaled(scale),
 		dataset.OgbnPapers100M.Scaled(scale),
@@ -79,21 +72,17 @@ func Inference(cfg Config) ([]InferenceResult, error) {
 		// Sampled: embed every node in batches through the loader,
 		// charging one device (as an 8-GPU run would per shard; the
 		// comparison is per-device work either way).
-		m1 := sim.NewMachine(sim.DGXA100(1))
-		store1, err := core.NewStore(m1, 0, ds)
+		store1, err := flatStore(ds)
 		if err != nil {
 			return nil, err
 		}
-		m1.Reset()
+		m1 := store1.Machine
 		ld := core.NewLoader(store1, m1.Devs[0], opts.Fanouts, cfg.Seed)
 		// Measure a sample of batches and extrapolate: embedding all nodes
 		// batch-by-batch is O(N/B) identical batches.
 		nodesPerShard := ds.Spec.Nodes / int64(len(m1.Devs))
 		batches := int((nodesPerShard + int64(opts.Batch) - 1) / int64(opts.Batch))
-		measure := batches
-		if measure > 4 {
-			measure = 4
-		}
+		measure := min(batches, 4)
 		ids := make([]int64, opts.Batch)
 		for b := 0; b < measure; b++ {
 			for i := range ids {
@@ -108,41 +97,20 @@ func Inference(cfg Config) ([]InferenceResult, error) {
 
 		// Full-graph: every rank computes its shard layer-wise; per-device
 		// time is the machine span.
-		m2 := sim.NewMachine(sim.DGXA100(1))
-		store2, err := core.NewStore(m2, 0, ds)
+		full, err := layerwise(ds, model, 1)
 		if err != nil {
 			return nil, err
 		}
-		eng, err := infer.NewEngine(store2, model)
-		if err != nil {
-			return nil, err
-		}
-		m2.Reset() // table setup is one-time, like the training store's
-		if _, err := eng.Run(); err != nil {
-			return nil, err
-		}
-		full := m2.MaxTime()
-
 		// Pipelined layer-wise: same computation, input gathers chunked
 		// onto the copy stream so they overlap neighbor aggregation.
-		m3 := sim.NewMachine(sim.DGXA100(1))
-		store3, err := core.NewStore(m3, 0, ds)
+		pipelined, err := layerwise(ds, model, 4)
 		if err != nil {
 			return nil, err
 		}
-		engP, err := infer.NewEngine(store3, model)
-		if err != nil {
-			return nil, err
-		}
-		m3.Reset()
-		if _, err := engP.WithChunks(4).Run(); err != nil {
-			return nil, err
-		}
-		pipelined := m3.MaxTime()
 
 		r := InferenceResult{
 			Dataset: spec.Name, Nodes: ds.Spec.Nodes,
-			Scale: cfg.Scale, ScaleUsed: scale, ScaleClamped: clamped,
+			Scale: cfg.Scale, ScaleUsed: scale, ScaleClamped: scale != cfg.Scale,
 			SampledTime: sampled, FullGraphTime: full, PipelinedTime: pipelined,
 			Speedup: sampled / full,
 		}
@@ -152,6 +120,25 @@ func Inference(cfg Config) ([]InferenceResult, error) {
 			fmtSeconds(r.PipelinedTime), r.Speedup)
 	}
 	return out, nil
+}
+
+// layerwise returns the virtual time to embed every node of ds layer-wise on
+// a fresh machine, each rank's targets in chunks pipelined pieces (1: not
+// pipelined).
+func layerwise(ds *dataset.Dataset, model gnn.LayerwiseModel, chunks int) (float64, error) {
+	store, err := flatStore(ds)
+	if err != nil {
+		return 0, err
+	}
+	eng, err := infer.NewEngine(store, model)
+	if err != nil {
+		return 0, err
+	}
+	store.Machine.Reset() // table setup is one-time, like the training store's
+	if _, err := eng.WithChunks(chunks).Run(); err != nil {
+		return 0, err
+	}
+	return store.Machine.MaxTime(), nil
 }
 
 // dedupIDs replaces duplicate IDs with fresh distinct values.
@@ -198,12 +185,10 @@ func Analytics(cfg Config) ([]AnalyticsRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		m := sim.NewMachine(sim.DGXA100(1))
-		store, err := core.NewStore(m, 0, ds)
+		store, err := flatStore(ds)
 		if err != nil {
 			return nil, err
 		}
-		m.Reset()
 		pr, err := analytics.PageRank(store.PG, 0.85, 1e-7, 100)
 		if err != nil {
 			return nil, err

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 
 	"wholegraph/internal/blockcache"
 	"wholegraph/internal/core"
@@ -41,15 +42,9 @@ type OOCGraphRow struct {
 // mechanisms may only move virtual epoch time and hit rates.
 func AblationOOCGraph(cfg Config) ([]OOCGraphRow, error) {
 	cfg = cfg.normalize()
-	// The fault-prefetch hook predicts the NEXT batch's pages, so each
-	// epoch must be several batches wide; enforce a scale floor — and say
-	// so, rather than silently running a different experiment than asked.
-	scale := cfg.Scale
-	if scale < 1e-3 {
-		scale = 1e-3
-		cfg.printf("note: requested scale %g is below the 1e-3 floor for this experiment; running at 1e-3\n", cfg.Scale)
-	}
-	spec := dataset.OgbnPapers100M.Scaled(scale)
+	// The fault-prefetch hook predicts the NEXT batch's pages, so each epoch
+	// must be several batches wide.
+	spec := dataset.OgbnPapers100M.Scaled(cfg.scaleFloor(1e-3))
 	cfg.printf("Out-of-core topology ablation: in-RAM CSR vs paged stores at 1/4 byte budget (%s, GraphSAGE)\n", spec.Name)
 	ooc, err := dataset.GenerateOutOfCore(spec)
 	if err != nil {
@@ -84,86 +79,59 @@ func AblationOOCGraph(cfg Config) ([]OOCGraphRow, error) {
 		{"paged+prefetch", true, prefetch, blockcache.PolicyLRU},
 		{"paged+prefetch+admit", true, prefetch, blockcache.PolicyAdmit},
 	}
-	rows := make([]OOCGraphRow, len(variants))
-	err = cfg.runCells(len(variants), func(cell int, tot *Totals) error {
-		v := variants[cell]
-		m := sim.NewMachine(sim.DGXA100(1))
-		ds := mat
-		so := core.StoreOptions{}
+	var cells []cell
+	for _, v := range variants {
+		// The store is the variant: its byte budgets are finer than
+		// train.Options' megabytes, so the cell builds it.
+		ds, so := mat, core.StoreOptions{}
 		if v.paged {
-			ds = ooc
-			so = core.StoreOptions{
+			ds, so = ooc, core.StoreOptions{
 				PagedFeatures: true,
 				Feat:          featstore.Options{CacheBytes: featBudget, Policy: v.policy},
 				PagedTopo:     true,
 				Topo:          topostore.Options{CacheBytes: topoBudget, Policy: v.policy},
 			}
 		}
-		store, err := core.NewStoreOpts(m, 0, ds, so)
-		if err != nil {
-			return err
-		}
-		opts := cfg.trainOpts("graphsage")
-		// The store above is the variant; clear the Config-level paging
-		// plumbing (consumed only by train.New) and set this variant's
-		// prefetch depth.
-		opts.PagedFeatures, opts.PagedTopo = false, false
-		opts.PrefetchPages = v.prefetch
+		c := cell{fw: FwWholeGraph, ds: ds, opts: cfg.trainOpts("graphsage"), epochs: epochs,
+			store: func(m *sim.Machine) (*core.Store, error) { return core.NewStoreOpts(m, 0, ds, so) }}
+		c.opts.PrefetchPages = v.prefetch
 		// Next-batch fault prefetch needs a next batch: train nodes shard
 		// across the node's 8 GPUs (~120 per worker at the scale floor), so
 		// force a batch size that gives every worker several iterations per
 		// epoch, and measure enough of them for cache steady state.
-		opts.Batch = 32
-		if opts.MaxItersPerEpoch > 0 && opts.MaxItersPerEpoch < 8 {
-			opts.MaxItersPerEpoch = 8
+		c.opts.Batch = 32
+		if c.opts.MaxItersPerEpoch > 0 && c.opts.MaxItersPerEpoch < 8 {
+			c.opts.MaxItersPerEpoch = 8
 		}
-		tr, err := newStoreTrainer(m, store, opts)
-		if err != nil {
-			return err
-		}
-		tr.Stores = []*core.Store{store}
-		defer tot.Fold(tr)
-		m.Reset() // measure training, not store setup
-		row := OOCGraphRow{Variant: v.name}
-		for e := 0; e < epochs; e++ {
-			st := tr.RunEpoch()
-			row.Losses = append(row.Losses, st.Loss)
-			row.EpochTime = st.EpochTime
-			row.SampleTime = st.Timing.Sample
-		}
-		if v.paged {
-			tst := tr.TopoStoreStats()
-			fst := tr.FeatStoreStats()
-			row.TopoHitRate = tst.HitRate()
-			row.FeatHitRate = fst.HitRate()
-			row.PrefetchHits = tst.PrefetchHits + fst.PrefetchHits
-			row.AdmissionRejects = tst.AdmissionRejects + fst.AdmissionRejects
-			row.TopoResidentBytes = tst.ResidentBytes
-			row.TopoCacheBytes = tst.CacheBytes
-		}
-		rows[cell] = row
-		return nil
-	})
+		cells = append(cells, c)
+	}
+	runs, err := cfg.runGroups(cells, 1)
 	if err != nil {
 		return nil, err
-	}
-	for i := range rows {
-		rows[i].BitIdentical = lossesEqual(rows[i].Losses, rows[0].Losses)
 	}
 	cfg.printf("topology budget %s (of %s column array), feature budget %s\n",
 		fmtBytes(topoBudget), fmtBytes(ooc.Topo.NumEdges()*8), fmtBytes(featBudget))
 	cfg.printf("%-21s %12s %12s %12s %9s %9s %9s %8s %6s\n",
 		"variant", "epoch", "sample", "final loss", "topo hit", "feat hit", "prefetch", "rejects", "exact")
-	for _, r := range rows {
-		topoHit, featHit := "-", "-"
-		if r.Variant != "in-RAM" {
-			topoHit = fmtPct(r.TopoHitRate)
-			featHit = fmtPct(r.FeatHitRate)
+	var rows []OOCGraphRow
+	for i, r := range runs {
+		row := OOCGraphRow{
+			Variant: variants[i].name, EpochTime: r.last().EpochTime, SampleTime: r.last().Timing.Sample, Losses: r.losses,
+			BitIdentical: slices.Equal(r.losses, runs[0].losses),
 		}
+		topoHit, featHit := "-", "-"
+		if variants[i].paged {
+			row.TopoHitRate, row.FeatHitRate = r.topo.HitRate(), r.feat.HitRate()
+			row.PrefetchHits = r.topo.PrefetchHits + r.feat.PrefetchHits
+			row.AdmissionRejects = r.topo.AdmissionRejects + r.feat.AdmissionRejects
+			row.TopoResidentBytes, row.TopoCacheBytes = r.topo.ResidentBytes, r.topo.CacheBytes
+			topoHit, featHit = fmtPct(row.TopoHitRate), fmtPct(row.FeatHitRate)
+		}
+		rows = append(rows, row)
 		cfg.printf("%-21s %12s %12s %12.4f %9s %9s %9d %8d %6v\n",
-			r.Variant, fmtSeconds(r.EpochTime), fmtSeconds(r.SampleTime),
-			r.Losses[len(r.Losses)-1], topoHit, featHit,
-			r.PrefetchHits, r.AdmissionRejects, r.BitIdentical)
+			row.Variant, fmtSeconds(row.EpochTime), fmtSeconds(row.SampleTime),
+			row.Losses[len(row.Losses)-1], topoHit, featHit,
+			row.PrefetchHits, row.AdmissionRejects, row.BitIdentical)
 	}
 	return rows, nil
 }

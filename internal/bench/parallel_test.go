@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -17,7 +18,13 @@ func TestParallelCellsIdenticalOutput(t *testing.T) {
 	}{
 		{"table3", func(c Config) error { _, err := Table3(c); return err }},
 		{"table5", func(c Config) error { _, err := Table5(c); return err }},
-		{"fig13", func(c Config) error { _, err := Fig13(c); return err }},
+		{"fig13", func(c Config) error {
+			rows, err := Fig13(c)
+			if err == nil && rows[0].ScaleUsed != 1e-3 {
+				err = fmt.Errorf("fig13 asked for scale %g records %g, want its 1e-3 floor", c.Scale, rows[0].ScaleUsed)
+			}
+			return err
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			report := func(parallel bool) string {

@@ -15,6 +15,8 @@ type ServingRow struct {
 	MaxBatch int     `json:"max_batch"`
 	Rate     float64 `json:"rate_rps"`
 	Replicas int     `json:"replicas"`
+	// ScaleUsed is the scale the row ran at: the requested one, floored.
+	ScaleUsed float64 `json:"scale_used"`
 
 	Served        int     `json:"served"`
 	Shed          int     `json:"shed"`
@@ -41,10 +43,7 @@ type ServingRow struct {
 // batch=1 server past saturation.)
 func Serving(cfg Config) ([]ServingRow, error) {
 	cfg = cfg.normalize()
-	scale := cfg.Scale
-	if scale < 1e-3 {
-		scale = 1e-3
-	}
+	scale := cfg.scaleFloor(1e-3)
 	spec := dataset.OgbnProducts.Scaled(scale)
 	ds, err := generate(spec)
 	if err != nil {
@@ -93,12 +92,25 @@ func Serving(cfg Config) ([]ServingRow, error) {
 		opts := base
 		opts.MaxBatch = v.maxBatch
 		opts.CacheRows = v.cacheRows
-		res, err := runServing(cfg, ds, replicas, opts)
+		// One deployment per variant: a serving replica per GPU of one node.
+		mcfg := sim.DGXA100(1)
+		mcfg.GPUsPerNode = replicas
+		m := sim.NewMachine(mcfg)
+		model := gnn.NewSAGE(gnn.Config{
+			InDim: ds.Spec.FeatDim, Hidden: 32, Classes: ds.Spec.NumClasses,
+			Layers: len(opts.Normalize().Fanouts), Backend: spops.BackendNative, Seed: cfg.Seed,
+		})
+		s, err := serve.New(m, 0, ds, model, opts)
+		if err != nil {
+			return nil, err
+		}
+		m.Reset() // store partitioning and cache fill are one-time setup
+		res, err := s.Run()
 		if err != nil {
 			return nil, err
 		}
 		row := ServingRow{
-			Mode: v.mode, MaxBatch: v.maxBatch, Rate: opts.Rate, Replicas: replicas,
+			Mode: v.mode, MaxBatch: v.maxBatch, Rate: opts.Rate, Replicas: replicas, ScaleUsed: scale,
 			Served: res.Served, Shed: res.Shed, TimedOut: res.TimedOut,
 			MeanBatch: res.MeanBatch, Throughput: res.Throughput, Goodput: res.Goodput,
 			P50: res.P50, P99: res.P99, SLOAttainment: res.SLOAttainment,
@@ -118,21 +130,4 @@ func Serving(cfg Config) ([]ServingRow, error) {
 			100*row.CacheHitRate)
 	}
 	return rows, nil
-}
-
-// runServing builds one deployment and serves one stream on it.
-func runServing(cfg Config, ds *dataset.Dataset, replicas int, opts serve.Options) (*serve.Result, error) {
-	mcfg := sim.DGXA100(1)
-	mcfg.GPUsPerNode = replicas
-	m := sim.NewMachine(mcfg)
-	model := gnn.NewSAGE(gnn.Config{
-		InDim: ds.Spec.FeatDim, Hidden: 32, Classes: ds.Spec.NumClasses,
-		Layers: len(opts.Normalize().Fanouts), Backend: spops.BackendNative, Seed: cfg.Seed,
-	})
-	s, err := serve.New(m, 0, ds, model, opts)
-	if err != nil {
-		return nil, err
-	}
-	m.Reset() // store partitioning and cache fill are one-time setup
-	return s.Run()
 }

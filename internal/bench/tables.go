@@ -4,6 +4,7 @@ import (
 	"wholegraph/internal/core"
 	"wholegraph/internal/dataset"
 	"wholegraph/internal/sim"
+	"wholegraph/internal/train"
 	"wholegraph/internal/wholemem"
 )
 
@@ -129,16 +130,10 @@ func Table3(cfg Config) ([]Table3Row, error) {
 	fws := []Framework{FwDGL, FwPyG, FwWholeGraph}
 	cfg.printf("Table III: validation/test accuracy after %d epochs\n", cfg.Epochs)
 	cfg.printf("%-22s %-10s %18s %18s %18s\n", "Graph", "Model", "DGL", "PyG", "WholeGraph")
-	// One cell per dataset x model; each cell trains all three frameworks
-	// on its own machines. Datasets and eval sets are prepared up front
-	// (they are shared read-only across cells), rows print after the join.
-	type t3cell struct {
-		ds                   *dataset.Dataset
-		valIDs, testIDs      []int64
-		valLabels, tstLabels []int32
-		arch                 string
-	}
-	var cells []t3cell
+	// One group per dataset x model: the three frameworks train on machines
+	// of their own and are evaluated on the same held-out samples.
+	rows := make([]Table3Row, 0, len(specs)*len(models)) // never regrown: cells point into it
+	var cells []cell
 	for _, spec := range specs {
 		ds, err := generate(spec)
 		if err != nil {
@@ -147,36 +142,24 @@ func Table3(cfg Config) ([]Table3Row, error) {
 		valIDs, valLabels := evalSet(cfg, ds, 3)
 		testIDs, testLabels := evalSet(cfg, ds, 4)
 		for _, arch := range models {
-			cells = append(cells, t3cell{ds, valIDs, testIDs, valLabels, testLabels, arch})
+			rows = append(rows, Table3Row{Dataset: ds.Spec.Name, Model: arch, Valid: map[Framework]float64{}, Test: map[Framework]float64{}})
+			row := &rows[len(rows)-1]
+			for _, fw := range fws {
+				cells = append(cells, cell{fw: fw, ds: ds, opts: cfg.accuracyOpts(arch), epochs: cfg.Epochs,
+					after: func(tr *train.Trainer, e int) (err error) {
+						if e < cfg.Epochs-1 {
+							return nil
+						}
+						if row.Valid[fw], err = tr.EvaluateWithLabels(valIDs, valLabels); err != nil {
+							return err
+						}
+						row.Test[fw], err = tr.EvaluateWithLabels(testIDs, testLabels)
+						return err
+					}})
+			}
 		}
 	}
-	rows := make([]Table3Row, len(cells))
-	err := cfg.runCells(len(cells), func(ci int, tot *Totals) error {
-		c := cells[ci]
-		row := Table3Row{
-			Dataset: c.ds.Spec.Name, Model: c.arch,
-			Valid: map[Framework]float64{}, Test: map[Framework]float64{},
-		}
-		for _, fw := range fws {
-			tr, err := newTrainer(fw, 1, c.ds, cfg.accuracyOpts(c.arch))
-			if err != nil {
-				return err
-			}
-			for e := 0; e < cfg.Epochs; e++ {
-				tr.RunEpoch()
-			}
-			if row.Valid[fw], err = tr.EvaluateWithLabels(c.valIDs, c.valLabels); err != nil {
-				return err
-			}
-			if row.Test[fw], err = tr.EvaluateWithLabels(c.testIDs, c.tstLabels); err != nil {
-				return err
-			}
-			tot.Fold(tr)
-		}
-		rows[ci] = row
-		return nil
-	})
-	if err != nil {
+	if _, err := cfg.runGroups(cells, len(fws)); err != nil {
 		return nil, err
 	}
 	for _, row := range rows {
@@ -212,8 +195,7 @@ func Table4(cfg Config) (*Table4Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := sim.NewMachine(sim.DGXA100(1))
-	store, err := core.NewStore(m, 0, ds)
+	store, err := flatStore(ds)
 	if err != nil {
 		return nil, err
 	}
@@ -261,11 +243,7 @@ func Table4(cfg Config) (*Table4Result, error) {
 // size.
 func estimateTrainingGB(store *core.Store, fullNodes int64, batch int, fanouts []int, inDim, hidden, classes int) float64 {
 	ld := core.NewLoader(store, store.Comm.Devs[0], []int{5, 5, 5}, 99)
-	n := 64
-	if len(store.DS.Train) < n {
-		n = len(store.DS.Train)
-	}
-	b, _ := ld.BuildBatch(store.DS.Train[:n])
+	b, _ := ld.BuildBatch(firstTrain(store.DS, 64))
 	dedup := make([]float64, len(b.Blocks))
 	for l, blk := range b.Blocks {
 		raw := float64(blk.NumTargets) * 5

@@ -85,7 +85,8 @@ func NewStoreOpts(m *sim.Machine, node int, ds *dataset.Dataset, opts StoreOptio
 		feat = nil
 	}
 	var pg *graph.Partitioned
-	if opts.PagedTopo {
+	switch {
+	case opts.PagedTopo:
 		var src graph.TopoSource
 		if ds.Graph != nil {
 			src = graph.CSRTopo{G: ds.Graph}
@@ -93,14 +94,21 @@ func NewStoreOpts(m *sim.Machine, node int, ds *dataset.Dataset, opts StoreOptio
 			src = ds.Topo
 		}
 		pg, err = graph.PartitionPaged(src, feat, ds.Spec.FeatDim, comm, opts.Topo)
-	} else {
-		pg, err = graph.Partition(ds.Graph, feat, ds.Spec.FeatDim, comm)
+	case opts.PagedFeatures:
+		pg, err = graph.Partition(ds.Graph, nil, ds.Spec.FeatDim, comm)
+		if err == nil && ds.Spec.Weighted {
+			pg.AttachEdgeWeights(graph.HashEdgeWeight)
+		}
+	default:
+		// The flat store maps the dataset's one host layout: every node of
+		// a machine, and every store built over the dataset, shares it.
+		var l *graph.Layout
+		if l, err = ds.HashLayout(comm.Size()); err == nil {
+			pg = l.Map(comm)
+		}
 	}
 	if err != nil {
 		return nil, fmt.Errorf("core: partitioning %s: %w", ds.Spec.Name, err)
-	}
-	if ds.Spec.Weighted {
-		pg.AttachEdgeWeights(graph.HashEdgeWeight)
 	}
 	if opts.PagedFeatures {
 		if ds.Feat == nil && ds.Gen == nil {

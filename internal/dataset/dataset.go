@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"wholegraph/internal/graph"
 	"wholegraph/internal/tensor"
@@ -146,6 +147,36 @@ type Dataset struct {
 	Labels []int32 // -1 for unlabeled nodes
 	// Train, Val and Test hold labeled node IDs.
 	Train, Val, Test []int64
+
+	// layouts memoises HashLayout: rank count -> *layoutMemo.
+	layouts sync.Map
+}
+
+type layoutMemo struct {
+	once sync.Once
+	l    *graph.Layout
+	err  error
+}
+
+// HashLayout returns the paper's hash partition of the CSR, the feature slab
+// and, for a Weighted spec, the edge weights over parts ranks. It is built
+// once per rank count for the dataset's lifetime — concurrent callers wait
+// for the one build — and is read-only, so every flat store over the dataset
+// maps the same host arrays, however many machine nodes or trainers build
+// one.
+func (d *Dataset) HashLayout(parts int) (*graph.Layout, error) {
+	if d.Graph == nil {
+		return nil, fmt.Errorf("dataset %s: out-of-core (no materialized CSR) has no host layout", d.Spec.Name)
+	}
+	v, _ := d.layouts.LoadOrStore(parts, new(layoutMemo))
+	e := v.(*layoutMemo)
+	e.once.Do(func() {
+		e.l, e.err = graph.NewLayout(d.Graph, d.Feat, d.Spec.FeatDim, parts, graph.HashOwner(parts))
+		if e.err == nil && d.Spec.Weighted {
+			e.l.AttachEdgeWeights(graph.HashEdgeWeight)
+		}
+	})
+	return e.l, e.err
 }
 
 // FillFeatRow writes node v's feature row into dst, from the slab when

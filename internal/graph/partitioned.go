@@ -65,78 +65,154 @@ type degreeMemo struct {
 // partitioning. It performs the real data placement and charges each rank's
 // allocation/IPC setup cost.
 func Partition(csr *CSR, feat []float32, dim int, comm *wholemem.Comm) (*Partitioned, error) {
-	parts := comm.Size()
-	return PartitionBy(csr, feat, dim, comm, func(v int64) int { return RankFor(v, parts) })
+	return PartitionBy(csr, feat, dim, comm, HashOwner(comm.Size()))
 }
 
 // PartitionBy is Partition with an explicit node-to-rank assignment,
 // enabling the partition-strategy ablation (hash vs range vs
 // community-aware placement). ownerOf must return a rank in [0, comm.Size).
 func PartitionBy(csr *CSR, feat []float32, dim int, comm *wholemem.Comm, ownerOf func(v int64) int) (*Partitioned, error) {
+	l, err := NewLayout(csr, feat, dim, comm.Size(), ownerOf)
+	if err != nil {
+		return nil, err
+	}
+	return l.Map(comm), nil
+}
+
+// HashOwner returns the paper's node-to-rank assignment over parts ranks.
+func HashOwner(parts int) func(int64) int {
+	return func(v int64) int { return RankFor(v, parts) }
+}
+
+// Layout is the host half of a partition: which rank owns each node and
+// every rank's shard of the row pointers, the column array, the feature rows
+// and the edge weights, a pure function of the graph, the rank count and the
+// owner. It holds no communicator and charges nothing; Map places it on one.
+// A layout is read-only once built, so every store that maps it shares its
+// arrays and its DegreeOrder.
+type Layout struct {
+	n       int64
+	dim     int
+	owner   []GlobalID
+	orig    [][]int64
+	rowBase []int64
+	rowPtr  [][]int64
+	col     [][]uint64
+	feat    [][]float32 // nil without features
+	edgeW   [][]float32 // nil until AttachEdgeWeights
+	deg     *degreeMemo
+}
+
+// NewLayout places csr and its node features (row-major, feat[dim*i:] for
+// node i; may be nil) on parts ranks: node v goes to rank ownerOf(v), locals
+// in original-ID order, and every edge is stored with its source.
+func NewLayout(csr *CSR, feat []float32, dim, parts int, ownerOf func(v int64) int) (*Layout, error) {
 	if feat != nil && int64(len(feat)) != csr.N*int64(dim) {
 		return nil, fmt.Errorf("graph: feature length %d != N*dim = %d", len(feat), csr.N*int64(dim))
 	}
-	parts := comm.Size()
-	p := &Partitioned{Comm: comm, N: csr.N, Dim: dim, deg: new(degreeMemo)}
+	owner, orig, err := place(csr.N, parts, ownerOf)
+	if err != nil {
+		return nil, err
+	}
+	l := &Layout{
+		n: csr.N, dim: dim, owner: owner, orig: orig, deg: new(degreeMemo),
+		rowBase: rowBases(orig), rowPtr: rowPtrs(orig, csr.Degree), feat: featShards(orig, feat, dim),
+		col: make([][]uint64, parts),
+	}
+	for r, rp := range l.rowPtr {
+		col := make([]uint64, rp[len(rp)-1])
+		for li, v := range orig[r] {
+			for k, d := range csr.Neighbors(v) {
+				col[rp[li]+int64(k)] = uint64(owner[d])
+			}
+		}
+		l.col[r] = col
+	}
+	return l, nil
+}
 
-	// Assign GlobalIDs, locals in original-ID order.
-	p.Owner = make([]GlobalID, csr.N)
-	p.Orig = make([][]int64, parts)
-	for v := int64(0); v < csr.N; v++ {
+// place assigns every node of [0, n) to rank ownerOf(v): owner[v] is its
+// GlobalID, orig[r] rank r's nodes in original-ID order.
+func place(n int64, parts int, ownerOf func(v int64) int) (owner []GlobalID, orig [][]int64, err error) {
+	owner, orig = make([]GlobalID, n), make([][]int64, parts)
+	for v := int64(0); v < n; v++ {
 		r := ownerOf(v)
 		if r < 0 || r >= parts {
-			return nil, fmt.Errorf("graph: ownerOf(%d) = %d outside [0,%d)", v, r, parts)
+			return nil, nil, fmt.Errorf("graph: ownerOf(%d) = %d outside [0,%d)", v, r, parts)
 		}
-		p.Owner[v] = MakeGlobalID(r, int64(len(p.Orig[r])))
-		p.Orig[r] = append(p.Orig[r], v)
+		owner[v] = MakeGlobalID(r, int64(len(orig[r])))
+		orig[r] = append(orig[r], v)
 	}
+	return owner, orig, nil
+}
 
-	// Shard sizes.
-	rowSizes := make([]int64, parts)
-	edgeSizes := make([]int64, parts)
-	featSizes := make([]int64, parts)
-	p.rowBase = make([]int64, parts)
-	var rows int64
-	for r := 0; r < parts; r++ {
-		ln := int64(len(p.Orig[r]))
-		rowSizes[r] = ln + 1
-		featSizes[r] = ln * int64(dim)
-		p.rowBase[r] = rows
-		rows += ln
-		for _, v := range p.Orig[r] {
-			edgeSizes[r] += csr.Degree(v)
-		}
+// rowBases returns each rank's first global feature row: the ranks' rows
+// follow each other in rank order.
+func rowBases(orig [][]int64) []int64 {
+	base := make([]int64, len(orig))
+	for r := 1; r < len(orig); r++ {
+		base[r] = base[r-1] + int64(len(orig[r-1]))
 	}
+	return base
+}
 
-	p.RowPtr = wholemem.AllocSharded[int64](comm, rowSizes)
-	p.Col = wholemem.AllocSharded[uint64](comm, edgeSizes)
-	if feat != nil {
-		p.Feat = wholemem.AllocSharded[float32](comm, featSizes)
-		p.featSrc = MemFeatures(p.Feat, rows, dim)
+// rowPtrs returns every rank's row pointers: localN+1 offsets into its edge
+// shard.
+func rowPtrs(orig [][]int64, degree func(v int64) int64) [][]int64 {
+	out := make([][]int64, len(orig))
+	for r, nodes := range orig {
+		rp := make([]int64, len(nodes)+1)
+		for li, v := range nodes {
+			rp[li+1] = rp[li] + degree(v)
+		}
+		out[r] = rp
 	}
+	return out
+}
 
-	// Fill each rank's shards in place (host-side construction).
-	for r := 0; r < parts; r++ {
-		rp := p.RowPtr.Shard(r)
-		col := p.Col.Shard(r)
-		var fs []float32
-		if feat != nil {
-			fs = p.Feat.Shard(r)
-		}
-		var off int64
-		for li, v := range p.Orig[r] {
-			rp[li] = off
-			for _, d := range csr.Neighbors(v) {
-				col[off] = uint64(p.Owner[d])
-				off++
-			}
-			if feat != nil {
-				copy(fs[int64(li)*int64(dim):], feat[v*int64(dim):(v+1)*int64(dim)])
-			}
-		}
-		rp[len(p.Orig[r])] = off
+// featShards copies feat's rows into per-rank shards in orig order; nil
+// without features.
+func featShards(orig [][]int64, feat []float32, dim int) [][]float32 {
+	if feat == nil {
+		return nil
 	}
-	return p, nil
+	out := make([][]float32, len(orig))
+	for r, nodes := range orig {
+		fs := make([]float32, int64(len(nodes))*int64(dim))
+		for li, v := range nodes {
+			copy(fs[int64(li)*int64(dim):], feat[v*int64(dim):(v+1)*int64(dim)])
+		}
+		out[r] = fs
+	}
+	return out
+}
+
+// AttachEdgeWeights adds the per-edge weight shards, aligned with the
+// column shards, holding w(src, dst) over original node IDs. Call it before
+// the layout is shared.
+func (l *Layout) AttachEdgeWeights(w func(u, v int64) float32) {
+	l.edgeW = edgeWeights(l.orig, func(r int) []int64 { return l.rowPtr[r] }, func(r int) []uint64 { return l.col[r] }, w)
+}
+
+// Map places the layout on comm, which must have as many ranks as the
+// layout: each table is charged as AllocSharded charges it, in the order
+// row pointers, columns, features, edge weights, and shares the layout's
+// shards. The Partitioned and its Memory values are new, so per-store state
+// (a table's Kind, a SetFeatures source) stays per store.
+func (l *Layout) Map(comm *wholemem.Comm) *Partitioned {
+	p := &Partitioned{
+		Comm: comm, N: l.n, Dim: l.dim, Owner: l.owner, Orig: l.orig, rowBase: l.rowBase, deg: l.deg,
+		RowPtr: wholemem.Map(comm, l.rowPtr),
+		Col:    wholemem.Map(comm, l.col),
+	}
+	if l.feat != nil {
+		p.Feat = wholemem.Map(comm, l.feat)
+		p.featSrc = MemFeatures(p.Feat, l.n, l.dim)
+	}
+	if l.edgeW != nil {
+		p.EdgeW = wholemem.Map(comm, l.edgeW)
+	}
+	return p
 }
 
 // AttachEdgeWeights allocates the per-edge weight table (sharded like the
@@ -147,23 +223,25 @@ func (p *Partitioned) AttachEdgeWeights(w func(u, v int64) float32) {
 	if p.topo != nil {
 		panic("graph: AttachEdgeWeights requires a materialized column array (paged topology does not store edge weights)")
 	}
-	sizes := make([]int64, p.Comm.Size())
-	for r := range sizes {
-		sizes[r] = int64(len(p.Col.Shard(r)))
-	}
-	p.EdgeW = wholemem.AllocSharded[float32](p.Comm, sizes)
-	for r := 0; r < p.Comm.Size(); r++ {
-		rp := p.RowPtr.Shard(r)
-		col := p.Col.Shard(r)
-		ws := p.EdgeW.Shard(r)
-		for li, u := range p.Orig[r] {
+	p.EdgeW = wholemem.Map(p.Comm, edgeWeights(p.Orig, p.RowPtr.Shard, p.Col.Shard, w))
+}
+
+// edgeWeights returns w(src, dst) for every stored edge, sharded like the
+// column array.
+func edgeWeights(orig [][]int64, rowPtr func(int) []int64, col func(int) []uint64, w func(u, v int64) float32) [][]float32 {
+	out := make([][]float32, len(orig))
+	for r := range out {
+		rp, cs := rowPtr(r), col(r)
+		ws := make([]float32, len(cs))
+		for li, u := range orig[r] {
 			for e := rp[li]; e < rp[li+1]; e++ {
-				d := GlobalID(col[e])
-				v := p.Orig[d.Rank()][d.Local()]
-				ws[e] = w(u, v)
+				d := GlobalID(cs[e])
+				ws[e] = w(u, orig[d.Rank()][d.Local()])
 			}
 		}
+		out[r] = ws
 	}
+	return out
 }
 
 // LocalCount returns the number of nodes owned by rank r.

@@ -53,55 +53,22 @@ func PartitionPaged(src TopoSource, feat []float32, dim int, comm *wholemem.Comm
 		return nil, fmt.Errorf("graph: feature length %d != N*dim = %d", len(feat), n*int64(dim))
 	}
 	parts := comm.Size()
-	p := &Partitioned{Comm: comm, N: n, Dim: dim, deg: new(degreeMemo)}
-
-	// Assign GlobalIDs, locals in original-ID order (hash partitioning).
-	p.Owner = make([]GlobalID, n)
-	p.Orig = make([][]int64, parts)
-	for v := int64(0); v < n; v++ {
-		r := RankFor(v, parts)
-		p.Owner[v] = MakeGlobalID(r, int64(len(p.Orig[r])))
-		p.Orig[r] = append(p.Orig[r], v)
+	owner, orig, err := place(n, parts, HashOwner(parts))
+	if err != nil {
+		return nil, err
 	}
-
-	rowSizes := make([]int64, parts)
-	featSizes := make([]int64, parts)
-	p.rowBase = make([]int64, parts)
-	p.colBase = make([]int64, parts+1)
-	var rows int64
-	for r := 0; r < parts; r++ {
-		ln := int64(len(p.Orig[r]))
-		rowSizes[r] = ln + 1
-		featSizes[r] = ln * int64(dim)
-		p.rowBase[r] = rows
-		rows += ln
-		var edges int64
-		for _, v := range p.Orig[r] {
-			edges += src.Degree(v)
-		}
-		p.colBase[r+1] = p.colBase[r] + edges
+	p := &Partitioned{
+		Comm: comm, N: n, Dim: dim, Owner: owner, Orig: orig, deg: new(degreeMemo),
+		rowBase: rowBases(orig), colBase: make([]int64, parts+1),
 	}
-
-	p.RowPtr = wholemem.AllocSharded[int64](comm, rowSizes)
+	rowPtr := rowPtrs(orig, src.Degree)
+	for r, rp := range rowPtr {
+		p.colBase[r+1] = p.colBase[r] + rp[len(rp)-1]
+	}
+	p.RowPtr = wholemem.Map(comm, rowPtr)
 	if feat != nil {
-		p.Feat = wholemem.AllocSharded[float32](comm, featSizes)
-		p.featSrc = MemFeatures(p.Feat, rows, dim)
-	}
-	for r := 0; r < parts; r++ {
-		rp := p.RowPtr.Shard(r)
-		var fs []float32
-		if feat != nil {
-			fs = p.Feat.Shard(r)
-		}
-		var off int64
-		for li, v := range p.Orig[r] {
-			rp[li] = off
-			off += src.Degree(v)
-			if feat != nil {
-				copy(fs[int64(li)*int64(dim):], feat[v*int64(dim):(v+1)*int64(dim)])
-			}
-		}
-		rp[len(p.Orig[r])] = off
+		p.Feat = wholemem.Map(comm, featShards(orig, feat, dim))
+		p.featSrc = MemFeatures(p.Feat, n, dim)
 	}
 
 	ts, err := topostore.New(p.colBase[parts], p.pagedFill(src), opts)

@@ -73,12 +73,12 @@ type ipcHandle struct {
 
 // Memory is one distributed shared allocation: n elements of type T
 // partitioned across the communicator's devices. The partition is either
-// equal chunks (Alloc) or caller-controlled shard sizes (AllocSharded),
+// equal chunks (Alloc) or caller-controlled shards (AllocSharded, Map),
 // which is how the graph layer stores hash-partitioned nodes.
 type Memory[T Elem] struct {
 	comm   *Comm
 	n      int64
-	shards [][]T   // pointer table entry per rank, as mapped by IPC
+	shards [][]T   // pointer table entry per rank, as mapped by IPC; read-only outer slice
 	starts []int64 // global element index where each shard begins
 	eb     int64
 	kind   Kind
@@ -106,20 +106,33 @@ func Alloc[T Elem](c *Comm, n int64) *Memory[T] {
 // AllocSharded creates a shared allocation with an explicit number of
 // elements on each rank. len(sizes) must equal the communicator size.
 func AllocSharded[T Elem](c *Comm, sizes []int64) *Memory[T] {
-	if len(sizes) != c.Size() {
-		panic(fmt.Sprintf("wholemem: %d shard sizes for %d ranks", len(sizes), c.Size()))
+	shards := make([][]T, len(sizes))
+	for r, n := range sizes {
+		shards[r] = make([]T, n)
 	}
-	m := &Memory[T]{comm: c, eb: elemBytes[T]()}
+	return Map(c, shards)
+}
+
+// Map makes host shards, one per rank, a shared allocation: every rank is
+// charged the malloc of its shard and the IPC setup protocol exactly as
+// AllocSharded charges them, but the shards are the caller's slices, not
+// copies. Allocations that map the same shards share their elements and
+// nothing else: each has its own Kind. len(shards) must equal the
+// communicator size.
+func Map[T Elem](c *Comm, shards [][]T) *Memory[T] {
+	if len(shards) != c.Size() {
+		panic(fmt.Sprintf("wholemem: %d shards for %d ranks", len(shards), c.Size()))
+	}
+	m := &Memory[T]{comm: c, eb: elemBytes[T](), shards: shards}
 	handles := make([]ipcHandle, c.Size())
 	// Step 1: every rank cudaMallocs its local chunk and exports an IPC
 	// handle (cudaIpcGetMemHandle).
 	for r, d := range c.Devs {
 		m.starts = append(m.starts, m.n)
-		m.n += sizes[r]
-		shard := make([]T, sizes[r])
-		m.shards = append(m.shards, shard)
-		d.Malloc(float64(sizes[r] * m.eb))
-		handles[r] = ipcHandle{rank: r, mem: len(m.shards)}
+		n := int64(len(shards[r]))
+		m.n += n
+		d.Malloc(float64(n * m.eb))
+		handles[r] = ipcHandle{rank: r, mem: r + 1}
 	}
 	// Step 2: AllGather the handles so each rank holds all of them, issued
 	// through the step-level engine so the ring transfers occupy the links
