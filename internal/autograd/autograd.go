@@ -8,6 +8,17 @@
 // operations (g-SpMM, g-SDDMM, segment softmax) register themselves through
 // Tape.Op with custom backward closures, exactly as custom CUDA ops plug
 // into torch.autograd.Function.
+//
+// Only what a gradient can reach is recorded. Every op computes its output
+// (and charges its forward kernels) unconditionally; it then checks its
+// inputs, and when none of them needs a gradient it returns its output as a
+// value-only Var (Tape.Const): no backward closure is built, no inputs are
+// kept, and nothing lands on the tape. Otherwise Tape.Op records a node that
+// holds the op's inputs inline (no op has more than two) and its backward
+// closure. A tape reset with ResetNoGrad binds parameters as constants, so
+// every op of the forward that follows takes the value-only path — the
+// counterpart of PyTorch's no_grad for evaluation and serving: a warm
+// arena-backed no-grad forward allocates nothing.
 package autograd
 
 import (
@@ -26,7 +37,9 @@ type Var struct {
 
 	tape     *Tape
 	needGrad bool
-	inputs   []*Var
+	// in[:nin] are the inputs of a recorded op, kept inline in the node.
+	in  [2]*Var
+	nin int
 	// back propagates v.Grad into the inputs' Grad fields.
 	back func(v *Var)
 	// post hooks run right after back during replay (see OnBackwardFor).
@@ -54,9 +67,10 @@ func (v *Var) OnBackwardFor(target *Var, fn func()) {
 	v.post = append(v.post, postHook{fn: fn, target: target})
 }
 
-// Inputs returns the variables this one was computed from (nil for leaves).
-// The returned slice is owned by the tape — callers must not mutate it.
-func (v *Var) Inputs() []*Var { return v.inputs }
+// Inputs returns the variables a recorded op was computed from (empty for
+// leaves and value-only results). The returned slice aliases the node —
+// callers must not mutate it.
+func (v *Var) Inputs() []*Var { return v.in[:v.nin] }
 
 // NeedsGrad reports whether gradients flow to this variable.
 func (v *Var) NeedsGrad() bool { return v.needGrad }
@@ -81,10 +95,10 @@ func (v *Var) AccumGrad(g *tensor.Dense) {
 // Tape records operations in execution order for reverse-mode replay.
 //
 // A tape may be backed by a tensor.Arena (NewTapeArena): every tensor it
-// hands out through NewTensor/NewView/Scratch is then pooled and recycled
-// by Reset, together with the Var nodes themselves, making the
-// second-and-later training iterations allocation-free. A tape (and its
-// arena) is owned by one worker goroutine, like the device it trains on.
+// hands out through NewTensor/NewView is then pooled and recycled by Reset,
+// together with the Var nodes themselves, making the second-and-later
+// training iterations allocation-free. A tape (and its arena) is owned by one
+// worker goroutine, like the device it trains on.
 type Tape struct {
 	nodes []*Var
 
@@ -93,7 +107,10 @@ type Tape struct {
 	free  []*Var        // recycled Var nodes
 	owned []*tensor.Dense
 	views []*tensor.Dense
-	bufs  [][]float32
+
+	// noGrad is set by ResetNoGrad: Param binds constants until the next
+	// Reset, and the backward entry points refuse to run.
+	noGrad bool
 
 	// BackwardHooked scratch, reused across calls.
 	watchMin []int
@@ -214,27 +231,18 @@ func (t *Tape) NewView(r, c int, v []float32) *tensor.Dense {
 	return d
 }
 
-// Scratch returns a zeroed float32 slice of length n that lives until the
-// next Reset. Ops use it for per-call workspaces (SpMM norms) that their
-// backward closures capture.
-func (t *Tape) Scratch(n int) []float32 {
-	if t == nil || t.arena == nil {
-		return make([]float32, n)
-	}
-	v := t.arena.GetSlice(n)
-	t.bufs = append(t.bufs, v)
-	return v
-}
-
 // Reset clears the tape for the next iteration, recycling every Var node
 // and every arena-backed tensor handed out since the previous Reset. All
 // Vars and tape-owned tensors from before the Reset are invalidated — the
-// caller must not hold on to logits, gradients or views across it.
+// caller must not hold on to logits, gradients or views across it. It also
+// leaves no-grad mode: parameters bound after it need gradients.
 func (t *Tape) Reset() {
+	t.noGrad = false
 	clear(t.nodes)
 	t.nodes = t.nodes[:0]
 	for _, v := range t.vars {
-		v.Value, v.Grad, v.inputs, v.back, v.needGrad = nil, nil, nil, nil, false
+		v.Value, v.Grad, v.back, v.needGrad = nil, nil, nil, false
+		v.in, v.nin = [2]*Var{}, 0
 		clear(v.post)
 		v.post = v.post[:0]
 		t.free = append(t.free, v)
@@ -252,11 +260,25 @@ func (t *Tape) Reset() {
 			t.views[i] = nil
 		}
 		t.views = t.views[:0]
-		for i, v := range t.bufs {
-			t.arena.PutSlice(v)
-			t.bufs[i] = nil
-		}
-		t.bufs = t.bufs[:0]
+	}
+}
+
+// ResetNoGrad is Reset for a forward that no backward will follow
+// (evaluation, inference, serving). Until the next Reset, Param binds its
+// tensor as a constant, so no op of the forward needs a gradient and none is
+// recorded: values and device charges are those of a recording forward, but
+// no backward closure, input list or backward hook is built. Backward,
+// BackwardHooked, ReplayBackward and BeginCapture panic in this mode.
+func (t *Tape) ResetNoGrad() {
+	t.Reset()
+	t.noGrad = true
+}
+
+// mustRecord panics when the tape is in no-grad mode: op names the backward
+// entry point that was called.
+func (t *Tape) mustRecord(op string) {
+	if t.noGrad {
+		panic("autograd: " + op + " on a tape in no-grad mode (ResetNoGrad): its parameters are constants and nothing was recorded")
 	}
 }
 
@@ -276,24 +298,34 @@ func (t *Tape) newVar() *Var {
 	return v
 }
 
-// Param wraps a trainable parameter (gradients accumulate into it).
+// Param wraps a trainable parameter (gradients accumulate into it). In
+// no-grad mode (ResetNoGrad) it wraps a constant instead.
 func (t *Tape) Param(v *tensor.Dense) *Var {
 	p := t.newVar()
-	p.Value, p.needGrad = v, true
+	p.Value, p.needGrad = v, !t.noGrad
 	return p
 }
 
-// Const wraps a constant input (no gradient).
+// Const wraps a constant input (no gradient). It is also the value-only
+// result of an op none of whose inputs needs a gradient: op constructors,
+// custom ones included, return Const(out) instead of calling Op, so that no
+// backward closure is built.
 func (t *Tape) Const(v *tensor.Dense) *Var {
 	p := t.newVar()
 	p.Value, p.needGrad = v, false
 	return p
 }
 
-// Op records a custom operation producing out from inputs, with back
-// propagating the output gradient into the inputs (via AccumGrad). The
-// returned Var needs a gradient iff any input does.
+// Op records a custom operation producing out from inputs (at most two),
+// with back propagating the output gradient into the inputs (via
+// AccumGrad). The node keeps the inputs inline and does not retain the
+// slice, so callers pass a literal that stays on their stack. If no input
+// needs a gradient nothing is recorded and the result is value-only, like
+// Const(out); constructors check that first, before building back.
 func (t *Tape) Op(out *tensor.Dense, inputs []*Var, back func(v *Var)) *Var {
+	if len(inputs) > len(Var{}.in) {
+		panic(fmt.Sprintf("autograd: an op takes at most %d inputs, got %d", len(Var{}.in), len(inputs)))
+	}
 	need := false
 	for _, in := range inputs {
 		if in.tape != t {
@@ -303,17 +335,20 @@ func (t *Tape) Op(out *tensor.Dense, inputs []*Var, back func(v *Var)) *Var {
 			need = true
 		}
 	}
-	v := t.newVar()
-	v.Value, v.needGrad, v.inputs, v.back = out, need, inputs, back
-	if need {
-		t.nodes = append(t.nodes, v)
+	if !need {
+		return t.Const(out)
 	}
+	v := t.newVar()
+	v.Value, v.needGrad, v.back = out, true, back
+	v.nin = copy(v.in[:], inputs)
+	t.nodes = append(t.nodes, v)
 	return v
 }
 
 // Backward seeds loss.Grad with seed (same shape as loss.Value) and runs the
 // tape in reverse, accumulating gradients into all parameters.
 func (t *Tape) Backward(loss *Var, seed *tensor.Dense) {
+	t.mustRecord("Backward")
 	t.replay(loss, seed, nil, nil)
 }
 
@@ -325,6 +360,7 @@ func (t *Tape) Backward(loss *Var, seed *tensor.Dense) {
 // replay. The gradient-overlap trainer uses this to hand parameter buckets
 // to the collective engine while the rest of the backward pass still runs.
 func (t *Tape) BackwardHooked(loss *Var, seed *tensor.Dense, watch []*Var, onReady func(int)) {
+	t.mustRecord("BackwardHooked")
 	t.replay(loss, seed, watch, onReady)
 }
 
@@ -354,6 +390,7 @@ func (t *Tape) BeginCapture() {
 	if t.arena != nil {
 		panic("autograd: capture requires a plain (non-arena) tape")
 	}
+	t.mustRecord("BeginCapture")
 	t.capturing = true
 	clear(t.program)
 	t.program = t.program[:0]
@@ -415,6 +452,7 @@ func (t *Tape) ReplayForward() {
 // reusing the gradient buffers recorded at capture. watch/onReady follow
 // BackwardHooked semantics (pass nil for a plain backward).
 func (t *Tape) ReplayBackward(loss *Var, seed *tensor.Dense, watch []*Var, onReady func(int)) {
+	t.mustRecord("ReplayBackward")
 	t.replayBwd = true
 	t.bwdCursor = 0
 	t.replay(loss, seed, watch, onReady)
@@ -449,7 +487,7 @@ func (t *Tape) replay(loss *Var, seed *tensor.Dense, watch []*Var, onReady func(
 		// First (lowest-index) consumer of each watched var wins: once it
 		// has replayed, nothing before it in the reverse sweep remains.
 		for i, v := range t.nodes {
-			for _, in := range v.inputs {
+			for _, in := range v.Inputs() {
 				if wi, ok := t.watchIdx[in]; ok && watchMin[wi] == -1 {
 					watchMin[wi] = i
 				}
@@ -487,25 +525,33 @@ func (t *Tape) replay(loss *Var, seed *tensor.Dense, watch []*Var, onReady func(
 }
 
 // --- Built-in operations ---
+//
+// Kernels shared by the eager forward and the captured replay are plain
+// functions, so that nothing but the capture and backward closures — built
+// only on the paths that keep them — allocates.
 
 // MatMul returns x*w with gradients to both inputs.
 func MatMul(x, w *Var) *Var {
-	out := x.tape.newProduct(x.Value.R, w.Value.C)
+	t := x.tape
+	out := t.newProduct(x.Value.R, w.Value.C)
 	tensor.MatMulInto(out, x.Value, w.Value)
-	if x.tape.capturing {
-		x.tape.CaptureRW("matmul", func() {
+	if t.capturing {
+		t.CaptureRW("matmul", func() {
 			out.ResizeUninit(x.Value.R, w.Value.C)
 			tensor.MatMulInto(out, x.Value, w.Value)
 		}, []*tensor.Dense{x.Value, w.Value}, []*tensor.Dense{out})
 	}
-	return x.tape.Op(out, []*Var{x, w}, func(v *Var) {
+	if !x.needGrad && !w.needGrad {
+		return t.Const(out)
+	}
+	return t.Op(out, []*Var{x, w}, func(v *Var) {
 		if x.needGrad {
-			gx := x.tape.newProduct(x.Value.R, x.Value.C)
+			gx := t.newProduct(x.Value.R, x.Value.C)
 			tensor.MatMulTInto(gx, v.Grad, w.Value) // dX = dY * Wᵀ
 			x.AccumGrad(gx)
 		}
 		if w.needGrad {
-			gw := w.tape.newProduct(w.Value.R, w.Value.C)
+			gw := t.newProduct(w.Value.R, w.Value.C)
 			tensor.TMatMulInto(gw, x.Value, v.Grad) // dW = Xᵀ * dY
 			w.AccumGrad(gw)
 		}
@@ -514,15 +560,19 @@ func MatMul(x, w *Var) *Var {
 
 // Add returns a + b elementwise.
 func Add(a, b *Var) *Var {
-	out := a.tape.NewTensor(a.Value.R, a.Value.C)
+	t := a.tape
+	out := t.NewTensor(a.Value.R, a.Value.C)
 	tensor.AddInto(out, a.Value, b.Value)
-	if a.tape.capturing {
-		a.tape.CaptureRW("add", func() {
+	if t.capturing {
+		t.CaptureRW("add", func() {
 			out.ResizeUninit(a.Value.R, a.Value.C)
 			tensor.AddInto(out, a.Value, b.Value)
 		}, []*tensor.Dense{a.Value, b.Value}, []*tensor.Dense{out})
 	}
-	return a.tape.Op(out, []*Var{a, b}, func(v *Var) {
+	if !a.needGrad && !b.needGrad {
+		return t.Const(out)
+	}
+	return t.Op(out, []*Var{a, b}, func(v *Var) {
 		a.AccumGrad(v.Grad)
 		b.AccumGrad(v.Grad)
 	})
@@ -530,18 +580,22 @@ func Add(a, b *Var) *Var {
 
 // AddBias returns x with the (1 x C) bias row added to every row.
 func AddBias(x, b *Var) *Var {
-	out := x.tape.NewTensor(x.Value.R, x.Value.C)
+	t := x.tape
+	out := t.NewTensor(x.Value.R, x.Value.C)
 	tensor.AddRowInto(out, x.Value, b.Value)
-	if x.tape.capturing {
-		x.tape.CaptureRW("addbias", func() {
+	if t.capturing {
+		t.CaptureRW("addbias", func() {
 			out.ResizeUninit(x.Value.R, x.Value.C)
 			tensor.AddRowInto(out, x.Value, b.Value)
 		}, []*tensor.Dense{x.Value, b.Value}, []*tensor.Dense{out})
 	}
-	return x.tape.Op(out, []*Var{x, b}, func(v *Var) {
+	if !x.needGrad && !b.needGrad {
+		return t.Const(out)
+	}
+	return t.Op(out, []*Var{x, b}, func(v *Var) {
 		x.AccumGrad(v.Grad)
 		if b.needGrad {
-			gb := b.tape.NewTensor(1, b.Value.C)
+			gb := t.NewTensor(1, b.Value.C)
 			tensor.ColSumInto(gb, v.Grad)
 			b.AccumGrad(gb)
 		}
@@ -550,16 +604,20 @@ func AddBias(x, b *Var) *Var {
 
 // ReLU returns max(x, 0).
 func ReLU(x *Var) *Var {
-	out := x.tape.NewTensor(x.Value.R, x.Value.C)
+	t := x.tape
+	out := t.NewTensor(x.Value.R, x.Value.C)
 	tensor.ReLUInto(out, x.Value)
-	if x.tape.capturing {
-		x.tape.CaptureRW("relu", func() {
+	if t.capturing {
+		t.CaptureRW("relu", func() {
 			out.ResizeUninit(x.Value.R, x.Value.C)
 			tensor.ReLUInto(out, x.Value)
 		}, []*tensor.Dense{x.Value}, []*tensor.Dense{out})
 	}
-	return x.tape.Op(out, []*Var{x}, func(v *Var) {
-		gx := x.tape.NewTensor(x.Value.R, x.Value.C)
+	if !x.needGrad {
+		return t.Const(out)
+	}
+	return t.Op(out, []*Var{x}, func(v *Var) {
+		gx := t.NewTensor(x.Value.R, x.Value.C)
 		tensor.ReLUGradInto(gx, x.Value, v.Grad)
 		x.AccumGrad(gx)
 	})
@@ -567,16 +625,20 @@ func ReLU(x *Var) *Var {
 
 // Scale returns s*x.
 func Scale(x *Var, s float32) *Var {
-	out := x.tape.NewTensor(x.Value.R, x.Value.C)
+	t := x.tape
+	out := t.NewTensor(x.Value.R, x.Value.C)
 	tensor.ScaleInto(out, x.Value, s)
-	if x.tape.capturing {
-		x.tape.CaptureRW("scale", func() {
+	if t.capturing {
+		t.CaptureRW("scale", func() {
 			out.ResizeUninit(x.Value.R, x.Value.C)
 			tensor.ScaleInto(out, x.Value, s)
 		}, []*tensor.Dense{x.Value}, []*tensor.Dense{out})
 	}
-	return x.tape.Op(out, []*Var{x}, func(v *Var) {
-		gx := x.tape.NewTensor(x.Value.R, x.Value.C)
+	if !x.needGrad {
+		return t.Const(out)
+	}
+	return t.Op(out, []*Var{x}, func(v *Var) {
+		gx := t.NewTensor(x.Value.R, x.Value.C)
 		tensor.ScaleInto(gx, v.Grad, s)
 		x.AccumGrad(gx)
 	})
@@ -585,21 +647,25 @@ func Scale(x *Var, s float32) *Var {
 // Dropout zeroes entries with probability p (rnd yields uniforms in [0,1)),
 // scaling survivors by 1/(1-p). With p <= 0 it is the identity.
 func Dropout(x *Var, p float32, rnd func() float32) *Var {
-	out := x.tape.NewTensor(x.Value.R, x.Value.C)
-	mask := x.tape.NewTensor(x.Value.R, x.Value.C)
+	t := x.tape
+	out := t.NewTensor(x.Value.R, x.Value.C)
+	mask := t.NewTensor(x.Value.R, x.Value.C)
 	tensor.DropoutInto(out, x.Value, mask, p, rnd)
-	if x.tape.capturing {
+	if t.capturing {
 		// Replays re-draw from rnd in op order; since draw counts track the
 		// live shapes, a replayed epoch consumes the same random stream the
 		// eager epoch would, keeping the two bit-identical.
-		x.tape.CaptureRW("dropout", func() {
+		t.CaptureRW("dropout", func() {
 			out.ResizeUninit(x.Value.R, x.Value.C)
 			mask.ResizeUninit(x.Value.R, x.Value.C)
 			tensor.DropoutInto(out, x.Value, mask, p, rnd)
 		}, []*tensor.Dense{x.Value}, []*tensor.Dense{out, mask})
 	}
-	return x.tape.Op(out, []*Var{x}, func(v *Var) {
-		gx := x.tape.NewTensor(x.Value.R, x.Value.C)
+	if !x.needGrad {
+		return t.Const(out)
+	}
+	return t.Op(out, []*Var{x}, func(v *Var) {
+		gx := t.NewTensor(x.Value.R, x.Value.C)
 		tensor.MulInto(gx, v.Grad, mask)
 		x.AccumGrad(gx)
 	})
@@ -612,12 +678,12 @@ func Rows(x *Var, n int) *Var {
 	if n > x.Value.R {
 		panic(fmt.Sprintf("autograd: Rows(%d) of %d-row matrix", n, x.Value.R))
 	}
-	out := x.tape.NewView(n, x.Value.C, x.Value.V[:n*x.Value.C])
-	return x.tape.Op(out, []*Var{x}, func(v *Var) {
-		gx := x.tape.NewTensor(x.Value.R, x.Value.C)
-		copy(gx.V, v.Grad.V) // fills the first v.Grad.R rows, rest stays zero
-		x.AccumGrad(gx)
-	})
+	t := x.tape
+	out := t.NewView(n, x.Value.C, x.Value.V[:n*x.Value.C])
+	if !x.needGrad {
+		return t.Const(out)
+	}
+	return t.Op(out, []*Var{x}, func(v *Var) { rowsBackward(x, v) })
 }
 
 // RowsLive is the capturable variant of Rows: n is re-evaluated on every
@@ -637,11 +703,17 @@ func RowsLive(x *Var, n func() int) *Var {
 			out.V = x.Value.V[:nv*x.Value.C]
 		}, []*tensor.Dense{x.Value}, []*tensor.Dense{out})
 	}
-	return t.Op(out, []*Var{x}, func(v *Var) {
-		gx := t.NewTensor(x.Value.R, x.Value.C)
-		copy(gx.V, v.Grad.V)
-		x.AccumGrad(gx)
-	})
+	if !x.needGrad {
+		return t.Const(out)
+	}
+	return t.Op(out, []*Var{x}, func(v *Var) { rowsBackward(x, v) })
+}
+
+// rowsBackward scatters the gradient of a top-rows slice v of x into x.
+func rowsBackward(x, v *Var) {
+	gx := x.tape.NewTensor(x.Value.R, x.Value.C)
+	copy(gx.V, v.Grad.V) // fills the first v.Grad.R rows, rest stays zero
+	x.AccumGrad(gx)
 }
 
 // ConcatCols returns [a | b] column-wise.
@@ -649,33 +721,31 @@ func ConcatCols(a, b *Var) *Var {
 	if a.Value.R != b.Value.R {
 		panic("autograd: ConcatCols row mismatch")
 	}
+	t := a.tape
 	ca, cb := a.Value.C, b.Value.C
-	out := a.tape.NewTensor(a.Value.R, ca+cb)
-	concat := func() {
-		for i := 0; i < a.Value.R; i++ {
-			copy(out.Row(i)[:ca], a.Value.Row(i))
-			copy(out.Row(i)[ca:], b.Value.Row(i))
-		}
-	}
-	concat()
-	if a.tape.capturing {
+	out := t.NewTensor(a.Value.R, ca+cb)
+	concatCols(out, a.Value, b.Value)
+	if t.capturing {
 		// Column widths are structural (fixed per capture); row counts are
 		// read live.
-		a.tape.CaptureRW("concat", func() {
+		t.CaptureRW("concat", func() {
 			out.ResizeUninit(a.Value.R, ca+cb)
-			concat()
+			concatCols(out, a.Value, b.Value)
 		}, []*tensor.Dense{a.Value, b.Value}, []*tensor.Dense{out})
 	}
-	return a.tape.Op(out, []*Var{a, b}, func(v *Var) {
+	if !a.needGrad && !b.needGrad {
+		return t.Const(out)
+	}
+	return t.Op(out, []*Var{a, b}, func(v *Var) {
 		if a.needGrad {
-			ga := a.tape.NewTensor(a.Value.R, ca)
+			ga := t.NewTensor(a.Value.R, ca)
 			for i := 0; i < a.Value.R; i++ {
 				copy(ga.Row(i), v.Grad.Row(i)[:ca])
 			}
 			a.AccumGrad(ga)
 		}
 		if b.needGrad {
-			gb := b.tape.NewTensor(b.Value.R, cb)
+			gb := t.NewTensor(b.Value.R, cb)
 			for i := 0; i < b.Value.R; i++ {
 				copy(gb.Row(i), v.Grad.Row(i)[ca:])
 			}
@@ -684,28 +754,35 @@ func ConcatCols(a, b *Var) *Var {
 	})
 }
 
+// concatCols writes [a | b] into out, which is [a.R x a.C+b.C].
+func concatCols(out, a, b *tensor.Dense) {
+	for i := 0; i < a.R; i++ {
+		copy(out.Row(i)[:a.C], a.Row(i))
+		copy(out.Row(i)[a.C:], b.Row(i))
+	}
+}
+
 // GatherRows returns the rows of x selected by idx (duplicates allowed);
 // the backward pass scatter-adds the output gradient back into the source
 // rows. Link-prediction heads use it to pull endpoint embeddings out of an
 // encoder's output block.
 func GatherRows(x *Var, idx []int) *Var {
-	out := x.tape.NewTensor(len(idx), x.Value.C)
-	gather := func() {
-		for i, r := range idx {
-			copy(out.Row(i), x.Value.Row(r))
-		}
-	}
-	gather()
-	if x.tape.capturing {
+	t := x.tape
+	out := t.NewTensor(len(idx), x.Value.C)
+	gatherRows(out, x.Value, idx)
+	if t.capturing {
 		// idx is structural: a capture is only valid while the caller keeps
 		// feeding the same index set.
-		x.tape.CaptureRW("gather", func() {
+		t.CaptureRW("gather", func() {
 			out.ResizeUninit(len(idx), x.Value.C)
-			gather()
+			gatherRows(out, x.Value, idx)
 		}, []*tensor.Dense{x.Value}, []*tensor.Dense{out})
 	}
-	return x.tape.Op(out, []*Var{x}, func(v *Var) {
-		gx := x.tape.NewTensor(x.Value.R, x.Value.C)
+	if !x.needGrad {
+		return t.Const(out)
+	}
+	return t.Op(out, []*Var{x}, func(v *Var) {
+		gx := t.NewTensor(x.Value.R, x.Value.C)
 		for i, r := range idx {
 			dst := gx.Row(r)
 			src := v.Grad.Row(i)
@@ -717,32 +794,33 @@ func GatherRows(x *Var, idx []int) *Var {
 	})
 }
 
+// gatherRows copies row idx[i] of x into row i of out.
+func gatherRows(out, x *tensor.Dense, idx []int) {
+	for i, r := range idx {
+		copy(out.Row(i), x.Row(r))
+	}
+}
+
 // RowDot returns the row-wise dot products of a and b as an [n x 1] column.
 func RowDot(a, b *Var) *Var {
 	if !a.Value.SameShape(b.Value) {
 		panic("autograd: RowDot shape mismatch")
 	}
-	out := a.tape.NewTensor(a.Value.R, 1)
-	rowdot := func() {
-		for i := 0; i < a.Value.R; i++ {
-			var s float32
-			ar, br := a.Value.Row(i), b.Value.Row(i)
-			for j := range ar {
-				s += ar[j] * br[j]
-			}
-			out.V[i] = s
-		}
-	}
-	rowdot()
-	if a.tape.capturing {
-		a.tape.CaptureRW("rowdot", func() {
+	t := a.tape
+	out := t.NewTensor(a.Value.R, 1)
+	rowDot(out, a.Value, b.Value)
+	if t.capturing {
+		t.CaptureRW("rowdot", func() {
 			out.ResizeUninit(a.Value.R, 1)
-			rowdot()
+			rowDot(out, a.Value, b.Value)
 		}, []*tensor.Dense{a.Value, b.Value}, []*tensor.Dense{out})
 	}
-	return a.tape.Op(out, []*Var{a, b}, func(v *Var) {
+	if !a.needGrad && !b.needGrad {
+		return t.Const(out)
+	}
+	return t.Op(out, []*Var{a, b}, func(v *Var) {
 		if a.needGrad {
-			ga := a.tape.NewTensor(a.Value.R, a.Value.C)
+			ga := t.NewTensor(a.Value.R, a.Value.C)
 			for i := 0; i < a.Value.R; i++ {
 				g := v.Grad.V[i]
 				br, gr := b.Value.Row(i), ga.Row(i)
@@ -753,7 +831,7 @@ func RowDot(a, b *Var) *Var {
 			a.AccumGrad(ga)
 		}
 		if b.needGrad {
-			gb := b.tape.NewTensor(b.Value.R, b.Value.C)
+			gb := t.NewTensor(b.Value.R, b.Value.C)
 			for i := 0; i < b.Value.R; i++ {
 				g := v.Grad.V[i]
 				ar, gr := a.Value.Row(i), gb.Row(i)
@@ -766,6 +844,18 @@ func RowDot(a, b *Var) *Var {
 	})
 }
 
+// rowDot writes the row-wise dot products of a and b into out ([a.R x 1]).
+func rowDot(out, a, b *tensor.Dense) {
+	for i := 0; i < a.R; i++ {
+		var s float32
+		ar, br := a.Row(i), b.Row(i)
+		for j := range ar {
+			s += ar[j] * br[j]
+		}
+		out.V[i] = s
+	}
+}
+
 // ScaleByScalarPlusOne returns (1 + s) * x where s is a learnable [1 x 1]
 // scalar (the eps of a GIN layer). Gradients flow to both inputs:
 // dx = (1+s)·dy and ds = sum(x ⊙ dy).
@@ -773,21 +863,25 @@ func ScaleByScalarPlusOne(x, s *Var) *Var {
 	if s.Value.R != 1 || s.Value.C != 1 {
 		panic("autograd: scalar must be 1x1")
 	}
-	out := x.tape.NewTensor(x.Value.R, x.Value.C)
+	t := x.tape
+	out := t.NewTensor(x.Value.R, x.Value.C)
 	// The factor is read live inside each closure rather than bound at
 	// record time: the optimizer updates s between a capture and its
 	// replays, and the eager pass reads s before the optimizer runs, so the
 	// two stay equivalent.
 	tensor.ScaleInto(out, x.Value, 1+s.Value.V[0])
-	if x.tape.capturing {
-		x.tape.CaptureRW("scale1p", func() {
+	if t.capturing {
+		t.CaptureRW("scale1p", func() {
 			out.ResizeUninit(x.Value.R, x.Value.C)
 			tensor.ScaleInto(out, x.Value, 1+s.Value.V[0])
 		}, []*tensor.Dense{x.Value, s.Value}, []*tensor.Dense{out})
 	}
-	return x.tape.Op(out, []*Var{x, s}, func(v *Var) {
+	if !x.needGrad && !s.needGrad {
+		return t.Const(out)
+	}
+	return t.Op(out, []*Var{x, s}, func(v *Var) {
 		if x.needGrad {
-			gx := x.tape.NewTensor(x.Value.R, x.Value.C)
+			gx := t.NewTensor(x.Value.R, x.Value.C)
 			tensor.ScaleInto(gx, v.Grad, 1+s.Value.V[0])
 			x.AccumGrad(gx)
 		}
@@ -796,7 +890,7 @@ func ScaleByScalarPlusOne(x, s *Var) *Var {
 			for i, g := range v.Grad.V {
 				dot += float64(g) * float64(x.Value.V[i])
 			}
-			gs := s.tape.NewTensor(1, 1)
+			gs := t.NewTensor(1, 1)
 			gs.V[0] = float32(dot)
 			s.AccumGrad(gs)
 		}
@@ -812,36 +906,22 @@ func SegmentMeanRows(x *Var, offsets []int) *Var {
 	if nSeg < 0 || offsets[nSeg] > x.Value.R {
 		panic("autograd: bad segment offsets")
 	}
-	out := x.tape.NewTensor(nSeg, x.Value.C)
-	pool := func() {
-		for g := 0; g < nSeg; g++ {
-			lo, hi := offsets[g], offsets[g+1]
-			if hi <= lo {
-				continue
-			}
-			or := out.Row(g)
-			for r := lo; r < hi; r++ {
-				for j, v := range x.Value.Row(r) {
-					or[j] += v
-				}
-			}
-			inv := 1 / float32(hi-lo)
-			for j := range or {
-				or[j] *= inv
-			}
-		}
-	}
-	pool()
-	if x.tape.capturing {
+	t := x.tape
+	out := t.NewTensor(nSeg, x.Value.C)
+	segmentMean(out, x.Value, offsets)
+	if t.capturing {
 		// offsets are structural; Resize zeroes out so empty segments stay
 		// zero rows on every replay.
-		x.tape.CaptureRW("segmean", func() {
+		t.CaptureRW("segmean", func() {
 			out.Resize(nSeg, x.Value.C)
-			pool()
+			segmentMean(out, x.Value, offsets)
 		}, []*tensor.Dense{x.Value}, []*tensor.Dense{out})
 	}
-	return x.tape.Op(out, []*Var{x}, func(v *Var) {
-		gx := x.tape.NewTensor(x.Value.R, x.Value.C)
+	if !x.needGrad {
+		return t.Const(out)
+	}
+	return t.Op(out, []*Var{x}, func(v *Var) {
+		gx := t.NewTensor(x.Value.R, x.Value.C)
 		for g := 0; g < nSeg; g++ {
 			lo, hi := offsets[g], offsets[g+1]
 			if hi <= lo {
@@ -858,4 +938,25 @@ func SegmentMeanRows(x *Var, offsets []int) *Var {
 		}
 		x.AccumGrad(gx)
 	})
+}
+
+// segmentMean accumulates the mean of each row segment of x into out, which
+// must be zeroed, [len(offsets)-1 x x.C].
+func segmentMean(out, x *tensor.Dense, offsets []int) {
+	for g := 0; g+1 < len(offsets); g++ {
+		lo, hi := offsets[g], offsets[g+1]
+		if hi <= lo {
+			continue
+		}
+		or := out.Row(g)
+		for r := lo; r < hi; r++ {
+			for j, v := range x.Row(r) {
+				or[j] += v
+			}
+		}
+		inv := 1 / float32(hi-lo)
+		for j := range or {
+			or[j] *= inv
+		}
+	}
 }

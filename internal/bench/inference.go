@@ -91,6 +91,7 @@ func Inference(cfg Config) ([]InferenceResult, error) {
 			ids = dedupIDs(ids, ds.Spec.Nodes)
 			batch, _ := ld.BuildBatch(ids)
 			tp := autograd.NewTape()
+			tp.ResetNoGrad()
 			model.Forward(m1.Devs[0], tp, batch, false)
 		}
 		sampled := m1.Devs[0].Now() * float64(batches) / float64(measure)

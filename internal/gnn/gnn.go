@@ -184,9 +184,10 @@ func chargeEltwiseFwd(dev *sim.Device, x *autograd.Var) {
 // tape-replay time, when out's gradient is actually computed — mirroring
 // how Linear charges its backward GEMMs. in is the op's input: declaring
 // the hook as producing in's gradient (OnBackwardFor) gives the charge its
-// own node in the whole-step scheduler's DAG.
+// own node in the whole-step scheduler's DAG. A node that needs no gradient
+// gets no hook: it could never fire.
 func hookEltwiseBwd(dev *sim.Device, out, in *autograd.Var) {
-	if dev != nil {
+	if dev != nil && out.NeedsGrad() {
 		out.OnBackwardFor(in, func() { nn.ChargeElementwiseBackward(dev, int64(len(out.Value.V))) })
 	}
 }

@@ -310,9 +310,13 @@ func (t *Trainer) unionBatch(ids []int) (*spops.SubCSR, *tensor.Dense, []int, []
 	return blk, feat, offsets, labels
 }
 
-// forward encodes a union block and returns pooled per-graph logits.
+// forward encodes a union block and returns pooled per-graph logits. Without
+// train nothing is recorded.
 func (t *Trainer) forward(blk *spops.SubCSR, feat *tensor.Dense, offsets []int, train bool) (*autograd.Tape, *autograd.Var) {
 	tp := autograd.NewTape()
+	if !train {
+		tp.ResetNoGrad()
+	}
 	t.Encoder.Params().Bind(tp)
 	x := tp.Const(feat)
 	for l := 0; l < t.Encoder.NumLayers(); l++ {

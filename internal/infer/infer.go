@@ -192,7 +192,7 @@ func (e *Engine) Run() (*tensor.Dense, error) {
 			model := e.replicas[r]
 			sc := e.scratch[r]
 			tp := sc.tape
-			tp.Reset()
+			tp.ResetNoGrad()
 			if e.Chunks > 1 {
 				e.runRankChunked(dev, model, sc, l, last, r, in, inDim, out, outDim)
 				return

@@ -161,10 +161,13 @@ func searchRow(rowptr []int64, e int64) int64 {
 }
 
 // score encodes the batch's endpoints and returns the per-pair dot scores
-// plus the tape they were computed on.
+// plus the tape they were computed on. Without train nothing is recorded.
 func (t *Trainer) score(b pairBatch, train bool) (*autograd.Tape, *autograd.Var) {
 	batch, _ := t.loader.BuildBatch(b.nodes)
 	tp := autograd.NewTape()
+	if !train {
+		tp.ResetNoGrad()
+	}
 	emb := t.Encoder.Forward(t.Dev, tp, batch, train)
 	eu := autograd.GatherRows(emb, b.u)
 	ev := autograd.GatherRows(emb, b.v)

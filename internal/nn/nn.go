@@ -138,7 +138,9 @@ func NewLinear(s *ParamSet, name string, in, out int, rng *rand.Rand) *Linear {
 // targeted hooks (OnBackwardFor): they are independent GEMMs, and the
 // whole-step scheduler exploits that by placing them on different streams.
 // The forward charge is captured after the matmul step so it rides the
-// matmul's DAG node on replays. dev may be nil for pure computation.
+// matmul's DAG node on replays. The hooks are registered only on a matmul
+// that needs a gradient: on any other node they could never fire. dev may be
+// nil for pure computation.
 func (l *Linear) Apply(dev *sim.Device, x *autograd.Var) *autograd.Var {
 	tp := x.Tape()
 	ChargeLinearForward(dev, x.Value.R, l.In, l.Out)
@@ -147,7 +149,7 @@ func (l *Linear) Apply(dev *sim.Device, x *autograd.Var) *autograd.Var {
 	if dev != nil && tp.Capturing() {
 		tp.Capture(func() { ChargeLinearForward(dev, x.Value.R, l.In, l.Out) })
 	}
-	if dev != nil {
+	if dev != nil && mm.NeedsGrad() {
 		// Row count is read live so replayed iterations charge the GEMMs of
 		// their own batch size.
 		mm.OnBackwardFor(x, func() { ChargeLinearBackwardDX(dev, x.Value.R, l.In, l.Out) })

@@ -2,7 +2,7 @@ package serve
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 // ReplicaStats summarizes one replica's share of a run.
@@ -77,7 +77,13 @@ func (s *Server) aggregate(trace []*Request) *Result {
 			res.EfSearch = s.index.Opts.EfSearch
 		}
 	}
-	var lat []float64
+	served := 0
+	for _, q := range trace {
+		if q.Outcome == OutcomeServed {
+			served++
+		}
+	}
+	lat := make([]float64, 0, served)
 	within := 0
 	lastDone := 0.0
 	firstArrival := 0.0
@@ -117,15 +123,14 @@ func (s *Server) aggregate(trace []*Request) *Result {
 	if res.Served > 0 {
 		res.Recall /= float64(res.Served)
 		res.MeanLatency /= float64(res.Served)
-		res.P50 = percentile(lat, 0.50)
-		res.P95 = percentile(lat, 0.95)
-		res.P99 = percentile(lat, 0.99)
+		res.P50, res.P95, res.P99 = latencyPercentiles(lat)
 		res.SLOAttainment = float64(within) / float64(res.Served)
 	}
 	if res.Duration > 0 {
 		res.Throughput = float64(res.Served) / res.Duration
 		res.Goodput = float64(within) / res.Duration
 	}
+	res.PerReplica = make([]ReplicaStats, 0, len(s.replicas))
 	for _, rep := range s.replicas {
 		st := ReplicaStats{
 			Replica:         rep.id,
@@ -161,20 +166,19 @@ func (s *Server) aggregate(trace []*Request) *Result {
 	return res
 }
 
-// percentile returns the nearest-rank p-quantile (0 < p <= 1) of the
-// values; it sorts a copy, so the caller's order is preserved.
-func percentile(vals []float64, p float64) float64 {
-	if len(vals) == 0 {
-		return 0
+// latencyPercentiles sorts lat in place, once, and returns its nearest-rank
+// 50th, 95th and 99th percentiles (zeros for no values).
+func latencyPercentiles(lat []float64) (p50, p95, p99 float64) {
+	if len(lat) == 0 {
+		return 0, 0, 0
 	}
-	s := append([]float64(nil), vals...)
-	sort.Float64s(s)
-	k := int(math.Ceil(p*float64(len(s)))) - 1
-	if k < 0 {
-		k = 0
-	}
-	if k >= len(s) {
-		k = len(s) - 1
-	}
-	return s[k]
+	slices.Sort(lat)
+	return nearestRank(lat, 0.50), nearestRank(lat, 0.95), nearestRank(lat, 0.99)
+}
+
+// nearestRank returns the nearest-rank p-quantile (0 < p <= 1) of the
+// non-empty ascending slice sorted.
+func nearestRank(sorted []float64, p float64) float64 {
+	k := int(math.Ceil(p*float64(len(sorted)))) - 1
+	return sorted[max(0, min(k, len(sorted)-1))]
 }

@@ -220,7 +220,7 @@ func (r *replica) runBatch(batch []*Request, tStart float64) float64 {
 	// Forward on the compute stream, queued behind the previous batch's
 	// forward and gated on the gather.
 	dev.IdleUntil(buildDone)
-	r.tape.Reset()
+	r.tape.ResetNoGrad()
 	logits := r.model.Forward(dev, r.tape, b, false)
 	classes := logits.Value.C
 	// Response extraction: one streaming argmax over the logits.

@@ -386,11 +386,19 @@ func (s *Server) generate() []*Request {
 }
 
 // route assigns every request a replica under the configured policy and
-// returns the per-replica streams (still in arrival order).
+// returns the per-replica streams (still in arrival order), each sized by a
+// first counting pass.
 func (s *Server) route(reqs []*Request) [][]*Request {
-	out := make([][]*Request, len(s.replicas))
+	counts := make([]int, len(s.replicas))
 	for _, q := range reqs {
 		q.Replica = s.routeOne(q)
+		counts[q.Replica]++
+	}
+	out := make([][]*Request, len(s.replicas))
+	for r, n := range counts {
+		out[r] = make([]*Request, 0, n)
+	}
+	for _, q := range reqs {
 		out[q.Replica] = append(out[q.Replica], q)
 	}
 	return out

@@ -355,6 +355,39 @@ func TestOptionsValidate(t *testing.T) {
 	}
 }
 
+// TestServeRunAllocsIndependentOfRequests pins the serving hot path's
+// allocation contract: once warm, a Run allocates per stream — the trace,
+// the routed streams, the result — and nothing per request or per batch.
+// The forward records no tape (the replicas reset it for no-grad), the routed
+// streams and the latency list are sized before they are filled, and the
+// percentiles come from one in-place sort. So 8000 requests allocate no
+// more than 2000 do (one object of slack); a list that grew by appending
+// would add an allocation per doubling.
+func TestServeRunAllocsIndependentOfRequests(t *testing.T) {
+	prev := sim.SetParallel(false)
+	defer sim.SetParallel(prev)
+	ds := testDataset(t)
+	m, s := newServer(t, ds, 2, baseOpts())
+	runN := func(n int) float64 {
+		s.Opts.Requests = n
+		return testing.AllocsPerRun(3, func() {
+			m.Reset()
+			if _, err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	// Warm every pool past the shapes the measured streams reach: the
+	// sampler's stream runs on across Runs, so a new largest batch still
+	// grows a buffer now and then.
+	runN(16000)
+	small, large := runN(2000), runN(8000)
+	t.Logf("allocations per Run: %.0f at 2000 requests, %.0f at 8000", small, large)
+	if large > small+1 {
+		t.Errorf("a Run of 8000 requests allocates %.0f times, of 2000 %.0f: the count grows with the stream", large, small)
+	}
+}
+
 func TestPercentileMath(t *testing.T) {
 	// Exercised through a run with a known tiny trace: one replica, huge
 	// MaxDelay forces full batches, so latencies are deterministic and the

@@ -37,27 +37,17 @@ func SpMM(dev *sim.Device, be Backend, g *SubCSR, x *autograd.Var, w *autograd.V
 	}
 
 	tp := x.Tape()
-	norm := tp.Scratch(g.NumTargets)
-	spmmNorms(g, agg, norm)
-	staticW := func(e int64) float32 {
-		if g.EdgeW == nil {
-			return 1
-		}
-		return g.EdgeW[e]
-	}
-
+	// The per-target norms live in a tape tensor so a replay can regrow them
+	// in place, where the backward closure below reads them.
+	norm := tp.NewTensor(g.NumTargets, 1)
+	spmmNorms(g, agg, norm.V)
 	out := tp.NewTensor(g.NumTargets, d)
-	var msgs *tensor.Dense
-	if be == BackendPyG {
-		msgs = tp.NewTensor(int(g.NumEdges()), d)
-	}
-	spmmRun(be, g, x.Value, w, norm, msgs, out)
+	msgs := spmmMessages(tp, be, g, d)
+	spmmRun(be, g, x.Value, w, norm.V, msgs, out)
 	chargeSpMMForward(dev, be, g, d)
 	if tp.Capturing() {
 		// Replays re-read the block (same SubCSR pointer, fields rebuilt per
-		// batch): norms, shapes and charges all track the live topology. The
-		// backward closure below shares the norm variable, so a growth
-		// reallocation here is visible to it too.
+		// batch): norms, shapes and charges all track the live topology.
 		reads := []*tensor.Dense{x.Value}
 		if w != nil {
 			reads = append(reads, w.Value)
@@ -67,30 +57,32 @@ func SpMM(dev *sim.Device, be Backend, g *SubCSR, x *autograd.Var, w *autograd.V
 			writes = append(writes, msgs)
 		}
 		tp.CaptureRW("spmm", func() {
-			if g.NumTargets > len(norm) {
-				norm = make([]float32, g.NumTargets)
-			}
-			spmmNorms(g, agg, norm)
+			norm.ResizeUninit(g.NumTargets, 1)
+			spmmNorms(g, agg, norm.V)
 			out.Resize(g.NumTargets, d)
 			if msgs != nil {
 				msgs.Resize(int(g.NumEdges()), d)
 			}
-			spmmRun(be, g, x.Value, w, norm, msgs, out)
+			spmmRun(be, g, x.Value, w, norm.V, msgs, out)
 			chargeSpMMForward(dev, be, g, d)
 		}, reads, writes)
 	}
 
-	inputs := []*autograd.Var{x}
-	if w != nil {
-		inputs = append(inputs, w)
+	if !x.NeedsGrad() && (w == nil || !w.NeedsGrad()) {
+		return tp.Const(out)
 	}
-	return tp.Op(out, inputs, func(v *autograd.Var) {
+	inputs := [2]*autograd.Var{x, w}
+	n := 1
+	if w != nil {
+		n = 2
+	}
+	return tp.Op(out, inputs[:n], func(v *autograd.Var) {
 		if x.NeedsGrad() {
 			gx := tp.NewTensor(g.NumNodes, d)
 			for t := 0; t < g.NumTargets; t++ {
 				gr := v.Grad.Row(t)
 				for e := g.RowPtr[t]; e < g.RowPtr[t+1]; e++ {
-					we := norm[t] * staticW(e)
+					we := norm.V[t] * staticWeight(g, e)
 					if w != nil {
 						we *= w.Value.V[e]
 					}
@@ -110,13 +102,31 @@ func SpMM(dev *sim.Device, be Backend, g *SubCSR, x *autograd.Var, w *autograd.V
 					for j, gv := range gr {
 						dot += gv * src[j]
 					}
-					gw.V[e] = norm[t] * staticW(e) * dot
+					gw.V[e] = norm.V[t] * staticWeight(g, e) * dot
 				}
 			}
 			chargeSDDMM(dev, g, d)
 			w.AccumGrad(gw)
 		}
 	})
+}
+
+// spmmMessages returns the [E x d] per-edge message buffer of BackendPyG,
+// and nil for the fused backends.
+func spmmMessages(tp *autograd.Tape, be Backend, g *SubCSR, d int) *tensor.Dense {
+	if be != BackendPyG {
+		return nil
+	}
+	return tp.NewTensor(int(g.NumEdges()), d)
+}
+
+// staticWeight is the static weight of sampled edge e of g (1 without
+// EdgeW).
+func staticWeight(g *SubCSR, e int64) float32 {
+	if g.EdgeW == nil {
+		return 1
+	}
+	return g.EdgeW[e]
 }
 
 // spmmNorms fills norm[t] for every target of g: 1 for AggSum, the inverse
@@ -148,12 +158,6 @@ func spmmNorms(g *SubCSR, agg Agg, norm []float32) {
 // [E x d]). All graph fields are read live so a captured closure can re-run
 // it against a rebuilt block.
 func spmmRun(be Backend, g *SubCSR, xVal *tensor.Dense, w *autograd.Var, norm []float32, msgs, out *tensor.Dense) {
-	staticW := func(e int64) float32 {
-		if g.EdgeW == nil {
-			return 1
-		}
-		return g.EdgeW[e]
-	}
 	switch be {
 	case BackendPyG:
 		// Materialize per-edge messages, then segment-reduce.
@@ -161,7 +165,7 @@ func spmmRun(be Backend, g *SubCSR, xVal *tensor.Dense, w *autograd.Var, norm []
 			for e := g.RowPtr[t]; e < g.RowPtr[t+1]; e++ {
 				src := xVal.Row(int(g.Col[e]))
 				dst := msgs.Row(int(e))
-				we := staticW(e)
+				we := staticWeight(g, e)
 				if w != nil {
 					we *= w.Value.V[e]
 				}
@@ -193,7 +197,7 @@ func spmmRun(be Backend, g *SubCSR, xVal *tensor.Dense, w *autograd.Var, norm []
 			for lo := g.RowPtr[t]; lo < g.RowPtr[t+1]; lo += int64(len(we)) {
 				hi := min(lo+int64(len(we)), g.RowPtr[t+1])
 				for e := lo; e < hi; e++ {
-					c := norm[t] * staticW(e)
+					c := norm[t] * staticWeight(g, e)
 					if w != nil {
 						c *= w.Value.V[e]
 					}
@@ -217,21 +221,17 @@ func EdgeScore(dev *sim.Device, g *SubCSR, sl, sr *autograd.Var) *autograd.Var {
 	}
 	tp := sl.Tape()
 	out := tp.NewTensor(int(g.NumEdges()), 1)
-	score := func() {
-		for t := 0; t < g.NumTargets; t++ {
-			for e := g.RowPtr[t]; e < g.RowPtr[t+1]; e++ {
-				out.V[e] = sl.Value.V[t] + sr.Value.V[g.Col[e]]
-			}
-		}
-	}
-	score()
+	edgeScore(out, g, sl.Value, sr.Value)
 	chargeSDDMM(dev, g, 1)
 	if tp.Capturing() {
 		tp.CaptureRW("sddmm", func() {
 			out.ResizeUninit(int(g.NumEdges()), 1)
-			score()
+			edgeScore(out, g, sl.Value, sr.Value)
 			chargeSDDMM(dev, g, 1)
 		}, []*tensor.Dense{sl.Value, sr.Value}, []*tensor.Dense{out})
+	}
+	if !sl.NeedsGrad() && !sr.NeedsGrad() {
+		return tp.Const(out)
 	}
 	return tp.Op(out, []*autograd.Var{sl, sr}, func(v *autograd.Var) {
 		if sl.NeedsGrad() {
@@ -256,24 +256,29 @@ func EdgeScore(dev *sim.Device, g *SubCSR, sl, sr *autograd.Var) *autograd.Var {
 	})
 }
 
+// edgeScore writes sl[t] + sr[s] for every sampled edge e=(t<-s) of g into
+// out.
+func edgeScore(out *tensor.Dense, g *SubCSR, sl, sr *tensor.Dense) {
+	for t := 0; t < g.NumTargets; t++ {
+		for e := g.RowPtr[t]; e < g.RowPtr[t+1]; e++ {
+			out.V[e] = sl.V[t] + sr.V[g.Col[e]]
+		}
+	}
+}
+
 // EdgeLeakyReLU applies LeakyReLU elementwise to an edge vector.
 func EdgeLeakyReLU(dev *sim.Device, x *autograd.Var, slope float32) *autograd.Var {
 	tp := x.Tape()
 	out := tp.NewTensor(x.Value.R, x.Value.C)
-	lrelu := func() {
-		for i, v := range x.Value.V {
-			out.V[i] = tensor.LeakyReLU(v, slope)
-		}
-		if dev != nil {
-			dev.Kernel(sim.KernelCost{StreamBytes: float64(8 * len(x.Value.V)), Tag: "leakyrelu"})
-		}
-	}
-	lrelu()
+	edgeLeakyReLU(dev, out, x.Value, slope)
 	if tp.Capturing() {
 		tp.CaptureRW("leakyrelu", func() {
 			out.ResizeUninit(x.Value.R, x.Value.C)
-			lrelu()
+			edgeLeakyReLU(dev, out, x.Value, slope)
 		}, []*tensor.Dense{x.Value}, []*tensor.Dense{out})
+	}
+	if !x.NeedsGrad() {
+		return tp.Const(out)
 	}
 	return tp.Op(out, []*autograd.Var{x}, func(v *autograd.Var) {
 		gx := tp.NewTensor(x.Value.R, x.Value.C)
@@ -284,6 +289,16 @@ func EdgeLeakyReLU(dev *sim.Device, x *autograd.Var, slope float32) *autograd.Va
 	})
 }
 
+// edgeLeakyReLU writes LeakyReLU(x) into out and charges the pass to dev.
+func edgeLeakyReLU(dev *sim.Device, out, x *tensor.Dense, slope float32) {
+	for i, v := range x.V {
+		out.V[i] = tensor.LeakyReLU(v, slope)
+	}
+	if dev != nil {
+		dev.Kernel(sim.KernelCost{StreamBytes: float64(8 * len(x.V)), Tag: "leakyrelu"})
+	}
+}
+
 // SegmentSoftmax normalizes the edge scores of each target's segment to a
 // probability distribution (the attention softmax of GAT).
 func SegmentSoftmax(dev *sim.Device, g *SubCSR, e *autograd.Var) *autograd.Var {
@@ -292,37 +307,16 @@ func SegmentSoftmax(dev *sim.Device, g *SubCSR, e *autograd.Var) *autograd.Var {
 	}
 	tp := e.Tape()
 	out := tp.NewTensor(e.Value.R, 1)
-	softmax := func() {
-		for t := 0; t < g.NumTargets; t++ {
-			lo, hi := g.RowPtr[t], g.RowPtr[t+1]
-			if lo == hi {
-				continue
-			}
-			maxv := e.Value.V[lo]
-			for i := lo + 1; i < hi; i++ {
-				if e.Value.V[i] > maxv {
-					maxv = e.Value.V[i]
-				}
-			}
-			var sum float64
-			for i := lo; i < hi; i++ {
-				sum += math.Exp(float64(e.Value.V[i] - maxv))
-			}
-			for i := lo; i < hi; i++ {
-				out.V[i] = float32(math.Exp(float64(e.Value.V[i]-maxv)) / sum)
-			}
-		}
-		if dev != nil {
-			dev.Kernel(sim.KernelCost{StreamBytes: float64(4 * 4 * e.Value.R), Tag: "segsoftmax"})
-		}
-	}
-	softmax()
+	segmentSoftmax(dev, g, out, e.Value)
 	if tp.Capturing() {
 		tp.CaptureRW("segsoftmax", func() {
 			// Resize zeroes out, so edges of empty segments stay zero.
 			out.Resize(e.Value.R, 1)
-			softmax()
+			segmentSoftmax(dev, g, out, e.Value)
 		}, []*tensor.Dense{e.Value}, []*tensor.Dense{out})
+	}
+	if !e.NeedsGrad() {
+		return tp.Const(out)
 	}
 	return tp.Op(out, []*autograd.Var{e}, func(v *autograd.Var) {
 		ge := tp.NewTensor(e.Value.R, 1)
@@ -338,4 +332,32 @@ func SegmentSoftmax(dev *sim.Device, g *SubCSR, e *autograd.Var) *autograd.Var {
 		}
 		e.AccumGrad(ge)
 	})
+}
+
+// segmentSoftmax writes the per-target softmax of the edge scores e into
+// out (zeroed, so edges of empty segments stay zero) and charges the pass to
+// dev.
+func segmentSoftmax(dev *sim.Device, g *SubCSR, out, e *tensor.Dense) {
+	for t := 0; t < g.NumTargets; t++ {
+		lo, hi := g.RowPtr[t], g.RowPtr[t+1]
+		if lo == hi {
+			continue
+		}
+		maxv := e.V[lo]
+		for i := lo + 1; i < hi; i++ {
+			if e.V[i] > maxv {
+				maxv = e.V[i]
+			}
+		}
+		var sum float64
+		for i := lo; i < hi; i++ {
+			sum += math.Exp(float64(e.V[i] - maxv))
+		}
+		for i := lo; i < hi; i++ {
+			out.V[i] = float32(math.Exp(float64(e.V[i]-maxv)) / sum)
+		}
+	}
+	if dev != nil {
+		dev.Kernel(sim.KernelCost{StreamBytes: float64(4 * 4 * e.R), Tag: "segsoftmax"})
+	}
 }

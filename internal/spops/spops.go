@@ -17,6 +17,12 @@
 //     per-edge messages into an [E x d] buffer before reducing, and the
 //     backward scatters through the same buffer, tripling memory traffic
 //     and kernel launches.
+//
+// Like the built-in autograd ops, every op here computes and charges its
+// forward unconditionally, then returns a value-only result (Tape.Const)
+// when no input needs a gradient, so a forward-only pass builds no backward
+// closure. The forward kernels are plain functions shared by the eager call
+// and the captured replay.
 package spops
 
 import (

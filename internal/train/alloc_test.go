@@ -8,13 +8,15 @@ import (
 
 // epochAllocBudget bounds per-iteration steady-state allocations once the
 // trainer is warm (tapes, arenas, dedupers, loader scratch all populated by
-// the first epoch). The residue per iteration is the backward closures the
-// autograd ops record plus a handful of per-epoch slices (shuffled batch
-// list, stats) amortized over the epoch — nothing proportional to batch
-// size, fanout, or feature width. The seed code allocated hundreds of times
-// per iteration (every tensor, neighborhood, hash table, and sort buffer
-// was fresh); this test fails tier-1 if that regresses.
-const epochAllocBudget = 44 // per iteration
+// the first epoch). The residue per iteration is the backward closures and
+// backward-charge hooks of the ops a gradient reaches (layer 0's slicing,
+// aggregation and concatenation of constant features record nothing) plus
+// a handful of per-epoch slices (shuffled batch list, stats) amortized over
+// the epoch — nothing proportional to batch size, fanout, or feature width.
+// The seed code allocated hundreds of times per iteration (every tensor,
+// neighborhood, hash table, and sort buffer was fresh); this test fails
+// tier-1 if that regresses.
+const epochAllocBudget = 19 // per iteration
 
 // steadyStateAllocs warms a small trainer (two epochs populate every pool
 // with this workload's shapes, and both ring slots) and returns the

@@ -769,7 +769,7 @@ func (t *Trainer) inferBatches(ids []int64, visit func(off int, logits *tensor.D
 		}
 		b, _ := t.loaders[0].BuildBatch(uniq)
 		tp := t.tapes[0]
-		tp.Reset()
+		tp.ResetNoGrad()
 		visit(off, model.Forward(dev, tp, b, false).Value, slot)
 	}
 	return nil

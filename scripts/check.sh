@@ -57,6 +57,10 @@ go test -run '^$' -fuzz '^FuzzTopoAccess$' -fuzztime 10s ./internal/topostore
 # matrices and start gates: link bytes conserved, no clock going back, no
 # device done before its gate, two fresh machines identical.
 go test -run '^$' -fuzz '^FuzzCollectives$' -fuzztime 10s ./internal/sim
+# Random architectures, depths, widths, head counts, backends and batch
+# shapes: the no-grad forward against the recording one, logits bit for bit
+# and both device clocks and counters equal.
+go test -run '^$' -fuzz '^FuzzForwardNoGrad$' -fuzztime 10s ./internal/gnn
 # The benchmark is its own module (benchmark/go.mod), so the commands above
 # never compile it: vet it and run its toy-size smoke (< 10 s), or a changed
 # internal/* signature breaks the harness unseen.
