@@ -356,10 +356,9 @@ func BenchmarkFullGraphInference(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	lw := tr.Models[0].(wholegraph.LayerwiseModel)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := wholegraph.FullGraphInference(tr.Stores[0], lw); err != nil {
+		if _, err := wholegraph.FullGraphInference(tr.Stores[0], tr.Models[0]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -74,10 +74,6 @@ func main() {
 		Layers: len(fanouts), Heads: 4, Backend: wholegraph.BackendNative,
 		Seed: *seed,
 	})
-	lw, ok := m.(wholegraph.LayerwiseModel)
-	if !ok {
-		fatal(fmt.Errorf("model %q does not support layer-wise serving", *model))
-	}
 	so, err := storage.StoreOptions()
 	if err != nil {
 		fatal(err)
@@ -92,7 +88,7 @@ func main() {
 	var srv *wholegraph.Server
 	switch *workload {
 	case wholegraph.WorkloadInference:
-		srv, err = wholegraph.NewServer(machine, 0, ds, lw, sopts)
+		srv, err = wholegraph.NewServer(machine, 0, ds, m, sopts)
 	case wholegraph.WorkloadRetrieval:
 		// Retrieval serves top-K neighbors out of an HNSW index over the
 		// model's final-layer embeddings: embed the whole graph layer-wise,
@@ -103,7 +99,7 @@ func main() {
 			fatal(serr)
 		}
 		fmt.Printf("embedding %d nodes and building the HNSW index...\n", spec.Nodes)
-		emb, eerr := wholegraph.FullGraphEmbeddings(store, lw)
+		emb, eerr := wholegraph.FullGraphEmbeddings(store, m)
 		if eerr != nil {
 			fatal(eerr)
 		}

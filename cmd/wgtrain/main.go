@@ -142,12 +142,8 @@ func main() {
 		if len(trainer.Stores) == 0 {
 			fatal(fmt.Errorf("-full-infer requires -framework wholegraph"))
 		}
-		lw, ok := trainer.Models[0].(wholegraph.LayerwiseModel)
-		if !ok {
-			fatal(fmt.Errorf("model does not support layer-wise inference"))
-		}
 		t0 := machine.MaxTime()
-		out, err := wholegraph.FullGraphInference(trainer.Stores[0], lw)
+		out, err := wholegraph.FullGraphInference(trainer.Stores[0], trainer.Models[0])
 		if err != nil {
 			fatal(err)
 		}

@@ -37,9 +37,8 @@ func main() {
 	}
 
 	// Full-graph layer-wise inference: one pass, every node.
-	lw := trainer.Models[0].(wholegraph.LayerwiseModel)
 	t0 := machine.MaxTime()
-	logits, err := wholegraph.FullGraphInference(trainer.Stores[0], lw)
+	logits, err := wholegraph.FullGraphInference(trainer.Stores[0], trainer.Models[0])
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func main() {
 	for e := 0; e < 5; e++ {
 		trainer.RunEpoch()
 	}
-	model := trainer.Models[0].(wholegraph.LayerwiseModel)
+	model := trainer.Models[0]
 
 	// Embed the whole graph and index the table on a 4-GPU deployment.
 	cfg := wholegraph.DGXA100Config(1)

@@ -36,7 +36,7 @@ func main() {
 	for e := 0; e < 5; e++ {
 		trainer.RunEpoch()
 	}
-	model := trainer.Models[0].(wholegraph.LayerwiseModel)
+	model := trainer.Models[0]
 
 	// Deploy on a 2-GPU node and serve the same stream both ways. The rate
 	// is set above the unbatched capacity, so batch=1 visibly overloads.

@@ -117,15 +117,16 @@ type Tape struct {
 	watchIdx map[*Var]int
 
 	// Step capture/replay state (see BeginCapture). While capturing, op
-	// constructors append replay closures to program; the backward pass
-	// records every gradient tensor it allocates into bwdSeq so replays can
-	// rebind the same buffers instead of allocating.
-	capturing bool
-	program   []progStep
-	capBwd    bool
-	replayBwd bool
-	bwdSeq    []*tensor.Dense
-	bwdCursor int
+	// constructors append replay closures to program and the backward pass
+	// records every gradient tensor it allocates into bwdSeq; once EndCapture
+	// has frozen the tape, its backward passes hand those buffers back in the
+	// same order instead of allocating. inBackward is set during a backward
+	// pass, the only time either happens.
+	capturing, frozen bool
+	inBackward        bool
+	program           []progStep
+	bwdSeq            []*tensor.Dense
+	bwdCursor         int
 	// obs, when non-nil, is notified of each replayed step's dependency
 	// metadata (see ReplayObserver); set by the whole-step scheduler for
 	// the duration of a scheduled replay.
@@ -143,9 +144,10 @@ type progStep struct {
 	open          bool
 }
 
-// ReplayObserver is notified, during ReplayForward/ReplayBackward, of each
-// step that should become a node in a whole-step dependency DAG, just
-// before the step's math (and therefore its device charges) runs:
+// ReplayObserver is notified, during ReplayForward and a frozen tape's
+// backward pass, of each step that should become a node in a whole-step
+// dependency DAG, just before the step's math (and therefore its device
+// charges) runs:
 // ForwardNode for each CaptureRW step with the tensors it reads/writes,
 // BackwardNode for each tape node's backward closure, HookNode for each
 // targeted backward hook (OnBackwardFor). Implemented by internal/sched.
@@ -186,7 +188,7 @@ func (t *Tape) NewTensor(r, c int) *tensor.Dense { return t.newTensor(r, c, true
 func (t *Tape) newProduct(r, c int) *tensor.Dense { return t.newTensor(r, c, false) }
 
 func (t *Tape) newTensor(r, c int, zero bool) *tensor.Dense {
-	if t != nil && t.replayBwd {
+	if t != nil && t.inBackward && t.frozen {
 		// Replaying a captured backward pass: hand back the tensors the
 		// capture run allocated, in the same deterministic order, resized
 		// to the live shapes.
@@ -202,7 +204,7 @@ func (t *Tape) newTensor(r, c int, zero bool) *tensor.Dense {
 		}
 		return d
 	}
-	if t != nil && t.capBwd {
+	if t != nil && t.inBackward && t.capturing {
 		d := tensor.New(r, c)
 		t.bwdSeq = append(t.bwdSeq, d)
 		return d
@@ -268,7 +270,7 @@ func (t *Tape) Reset() {
 // tensor as a constant, so no op of the forward needs a gradient and none is
 // recorded: values and device charges are those of a recording forward, but
 // no backward closure, input list or backward hook is built. Backward,
-// BackwardHooked, ReplayBackward and BeginCapture panic in this mode.
+// BackwardHooked and BeginCapture panic in this mode.
 func (t *Tape) ResetNoGrad() {
 	t.Reset()
 	t.noGrad = true
@@ -346,7 +348,9 @@ func (t *Tape) Op(out *tensor.Dense, inputs []*Var, back func(v *Var)) *Var {
 }
 
 // Backward seeds loss.Grad with seed (same shape as loss.Value) and runs the
-// tape in reverse, accumulating gradients into all parameters.
+// tape in reverse, accumulating gradients into all parameters. On a tape
+// frozen by EndCapture it is the allocation-free replay of the captured
+// backward pass: every gradient lands in the buffer its capture run used.
 func (t *Tape) Backward(loss *Var, seed *tensor.Dense) {
 	t.mustRecord("Backward")
 	t.replay(loss, seed, nil, nil)
@@ -371,9 +375,9 @@ func (t *Tape) BackwardHooked(loss *Var, seed *tensor.Dense, watch []*Var, onRea
 // math inline, but additionally append a replay closure to the tape's
 // program: the closure resizes the op's output from the live input shapes
 // and re-runs the math into the same buffer. The backward pass records, in
-// execution order, every gradient tensor it allocates (capBwd), so a later
-// ReplayBackward can walk the frozen tape with zero allocations, handing
-// each closure the buffer its capture run used (replayBwd + cursor).
+// execution order, every gradient tensor it allocates, so a later Backward
+// on the frozen tape walks it with zero allocations, handing each closure
+// the buffer its capture run used.
 //
 // Replays therefore re-execute the exact op sequence with no tape mutation
 // and no per-op closure allocation — only buffer rebinding — which is what
@@ -391,7 +395,7 @@ func (t *Tape) BeginCapture() {
 		panic("autograd: capture requires a plain (non-arena) tape")
 	}
 	t.mustRecord("BeginCapture")
-	t.capturing = true
+	t.capturing, t.frozen = true, false
 	clear(t.program)
 	t.program = t.program[:0]
 	t.bwdSeq = t.bwdSeq[:0]
@@ -422,10 +426,11 @@ func (t *Tape) CaptureRW(label string, fn func(), reads, writes []*tensor.Dense)
 	}
 }
 
-// EndCapture leaves capture mode, freezing the recorded program. Call it
-// after the capture iteration's backward pass so gradient buffers are
-// recorded too.
-func (t *Tape) EndCapture() { t.capturing = false }
+// EndCapture leaves capture mode, freezing the recorded program: from now on
+// ReplayForward re-runs the forward and Backward/BackwardHooked replay the
+// backward pass over the captured gradient buffers. Call it after the
+// capture iteration's backward pass so gradient buffers are recorded too.
+func (t *Tape) EndCapture() { t.capturing, t.frozen = false, true }
 
 // ProgramLen returns the number of recorded replay steps.
 func (t *Tape) ProgramLen() int { return len(t.program) }
@@ -448,28 +453,9 @@ func (t *Tape) ReplayForward() {
 	}
 }
 
-// ReplayBackward runs the frozen tape's backward pass allocation-free,
-// reusing the gradient buffers recorded at capture. watch/onReady follow
-// BackwardHooked semantics (pass nil for a plain backward).
-func (t *Tape) ReplayBackward(loss *Var, seed *tensor.Dense, watch []*Var, onReady func(int)) {
-	t.mustRecord("ReplayBackward")
-	t.replayBwd = true
-	t.bwdCursor = 0
-	t.replay(loss, seed, watch, onReady)
-	t.replayBwd = false
-	if t.bwdCursor != len(t.bwdSeq) {
-		panic(fmt.Sprintf("autograd: backward replay used %d of %d captured tensors",
-			t.bwdCursor, len(t.bwdSeq)))
-	}
-}
-
 func (t *Tape) replay(loss *Var, seed *tensor.Dense, watch []*Var, onReady func(int)) {
 	if loss.tape != t {
 		panic("autograd: loss from a different tape")
-	}
-	if t.capturing {
-		t.capBwd = true
-		defer func() { t.capBwd = false }()
 	}
 	if !loss.Value.SameShape(seed) {
 		panic(fmt.Sprintf("autograd: seed shape %dx%d for loss %dx%d",
@@ -495,6 +481,8 @@ func (t *Tape) replay(loss *Var, seed *tensor.Dense, watch []*Var, onReady func(
 		}
 		clear(t.watchIdx)
 	}
+	t.inBackward, t.bwdCursor = true, 0
+	defer func() { t.inBackward = false }()
 	loss.AccumGrad(seed)
 	for i := len(t.nodes) - 1; i >= 0; i-- {
 		v := t.nodes[i]
@@ -522,6 +510,10 @@ func (t *Tape) replay(loss *Var, seed *tensor.Dense, watch []*Var, onReady func(
 		}
 	}
 	t.watchMin = watchMin
+	if t.frozen && t.bwdCursor != len(t.bwdSeq) {
+		panic(fmt.Sprintf("autograd: backward replay used %d of %d captured tensors",
+			t.bwdCursor, len(t.bwdSeq)))
+	}
 }
 
 // --- Built-in operations ---
@@ -671,36 +663,21 @@ func Dropout(x *Var, p float32, rnd func() float32) *Var {
 	})
 }
 
-// Rows returns the sub-matrix of the first n rows of x (a view for the
-// forward value; the backward scatters the gradient into the top rows).
-// GNN layers use it to slice target-node rows off a gathered feature block.
-func Rows(x *Var, n int) *Var {
-	if n > x.Value.R {
-		panic(fmt.Sprintf("autograd: Rows(%d) of %d-row matrix", n, x.Value.R))
+// Rows returns the sub-matrix of the first *n rows of x (a view for the
+// forward value; the backward scatters the gradient into the top rows). GNN
+// layers use it to slice target-node rows off a gathered feature block, with
+// n pointing at the block's target count: a captured step re-reads *n on
+// every replay, so the slice tracks the live batch size.
+func Rows(x *Var, n *int) *Var {
+	if *n > x.Value.R {
+		panic(fmt.Sprintf("autograd: Rows(%d) of %d-row matrix", *n, x.Value.R))
 	}
 	t := x.tape
-	out := t.NewView(n, x.Value.C, x.Value.V[:n*x.Value.C])
-	if !x.needGrad {
-		return t.Const(out)
-	}
-	return t.Op(out, []*Var{x}, func(v *Var) { rowsBackward(x, v) })
-}
-
-// RowsLive is the capturable variant of Rows: n is re-evaluated on every
-// replay, so the slice tracks the live batch size (e.g. the block's current
-// target count). Outside capture it is equivalent to Rows(x, n()).
-func RowsLive(x *Var, n func() int) *Var {
-	t := x.tape
-	nv := n()
-	if nv > x.Value.R {
-		panic(fmt.Sprintf("autograd: RowsLive(%d) of %d-row matrix", nv, x.Value.R))
-	}
-	out := t.NewView(nv, x.Value.C, x.Value.V[:nv*x.Value.C])
+	out := t.NewView(*n, x.Value.C, x.Value.V[:*n*x.Value.C])
 	if t.capturing {
 		t.CaptureRW("rows", func() {
-			nv := n()
-			out.R, out.C = nv, x.Value.C
-			out.V = x.Value.V[:nv*x.Value.C]
+			out.R, out.C = *n, x.Value.C
+			out.V = x.Value.V[:*n*x.Value.C]
 		}, []*tensor.Dense{x.Value}, []*tensor.Dense{out})
 	}
 	if !x.needGrad {

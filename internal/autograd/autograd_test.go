@@ -177,7 +177,8 @@ func TestRowsGradient(t *testing.T) {
 	xv := tensor.Randn(5, 3, 1, rng)
 	tp := NewTape()
 	x := tp.Param(xv)
-	y := Rows(x, 2)
+	n := 2
+	y := Rows(x, &n)
 	if y.Value.R != 2 || y.Value.C != 3 {
 		t.Fatalf("rows shape %dx%d", y.Value.R, y.Value.C)
 	}

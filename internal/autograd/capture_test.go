@@ -16,19 +16,12 @@ func fillSeq(d *tensor.Dense, base float32) {
 
 // buildChain runs a small op chain (matmul, bias, relu, row slice) on tp
 // over the shared buffers and returns the output plus the parameter vars.
-func buildChain(tp *Tape, x, w, b *tensor.Dense, rows func() int) (*Var, *Var, *Var) {
+func buildChain(tp *Tape, x, w, b *tensor.Dense, rows *int) (*Var, *Var, *Var) {
 	xv := tp.Const(x)
 	wv := tp.Param(w)
 	bv := tp.Param(b)
 	h := AddBias(MatMul(xv, wv), bv)
-	h = ReLU(h)
-	var out *Var
-	if tp.Capturing() {
-		out = RowsLive(h, rows)
-	} else {
-		out = Rows(h, rows())
-	}
-	return out, wv, bv
+	return Rows(ReLU(h), rows), wv, bv
 }
 
 // TestCaptureReplayDynamicShapes captures an op chain once, then changes
@@ -46,7 +39,7 @@ func TestCaptureReplayDynamicShapes(t *testing.T) {
 
 	ct := NewTape()
 	ct.BeginCapture()
-	out, wv, bv := buildChain(ct, x, w, b, func() int { return targets })
+	out, wv, bv := buildChain(ct, x, w, b, &targets)
 	seed := tensor.New(out.Value.R, out.Value.C)
 	for i := range seed.V {
 		seed.V[i] = 1
@@ -68,10 +61,10 @@ func TestCaptureReplayDynamicShapes(t *testing.T) {
 	for i := range seed.V {
 		seed.V[i] = 1
 	}
-	ct.ReplayBackward(out, seed, nil, nil)
+	ct.Backward(out, seed)
 
 	et := NewTape()
-	eOut, eWv, eBv := buildChain(et, x, w, b, func() int { return targets })
+	eOut, eWv, eBv := buildChain(et, x, w, b, &targets)
 	eSeed := tensor.New(eOut.Value.R, eOut.Value.C)
 	for i := range eSeed.V {
 		eSeed.V[i] = 1
@@ -122,7 +115,7 @@ func TestCaptureReplayDropoutRNG(t *testing.T) {
 	ct.Backward(out, seed)
 	ct.EndCapture()
 	ct.ReplayForward()
-	ct.ReplayBackward(out, seed, nil, nil)
+	ct.Backward(out, seed)
 
 	// Eager path: two iterations off the same persistent stream.
 	rngE := rand.New(rand.NewSource(7))
@@ -161,20 +154,20 @@ func TestReplaySteadyStateAllocs(t *testing.T) {
 
 	ct := NewTape()
 	ct.BeginCapture()
-	out, _, _ := buildChain(ct, x, w, b, func() int { return targets })
+	out, _, _ := buildChain(ct, x, w, b, &targets)
 	seed := tensor.New(out.Value.R, out.Value.C)
 	ct.Backward(out, seed)
 	ct.EndCapture()
 	ct.ReplayForward()
-	ct.ReplayBackward(out, seed, nil, nil)
+	ct.Backward(out, seed)
 
 	replay := testing.AllocsPerRun(10, func() {
 		ct.ReplayForward()
-		ct.ReplayBackward(out, seed, nil, nil)
+		ct.Backward(out, seed)
 	})
 	eager := testing.AllocsPerRun(10, func() {
 		et := NewTape()
-		eOut, _, _ := buildChain(et, x, w, b, func() int { return targets })
+		eOut, _, _ := buildChain(et, x, w, b, &targets)
 		eSeed := tensor.New(eOut.Value.R, eOut.Value.C)
 		et.Backward(eOut, eSeed)
 	})
@@ -251,7 +244,7 @@ func TestReplayOverwritesUnzeroedBuffers(t *testing.T) {
 	fillSeq(w, 0.75)
 	draws = 0
 	ct.ReplayForward()
-	ct.ReplayBackward(out, seedFor(out), nil, nil)
+	ct.Backward(out, seedFor(out))
 
 	draws = 0
 	et := NewTape()

@@ -126,7 +126,7 @@ func Inference(cfg Config) ([]InferenceResult, error) {
 // layerwise returns the virtual time to embed every node of ds layer-wise on
 // a fresh machine, each rank's targets in chunks pipelined pieces (1: not
 // pipelined).
-func layerwise(ds *dataset.Dataset, model gnn.LayerwiseModel, chunks int) (float64, error) {
+func layerwise(ds *dataset.Dataset, model gnn.Model, chunks int) (float64, error) {
 	store, err := flatStore(ds)
 	if err != nil {
 		return 0, err

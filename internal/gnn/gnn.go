@@ -59,7 +59,10 @@ func (b *Batch) Validate() error {
 // BatchSize returns the number of final target nodes.
 func (b *Batch) BatchSize() int { return b.Blocks[len(b.Blocks)-1].NumTargets }
 
-// Model is a GNN producing logits for a batch's final targets.
+// Model is a GNN producing logits for a batch's final targets. Its layers
+// can also be applied one at a time to a single block, which full-graph
+// layer-wise inference (internal/infer) and serving build on. All four
+// built-in architectures implement it.
 type Model interface {
 	// Forward binds the parameters on tp and returns the logits
 	// [BatchSize x classes]. dev may be nil to skip cost accounting;
@@ -67,15 +70,8 @@ type Model interface {
 	Forward(dev *sim.Device, tp *autograd.Tape, b *Batch, train bool) *autograd.Var
 	// Params exposes the trainable parameters.
 	Params() *nn.ParamSet
-	// Name identifies the architecture ("gcn", "graphsage", "gat").
+	// Name identifies the architecture ("gcn", "graphsage", "gat", "gin").
 	Name() string
-}
-
-// LayerwiseModel is a Model whose layers can be applied one at a time to a
-// single block, enabling full-graph layer-wise inference (internal/infer).
-// All three built-in architectures implement it.
-type LayerwiseModel interface {
-	Model
 	// Config returns the model's hyperparameters.
 	Config() Config
 	// NumLayers returns the layer count.
@@ -85,6 +81,17 @@ type LayerwiseModel interface {
 	// marks the output layer (no activation/dropout); train enables
 	// dropout.
 	ForwardLayer(dev *sim.Device, l int, blk *spops.SubCSR, x *autograd.Var, last, train bool) *autograd.Var
+}
+
+// forward is every architecture's Forward: bind m's parameters on tp, then
+// apply its layers to b's blocks in turn.
+func forward(m Model, dev *sim.Device, tp *autograd.Tape, b *Batch, train bool) *autograd.Var {
+	m.Params().Bind(tp)
+	x := tp.Const(b.Feat)
+	for l, blk := range b.Blocks {
+		x = m.ForwardLayer(dev, l, blk, x, l == len(b.Blocks)-1, train)
+	}
+	return x
 }
 
 // LayerOutDim returns the width of layer l's output under cfg.
@@ -199,17 +206,6 @@ func captureSelfLoops(tp *autograd.Tape, dst, raw *spops.SubCSR) {
 	if tp.Capturing() {
 		tp.Capture(func() { withSelfLoopsInto(dst, raw) })
 	}
-}
-
-// sliceTargets slices the target rows off a feature block: the capturable
-// RowsLive when the tape is recording a step graph, the allocation-lean
-// Rows otherwise. blk must be the stable per-slot block pointer so replays
-// read the live target count.
-func sliceTargets(x *autograd.Var, blk *spops.SubCSR) *autograd.Var {
-	if x.Tape().Capturing() {
-		return autograd.RowsLive(x, func() int { return blk.NumTargets })
-	}
-	return autograd.Rows(x, blk.NumTargets)
 }
 
 // dropoutVar applies dropout when training with p > 0. The forward charge

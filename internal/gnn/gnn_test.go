@@ -262,9 +262,6 @@ func TestGINTrainsAndInfers(t *testing.T) {
 	if m.Name() != "gin" {
 		t.Fatalf("name = %s", m.Name())
 	}
-	if _, ok := m.(LayerwiseModel); !ok {
-		t.Fatal("GIN does not implement LayerwiseModel")
-	}
 	opt := nn.NewAdam(0.02)
 	var acc float64
 	for it := 0; it < 150; it++ {

@@ -45,21 +45,16 @@ func (m *GCN) Params() *nn.ParamSet { return &m.ps }
 
 // Forward implements Model.
 func (m *GCN) Forward(dev *sim.Device, tp *autograd.Tape, b *Batch, train bool) *autograd.Var {
-	m.ps.Bind(tp)
-	x := tp.Const(b.Feat)
-	for l, blk := range b.Blocks {
-		x = m.ForwardLayer(dev, l, blk, x, l == len(b.Blocks)-1, train)
-	}
-	return x
+	return forward(m, dev, tp, b, train)
 }
 
-// Config implements LayerwiseModel.
+// Config implements Model.
 func (m *GCN) Config() Config { return m.cfg }
 
-// NumLayers implements LayerwiseModel.
+// NumLayers implements Model.
 func (m *GCN) NumLayers() int { return m.cfg.Layers }
 
-// ForwardLayer implements LayerwiseModel. Parameters must already be bound
+// ForwardLayer implements Model. Parameters must already be bound
 // on x's tape.
 func (m *GCN) ForwardLayer(dev *sim.Device, l int, blk *spops.SubCSR, x *autograd.Var, last, train bool) *autograd.Var {
 	slBlk := withSelfLoopsInto(m.sl.loop(l), blk)
@@ -109,24 +104,19 @@ func (m *SAGE) Params() *nn.ParamSet { return &m.ps }
 
 // Forward implements Model.
 func (m *SAGE) Forward(dev *sim.Device, tp *autograd.Tape, b *Batch, train bool) *autograd.Var {
-	m.ps.Bind(tp)
-	x := tp.Const(b.Feat)
-	for l, blk := range b.Blocks {
-		x = m.ForwardLayer(dev, l, blk, x, l == len(b.Blocks)-1, train)
-	}
-	return x
+	return forward(m, dev, tp, b, train)
 }
 
-// Config implements LayerwiseModel.
+// Config implements Model.
 func (m *SAGE) Config() Config { return m.cfg }
 
-// NumLayers implements LayerwiseModel.
+// NumLayers implements Model.
 func (m *SAGE) NumLayers() int { return m.cfg.Layers }
 
-// ForwardLayer implements LayerwiseModel. Parameters must already be bound
+// ForwardLayer implements Model. Parameters must already be bound
 // on x's tape.
 func (m *SAGE) ForwardLayer(dev *sim.Device, l int, blk *spops.SubCSR, x *autograd.Var, last, train bool) *autograd.Var {
-	self := sliceTargets(x, blk)
+	self := autograd.Rows(x, &blk.NumTargets)
 	agg := spops.SpMM(dev, m.cfg.Backend, blk, x, nil, spops.AggMean)
 	out := m.layers[l].Apply(dev, autograd.ConcatCols(self, agg))
 	if !last {
@@ -195,21 +185,16 @@ func (m *GAT) Params() *nn.ParamSet { return &m.ps }
 
 // Forward implements Model.
 func (m *GAT) Forward(dev *sim.Device, tp *autograd.Tape, b *Batch, train bool) *autograd.Var {
-	m.ps.Bind(tp)
-	x := tp.Const(b.Feat)
-	for l, blk := range b.Blocks {
-		x = m.ForwardLayer(dev, l, blk, x, l == len(b.Blocks)-1, train)
-	}
-	return x
+	return forward(m, dev, tp, b, train)
 }
 
-// Config implements LayerwiseModel.
+// Config implements Model.
 func (m *GAT) Config() Config { return m.cfg }
 
-// NumLayers implements LayerwiseModel.
+// NumLayers implements Model.
 func (m *GAT) NumLayers() int { return m.cfg.Layers }
 
-// ForwardLayer implements LayerwiseModel. Parameters must already be bound
+// ForwardLayer implements Model. Parameters must already be bound
 // on x's tape.
 func (m *GAT) ForwardLayer(dev *sim.Device, l int, rawBlk *spops.SubCSR, x *autograd.Var, last, train bool) *autograd.Var {
 	blk := withSelfLoopsInto(m.sl.loop(l), rawBlk)
@@ -217,7 +202,7 @@ func (m *GAT) ForwardLayer(dev *sim.Device, l int, rawBlk *spops.SubCSR, x *auto
 	var headsOut *autograd.Var
 	for h := 0; h < m.cfg.Heads; h++ {
 		hproj := m.proj[l][h].Apply(dev, x) // [nodes x headDim]
-		ht := sliceTargets(hproj, blk)
+		ht := autograd.Rows(hproj, &blk.NumTargets)
 		sl := autograd.MatMul(ht, m.attnL[l][h].Var())    // [targets x 1]
 		sr := autograd.MatMul(hproj, m.attnR[l][h].Var()) // [nodes x 1]
 		e := spops.EdgeLeakyReLU(dev, spops.EdgeScore(dev, blk, sl, sr), 0.2)
@@ -324,26 +309,21 @@ func (m *GIN) Name() string { return "gin" }
 // Params implements Model.
 func (m *GIN) Params() *nn.ParamSet { return &m.ps }
 
-// Config implements LayerwiseModel.
+// Config implements Model.
 func (m *GIN) Config() Config { return m.cfg }
 
-// NumLayers implements LayerwiseModel.
+// NumLayers implements Model.
 func (m *GIN) NumLayers() int { return m.cfg.Layers }
 
 // Forward implements Model.
 func (m *GIN) Forward(dev *sim.Device, tp *autograd.Tape, b *Batch, train bool) *autograd.Var {
-	m.ps.Bind(tp)
-	x := tp.Const(b.Feat)
-	for l, blk := range b.Blocks {
-		x = m.ForwardLayer(dev, l, blk, x, l == len(b.Blocks)-1, train)
-	}
-	return x
+	return forward(m, dev, tp, b, train)
 }
 
-// ForwardLayer implements LayerwiseModel.
+// ForwardLayer implements Model.
 func (m *GIN) ForwardLayer(dev *sim.Device, l int, blk *spops.SubCSR, x *autograd.Var, last, train bool) *autograd.Var {
 	agg := spops.SpMM(dev, m.cfg.Backend, blk, x, nil, spops.AggSum)
-	self := sliceTargets(x, blk)
+	self := autograd.Rows(x, &blk.NumTargets)
 	// (1+eps)*self + agg, with eps a learnable scalar.
 	scaled := autograd.ScaleByScalarPlusOne(self, m.eps[l].Var())
 	h := autograd.Add(scaled, agg)

@@ -28,7 +28,7 @@ import (
 // setup); each Run then only pays propagation.
 type Engine struct {
 	Store *core.Store
-	Model gnn.LayerwiseModel
+	Model gnn.Model
 	// tables[l] holds the output embeddings of layer l, sharded like the
 	// node partition.
 	tables []*wholemem.Memory[float32]
@@ -36,7 +36,7 @@ type Engine struct {
 	// parameter set to a tape, so concurrently forwarding ranks cannot
 	// share one model. replicas[0] aliases Model; the rest are refreshed
 	// from Model's weights at the start of every Run.
-	replicas []gnn.LayerwiseModel
+	replicas []gnn.Model
 	// scratch[r] is rank r's reusable workspace (dedup table, tape arena,
 	// block and index buffers), owned by rank r's goroutine inside
 	// sim.RunParallel, so repeated Runs allocate almost nothing.
@@ -104,7 +104,7 @@ func (sc *rankScratch) ensureChunks(n int) {
 
 // NewEngine validates the model against the store and allocates the
 // intermediate embedding tables.
-func NewEngine(store *core.Store, model gnn.LayerwiseModel) (*Engine, error) {
+func NewEngine(store *core.Store, model gnn.Model) (*Engine, error) {
 	pg := store.PG
 	if pg.PagedTopo() != nil {
 		return nil, fmt.Errorf("infer: layer-wise inference walks full neighbor lists shard-by-shard and requires a materialized column array (not the paged topology store)")
@@ -121,14 +121,10 @@ func NewEngine(store *core.Store, model gnn.LayerwiseModel) (*Engine, error) {
 		e.tables = append(e.tables,
 			wholemem.AllocSharded[float32](store.Comm, featShardSizes(pg, cfg.LayerOutDim(l))))
 	}
-	e.replicas = make([]gnn.LayerwiseModel, store.Comm.Size())
+	e.replicas = make([]gnn.Model, store.Comm.Size())
 	e.replicas[0] = model
 	for r := 1; r < len(e.replicas); r++ {
-		rep, ok := gnn.New(model.Name(), cfg).(gnn.LayerwiseModel)
-		if !ok {
-			return nil, fmt.Errorf("infer: %s replica does not implement LayerwiseModel", model.Name())
-		}
-		e.replicas[r] = rep
+		e.replicas[r] = gnn.New(model.Name(), cfg)
 	}
 	e.scratch = make([]*rankScratch, store.Comm.Size())
 	for r := range e.scratch {
@@ -144,7 +140,7 @@ func NewEngine(store *core.Store, model gnn.LayerwiseModel) (*Engine, error) {
 // store's graph and returns it as an [N x classes] matrix in original node
 // ID order. It is NewEngine + Run; callers embedding repeatedly should keep
 // the Engine to amortize the table setup.
-func FullGraph(store *core.Store, model gnn.LayerwiseModel) (*tensor.Dense, error) {
+func FullGraph(store *core.Store, model gnn.Model) (*tensor.Dense, error) {
 	e, err := NewEngine(store, model)
 	if err != nil {
 		return nil, err
@@ -158,7 +154,7 @@ func FullGraph(store *core.Store, model gnn.LayerwiseModel) (*tensor.Dense, erro
 // FullGraph under the name retrieval consumers mean by it; the collection
 // out of the shared table is charged per rank and bit-identical serial or
 // under sim.RunParallel.
-func Embeddings(store *core.Store, model gnn.LayerwiseModel) (*tensor.Dense, error) {
+func Embeddings(store *core.Store, model gnn.Model) (*tensor.Dense, error) {
 	return FullGraph(store, model)
 }
 
@@ -262,7 +258,7 @@ func (e *Engine) Run() (*tensor.Dense, error) {
 // only on a chunk's residual gather time. Gather c+1 thereby overlaps
 // forward/scatter c, and the first gather overlaps the remaining block
 // builds.
-func (e *Engine) runRankChunked(dev *sim.Device, model gnn.LayerwiseModel, sc *rankScratch,
+func (e *Engine) runRankChunked(dev *sim.Device, model gnn.Model, sc *rankScratch,
 	l int, last bool, r int, in graph.FeatureSource, inDim int,
 	out *wholemem.Memory[float32], outDim int) {
 	pg := e.Store.PG

@@ -13,7 +13,7 @@ import (
 	"wholegraph/internal/tensor"
 )
 
-func testSetup(t *testing.T, arch string) (*sim.Machine, *core.Store, gnn.LayerwiseModel) {
+func testSetup(t *testing.T, arch string) (*sim.Machine, *core.Store, gnn.Model) {
 	t.Helper()
 	m := sim.NewMachine(sim.DGXA100(1))
 	ds, err := dataset.Generate(dataset.OgbnProducts.Scaled(0.0002)) // ~480 nodes
@@ -28,12 +28,8 @@ func testSetup(t *testing.T, arch string) (*sim.Machine, *core.Store, gnn.Layerw
 		InDim: ds.Spec.FeatDim, Hidden: 8, Classes: ds.Spec.NumClasses,
 		Layers: 2, Heads: 2, Backend: spops.BackendNative, Seed: 4,
 	}
-	model, ok := gnn.New(arch, cfg).(gnn.LayerwiseModel)
-	if !ok {
-		t.Fatalf("%s does not implement LayerwiseModel", arch)
-	}
 	m.Reset()
-	return m, store, model
+	return m, store, gnn.New(arch, cfg)
 }
 
 func TestFullGraphShapesAndCharging(t *testing.T) {

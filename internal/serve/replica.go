@@ -73,7 +73,7 @@ type replica struct {
 	id     int
 	srv    *Server
 	dev    *sim.Device
-	model  gnn.LayerwiseModel
+	model  gnn.Model
 	loader *core.Loader
 	cache  *cache.FeatureCache
 	tape   *autograd.Tape

@@ -22,7 +22,6 @@ import (
 // serving chain is absent — batches execute against the index — so
 // inference-only options (Fanouts, CacheRows, paged features) are ignored.
 func NewRetrieval(ix *ann.Index, opts Options) (*Server, error) {
-	opts.Workload = WorkloadRetrieval
 	opts = opts.Normalize()
 	if err := opts.Validate(); err != nil {
 		return nil, err

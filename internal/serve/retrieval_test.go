@@ -137,14 +137,3 @@ func TestRetrievalBeamWidthTradesRecall(t *testing.T) {
 		t.Fatalf("recall@10 at ef=128 = %.3f, expected near-exact on 1200 vectors", wide)
 	}
 }
-
-func TestNewRejectsRetrievalWorkload(t *testing.T) {
-	opts := baseRetrievalOpts()
-	opts.Workload = WorkloadRetrieval
-	if err := opts.Normalize().Validate(); err != nil {
-		t.Fatalf("retrieval workload should validate: %v", err)
-	}
-	if _, err := New(nil, 0, nil, nil, opts); err == nil {
-		t.Fatal("New accepted the retrieval workload; it must come from NewRetrieval")
-	}
-}

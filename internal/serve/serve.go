@@ -116,10 +116,6 @@ type Options struct {
 	// user spellings of the storage knobs build it with
 	// train.Options.StoreOptions.
 	Store core.StoreOptions
-	// Workload selects what a request asks for: WorkloadInference
-	// (default) or WorkloadRetrieval. New always serves inference;
-	// retrieval deployments come from NewRetrieval.
-	Workload string
 	// TopK is the neighbor count of a retrieval request (default 10).
 	TopK int
 	// EfSearch is the HNSW beam width retrieval batches search with
@@ -156,9 +152,6 @@ func (o Options) Normalize() Options {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.Workload == "" {
-		o.Workload = WorkloadInference
-	}
 	if o.TopK == 0 {
 		o.TopK = 10
 	}
@@ -188,11 +181,6 @@ func (o Options) Validate() error {
 	default:
 		return fmt.Errorf("serve: unknown routing policy %q", o.Policy)
 	}
-	switch o.Workload {
-	case WorkloadInference, WorkloadRetrieval:
-	default:
-		return fmt.Errorf("serve: unknown workload %q", o.Workload)
-	}
 	if o.TopK < 1 {
 		return fmt.Errorf("serve: TopK must be >= 1, got %d", o.TopK)
 	}
@@ -209,7 +197,7 @@ func (o Options) Validate() error {
 type Server struct {
 	Opts  Options
 	Store *core.Store
-	Model gnn.LayerwiseModel
+	Model gnn.Model
 
 	replicas []*replica
 	// byDegree maps a popularity rank (0 = hottest) to a node ID: the
@@ -233,13 +221,10 @@ type Server struct {
 // trained model is replicated onto each. Construction charges the store
 // setup and cache fill; callers measuring steady-state serving should
 // m.Reset() afterwards, as the benchmarks do.
-func New(m *sim.Machine, node int, ds *dataset.Dataset, model gnn.LayerwiseModel, opts Options) (*Server, error) {
+func New(m *sim.Machine, node int, ds *dataset.Dataset, model gnn.Model, opts Options) (*Server, error) {
 	opts = opts.Normalize()
 	if err := opts.Validate(); err != nil {
 		return nil, err
-	}
-	if opts.Workload == WorkloadRetrieval {
-		return nil, fmt.Errorf("serve: retrieval deployments are built with NewRetrieval over an ann.Index")
 	}
 	store, err := core.NewStoreOpts(m, node, ds, opts.Store)
 	if err != nil {
@@ -265,11 +250,7 @@ func New(m *sim.Machine, node int, ds *dataset.Dataset, model gnn.LayerwiseModel
 		if r == 0 {
 			rep.model = model
 		} else {
-			mr, ok := gnn.New(model.Name(), cfg).(gnn.LayerwiseModel)
-			if !ok {
-				return nil, fmt.Errorf("serve: %s replica does not implement LayerwiseModel", model.Name())
-			}
-			rep.model = mr
+			rep.model = gnn.New(model.Name(), cfg)
 		}
 		rep.loader = core.NewLoader(store, dev, opts.Fanouts, opts.Seed+int64(r))
 		if opts.CacheRows > 0 {

@@ -50,10 +50,10 @@ type Device struct {
 	copyNow float64    // copy-stream clock
 	stream  StreamKind // stream that charges currently land on
 	trace   []Interval
-	// graphDepth > 0 while a captured step graph is replaying on this
+	// inGraph is set while a captured step graph is replaying on this
 	// device (see graph.go): kernels skip their launch overhead and busy
 	// intervals are flagged for the trace.
-	graphDepth int
+	inGraph bool
 	// Tracing controls whether busy/idle intervals are recorded (needed
 	// only for utilization plots; costs memory on long runs).
 	Tracing bool
@@ -150,7 +150,7 @@ func (d *Device) busy(dt float64, tag string) {
 	}
 	clk := d.clock()
 	if d.Tracing {
-		d.trace = append(d.trace, Interval{Start: *clk, End: *clk + dt, Busy: true, Tag: tag, Stream: d.stream, Graph: d.graphDepth > 0, Node: d.schedNode})
+		d.trace = append(d.trace, Interval{Start: *clk, End: *clk + dt, Busy: true, Tag: tag, Stream: d.stream, Graph: d.inGraph, Node: d.schedNode})
 	}
 	*clk += dt
 	if d.stream == StreamCopy {
@@ -283,7 +283,7 @@ func (d *Device) Kernel(c KernelCost) float64 {
 		th = c.HostZeroCopyBytes / (per * 1e9)
 	}
 	launch := p.KernelLaunch
-	if d.graphDepth > 0 {
+	if d.inGraph {
 		// Inside a graph replay the kernel was baked into the captured
 		// graph: no per-kernel host dispatch, the step paid GraphLaunch
 		// once at BeginGraphReplay.

@@ -5,9 +5,8 @@ package sim
 // the host pays GraphLaunch once per replay instead of KernelLaunch per
 // kernel, which is the overhead CUDA Graphs eliminate on the real system.
 //
-// The device keeps a replay depth rather than a flag so nested brackets
-// compose (e.g. a forward bracket inside a whole-step bracket); only the
-// outermost bracket charges the graph launch. While the depth is positive,
+// A bracket is a flag, not a depth: one graph launch covers one step, and
+// opening a second bracket inside the first panics. While the flag is set,
 // Kernel() suppresses its per-kernel launch overhead and counts the kernel
 // in Stats.GraphKernels, and busy intervals carry Interval.Graph so traces
 // can show replayed work in its own category.
@@ -15,30 +14,31 @@ package sim
 // Like every clock-advancing method, these are owner-only: call them from
 // the goroutine that owns the device between barriers.
 
-// BeginGraphReplay enters graph-replay mode on the current stream. The
-// outermost call charges the one-time graph launch overhead as busy time
-// tagged with the given tag (empty defaults to "graph-launch").
+// BeginGraphReplay enters graph-replay mode on the current stream, charging
+// the one-time graph launch overhead as busy time tagged with the given tag
+// (empty defaults to "graph-launch"). It panics inside an open bracket.
 func (d *Device) BeginGraphReplay(tag string) {
 	d.mustHaveTimeline()
-	d.graphDepth++
-	if d.graphDepth == 1 {
-		if tag == "" {
-			tag = "graph-launch"
-		}
-		// Charged after the depth increment so the interval is flagged as
-		// graph work in the trace.
-		d.busy(d.m.Cfg.Device.GraphLaunch, tag)
-		d.Stats.GraphLaunches++
+	if d.inGraph {
+		panic("sim: BeginGraphReplay inside an open graph-replay bracket")
 	}
+	if tag == "" {
+		tag = "graph-launch"
+	}
+	// Charged after the flag is set so the interval is flagged as graph work
+	// in the trace.
+	d.inGraph = true
+	d.busy(d.m.Cfg.Device.GraphLaunch, tag)
+	d.Stats.GraphLaunches++
 }
 
-// EndGraphReplay leaves the innermost graph-replay bracket.
+// EndGraphReplay closes the graph-replay bracket.
 func (d *Device) EndGraphReplay() {
-	if d.graphDepth == 0 {
+	if !d.inGraph {
 		panic("sim: EndGraphReplay without matching BeginGraphReplay")
 	}
-	d.graphDepth--
+	d.inGraph = false
 }
 
 // InGraphReplay reports whether the device is inside a graph-replay bracket.
-func (d *Device) InGraphReplay() bool { return d.graphDepth > 0 }
+func (d *Device) InGraphReplay() bool { return d.inGraph }

@@ -63,29 +63,29 @@ func TestGraphReplaySuppressesLaunch(t *testing.T) {
 	}
 }
 
-// TestGraphReplayNests checks that nested brackets charge one launch and
-// that unbalanced EndGraphReplay panics.
-func TestGraphReplayNests(t *testing.T) {
+// TestGraphReplayDoesNotNest checks that a bracket opened inside an open
+// one panics without charging a second launch, and that an unbalanced
+// EndGraphReplay panics.
+func TestGraphReplayDoesNotNest(t *testing.T) {
 	m := newTestMachine(t, 1)
 	d := m.Devs[0]
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
 	d.BeginGraphReplay("outer")
-	d.BeginGraphReplay("inner")
-	d.Kernel(KernelCost{StreamBytes: 1e6})
-	d.EndGraphReplay()
-	if !d.InGraphReplay() {
-		t.Error("outer bracket closed by inner end")
+	mustPanic("nested BeginGraphReplay", func() { d.BeginGraphReplay("inner") })
+	if !d.InGraphReplay() || d.Stats.GraphLaunches != 1 {
+		t.Errorf("after a refused nested bracket: in replay %v, %d launches, want true and 1",
+			d.InGraphReplay(), d.Stats.GraphLaunches)
 	}
 	d.EndGraphReplay()
-	if d.Stats.GraphLaunches != 1 {
-		t.Errorf("nested brackets charged %d launches, want 1", d.Stats.GraphLaunches)
-	}
-
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unbalanced EndGraphReplay did not panic")
-		}
-	}()
-	d.EndGraphReplay()
+	mustPanic("unbalanced EndGraphReplay", d.EndGraphReplay)
 }
 
 // TestAlltoAllvCrossNodeIB pins the step-level routing of AlltoAllv: device

@@ -264,7 +264,7 @@ func (m *Machine) Reset() {
 		d.copyNow = 0
 		d.stream = StreamCompute
 		d.trace = nil
-		d.graphDepth = 0
+		d.inGraph = false
 		d.Stats = DeviceStats{}
 	}
 	for _, c := range m.CPUs {

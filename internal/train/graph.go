@@ -2,6 +2,7 @@ package train
 
 import (
 	"fmt"
+	"slices"
 
 	"wholegraph/internal/autograd"
 	"wholegraph/internal/gnn"
@@ -29,7 +30,8 @@ import (
 // and invalidated when the batch's structure moves (feature tensor or
 // block pointers replaced), falling back to an eager re-capture. Loaders
 // that never reuse batch objects (the host-memory baselines) blow through
-// maxGraphsPerWorker and drop to permanent eager fallback.
+// maxGraphsPerWorker and drop to permanent eager fallback, releasing their
+// graphs.
 
 // maxGraphsPerWorker bounds how many captured step graphs a worker keeps.
 // The WholeGraph loader's two-slot ring needs two; anything past this means
@@ -57,35 +59,18 @@ type stepGraph struct {
 
 // matches reports whether the batch still has the structure g captured.
 func (g *stepGraph) matches(b *gnn.Batch) bool {
-	if b.Feat != g.feat || len(b.Blocks) != len(g.blocks) {
-		return false
-	}
-	for i, blk := range b.Blocks {
-		if blk != g.blocks[i] {
-			return false
-		}
-	}
-	return true
+	return b.Feat == g.feat && slices.Equal(b.Blocks, g.blocks)
 }
 
 // graphState is the per-trainer capture machinery. Every slice is indexed
 // by real worker, and each worker touches only its own entries inside the
-// parallel region, mirroring device ownership.
+// parallel region, mirroring device ownership. A worker with Fallbacks > 0
+// runs eagerly for good and keeps no graph.
 type graphState struct {
-	graphs   []map[*gnn.Batch]*stepGraph
-	fallback []bool // worker exceeded maxGraphsPerWorker: stay eager
-
-	// sch is each worker's whole-step scheduler recorder (Options.Schedule);
-	// schedOpen marks a scheduled graph bracket held open across the
-	// gradient sync so the optimizer's kernels land inside it.
-	sch       []*sched.Recorder
-	schedOpen []bool
-
-	captures      []int64
-	replays       []int64
-	invalidations []int64
-	fallbacks     []int64
-	scheduled     []int64
+	graphs []map[*gnn.Batch]*stepGraph
+	// sch is each worker's whole-step scheduler recorder (Options.Schedule).
+	sch   []*sched.Recorder
+	count []GraphCounters
 }
 
 // GraphCounters aggregates the step-graph machinery's counters across
@@ -119,15 +104,10 @@ func (c GraphCounters) String() string {
 // GraphStats sums the capture machinery's counters across workers.
 func (t *Trainer) GraphStats() GraphCounters {
 	var c GraphCounters
-	if t.gs == nil {
-		return c
-	}
-	for w := range t.gs.graphs {
-		c.Captures += t.gs.captures[w]
-		c.Replays += t.gs.replays[w]
-		c.Invalidations += t.gs.invalidations[w]
-		c.Fallbacks += t.gs.fallbacks[w]
-		c.Scheduled += t.gs.scheduled[w]
+	if t.gs != nil {
+		for _, wc := range t.gs.count {
+			c.Add(wc)
+		}
 	}
 	return c
 }
@@ -138,14 +118,8 @@ func (t *Trainer) ensureGraphState() {
 	}
 	nw := len(t.Models)
 	gs := &graphState{
-		graphs:        make([]map[*gnn.Batch]*stepGraph, nw),
-		fallback:      make([]bool, nw),
-		schedOpen:     make([]bool, nw),
-		captures:      make([]int64, nw),
-		replays:       make([]int64, nw),
-		invalidations: make([]int64, nw),
-		fallbacks:     make([]int64, nw),
-		scheduled:     make([]int64, nw),
+		graphs: make([]map[*gnn.Batch]*stepGraph, nw),
+		count:  make([]GraphCounters, nw),
 	}
 	for w := range gs.graphs {
 		gs.graphs[w] = make(map[*gnn.Batch]*stepGraph, maxGraphsPerWorker)
@@ -159,60 +133,98 @@ func (t *Trainer) ensureGraphState() {
 	t.gs = gs
 }
 
-// resetOverlapWatch refills worker w's overlap watch list from vars and
-// re-arms the per-bucket countdowns for one backward pass.
-func (t *Trainer) resetOverlapWatch(w int, vars []*autograd.Var) []*autograd.Var {
-	s := t.ov
-	wl := append(s.watch[w][:0], vars...)
-	s.watch[w] = wl
-	for b := range s.buckets {
-		s.left[w][b] = len(s.buckets[b])
-		s.readyAt[w][b] = 0
+// graphFor looks up worker w's captured graph for b. It returns the graph to
+// replay, or nil and whether this eager step should capture one: a graph
+// whose batch structure moved is dropped and re-captured, and a worker whose
+// loader does not reuse batch objects falls back to eager for good, dropping
+// the graphs it holds. Runs inside the parallel region.
+func (t *Trainer) graphFor(w int, b *gnn.Batch) (g *stepGraph, capture bool) {
+	if !t.Opts.CaptureGraph {
+		return nil, false
 	}
-	return wl
+	gs, c := t.gs, &t.gs.count[w]
+	if c.Fallbacks > 0 {
+		return nil, false
+	}
+	if g, ok := gs.graphs[w][b]; ok {
+		if g.matches(b) {
+			c.Replays++
+			if gs.sch != nil {
+				c.Scheduled++
+			}
+			return g, false
+		}
+		// Structure moved under the same batch object: drop and re-capture.
+		delete(gs.graphs[w], b)
+		c.Invalidations++
+	}
+	if len(gs.graphs[w]) >= maxGraphsPerWorker {
+		// The loader is not reusing batch objects; capture cannot amortize.
+		c.Fallbacks++
+		clear(gs.graphs[w])
+		return nil, false
+	}
+	c.Captures++
+	return nil, true
 }
 
-// eagerStep is the classic training step — forward, loss and accuracy,
-// backward, every kernel launched and priced on its own — and, with capture
-// set, also the iteration that freezes the step graph for b. The two differ
-// only in the tape: eager execution resets and reuses the worker's arena tape
-// (the loss gradient comes from its arena), a capture runs on a fresh plain
-// tape with recording on (the loss gradient is a plain tensor the graph
-// keeps). Runs inside the parallel region.
-func (t *Trainer) eagerStep(w int, mdl gnn.Model, dev *sim.Device, b *gnn.Batch, overlap, capture bool) stepResult {
+// step is one worker's training step on batch b: forward, loss and
+// accuracy, backward. Eagerly it runs on the worker's arena tape, a capture
+// on a fresh plain tape that it then freezes into b's step graph, and a
+// replay re-runs a frozen tape inside one graph launch (sim.BeginGraphReplay)
+// — with Options.Schedule through the whole-step scheduler (DESIGN.md §13),
+// which records the replay's charges into a DAG instead of the clocks. Host
+// math runs in the captured order on every path, so losses, gradients and
+// model state are bit-identical to eager. Runs inside the parallel region.
+func (t *Trainer) step(w int, b *gnn.Batch) stepResult {
+	mdl, dev := t.Models[w], t.loaders[w].Device()
+	g, capture := t.graphFor(w, b)
 	var tp *autograd.Tape
-	if capture {
-		tp = autograd.NewTape()
-		tp.BeginCapture()
-	} else {
-		tp = t.tapes[w]
-		tp.Reset()
-	}
-	logits := mdl.Forward(dev, tp, b, true)
+	var logits *autograd.Var
 	var grad *tensor.Dense
-	if capture {
-		grad = tensor.New(logits.Value.R, logits.Value.C)
+	var rec *sched.Recorder
+	if g != nil {
+		tp, logits, grad = g.tape, g.logits, g.grad
+		mdl.Params().RebindVars(g.paramVars)
+		if t.gs.sch != nil {
+			rec = t.gs.sch[w]
+			rec.Reset()
+			dev.AttachRecorder(rec)
+			tp.SetReplayObserver(rec)
+		}
+		dev.BeginGraphReplay("step-graph")
+		tp.ReplayForward()
+		if rec != nil {
+			rec.LossNode(logits)
+		}
+		grad.ResizeUninit(logits.Value.R, logits.Value.C) // CrossEntropy sets every element
 	} else {
+		if capture {
+			tp = autograd.NewTape()
+			tp.BeginCapture()
+		} else {
+			tp = t.tapes[w]
+			tp.Reset()
+		}
+		logits = mdl.Forward(dev, tp, b, true)
 		grad = tp.NewTensor(logits.Value.R, logits.Value.C)
 	}
+	// The loss layer stays outside the graph: its output feeds the host.
 	res := stepResult{
 		loss: tensor.CrossEntropy(logits.Value, b.Labels, grad),
 		acc:  tensor.Accuracy(logits.Value, b.Labels),
 	}
-	if overlap {
-		// Track when backward finalizes each parameter bucket so the
-		// orchestrator can gate that bucket's AllReduce there.
-		s := t.ov
-		wl := t.resetOverlapWatch(w, nil)
-		for _, p := range mdl.Params().Params() {
-			wl = append(wl, p.Var())
-		}
-		s.watch[w] = wl
-		tp.BackwardHooked(logits, grad, wl, s.readyFns[w])
-	} else {
-		tp.Backward(logits, grad)
+	// Under OverlapGrads backward reports when each parameter bucket is
+	// final, so the orchestrator can gate that bucket's AllReduce there; a
+	// scheduled step takes its gates from the schedule instead.
+	var watch []*autograd.Var
+	var onReady func(int)
+	if t.Opts.OverlapGrads && rec == nil {
+		watch, onReady = t.watchBuckets(w, mdl.Params())
 	}
-	if capture {
+	tp.BackwardHooked(logits, grad, watch, onReady)
+	switch {
+	case capture:
 		tp.EndCapture()
 		t.gs.graphs[w][b] = &stepGraph{
 			tape:      tp,
@@ -220,113 +232,37 @@ func (t *Trainer) eagerStep(w int, mdl gnn.Model, dev *sim.Device, b *gnn.Batch,
 			grad:      grad,
 			paramVars: mdl.Params().BoundVars(nil),
 			feat:      b.Feat,
-			blocks:    append([]*spops.SubCSR(nil), b.Blocks...),
+			blocks:    slices.Clone(b.Blocks),
 		}
-		t.gs.captures[w]++
+	case rec != nil:
+		t.scheduled(w, dev, rec, g)
+	case g != nil:
+		dev.EndGraphReplay()
 	}
 	return res
 }
 
-// graphStep replays the captured graph for b, capturing (or invalidating
-// and re-capturing) as needed. Runs inside the parallel region.
-func (t *Trainer) graphStep(w int, mdl gnn.Model, dev *sim.Device, b *gnn.Batch, overlap bool) stepResult {
-	gs := t.gs
-	if g, ok := gs.graphs[w][b]; ok {
-		if g.matches(b) {
-			gs.replays[w]++
-			return t.replayStep(w, mdl, dev, b, g, overlap)
-		}
-		// Structure moved under the same batch object: drop and re-capture.
-		delete(gs.graphs[w], b)
-		gs.invalidations[w]++
-	}
-	if len(gs.graphs[w]) >= maxGraphsPerWorker {
-		// The loader is not reusing batch objects; capture cannot amortize.
-		gs.fallback[w] = true
-		gs.fallbacks[w]++
-		return t.eagerStep(w, mdl, dev, b, overlap, false)
-	}
-	// One eager-priced iteration that freezes the step graph for b.
-	return t.eagerStep(w, mdl, dev, b, overlap, true)
-}
-
-// replayStep re-executes a captured step: rebind the parameters to the
-// capture tape, replay forward inside a graph-launch bracket, recompute
-// loss/accuracy live (the loss layer is outside the graph, as its output
-// feeds the host), and replay backward over the frozen tape. With
-// Options.Schedule the replay routes through the whole-step scheduler
-// instead.
-func (t *Trainer) replayStep(w int, mdl gnn.Model, dev *sim.Device, b *gnn.Batch, g *stepGraph, overlap bool) stepResult {
-	if t.Opts.Schedule {
-		return t.scheduledStep(w, mdl, dev, b, g, overlap)
-	}
-	mdl.Params().RebindVars(g.paramVars)
-	dev.BeginGraphReplay("step-graph")
-	g.tape.ReplayForward()
-	g.grad.ResizeUninit(g.logits.Value.R, g.logits.Value.C) // CrossEntropy sets every element
-	res := stepResult{
-		loss: tensor.CrossEntropy(g.logits.Value, b.Labels, g.grad),
-		acc:  tensor.Accuracy(g.logits.Value, b.Labels),
-	}
-	if overlap {
-		wl := t.resetOverlapWatch(w, g.paramVars)
-		g.tape.ReplayBackward(g.logits, g.grad, wl, t.ov.readyFns[w])
-	} else {
-		g.tape.ReplayBackward(g.logits, g.grad, nil, nil)
-	}
-	dev.EndGraphReplay()
-	return res
-}
-
-// scheduledStep is replayStep through the whole-step scheduler
-// (Options.Schedule, DESIGN.md §13). The replay runs with a sched.Recorder
-// attached to the device, so every charge routes to a DAG node instead of
-// advancing the clocks, and the tape reports node boundaries and tensor
-// reads/writes through the replay observer. Host math still runs in the
-// captured order — losses, gradients and model state are bit-identical to
-// eager and to plain replay — then the recorded DAG is list-scheduled onto
-// the compute and copy streams and its charges applied at their scheduled
-// positions. Under OverlapGrads the per-bucket AllReduce gates come from the
-// scheduled end times of the bucket's gradient-producing nodes (the eager
-// path's clock-read hooks are meaningless while charges are being
-// recorded). The graph bracket opened here stays open across loss, gradient
-// sync and the optimizer; RunEpoch closes it after the optimizer step so
-// the whole training step replays as one graph launch.
-func (t *Trainer) scheduledStep(w int, mdl gnn.Model, dev *sim.Device, b *gnn.Batch, g *stepGraph, overlap bool) stepResult {
-	rec := t.gs.sch[w]
-	rec.Reset()
-	mdl.Params().RebindVars(g.paramVars)
-	dev.AttachRecorder(rec)
-	dev.BeginGraphReplay("step-graph")
-	g.tape.SetReplayObserver(rec)
-	g.tape.ReplayForward()
-	rec.LossNode(g.logits)
-	g.grad.ResizeUninit(g.logits.Value.R, g.logits.Value.C) // CrossEntropy sets every element
-	res := stepResult{
-		loss: tensor.CrossEntropy(g.logits.Value, b.Labels, g.grad),
-		acc:  tensor.Accuracy(g.logits.Value, b.Labels),
-	}
-	g.tape.ReplayBackward(g.logits, g.grad, nil, nil)
+// scheduled list-schedules the DAG rec recorded over a replayed step onto
+// dev's compute and copy streams and applies its charges at their scheduled
+// positions. Under OverlapGrads bucket b's AllReduce gate is the scheduled
+// end of its last gradient-producing node (the eager backward's clock-read
+// hooks are meaningless while charges are being recorded). The graph
+// bracket stays open: RunEpoch closes it after the optimizer, so loss,
+// gradient sync and optimizer replay inside the step's one graph launch.
+func (t *Trainer) scheduled(w int, dev *sim.Device, rec *sched.Recorder, g *stepGraph) {
 	g.tape.SetReplayObserver(nil)
 	dev.DetachRecorder()
 	makespan := rec.Schedule(dev.StreamNow(sim.StreamCompute), dev.StreamNow(sim.StreamCopy))
 	rec.Apply(dev)
-	if overlap {
-		// Bucket b is ready when its last gradient-producing node finishes in
-		// the schedule; the watch machinery is bypassed (nil watch above).
-		t.resetOverlapWatch(w, g.paramVars)
-		s := t.ov
-		for bkt := range s.buckets {
-			mr := 0.0
-			for _, pi := range s.buckets[bkt] {
-				if rt := rec.GradReadyTime(g.paramVars[pi], makespan); rt > mr {
-					mr = rt
-				}
-			}
-			s.readyAt[w][bkt] = mr
-		}
+	if !t.Opts.OverlapGrads {
+		return
 	}
-	t.gs.scheduled[w]++
-	t.gs.schedOpen[w] = true
-	return res
+	s := t.ov
+	for bkt, params := range s.buckets {
+		mr := 0.0
+		for _, pi := range params {
+			mr = max(mr, rec.GradReadyTime(g.paramVars[pi], makespan))
+		}
+		s.readyAt[w][bkt] = mr
+	}
 }

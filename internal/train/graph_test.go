@@ -227,8 +227,11 @@ func TestCaptureGraphFallsBackOnChurningBatches(t *testing.T) {
 		tr.gs.graphs[0][&gnn.Batch{}] = &stepGraph{}
 	}
 	stats := tr.RunEpoch()
-	if !tr.gs.fallback[0] {
+	if tr.gs.count[0].Fallbacks == 0 {
 		t.Fatal("worker did not fall back to eager execution")
+	}
+	if n := len(tr.gs.graphs[0]); n != 0 {
+		t.Errorf("fallback worker still holds %d step graphs", n)
 	}
 	if gc := tr.GraphStats(); gc.Captures != 0 || gc.Replays != 0 || gc.Fallbacks == 0 {
 		t.Errorf("fallback worker counters off: %+v", gc)
@@ -244,7 +247,7 @@ func TestCaptureGraphFallsBackOnChurningBatches(t *testing.T) {
 
 // TestCaptureGraphEvaluateInterleaved interleaves Evaluate (which rebinds
 // the parameters onto the evaluation tape) with replayed training epochs:
-// replayStep must rebind the parameters back to the captured tape, keeping
+// a replayed step must rebind the parameters back to the captured tape, keeping
 // both the training losses and the evaluation scores bit-identical to
 // eager.
 func TestCaptureGraphEvaluateInterleaved(t *testing.T) {

@@ -2,6 +2,7 @@ package train
 
 import (
 	"wholegraph/internal/autograd"
+	"wholegraph/internal/nn"
 	"wholegraph/internal/sim"
 )
 
@@ -107,6 +108,19 @@ func (t *Trainer) ensureOverlap() {
 	s.startAt = make([]float64, len(t.Machine.Devs))
 	s.lastDone = make([]float64, len(t.Machine.Devs))
 	t.ov = s
+}
+
+// watchBuckets arms worker w's per-bucket countdowns for one backward pass
+// over the parameters' current tape variables, and returns the watch list
+// and callback through which BackwardHooked reports each bucket final.
+func (t *Trainer) watchBuckets(w int, ps *nn.ParamSet) ([]*autograd.Var, func(int)) {
+	s := t.ov
+	s.watch[w] = ps.BoundVars(s.watch[w][:0])
+	for b := range s.buckets {
+		s.left[w][b] = len(s.buckets[b])
+		s.readyAt[w][b] = 0
+	}
+	return s.watch[w], s.readyFns[w]
 }
 
 // overlapGradSync averages each gradient bucket across replicas and issues

@@ -570,8 +570,7 @@ func (t *Trainer) RunEpoch() EpochStats {
 	if overlap {
 		t.ensureOverlap()
 	}
-	captureGraph := t.Opts.CaptureGraph
-	if captureGraph {
+	if t.Opts.CaptureGraph {
 		t.ensureGraphState()
 	}
 	start := t.Machine.MaxTime()
@@ -640,7 +639,7 @@ func (t *Trainer) RunEpoch() EpochStats {
 				}
 			}
 			trainStart[w] = dev.Now()
-			results[w] = t.trainOn(w, t.Models[w], dev, b, overlap, captureGraph)
+			results[w] = t.step(w, b)
 			if lookahead > 0 {
 				ld.(PrefetchingLoader).Release()
 			}
@@ -682,12 +681,11 @@ func (t *Trainer) RunEpoch() EpochStats {
 				dev.WaitEvent(sim.Event{T: t.ov.lastDone[dev.ID]}, "grad-sync")
 			}
 			t.Opts4[w].Step(dev, mdl.Params())
-			if captureGraph && t.gs.schedOpen[w] {
-				// Close the scheduled step's graph bracket: loss, gradient
-				// sync and the optimizer all replayed inside it, so the whole
-				// step cost one graph launch.
+			if dev.InGraphReplay() {
+				// Close a scheduled step's graph bracket: loss, gradient sync
+				// and the optimizer all replayed inside it, so the whole step
+				// cost one graph launch.
 				dev.EndGraphReplay()
-				t.gs.schedOpen[w] = false
 			}
 			timings[w].Train += dev.Now() - trainStart[w]
 			// Compute-stream span of the whole iteration: with a sequential
@@ -713,16 +711,6 @@ func (t *Trainer) RunEpoch() EpochStats {
 	stats.Timing.Train *= scale
 	stats.Timing.Crit *= scale
 	return stats
-}
-
-// trainOn runs the forward/backward step for one worker's batch,
-// dispatching to the capture/replay machinery when enabled. Runs inside the
-// parallel region.
-func (t *Trainer) trainOn(w int, mdl gnn.Model, dev *sim.Device, b *gnn.Batch, overlap, captureGraph bool) stepResult {
-	if captureGraph && !t.gs.fallback[w] {
-		return t.graphStep(w, mdl, dev, b, overlap)
-	}
-	return t.eagerStep(w, mdl, dev, b, overlap, false)
 }
 
 func (t *Trainer) isRealWorker(dev *sim.Device) bool {

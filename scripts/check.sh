@@ -28,6 +28,12 @@ go test -race -count=10 -cpu 1,4 ./internal/tensor
 # channel receive: hammer planned against unplanned builds (every batch read
 # in full while the next one is built) at three GOMAXPROCS settings (~90 s).
 go test -race -count=20 -cpu 1,2,4 -run '^TestPlannedEqualsUnplanned$' ./internal/core
+# A training step is one function whichever shape it takes — eager, capture,
+# replay, scheduled replay, the fallback of a loader that never reuses a
+# batch — and each worker writes its graph map, counters and bucket gates
+# inside sim.RunParallel: hammer the step golden's five shapes on two real
+# workers at three GOMAXPROCS settings (~35 s).
+go test -race -count=10 -cpu 1,2,4 -run '^TestStepGolden$' ./internal/train
 # The paged table keeps each device's batch, page map and recycling list
 # unlocked beside a locked cache, on the word that one goroutine drives a
 # device: hammer four devices evicting inside their own batches (a few s).

@@ -230,7 +230,8 @@ var DistributedGather = gather.Distributed
 
 // --- Models and training ---
 
-// Model is a GNN producing logits for a batch's target nodes.
+// Model is a GNN producing logits for a batch's target nodes. Its layers
+// also apply one at a time, as full-graph inference and serving require.
 type Model = gnn.Model
 
 // ModelConfig holds GNN hyperparameters.
@@ -283,10 +284,6 @@ var NewLoader = core.NewLoader
 func NewTrainer(m *Machine, ds *Dataset, opts TrainOptions) (*Trainer, error) {
 	return train.New(m, ds, opts)
 }
-
-// LayerwiseModel is a Model that supports single-layer application, as
-// full-graph inference requires; all built-in architectures implement it.
-type LayerwiseModel = gnn.LayerwiseModel
 
 // FullGraphInference computes the model's output for every node of the
 // store via layer-wise propagation over shared memory (offline inference:
@@ -347,14 +344,14 @@ const (
 	ServeTimedOut = serve.OutcomeTimedOut
 )
 
-// NewServer replicates a trained layer-wise model onto every GPU of
-// machine node `node` and prepares the request pipeline.
-func NewServer(m *Machine, node int, ds *Dataset, model LayerwiseModel, opts ServeOptions) (*Server, error) {
+// NewServer replicates a trained model onto every GPU of machine node
+// `node` and prepares the request pipeline.
+func NewServer(m *Machine, node int, ds *Dataset, model Model, opts ServeOptions) (*Server, error) {
 	return serve.New(m, node, ds, model, opts)
 }
 
-// Serving workloads: node inference (the default) and top-K nearest
-// neighbor retrieval over an ANN index (ServeOptions.Workload).
+// Serving workloads: node inference (NewServer) and top-K nearest neighbor
+// retrieval over an ANN index (NewRetrievalServer).
 const (
 	WorkloadInference = serve.WorkloadInference
 	WorkloadRetrieval = serve.WorkloadRetrieval

@@ -132,11 +132,7 @@ func TestFacadeExtensions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lw, ok := tr.Models[0].(wholegraph.LayerwiseModel)
-	if !ok {
-		t.Fatal("gin not layerwise")
-	}
-	out, err := wholegraph.FullGraphInference(tr.Stores[0], lw)
+	out, err := wholegraph.FullGraphInference(tr.Stores[0], tr.Models[0])
 	if err != nil || int64(out.R) != ds.Graph.N {
 		t.Fatalf("inference: %v", err)
 	}
