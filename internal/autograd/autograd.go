@@ -25,6 +25,7 @@ import (
 	"fmt"
 
 	"wholegraph/internal/tensor"
+	"wholegraph/internal/xrand"
 )
 
 // Var is a node in the computation graph: a value and, after Backward, its
@@ -636,21 +637,21 @@ func Scale(x *Var, s float32) *Var {
 	})
 }
 
-// Dropout zeroes entries with probability p (rnd yields uniforms in [0,1)),
+// Dropout zeroes entries with probability p, one src.Float32 draw each,
 // scaling survivors by 1/(1-p). With p <= 0 it is the identity.
-func Dropout(x *Var, p float32, rnd func() float32) *Var {
+func Dropout(x *Var, p float32, src *xrand.Source) *Var {
 	t := x.tape
 	out := t.NewTensor(x.Value.R, x.Value.C)
 	mask := t.NewTensor(x.Value.R, x.Value.C)
-	tensor.DropoutInto(out, x.Value, mask, p, rnd)
+	tensor.DropoutInto(out, x.Value, mask, p, src)
 	if t.capturing {
-		// Replays re-draw from rnd in op order; since draw counts track the
+		// Replays re-draw from src in op order; since draw counts track the
 		// live shapes, a replayed epoch consumes the same random stream the
 		// eager epoch would, keeping the two bit-identical.
 		t.CaptureRW("dropout", func() {
 			out.ResizeUninit(x.Value.R, x.Value.C)
 			mask.ResizeUninit(x.Value.R, x.Value.C)
-			tensor.DropoutInto(out, x.Value, mask, p, rnd)
+			tensor.DropoutInto(out, x.Value, mask, p, src)
 		}, []*tensor.Dense{x.Value}, []*tensor.Dense{out, mask})
 	}
 	if !x.needGrad {

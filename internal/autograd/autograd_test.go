@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"wholegraph/internal/tensor"
+	"wholegraph/internal/xrand"
 )
 
 // numericCheck compares the analytic gradient of scalarLoss wrt p against
@@ -223,11 +224,10 @@ func TestConcatColsGradient(t *testing.T) {
 }
 
 func TestDropoutGradientMatchesMask(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
 	xv := ones(4, 4)
 	tp := NewTape()
 	x := tp.Param(xv)
-	y := Dropout(x, 0.5, rng.Float32)
+	y := Dropout(x, 0.5, xrand.New(6))
 	tp.Backward(y, ones(4, 4))
 	// Gradient equals the forward scaling: 0 where dropped, 2 where kept.
 	for i := range y.Value.V {

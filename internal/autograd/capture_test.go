@@ -2,10 +2,10 @@ package autograd
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"wholegraph/internal/tensor"
+	"wholegraph/internal/xrand"
 )
 
 func fillSeq(d *tensor.Dense, base float32) {
@@ -99,15 +99,15 @@ func TestCaptureReplayDropoutRNG(t *testing.T) {
 	x := tensor.New(6, 3)
 	fillSeq(x, 1)
 
-	run := func(tp *Tape, rnd func() float32) *Var {
-		return Dropout(tp.Const(x), 0.5, rnd)
+	run := func(tp *Tape, src *xrand.Source) *Var {
+		return Dropout(tp.Const(x), 0.5, src)
 	}
 
 	// Graph path: capture draws 1..n, replay draws n+1..2n.
-	rngG := rand.New(rand.NewSource(7))
+	rngG := xrand.New(7)
 	ct := NewTape()
 	ct.BeginCapture()
-	out := run(ct, rngG.Float32)
+	out := run(ct, rngG)
 	seed := tensor.New(out.Value.R, out.Value.C)
 	for i := range seed.V {
 		seed.V[i] = 1
@@ -118,9 +118,9 @@ func TestCaptureReplayDropoutRNG(t *testing.T) {
 	ct.Backward(out, seed)
 
 	// Eager path: two iterations off the same persistent stream.
-	rngE := rand.New(rand.NewSource(7))
-	run(NewTape(), rngE.Float32)
-	eOut := run(NewTape(), rngE.Float32)
+	rngE := xrand.New(7)
+	run(NewTape(), rngE)
+	eOut := run(NewTape(), rngE)
 
 	for i := range eOut.Value.V {
 		if out.Value.V[i] != eOut.Value.V[i] {
@@ -197,11 +197,7 @@ func TestReplayOverwritesUnzeroedBuffers(t *testing.T) {
 	eps.V[0] = 0.25
 	idx := []int{2, 0, 2} // rows that exist at both row counts
 
-	var draws int
-	rnd := func() float32 { // replayable uniform stream
-		draws++
-		return float32(draws*37%101) / 101
-	}
+	rnd := xrand.New(37) // replayable uniform stream: Seed(37) restarts it
 	// One of every op whose capture closure reshapes without zeroing.
 	chain := func(tp *Tape) (out *Var, params []*Var) {
 		xv, wv, bv, ev := tp.Param(x), tp.Param(w), tp.Param(b), tp.Param(eps)
@@ -242,11 +238,11 @@ func TestReplayOverwritesUnzeroedBuffers(t *testing.T) {
 	x.Resize(3, 4)
 	fillSeq(x, 2)
 	fillSeq(w, 0.75)
-	draws = 0
+	rnd.Seed(37)
 	ct.ReplayForward()
 	ct.Backward(out, seedFor(out))
 
-	draws = 0
+	rnd.Seed(37)
 	et := NewTape()
 	eOut, eParams := chain(et)
 	et.Backward(eOut, seedFor(eOut))

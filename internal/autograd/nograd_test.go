@@ -7,11 +7,12 @@ import (
 	"testing"
 
 	"wholegraph/internal/tensor"
+	"wholegraph/internal/xrand"
 )
 
 // everyOp applies one of every built-in op to x ([4 x 3]), p ([3 x 3]) and
 // the scalar s; their gradient needs decide which ops are recorded.
-func everyOp(x, p, s *Var, rnd func() float32) *Var {
+func everyOp(x, p, s *Var, rnd *xrand.Source) *Var {
 	one, two := 1, 2
 	h := ReLU(AddBias(MatMul(x, p), Rows(p, &one)))
 	h = Scale(Dropout(h, 0.5, rnd), 0.5)
@@ -32,13 +33,13 @@ func TestOpsOverConstantsRecordNothing(t *testing.T) {
 	sv := tensor.FromSlice(1, 1, []float32{0.25})
 
 	rec := NewTape()
-	want := everyOp(rec.Const(xv), rec.Param(pv), rec.Param(sv), rand.New(rand.NewSource(2)).Float32)
+	want := everyOp(rec.Const(xv), rec.Param(pv), rec.Param(sv), xrand.New(2))
 	if rec.Len() == 0 || !want.NeedsGrad() || len(want.Inputs()) != 2 {
 		t.Fatalf("recording tape: %d nodes, needs grad %v, %d inputs", rec.Len(), want.NeedsGrad(), len(want.Inputs()))
 	}
 
 	tp := NewTape()
-	got := everyOp(tp.Const(xv), tp.Const(pv), tp.Const(sv), rand.New(rand.NewSource(2)).Float32)
+	got := everyOp(tp.Const(xv), tp.Const(pv), tp.Const(sv), xrand.New(2))
 	if tp.Len() != 0 {
 		t.Errorf("ops over constants recorded %d nodes", tp.Len())
 	}

@@ -11,13 +11,13 @@ package gnn
 
 import (
 	"fmt"
-	"math/rand"
 
 	"wholegraph/internal/autograd"
 	"wholegraph/internal/nn"
 	"wholegraph/internal/sim"
 	"wholegraph/internal/spops"
 	"wholegraph/internal/tensor"
+	"wholegraph/internal/xrand"
 )
 
 // Batch is one training mini-batch in message-flow-graph form. Blocks[l] is
@@ -211,11 +211,11 @@ func captureSelfLoops(tp *autograd.Tape, dst, raw *spops.SubCSR) {
 // dropoutVar applies dropout when training with p > 0. The forward charge
 // is recorded after the op so its capture rider lands on the dropout's DAG
 // node (the element counts are equal either way).
-func dropoutVar(dev *sim.Device, x *autograd.Var, p float32, train bool, rng *rand.Rand) *autograd.Var {
+func dropoutVar(dev *sim.Device, x *autograd.Var, p float32, train bool, src *xrand.Source) *autograd.Var {
 	if !train || p <= 0 {
 		return x
 	}
-	out := autograd.Dropout(x, p, rng.Float32)
+	out := autograd.Dropout(x, p, src)
 	chargeEltwiseFwd(dev, out)
 	hookEltwiseBwd(dev, out, x)
 	return out

@@ -1,7 +1,9 @@
 package gnn
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"wholegraph/internal/autograd"
@@ -240,6 +242,35 @@ func TestNewPanicsOnUnknownArch(t *testing.T) {
 		}
 	}()
 	New("transformer", smallConfig(4, 3, spops.BackendNative))
+}
+
+// TestCheckDropoutRange holds Config.Dropout to nn.Dropout's range: a NaN,
+// negative or above-one probability is refused for every architecture, the
+// ends of [0, 1] and a point inside it are accepted.
+func TestCheckDropoutRange(t *testing.T) {
+	for _, tc := range []struct {
+		p  float32
+		ok bool
+	}{
+		{float32(math.NaN()), false},
+		{-0.5, false},
+		{1.5, false},
+		{0, true},
+		{0.5, true},
+		{1, true},
+	} {
+		for _, arch := range append(paperArchs, "gin") {
+			cfg := smallConfig(4, 3, spops.BackendNative)
+			cfg.Dropout = tc.p
+			err := Check(arch, cfg)
+			if tc.ok && err != nil {
+				t.Errorf("%s, dropout %v: %v", arch, tc.p, err)
+			}
+			if !tc.ok && (err == nil || !strings.Contains(err.Error(), "not in [0, 1]")) {
+				t.Errorf("%s, dropout %v: error %v, want a range error", arch, tc.p, err)
+			}
+		}
+	}
 }
 
 func TestGINTrainsAndInfers(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"wholegraph/internal/sim"
 	"wholegraph/internal/spops"
 	"wholegraph/internal/tensor"
+	"wholegraph/internal/xrand"
 )
 
 // GCN is a sampled graph convolutional network: every layer averages over
@@ -18,20 +19,21 @@ type GCN struct {
 	cfg    Config
 	ps     nn.ParamSet
 	layers []*nn.Linear
-	rng    *rand.Rand
+	src    *xrand.Source // draws the initial weights, then every dropout mask
 	sl     loopScratch
 }
 
 // NewGCN builds a GCN from cfg.
 func NewGCN(cfg Config) *GCN {
-	m := &GCN{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	m := &GCN{cfg: cfg, src: xrand.New(cfg.Seed)}
+	rng := rand.New(m.src)
 	in := cfg.InDim
 	for l := 0; l < cfg.Layers; l++ {
 		out := cfg.Hidden
 		if l == cfg.Layers-1 {
 			out = cfg.Classes
 		}
-		m.layers = append(m.layers, nn.NewLinear(&m.ps, layerName("gcn", l), in, out, m.rng))
+		m.layers = append(m.layers, nn.NewLinear(&m.ps, layerName("gcn", l), in, out, rng))
 		in = out
 	}
 	return m
@@ -66,7 +68,7 @@ func (m *GCN) ForwardLayer(dev *sim.Device, l int, blk *spops.SubCSR, x *autogra
 		out = autograd.ReLU(out)
 		chargeEltwiseFwd(dev, out)
 		hookEltwiseBwd(dev, out, pre)
-		out = dropoutVar(dev, out, m.cfg.Dropout, train, m.rng)
+		out = dropoutVar(dev, out, m.cfg.Dropout, train, m.src)
 	}
 	return out
 }
@@ -78,19 +80,20 @@ type SAGE struct {
 	cfg    Config
 	ps     nn.ParamSet
 	layers []*nn.Linear
-	rng    *rand.Rand
+	src    *xrand.Source // draws the initial weights, then every dropout mask
 }
 
 // NewSAGE builds a GraphSAGE model from cfg.
 func NewSAGE(cfg Config) *SAGE {
-	m := &SAGE{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	m := &SAGE{cfg: cfg, src: xrand.New(cfg.Seed)}
+	rng := rand.New(m.src)
 	in := cfg.InDim
 	for l := 0; l < cfg.Layers; l++ {
 		out := cfg.Hidden
 		if l == cfg.Layers-1 {
 			out = cfg.Classes
 		}
-		m.layers = append(m.layers, nn.NewLinear(&m.ps, layerName("sage", l), 2*in, out, m.rng))
+		m.layers = append(m.layers, nn.NewLinear(&m.ps, layerName("sage", l), 2*in, out, rng))
 		in = out
 	}
 	return m
@@ -124,7 +127,7 @@ func (m *SAGE) ForwardLayer(dev *sim.Device, l int, blk *spops.SubCSR, x *autogr
 		out = autograd.ReLU(out)
 		chargeEltwiseFwd(dev, out)
 		hookEltwiseBwd(dev, out, pre)
-		out = dropoutVar(dev, out, m.cfg.Dropout, train, m.rng)
+		out = dropoutVar(dev, out, m.cfg.Dropout, train, m.src)
 	}
 	return out
 }
@@ -140,7 +143,7 @@ type GAT struct {
 	proj  [][]*nn.Linear // [layer][head]
 	attnL [][]*nn.Param  // [layer][head] a_l, shape [headDim x 1]
 	attnR [][]*nn.Param
-	rng   *rand.Rand
+	src   *xrand.Source // draws the initial weights, then every dropout mask
 	sl    loopScratch
 }
 
@@ -150,7 +153,8 @@ func NewGAT(cfg Config) *GAT {
 	if err := checkGAT(cfg); err != nil {
 		panic(err.Error())
 	}
-	m := &GAT{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	m := &GAT{cfg: cfg, src: xrand.New(cfg.Seed)}
+	rng := rand.New(m.src)
 	in := cfg.InDim
 	for l := 0; l < cfg.Layers; l++ {
 		headDim := cfg.Hidden / cfg.Heads
@@ -161,9 +165,9 @@ func NewGAT(cfg Config) *GAT {
 		var als, ars []*nn.Param
 		for h := 0; h < cfg.Heads; h++ {
 			name := layerName("gat", l) + headName(h)
-			projs = append(projs, nn.NewLinear(&m.ps, name+".proj", in, headDim, m.rng))
-			als = append(als, m.ps.New(name+".al", glorotVec(headDim, m.rng)))
-			ars = append(ars, m.ps.New(name+".ar", glorotVec(headDim, m.rng)))
+			projs = append(projs, nn.NewLinear(&m.ps, name+".proj", in, headDim, rng))
+			als = append(als, m.ps.New(name+".al", glorotVec(headDim, rng)))
+			ars = append(ars, m.ps.New(name+".ar", glorotVec(headDim, rng)))
 		}
 		m.proj = append(m.proj, projs)
 		m.attnL = append(m.attnL, als)
@@ -223,7 +227,7 @@ func (m *GAT) ForwardLayer(dev *sim.Device, l int, rawBlk *spops.SubCSR, x *auto
 	relu := autograd.ReLU(headsOut)
 	chargeEltwiseFwd(dev, relu)
 	hookEltwiseBwd(dev, relu, headsOut)
-	return dropoutVar(dev, relu, m.cfg.Dropout, train, m.rng)
+	return dropoutVar(dev, relu, m.cfg.Dropout, train, m.src)
 }
 
 func checkGAT(cfg Config) error {
@@ -243,11 +247,15 @@ var builders = map[string]func(Config) Model{
 }
 
 // Check reports why New would refuse arch and cfg: an unknown architecture,
-// or a GAT whose hidden size is not a positive multiple of its heads. Callers
+// a dropout probability that is NaN or outside [0, 1], or a GAT whose hidden
+// size is not a positive multiple of its heads. Callers
 // that take either from outside the program check before building.
 func Check(arch string, cfg Config) error {
 	if builders[arch] == nil {
 		return fmt.Errorf("gnn: unknown architecture %q", arch)
+	}
+	if !(cfg.Dropout >= 0 && cfg.Dropout <= 1) { // NaN fails both
+		return fmt.Errorf("gnn: dropout probability %v is not in [0, 1]", cfg.Dropout)
 	}
 	if arch == "gat" {
 		return checkGAT(cfg)
@@ -282,12 +290,13 @@ type GIN struct {
 	mlp1 []*nn.Linear
 	mlp2 []*nn.Linear
 	eps  []*nn.Param
-	rng  *rand.Rand
+	src  *xrand.Source // draws the initial weights, then every dropout mask
 }
 
 // NewGIN builds a GIN from cfg.
 func NewGIN(cfg Config) *GIN {
-	m := &GIN{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	m := &GIN{cfg: cfg, src: xrand.New(cfg.Seed)}
+	rng := rand.New(m.src)
 	in := cfg.InDim
 	for l := 0; l < cfg.Layers; l++ {
 		out := cfg.Hidden
@@ -295,8 +304,8 @@ func NewGIN(cfg Config) *GIN {
 			out = cfg.Classes
 		}
 		name := layerName("gin", l)
-		m.mlp1 = append(m.mlp1, nn.NewLinear(&m.ps, name+".mlp1", in, cfg.Hidden, m.rng))
-		m.mlp2 = append(m.mlp2, nn.NewLinear(&m.ps, name+".mlp2", cfg.Hidden, out, m.rng))
+		m.mlp1 = append(m.mlp1, nn.NewLinear(&m.ps, name+".mlp1", in, cfg.Hidden, rng))
+		m.mlp2 = append(m.mlp2, nn.NewLinear(&m.ps, name+".mlp2", cfg.Hidden, out, rng))
 		m.eps = append(m.eps, m.ps.New(name+".eps", tensor.New(1, 1)))
 		in = out
 	}
@@ -333,7 +342,7 @@ func (m *GIN) ForwardLayer(dev *sim.Device, l int, blk *spops.SubCSR, x *autogra
 		out = autograd.ReLU(out)
 		chargeEltwiseFwd(dev, out)
 		hookEltwiseBwd(dev, out, pre)
-		out = dropoutVar(dev, out, m.cfg.Dropout, train, m.rng)
+		out = dropoutVar(dev, out, m.cfg.Dropout, train, m.src)
 	}
 	return out
 }

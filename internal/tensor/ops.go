@@ -1,6 +1,10 @@
 package tensor
 
-import "math"
+import (
+	"math"
+
+	"wholegraph/internal/xrand"
+)
 
 // Element-wise selects: ReLU, its gradient and the dropout mask product.
 //
@@ -206,9 +210,12 @@ func Accuracy(logits *Dense, labels []int32) float64 {
 }
 
 // DropoutInto zeroes each element of a with probability p and scales the
-// survivors by 1/(1-p), recording the mask (0 or 1/(1-p)) for backward.
-// rng must not be nil when p > 0.
-func DropoutInto(dst, a, mask *Dense, p float32, rnd func() float32) {
+// survivors by 1/(1-p), recording the mask (0 or 1/(1-p)) for backward. Each
+// element draws one src.Float32, in order, and is dropped when the draw is
+// below p. The keep is branch-free — the scale's bits ANDed with a compare
+// mask — since at p = 0.5 a branch on the draw mispredicts every other
+// element. src must not be nil when p > 0.
+func DropoutInto(dst, a, mask *Dense, p float32, src *xrand.Source) {
 	a.mustSameShape(dst, "dropout")
 	a.mustSameShape(mask, "dropout")
 	if p <= 0 {
@@ -218,13 +225,13 @@ func DropoutInto(dst, a, mask *Dense, p float32, rnd func() float32) {
 		}
 		return
 	}
-	scale := 1 / (1 - p)
-	for i := range mask.V {
-		if rnd() < p {
-			mask.V[i] = 0
-		} else {
-			mask.V[i] = scale
+	scale, m := math.Float32bits(1/(1-p)), mask.V
+	for i := range m {
+		var drop uint32
+		if src.Float32() < p {
+			drop = 1
 		}
+		m[i] = math.Float32frombits(scale & (drop - 1))
 	}
 	maskMul(dst.V, a.V, mask.V)
 }

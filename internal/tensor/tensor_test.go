@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"testing"
 	"testing/quick"
+
+	"wholegraph/internal/xrand"
 )
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -322,13 +324,12 @@ func TestAccuracy(t *testing.T) {
 }
 
 func TestDropout(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
 	a := New(10, 10)
 	for i := range a.V {
 		a.V[i] = 1
 	}
 	dst, mask := New(10, 10), New(10, 10)
-	DropoutInto(dst, a, mask, 0.5, rng.Float32)
+	DropoutInto(dst, a, mask, 0.5, xrand.New(9))
 	zeros := 0
 	for i, v := range dst.V {
 		switch v {

@@ -16,7 +16,7 @@ import (
 // The seed code allocated hundreds of times per iteration (every tensor,
 // neighborhood, hash table, and sort buffer was fresh); this test fails
 // tier-1 if that regresses.
-const epochAllocBudget = 19 // per iteration
+const epochAllocBudget = 18 // per iteration
 
 // steadyStateAllocs warms a small trainer (two epochs populate every pool
 // with this workload's shapes, and both ring slots) and returns the

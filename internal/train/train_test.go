@@ -1,6 +1,7 @@
 package train
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -157,6 +158,17 @@ func TestNewCustomRejectsNegativeHeads(t *testing.T) {
 	opts.Heads = -2
 	if err := newCustomError(t, opts); err == nil || !strings.Contains(err.Error(), "multiple of -2 heads") {
 		t.Errorf("-2 heads: error %v", err)
+	}
+}
+
+// wgtrain -dropout NaN, -0.5 and 1.5 must fail before a model is built.
+func TestNewCustomRejectsDropoutOutOfRange(t *testing.T) {
+	for _, p := range []float32{float32(math.NaN()), -0.5, 1.5} {
+		opts := smallOpts("graphsage")
+		opts.Dropout = p
+		if err := newCustomError(t, opts); err == nil || !strings.Contains(err.Error(), "not in [0, 1]") {
+			t.Errorf("dropout %v: error %v", p, err)
+		}
 	}
 }
 

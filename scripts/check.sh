@@ -67,6 +67,9 @@ go test -run '^$' -fuzz '^FuzzCollectives$' -fuzztime 10s ./internal/sim
 # shapes: the no-grad forward against the recording one, logits bit for bit
 # and both device clocks and counters equal.
 go test -run '^$' -fuzz '^FuzzForwardNoGrad$' -fuzztime 10s ./internal/gnn
+# The copied Go 1 math/rand source over random seeds and draw counts: its
+# Int63, Uint64 and Float32 streams against math/rand's own, draw for draw.
+go test -run '^$' -fuzz '^FuzzSourceMatchesMathRand$' -fuzztime 10s ./internal/xrand
 # The benchmark is its own module (benchmark/go.mod), so the commands above
 # never compile it: vet it and run its toy-size smoke (< 10 s), or a changed
 # internal/* signature breaks the harness unseen.
