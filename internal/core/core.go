@@ -169,10 +169,10 @@ type loaderSlot struct {
 	labels []int32
 	batch  gnn.Batch
 	tm     Timing
-	// sample and gather list, in launch order, the kernels the two phases
-	// of the slot's build staged on the loader's twin, for apply to issue on
-	// the device. Empty when the build charged the device directly.
-	sample, gather []sim.KernelCost
+	// sample and gather list, in launch order, the charges the two phases
+	// of the slot's build recorded on the loader's twin, for apply to issue
+	// on the device. Empty when the build charged the device directly.
+	sample, gather []sim.Charge
 	// ready is recorded on the copy stream when a prefetched build
 	// completes; free is recorded on the compute stream when the slot's
 	// batch has been consumed (Release). The zero events never block.
@@ -189,12 +189,13 @@ type loaderSlot struct {
 // compute still reads batch i.
 //
 // A build is two halves. compute is the host math — sample, AppendUnique,
-// gather — and charges a staging twin of the device, which only lists the
-// kernels; apply issues that list on the device at the call point, so the
-// clocks, Stats and trace are those of a build that ran there. Prefetching
-// overlaps virtual time only. Plan overlaps host execution: it announces
-// the next BuildBatch calls, and while the caller works on batch k a second
-// goroutine computes batch k+1 into the ring slot batch k-1 just vacated.
+// gather — and charges a staging twin of the device, which records the
+// charges into the slot; apply issues them on the device at the call point,
+// so the clocks, Stats and trace are those of a build that ran there.
+// Prefetching overlaps virtual time only. Plan overlaps host execution: it
+// announces the next BuildBatch calls, and while the caller works on batch k
+// a second goroutine computes batch k+1 into the ring slot batch k-1 just
+// vacated.
 //
 // Ownership: the loader — device, both slots, plan — belongs to its
 // worker's goroutine. Between the start of a run-ahead build and the
@@ -496,7 +497,7 @@ func (l *Loader) PrefetchPages(targets []int64, maxPages int) int {
 }
 
 // compute runs the sample/dedup/gather chain for targets into slot s,
-// charging bdev. On a staging twin that leaves the kernels in the slot for
+// charging bdev. On a staging twin that leaves the charges in the slot for
 // apply and touches nothing of the device, so it may run on the builder
 // goroutine; on the device itself (a store that cannot be staged) the
 // charges land on the current stream here and s.tm is final.
@@ -526,7 +527,10 @@ func (l *Loader) compute(s *loaderSlot, targets []int64) {
 	}
 
 	var t0 float64
-	if !staged {
+	if staged {
+		s.sample = s.sample[:0]
+		dev.Record(&s.sample)
+	} else {
 		t0 = dev.Now()
 	}
 	blocks := s.blocks
@@ -551,11 +555,6 @@ func (l *Loader) compute(s *loaderSlot, targets []int64) {
 		}
 		cur = uq.Unique
 	}
-	if staged {
-		s.sample = dev.SwapStaged(s.sample)
-	} else {
-		s.tm.Sample = dev.Now() - t0
-	}
 
 	// Global gather: one kernel reading every input node's feature row
 	// from whichever GPU owns it.
@@ -578,8 +577,12 @@ func (l *Loader) compute(s *loaderSlot, targets []int64) {
 	}
 	feat := s.feat
 	var t1 float64
-	if !staged {
+	if staged {
+		s.gather = s.gather[:0]
+		dev.Record(&s.gather)
+	} else {
 		t1 = dev.Now()
+		s.tm.Sample = t1 - t0
 	}
 	if l.cache != nil {
 		l.cache.GatherRowsOn(dev, rows, dim, feat.V, "gather.feat")
@@ -587,7 +590,7 @@ func (l *Loader) compute(s *loaderSlot, targets []int64) {
 		pg.Features().GatherRows(dev, rows, dim, feat.V, "gather.feat")
 	}
 	if staged {
-		s.gather = dev.SwapStaged(s.gather)
+		dev.Record(nil)
 	} else {
 		s.tm.Gather = dev.Now() - t1
 	}
@@ -602,8 +605,8 @@ func (l *Loader) compute(s *loaderSlot, targets []int64) {
 	s.batch = gnn.Batch{Blocks: blocks, Feat: feat, Labels: labels}
 }
 
-// apply issues the kernels slot s's build staged, in order, on the device's
-// current stream and times the two phases on its clock: every busy
+// apply issues the charges slot s's build recorded, in order, on the
+// device's current stream and times the two phases on its clock: every busy
 // interval, Stats increment and clock value is the one compute would have
 // produced by charging the device directly at this point. After a build
 // that did charge the device directly there is nothing to issue.
@@ -612,14 +615,10 @@ func (l *Loader) apply(s *loaderSlot) {
 		return
 	}
 	t0 := l.Dev.Now()
-	for _, c := range s.sample {
-		l.Dev.Kernel(c)
-	}
+	l.Dev.Issue(s.sample, 0)
 	t1 := l.Dev.Now()
 	s.tm.Sample = t1 - t0
-	for _, c := range s.gather {
-		l.Dev.Kernel(c)
-	}
+	l.Dev.Issue(s.gather, 0)
 	s.tm.Gather = l.Dev.Now() - t1
 }
 

@@ -331,3 +331,17 @@ func TestScaleByScalarPlusOneGradient(t *testing.T) {
 		t.Errorf("ds = %g, want 10", s.Grad.V[0])
 	}
 }
+
+// TestCheckHiddenPositive: a hidden size below 1 has no weight shapes, so
+// Check refuses it for every architecture before New would panic on it.
+func TestCheckHiddenPositive(t *testing.T) {
+	for _, hidden := range []int{0, -4} {
+		for _, arch := range append(paperArchs, "gin") {
+			cfg := smallConfig(4, 3, spops.BackendNative)
+			cfg.Hidden = hidden
+			if err := Check(arch, cfg); err == nil {
+				t.Errorf("%s, hidden %d: Check accepted it", arch, hidden)
+			}
+		}
+	}
+}

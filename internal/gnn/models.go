@@ -247,15 +247,18 @@ var builders = map[string]func(Config) Model{
 }
 
 // Check reports why New would refuse arch and cfg: an unknown architecture,
-// a dropout probability that is NaN or outside [0, 1], or a GAT whose hidden
-// size is not a positive multiple of its heads. Callers
-// that take either from outside the program check before building.
+// a dropout probability that is NaN or outside [0, 1], a hidden size below
+// 1, or a GAT whose hidden size is not a positive multiple of its heads.
+// Callers that take either from outside the program check before building.
 func Check(arch string, cfg Config) error {
 	if builders[arch] == nil {
 		return fmt.Errorf("gnn: unknown architecture %q", arch)
 	}
 	if !(cfg.Dropout >= 0 && cfg.Dropout <= 1) { // NaN fails both
 		return fmt.Errorf("gnn: dropout probability %v is not in [0, 1]", cfg.Dropout)
+	}
+	if cfg.Hidden <= 0 {
+		return fmt.Errorf("gnn: hidden size %d is not positive", cfg.Hidden)
 	}
 	if arch == "gat" {
 		return checkGAT(cfg)

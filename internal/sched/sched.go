@@ -8,12 +8,14 @@
 // The substrate is record-and-schedule replay: all host math still runs in
 // the original captured order (losses, gradients and model state stay
 // bit-identical to eager execution); only the *virtual-time placement* of
-// the device charges is decided by the scheduler. A Recorder attaches to
-// the device (sim.ChargeRecorder) so charges route to DAG nodes instead of
-// advancing the clocks, observes the replay through autograd.ReplayObserver
-// to open nodes and recover producer/consumer edges (value tensors keyed by
-// buffer identity, gradients keyed by their Var), then schedules the DAG
-// and applies each node's charges at its scheduled position.
+// the device charges is decided by the scheduler. The device records the
+// replay's charges into the Recorder's one flat list (sim.Device.Record)
+// instead of advancing its clocks; the Recorder observes the replay through
+// autograd.ReplayObserver to open nodes — each owning the stretch of the
+// list recorded while it was current — and to recover producer/consumer
+// edges (value tensors keyed by buffer identity, gradients keyed by their
+// Var), then schedules the DAG and issues each node's charges at its
+// scheduled position.
 package sched
 
 import (
@@ -24,23 +26,17 @@ import (
 	"wholegraph/internal/tensor"
 )
 
-// Charge is one device charge recorded for a DAG node, in record order.
-type Charge struct {
-	Dur  float64
-	Tag  string
-	Comm bool
-}
-
 // Node is one schedulable unit of a captured step: a forward op (opened by
 // a CaptureRW step), a tape node's backward closure, a targeted backward
 // hook, the loss, or the root graph-launch node (ID 1). Deps point at
 // lower-ID nodes (record order is topological).
 type Node struct {
-	ID      int // 1-based; 0 is never a valid node
-	Label   string
-	Deps    []int
-	Charges []Charge
-	Dur     float64 // sum of charge durations
+	ID    int // 1-based; 0 is never a valid node
+	Label string
+	Deps  []int
+	// Lo and Hi bound the node's charges in Recorder.Charges: [Lo, Hi).
+	Lo, Hi int
+	Dur    float64 // sum of charge durations
 
 	// Filled by Schedule.
 	Copy       bool // placed on the copy stream (else compute)
@@ -51,8 +47,13 @@ type Node struct {
 // by one worker goroutine, like the device and tape it observes, and is
 // reused across iterations via Reset.
 type Recorder struct {
-	nodes []Node
-	cur   int // ID of the node currently accepting charges
+	// Charges is the list the device records the step into
+	// (sim.Device.Record), in record order; each node owns the stretch
+	// recorded while it was the latest opened. Plain Capture riders (cost
+	// annotations recorded next to an op) land on the op's node because
+	// they replay while it is current.
+	Charges []sim.Charge
+	nodes   []Node
 
 	// Last-writer maps for dependency recovery. Value tensors are
 	// pointer-stable across replays of a valid capture; gradients are keyed
@@ -78,25 +79,27 @@ func NewRecorder() *Recorder {
 	}
 }
 
-// Reset clears the DAG for the next step and opens the root graph-launch
-// node (ID 1): charges recorded before the first observed op — the
-// GraphLaunch of sim.BeginGraphReplay — attach there, and every later node
-// implicitly starts after it.
+// Reset clears the DAG and the charge list for the next step and opens the
+// root graph-launch node (ID 1): charges recorded before the first observed
+// op — the GraphLaunch of sim.BeginGraphReplay — attach there, and every
+// later node implicitly starts after it.
 func (r *Recorder) Reset() {
 	for i := range r.nodes {
 		r.nodes[i].Deps = r.nodes[i].Deps[:0]
-		r.nodes[i].Charges = r.nodes[i].Charges[:0]
 	}
 	r.nodes = r.nodes[:0]
+	r.Charges = r.Charges[:0]
 	clear(r.valWriter)
 	clear(r.gradWriter)
 	r.makespan, r.serial = 0, false
 	r.open("launch")
 }
 
-// open appends a fresh node, makes it current, and returns it. Every node
-// but the root depends on the root.
+// open closes the current node's stretch of the charge list, appends a fresh
+// node whose stretch starts there, and returns it. Every node but the root
+// depends on the root.
 func (r *Recorder) open(label string) *Node {
+	r.close()
 	n := len(r.nodes)
 	if n < cap(r.nodes) {
 		r.nodes = r.nodes[:n+1]
@@ -105,13 +108,27 @@ func (r *Recorder) open(label string) *Node {
 	}
 	nd := &r.nodes[n]
 	nd.ID, nd.Label = n+1, label
-	nd.Deps, nd.Charges = nd.Deps[:0], nd.Charges[:0]
+	nd.Deps = nd.Deps[:0]
+	nd.Lo, nd.Hi = len(r.Charges), len(r.Charges)
 	nd.Dur, nd.Start, nd.End, nd.Copy = 0, 0, 0, false
 	if nd.ID != 1 {
 		nd.Deps = append(nd.Deps, 1)
 	}
-	r.cur = nd.ID
 	return nd
+}
+
+// close ends the last node's stretch at the end of the charge list and sums
+// its durations in record order.
+func (r *Recorder) close() {
+	if len(r.nodes) == 0 {
+		return
+	}
+	nd := &r.nodes[len(r.nodes)-1]
+	nd.Hi = len(r.Charges)
+	nd.Dur = 0
+	for _, c := range r.Charges[nd.Lo:nd.Hi] {
+		nd.Dur += c.Dur
+	}
 }
 
 // dep adds an edge nd -> id (nd starts after id ends), deduplicated.
@@ -122,15 +139,6 @@ func (r *Recorder) dep(nd *Node, id int) {
 		}
 	}
 	nd.Deps = append(nd.Deps, id)
-}
-
-// RecordCharge implements sim.ChargeRecorder: the charge attaches to the
-// current node. Plain Capture riders (cost annotations recorded next to an
-// op) land on the op's node because they replay while it is current.
-func (r *Recorder) RecordCharge(dt float64, tag string, comm bool) {
-	nd := &r.nodes[r.cur-1]
-	nd.Charges = append(nd.Charges, Charge{Dur: dt, Tag: tag, Comm: comm})
-	nd.Dur += dt
 }
 
 // ForwardNode implements autograd.ReplayObserver for a CaptureRW step:
@@ -213,7 +221,10 @@ func (r *Recorder) LossNode(logits *autograd.Var) {
 }
 
 // Nodes returns the recorded DAG (valid until the next Reset).
-func (r *Recorder) Nodes() []Node { return r.nodes }
+func (r *Recorder) Nodes() []Node {
+	r.close()
+	return r.nodes
+}
 
 // Serial reports whether Schedule fell back to the serial compute-stream
 // order because list scheduling found no improvement.
@@ -242,6 +253,7 @@ func (r *Recorder) GradReadyTime(v *autograd.Var, def float64) float64 {
 // one. Deterministic: same DAG and clocks, same schedule, on any worker
 // count.
 func (r *Recorder) Schedule(computeFree, copyFree float64) float64 {
+	r.close()
 	n := len(r.nodes)
 	if n == 0 {
 		r.makespan = computeFree
@@ -249,7 +261,7 @@ func (r *Recorder) Schedule(computeFree, copyFree float64) float64 {
 	}
 	r.prio = grow(r.prio, n)
 	r.est = grow(r.est, n)
-	r.rem = growInt(r.rem, n)
+	r.rem = grow(r.rem, n)
 	r.order = r.order[:0]
 	for len(r.succs) < n {
 		r.succs = append(r.succs, nil)
@@ -288,7 +300,7 @@ func (r *Recorder) Schedule(computeFree, copyFree float64) float64 {
 	for placed < n {
 		best := -1
 		for i := 0; i < n; i++ {
-			if r.rem[i] == 0 && !scheduledMark(&r.nodes[i]) {
+			if r.rem[i] == 0 {
 				if best == -1 || r.prio[i] > r.prio[best] {
 					best = i
 				}
@@ -296,8 +308,8 @@ func (r *Recorder) Schedule(computeFree, copyFree float64) float64 {
 		}
 		nd := &r.nodes[best]
 		s := r.est[best]
-		startC := max2(compute, s)
-		startK := max2(copyT, s)
+		startC := max(compute, s)
+		startK := max(copyT, s)
 		// The root stays on compute (a graph launch is host dispatch on the
 		// compute stream); everything else picks the earlier finisher.
 		if best == 0 || startC <= startK {
@@ -312,7 +324,7 @@ func (r *Recorder) Schedule(computeFree, copyFree float64) float64 {
 		if nd.End > makespan {
 			makespan = nd.End
 		}
-		markScheduled(nd)
+		r.rem[best] = -1 // placed: never ready again
 		r.order = append(r.order, best)
 		for _, sj := range succs[best] {
 			r.rem[sj]--
@@ -338,28 +350,14 @@ func (r *Recorder) Schedule(computeFree, copyFree float64) float64 {
 		}
 		makespan = t
 	}
-	// Restore the IDs the placement loop negated, so the DAG is readable
-	// (and reschedulable) without an Apply in between.
-	for i := range r.nodes {
-		if r.nodes[i].ID < 0 {
-			r.nodes[i].ID = -r.nodes[i].ID
-		}
-	}
 	r.makespan = makespan
 	return makespan
 }
 
-// scheduledMark/markScheduled track placement without an extra slice: an
-// unplaced node has Start == End == 0 and rem == 0 is not enough (zero-dur
-// nodes at time 0 would alias), so placement is marked by setting ID
-// negative for the duration of the placement loop.
-func scheduledMark(nd *Node) bool { return nd.ID < 0 }
-func markScheduled(nd *Node)      { nd.ID = -nd.ID }
-
-// Apply replays the recorded charges onto dev at their scheduled
-// positions: per node, switch to its stream, idle up to its start, and
-// apply its charges in record order — so BusySeconds/CommSeconds accrue
-// exactly once, at placement. Afterwards the compute stream joins the
+// Apply issues the recorded charges on dev at their scheduled positions:
+// per node, switch to its stream, idle up to its start, and issue its
+// charges in record order — so clocks, Stats and trace advance exactly
+// once, at placement. Afterwards the compute stream joins the
 // makespan (the step is not done until every node is), annotated trace
 // intervals carry the node IDs, and — when tracing — each node's reserved
 // span is emitted on the scheduler decision lane.
@@ -380,34 +378,16 @@ func (r *Recorder) Apply(dev *sim.Device) {
 			}
 			dev.RecordDecision(nd.Start, nd.End, fmt.Sprintf("%s@%s", nd.Label, lane), nd.ID)
 		}
-		dev.SetSchedNode(nd.ID)
-		for _, c := range nd.Charges {
-			dev.ApplyCharge(c.Dur, c.Tag, c.Comm)
-		}
-		dev.SetSchedNode(0)
+		dev.Issue(r.Charges[nd.Lo:nd.Hi], nd.ID)
 	}
 	dev.SetStream(sim.StreamCompute)
 	dev.IdleUntil(r.makespan)
 	dev.SetStream(prev)
 }
 
-func grow(s []float64, n int) []float64 {
+func grow[T float64 | int](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	return s[:n]
-}
-
-func growInt(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
-}
-
-func max2(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -8,6 +8,12 @@ import (
 	"wholegraph/internal/tensor"
 )
 
+// charge appends a charge of dt seconds to r's list, as the device does while
+// it records into it.
+func charge(r *Recorder, dt float64, tag string) {
+	r.Charges = append(r.Charges, sim.Charge{Dur: dt, Tag: tag})
+}
+
 // randomDAG fills r with a random step: nTensors buffers, nOps forward
 // nodes each reading and writing random buffers (RAW/WAW edges emerge from
 // the last-writer maps), with random charge durations.
@@ -17,7 +23,7 @@ func randomDAG(r *Recorder, rng *rand.Rand, nTensors, nOps int) {
 	for i := range bufs {
 		bufs[i] = tensor.New(1, 1)
 	}
-	r.RecordCharge(1e-6, "launch", false) // root graph-launch cost
+	charge(r, 1e-6, "launch") // root graph-launch cost
 	for op := 0; op < nOps; op++ {
 		var reads, writes []*tensor.Dense
 		for n := rng.Intn(3); len(reads) <= n; {
@@ -25,8 +31,8 @@ func randomDAG(r *Recorder, rng *rand.Rand, nTensors, nOps int) {
 		}
 		writes = append(writes, bufs[rng.Intn(nTensors)])
 		r.ForwardNode("op", reads, writes)
-		for c := rng.Intn(3); len(r.nodes[r.cur-1].Charges) <= c; {
-			r.RecordCharge(rng.Float64()*1e-4, "k", false)
+		for c, lo := rng.Intn(3), len(r.Charges); len(r.Charges)-lo <= c; {
+			charge(r, rng.Float64()*1e-4, "k")
 		}
 	}
 }
@@ -116,11 +122,11 @@ func TestScheduleSplitsIndependentWork(t *testing.T) {
 	r.Reset()
 	a, b, c := tensor.New(1, 1), tensor.New(1, 1), tensor.New(1, 1)
 	r.ForwardNode("produce", nil, []*tensor.Dense{a})
-	r.RecordCharge(1e-4, "k", false)
+	charge(r, 1e-4, "k")
 	r.ForwardNode("left", []*tensor.Dense{a}, []*tensor.Dense{b})
-	r.RecordCharge(5e-4, "k", false)
+	charge(r, 5e-4, "k")
 	r.ForwardNode("right", []*tensor.Dense{a}, []*tensor.Dense{c})
-	r.RecordCharge(5e-4, "k", false)
+	charge(r, 5e-4, "k")
 	makespan := r.Schedule(0, 0)
 	if want := 1e-4 + 5e-4; makespan > want+1e-12 {
 		t.Errorf("independent branches did not overlap: makespan %g, want ~%g", makespan, want)
@@ -143,11 +149,11 @@ func TestApplyAdvancesDeviceToMakespan(t *testing.T) {
 	r.Reset()
 	a, b, c := tensor.New(1, 1), tensor.New(1, 1), tensor.New(1, 1)
 	r.ForwardNode("produce", nil, []*tensor.Dense{a})
-	r.RecordCharge(1e-4, "k", false)
+	charge(r, 1e-4, "k")
 	r.ForwardNode("left", []*tensor.Dense{a}, []*tensor.Dense{b})
-	r.RecordCharge(5e-4, "k", false)
+	charge(r, 5e-4, "k")
 	r.ForwardNode("right", []*tensor.Dense{a}, []*tensor.Dense{c})
-	r.RecordCharge(5e-4, "k", false)
+	charge(r, 5e-4, "k")
 	busy0 := dev.Stats.BusySeconds + dev.Stats.CopyBusySeconds
 	makespan := r.Schedule(dev.StreamNow(sim.StreamCompute), dev.StreamNow(sim.StreamCopy))
 	r.Apply(dev)

@@ -58,54 +58,11 @@ type Device struct {
 	// only for utilization plots; costs memory on long runs).
 	Tracing bool
 	Stats   DeviceStats
-	// rec, when non-nil, intercepts busy/commBusy charges instead of
-	// advancing the stream clocks: the whole-step scheduler (internal/sched)
-	// attaches one while replaying a captured step so it can re-place the
-	// charges onto streams afterwards via ApplyCharge. Kernel's op counters
-	// (Kernels, FLOPs, bytes, GraphKernels) still accrue at record time;
-	// the seconds accrue when the charge is applied — each side exactly once.
-	rec ChargeRecorder
-	// schedNode labels subsequently recorded intervals with a scheduler DAG
-	// node ID (see Interval.Node); 0 means unlabelled.
-	schedNode int
-	// twinOf is non-nil on a staging twin (see stage.go): Kernel appends to
-	// staged instead of charging, and everything that needs a timeline
-	// panics.
-	twinOf *Device
-	staged []KernelCost
-}
-
-// ChargeRecorder receives the charges a device would have applied to its
-// current stream. comm distinguishes collective-transfer time (commBusy)
-// from kernel time.
-type ChargeRecorder interface {
-	RecordCharge(dt float64, tag string, comm bool)
-}
-
-// AttachRecorder routes this device's busy/commBusy charges to r until
-// DetachRecorder. Idle time is dropped while recording (waits are a
-// scheduling outcome, not a cost of the recorded work).
-func (d *Device) AttachRecorder(r ChargeRecorder) {
-	d.mustHaveTimeline()
-	d.rec = r
-}
-
-// DetachRecorder restores normal clock-advancing charging.
-func (d *Device) DetachRecorder() { d.rec = nil }
-
-// SetSchedNode labels intervals recorded from now on with the given
-// scheduler DAG node ID (0 clears the label).
-func (d *Device) SetSchedNode(id int) { d.schedNode = id }
-
-// ApplyCharge applies a previously recorded charge to the current stream:
-// the counterpart of ChargeRecorder.RecordCharge, used by the scheduler
-// when it replays charges at their scheduled positions.
-func (d *Device) ApplyCharge(dt float64, tag string, comm bool) {
-	if comm {
-		d.commBusy(dt, tag)
-	} else {
-		d.busy(dt, tag)
-	}
+	// recording, when non-nil, is the list busy-time charges are appended
+	// to instead of reaching a timeline (see stage.go); twinOf is non-nil on
+	// a staging twin. Either leaves the device without a timeline.
+	recording *[]Charge
+	twinOf    *Device
 }
 
 // RecordDecision appends a scheduler-decision annotation covering [start,
@@ -138,67 +95,45 @@ func (d *Device) clock() *float64 {
 	return &d.now
 }
 
-// busy advances the current stream by dt seconds of busy (kernel) time.
-func (d *Device) busy(dt float64, tag string) {
-	d.mustHaveTimeline()
-	if dt <= 0 {
-		return
-	}
-	if d.rec != nil {
-		d.rec.RecordCharge(dt, tag, false)
-		return
-	}
-	clk := d.clock()
-	if d.Tracing {
-		d.trace = append(d.trace, Interval{Start: *clk, End: *clk + dt, Busy: true, Tag: tag, Stream: d.stream, Graph: d.inGraph, Node: d.schedNode})
-	}
-	*clk += dt
-	if d.stream == StreamCopy {
-		d.Stats.CopyBusySeconds += dt
-	} else {
-		d.Stats.BusySeconds += dt
-	}
-}
+// busy charges dt seconds of busy time that counts no op.
+func (d *Device) busy(dt float64, tag string) { d.charge(Charge{Dur: dt, Tag: tag, Graph: d.inGraph}) }
 
 // commBusy advances the current stream by dt seconds of communication busy
-// time: like busy, but the interval is flagged as a collective transfer
-// (its own Chrome-trace lane) and accrues to Stats.CommSeconds.
+// time: busy, but the interval is flagged as a collective transfer (its own
+// Chrome-trace lane) and accrues to Stats.CommSeconds.
 func (d *Device) commBusy(dt float64, tag string) {
 	d.mustHaveTimeline()
-	if dt <= 0 {
-		return
+	if dt > 0 {
+		d.advance(dt, Interval{Busy: true, Comm: true, Tag: tag})
+		d.Stats.CommSeconds += dt
 	}
-	if d.rec != nil {
-		d.rec.RecordCharge(dt, tag, true)
-		return
-	}
-	clk := d.clock()
-	if d.Tracing {
-		d.trace = append(d.trace, Interval{Start: *clk, End: *clk + dt, Busy: true, Comm: true, Tag: tag, Stream: d.stream, Node: d.schedNode})
-	}
-	*clk += dt
-	if d.stream == StreamCopy {
-		d.Stats.CopyBusySeconds += dt
-	} else {
-		d.Stats.BusySeconds += dt
-	}
-	d.Stats.CommSeconds += dt
 }
 
 // idle advances the current stream by dt seconds of idle (waiting) time.
 func (d *Device) idle(dt float64, tag string) {
 	d.mustHaveTimeline()
-	if dt <= 0 || d.rec != nil {
-		return
+	if dt > 0 {
+		d.advance(dt, Interval{Tag: tag})
 	}
+}
+
+// advance moves the current stream's clock dt seconds on, accrues them to
+// the stream's busy or idle seconds as iv.Busy says, and traces iv over them.
+func (d *Device) advance(dt float64, iv Interval) {
 	clk := d.clock()
 	if d.Tracing {
-		d.trace = append(d.trace, Interval{Start: *clk, End: *clk + dt, Busy: false, Tag: tag, Stream: d.stream})
+		iv.Start, iv.End, iv.Stream = *clk, *clk+dt, d.stream
+		d.trace = append(d.trace, iv)
 	}
 	*clk += dt
-	if d.stream == StreamCopy {
+	switch onCopy := d.stream == StreamCopy; {
+	case iv.Busy && onCopy:
+		d.Stats.CopyBusySeconds += dt
+	case iv.Busy:
+		d.Stats.BusySeconds += dt
+	case onCopy:
 		d.Stats.CopyIdleSeconds += dt
-	} else {
+	default:
 		d.Stats.IdleSeconds += dt
 	}
 }
@@ -288,25 +223,14 @@ func (d *Device) Kernel(c KernelCost) float64 {
 		// graph: no per-kernel host dispatch, the step paid GraphLaunch
 		// once at BeginGraphReplay.
 		launch = 0
-		d.Stats.GraphKernels++
 	}
 	dt := launch + math.Max(math.Max(math.Max(tc, tm), math.Max(tr, tp)), math.Max(tu, th))
-	if d.twinOf != nil {
-		// Staging twin: keep the cost for the device to charge later; dt is
-		// what it charges outside a graph replay.
-		d.staged = append(d.staged, c)
-		return dt
-	}
 	tag := c.Tag
 	if tag == "" {
 		tag = "kernel"
 	}
-	d.busy(dt, tag)
-	d.Stats.Kernels++
-	d.Stats.FLOPs += c.FLOPs
-	d.Stats.LocalBytes += c.StreamBytes + c.RandBytes
-	d.Stats.RemoteBytes += c.RemoteBytes + c.UMBytes
-	d.Stats.HostBytes += c.HostZeroCopyBytes
+	d.charge(Charge{Dur: dt, Tag: tag, Graph: d.inGraph, Kernels: 1, FLOPs: c.FLOPs,
+		LocalBytes: c.StreamBytes + c.RandBytes, RemoteBytes: c.RemoteBytes + c.UMBytes, HostBytes: c.HostZeroCopyBytes})
 	return dt
 }
 
@@ -321,8 +245,7 @@ func (d *Device) Gemm(m, n, k int, tag string) float64 {
 func (d *Device) Malloc(bytes float64) float64 {
 	p := d.m.Cfg.Device
 	dt := p.MallocBase + p.MallocPerGB*bytes/1e9
-	d.busy(dt, "malloc")
-	d.Stats.AllocatedByte += bytes
+	d.charge(Charge{Dur: dt, Tag: "malloc", Graph: d.inGraph, AllocatedByte: bytes})
 	return dt
 }
 

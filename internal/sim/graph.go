@@ -12,24 +12,25 @@ package sim
 // can show replayed work in its own category.
 //
 // Like every clock-advancing method, these are owner-only: call them from
-// the goroutine that owns the device between barriers.
+// the goroutine that owns the device between barriers. They are also the one
+// thing besides charges a recording device accepts (see stage.go): a
+// scheduled replay records its GraphLaunch, and each recorded charge keeps
+// whether it was priced inside the bracket.
 
 // BeginGraphReplay enters graph-replay mode on the current stream, charging
 // the one-time graph launch overhead as busy time tagged with the given tag
 // (empty defaults to "graph-launch"). It panics inside an open bracket.
 func (d *Device) BeginGraphReplay(tag string) {
-	d.mustHaveTimeline()
 	if d.inGraph {
 		panic("sim: BeginGraphReplay inside an open graph-replay bracket")
 	}
 	if tag == "" {
 		tag = "graph-launch"
 	}
-	// Charged after the flag is set so the interval is flagged as graph work
-	// in the trace.
+	// Charged after the flag is set: the launch is graph work, and a graph
+	// charge is issued only inside a bracket.
 	d.inGraph = true
-	d.busy(d.m.Cfg.Device.GraphLaunch, tag)
-	d.Stats.GraphLaunches++
+	d.charge(Charge{Dur: d.m.Cfg.Device.GraphLaunch, Tag: tag, Graph: true, GraphLaunches: 1})
 }
 
 // EndGraphReplay closes the graph-replay bracket.

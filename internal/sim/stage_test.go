@@ -20,10 +20,27 @@ var stageCosts = []KernelCost{
 	{},
 }
 
-// TestStagingTwinKernel: Kernel on a twin returns what the device charges,
-// touches nothing of the device, and issuing the staged list on the device
-// reproduces direct charging bit for bit — clocks, Stats and trace — on
-// either stream.
+// sameTimeline reports where two devices' stream clocks, Stats or traces
+// differ.
+func sameTimeline(t *testing.T, got, want *Device) {
+	t.Helper()
+	for _, k := range []StreamKind{StreamCompute, StreamCopy} {
+		if got.StreamNow(k) != want.StreamNow(k) {
+			t.Errorf("%v clock: issued %v, direct %v", k, got.StreamNow(k), want.StreamNow(k))
+		}
+	}
+	if got.Stats != want.Stats {
+		t.Errorf("Stats: issued %+v, direct %+v", got.Stats, want.Stats)
+	}
+	if !reflect.DeepEqual(got.Trace(), want.Trace()) {
+		t.Errorf("trace intervals differ between issued and direct charging:\n%v\n%v", got.Trace(), want.Trace())
+	}
+}
+
+// TestStagingTwinKernel: Kernel on a recording twin returns what the device
+// charges, touches nothing of the device, and issuing the recorded list on
+// the device reproduces direct charging bit for bit — clocks, Stats and
+// trace — on either stream.
 func TestStagingTwinKernel(t *testing.T) {
 	for _, stream := range []StreamKind{StreamCompute, StreamCopy} {
 		direct := NewMachine(DGXA100(1)).Devs[3]
@@ -38,6 +55,8 @@ func TestStagingTwinKernel(t *testing.T) {
 			twin.Machine() != viaTwin.Machine() || twin.Real() != viaTwin || viaTwin.Real() != viaTwin {
 			t.Fatal("twin does not carry its device's identity")
 		}
+		var list []Charge
+		twin.Record(&list)
 		before, statsBefore, traceBefore := viaTwin.Now(), viaTwin.Stats, len(viaTwin.Trace())
 		for i, c := range stageCosts {
 			want := direct.Kernel(c)
@@ -46,107 +65,209 @@ func TestStagingTwinKernel(t *testing.T) {
 			}
 		}
 		if viaTwin.Now() != before || viaTwin.Stats != statsBefore || len(viaTwin.Trace()) != traceBefore {
-			t.Fatal("staging moved the device's clock, Stats or trace")
+			t.Fatal("recording moved the device's clock, Stats or trace")
 		}
-		staged := twin.SwapStaged(nil)
-		if !reflect.DeepEqual(staged, stageCosts) {
-			t.Fatalf("staged list differs from the launches:\n%v\n%v", staged, stageCosts)
+		if len(list) != len(stageCosts) {
+			t.Fatalf("recorded %d charges for %d launches", len(list), len(stageCosts))
 		}
-		if left := twin.SwapStaged(nil); len(left) != 0 {
-			t.Fatalf("SwapStaged left %d costs behind", len(left))
-		}
-		for _, c := range staged {
-			viaTwin.Kernel(c)
-		}
-		for _, k := range []StreamKind{StreamCompute, StreamCopy} {
-			if viaTwin.StreamNow(k) != direct.StreamNow(k) {
-				t.Errorf("%v clock: staged %v, direct %v", k, viaTwin.StreamNow(k), direct.StreamNow(k))
-			}
-		}
-		if viaTwin.Stats != direct.Stats {
-			t.Errorf("Stats: staged %+v, direct %+v", viaTwin.Stats, direct.Stats)
-		}
-		if !reflect.DeepEqual(viaTwin.Trace(), direct.Trace()) {
-			t.Error("trace intervals differ between staged and direct charging")
-		}
+		viaTwin.Issue(list, 0)
+		sameTimeline(t, viaTwin, direct)
 	}
 }
 
-// TestStagingTwinReusesSwappedList: handing the issued list back makes the
-// steady state allocation-free.
-func TestStagingTwinReusesSwappedList(t *testing.T) {
+// TestRecordIssueReusesList: recording into a list that was issued and cut
+// back to length 0 makes the steady state allocation-free.
+func TestRecordIssueReusesList(t *testing.T) {
 	dev := NewMachine(DGXA100(1)).Devs[0]
 	twin := dev.StagingTwin()
-	var list []KernelCost
+	var list []Charge
 	round := func() {
+		twin.Record(&list)
 		for _, c := range stageCosts {
 			twin.Kernel(c)
 		}
-		list = twin.SwapStaged(list)
-		for _, c := range list {
-			dev.Kernel(c)
-		}
+		dev.Issue(list, 0)
+		list = list[:0]
 	}
 	round()
 	round()
 	if n := testing.AllocsPerRun(50, round); n != 0 {
-		t.Errorf("stage/swap/issue round allocates %v times", n)
+		t.Errorf("record/issue round allocates %v times", n)
 	}
 }
 
 // TestStagingTwinHasNoTimeline: whatever reads, advances or orders virtual
-// time panics on a twin, so a clock-dependent build cannot be staged by
-// accident.
+// time panics on a recording device — a staging twin, or the device itself
+// between Record(list) and Record(nil) — so clock-dependent work cannot be
+// deferred by accident. Charges and the graph bracket record.
 func TestStagingTwinHasNoTimeline(t *testing.T) {
 	m := NewMachine(DGXA100(1))
 	dev := m.Devs[1]
+	var list []Charge
 	twin := dev.StagingTwin()
-	withTwin := []*Device{m.Devs[0], twin}
-	for name, fn := range map[string]func(){
-		"Now":              func() { twin.Now() },
-		"StreamNow":        func() { twin.StreamNow(StreamCopy) },
-		"Span":             func() { twin.Span() },
-		"CurrentStream":    func() { twin.CurrentStream() },
-		"SetStream":        func() { twin.SetStream(StreamCopy) },
-		"RecordEvent":      func() { twin.RecordEvent() },
-		"WaitEvent":        func() { twin.WaitEvent(Event{T: 1}, "w") },
-		"WaitEvent(zero)":  func() { twin.WaitEvent(Event{}, "w") },
-		"IdleFor":          func() { twin.IdleFor(1e-6, "i") },
-		"IdleFor(0)":       func() { twin.IdleFor(0, "i") },
-		"IdleUntil":        func() { twin.IdleUntil(1) },
-		"Malloc":           func() { twin.Malloc(1 << 20) },
-		"HostCopy":         func() { twin.HostCopy(1 << 20) },
-		"ChaseP2P":         func() { twin.ChaseP2P(4, 8) },
-		"ApplyCharge":      func() { twin.ApplyCharge(1e-6, "c", false) },
-		"ApplyCharge/comm": func() { twin.ApplyCharge(1e-6, "c", true) },
-		"AttachRecorder":   func() { twin.AttachRecorder(nil) },
-		"BeginGraphReplay": func() { twin.BeginGraphReplay("") },
-		"StagingTwin":      func() { twin.StagingTwin() },
-		"Barrier":          func() { Barrier(withTwin) },
-		"AlltoAllvBytes":   func() { AlltoAllvBytes(withTwin, [][]float64{{0, 1}, {1, 0}}) },
-		"StartRingAllGather": func() {
-			StartRingAllGather(withTwin, 1<<20, CollOpts{})
-		},
-	} {
+	twin.Record(&list)
+	for _, rec := range []struct {
+		d    *Device
+		want string
+	}{{twin, "staging twin of device 1"}, {dev, "device 1 is recording"}} {
+		d := rec.d
+		d.Record(&list)
+		withRec := []*Device{m.Devs[0], d}
+		for name, fn := range map[string]func(){
+			"Now":             func() { d.Now() },
+			"StreamNow":       func() { d.StreamNow(StreamCopy) },
+			"Span":            func() { d.Span() },
+			"CurrentStream":   func() { d.CurrentStream() },
+			"SetStream":       func() { d.SetStream(StreamCopy) },
+			"RecordEvent":     func() { d.RecordEvent() },
+			"WaitEvent":       func() { d.WaitEvent(Event{T: 1}, "w") },
+			"WaitEvent(zero)": func() { d.WaitEvent(Event{}, "w") },
+			"IdleFor":         func() { d.IdleFor(1e-6, "i") },
+			"IdleFor(0)":      func() { d.IdleFor(0, "i") },
+			"IdleUntil":       func() { d.IdleUntil(1) },
+			"HostCopy":        func() { d.HostCopy(1 << 20) },
+			"Issue":           func() { d.Issue([]Charge{{Dur: 1e-6}}, 0) },
+			"StagingTwin":     func() { d.StagingTwin() },
+			"Barrier":         func() { Barrier(withRec) },
+			"AlltoAllvBytes":  func() { AlltoAllvBytes(withRec, [][]float64{{0, 1}, {1, 0}}) },
+			"StartRingAllGather": func() {
+				StartRingAllGather(withRec, 1<<20, CollOpts{})
+			},
+		} {
+			func() {
+				defer func() {
+					r := recover()
+					if r == nil {
+						t.Errorf("%s on a %s did not panic", name, rec.want)
+					} else if msg, ok := r.(string); !ok || !strings.Contains(msg, rec.want) {
+						t.Errorf("%s on a %s panicked with %v", name, rec.want, r)
+					}
+				}()
+				fn()
+			}()
+		}
+		list = list[:0]
+		d.Kernel(stageCosts[0])
+		d.Malloc(1 << 20)
+		d.ChaseP2P(4, 8)
+		d.BeginGraphReplay("")
+		d.Kernel(stageCosts[0])
+		d.EndGraphReplay()
+		if len(list) != 5 || list[3].GraphLaunches != 1 || !list[4].Graph || list[0].Graph {
+			t.Errorf("%s recorded %+v", rec.want, list)
+		}
+	}
+	dev.Record(nil)
+	if dev.Now() != 0 || dev.Stats != (DeviceStats{}) {
+		t.Error("recording moved the device's clock or Stats")
+	}
+}
+
+// TestIssueOutsideItsBracketPanics: a charge priced inside a graph-replay
+// bracket cannot be issued outside one, nor the other way round.
+func TestIssueOutsideItsBracketPanics(t *testing.T) {
+	dev := NewMachine(DGXA100(1)).Devs[0]
+	var list []Charge
+	dev.Record(&list)
+	dev.Kernel(stageCosts[0])
+	dev.BeginGraphReplay("")
+	dev.Kernel(stageCosts[0])
+	dev.Record(nil)
+	for _, c := range []struct {
+		name string
+		in   []Charge
+	}{{"an eager charge inside the bracket", list[:1]}, {"a graph charge outside it", list[1:]}} {
 		func() {
 			defer func() {
-				r := recover()
-				if r == nil {
-					t.Errorf("%s on a staging twin did not panic", name)
-				} else if msg, ok := r.(string); !ok || !strings.Contains(msg, "staging twin of device 1") {
-					t.Errorf("%s on a staging twin panicked with %v", name, r)
+				if recover() == nil {
+					t.Errorf("issuing %s did not panic", c.name)
 				}
 			}()
-			fn()
+			if c.in[0].Graph {
+				dev.EndGraphReplay()
+			}
+			dev.Issue(c.in, 0)
 		}()
 	}
-	if twin.InGraphReplay() {
-		t.Error("a refused BeginGraphReplay left the twin in replay mode")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("SwapStaged on a real device did not panic")
+}
+
+// FuzzRecordIssue: a random program of kernels (every KernelCost field set),
+// Mallocs, graph brackets and stream switches runs twice with tracing on —
+// once charged directly, once recorded in stretches, by the device itself or
+// by its staging twin, and issued on the device wherever the program needs a
+// timeline. Both stream clocks, every Stats field and every trace interval
+// must agree exactly.
+func FuzzRecordIssue(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add([]byte{3, 0, 9, 9, 9, 9, 9, 9, 9, 9, 9, 2, 7, 3, 4, 5, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1})
+	f.Add([]byte{5, 8, 1, 200, 13, 0, 77, 4, 30, 250, 64, 6, 3, 1, 2, 3, 4, 5, 6, 7, 8, 9, 3})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		direct := NewMachine(DGXA100(1)).Devs[2]
+		issued := NewMachine(DGXA100(1)).Devs[2]
+		direct.Tracing, issued.Tracing = true, true
+		twin := issued.StagingTwin()
+		var list []Charge
+		rec := issued
+		// flush issues what rec recorded and hands the device its timeline.
+		flush := func() {
+			rec.Record(nil)
+			issued.Issue(list, 0)
+			list = list[:0]
 		}
-	}()
-	dev.SwapStaged(nil)
+		next := func() float64 {
+			if len(prog) == 0 {
+				return 0
+			}
+			b := prog[0]
+			prog = prog[1:]
+			return float64(b)
+		}
+		tags := []string{"", "k", "gather.feat"}
+		rec.Record(&list)
+		for len(prog) > 0 {
+			switch op := int(next()); op % 6 {
+			case 0, 1:
+				c := KernelCost{FLOPs: next() * 3.1e7, StreamBytes: next() * 7.3e4, RandBytes: next() * 1.7e4,
+					RemoteBytes: next() * 5.9e4, RemoteSegBytes: next() * 3, UMBytes: next() * 1.1e3,
+					HostZeroCopyBytes: next() * 2.3e3, HostSegBytes: next(), Tag: tags[op%3]}
+				if got, want := rec.Kernel(c), direct.Kernel(c); got != want {
+					t.Fatalf("recorded Kernel priced %g, direct %g", got, want)
+				}
+			case 2:
+				b := next() * 1.3e6
+				if got, want := rec.Malloc(b), direct.Malloc(b); got != want {
+					t.Fatalf("recorded Malloc priced %g, direct %g", got, want)
+				}
+			case 3:
+				// A bracket opens on the device itself, recording, as a
+				// scheduled replay's does; it closes on a timeline.
+				flush()
+				if direct.InGraphReplay() {
+					direct.EndGraphReplay()
+					issued.EndGraphReplay()
+				} else {
+					rec = issued
+					direct.BeginGraphReplay(tags[op%3])
+					issued.Record(&list)
+					issued.BeginGraphReplay(tags[op%3])
+					continue
+				}
+			case 4:
+				flush()
+				k := StreamKind(1 - direct.CurrentStream())
+				direct.SetStream(k)
+				issued.SetStream(k)
+			case 5:
+				// The twin prices outside a bracket only: the device's own
+				// bracket is not the twin's.
+				flush()
+				if rec = issued; op&8 != 0 && !issued.InGraphReplay() {
+					rec = twin
+				}
+			}
+			rec.Record(&list)
+		}
+		flush()
+		sameTimeline(t, issued, direct)
+	})
 }

@@ -189,7 +189,7 @@ func (t *Trainer) step(w int, b *gnn.Batch) stepResult {
 		if t.gs.sch != nil {
 			rec = t.gs.sch[w]
 			rec.Reset()
-			dev.AttachRecorder(rec)
+			dev.Record(&rec.Charges)
 			tp.SetReplayObserver(rec)
 		}
 		dev.BeginGraphReplay("step-graph")
@@ -243,15 +243,16 @@ func (t *Trainer) step(w int, b *gnn.Batch) stepResult {
 }
 
 // scheduled list-schedules the DAG rec recorded over a replayed step onto
-// dev's compute and copy streams and applies its charges at their scheduled
+// dev's compute and copy streams and issues its charges at their scheduled
 // positions. Under OverlapGrads bucket b's AllReduce gate is the scheduled
 // end of its last gradient-producing node (the eager backward's clock-read
-// hooks are meaningless while charges are being recorded). The graph
-// bracket stays open: RunEpoch closes it after the optimizer, so loss,
-// gradient sync and optimizer replay inside the step's one graph launch.
+// hooks would panic on a recording device). The graph bracket stays open:
+// the charges were priced inside it, and RunEpoch closes it after the
+// optimizer, so loss, gradient sync and optimizer replay inside the step's
+// one graph launch.
 func (t *Trainer) scheduled(w int, dev *sim.Device, rec *sched.Recorder, g *stepGraph) {
 	g.tape.SetReplayObserver(nil)
-	dev.DetachRecorder()
+	dev.Record(nil)
 	makespan := rec.Schedule(dev.StreamNow(sim.StreamCompute), dev.StreamNow(sim.StreamCopy))
 	rec.Apply(dev)
 	if !t.Opts.OverlapGrads {

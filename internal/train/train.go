@@ -18,6 +18,7 @@ package train
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 
 	"wholegraph/internal/autograd"
@@ -185,6 +186,45 @@ func (o Options) Normalize() Options {
 	return o
 }
 
+// modelConfig returns the model o describes over ds, or why no run can use
+// o: whatever gnn.Check refuses, a negative number in any other numeric
+// field but Seed (a NaN learning rate too) or a fanout below 1 — each named.
+// It runs after Normalize, which fills the zeros.
+func (o Options) modelConfig(ds *dataset.Dataset) (gnn.Config, error) {
+	cfg := gnn.Config{
+		InDim:   ds.Spec.FeatDim,
+		Hidden:  o.Hidden,
+		Classes: ds.Spec.NumClasses,
+		Layers:  len(o.Fanouts),
+		Heads:   o.Heads,
+		Dropout: o.Dropout,
+		Backend: o.Backend,
+		Seed:    o.Seed,
+	}
+	if err := gnn.Check(o.Arch, cfg); err != nil {
+		return cfg, err
+	}
+	v := reflect.ValueOf(o)
+	for i := range v.NumField() {
+		f, name, bad := v.Field(i), v.Type().Field(i).Name, false
+		switch f.Kind() {
+		case reflect.Int, reflect.Int64:
+			bad = f.Int() < 0 && name != "Seed"
+		case reflect.Float32, reflect.Float64:
+			bad = !(f.Float() >= 0) // NaN fails too
+		}
+		if bad {
+			return cfg, fmt.Errorf("train: Options.%s is %v; want a non-negative value", name, f)
+		}
+	}
+	for hop, fan := range o.Fanouts {
+		if fan <= 0 {
+			return cfg, fmt.Errorf("train: Options.Fanouts[%d] is %d; want a positive fanout", hop, fan)
+		}
+	}
+	return cfg, nil
+}
+
 // StoreOptions translates the storage knobs' user spellings — policy and
 // encoding names, budgets in MiB — into the store's own options. It is the
 // one such translation: New and serve.New build their stores from it.
@@ -348,6 +388,9 @@ func (t *Trainer) epochScratch() *epochScratch {
 // worker, charging the one-time fill.
 func New(m *sim.Machine, ds *dataset.Dataset, opts Options) (*Trainer, error) {
 	opts = opts.Normalize()
+	if _, err := opts.modelConfig(ds); err != nil {
+		return nil, err
+	}
 	if ds.Feat == nil && ds.Gen != nil && !opts.PagedFeatures {
 		return nil, fmt.Errorf("train: %s is out-of-core; set Options.PagedFeatures", ds.Spec.Name)
 	}
@@ -397,20 +440,11 @@ func New(m *sim.Machine, ds *dataset.Dataset, opts Options) (*Trainer, error) {
 func NewCustom(m *sim.Machine, ds *dataset.Dataset, opts Options,
 	mkLoader func(w int, dev *sim.Device) BatchLoader) (*Trainer, error) {
 	opts = opts.Normalize()
-	t := &Trainer{Machine: m, Opts: opts, ds: ds, rng: rand.New(rand.NewSource(opts.Seed))}
-	cfg := gnn.Config{
-		InDim:   ds.Spec.FeatDim,
-		Hidden:  opts.Hidden,
-		Classes: ds.Spec.NumClasses,
-		Layers:  len(opts.Fanouts),
-		Heads:   opts.Heads,
-		Dropout: opts.Dropout,
-		Backend: opts.Backend,
-		Seed:    opts.Seed,
-	}
-	if err := gnn.Check(opts.Arch, cfg); err != nil {
+	cfg, err := opts.modelConfig(ds)
+	if err != nil {
 		return nil, err
 	}
+	t := &Trainer{Machine: m, Opts: opts, ds: ds, rng: rand.New(rand.NewSource(opts.Seed))}
 	totalWorkers := len(m.Devs)
 	t.shards = core.ShardTraining(ds.Train, totalWorkers)
 	if opts.RealWorkers > m.Cfg.GPUsPerNode {

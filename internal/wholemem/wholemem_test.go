@@ -322,7 +322,7 @@ func TestWithKindRelabels(t *testing.T) {
 }
 
 // TestStagingTwinGathersAsItsDevice: a staging twin resolves to its
-// device's rank, so a gather through it moves the same data and stages the
+// device's rank, so a gather through it moves the same data and records the
 // kernel the device would have been charged — and a twin of a device
 // outside the communicator is still outside it.
 func TestStagingTwinGathersAsItsDevice(t *testing.T) {
@@ -335,6 +335,8 @@ func TestStagingTwinGathersAsItsDevice(t *testing.T) {
 	m.Reset()
 	d := c.Devs[3]
 	twin := d.StagingTwin()
+	var list []sim.Charge
+	twin.Record(&list)
 	if got := c.RankOfDevice(twin); got != 3 {
 		t.Fatalf("twin of rank 3 resolves to rank %d", got)
 	}
@@ -355,11 +357,9 @@ func TestStagingTwinGathersAsItsDevice(t *testing.T) {
 	}
 	direct := d.Stats
 	m.Reset()
-	for _, k := range twin.SwapStaged(nil) {
-		d.Kernel(k)
-	}
+	d.Issue(list, 0)
 	if d.Stats != direct || d.Now() != dt {
-		t.Errorf("issuing the staged gather: stats %+v clock %g, direct %+v clock %g", d.Stats, d.Now(), direct, dt)
+		t.Errorf("issuing the recorded gather: stats %+v clock %g, direct %+v clock %g", d.Stats, d.Now(), direct, dt)
 	}
 
 	m2 := sim.NewMachine(sim.DGXA100(2))

@@ -23,8 +23,9 @@ go test -race ./...
 # the tile on the AVX and the Go path (the kernel, element-wise and
 # fuzz-seed tests run both) (~4 min).
 go test -race -count=10 -cpu 1,4 ./internal/tensor
-# The loader's run-ahead builder shares a ring, a sampler and a staging twin
-# with the goroutine that owns the device, ordered by a go statement and one
+# The loader's run-ahead builder prices a batch on a staging twin that records
+# its charges into the ring slot, while the goroutine that owns the device
+# issues the previous slot's; the two are ordered by a go statement and one
 # channel receive: hammer planned against unplanned builds (every batch read
 # in full while the next one is built) at three GOMAXPROCS settings (~90 s).
 go test -race -count=20 -cpu 1,2,4 -run '^TestPlannedEqualsUnplanned$' ./internal/core
@@ -63,6 +64,10 @@ go test -run '^$' -fuzz '^FuzzTopoAccess$' -fuzztime 10s ./internal/topostore
 # matrices and start gates: link bytes conserved, no clock going back, no
 # device done before its gate, two fresh machines identical.
 go test -run '^$' -fuzz '^FuzzCollectives$' -fuzztime 10s ./internal/sim
+# Random programs of kernels, Mallocs, graph brackets and stream switches,
+# recorded (on the device or its staging twin) and issued, against the same
+# program charged directly: both clocks, every counter, every trace interval.
+go test -run '^$' -fuzz '^FuzzRecordIssue$' -fuzztime 10s ./internal/sim
 # Random architectures, depths, widths, head counts, backends and batch
 # shapes: the no-grad forward against the recording one, logits bit for bit
 # and both device clocks and counters equal.

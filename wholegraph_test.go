@@ -3,6 +3,7 @@ package wholegraph_test
 import (
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"strings"
@@ -44,6 +45,44 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 	if emb, err := trainer.Predict(ds.Val[:4]); err != nil || len(emb) != 4 || len(emb[0]) != ds.Spec.NumClasses {
 		t.Errorf("Predict returned wrong shape (err %v)", err)
+	}
+}
+
+// TestNewTrainerRejectsBadOptions: every option value that cannot describe
+// a run — negative sizes and counts, a negative or NaN learning rate, a
+// fanout below 1 — is an error from NewTrainer naming the field, not a panic
+// in the middle of RunEpoch.
+func TestNewTrainerRejectsBadOptions(t *testing.T) {
+	machine := wholegraph.NewDGXA100(1)
+	ds, err := wholegraph.GenerateDataset(wholegraph.OgbnProducts.Scaled(0.0005))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		want string // what the error says about the field
+		opts wholegraph.TrainOptions
+	}{
+		{"Options.Batch ", wholegraph.TrainOptions{Batch: -1}},
+		{"Options.Fanouts[0] ", wholegraph.TrainOptions{Fanouts: []int{-1, 5}}},
+		{"Options.Fanouts[1] ", wholegraph.TrainOptions{Fanouts: []int{5, 0}}},
+		{"Options.RealWorkers ", wholegraph.TrainOptions{RealWorkers: -1}},
+		{"hidden size -4", wholegraph.TrainOptions{Hidden: -4}},
+		{"Options.LR ", wholegraph.TrainOptions{LR: -1}},
+		{"Options.LR ", wholegraph.TrainOptions{LR: math.NaN()}},
+		{"Options.MaxItersPerEpoch ", wholegraph.TrainOptions{MaxItersPerEpoch: -3}},
+		{"Options.CacheRows ", wholegraph.TrainOptions{CacheRows: -5}},
+		{"Options.BucketBytes ", wholegraph.TrainOptions{BucketBytes: -1}},
+		{"Options.Heads ", wholegraph.TrainOptions{Heads: -2}},
+		{"Options.PrefetchPages ", wholegraph.TrainOptions{PrefetchPages: -1}},
+	} {
+		opts := tc.opts
+		if opts.Fanouts == nil {
+			opts.Fanouts = []int{3, 3}
+		}
+		tr, err := wholegraph.NewTrainer(machine, ds, opts)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: NewTrainer returned trainer %v, error %v; want an error saying %q", tc.opts, tr != nil, err, tc.want)
+		}
 	}
 }
 
