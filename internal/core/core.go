@@ -152,58 +152,73 @@ func (p *partitionRows) FillRow(row int64, dst []float32) {
 	p.ds.FillFeatRow(p.pg.RowOrig(row), dst)
 }
 
-// loaderSlot is one entry of the loader's two-slot batch ring: the full
-// batch-building scratch plus everything the produced batch aliases, and
-// the two events that order slot reuse across streams. Each slot's scratch
-// is reused in place, so the steady-state loop allocates nothing: per-hop
-// neighborhoods, dedup workspaces and sub-CSR blocks (each hop needs its
-// own, since all hops' blocks are alive in the returned batch at once),
-// plus the frontier, feature-row, feature and label buffers.
-type loaderSlot struct {
-	curBuf []graph.GlobalID
-	nbs    []*sampling.Neighborhood
-	deds   []*unique.Deduper
-	blocks []*spops.SubCSR
-	rows   []int64
-	feat   *tensor.Dense
-	labels []int32
+// batchFace is what a caller of the loader holds: a gnn.Batch, its Feat
+// header and its SubCSR objects, at addresses that never change. Binding a
+// build to a face copies the build body's slice headers and SubCSR values
+// into it — O(layers) — so a face keeps its identity, the key step-graph
+// captures are held under, whichever body it shows. ready is recorded on
+// the copy stream when a prefetched build has been issued; free is recorded
+// on the compute stream when the face's batch has been consumed (Release).
+// The zero events never block.
+type batchFace struct {
 	batch  gnn.Batch
+	feat   tensor.Dense
+	blocks []spops.SubCSR
+	body   *buildBody
+	ready  sim.Event
+	free   sim.Event
+}
+
+// buildBody is the storage one build computes into: per-hop neighborhoods,
+// dedup workspaces and sub-CSR blocks (each hop needs its own, since all
+// hops' blocks are alive in a batch at once), plus the frontier,
+// feature-row, feature and label buffers. Each body is reused in place, so
+// the steady-state loop allocates nothing.
+type buildBody struct {
+	curBuf []graph.GlobalID
+	nbs    []sampling.Neighborhood
+	deds   []unique.Deduper
+	blocks []spops.SubCSR
+	rows   []int64
+	feat   tensor.Dense
+	labels []int32
 	tm     Timing
 	// sample and gather list, in launch order, the charges the two phases
-	// of the slot's build recorded on the loader's twin, for apply to issue
-	// on the device. Empty when the build charged the device directly.
+	// of the build recorded on the loader's twin, for apply to issue on the
+	// device. Empty when the build charged the device directly.
 	sample, gather []sim.Charge
-	// ready is recorded on the copy stream when a prefetched build
-	// completes; free is recorded on the compute stream when the slot's
-	// batch has been consumed (Release). The zero events never block.
-	ready sim.Event
-	free  sim.Event
+	// targets is the list a build started ahead of its call is of, and
+	// failed the value that build panicked with (nil if it did not).
+	targets []int64
+	failed  any
 }
 
 // Loader builds training batches for one device. One loader per training
 // process, as in the paper's one-process-per-GPU layout.
 //
-// Batches come out of a two-slot ring: a returned batch aliases its slot's
-// scratch and stays valid while the other slot is (re)built, which is what
-// lets Prefetch construct batch i+1 on the device's copy stream while
-// compute still reads batch i.
+// Batches come out of two faces over three build bodies. A returned batch is
+// a face showing a body; it stays valid while the next batch is built into
+// another body, which is what lets Prefetch construct batch i+1 on the
+// device's copy stream while compute still reads batch i.
 //
 // A build is two halves. compute is the host math — sample, AppendUnique,
-// gather — and charges a staging twin of the device, which records the
-// charges into the slot; apply issues them on the device at the call point,
-// so the clocks, Stats and trace are those of a build that ran there.
-// Prefetching overlaps virtual time only. Plan overlaps host execution: it
-// announces the next BuildBatch calls, and while the caller works on batch k
-// a second goroutine computes batch k+1 into the ring slot batch k-1 just
-// vacated.
+// gather — into a free body, charging a staging twin of the device, which
+// records the charges into the body; apply issues them on the device at the
+// call point, so the clocks, Stats and trace are those of a build that ran
+// there. Prefetching overlaps virtual time only. Plan overlaps host
+// execution: it announces the next BuildBatch or Prefetch calls, and while
+// the caller works on batch k a builder goroutine computes batch k+1 into a
+// body no readable batch shows. Speculate does the same for the first
+// builds of a plan not announced yet, undoing them if something else is
+// built first.
 //
-// Ownership: the loader — device, both slots, plan — belongs to its
-// worker's goroutine. Between the start of a run-ahead build and the
-// BuildBatch call that joins it, the builder goroutine owns the sampler
-// (its RNG and sampling.Scratch), the hot-row cache's counters, the twin
-// and the slot it fills, and reads plan and next; it never touches the
-// device or the slot holding the live batch. The store is immutable. The go
-// statement and the done channel order the hand-overs, so no locking is
+// Ownership: the loader — device, faces, bodies, plan — belongs to its
+// worker's goroutine. Between the start of a run-ahead build and the call
+// that joins it, the builder goroutine owns the sampler (its RNG and
+// sampling.Scratch), the hot-row cache's counters, the twin and the bodies
+// in ahead, and reads ahead; it never touches the device, a face or a body
+// a face shows to the caller. The store is immutable. The send on
+// buildJobs and the one on done order the hand-overs, so no locking is
 // involved.
 //
 // Stores whose reads consult the clock (paged features or topology compare
@@ -219,22 +234,36 @@ type Loader struct {
 	sampler *sampling.GPUSampler
 	cache   *cache.FeatureCache
 
-	slots [2]loaderSlot
-	// next indexes the slot the next build (BuildBatch or Prefetch) writes
-	// to; the most recently returned batch lives in slots[next^1].
+	faces  [2]batchFace
+	bodies [3]buildBody
+	// next indexes the face the next build binds; the most recently returned
+	// batch is faces[next^1], and live is the body it shows.
 	next int
-	// pending is set between Prefetch and Collect.
+	live *buildBody
+	// pending is set between Prefetch and Collect; faces[next] holds the
+	// prefetched build.
 	pending bool
 
-	// plan holds the announced target lists BuildBatch has not handed out
-	// yet. ahead is set while the build of plan[0] into slots[next] is
-	// running, or has finished, on the builder goroutine; its outcome (nil,
-	// or the value it panicked with) arrives on done. buildAhead is that
-	// goroutine's body, made once so that starting it allocates nothing.
-	plan       [][]int64
-	ahead      bool
-	done       chan any
-	buildAhead func()
+	// plan holds the announced target lists not handed out yet. ahead holds,
+	// in order, the nAhead bodies of builds started ahead of their calls: of
+	// plan[0], plan[1], … or, with spec set, of the lists Speculate was
+	// given. running is set while a builder goroutine fills them; it reports
+	// on done.
+	plan    [][]int64
+	ahead   [2]*buildBody
+	nAhead  int
+	running bool
+	done    chan struct{}
+
+	// spec marks the builds in ahead as speculative: snap holds the sampler
+	// stream and cache counters from before them, and, once they are
+	// joined, the counts their lookups added.
+	spec bool
+	snap struct {
+		rng                  sampling.RNGState
+		hits, misses         int64
+		specHits, specMisses int64
+	}
 
 	// PrefetchPages scratch: the predicted page ids of one store.
 	pfIDs []int32
@@ -247,13 +276,24 @@ func NewLoader(s *Store, dev *sim.Device, fanouts []int, seed int64) *Loader {
 	if s.FeatStore() == nil && s.TopoStore() == nil {
 		bdev = dev.StagingTwin()
 	}
-	return &Loader{
+	l := &Loader{
 		Store:   s,
 		Dev:     dev,
 		Fanouts: fanouts,
 		bdev:    bdev,
 		sampler: sampling.NewGPUSampler(s.PG, bdev, seed),
+		done:    make(chan struct{}, 1),
 	}
+	for i := range l.faces {
+		f := &l.faces[i]
+		f.blocks = make([]spops.SubCSR, len(fanouts))
+		f.batch.Blocks = make([]*spops.SubCSR, len(fanouts))
+		for j := range f.blocks {
+			f.batch.Blocks[j] = &f.blocks[j]
+		}
+		f.batch.Feat = &f.feat
+	}
+	return l
 }
 
 // Device returns the GPU this loader samples and trains on.
@@ -318,39 +358,25 @@ func (l *Loader) BuildBatch(targets []int64) (*gnn.Batch, Timing) {
 	if l.pending {
 		panic("core: BuildBatch with a prefetch pending; Collect it first")
 	}
-	planned := len(l.plan) > 0
-	if planned && !slices.Equal(l.plan[0], targets) {
-		// A build that ran ahead has consumed sampler RNG for the planned
-		// list and cannot be undone.
-		panic(fmt.Sprintf("core: BuildBatch out of plan: %d targets that are not the next planned list (%d targets, %d lists outstanding)",
-			len(targets), len(l.plan[0]), len(l.plan)))
-	}
-	s := &l.slots[l.next]
-	if l.ahead {
-		l.ahead = false
-		if p := <-l.done; p != nil {
-			panic(p)
-		}
-	} else {
-		l.compute(s, targets)
-	}
+	l.mustBePlanned(targets)
+	b := l.take(targets)
+	f := l.bind(b)
 	l.next ^= 1
-	if planned {
-		l.plan = l.plan[1:]
-		l.startAhead()
-	}
-	l.apply(s)
-	return &s.batch, s.tm
+	l.live = b
+	l.runAhead()
+	l.apply(b)
+	return &f.batch, b.tm
 }
 
-// Plan announces the target lists of the next len(lists) BuildBatch calls,
-// in order, so their builds may run ahead of the calls on a second
-// goroutine: batch contents, Timing, clocks, Stats and trace are those of
-// the same calls without a plan. While a plan is open every build must be
-// the BuildBatch of its head — anything else panics — and lists and the
-// slices it holds must not change. The builder goroutine lives from one
-// BuildBatch to the next; once the last planned call has returned nothing
-// of the plan is left.
+// Plan announces the target lists of the next len(lists) builds, in order,
+// so they may run ahead of their calls on a second goroutine: batch
+// contents, Timing, clocks, Stats and trace are those of the same calls
+// without a plan. While a plan is open every build must be the BuildBatch or
+// Prefetch of its head — anything else panics — and lists and the slices it
+// holds must not change. A build runs ahead from one build call to the
+// next; once the last planned call has returned nothing of the plan is left.
+// A plan that begins with the lists of outstanding speculative builds adopts
+// them; any other discards them first.
 func (l *Loader) Plan(lists [][]int64) {
 	if len(l.plan) > 0 {
 		panic(fmt.Sprintf("core: Plan with %d planned builds outstanding", len(l.plan)))
@@ -358,33 +384,210 @@ func (l *Loader) Plan(lists [][]int64) {
 	if l.pending {
 		panic("core: Plan with a prefetch pending; Collect it first")
 	}
+	if l.spec {
+		l.Join()
+		adopt := l.nAhead <= len(lists)
+		for i := 0; adopt && i < l.nAhead; i++ {
+			adopt = slices.Equal(l.ahead[i].targets, lists[i])
+		}
+		if !adopt {
+			l.rollback()
+		} else {
+			l.spec = false
+			if l.cache != nil {
+				l.cache.Hits += l.snap.specHits
+				l.cache.Misses += l.snap.specMisses
+			}
+		}
+	}
 	l.plan = lists
 }
 
-// startAhead starts the build of the plan's head into the slot the next
-// BuildBatch will return, if there is a head and the store can be staged.
-func (l *Loader) startAhead() {
-	if len(l.plan) == 0 || l.bdev == l.Dev {
+// Speculate starts the builds of the first lists of a plan not announced
+// yet — at most two — on the builder goroutine: the trainer hands it the
+// next epoch's first batches during this epoch's last step. Nothing is
+// bound or charged. A Plan that begins with the same lists adopts the
+// builds; any other build first, or a Plan that begins otherwise, discards
+// them and rewinds the sampler's stream and the cache's counters to where
+// they stood, so batches, Timing, clocks, Stats and trace are those of
+// never speculating. A no-op on stores that cannot be staged, and while
+// builds run ahead already.
+func (l *Loader) Speculate(lists [][]int64) {
+	if len(l.plan) > 0 {
+		panic(fmt.Sprintf("core: Speculate with %d planned builds outstanding", len(l.plan)))
+	}
+	if l.pending {
+		panic("core: Speculate with a prefetch pending; Collect it first")
+	}
+	if l.bdev == l.Dev || l.nAhead > 0 || len(lists) == 0 {
 		return
 	}
-	if l.done == nil {
-		l.done = make(chan any, 1)
-		l.buildAhead = func() {
-			// A panic travels to the BuildBatch that joins this build.
-			defer func() { l.done <- recover() }()
-			l.compute(&l.slots[l.next], l.plan[0])
+	l.spec = true
+	l.sampler.SaveRNG(&l.snap.rng)
+	if l.cache != nil {
+		l.snap.hits, l.snap.misses = l.cache.Hits, l.cache.Misses
+	}
+	l.startAhead(lists[:min(len(lists), len(l.ahead))])
+}
+
+// Join waits for the builds running ahead, if any. When it returns no
+// goroutine works for the loader, and the cache's counters hold no lookup
+// of a speculative build: those are set aside until a Plan adopts it.
+func (l *Loader) Join() {
+	if !l.running {
+		return
+	}
+	<-l.done
+	l.running = false
+	if l.spec && l.cache != nil {
+		c := l.cache
+		l.snap.specHits, l.snap.specMisses = c.Hits-l.snap.hits, c.Misses-l.snap.misses
+		c.Hits, c.Misses = l.snap.hits, l.snap.misses
+	}
+}
+
+// rollback discards speculative builds and rewinds the sampler's stream;
+// the join has rewound the cache's counters.
+func (l *Loader) rollback() {
+	l.Join()
+	l.sampler.RestoreRNG(&l.snap.rng)
+	l.ahead = [2]*buildBody{}
+	l.nAhead = 0
+	l.spec = false
+}
+
+// mustBePlanned panics unless targets may be built now: under a plan only
+// its head may.
+func (l *Loader) mustBePlanned(targets []int64) {
+	if len(l.plan) > 0 && !slices.Equal(l.plan[0], targets) {
+		// A build that ran ahead has consumed sampler RNG for the planned
+		// list and cannot be undone.
+		panic(fmt.Sprintf("core: build out of plan: %d targets that are not the next planned list (%d targets, %d lists outstanding)",
+			len(targets), len(l.plan[0]), len(l.plan)))
+	}
+}
+
+// take returns a body holding the build of targets, which mustBePlanned
+// has let through: the one run ahead for it, or a free one computed into
+// here. Under a plan it consumes the head; speculative builds are discarded
+// first.
+func (l *Loader) take(targets []int64) *buildBody {
+	if l.spec {
+		l.rollback()
+	}
+	if len(l.plan) > 0 {
+		l.plan = l.plan[1:]
+		if l.nAhead > 0 {
+			l.Join()
+			b := l.ahead[0]
+			l.ahead = [2]*buildBody{l.ahead[1]}
+			l.nAhead--
+			if p := b.failed; p != nil {
+				b.failed = nil
+				l.ahead, l.nAhead, l.plan = [2]*buildBody{}, 0, nil
+				panic(p)
+			}
+			return b
 		}
 	}
-	l.ahead = true
-	go l.buildAhead()
+	b := l.freeBody()
+	l.compute(b, targets)
+	return b
+}
+
+// freeBody returns a body that neither a batch the caller may still read
+// (the live one, a pending prefetch) nor a run-ahead build holds.
+func (l *Loader) freeBody() *buildBody {
+	for i := range l.bodies {
+		b := &l.bodies[i]
+		if b != l.live && !(l.pending && b == l.faces[l.next].body) && !slices.Contains(l.ahead[:l.nAhead], b) {
+			return b
+		}
+	}
+	panic("core: no free build body")
+}
+
+// bind shows body b on the next face and returns the face.
+func (l *Loader) bind(b *buildBody) *batchFace {
+	f := &l.faces[l.next]
+	copy(f.blocks, b.blocks)
+	f.feat = b.feat
+	f.batch.Labels = b.labels
+	f.body = b
+	return f
+}
+
+// runAhead starts the build of the plan's head on the builder goroutine, if
+// none is ahead and the store can be staged.
+func (l *Loader) runAhead() {
+	if len(l.plan) > 0 && l.nAhead == 0 && l.bdev != l.Dev {
+		l.startAhead(l.plan[:1])
+	}
+}
+
+// startAhead starts the builds of lists, in order, into free bodies on a
+// builder goroutine.
+func (l *Loader) startAhead(lists [][]int64) {
+	for _, targets := range lists {
+		b := l.freeBody()
+		b.targets = targets
+		l.ahead[l.nAhead] = b
+		l.nAhead++
+	}
+	l.running = true
+	select {
+	case buildJobs <- l:
+	default:
+		go runBuilder()
+		buildJobs <- l
+	}
+}
+
+// buildJobs hands loaders whose ahead builds are to run to the process's
+// builder goroutines. A loader gives its job to an idle builder, or starts
+// one when none is idle, so there are as many builders as loaders have ever
+// built ahead at once, and starting a build starts no goroutine: a goroutine
+// per build allocated a runtime g whenever the per-P free lists of dead
+// goroutines ran dry, about one build in four over a benchmark's first few
+// hundred. An idle builder holds no loader.
+var buildJobs = make(chan *Loader)
+
+func runBuilder() {
+	for l := range buildJobs {
+		l.buildAhead()
+	}
+}
+
+// buildAhead runs l's ahead builds in order and reports on done.
+func (l *Loader) buildAhead() {
+	defer func() { l.done <- struct{}{} }()
+	for i, b := range l.ahead[:l.nAhead] {
+		// A panic travels to the call that takes this build, and to those of
+		// the builds after it, which never ran.
+		if l.computeAhead(b); b.failed != nil {
+			for _, r := range l.ahead[i+1 : l.nAhead] {
+				r.failed = b.failed
+			}
+			return
+		}
+	}
+}
+
+// computeAhead is compute on the builder goroutine, keeping a panic in
+// b.failed.
+func (l *Loader) computeAhead(b *buildBody) {
+	defer func() { b.failed = recover() }()
+	l.compute(b, b.targets)
 }
 
 // Prefetch builds the batch for the given targets on the device's copy
-// stream, overlapping whatever the compute stream is doing. The build goes
-// into the ring slot not aliased by the most recently returned batch; the
-// copy stream first waits for that slot's release event, so a prefetch can
-// never overwrite a batch compute still reads. Exactly one Collect must
-// follow before the next Prefetch or BuildBatch.
+// stream, overlapping whatever the compute stream is doing. The build is
+// bound to the face not showing the most recently returned batch; the copy
+// stream first waits for that face's release event, so a prefetch can never
+// overwrite a batch compute still reads. Exactly one Collect must follow
+// before the next Prefetch or BuildBatch. Under a plan targets must be its
+// head, and the build of the next planned list starts on the builder
+// goroutine.
 //
 // Prefetching changes only which virtual timeline the build is charged to:
 // the sampler RNG and dedup order are those of a sequential BuildBatch
@@ -393,22 +596,22 @@ func (l *Loader) Prefetch(targets []int64) {
 	if l.pending {
 		panic("core: Prefetch with a prefetch already pending")
 	}
-	if len(l.plan) > 0 {
-		panic("core: Prefetch with a plan open; planned builds go through BuildBatch")
-	}
-	s := &l.slots[l.next]
+	l.mustBePlanned(targets)
+	f := &l.faces[l.next]
 	// The build starts no earlier than its issue point on the current
 	// (compute) stream — a stream cannot run work before the host enqueued
-	// it — and no earlier than the slot's release.
+	// it — and no earlier than the face's release.
 	issue := l.Dev.RecordEvent()
 	prev := l.Dev.SetStream(sim.StreamCopy)
 	l.Dev.WaitEvent(issue, "wait.issue")
-	l.Dev.WaitEvent(s.free, "wait.slot")
-	l.compute(s, targets)
-	l.apply(s)
-	s.ready = l.Dev.RecordEvent()
-	l.Dev.SetStream(prev)
+	l.Dev.WaitEvent(f.free, "wait.slot")
+	b := l.take(targets)
+	l.bind(b)
 	l.pending = true
+	l.runAhead()
+	l.apply(b)
+	f.ready = l.Dev.RecordEvent()
+	l.Dev.SetStream(prev)
 }
 
 // Collect returns the batch built by the preceding Prefetch, stalling the
@@ -419,19 +622,20 @@ func (l *Loader) Collect() (*gnn.Batch, Timing) {
 	if !l.pending {
 		panic("core: Collect without a pending Prefetch")
 	}
-	s := &l.slots[l.next]
+	f := &l.faces[l.next]
 	l.next ^= 1
 	l.pending = false
-	l.Dev.WaitEvent(s.ready, "wait.batch")
-	return &s.batch, s.tm
+	l.live = f.body
+	l.Dev.WaitEvent(f.ready, "wait.batch")
+	return &f.batch, f.body.tm
 }
 
 // Release records on the compute stream that the most recently returned
 // batch (from Collect or BuildBatch) is dead — typically right after
-// backward. The slot's next Prefetch waits on this event before
-// overwriting the scratch.
+// backward. The face's next Prefetch waits on this event before showing
+// another build.
 func (l *Loader) Release() {
-	l.slots[l.next^1].free = l.Dev.RecordEvent()
+	l.faces[l.next^1].free = l.Dev.RecordEvent()
 }
 
 // PrefetchPages predicts which paged-store pages the batch for `targets`
@@ -496,49 +700,43 @@ func (l *Loader) PrefetchPages(targets []int64, maxPages int) int {
 	return total
 }
 
-// compute runs the sample/dedup/gather chain for targets into slot s,
-// charging bdev. On a staging twin that leaves the charges in the slot for
+// compute runs the sample/dedup/gather chain for targets into body b,
+// charging bdev. On a staging twin that leaves the charges in the body for
 // apply and touches nothing of the device, so it may run on the builder
 // goroutine; on the device itself (a store that cannot be staged) the
-// charges land on the current stream here and s.tm is final.
-func (l *Loader) compute(s *loaderSlot, targets []int64) {
-	s.tm = Timing{}
+// charges land on the current stream here and b.tm is final.
+func (l *Loader) compute(b *buildBody, targets []int64) {
+	b.tm = Timing{}
 	pg := l.Store.PG
 	dev := l.bdev
 	staged := dev != l.Dev
 
-	if s.nbs == nil {
-		s.nbs = make([]*sampling.Neighborhood, len(l.Fanouts))
-		s.deds = make([]*unique.Deduper, len(l.Fanouts))
-		s.blocks = make([]*spops.SubCSR, len(l.Fanouts))
-		for i := range s.nbs {
-			s.nbs[i] = new(sampling.Neighborhood)
-			s.deds[i] = unique.NewDeduper()
-			s.blocks[i] = new(spops.SubCSR)
-		}
+	if b.nbs == nil {
+		b.nbs = make([]sampling.Neighborhood, len(l.Fanouts))
+		b.deds = make([]unique.Deduper, len(l.Fanouts))
+		b.blocks = make([]spops.SubCSR, len(l.Fanouts))
 	}
 
-	if cap(s.curBuf) < len(targets) {
-		s.curBuf = make([]graph.GlobalID, len(targets))
+	if cap(b.curBuf) < len(targets) {
+		b.curBuf = make([]graph.GlobalID, len(targets))
 	}
-	cur := s.curBuf[:len(targets)]
+	cur := b.curBuf[:len(targets)]
 	for i, v := range targets {
 		cur[i] = pg.Owner[v]
 	}
 
 	var t0 float64
 	if staged {
-		s.sample = s.sample[:0]
-		dev.Record(&s.sample)
+		b.sample = b.sample[:0]
+		dev.Record(&b.sample)
 	} else {
 		t0 = dev.Now()
 	}
-	blocks := s.blocks
 	for hop, fan := range l.Fanouts {
-		nb := l.sampler.SampleLayerInto(s.nbs[hop], cur, fan)
-		uq := s.deds[hop].AppendUnique(dev, cur, nb.Neighbors)
+		nb := l.sampler.SampleLayerInto(&b.nbs[hop], cur, fan)
+		uq := b.deds[hop].AppendUnique(dev, cur, nb.Neighbors)
 		// The first sampled hop feeds the last GNN layer.
-		blk := blocks[len(l.Fanouts)-1-hop]
+		blk := &b.blocks[len(l.Fanouts)-1-hop]
 		blk.NumTargets = len(cur)
 		blk.NumNodes = len(uq.Unique)
 		blk.RowPtr = nb.Offsets
@@ -559,67 +757,60 @@ func (l *Loader) compute(s *loaderSlot, targets []int64) {
 	// Global gather: one kernel reading every input node's feature row
 	// from whichever GPU owns it.
 	dim := pg.Dim
-	if cap(s.rows) < len(cur) {
-		s.rows = make([]int64, len(cur))
+	if cap(b.rows) < len(cur) {
+		b.rows = make([]int64, len(cur))
 	}
-	rows := s.rows[:len(cur)]
+	rows := b.rows[:len(cur)]
 	for i, gid := range cur {
 		rows[i] = pg.FeatRow(gid)
 	}
-	if s.feat == nil {
-		s.feat = tensor.New(len(cur), dim)
-	} else {
-		n := len(cur) * dim
-		if cap(s.feat.V) < n {
-			s.feat.V = make([]float32, n)
-		}
-		s.feat.R, s.feat.C, s.feat.V = len(cur), dim, s.feat.V[:n]
+	if n := len(cur) * dim; cap(b.feat.V) < n {
+		b.feat.V = make([]float32, n)
 	}
-	feat := s.feat
+	b.feat.R, b.feat.C, b.feat.V = len(cur), dim, b.feat.V[:len(cur)*dim]
 	var t1 float64
 	if staged {
-		s.gather = s.gather[:0]
-		dev.Record(&s.gather)
+		b.gather = b.gather[:0]
+		dev.Record(&b.gather)
 	} else {
 		t1 = dev.Now()
-		s.tm.Sample = t1 - t0
+		b.tm.Sample = t1 - t0
 	}
 	if l.cache != nil {
-		l.cache.GatherRowsOn(dev, rows, dim, feat.V, "gather.feat")
+		l.cache.GatherRowsOn(dev, rows, dim, b.feat.V, "gather.feat")
 	} else {
-		pg.Features().GatherRows(dev, rows, dim, feat.V, "gather.feat")
+		pg.Features().GatherRows(dev, rows, dim, b.feat.V, "gather.feat")
 	}
 	if staged {
 		dev.Record(nil)
 	} else {
-		s.tm.Gather = dev.Now() - t1
+		b.tm.Gather = dev.Now() - t1
 	}
 
-	if cap(s.labels) < len(targets) {
-		s.labels = make([]int32, len(targets))
+	if cap(b.labels) < len(targets) {
+		b.labels = make([]int32, len(targets))
 	}
-	labels := s.labels[:len(targets)]
+	b.labels = b.labels[:len(targets)]
 	for i, v := range targets {
-		labels[i] = l.Store.DS.Labels[v]
+		b.labels[i] = l.Store.DS.Labels[v]
 	}
-	s.batch = gnn.Batch{Blocks: blocks, Feat: feat, Labels: labels}
 }
 
-// apply issues the charges slot s's build recorded, in order, on the
+// apply issues the charges body b's build recorded, in order, on the
 // device's current stream and times the two phases on its clock: every busy
 // interval, Stats increment and clock value is the one compute would have
 // produced by charging the device directly at this point. After a build
 // that did charge the device directly there is nothing to issue.
-func (l *Loader) apply(s *loaderSlot) {
+func (l *Loader) apply(b *buildBody) {
 	if l.bdev == l.Dev {
 		return
 	}
 	t0 := l.Dev.Now()
-	l.Dev.Issue(s.sample, 0)
+	l.Dev.Issue(b.sample, 0)
 	t1 := l.Dev.Now()
-	s.tm.Sample = t1 - t0
-	l.Dev.Issue(s.gather, 0)
-	s.tm.Gather = l.Dev.Now() - t1
+	b.tm.Sample = t1 - t0
+	l.Dev.Issue(b.gather, 0)
+	b.tm.Gather = l.Dev.Now() - t1
 }
 
 // EpochBatchesInto partitions the training set into shuffled mini-batches

@@ -86,8 +86,8 @@ func hashBatches(t *testing.T, s *Store, dev *sim.Device, planned bool) uint64 {
 			ld.Plan(lists)
 		}
 		for _, targets := range lists {
-			slot := &ld.slots[ld.next]
 			b, _ := ld.BuildBatch(targets)
+			slot := ld.faces[ld.next^1].body
 			for _, nb := range slot.nbs {
 				put(uint64(len(nb.Targets)))
 				for _, v := range nb.Targets {

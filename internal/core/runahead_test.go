@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
@@ -54,12 +55,38 @@ func hashBatch(b *gnn.Batch) uint64 {
 	return h
 }
 
-// runBuilds drives nine builds over three target lists (so the list wraps,
-// as a short shard's does in the epoch loop) the way the sequential trainer
-// does: build, read the whole batch, charge a step's worth of compute. With
-// planned set the builds are announced first. It returns what every call
-// left behind plus the device's final Stats and trace.
-func runBuilds(t *testing.T, ds *dataset.Dataset, name string, cached, planned bool) ([]buildRecord, sim.DeviceStats, []sim.Interval, [2]int64) {
+// drive says how runBuilds calls the loader.
+type drive struct {
+	// pipelined builds through Prefetch, Collect and Release, as the
+	// pipelined trainer does, instead of BuildBatch.
+	pipelined bool
+	// planned announces each epoch's builds first.
+	planned bool
+	// speculate hands the loader the next epoch's first builds during each
+	// epoch's last step — one sequentially, two pipelined — and joins them
+	// after it, as RunEpoch does.
+	speculate bool
+	// between builds an unplanned batch between epochs, as Evaluate does.
+	between bool
+}
+
+// loaderRun is what runBuilds' calls left behind that a caller can observe:
+// every build's record, the cache's counters after every epoch, the
+// device's final Stats and trace; and how many epochs adopted speculative
+// builds.
+type loaderRun struct {
+	recs    []buildRecord
+	counts  [][2]int64
+	stats   sim.DeviceStats
+	trace   []sim.Interval
+	adopted int
+}
+
+// runBuilds drives two epochs of six builds over three target lists (so the
+// list wraps, as a short shard's does in the epoch loop; the second epoch
+// starts at another list) the way the trainer does: build, read the whole
+// batch, charge a step's worth of compute.
+func runBuilds(t *testing.T, ds *dataset.Dataset, name string, cached bool, d drive) loaderRun {
 	t.Helper()
 	m, s := goldenStoreOn(t, ds, name)
 	m.Reset()
@@ -74,68 +101,162 @@ func runBuilds(t *testing.T, ds *dataset.Dataset, name string, cached, planned b
 		}
 		ld.WithCache(fc)
 	}
-	lists := make([][]int64, 9)
-	for i := range lists {
-		lists[i] = s.DS.Train[16*(i%3) : 16*(i%3)+16]
+	sets := [][]int64{s.DS.Train[0:16], s.DS.Train[16:32], s.DS.Train[32:48]}
+	epochLists := func(e int) [][]int64 {
+		lists := make([][]int64, 6)
+		for i := range lists {
+			lists[i] = sets[(i+e)%len(sets)]
+		}
+		return lists
 	}
-	if planned {
-		ld.Plan(lists)
+	var r loaderRun
+	record := func(b *gnn.Batch, tm Timing) {
+		r.recs = append(r.recs, buildRecord{hashBatch(b), tm, dev.StreamNow(sim.StreamCompute), dev.StreamNow(sim.StreamCopy)})
 	}
-	var recs []buildRecord
-	for _, targets := range lists {
-		b, tm := ld.BuildBatch(targets)
-		// The builder is already filling the other slot: reading this one
-		// in full is what the race detector checks the two against.
-		recs = append(recs, buildRecord{hashBatch(b), tm, dev.StreamNow(sim.StreamCompute), dev.StreamNow(sim.StreamCopy)})
-		dev.Gemm(b.Feat.R, 64, b.Feat.C, "step")
+	lists := epochLists(0)
+	for e := 0; e < 2; e++ {
+		next := epochLists(e + 1)
+		if d.planned {
+			ld.Plan(lists)
+			if ld.nAhead > 0 {
+				r.adopted++
+			}
+		}
+		for i, targets := range lists {
+			var b *gnn.Batch
+			var tm Timing
+			if d.pipelined {
+				if i == 0 {
+					ld.Prefetch(targets)
+				}
+				b, tm = ld.Collect()
+				if i+1 < len(lists) {
+					ld.Prefetch(lists[i+1])
+				}
+			} else {
+				b, tm = ld.BuildBatch(targets)
+			}
+			if d.speculate && i == len(lists)-1 {
+				n := 1
+				if d.pipelined {
+					n = 2
+				}
+				ld.Speculate(next[:n])
+			}
+			// The builder is already filling another body: reading this batch
+			// in full is what the race detector checks the two against.
+			record(b, tm)
+			dev.Gemm(b.Feat.R, 64, b.Feat.C, "step")
+			if d.pipelined {
+				ld.Release()
+			}
+		}
+		if d.speculate {
+			ld.Join()
+		}
+		if fc != nil {
+			r.counts = append(r.counts, [2]int64{fc.Hits, fc.Misses})
+		}
+		if d.between {
+			record(ld.BuildBatch(sets[e][:8]))
+		}
+		lists = next
 	}
-	var counts [2]int64
-	if fc != nil {
-		counts = [2]int64{fc.Hits, fc.Misses}
+	r.stats, r.trace = dev.Stats, dev.Trace()
+	return r
+}
+
+// storeCases are the loader's store flavours: resident, weighted, cached and
+// paged (which cannot run ahead and builds at the call).
+var storeCases = []struct {
+	store  string
+	cached bool
+}{
+	{"resident", false}, {"resident", true}, {"weighted", false},
+	{"pagedtopo", false}, {"pagedfeat", false}, {"pagedfeat", true},
+}
+
+// sameRuns reports every difference between two loaderRuns.
+func sameRuns(t *testing.T, name string, want, got loaderRun) {
+	t.Helper()
+	if len(want.recs) != len(got.recs) {
+		t.Fatalf("%s: %d builds, want %d", name, len(got.recs), len(want.recs))
 	}
-	return recs, dev.Stats, dev.Trace(), counts
+	for i := range want.recs {
+		if want.recs[i] != got.recs[i] {
+			t.Errorf("%s build %d: %+v, want %+v", name, i, got.recs[i], want.recs[i])
+		}
+	}
+	if want.recs[0].tm.Sample <= 0 || want.recs[0].tm.Gather <= 0 {
+		t.Errorf("%s: Timing not recorded: %+v", name, want.recs[0].tm)
+	}
+	if want.stats != got.stats {
+		t.Errorf("%s: DeviceStats %+v, want %+v", name, got.stats, want.stats)
+	}
+	if !reflect.DeepEqual(want.trace, got.trace) {
+		t.Errorf("%s: trace intervals differ (%d, want %d)", name, len(got.trace), len(want.trace))
+	}
+	if !reflect.DeepEqual(want.counts, got.counts) {
+		t.Errorf("%s: cache hits/misses per epoch %v, want %v", name, got.counts, want.counts)
+	}
 }
 
 // TestPlannedEqualsUnplanned is the pin of run-ahead as a pure refactor of
 // values: announcing the builds changes nothing a caller can observe — batch
 // contents, Timing, either stream clock after every call, the device's
 // Stats, its trace intervals, the cache's counters — on resident, weighted,
-// cached and paged stores. scripts/check.sh race-stresses it.
+// cached and paged stores, through BuildBatch and through
+// Prefetch/Collect/Release. scripts/check.sh race-stresses it.
 func TestPlannedEqualsUnplanned(t *testing.T) {
 	plain, weighted := goldenDataset(t, false), goldenDataset(t, true)
-	for _, tc := range []struct {
-		store  string
-		cached bool
-	}{
-		{"resident", false}, {"resident", true}, {"weighted", false},
-		{"pagedtopo", false}, {"pagedfeat", false}, {"pagedfeat", true},
-	} {
+	for _, tc := range storeCases {
 		ds := plain
 		if tc.store == "weighted" {
 			ds = weighted
 		}
-		recs, stats, trace, counts := runBuilds(t, ds, tc.store, tc.cached, false)
-		pRecs, pStats, pTrace, pCounts := runBuilds(t, ds, tc.store, tc.cached, true)
-		name := tc.store
-		if tc.cached {
-			name += "+cache"
-		}
-		for i := range recs {
-			if recs[i] != pRecs[i] {
-				t.Errorf("%s build %d: unplanned %+v, planned %+v", name, i, recs[i], pRecs[i])
+		for _, pipelined := range []bool{false, true} {
+			name := tc.store
+			if tc.cached {
+				name += "+cache"
 			}
+			if pipelined {
+				name += "/pipelined"
+			}
+			want := runBuilds(t, ds, tc.store, tc.cached, drive{pipelined: pipelined})
+			got := runBuilds(t, ds, tc.store, tc.cached, drive{pipelined: pipelined, planned: true})
+			sameRuns(t, name, want, got)
 		}
-		if recs[0].tm.Sample <= 0 || recs[0].tm.Gather <= 0 {
-			t.Errorf("%s: Timing not recorded: %+v", name, recs[0].tm)
+	}
+}
+
+// TestSpeculationEqualsNone: a speculative build that a plan adopts gives
+// what building the planned list at its call does, and one that an
+// out-of-plan build undoes gives what never speculating does — batches,
+// Timing, both clocks, Stats, trace and the cache's counters, read after
+// every epoch while the speculation is outstanding — sequentially and
+// pipelined. scripts/check.sh race-stresses it.
+func TestSpeculationEqualsNone(t *testing.T) {
+	ds := goldenDataset(t, false)
+	for _, tc := range storeCases {
+		if tc.store == "weighted" {
+			continue
 		}
-		if stats != pStats {
-			t.Errorf("%s: DeviceStats unplanned %+v, planned %+v", name, stats, pStats)
-		}
-		if !reflect.DeepEqual(trace, pTrace) {
-			t.Errorf("%s: trace intervals differ (%d unplanned, %d planned)", name, len(trace), len(pTrace))
-		}
-		if counts != pCounts {
-			t.Errorf("%s: cache hits/misses unplanned %v, planned %v", name, counts, pCounts)
+		staged := tc.store == "resident"
+		for _, pipelined := range []bool{false, true} {
+			for _, between := range []bool{false, true} {
+				name := fmt.Sprintf("%s cached=%v pipelined=%v between=%v", tc.store, tc.cached, pipelined, between)
+				want := runBuilds(t, ds, tc.store, tc.cached, drive{pipelined: pipelined, between: between})
+				got := runBuilds(t, ds, tc.store, tc.cached, drive{pipelined: pipelined, planned: true, speculate: true, between: between})
+				sameRuns(t, name, want, got)
+				// The second epoch follows one with a speculation.
+				wantAdopted := 0
+				if staged && !between {
+					wantAdopted = 1
+				}
+				if got.adopted != wantAdopted {
+					t.Errorf("%s: %d epochs adopted speculative builds, want %d", name, got.adopted, wantAdopted)
+				}
+			}
 		}
 	}
 }
@@ -157,8 +278,8 @@ func mustPanic(t *testing.T, what, want string, fn func()) {
 }
 
 // TestOutOfPlanCallsPanic: while a plan is open the only build allowed is
-// the BuildBatch of its head — on stores that run ahead and on stores that
-// cannot alike.
+// that of its head, through BuildBatch or Prefetch — on stores that run
+// ahead and on stores that cannot alike.
 func TestOutOfPlanCallsPanic(t *testing.T) {
 	for _, name := range []string{"resident", "pagedtopo"} {
 		m, s := goldenStore(t, name)
@@ -167,19 +288,26 @@ func TestOutOfPlanCallsPanic(t *testing.T) {
 		ld := NewLoader(s, m.Devs[0], []int{5, 5}, 1)
 		ld.Plan([][]int64{a, b, c})
 		mustPanic(t, name+": a second Plan", "planned builds outstanding", func() { ld.Plan([][]int64{a}) })
-		mustPanic(t, name+": Prefetch under a plan", "plan open", func() { ld.Prefetch(a) })
+		mustPanic(t, name+": Speculate under a plan", "planned builds outstanding", func() { ld.Speculate([][]int64{a}) })
+		mustPanic(t, name+": Prefetch of the wrong list", "out of plan", func() { ld.Prefetch(b) })
 		mustPanic(t, name+": BuildBatch of the wrong list", "out of plan", func() { ld.BuildBatch(b) })
 		ld.BuildBatch(a)
 		mustPanic(t, name+": BuildBatch of a skipped-to list", "out of plan", func() { ld.BuildBatch(c) })
-		ld.BuildBatch(b)
+		ld.Prefetch(b)
+		ld.Collect()
+		ld.Release()
 		ld.BuildBatch(c)
 		// Drained: anything goes again.
 		ld.BuildBatch(a)
 		ld.Prefetch(b)
 		mustPanic(t, name+": Plan over a pending prefetch", "prefetch pending", func() { ld.Plan([][]int64{a}) })
+		mustPanic(t, name+": Speculate over a pending prefetch", "prefetch pending", func() { ld.Speculate([][]int64{a}) })
 		ld.Collect()
 		ld.Plan(nil)
 		ld.BuildBatch(c)
+		if prev := m.Devs[0].SetStream(sim.StreamCompute); prev != sim.StreamCompute {
+			t.Errorf("%s: a refused call left the device on stream %v", name, prev)
+		}
 	}
 }
 
@@ -188,11 +316,11 @@ func TestOutOfPlanCallsPanic(t *testing.T) {
 func builderGoroutines() int {
 	buf := make([]byte, 1<<20)
 	buf = buf[:runtime.Stack(buf, true)]
-	return bytes.Count(buf, []byte("core.(*Loader).startAhead.func1"))
+	return bytes.Count(buf, []byte("core.(*Loader).buildAhead"))
 }
 
-// waitNoBuilders fails unless every builder goroutine exits shortly: one is
-// never parked, so it is gone as soon as its build is.
+// waitNoBuilders fails unless every build ends shortly: a builder goroutine
+// leaves buildAhead, and holds no loader, as soon as its build is done.
 func waitNoBuilders(t *testing.T, when string) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -227,10 +355,10 @@ func TestBuilderPanicSurfacesAtJoin(t *testing.T) {
 	waitNoBuilders(t, "after a builder panic")
 }
 
-// TestNoBuilderOutlivesItsPlan: the builder exists only from one planned
+// TestNoBuilderOutlivesItsPlan: a build runs only from one planned
 // BuildBatch to the next. Nothing is left once a plan is drained, and a plan
-// abandoned halfway leaves nothing either — its last build finishes and the
-// goroutine ends, so a dropped loader is collectable.
+// abandoned halfway leaves nothing either — its last build finishes and its
+// builder goes idle holding nothing, so a dropped loader is collectable.
 func TestNoBuilderOutlivesItsPlan(t *testing.T) {
 	m, s := goldenStore(t, "resident")
 	m.Reset()
@@ -244,8 +372,8 @@ func TestNoBuilderOutlivesItsPlan(t *testing.T) {
 	waitNoBuilders(t, "after a drained plan")
 
 	// The finalizer goes on the loader's cache, which nothing else holds:
-	// the loader itself sits on a cycle (it keeps its builder's closure),
-	// and finalizers of objects on a cycle are not guaranteed to run.
+	// the loader itself sits on a cycle (its faces point into it), and
+	// finalizers of objects on a cycle are not guaranteed to run.
 	collected := make(chan struct{})
 	func() {
 		fc, err := cache.NewDegreeCache(s.PG, m.Devs[1], 10)
@@ -273,21 +401,43 @@ func TestNoBuilderOutlivesItsPlan(t *testing.T) {
 
 // TestPlannedBuildsAllocFree: in the steady state a planned build costs no
 // allocation — the builder goroutine starts from a function value the
-// loader keeps and reports on a channel it keeps.
+// loader keeps and reports on a channel it keeps — whether it goes through
+// BuildBatch or Prefetch, and whether the epoch's first builds were
+// speculated and adopted.
 func TestPlannedBuildsAllocFree(t *testing.T) {
 	m, s := goldenStore(t, "resident")
 	m.Reset()
-	ld := NewLoader(s, m.Devs[1], []int{5, 40}, 3)
 	lists := [][]int64{s.DS.Train[0:16], s.DS.Train[16:32], s.DS.Train[0:16], s.DS.Train[16:32]}
-	epoch := func() {
-		ld.Plan(lists)
-		for _, l := range lists {
-			ld.BuildBatch(l)
+	for _, pipelined := range []bool{false, true} {
+		ld := NewLoader(s, m.Devs[1], []int{5, 40}, 3)
+		speculated := 1
+		if pipelined {
+			speculated = 2
 		}
-	}
-	epoch()
-	epoch()
-	if n := testing.AllocsPerRun(50, epoch); n != 0 {
-		t.Errorf("a planned epoch of %d builds allocated %v times", len(lists), n)
+		epoch := func() {
+			ld.Plan(lists)
+			for i, l := range lists {
+				if !pipelined {
+					ld.BuildBatch(l)
+					continue
+				}
+				if i == 0 {
+					ld.Prefetch(l)
+				}
+				ld.Collect()
+				if i+1 < len(lists) {
+					ld.Prefetch(lists[i+1])
+				}
+				ld.Release()
+			}
+			ld.Speculate(lists[:speculated])
+			ld.Join()
+		}
+		for range 3 {
+			epoch()
+		}
+		if n := testing.AllocsPerRun(50, epoch); n != 0 {
+			t.Errorf("pipelined=%v: a planned epoch of %d builds allocated %v times", pipelined, len(lists), n)
+		}
 	}
 }

@@ -226,6 +226,8 @@ func (a *Adam) Step(dev *sim.Device, s *ParamSet) {
 	a.t++
 	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	b1, b2 := float32(a.Beta1), float32(a.Beta2)
+	k := tensor.AdamCoef{B1: b1, C1: 1 - b1, B2: b2, C2: 1 - b2, BC1: bc1, BC2: bc2, LR: a.LR, Eps: a.Eps}
 	var touched int64
 	for _, p := range s.Params() {
 		g := p.Grad()
@@ -233,15 +235,7 @@ func (a *Adam) Step(dev *sim.Device, s *ParamSet) {
 			continue
 		}
 		touched += int64(len(p.W.V))
-		b1, b2 := float32(a.Beta1), float32(a.Beta2)
-		for i := range p.W.V {
-			gi := g.V[i]
-			p.m.V[i] = b1*p.m.V[i] + (1-b1)*gi
-			p.v.V[i] = b2*p.v.V[i] + (1-b2)*gi*gi
-			mh := float64(p.m.V[i]) / bc1
-			vh := float64(p.v.V[i]) / bc2
-			p.W.V[i] -= float32(a.LR * mh / (math.Sqrt(vh) + a.Eps))
-		}
+		tensor.AdamStep(p.W.V, p.m.V, p.v.V, g.V, &k)
 	}
 	if dev != nil && touched > 0 {
 		// m, v, w reads + writes and g read: ~7 arrays touched.

@@ -6,6 +6,7 @@ import (
 	"wholegraph/internal/graph"
 	"wholegraph/internal/sim"
 	"wholegraph/internal/topostore"
+	"wholegraph/internal/xrand"
 )
 
 // Neighborhood is one sampled layer over the partitioned graph: for target
@@ -41,12 +42,30 @@ type GPUSampler struct {
 	scratch Scratch
 	// cols receives a paged kernel's column values (topostore reads uint64s).
 	cols []uint64
+	// src is the source under Rng: math/rand's own stream, with its state a
+	// plain value that SaveRNG and RestoreRNG copy.
+	src *xrand.Source
 }
 
 // NewGPUSampler returns a sampler for pg running on dev with the given seed.
+// Rng draws the stream of rand.New(rand.NewSource(seed)).
 func NewGPUSampler(pg *graph.Partitioned, dev *sim.Device, seed int64) *GPUSampler {
-	return &GPUSampler{PG: pg, Dev: dev, Rng: rand.New(rand.NewSource(seed))}
+	src := xrand.New(seed)
+	return &GPUSampler{PG: pg, Dev: dev, Rng: rand.New(src), src: src}
 }
+
+// RNGState is a saved position of a sampler's random stream.
+type RNGState struct {
+	rng rand.Rand
+	src xrand.Source
+}
+
+// SaveRNG saves the position of the sampler's random stream into st.
+func (s *GPUSampler) SaveRNG(st *RNGState) { st.rng, st.src = *s.Rng, *s.src }
+
+// RestoreRNG rewinds the sampler's random stream to the position st saved:
+// the draws after it repeat those made since SaveRNG.
+func (s *GPUSampler) RestoreRNG(st *RNGState) { *s.Rng, *s.src = st.rng, st.src }
 
 // SampleLayer samples up to fanout neighbors (without replacement) for each
 // target and charges the device for one fused sampling kernel: row-pointer

@@ -2,6 +2,7 @@ package sampling
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -223,6 +224,39 @@ func TestGPUSamplerFanouts(t *testing.T) {
 	}
 	if len(layers[1].Targets) != len(layers[0].Neighbors) {
 		t.Error("second hop targets should be first hop neighbors")
+	}
+}
+
+// TestSamplerRNGRestoreRepeatsDraws: the sampler's stream is math/rand's
+// for its seed, and after RestoreRNG the draws made since SaveRNG repeat —
+// the neighbourhoods a run-ahead build sampled and then discarded are
+// sampled again, draw for draw.
+func TestSamplerRNGRestoreRepeatsDraws(t *testing.T) {
+	m, _, pg := buildPartitioned(t)
+	s := NewGPUSampler(pg, m.Devs[1], 13)
+	ref := rand.New(rand.NewSource(13))
+	for i := 0; i < 100; i++ {
+		if got, want := s.Rng.Int63(), ref.Int63(); got != want {
+			t.Fatalf("draw %d: %d, math/rand %d", i, got, want)
+		}
+	}
+	targets := make([]graph.GlobalID, 64)
+	for v := range targets {
+		targets[v] = pg.Owner[v]
+	}
+	var st RNGState
+	s.SaveRNG(&st)
+	first := append([]graph.GlobalID(nil), s.SampleLayer(targets, 3).Neighbors...)
+	s.RestoreRNG(&st)
+	again := s.SampleLayer(targets, 3).Neighbors
+	if len(first) == 0 || !slices.Equal(first, again) {
+		t.Fatalf("after RestoreRNG the layer sampled %d neighbours, %d before, or others", len(again), len(first))
+	}
+	next := s.Rng.Int63()
+	s.RestoreRNG(&st)
+	s.SampleLayer(targets, 3)
+	if again := s.Rng.Int63(); again != next {
+		t.Errorf("draw after the layer: %d, after restoring and repeating it %d", next, again)
 	}
 }
 

@@ -74,17 +74,23 @@ func TestSteadyStatePipelinedEpochAllocs(t *testing.T) {
 	steadyStateAllocs(t, opts, false)
 }
 
-// TestSteadyStateRunAheadEpochAllocs: planning an epoch and building its
-// batches ahead on a second goroutine adds nothing — the plan lives in the
-// trainer's scratch and the builder starts from a function value and
-// reports on a channel the loader keeps. (One real worker runs inline under
-// sim.RunParallel, so the builders are the only goroutines started.)
+// TestSteadyStateRunAheadEpochAllocs: planning an epoch, building its
+// batches ahead on a second goroutine and speculating the next epoch's first
+// ones adds nothing — the plan lives in the trainer's scratch and the
+// builder starts from a function value and reports on a channel the loader
+// keeps — on the sequential and the pipelined loop. (One real worker runs
+// inline under sim.RunParallel, so the builders are the only goroutines
+// started.)
 func TestSteadyStateRunAheadEpochAllocs(t *testing.T) {
-	inline := steadyStateAllocs(t, smallOpts("graphsage"), false)
-	ahead := steadyStateAllocs(t, smallOpts("graphsage"), true)
-	// Two of an epoch's three builds run ahead: one allocation per such
-	// build would read +0.67 here, a stray object of the runtime's +0.33.
-	if ahead-inline >= 0.5 {
-		t.Errorf("run-ahead epochs allocate %.1f times per iteration, inline epochs %.1f", ahead, inline)
+	for _, pipelined := range []bool{false, true} {
+		opts := smallOpts("graphsage")
+		opts.Pipeline = pipelined
+		inline := steadyStateAllocs(t, opts, false)
+		ahead := steadyStateAllocs(t, opts, true)
+		// All of an epoch's three builds run ahead: one allocation per such
+		// build would read +1 here, a stray object of the runtime's +0.33.
+		if ahead-inline >= 0.5 {
+			t.Errorf("pipelined=%v: run-ahead epochs allocate %.1f times per iteration, inline epochs %.1f", pipelined, ahead, inline)
+		}
 	}
 }

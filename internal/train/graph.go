@@ -34,7 +34,7 @@ import (
 // graphs.
 
 // maxGraphsPerWorker bounds how many captured step graphs a worker keeps.
-// The WholeGraph loader's two-slot ring needs two; anything past this means
+// The WholeGraph loader's two batch faces need two; anything past this means
 // the loader does not reuse batch objects and capture cannot pay off.
 const maxGraphsPerWorker = 4
 

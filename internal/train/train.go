@@ -279,7 +279,7 @@ type BatchLoader interface {
 
 // PrefetchingLoader is a BatchLoader that can additionally build the next
 // batch on its device's copy stream while compute consumes the current
-// one (core.Loader's two-slot ring). Options.Pipeline uses this path when
+// one (core.Loader's two batch faces). Options.Pipeline uses this path when
 // every worker's loader implements it; baselines that only BuildBatch run
 // sequentially regardless.
 type PrefetchingLoader interface {
@@ -289,7 +289,7 @@ type PrefetchingLoader interface {
 	// Collect waits for and returns the prefetched batch.
 	Collect() (*gnn.Batch, core.Timing)
 	// Release marks the most recently collected batch dead, unblocking
-	// reuse of its ring slot.
+	// reuse of its batch object.
 	Release()
 }
 
@@ -304,13 +304,19 @@ type PagePrefetcher interface {
 }
 
 // BatchPlanner is a BatchLoader that can be told the target lists of its
-// next BuildBatch calls in advance, so that it may build ahead of them
-// (core.Loader's run-ahead builder). The sequential epoch loop announces
-// each worker's epoch through it when the loader offers it.
+// next builds in advance, so that it may build ahead of them (core.Loader's
+// run-ahead builder). RunEpoch announces each worker's epoch through it when
+// the loader offers it, and the next epoch's first lists during this
+// epoch's last step.
 type BatchPlanner interface {
-	// Plan announces the target lists of the next len(lists) BuildBatch
-	// calls, in order; lists stays untouched until the last of them returns.
+	// Plan announces the target lists of the next len(lists) builds, in
+	// order; lists stays untouched until the last of them returns.
 	Plan(lists [][]int64)
+	// Speculate starts the first builds of the next Plan's lists ahead;
+	// a build of anything else first undoes them.
+	Speculate(lists [][]int64)
+	// Join waits for the builds running ahead.
+	Join()
 }
 
 // Trainer is the data-parallel trainer over a simulated machine. With the
@@ -349,13 +355,18 @@ type Trainer struct {
 	ep epochScratch
 }
 
-// epochScratch is what RunEpoch needs per worker: the epoch's shuffled ids
-// and the batches cut from them, the build order announced to a
-// BatchPlanner, and each iteration's timings, start clocks and results.
+// epochScratch is what RunEpoch needs per worker: two buffers, this epoch's
+// and the next one's, each of the shuffled ids, the batches cut from them
+// and the lists the epoch builds in order; and each iteration's timings,
+// start clocks and results.
 type epochScratch struct {
-	ids          [][]int64
-	batches      [][][]int64
-	planned      [][][]int64
+	ids     [2][][]int64
+	batches [2][][][]int64
+	lists   [2][][][]int64
+	// cur indexes this epoch's buffer; drawn says the other one holds the
+	// next epoch's, drawn during this epoch's last step.
+	cur          int
+	drawn        bool
 	timings      []core.Timing
 	iterDevStart []float64
 	trainStart   []float64
@@ -370,16 +381,39 @@ func (t *Trainer) epochScratch() *epochScratch {
 	ep := &t.ep
 	if n := len(t.Models); len(ep.results) != n {
 		*ep = epochScratch{
-			ids:          make([][]int64, n),
-			batches:      make([][][]int64, n),
-			planned:      make([][][]int64, n),
 			timings:      make([]core.Timing, n),
 			iterDevStart: make([]float64, n),
 			trainStart:   make([]float64, n),
 			results:      make([]stepResult, n),
 		}
+		for i := range ep.ids {
+			ep.ids[i] = make([][]int64, n)
+			ep.batches[i] = make([][][]int64, n)
+			ep.lists[i] = make([][][]int64, n)
+		}
 	}
 	return ep
+}
+
+// drawEpoch shuffles every worker's shard into buffer i: an epoch's draws
+// from t.rng, which nothing else consumes.
+func (t *Trainer) drawEpoch(ep *epochScratch, i int) {
+	for w := range t.Models {
+		ep.batches[i][w] = core.EpochBatchesInto(ep.batches[i][w], &ep.ids[i][w], t.shards[w], t.Opts.Batch, t.rng)
+	}
+}
+
+// listEpoch lists the measured builds of buffer i's epoch per worker: batch
+// it%len for it < measured, so the wrap of a short shard and the
+// MaxItersPerEpoch cap are in the lists.
+func (ep *epochScratch) listEpoch(i, measured int) {
+	for w, b := range ep.batches[i] {
+		lists := ep.lists[i][w][:0]
+		for it := 0; it < measured; it++ {
+			lists = append(lists, b[it%len(b)])
+		}
+		ep.lists[i][w] = lists
+	}
 }
 
 // New builds a WholeGraph trainer: it partitions the store onto every node
@@ -550,8 +584,8 @@ func (t *Trainer) Pipelined() bool {
 
 // lookahead is how many batches each worker's loader builds ahead of the
 // one it trains on: 1 on the pipelined path, 0 sequentially. (A method, not
-// a reassigned local, so RunEpoch's per-iteration closure captures it by
-// value and an epoch allocates nothing for it.)
+// a reassigned local, so RunEpoch's closures capture it by value and an
+// epoch allocates nothing for it.)
 func (t *Trainer) lookahead() int {
 	if t.Pipelined() {
 		return 1
@@ -588,9 +622,17 @@ func maxComputeTime(m *sim.Machine) float64 {
 // worker collects the batch its loader prefetched on the copy stream,
 // immediately issues the prefetch of the next batch, and only then runs
 // forward/backward — so batch i+1's sample/dedup/gather overlaps iteration
-// i's compute. The real (host) execution per worker stays serial and the
-// loader consumes targets in the same order, so losses, gradients and model
-// state are bit-identical either way; only the virtual clocks differ.
+// i's compute. The loader consumes targets in the same order either way, so
+// losses, gradients and model state are bit-identical; only the virtual
+// clocks differ.
+//
+// With parallel execution on, each worker's loader is told its epoch's
+// builds (BatchPlanner) and builds batch it+1 on a second goroutine while
+// iteration it computes; during the last step it builds the next epoch's
+// first one or two batches, which the next epoch adopts and anything built
+// in between (Evaluate, Predict) undoes. RunEpoch joins those builds before
+// it returns. With parallel execution off everything stays on this
+// goroutine.
 func (t *Trainer) RunEpoch() EpochStats {
 	t.epoch++
 	stats := EpochStats{Epoch: t.epoch}
@@ -609,75 +651,109 @@ func (t *Trainer) RunEpoch() EpochStats {
 	}
 	start := t.Machine.MaxTime()
 	ep := t.epochScratch()
-	batches, timings, results := ep.batches, ep.timings, ep.results
-	iterDevStart, trainStart := ep.iterDevStart, ep.trainStart
-	for w := range t.Models {
-		batches[w] = core.EpochBatchesInto(batches[w], &ep.ids[w], t.shards[w], t.Opts.Batch, t.rng)
+	if ep.drawn {
+		ep.cur ^= 1
+		ep.drawn = false
+	} else {
+		t.drawEpoch(ep, ep.cur)
 	}
-	// Announce the epoch's builds — exactly the lists the loop below asks
-	// for without look-ahead, wrap and cap included — so a loader that can
-	// will build batch it+1 on a second goroutine while iteration it
-	// computes.
-	// Never across the epoch boundary: Evaluate and Predict build between
-	// epochs and must find the sampler where this epoch leaves it. With
-	// parallel execution switched off everything stays on this goroutine.
-	if lookahead == 0 && sim.ParallelEnabled() {
+	ep.listEpoch(ep.cur, measured)
+	lists, next := ep.lists[ep.cur], ep.lists[ep.cur^1]
+	timings, results := ep.timings, ep.results
+	iterDevStart, trainStart := ep.iterDevStart, ep.trainStart
+	plan := sim.ParallelEnabled()
+	if plan {
 		for w, ld := range t.loaders {
 			if p, ok := ld.(BatchPlanner); ok {
-				ep.planned[w] = ep.planned[w][:0]
-				for it := 0; it < measured; it++ {
-					ep.planned[w] = append(ep.planned[w], batches[w][it%len(batches[w])])
-				}
-				p.Plan(ep.planned[w])
+				p.Plan(lists[w])
 			}
 		}
 	}
 
+	// Forward + backward on every real worker. Workers are independent until
+	// the gradient AllReduce: each owns its device, loader, model replica and
+	// RNG streams, so they run on real goroutines. (Both per-worker functions
+	// are made once per epoch, not per iteration: each is a heap closure.)
+	var it int
+	var speculate bool
+	forward := func(w int) {
+		ld := t.loaders[w]
+		dev := ld.Device()
+		targets := lists[w]
+		iterDevStart[w] = dev.Now()
+		var b *gnn.Batch
+		if lookahead == 0 {
+			b, timings[w] = ld.BuildBatch(targets[it])
+		} else {
+			// Prime the ring on the first iteration, collect the batch in
+			// flight and re-arm the ring at once, so the next build overlaps
+			// this step's compute.
+			pl := ld.(PrefetchingLoader)
+			if it == 0 {
+				pl.Prefetch(targets[0])
+			}
+			b, timings[w] = pl.Collect()
+			if it+1 < measured {
+				pl.Prefetch(targets[it+1])
+			}
+		}
+		if speculate {
+			if p, ok := ld.(BatchPlanner); ok {
+				p.Speculate(next[w][:min(lookahead+1, measured)])
+			}
+		}
+		// Fault prefetch: predict the pages of the batch after the last one
+		// being built (whose own build already faults its pages) and migrate
+		// them on the copy stream while this iteration's forward/backward
+		// runs on compute.
+		if pp, ok := ld.(PagePrefetcher); ok && t.Opts.PrefetchPages > 0 {
+			if ahead := it + 1 + lookahead; ahead < measured {
+				pp.PrefetchPages(targets[ahead], t.Opts.PrefetchPages)
+			}
+		}
+		trainStart[w] = dev.Now()
+		results[w] = t.step(w, b)
+		if lookahead > 0 {
+			ld.(PrefetchingLoader).Release()
+		}
+	}
+	optimize := func(w int) {
+		mdl := t.Models[w]
+		dev := t.loaders[w].Device()
+		if overlap {
+			// Join this device's compute stream with the completion of its
+			// own last gradient bucket on the copy stream.
+			dev.WaitEvent(sim.Event{T: t.ov.lastDone[dev.ID]}, "grad-sync")
+		}
+		t.Opts4[w].Step(dev, mdl.Params())
+		if dev.InGraphReplay() {
+			// Close a scheduled step's graph bracket: loss, gradient sync and
+			// the optimizer all replayed inside it, so the whole step cost one
+			// graph launch.
+			dev.EndGraphReplay()
+		}
+		timings[w].Train += dev.Now() - trainStart[w]
+		// Compute-stream span of the whole iteration: with a sequential
+		// loader this equals Sample+Gather+Train; pipelined it is shorter
+		// because extraction hides behind compute.
+		timings[w].Crit = dev.Now() - iterDevStart[w]
+	}
+
 	var lossSum, accSum float64
-	for it := 0; it < measured; it++ {
+	for it = 0; it < measured; it++ {
 		iterStart := t.Machine.MaxTime()
 		if lookahead > 0 {
 			iterStart = maxComputeTime(t.Machine)
 		}
-		// Forward + backward on every real worker. Workers are independent
-		// until the gradient AllReduce: each owns its device, loader, model
-		// replica and RNG streams, so they run on real goroutines.
-		sim.RunParallel(len(t.Models), func(w int) {
-			ld := t.loaders[w]
-			dev := ld.Device()
-			targets := batches[w]
-			iterDevStart[w] = dev.Now()
-			var b *gnn.Batch
-			if lookahead == 0 {
-				b, timings[w] = ld.BuildBatch(targets[it%len(targets)])
-			} else {
-				// Prime the ring on the first iteration, collect the batch in
-				// flight and re-arm the ring at once, so the next build
-				// overlaps this step's compute.
-				pl := ld.(PrefetchingLoader)
-				if it == 0 {
-					pl.Prefetch(targets[0])
-				}
-				b, timings[w] = pl.Collect()
-				if next := it + 1; next < measured {
-					pl.Prefetch(targets[next%len(targets)])
-				}
-			}
-			// Fault prefetch: predict the pages of the batch after the last
-			// one being built (whose own build already faults its pages) and
-			// migrate them on the copy stream while this iteration's
-			// forward/backward runs on compute.
-			if pp, ok := ld.(PagePrefetcher); ok && t.Opts.PrefetchPages > 0 {
-				if ahead := it + 1 + lookahead; ahead < measured {
-					pp.PrefetchPages(targets[ahead%len(targets)], t.Opts.PrefetchPages)
-				}
-			}
-			trainStart[w] = dev.Now()
-			results[w] = t.step(w, b)
-			if lookahead > 0 {
-				ld.(PrefetchingLoader).Release()
-			}
-		})
+		// The next epoch's draws, taken now so that its first builds can run
+		// during this last step.
+		speculate = plan && it == measured-1
+		if speculate {
+			t.drawEpoch(ep, ep.cur^1)
+			ep.listEpoch(ep.cur^1, measured)
+			ep.drawn = true
+		}
+		sim.RunParallel(len(t.Models), forward)
 		for w := range results {
 			lossSum += results[w].loss
 			accSum += results[w].acc
@@ -706,29 +782,16 @@ func (t *Trainer) RunEpoch() EpochStats {
 		} else {
 			t.averageGradients()
 		}
-		sim.RunParallel(len(t.Models), func(w int) {
-			mdl := t.Models[w]
-			dev := t.loaders[w].Device()
-			if overlap {
-				// Join this device's compute stream with the completion of
-				// its own last gradient bucket on the copy stream.
-				dev.WaitEvent(sim.Event{T: t.ov.lastDone[dev.ID]}, "grad-sync")
-			}
-			t.Opts4[w].Step(dev, mdl.Params())
-			if dev.InGraphReplay() {
-				// Close a scheduled step's graph bracket: loss, gradient sync
-				// and the optimizer all replayed inside it, so the whole step
-				// cost one graph launch.
-				dev.EndGraphReplay()
-			}
-			timings[w].Train += dev.Now() - trainStart[w]
-			// Compute-stream span of the whole iteration: with a sequential
-			// loader this equals Sample+Gather+Train; pipelined it is
-			// shorter because extraction hides behind compute.
-			timings[w].Crit = dev.Now() - iterDevStart[w]
-		})
+		sim.RunParallel(len(t.Models), optimize)
 		for w := range t.Models {
 			stats.Timing.Add(timings[w])
+		}
+	}
+	if plan {
+		for _, ld := range t.loaders {
+			if p, ok := ld.(BatchPlanner); ok {
+				p.Join()
+			}
 		}
 	}
 	stats.Iters = iters

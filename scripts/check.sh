@@ -8,11 +8,11 @@ set -eux
 cd "$(dirname "$0")/.."
 go vet ./...
 go build ./...
-# The dense kernels (the register-blocked tile, its one-row terms form, axpy)
-# and the element-wise selects have amd64 assembly
-# (internal/tensor/axpy_amd64.s, eltwise_amd64.s); everything else runs the
-# portable Go loops beside the stubs of axpy_other.go and eltwise_other.go,
-# which must keep compiling.
+# The dense kernels (the register-blocked tile, its one-row terms form, axpy),
+# the element-wise selects and Adam's update have amd64 assembly
+# (internal/tensor/axpy_amd64.s, eltwise_amd64.s, adam_amd64.s); everything
+# else runs the portable Go loops beside the stubs of axpy_other.go,
+# eltwise_other.go and adam_other.go, which must keep compiling.
 GOARCH=arm64 go vet ./...
 GOARCH=arm64 go build ./...
 go test -race ./...
@@ -24,11 +24,13 @@ go test -race ./...
 # fuzz-seed tests run both) (~4 min).
 go test -race -count=10 -cpu 1,4 ./internal/tensor
 # The loader's run-ahead builder prices a batch on a staging twin that records
-# its charges into the ring slot, while the goroutine that owns the device
-# issues the previous slot's; the two are ordered by a go statement and one
-# channel receive: hammer planned against unplanned builds (every batch read
-# in full while the next one is built) at three GOMAXPROCS settings (~90 s).
-go test -race -count=20 -cpu 1,2,4 -run '^TestPlannedEqualsUnplanned$' ./internal/core
+# its charges into a build body, while the goroutine that owns the device
+# issues the previous body's; the two are ordered by a go statement and one
+# channel receive: hammer planned against unplanned builds, through BuildBatch
+# and through Prefetch/Collect/Release (every batch read in full while the
+# next one is built), and speculative builds adopted or undone against none,
+# at three GOMAXPROCS settings (~3.5 min).
+go test -race -count=10 -cpu 1,2,4 -run '^(TestPlannedEqualsUnplanned|TestSpeculationEqualsNone)$' ./internal/core
 # A training step is one function whichever shape it takes — eager, capture,
 # replay, scheduled replay, the fallback of a loader that never reuses a
 # batch — and each worker writes its graph map, counters and bucket gates
@@ -48,11 +50,12 @@ go test -race -count=20 -cpu 1,2,4 -run '^TestTableConcurrentDevices$' ./interna
 go test -race -count=20 -cpu 1,2,4 -run '^TestGatherFanoutEquivalence$' ./internal/featstore
 go test -race -count=20 -cpu 1,2,4 -run '^TestPagedSamplingFanoutEquivalence$' ./internal/sampling
 # The assembly against the Go loops on generated inputs: NaN payloads, signed
-# zeros, infinities, denormals, every tail length, unaligned operands; and the
-# three matrix-product drivers against the reference loops on fuzzed shapes
-# and bits. The seed corpus already ran above; this searches beyond it, 10 s
-# per target (-fuzz takes one target and one package at a time).
-for target in FuzzReLU FuzzReLUGrad FuzzAxpy FuzzMatMul; do
+# zeros, infinities, denormals, every tail length, unaligned operands, Adam's
+# moments and step counts; and the three matrix-product drivers against the
+# reference loops on fuzzed shapes and bits. The seed corpus already ran
+# above; this searches beyond it, 10 s per target (-fuzz takes one target and
+# one package at a time).
+for target in FuzzReLU FuzzReLUGrad FuzzAxpy FuzzAdam FuzzMatMul; do
 	go test -run '^$' -fuzz "^$target\$" -fuzztime 10s ./internal/tensor
 done
 # The three page codecs over arbitrary float32 bits and page shapes.
