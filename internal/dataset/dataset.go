@@ -20,6 +20,7 @@ import (
 
 	"wholegraph/internal/graph"
 	"wholegraph/internal/tensor"
+	"wholegraph/internal/xrand"
 )
 
 // Spec describes a dataset to generate.
@@ -53,25 +54,32 @@ type Spec struct {
 	Seed     int64
 }
 
-// Validate reports whether the spec can be generated.
+// Validate reports whether the spec can be generated. Every comparison is
+// written so that NaN fails it.
 func (s Spec) Validate() error {
 	switch {
 	case s.Nodes <= 0:
 		return fmt.Errorf("dataset %s: Nodes must be positive", s.Name)
 	case s.Edges < 0:
 		return fmt.Errorf("dataset %s: Edges must be non-negative", s.Name)
+	case s.Edges > 0 && s.Nodes < 2:
+		// An edge's endpoint drawn equal to its source moves to another node.
+		return fmt.Errorf("dataset %s: Nodes must be >= 2 when Edges > 0", s.Name)
 	case s.FeatDim <= 0:
 		return fmt.Errorf("dataset %s: FeatDim must be positive", s.Name)
 	case s.NumClasses < 2:
 		return fmt.Errorf("dataset %s: NumClasses must be >= 2", s.Name)
-	case s.LabelRatio <= 0 || s.LabelRatio > 1:
+	case !(s.LabelRatio > 0 && s.LabelRatio <= 1):
 		return fmt.Errorf("dataset %s: LabelRatio must be in (0,1]", s.Name)
-	case s.TrainFrac < 0 || s.ValFrac < 0 || s.TrainFrac+s.ValFrac > 1:
-		return fmt.Errorf("dataset %s: bad train/val split", s.Name)
-	case s.ZipfS <= 1:
-		return fmt.Errorf("dataset %s: ZipfS must be > 1", s.Name)
-	case s.Homophily < 0 || s.Homophily > 1:
+	case !(s.TrainFrac >= 0 && s.ValFrac >= 0 && s.TrainFrac+s.ValFrac <= 1):
+		return fmt.Errorf("dataset %s: bad train/val split: TrainFrac and ValFrac must be >= 0 with TrainFrac+ValFrac <= 1", s.Name)
+	case !(s.ZipfS > 1 && !math.IsInf(s.ZipfS, 1)):
+		// Zipf's rejection loop never accepts a draw when s is NaN.
+		return fmt.Errorf("dataset %s: ZipfS must be finite and > 1", s.Name)
+	case !(s.Homophily >= 0 && s.Homophily <= 1):
 		return fmt.Errorf("dataset %s: Homophily must be in [0,1]", s.Name)
+	case !(s.NoiseSigma >= 0 && !math.IsInf(s.NoiseSigma, 1)):
+		return fmt.Errorf("dataset %s: NoiseSigma must be finite and >= 0", s.Name)
 	}
 	return nil
 }
@@ -195,12 +203,6 @@ func (d *Dataset) FillFeatRow(v int64, dst []float32) {
 // so that homophilous edge sampling is O(1).
 func (s Spec) Class(v int64) int32 { return int32(v % int64(s.NumClasses)) }
 
-// Generate builds the dataset described by s. Generation is deterministic
-// for a given spec (including seed).
-func Generate(s Spec) (*Dataset, error) {
-	return generate(s, true)
-}
-
 // GenerateOutOfCore builds the dataset without materializing either big
 // array: Dataset.Feat stays nil (rows come on demand from Dataset.Gen,
 // each from its own hash-keyed stream) and Dataset.Graph stays nil too —
@@ -236,70 +238,82 @@ func generateOOC(s Spec, materialize bool) (*Dataset, error) {
 	if s.Weighted {
 		return nil, fmt.Errorf("dataset %s: out-of-core topology does not support edge weights", s.Name)
 	}
-	rng := rand.New(rand.NewSource(s.Seed))
-	ds := &Dataset{Spec: s, Topo: NewEdgeGen(s)}
-	ds.generateFeatures(rng, materialize)
+	rng := rand.New(xrand.New(s.Seed))
+	ds := &Dataset{Spec: s, Topo: NewEdgeGen(s), Gen: newFeatureGen(s, rng)}
 	ds.generateSplits(rng)
 	if materialize {
-		n := s.Nodes
-		rowPtr := make([]int64, n+1)
-		for v := int64(0); v < n; v++ {
-			rowPtr[v+1] = rowPtr[v] + ds.Topo.Degree(v)
-		}
-		col := make([]int64, rowPtr[n])
-		for v := int64(0); v < n; v++ {
-			lo, hi := rowPtr[v], rowPtr[v+1]
-			ds.Topo.FillNeighbors(v, 0, hi-lo, col[lo:hi])
-		}
-		ds.Graph = &graph.CSR{N: n, RowPtr: rowPtr, Col: col}
+		ds.Feat = make([]float32, s.Nodes*int64(s.FeatDim))
+		ds.fillSlab(ds.Gen.FillRow)
+		ds.Graph = ds.Topo.materialize()
 	}
 	return ds, nil
 }
 
-func generate(s Spec, materialize bool) (*Dataset, error) {
+// Generate builds the dataset described by s. Generation is deterministic
+// for a given spec (including seed).
+//
+// The edge list is drawn from the spec-seeded stream one edge after
+// another — how many draws an edge takes depends on the values drawn — so it
+// is one item of work; while it runs, the feature slab's noise, a function
+// of the node alone, is filled on the other cores. The class centroids are
+// drawn after the edges, as they always were, and added to the slab once
+// the adjacency is built.
+func Generate(s Spec) (*Dataset, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(s.Seed))
-	n := s.Nodes
-	c := int64(s.NumClasses)
-
-	// Degree power law: sources drawn from a Zipf over "popularity slots",
-	// scattered over node IDs by a fixed affine permutation so hubs do not
-	// cluster in one hash partition.
-	zipf := rand.NewZipf(rng, s.ZipfS, 1, uint64(n-1))
-	perm := newAffinePerm(n)
-
-	coo := graph.COO{N: n}
-	coo.Src = make([]int64, 0, s.Edges)
-	coo.Dst = make([]int64, 0, s.Edges)
-	for i := int64(0); i < s.Edges; i++ {
-		src := perm.apply(int64(zipf.Uint64()))
-		var dst int64
-		if rng.Float64() < s.Homophily {
-			// Same-class endpoint: classes are v mod C, so a uniform
-			// same-class draw is class + C*k.
-			cls := src % c
-			k := rng.Int63n((n-cls-1)/c + 1)
-			dst = cls + c*k
-		} else {
-			dst = perm.apply(int64(zipf.Uint64()))
+	src := xrand.New(s.Seed)
+	ds := &Dataset{Spec: s, Feat: make([]float32, s.Nodes*int64(s.FeatDim))}
+	rows := int(s.Nodes)
+	var coo graph.COO
+	// Item 0 is the edge loop, item i > 0 the noise of slab chunk i-1.
+	tensor.Fanout(tensor.Workers(), 1+(rows+slabChunk-1)/slabChunk, 1, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if i == 0 {
+				coo = drawEdges(s, src)
+				continue
+			}
+			ds.slabRows((i-1)*slabChunk, min(i*slabChunk, rows), s.fillNoise)
 		}
-		if dst == src {
-			dst = (src + 1 + rng.Int63n(n-1)) % n
-		}
-		coo.Src = append(coo.Src, src)
-		coo.Dst = append(coo.Dst, dst)
-	}
+	})
+	rng := rand.New(src)
+	ds.Gen = newFeatureGen(s, rng)
 	csr, err := graph.FromCOO(coo, s.Undirected)
 	if err != nil {
 		return nil, err
 	}
-
-	ds := &Dataset{Spec: s, Graph: csr}
-	ds.generateFeatures(rng, materialize)
+	ds.Graph = csr
+	ds.fillSlab(ds.Gen.addCentroid)
 	ds.generateSplits(rng)
 	return ds, nil
+}
+
+// drawEdges samples s.Edges edge pairs from src. Degrees follow a power
+// law: sources are drawn from a Zipf over "popularity slots", scattered over
+// node IDs by a fixed affine permutation so hubs do not cluster in one hash
+// partition.
+func drawEdges(s Spec, src *xrand.Source) graph.COO {
+	n, c := s.Nodes, int64(s.NumClasses)
+	zipf := xrand.NewZipf(src, s.ZipfS, 1, uint64(n-1))
+	perm := newAffinePerm(n)
+	coo := graph.COO{N: n, Src: make([]int64, s.Edges), Dst: make([]int64, s.Edges)}
+	for i := range coo.Src {
+		u := perm.apply(int64(zipf.Uint64()))
+		var v int64
+		if src.Float64() < s.Homophily {
+			// Same-class endpoint: classes are v mod C, so a uniform
+			// same-class draw is class + C*k.
+			cls := u % c
+			v = cls + c*src.Int63n((n-cls-1)/c+1)
+		} else {
+			v = perm.apply(int64(zipf.Uint64()))
+		}
+		if v == u {
+			v = (u + 1 + src.Int63n(n-1)) % n
+		}
+		coo.Src[i], coo.Dst[i] = u, v
+	}
+	return coo
 }
 
 // FeatureGen regenerates any node's label-correlated feature row on
@@ -329,36 +343,52 @@ func (g *FeatureGen) NumRows() int64 { return g.spec.Nodes }
 // Dim returns the feature dimension (featstore.RowSource).
 func (g *FeatureGen) Dim() int { return g.spec.FeatDim }
 
-// FillRow writes node v's feature row into dst[:Dim()].
+// FillRow writes node v's feature row into dst[:Dim()]: its noise, then its
+// class centroid added — the two steps Generate takes over the whole slab.
 func (g *FeatureGen) FillRow(v int64, dst []float32) {
-	s := g.spec
-	dim := s.FeatDim
-	cls := int(s.Class(v))
-	cent := g.centroids[cls*dim : (cls+1)*dim]
+	g.spec.fillNoise(v, dst)
+	g.addCentroid(v, dst)
+}
+
+// fillNoise writes node v's scaled Gaussian noise into dst[:FeatDim]. The
+// product is rounded to float32 by an explicit conversion, so no build fuses
+// it with FillRow's centroid addition: the slab, filled in two passes,
+// equals FillRow under any GOAMD64.
+func (s Spec) fillNoise(v int64, dst []float32) {
 	sigma := float32(s.NoiseSigma)
 	noise := noiseStream(mix64(hashBase(s.Seed, v, featSlot)))
-	for j, c := range cent {
-		dst[j] = c + float32(noise.normal())*sigma
+	for j := range dst[:s.FeatDim] {
+		f := float32(noise.normal())
+		dst[j] = float32(f * sigma)
 	}
 }
 
-// generateFeatures draws the class centroids (the only feature randomness
-// taken from the shared RNG) and, when materialize is set, fills the slab
-// row by row from the generator.
-func (d *Dataset) generateFeatures(rng *rand.Rand, materialize bool) {
-	s := d.Spec
-	d.Gen = newFeatureGen(s, rng)
-	if !materialize {
-		return
+// addCentroid adds node v's class centroid to dst[:Dim()].
+func (g *FeatureGen) addCentroid(v int64, dst []float32) {
+	dim := g.spec.FeatDim
+	cls := int(g.spec.Class(v))
+	for j, c := range g.centroids[cls*dim : (cls+1)*dim] {
+		dst[j] = c + dst[j]
 	}
-	dim := int64(s.FeatDim)
-	d.Feat = make([]float32, s.Nodes*dim)
-	// A row is a function of its node alone (FillRow), so rows are produced
-	// on as many goroutines as the dense kernels use, 256 at a time.
-	tensor.Fanout(tensor.Workers(), int(s.Nodes), 256, func(_, lo, hi int) {
-		for v := int64(lo); v < int64(hi); v++ {
-			d.Gen.FillRow(v, d.Feat[v*dim:(v+1)*dim])
-		}
+}
+
+// slabChunk is how many slab rows a claimant fills at a time.
+const slabChunk = 256
+
+// slabRows applies step to the slab rows of nodes [lo, hi).
+func (d *Dataset) slabRows(lo, hi int, step func(v int64, row []float32)) {
+	dim := int64(d.Spec.FeatDim)
+	for v := int64(lo); v < int64(hi); v++ {
+		step(v, d.Feat[v*dim:(v+1)*dim])
+	}
+}
+
+// fillSlab applies step to every slab row. A row is a function of its node
+// alone, so rows are shared out on the dense kernels' pool, slabChunk at a
+// time.
+func (d *Dataset) fillSlab(step func(v int64, row []float32)) {
+	tensor.Fanout(tensor.Workers(), int(d.Spec.Nodes), slabChunk, func(_, lo, hi int) {
+		d.slabRows(lo, hi, step)
 	})
 }
 
@@ -424,9 +454,10 @@ func newAffinePerm(n int64) affinePerm {
 	return affinePerm{a: a, inv: modInverse(a, n), b: n / 3, n: n}
 }
 
+// apply maps x in [0, n) to its node ID. a and b are below n, so a*x+b
+// does not overflow for n < 2^31.5.
 func (p affinePerm) apply(x int64) int64 {
-	hi := (p.a % p.n) * (x % p.n) % p.n // avoid overflow for n < 2^31.5
-	return (hi + p.b) % p.n
+	return (p.a*x + p.b) % p.n
 }
 
 // invert maps a node ID back to its popularity slot: apply(invert(y)) == y.

@@ -3,6 +3,9 @@ package dataset
 import (
 	"math"
 	"sync"
+
+	"wholegraph/internal/graph"
+	"wholegraph/internal/tensor"
 )
 
 // EdgeGen defines a graph's adjacency as a pure function: every node's
@@ -106,6 +109,29 @@ func (g *EdgeGen) NumEdges() int64 {
 		g.total = t
 	})
 	return g.total
+}
+
+// materialize builds the CSR holding exactly the lists g defines, row by
+// row, no re-sorting. Degrees and rows are computed on the dense kernels'
+// pool, 1024 nodes a claim; only the prefix sum of the degrees is serial.
+func (g *EdgeGen) materialize() *graph.CSR {
+	n := g.spec.Nodes
+	rowPtr := make([]int64, n+1)
+	tensor.Fanout(tensor.Workers(), int(n), 1024, func(_, lo, hi int) {
+		for v := int64(lo); v < int64(hi); v++ {
+			rowPtr[v+1] = g.Degree(v)
+		}
+	})
+	for v := int64(0); v < n; v++ {
+		rowPtr[v+1] += rowPtr[v]
+	}
+	col := make([]int64, rowPtr[n])
+	tensor.Fanout(tensor.Workers(), int(n), 1024, func(_, lo, hi int) {
+		for v := int64(lo); v < int64(hi); v++ {
+			g.FillNeighbors(v, 0, rowPtr[v+1]-rowPtr[v], col[rowPtr[v]:rowPtr[v+1]])
+		}
+	})
+	return &graph.CSR{N: n, RowPtr: rowPtr, Col: col}
 }
 
 // FillNeighbors implements graph.TopoSource: it writes neighbor slots

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync"
 
+	"wholegraph/internal/tensor"
 	"wholegraph/internal/topostore"
 	"wholegraph/internal/wholemem"
 )
@@ -105,7 +106,8 @@ type Layout struct {
 
 // NewLayout places csr and its node features (row-major, feat[dim*i:] for
 // node i; may be nil) on parts ranks: node v goes to rank ownerOf(v), locals
-// in original-ID order, and every edge is stored with its source.
+// in original-ID order, and every edge is stored with its source. The ranks'
+// shards are built one rank per claim on the dense kernels' pool.
 func NewLayout(csr *CSR, feat []float32, dim, parts int, ownerOf func(v int64) int) (*Layout, error) {
 	if feat != nil && int64(len(feat)) != csr.N*int64(dim) {
 		return nil, fmt.Errorf("graph: feature length %d != N*dim = %d", len(feat), csr.N*int64(dim))
@@ -119,7 +121,8 @@ func NewLayout(csr *CSR, feat []float32, dim, parts int, ownerOf func(v int64) i
 		rowBase: rowBases(orig), rowPtr: rowPtrs(orig, csr.Degree), feat: featShards(orig, feat, dim),
 		col: make([][]uint64, parts),
 	}
-	for r, rp := range l.rowPtr {
+	perRank(parts, func(r int) {
+		rp := l.rowPtr[r]
 		col := make([]uint64, rp[len(rp)-1])
 		for li, v := range orig[r] {
 			for k, d := range csr.Neighbors(v) {
@@ -127,8 +130,18 @@ func NewLayout(csr *CSR, feat []float32, dim, parts int, ownerOf func(v int64) i
 			}
 		}
 		l.col[r] = col
-	}
+	})
 	return l, nil
+}
+
+// perRank calls build(r) for every rank r of parts, one rank per claim on
+// the dense kernels' pool; build must touch rank r's shards only.
+func perRank(parts int, build func(r int)) {
+	tensor.Fanout(tensor.Workers(), parts, 1, func(_, lo, hi int) {
+		for r := lo; r < hi; r++ {
+			build(r)
+		}
+	})
 }
 
 // place assigns every node of [0, n) to rank ownerOf(v): owner[v] is its
@@ -160,13 +173,13 @@ func rowBases(orig [][]int64) []int64 {
 // shard.
 func rowPtrs(orig [][]int64, degree func(v int64) int64) [][]int64 {
 	out := make([][]int64, len(orig))
-	for r, nodes := range orig {
-		rp := make([]int64, len(nodes)+1)
-		for li, v := range nodes {
+	perRank(len(orig), func(r int) {
+		rp := make([]int64, len(orig[r])+1)
+		for li, v := range orig[r] {
 			rp[li+1] = rp[li] + degree(v)
 		}
 		out[r] = rp
-	}
+	})
 	return out
 }
 
@@ -177,19 +190,19 @@ func featShards(orig [][]int64, feat []float32, dim int) [][]float32 {
 		return nil
 	}
 	out := make([][]float32, len(orig))
-	for r, nodes := range orig {
-		fs := make([]float32, int64(len(nodes))*int64(dim))
-		for li, v := range nodes {
+	perRank(len(orig), func(r int) {
+		fs := make([]float32, int64(len(orig[r]))*int64(dim))
+		for li, v := range orig[r] {
 			copy(fs[int64(li)*int64(dim):], feat[v*int64(dim):(v+1)*int64(dim)])
 		}
 		out[r] = fs
-	}
+	})
 	return out
 }
 
 // AttachEdgeWeights adds the per-edge weight shards, aligned with the
-// column shards, holding w(src, dst) over original node IDs. Call it before
-// the layout is shared.
+// column shards, holding w(src, dst) over original node IDs; w is called
+// from several goroutines at once. Call it before the layout is shared.
 func (l *Layout) AttachEdgeWeights(w func(u, v int64) float32) {
 	l.edgeW = edgeWeights(l.orig, func(r int) []int64 { return l.rowPtr[r] }, func(r int) []uint64 { return l.col[r] }, w)
 }
@@ -216,9 +229,10 @@ func (l *Layout) Map(comm *wholemem.Comm) *Partitioned {
 }
 
 // AttachEdgeWeights allocates the per-edge weight table (sharded like the
-// edge array) and fills it with w(src, dst) over original node IDs. Edge
-// weights live in distributed shared memory like everything else and are
-// gathered per sampled edge during batch construction.
+// edge array) and fills it with w(src, dst) over original node IDs, calling
+// w from several goroutines at once. Edge weights live in distributed shared
+// memory like everything else and are gathered per sampled edge during batch
+// construction.
 func (p *Partitioned) AttachEdgeWeights(w func(u, v int64) float32) {
 	if p.topo != nil {
 		panic("graph: AttachEdgeWeights requires a materialized column array (paged topology does not store edge weights)")
@@ -230,7 +244,7 @@ func (p *Partitioned) AttachEdgeWeights(w func(u, v int64) float32) {
 // column array.
 func edgeWeights(orig [][]int64, rowPtr func(int) []int64, col func(int) []uint64, w func(u, v int64) float32) [][]float32 {
 	out := make([][]float32, len(orig))
-	for r := range out {
+	perRank(len(orig), func(r int) {
 		rp, cs := rowPtr(r), col(r)
 		ws := make([]float32, len(cs))
 		for li, u := range orig[r] {
@@ -240,7 +254,7 @@ func edgeWeights(orig [][]int64, rowPtr func(int) []int64, col func(int) []uint6
 			}
 		}
 		out[r] = ws
-	}
+	})
 	return out
 }
 

@@ -15,7 +15,8 @@ import (
 // structurally).
 type TopoSource interface {
 	NumNodes() int64
-	// Degree returns node v's stored out-degree.
+	// Degree returns node v's stored out-degree. It is called from
+	// several goroutines at once.
 	Degree(v int64) int64
 	// FillNeighbors writes neighbor slots [k0, k1) of node v into dst.
 	// Implementations must be deterministic and safe for concurrent calls

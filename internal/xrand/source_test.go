@@ -1,6 +1,7 @@
 package xrand
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -72,27 +73,51 @@ func TestFloat32RedrawsOne(t *testing.T) {
 	}
 }
 
-// FuzzSourceMatchesMathRand compares the Int63, Uint64 and Float32 streams
-// with math/rand's over arbitrary seeds and draw counts.
+// FuzzSourceMatchesMathRand compares the Int63, Uint64, Float32, Float64,
+// Int63n and Zipf streams with math/rand's over arbitrary seeds, draw
+// counts, bounds and Zipf shapes (s folded into [1.01, 10), v into [1, 101),
+// where math/rand's rejection loop terminates).
 func FuzzSourceMatchesMathRand(f *testing.F) {
 	for _, seed := range seeds {
-		f.Add(seed, uint16(100))
+		f.Add(seed, uint16(100), int64(1000003), 1.35, 1.0, uint64(100_000))
 	}
-	f.Fuzz(func(t *testing.T, seed int64, draws uint16) {
-		s, ref := New(seed), rand.New(rand.NewSource(seed))
+	f.Add(int64(3), uint16(600), int64(1<<40), 0.0, 0.0, uint64(0))
+	f.Fuzz(func(t *testing.T, seed int64, draws uint16, bound int64, s, v float64, imax uint64) {
+		if bound <= 0 {
+			bound = bound&math.MaxInt64 | 1
+		}
+		s = 1.01 + math.Mod(math.Abs(s), 9)
+		v = 1 + math.Mod(math.Abs(v), 100)
+		if math.IsNaN(s) || math.IsNaN(v) {
+			s, v = 1.35, 1
+		}
+		src, ref := New(seed), rand.New(rand.NewSource(seed))
+		z, zref := NewZipf(src, s, v, imax), rand.NewZipf(ref, s, v, imax)
 		for i := 0; i < int(draws); i++ {
-			switch i % 3 {
+			switch i % 6 {
 			case 0:
-				if got, want := s.Int63(), ref.Int63(); got != want {
+				if got, want := src.Int63(), ref.Int63(); got != want {
 					t.Fatalf("seed %d: Int63 #%d = %d, math/rand %d", seed, i, got, want)
 				}
 			case 1:
-				if got, want := s.Uint64(), ref.Uint64(); got != want {
+				if got, want := src.Uint64(), ref.Uint64(); got != want {
 					t.Fatalf("seed %d: Uint64 #%d = %d, math/rand %d", seed, i, got, want)
 				}
-			default:
-				if got, want := s.Float32(), ref.Float32(); got != want {
+			case 2:
+				if got, want := src.Float32(), ref.Float32(); got != want {
 					t.Fatalf("seed %d: Float32 #%d = %v, math/rand %v", seed, i, got, want)
+				}
+			case 3:
+				if got, want := src.Float64(), ref.Float64(); got != want {
+					t.Fatalf("seed %d: Float64 #%d = %v, math/rand %v", seed, i, got, want)
+				}
+			case 4:
+				if got, want := src.Int63n(bound), ref.Int63n(bound); got != want {
+					t.Fatalf("seed %d: Int63n(%d) #%d = %d, math/rand %d", seed, bound, i, got, want)
+				}
+			default:
+				if got, want := z.Uint64(), zref.Uint64(); got != want {
+					t.Fatalf("seed %d: Zipf(%g, %g, %d) #%d = %d, math/rand %d", seed, s, v, imax, i, got, want)
 				}
 			}
 		}

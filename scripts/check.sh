@@ -49,6 +49,13 @@ go test -race -count=20 -cpu 1,2,4 -run '^TestTableConcurrentDevices$' ./interna
 # scratch as the state two claimants must never share (~90 s and ~40 s).
 go test -race -count=20 -cpu 1,2,4 -run '^TestGatherFanoutEquivalence$' ./internal/featstore
 go test -race -count=20 -cpu 1,2,4 -run '^TestPagedSamplingFanoutEquivalence$' ./internal/sampling
+# Dataset set-up shares the host's cores: the feature slab's noise is filled
+# beside the serial edge loop, FromCOO counts, scatters and sorts on the
+# dense kernels' pool, and the hash layout builds one rank per claim. Every
+# array must still equal the values recorded when each step ran on one
+# goroutine: hammer the generation golden (each run at one, two and four
+# workers) at three GOMAXPROCS settings (~90 s).
+go test -race -count=5 -cpu 1,2,4 -run '^TestGenerateGolden$' ./internal/dataset
 # The assembly against the Go loops on generated inputs: NaN payloads, signed
 # zeros, infinities, denormals, every tail length, unaligned operands, Adam's
 # moments and step counts; and the three matrix-product drivers against the
@@ -63,6 +70,10 @@ go test -run '^$' -fuzz '^FuzzPageCodec$' -fuzztime 10s ./internal/featstore
 # Random batches of edge reads through the batched, fanned-out Access.Read
 # against At one edge at a time and against the fill function itself.
 go test -run '^$' -fuzz '^FuzzTopoAccess$' -fuzztime 10s ./internal/topostore
+# Random edge lists with hub rows past the counting-sort threshold, directed
+# and undirected, at one to four workers, through FromCOO against appending
+# every entry to its row and sorting; out-of-range edges must be an error.
+go test -run '^$' -fuzz '^FuzzFromCOO$' -fuzztime 10s ./internal/graph
 # Every collective over random machine shapes, payloads, AlltoAllv byte
 # matrices and start gates: link bytes conserved, no clock going back, no
 # device done before its gate, two fresh machines identical.
@@ -75,8 +86,9 @@ go test -run '^$' -fuzz '^FuzzRecordIssue$' -fuzztime 10s ./internal/sim
 # shapes: the no-grad forward against the recording one, logits bit for bit
 # and both device clocks and counters equal.
 go test -run '^$' -fuzz '^FuzzForwardNoGrad$' -fuzztime 10s ./internal/gnn
-# The copied Go 1 math/rand source over random seeds and draw counts: its
-# Int63, Uint64 and Float32 streams against math/rand's own, draw for draw.
+# The copied Go 1 math/rand source over random seeds, draw counts, bounds and
+# Zipf shapes: its Int63, Uint64, Float32, Float64, Int63n and Zipf streams
+# against math/rand's own, draw for draw.
 go test -run '^$' -fuzz '^FuzzSourceMatchesMathRand$' -fuzztime 10s ./internal/xrand
 # The benchmark is its own module (benchmark/go.mod), so the commands above
 # never compile it: vet it and run its toy-size smoke (< 10 s), or a changed

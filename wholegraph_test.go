@@ -8,6 +8,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"wholegraph"
 )
@@ -82,6 +83,58 @@ func TestNewTrainerRejectsBadOptions(t *testing.T) {
 		tr, err := wholegraph.NewTrainer(machine, ds, opts)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%+v: NewTrainer returned trainer %v, error %v; want an error saying %q", tc.opts, tr != nil, err, tc.want)
+		}
+	}
+}
+
+// TestGenerateDatasetRejectsBadSpecs: a spec the generators cannot build is
+// an error naming the field — not a panic (a one-node graph with edges), a
+// hang (NaN ZipfS, whose Zipf draw never accepts) or a dataset built from
+// NaN fractions — from the in-RAM and the out-of-core generator alike.
+func TestGenerateDatasetRejectsBadSpecs(t *testing.T) {
+	nan := math.NaN()
+	for _, tc := range []struct {
+		field string
+		edit  func(*wholegraph.DatasetSpec)
+	}{
+		{"Nodes", func(s *wholegraph.DatasetSpec) { s.Nodes, s.Edges = 1, 4 }},
+		{"ZipfS", func(s *wholegraph.DatasetSpec) { s.ZipfS = nan }},
+		{"ZipfS", func(s *wholegraph.DatasetSpec) { s.ZipfS = math.Inf(1) }},
+		{"LabelRatio", func(s *wholegraph.DatasetSpec) { s.LabelRatio = nan }},
+		{"TrainFrac", func(s *wholegraph.DatasetSpec) { s.TrainFrac = nan }},
+		{"ValFrac", func(s *wholegraph.DatasetSpec) { s.ValFrac = nan }},
+		{"Homophily", func(s *wholegraph.DatasetSpec) { s.Homophily = nan }},
+		{"NoiseSigma", func(s *wholegraph.DatasetSpec) { s.NoiseSigma = nan }},
+		{"NoiseSigma", func(s *wholegraph.DatasetSpec) { s.NoiseSigma = -1 }},
+		{"NoiseSigma", func(s *wholegraph.DatasetSpec) { s.NoiseSigma = math.Inf(1) }},
+	} {
+		spec := wholegraph.OgbnProducts.Scaled(1e-4)
+		tc.edit(&spec)
+		for _, gen := range []struct {
+			name string
+			f    func(wholegraph.DatasetSpec) (*wholegraph.Dataset, error)
+		}{
+			{"GenerateDataset", wholegraph.GenerateDataset},
+			{"GenerateDatasetOutOfCore", wholegraph.GenerateDatasetOutOfCore},
+		} {
+			done := make(chan error, 1)
+			go func() {
+				defer func() {
+					if p := recover(); p != nil {
+						done <- fmt.Errorf("panic: %v", p)
+					}
+				}()
+				_, err := gen.f(spec)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil || !strings.Contains(err.Error(), tc.field) {
+					t.Errorf("%s with bad %s: error %v; want one naming %s", gen.name, tc.field, err, tc.field)
+				}
+			case <-time.After(10 * time.Second):
+				t.Errorf("%s with bad %s: no answer in 10 s", gen.name, tc.field)
+			}
 		}
 	}
 }
