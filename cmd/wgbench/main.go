@@ -67,7 +67,6 @@ var experiments = []struct {
 	{"analytics", "PageRank and connected components over the shared store", wrap(bench.Analytics)},
 	{"graphclass", "graph classification: GIN on topology motifs", wrap(bench.GraphClass)},
 	{"serving", "online serving: dynamic batching vs batch=1", wrap(bench.Serving)},
-	{"abl-ann", "ANN retrieval: HNSW recall-vs-latency sweep vs brute-force, plus serving", wrap(bench.AblationANN)},
 }
 
 func wrap[T any](f func(bench.Config) (T, error)) func(bench.Config) (any, error) {

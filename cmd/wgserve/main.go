@@ -8,7 +8,6 @@
 //	wgserve -rate 50000 -max-batch 16 -slo 0.01
 //	wgserve -replicas 8 -cache-rows 500 -skew 1.3 -policy cache
 //	wgserve -max-batch 1 -json single.json   # unbatched baseline
-//	wgserve -workload retrieval -topk 10 -ef-search 64   # ANN top-K serving
 package main
 
 import (
@@ -37,9 +36,6 @@ func main() {
 		queueCap  = flag.Int("queue-cap", 0, "per-replica queue bound; arrivals beyond it are shed (0 = 8*max-batch)")
 		skew      = flag.Float64("skew", 0, "Zipf popularity skew over the degree ranking (>1; 0 = uniform)")
 		policy    = flag.String("policy", "cache", "routing policy: cache, owner, rr")
-		workload  = flag.String("workload", "inference", "workload: inference (node classification) or retrieval (ANN top-K over embeddings)")
-		topk      = flag.Int("topk", 10, "retrieval: neighbors returned per query")
-		efSearch  = flag.Int("ef-search", 64, "retrieval: HNSW search beam width")
 		seed      = flag.Int64("seed", 1, "random seed (fixes arrivals, nodes and sampling)")
 		jsonPath  = flag.String("json", "", "write the aggregated result as JSON to this path")
 		trace     = flag.Bool("trace", false, "print the per-request trace")
@@ -60,20 +56,27 @@ func main() {
 		fatal(fmt.Errorf("unknown dataset %q", *dsName))
 	}
 	spec = spec.Scaled(*scale)
+	cfg := wholegraph.DGXA100Config(1)
+	cfg.GPUsPerNode = *replicas
+	if err := cfg.Validate(); err != nil {
+		fatal(fmt.Errorf("-replicas %d: %w", *replicas, err))
+	}
+	mcfg := wholegraph.ModelConfig{
+		InDim: spec.FeatDim, Hidden: *hidden, Classes: spec.NumClasses,
+		Layers: len(fanouts), Heads: 4, Backend: wholegraph.BackendNative,
+		Seed: *seed,
+	}
+	if err := wholegraph.CheckModel(*model, mcfg); err != nil {
+		fatal(err)
+	}
 	fmt.Printf("generating %s at scale %g...\n", *dsName, *scale)
 	ds, err := wholegraph.GenerateDataset(spec)
 	if err != nil {
 		fatal(err)
 	}
 
-	cfg := wholegraph.DGXA100Config(1)
-	cfg.GPUsPerNode = *replicas
 	machine := wholegraph.NewMachine(cfg)
-	m := wholegraph.NewModel(*model, wholegraph.ModelConfig{
-		InDim: spec.FeatDim, Hidden: *hidden, Classes: spec.NumClasses,
-		Layers: len(fanouts), Heads: 4, Backend: wholegraph.BackendNative,
-		Seed: *seed,
-	})
+	m := wholegraph.NewModel(*model, mcfg)
 	so, err := storage.StoreOptions()
 	if err != nil {
 		fatal(err)
@@ -85,34 +88,7 @@ func main() {
 		Skew: *skew, Policy: wholegraph.ServePolicy(*policy), Seed: *seed,
 		Store: so,
 	}
-	var srv *wholegraph.Server
-	switch *workload {
-	case wholegraph.WorkloadInference:
-		srv, err = wholegraph.NewServer(machine, 0, ds, m, sopts)
-	case wholegraph.WorkloadRetrieval:
-		// Retrieval serves top-K neighbors out of an HNSW index over the
-		// model's final-layer embeddings: embed the whole graph layer-wise,
-		// index the rows, then serve. Embedding and index construction are
-		// part of the reported setup time.
-		store, serr := wholegraph.NewStore(machine, 0, ds)
-		if serr != nil {
-			fatal(serr)
-		}
-		fmt.Printf("embedding %d nodes and building the HNSW index...\n", spec.Nodes)
-		emb, eerr := wholegraph.FullGraphEmbeddings(store, m)
-		if eerr != nil {
-			fatal(eerr)
-		}
-		ix, berr := wholegraph.BuildANNIndex(store.Comm, emb, wholegraph.ANNOptions{Seed: *seed})
-		if berr != nil {
-			fatal(berr)
-		}
-		sopts.TopK = *topk
-		sopts.EfSearch = *efSearch
-		srv, err = wholegraph.NewRetrievalServer(ix, sopts)
-	default:
-		err = fmt.Errorf("unknown workload %q", *workload)
-	}
+	srv, err := wholegraph.NewServer(machine, 0, ds, m, sopts)
 	if err != nil {
 		fatal(err)
 	}
@@ -145,9 +121,6 @@ func main() {
 	fmt.Printf("latency: p50 %.3f ms, p95 %.3f ms, p99 %.3f ms, mean %.3f ms, max %.3f ms\n",
 		res.P50*1e3, res.P95*1e3, res.P99*1e3, res.MeanLatency*1e3, res.MaxLatency*1e3)
 	fmt.Printf("SLO %.1f ms: %.1f%% of served within\n", res.SLO*1e3, 100*res.SLOAttainment)
-	if res.TopK > 0 {
-		fmt.Printf("recall@%d: %.3f mean over served (ef-search %d)\n", res.TopK, res.Recall, res.EfSearch)
-	}
 	for _, st := range res.PerReplica {
 		line := fmt.Sprintf("  replica %d: %d reqs (%d served, %d shed, %d t/out), %d batches, busy %.2f/%.2f ms compute/copy",
 			st.Replica, st.Requests, st.Served, st.Shed, st.TimedOut,

@@ -6,22 +6,22 @@ import (
 	"wholegraph/internal/sim"
 )
 
-// TestEmbeddingsSerialParallelBitEqual pins the extraction contract the
-// ANN index depends on: the full-graph embedding matrix — and the virtual
-// time the collection charges — is bit-identical whether the per-rank
-// shard reads run serially or on real goroutines under sim.RunParallel.
-func TestEmbeddingsSerialParallelBitEqual(t *testing.T) {
+// TestFullGraphSerialParallelBitEqual pins the extraction contract: the
+// full-graph output matrix — and the virtual time the collection charges —
+// is bit-identical whether the per-rank shard reads run serially or on real
+// goroutines under sim.RunParallel.
+func TestFullGraphSerialParallelBitEqual(t *testing.T) {
 	prev := sim.SetParallel(false)
 	defer sim.SetParallel(prev)
 	mSer, storeSer, modelSer := testSetup(t, "graphsage")
-	embSer, err := Embeddings(storeSer, modelSer)
+	embSer, err := FullGraph(storeSer, modelSer)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	sim.SetParallel(true)
 	mPar, storePar, modelPar := testSetup(t, "graphsage")
-	embPar, err := Embeddings(storePar, modelPar)
+	embPar, err := FullGraph(storePar, modelPar)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestEmbeddingsSerialParallelBitEqual(t *testing.T) {
 // an infer.collect contribution via its local byte counters.
 func TestCollectCharged(t *testing.T) {
 	m, store, model := testSetup(t, "gcn")
-	if _, err := Embeddings(store, model); err != nil {
+	if _, err := FullGraph(store, model); err != nil {
 		t.Fatal(err)
 	}
 	for i, d := range m.Devs {

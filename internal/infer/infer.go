@@ -148,16 +148,6 @@ func FullGraph(store *core.Store, model gnn.Model) (*tensor.Dense, error) {
 	return e.Run()
 }
 
-// Embeddings computes the full-graph embedding matrix: the model's
-// final-layer output for every node, in original node-ID order — the
-// extraction the ANN retrieval index (internal/ann) is built over. It is
-// FullGraph under the name retrieval consumers mean by it; the collection
-// out of the shared table is charged per rank and bit-identical serial or
-// under sim.RunParallel.
-func Embeddings(store *core.Store, model gnn.Model) (*tensor.Dense, error) {
-	return FullGraph(store, model)
-}
-
 // Run performs one layer-wise propagation: each rank computes the rows of
 // its own hash partition, reading input embeddings (its nodes' full
 // neighborhoods) from the previous layer's shared table; ranks synchronize

@@ -53,13 +53,6 @@ type Result struct {
 	SLOAttainment float64 `json:"slo_attainment"`
 	Goodput       float64 `json:"goodput_rps"`
 
-	// Retrieval-workload fields (zero for inference): the configured
-	// neighbor count and beam width, and the mean recall@K of served
-	// requests against the exact oracle.
-	TopK     int     `json:"topk,omitempty"`
-	EfSearch int     `json:"ef_search,omitempty"`
-	Recall   float64 `json:"recall_at_k,omitempty"`
-
 	PerReplica []ReplicaStats `json:"per_replica"`
 	// Trace is the full request trace in arrival order; it is what the
 	// determinism tests compare bit-for-bit.
@@ -70,13 +63,6 @@ type Result struct {
 // replica order so the output is deterministic.
 func (s *Server) aggregate(trace []*Request) *Result {
 	res := &Result{Offered: len(trace), SLO: s.Opts.SLO, Trace: trace}
-	if s.index != nil {
-		res.TopK = s.Opts.TopK
-		res.EfSearch = s.Opts.EfSearch
-		if res.EfSearch == 0 {
-			res.EfSearch = s.index.Opts.EfSearch
-		}
-	}
 	served := 0
 	for _, q := range trace {
 		if q.Outcome == OutcomeServed {
@@ -96,7 +82,6 @@ func (s *Server) aggregate(trace []*Request) *Result {
 		switch q.Outcome {
 		case OutcomeServed:
 			res.Served++
-			res.Recall += q.Recall
 			l := q.Latency()
 			lat = append(lat, l)
 			res.MeanLatency += l
@@ -121,7 +106,6 @@ func (s *Server) aggregate(trace []*Request) *Result {
 	}
 	res.Duration = end - firstArrival
 	if res.Served > 0 {
-		res.Recall /= float64(res.Served)
 		res.MeanLatency /= float64(res.Served)
 		res.P50, res.P95, res.P99 = latencyPercentiles(lat)
 		res.SLOAttainment = float64(within) / float64(res.Served)

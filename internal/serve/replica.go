@@ -55,12 +55,8 @@ type Request struct {
 	// BatchSize how many requests it coalesced (including this one).
 	Batch     int `json:"batch,omitempty"`
 	BatchSize int `json:"batch_size,omitempty"`
-	// Class is the predicted class of a served request (inference
-	// workload only).
+	// Class is the predicted class of a served request.
 	Class int32 `json:"class,omitempty"`
-	// Recall is the request's recall@K against the exact oracle
-	// (retrieval workload only).
-	Recall float64 `json:"recall,omitempty"`
 }
 
 // Latency returns the request's response latency (served requests only).
@@ -87,7 +83,6 @@ type replica struct {
 	batchReqs []*Request
 	ids       []int64
 	reqSlot   []int
-	qbuf      []float32 // retrieval: staged query vectors
 }
 
 // dedupe coalesces a batch's duplicate seed nodes: ids is the unique node
@@ -199,9 +194,6 @@ func (r *replica) serve(reqs []*Request) {
 // unique node, and every request for that node shares the result (and the
 // completion time).
 func (r *replica) runBatch(batch []*Request, tStart float64) float64 {
-	if r.srv.index != nil {
-		return r.runRetrievalBatch(batch, tStart)
-	}
 	dev := r.dev
 
 	// Unique seed nodes, first-come order; reqSlot maps each request to

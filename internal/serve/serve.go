@@ -30,9 +30,9 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
-	"wholegraph/internal/ann"
 	"wholegraph/internal/autograd"
 	"wholegraph/internal/cache"
 	"wholegraph/internal/core"
@@ -61,17 +61,6 @@ const (
 	PolicyOwner Policy = "owner"
 	// PolicyRoundRobin ignores locality and spreads requests evenly.
 	PolicyRoundRobin Policy = "rr"
-)
-
-// Workloads a Server can run.
-const (
-	// WorkloadInference answers each request with the model's predicted
-	// class for the seed node (sample, gather, forward).
-	WorkloadInference = "inference"
-	// WorkloadRetrieval answers each request with the seed node's top-K
-	// nearest neighbors in embedding space, through an ann.Index
-	// (NewRetrieval). Requests report recall@K against the exact oracle.
-	WorkloadRetrieval = "retrieval"
 )
 
 // Options configures a serving run. Zero values take defaults via
@@ -116,11 +105,6 @@ type Options struct {
 	// user spellings of the storage knobs build it with
 	// train.Options.StoreOptions.
 	Store core.StoreOptions
-	// TopK is the neighbor count of a retrieval request (default 10).
-	TopK int
-	// EfSearch is the HNSW beam width retrieval batches search with
-	// (0 = the index's Options.EfSearch default).
-	EfSearch int
 }
 
 // Normalize fills defaults.
@@ -152,43 +136,40 @@ func (o Options) Normalize() Options {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.TopK == 0 {
-		o.TopK = 10
-	}
 	return o
 }
 
-// Validate rejects unusable option combinations.
+// Validate rejects unusable option combinations. Every rate, duration and
+// skew must be finite: a NaN rate stalls the batcher, and a NaN delay runs
+// the virtual clock backwards.
 func (o Options) Validate() error {
 	switch {
-	case o.Rate <= 0:
-		return fmt.Errorf("serve: Rate must be positive, got %g", o.Rate)
+	case !finite(o.Rate) || o.Rate <= 0:
+		return fmt.Errorf("serve: Rate must be positive and finite, got %g", o.Rate)
 	case o.Requests <= 0:
 		return fmt.Errorf("serve: Requests must be positive, got %d", o.Requests)
 	case o.MaxBatch < 1:
 		return fmt.Errorf("serve: MaxBatch must be >= 1, got %d", o.MaxBatch)
-	case o.MaxDelay < 0:
-		return fmt.Errorf("serve: MaxDelay must be >= 0, got %g", o.MaxDelay)
-	case o.Deadline < 0:
-		return fmt.Errorf("serve: Deadline must be >= 0, got %g", o.Deadline)
+	case !finite(o.MaxDelay) || o.MaxDelay < 0:
+		return fmt.Errorf("serve: MaxDelay must be finite and >= 0, got %g", o.MaxDelay)
+	case !finite(o.SLO) || o.SLO < 0:
+		return fmt.Errorf("serve: SLO must be finite and >= 0, got %g", o.SLO)
+	case !finite(o.Deadline) || o.Deadline < 0:
+		return fmt.Errorf("serve: Deadline must be finite and >= 0, got %g", o.Deadline)
 	case o.QueueCap < 1:
 		return fmt.Errorf("serve: QueueCap must be >= 1, got %d", o.QueueCap)
-	case o.Skew != 0 && o.Skew <= 1:
-		return fmt.Errorf("serve: Skew must be > 1 (or 0 for uniform), got %g", o.Skew)
+	case !finite(o.Skew) || (o.Skew != 0 && o.Skew <= 1):
+		return fmt.Errorf("serve: Skew must be finite and > 1 (or 0 for uniform), got %g", o.Skew)
 	}
 	switch o.Policy {
 	case PolicyCacheAware, PolicyOwner, PolicyRoundRobin:
 	default:
 		return fmt.Errorf("serve: unknown routing policy %q", o.Policy)
 	}
-	if o.TopK < 1 {
-		return fmt.Errorf("serve: TopK must be >= 1, got %d", o.TopK)
-	}
-	if o.EfSearch < 0 {
-		return fmt.Errorf("serve: EfSearch must be >= 0, got %d", o.EfSearch)
-	}
 	return nil
 }
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // Server serves node-inference requests from the replicas of one store.
 // Each replica is one GPU of the store's node: it runs its own model copy,
@@ -207,13 +188,6 @@ type Server struct {
 	byDegree []int64
 	rankOf   []uint32
 	rr       int // round-robin cursor shared by the routing policies
-
-	// Retrieval-workload state (nil for inference): the ANN index the
-	// replicas search, and the exact top-K oracle precomputed before the
-	// parallel serving region so replicas can fill per-request recall
-	// from a read-only map.
-	index  *ann.Index
-	oracle map[int64][]ann.Result
 }
 
 // New builds a serving deployment: the dataset is partitioned over the
@@ -274,12 +248,8 @@ func New(m *sim.Machine, node int, ds *dataset.Dataset, model gnn.Model, opts Op
 func (s *Server) Replicas() int { return len(s.replicas) }
 
 // FeatStoreStats snapshots the paged feature store's BlockCache counters;
-// the zero Stats when Options.Store.PagedFeatures is off or the deployment has
-// no store (retrieval).
+// the zero Stats when Options.Store.PagedFeatures is off.
 func (s *Server) FeatStoreStats() featstore.Stats {
-	if s.Store == nil {
-		return featstore.Stats{}
-	}
 	if fs := s.Store.FeatStore(); fs != nil {
 		return fs.Stats()
 	}
@@ -299,16 +269,16 @@ func (s *Server) Caches() []*cache.FeatureCache {
 // Run generates the request stream, routes it, serves it, and returns the
 // aggregated result. Model weights are synchronized to replica 0's model
 // at the start, like infer.Engine.Run. Each call continues the machine's
-// virtual clocks from wherever they are; benchmarks Reset between runs.
+// virtual clocks from wherever they are; benchmarks Reset between runs. It
+// fails when Rate is so low that arrival times overflow to +Inf.
 func (s *Server) Run() (*Result, error) {
-	if s.Model != nil {
-		for _, rep := range s.replicas[1:] {
-			rep.model.Params().CopyFrom(s.Model.Params())
-		}
+	for _, rep := range s.replicas[1:] {
+		rep.model.Params().CopyFrom(s.Model.Params())
 	}
 	trace := s.generate()
-	if s.index != nil {
-		s.buildOracle(trace)
+	if n := len(trace); n > 0 && math.IsInf(trace[n-1].Arrival, 1) {
+		// The batcher would spin forever on an arrival at +Inf.
+		return nil, fmt.Errorf("serve: Rate %g is too low: arrival times overflow", s.Opts.Rate)
 	}
 	perReplica := s.route(trace)
 
@@ -320,26 +290,16 @@ func (s *Server) Run() (*Result, error) {
 	return res, nil
 }
 
-// numNodes returns the request-node domain: graph nodes for inference,
-// indexed embedding rows for retrieval.
-func (s *Server) numNodes() int64 {
-	if s.index != nil {
-		return int64(s.index.N())
-	}
-	return s.Store.PG.N
-}
-
 // generate draws the open-loop arrival process: exponential inter-arrival
-// gaps at Opts.Rate, seed nodes uniform or Zipf-skewed by popularity.
-// Inference popularity follows the degree ranking (hot = high degree);
-// retrieval has no degree notion, so popularity rank is the node ID
-// itself (low IDs hottest) — a fixed, documented skew shape.
+// gaps at Opts.Rate, seed nodes uniform or Zipf-skewed by popularity, which
+// follows the degree ranking (hot = high degree).
 func (s *Server) generate() []*Request {
 	o := s.Opts
+	n := s.Store.PG.N
 	rng := rand.New(rand.NewSource(o.Seed*7919 + 13))
 	var zipf *rand.Zipf
 	if o.Skew > 1 {
-		zipf = rand.NewZipf(rng, o.Skew, 1, uint64(s.numNodes()-1))
+		zipf = rand.NewZipf(rng, o.Skew, 1, uint64(n-1))
 	}
 	// One slab for the whole stream; the trace points into it.
 	slab := make([]Request, o.Requests)
@@ -348,17 +308,10 @@ func (s *Server) generate() []*Request {
 	for i := range reqs {
 		t += rng.ExpFloat64() / o.Rate
 		var node int64
-		switch {
-		case zipf != nil && s.index != nil:
-			// Popularity rank scattered over the table by a fixed odd
-			// multiplier: the index shards rows contiguously, so rank==ID
-			// would pile every hot query onto replica 0's shard. Hot
-			// embeddings hash across shards the way hot training nodes do.
-			node = int64((zipf.Uint64() * 2654435761) % uint64(s.numNodes()))
-		case zipf != nil:
+		if zipf != nil {
 			node = s.byDegree[int64(zipf.Uint64())]
-		default:
-			node = rng.Int63n(s.numNodes())
+		} else {
+			node = rng.Int63n(n)
 		}
 		slab[i] = Request{ID: i, Node: node, Arrival: t}
 		reqs[i] = &slab[i]
@@ -390,32 +343,24 @@ func (s *Server) route(reqs []*Request) [][]*Request {
 // serving starts and the replicas can run concurrently.
 func (s *Server) routeOne(q *Request) int {
 	n := len(s.replicas)
-	var owner int
-	if s.index != nil {
-		owner = s.index.RankOfRow(q.Node)
-	} else {
-		owner = s.Store.PG.Owner[q.Node].Rank()
-	}
 	switch s.Opts.Policy {
 	case PolicyRoundRobin:
 		r := s.rr % n
 		s.rr++
 		return r
 	case PolicyOwner:
-		return owner
+		return s.Store.PG.Owner[q.Node].Rank()
 	default: // PolicyCacheAware
 		// A row within the cache capacity of the degree ranking is local
 		// on its owner and cached everywhere else, so any replica serves
 		// it from local memory — spread those round-robin. Cold rows go
-		// to their owner, whose shard holds them. Retrieval replicas have
-		// no hot-row cache, so the policy degrades to owner routing
-		// (the query row gather is then always local).
-		if s.index == nil && s.Opts.CacheRows > 0 && s.degreeRank(q.Node) < int64(s.Opts.CacheRows) {
+		// to their owner, whose shard holds them.
+		if s.Opts.CacheRows > 0 && s.degreeRank(q.Node) < int64(s.Opts.CacheRows) {
 			r := s.rr % n
 			s.rr++
 			return r
 		}
-		return owner
+		return s.Store.PG.Owner[q.Node].Rank()
 	}
 }
 

@@ -86,6 +86,12 @@ go test -run '^$' -fuzz '^FuzzRecordIssue$' -fuzztime 10s ./internal/sim
 # shapes: the no-grad forward against the recording one, logits bit for bit
 # and both device clocks and counters equal.
 go test -run '^$' -fuzz '^FuzzForwardNoGrad$' -fuzztime 10s ./internal/gnn
+# The serving batcher over random rates, stream lengths, batch caps, delays,
+# deadlines, queue bounds, policies, skews and cache sizes: rejected by
+# Validate, or every request accounted for, no batch over its cap, no request
+# done before it launched or launched before it arrived, owner routing to the
+# owner, and two deployments given one input tracing equal.
+go test -run '^$' -fuzz '^FuzzServe$' -fuzztime 10s ./internal/serve
 # The copied Go 1 math/rand source over random seeds, draw counts, bounds and
 # Zipf shapes: its Int63, Uint64, Float32, Float64, Int63n and Zipf streams
 # against math/rand's own, draw for draw.

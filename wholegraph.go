@@ -34,7 +34,6 @@ import (
 	"strings"
 
 	"wholegraph/internal/analytics"
-	"wholegraph/internal/ann"
 	"wholegraph/internal/baseline"
 	"wholegraph/internal/core"
 	"wholegraph/internal/dataset"
@@ -244,6 +243,9 @@ type Batch = gnn.Batch
 // NewModel constructs "gcn", "graphsage" or "gat" from a config.
 var NewModel = gnn.New
 
+// CheckModel reports why NewModel would refuse an architecture and config.
+var CheckModel = gnn.Check
+
 // LayerBackend selects whose GNN layer kernels carry the compute
 // (Figure 11): BackendNative, BackendDGL or BackendPyG.
 type LayerBackend = spops.Backend
@@ -348,52 +350,6 @@ const (
 // `node` and prepares the request pipeline.
 func NewServer(m *Machine, node int, ds *Dataset, model Model, opts ServeOptions) (*Server, error) {
 	return serve.New(m, node, ds, model, opts)
-}
-
-// Serving workloads: node inference (NewServer) and top-K nearest neighbor
-// retrieval over an ANN index (NewRetrievalServer).
-const (
-	WorkloadInference = serve.WorkloadInference
-	WorkloadRetrieval = serve.WorkloadRetrieval
-)
-
-// --- ANN retrieval ---
-
-// Matrix is a dense row-major float32 matrix (R rows by C columns, flat
-// backing in V), as produced by FullGraphEmbeddings.
-type Matrix = tensor.Dense
-
-// FullGraphEmbeddings computes every node's final-layer embedding via
-// layer-wise propagation over the shared store: the rows BuildANNIndex
-// indexes. Identical to FullGraphInference; the name marks the intent.
-var FullGraphEmbeddings = infer.Embeddings
-
-// ANNOptions are the HNSW construction and search parameters; zero values
-// take defaults (M=12, efConstruction=100, efSearch=64).
-type ANNOptions = ann.Options
-
-// ANNIndex is a deterministic HNSW index over embedding rows sharded
-// across a communicator's devices; searches charge distance math and
-// local/remote row traffic to the querying device.
-type ANNIndex = ann.Index
-
-// ANNResult is one retrieved neighbor (row ID and L2 distance).
-type ANNResult = ann.Result
-
-// BuildANNIndex builds the HNSW index over emb's rows, the embedding table
-// sharded across the communicator like any other shared allocation.
-// Construction is parallel across the devices and bit-deterministic: the
-// same rows, options and seed give the same graph on any worker count.
-func BuildANNIndex(c *Comm, emb *Matrix, opts ANNOptions) (*ANNIndex, error) {
-	return ann.Build(c, emb, opts)
-}
-
-// NewRetrievalServer builds a retrieval deployment over a built ANN index:
-// one replica per device of the index's communicator, the same open-loop
-// generator and dynamic batcher as NewServer, answers scored as recall@K
-// against the exact oracle.
-func NewRetrievalServer(ix *ANNIndex, opts ServeOptions) (*Server, error) {
-	return serve.NewRetrieval(ix, opts)
 }
 
 // --- Link prediction ---

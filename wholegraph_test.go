@@ -87,6 +87,61 @@ func TestNewTrainerRejectsBadOptions(t *testing.T) {
 	}
 }
 
+// TestNewServerRejectsNonFiniteOptions: a rate, delay, deadline, SLO or skew
+// that is NaN or infinite, or a negative SLO, is an error from NewServer
+// naming the field — not a run that hangs (NaN Rate), reports negative
+// latencies (NaN MaxDelay) or an infinite p99 (infinite MaxDelay).
+func TestNewServerRejectsNonFiniteOptions(t *testing.T) {
+	ds, err := wholegraph.GenerateDataset(wholegraph.OgbnProducts.Scaled(0.0005))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for i, tc := range []struct {
+		field string
+		edit  func(*wholegraph.ServeOptions)
+	}{
+		{"Rate", func(o *wholegraph.ServeOptions) { o.Rate = nan }},
+		{"Rate", func(o *wholegraph.ServeOptions) { o.Rate = inf }},
+		{"MaxDelay", func(o *wholegraph.ServeOptions) { o.MaxDelay = nan }},
+		{"MaxDelay", func(o *wholegraph.ServeOptions) { o.MaxDelay = inf }},
+		{"Deadline", func(o *wholegraph.ServeOptions) { o.Deadline = nan }},
+		{"Deadline", func(o *wholegraph.ServeOptions) { o.Deadline = inf }},
+		{"SLO", func(o *wholegraph.ServeOptions) { o.SLO = nan }},
+		{"SLO", func(o *wholegraph.ServeOptions) { o.SLO = inf }},
+		{"SLO", func(o *wholegraph.ServeOptions) { o.SLO = -1e-3 }},
+		{"Skew", func(o *wholegraph.ServeOptions) { o.Skew = nan }},
+		{"Skew", func(o *wholegraph.ServeOptions) { o.Skew = inf }},
+	} {
+		opts := wholegraph.ServeOptions{Requests: 200, Fanouts: []int{3, 3}}
+		tc.edit(&opts)
+		model := wholegraph.NewModel("graphsage", wholegraph.ModelConfig{
+			InDim: ds.Spec.FeatDim, Hidden: 8, Classes: ds.Spec.NumClasses, Layers: 2,
+		})
+		done := make(chan error, 1)
+		go func() {
+			defer func() {
+				if p := recover(); p != nil {
+					done <- fmt.Errorf("panic: %v", p)
+				}
+			}()
+			srv, err := wholegraph.NewServer(wholegraph.NewDGXA100(1), 0, ds, model, opts)
+			if err == nil {
+				_, err = srv.Run()
+			}
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Errorf("case %d, bad %s: error %v; want one naming %s", i, tc.field, err, tc.field)
+			}
+		case <-time.After(10 * time.Second):
+			t.Errorf("case %d, bad %s: no answer in 10 s", i, tc.field)
+		}
+	}
+}
+
 // TestGenerateDatasetRejectsBadSpecs: a spec the generators cannot build is
 // an error naming the field — not a panic (a one-node graph with edges), a
 // hang (NaN ZipfS, whose Zipf draw never accepts) or a dataset built from
