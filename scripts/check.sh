@@ -86,6 +86,11 @@ go test -run '^$' -fuzz '^FuzzRecordIssue$' -fuzztime 10s ./internal/sim
 # shapes: the no-grad forward against the recording one, logits bit for bit
 # and both device clocks and counters equal.
 go test -run '^$' -fuzz '^FuzzForwardNoGrad$' -fuzztime 10s ./internal/gnn
+# Random architectures, depths, widths, head counts, backends, fanouts,
+# batches, real workers, nodes and gradient buckets: eager, captured and
+# scheduled training equal bit for bit on every epoch's loss and accuracy
+# and on the final parameters, and two scheduled runs hash equal.
+go test -run '^$' -fuzz '^FuzzStepShapes$' -fuzztime 10s ./internal/train
 # The serving batcher over random rates, stream lengths, batch caps, delays,
 # deadlines, queue bounds, policies, skews and cache sizes: rejected by
 # Validate, or every request accounted for, no batch over its cap, no request
