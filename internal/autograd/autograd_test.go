@@ -263,22 +263,36 @@ func TestGradAccumulatesAcrossUses(t *testing.T) {
 	}
 }
 
-func TestCustomOp(t *testing.T) {
-	// A custom square op via Tape.Op: y = x^2, dy/dx = 2x.
-	tp := NewTape()
-	xv := tensor.FromSlice(1, 3, []float32{2, -3, 4})
-	x := tp.Param(xv)
-	out := tensor.New(1, 3)
-	for i, v := range xv.V {
+// square is a custom op kernel for the tests: y = x^2, dy/dx = 2x.
+type square struct{}
+
+func (square) Label() string { return "square" }
+
+func (square) Forward(r *Record) {
+	x := r.In[0].Value
+	out := r.Output(x.R, x.C, false)
+	for i, v := range x.V {
 		out.V[i] = v * v
 	}
-	y := tp.Op(out, []*Var{x}, func(v *Var) {
-		g := tensor.New(1, 3)
-		for i := range g.V {
-			g.V[i] = 2 * xv.V[i] * v.Grad.V[i]
-		}
-		x.AccumGrad(g)
-	})
+}
+
+func (square) Backward(r *Record) {
+	x := r.In[0]
+	g := r.Out.tape.NewTensor(x.Value.R, x.Value.C)
+	for i := range g.V {
+		g.V[i] = 2 * x.Value.V[i] * r.Out.Grad.V[i]
+	}
+	x.AccumGrad(g)
+}
+
+func TestCustomOp(t *testing.T) {
+	// A custom kernel recorded through Tape.Record.
+	tp := NewTape()
+	x := tp.Param(tensor.FromSlice(1, 3, []float32{2, -3, 4}))
+	y := tp.Record(Record{Kernel: square{}, In: [2]*Var{x}})
+	if want := []float32{4, 9, 16}; y.Value.V[0] != want[0] || y.Value.V[1] != want[1] || y.Value.V[2] != want[2] {
+		t.Fatalf("custom forward = %v, want %v", y.Value.V, want)
+	}
 	tp.Backward(y, ones(1, 3))
 	want := []float32{4, -6, 8}
 	for i, w := range want {
@@ -297,7 +311,7 @@ func TestCrossTapePanics(t *testing.T) {
 			t.Error("cross-tape op did not panic")
 		}
 	}()
-	t1.Op(ones(1, 1), []*Var{a, b}, nil)
+	t1.Record(Record{Kernel: square{}, In: [2]*Var{a, b}})
 }
 
 func TestGatherRowsGradient(t *testing.T) {

@@ -24,10 +24,10 @@ func buildChain(tp *Tape, x, w, b *tensor.Dense, rows *int) (*Var, *Var, *Var) {
 	return Rows(ReLU(h), rows), wv, bv
 }
 
-// TestCaptureReplayDynamicShapes captures an op chain once, then changes
-// both the input values and the row counts and replays: values and
-// parameter gradients must be bit-identical to a fresh eager recompute on
-// the same buffers.
+// TestCaptureReplayDynamicShapes records an op chain once and keeps the
+// tape, then changes both the input values and the row counts and replays:
+// values and parameter gradients must be bit-identical to a fresh eager
+// recompute on the same buffers.
 func TestCaptureReplayDynamicShapes(t *testing.T) {
 	x := tensor.New(5, 4)
 	w := tensor.New(4, 3)
@@ -37,17 +37,15 @@ func TestCaptureReplayDynamicShapes(t *testing.T) {
 	fillSeq(b, 0.125)
 	targets := 4
 
-	ct := NewTape()
-	ct.BeginCapture()
+	ct := NewTapeArena(tensor.NewArena())
 	out, wv, bv := buildChain(ct, x, w, b, &targets)
 	seed := tensor.New(out.Value.R, out.Value.C)
 	for i := range seed.V {
 		seed.V[i] = 1
 	}
 	ct.Backward(out, seed)
-	ct.EndCapture()
-	if ct.ProgramLen() == 0 {
-		t.Fatal("capture recorded no replay steps")
+	if ct.Len() != 4 {
+		t.Fatalf("the chain recorded %d ops, want 4", ct.Len())
 	}
 
 	// Shrink the batch and change every input value.
@@ -56,7 +54,7 @@ func TestCaptureReplayDynamicShapes(t *testing.T) {
 	fillSeq(w, 0.75)
 	targets = 2
 
-	ct.ReplayForward()
+	ct.Replay()
 	seed.Resize(out.Value.R, out.Value.C)
 	for i := range seed.V {
 		seed.V[i] = 1
@@ -103,18 +101,16 @@ func TestCaptureReplayDropoutRNG(t *testing.T) {
 		return Dropout(tp.Const(x), 0.5, src)
 	}
 
-	// Graph path: capture draws 1..n, replay draws n+1..2n.
+	// Kept tape: the recording draws 1..n, the replay n+1..2n.
 	rngG := xrand.New(7)
 	ct := NewTape()
-	ct.BeginCapture()
 	out := run(ct, rngG)
 	seed := tensor.New(out.Value.R, out.Value.C)
 	for i := range seed.V {
 		seed.V[i] = 1
 	}
 	ct.Backward(out, seed)
-	ct.EndCapture()
-	ct.ReplayForward()
+	ct.Replay()
 	ct.Backward(out, seed)
 
 	// Eager path: two iterations off the same persistent stream.
@@ -129,21 +125,11 @@ func TestCaptureReplayDropoutRNG(t *testing.T) {
 	}
 }
 
-// TestCaptureRequiresPlainTape pins the arena restriction: captured tensors
-// must outlive Reset, so arena tapes refuse to capture.
-func TestCaptureRequiresPlainTape(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("BeginCapture on an arena tape did not panic")
-		}
-	}()
-	NewTapeArena(tensor.NewArena()).BeginCapture()
-}
-
-// TestReplaySteadyStateAllocs checks that a warmed replay (forward +
-// backward) performs no per-iteration tape or tensor allocation: the
-// gradient buffers recorded at capture are reused via the backward cursor,
-// and the matmul kernels' dispatch allocates nothing.
+// TestReplaySteadyStateAllocs checks that a warmed replay of a kept arena
+// tape (forward + backward) performs no per-iteration tape or tensor
+// allocation: Replay hands the last backward's gradient buffers back to the
+// arena for the next one, and the matmul kernels' dispatch allocates
+// nothing.
 func TestReplaySteadyStateAllocs(t *testing.T) {
 	x := tensor.New(5, 4)
 	w := tensor.New(4, 3)
@@ -152,17 +138,15 @@ func TestReplaySteadyStateAllocs(t *testing.T) {
 	fillSeq(w, -0.25)
 	targets := 4
 
-	ct := NewTape()
-	ct.BeginCapture()
+	ct := NewTapeArena(tensor.NewArena())
 	out, _, _ := buildChain(ct, x, w, b, &targets)
 	seed := tensor.New(out.Value.R, out.Value.C)
 	ct.Backward(out, seed)
-	ct.EndCapture()
-	ct.ReplayForward()
+	ct.Replay()
 	ct.Backward(out, seed)
 
 	replay := testing.AllocsPerRun(10, func() {
-		ct.ReplayForward()
+		ct.Replay()
 		ct.Backward(out, seed)
 	})
 	eager := testing.AllocsPerRun(10, func() {
@@ -181,9 +165,9 @@ func TestReplaySteadyStateAllocs(t *testing.T) {
 }
 
 // TestReplayOverwritesUnzeroedBuffers pins the replay paths that skip the
-// zeroing reshape (ResizeUninit in the captured closures of the ops whose
-// kernel sets every element, and in a replayed backward's matrix products):
-// with every captured tensor — op outputs, masks, gradient buffers —
+// zeroing reshape (the forwards of the ops whose kernel sets every element,
+// and a replayed backward's matrix products on recycled arena slabs): with
+// every tensor of a kept tape — op outputs, masks, gradient buffers —
 // poisoned with NaN over its whole capacity, a replay at a smaller row count
 // still matches a fresh eager pass bit for bit, values and gradients.
 func TestReplayOverwritesUnzeroedBuffers(t *testing.T) {
@@ -198,7 +182,7 @@ func TestReplayOverwritesUnzeroedBuffers(t *testing.T) {
 	idx := []int{2, 0, 2} // rows that exist at both row counts
 
 	rnd := xrand.New(37) // replayable uniform stream: Seed(37) restarts it
-	// One of every op whose capture closure reshapes without zeroing.
+	// One of every op whose forward reshapes without zeroing.
 	chain := func(tp *Tape) (out *Var, params []*Var) {
 		xv, wv, bv, ev := tp.Param(x), tp.Param(w), tp.Param(b), tp.Param(eps)
 		h := ReLU(AddBias(MatMul(xv, wv), bv))
@@ -213,11 +197,9 @@ func TestReplayOverwritesUnzeroedBuffers(t *testing.T) {
 		return s
 	}
 
-	ct := NewTape()
-	ct.BeginCapture()
+	ct := NewTapeArena(tensor.NewArena())
 	out, params := chain(ct)
 	ct.Backward(out, seedFor(out))
-	ct.EndCapture()
 
 	nan := float32(math.NaN())
 	poison := func(d *tensor.Dense) {
@@ -226,12 +208,7 @@ func TestReplayOverwritesUnzeroedBuffers(t *testing.T) {
 			v[i] = nan
 		}
 	}
-	for _, s := range ct.program {
-		for _, d := range s.writes {
-			poison(d)
-		}
-	}
-	for _, d := range ct.bwdSeq {
+	for _, d := range ct.owned { // every output, mask and gradient buffer
 		poison(d)
 	}
 
@@ -239,7 +216,7 @@ func TestReplayOverwritesUnzeroedBuffers(t *testing.T) {
 	fillSeq(x, 2)
 	fillSeq(w, 0.75)
 	rnd.Seed(37)
-	ct.ReplayForward()
+	ct.Replay()
 	ct.Backward(out, seedFor(out))
 
 	rnd.Seed(37)

@@ -4,65 +4,86 @@ import (
 	"math/rand"
 	"testing"
 
+	"wholegraph/internal/sim"
 	"wholegraph/internal/tensor"
 )
 
-// TestOnBackwardFiresAfterBack checks that a post hook fires exactly once,
-// after the variable's backward closure ran (the input gradient exists by
-// then), and that it does not fire when no gradient reaches the variable.
-func TestOnBackwardFiresAfterBack(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	xv := tensor.Randn(3, 4, 1, rng)
-	wv := tensor.Randn(4, 2, 1, rng)
-
-	tp := NewTape()
-	x := tp.Const(xv)
-	w := tp.Param(wv)
-	y := MatMul(x, w)
-	fired := 0
-	y.OnBackwardFor(w, func() {
-		fired++
-		if w.Grad == nil {
-			t.Error("hook ran before backward closure populated w.Grad")
-		}
-	})
-	tp.Backward(y, ones(3, 2))
-	if fired != 1 {
-		t.Fatalf("hook fired %d times, want 1", fired)
-	}
-
-	// A branch the loss gradient never reaches: its hook must stay silent.
-	tp2 := NewTape()
-	a := tp2.Param(tensor.Randn(2, 2, 1, rng))
-	dead := ReLU(a)
-	dead.OnBackwardFor(a, func() { t.Error("hook fired on unreached node") })
-	live := Scale(tp2.Param(tensor.Randn(2, 2, 1, rng)), 2)
-	tp2.Backward(live, ones(2, 2))
+// countCost is a Cost that counts its charges and checks, at each backward
+// charge, that the op's backward already produced the input's gradient.
+type countCost struct {
+	t        *testing.T
+	fwd, bwd int
 }
 
-// TestResetClearsHooks checks that recycled Var nodes do not re-fire hooks
-// registered before a Reset.
+func (c *countCost) ChargeForward(*Record) { c.fwd++ }
+
+func (c *countCost) ChargeBackward(r *Record, i int) {
+	c.bwd++
+	if in := r.In[i]; in.NeedsGrad() && in.Grad == nil {
+		c.t.Error("a backward charge ran before the op's backward produced its input's gradient")
+	}
+}
+
+// TestOnBackwardFiresAfterBack checks that a Cost charges its forward once
+// when the op is priced, and its backward once per input, after the op's
+// backward ran (the input gradient exists by then) — and not at all when no
+// gradient reaches the op.
+func TestOnBackwardFiresAfterBack(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	dev := sim.NewMachine(sim.DGXA100(1)).Devs[0]
+
+	tp := NewTape()
+	y := MatMul(tp.Const(tensor.Randn(3, 4, 1, rng)), tp.Param(tensor.Randn(4, 2, 1, rng)))
+	c := &countCost{t: t}
+	tp.Charge(y, dev, c)
+	tp.Backward(y, ones(3, 2))
+	if c.fwd != 1 || c.bwd != 2 {
+		t.Fatalf("cost charged %d forward and %d backward, want 1 and 2", c.fwd, c.bwd)
+	}
+
+	// A branch the loss gradient never reaches: its cost stays silent.
+	tp2 := NewTape()
+	dead := ReLU(tp2.Param(tensor.Randn(2, 2, 1, rng)))
+	deadCost := &countCost{t: t}
+	tp2.Charge(dead, dev, deadCost)
+	live := Scale(tp2.Param(tensor.Randn(2, 2, 1, rng)), 2)
+	tp2.Backward(live, ones(2, 2))
+	if deadCost.bwd != 0 {
+		t.Fatalf("a cost charged %d backward kernels on an unreached op", deadCost.bwd)
+	}
+
+	// Without a device nothing is priced.
+	tp3 := NewTape()
+	y3 := ReLU(tp3.Param(ones(2, 2)))
+	nodev := &countCost{t: t}
+	tp3.Charge(y3, nil, nodev)
+	tp3.Backward(y3, ones(2, 2))
+	if nodev.fwd+nodev.bwd != 0 {
+		t.Fatalf("a cost without a device charged %d times", nodev.fwd+nodev.bwd)
+	}
+}
+
+// TestResetClearsHooks checks that recycled records do not re-run a Cost
+// priced before a Reset.
 func TestResetClearsHooks(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	arena := tensor.NewArena()
-	tp := NewTapeArena(arena)
+	dev := sim.NewMachine(sim.DGXA100(1)).Devs[0]
+	tp := NewTapeArena(tensor.NewArena())
 	wv := tensor.Randn(2, 2, 1, rng)
 
-	stale := 0
-	w := tp.Param(wv)
-	y := ReLU(w)
-	y.OnBackwardFor(w, func() { stale++ })
+	stale := &countCost{t: t}
+	y := ReLU(tp.Param(wv))
+	tp.Charge(y, dev, stale)
 	tp.Backward(y, ones(2, 2))
-	if stale != 1 {
-		t.Fatalf("hook fired %d times before Reset, want 1", stale)
+	if stale.bwd != 1 {
+		t.Fatalf("cost charged %d backward kernels before Reset, want 1", stale.bwd)
 	}
 
 	tp.Reset()
-	w2 := tp.Param(wv)
-	y2 := ReLU(w2)
+	y2 := ReLU(tp.Param(wv))
 	tp.Backward(y2, ones(2, 2))
-	if stale != 1 {
-		t.Fatalf("stale hook re-fired after Reset (count %d)", stale)
+	if stale.fwd != 1 || stale.bwd != 1 {
+		t.Fatalf("stale cost re-ran after Reset (%d forward, %d backward)", stale.fwd, stale.bwd)
 	}
 }
 

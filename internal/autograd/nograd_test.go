@@ -3,6 +3,7 @@ package autograd
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -23,9 +24,10 @@ func everyOp(x, p, s *Var, rnd *xrand.Source) *Var {
 	return RowDot(h, h)
 }
 
-// TestOpsOverConstantsRecordNothing checks the value-only path: every op
-// whose inputs need no gradient computes the same values as a recording
-// tape, records no node, keeps no inputs and needs no gradient.
+// TestOpsOverConstantsRecordNothing checks the no-grad path: on a tape reset
+// with ResetNoGrad, whose parameters bind as constants, every op computes
+// the same values as on a recording tape, keeps no record and needs no
+// gradient.
 func TestOpsOverConstantsRecordNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	xv := tensor.Randn(4, 3, 1, rng)
@@ -34,18 +36,19 @@ func TestOpsOverConstantsRecordNothing(t *testing.T) {
 
 	rec := NewTape()
 	want := everyOp(rec.Const(xv), rec.Param(pv), rec.Param(sv), xrand.New(2))
-	if rec.Len() == 0 || !want.NeedsGrad() || len(want.Inputs()) != 2 {
-		t.Fatalf("recording tape: %d nodes, needs grad %v, %d inputs", rec.Len(), want.NeedsGrad(), len(want.Inputs()))
+	if rec.Len() == 0 || !want.NeedsGrad() {
+		t.Fatalf("recording tape: %d records, needs grad %v", rec.Len(), want.NeedsGrad())
 	}
 
-	tp := NewTape()
-	got := everyOp(tp.Const(xv), tp.Const(pv), tp.Const(sv), xrand.New(2))
+	tp := NewTapeArena(tensor.NewArena())
+	tp.ResetNoGrad()
+	got := everyOp(tp.Const(xv), tp.Param(pv), tp.Param(sv), xrand.New(2))
 	if tp.Len() != 0 {
-		t.Errorf("ops over constants recorded %d nodes", tp.Len())
+		t.Errorf("ops over constants recorded %d ops", tp.Len())
 	}
 	for _, v := range tp.vars {
-		if v.NeedsGrad() || len(v.Inputs()) != 0 || v.back != nil {
-			t.Fatalf("value-only Var needs grad %v, has %d inputs, back set %v", v.NeedsGrad(), len(v.Inputs()), v.back != nil)
+		if v.NeedsGrad() {
+			t.Fatal("a Var of the no-grad forward needs a gradient")
 		}
 	}
 	sameBits(t, "value-only result", got.Value, want.Value)
@@ -79,14 +82,14 @@ func TestResetNoGradBindsConstants(t *testing.T) {
 }
 
 // TestNoGradModeRefusesBackward pins the fix for a silent no-op: every
-// backward entry point, and BeginCapture, panics on a no-grad tape with a
-// message naming the mode, instead of leaving every parameter gradient nil.
-// ReplayBackward is Backward on a tape frozen by EndCapture: the replay of a
-// captured backward pass refuses no-grad mode too.
+// backward entry point, and Replay, panics on a no-grad tape with a message
+// naming the mode, instead of leaving every parameter gradient nil.
+// ReplayBackward is Backward on a tape that recorded and ran a backward
+// before ResetNoGrad: what it kept refuses no-grad mode too.
 func TestNoGradModeRefusesBackward(t *testing.T) {
 	for _, c := range []struct {
 		name, entry string
-		frozen      bool
+		kept        bool
 		call        func(tp *Tape, loss *Var, seed *tensor.Dense)
 	}{
 		{"Backward", "Backward", false, func(tp *Tape, loss *Var, seed *tensor.Dense) { tp.Backward(loss, seed) }},
@@ -94,14 +97,12 @@ func TestNoGradModeRefusesBackward(t *testing.T) {
 			tp.BackwardHooked(loss, seed, nil, func(int) {})
 		}},
 		{"ReplayBackward", "Backward", true, func(tp *Tape, loss *Var, seed *tensor.Dense) { tp.Backward(loss, seed) }},
-		{"BeginCapture", "BeginCapture", false, func(tp *Tape, _ *Var, _ *tensor.Dense) { tp.BeginCapture() }},
+		{"Replay", "Replay", true, func(tp *Tape, _ *Var, _ *tensor.Dense) { tp.Replay() }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			tp := NewTape()
-			if c.frozen {
-				tp.BeginCapture()
+			if c.kept {
 				tp.Backward(MatMul(tp.Const(ones(2, 2)), tp.Param(ones(2, 2))), ones(2, 2))
-				tp.EndCapture()
 			}
 			tp.ResetNoGrad()
 			loss := MatMul(tp.Const(ones(2, 2)), tp.Param(ones(2, 2)))
@@ -116,31 +117,29 @@ func TestNoGradModeRefusesBackward(t *testing.T) {
 	}
 }
 
-// TestOpKeepsInputsInline checks that a recorded node holds its inputs
-// itself — the caller's slice is not retained — that recycled nodes pin
-// nothing after Reset, and that Op rejects more inputs than a node holds.
+// TestOpKeepsInputsInline checks that a record holds its inputs itself —
+// the caller's slice is not retained — and that after Reset no record, and
+// no recycled node, pins a Var or a tensor.
 func TestOpKeepsInputsInline(t *testing.T) {
 	tp := NewTapeArena(tensor.NewArena())
 	a, b := tp.Param(ones(2, 2)), tp.Param(ones(2, 2))
 	ins := []*Var{a, b}
-	y := tp.Op(ones(2, 2), ins, func(*Var) {})
+	y := Add(ins[0], ins[1])
 	ins[0], ins[1] = nil, nil
-	if got := y.Inputs(); len(got) != 2 || got[0] != a || got[1] != b {
-		t.Fatalf("Inputs() = %v, want [a b] independent of the caller's slice", got)
+	if r := tp.ops[0]; r.Out != y || r.In != [2]*Var{a, b} {
+		t.Fatalf("record inputs %v, want [a b] independent of the caller's slice", r.In)
 	}
 	tp.Reset()
-	for _, v := range tp.free {
-		if v.in != [2]*Var{} || v.nin != 0 || len(v.Inputs()) != 0 {
-			t.Fatal("a recycled node still references its inputs")
+	for _, r := range tp.ops[:cap(tp.ops)] {
+		if !reflect.ValueOf(r).IsZero() {
+			t.Fatal("a cleared record still references its op")
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("an op with three inputs did not panic")
+	for _, v := range tp.free {
+		if v.Value != nil || v.Grad != nil {
+			t.Fatal("a recycled node still references its tensors")
 		}
-	}()
-	c := tp.Param(ones(1, 1))
-	tp.Op(ones(1, 1), []*Var{c, c, c}, func(*Var) {})
+	}
 }
 
 func sameBits(t *testing.T, name string, got, want *tensor.Dense) {

@@ -128,8 +128,8 @@ func withSelfLoops(g *spops.SubCSR) *spops.SubCSR {
 // as model-private scratch (each concurrent worker or inference rank owns
 // its own model replica), so the steady state rebuilds the closed
 // neighborhood without allocating. The result is valid until the next call
-// with the same dst; backward closures capturing it fire within the same
-// iteration, before any rewrite.
+// with the same dst; the records reading it run their backward within the
+// same iteration, before any rewrite.
 func withSelfLoopsInto(dst, g *spops.SubCSR) *spops.SubCSR {
 	dst.NumTargets = g.NumTargets
 	dst.NumNodes = g.NumNodes
@@ -167,56 +167,39 @@ func withSelfLoopsInto(dst, g *spops.SubCSR) *spops.SubCSR {
 // loopScratch lazily provides per-layer self-loop blocks for models that
 // aggregate over the closed neighborhood.
 type loopScratch struct {
-	loops []*spops.SubCSR
+	loops []*loopBlock
 }
 
-func (s *loopScratch) loop(l int) *spops.SubCSR {
+// loop returns layer l's closed-neighborhood block of raw, rebuilt by a
+// rider recorded on tp: a replay rebuilds it from the live raw block before
+// the ops that read it.
+func (s *loopScratch) loop(tp *autograd.Tape, l int, raw *spops.SubCSR) *spops.SubCSR {
 	for len(s.loops) <= l {
-		s.loops = append(s.loops, new(spops.SubCSR))
+		s.loops = append(s.loops, new(loopBlock))
 	}
-	return s.loops[l]
+	tp.RecordRider(autograd.Record{Kernel: s.loops[l], Arg: raw})
+	return &s.loops[l].SubCSR
 }
 
-// chargeEltwiseFwd charges the forward half of an elementwise pass over x
-// now, and records the charge for replay when the tape is capturing (the
-// element count is read live, tracking the batch size).
-func chargeEltwiseFwd(dev *sim.Device, x *autograd.Var) {
-	nn.ChargeElementwiseForward(dev, int64(len(x.Value.V)))
-	if tp := x.Tape(); dev != nil && tp.Capturing() {
-		tp.Capture(func() { nn.ChargeElementwiseForward(dev, int64(len(x.Value.V))) })
-	}
+// loopBlock is a layer's self-loop block, and the rider kernel that rebuilds
+// it from the raw block its record holds.
+type loopBlock struct{ spops.SubCSR }
+
+func (b *loopBlock) Label() string              { return "selfloops" }
+func (b *loopBlock) Forward(r *autograd.Record) { withSelfLoopsInto(&b.SubCSR, r.Arg.(*spops.SubCSR)) }
+func (b *loopBlock) Backward(*autograd.Record)  {}
+
+// charged prices the op that produced v as an elementwise pass on dev: its
+// forward now, its backward when the gradient reaches it.
+func charged(dev *sim.Device, v *autograd.Var) *autograd.Var {
+	v.Tape().Charge(v, dev, nn.Elementwise)
+	return v
 }
 
-// hookEltwiseBwd charges the backward half of an elementwise pass at
-// tape-replay time, when out's gradient is actually computed — mirroring
-// how Linear charges its backward GEMMs. in is the op's input: declaring
-// the hook as producing in's gradient (OnBackwardFor) gives the charge its
-// own node in the whole-step scheduler's DAG. A node that needs no gradient
-// gets no hook: it could never fire.
-func hookEltwiseBwd(dev *sim.Device, out, in *autograd.Var) {
-	if dev != nil && out.NeedsGrad() {
-		out.OnBackwardFor(in, func() { nn.ChargeElementwiseBackward(dev, int64(len(out.Value.V))) })
-	}
-}
-
-// captureSelfLoops records blk's self-loop rebuild into the replay program
-// when capturing, so replays refresh the scratch block from the live raw
-// block before the ops that read it.
-func captureSelfLoops(tp *autograd.Tape, dst, raw *spops.SubCSR) {
-	if tp.Capturing() {
-		tp.Capture(func() { withSelfLoopsInto(dst, raw) })
-	}
-}
-
-// dropoutVar applies dropout when training with p > 0. The forward charge
-// is recorded after the op so its capture rider lands on the dropout's DAG
-// node (the element counts are equal either way).
+// dropoutVar applies dropout when training with p > 0.
 func dropoutVar(dev *sim.Device, x *autograd.Var, p float32, train bool, src *xrand.Source) *autograd.Var {
 	if !train || p <= 0 {
 		return x
 	}
-	out := autograd.Dropout(x, p, src)
-	chargeEltwiseFwd(dev, out)
-	hookEltwiseBwd(dev, out, x)
-	return out
+	return charged(dev, autograd.Dropout(x, p, src))
 }

@@ -59,16 +59,10 @@ func (m *GCN) NumLayers() int { return m.cfg.Layers }
 // ForwardLayer implements Model. Parameters must already be bound
 // on x's tape.
 func (m *GCN) ForwardLayer(dev *sim.Device, l int, blk *spops.SubCSR, x *autograd.Var, last, train bool) *autograd.Var {
-	slBlk := withSelfLoopsInto(m.sl.loop(l), blk)
-	captureSelfLoops(x.Tape(), m.sl.loop(l), blk)
-	agg := spops.SpMM(dev, m.cfg.Backend, slBlk, x, nil, spops.AggMean)
+	agg := spops.SpMM(dev, m.cfg.Backend, m.sl.loop(x.Tape(), l, blk), x, nil, spops.AggMean)
 	out := m.layers[l].Apply(dev, agg)
 	if !last {
-		pre := out
-		out = autograd.ReLU(out)
-		chargeEltwiseFwd(dev, out)
-		hookEltwiseBwd(dev, out, pre)
-		out = dropoutVar(dev, out, m.cfg.Dropout, train, m.src)
+		out = dropoutVar(dev, charged(dev, autograd.ReLU(out)), m.cfg.Dropout, train, m.src)
 	}
 	return out
 }
@@ -123,11 +117,7 @@ func (m *SAGE) ForwardLayer(dev *sim.Device, l int, blk *spops.SubCSR, x *autogr
 	agg := spops.SpMM(dev, m.cfg.Backend, blk, x, nil, spops.AggMean)
 	out := m.layers[l].Apply(dev, autograd.ConcatCols(self, agg))
 	if !last {
-		pre := out
-		out = autograd.ReLU(out)
-		chargeEltwiseFwd(dev, out)
-		hookEltwiseBwd(dev, out, pre)
-		out = dropoutVar(dev, out, m.cfg.Dropout, train, m.src)
+		out = dropoutVar(dev, charged(dev, autograd.ReLU(out)), m.cfg.Dropout, train, m.src)
 	}
 	return out
 }
@@ -201,8 +191,7 @@ func (m *GAT) NumLayers() int { return m.cfg.Layers }
 // ForwardLayer implements Model. Parameters must already be bound
 // on x's tape.
 func (m *GAT) ForwardLayer(dev *sim.Device, l int, rawBlk *spops.SubCSR, x *autograd.Var, last, train bool) *autograd.Var {
-	blk := withSelfLoopsInto(m.sl.loop(l), rawBlk)
-	captureSelfLoops(x.Tape(), m.sl.loop(l), rawBlk)
+	blk := m.sl.loop(x.Tape(), l, rawBlk)
 	var headsOut *autograd.Var
 	for h := 0; h < m.cfg.Heads; h++ {
 		hproj := m.proj[l][h].Apply(dev, x) // [nodes x headDim]
@@ -224,9 +213,7 @@ func (m *GAT) ForwardLayer(dev *sim.Device, l int, rawBlk *spops.SubCSR, x *auto
 	if last {
 		return autograd.Scale(headsOut, 1/float32(m.cfg.Heads))
 	}
-	relu := autograd.ReLU(headsOut)
-	chargeEltwiseFwd(dev, relu)
-	hookEltwiseBwd(dev, relu, headsOut)
+	relu := charged(dev, autograd.ReLU(headsOut))
 	return dropoutVar(dev, relu, m.cfg.Dropout, train, m.src)
 }
 
@@ -341,11 +328,7 @@ func (m *GIN) ForwardLayer(dev *sim.Device, l int, blk *spops.SubCSR, x *autogra
 	h := autograd.Add(scaled, agg)
 	out := m.mlp2[l].Apply(dev, autograd.ReLU(m.mlp1[l].Apply(dev, h)))
 	if !last {
-		pre := out
-		out = autograd.ReLU(out)
-		chargeEltwiseFwd(dev, out)
-		hookEltwiseBwd(dev, out, pre)
-		out = dropoutVar(dev, out, m.cfg.Dropout, train, m.src)
+		out = dropoutVar(dev, charged(dev, autograd.ReLU(out)), m.cfg.Dropout, train, m.src)
 	}
 	return out
 }

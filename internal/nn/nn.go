@@ -130,32 +130,34 @@ func NewLinear(s *ParamSet, name string, in, out int, rng *rand.Rand) *Linear {
 	}
 }
 
-// Apply computes x*W + b on the tape, charging the forward GEMM to dev now
-// and the two backward GEMMs at tape-replay time via backward hooks on the
-// matmul node — so backward compute lands on the device clock exactly when
-// the gradient work happens, which is what lets gradient communication
-// overlap with it. The dX and dW charges are registered as separate
-// targeted hooks (OnBackwardFor): they are independent GEMMs, and the
-// whole-step scheduler exploits that by placing them on different streams.
-// The forward charge is captured after the matmul step so it rides the
-// matmul's DAG node on replays. The hooks are registered only on a matmul
-// that needs a gradient: on any other node they could never fire. dev may be
-// nil for pure computation.
+// Apply computes x*W + b on the tape. The Linear prices its matmul
+// (autograd.Cost): the forward GEMM is charged with the matmul's forward,
+// and the dX and dW GEMMs when the backward pass reaches it — so backward
+// compute lands on the device clock exactly when the gradient work happens,
+// which is what lets gradient communication overlap with it. dX and dW are
+// separate backward charges: they are independent GEMMs, and the whole-step
+// scheduler places them on different streams. Row counts are read live, so
+// a replayed step charges the GEMMs of its own batch size. dev may be nil
+// for pure computation.
 func (l *Linear) Apply(dev *sim.Device, x *autograd.Var) *autograd.Var {
-	tp := x.Tape()
-	ChargeLinearForward(dev, x.Value.R, l.In, l.Out)
-	wv := l.W.Var()
-	mm := autograd.MatMul(x, wv)
-	if dev != nil && tp.Capturing() {
-		tp.Capture(func() { ChargeLinearForward(dev, x.Value.R, l.In, l.Out) })
-	}
-	if dev != nil && mm.NeedsGrad() {
-		// Row count is read live so replayed iterations charge the GEMMs of
-		// their own batch size.
-		mm.OnBackwardFor(x, func() { ChargeLinearBackwardDX(dev, x.Value.R, l.In, l.Out) })
-		mm.OnBackwardFor(wv, func() { ChargeLinearBackwardDW(dev, x.Value.R, l.In, l.Out) })
-	}
+	mm := autograd.MatMul(x, l.W.Var())
+	x.Tape().Charge(mm, dev, l)
 	return autograd.AddBias(mm, l.B.Var())
+}
+
+// ChargeForward charges the forward GEMM of the matmul record r.
+func (l *Linear) ChargeForward(r *autograd.Record) {
+	ChargeLinearForward(r.Dev, r.Out.Value.R, l.In, l.Out)
+}
+
+// ChargeBackward charges the GEMM producing the gradient of r's input i:
+// dX for the layer input, dW for the weight.
+func (l *Linear) ChargeBackward(r *autograd.Record, i int) {
+	if i == 0 {
+		ChargeLinearBackwardDX(r.Dev, r.Out.Value.R, l.In, l.Out)
+	} else {
+		ChargeLinearBackwardDW(r.Dev, r.Out.Value.R, l.In, l.Out)
+	}
 }
 
 // ChargeLinearForward charges dev the forward GEMM of a Linear of the given
@@ -196,15 +198,28 @@ func ChargeElementwiseForward(dev *sim.Device, n int64) {
 }
 
 // ChargeElementwiseBackward charges dev the backward half of an elementwise
-// pass (gradient read + write). Layers hook it via OnBackwardFor so the cost
-// lands on the device clock when the gradient work actually happens — the
-// same replay-time charging Linear's backward GEMMs use — which sharpens
-// gradient-bucket ready times for the overlap engine.
+// pass (gradient read + write).
 func ChargeElementwiseBackward(dev *sim.Device, n int64) {
 	if dev == nil {
 		return
 	}
 	dev.Kernel(sim.KernelCost{StreamBytes: float64(4 * n * 2), Tag: "eltwise.bwd"})
+}
+
+// Elementwise prices a memory-bound elementwise op (ReLU, dropout) over its
+// output's elements (autograd.Cost). Its backward charge lands on the device
+// clock when the gradient work actually happens — as Linear's backward GEMMs
+// do — which sharpens gradient-bucket ready times for the overlap engine.
+var Elementwise autograd.Cost = elementwise{}
+
+type elementwise struct{}
+
+func (elementwise) ChargeForward(r *autograd.Record) {
+	ChargeElementwiseForward(r.Dev, int64(len(r.Out.Value.V)))
+}
+
+func (elementwise) ChargeBackward(r *autograd.Record, _ int) {
+	ChargeElementwiseBackward(r.Dev, int64(len(r.Out.Value.V)))
 }
 
 // Adam is the Adam optimizer over a ParamSet.

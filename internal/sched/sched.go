@@ -141,70 +141,75 @@ func (r *Recorder) dep(nd *Node, id int) {
 	nd.Deps = append(nd.Deps, id)
 }
 
-// ForwardNode implements autograd.ReplayObserver for a CaptureRW step:
-// RAW edges from the writers of its reads, WAW edges from (and then to)
-// the writers of its writes.
-func (r *Recorder) ForwardNode(label string, reads, writes []*tensor.Dense) {
-	nd := r.open(label)
-	for _, t := range reads {
-		if w, ok := r.valWriter[t]; ok {
-			r.dep(nd, w)
+// ForwardNode implements autograd.ReplayObserver for a record's forward:
+// RAW edges from the writers of its inputs' values, WAW edges from (and
+// then to) the writers of its output and auxiliary buffers.
+func (r *Recorder) ForwardNode(rec *autograd.Record) {
+	nd := r.open(rec.Kernel.Label())
+	for _, in := range rec.In {
+		if in != nil {
+			r.read(nd, in.Value)
 		}
 	}
-	for _, t := range writes {
-		if w, ok := r.valWriter[t]; ok {
-			r.dep(nd, w)
+	for _, t := range [3]*tensor.Dense{rec.Out.Value, rec.Aux[0], rec.Aux[1]} {
+		if t != nil {
+			r.read(nd, t)
+			r.valWriter[t] = nd.ID
 		}
-		r.valWriter[t] = nd.ID
 	}
 }
 
-// BackwardNode implements autograd.ReplayObserver for a tape node's
-// backward closure: it reads v's gradient and the forward values of v and
-// its inputs, and accumulates into each needs-grad input's gradient. It is
-// opened before the closure runs because custom ops (spops) charge their
-// backward kernels inline within it.
-func (r *Recorder) BackwardNode(v *autograd.Var) {
-	nd := r.open("bwd")
+// read adds an edge to nd from the last writer of value tensor t.
+func (r *Recorder) read(nd *Node, t *tensor.Dense) {
+	if w, ok := r.valWriter[t]; ok {
+		r.dep(nd, w)
+	}
+}
+
+// readGrad adds an edge to nd from the last producer of v's gradient.
+func (r *Recorder) readGrad(nd *Node, v *autograd.Var) {
 	if w, ok := r.gradWriter[v]; ok {
 		r.dep(nd, w)
 	}
-	if w, ok := r.valWriter[v.Value]; ok {
-		r.dep(nd, w)
-	}
-	for _, in := range v.Inputs() {
-		if w, ok := r.valWriter[in.Value]; ok {
-			r.dep(nd, w)
+}
+
+// readOp adds the edges every backward node of rec has: from the producer
+// of its output's gradient and the writers of its output and input values.
+func (r *Recorder) readOp(nd *Node, rec *autograd.Record) {
+	r.readGrad(nd, rec.Out)
+	r.read(nd, rec.Out.Value)
+	for _, in := range rec.In {
+		if in != nil {
+			r.read(nd, in.Value)
 		}
-		if in.NeedsGrad() {
-			if w, ok := r.gradWriter[in]; ok {
-				r.dep(nd, w)
-			}
+	}
+}
+
+// BackwardNode implements autograd.ReplayObserver for a record's backward:
+// it reads its output's gradient and the forward values of the output and
+// its inputs, and accumulates into each needs-grad input's gradient. It is
+// opened before the backward runs because custom ops (spops) charge their
+// backward kernels inline within it.
+func (r *Recorder) BackwardNode(rec *autograd.Record) {
+	nd := r.open("bwd")
+	r.readOp(nd, rec)
+	for _, in := range rec.In {
+		if in != nil && in.NeedsGrad() {
+			r.readGrad(nd, in)
 			r.gradWriter[in] = nd.ID
 		}
 	}
 }
 
-// HookNode implements autograd.ReplayObserver for a targeted backward hook
-// (OnBackwardFor): a node producing target's gradient from v's. Splitting
-// these off the backward spine is what lets a Linear layer's dW GEMM
-// schedule concurrently with the dX chain below it.
-func (r *Recorder) HookNode(v, target *autograd.Var) {
+// HookNode implements autograd.ReplayObserver for a backward charge of a
+// record's Cost: a node producing input i's gradient from the output's.
+// Splitting these off the backward spine is what lets a Linear layer's dW
+// GEMM schedule concurrently with the dX chain below it.
+func (r *Recorder) HookNode(rec *autograd.Record, i int) {
 	nd := r.open("hook")
-	if w, ok := r.gradWriter[v]; ok {
-		r.dep(nd, w)
-	}
-	if w, ok := r.valWriter[v.Value]; ok {
-		r.dep(nd, w)
-	}
-	for _, in := range v.Inputs() {
-		if w, ok := r.valWriter[in.Value]; ok {
-			r.dep(nd, w)
-		}
-	}
-	if w, ok := r.gradWriter[target]; ok {
-		r.dep(nd, w)
-	}
+	r.readOp(nd, rec)
+	target := rec.In[i]
+	r.readGrad(nd, target)
 	r.gradWriter[target] = nd.ID
 }
 
@@ -214,9 +219,7 @@ func (r *Recorder) HookNode(v, target *autograd.Var) {
 // work and carries no device charges.
 func (r *Recorder) LossNode(logits *autograd.Var) {
 	nd := r.open("loss")
-	if w, ok := r.valWriter[logits.Value]; ok {
-		r.dep(nd, w)
-	}
+	r.read(nd, logits.Value)
 	r.gradWriter[logits] = nd.ID
 }
 

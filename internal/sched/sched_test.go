@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"wholegraph/internal/autograd"
 	"wholegraph/internal/sim"
 	"wholegraph/internal/tensor"
 )
@@ -14,9 +15,26 @@ func charge(r *Recorder, dt float64, tag string) {
 	r.Charges = append(r.Charges, sim.Charge{Dur: dt, Tag: tag})
 }
 
+// testOp is a kernel that only names its node.
+type testOp string
+
+func (k testOp) Label() string           { return string(k) }
+func (testOp) Forward(*autograd.Record)  {}
+func (testOp) Backward(*autograd.Record) {}
+
+// forward opens the forward node of a record labelled label that reads the
+// values reads (at most two) and writes out.
+func forward(r *Recorder, label string, out *tensor.Dense, reads ...*tensor.Dense) {
+	rec := &autograd.Record{Kernel: testOp(label), Out: &autograd.Var{Value: out}}
+	for i, t := range reads {
+		rec.In[i] = &autograd.Var{Value: t}
+	}
+	r.ForwardNode(rec)
+}
+
 // randomDAG fills r with a random step: nTensors buffers, nOps forward
-// nodes each reading and writing random buffers (RAW/WAW edges emerge from
-// the last-writer maps), with random charge durations.
+// nodes each reading one or two random buffers and writing one (RAW/WAW
+// edges emerge from the last-writer maps), with random charge durations.
 func randomDAG(r *Recorder, rng *rand.Rand, nTensors, nOps int) {
 	r.Reset()
 	bufs := make([]*tensor.Dense, nTensors)
@@ -25,12 +43,11 @@ func randomDAG(r *Recorder, rng *rand.Rand, nTensors, nOps int) {
 	}
 	charge(r, 1e-6, "launch") // root graph-launch cost
 	for op := 0; op < nOps; op++ {
-		var reads, writes []*tensor.Dense
-		for n := rng.Intn(3); len(reads) <= n; {
+		var reads []*tensor.Dense
+		for n := rng.Intn(2); len(reads) <= n; {
 			reads = append(reads, bufs[rng.Intn(nTensors)])
 		}
-		writes = append(writes, bufs[rng.Intn(nTensors)])
-		r.ForwardNode("op", reads, writes)
+		forward(r, "op", bufs[rng.Intn(nTensors)], reads...)
 		for c, lo := rng.Intn(3), len(r.Charges); len(r.Charges)-lo <= c; {
 			charge(r, rng.Float64()*1e-4, "k")
 		}
@@ -121,11 +138,11 @@ func TestScheduleSplitsIndependentWork(t *testing.T) {
 	r := NewRecorder()
 	r.Reset()
 	a, b, c := tensor.New(1, 1), tensor.New(1, 1), tensor.New(1, 1)
-	r.ForwardNode("produce", nil, []*tensor.Dense{a})
+	forward(r, "produce", a)
 	charge(r, 1e-4, "k")
-	r.ForwardNode("left", []*tensor.Dense{a}, []*tensor.Dense{b})
+	forward(r, "left", b, a)
 	charge(r, 5e-4, "k")
-	r.ForwardNode("right", []*tensor.Dense{a}, []*tensor.Dense{c})
+	forward(r, "right", c, a)
 	charge(r, 5e-4, "k")
 	makespan := r.Schedule(0, 0)
 	if want := 1e-4 + 5e-4; makespan > want+1e-12 {
@@ -148,11 +165,11 @@ func TestApplyAdvancesDeviceToMakespan(t *testing.T) {
 	r := NewRecorder()
 	r.Reset()
 	a, b, c := tensor.New(1, 1), tensor.New(1, 1), tensor.New(1, 1)
-	r.ForwardNode("produce", nil, []*tensor.Dense{a})
+	forward(r, "produce", a)
 	charge(r, 1e-4, "k")
-	r.ForwardNode("left", []*tensor.Dense{a}, []*tensor.Dense{b})
+	forward(r, "left", b, a)
 	charge(r, 5e-4, "k")
-	r.ForwardNode("right", []*tensor.Dense{a}, []*tensor.Dense{c})
+	forward(r, "right", c, a)
 	charge(r, 5e-4, "k")
 	busy0 := dev.Stats.BusySeconds + dev.Stats.CopyBusySeconds
 	makespan := r.Schedule(dev.StreamNow(sim.StreamCompute), dev.StreamNow(sim.StreamCopy))

@@ -9,9 +9,9 @@ import (
 )
 
 // spmmAllocBudget is the steady-state allocation budget for one SpMM
-// forward+backward on a warm arena-backed tape. The residue is the op's one
-// backward closure: its inputs live in the node, its norms in the arena.
-const spmmAllocBudget = 1
+// forward+backward on a warm arena-backed tape: the op is a record on the
+// tape, its output, norms and gradients live in the arena.
+const spmmAllocBudget = 0
 
 func runSpMMAllocCheck(t *testing.T, be Backend, agg Agg) {
 	t.Helper()

@@ -28,96 +28,87 @@ const (
 // (BackendPyG genuinely materializes the [E x d] message buffer); the cost
 // of the forward and backward kernels is charged to dev (nil to skip).
 func SpMM(dev *sim.Device, be Backend, g *SubCSR, x *autograd.Var, w *autograd.Var, agg Agg) *autograd.Var {
-	d := x.Value.C
 	if x.Value.R != g.NumNodes {
 		panic("spops: feature rows != sub-graph nodes")
 	}
 	if w != nil && (w.Value.R != int(g.NumEdges()) || w.Value.C != 1) {
 		panic("spops: edge weight shape mismatch")
 	}
-
-	tp := x.Tape()
-	// The per-target norms live in a tape tensor so a replay can regrow them
-	// in place, where the backward closure below reads them.
-	norm := tp.NewTensor(g.NumTargets, 1)
-	spmmNorms(g, agg, norm.V)
-	out := tp.NewTensor(g.NumTargets, d)
-	msgs := spmmMessages(tp, be, g, d)
-	spmmRun(be, g, x.Value, w, norm.V, msgs, out)
-	chargeSpMMForward(dev, be, g, d)
-	if tp.Capturing() {
-		// Replays re-read the block (same SubCSR pointer, fields rebuilt per
-		// batch): norms, shapes and charges all track the live topology.
-		reads := []*tensor.Dense{x.Value}
-		if w != nil {
-			reads = append(reads, w.Value)
-		}
-		writes := []*tensor.Dense{out}
-		if msgs != nil {
-			writes = append(writes, msgs)
-		}
-		tp.CaptureRW("spmm", func() {
-			norm.ResizeUninit(g.NumTargets, 1)
-			spmmNorms(g, agg, norm.V)
-			out.Resize(g.NumTargets, d)
-			if msgs != nil {
-				msgs.Resize(int(g.NumEdges()), d)
-			}
-			spmmRun(be, g, x.Value, w, norm.V, msgs, out)
-			chargeSpMMForward(dev, be, g, d)
-		}, reads, writes)
+	if be != BackendDGL && be != BackendPyG {
+		be = BackendNative
 	}
-
-	if !x.NeedsGrad() && (w == nil || !w.NeedsGrad()) {
-		return tp.Const(out)
+	k := &spmmKernels[be][0]
+	if agg == AggMean {
+		k = &spmmKernels[be][1]
 	}
-	inputs := [2]*autograd.Var{x, w}
-	n := 1
-	if w != nil {
-		n = 2
-	}
-	return tp.Op(out, inputs[:n], func(v *autograd.Var) {
-		if x.NeedsGrad() {
-			gx := tp.NewTensor(g.NumNodes, d)
-			for t := 0; t < g.NumTargets; t++ {
-				gr := v.Grad.Row(t)
-				for e := g.RowPtr[t]; e < g.RowPtr[t+1]; e++ {
-					we := norm.V[t] * staticWeight(g, e)
-					if w != nil {
-						we *= w.Value.V[e]
-					}
-					tensor.Axpy(gx.Row(int(g.Col[e])), gr, we)
-				}
-			}
-			chargeSpMMBackwardDX(dev, be, g, d)
-			x.AccumGrad(gx)
-		}
-		if w != nil && w.NeedsGrad() {
-			gw := tp.NewTensor(int(g.NumEdges()), 1)
-			for t := 0; t < g.NumTargets; t++ {
-				gr := v.Grad.Row(t)
-				for e := g.RowPtr[t]; e < g.RowPtr[t+1]; e++ {
-					src := x.Value.Row(int(g.Col[e]))
-					var dot float32
-					for j, gv := range gr {
-						dot += gv * src[j]
-					}
-					gw.V[e] = norm.V[t] * staticWeight(g, e) * dot
-				}
-			}
-			chargeSDDMM(dev, g, d)
-			w.AccumGrad(gw)
-		}
-	})
+	return x.Tape().Record(autograd.Record{Kernel: k, In: [2]*autograd.Var{x, w}, Dev: dev, Arg: g})
 }
 
-// spmmMessages returns the [E x d] per-edge message buffer of BackendPyG,
-// and nil for the fused backends.
-func spmmMessages(tp *autograd.Tape, be Backend, g *SubCSR, d int) *tensor.Dense {
-	if be != BackendPyG {
-		return nil
+// spmm is the SpMM kernel of one backend and aggregation. Its record reads
+// the block live (the same SubCSR, its fields rebuilt per batch), so norms,
+// shapes and charges track the batch in front of a replay; Aux[0] holds the
+// per-target norms and, under BackendPyG, Aux[1] the [E x d] messages.
+type spmm struct {
+	be  Backend
+	agg Agg
+}
+
+// spmmKernels holds every spmm, so that a record points at a static one.
+var spmmKernels = [3][2]spmm{
+	{{BackendNative, AggSum}, {BackendNative, AggMean}},
+	{{BackendDGL, AggSum}, {BackendDGL, AggMean}},
+	{{BackendPyG, AggSum}, {BackendPyG, AggMean}},
+}
+
+func (*spmm) Label() string { return "spmm" }
+
+func (k *spmm) Forward(r *autograd.Record) {
+	g, x, d := r.Arg.(*SubCSR), r.In[0].Value, r.In[0].Value.C
+	norm := r.Buffer(0, g.NumTargets, 1, false)
+	spmmNorms(g, k.agg, norm.V)
+	out := r.Output(g.NumTargets, d, true)
+	var msgs *tensor.Dense
+	if k.be == BackendPyG {
+		msgs = r.Buffer(1, int(g.NumEdges()), d, true)
 	}
-	return tp.NewTensor(int(g.NumEdges()), d)
+	spmmRun(k.be, g, x, r.In[1], norm.V, msgs, out)
+	chargeSpMMForward(r.Dev, k.be, g, d)
+}
+
+func (k *spmm) Backward(r *autograd.Record) {
+	g, x, w, norm := r.Arg.(*SubCSR), r.In[0], r.In[1], r.Aux[0].V
+	tp, grad, d := x.Tape(), r.Out.Grad, x.Value.C
+	if x.NeedsGrad() {
+		gx := tp.NewTensor(g.NumNodes, d)
+		for t := 0; t < g.NumTargets; t++ {
+			gr := grad.Row(t)
+			for e := g.RowPtr[t]; e < g.RowPtr[t+1]; e++ {
+				we := norm[t] * staticWeight(g, e)
+				if w != nil {
+					we *= w.Value.V[e]
+				}
+				tensor.Axpy(gx.Row(int(g.Col[e])), gr, we)
+			}
+		}
+		chargeSpMMBackwardDX(r.Dev, k.be, g, d)
+		x.AccumGrad(gx)
+	}
+	if w != nil && w.NeedsGrad() {
+		gw := tp.NewTensor(int(g.NumEdges()), 1)
+		for t := 0; t < g.NumTargets; t++ {
+			gr := grad.Row(t)
+			for e := g.RowPtr[t]; e < g.RowPtr[t+1]; e++ {
+				src := x.Value.Row(int(g.Col[e]))
+				var dot float32
+				for j, gv := range gr {
+					dot += gv * src[j]
+				}
+				gw.V[e] = norm[t] * staticWeight(g, e) * dot
+			}
+		}
+		chargeSDDMM(r.Dev, g, d)
+		w.AccumGrad(gw)
+	}
 }
 
 // staticWeight is the static weight of sampled edge e of g (1 without
@@ -155,8 +146,7 @@ func spmmNorms(g *SubCSR, agg Agg, norm []float32) {
 // spmmRun executes the aggregation math of SpMM into out (which must be
 // zeroed, [g.NumTargets x d]): the fused CSR kernel by default, or the
 // materialized per-edge message path for BackendPyG (msgs non-nil,
-// [E x d]). All graph fields are read live so a captured closure can re-run
-// it against a rebuilt block.
+// [E x d]).
 func spmmRun(be Backend, g *SubCSR, xVal *tensor.Dense, w *autograd.Var, norm []float32, msgs, out *tensor.Dense) {
 	switch be {
 	case BackendPyG:
@@ -219,84 +209,74 @@ func EdgeScore(dev *sim.Device, g *SubCSR, sl, sr *autograd.Var) *autograd.Var {
 	if sr.Value.R != g.NumNodes || sr.Value.C != 1 {
 		panic("spops: sr shape mismatch")
 	}
-	tp := sl.Tape()
-	out := tp.NewTensor(int(g.NumEdges()), 1)
-	edgeScore(out, g, sl.Value, sr.Value)
-	chargeSDDMM(dev, g, 1)
-	if tp.Capturing() {
-		tp.CaptureRW("sddmm", func() {
-			out.ResizeUninit(int(g.NumEdges()), 1)
-			edgeScore(out, g, sl.Value, sr.Value)
-			chargeSDDMM(dev, g, 1)
-		}, []*tensor.Dense{sl.Value, sr.Value}, []*tensor.Dense{out})
-	}
-	if !sl.NeedsGrad() && !sr.NeedsGrad() {
-		return tp.Const(out)
-	}
-	return tp.Op(out, []*autograd.Var{sl, sr}, func(v *autograd.Var) {
-		if sl.NeedsGrad() {
-			gl := tp.NewTensor(g.NumTargets, 1)
-			for t := 0; t < g.NumTargets; t++ {
-				for e := g.RowPtr[t]; e < g.RowPtr[t+1]; e++ {
-					gl.V[t] += v.Grad.V[e]
-				}
-			}
-			sl.AccumGrad(gl)
-		}
-		if sr.NeedsGrad() {
-			gr := tp.NewTensor(g.NumNodes, 1)
-			for t := 0; t < g.NumTargets; t++ {
-				for e := g.RowPtr[t]; e < g.RowPtr[t+1]; e++ {
-					gr.V[g.Col[e]] += v.Grad.V[e]
-				}
-			}
-			sr.AccumGrad(gr)
-		}
-		chargeSDDMM(dev, g, 1)
-	})
+	return sl.Tape().Record(autograd.Record{Kernel: edgeScore{}, In: [2]*autograd.Var{sl, sr}, Dev: dev, Arg: g})
 }
 
-// edgeScore writes sl[t] + sr[s] for every sampled edge e=(t<-s) of g into
-// out.
-func edgeScore(out *tensor.Dense, g *SubCSR, sl, sr *tensor.Dense) {
+type edgeScore struct{}
+
+func (edgeScore) Label() string { return "sddmm" }
+
+func (edgeScore) Forward(r *autograd.Record) {
+	g, sl, sr := r.Arg.(*SubCSR), r.In[0].Value, r.In[1].Value
+	out := r.Output(int(g.NumEdges()), 1, false)
 	for t := 0; t < g.NumTargets; t++ {
 		for e := g.RowPtr[t]; e < g.RowPtr[t+1]; e++ {
 			out.V[e] = sl.V[t] + sr.V[g.Col[e]]
 		}
 	}
+	chargeSDDMM(r.Dev, g, 1)
+}
+
+func (edgeScore) Backward(r *autograd.Record) {
+	g, sl, sr, grad := r.Arg.(*SubCSR), r.In[0], r.In[1], r.Out.Grad
+	if sl.NeedsGrad() {
+		gl := sl.Tape().NewTensor(g.NumTargets, 1)
+		for t := 0; t < g.NumTargets; t++ {
+			for e := g.RowPtr[t]; e < g.RowPtr[t+1]; e++ {
+				gl.V[t] += grad.V[e]
+			}
+		}
+		sl.AccumGrad(gl)
+	}
+	if sr.NeedsGrad() {
+		gr := sr.Tape().NewTensor(g.NumNodes, 1)
+		for t := 0; t < g.NumTargets; t++ {
+			for e := g.RowPtr[t]; e < g.RowPtr[t+1]; e++ {
+				gr.V[g.Col[e]] += grad.V[e]
+			}
+		}
+		sr.AccumGrad(gr)
+	}
+	chargeSDDMM(r.Dev, g, 1)
 }
 
 // EdgeLeakyReLU applies LeakyReLU elementwise to an edge vector.
 func EdgeLeakyReLU(dev *sim.Device, x *autograd.Var, slope float32) *autograd.Var {
-	tp := x.Tape()
-	out := tp.NewTensor(x.Value.R, x.Value.C)
-	edgeLeakyReLU(dev, out, x.Value, slope)
-	if tp.Capturing() {
-		tp.CaptureRW("leakyrelu", func() {
-			out.ResizeUninit(x.Value.R, x.Value.C)
-			edgeLeakyReLU(dev, out, x.Value, slope)
-		}, []*tensor.Dense{x.Value}, []*tensor.Dense{out})
-	}
-	if !x.NeedsGrad() {
-		return tp.Const(out)
-	}
-	return tp.Op(out, []*autograd.Var{x}, func(v *autograd.Var) {
-		gx := tp.NewTensor(x.Value.R, x.Value.C)
-		for i, xv := range x.Value.V {
-			gx.V[i] = tensor.LeakyReLUGrad(xv, slope) * v.Grad.V[i]
-		}
-		x.AccumGrad(gx)
-	})
+	return x.Tape().Record(autograd.Record{Kernel: leakyReLU{}, In: [2]*autograd.Var{x}, Dev: dev, F: slope})
 }
 
-// edgeLeakyReLU writes LeakyReLU(x) into out and charges the pass to dev.
-func edgeLeakyReLU(dev *sim.Device, out, x *tensor.Dense, slope float32) {
+type leakyReLU struct{}
+
+func (leakyReLU) Label() string { return "leakyrelu" }
+
+func (leakyReLU) Forward(r *autograd.Record) {
+	x := r.In[0].Value
+	out := r.Output(x.R, x.C, false)
 	for i, v := range x.V {
-		out.V[i] = tensor.LeakyReLU(v, slope)
+		out.V[i] = tensor.LeakyReLU(v, r.F)
 	}
-	if dev != nil {
-		dev.Kernel(sim.KernelCost{StreamBytes: float64(8 * len(x.V)), Tag: "leakyrelu"})
+	if r.Dev != nil {
+		r.Dev.Kernel(sim.KernelCost{StreamBytes: float64(8 * len(x.V)), Tag: "leakyrelu"})
 	}
+}
+
+func (leakyReLU) Backward(r *autograd.Record) {
+	x := r.In[0]
+	gx := x.Tape().NewTensor(x.Value.R, x.Value.C)
+	for i, xv := range x.Value.V {
+		gx.V[i] = tensor.LeakyReLUGrad(xv, r.F) * r.Out.Grad.V[i]
+	}
+	x.AccumGrad(gx)
 }
 
 // SegmentSoftmax normalizes the edge scores of each target's segment to a
@@ -305,39 +285,16 @@ func SegmentSoftmax(dev *sim.Device, g *SubCSR, e *autograd.Var) *autograd.Var {
 	if e.Value.R != int(g.NumEdges()) || e.Value.C != 1 {
 		panic("spops: segment softmax shape mismatch")
 	}
-	tp := e.Tape()
-	out := tp.NewTensor(e.Value.R, 1)
-	segmentSoftmax(dev, g, out, e.Value)
-	if tp.Capturing() {
-		tp.CaptureRW("segsoftmax", func() {
-			// Resize zeroes out, so edges of empty segments stay zero.
-			out.Resize(e.Value.R, 1)
-			segmentSoftmax(dev, g, out, e.Value)
-		}, []*tensor.Dense{e.Value}, []*tensor.Dense{out})
-	}
-	if !e.NeedsGrad() {
-		return tp.Const(out)
-	}
-	return tp.Op(out, []*autograd.Var{e}, func(v *autograd.Var) {
-		ge := tp.NewTensor(e.Value.R, 1)
-		for t := 0; t < g.NumTargets; t++ {
-			lo, hi := g.RowPtr[t], g.RowPtr[t+1]
-			var dot float64
-			for i := lo; i < hi; i++ {
-				dot += float64(out.V[i]) * float64(v.Grad.V[i])
-			}
-			for i := lo; i < hi; i++ {
-				ge.V[i] = out.V[i] * (v.Grad.V[i] - float32(dot))
-			}
-		}
-		e.AccumGrad(ge)
-	})
+	return e.Tape().Record(autograd.Record{Kernel: segmentSoftmax{}, In: [2]*autograd.Var{e}, Dev: dev, Arg: g})
 }
 
-// segmentSoftmax writes the per-target softmax of the edge scores e into
-// out (zeroed, so edges of empty segments stay zero) and charges the pass to
-// dev.
-func segmentSoftmax(dev *sim.Device, g *SubCSR, out, e *tensor.Dense) {
+type segmentSoftmax struct{}
+
+func (segmentSoftmax) Label() string { return "segsoftmax" }
+
+func (segmentSoftmax) Forward(r *autograd.Record) {
+	g, e := r.Arg.(*SubCSR), r.In[0].Value
+	out := r.Output(e.R, 1, true) // edges of empty segments stay zero
 	for t := 0; t < g.NumTargets; t++ {
 		lo, hi := g.RowPtr[t], g.RowPtr[t+1]
 		if lo == hi {
@@ -357,7 +314,23 @@ func segmentSoftmax(dev *sim.Device, g *SubCSR, out, e *tensor.Dense) {
 			out.V[i] = float32(math.Exp(float64(e.V[i]-maxv)) / sum)
 		}
 	}
-	if dev != nil {
-		dev.Kernel(sim.KernelCost{StreamBytes: float64(4 * 4 * e.R), Tag: "segsoftmax"})
+	if r.Dev != nil {
+		r.Dev.Kernel(sim.KernelCost{StreamBytes: float64(4 * 4 * e.R), Tag: "segsoftmax"})
 	}
+}
+
+func (segmentSoftmax) Backward(r *autograd.Record) {
+	g, e, out, grad := r.Arg.(*SubCSR), r.In[0], r.Out.Value, r.Out.Grad
+	ge := e.Tape().NewTensor(e.Value.R, 1)
+	for t := 0; t < g.NumTargets; t++ {
+		lo, hi := g.RowPtr[t], g.RowPtr[t+1]
+		var dot float64
+		for i := lo; i < hi; i++ {
+			dot += float64(out.V[i]) * float64(grad.V[i])
+		}
+		for i := lo; i < hi; i++ {
+			ge.V[i] = out.V[i] * (grad.V[i] - float32(dot))
+		}
+	}
+	e.AccumGrad(ge)
 }

@@ -18,11 +18,10 @@
 //     backward scatters through the same buffer, tripling memory traffic
 //     and kernel launches.
 //
-// Like the built-in autograd ops, every op here computes and charges its
-// forward unconditionally, then returns a value-only result (Tape.Const)
-// when no input needs a gradient, so a forward-only pass builds no backward
-// closure. The forward kernels are plain functions shared by the eager call
-// and the captured replay.
+// Like the built-in autograd ops, every op here is a kernel type recorded on
+// the tape (autograd.Record): its Forward computes and charges the forward
+// pass when the op is recorded and again on every replay, and its Backward
+// charges the backward kernels it runs.
 package spops
 
 import (

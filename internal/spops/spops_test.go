@@ -395,10 +395,11 @@ func TestSpMMStaticWeightGradientNumeric(t *testing.T) {
 	}
 }
 
-// TestEdgeOpsReplayOverwriteUnzeroedOutputs: the captured closures of
-// EdgeScore and EdgeLeakyReLU reshape their outputs without zeroing, because
-// every edge's element is written. With both outputs poisoned with NaN and
-// the graph shrunk in place, a replay matches a fresh eager pass bit for bit.
+// TestEdgeOpsReplayOverwriteUnzeroedOutputs: the forwards of EdgeScore and
+// EdgeLeakyReLU reshape their outputs without zeroing, because every edge's
+// element is written. With both outputs of a kept tape poisoned with NaN
+// and the graph shrunk in place, a replay matches a fresh eager pass bit for
+// bit.
 func TestEdgeOpsReplayOverwriteUnzeroedOutputs(t *testing.T) {
 	g := testGraph()
 	slv := tensor.FromSlice(3, 1, []float32{1, -2, 3})
@@ -408,9 +409,7 @@ func TestEdgeOpsReplayOverwriteUnzeroedOutputs(t *testing.T) {
 		return score, EdgeLeakyReLU(nil, score, 0.2)
 	}
 	ct := autograd.NewTape()
-	ct.BeginCapture()
 	score, act := chain(ct)
-	ct.EndCapture()
 
 	nan := float32(math.NaN())
 	for _, v := range []*autograd.Var{score, act} {
@@ -422,7 +421,7 @@ func TestEdgeOpsReplayOverwriteUnzeroedOutputs(t *testing.T) {
 	g.NumTargets, g.RowPtr, g.Col = 2, g.RowPtr[:3], g.Col[:5]
 	slv.Resize(2, 1)
 	copy(slv.V, []float32{-4, 5})
-	ct.ReplayForward()
+	ct.Replay()
 
 	_, want := chain(autograd.NewTape())
 	if !act.Value.SameShape(want.Value) {

@@ -13,23 +13,24 @@ import (
 )
 
 // Step capture/replay (Options.CaptureGraph): the training loop re-runs an
-// identical op sequence every iteration, yet the eager path re-walks the
+// identical op sequence every iteration, yet the eager path re-records the
 // tape, re-dispatches every op and pays KernelLaunch per kernel — the host
 // overhead CUDA Graphs eliminate. Here the first iteration on each batch
-// slot runs eagerly on a plain capture tape (autograd.BeginCapture),
-// recording the forward program and the backward gradient buffers; later
-// iterations on the same slot replay the frozen tape: no tape rebuild, no
-// per-op closure allocation, only parameter/gradient buffer rebinding, and
-// the device charges one GraphLaunch instead of one KernelLaunch per
-// kernel (sim.BeginGraphReplay). Loss/accuracy, gradient averaging and the
-// optimizer stay live outside the captured program, so losses, gradients
-// and model state are bit-identical to eager execution.
+// face runs eagerly on a tape of its own, which the step keeps instead of
+// resetting: a kept tape is the captured step. Later iterations on the same
+// face replay it (autograd.Tape.Replay runs the same records' forwards into
+// the same buffers, and the backward reuses the last pass's gradient
+// buffers): no re-recording, only parameter rebinding, and the device
+// charges one GraphLaunch instead of one KernelLaunch per kernel
+// (sim.BeginGraphReplay). Loss/accuracy, gradient averaging and the
+// optimizer stay live outside the tape, so losses, gradients and model
+// state are bit-identical to eager execution.
 //
-// Captures tolerate varying row counts (every replay closure reads shapes
-// from the live block/feature buffers); they are keyed by batch identity
-// and invalidated when the batch's structure moves (feature tensor or
-// block pointers replaced), falling back to an eager re-capture. Loaders
-// that never reuse batch objects (the host-memory baselines) blow through
+// Captures tolerate varying row counts (every kernel reads shapes from the
+// live block/feature buffers); they are keyed by batch identity and
+// invalidated when the batch's structure moves (feature tensor or block
+// pointers replaced), falling back to an eager re-capture. Loaders that
+// never reuse batch objects (the host-memory baselines) blow through
 // maxGraphsPerWorker and drop to permanent eager fallback, releasing their
 // graphs.
 
@@ -43,7 +44,8 @@ type stepResult struct {
 	loss, acc float64
 }
 
-// stepGraph is one captured training step for one batch slot.
+// stepGraph is one captured training step for one batch face: its kept
+// tape.
 type stepGraph struct {
 	tape   *autograd.Tape
 	logits *autograd.Var
@@ -169,13 +171,14 @@ func (t *Trainer) graphFor(w int, b *gnn.Batch) (g *stepGraph, capture bool) {
 }
 
 // step is one worker's training step on batch b: forward, loss and
-// accuracy, backward. Eagerly it runs on the worker's arena tape, a capture
-// on a fresh plain tape that it then freezes into b's step graph, and a
-// replay re-runs a frozen tape inside one graph launch (sim.BeginGraphReplay)
-// — with Options.Schedule through the whole-step scheduler (DESIGN.md §13),
-// which records the replay's charges into a DAG instead of the clocks. Host
-// math runs in the captured order on every path, so losses, gradients and
-// model state are bit-identical to eager. Runs inside the parallel region.
+// accuracy, backward. Eagerly it runs on the worker's arena tape, Reset
+// first; a capture records on a fresh tape that b's step graph then keeps;
+// and a replay re-runs a kept tape inside one graph launch
+// (sim.BeginGraphReplay) — with Options.Schedule through the whole-step
+// scheduler (DESIGN.md §13), which records the replay's charges into a DAG
+// instead of the clocks. Host math runs in the recorded order on every
+// path, so losses, gradients and model state are bit-identical to eager.
+// Runs inside the parallel region.
 func (t *Trainer) step(w int, b *gnn.Batch) stepResult {
 	mdl, dev := t.Models[w], t.loaders[w].Device()
 	g, capture := t.graphFor(w, b)
@@ -193,17 +196,16 @@ func (t *Trainer) step(w int, b *gnn.Batch) stepResult {
 			tp.SetReplayObserver(rec)
 		}
 		dev.BeginGraphReplay("step-graph")
-		tp.ReplayForward()
+		tp.Replay()
 		if rec != nil {
 			rec.LossNode(logits)
 		}
 		grad.ResizeUninit(logits.Value.R, logits.Value.C) // CrossEntropy sets every element
 	} else {
+		tp = t.tapes[w]
 		if capture {
-			tp = autograd.NewTape()
-			tp.BeginCapture()
+			tp = autograd.NewTapeArena(tensor.NewArena())
 		} else {
-			tp = t.tapes[w]
 			tp.Reset()
 		}
 		logits = mdl.Forward(dev, tp, b, true)
@@ -225,7 +227,6 @@ func (t *Trainer) step(w int, b *gnn.Batch) stepResult {
 	tp.BackwardHooked(logits, grad, watch, onReady)
 	switch {
 	case capture:
-		tp.EndCapture()
 		t.gs.graphs[w][b] = &stepGraph{
 			tape:      tp,
 			logits:    logits,
