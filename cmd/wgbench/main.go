@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"wholegraph/internal/bench"
+	"wholegraph/internal/dataset"
 )
 
 var experiments = []struct {
@@ -112,6 +113,10 @@ func main() {
 	flag.BoolVar(&cfg.Parallel, "parallel", false, "run independent experiment cells on parallel goroutines (identical output, less wall-clock)")
 	cfg.Train.BindExecFlags(flag.CommandLine)
 	flag.Parse()
+	if err := dataset.CheckScale(cfg.Scale); err != nil {
+		fmt.Fprintf(os.Stderr, "wgbench: -scale: %v\n", err)
+		os.Exit(2)
+	}
 
 	if *list {
 		for _, e := range experiments {

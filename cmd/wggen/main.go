@@ -32,6 +32,9 @@ func main() {
 	if !found {
 		fatal(fmt.Errorf("unknown dataset %q", *dsName))
 	}
+	if err := wholegraph.CheckScale(*scale); err != nil {
+		fatal(err)
+	}
 
 	ds, err := wholegraph.GenerateDataset(spec.Scaled(*scale))
 	if err != nil {

@@ -55,6 +55,9 @@ func main() {
 	if !ok {
 		fatal(fmt.Errorf("unknown dataset %q", *dsName))
 	}
+	if err := wholegraph.CheckScale(*scale); err != nil {
+		fatal(err)
+	}
 	spec = spec.Scaled(*scale)
 	cfg := wholegraph.DGXA100Config(1)
 	cfg.GPUsPerNode = *replicas

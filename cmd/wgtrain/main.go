@@ -42,6 +42,9 @@ func main() {
 		loadModel = flag.String("load-model", "", "initialize the model from a checkpoint before training")
 	)
 	flag.Parse()
+	if err := wholegraph.DGXA100Config(*nodes).Validate(); err != nil {
+		fatal(fmt.Errorf("-nodes %d: %w", *nodes, err))
+	}
 
 	var err error
 	var ds *wholegraph.Dataset
@@ -55,6 +58,9 @@ func main() {
 		spec, ok := wholegraph.LookupDataset(*dsName)
 		if !ok {
 			fatal(fmt.Errorf("unknown dataset %q", *dsName))
+		}
+		if err := wholegraph.CheckScale(*scale); err != nil {
+			fatal(err)
 		}
 		spec = spec.Scaled(*scale)
 		spec.Weighted = *weighted

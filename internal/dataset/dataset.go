@@ -84,6 +84,16 @@ func (s Spec) Validate() error {
 	return nil
 }
 
+// CheckScale reports why f cannot scale a spec: Scaled needs a positive,
+// finite factor, and clamps whatever else it is given to a 64-node graph.
+// Callers that take a scale from outside the program check it first.
+func CheckScale(f float64) error {
+	if !(f > 0) || math.IsInf(f, 1) { // NaN fails f > 0
+		return fmt.Errorf("dataset: scale %v is not positive and finite", f)
+	}
+	return nil
+}
+
 // Scaled returns the spec with node and edge counts multiplied by f,
 // keeping the average degree. The name records the scale.
 func (s Spec) Scaled(f float64) Spec {

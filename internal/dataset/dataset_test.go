@@ -542,3 +542,19 @@ func TestOutOfCoreRejectsWeighted(t *testing.T) {
 		t.Error("weighted materialized-out-of-core dataset accepted")
 	}
 }
+
+// TestCheckScale pins which scale factors CheckScale refuses: every one that
+// is not positive and finite, each of which Scaled would clamp to a 64-node
+// graph named after the bad factor.
+func TestCheckScale(t *testing.T) {
+	for _, f := range []float64{-1, 0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if CheckScale(f) == nil {
+			t.Errorf("CheckScale(%v) accepted the factor", f)
+		}
+	}
+	for _, f := range []float64{1e-9, 1e-3, 1, 3} {
+		if err := CheckScale(f); err != nil {
+			t.Errorf("CheckScale(%v) = %v", f, err)
+		}
+	}
+}

@@ -195,9 +195,3 @@ func (c *CSR) MaxDegree() int64 {
 	}
 	return m
 }
-
-// StructureBytes returns the memory footprint of the adjacency arrays,
-// using the paper's accounting of 8 bytes per stored edge plus row offsets.
-func (c *CSR) StructureBytes() int64 {
-	return 8*int64(len(c.Col)) + 8*int64(len(c.RowPtr))
-}

@@ -128,6 +128,10 @@ func LookupDataset(name string) (DatasetSpec, bool) {
 	return DatasetSpec{}, false
 }
 
+// CheckScale reports why f is not a dataset scale factor: it must be
+// positive and finite.
+func CheckScale(f float64) error { return dataset.CheckScale(f) }
+
 // GenerateDataset builds the synthetic dataset described by spec.
 func GenerateDataset(spec DatasetSpec) (*Dataset, error) { return dataset.Generate(spec) }
 
