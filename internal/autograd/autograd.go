@@ -118,13 +118,19 @@ func (r *Record) Buffer(i, rows, cols int, zero bool) *tensor.Dense {
 	return r.Out.tape.reuse(&r.Aux[i], rows, cols, zero)
 }
 
-// OutputView makes the record's output an [rows x cols] header over v.
+// OutputView makes the record's output an [rows x cols] header over v (not
+// copied). An arena tape pools the header; the backing memory stays
+// whoever's it was.
 func (r *Record) OutputView(rows, cols int, v []float32) {
-	if d := r.Out.Value; d != nil {
+	switch t, d := r.Out.tape, r.Out.Value; {
+	case d != nil:
 		d.R, d.C, d.V = rows, cols, v
-		return
+	case t.arena == nil:
+		r.Out.Value = tensor.FromSlice(rows, cols, v)
+	default:
+		r.Out.Value = t.arena.View(rows, cols, v)
+		t.views = append(t.views, r.Out.Value)
 	}
-	r.Out.Value = r.Out.tape.NewView(rows, cols, v)
 }
 
 // ReplayObserver is notified, during Replay and the backward pass that
@@ -141,11 +147,11 @@ type ReplayObserver interface {
 
 // Tape records operations in execution order for reverse-mode replay.
 //
-// A tape may be backed by a tensor.Arena (NewTapeArena): every tensor it
-// hands out through NewTensor/NewView is then pooled and recycled by Reset,
-// together with the Var nodes themselves, making the second-and-later
-// training iterations allocation-free. A tape (and its arena) is owned by one
-// worker goroutine, like the device it trains on.
+// A tape may be backed by a tensor.Arena (NewTapeArena): every tensor and
+// view header it hands out is then pooled and recycled by Reset, together
+// with the Var nodes themselves, making the second-and-later training
+// iterations allocation-free. A tape (and its arena) is owned by one worker
+// goroutine, like the device it trains on.
 type Tape struct {
 	ops []Record
 
@@ -167,7 +173,6 @@ type Tape struct {
 
 	// BackwardHooked scratch, reused across calls.
 	watchMin []int
-	watchIdx map[*Var]int
 
 	// obs, when non-nil, is notified of each replayed step's dependency
 	// metadata; set by the whole-step scheduler for the duration of a
@@ -189,9 +194,6 @@ func NewTape() *Tape { return &Tape{grads: -1} }
 // iteration. The arena must be owned by the same goroutine as the tape.
 func NewTapeArena(a *tensor.Arena) *Tape { return &Tape{arena: a, grads: -1} }
 
-// Arena returns the backing arena, or nil for a plain tape.
-func (t *Tape) Arena() *tensor.Arena { return t.arena }
-
 // Len returns the number of recorded operations.
 func (t *Tape) Len() int { return len(t.ops) }
 
@@ -200,10 +202,8 @@ func (t *Tape) Len() int { return len(t.ops) }
 // allocation. All op outputs and gradients are allocated through it.
 func (t *Tape) NewTensor(r, c int) *tensor.Dense { return t.newTensor(r, c, true) }
 
-// newProduct is NewTensor for the output of a matrix product: the *Into
-// kernels set every element, so a recycled arena slab is not zeroed first.
-func (t *Tape) newProduct(r, c int) *tensor.Dense { return t.newTensor(r, c, false) }
-
+// newTensor is NewTensor, skipping the zeroing of a recycled arena slab
+// unless zero is set: for a tensor whose kernel sets every element.
 func (t *Tape) newTensor(r, c int, zero bool) *tensor.Dense {
 	if t.arena == nil {
 		return tensor.New(r, c)
@@ -229,17 +229,6 @@ func (t *Tape) reuse(d **tensor.Dense, r, c int, zero bool) *tensor.Dense {
 		(*d).ResizeUninit(r, c)
 	}
 	return *d
-}
-
-// NewView returns an [r x c] header over v (not copied). The header is
-// pooled; the backing memory stays whoever's it was.
-func (t *Tape) NewView(r, c int, v []float32) *tensor.Dense {
-	if t.arena == nil {
-		return tensor.FromSlice(r, c, v)
-	}
-	d := t.arena.View(r, c, v)
-	t.views = append(t.views, d)
-	return d
 }
 
 // Reset clears the tape for the next iteration, recycling every Var node
@@ -443,28 +432,17 @@ func (t *Tape) backward(loss *Var, seed *tensor.Dense, watch []*Var, onReady fun
 		panic(fmt.Sprintf("autograd: seed shape %dx%d for loss %dx%d",
 			seed.R, seed.C, loss.Value.R, loss.Value.C))
 	}
+	// The first (lowest-index) record consuming each watched var: once it
+	// has run, nothing before it in the reverse sweep remains.
 	watchMin := t.watchMin[:0]
-	if len(watch) > 0 {
-		if t.watchIdx == nil {
-			t.watchIdx = make(map[*Var]int, len(watch))
-		}
-		for wi, w := range watch {
-			watchMin = append(watchMin, -1)
-			t.watchIdx[w] = wi
-		}
-		// First (lowest-index) consumer of each watched var wins: once it
-		// has run, nothing before it in the reverse sweep remains.
-		for i := range t.ops {
-			if o := t.ops[i].Out; o == nil || !o.needGrad {
-				continue
-			}
-			for _, in := range t.ops[i].In {
-				if wi, ok := t.watchIdx[in]; ok && watchMin[wi] == -1 {
-					watchMin[wi] = i
-				}
+	for _, w := range watch {
+		first := -1
+		for i := 0; i < len(t.ops) && first < 0; i++ {
+			if r := &t.ops[i]; r.Out != nil && r.Out.needGrad && (r.In[0] == w || r.In[1] == w) {
+				first = i
 			}
 		}
-		clear(t.watchIdx)
+		watchMin = append(watchMin, first)
 	}
 	if t.grads < 0 {
 		t.grads = len(t.owned)

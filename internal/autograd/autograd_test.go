@@ -68,7 +68,7 @@ func TestMatMulGradient(t *testing.T) {
 }
 
 // TestMatMulRecycledSlabsNotZeroed pins that MatMul's output and gradients
-// do not depend on the arena zeroing their slabs (newProduct skips it): with
+// do not depend on the arena zeroing their slabs (newTensor skips it): with
 // every recycled slab poisoned with NaN, a second iteration still matches a
 // plain tape bit for bit.
 func TestMatMulRecycledSlabsNotZeroed(t *testing.T) {
@@ -100,7 +100,7 @@ func TestMatMulRecycledSlabsNotZeroed(t *testing.T) {
 	}
 	tp.Reset()
 	gotY, gotGX, gotGW := step(tp)
-	if st := tp.Arena().Stats(); st.Hits == 0 {
+	if st := tp.arena.Stats(); st.Hits == 0 {
 		t.Fatal("second iteration recycled no slab: the test is vacuous")
 	}
 	for _, c := range []struct {

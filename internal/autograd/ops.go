@@ -26,10 +26,18 @@ type (
 	segMean    struct{}
 )
 
-// unary records the one-input op k on x.
-func unary(k Kernel, x *Var, f float32) *Var {
-	return x.tape.Record(Record{Kernel: k, In: [2]*Var{x}, F: f})
-}
+func (matMul) Label() string     { return "matmul" }
+func (add) Label() string        { return "add" }
+func (addBias) Label() string    { return "addbias" }
+func (relu) Label() string       { return "relu" }
+func (scale) Label() string      { return "scale" }
+func (dropout) Label() string    { return "dropout" }
+func (rows) Label() string       { return "rows" }
+func (concatCols) Label() string { return "concat" }
+func (gatherRows) Label() string { return "gather" }
+func (rowDot) Label() string     { return "rowdot" }
+func (scale1p) Label() string    { return "scale1p" }
+func (segMean) Label() string    { return "segmean" }
 
 // binary records the two-input op k on a and b.
 func binary(k Kernel, a, b *Var) *Var {
@@ -39,8 +47,6 @@ func binary(k Kernel, a, b *Var) *Var {
 // MatMul returns x*w with gradients to both inputs.
 func MatMul(x, w *Var) *Var { return binary(matMul{}, x, w) }
 
-func (matMul) Label() string { return "matmul" }
-
 func (matMul) Forward(r *Record) {
 	x, w := r.In[0].Value, r.In[1].Value
 	tensor.MatMulInto(r.Output(x.R, w.C, false), x, w)
@@ -49,12 +55,12 @@ func (matMul) Forward(r *Record) {
 func (matMul) Backward(r *Record) {
 	x, w, t := r.In[0], r.In[1], r.Out.tape
 	if x.needGrad {
-		gx := t.newProduct(x.Value.R, x.Value.C)
+		gx := t.newTensor(x.Value.R, x.Value.C, false)
 		tensor.MatMulTInto(gx, r.Out.Grad, w.Value) // dX = dY * Wᵀ
 		x.AccumGrad(gx)
 	}
 	if w.needGrad {
-		gw := t.newProduct(w.Value.R, w.Value.C)
+		gw := t.newTensor(w.Value.R, w.Value.C, false)
 		tensor.TMatMulInto(gw, x.Value, r.Out.Grad) // dW = Xᵀ * dY
 		w.AccumGrad(gw)
 	}
@@ -62,8 +68,6 @@ func (matMul) Backward(r *Record) {
 
 // Add returns a + b elementwise.
 func Add(a, b *Var) *Var { return binary(add{}, a, b) }
-
-func (add) Label() string { return "add" }
 
 func (add) Forward(r *Record) {
 	a, b := r.In[0].Value, r.In[1].Value
@@ -77,8 +81,6 @@ func (add) Backward(r *Record) {
 
 // AddBias returns x with the (1 x C) bias row added to every row.
 func AddBias(x, b *Var) *Var { return binary(addBias{}, x, b) }
-
-func (addBias) Label() string { return "addbias" }
 
 func (addBias) Forward(r *Record) {
 	x, b := r.In[0].Value, r.In[1].Value
@@ -95,9 +97,7 @@ func (addBias) Backward(r *Record) {
 }
 
 // ReLU returns max(x, 0).
-func ReLU(x *Var) *Var { return unary(relu{}, x, 0) }
-
-func (relu) Label() string { return "relu" }
+func ReLU(x *Var) *Var { return x.tape.Record(Record{Kernel: relu{}, In: [2]*Var{x}}) }
 
 func (relu) Forward(r *Record) {
 	x := r.In[0].Value
@@ -112,9 +112,9 @@ func (relu) Backward(r *Record) {
 }
 
 // Scale returns s*x.
-func Scale(x *Var, s float32) *Var { return unary(scale{}, x, s) }
-
-func (scale) Label() string { return "scale" }
+func Scale(x *Var, s float32) *Var {
+	return x.tape.Record(Record{Kernel: scale{}, In: [2]*Var{x}, F: s})
+}
 
 func (scale) Forward(r *Record) {
 	x := r.In[0].Value
@@ -135,8 +135,6 @@ func (scale) Backward(r *Record) {
 func Dropout(x *Var, p float32, src *xrand.Source) *Var {
 	return x.tape.Record(Record{Kernel: dropout{}, In: [2]*Var{x}, F: p, Arg: src})
 }
-
-func (dropout) Label() string { return "dropout" }
 
 func (dropout) Forward(r *Record) {
 	x := r.In[0].Value
@@ -159,8 +157,6 @@ func (dropout) Backward(r *Record) {
 func Rows(x *Var, n *int) *Var {
 	return x.tape.Record(Record{Kernel: rows{}, In: [2]*Var{x}, Arg: n})
 }
-
-func (rows) Label() string { return "rows" }
 
 func (rows) Forward(r *Record) {
 	x, n := r.In[0].Value, *r.Arg.(*int)
@@ -185,8 +181,6 @@ func ConcatCols(a, b *Var) *Var {
 	return binary(concatCols{}, a, b)
 }
 
-func (concatCols) Label() string { return "concat" }
-
 func (concatCols) Forward(r *Record) {
 	a, b := r.In[0].Value, r.In[1].Value
 	out := r.Output(a.R, a.C+b.C, false)
@@ -197,20 +191,17 @@ func (concatCols) Forward(r *Record) {
 }
 
 func (concatCols) Backward(r *Record) {
-	a, b, ca := r.In[0], r.In[1], r.In[0].Value.C
-	if a.needGrad {
-		ga := r.Out.tape.NewTensor(a.Value.R, ca)
-		for i := 0; i < a.Value.R; i++ {
-			copy(ga.Row(i), r.Out.Grad.Row(i)[:ca])
+	// Input k's gradient is its columns of the output's, from column off.
+	for k, off := range [2]int{0, r.In[0].Value.C} {
+		in := r.In[k]
+		if !in.needGrad {
+			continue
 		}
-		a.AccumGrad(ga)
-	}
-	if b.needGrad {
-		gb := r.Out.tape.NewTensor(b.Value.R, b.Value.C)
-		for i := 0; i < b.Value.R; i++ {
-			copy(gb.Row(i), r.Out.Grad.Row(i)[ca:])
+		g := r.Out.tape.NewTensor(in.Value.R, in.Value.C)
+		for i := 0; i < in.Value.R; i++ {
+			copy(g.Row(i), r.Out.Grad.Row(i)[off:])
 		}
-		b.AccumGrad(gb)
+		in.AccumGrad(g)
 	}
 }
 
@@ -221,8 +212,6 @@ func (concatCols) Backward(r *Record) {
 func GatherRows(x *Var, idx []int) *Var {
 	return x.tape.Record(Record{Kernel: gatherRows{}, In: [2]*Var{x}, Idx: idx})
 }
-
-func (gatherRows) Label() string { return "gather" }
 
 func (gatherRows) Forward(r *Record) {
 	x := r.In[0].Value
@@ -251,8 +240,6 @@ func RowDot(a, b *Var) *Var {
 	}
 	return binary(rowDot{}, a, b)
 }
-
-func (rowDot) Label() string { return "rowdot" }
 
 func (rowDot) Forward(r *Record) {
 	a, b := r.In[0].Value, r.In[1].Value
@@ -296,8 +283,6 @@ func ScaleByScalarPlusOne(x, s *Var) *Var {
 	return binary(scale1p{}, x, s)
 }
 
-func (scale1p) Label() string { return "scale1p" }
-
 func (scale1p) Forward(r *Record) {
 	x, s := r.In[0].Value, r.In[1].Value
 	tensor.ScaleInto(r.Output(x.R, x.C, false), x, 1+s.V[0])
@@ -332,8 +317,6 @@ func SegmentMeanRows(x *Var, offsets []int) *Var {
 	}
 	return x.tape.Record(Record{Kernel: segMean{}, In: [2]*Var{x}, Idx: offsets})
 }
-
-func (segMean) Label() string { return "segmean" }
 
 func (segMean) Forward(r *Record) {
 	x, offsets := r.In[0].Value, r.Idx

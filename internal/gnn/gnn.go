@@ -115,22 +115,16 @@ type Config struct {
 	Seed    int64
 }
 
-// withSelfLoops returns g with one self edge (t -> t) appended to every
-// target row; targets are the first NumTargets input nodes, so the column
-// index equals the row index. GCN and GAT aggregate over the closed
-// neighborhood.
-func withSelfLoops(g *spops.SubCSR) *spops.SubCSR {
-	return withSelfLoopsInto(new(spops.SubCSR), g)
-}
-
-// withSelfLoopsInto is withSelfLoops writing into a caller-owned block,
-// truncating and reusing its slices. GCN and GAT keep one block per layer
-// as model-private scratch (each concurrent worker or inference rank owns
-// its own model replica), so the steady state rebuilds the closed
-// neighborhood without allocating. The result is valid until the next call
-// with the same dst; the records reading it run their backward within the
-// same iteration, before any rewrite.
-func withSelfLoopsInto(dst, g *spops.SubCSR) *spops.SubCSR {
+// withSelfLoops writes into dst g with one self edge (t -> t) appended to
+// every target row, and returns dst; targets are the first NumTargets input
+// nodes, so the column index equals the row index. GCN and GAT aggregate
+// over the closed neighborhood, and keep one dst per layer as model-private
+// scratch (each concurrent worker or inference rank owns its own model
+// replica), whose slices are truncated and reused, so the steady state
+// rebuilds the closed neighborhood without allocating. The result is valid
+// until the next call with the same dst; the records reading it run their
+// backward within the same iteration, before any rewrite.
+func withSelfLoops(dst, g *spops.SubCSR) *spops.SubCSR {
 	dst.NumTargets = g.NumTargets
 	dst.NumNodes = g.NumNodes
 	dst.RowPtr = append(dst.RowPtr[:0], 0)
@@ -166,19 +160,17 @@ func withSelfLoopsInto(dst, g *spops.SubCSR) *spops.SubCSR {
 
 // loopScratch lazily provides per-layer self-loop blocks for models that
 // aggregate over the closed neighborhood.
-type loopScratch struct {
-	loops []*loopBlock
-}
+type loopScratch []*loopBlock
 
 // loop returns layer l's closed-neighborhood block of raw, rebuilt by a
 // rider recorded on tp: a replay rebuilds it from the live raw block before
 // the ops that read it.
 func (s *loopScratch) loop(tp *autograd.Tape, l int, raw *spops.SubCSR) *spops.SubCSR {
-	for len(s.loops) <= l {
-		s.loops = append(s.loops, new(loopBlock))
+	for len(*s) <= l {
+		*s = append(*s, new(loopBlock))
 	}
-	tp.RecordRider(autograd.Record{Kernel: s.loops[l], Arg: raw})
-	return &s.loops[l].SubCSR
+	tp.RecordRider(autograd.Record{Kernel: (*s)[l], Arg: raw})
+	return &(*s)[l].SubCSR
 }
 
 // loopBlock is a layer's self-loop block, and the rider kernel that rebuilds
@@ -186,7 +178,7 @@ func (s *loopScratch) loop(tp *autograd.Tape, l int, raw *spops.SubCSR) *spops.S
 type loopBlock struct{ spops.SubCSR }
 
 func (b *loopBlock) Label() string              { return "selfloops" }
-func (b *loopBlock) Forward(r *autograd.Record) { withSelfLoopsInto(&b.SubCSR, r.Arg.(*spops.SubCSR)) }
+func (b *loopBlock) Forward(r *autograd.Record) { withSelfLoops(&b.SubCSR, r.Arg.(*spops.SubCSR)) }
 func (b *loopBlock) Backward(*autograd.Record)  {}
 
 // charged prices the op that produced v as an elementwise pass on dev: its

@@ -84,7 +84,7 @@ func TestBatchValidate(t *testing.T) {
 func TestWithSelfLoops(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	g := randomBlock(rng, 5, 12, 4)
-	sl := withSelfLoops(g)
+	sl := withSelfLoops(new(spops.SubCSR), g)
 	if err := sl.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -12,27 +12,42 @@ import (
 	"wholegraph/internal/xrand"
 )
 
+// base is what every architecture shares: its hyperparameters, its
+// parameters, and the stream that draws its initial weights and then every
+// dropout mask.
+type base struct {
+	cfg Config
+	ps  nn.ParamSet
+	src *xrand.Source
+}
+
+func newBase(cfg Config) base { return base{cfg: cfg, src: xrand.New(cfg.Seed)} }
+
+// Params implements Model.
+func (m *base) Params() *nn.ParamSet { return &m.ps }
+
+// Config implements Model.
+func (m *base) Config() Config { return m.cfg }
+
+// NumLayers implements Model.
+func (m *base) NumLayers() int { return m.cfg.Layers }
+
 // GCN is a sampled graph convolutional network: every layer averages over
 // the closed (self-loop-augmented) sampled neighborhood and applies a
 // linear transform; ReLU and dropout between layers.
 type GCN struct {
-	cfg    Config
-	ps     nn.ParamSet
+	base
 	layers []*nn.Linear
-	src    *xrand.Source // draws the initial weights, then every dropout mask
 	sl     loopScratch
 }
 
 // NewGCN builds a GCN from cfg.
 func NewGCN(cfg Config) *GCN {
-	m := &GCN{cfg: cfg, src: xrand.New(cfg.Seed)}
+	m := &GCN{base: newBase(cfg)}
 	rng := rand.New(m.src)
 	in := cfg.InDim
 	for l := 0; l < cfg.Layers; l++ {
-		out := cfg.Hidden
-		if l == cfg.Layers-1 {
-			out = cfg.Classes
-		}
+		out := cfg.LayerOutDim(l)
 		m.layers = append(m.layers, nn.NewLinear(&m.ps, layerName("gcn", l), in, out, rng))
 		in = out
 	}
@@ -42,19 +57,10 @@ func NewGCN(cfg Config) *GCN {
 // Name implements Model.
 func (m *GCN) Name() string { return "gcn" }
 
-// Params implements Model.
-func (m *GCN) Params() *nn.ParamSet { return &m.ps }
-
 // Forward implements Model.
 func (m *GCN) Forward(dev *sim.Device, tp *autograd.Tape, b *Batch, train bool) *autograd.Var {
 	return forward(m, dev, tp, b, train)
 }
-
-// Config implements Model.
-func (m *GCN) Config() Config { return m.cfg }
-
-// NumLayers implements Model.
-func (m *GCN) NumLayers() int { return m.cfg.Layers }
 
 // ForwardLayer implements Model. Parameters must already be bound
 // on x's tape.
@@ -71,22 +77,17 @@ func (m *GCN) ForwardLayer(dev *sim.Device, l int, blk *spops.SubCSR, x *autogra
 // target's own features with the mean of its sampled neighbors and applies
 // a linear transform (Hamilton et al.'s W·[h_self || h_neigh]).
 type SAGE struct {
-	cfg    Config
-	ps     nn.ParamSet
+	base
 	layers []*nn.Linear
-	src    *xrand.Source // draws the initial weights, then every dropout mask
 }
 
 // NewSAGE builds a GraphSAGE model from cfg.
 func NewSAGE(cfg Config) *SAGE {
-	m := &SAGE{cfg: cfg, src: xrand.New(cfg.Seed)}
+	m := &SAGE{base: newBase(cfg)}
 	rng := rand.New(m.src)
 	in := cfg.InDim
 	for l := 0; l < cfg.Layers; l++ {
-		out := cfg.Hidden
-		if l == cfg.Layers-1 {
-			out = cfg.Classes
-		}
+		out := cfg.LayerOutDim(l)
 		m.layers = append(m.layers, nn.NewLinear(&m.ps, layerName("sage", l), 2*in, out, rng))
 		in = out
 	}
@@ -96,19 +97,10 @@ func NewSAGE(cfg Config) *SAGE {
 // Name implements Model.
 func (m *SAGE) Name() string { return "graphsage" }
 
-// Params implements Model.
-func (m *SAGE) Params() *nn.ParamSet { return &m.ps }
-
 // Forward implements Model.
 func (m *SAGE) Forward(dev *sim.Device, tp *autograd.Tape, b *Batch, train bool) *autograd.Var {
 	return forward(m, dev, tp, b, train)
 }
-
-// Config implements Model.
-func (m *SAGE) Config() Config { return m.cfg }
-
-// NumLayers implements Model.
-func (m *SAGE) NumLayers() int { return m.cfg.Layers }
 
 // ForwardLayer implements Model. Parameters must already be bound
 // on x's tape.
@@ -128,12 +120,10 @@ func (m *SAGE) ForwardLayer(dev *sim.Device, l int, blk *spops.SubCSR, x *autogr
 // aggregates with an edge-weighted g-SpMM. Hidden layers concatenate the
 // heads; the output layer averages them.
 type GAT struct {
-	cfg   Config
-	ps    nn.ParamSet
+	base
 	proj  [][]*nn.Linear // [layer][head]
 	attnL [][]*nn.Param  // [layer][head] a_l, shape [headDim x 1]
 	attnR [][]*nn.Param
-	src   *xrand.Source // draws the initial weights, then every dropout mask
 	sl    loopScratch
 }
 
@@ -143,7 +133,7 @@ func NewGAT(cfg Config) *GAT {
 	if err := checkGAT(cfg); err != nil {
 		panic(err.Error())
 	}
-	m := &GAT{cfg: cfg, src: xrand.New(cfg.Seed)}
+	m := &GAT{base: newBase(cfg)}
 	rng := rand.New(m.src)
 	in := cfg.InDim
 	for l := 0; l < cfg.Layers; l++ {
@@ -162,11 +152,7 @@ func NewGAT(cfg Config) *GAT {
 		m.proj = append(m.proj, projs)
 		m.attnL = append(m.attnL, als)
 		m.attnR = append(m.attnR, ars)
-		if l == cfg.Layers-1 {
-			in = cfg.Classes
-		} else {
-			in = cfg.Hidden
-		}
+		in = cfg.LayerOutDim(l)
 	}
 	return m
 }
@@ -174,19 +160,10 @@ func NewGAT(cfg Config) *GAT {
 // Name implements Model.
 func (m *GAT) Name() string { return "gat" }
 
-// Params implements Model.
-func (m *GAT) Params() *nn.ParamSet { return &m.ps }
-
 // Forward implements Model.
 func (m *GAT) Forward(dev *sim.Device, tp *autograd.Tape, b *Batch, train bool) *autograd.Var {
 	return forward(m, dev, tp, b, train)
 }
-
-// Config implements Model.
-func (m *GAT) Config() Config { return m.cfg }
-
-// NumLayers implements Model.
-func (m *GAT) NumLayers() int { return m.cfg.Layers }
 
 // ForwardLayer implements Model. Parameters must already be bound
 // on x's tape.
@@ -275,24 +252,19 @@ func glorotVec(dim int, rng *rand.Rand) *tensor.Dense {
 // demonstrates that the op set (sum-aggregation g-SpMM + dense layers)
 // supports architectures beyond the evaluated three.
 type GIN struct {
-	cfg  Config
-	ps   nn.ParamSet
+	base
 	mlp1 []*nn.Linear
 	mlp2 []*nn.Linear
 	eps  []*nn.Param
-	src  *xrand.Source // draws the initial weights, then every dropout mask
 }
 
 // NewGIN builds a GIN from cfg.
 func NewGIN(cfg Config) *GIN {
-	m := &GIN{cfg: cfg, src: xrand.New(cfg.Seed)}
+	m := &GIN{base: newBase(cfg)}
 	rng := rand.New(m.src)
 	in := cfg.InDim
 	for l := 0; l < cfg.Layers; l++ {
-		out := cfg.Hidden
-		if l == cfg.Layers-1 {
-			out = cfg.Classes
-		}
+		out := cfg.LayerOutDim(l)
 		name := layerName("gin", l)
 		m.mlp1 = append(m.mlp1, nn.NewLinear(&m.ps, name+".mlp1", in, cfg.Hidden, rng))
 		m.mlp2 = append(m.mlp2, nn.NewLinear(&m.ps, name+".mlp2", cfg.Hidden, out, rng))
@@ -304,15 +276,6 @@ func NewGIN(cfg Config) *GIN {
 
 // Name implements Model.
 func (m *GIN) Name() string { return "gin" }
-
-// Params implements Model.
-func (m *GIN) Params() *nn.ParamSet { return &m.ps }
-
-// Config implements Model.
-func (m *GIN) Config() Config { return m.cfg }
-
-// NumLayers implements Model.
-func (m *GIN) NumLayers() int { return m.cfg.Layers }
 
 // Forward implements Model.
 func (m *GIN) Forward(dev *sim.Device, tp *autograd.Tape, b *Batch, train bool) *autograd.Var {

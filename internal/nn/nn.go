@@ -147,79 +147,35 @@ func (l *Linear) Apply(dev *sim.Device, x *autograd.Var) *autograd.Var {
 
 // ChargeForward charges the forward GEMM of the matmul record r.
 func (l *Linear) ChargeForward(r *autograd.Record) {
-	ChargeLinearForward(r.Dev, r.Out.Value.R, l.In, l.Out)
+	r.Dev.Gemm(r.Out.Value.R, l.Out, l.In, "linear.fwd")
 }
 
 // ChargeBackward charges the GEMM producing the gradient of r's input i:
 // dX for the layer input, dW for the weight.
 func (l *Linear) ChargeBackward(r *autograd.Record, i int) {
 	if i == 0 {
-		ChargeLinearBackwardDX(r.Dev, r.Out.Value.R, l.In, l.Out)
+		r.Dev.Gemm(r.Out.Value.R, l.In, l.Out, "linear.bwd.dx")
 	} else {
-		ChargeLinearBackwardDW(r.Dev, r.Out.Value.R, l.In, l.Out)
+		r.Dev.Gemm(l.In, l.Out, r.Out.Value.R, "linear.bwd.dw")
 	}
-}
-
-// ChargeLinearForward charges dev the forward GEMM of a Linear of the given
-// sizes. nil dev charges nothing.
-func ChargeLinearForward(dev *sim.Device, rows, in, out int) {
-	if dev == nil {
-		return
-	}
-	dev.Gemm(rows, out, in, "linear.fwd")
-}
-
-// ChargeLinearBackwardDX charges dev the dX backward GEMM of a Linear of
-// the given sizes. nil dev charges nothing.
-func ChargeLinearBackwardDX(dev *sim.Device, rows, in, out int) {
-	if dev == nil {
-		return
-	}
-	dev.Gemm(rows, in, out, "linear.bwd.dx")
-}
-
-// ChargeLinearBackwardDW charges dev the dW backward GEMM of a Linear of
-// the given sizes. nil dev charges nothing.
-func ChargeLinearBackwardDW(dev *sim.Device, rows, in, out int) {
-	if dev == nil {
-		return
-	}
-	dev.Gemm(in, out, rows, "linear.bwd.dw")
-}
-
-// ChargeElementwiseForward charges dev the forward half of a memory-bound
-// elementwise pass over n float32 elements (read + write), e.g. ReLU or
-// dropout.
-func ChargeElementwiseForward(dev *sim.Device, n int64) {
-	if dev == nil {
-		return
-	}
-	dev.Kernel(sim.KernelCost{StreamBytes: float64(4 * n * 2), Tag: "eltwise.fwd"})
-}
-
-// ChargeElementwiseBackward charges dev the backward half of an elementwise
-// pass (gradient read + write).
-func ChargeElementwiseBackward(dev *sim.Device, n int64) {
-	if dev == nil {
-		return
-	}
-	dev.Kernel(sim.KernelCost{StreamBytes: float64(4 * n * 2), Tag: "eltwise.bwd"})
 }
 
 // Elementwise prices a memory-bound elementwise op (ReLU, dropout) over its
-// output's elements (autograd.Cost). Its backward charge lands on the device
-// clock when the gradient work actually happens — as Linear's backward GEMMs
-// do — which sharpens gradient-bucket ready times for the overlap engine.
+// output's float32 elements (autograd.Cost): a read and a write of each
+// forward, a gradient read and write backward. Its backward charge lands on
+// the device clock when the gradient work actually happens — as Linear's
+// backward GEMMs do — which sharpens gradient-bucket ready times for the
+// overlap engine.
 var Elementwise autograd.Cost = elementwise{}
 
 type elementwise struct{}
 
 func (elementwise) ChargeForward(r *autograd.Record) {
-	ChargeElementwiseForward(r.Dev, int64(len(r.Out.Value.V)))
+	r.Dev.Kernel(sim.KernelCost{StreamBytes: float64(8 * len(r.Out.Value.V)), Tag: "eltwise.fwd"})
 }
 
 func (elementwise) ChargeBackward(r *autograd.Record, _ int) {
-	ChargeElementwiseBackward(r.Dev, int64(len(r.Out.Value.V)))
+	r.Dev.Kernel(sim.KernelCost{StreamBytes: float64(8 * len(r.Out.Value.V)), Tag: "eltwise.bwd"})
 }
 
 // Adam is the Adam optimizer over a ParamSet.

@@ -130,27 +130,38 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 	}
 }
 
+// TestChargingAdvancesDevice checks the Costs a layer prices its ops with:
+// a Linear charges its forward GEMM when applied and its dX and dW GEMMs
+// when the backward pass reaches it, an elementwise op one pass each way,
+// and without a device nothing is charged.
 func TestChargingAdvancesDevice(t *testing.T) {
 	m := sim.NewMachine(sim.DGXA100(1))
 	d := m.Devs[0]
-	ChargeLinearForward(d, 1024, 256, 256)
-	ChargeLinearBackwardDX(d, 1024, 256, 256)
-	ChargeLinearBackwardDW(d, 1024, 256, 256)
+	var ps ParamSet
+	l := NewLinear(&ps, "l", 256, 256, rand.New(rand.NewSource(1)))
+	tp := autograd.NewTape()
+	ps.Bind(tp)
+	y := l.Apply(d, tp.Const(tensor.New(1024, 256)))
+	if d.Stats.Kernels != 1 {
+		t.Errorf("Linear forward: %d kernels", d.Stats.Kernels)
+	}
+	tp.Backward(y, tensor.New(1024, 256))
 	if d.Now() == 0 || d.Stats.Kernels != 3 {
 		t.Errorf("Linear charges: now=%g kernels=%d", d.Now(), d.Stats.Kernels)
 	}
 	t0 := d.Now()
-	ChargeElementwiseForward(d, 1<<20)
-	ChargeElementwiseBackward(d, 1<<20)
-	if d.Now() <= t0 {
-		t.Error("elementwise charges did not advance clock")
+	tp.Reset()
+	x := tp.Param(tensor.New(1024, 1024))
+	r := autograd.ReLU(x)
+	tp.Charge(r, d, Elementwise)
+	tp.Backward(r, tensor.New(1024, 1024))
+	if d.Now() <= t0 || d.Stats.Kernels != 5 {
+		t.Errorf("elementwise charges: clock %g after %g, %d kernels", d.Now(), t0, d.Stats.Kernels)
 	}
 	// nil device is a no-op.
-	ChargeLinearForward(nil, 10, 10, 10)
-	ChargeLinearBackwardDX(nil, 10, 10, 10)
-	ChargeLinearBackwardDW(nil, 10, 10, 10)
-	ChargeElementwiseForward(nil, 10)
-	ChargeElementwiseBackward(nil, 10)
+	tp.Reset()
+	ps.Bind(tp)
+	tp.Backward(l.Apply(nil, tp.Const(tensor.New(10, 256))), tensor.New(10, 256))
 }
 
 func TestAdamChargesDevice(t *testing.T) {

@@ -146,11 +146,7 @@ func (r *Recorder) dep(nd *Node, id int) {
 // then to) the writers of its output and auxiliary buffers.
 func (r *Recorder) ForwardNode(rec *autograd.Record) {
 	nd := r.open(rec.Kernel.Label())
-	for _, in := range rec.In {
-		if in != nil {
-			r.read(nd, in.Value)
-		}
-	}
+	r.readInputs(nd, rec)
 	for _, t := range [3]*tensor.Dense{rec.Out.Value, rec.Aux[0], rec.Aux[1]} {
 		if t != nil {
 			r.read(nd, t)
@@ -173,16 +169,21 @@ func (r *Recorder) readGrad(nd *Node, v *autograd.Var) {
 	}
 }
 
-// readOp adds the edges every backward node of rec has: from the producer
-// of its output's gradient and the writers of its output and input values.
-func (r *Recorder) readOp(nd *Node, rec *autograd.Record) {
-	r.readGrad(nd, rec.Out)
-	r.read(nd, rec.Out.Value)
+// readInputs adds edges to nd from the writers of rec's input values.
+func (r *Recorder) readInputs(nd *Node, rec *autograd.Record) {
 	for _, in := range rec.In {
 		if in != nil {
 			r.read(nd, in.Value)
 		}
 	}
+}
+
+// readOp adds the edges every backward node of rec has: from the producer
+// of its output's gradient and the writers of its output and input values.
+func (r *Recorder) readOp(nd *Node, rec *autograd.Record) {
+	r.readGrad(nd, rec.Out)
+	r.read(nd, rec.Out.Value)
+	r.readInputs(nd, rec)
 }
 
 // BackwardNode implements autograd.ReplayObserver for a record's backward:

@@ -59,20 +59,14 @@ type stepGraph struct {
 	blocks []*spops.SubCSR
 }
 
-// matches reports whether the batch still has the structure g captured.
-func (g *stepGraph) matches(b *gnn.Batch) bool {
-	return b.Feat == g.feat && slices.Equal(b.Blocks, g.blocks)
-}
-
-// graphState is the per-trainer capture machinery. Every slice is indexed
-// by real worker, and each worker touches only its own entries inside the
-// parallel region, mirroring device ownership. A worker with Fallbacks > 0
-// runs eagerly for good and keeps no graph.
-type graphState struct {
-	graphs []map[*gnn.Batch]*stepGraph
-	// sch is each worker's whole-step scheduler recorder (Options.Schedule).
-	sch   []*sched.Recorder
-	count []GraphCounters
+// workerGraphs is one real worker's capture machinery. The trainer keeps one
+// per worker, and each worker touches only its own inside the parallel
+// region, mirroring device ownership. A worker with Fallbacks > 0 runs
+// eagerly for good and keeps no graph.
+type workerGraphs struct {
+	graphs map[*gnn.Batch]*stepGraph
+	sch    *sched.Recorder // the whole-step scheduler's (Options.Schedule)
+	count  GraphCounters
 }
 
 // GraphCounters aggregates the step-graph machinery's counters across
@@ -106,10 +100,8 @@ func (c GraphCounters) String() string {
 // GraphStats sums the capture machinery's counters across workers.
 func (t *Trainer) GraphStats() GraphCounters {
 	var c GraphCounters
-	if t.gs != nil {
-		for _, wc := range t.gs.count {
-			c.Add(wc)
-		}
+	for _, wg := range t.gs {
+		c.Add(wg.count)
 	}
 	return c
 }
@@ -118,21 +110,13 @@ func (t *Trainer) ensureGraphState() {
 	if t.gs != nil {
 		return
 	}
-	nw := len(t.Models)
-	gs := &graphState{
-		graphs: make([]map[*gnn.Batch]*stepGraph, nw),
-		count:  make([]GraphCounters, nw),
-	}
-	for w := range gs.graphs {
-		gs.graphs[w] = make(map[*gnn.Batch]*stepGraph, maxGraphsPerWorker)
-	}
-	if t.Opts.Schedule {
-		gs.sch = make([]*sched.Recorder, nw)
-		for w := range gs.sch {
-			gs.sch[w] = sched.NewRecorder()
+	t.gs = make([]workerGraphs, len(t.Models))
+	for w := range t.gs {
+		t.gs[w].graphs = make(map[*gnn.Batch]*stepGraph, maxGraphsPerWorker)
+		if t.Opts.Schedule {
+			t.gs[w].sch = sched.NewRecorder()
 		}
 	}
-	t.gs = gs
 }
 
 // graphFor looks up worker w's captured graph for b. It returns the graph to
@@ -144,26 +128,27 @@ func (t *Trainer) graphFor(w int, b *gnn.Batch) (g *stepGraph, capture bool) {
 	if !t.Opts.CaptureGraph {
 		return nil, false
 	}
-	gs, c := t.gs, &t.gs.count[w]
+	wg := &t.gs[w]
+	c := &wg.count
 	if c.Fallbacks > 0 {
 		return nil, false
 	}
-	if g, ok := gs.graphs[w][b]; ok {
-		if g.matches(b) {
+	if g, ok := wg.graphs[b]; ok {
+		if b.Feat == g.feat && slices.Equal(b.Blocks, g.blocks) {
 			c.Replays++
-			if gs.sch != nil {
+			if wg.sch != nil {
 				c.Scheduled++
 			}
 			return g, false
 		}
 		// Structure moved under the same batch object: drop and re-capture.
-		delete(gs.graphs[w], b)
+		delete(wg.graphs, b)
 		c.Invalidations++
 	}
-	if len(gs.graphs[w]) >= maxGraphsPerWorker {
+	if len(wg.graphs) >= maxGraphsPerWorker {
 		// The loader is not reusing batch objects; capture cannot amortize.
 		c.Fallbacks++
-		clear(gs.graphs[w])
+		clear(wg.graphs)
 		return nil, false
 	}
 	c.Captures++
@@ -189,8 +174,7 @@ func (t *Trainer) step(w int, b *gnn.Batch) stepResult {
 	if g != nil {
 		tp, logits, grad = g.tape, g.logits, g.grad
 		mdl.Params().RebindVars(g.paramVars)
-		if t.gs.sch != nil {
-			rec = t.gs.sch[w]
+		if rec = t.gs[w].sch; rec != nil {
 			rec.Reset()
 			dev.Record(&rec.Charges)
 			tp.SetReplayObserver(rec)
@@ -227,7 +211,7 @@ func (t *Trainer) step(w int, b *gnn.Batch) stepResult {
 	tp.BackwardHooked(logits, grad, watch, onReady)
 	switch {
 	case capture:
-		t.gs.graphs[w][b] = &stepGraph{
+		t.gs[w].graphs[b] = &stepGraph{
 			tape:      tp,
 			logits:    logits,
 			grad:      grad,

@@ -183,7 +183,7 @@ func TestCaptureGraphInvalidatesOnStructureChange(t *testing.T) {
 	var losses []float64
 	losses = append(losses, tr.RunEpoch().Loss, tr.RunEpoch().Loss)
 	// Pretend the loader replaced the feature tensor of one captured slot.
-	for _, g := range tr.gs.graphs[0] {
+	for _, g := range tr.gs[0].graphs {
 		g.feat = tensor.New(1, 1)
 		break
 	}
@@ -224,13 +224,13 @@ func TestCaptureGraphFallsBackOnChurningBatches(t *testing.T) {
 	// maxGraphsPerWorker one-shot batch objects.
 	tr.ensureGraphState()
 	for i := 0; i < maxGraphsPerWorker; i++ {
-		tr.gs.graphs[0][&gnn.Batch{}] = &stepGraph{}
+		tr.gs[0].graphs[&gnn.Batch{}] = &stepGraph{}
 	}
 	stats := tr.RunEpoch()
-	if tr.gs.count[0].Fallbacks == 0 {
+	if tr.gs[0].count.Fallbacks == 0 {
 		t.Fatal("worker did not fall back to eager execution")
 	}
-	if n := len(tr.gs.graphs[0]); n != 0 {
+	if n := len(tr.gs[0].graphs); n != 0 {
 		t.Errorf("fallback worker still holds %d step graphs", n)
 	}
 	if gc := tr.GraphStats(); gc.Captures != 0 || gc.Replays != 0 || gc.Fallbacks == 0 {

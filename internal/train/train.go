@@ -347,9 +347,9 @@ type Trainer struct {
 	// ov is the gradient-overlap bucket state (Options.OverlapGrads),
 	// built lazily by ensureOverlap.
 	ov *overlapState
-	// gs is the step-graph capture state (Options.CaptureGraph), built
-	// lazily by ensureGraphState.
-	gs *graphState
+	// gs is the step-graph capture state (Options.CaptureGraph), one per
+	// real worker, built lazily by ensureGraphState.
+	gs []workerGraphs
 	// ep is RunEpoch's per-worker scratch, kept across epochs so a
 	// steady-state epoch allocates nothing of its own.
 	ep epochScratch
