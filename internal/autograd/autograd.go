@@ -194,6 +194,9 @@ func NewTape() *Tape { return &Tape{grads: -1} }
 // iteration. The arena must be owned by the same goroutine as the tape.
 func NewTapeArena(a *tensor.Arena) *Tape { return &Tape{arena: a, grads: -1} }
 
+// Arena returns the backing arena, or nil for a plain tape.
+func (t *Tape) Arena() *tensor.Arena { return t.arena }
+
 // Len returns the number of recorded operations.
 func (t *Tape) Len() int { return len(t.ops) }
 

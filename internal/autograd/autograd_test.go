@@ -100,7 +100,7 @@ func TestMatMulRecycledSlabsNotZeroed(t *testing.T) {
 	}
 	tp.Reset()
 	gotY, gotGX, gotGW := step(tp)
-	if st := tp.arena.Stats(); st.Hits == 0 {
+	if st := tp.Arena().Stats(); st.Hits == 0 {
 		t.Fatal("second iteration recycled no slab: the test is vacuous")
 	}
 	for _, c := range []struct {

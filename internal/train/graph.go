@@ -157,7 +157,8 @@ func (t *Trainer) graphFor(w int, b *gnn.Batch) (g *stepGraph, capture bool) {
 
 // step is one worker's training step on batch b: forward, loss and
 // accuracy, backward. Eagerly it runs on the worker's arena tape, Reset
-// first; a capture records on a fresh tape that b's step graph then keeps;
+// first; a capture records on a fresh tape over the same arena that b's
+// step graph then keeps;
 // and a replay re-runs a kept tape inside one graph launch
 // (sim.BeginGraphReplay) — with Options.Schedule through the whole-step
 // scheduler (DESIGN.md §13), which records the replay's charges into a DAG
@@ -188,7 +189,9 @@ func (t *Trainer) step(w int, b *gnn.Batch) stepResult {
 	} else {
 		tp = t.tapes[w]
 		if capture {
-			tp = autograd.NewTapeArena(tensor.NewArena())
+			// The kept tape draws from the worker's arena too: one goroutine
+			// owns them all, and its replays' gradients share one pool.
+			tp = autograd.NewTapeArena(tp.Arena())
 		} else {
 			tp.Reset()
 		}
