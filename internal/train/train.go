@@ -303,6 +303,13 @@ type PagePrefetcher interface {
 	PrefetchPages(targets []int64, maxPages int) int
 }
 
+// loaderParts is a loader's optional interfaces.
+type loaderParts struct {
+	prefetch PrefetchingLoader
+	plan     BatchPlanner
+	pages    PagePrefetcher
+}
+
 // BatchPlanner is a BatchLoader that can be told the target lists of its
 // next builds in advance, so that it may build ahead of them (core.Loader's
 // run-ahead builder). RunEpoch announces each worker's epoch through it when
@@ -330,10 +337,15 @@ type Trainer struct {
 	Opts4   []*nn.Adam    // optimizer per real worker
 	ds      *dataset.Dataset
 	loaders []BatchLoader
-	caches  []*cache.FeatureCache // per real worker; empty without Options.CacheRows
-	shards  [][]int64             // training shard per worker slot (all devices)
-	rng     *rand.Rand
-	epoch   int
+	// parts holds each loader's optional interfaces (nil where it lacks
+	// one), asserted once in NewCustom: the epoch loop asserts none, because
+	// the runtime fills an assertion site's type cache with an allocation at
+	// a random call.
+	parts  []loaderParts
+	caches []*cache.FeatureCache // per real worker; empty without Options.CacheRows
+	shards [][]int64             // training shard per worker slot (all devices)
+	rng    *rand.Rand
+	epoch  int
 
 	// tapes holds one arena-backed tape per real worker, Reset at the top of
 	// every iteration so the steady state reuses the previous step's tensors.
@@ -491,7 +503,12 @@ func NewCustom(m *sim.Machine, ds *dataset.Dataset, opts Options,
 		if opts.Trace && w == 0 {
 			dev.Tracing = true
 		}
-		t.loaders = append(t.loaders, mkLoader(w, dev))
+		ld := mkLoader(w, dev)
+		var p loaderParts
+		p.prefetch, _ = ld.(PrefetchingLoader)
+		p.plan, _ = ld.(BatchPlanner)
+		p.pages, _ = ld.(PagePrefetcher)
+		t.loaders, t.parts = append(t.loaders, ld), append(t.parts, p)
 		t.tapes = append(t.tapes, autograd.NewTapeArena(tensor.NewArena()))
 	}
 	return t, nil
@@ -574,8 +591,8 @@ func (t *Trainer) Pipelined() bool {
 	if !t.Opts.Pipeline {
 		return false
 	}
-	for _, ld := range t.loaders {
-		if _, ok := ld.(PrefetchingLoader); !ok {
+	for _, p := range t.parts {
+		if p.prefetch == nil {
 			return false
 		}
 	}
@@ -663,9 +680,9 @@ func (t *Trainer) RunEpoch() EpochStats {
 	iterDevStart, trainStart := ep.iterDevStart, ep.trainStart
 	plan := sim.ParallelEnabled()
 	if plan {
-		for w, ld := range t.loaders {
-			if p, ok := ld.(BatchPlanner); ok {
-				p.Plan(lists[w])
+		for w, p := range t.parts {
+			if p.plan != nil {
+				p.plan.Plan(lists[w])
 			}
 		}
 	}
@@ -688,7 +705,7 @@ func (t *Trainer) RunEpoch() EpochStats {
 			// Prime the ring on the first iteration, collect the batch in
 			// flight and re-arm the ring at once, so the next build overlaps
 			// this step's compute.
-			pl := ld.(PrefetchingLoader)
+			pl := t.parts[w].prefetch
 			if it == 0 {
 				pl.Prefetch(targets[0])
 			}
@@ -697,16 +714,14 @@ func (t *Trainer) RunEpoch() EpochStats {
 				pl.Prefetch(targets[it+1])
 			}
 		}
-		if speculate {
-			if p, ok := ld.(BatchPlanner); ok {
-				p.Speculate(next[w][:min(lookahead+1, measured)])
-			}
+		if p := t.parts[w].plan; speculate && p != nil {
+			p.Speculate(next[w][:min(lookahead+1, measured)])
 		}
 		// Fault prefetch: predict the pages of the batch after the last one
 		// being built (whose own build already faults its pages) and migrate
 		// them on the copy stream while this iteration's forward/backward
 		// runs on compute.
-		if pp, ok := ld.(PagePrefetcher); ok && t.Opts.PrefetchPages > 0 {
+		if pp := t.parts[w].pages; pp != nil && t.Opts.PrefetchPages > 0 {
 			if ahead := it + 1 + lookahead; ahead < measured {
 				pp.PrefetchPages(targets[ahead], t.Opts.PrefetchPages)
 			}
@@ -714,7 +729,7 @@ func (t *Trainer) RunEpoch() EpochStats {
 		trainStart[w] = dev.Now()
 		results[w] = t.step(w, b)
 		if lookahead > 0 {
-			ld.(PrefetchingLoader).Release()
+			t.parts[w].prefetch.Release()
 		}
 	}
 	optimize := func(w int) {
@@ -788,9 +803,9 @@ func (t *Trainer) RunEpoch() EpochStats {
 		}
 	}
 	if plan {
-		for _, ld := range t.loaders {
-			if p, ok := ld.(BatchPlanner); ok {
-				p.Join()
+		for _, p := range t.parts {
+			if p.plan != nil {
+				p.plan.Join()
 			}
 		}
 	}
