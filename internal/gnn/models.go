@@ -146,8 +146,8 @@ func NewGAT(cfg Config) *GAT {
 		for h := 0; h < cfg.Heads; h++ {
 			name := layerName("gat", l) + headName(h)
 			projs = append(projs, nn.NewLinear(&m.ps, name+".proj", in, headDim, rng))
-			als = append(als, m.ps.New(name+".al", glorotVec(headDim, rng)))
-			ars = append(ars, m.ps.New(name+".ar", glorotVec(headDim, rng)))
+			als = append(als, m.ps.New(name+".al", tensor.Glorot(headDim, 1, rng)))
+			ars = append(ars, m.ps.New(name+".ar", tensor.Glorot(headDim, 1, rng)))
 		}
 		m.proj = append(m.proj, projs)
 		m.attnL = append(m.attnL, als)
@@ -241,10 +241,6 @@ func New(arch string, cfg Config) Model {
 
 func layerName(arch string, l int) string { return arch + "." + string(rune('0'+l)) }
 func headName(h int) string               { return ".h" + string(rune('0'+h)) }
-
-func glorotVec(dim int, rng *rand.Rand) *tensor.Dense {
-	return tensor.Glorot(dim, 1, rng)
-}
 
 // GIN is a Graph Isomorphism Network layer stack: each layer computes
 // MLP((1+eps)·h_v + sum over sampled neighbors), with a learnable eps per

@@ -224,16 +224,6 @@ func (r *Recorder) LossNode(logits *autograd.Var) {
 	r.gradWriter[logits] = nd.ID
 }
 
-// Nodes returns the recorded DAG (valid until the next Reset).
-func (r *Recorder) Nodes() []Node {
-	r.close()
-	return r.nodes
-}
-
-// Serial reports whether Schedule fell back to the serial compute-stream
-// order because list scheduling found no improvement.
-func (r *Recorder) Serial() bool { return r.serial }
-
 // GradReadyTime returns the scheduled end of the last node producing v's
 // gradient, or def if no node wrote it. The overlap engine derives bucket
 // AllReduce gates from this instead of the eager path's replay-time clock

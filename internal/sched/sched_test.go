@@ -65,13 +65,12 @@ func TestScheduleNoTimeTravel(t *testing.T) {
 		randomDAG(r, rng, 2+rng.Intn(6), 1+rng.Intn(40))
 		computeFree := rng.Float64() * 1e-3
 		copyFree := rng.Float64() * 1e-3
+		makespan := r.Schedule(computeFree, copyFree)
+		nodes := r.nodes
 		var total float64
-		for _, nd := range r.Nodes() {
+		for _, nd := range nodes {
 			total += nd.Dur
 		}
-		makespan := r.Schedule(computeFree, copyFree)
-
-		nodes := r.Nodes()
 		for i := range nodes {
 			nd := &nodes[i]
 			free := computeFree
@@ -148,10 +147,10 @@ func TestScheduleSplitsIndependentWork(t *testing.T) {
 	if want := 1e-4 + 5e-4; makespan > want+1e-12 {
 		t.Errorf("independent branches did not overlap: makespan %g, want ~%g", makespan, want)
 	}
-	if r.Serial() {
+	if r.serial {
 		t.Error("scheduler fell back to serial on an overlappable DAG")
 	}
-	nodes := r.Nodes()
+	nodes := r.nodes
 	if nodes[2].Copy == nodes[3].Copy {
 		t.Errorf("left and right branches share a stream (copy=%v)", nodes[2].Copy)
 	}

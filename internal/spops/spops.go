@@ -105,20 +105,19 @@ func (g *SubCSR) Validate() error {
 // atomicFraction returns the fraction of backward scatter writes that need
 // atomics under the duplicate-count optimization.
 func (g *SubCSR) atomicFraction() float64 {
-	e := g.NumEdges()
-	if e == 0 {
+	switch e := g.NumEdges(); {
+	case e == 0:
 		return 0
+	case g.DupCount == nil:
+		return 1
 	}
 	var atomic int64
 	for _, c := range g.Col {
-		if g.DupCount != nil && g.DupCount[c] > 1 {
+		if g.DupCount[c] > 1 {
 			atomic++
 		}
 	}
-	if g.DupCount == nil {
-		return 1
-	}
-	return float64(atomic) / float64(e)
+	return float64(atomic) / float64(g.NumEdges())
 }
 
 // chargeSpMMForward charges one g-SpMM forward pass of dimension d.

@@ -158,11 +158,10 @@ func (t *Trainer) graphFor(w int, b *gnn.Batch) (g *stepGraph, capture bool) {
 // step is one worker's training step on batch b: forward, loss and
 // accuracy, backward. Eagerly it runs on the worker's arena tape, Reset
 // first; a capture records on a fresh tape over the same arena that b's
-// step graph then keeps;
-// and a replay re-runs a kept tape inside one graph launch
-// (sim.BeginGraphReplay) — with Options.Schedule through the whole-step
-// scheduler (DESIGN.md §13), which records the replay's charges into a DAG
-// instead of the clocks. Host math runs in the recorded order on every
+// step graph then keeps; and a replay re-runs a kept tape inside one graph
+// launch (sim.BeginGraphReplay) — with Options.Schedule through the
+// whole-step scheduler (DESIGN.md §13), which records the replay's charges
+// into a DAG instead of the clocks. Host math runs in the recorded order on every
 // path, so losses, gradients and model state are bit-identical to eager.
 // Runs inside the parallel region.
 func (t *Trainer) step(w int, b *gnn.Batch) stepResult {
