@@ -72,7 +72,7 @@ func (s *ParamSet) BoundVars(dst []*autograd.Var) []*autograd.Var {
 
 // RebindVars restores a binding snapshot taken with BoundVars: parameter i
 // becomes bound to vs[i]. After a graph replay the optimizer then reads its
-// gradients from the captured tape's variables.
+// gradients from the kept tape's variables.
 func (s *ParamSet) RebindVars(vs []*autograd.Var) {
 	if len(vs) != len(s.list) {
 		panic(fmt.Sprintf("nn: RebindVars with %d vars for %d params", len(vs), len(s.list)))

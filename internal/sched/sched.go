@@ -1,21 +1,21 @@
 // Package sched is the whole-step scheduler: it turns one captured
-// training step (internal/autograd capture/replay, DESIGN.md §9) into an
+// training step (a kept internal/autograd tape, DESIGN.md §9) into an
 // explicit dependency DAG and re-places the step's device charges onto the
 // simulated GPU's two streams by list scheduling, so independent kernels —
 // a Linear layer's dX and dW backward GEMMs, sibling attention heads — run
 // concurrently the way a CUDA Graph with multi-stream capture would.
 //
 // The substrate is record-and-schedule replay: all host math still runs in
-// the original captured order (losses, gradients and model state stay
+// the original recorded order (losses, gradients and model state stay
 // bit-identical to eager execution); only the *virtual-time placement* of
 // the device charges is decided by the scheduler. The device records the
 // replay's charges into the Recorder's one flat list (sim.Device.Record)
 // instead of advancing its clocks; the Recorder observes the replay through
 // autograd.ReplayObserver to open nodes — each owning the stretch of the
-// list recorded while it was current — and to recover producer/consumer
-// edges (value tensors keyed by buffer identity, gradients keyed by their
-// Var), then schedules the DAG and issues each node's charges at its
-// scheduled position.
+// list recorded while it was current — and reads each node's label and
+// producer/consumer edges off the tape's records (value tensors keyed by
+// buffer identity, gradients keyed by their Var), then schedules the DAG
+// and issues each node's charges at its scheduled position.
 package sched
 
 import (
@@ -26,10 +26,10 @@ import (
 	"wholegraph/internal/tensor"
 )
 
-// Node is one schedulable unit of a captured step: a forward op (opened by
-// a CaptureRW step), a tape node's backward closure, a targeted backward
-// hook, the loss, or the root graph-launch node (ID 1). Deps point at
-// lower-ID nodes (record order is topological).
+// Node is one schedulable unit of a captured step: a record's forward, its
+// backward, one backward charge of its Cost, the loss, or the root
+// graph-launch node (ID 1). Deps point at lower-ID nodes (record order is
+// topological).
 type Node struct {
 	ID    int // 1-based; 0 is never a valid node
 	Label string
@@ -49,14 +49,14 @@ type Node struct {
 type Recorder struct {
 	// Charges is the list the device records the step into
 	// (sim.Device.Record), in record order; each node owns the stretch
-	// recorded while it was the latest opened. Plain Capture riders (cost
-	// annotations recorded next to an op) land on the op's node because
-	// they replay while it is current.
+	// recorded while it was the latest opened. A record's forward Cost
+	// charge lands on the record's node, since it runs while that is
+	// current.
 	Charges []sim.Charge
 	nodes   []Node
 
 	// Last-writer maps for dependency recovery. Value tensors are
-	// pointer-stable across replays of a valid capture; gradients are keyed
+	// pointer-stable across replays of a kept tape; gradients are keyed
 	// by Var because their tensors allocate lazily.
 	valWriter  map[*tensor.Dense]int
 	gradWriter map[*autograd.Var]int

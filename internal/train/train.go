@@ -84,10 +84,10 @@ type Options struct {
 	// improves. Composes with Pipeline.
 	OverlapGrads bool `json:"overlap_grads"`
 	// CaptureGraph captures each worker's training step as a replayable
-	// graph (CUDA-Graph style): the first iterations on a given batch slot
-	// record the op sequence, and subsequent iterations replay it with no
-	// tape walk and no per-op dispatch, charging one graph launch in virtual
-	// time instead of one launch per kernel. Row counts may vary between
+	// graph (CUDA-Graph style): the first iteration on a given batch face
+	// records the op sequence on a tape that is kept, and subsequent
+	// iterations replay it without re-recording, charging one graph launch
+	// in virtual time instead of one launch per kernel. Row counts may vary between
 	// replays (shapes are rebound from the live batch); a change of batch
 	// structure invalidates the capture and falls back to eager execution
 	// with re-capture. Losses, gradients and model state are bit-identical
@@ -100,7 +100,7 @@ type Options struct {
 	// streams so independent kernels — a Linear's dX and dW backward GEMMs,
 	// sibling attention heads — run concurrently. The graph bracket extends
 	// over loss and optimizer, so the whole step replays as one launch. Host
-	// math still runs in the captured order: losses, gradients and model
+	// math still runs in the recorded order: losses, gradients and model
 	// state are bit-identical to eager execution; a scheduled step is never
 	// slower than a plain captured one (the scheduler falls back to the
 	// serial order when list scheduling finds no win). Implies CaptureGraph;
