@@ -87,10 +87,10 @@ type Options struct {
 	// graph (CUDA-Graph style): the first iteration on a given batch face
 	// records the op sequence on a tape that is kept, and subsequent
 	// iterations replay it without re-recording, charging one graph launch
-	// in virtual time instead of one launch per kernel. Row counts may vary between
-	// replays (shapes are rebound from the live batch); a change of batch
-	// structure invalidates the capture and falls back to eager execution
-	// with re-capture. Losses, gradients and model state are bit-identical
+	// in virtual time instead of one launch per kernel. Row counts may vary
+	// between replays (shapes are rebound from the live batch); a change of
+	// batch structure invalidates the capture and falls back to eager
+	// execution with re-capture. Losses, gradients and model state are bit-identical
 	// to eager execution. Composes with Pipeline and OverlapGrads.
 	CaptureGraph bool `json:"capture_graph"`
 	// Schedule routes each captured step's replay through the whole-step
