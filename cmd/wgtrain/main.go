@@ -42,8 +42,16 @@ func main() {
 		loadModel = flag.String("load-model", "", "initialize the model from a checkpoint before training")
 	)
 	flag.Parse()
+	// Everything a flag alone can get wrong is refused before a dataset is
+	// generated or loaded.
 	if err := wholegraph.DGXA100Config(*nodes).Validate(); err != nil {
 		fatal(fmt.Errorf("-nodes %d: %w", *nodes, err))
+	}
+	if *epochs < 0 || *evalEvery < 0 {
+		fatal(fmt.Errorf("-epochs %d, -eval-every %d: want non-negative counts", *epochs, *evalEvery))
+	}
+	if err := opts.Check(); err != nil {
+		fatal(err)
 	}
 
 	var err error

@@ -22,6 +22,7 @@ package autograd
 
 import (
 	"fmt"
+	"math/bits"
 
 	"wholegraph/internal/sim"
 	"wholegraph/internal/tensor"
@@ -37,6 +38,7 @@ type Var struct {
 
 	tape     *Tape
 	needGrad bool
+	buf      *tensor.Dense // Grad's buffer, kept from pass to pass
 }
 
 // NeedsGrad reports whether gradients flow to this variable.
@@ -47,14 +49,14 @@ func (v *Var) NeedsGrad() bool { return v.needGrad }
 // record themselves on it with Tape.Record.
 func (v *Var) Tape() *Tape { return v.tape }
 
-// AccumGrad adds g into v's gradient, allocating it on first use. It is a
-// no-op for variables that do not need gradients.
+// AccumGrad adds g into v's gradient, zeroed at the first use of a pass.
+// It is a no-op for variables that do not need gradients.
 func (v *Var) AccumGrad(g *tensor.Dense) {
 	if !v.needGrad {
 		return
 	}
 	if v.Grad == nil {
-		v.Grad = v.tape.NewTensor(v.Value.R, v.Value.C)
+		v.Grad = v.tape.reuse(&v.buf, v.Value.R, v.Value.C, true)
 	}
 	tensor.AccumInto(v.Grad, g)
 }
@@ -62,9 +64,11 @@ func (v *Var) AccumGrad(g *tensor.Dense) {
 // Kernel is an op type. Forward computes the record's output from its
 // operands — reading every shape and value live, so that a replay tracks the
 // batch in front of it — and Backward propagates r.Out.Grad into the inputs'
-// gradients (through AccumGrad). Label names the op in the whole-step
-// scheduler's DAG. Kernels keep no per-call state: a zero-size type or a
-// pointer that outlives the tape, so a record holds one without allocating.
+// gradients (through AccumGrad), in buffers from Record.Scratch. Label names
+// the op in the whole-step scheduler's DAG. Kernels keep no per-call state: a
+// zero-size type or a pointer that outlives the tape, so a record holds one
+// without allocating. A replay runs independent records concurrently, so a
+// kernel writes only its record's buffers and its inputs' gradients.
 type Kernel interface {
 	Label() string
 	Forward(r *Record)
@@ -94,7 +98,7 @@ type Record struct {
 	// (dropout's mask, SpMM's norms and messages); Buffer allocates them.
 	Aux [2]*tensor.Dense
 	// Dev is the device the kernel and the Cost charge; nil charges
-	// nothing.
+	// nothing. A kernel run off its turn sees a graph twin (exec.go).
 	Dev  *sim.Device
 	Cost Cost
 	// Scalar and structural operands: a factor or probability, an index
@@ -103,6 +107,8 @@ type Record struct {
 	F   float32
 	Idx []int
 	Arg any
+
+	scratch [2]*tensor.Dense // Scratch's buffers
 }
 
 // Output returns the record's output value reshaped to rows x cols, zeroed
@@ -118,6 +124,12 @@ func (r *Record) Buffer(i, rows, cols int, zero bool) *tensor.Dense {
 	return r.Out.tape.reuse(&r.Aux[i], rows, cols, zero)
 }
 
+// Scratch is Output for the backward's i-th buffer (by convention, input
+// i's share of the gradient).
+func (r *Record) Scratch(i, rows, cols int, zero bool) *tensor.Dense {
+	return r.Out.tape.reuse(&r.scratch[i], rows, cols, zero)
+}
+
 // OutputView makes the record's output an [rows x cols] header over v (not
 // copied). An arena tape pools the header; the backing memory stays
 // whoever's it was.
@@ -125,7 +137,7 @@ func (r *Record) OutputView(rows, cols int, v []float32) {
 	switch t, d := r.Out.tape, r.Out.Value; {
 	case d != nil:
 		d.R, d.C, d.V = rows, cols, v
-	case t.arena == nil:
+	case t.arena == nil || t.shared:
 		r.Out.Value = tensor.FromSlice(rows, cols, v)
 	default:
 		r.Out.Value = t.arena.View(rows, cols, v)
@@ -135,10 +147,10 @@ func (r *Record) OutputView(rows, cols int, v []float32) {
 
 // ReplayObserver is notified, during Replay and the backward pass that
 // follows it, of each step that becomes a node in a whole-step dependency
-// DAG, just before the step's math (and therefore its device charges) runs:
-// ForwardNode for each record with an output, BackwardNode for each record
-// whose backward runs, HookNode for each backward charge of its Cost.
-// Implemented by internal/sched.
+// DAG, on the tape's goroutine in record order, just before the step's device
+// charges are made: ForwardNode for each record with an output, BackwardNode
+// for each record whose backward runs, HookNode for each backward charge of
+// its Cost. Implemented by internal/sched.
 type ReplayObserver interface {
 	ForwardNode(r *Record)
 	BackwardNode(r *Record)
@@ -160,10 +172,6 @@ type Tape struct {
 	free  []*Var        // recycled Var nodes
 	owned []*tensor.Dense
 	views []*tensor.Dense
-	// grads is where the tensors of the backward passes since the last
-	// Reset or Replay start in owned (-1: none ran): Replay hands them back
-	// to the arena, so a replayed backward reuses them.
-	grads int
 
 	// noGrad is set by ResetNoGrad: Param binds constants and Record keeps
 	// only the latest op, in last, until the next Reset; the backward entry
@@ -171,8 +179,13 @@ type Tape struct {
 	noGrad bool
 	last   Record
 
-	// BackwardHooked scratch, reused across calls.
-	watchMin []int
+	// The pass in flight (exec.go): a backward and its hooks. A replayed
+	// tape's passes may run on ex, with shared set while helpers run.
+	back             bool
+	watchMin         []int
+	onReady          func(int)
+	replayed, shared bool
+	ex               *exec
 
 	// obs, when non-nil, is notified of each replayed step's dependency
 	// metadata; set by the whole-step scheduler for the duration of a
@@ -187,12 +200,12 @@ func (t *Tape) SetReplayObserver(o ReplayObserver) { t.obs = o }
 // NewTape returns an empty tape. A fresh tape is typically created per
 // training iteration; steady-state loops instead keep one arena-backed tape
 // per worker (NewTapeArena) and Reset it between iterations.
-func NewTape() *Tape { return &Tape{grads: -1} }
+func NewTape() *Tape { return &Tape{} }
 
 // NewTapeArena returns a tape whose scratch tensors are pooled in a: Reset
 // returns them (and the tape's Var nodes) to the pool for the next
 // iteration. The arena must be owned by the same goroutine as the tape.
-func NewTapeArena(a *tensor.Arena) *Tape { return &Tape{arena: a, grads: -1} }
+func NewTapeArena(a *tensor.Arena) *Tape { return &Tape{arena: a} }
 
 // Arena returns the backing arena, or nil for a plain tape.
 func (t *Tape) Arena() *tensor.Arena { return t.arena }
@@ -206,9 +219,10 @@ func (t *Tape) Len() int { return len(t.ops) }
 func (t *Tape) NewTensor(r, c int) *tensor.Dense { return t.newTensor(r, c, true) }
 
 // newTensor is NewTensor, skipping the zeroing of a recycled arena slab
-// unless zero is set: for a tensor whose kernel sets every element.
+// unless zero is set: for a tensor whose kernel sets every element. While
+// helpers run it takes plain memory, which the tape does not own.
 func (t *Tape) newTensor(r, c int, zero bool) *tensor.Dense {
-	if t.arena == nil {
+	if t.arena == nil || t.shared {
 		return tensor.New(r, c)
 	}
 	var d *tensor.Dense
@@ -222,10 +236,14 @@ func (t *Tape) newTensor(r, c int, zero bool) *tensor.Dense {
 }
 
 // reuse reshapes *d to r x c, allocating it from the tape the first time.
+// A buffer that outgrows its capacity grows to the next power of two, as an
+// arena slab would, so a batch a little larger later needs no new memory.
 func (t *Tape) reuse(d **tensor.Dense, r, c int, zero bool) *tensor.Dense {
-	switch {
+	switch n := r * c; {
 	case *d == nil:
 		*d = t.newTensor(r, c, zero)
+	case cap((*d).V) < n:
+		(*d).R, (*d).C, (*d).V = r, c, make([]float32, n, 1<<bits.Len(uint(n-1)))
 	case zero:
 		(*d).Resize(r, c)
 	default:
@@ -240,16 +258,20 @@ func (t *Tape) reuse(d **tensor.Dense, r, c int, zero bool) *tensor.Dense {
 // caller must not hold on to logits, gradients or views across it. It also
 // leaves no-grad mode: parameters bound after it need gradients.
 func (t *Tape) Reset() {
-	t.noGrad, t.last, t.grads = false, Record{}, -1
+	t.noGrad, t.last, t.replayed, t.ex = false, Record{}, false, nil
 	clear(t.ops)
 	t.ops = t.ops[:0]
 	for _, v := range t.vars {
-		v.Value, v.Grad, v.needGrad = nil, nil, false
+		v.Value, v.Grad, v.buf, v.needGrad = nil, nil, nil, false
 		t.free = append(t.free, v)
 	}
 	clear(t.vars)
 	t.vars = t.vars[:0]
-	t.release(0)
+	for i, d := range t.owned {
+		t.arena.Put(d)
+		t.owned[i] = nil
+	}
+	t.owned = t.owned[:0]
 	if t.arena != nil {
 		for i, d := range t.views {
 			t.arena.PutHeader(d)
@@ -257,15 +279,6 @@ func (t *Tape) Reset() {
 		}
 		t.views = t.views[:0]
 	}
-}
-
-// release returns the owned tensors from index i on to the arena.
-func (t *Tape) release(i int) {
-	for j, d := range t.owned[i:] {
-		t.arena.Put(d)
-		t.owned[i+j] = nil
-	}
-	t.owned = t.owned[:i]
 }
 
 // ResetNoGrad is Reset for a forward that no backward will follow
@@ -334,7 +347,7 @@ func (t *Tape) Record(r Record) *Var {
 	}
 	r.Out = t.newVar()
 	r.Out.needGrad = need
-	t.forward(t.push(r))
+	t.push(r)
 	return r.Out
 }
 
@@ -342,27 +355,21 @@ func (t *Tape) Record(r Record) *Var {
 // forward runs now and again on every replay, in record order, but it has no
 // backward and no scheduler node.
 func (t *Tape) RecordRider(r Record) {
-	t.forward(t.push(r))
+	t.push(r)
 }
 
 // push stores r on the tape (in no-grad mode, as the latest op only) and
-// returns the stored record.
-func (t *Tape) push(r Record) *Record {
+// runs its forward: the kernel, then its Cost's forward charge.
+func (t *Tape) push(r Record) {
+	p := &t.last
 	if t.noGrad {
 		t.last = r
-		return &t.last
+	} else {
+		t.ops = append(t.ops, r)
+		p = &t.ops[len(t.ops)-1]
 	}
-	t.ops = append(t.ops, r)
-	return &t.ops[len(t.ops)-1]
-}
-
-// forward runs r's kernel forward and, with a device, its Cost's forward
-// charge.
-func (t *Tape) forward(r *Record) {
-	r.Kernel.Forward(r)
-	if r.Cost != nil {
-		r.Cost.ChargeForward(r)
-	}
+	kernel(p, false)
+	t.cost(p)
 }
 
 // Charge prices the op that produced v — the last one recorded — with c on
@@ -383,29 +390,21 @@ func (t *Tape) Charge(v *Var, dev *sim.Device, c Cost) {
 	c.ChargeForward(r)
 }
 
-// Replay runs the tape's forward again: every record's forward in record
-// order, into the buffers it wrote when it was recorded, against the current
-// parameter and input values and shapes. Gradients are cleared and the
-// tensors of the previous backward pass go back to the arena, so the
-// Backward that follows reuses them: a warm replay of a kept arena tape,
-// forward and backward, allocates nothing. Callers must rebind any buffer
-// that moved (parameters, batch inputs) before calling.
+// Replay runs the tape's forward again, into the buffers it wrote when it
+// was recorded, against the current parameter and input values and shapes.
+// Gradients are cleared and the Backward that follows reuses their buffers:
+// a warm replay of a kept arena tape, forward and backward, allocates
+// nothing. The math of both follows the tape's dependencies on up to
+// tensor.Workers() goroutines; charges, observers and hooks keep record
+// order on the caller's (exec.go). Callers must rebind any buffer that moved
+// (parameters, batch inputs) before calling.
 func (t *Tape) Replay() {
 	t.mustRecord("Replay")
-	if t.grads >= 0 {
-		t.release(t.grads)
-		t.grads = -1
-	}
 	for _, v := range t.vars {
 		v.Grad = nil
 	}
-	for i := range t.ops {
-		r := &t.ops[i]
-		if t.obs != nil && r.Out != nil {
-			t.obs.ForwardNode(r)
-		}
-		t.forward(r)
-	}
+	t.replayed = true
+	t.run()
 }
 
 // Backward seeds loss.Grad with seed (same shape as loss.Value) and runs the
@@ -447,34 +446,13 @@ func (t *Tape) backward(loss *Var, seed *tensor.Dense, watch []*Var, onReady fun
 		}
 		watchMin = append(watchMin, first)
 	}
-	if t.grads < 0 {
-		t.grads = len(t.owned)
-	}
 	loss.AccumGrad(seed)
-	for i := len(t.ops) - 1; i >= 0; i-- {
-		r := &t.ops[i]
-		if v := r.Out; v != nil && v.needGrad && v.Grad != nil {
-			if t.obs != nil {
-				t.obs.BackwardNode(r)
-			}
-			r.Kernel.Backward(r)
-			for j := 0; r.Cost != nil && j < len(r.In) && r.In[j] != nil; j++ {
-				if t.obs != nil {
-					t.obs.HookNode(r, j)
-				}
-				r.Cost.ChargeBackward(r, j)
-			}
-		}
-		for wi, mi := range watchMin {
-			if mi == i {
-				onReady(wi)
-			}
-		}
-	}
+	t.back, t.watchMin, t.onReady = true, watchMin, onReady
+	t.run()
 	for wi, mi := range watchMin {
 		if mi == -1 {
 			onReady(wi)
 		}
 	}
-	t.watchMin = watchMin
+	t.back, t.watchMin, t.onReady = false, watchMin[:0], nil
 }

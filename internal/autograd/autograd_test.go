@@ -278,7 +278,7 @@ func (square) Forward(r *Record) {
 
 func (square) Backward(r *Record) {
 	x := r.In[0]
-	g := r.Out.tape.NewTensor(x.Value.R, x.Value.C)
+	g := r.Scratch(0, x.Value.R, x.Value.C, false)
 	for i := range g.V {
 		g.V[i] = 2 * x.Value.V[i] * r.Out.Grad.V[i]
 	}

@@ -53,14 +53,14 @@ func (matMul) Forward(r *Record) {
 }
 
 func (matMul) Backward(r *Record) {
-	x, w, t := r.In[0], r.In[1], r.Out.tape
+	x, w := r.In[0], r.In[1]
 	if x.needGrad {
-		gx := t.newTensor(x.Value.R, x.Value.C, false)
+		gx := r.Scratch(0, x.Value.R, x.Value.C, false)
 		tensor.MatMulTInto(gx, r.Out.Grad, w.Value) // dX = dY * Wᵀ
 		x.AccumGrad(gx)
 	}
 	if w.needGrad {
-		gw := t.newTensor(w.Value.R, w.Value.C, false)
+		gw := r.Scratch(1, w.Value.R, w.Value.C, false)
 		tensor.TMatMulInto(gw, x.Value, r.Out.Grad) // dW = Xᵀ * dY
 		w.AccumGrad(gw)
 	}
@@ -90,7 +90,7 @@ func (addBias) Forward(r *Record) {
 func (addBias) Backward(r *Record) {
 	r.In[0].AccumGrad(r.Out.Grad)
 	if b := r.In[1]; b.needGrad {
-		gb := r.Out.tape.NewTensor(1, b.Value.C)
+		gb := r.Scratch(1, 1, b.Value.C, true)
 		tensor.ColSumInto(gb, r.Out.Grad)
 		b.AccumGrad(gb)
 	}
@@ -106,7 +106,7 @@ func (relu) Forward(r *Record) {
 
 func (relu) Backward(r *Record) {
 	x := r.In[0]
-	gx := r.Out.tape.NewTensor(x.Value.R, x.Value.C)
+	gx := r.Scratch(0, x.Value.R, x.Value.C, true)
 	tensor.ReLUGradInto(gx, x.Value, r.Out.Grad)
 	x.AccumGrad(gx)
 }
@@ -123,7 +123,7 @@ func (scale) Forward(r *Record) {
 
 func (scale) Backward(r *Record) {
 	x := r.In[0]
-	gx := r.Out.tape.NewTensor(x.Value.R, x.Value.C)
+	gx := r.Scratch(0, x.Value.R, x.Value.C, true)
 	tensor.ScaleInto(gx, r.Out.Grad, r.F)
 	x.AccumGrad(gx)
 }
@@ -144,7 +144,7 @@ func (dropout) Forward(r *Record) {
 
 func (dropout) Backward(r *Record) {
 	x := r.In[0]
-	gx := r.Out.tape.NewTensor(x.Value.R, x.Value.C)
+	gx := r.Scratch(0, x.Value.R, x.Value.C, true)
 	tensor.MulInto(gx, r.Out.Grad, r.Aux[0])
 	x.AccumGrad(gx)
 }
@@ -168,7 +168,7 @@ func (rows) Forward(r *Record) {
 
 func (rows) Backward(r *Record) {
 	x := r.In[0]
-	gx := r.Out.tape.NewTensor(x.Value.R, x.Value.C)
+	gx := r.Scratch(0, x.Value.R, x.Value.C, true)
 	copy(gx.V, r.Out.Grad.V) // fills the first Out.Grad.R rows, rest stays zero
 	x.AccumGrad(gx)
 }
@@ -197,7 +197,7 @@ func (concatCols) Backward(r *Record) {
 		if !in.needGrad {
 			continue
 		}
-		g := r.Out.tape.NewTensor(in.Value.R, in.Value.C)
+		g := r.Scratch(k, in.Value.R, in.Value.C, true)
 		for i := 0; i < in.Value.R; i++ {
 			copy(g.Row(i), r.Out.Grad.Row(i)[off:])
 		}
@@ -223,7 +223,7 @@ func (gatherRows) Forward(r *Record) {
 
 func (gatherRows) Backward(r *Record) {
 	x := r.In[0]
-	gx := r.Out.tape.NewTensor(x.Value.R, x.Value.C)
+	gx := r.Scratch(0, x.Value.R, x.Value.C, true)
 	for i, row := range r.Idx {
 		dst := gx.Row(row)
 		for j, g := range r.Out.Grad.Row(i) {
@@ -261,7 +261,7 @@ func (rowDot) Backward(r *Record) {
 		if !in.needGrad {
 			continue
 		}
-		g := r.Out.tape.NewTensor(in.Value.R, in.Value.C)
+		g := r.Scratch(k, in.Value.R, in.Value.C, true)
 		for i := 0; i < in.Value.R; i++ {
 			gi, or, gr := r.Out.Grad.V[i], other.Value.Row(i), g.Row(i)
 			for j := range gr {
@@ -291,7 +291,7 @@ func (scale1p) Forward(r *Record) {
 func (scale1p) Backward(r *Record) {
 	x, s := r.In[0], r.In[1]
 	if x.needGrad {
-		gx := r.Out.tape.NewTensor(x.Value.R, x.Value.C)
+		gx := r.Scratch(0, x.Value.R, x.Value.C, true)
 		tensor.ScaleInto(gx, r.Out.Grad, 1+s.Value.V[0])
 		x.AccumGrad(gx)
 	}
@@ -300,7 +300,7 @@ func (scale1p) Backward(r *Record) {
 		for i, g := range r.Out.Grad.V {
 			dot += float64(g) * float64(x.Value.V[i])
 		}
-		gs := r.Out.tape.NewTensor(1, 1)
+		gs := r.Scratch(1, 1, 1, true)
 		gs.V[0] = float32(dot)
 		s.AccumGrad(gs)
 	}
@@ -341,7 +341,7 @@ func (segMean) Forward(r *Record) {
 
 func (segMean) Backward(r *Record) {
 	x, offsets := r.In[0], r.Idx
-	gx := r.Out.tape.NewTensor(x.Value.R, x.Value.C)
+	gx := r.Scratch(0, x.Value.R, x.Value.C, true)
 	for g := 0; g+1 < len(offsets); g++ {
 		lo, hi := offsets[g], offsets[g+1]
 		if hi <= lo {

@@ -5,12 +5,15 @@
 // a Linear layer's dX and dW backward GEMMs, sibling attention heads — run
 // concurrently the way a CUDA Graph with multi-stream capture would.
 //
-// The substrate is record-and-schedule replay: all host math still runs in
-// the original recorded order (losses, gradients and model state stay
-// bit-identical to eager execution); only the *virtual-time placement* of
-// the device charges is decided by the scheduler. The device records the
-// replay's charges into the Recorder's one flat list (sim.Device.Record)
-// instead of advancing its clocks; the Recorder observes the replay through
+// The substrate is record-and-schedule replay: a replay's host math follows
+// the tape's dependencies on up to tensor.Workers() goroutines, with every
+// float sum and random draw in its serial order (losses, gradients and model
+// state stay bit-identical to eager execution), while its charges, observer
+// calls and hooks keep record order on the device's goroutine; only the
+// *virtual-time placement* of the device charges is decided by the
+// scheduler. The device records the replay's charges into the Recorder's one
+// flat list (sim.Device.Record) instead of advancing its clocks; the
+// Recorder observes the replay, in record order, through
 // autograd.ReplayObserver to open nodes — each owning the stretch of the
 // list recorded while it was current — and reads each node's label and
 // producer/consumer edges off the tape's records (value tensors keyed by

@@ -13,7 +13,8 @@ import "fmt"
 // charging it there directly. The run-ahead loader prices batch builds on a
 // staging twin (a device that can only record); the whole-step scheduler
 // records a replayed step on the device itself and issues each DAG node's
-// stretch of the list at the node's scheduled position.
+// stretch of the list at the node's scheduled position; and a replay's
+// helpers price records on graph twins, which the owner recharges.
 //
 // A recording device has no timeline: everything that reads, advances or
 // orders virtual time — Now, events, stream selection, idle time, copies,
@@ -44,6 +45,15 @@ func (d *Device) StagingTwin() *Device {
 	return &Device{ID: d.ID, Node: d.Node, Local: d.Local, m: d.m, twinOf: d}
 }
 
+// GraphTwin is a StagingTwin that prices inside a graph-replay bracket, for
+// a replay's work off d's goroutine; d may be recording.
+func (d *Device) GraphTwin() *Device {
+	if d.twinOf != nil {
+		d.panicNoTimeline()
+	}
+	return &Device{ID: d.ID, Node: d.Node, Local: d.Local, m: d.m, twinOf: d, inGraph: true}
+}
+
 // Real returns the device d stands for: the device a staging twin was made
 // from, d itself otherwise.
 func (d *Device) Real() *Device {
@@ -67,6 +77,14 @@ func (d *Device) Record(list *[]Charge) { d.recording = list }
 func (d *Device) Issue(list []Charge, node int) {
 	for i := range list {
 		d.issue(&list[i], node)
+	}
+}
+
+// Recharge charges list on d as if d had priced it: recorded when d is
+// recording, else issued.
+func (d *Device) Recharge(list []Charge) {
+	for i := range list {
+		d.charge(list[i])
 	}
 }
 

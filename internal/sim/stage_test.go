@@ -193,25 +193,41 @@ func TestIssueOutsideItsBracketPanics(t *testing.T) {
 
 // FuzzRecordIssue: a random program of kernels (every KernelCost field set),
 // Mallocs, graph brackets and stream switches runs twice with tracing on —
-// once charged directly, once recorded in stretches, by the device itself or
-// by its staging twin, and issued on the device wherever the program needs a
-// timeline. Both stream clocks, every Stats field and every trace interval
-// must agree exactly.
+// once charged directly, once recorded in stretches, by the device itself,
+// by its staging twin outside a graph-replay bracket or by its graph twin
+// inside one, and issued on the device wherever the program needs a
+// timeline; a graph twin's stretch is recharged, on the device or, as a
+// scheduled replay's, into what the recording device records. Both stream
+// clocks, every Stats field and every trace interval must agree exactly.
 func FuzzRecordIssue(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add([]byte{3, 0, 9, 9, 9, 9, 9, 9, 9, 9, 9, 2, 7, 3, 4, 5, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1})
 	f.Add([]byte{5, 8, 1, 200, 13, 0, 77, 4, 30, 250, 64, 6, 3, 1, 2, 3, 4, 5, 6, 7, 8, 9, 3})
+	// Graph twins inside a bracket: relayed through the recording device,
+	// then recharged on its timeline.
+	f.Add([]byte{3, 29, 0, 9, 9, 9, 9, 9, 9, 9, 9, 41, 1, 7, 7, 7, 7, 7, 7, 7, 7, 3, 0, 1, 2, 3, 4, 5, 6, 7, 8})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		direct := NewMachine(DGXA100(1)).Devs[2]
 		issued := NewMachine(DGXA100(1)).Devs[2]
 		direct.Tracing, issued.Tracing = true, true
-		twin := issued.StagingTwin()
-		var list []Charge
-		rec := issued
+		twin, gtwin := issued.StagingTwin(), issued.GraphTwin()
+		var list, relayed []Charge
+		rec, relay := issued, false
 		// flush issues what rec recorded and hands the device its timeline.
 		flush := func() {
 			rec.Record(nil)
-			issued.Issue(list, 0)
+			switch {
+			case rec != gtwin:
+				issued.Issue(list, 0)
+			case relay:
+				issued.Record(&relayed)
+				issued.Recharge(list)
+				issued.Record(nil)
+				issued.Issue(relayed, 0)
+				relayed = relayed[:0]
+			default:
+				issued.Recharge(list)
+			}
 			list = list[:0]
 		}
 		next := func() float64 {
@@ -242,11 +258,10 @@ func FuzzRecordIssue(f *testing.F) {
 				// A bracket opens on the device itself, recording, as a
 				// scheduled replay's does; it closes on a timeline.
 				flush()
-				if direct.InGraphReplay() {
+				if rec = issued; direct.InGraphReplay() {
 					direct.EndGraphReplay()
 					issued.EndGraphReplay()
 				} else {
-					rec = issued
 					direct.BeginGraphReplay(tags[op%3])
 					issued.Record(&list)
 					issued.BeginGraphReplay(tags[op%3])
@@ -258,10 +273,14 @@ func FuzzRecordIssue(f *testing.F) {
 				direct.SetStream(k)
 				issued.SetStream(k)
 			case 5:
-				// The twin prices outside a bracket only: the device's own
-				// bracket is not the twin's.
+				// The staging twin prices outside a bracket only, the graph
+				// twin inside one.
 				flush()
-				if rec = issued; op&8 != 0 && !issued.InGraphReplay() {
+				switch rec, relay = issued, op&16 != 0; {
+				case op&8 == 0:
+				case issued.InGraphReplay():
+					rec = gtwin
+				default:
 					rec = twin
 				}
 			}

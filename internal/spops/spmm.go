@@ -77,9 +77,9 @@ func (k *spmm) Forward(r *autograd.Record) {
 
 func (k *spmm) Backward(r *autograd.Record) {
 	g, x, w, norm := r.Arg.(*SubCSR), r.In[0], r.In[1], r.Aux[0].V
-	tp, grad, d := x.Tape(), r.Out.Grad, x.Value.C
+	grad, d := r.Out.Grad, x.Value.C
 	if x.NeedsGrad() {
-		gx := tp.NewTensor(g.NumNodes, d)
+		gx := r.Scratch(0, g.NumNodes, d, true)
 		for t := 0; t < g.NumTargets; t++ {
 			gr := grad.Row(t)
 			for e := g.RowPtr[t]; e < g.RowPtr[t+1]; e++ {
@@ -94,7 +94,7 @@ func (k *spmm) Backward(r *autograd.Record) {
 		x.AccumGrad(gx)
 	}
 	if w != nil && w.NeedsGrad() {
-		gw := tp.NewTensor(int(g.NumEdges()), 1)
+		gw := r.Scratch(1, int(g.NumEdges()), 1, true)
 		for t := 0; t < g.NumTargets; t++ {
 			gr := grad.Row(t)
 			for e := g.RowPtr[t]; e < g.RowPtr[t+1]; e++ {
@@ -230,7 +230,7 @@ func (edgeScore) Forward(r *autograd.Record) {
 func (edgeScore) Backward(r *autograd.Record) {
 	g, sl, sr, grad := r.Arg.(*SubCSR), r.In[0], r.In[1], r.Out.Grad
 	if sl.NeedsGrad() {
-		gl := sl.Tape().NewTensor(g.NumTargets, 1)
+		gl := r.Scratch(0, g.NumTargets, 1, true)
 		for t := 0; t < g.NumTargets; t++ {
 			for e := g.RowPtr[t]; e < g.RowPtr[t+1]; e++ {
 				gl.V[t] += grad.V[e]
@@ -239,7 +239,7 @@ func (edgeScore) Backward(r *autograd.Record) {
 		sl.AccumGrad(gl)
 	}
 	if sr.NeedsGrad() {
-		gr := sr.Tape().NewTensor(g.NumNodes, 1)
+		gr := r.Scratch(1, g.NumNodes, 1, true)
 		for t := 0; t < g.NumTargets; t++ {
 			for e := g.RowPtr[t]; e < g.RowPtr[t+1]; e++ {
 				gr.V[g.Col[e]] += grad.V[e]
@@ -272,7 +272,7 @@ func (leakyReLU) Forward(r *autograd.Record) {
 
 func (leakyReLU) Backward(r *autograd.Record) {
 	x := r.In[0]
-	gx := x.Tape().NewTensor(x.Value.R, x.Value.C)
+	gx := r.Scratch(0, x.Value.R, x.Value.C, true)
 	for i, xv := range x.Value.V {
 		gx.V[i] = tensor.LeakyReLUGrad(xv, r.F) * r.Out.Grad.V[i]
 	}
@@ -295,6 +295,7 @@ func (segmentSoftmax) Label() string { return "segsoftmax" }
 func (segmentSoftmax) Forward(r *autograd.Record) {
 	g, e := r.Arg.(*SubCSR), r.In[0].Value
 	out := r.Output(e.R, 1, true) // edges of empty segments stay zero
+	var ex [64]float64            // a segment's exps; a longer one's tail is recomputed
 	for t := 0; t < g.NumTargets; t++ {
 		lo, hi := g.RowPtr[t], g.RowPtr[t+1]
 		if lo == hi {
@@ -308,10 +309,18 @@ func (segmentSoftmax) Forward(r *autograd.Record) {
 		}
 		var sum float64
 		for i := lo; i < hi; i++ {
-			sum += math.Exp(float64(e.V[i] - maxv))
+			x := math.Exp(float64(e.V[i] - maxv))
+			if k := i - lo; k < int64(len(ex)) {
+				ex[k] = x
+			}
+			sum += x
 		}
 		for i := lo; i < hi; i++ {
-			out.V[i] = float32(math.Exp(float64(e.V[i]-maxv)) / sum)
+			x := ex[min(i-lo, int64(len(ex)-1))]
+			if i-lo >= int64(len(ex)) {
+				x = math.Exp(float64(e.V[i] - maxv))
+			}
+			out.V[i] = float32(x / sum)
 		}
 	}
 	if r.Dev != nil {
@@ -321,7 +330,7 @@ func (segmentSoftmax) Forward(r *autograd.Record) {
 
 func (segmentSoftmax) Backward(r *autograd.Record) {
 	g, e, out, grad := r.Arg.(*SubCSR), r.In[0], r.Out.Value, r.Out.Grad
-	ge := e.Tape().NewTensor(e.Value.R, 1)
+	ge := r.Scratch(0, e.Value.R, 1, true)
 	for t := 0; t < g.NumTargets; t++ {
 		lo, hi := g.RowPtr[t], g.RowPtr[t+1]
 		var dot float64

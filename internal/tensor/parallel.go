@@ -29,7 +29,8 @@ import (
 // The same pool serves Fanout, the host-side fills whose items are
 // independent but uneven (a page's rows, an adjacency list): there a task is
 // a claimant, and every claimant — the submitter among them — takes the next
-// chunk of items from the job's counter until none are left.
+// chunk of items from the job's counter until none are left. Cooperate lends
+// pool workers to claimants that coordinate among themselves.
 
 var numWorkers int64 = int64(runtime.GOMAXPROCS(0))
 
@@ -53,9 +54,10 @@ func Workers() int { return int(atomic.LoadInt64(&numWorkers)) }
 // multiply-adds (~160 µs of kernel) even when the pool worker never parks,
 // and win from 2^22.6; waking a parked worker costs another ~70 µs. The
 // second core is also no longer idle below that size: the loader's run-ahead
-// builder works there. Of the benchmark's products only GraphSAGE's
-// [1408 x 200 x 64]-class layer-0 GEMMs are above it; GAT's head projections,
-// ≈ 1850 x 100 x 16 = 3.0 M multiply-adds, are below. It is a variable only
+// builder works there, and so does a replay's helper (Cooperate). Of the
+// benchmark's products only GraphSAGE's [1408 x 200 x 64]-class layer-0
+// GEMMs are above it; GAT's head projections, ≈ 1850 x 100 x 16 = 3.0 M
+// multiply-adds, are below. It is a variable only
 // so that the package's tests can reach the pool with small products
 // (smallCutoff); nothing else writes it.
 var minParallelWork = 1 << 22
@@ -77,10 +79,11 @@ type job struct {
 	body     func(claimant, lo, hi int)
 	n, chunk int
 	next     atomic.Int64
+	coop     func(claimant int) // a Cooperate's body
 }
 
-// task is a row range [lo, hi) of j's kernel or, when j is a Fanout,
-// claimant number lo.
+// task is a row range [lo, hi) of j's kernel or, when j is a Fanout or a
+// Cooperate, claimant number lo.
 type task struct {
 	j      *job
 	lo, hi int
@@ -88,9 +91,15 @@ type task struct {
 
 // do runs t on a pool worker whose kernel scratch is s.
 func (t task) do(s *scratch) {
-	if j := t.j; j.body != nil {
+	switch j := t.j; {
+	case j.coop != nil:
+		if helping.Add(1) < int64(pool.size) {
+			j.coop(t.lo)
+		}
+		helping.Add(-1)
+	case j.body != nil:
 		j.claim(t.lo)
-	} else {
+	default:
 		j.kern(s, j.dst, j.a, j.b, t.lo, t.hi)
 	}
 	t.j.wg.Done()
@@ -120,7 +129,11 @@ func putJob(j *job) {
 var pool struct {
 	once  sync.Once
 	tasks chan task
+	size  int
 }
+
+// helping counts the pool workers inside a Cooperate body.
+var helping atomic.Int64
 
 // startPool launches the persistent workers, once, sized to the physical
 // parallelism of the host (not Workers(), which callers may raise and lower
@@ -131,6 +144,7 @@ func startPool() {
 		// Room for every worker to have a few ranges waiting; a full queue
 		// is not an error, the submitter runs the range itself.
 		pool.tasks = make(chan task, 4*n)
+		pool.size = n
 		for i := 0; i < n; i++ {
 			go func() {
 				var s scratch
@@ -204,10 +218,16 @@ func Fanout(w, n, chunk int, body func(claimant, lo, hi int)) {
 		body(0, 0, n)
 		return
 	}
-	startPool()
 	j := getJob()
 	j.body, j.n, j.chunk = body, n, chunk
 	j.next.Store(0)
+	j.spread(w)
+}
+
+// spread runs j's claimant 0 on the caller and claimants 1 to w-1 on pool
+// workers, and hands j back when all are done.
+func (j *job) spread(w int) {
+	startPool()
 	for c := 1; c < w; c++ {
 		j.wg.Add(1)
 		select {
@@ -217,9 +237,13 @@ func Fanout(w, n, chunk int, body func(claimant, lo, hi int)) {
 			j.wg.Done()
 		}
 	}
-	j.claim(0)
+	if j.coop != nil {
+		j.coop(0)
+	} else {
+		j.claim(0)
+	}
 	j.wg.Wait()
-	j.body = nil
+	j.body, j.coop = nil, nil
 	putJob(j)
 }
 
@@ -233,4 +257,20 @@ func (j *job) claim(claimant int) {
 		}
 		j.body(claimant, lo, min(hi, j.n))
 	}
+}
+
+// Cooperate calls body(claimant) on the caller, claimant 0, and on up to w-1
+// pool workers, and returns when every call has. The calls may wait on one
+// another and run dense kernels, which wait on the pool: never holding its
+// last worker keeps that deadlock-free, so a pool worker that would take it
+// returns at once, and the caller's body must be able to finish alone. It
+// allocates nothing when the caller keeps body.
+func Cooperate(w int, body func(claimant int)) {
+	if w <= 1 {
+		body(0)
+		return
+	}
+	j := getJob()
+	j.coop = body
+	j.spread(w)
 }

@@ -161,8 +161,10 @@ func (t *Trainer) graphFor(w int, b *gnn.Batch) (g *stepGraph, capture bool) {
 // step graph then keeps; and a replay re-runs a kept tape inside one graph
 // launch (sim.BeginGraphReplay) — with Options.Schedule through the
 // whole-step scheduler (DESIGN.md §13), which records the replay's charges
-// into a DAG instead of the clocks. Host math runs in the recorded order on every
-// path, so losses, gradients and model state are bit-identical to eager.
+// into a DAG instead of the clocks. A replay's host math follows the tape's
+// dependencies on up to tensor.Workers() goroutines while its charges,
+// observers and hooks keep record order on this one (DESIGN.md §9), so
+// losses, gradients, model state and clocks are bit-identical to eager.
 // Runs inside the parallel region.
 func (t *Trainer) step(w int, b *gnn.Batch) stepResult {
 	mdl, dev := t.Models[w], t.loaders[w].Device()

@@ -100,8 +100,8 @@ type Options struct {
 	// streams so independent kernels — a Linear's dX and dW backward GEMMs,
 	// sibling attention heads — run concurrently. The graph bracket extends
 	// over loss and optimizer, so the whole step replays as one launch. Host
-	// math still runs in the recorded order: losses, gradients and model
-	// state are bit-identical to eager execution; a scheduled step is never
+	// math is unchanged: losses, gradients and model state are
+	// bit-identical to eager execution; a scheduled step is never
 	// slower than a plain captured one (the scheduler falls back to the
 	// serial order when list scheduling finds no win). Implies CaptureGraph;
 	// composes with Pipeline and OverlapGrads.
@@ -187,9 +187,7 @@ func (o Options) Normalize() Options {
 }
 
 // modelConfig returns the model o describes over ds, or why no run can use
-// o: whatever gnn.Check refuses, a negative number in any other numeric
-// field but Seed (a NaN learning rate too) or a fanout below 1 — each named.
-// It runs after Normalize, which fills the zeros.
+// o (Check). It runs after Normalize, which fills the zeros.
 func (o Options) modelConfig(ds *dataset.Dataset) (gnn.Config, error) {
 	cfg := gnn.Config{
 		InDim:   ds.Spec.FeatDim,
@@ -201,8 +199,18 @@ func (o Options) modelConfig(ds *dataset.Dataset) (gnn.Config, error) {
 		Backend: o.Backend,
 		Seed:    o.Seed,
 	}
-	if err := gnn.Check(o.Arch, cfg); err != nil {
-		return cfg, err
+	return cfg, o.Check()
+}
+
+// Check reports why no run can use o, whatever the dataset: whatever
+// gnn.Check refuses of its architecture, hidden size, heads and dropout, a
+// negative number in any other numeric field but Seed (a NaN learning rate
+// too) or a fanout below 1 — each named. Zeros are checked as Normalize
+// fills them, so a command can check its flags before it builds a dataset.
+func (o Options) Check() error {
+	o = o.Normalize()
+	if err := gnn.Check(o.Arch, gnn.Config{Hidden: o.Hidden, Heads: o.Heads, Dropout: o.Dropout}); err != nil {
+		return err
 	}
 	v := reflect.ValueOf(o)
 	for i := range v.NumField() {
@@ -214,15 +222,15 @@ func (o Options) modelConfig(ds *dataset.Dataset) (gnn.Config, error) {
 			bad = !(f.Float() >= 0) // NaN fails too
 		}
 		if bad {
-			return cfg, fmt.Errorf("train: Options.%s is %v; want a non-negative value", name, f)
+			return fmt.Errorf("train: Options.%s is %v; want a non-negative value", name, f)
 		}
 	}
 	for hop, fan := range o.Fanouts {
 		if fan <= 0 {
-			return cfg, fmt.Errorf("train: Options.Fanouts[%d] is %d; want a positive fanout", hop, fan)
+			return fmt.Errorf("train: Options.Fanouts[%d] is %d; want a positive fanout", hop, fan)
 		}
 	}
-	return cfg, nil
+	return nil
 }
 
 // StoreOptions translates the storage knobs' user spellings — policy and

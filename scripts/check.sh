@@ -37,6 +37,13 @@ go test -race -count=10 -cpu 1,2,4 -run '^(TestPlannedEqualsUnplanned|TestSpecul
 # inside sim.RunParallel: hammer the step golden's five shapes on two real
 # workers at three GOMAXPROCS settings (~35 s).
 go test -race -count=10 -cpu 1,2,4 -run '^TestStepGolden$' ./internal/train
+# A replayed step runs its records' math on up to tensor.Workers() goroutines —
+# the worker's own and helpers from the dense kernels' pool, each pricing on a
+# graph twin — while charges, observers and hooks keep record order: hammer
+# every architecture, captured and scheduled, with and without bucketed
+# gradient overlap, on one and two real workers, at one dense-kernel worker
+# against two and four, at three GOMAXPROCS settings (~1.5 min).
+go test -race -count=10 -cpu 1,2,4 -run '^TestReplayWorkersBitIdentical$' ./internal/train
 # The paged table keeps each device's batch, page map and recycling list
 # unlocked beside a locked cache, on the word that one goroutine drives a
 # device: hammer four devices evicting inside their own batches (a few s).
@@ -79,8 +86,10 @@ go test -run '^$' -fuzz '^FuzzFromCOO$' -fuzztime 10s ./internal/graph
 # device done before its gate, two fresh machines identical.
 go test -run '^$' -fuzz '^FuzzCollectives$' -fuzztime 10s ./internal/sim
 # Random programs of kernels, Mallocs, graph brackets and stream switches,
-# recorded (on the device or its staging twin) and issued, against the same
-# program charged directly: both clocks, every counter, every trace interval.
+# recorded (on the device, its staging twin or, inside a bracket, its graph
+# twin, recharged directly or through the recording device) and issued,
+# against the same program charged directly: both clocks, every counter,
+# every trace interval.
 go test -run '^$' -fuzz '^FuzzRecordIssue$' -fuzztime 10s ./internal/sim
 # Random architectures, depths, widths, head counts, backends and batch
 # shapes: the no-grad forward against the recording one, logits bit for bit

@@ -51,9 +51,14 @@ func TestFacadeEndToEnd(t *testing.T) {
 
 // TestNewTrainerRejectsBadOptions: every option value that cannot describe
 // a run — negative sizes and counts, a negative or NaN learning rate, a
-// fanout below 1 — is an error from NewTrainer naming the field, not a panic
-// in the middle of RunEpoch.
+// fanout below 1, a dropout outside [0, 1], a GAT whose heads do not divide
+// its hidden size — is an error from NewTrainer naming the field, not a
+// panic in the middle of RunEpoch, and the same error from Check, which
+// needs no dataset.
 func TestNewTrainerRejectsBadOptions(t *testing.T) {
+	if err := (wholegraph.TrainOptions{}).Check(); err != nil {
+		t.Errorf("the paper's defaults are refused: %v", err)
+	}
 	machine := wholegraph.NewDGXA100(1)
 	ds, err := wholegraph.GenerateDataset(wholegraph.OgbnProducts.Scaled(0.0005))
 	if err != nil {
@@ -75,6 +80,8 @@ func TestNewTrainerRejectsBadOptions(t *testing.T) {
 		{"Options.BucketBytes ", wholegraph.TrainOptions{BucketBytes: -1}},
 		{"Options.Heads ", wholegraph.TrainOptions{Heads: -2}},
 		{"Options.PrefetchPages ", wholegraph.TrainOptions{PrefetchPages: -1}},
+		{"dropout probability 1.5", wholegraph.TrainOptions{Dropout: 1.5}},
+		{"multiple of 3 heads", wholegraph.TrainOptions{Arch: "gat", Hidden: 32, Heads: 3}},
 	} {
 		opts := tc.opts
 		if opts.Fanouts == nil {
@@ -83,6 +90,9 @@ func TestNewTrainerRejectsBadOptions(t *testing.T) {
 		tr, err := wholegraph.NewTrainer(machine, ds, opts)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%+v: NewTrainer returned trainer %v, error %v; want an error saying %q", tc.opts, tr != nil, err, tc.want)
+		}
+		if cerr := opts.Check(); cerr == nil || err == nil || cerr.Error() != err.Error() {
+			t.Errorf("%+v: Check returned %v, NewTrainer %v", tc.opts, cerr, err)
 		}
 	}
 }
