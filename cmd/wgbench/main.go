@@ -184,6 +184,7 @@ func main() {
 	fmt.Print(cfg.Totals.Report())
 	if *jsonPath != "" {
 		report.WallSeconds = time.Since(start).Seconds()
+		cfg.Totals.PeakRSSMiB = float64(bench.PeakRSSBytes()) / (1 << 20)
 		buf, err := json.MarshalIndent(report, "", "  ")
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "wgbench: encoding -json report: %v\n", err)

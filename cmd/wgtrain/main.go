@@ -15,6 +15,7 @@ import (
 	"strings"
 
 	"wholegraph"
+	"wholegraph/internal/bench"
 )
 
 func main() {
@@ -182,6 +183,9 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("device timeline written: %s (open in chrome://tracing)\n", *traceOut)
+	}
+	if rss := bench.PeakRSSBytes(); rss > 0 {
+		fmt.Printf("peak RSS: %.1f MiB\n", float64(rss)/(1<<20))
 	}
 }
 

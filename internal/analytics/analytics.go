@@ -78,15 +78,14 @@ func PageRank(pg *graph.Partitioned, d float64, tol float64, maxIter int) (*Page
 		deltas := make([]float64, len(devs))
 		sim.RunParallel(len(devs), func(r int) {
 			dev := devs[r]
-			rp := pg.RowPtr.Shard(r)
-			col := pg.Col.Shard(r)
 			out := next.Shard(r)
 			in := cur.Shard(r)
 			var remoteElems, localElems int64
 			for li := range out {
 				var sum float64
-				for e := rp[li]; e < rp[li+1]; e++ {
-					g := graph.GlobalID(col[e])
+				nbrs, _, _ := pg.Adj(graph.MakeGlobalID(r, int64(li)))
+				for _, v := range nbrs {
+					g := pg.Owner[v]
 					// Pull the neighbor's contribution: its current rank
 					// divided by its degree.
 					nr := float64(cur.Shard(g.Rank())[g.Local()])
@@ -172,14 +171,13 @@ func ConnectedComponents(pg *graph.Partitioned, maxIter int) (*CCResult, error) 
 	for it := 0; it < maxIter; it++ {
 		changed := false
 		for r, dev := range devs {
-			rp := pg.RowPtr.Shard(r)
-			col := pg.Col.Shard(r)
 			labels := cur.Shard(r)
 			var remoteElems, localElems int64
 			for li := range labels {
 				best := labels[li]
-				for e := rp[li]; e < rp[li+1]; e++ {
-					g := graph.GlobalID(col[e])
+				nbrs, _, _ := pg.Adj(graph.MakeGlobalID(r, int64(li)))
+				for _, v := range nbrs {
+					g := pg.Owner[v]
 					if l := cur.Shard(g.Rank())[g.Local()]; l < best {
 						best = l
 					}

@@ -376,7 +376,7 @@ func edgeImbalance(pg *graph.Partitioned) float64 {
 	var max, sum float64
 	n := 0
 	for r := 0; r < pg.Comm.Size(); r++ {
-		e := float64(len(pg.Col.Shard(r)))
+		e := float64(pg.Col.ShardLen(r))
 		sum += e
 		if e > max {
 			max = e

@@ -199,13 +199,21 @@ func FeatstoreFull(cfg Config) (*FeatstoreFullResult, error) {
 
 // hostRSSBytes reads the process resident set from /proc/self/status.
 // Returns 0 on platforms without procfs.
-func hostRSSBytes() int64 {
+func hostRSSBytes() int64 { return procStatusBytes("VmRSS:") }
+
+// PeakRSSBytes reads the process's resident-set high-water mark (VmHWM)
+// from /proc/self/status. Returns 0 on platforms without procfs.
+func PeakRSSBytes() int64 { return procStatusBytes("VmHWM:") }
+
+// procStatusBytes reads the kB field key of /proc/self/status in bytes, or
+// 0 where it cannot be read.
+func procStatusBytes(key string) int64 {
 	data, err := os.ReadFile("/proc/self/status")
 	if err != nil {
 		return 0
 	}
 	for _, line := range strings.Split(string(data), "\n") {
-		if !strings.HasPrefix(line, "VmRSS:") {
+		if !strings.HasPrefix(line, key) {
 			continue
 		}
 		fields := strings.Fields(line)

@@ -26,6 +26,10 @@ type Totals struct {
 	NVLinkTxBytes float64 `json:"nvlink_tx_bytes"`
 	IBTxBytes     float64 `json:"ib_tx_bytes"`
 	CommSeconds   float64 `json:"comm_seconds"`
+	// PeakRSSMiB is the process's resident-set high-water mark, a host
+	// quantity read once when the report is written (PeakRSSBytes); never
+	// folded.
+	PeakRSSMiB float64 `json:"peak_rss_mib"`
 }
 
 // Fold adds a finished trainer's counters and its machine's link counters.

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"wholegraph/internal/graph"
 	"wholegraph/internal/tensor"
 )
 
@@ -555,6 +556,53 @@ func TestCheckScale(t *testing.T) {
 	for _, f := range []float64{1e-9, 1e-3, 1, 3} {
 		if err := CheckScale(f); err != nil {
 			t.Errorf("CheckScale(%v) = %v", f, err)
+		}
+	}
+}
+
+// TestLoadRejectsBadStructure: a file whose checksum holds but whose arrays
+// do not describe a graph of N nodes is refused, with an error naming the
+// array, instead of failing later in a store or mid-epoch.
+func TestLoadRejectsBadStructure(t *testing.T) {
+	tiny := func() *Dataset {
+		return &Dataset{
+			Spec:   Spec{Name: "tiny", Nodes: 4, FeatDim: 2, NumClasses: 2},
+			Graph:  &graph.CSR{N: 4, RowPtr: []int64{0, 2, 2, 3, 4}, Col: []int64{1, 2, 0, 3}},
+			Feat:   make([]float32, 8),
+			Labels: []int32{0, 1, 0, 1},
+			Train:  []int64{0, 1}, Val: []int64{2}, Test: []int64{3},
+		}
+	}
+	for _, c := range []struct {
+		defect string
+		edit   func(d *Dataset)
+		want   string
+	}{
+		{"none", func(*Dataset) {}, ""},
+		{"no features", func(d *Dataset) { d.Feat = nil }, ""},
+		{"rowptr not from 0", func(d *Dataset) { d.Graph.RowPtr[0] = 1 }, "RowPtr"},
+		{"rowptr not to len(Col)", func(d *Dataset) { d.Graph.RowPtr[4] = 3 }, "RowPtr"},
+		{"rowptr falls", func(d *Dataset) { d.Graph.RowPtr[2] = 1 }, "RowPtr[2]"},
+		{"column past N", func(d *Dataset) { d.Graph.Col[3] = 4 + 7 }, "Col[3]"},
+		{"negative column", func(d *Dataset) { d.Graph.Col[0] = -1 }, "Col[0]"},
+		{"negative train ID", func(d *Dataset) { d.Train[0] = -4 }, "Train[0]"},
+		{"val ID past N", func(d *Dataset) { d.Val[0] = 4 }, "Val[0]"},
+		{"test ID past N", func(d *Dataset) { d.Test[0] = 9 }, "Test[0]"},
+		{"short slab", func(d *Dataset) { d.Feat = d.Feat[:7] }, "len(Feat)"},
+		{"short labels", func(d *Dataset) { d.Labels = d.Labels[:3] }, "len(Labels)"},
+	} {
+		d := tiny()
+		c.edit(d)
+		var buf bytes.Buffer
+		if err := d.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Load(&buf)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: %v", c.defect, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%s: error %v, want one naming %s", c.defect, err, c.want)
 		}
 	}
 }

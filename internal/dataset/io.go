@@ -164,7 +164,43 @@ func Load(r io.Reader) (*Dataset, error) {
 		return nil, fmt.Errorf("dataset: corrupt file: %d rowptr entries for %d nodes",
 			len(d.Graph.RowPtr), d.Spec.Nodes)
 	}
+	if err := d.checkStructure(); err != nil {
+		return nil, fmt.Errorf("dataset: corrupt file: %w", err)
+	}
 	return d, nil
+}
+
+// checkStructure checks what a checksum cannot: that the arrays describe a
+// graph of N nodes. Row pointers rise from 0 to len(Col); every column entry
+// and split ID is a node; the slab is empty or N rows of FeatDim; there is
+// one label per node.
+func (d *Dataset) checkStructure() error {
+	g, n := d.Graph, d.Graph.N
+	if g.RowPtr[0] != 0 || g.RowPtr[n] != int64(len(g.Col)) {
+		return fmt.Errorf("RowPtr runs from %d to %d, want 0 to len(Col) = %d", g.RowPtr[0], g.RowPtr[n], len(g.Col))
+	}
+	for v := int64(0); v < n; v++ {
+		if g.RowPtr[v+1] < g.RowPtr[v] {
+			return fmt.Errorf("RowPtr[%d] = %d falls below RowPtr[%d] = %d", v+1, g.RowPtr[v+1], v, g.RowPtr[v])
+		}
+	}
+	for _, a := range []struct {
+		name string
+		ids  []int64
+	}{{"Col", g.Col}, {"Train", d.Train}, {"Val", d.Val}, {"Test", d.Test}} {
+		for i, v := range a.ids {
+			if v < 0 || v >= n {
+				return fmt.Errorf("%s[%d] = %d outside [0, %d)", a.name, i, v, n)
+			}
+		}
+	}
+	if len(d.Feat) != 0 && int64(len(d.Feat)) != n*int64(d.Spec.FeatDim) {
+		return fmt.Errorf("len(Feat) = %d, want 0 or N*FeatDim = %d", len(d.Feat), n*int64(d.Spec.FeatDim))
+	}
+	if int64(len(d.Labels)) != n {
+		return fmt.Errorf("len(Labels) = %d, want N = %d", len(d.Labels), n)
+	}
+	return nil
 }
 
 // SaveFile writes the dataset to path.

@@ -183,14 +183,11 @@ func DistributedWithBreakdown(feat *wholemem.Memory[float32], dim int, reqs []*R
 	sim.RunParallel(nRanks, func(home int) {
 		sendFeats[home] = make([][]float32, nRanks)
 		var rows int64
-		shard := feat.Shard(home)
-		start := feat.ShardStart(home)
 		for from := 0; from < nRanks; from++ {
 			ids := recvIDs[home][from]
 			buf := make([]float32, len(ids)*dim)
 			for k, row := range ids {
-				off := row*int64(dim) - start
-				copy(buf[k*dim:(k+1)*dim], shard[off:off+int64(dim)])
+				feat.ReadRow(row, buf[k*dim:(k+1)*dim])
 			}
 			sendFeats[home][from] = buf
 			rows += int64(len(ids))

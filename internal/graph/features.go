@@ -61,10 +61,7 @@ func (f *memFeats) GatherRows(dev *sim.Device, rows []int64, dim int, dst []floa
 }
 
 func (f *memFeats) ReadRow(row int64, dst []float32) {
-	base := row * int64(f.dim)
-	r := f.mem.RankOf(base)
-	off := base - f.mem.ShardStart(r)
-	copy(dst, f.mem.Shard(r)[off:off+int64(f.dim)])
+	f.mem.ReadRow(row, dst[:f.dim])
 }
 
 func (f *memFeats) HomeRank(row int64) int {

@@ -157,7 +157,7 @@ func TestPartitionPreservesTopology(t *testing.T) {
 		}
 		for k, w := range csr.Neighbors(v) {
 			got := GlobalID(p.Col.Get(e0 + int64(k)))
-			if GlobalID(nbrs[k]) != got || p.Orig[got.Rank()][got.Local()] != w {
+			if p.Owner[nbrs[k]] != got || p.Orig[got.Rank()][got.Local()] != w {
 				t.Fatalf("neighbor %d of node %d: got %v (orig %d), want %d",
 					k, v, got, p.Orig[got.Rank()][got.Local()], w)
 			}

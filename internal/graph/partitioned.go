@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 	"sync"
 
 	"wholegraph/internal/tensor"
@@ -29,22 +30,24 @@ type Partitioned struct {
 
 	// RowPtr holds, per rank, localN+1 offsets into the rank's edge shard.
 	RowPtr *wholemem.Memory[int64]
-	// Col holds the destination GlobalIDs, sharded by source rank.
+	// Col holds the destination GlobalIDs, sharded by source rank: a
+	// read-only view over the CSR's column array, each entry mapped through
+	// Owner as it is read.
 	Col *wholemem.Memory[uint64]
-	// Feat holds node features row-major, sharded with the owning rank.
+	// Feat holds node features row-major, sharded with the owning rank: a
+	// read-only view over the dataset's feature slab.
 	Feat *wholemem.Memory[float32]
 	// EdgeW optionally holds one weight per stored edge, aligned with Col
 	// (the paper's edge features e_{s,t} in its message-passing formula).
 	EdgeW *wholemem.Memory[float32]
 
-	// rowBase[r] is the global feature-row index of rank r's first node.
-	rowBase []int64
-
-	// Paged-topology mode (PartitionPaged): Col is nil, colBase[r] is the
-	// global edge index of rank r's first column entry (colBase[parts] the
-	// total), and topo serves column pages on demand.
-	colBase []int64
-	topo    *topostore.Store
+	// rowBase[r] and colBase[r] are the global feature-row and edge index
+	// of rank r's first node (colBase[parts] the edge total).
+	rowBase, colBase []int64
+	// csr is the graph Col views. Under paged topology (PartitionPaged) csr
+	// and Col are nil and topo serves column pages on demand.
+	csr  *CSR
+	topo *topostore.Store
 
 	// featSrc serves feature-row gathers: a memFeats adapter over Feat
 	// when the graph was partitioned with a slab, or a paged store
@@ -85,29 +88,29 @@ func HashOwner(parts int) func(int64) int {
 	return func(v int64) int { return RankFor(v, parts) }
 }
 
-// Layout is the host half of a partition: which rank owns each node and
-// every rank's shard of the row pointers, the column array, the feature rows
-// and the edge weights, a pure function of the graph, the rank count and the
-// owner. It holds no communicator and charges nothing; Map places it on one.
-// A layout is read-only once built, so every store that maps it shares its
-// arrays and its DegreeOrder.
+// Layout is the host half of a partition: which rank owns each node, every
+// rank's row pointers and the edge weights, a pure function of the graph,
+// the rank count and the owner. The column array and the feature rows are
+// not copied: Map views them in the CSR and the slab. A layout holds no
+// communicator and charges nothing; Map places it on one. It is read-only
+// once built, so every store that maps it shares its arrays and its
+// DegreeOrder.
 type Layout struct {
-	n       int64
-	dim     int
-	owner   []GlobalID
-	orig    [][]int64
-	rowBase []int64
-	rowPtr  [][]int64
-	col     [][]uint64
-	feat    [][]float32 // nil without features
-	edgeW   [][]float32 // nil until AttachEdgeWeights
-	deg     *degreeMemo
+	csr              *CSR
+	feat             []float32 // nil without features
+	dim              int
+	owner            []GlobalID
+	orig             [][]int64
+	rowBase, colBase []int64
+	rowPtr           [][]int64
+	edgeW            [][]float32 // nil until AttachEdgeWeights
+	deg              *degreeMemo
 }
 
 // NewLayout places csr and its node features (row-major, feat[dim*i:] for
 // node i; may be nil) on parts ranks: node v goes to rank ownerOf(v), locals
 // in original-ID order, and every edge is stored with its source. The ranks'
-// shards are built one rank per claim on the dense kernels' pool.
+// row pointers are built one rank per claim on the dense kernels' pool.
 func NewLayout(csr *CSR, feat []float32, dim, parts int, ownerOf func(v int64) int) (*Layout, error) {
 	if feat != nil && int64(len(feat)) != csr.N*int64(dim) {
 		return nil, fmt.Errorf("graph: feature length %d != N*dim = %d", len(feat), csr.N*int64(dim))
@@ -116,22 +119,11 @@ func NewLayout(csr *CSR, feat []float32, dim, parts int, ownerOf func(v int64) i
 	if err != nil {
 		return nil, err
 	}
-	l := &Layout{
-		n: csr.N, dim: dim, owner: owner, orig: orig, deg: new(degreeMemo),
-		rowBase: rowBases(orig), rowPtr: rowPtrs(orig, csr.Degree), feat: featShards(orig, feat, dim),
-		col: make([][]uint64, parts),
-	}
-	perRank(parts, func(r int) {
-		rp := l.rowPtr[r]
-		col := make([]uint64, rp[len(rp)-1])
-		for li, v := range orig[r] {
-			for k, d := range csr.Neighbors(v) {
-				col[rp[li]+int64(k)] = uint64(owner[d])
-			}
-		}
-		l.col[r] = col
-	})
-	return l, nil
+	rowPtr := rowPtrs(orig, csr.Degree)
+	return &Layout{
+		csr: csr, feat: feat, dim: dim, owner: owner, orig: orig, deg: new(degreeMemo),
+		rowBase: rowBases(orig), colBase: colBases(rowPtr), rowPtr: rowPtr,
+	}, nil
 }
 
 // perRank calls build(r) for every rank r of parts, one rank per claim on
@@ -145,16 +137,23 @@ func perRank(parts int, build func(r int)) {
 }
 
 // place assigns every node of [0, n) to rank ownerOf(v): owner[v] is its
-// GlobalID, orig[r] rank r's nodes in original-ID order.
+// GlobalID, orig[r] rank r's nodes in original-ID order, allocated once.
 func place(n int64, parts int, ownerOf func(v int64) int) (owner []GlobalID, orig [][]int64, err error) {
 	owner, orig = make([]GlobalID, n), make([][]int64, parts)
-	for v := int64(0); v < n; v++ {
-		r := ownerOf(v)
+	count := make([]int64, parts)
+	for v := range owner {
+		r := ownerOf(int64(v))
 		if r < 0 || r >= parts {
 			return nil, nil, fmt.Errorf("graph: ownerOf(%d) = %d outside [0,%d)", v, r, parts)
 		}
-		owner[v] = MakeGlobalID(r, int64(len(orig[r])))
-		orig[r] = append(orig[r], v)
+		owner[v] = MakeGlobalID(r, count[r])
+		count[r]++
+	}
+	for r := range orig {
+		orig[r] = make([]int64, 0, count[r])
+	}
+	for v, gid := range owner {
+		orig[gid.Rank()] = append(orig[gid.Rank()], int64(v))
 	}
 	return owner, orig, nil
 }
@@ -183,44 +182,38 @@ func rowPtrs(orig [][]int64, degree func(v int64) int64) [][]int64 {
 	return out
 }
 
-// featShards copies feat's rows into per-rank shards in orig order; nil
-// without features.
-func featShards(orig [][]int64, feat []float32, dim int) [][]float32 {
-	if feat == nil {
-		return nil
+// colBases returns each rank's first global edge index, and the total.
+func colBases(rowPtr [][]int64) []int64 {
+	base := make([]int64, len(rowPtr)+1)
+	for r, rp := range rowPtr {
+		base[r+1] = base[r] + rp[len(rp)-1]
 	}
-	out := make([][]float32, len(orig))
-	perRank(len(orig), func(r int) {
-		fs := make([]float32, int64(len(orig[r]))*int64(dim))
-		for li, v := range orig[r] {
-			copy(fs[int64(li)*int64(dim):], feat[v*int64(dim):(v+1)*int64(dim)])
-		}
-		out[r] = fs
-	})
-	return out
+	return base
 }
 
 // AttachEdgeWeights adds the per-edge weight shards, aligned with the
 // column shards, holding w(src, dst) over original node IDs; w is called
 // from several goroutines at once. Call it before the layout is shared.
 func (l *Layout) AttachEdgeWeights(w func(u, v int64) float32) {
-	l.edgeW = edgeWeights(l.orig, func(r int) []int64 { return l.rowPtr[r] }, func(r int) []uint64 { return l.col[r] }, w)
+	l.edgeW = edgeWeights(l.csr, l.orig, l.colBase, w)
 }
 
 // Map places the layout on comm, which must have as many ranks as the
 // layout: each table is charged as AllocSharded charges it, in the order
-// row pointers, columns, features, edge weights, and shares the layout's
-// shards. The Partitioned and its Memory values are new, so per-store state
+// row pointers, columns, features, edge weights. It shares the layout's
+// arrays, and its columns and features are views over the CSR and the
+// slab. The Partitioned and its Memory values are new, so per-store state
 // (a table's Kind, a SetFeatures source) stays per store.
 func (l *Layout) Map(comm *wholemem.Comm) *Partitioned {
 	p := &Partitioned{
-		Comm: comm, N: l.n, Dim: l.dim, Owner: l.owner, Orig: l.orig, rowBase: l.rowBase, deg: l.deg,
+		Comm: comm, N: l.csr.N, Dim: l.dim, Owner: l.owner, Orig: l.orig, csr: l.csr,
+		rowBase: l.rowBase, colBase: l.colBase, deg: l.deg,
 		RowPtr: wholemem.Map(comm, l.rowPtr),
-		Col:    wholemem.Map(comm, l.col),
+		Col:    colView(comm, l.csr, l.owner, l.orig, l.rowPtr),
 	}
 	if l.feat != nil {
-		p.Feat = wholemem.Map(comm, l.feat)
-		p.featSrc = MemFeatures(p.Feat, l.n, l.dim)
+		p.Feat = featView(comm, l.feat, l.dim, l.orig)
+		p.featSrc = MemFeatures(p.Feat, l.csr.N, l.dim)
 	}
 	if l.edgeW != nil {
 		p.EdgeW = wholemem.Map(comm, l.edgeW)
@@ -237,25 +230,57 @@ func (p *Partitioned) AttachEdgeWeights(w func(u, v int64) float32) {
 	if p.topo != nil {
 		panic("graph: AttachEdgeWeights requires a materialized column array (paged topology does not store edge weights)")
 	}
-	p.EdgeW = wholemem.Map(p.Comm, edgeWeights(p.Orig, p.RowPtr.Shard, p.Col.Shard, w))
+	p.EdgeW = wholemem.Map(p.Comm, edgeWeights(p.csr, p.Orig, p.colBase, w))
 }
 
-// edgeWeights returns w(src, dst) for every stored edge, sharded like the
+// edgeWeights returns w(src, dst) for every edge of csr, sharded like the
 // column array.
-func edgeWeights(orig [][]int64, rowPtr func(int) []int64, col func(int) []uint64, w func(u, v int64) float32) [][]float32 {
+func edgeWeights(csr *CSR, orig [][]int64, colBase []int64, w func(u, v int64) float32) [][]float32 {
 	out := make([][]float32, len(orig))
 	perRank(len(orig), func(r int) {
-		rp, cs := rowPtr(r), col(r)
-		ws := make([]float32, len(cs))
-		for li, u := range orig[r] {
-			for e := rp[li]; e < rp[li+1]; e++ {
-				d := GlobalID(cs[e])
-				ws[e] = w(u, orig[d.Rank()][d.Local()])
+		ws := make([]float32, 0, colBase[r+1]-colBase[r])
+		for _, u := range orig[r] {
+			for _, v := range csr.Neighbors(u) {
+				ws = append(ws, w(u, v))
 			}
 		}
 		out[r] = ws
 	})
 	return out
+}
+
+// colView views csr's column array as the column shards: rank r's shard is
+// the neighbour lists of orig[r] in order, each entry mapped through owner
+// as it is read.
+func colView(comm *wholemem.Comm, csr *CSR, owner []GlobalID, orig, rowPtr [][]int64) *wholemem.Memory[uint64] {
+	edges := make([]int64, len(rowPtr))
+	for r, rp := range rowPtr {
+		edges[r] = rp[len(rp)-1]
+	}
+	return wholemem.View(comm, edges, 1, func(r int, e, _ int64, dst []uint64) int {
+		rp := rowPtr[r]
+		li := sort.Search(len(rp)-1, func(i int) bool { return rp[i+1] > e })
+		nbrs := csr.Neighbors(orig[r][li])[e-rp[li]:]
+		n := min(len(dst), len(nbrs))
+		for i, v := range nbrs[:n] {
+			dst[i] = uint64(owner[v])
+		}
+		return n
+	})
+}
+
+// featView views the slab feat as the feature shards: rank r's shard is the
+// rows of orig[r] in order.
+func featView(comm *wholemem.Comm, feat []float32, dim int, orig [][]int64) *wholemem.Memory[float32] {
+	w := int64(dim)
+	rows := make([]int64, len(orig))
+	for r, o := range orig {
+		rows[r] = int64(len(o))
+	}
+	return wholemem.View(comm, rows, w, func(r int, li, k int64, dst []float32) int {
+		v := orig[r][li]
+		return copy(dst, feat[v*w+k:(v+1)*w])
+	})
 }
 
 // LocalCount returns the number of nodes owned by rank r.
@@ -270,18 +295,30 @@ func (p *Partitioned) FeatRow(gid GlobalID) int64 {
 // Adj resolves gid's adjacency in one step: the owning rank and its row
 // pointers are looked up once, giving the degree, the global element index e0
 // of the first edge (into Col and EdgeW, or the paged column store; edge k is
-// e0+k) and the neighbour list itself as a sub-slice of the rank's Col shard.
-// Under paged topology there is no column array and nbrs is nil: entries come
-// from the topostore accessor. An uncharged host read; kernels account their
-// rowptr and column traffic through their KernelCost.
-func (p *Partitioned) Adj(gid GlobalID) (nbrs []uint64, e0, deg int64) {
+// e0+k) and the neighbour list itself: the CSR's row of original IDs, which
+// Owner maps. Under paged topology nbrs is nil: entries come from the
+// topostore accessor. An uncharged host read; kernels account their rowptr
+// and column traffic through their KernelCost.
+func (p *Partitioned) Adj(gid GlobalID) (nbrs []int64, e0, deg int64) {
 	rank, li := gid.Rank(), gid.Local()
 	rp := p.RowPtr.Shard(rank)
 	lo, hi := rp[li], rp[li+1]
-	if p.topo != nil {
-		return nil, p.colBase[rank] + lo, hi - lo
+	if p.csr != nil {
+		nbrs = p.csr.Neighbors(p.Orig[rank][li])
 	}
-	return p.Col.Shard(rank)[lo:hi], p.Col.ShardStart(rank) + lo, hi - lo
+	return nbrs, p.colBase[rank] + lo, hi - lo
+}
+
+// AppendNeighbors appends the GlobalIDs of every neighbour of each node of
+// gids, in order, to dst: a host read of the materialized column array.
+func (p *Partitioned) AppendNeighbors(dst []GlobalID, gids []GlobalID) []GlobalID {
+	for _, gid := range gids {
+		nbrs, _, _ := p.Adj(gid)
+		for _, v := range nbrs {
+			dst = append(dst, p.Owner[v])
+		}
+	}
+	return dst
 }
 
 // DegreeOrder returns every node ID ordered by out-degree descending, ties
@@ -317,9 +354,9 @@ func (p *Partitioned) DegreeOrder() []int64 {
 func (p *Partitioned) StructureBytesPerRank() []int64 {
 	out := make([]int64, p.Comm.Size())
 	for r := range out {
-		out[r] = int64(len(p.RowPtr.Shard(r))) * 8
+		out[r] = p.RowPtr.ShardLen(r) * 8
 		if p.topo == nil {
-			out[r] += int64(len(p.Col.Shard(r))) * 8
+			out[r] += p.Col.ShardLen(r) * 8
 		}
 	}
 	return out
@@ -340,7 +377,7 @@ func (p *Partitioned) FeatureBytesPerRank() []int64 {
 		return out
 	}
 	for r := range out {
-		out[r] = int64(len(p.Feat.Shard(r))) * 4
+		out[r] = p.Feat.ShardLen(r) * 4
 	}
 	return out
 }

@@ -58,17 +58,14 @@ func PartitionPaged(src TopoSource, feat []float32, dim int, comm *wholemem.Comm
 	if err != nil {
 		return nil, err
 	}
+	rowPtr := rowPtrs(orig, src.Degree)
 	p := &Partitioned{
 		Comm: comm, N: n, Dim: dim, Owner: owner, Orig: orig, deg: new(degreeMemo),
-		rowBase: rowBases(orig), colBase: make([]int64, parts+1),
+		rowBase: rowBases(orig), colBase: colBases(rowPtr),
+		RowPtr: wholemem.Map(comm, rowPtr),
 	}
-	rowPtr := rowPtrs(orig, src.Degree)
-	for r, rp := range rowPtr {
-		p.colBase[r+1] = p.colBase[r] + rp[len(rp)-1]
-	}
-	p.RowPtr = wholemem.Map(comm, rowPtr)
 	if feat != nil {
-		p.Feat = wholemem.Map(comm, featShards(orig, feat, dim))
+		p.Feat = featView(comm, feat, dim, orig)
 		p.featSrc = MemFeatures(p.Feat, n, dim)
 	}
 

@@ -264,7 +264,6 @@ func (e *Engine) runRankChunked(dev *sim.Device, model gnn.Model, sc *rankScratc
 	sc.ensureChunks(nChunks)
 	model.Params().Bind(tp)
 	rp := pg.RowPtr.Shard(r)
-	colShard := pg.Col.Shard(r)
 
 	// Phase 1 (compute stream): dedup every chunk's neighborhood into its
 	// own block.
@@ -280,15 +279,9 @@ func (e *Engine) runRankChunked(dev *sim.Device, model gnn.Model, sc *rankScratc
 		for i := int64(0); i < n; i++ {
 			targets[i] = graph.MakeGlobalID(r, cs.lo+i)
 		}
-		eLo, eHi := rp[cs.lo], rp[cs.hi]
-		if cap(cs.neighbors) < int(eHi-eLo) {
-			cs.neighbors = make([]graph.GlobalID, eHi-eLo)
-		}
-		neighbors := cs.neighbors[:eHi-eLo]
-		for i, col := range colShard[eLo:eHi] {
-			neighbors[i] = graph.GlobalID(col)
-		}
-		uq := cs.ded.AppendUnique(dev, targets, neighbors)
+		eLo := rp[cs.lo]
+		cs.neighbors = pg.AppendNeighbors(cs.neighbors[:0], targets)
+		uq := cs.ded.AppendUnique(dev, targets, cs.neighbors)
 		cs.rowPtr = cs.rowPtr[:0]
 		for i := cs.lo; i <= cs.hi; i++ {
 			cs.rowPtr = append(cs.rowPtr, rp[i]-eLo)
@@ -365,17 +358,9 @@ func (sc *rankScratch) rankBlock(dev *sim.Device, pg *graph.Partitioned, r int) 
 	for i := int64(0); i < localN; i++ {
 		targets[i] = graph.MakeGlobalID(r, i)
 	}
-	rp := pg.RowPtr.Shard(r)
-	colShard := pg.Col.Shard(r)
-	if cap(sc.neighbors) < len(colShard) {
-		sc.neighbors = make([]graph.GlobalID, len(colShard))
-	}
-	neighbors := sc.neighbors[:len(colShard)]
-	for i, c := range colShard {
-		neighbors[i] = graph.GlobalID(c)
-	}
-	uq := sc.ded.AppendUnique(dev, targets, neighbors)
-	sc.rowPtr = append(sc.rowPtr[:0], rp...)
+	sc.neighbors = pg.AppendNeighbors(sc.neighbors[:0], targets)
+	uq := sc.ded.AppendUnique(dev, targets, sc.neighbors)
+	sc.rowPtr = append(sc.rowPtr[:0], pg.RowPtr.Shard(r)...)
 	sc.blk = spops.SubCSR{
 		NumTargets: int(localN),
 		NumNodes:   len(uq.Unique),

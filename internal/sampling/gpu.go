@@ -109,7 +109,9 @@ func (s *GPUSampler) SampleLayerInto(nb *Neighborhood, targets []graph.GlobalID,
 	var localBytes, remoteBytes, remoteSegs, sortKeys float64
 	for _, t := range targets {
 		// One resolve per target: the owner's row pointers and, when the
-		// column array is resident, the neighbour list to index.
+		// column array is resident, the neighbour list to index. Its
+		// entries are original IDs, held in Neighbors until Owner maps
+		// them all below.
 		nbrs, e0, deg := s.PG.Adj(t)
 		// Two rowptr reads (one 16-byte segment). RowPtr is resident
 		// distributed shared memory in both modes.
@@ -155,6 +157,14 @@ func (s *GPUSampler) SampleLayerInto(nb *Neighborhood, targets []graph.GlobalID,
 			}
 		}
 		nb.Offsets = append(nb.Offsets, int64(len(nb.EdgePos)))
+	}
+
+	// Map the original IDs to GlobalIDs in one pass, where the Owner loads
+	// are independent of each other and overlap.
+	if !paged {
+		for i, v := range nb.Neighbors {
+			nb.Neighbors[i] = s.PG.Owner[v]
+		}
 	}
 
 	// Read the chosen positions — which touches their pages in position

@@ -70,10 +70,11 @@ func TestSetupGolden(t *testing.T) {
 }
 
 // TestStoresShareOneLayout: the stores of a multi-node trainer map the
-// dataset's one host layout — node n's shards are node 0's arrays, edge
-// weights included — yet each store has allocations of its own, so a
-// backing kind set on one store does not reach another; and two stores built
-// at once over a fresh dataset still share one layout, computed once.
+// dataset's one host layout — node n's row pointers and edge weights are
+// node 0's arrays, and every store's columns and features read the dataset's
+// own CSR and slab in place — yet each store has allocations of its own, so
+// a backing kind set on one store does not reach another; and two stores
+// built at once over a fresh dataset still share one layout, computed once.
 func TestStoresShareOneLayout(t *testing.T) {
 	spec := dataset.OgbnProducts.Scaled(0.001)
 	spec.Weighted = true
@@ -81,14 +82,34 @@ func TestStoresShareOneLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameShards := func(a, b *graph.Partitioned) bool {
-		for r := 0; r < a.Comm.Size(); r++ {
-			if &a.RowPtr.Shard(r)[0] != &b.RowPtr.Shard(r)[0] || &a.Col.Shard(r)[0] != &b.Col.Shard(r)[0] ||
-				&a.Feat.Shard(r)[0] != &b.Feat.Shard(r)[0] || &a.EdgeW.Shard(r)[0] != &b.EdgeW.Shard(r)[0] {
+	// A store reads the dataset's own CSR and slab in place: what is written
+	// there shows through its Col and Feat at once.
+	dim := int64(spec.FeatDim)
+	readsDataset := func(p *graph.Partitioned) bool {
+		for r := 0; r < p.Comm.Size(); r++ {
+			v := p.Orig[r][0]
+			gid, lo := p.Owner[v], ds.Graph.RowPtr[v]
+			_, e0, deg := p.Adj(gid)
+			if deg == 0 {
+				continue
+			}
+			col, feat := ds.Graph.Col[lo], ds.Feat[v*dim]
+			ds.Graph.Col[lo], ds.Feat[v*dim] = v, -7
+			ok := p.Col.Get(e0) == uint64(gid) && p.Feat.Get(p.FeatRow(gid)*dim) == -7
+			ds.Graph.Col[lo], ds.Feat[v*dim] = col, feat
+			if !ok {
 				return false
 			}
 		}
 		return true
+	}
+	sameShards := func(a, b *graph.Partitioned) bool {
+		for r := 0; r < a.Comm.Size(); r++ {
+			if &a.RowPtr.Shard(r)[0] != &b.RowPtr.Shard(r)[0] || &a.EdgeW.Shard(r)[0] != &b.EdgeW.Shard(r)[0] {
+				return false
+			}
+		}
+		return readsDataset(a) && readsDataset(b)
 	}
 
 	var built [2]*core.Store

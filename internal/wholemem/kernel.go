@@ -52,12 +52,9 @@ func (m *Memory[T]) GatherRows(d *sim.Device, rows []int64, dim int, dst []T, ta
 	rank := m.comm.mustRank(d)
 	var nLocal int64
 	for i, row := range rows {
-		start := row * int64(dim)
-		r, off := m.locate(start)
-		if r == rank {
+		if m.ReadRow(row, dst[i*dim:(i+1)*dim]) == rank {
 			nLocal += int64(dim)
 		}
-		copy(dst[i*dim:(i+1)*dim], m.shards[r][off:off+int64(dim)])
 	}
 	lb, rb := m.splitBytes(nLocal, int64(len(rows))*int64(dim))
 	dst2 := float64(int64(len(rows)) * int64(dim) * m.eb) // dst write
@@ -77,7 +74,7 @@ func (m *Memory[T]) GatherElems(d *sim.Device, idx []int64, dst []T, tag string)
 		if r == rank {
 			nLocal++
 		}
-		dst[i] = m.shards[r][off]
+		dst[i] = m.at(r, off)
 	}
 	lb, rb := m.splitBytes(nLocal, int64(len(idx)))
 	return d.Kernel(m.accessCost(lb, rb, float64(m.eb), float64(int64(len(idx))*m.eb), tag))
@@ -89,6 +86,7 @@ func (m *Memory[T]) ScatterRows(d *sim.Device, rows []int64, dim int, src []T, t
 	if int64(len(src)) < int64(len(rows))*int64(dim) {
 		panic("wholemem: ScatterRows src too small")
 	}
+	m.mustWrite()
 	rank := m.comm.mustRank(d)
 	var nLocal int64
 	for i, row := range rows {
@@ -114,11 +112,8 @@ func (m *Memory[T]) ReadRange(d *sim.Device, start, count int64, dst []T, tag st
 	var nLocal int64
 	for i := int64(0); i < count; {
 		r, off := m.locate(start + i)
-		n := int64(len(m.shards[r])) - off
-		if n > count-i {
-			n = count - i
-		}
-		copy(dst[i:i+n], m.shards[r][off:off+n])
+		n := min(m.ShardLen(r)-off, count-i)
+		m.read(r, off, dst[i:i+n])
 		if r == rank {
 			nLocal += n
 		}

@@ -73,15 +73,22 @@ type ipcHandle struct {
 
 // Memory is one distributed shared allocation: n elements of type T
 // partitioned across the communicator's devices. The partition is either
-// equal chunks (Alloc) or caller-controlled shards (AllocSharded, Map),
-// which is how the graph layer stores hash-partitioned nodes.
+// equal chunks (Alloc), caller-controlled shards (AllocSharded, Map),
+// which is how the graph layer stores hash-partitioned nodes, or a view of
+// elements held elsewhere (View).
 type Memory[T Elem] struct {
 	comm   *Comm
 	n      int64
-	shards [][]T   // pointer table entry per rank, as mapped by IPC; read-only outer slice
+	shards [][]T   // pointer table entry per rank, as mapped by IPC; read-only outer slice; nil for a view
 	starts []int64 // global element index where each shard begins
 	eb     int64
 	kind   Kind
+
+	// A view's reader (View) and row shape: firstRow[r] is the global row
+	// index of rank r's first row of width elements.
+	view     func(r int, li, k int64, dst []T) int
+	width    int64
+	firstRow []int64
 }
 
 // Alloc creates a shared allocation of n elements split into near-equal
@@ -120,16 +127,43 @@ func AllocSharded[T Elem](c *Comm, sizes []int64) *Memory[T] {
 // nothing else: each has its own Kind. len(shards) must equal the
 // communicator size.
 func Map[T Elem](c *Comm, shards [][]T) *Memory[T] {
-	if len(shards) != c.Size() {
-		panic(fmt.Sprintf("wholemem: %d shards for %d ranks", len(shards), c.Size()))
+	sizes := make([]int64, len(shards))
+	for r, s := range shards {
+		sizes[r] = int64(len(s))
 	}
-	m := &Memory[T]{comm: c, eb: elemBytes[T](), shards: shards}
+	return setup(c, &Memory[T]{shards: shards}, sizes)
+}
+
+// View is Map over shards the allocation does not hold: rank r's shard is
+// rows[r] rows of width elements, and read(r, li, k, dst), called from
+// several goroutines at once, copies elements k and on of its local row li
+// into dst, as many as fit before the row ends, and returns how many. A view
+// is read-only: Set, FillFrom and ScatterRows panic on it.
+func View[T Elem](c *Comm, rows []int64, width int64, read func(r int, li, k int64, dst []T) int) *Memory[T] {
+	m := &Memory[T]{view: read, width: width, firstRow: make([]int64, len(rows))}
+	sizes := make([]int64, len(rows))
+	for r, n := range rows {
+		sizes[r] = n * width
+		if r > 0 {
+			m.firstRow[r] = m.firstRow[r-1] + rows[r-1]
+		}
+	}
+	return setup(c, m, sizes)
+}
+
+// setup places m, with sizes[r] elements on rank r, on c, charging every
+// rank the malloc of its shard and the IPC setup protocol.
+func setup[T Elem](c *Comm, m *Memory[T], sizes []int64) *Memory[T] {
+	if len(sizes) != c.Size() {
+		panic(fmt.Sprintf("wholemem: %d shards for %d ranks", len(sizes), c.Size()))
+	}
+	m.comm, m.eb = c, elemBytes[T]()
 	handles := make([]ipcHandle, c.Size())
 	// Step 1: every rank cudaMallocs its local chunk and exports an IPC
 	// handle (cudaIpcGetMemHandle).
 	for r, d := range c.Devs {
 		m.starts = append(m.starts, m.n)
-		n := int64(len(shards[r]))
+		n := sizes[r]
 		m.n += n
 		d.Malloc(float64(n * m.eb))
 		handles[r] = ipcHandle{rank: r, mem: r + 1}
@@ -184,8 +218,54 @@ func (m *Memory[T]) RankOf(i int64) int {
 }
 
 // Shard returns rank r's local slice (the memory behind its pointer-table
-// entry). Host-side construction code uses this to fill data in place.
-func (m *Memory[T]) Shard(r int) []T { return m.shards[r] }
+// entry). Host-side construction code uses this to fill data in place. A
+// view's Shard is a copy read through the view.
+func (m *Memory[T]) Shard(r int) []T {
+	if m.view != nil {
+		s := make([]T, m.ShardLen(r))
+		m.read(r, 0, s)
+		return s
+	}
+	return m.shards[r]
+}
+
+// ShardLen returns the number of elements on rank r.
+func (m *Memory[T]) ShardLen(r int) int64 {
+	if r+1 < len(m.starts) {
+		return m.starts[r+1] - m.starts[r]
+	}
+	return m.n - m.starts[r]
+}
+
+func (m *Memory[T]) read(r int, off int64, dst []T) {
+	if m.view == nil {
+		copy(dst, m.shards[r][off:off+int64(len(dst))])
+		return
+	}
+	for len(dst) > 0 {
+		n := m.view(r, off/m.width, off%m.width, dst)
+		dst, off = dst[n:], off+int64(n)
+	}
+}
+
+// ReadRow copies row row of len(dst) elements, global elements
+// row*len(dst) on, into dst without charging any cost, and returns the rank
+// holding it.
+func (m *Memory[T]) ReadRow(row int64, dst []T) int {
+	r, off := m.locate(row * int64(len(dst)))
+	if m.view != nil && int64(len(dst)) == m.width {
+		m.view(r, row-m.firstRow[r], 0, dst)
+	} else {
+		m.read(r, off, dst)
+	}
+	return r
+}
+
+func (m *Memory[T]) mustWrite() {
+	if m.view != nil {
+		panic("wholemem: write through a read-only view")
+	}
+}
 
 // ShardStart returns the global element index where rank r's shard begins.
 func (m *Memory[T]) ShardStart(r int) int64 { return m.starts[r] }
@@ -200,17 +280,28 @@ func (m *Memory[T]) locate(i int64) (int, int64) {
 // construction and tests; kernels use the charged bulk operations.
 func (m *Memory[T]) Get(i int64) T {
 	r, off := m.locate(i)
-	return m.shards[r][off]
+	return m.at(r, off)
+}
+
+func (m *Memory[T]) at(r int, off int64) T {
+	if m.view == nil {
+		return m.shards[r][off]
+	}
+	var x [1]T
+	m.read(r, off, x[:])
+	return x[0]
 }
 
 // Set writes element i without charging any cost (host-side construction).
 func (m *Memory[T]) Set(i int64, v T) {
+	m.mustWrite()
 	r, off := m.locate(i)
 	m.shards[r][off] = v
 }
 
 // FillFrom copies src into the allocation starting at global element 0.
 func (m *Memory[T]) FillFrom(src []T) {
+	m.mustWrite()
 	if int64(len(src)) > m.n {
 		panic("wholemem: FillFrom source larger than allocation")
 	}

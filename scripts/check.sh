@@ -81,6 +81,12 @@ go test -run '^$' -fuzz '^FuzzTopoAccess$' -fuzztime 10s ./internal/topostore
 # and undirected, at one to four workers, through FromCOO against appending
 # every entry to its row and sorting; out-of-range edges must be an error.
 go test -run '^$' -fuzz '^FuzzFromCOO$' -fuzztime 10s ./internal/graph
+# Random graphs (empty rows, hubs, duplicate entries) on one to eight ranks
+# under hash, range and random owners, with and without features and edge
+# weights: the layout that views the CSR and the slab against the per-rank
+# copies it replaced — adjacency, GlobalIDs, gathered bits, edge weights,
+# Table IV bytes and every device's clock and counters.
+go test -run '^$' -fuzz '^FuzzLayout$' -fuzztime 10s ./internal/graph
 # Every collective over random machine shapes, payloads, AlltoAllv byte
 # matrices and start gates: link bytes conserved, no clock going back, no
 # device done before its gate, two fresh machines identical.
