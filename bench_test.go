@@ -364,28 +364,6 @@ func BenchmarkFullGraphInference(b *testing.B) {
 	}
 }
 
-func BenchmarkLinkPredictionStep(b *testing.B) {
-	ds, err := wholegraph.GenerateDataset(wholegraph.OgbnProducts.Scaled(0.001))
-	if err != nil {
-		b.Fatal(err)
-	}
-	machine := wholegraph.NewDGXA100(1)
-	store, err := wholegraph.NewStore(machine, 0, ds)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr, err := wholegraph.NewLinkPredictor(store, machine.Devs[0], wholegraph.LinkPredOptions{
-		EdgeBatch: 64, Fanouts: []int{4, 4}, Dim: 16,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.TrainStep()
-	}
-}
-
 func BenchmarkAblationStorage(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows, err := bench.AblationStorage(benchCfg())

@@ -66,7 +66,6 @@ var experiments = []struct {
 	{"abl-oocgraph", "ablation: in-RAM CSR vs paged topology with prefetch and admission", wrap(bench.AblationOOCGraph)},
 	{"featstore-full", "out-of-core papers100M: paged features and topology at full scale", wrap(bench.FeatstoreFull)},
 	{"analytics", "PageRank and connected components over the shared store", wrap(bench.Analytics)},
-	{"graphclass", "graph classification: GIN on topology motifs", wrap(bench.GraphClass)},
 	{"serving", "online serving: dynamic batching vs batch=1", wrap(bench.Serving)},
 }
 

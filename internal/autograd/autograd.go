@@ -101,11 +101,10 @@ type Record struct {
 	// nothing. A kernel run off its turn sees a graph twin (exec.go).
 	Dev  *sim.Device
 	Cost Cost
-	// Scalar and structural operands: a factor or probability, an index
-	// list, and a pointer the kernel reads live (a row count, a random
-	// stream, a sampled sub-graph).
+	// Scalar and structural operands: a factor or probability, and a
+	// pointer the kernel reads live (a row count, a random stream, a
+	// sampled sub-graph).
 	F   float32
-	Idx []int
 	Arg any
 
 	scratch [2]*tensor.Dense // Scratch's buffers

@@ -313,86 +313,3 @@ func TestCrossTapePanics(t *testing.T) {
 	}()
 	t1.Record(Record{Kernel: square{}, In: [2]*Var{a, b}})
 }
-
-func TestGatherRowsGradient(t *testing.T) {
-	tp := NewTape()
-	xv := tensor.FromSlice(3, 2, []float32{1, 2, 3, 4, 5, 6})
-	x := tp.Param(xv)
-	y := GatherRows(x, []int{2, 0, 2}) // row 2 used twice
-	if y.Value.At(0, 0) != 5 || y.Value.At(1, 1) != 2 || y.Value.At(2, 0) != 5 {
-		t.Fatalf("gathered values wrong: %v", y.Value.V)
-	}
-	seed := tensor.FromSlice(3, 2, []float32{1, 1, 10, 10, 100, 100})
-	tp.Backward(y, seed)
-	// Row 2 accumulates both its uses: 1+100; row 0 gets 10; row 1 nothing.
-	if x.Grad.At(2, 0) != 101 || x.Grad.At(0, 0) != 10 || x.Grad.At(1, 0) != 0 {
-		t.Fatalf("gather-rows grad wrong: %v", x.Grad.V)
-	}
-}
-
-func TestRowDotGradientNumeric(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	av := tensor.Randn(4, 3, 1, rng)
-	bv := tensor.Randn(4, 3, 1, rng)
-	loss := func() float64 {
-		tp := NewTape()
-		d := RowDot(tp.Const(av), tp.Const(bv))
-		var l float64
-		for i, v := range d.Value.V {
-			l += float64(v) * float64(i+1)
-		}
-		return l
-	}
-	tp := NewTape()
-	a := tp.Param(av)
-	b := tp.Param(bv)
-	d := RowDot(a, b)
-	seed := tensor.New(4, 1)
-	for i := range seed.V {
-		seed.V[i] = float32(i + 1)
-	}
-	tp.Backward(d, seed)
-	const eps = 1e-3
-	for _, tc := range []struct{ p, g *tensor.Dense }{{av, a.Grad}, {bv, b.Grad}} {
-		for i := range tc.p.V {
-			orig := tc.p.V[i]
-			tc.p.V[i] = orig + eps
-			lp := loss()
-			tc.p.V[i] = orig - eps
-			lm := loss()
-			tc.p.V[i] = orig
-			num := (lp - lm) / (2 * eps)
-			if math.Abs(num-float64(tc.g.V[i])) > 1e-2*math.Max(1, math.Abs(num)) {
-				t.Fatalf("rowdot grad[%d] = %g, numeric %g", i, tc.g.V[i], num)
-			}
-		}
-	}
-}
-
-func TestSegmentMeanRowsGradient(t *testing.T) {
-	tp := NewTape()
-	xv := tensor.FromSlice(5, 2, []float32{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
-	x := tp.Param(xv)
-	y := SegmentMeanRows(x, []int{0, 2, 2, 5}) // segments of 2, 0, 3 rows
-	if y.Value.R != 3 {
-		t.Fatalf("segments = %d", y.Value.R)
-	}
-	if y.Value.At(0, 0) != 2 || y.Value.At(0, 1) != 3 {
-		t.Fatalf("segment 0 mean = %v", y.Value.Row(0))
-	}
-	if y.Value.At(1, 0) != 0 {
-		t.Fatalf("empty segment mean = %v", y.Value.Row(1))
-	}
-	if y.Value.At(2, 0) != 7 {
-		t.Fatalf("segment 2 mean = %v", y.Value.Row(2))
-	}
-	seed := tensor.FromSlice(3, 2, []float32{6, 6, 100, 100, 9, 9})
-	tp.Backward(y, seed)
-	// Segment 0 rows get 6/2=3; segment 2 rows get 9/3=3; empty segment's
-	// gradient goes nowhere.
-	for r := 0; r < 5; r++ {
-		if x.Grad.At(r, 0) != 3 {
-			t.Fatalf("segment-mean grad row %d = %g, want 3", r, x.Grad.At(r, 0))
-		}
-	}
-}

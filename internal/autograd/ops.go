@@ -20,10 +20,7 @@ type (
 	dropout    struct{}
 	rows       struct{}
 	concatCols struct{}
-	gatherRows struct{}
-	rowDot     struct{}
 	scale1p    struct{}
-	segMean    struct{}
 )
 
 func (matMul) Label() string     { return "matmul" }
@@ -34,10 +31,7 @@ func (scale) Label() string      { return "scale" }
 func (dropout) Label() string    { return "dropout" }
 func (rows) Label() string       { return "rows" }
 func (concatCols) Label() string { return "concat" }
-func (gatherRows) Label() string { return "gather" }
-func (rowDot) Label() string     { return "rowdot" }
 func (scale1p) Label() string    { return "scale1p" }
-func (segMean) Label() string    { return "segmean" }
 
 // binary records the two-input op k on a and b.
 func binary(k Kernel, a, b *Var) *Var {
@@ -205,73 +199,6 @@ func (concatCols) Backward(r *Record) {
 	}
 }
 
-// GatherRows returns the rows of x selected by idx (duplicates allowed);
-// the backward pass scatter-adds the output gradient back into the source
-// rows. Link-prediction heads use it to pull endpoint embeddings out of an
-// encoder's output block. idx is structural: a replay reads the same slice.
-func GatherRows(x *Var, idx []int) *Var {
-	return x.tape.Record(Record{Kernel: gatherRows{}, In: [2]*Var{x}, Idx: idx})
-}
-
-func (gatherRows) Forward(r *Record) {
-	x := r.In[0].Value
-	out := r.Output(len(r.Idx), x.C, false)
-	for i, row := range r.Idx {
-		copy(out.Row(i), x.Row(row))
-	}
-}
-
-func (gatherRows) Backward(r *Record) {
-	x := r.In[0]
-	gx := r.Scratch(0, x.Value.R, x.Value.C, true)
-	for i, row := range r.Idx {
-		dst := gx.Row(row)
-		for j, g := range r.Out.Grad.Row(i) {
-			dst[j] += g
-		}
-	}
-	x.AccumGrad(gx)
-}
-
-// RowDot returns the row-wise dot products of a and b as an [n x 1] column.
-func RowDot(a, b *Var) *Var {
-	if !a.Value.SameShape(b.Value) {
-		panic("autograd: RowDot shape mismatch")
-	}
-	return binary(rowDot{}, a, b)
-}
-
-func (rowDot) Forward(r *Record) {
-	a, b := r.In[0].Value, r.In[1].Value
-	out := r.Output(a.R, 1, false)
-	for i := 0; i < a.R; i++ {
-		var s float32
-		ar, br := a.Row(i), b.Row(i)
-		for j := range ar {
-			s += ar[j] * br[j]
-		}
-		out.V[i] = s
-	}
-}
-
-func (rowDot) Backward(r *Record) {
-	// d(a·b)/da = b and d(a·b)/db = a, row by row.
-	for k, other := range [2]*Var{r.In[1], r.In[0]} {
-		in := r.In[k]
-		if !in.needGrad {
-			continue
-		}
-		g := r.Scratch(k, in.Value.R, in.Value.C, true)
-		for i := 0; i < in.Value.R; i++ {
-			gi, or, gr := r.Out.Grad.V[i], other.Value.Row(i), g.Row(i)
-			for j := range gr {
-				gr[j] = gi * or[j]
-			}
-		}
-		in.AccumGrad(g)
-	}
-}
-
 // ScaleByScalarPlusOne returns (1 + s) * x where s is a learnable [1 x 1]
 // scalar (the eps of a GIN layer). Gradients flow to both inputs:
 // dx = (1+s)·dy and ds = sum(x ⊙ dy). The factor is read live: the optimizer
@@ -304,57 +231,4 @@ func (scale1p) Backward(r *Record) {
 		gs.V[0] = float32(dot)
 		s.AccumGrad(gs)
 	}
-}
-
-// SegmentMeanRows mean-pools consecutive row segments of x: segment g is
-// rows [offsets[g], offsets[g+1]), and output row g is their mean. It is
-// the readout of graph classification (pooling each small graph's node
-// embeddings into one vector). Empty segments produce zero rows.
-func SegmentMeanRows(x *Var, offsets []int) *Var {
-	nSeg := len(offsets) - 1
-	if nSeg < 0 || offsets[nSeg] > x.Value.R {
-		panic("autograd: bad segment offsets")
-	}
-	return x.tape.Record(Record{Kernel: segMean{}, In: [2]*Var{x}, Idx: offsets})
-}
-
-func (segMean) Forward(r *Record) {
-	x, offsets := r.In[0].Value, r.Idx
-	out := r.Output(len(offsets)-1, x.C, true) // empty segments stay zero rows
-	for g := 0; g+1 < len(offsets); g++ {
-		lo, hi := offsets[g], offsets[g+1]
-		if hi <= lo {
-			continue
-		}
-		or := out.Row(g)
-		for row := lo; row < hi; row++ {
-			for j, v := range x.Row(row) {
-				or[j] += v
-			}
-		}
-		inv := 1 / float32(hi-lo)
-		for j := range or {
-			or[j] *= inv
-		}
-	}
-}
-
-func (segMean) Backward(r *Record) {
-	x, offsets := r.In[0], r.Idx
-	gx := r.Scratch(0, x.Value.R, x.Value.C, true)
-	for g := 0; g+1 < len(offsets); g++ {
-		lo, hi := offsets[g], offsets[g+1]
-		if hi <= lo {
-			continue
-		}
-		inv := 1 / float32(hi-lo)
-		gr := r.Out.Grad.Row(g)
-		for row := lo; row < hi; row++ {
-			dst := gx.Row(row)
-			for j, gv := range gr {
-				dst[j] += gv * inv
-			}
-		}
-	}
-	x.AccumGrad(gx)
 }

@@ -135,7 +135,7 @@ type SchedRow struct {
 // Gradient sync is the blocking AllReduce in every cell, on purpose: with
 // Options.OverlapGrads these models' ~100 KB of gradients fit one default
 // bucket (ready only when backward ends, so nothing moves), and with a
-// BucketBytes that splits them the guarantee above does not hold — on GAT the
+// bucket cap that splits them the guarantee above does not hold — on GAT the
 // scheduled epoch is slower than the captured one (149.5 vs 149.4 us),
 // because the serial fallback does not see the per-bucket AllReduces sharing
 // the copy stream with scheduler-placed kernels (ROADMAP.md item 4).

@@ -495,19 +495,3 @@ func TestAblationPartition(t *testing.T) {
 			byName["community"].RemoteFrac, byName["hash"].RemoteFrac)
 	}
 }
-
-func TestGraphClassExperiment(t *testing.T) {
-	res, err := GraphClass(testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TestAccAfter <= res.TestAccBefore {
-		t.Errorf("accuracy did not improve: %.3f -> %.3f", res.TestAccBefore, res.TestAccAfter)
-	}
-	if res.TestAccAfter < 0.6 {
-		t.Errorf("final accuracy %.3f too low for separable motifs", res.TestAccAfter)
-	}
-	if res.VirtualTime <= 0 {
-		t.Error("no virtual time recorded")
-	}
-}

@@ -6,9 +6,7 @@ import (
 	"wholegraph/internal/core"
 	"wholegraph/internal/dataset"
 	"wholegraph/internal/gnn"
-	"wholegraph/internal/graphclass"
 	"wholegraph/internal/infer"
-	"wholegraph/internal/sim"
 	"wholegraph/internal/spops"
 )
 
@@ -210,62 +208,4 @@ func Analytics(cfg Config) ([]AnalyticsRow, error) {
 			row.CCIterations, fmtSeconds(row.CCTime), row.Components)
 	}
 	return rows, nil
-}
-
-// GraphClassResult reports the graph-classification run.
-type GraphClassResult struct {
-	Graphs        int
-	TestAccBefore float64
-	TestAccAfter  float64
-	// VirtualTime is the device time of the whole training run.
-	VirtualTime float64
-}
-
-// GraphClass exercises the third GNN task the paper names (§I): classify
-// whole small graphs. A GIN trains on disjoint-union batches whose features
-// are gathered from shared memory (contiguous per graph — the cheap end of
-// Figure 8); topology motifs are the signal, so high accuracy demonstrates
-// real structural learning.
-func GraphClass(cfg Config) (*GraphClassResult, error) {
-	cfg = cfg.normalize()
-	spec := graphclass.Spec{
-		NumGraphs: 480, MinNodes: 6, MaxNodes: 14,
-		FeatDim: 8, NumClasses: 4, TrainFrac: 0.8, Seed: cfg.Seed,
-	}
-	iters := 160
-	if cfg.Quick {
-		spec.NumGraphs = 120
-		iters = 100
-	}
-	ds, err := graphclass.Generate(spec)
-	if err != nil {
-		return nil, err
-	}
-	m := sim.NewMachine(sim.DGXA100(1))
-	store, err := graphclass.NewStore(m, 0, ds)
-	if err != nil {
-		return nil, err
-	}
-	m.Reset()
-	tr, err := graphclass.New(store, m.Devs[0], graphclass.Options{
-		Batch: 32, Layers: 3, Hidden: 24, LR: 0.01, Seed: cfg.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	res := &GraphClassResult{Graphs: spec.NumGraphs, TestAccBefore: tr.Evaluate(ds.Test)}
-	cfg.printf("Graph classification: %d motif graphs, %d classes, GIN encoder\n",
-		spec.NumGraphs, spec.NumClasses)
-	cfg.printf("%6s %10s %10s\n", "iter", "loss", "test acc")
-	cfg.printf("%6d %10s %9.1f%%\n", 0, "-", 100*res.TestAccBefore)
-	for it := 1; it <= iters; it++ {
-		loss, _ := tr.TrainStep()
-		if it%(iters/4) == 0 {
-			cfg.printf("%6d %10.4f %9.1f%%\n", it, loss, 100*tr.Evaluate(ds.Test))
-		}
-	}
-	res.TestAccAfter = tr.Evaluate(ds.Test)
-	res.VirtualTime = m.MaxTime()
-	cfg.printf("total virtual time: %s\n", fmtSeconds(res.VirtualTime))
-	return res, nil
 }

@@ -265,7 +265,14 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := orig.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadFile(path)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got *Dataset
+	if n := allocatedBy(func() { got, err = Load(bytes.NewReader(raw)) }); n > loadAllocBound(len(raw)) {
+		t.Errorf("Load of %d bytes allocated %d", len(raw), n)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 
 	"wholegraph/internal/graph"
@@ -245,9 +246,7 @@ func ReadBytes(r io.Reader) ([]byte, error) {
 	if n > 1<<34 {
 		return nil, fmt.Errorf("dataset: implausible block size %d", n)
 	}
-	b := make([]byte, n)
-	_, err := io.ReadFull(r, b)
-	return b, err
+	return readArray[byte](r, n)
 }
 
 // Elem is the element set the binary format stores.
@@ -270,9 +269,59 @@ func ReadSlice[T Elem](r io.Reader) ([]T, error) {
 	if n > 1<<33 {
 		return nil, fmt.Errorf("dataset: implausible slice length %d", n)
 	}
-	s := make([]T, n)
-	if err := binary.Read(r, binary.LittleEndian, s); err != nil {
-		return nil, err
+	return readArray[T](r, n)
+}
+
+// readChunk bounds what reading an array allocates ahead of its bytes. A
+// length prefix is read before its payload and before the checksum can
+// vouch for it, so a corrupt file may claim any length up to the caps; read
+// a chunk at a time, it ends in an error at EOF instead of a fatal
+// out-of-memory.
+const readChunk = 64 << 10
+
+// readArray reads n little-endian elements a chunk at a time and decodes
+// each chunk into a slice that grows (doubling, capped at n) only as the
+// bytes arrive.
+func readArray[T Elem | byte](r io.Reader, n uint64) ([]T, error) {
+	var zero T
+	size := uint64(binary.Size(zero))
+	per := readChunk / size
+	buf := make([]byte, min(n, per)*size)
+	s := make([]T, 0)
+	for done := uint64(0); done < n; {
+		k := min(n-done, per)
+		b := buf[:k*size]
+		if _, err := io.ReadFull(r, b); err != nil {
+			return nil, fmt.Errorf("dataset: reading element %d of %d: %w", done, n, err)
+		}
+		if done+k > uint64(cap(s)) {
+			grown := make([]T, done, min(n, max(2*uint64(cap(s)), done+k)))
+			copy(grown, s)
+			s = grown
+		}
+		s = s[:done+k]
+		decodeLE(s[done:], b)
+		done += k
 	}
 	return s, nil
+}
+
+// decodeLE decodes the little-endian elements in b into dst.
+func decodeLE[T Elem | byte](dst []T, b []byte) {
+	switch d := any(dst).(type) {
+	case []byte:
+		copy(d, b)
+	case []int64:
+		for i := range d {
+			d[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+	case []int32:
+		for i := range d {
+			d[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
+		}
+	case []float32:
+		for i := range d {
+			d[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
+		}
+	}
 }

@@ -10,7 +10,8 @@ import "math/rand"
 // paper's Algorithm 1. The algorithm is data-parallel on a GPU; here the
 // "parallel for" loops run sequentially but preserve the exact dataflow,
 // including the pack-into-64-bit radix sort trick and the path-doubling
-// collision resolution. When m >= n it returns the identity selection.
+// collision resolution. When m >= n it returns the identity selection; when
+// m <= 0 or n <= 0 it draws nothing.
 func SampleWithoutReplacement(m, n int, rng *rand.Rand) []int64 {
 	var sc Scratch
 	return sc.SampleWithoutReplacement(m, n, rng)

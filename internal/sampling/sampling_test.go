@@ -90,6 +90,16 @@ func TestSampleWithoutReplacementProperties(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
+	// A count at or below zero draws nothing and consumes no randomness.
+	for _, c := range [][2]int{{-1, 10}, {3, -5}, {0, 10}, {5, 0}, {-2, -7}} {
+		rng := rand.New(rand.NewSource(1))
+		if res := SampleWithoutReplacement(c[0], c[1], rng); len(res) != 0 {
+			t.Errorf("m=%d n=%d: drew %v, want nothing", c[0], c[1], res)
+		}
+		if rng.Int63() != rand.New(rand.NewSource(1)).Int63() {
+			t.Errorf("m=%d n=%d: consumed randomness", c[0], c[1])
+		}
+	}
 }
 
 func TestSampleUniformity(t *testing.T) {

@@ -35,6 +35,9 @@ func growU64(v []uint64, n int) []uint64 {
 // intermediates live in sc and the returned slice is overwritten by the
 // next call.
 func (sc *Scratch) SampleWithoutReplacement(m, n int, rng *rand.Rand) []int64 {
+	if m <= 0 || n <= 0 {
+		return sc.res[:0]
+	}
 	if m >= n {
 		sc.res = grow64(sc.res, n)
 		for i := range sc.res {

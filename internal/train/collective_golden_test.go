@@ -42,12 +42,16 @@ func hashMachine(m *sim.Machine, extra string) [2]uint64 {
 }
 
 // trainGoldenRun runs two epochs and hashes the machine and the epochs.
-func trainGoldenRun(t *testing.T, nodes int, opts Options) [2]uint64 {
+// Gradient buckets close at bucket bytes, or at the default for 0.
+func trainGoldenRun(t *testing.T, nodes int, opts Options, bucket int) [2]uint64 {
 	t.Helper()
 	m := sim.NewMachine(sim.DGXA100(nodes))
 	tr, err := New(m, smallDataset(t), opts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if bucket > 0 {
+		tr.bucketCap = bucket
 	}
 	if tr.ItersPerEpoch() < 5 || tr.Pipelined() != opts.Pipeline {
 		t.Fatalf("%s: %d iterations per epoch, pipelined %v: too small to pin the loop",
@@ -109,12 +113,12 @@ func gatherGoldenRun(t *testing.T) [2]uint64 {
 func TestCollectiveGolden(t *testing.T) {
 	gat := smallOpts("gat")
 	gat.Batch, gat.RealWorkers, gat.Trace, gat.MaxItersPerEpoch = 2, 2, true, 5
-	gat.Schedule, gat.Pipeline, gat.OverlapGrads, gat.BucketBytes = true, true, true, 16<<10
+	gat.Schedule, gat.Pipeline, gat.OverlapGrads = true, true, true
 	sage := smallOpts("graphsage")
 	sage.Batch, sage.RealWorkers, sage.Trace = 4, 2, true
 	runs := map[string]func() [2]uint64{
-		"gat/2node/sched+pipeline+overlap": func() [2]uint64 { return trainGoldenRun(t, 2, gat) },
-		"graphsage/1node/sequential":       func() [2]uint64 { return trainGoldenRun(t, 1, sage) },
+		"gat/2node/sched+pipeline+overlap": func() [2]uint64 { return trainGoldenRun(t, 2, gat, 16<<10) },
+		"graphsage/1node/sequential":       func() [2]uint64 { return trainGoldenRun(t, 1, sage, 0) },
 		"gather/distributed+alltoallv":     func() [2]uint64 { return gatherGoldenRun(t) },
 	}
 	for name, run := range runs {

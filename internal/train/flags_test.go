@@ -19,7 +19,7 @@ import (
 // library knobs. A field is either here or bound in flags.go.
 var notAFlag = map[string]bool{
 	"Backend": true, "RealWorkers": true, "MaxItersPerEpoch": true,
-	"Trace": true, "BucketBytes": true,
+	"Trace": true,
 }
 
 // boundFlags returns a flag set with both groups bound to o.

@@ -16,10 +16,11 @@ var fuzzDS = sync.OnceValues(func() (*dataset.Dataset, error) {
 	return dataset.Generate(dataset.OgbnProducts.Scaled(0.001))
 })
 
-// stepShapesRun trains a fresh trainer on nodes DGX nodes for three epochs
-// and returns the epochs' statistics, every replica's final parameters, the
-// machine's hash under hashMachine and the capture counters.
-func stepShapesRun(t *testing.T, opts Options, nodes int) ([]EpochStats, [][][]float32, [2]uint64, GraphCounters) {
+// stepShapesRun trains a fresh trainer, whose gradient buckets close at
+// bucket bytes, on nodes DGX nodes for three epochs and returns the epochs'
+// statistics, every replica's final parameters, the machine's hash under
+// hashMachine and the capture counters.
+func stepShapesRun(t *testing.T, opts Options, bucket, nodes int) ([]EpochStats, [][][]float32, [2]uint64, GraphCounters) {
 	t.Helper()
 	ds, err := fuzzDS()
 	if err != nil {
@@ -30,6 +31,7 @@ func stepShapesRun(t *testing.T, opts Options, nodes int) ([]EpochStats, [][][]f
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr.bucketCap = bucket
 	var stats []EpochStats
 	var epochs string
 	for e := 0; e < 3; e++ {
@@ -75,10 +77,10 @@ func FuzzStepShapes(f *testing.F) {
 			Trace:       true,
 			// overlap%3: 0 blocking, 1 a bucket per parameter, 2 one bucket.
 			OverlapGrads: overlap%3 != 0,
-			BucketBytes:  1,
 		}
+		bucket := 1
 		if overlap%3 == 2 {
-			opts.BucketBytes = 1 << 30
+			bucket = 1 << 30
 		}
 		if opts.Arch == "gat" {
 			opts.Hidden = opts.Heads * (1 + int(width%6))
@@ -89,20 +91,20 @@ func FuzzStepShapes(f *testing.F) {
 		n := 1 + int(nodes%2)
 		label := fmt.Sprintf("%s depth %d hidden %d heads %d %v fanouts %v batch %d workers %d nodes %d overlap %v/%d",
 			opts.Arch, len(opts.Fanouts), opts.Hidden, opts.Heads, opts.Backend, opts.Fanouts, opts.Batch,
-			opts.RealWorkers, n, opts.OverlapGrads, opts.BucketBytes)
+			opts.RealWorkers, n, opts.OverlapGrads, bucket)
 
 		captured, scheduled := opts, opts
 		captured.CaptureGraph = true
 		scheduled.Schedule = true
-		eStats, eParams, _, _ := stepShapesRun(t, opts, n)
-		cStats, cParams, _, cc := stepShapesRun(t, captured, n)
-		sStats, sParams, sHash, sc := stepShapesRun(t, scheduled, n)
+		eStats, eParams, _, _ := stepShapesRun(t, opts, bucket, n)
+		cStats, cParams, _, cc := stepShapesRun(t, captured, bucket, n)
+		sStats, sParams, sHash, sc := stepShapesRun(t, scheduled, bucket, n)
 		compareRuns(t, label+": captured", eStats, cStats, eParams, cParams)
 		compareRuns(t, label+": scheduled", eStats, sStats, eParams, sParams)
 		if cc.Replays == 0 || sc.Scheduled == 0 {
 			t.Fatalf("%s: nothing replayed (%v; %v)", label, cc, sc)
 		}
-		if _, _, again, _ := stepShapesRun(t, scheduled, n); again != sHash {
+		if _, _, again, _ := stepShapesRun(t, scheduled, bucket, n); again != sHash {
 			t.Fatalf("%s: two fresh scheduled runs hash %x and %x", label, sHash, again)
 		}
 	})

@@ -337,11 +337,11 @@ func TestGradBucketCoalescer(t *testing.T) {
 		ds := smallDataset(t)
 		opts := smallOpts("graphsage")
 		opts.OverlapGrads = true
-		opts.BucketBytes = bucketBytes
 		tr, err := New(m, ds, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
+		tr.bucketCap = bucketBytes
 		tr.ensureOverlap()
 		return tr.ov
 	}

@@ -10,8 +10,8 @@ import (
 // blocking AllReduce over the whole gradient vector after backward, the
 // model's parameters are coalesced into byte-bounded buckets (DDP's
 // bucket_cap_mb scheme: consecutive parameters accumulate into a bucket
-// until its gradient payload reaches Options.BucketBytes) and each bucket's
-// hierarchical AllReduce is issued on the copy stream as soon as every
+// until its gradient payload reaches the trainer's bucket cap) and each
+// bucket's hierarchical AllReduce is issued on the copy stream as soon as every
 // worker's backward pass has finalized that bucket's gradients — the tape
 // reports readiness through BackwardHooked.
 // Communication for layer l+1 then rides under the backward compute of
@@ -41,16 +41,16 @@ type overlapState struct {
 	lastDone  []float64 // per device: its completion time of its last bucket
 }
 
-// defaultBucketBytes is the coalescing threshold when Options.BucketBytes
-// is unset: 256 KiB of gradient payload per bucket, small enough that the
-// paper-scale models still split into several buckets and backward/comm
-// overlap has pipeline stages to fill.
+// defaultBucketBytes is the gradient-bucket coalescing threshold: 256 KiB of
+// gradient payload per bucket, small enough that the paper-scale models
+// still split into several buckets and backward/comm overlap has pipeline
+// stages to fill.
 const defaultBucketBytes = 256 << 10
 
 // ensureOverlap builds the bucket layout and per-worker scratch on first use.
 // Consecutive parameters (registration order, which matches backward
 // finalization order in reverse) coalesce into one bucket until the bucket
-// holds at least bucketCap gradient bytes, then the next parameter opens a
+// holds at least t.bucketCap gradient bytes, then the next parameter opens a
 // fresh bucket — tiny biases ride with their layer's weights instead of
 // paying a standalone AllReduce's latency.
 func (t *Trainer) ensureOverlap() {
@@ -58,10 +58,7 @@ func (t *Trainer) ensureOverlap() {
 		return
 	}
 	t.ensureAvgState()
-	bucketCap := float64(t.Opts.BucketBytes)
-	if bucketCap <= 0 {
-		bucketCap = defaultBucketBytes
-	}
+	bucketCap := float64(t.bucketCap)
 	s := &overlapState{}
 	params := t.Models[0].Params().Params()
 	s.paramBucket = make([]int, len(params))

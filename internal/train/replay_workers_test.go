@@ -14,7 +14,8 @@ import (
 
 // replayWorkersRun trains two epochs and hashes the machine (every device's
 // clocks and DeviceStats, worker 0's trace), every epoch's statistics, the
-// step-graph counters and every worker's final parameters.
+// step-graph counters and every worker's final parameters. Gradient
+// buckets close at 4 KiB.
 func replayWorkersRun(t *testing.T, ds *dataset.Dataset, opts Options) [2]uint64 {
 	t.Helper()
 	m := sim.NewMachine(sim.DGXA100(2))
@@ -22,6 +23,7 @@ func replayWorkersRun(t *testing.T, ds *dataset.Dataset, opts Options) [2]uint64
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr.bucketCap = 4 << 10
 	var extra string
 	for e := 0; e < 2; e++ {
 		extra += fmt.Sprintf("%+v\n", tr.RunEpoch())
@@ -61,7 +63,7 @@ func TestReplayWorkersBitIdentical(t *testing.T) {
 					o := smallOpts(arch)
 					o.Batch, o.RealWorkers, o.Trace = 4, real, true
 					o.CaptureGraph, o.Schedule = true, sched
-					o.OverlapGrads, o.BucketBytes = overlap, 4<<10
+					o.OverlapGrads = overlap
 					name := fmt.Sprintf("%s/sched=%v/overlap=%v/real=%d", arch, sched, overlap, real)
 					tensor.SetWorkers(1)
 					want := replayWorkersRun(t, ds, o)

@@ -36,8 +36,9 @@ func (l freshBatchLoader) BuildBatch(targets []int64) (*gnn.Batch, core.Timing) 
 }
 
 // stepGoldenRun trains three epochs on two nodes and hashes the machine,
-// the epochs and the step-graph counters.
-func stepGoldenRun(t *testing.T, opts Options, fresh bool) [2]uint64 {
+// the epochs and the step-graph counters. Gradient buckets close at bucket
+// bytes, or at the default for 0.
+func stepGoldenRun(t *testing.T, opts Options, bucket int, fresh bool) [2]uint64 {
 	t.Helper()
 	m := sim.NewMachine(sim.DGXA100(2))
 	ds := smallDataset(t)
@@ -56,6 +57,9 @@ func stepGoldenRun(t *testing.T, opts Options, fresh bool) [2]uint64 {
 	}
 	if err != nil {
 		t.Fatal(err)
+	}
+	if bucket > 0 {
+		tr.bucketCap = bucket
 	}
 	if tr.ItersPerEpoch() < 5 {
 		t.Fatalf("%s: %d iterations per epoch: too small to pin capture and replay", opts.Arch, tr.ItersPerEpoch())
@@ -92,9 +96,9 @@ func TestStepGolden(t *testing.T) {
 		return o
 	}
 	sage := base("graphsage")
-	sage.OverlapGrads, sage.BucketBytes = true, 16<<10
+	sage.OverlapGrads = true
 	gatReplay := base("gat")
-	gatReplay.CaptureGraph, gatReplay.OverlapGrads, gatReplay.BucketBytes = true, true, 4<<10 // GAT's weights fit one 16 KiB bucket
+	gatReplay.CaptureGraph, gatReplay.OverlapGrads = true, true
 	gcnPipe := base("gcn")
 	gcnPipe.CaptureGraph, gcnPipe.Pipeline = true, true
 	gatSched := base("gat")
@@ -102,18 +106,19 @@ func TestStepGolden(t *testing.T) {
 	fresh := base("gcn")
 	fresh.CaptureGraph = true
 	runs := []struct {
-		name  string
-		opts  Options
-		fresh bool
+		name   string
+		opts   Options
+		bucket int
+		fresh  bool
 	}{
-		{"graphsage/eager+overlap", sage, false},
-		{"gat/replay+overlap", gatReplay, false},
-		{"gcn/replay+pipeline", gcnPipe, false},
-		{"gat/sched", gatSched, false},
-		{"gcn/fresh-batches-fallback", fresh, true},
+		{"graphsage/eager+overlap", sage, 16 << 10, false},
+		{"gat/replay+overlap", gatReplay, 4 << 10, false}, // GAT's weights fit one 16 KiB bucket
+		{"gcn/replay+pipeline", gcnPipe, 0, false},
+		{"gat/sched", gatSched, 0, false},
+		{"gcn/fresh-batches-fallback", fresh, 0, true},
 	}
 	for _, r := range runs {
-		got := stepGoldenRun(t, r.opts, r.fresh)
+		got := stepGoldenRun(t, r.opts, r.bucket, r.fresh)
 		if want := stepGolden[r.name]; got != want {
 			t.Errorf("%q: {%#016x, %#016x},\n\twant {%#016x, %#016x} (clocks+stats+epochs+graphs, trace)",
 				r.name, got[0], got[1], want[0], want[1])

@@ -106,11 +106,6 @@ type Options struct {
 	// serial order when list scheduling finds no win). Implies CaptureGraph;
 	// composes with Pipeline and OverlapGrads.
 	Schedule bool `json:"schedule"`
-	// BucketBytes is the gradient-bucket coalescing threshold in bytes for
-	// OverlapGrads (DDP bucket_cap_mb-style): consecutive parameters are
-	// packed into one bucket until it holds at least this many gradient
-	// bytes. 0 takes the 256 KiB default.
-	BucketBytes int `json:"bucket_bytes,omitempty"`
 	// PagedFeatures serves node features from the paged, compressed
 	// feature store (internal/featstore) instead of the flat wholemem
 	// slab: rows decode out of per-GPU LRU BlockCaches and page misses pay
@@ -367,6 +362,10 @@ type Trainer struct {
 	// ov is the gradient-overlap bucket state (Options.OverlapGrads),
 	// built lazily by ensureOverlap.
 	ov *overlapState
+	// bucketCap is the gradient-bucket coalescing threshold in bytes for
+	// Options.OverlapGrads (DDP bucket_cap_mb-style): defaultBucketBytes,
+	// unless a package test sets it before the first epoch.
+	bucketCap int
 	// gs is the step-graph capture state (Options.CaptureGraph), one per
 	// real worker, built lazily by ensureGraphState.
 	gs []workerGraphs
@@ -498,7 +497,7 @@ func NewCustom(m *sim.Machine, ds *dataset.Dataset, opts Options,
 	if err != nil {
 		return nil, err
 	}
-	t := &Trainer{Machine: m, Opts: opts, ds: ds, rng: rand.New(rand.NewSource(opts.Seed))}
+	t := &Trainer{Machine: m, Opts: opts, ds: ds, rng: rand.New(rand.NewSource(opts.Seed)), bucketCap: defaultBucketBytes}
 	totalWorkers := len(m.Devs)
 	t.shards = core.ShardTraining(ds.Train, totalWorkers)
 	if opts.RealWorkers > m.Cfg.GPUsPerNode {
@@ -930,9 +929,8 @@ func (t *Trainer) EvaluateWithLabels(ids []int64, labels []int32) (float64, erro
 
 // Predict returns the model's output vectors (logit rows) for the given
 // nodes, running sampled inference in evaluation mode on worker 0. Output
-// row i corresponds to ids[i], whether or not ids repeats a node. Downstream
-// tasks such as link prediction use the rows as node embeddings. It fails on
-// an id that is not a node of the dataset.
+// row i corresponds to ids[i], whether or not ids repeats a node. It fails
+// on an id that is not a node of the dataset.
 func (t *Trainer) Predict(ids []int64) ([][]float32, error) {
 	out := make([][]float32, 0, len(ids))
 	err := t.inferBatches(ids, func(_ int, logits *tensor.Dense, slot []int) {

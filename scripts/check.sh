@@ -87,6 +87,12 @@ go test -run '^$' -fuzz '^FuzzFromCOO$' -fuzztime 10s ./internal/graph
 # copies it replaced — adjacency, GlobalIDs, gathered bits, edge weights,
 # Table IV bytes and every device's clock and counters.
 go test -run '^$' -fuzz '^FuzzLayout$' -fuzztime 10s ./internal/graph
+# Arbitrary dataset files, each loaded as given and again with its checksum
+# trailer made to match, so mutations reach the structure checks: Load never
+# panics, allocates no more than a few times the input plus one read chunk
+# whatever a length prefix claims, and what it returns passes the structure
+# checks and survives Save and Load unchanged.
+go test -run '^$' -fuzz '^FuzzDatasetLoad$' -fuzztime 10s ./internal/dataset
 # Every collective over random machine shapes, payloads, AlltoAllv byte
 # matrices and start gates: link bytes conserved, no clock going back, no
 # device done before its gate, two fresh machines identical.

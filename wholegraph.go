@@ -40,9 +40,7 @@ import (
 	"wholegraph/internal/gather"
 	"wholegraph/internal/gnn"
 	"wholegraph/internal/graph"
-	"wholegraph/internal/graphclass"
 	"wholegraph/internal/infer"
-	"wholegraph/internal/linkpred"
 	"wholegraph/internal/sampling"
 	"wholegraph/internal/serve"
 	"wholegraph/internal/sim"
@@ -207,7 +205,8 @@ func NewStoreWithOptions(m *Machine, node int, ds *Dataset, opts StoreOptions) (
 // --- Ops ---
 
 // SampleWithoutReplacement draws m distinct values from [0, n) with the
-// paper's Algorithm 1 (parallel path-doubling resolution).
+// paper's Algorithm 1 (parallel path-doubling resolution); m <= 0 or
+// n <= 0 draws nothing.
 var SampleWithoutReplacement = sampling.SampleWithoutReplacement
 
 // AppendUnique deduplicates sampled neighbors against the target list,
@@ -355,47 +354,6 @@ const (
 func NewServer(m *Machine, node int, ds *Dataset, model Model, opts ServeOptions) (*Server, error) {
 	return serve.New(m, node, ds, model, opts)
 }
-
-// --- Link prediction ---
-
-// LinkPredOptions configures the link-prediction trainer.
-type LinkPredOptions = linkpred.Options
-
-// LinkPredictor trains a GraphSAGE encoder end-to-end on the link
-// objective (positive edges vs sampled negatives, dot-product scores,
-// binary cross-entropy) over the shared store.
-type LinkPredictor = linkpred.Trainer
-
-// NewLinkPredictor builds a link-prediction trainer on one device.
-var NewLinkPredictor = linkpred.New
-
-// --- Graph classification ---
-
-// GraphClassSpec describes a synthetic graph-classification dataset (each
-// class a topology motif).
-type GraphClassSpec = graphclass.Spec
-
-// GraphClassDataset is a set of labeled small graphs.
-type GraphClassDataset = graphclass.Dataset
-
-// GraphClassStore holds the small graphs' features in shared memory.
-type GraphClassStore = graphclass.Store
-
-// GraphClassifier trains a GIN on batches of small graphs (disjoint-union
-// blocks, mean-pool readout).
-type GraphClassifier = graphclass.Trainer
-
-// GenerateGraphClassDataset builds a motif-classification dataset.
-var GenerateGraphClassDataset = graphclass.Generate
-
-// NewGraphClassStore places the dataset into a node's shared memory.
-var NewGraphClassStore = graphclass.NewStore
-
-// GraphClassOptions configures the graph-classification trainer.
-type GraphClassOptions = graphclass.Options
-
-// NewGraphClassifier builds the trainer on one device.
-var NewGraphClassifier = graphclass.New
 
 // --- Graph analytics ---
 

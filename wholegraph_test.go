@@ -77,7 +77,6 @@ func TestNewTrainerRejectsBadOptions(t *testing.T) {
 		{"Options.LR ", wholegraph.TrainOptions{LR: math.NaN()}},
 		{"Options.MaxItersPerEpoch ", wholegraph.TrainOptions{MaxItersPerEpoch: -3}},
 		{"Options.CacheRows ", wholegraph.TrainOptions{CacheRows: -5}},
-		{"Options.BucketBytes ", wholegraph.TrainOptions{BucketBytes: -1}},
 		{"Options.Heads ", wholegraph.TrainOptions{Heads: -2}},
 		{"Options.PrefetchPages ", wholegraph.TrainOptions{PrefetchPages: -1}},
 		{"dropout probability 1.5", wholegraph.TrainOptions{Dropout: 1.5}},
@@ -225,6 +224,11 @@ func TestFacadeBaselineAndOps(t *testing.T) {
 	if len(res) != 5 {
 		t.Errorf("sampled %d values", len(res))
 	}
+	for _, c := range [][2]int{{-1, 10}, {3, -5}} {
+		if res := wholegraph.SampleWithoutReplacement(c[0], c[1], rand.New(rand.NewSource(1))); len(res) != 0 {
+			t.Errorf("SampleWithoutReplacement(%d, %d) drew %v, want nothing", c[0], c[1], res)
+		}
+	}
 	comm, err := wholegraph.NewComm(machine.NodeDevs(0))
 	if err != nil {
 		t.Fatal(err)
@@ -266,20 +270,6 @@ func TestFacadeExtensions(t *testing.T) {
 	cc, err := wholegraph.ConnectedComponents(store.PG, 100)
 	if err != nil || cc.Components == 0 {
 		t.Fatalf("cc: %v", err)
-	}
-
-	// Link prediction.
-	lp, err := wholegraph.NewLinkPredictor(store, machine.Devs[0], wholegraph.LinkPredOptions{
-		EdgeBatch: 16, Fanouts: []int{3}, Dim: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loss := lp.TrainStep(); loss <= 0 {
-		t.Errorf("linkpred loss = %g", loss)
-	}
-	if auc := lp.EvalAUC(64); auc < 0 || auc > 1 {
-		t.Errorf("auc = %g", auc)
 	}
 
 	// Full-graph inference through the facade.
