@@ -286,11 +286,11 @@ func BenchmarkPipelineEpochSequential(b *testing.B) { benchmarkPipelineEpoch(b, 
 func BenchmarkPipelineEpochOverlapped(b *testing.B) { benchmarkPipelineEpoch(b, true) }
 
 // benchmarkGraphEpoch is the eager-vs-replay pair behind the step
-// capture/replay claim: identical workloads, differing only in
-// CaptureGraph. The warm-up epochs outside the timer capture both loader
-// slots, so ns/op and allocs/op of the replay side measure pure host
-// dispatch of replayed iterations; virtual-ms/epoch carries the modeled
-// graph-launch win.
+// capture/replay claim: identical workloads, differing only in Schedule.
+// The warm-up epochs outside the timer capture both loader slots, so ns/op
+// and allocs/op of the replay side measure pure host dispatch of
+// scheduled replays; virtual-ms/epoch carries the modeled graph-launch and
+// scheduling win.
 func benchmarkGraphEpoch(b *testing.B, capture bool) {
 	ds, err := wholegraph.GenerateDataset(wholegraph.OgbnProducts.Scaled(0.001))
 	if err != nil {
@@ -299,7 +299,7 @@ func benchmarkGraphEpoch(b *testing.B, capture bool) {
 	machine := wholegraph.NewDGXA100(1)
 	tr, err := wholegraph.NewTrainer(machine, ds, wholegraph.TrainOptions{
 		Arch: "graphsage", Batch: 8, Fanouts: []int{5, 5}, Hidden: 32,
-		CaptureGraph: capture,
+		Schedule: capture,
 	})
 	if err != nil {
 		b.Fatal(err)

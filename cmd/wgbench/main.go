@@ -61,7 +61,6 @@ var experiments = []struct {
 	{"abl-pipeline", "ablation: cross-iteration batch prefetch vs sequential", wrap(bench.AblationPipeline)},
 	{"abl-overlap-grads", "ablation: bucketed gradient AllReduce overlapped with backward", wrap(bench.AblationOverlapGrads)},
 	{"abl-graph", "ablation: step capture/replay vs eager per-kernel dispatch", wrap(bench.AblationGraph)},
-	{"abl-sched", "ablation: whole-step DAG scheduling vs plain capture/replay", wrap(bench.AblationSched)},
 	{"abl-featstore", "ablation: flat slab vs paged+encoded out-of-core feature store", wrap(bench.AblationFeatstore)},
 	{"abl-oocgraph", "ablation: in-RAM CSR vs paged topology with prefetch and admission", wrap(bench.AblationOOCGraph)},
 	{"featstore-full", "out-of-core papers100M: paged features and topology at full scale", wrap(bench.FeatstoreFull)},

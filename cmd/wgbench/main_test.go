@@ -31,8 +31,8 @@ func TestReportCarriesEveryKnob(t *testing.T) {
 			args, want[key] = append(args, "-"+f.Name, "admit"), "admit"
 		}
 	})
-	if len(want) != 14 {
-		t.Fatalf("%d execution/storage flags bound, want 14", len(want))
+	if len(want) != 13 {
+		t.Fatalf("%d execution/storage flags bound, want 13", len(want))
 	}
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)

@@ -12,8 +12,9 @@ import (
 // train.Options field edited, the two in lockstep.
 
 // GraphRow reports one cell of the step capture/replay ablation: the same
-// training run executed eagerly and with train.Options.CaptureGraph, after
-// the capture warm-up, so the graph side is in its replay steady state.
+// training run executed eagerly and with train.Options.Schedule, after the
+// capture warm-up, so the graph side is in its scheduled-replay steady
+// state.
 type GraphRow struct {
 	Arch  string
 	Nodes int
@@ -39,12 +40,13 @@ type GraphRow struct {
 	LossMatch bool
 }
 
-// AblationGraph evaluates step capture/replay (train.Options.CaptureGraph):
-// the first iteration per loader slot records the step DAG, later
-// iterations replay it with one graph launch instead of a kernel launch per
-// kernel and with no host-side tape rebuild. Reported per cell: the virtual
-// epoch-time win, the measured host ns and allocations per iteration, and a
-// bit-identity check of the loss trajectory.
+// AblationGraph evaluates step capture/replay (train.Options.Schedule): the
+// first iteration per loader slot records the step DAG, later iterations
+// replay it through the whole-step scheduler with one graph launch instead
+// of a kernel launch per kernel and with no host-side tape rebuild.
+// Reported per cell: the virtual epoch-time win, the measured host ns and
+// allocations per iteration, and a bit-identity check of the loss
+// trajectory.
 func AblationGraph(cfg Config) ([]GraphRow, error) {
 	cfg = cfg.normalize()
 	// Host-side counters (wall clock, runtime.MemStats) are process-global:
@@ -72,9 +74,9 @@ func AblationGraph(cfg Config) ([]GraphRow, error) {
 			// estimator — instead of one mean, the two sides' windows
 			// interleaved.
 			eager := cell{fw: FwWholeGraph, ds: ds, hw: sim.DGXA100(nodes), opts: cfg.trainOpts(arch), warm: 3, epochs: 12, timed: true}
-			eager.opts.CaptureGraph = false
+			eager.opts.Schedule = false
 			graph := eager
-			graph.opts.CaptureGraph = true
+			graph.opts.Schedule = true
 			cells = append(cells, eager, graph)
 		}
 	}
@@ -101,91 +103,6 @@ func AblationGraph(cfg Config) ([]GraphRow, error) {
 			r.Arch, r.Nodes, fmtSeconds(r.EagerEpoch), fmtSeconds(r.GraphEpoch), r.Speedup,
 			r.EagerHostNsIter, r.GraphHostNsIter, r.EagerAllocsIter, r.GraphAllocsIter,
 			r.Captures, r.Replays, lossColumn(r.LossMatch))
-	}
-	return rows, nil
-}
-
-// SchedRow reports one cell of the whole-step scheduler ablation: the same
-// training run in capture/replay steady state, replayed serially (plain
-// CaptureGraph) and through the whole-step scheduler (train.Options.
-// Schedule), which list-schedules each step's recovered dependency DAG onto
-// the compute and copy streams.
-type SchedRow struct {
-	Arch  string
-	Nodes int
-	// CapturedEpoch / ScheduledEpoch: mean virtual epoch time over the
-	// measured replayed epochs. Model math is bit-identical either way.
-	CapturedEpoch, ScheduledEpoch float64
-	Speedup                       float64
-	// Scheduled counts the scheduled run's scheduler-placed replays.
-	Scheduled int64
-	// LossMatch: every epoch's loss was bit-identical between the two runs.
-	LossMatch bool
-}
-
-// AblationSched evaluates the whole-step scheduler against plain
-// capture/replay: both sides replay the same captured step, but the
-// scheduled side re-places the step's kernel charges by list scheduling —
-// a Linear's dX and dW backward GEMMs and sibling branches overlap across
-// the two streams — and extends the graph bracket over loss and optimizer.
-// The scheduler's serial fallback guarantees scheduled <= captured per
-// step; the interesting number is how much the DAG's width buys per
-// architecture.
-//
-// Gradient sync is the blocking AllReduce in every cell, on purpose: with
-// Options.OverlapGrads these models' ~100 KB of gradients fit one default
-// bucket (ready only when backward ends, so nothing moves), and with a
-// bucket cap that splits them the guarantee above does not hold — on GAT the
-// scheduled epoch is slower than the captured one (149.5 vs 149.4 us),
-// because the serial fallback does not see the per-bucket AllReduces sharing
-// the copy stream with scheduler-placed kernels (ROADMAP.md item 4).
-// AblationOverlapGrads covers bucketed sync.
-func AblationSched(cfg Config) ([]SchedRow, error) {
-	cfg = cfg.normalize()
-	ds, err := generate(dataset.OgbnProducts.Scaled(cfg.Scale))
-	if err != nil {
-		return nil, err
-	}
-	archs := []string{"gcn", "graphsage", "gat"}
-	if cfg.Quick {
-		archs = []string{"graphsage", "gat"}
-	}
-	var cells []cell
-	for _, arch := range archs {
-		for _, nodes := range []int{1, 2} {
-			if cfg.Quick && nodes > 1 && arch != "graphsage" {
-				continue
-			}
-			// Two warm epochs capture both loader slots; the reported epoch
-			// is the mean over four replayed ones, not a single iteration.
-			captured := cell{fw: FwWholeGraph, ds: ds, hw: sim.DGXA100(nodes), opts: cfg.trainOpts(arch), warm: 2, epochs: 4}
-			captured.opts.OverlapGrads, captured.opts.CaptureGraph, captured.opts.Schedule = false, true, false
-			scheduled := captured
-			scheduled.opts.Schedule = true
-			cells = append(cells, captured, scheduled)
-		}
-	}
-	runs, err := cfg.runGroups(cells, 2)
-	if err != nil {
-		return nil, err
-	}
-	cfg.printf("Ablation: whole-step DAG scheduling vs plain capture/replay (ogbn-products)\n")
-	cfg.printf("%10s %6s %12s %12s %9s %10s %6s\n",
-		"arch", "nodes", "captured", "scheduled", "speedup", "sched-its", "loss")
-	var rows []SchedRow
-	for i := 0; i < len(cells); i += 2 {
-		captured, scheduled := runs[i], runs[i+1]
-		r := SchedRow{
-			Arch: cells[i].opts.Arch, Nodes: cells[i].hw.Nodes,
-			CapturedEpoch: captured.mean(), ScheduledEpoch: scheduled.mean(),
-			Speedup:   speedup(captured, scheduled),
-			Scheduled: scheduled.tot.Graph.Scheduled,
-			LossMatch: slices.Equal(captured.losses, scheduled.losses),
-		}
-		rows = append(rows, r)
-		cfg.printf("%10s %6d %12s %12s %8.2fx %10d %6s\n",
-			r.Arch, r.Nodes, fmtSeconds(r.CapturedEpoch), fmtSeconds(r.ScheduledEpoch),
-			r.Speedup, r.Scheduled, lossColumn(r.LossMatch))
 	}
 	return rows, nil
 }

@@ -27,10 +27,6 @@ type InferenceResult struct {
 	SampledTime float64
 	// FullGraphTime embeds all nodes layer-wise over shared memory.
 	FullGraphTime float64
-	// PipelinedTime is the layer-wise run with chunked input gathers on the
-	// copy stream (infer.Engine.WithChunks): gather c+1 overlaps the
-	// forward of chunk c. Outputs are bit-identical to FullGraphTime's run.
-	PipelinedTime float64
 	Speedup       float64
 }
 
@@ -41,8 +37,8 @@ type InferenceResult struct {
 func Inference(cfg Config) ([]InferenceResult, error) {
 	cfg = cfg.normalize()
 	cfg.printf("Inference: sampled mini-batch vs full-graph layer-wise (GraphSAGE)\n")
-	cfg.printf("%-22s %10s %14s %14s %14s %9s\n",
-		"dataset", "nodes", "sampled", "full-graph", "pipelined", "speedup")
+	cfg.printf("%-22s %10s %14s %14s %9s\n",
+		"dataset", "nodes", "sampled", "full-graph", "speedup")
 	// Embedding the whole graph needs the graph to be many batches wide
 	// for the comparison to be meaningful.
 	scale := cfg.scaleFloor(1e-3)
@@ -96,48 +92,31 @@ func Inference(cfg Config) ([]InferenceResult, error) {
 
 		// Full-graph: every rank computes its shard layer-wise; per-device
 		// time is the machine span.
-		full, err := layerwise(ds, model, 1)
+		store, err := flatStore(ds)
 		if err != nil {
 			return nil, err
 		}
-		// Pipelined layer-wise: same computation, input gathers chunked
-		// onto the copy stream so they overlap neighbor aggregation.
-		pipelined, err := layerwise(ds, model, 4)
+		eng, err := infer.NewEngine(store, model)
 		if err != nil {
 			return nil, err
 		}
+		store.Machine.Reset() // table setup is one-time, like the training store's
+		if _, err := eng.Run(); err != nil {
+			return nil, err
+		}
+		full := store.Machine.MaxTime()
 
 		r := InferenceResult{
 			Dataset: spec.Name, Nodes: ds.Spec.Nodes,
 			Scale: cfg.Scale, ScaleUsed: scale, ScaleClamped: scale != cfg.Scale,
-			SampledTime: sampled, FullGraphTime: full, PipelinedTime: pipelined,
+			SampledTime: sampled, FullGraphTime: full,
 			Speedup: sampled / full,
 		}
 		out = append(out, r)
-		cfg.printf("%-22s %10d %14s %14s %14s %8.2fx\n",
-			r.Dataset, r.Nodes, fmtSeconds(r.SampledTime), fmtSeconds(r.FullGraphTime),
-			fmtSeconds(r.PipelinedTime), r.Speedup)
+		cfg.printf("%-22s %10d %14s %14s %8.2fx\n",
+			r.Dataset, r.Nodes, fmtSeconds(r.SampledTime), fmtSeconds(r.FullGraphTime), r.Speedup)
 	}
 	return out, nil
-}
-
-// layerwise returns the virtual time to embed every node of ds layer-wise on
-// a fresh machine, each rank's targets in chunks pipelined pieces (1: not
-// pipelined).
-func layerwise(ds *dataset.Dataset, model gnn.Model, chunks int) (float64, error) {
-	store, err := flatStore(ds)
-	if err != nil {
-		return 0, err
-	}
-	eng, err := infer.NewEngine(store, model)
-	if err != nil {
-		return 0, err
-	}
-	store.Machine.Reset() // table setup is one-time, like the training store's
-	if _, err := eng.WithChunks(chunks).Run(); err != nil {
-		return 0, err
-	}
-	return store.Machine.MaxTime(), nil
 }
 
 // dedupIDs replaces duplicate IDs with fresh distinct values.

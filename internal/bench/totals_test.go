@@ -18,7 +18,7 @@ func knobbedConfig() Config {
 	return Config{
 		Quick: true, Scale: 2e-4, Epochs: 2, Seed: 1,
 		Train: train.Options{
-			CacheRows: 40, CaptureGraph: true,
+			CacheRows: 40, Schedule: true,
 			PagedFeatures: true, FeatPageRows: 16, FeatCacheMB: 1,
 			PagedTopo: true, TopoPageEdges: 256, TopoCacheMB: 1,
 		},

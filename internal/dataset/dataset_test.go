@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"os"
 	"strings"
@@ -268,6 +269,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Save encodes through one chunk-sized buffer, not a copy of each array.
+	if n := allocatedBy(func() { err = orig.Save(io.Discard) }); err != nil || n > saveAllocBound {
+		t.Errorf("Save of %d bytes allocated %d (bound %d), err %v", len(raw), n, saveAllocBound, err)
 	}
 	var got *Dataset
 	if n := allocatedBy(func() { got, err = Load(bytes.NewReader(raw)) }); n > loadAllocBound(len(raw)) {

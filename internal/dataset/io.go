@@ -93,15 +93,16 @@ func (d *Dataset) Save(w io.Writer) error {
 	if err := WriteBytes(cw, hdr); err != nil {
 		return err
 	}
+	buf := make([]byte, readChunk)
 	for _, arr := range [][]int64{d.Graph.RowPtr, d.Graph.Col, d.Train, d.Val, d.Test} {
-		if err := WriteSlice(cw, arr); err != nil {
+		if err := writeArray(cw, arr, buf); err != nil {
 			return err
 		}
 	}
-	if err := WriteSlice(cw, d.Feat); err != nil {
+	if err := writeArray(cw, d.Feat, buf); err != nil {
 		return err
 	}
-	if err := WriteSlice(cw, d.Labels); err != nil {
+	if err := writeArray(cw, d.Labels, buf); err != nil {
 		return err
 	}
 	// Trailer: checksum of everything after the version word.
@@ -252,15 +253,28 @@ func ReadBytes(r io.Reader) ([]byte, error) {
 // Elem is the element set the binary format stores.
 type Elem interface{ int64 | int32 | float32 }
 
-// WriteSlice writes a length-prefixed little-endian array.
-func WriteSlice[T Elem](w io.Writer, s []T) error {
+// writeArray writes s as a length-prefixed little-endian array, encoding it
+// through buf a chunk at a time, so writing allocates nothing the size of s.
+func writeArray[T Elem](w io.Writer, s []T, buf []byte) error {
 	if err := binary.Write(w, binary.LittleEndian, uint64(len(s))); err != nil {
 		return err
 	}
-	return binary.Write(w, binary.LittleEndian, s)
+	var zero T
+	size := binary.Size(zero)
+	per := len(buf) / size
+	for len(s) > 0 {
+		k := min(len(s), per)
+		b := buf[:k*size]
+		encodeLE(b, s[:k])
+		if _, err := w.Write(b); err != nil {
+			return err
+		}
+		s = s[k:]
+	}
+	return nil
 }
 
-// ReadSlice reads an array written by WriteSlice.
+// ReadSlice reads an array written by writeArray.
 func ReadSlice[T Elem](r io.Reader) ([]T, error) {
 	var n uint64
 	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
@@ -276,7 +290,7 @@ func ReadSlice[T Elem](r io.Reader) ([]T, error) {
 // length prefix is read before its payload and before the checksum can
 // vouch for it, so a corrupt file may claim any length up to the caps; read
 // a chunk at a time, it ends in an error at EOF instead of a fatal
-// out-of-memory.
+// out-of-memory. Save encodes through one buffer of the same size.
 const readChunk = 64 << 10
 
 // readArray reads n little-endian elements a chunk at a time and decodes
@@ -304,6 +318,24 @@ func readArray[T Elem | byte](r io.Reader, n uint64) ([]T, error) {
 		done += k
 	}
 	return s, nil
+}
+
+// encodeLE encodes src into b little-endian, the inverse of decodeLE.
+func encodeLE[T Elem](b []byte, src []T) {
+	switch s := any(src).(type) {
+	case []int64:
+		for i, v := range s {
+			binary.LittleEndian.PutUint64(b[8*i:], uint64(v))
+		}
+	case []int32:
+		for i, v := range s {
+			binary.LittleEndian.PutUint32(b[4*i:], uint32(v))
+		}
+	case []float32:
+		for i, v := range s {
+			binary.LittleEndian.PutUint32(b[4*i:], math.Float32bits(v))
+		}
+	}
 }
 
 // decodeLE decodes the little-endian elements in b into dst.

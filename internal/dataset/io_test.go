@@ -79,6 +79,10 @@ func loadAllocBound(n int) uint64 {
 	return uint64(5*n) + readChunk + 64<<10
 }
 
+// saveAllocBound is what Save may allocate whatever the dataset's size: its
+// one-chunk encoding buffer, the bufio writer's buffer and the JSON header.
+const saveAllocBound = 2 * readChunk
+
 // sameDataset reports whether a and b hold the same spec and arrays, feature
 // bits included (a NaN feature is equal to itself).
 func sameDataset(a, b *Dataset) bool {

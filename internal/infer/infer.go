@@ -41,26 +41,6 @@ type Engine struct {
 	// block and index buffers), owned by rank r's goroutine inside
 	// sim.RunParallel, so repeated Runs allocate almost nothing.
 	scratch []*rankScratch
-	// Chunks, when > 1, splits each rank's local targets into that many
-	// pieces per layer and pipelines their input gathers on the device's
-	// copy stream against the previous chunk's forward/scatter compute —
-	// the inference analogue of the training loader's prefetch. Outputs
-	// are bit-identical to the single-block path (per-target math is
-	// unchanged; only the dedup scope narrows to a chunk, which trades
-	// some cross-chunk dedup for overlap). 0 or 1 selects the sequential
-	// single-block path.
-	Chunks int
-}
-
-// WithChunks sets the pipelined chunk count and returns the engine. Values
-// below 1 clamp to 1 (the sequential single-block path), so a computed
-// chunk count that underflows cannot arm a nonsensical configuration.
-func (e *Engine) WithChunks(n int) *Engine {
-	if n < 1 {
-		n = 1
-	}
-	e.Chunks = n
-	return e
 }
 
 // rankScratch holds one rank's per-layer working set across Run calls.
@@ -74,32 +54,6 @@ type rankScratch struct {
 	rows      []int64
 	outRows   []int64
 	collect   []float32
-	// chunks is the per-chunk working set of the pipelined path; each
-	// chunk's block, dedup table and gathered input must stay alive until
-	// its forward, so they cannot share one buffer.
-	chunks []*chunkScratch
-}
-
-// chunkScratch is one chunk's slice of the pipelined working set.
-type chunkScratch struct {
-	ded       *unique.Deduper
-	targets   []graph.GlobalID
-	neighbors []graph.GlobalID
-	rowPtr    []int64
-	blk       spops.SubCSR
-	rows      []int64
-	lo, hi    int64
-	x         *tensor.Dense // tape-owned; valid within one layer
-	// blkReady (compute) gates the chunk's gather; gatherDone (copy)
-	// gates its forward.
-	blkReady   sim.Event
-	gatherDone sim.Event
-}
-
-func (sc *rankScratch) ensureChunks(n int) {
-	for len(sc.chunks) < n {
-		sc.chunks = append(sc.chunks, &chunkScratch{ded: unique.NewDeduper()})
-	}
 }
 
 // NewEngine validates the model against the store and allocates the
@@ -179,10 +133,6 @@ func (e *Engine) Run() (*tensor.Dense, error) {
 			sc := e.scratch[r]
 			tp := sc.tape
 			tp.ResetNoGrad()
-			if e.Chunks > 1 {
-				e.runRankChunked(dev, model, sc, l, last, r, in, inDim, out, outDim)
-				return
-			}
 			blk, uniq := sc.rankBlock(dev, pg, r)
 			// Gather the block's input embeddings from the shared table.
 			if cap(sc.rows) < len(uniq) {
@@ -238,100 +188,6 @@ func (e *Engine) Run() (*tensor.Dense, error) {
 	})
 	sim.Barrier(devs)
 	return res, nil
-}
-
-// runRankChunked is the pipelined per-rank layer body: the rank's local
-// targets are split into e.Chunks even pieces; all chunk blocks are built
-// first on the compute stream (each publishing a ready event), the input
-// gathers are issued in order on the copy stream (each waiting for its
-// block), and the forward/scatter loop then consumes the chunks, stalling
-// only on a chunk's residual gather time. Gather c+1 thereby overlaps
-// forward/scatter c, and the first gather overlaps the remaining block
-// builds.
-func (e *Engine) runRankChunked(dev *sim.Device, model gnn.Model, sc *rankScratch,
-	l int, last bool, r int, in graph.FeatureSource, inDim int,
-	out *wholemem.Memory[float32], outDim int) {
-	pg := e.Store.PG
-	tp := sc.tape
-	localN := pg.LocalCount(r)
-	nChunks := e.Chunks
-	if int64(nChunks) > localN {
-		nChunks = int(localN)
-	}
-	if nChunks < 1 {
-		nChunks = 1
-	}
-	sc.ensureChunks(nChunks)
-	model.Params().Bind(tp)
-	rp := pg.RowPtr.Shard(r)
-
-	// Phase 1 (compute stream): dedup every chunk's neighborhood into its
-	// own block.
-	for c := 0; c < nChunks; c++ {
-		cs := sc.chunks[c]
-		cs.lo = localN * int64(c) / int64(nChunks)
-		cs.hi = localN * int64(c+1) / int64(nChunks)
-		n := cs.hi - cs.lo
-		if cap(cs.targets) < int(n) {
-			cs.targets = make([]graph.GlobalID, n)
-		}
-		targets := cs.targets[:n]
-		for i := int64(0); i < n; i++ {
-			targets[i] = graph.MakeGlobalID(r, cs.lo+i)
-		}
-		eLo := rp[cs.lo]
-		cs.neighbors = pg.AppendNeighbors(cs.neighbors[:0], targets)
-		uq := cs.ded.AppendUnique(dev, targets, cs.neighbors)
-		cs.rowPtr = cs.rowPtr[:0]
-		for i := cs.lo; i <= cs.hi; i++ {
-			cs.rowPtr = append(cs.rowPtr, rp[i]-eLo)
-		}
-		cs.blk = spops.SubCSR{
-			NumTargets: int(n),
-			NumNodes:   len(uq.Unique),
-			RowPtr:     cs.rowPtr,
-			Col:        uq.NeighborSubID,
-			DupCount:   uq.DupCount,
-		}
-		if cap(cs.rows) < len(uq.Unique) {
-			cs.rows = make([]int64, len(uq.Unique))
-		}
-		rows := cs.rows[:len(uq.Unique)]
-		for i, gid := range uq.Unique {
-			rows[i] = pg.FeatRow(gid)
-		}
-		cs.blkReady = dev.RecordEvent()
-	}
-
-	// Phase 2 (copy stream): gather each chunk's input embeddings as soon
-	// as its block exists.
-	prev := dev.SetStream(sim.StreamCopy)
-	for c := 0; c < nChunks; c++ {
-		cs := sc.chunks[c]
-		dev.WaitEvent(cs.blkReady, "wait.block")
-		cs.x = tp.NewTensor(cs.blk.NumNodes, inDim)
-		in.GatherRows(dev, cs.rows[:cs.blk.NumNodes], inDim, cs.x.V, "infer.gather")
-		cs.gatherDone = dev.RecordEvent()
-	}
-	dev.SetStream(prev)
-
-	// Phase 3 (compute stream): forward and scatter chunk by chunk,
-	// stalling only on residual gather time.
-	for c := 0; c < nChunks; c++ {
-		cs := sc.chunks[c]
-		dev.WaitEvent(cs.gatherDone, "wait.gather")
-		y := model.ForwardLayer(dev, l, &cs.blk, tp.Const(cs.x), last, false)
-		n := int(cs.hi - cs.lo)
-		if cap(sc.outRows) < n {
-			sc.outRows = make([]int64, n)
-		}
-		outRows := sc.outRows[:n]
-		base := pg.FeatRow(graph.MakeGlobalID(r, 0))
-		for i := range outRows {
-			outRows[i] = base + cs.lo + int64(i)
-		}
-		out.ScatterRows(dev, outRows, outDim, y.Value.V, "infer.scatter")
-	}
 }
 
 // featShardSizes returns per-rank element counts for an [N x dim] embedding

@@ -37,7 +37,7 @@ func presetOptions() Options {
 	return Options{
 		Arch: "gcn", Batch: 11, Fanouts: []int{2, 3}, Hidden: 13, Heads: 3,
 		Dropout: 0.125, LR: 0.5, Seed: 9,
-		Pipeline: true, CacheRows: 17, OverlapGrads: true, CaptureGraph: true, Schedule: true,
+		Pipeline: true, CacheRows: 17, OverlapGrads: true, Schedule: true,
 		PagedFeatures: true, FeatEncoding: "f16", FeatPageRows: 19, FeatCacheMB: 23,
 		PagedTopo: true, TopoPageEdges: 29, TopoCacheMB: 31, PrefetchPages: 37, CachePolicy: "admit",
 	}
@@ -154,8 +154,8 @@ func TestExecFlagJSONKeys(t *testing.T) {
 			t.Errorf("-%s: no Options field tagged json:%q", f.Name, key)
 		}
 	})
-	if n != 14 {
-		t.Errorf("%d execution/storage flags, want 14", n)
+	if n != 13 {
+		t.Errorf("%d execution/storage flags, want 13", n)
 	}
 }
 

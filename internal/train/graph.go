@@ -12,7 +12,7 @@ import (
 	"wholegraph/internal/tensor"
 )
 
-// Step capture/replay (Options.CaptureGraph): the training loop re-runs an
+// Step capture/replay (Options.Schedule): the training loop re-runs an
 // identical op sequence every iteration, yet the eager path re-records the
 // tape, re-dispatches every op and pays KernelLaunch per kernel — the host
 // overhead CUDA Graphs eliminate. Here the first iteration on each batch
@@ -22,9 +22,10 @@ import (
 // the same buffers, and the backward reuses the last pass's gradient
 // buffers): no re-recording, only parameter rebinding, and the device
 // charges one GraphLaunch instead of one KernelLaunch per kernel
-// (sim.BeginGraphReplay). Loss/accuracy, gradient averaging and the
-// optimizer stay live outside the tape, so losses, gradients and model
-// state are bit-identical to eager execution.
+// (sim.BeginGraphReplay), placed by the whole-step scheduler (DESIGN.md
+// §13). Loss/accuracy, gradient averaging and the optimizer stay live
+// outside the tape, so losses, gradients and model state are bit-identical
+// to eager execution.
 //
 // Captures tolerate varying row counts (every kernel reads shapes from the
 // live block/feature buffers); they are keyed by batch identity and
@@ -65,18 +66,18 @@ type stepGraph struct {
 // eagerly for good and keeps no graph.
 type workerGraphs struct {
 	graphs map[*gnn.Batch]*stepGraph
-	sch    *sched.Recorder // the whole-step scheduler's (Options.Schedule)
+	rec    *sched.Recorder // records each replay's charges for the scheduler
 	count  GraphCounters
 }
 
 // GraphCounters aggregates the step-graph machinery's counters across
-// workers. All zero unless Options.CaptureGraph ran.
+// workers. All zero unless Options.Schedule ran.
 type GraphCounters struct {
 	Captures      int64 `json:"captures"`      // eager-priced capture iterations
 	Replays       int64 `json:"replays"`       // iterations replayed from a captured graph
 	Invalidations int64 `json:"invalidations"` // captures dropped because batch structure moved
 	Fallbacks     int64 `json:"fallbacks"`     // workers that dropped to permanent eager fallback
-	Scheduled     int64 `json:"scheduled"`     // replays routed through the whole-step scheduler
+	Scheduled     int64 `json:"scheduled"`     // replays routed through the whole-step scheduler (all of them)
 }
 
 // Add accumulates o into c.
@@ -113,9 +114,7 @@ func (t *Trainer) ensureGraphState() {
 	t.gs = make([]workerGraphs, len(t.Models))
 	for w := range t.gs {
 		t.gs[w].graphs = make(map[*gnn.Batch]*stepGraph, maxGraphsPerWorker)
-		if t.Opts.Schedule {
-			t.gs[w].sch = sched.NewRecorder()
-		}
+		t.gs[w].rec = sched.NewRecorder()
 	}
 }
 
@@ -125,7 +124,7 @@ func (t *Trainer) ensureGraphState() {
 // loader does not reuse batch objects falls back to eager for good, dropping
 // the graphs it holds. Runs inside the parallel region.
 func (t *Trainer) graphFor(w int, b *gnn.Batch) (g *stepGraph, capture bool) {
-	if !t.Opts.CaptureGraph {
+	if !t.Opts.Schedule {
 		return nil, false
 	}
 	wg := &t.gs[w]
@@ -136,9 +135,7 @@ func (t *Trainer) graphFor(w int, b *gnn.Batch) (g *stepGraph, capture bool) {
 	if g, ok := wg.graphs[b]; ok {
 		if b.Feat == g.feat && slices.Equal(b.Blocks, g.blocks) {
 			c.Replays++
-			if wg.sch != nil {
-				c.Scheduled++
-			}
+			c.Scheduled++
 			return g, false
 		}
 		// Structure moved under the same batch object: drop and re-capture.
@@ -159,33 +156,28 @@ func (t *Trainer) graphFor(w int, b *gnn.Batch) (g *stepGraph, capture bool) {
 // accuracy, backward. Eagerly it runs on the worker's arena tape, Reset
 // first; a capture records on a fresh tape over the same arena that b's
 // step graph then keeps; and a replay re-runs a kept tape inside one graph
-// launch (sim.BeginGraphReplay) — with Options.Schedule through the
-// whole-step scheduler (DESIGN.md §13), which records the replay's charges
-// into a DAG instead of the clocks. A replay's host math follows the tape's
-// dependencies on up to tensor.Workers() goroutines while its charges,
-// observers and hooks keep record order on this one (DESIGN.md §9), so
-// losses, gradients, model state and clocks are bit-identical to eager.
-// Runs inside the parallel region.
+// launch (sim.BeginGraphReplay) through the whole-step scheduler
+// (DESIGN.md §13), which records the replay's charges into a DAG instead of
+// the clocks. A replay's host math follows the tape's dependencies on up to
+// tensor.Workers() goroutines while its charges and observers keep record
+// order on this one (DESIGN.md §9), so losses, gradients, model state and
+// clocks are bit-identical to eager. Runs inside the parallel region.
 func (t *Trainer) step(w int, b *gnn.Batch) stepResult {
 	mdl, dev := t.Models[w], t.loaders[w].Device()
 	g, capture := t.graphFor(w, b)
 	var tp *autograd.Tape
 	var logits *autograd.Var
 	var grad *tensor.Dense
-	var rec *sched.Recorder
 	if g != nil {
+		rec := t.gs[w].rec
 		tp, logits, grad = g.tape, g.logits, g.grad
 		mdl.Params().RebindVars(g.paramVars)
-		if rec = t.gs[w].sch; rec != nil {
-			rec.Reset()
-			dev.Record(&rec.Charges)
-			tp.SetReplayObserver(rec)
-		}
+		rec.Reset()
+		dev.Record(&rec.Charges)
+		tp.SetReplayObserver(rec)
 		dev.BeginGraphReplay("step-graph")
 		tp.Replay()
-		if rec != nil {
-			rec.LossNode(logits)
-		}
+		rec.LossNode(logits)
 		grad.ResizeUninit(logits.Value.R, logits.Value.C) // CrossEntropy sets every element
 	} else {
 		tp = t.tapes[w]
@@ -204,12 +196,12 @@ func (t *Trainer) step(w int, b *gnn.Batch) stepResult {
 		loss: tensor.CrossEntropy(logits.Value, b.Labels, grad),
 		acc:  tensor.Accuracy(logits.Value, b.Labels),
 	}
-	// Under OverlapGrads backward reports when each parameter bucket is
-	// final, so the orchestrator can gate that bucket's AllReduce there; a
-	// scheduled step takes its gates from the schedule instead.
+	// Under OverlapGrads an eager or capturing backward reports when each
+	// parameter bucket is final, so the orchestrator can gate that bucket's
+	// AllReduce there; a replay takes its gates from the schedule instead.
 	var watch []*autograd.Var
 	var onReady func(int)
-	if t.Opts.OverlapGrads && rec == nil {
+	if t.Opts.OverlapGrads && g == nil {
 		watch, onReady = t.watchBuckets(w, mdl.Params())
 	}
 	tp.BackwardHooked(logits, grad, watch, onReady)
@@ -223,23 +215,22 @@ func (t *Trainer) step(w int, b *gnn.Batch) stepResult {
 			feat:      b.Feat,
 			blocks:    slices.Clone(b.Blocks),
 		}
-	case rec != nil:
-		t.scheduled(w, dev, rec, g)
 	case g != nil:
-		dev.EndGraphReplay()
+		t.scheduled(w, dev, g)
 	}
 	return res
 }
 
-// scheduled list-schedules the DAG rec recorded over a replayed step onto
-// dev's compute and copy streams and issues its charges at their scheduled
-// positions. Under OverlapGrads bucket b's AllReduce gate is the scheduled
-// end of its last gradient-producing node (the eager backward's clock-read
-// hooks would panic on a recording device). The graph bracket stays open:
-// the charges were priced inside it, and RunEpoch closes it after the
-// optimizer, so loss, gradient sync and optimizer replay inside the step's
-// one graph launch.
-func (t *Trainer) scheduled(w int, dev *sim.Device, rec *sched.Recorder, g *stepGraph) {
+// scheduled list-schedules the DAG worker w's recorder took over a replayed
+// step onto dev's compute and copy streams and issues its charges at their
+// scheduled positions. Under OverlapGrads bucket b's AllReduce gate is the
+// scheduled end of its last gradient-producing node (the eager backward's
+// clock-read hooks would panic on a recording device). The graph bracket
+// stays open: the charges were priced inside it, and RunEpoch closes it
+// after the optimizer, so loss, gradient sync and optimizer replay inside
+// the step's one graph launch.
+func (t *Trainer) scheduled(w int, dev *sim.Device, g *stepGraph) {
+	rec := t.gs[w].rec
 	g.tape.SetReplayObserver(nil)
 	dev.Record(nil)
 	makespan := rec.Schedule(dev.StreamNow(sim.StreamCompute), dev.StreamNow(sim.StreamCopy))

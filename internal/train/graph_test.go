@@ -57,10 +57,11 @@ func compareRuns(t *testing.T, label string, aStats, bStats []EpochStats, aParam
 }
 
 // TestCaptureGraphBitIdentical is the correctness anchor of step
-// capture/replay: for every architecture, training with CaptureGraph must
+// capture/replay: for every architecture, training with Schedule must
 // produce bit-identical losses, accuracies and final parameters to eager
 // execution — replay re-runs the same math in the same order, including the
-// dropout RNG draws — while replay iterations actually happen.
+// dropout RNG draws — while captures and replays actually happen and the
+// worker keeps no more graphs than its loader has batch faces.
 func TestCaptureGraphBitIdentical(t *testing.T) {
 	for _, arch := range []string{"gcn", "graphsage", "gat", "gin"} {
 		t.Run(arch, func(t *testing.T) {
@@ -68,7 +69,7 @@ func TestCaptureGraphBitIdentical(t *testing.T) {
 			opts.Batch = 8 // several iterations per epoch
 			eager := opts
 			graph := opts
-			graph.CaptureGraph = true
+			graph.Schedule = true
 			eStats, eParams, _, _ := graphRun(t, eager, 1, 3)
 			gStats, gParams, gtr, _ := graphRun(t, graph, 1, 3)
 			compareRuns(t, arch, eStats, gStats, eParams, gParams)
@@ -92,7 +93,7 @@ func TestCaptureGraphReducesEpochTime(t *testing.T) {
 	opts.Batch = 8
 	eager := opts
 	graph := opts
-	graph.CaptureGraph = true
+	graph.Schedule = true
 	eStats, _, _, _ := graphRun(t, eager, 1, 4)
 	gStats, _, gtr, _ := graphRun(t, graph, 1, 4)
 	last := len(gStats) - 1
@@ -100,8 +101,8 @@ func TestCaptureGraphReducesEpochTime(t *testing.T) {
 		t.Errorf("replay epoch %.6gs not faster than eager %.6gs",
 			gStats[last].EpochTime, eStats[last].EpochTime)
 	}
-	if gc := gtr.GraphStats(); gc.Replays == 0 {
-		t.Fatal("no replays happened; time comparison is meaningless")
+	if gc := gtr.GraphStats(); gc.Replays == 0 || gc.Scheduled != gc.Replays {
+		t.Fatalf("no scheduled replays happened; time comparison is meaningless: %+v", gc)
 	}
 	if gStats[last].Loss != eStats[last].Loss {
 		t.Errorf("loss drifted: graph %v eager %v", gStats[last].Loss, eStats[last].Loss)
@@ -110,49 +111,60 @@ func TestCaptureGraphReducesEpochTime(t *testing.T) {
 
 // TestCaptureGraphComposes runs capture/replay together with the prefetch
 // pipeline and bucketed gradient overlap: all three overlays on, results
-// still bit-identical to the plain eager path.
+// still bit-identical to the plain eager path, and every worker's captures
+// stay within maxGraphsPerWorker.
 func TestCaptureGraphComposes(t *testing.T) {
 	opts := smallOpts("graphsage")
 	opts.Batch = 8
 	opts.RealWorkers = 2
 	plain := opts
 	all := opts
-	all.CaptureGraph = true
+	all.Schedule = true
 	all.Pipeline = true
 	all.OverlapGrads = true
 	pStats, pParams, _, _ := graphRun(t, plain, 1, 3)
 	aStats, aParams, atr, _ := graphRun(t, all, 1, 3)
 	compareRuns(t, "pipeline+overlap+graph", pStats, aStats, pParams, aParams)
-	if gc := atr.GraphStats(); gc.Replays == 0 {
+	gc := atr.GraphStats()
+	if gc.Replays == 0 {
 		t.Error("composed run never replayed")
+	}
+	if gc.Captures > int64(opts.RealWorkers*maxGraphsPerWorker) {
+		t.Errorf("%d captures for %d workers", gc.Captures, opts.RealWorkers)
 	}
 }
 
 // TestCaptureGraphSerialParallelEquivalence checks the replay path under
-// real worker goroutines (the -race gate): stats and device clocks must
-// match the serial reference bit-for-bit.
+// real worker goroutines (the -race gate): stats, capture counters and
+// device clocks must match the serial reference bit-for-bit.
 func TestCaptureGraphSerialParallelEquivalence(t *testing.T) {
-	run := func(parallel bool) ([]EpochStats, []float64) {
+	run := func(parallel bool) ([]EpochStats, GraphCounters, []float64) {
 		prev := sim.SetParallel(parallel)
 		defer sim.SetParallel(prev)
 		opts := smallOpts("gcn")
 		opts.Batch = 8
 		opts.RealWorkers = 3
-		opts.CaptureGraph = true
+		opts.Schedule = true
 		opts.OverlapGrads = true
-		stats, _, _, m := graphRun(t, opts, 1, 3)
+		stats, _, tr, m := graphRun(t, opts, 1, 3)
 		var clocks []float64
 		for _, d := range m.Devs {
 			clocks = append(clocks, d.Span())
 		}
-		return stats, clocks
+		return stats, tr.GraphStats(), clocks
 	}
 
 	prevProcs := runtime.GOMAXPROCS(1)
-	serialStats, serialClocks := run(false)
+	serialStats, serialGC, serialClocks := run(false)
 	runtime.GOMAXPROCS(prevProcs)
-	parStats, parClocks := run(true)
+	parStats, parGC, parClocks := run(true)
 
+	if serialGC.Replays == 0 {
+		t.Fatalf("no replays happened: %+v", serialGC)
+	}
+	if serialGC != parGC {
+		t.Errorf("graph counters differ:\n serial   %+v\n parallel %+v", serialGC, parGC)
+	}
 	for e := range serialStats {
 		if serialStats[e] != parStats[e] {
 			t.Errorf("epoch %d stats differ:\n serial   %+v\n parallel %+v", e+1, serialStats[e], parStats[e])
@@ -172,7 +184,7 @@ func TestCaptureGraphSerialParallelEquivalence(t *testing.T) {
 func TestCaptureGraphInvalidatesOnStructureChange(t *testing.T) {
 	opts := smallOpts("graphsage")
 	opts.Batch = 8
-	opts.CaptureGraph = true
+	opts.Schedule = true
 
 	m := sim.NewMachine(sim.DGXA100(1))
 	ds := smallDataset(t)
@@ -192,8 +204,8 @@ func TestCaptureGraphInvalidatesOnStructureChange(t *testing.T) {
 	if gc.Invalidations == 0 {
 		t.Fatalf("structure change not invalidated (captures=%d replays=%d)", gc.Captures, gc.Replays)
 	}
-	if gc.Replays == 0 {
-		t.Error("no replays after re-capture")
+	if gc.Replays == 0 || gc.Scheduled != gc.Replays {
+		t.Errorf("no scheduled replays after re-capture: %+v", gc)
 	}
 
 	ref := opts
@@ -205,14 +217,14 @@ func TestCaptureGraphInvalidatesOnStructureChange(t *testing.T) {
 	}
 }
 
-// TestCaptureGraphFallsBackOnChurningBatches covers loaders that never
-// reuse batch objects: once a worker exceeds maxGraphsPerWorker distinct
-// batches it must drop to permanent eager execution with results identical
-// to CaptureGraph=false.
+// TestCaptureGraphFallsBackOnChurningBatches covers loaders that never reuse
+// batch objects: once a worker exceeds maxGraphsPerWorker distinct batches
+// it must drop to permanent eager execution with results identical to
+// Schedule=false.
 func TestCaptureGraphFallsBackOnChurningBatches(t *testing.T) {
 	opts := smallOpts("gcn")
 	opts.Batch = 8
-	opts.CaptureGraph = true
+	opts.Schedule = true
 
 	m := sim.NewMachine(sim.DGXA100(1))
 	ds := smallDataset(t)
@@ -233,30 +245,30 @@ func TestCaptureGraphFallsBackOnChurningBatches(t *testing.T) {
 	if n := len(tr.gs[0].graphs); n != 0 {
 		t.Errorf("fallback worker still holds %d step graphs", n)
 	}
-	if gc := tr.GraphStats(); gc.Captures != 0 || gc.Replays != 0 || gc.Fallbacks == 0 {
+	if gc := tr.GraphStats(); gc.Captures != 0 || gc.Replays != 0 || gc.Scheduled != gc.Replays || gc.Fallbacks == 0 {
 		t.Errorf("fallback worker counters off: %+v", gc)
 	}
 
 	eager := opts
-	eager.CaptureGraph = false
+	eager.Schedule = false
 	eStats, _, _, _ := graphRun(t, eager, 1, 1)
 	if stats.Loss != eStats[0].Loss {
 		t.Errorf("fallback loss %v differs from eager %v", stats.Loss, eStats[0].Loss)
 	}
 }
 
-// TestCaptureGraphEvaluateInterleaved interleaves Evaluate (which rebinds
-// the parameters onto the evaluation tape) with replayed training epochs:
-// a replayed step must rebind the parameters back to the captured tape, keeping
-// both the training losses and the evaluation scores bit-identical to
-// eager.
+// TestCaptureGraphEvaluateInterleaved interleaves Evaluate (which rebinds the
+// parameters onto the evaluation tape) with replayed training epochs: a
+// replayed step must rebind the parameters back to the captured tape,
+// keeping both the training losses and the evaluation scores bit-identical
+// to eager.
 func TestCaptureGraphEvaluateInterleaved(t *testing.T) {
 	ds := smallDataset(t)
 	run := func(capture bool) (losses, evals []float64) {
 		m := sim.NewMachine(sim.DGXA100(1))
 		opts := smallOpts("graphsage")
 		opts.Batch = 8
-		opts.CaptureGraph = capture
+		opts.Schedule = capture
 		tr, err := New(m, ds, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -268,6 +280,9 @@ func TestCaptureGraphEvaluateInterleaved(t *testing.T) {
 				t.Fatal(err)
 			}
 			evals = append(evals, acc)
+		}
+		if gc := tr.GraphStats(); capture && (gc.Replays == 0 || gc.Scheduled != gc.Replays) {
+			t.Errorf("no scheduled replays between evaluations: %+v", gc)
 		}
 		return losses, evals
 	}
@@ -297,7 +312,7 @@ func TestReplayEpochAllocs(t *testing.T) {
 		ds := smallDataset(t)
 		opts := smallOpts("graphsage")
 		opts.Batch = 8
-		opts.CaptureGraph = capture
+		opts.Schedule = capture
 		tr, err := New(m, ds, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -312,6 +327,9 @@ func TestReplayEpochAllocs(t *testing.T) {
 		n := testing.AllocsPerRun(5, func() {
 			tr.RunEpoch()
 		})
+		if gc := tr.GraphStats(); capture && (gc.Replays == 0 || gc.Scheduled != gc.Replays) {
+			t.Fatalf("no scheduled replays: %+v", gc)
+		}
 		return n / float64(iters), iters
 	}
 

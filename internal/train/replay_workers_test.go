@@ -32,7 +32,7 @@ func replayWorkersRun(t *testing.T, ds *dataset.Dataset, opts Options) [2]uint64
 		t.Fatalf("%s: %d gradient bucket(s), want at least 2", opts.Arch, len(tr.ov.buckets))
 	}
 	gc := tr.GraphStats()
-	if gc.Replays == 0 || opts.Schedule && gc.Scheduled == 0 {
+	if gc.Replays == 0 || gc.Scheduled != gc.Replays {
 		t.Fatalf("%s: nothing replayed: %+v", opts.Arch, gc)
 	}
 	h := fnv.New64a()
@@ -47,9 +47,9 @@ func replayWorkersRun(t *testing.T, ds *dataset.Dataset, opts Options) [2]uint64
 }
 
 // TestReplayWorkersBitIdentical: a replayed step runs its records' math on
-// up to tensor.Workers() goroutines while its charges, observers and hooks
-// keep record order. Captured and scheduled training of every architecture,
-// with and without bucketed gradient overlap, on one and two real workers,
+// up to tensor.Workers() goroutines while its charges and observers keep
+// record order. Scheduled training of every architecture, with and
+// without bucketed gradient overlap, on one and two real workers,
 // must hash the same at one dense-kernel worker as at two and four: every
 // epoch's statistics, the final parameters, every device's clocks and
 // DeviceStats, and worker 0's trace.
@@ -57,21 +57,18 @@ func TestReplayWorkersBitIdentical(t *testing.T) {
 	defer tensor.SetWorkers(tensor.SetWorkers(1))
 	ds := smallDataset(t)
 	for _, arch := range []string{"gcn", "graphsage", "gat", "gin"} {
-		for _, sched := range []bool{false, true} {
-			for _, overlap := range []bool{false, true} {
-				for _, real := range []int{1, 2} {
-					o := smallOpts(arch)
-					o.Batch, o.RealWorkers, o.Trace = 4, real, true
-					o.CaptureGraph, o.Schedule = true, sched
-					o.OverlapGrads = overlap
-					name := fmt.Sprintf("%s/sched=%v/overlap=%v/real=%d", arch, sched, overlap, real)
-					tensor.SetWorkers(1)
-					want := replayWorkersRun(t, ds, o)
-					for _, w := range []int{2, 4} {
-						tensor.SetWorkers(w)
-						if got := replayWorkersRun(t, ds, o); got != want {
-							t.Errorf("%s: %d workers hash %#x, one worker %#x", name, w, got, want)
-						}
+		for _, overlap := range []bool{false, true} {
+			for _, real := range []int{1, 2} {
+				o := smallOpts(arch)
+				o.Batch, o.RealWorkers, o.Trace = 4, real, true
+				o.Schedule, o.OverlapGrads = true, overlap
+				name := fmt.Sprintf("%s/overlap=%v/real=%d", arch, overlap, real)
+				tensor.SetWorkers(1)
+				want := replayWorkersRun(t, ds, o)
+				for _, w := range []int{2, 4} {
+					tensor.SetWorkers(w)
+					if got := replayWorkersRun(t, ds, o); got != want {
+						t.Errorf("%s: %d workers hash %#x, one worker %#x", name, w, got, want)
 					}
 				}
 			}

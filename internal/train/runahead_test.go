@@ -122,7 +122,7 @@ func TestRunAheadEqualsInline(t *testing.T) {
 		{"capped", plain, func(o *train.Options) { o.RealWorkers = 2; o.MaxItersPerEpoch = 3 }, 1},
 		{"weighted-gcn", weighted, func(o *train.Options) { o.Arch = "gcn" }, 1},
 		{"cached", plain, func(o *train.Options) { o.CacheRows = 200; o.RealWorkers = 2 }, 1},
-		{"captured", plain, func(o *train.Options) { o.CaptureGraph = true }, 1},
+		{"captured", plain, func(o *train.Options) { o.Schedule = true }, 1},
 		{"paged", plain, func(o *train.Options) {
 			o.PagedFeatures, o.PagedTopo = true, true
 			o.FeatPageRows, o.TopoPageEdges, o.PrefetchPages = 16, 256, 4
@@ -132,7 +132,7 @@ func TestRunAheadEqualsInline(t *testing.T) {
 		{"pipelined-capped", plain, func(o *train.Options) { o.Pipeline = true; o.MaxItersPerEpoch = 1 }, 1},
 		{"sched-2node", plain, func(o *train.Options) {
 			o.Arch = "gat"
-			o.Pipeline, o.CaptureGraph, o.Schedule, o.OverlapGrads = true, true, true, true
+			o.Pipeline, o.Schedule, o.OverlapGrads = true, true, true
 		}, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -161,7 +161,7 @@ func TestRunAheadEqualsInline(t *testing.T) {
 			if len(inline.trace) == 0 || !reflect.DeepEqual(inline.trace, ahead.trace) {
 				t.Errorf("worker 0 trace: %d intervals inline, %d run-ahead, or contents differ", len(inline.trace), len(ahead.trace))
 			}
-			if opts.CaptureGraph && inline.graphs.Captures != 2 {
+			if opts.Schedule && inline.graphs.Captures != 2 {
 				t.Errorf("%d step-graph captures, want one per face", inline.graphs.Captures)
 			}
 			if inline.stats[0].Iters < 2 {

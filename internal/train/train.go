@@ -83,28 +83,16 @@ type Options struct {
 	// model state are bit-identical to the blocking path; only virtual time
 	// improves. Composes with Pipeline.
 	OverlapGrads bool `json:"overlap_grads"`
-	// CaptureGraph captures each worker's training step as a replayable
-	// graph (CUDA-Graph style): the first iteration on a given batch face
-	// records the op sequence on a tape that is kept, and subsequent
-	// iterations replay it without re-recording, charging one graph launch
-	// in virtual time instead of one launch per kernel. Row counts may vary
-	// between replays (shapes are rebound from the live batch); a change of
-	// batch structure invalidates the capture and falls back to eager
-	// execution with re-capture. Losses, gradients and model state are bit-identical
-	// to eager execution. Composes with Pipeline and OverlapGrads.
-	CaptureGraph bool `json:"capture_graph"`
-	// Schedule routes each captured step's replay through the whole-step
-	// scheduler (internal/sched, DESIGN.md §13): the replay's device charges
-	// are recorded into a dependency DAG recovered from the tape's tensor
-	// producers and consumers, then list-scheduled onto the compute and copy
-	// streams so independent kernels — a Linear's dX and dW backward GEMMs,
-	// sibling attention heads — run concurrently. The graph bracket extends
-	// over loss and optimizer, so the whole step replays as one launch. Host
-	// math is unchanged: losses, gradients and model state are
-	// bit-identical to eager execution; a scheduled step is never
-	// slower than a plain captured one (the scheduler falls back to the
-	// serial order when list scheduling finds no win). Implies CaptureGraph;
-	// composes with Pipeline and OverlapGrads.
+	// Schedule captures each worker's training step as a replayable graph
+	// (CUDA-Graph style): the first iteration on a batch face records the
+	// op sequence on a tape that is kept, and later iterations replay it
+	// inside one graph launch through the whole-step scheduler
+	// (internal/sched, DESIGN.md §9 and §13), which list-schedules the
+	// step's dependency DAG onto the compute and copy streams — never
+	// slower than the serial order it falls back to. A change of batch
+	// structure invalidates the capture and re-captures eagerly. Losses,
+	// gradients and model state are bit-identical to eager execution.
+	// Composes with Pipeline and OverlapGrads.
 	Schedule bool `json:"schedule"`
 	// PagedFeatures serves node features from the paged, compressed
 	// feature store (internal/featstore) instead of the flat wholemem
@@ -174,9 +162,6 @@ func (o Options) Normalize() Options {
 	}
 	if o.RealWorkers == 0 {
 		o.RealWorkers = 1
-	}
-	if o.Schedule {
-		o.CaptureGraph = true
 	}
 	return o
 }
@@ -366,7 +351,7 @@ type Trainer struct {
 	// Options.OverlapGrads (DDP bucket_cap_mb-style): defaultBucketBytes,
 	// unless a package test sets it before the first epoch.
 	bucketCap int
-	// gs is the step-graph capture state (Options.CaptureGraph), one per
+	// gs is the step-graph capture state (Options.Schedule), one per
 	// real worker, built lazily by ensureGraphState.
 	gs []workerGraphs
 	// ep is RunEpoch's per-worker scratch, kept across epochs so a
@@ -670,7 +655,7 @@ func (t *Trainer) RunEpoch() EpochStats {
 	if overlap {
 		t.ensureOverlap()
 	}
-	if t.Opts.CaptureGraph {
+	if t.Opts.Schedule {
 		t.ensureGraphState()
 	}
 	start := t.Machine.MaxTime()

@@ -32,17 +32,16 @@ go test -race -count=10 -cpu 1,4 ./internal/tensor
 # at three GOMAXPROCS settings (~3.5 min).
 go test -race -count=10 -cpu 1,2,4 -run '^(TestPlannedEqualsUnplanned|TestSpeculationEqualsNone)$' ./internal/core
 # A training step is one function whichever shape it takes — eager, capture,
-# replay, scheduled replay, the fallback of a loader that never reuses a
-# batch — and each worker writes its graph map, counters and bucket gates
-# inside sim.RunParallel: hammer the step golden's five shapes on two real
-# workers at three GOMAXPROCS settings (~35 s).
+# scheduled replay, the fallback of a loader that never reuses a batch — and each worker writes its graph map, counters and bucket gates
+# inside sim.RunParallel: hammer the step golden's three shapes on two real
+# workers at three GOMAXPROCS settings (~16 s).
 go test -race -count=10 -cpu 1,2,4 -run '^TestStepGolden$' ./internal/train
 # A replayed step runs its records' math on up to tensor.Workers() goroutines —
 # the worker's own and helpers from the dense kernels' pool, each pricing on a
-# graph twin — while charges, observers and hooks keep record order: hammer
-# every architecture, captured and scheduled, with and without bucketed
-# gradient overlap, on one and two real workers, at one dense-kernel worker
-# against two and four, at three GOMAXPROCS settings (~1.5 min).
+# graph twin — while charges and observers keep record order: hammer every
+# architecture's scheduled replay, with and without bucketed gradient
+# overlap, on one and two real workers, at one dense-kernel worker against
+# two and four, at three GOMAXPROCS settings (~1 min).
 go test -race -count=10 -cpu 1,2,4 -run '^TestReplayWorkersBitIdentical$' ./internal/train
 # The paged table keeps each device's batch, page map and recycling list
 # unlocked beside a locked cache, on the word that one goroutine drives a
