@@ -322,7 +322,11 @@ func AblationPartition(cfg Config) ([]PartitionRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		pg, err := graph.PartitionBy(ds.Graph, ds.Feat, ds.Spec.FeatDim, comm, st.owner)
+		l, err := graph.NewLayout(ds.Graph, ds.Feat, ds.Spec.FeatDim, parts, st.owner)
+		if err != nil {
+			return nil, err
+		}
+		pg, err := l.Map(comm, graph.Paging{})
 		if err != nil {
 			return nil, err
 		}

@@ -65,47 +65,20 @@ func NewStore(m *sim.Machine, node int, ds *dataset.Dataset) (*Store, error) {
 // encoding): paging changes virtual time and cache hit rates, never
 // training results.
 func NewStoreOpts(m *sim.Machine, node int, ds *dataset.Dataset, opts StoreOptions) (*Store, error) {
-	if ds.Graph == nil && !opts.PagedTopo {
-		return nil, fmt.Errorf("core: %s is out-of-core (no materialized CSR); it requires the paged topology store (StoreOptions.PagedTopo)", ds.Spec.Name)
-	}
 	if ds.Feat == nil && ds.Gen != nil && !opts.PagedFeatures {
 		return nil, fmt.Errorf("core: %s has no materialized feature slab; it requires the paged feature store (StoreOptions.PagedFeatures)", ds.Spec.Name)
-	}
-	if ds.Spec.Weighted && opts.PagedTopo {
-		return nil, fmt.Errorf("core: %s is weighted; edge weights require a materialized column array", ds.Spec.Name)
 	}
 	comm, err := wholemem.NewComm(m.NodeDevs(node))
 	if err != nil {
 		return nil, err
 	}
-	// Features partitioned with the graph only in flat-slab mode; the
-	// paged store installs its own FeatureSource below.
-	feat := ds.Feat
-	if opts.PagedFeatures {
-		feat = nil
-	}
+	// Every store maps the dataset's one host layout, whichever tables it
+	// pages: every node of a machine, and every store built over the
+	// dataset, shares its index arrays and its DegreeOrder.
+	l, err := ds.HashLayout(comm.Size())
 	var pg *graph.Partitioned
-	switch {
-	case opts.PagedTopo:
-		var src graph.TopoSource
-		if ds.Graph != nil {
-			src = graph.CSRTopo{G: ds.Graph}
-		} else {
-			src = ds.Topo
-		}
-		pg, err = graph.PartitionPaged(src, feat, ds.Spec.FeatDim, comm, opts.Topo)
-	case opts.PagedFeatures:
-		pg, err = graph.Partition(ds.Graph, nil, ds.Spec.FeatDim, comm)
-		if err == nil && ds.Spec.Weighted {
-			pg.AttachEdgeWeights(graph.HashEdgeWeight)
-		}
-	default:
-		// The flat store maps the dataset's one host layout: every node of
-		// a machine, and every store built over the dataset, shares it.
-		var l *graph.Layout
-		if l, err = ds.HashLayout(comm.Size()); err == nil {
-			pg = l.Map(comm)
-		}
+	if err == nil {
+		pg, err = l.Map(comm, graph.Paging{Topo: opts.PagedTopo, TopoOpts: opts.Topo, Features: opts.PagedFeatures})
 	}
 	if err != nil {
 		return nil, fmt.Errorf("core: partitioning %s: %w", ds.Spec.Name, err)

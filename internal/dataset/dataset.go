@@ -176,20 +176,21 @@ type layoutMemo struct {
 	err  error
 }
 
-// HashLayout returns the paper's hash partition of the CSR, the feature slab
-// and, for a Weighted spec, the edge weights over parts ranks. It is built
-// once per rank count for the dataset's lifetime — concurrent callers wait
-// for the one build — and is read-only, so every flat store over the dataset
-// maps the same host arrays, however many machine nodes or trainers build
-// one.
+// HashLayout returns the paper's hash partition of the graph — Graph, or
+// Topo for an out-of-core dataset — the feature slab and, for a Weighted
+// spec, the edge weights over parts ranks. It is built once per rank count
+// for the dataset's lifetime — concurrent callers wait for the one build —
+// and is read-only, so every store over the dataset, resident or paged, maps
+// the same host arrays, however many machine nodes or trainers build one.
 func (d *Dataset) HashLayout(parts int) (*graph.Layout, error) {
-	if d.Graph == nil {
-		return nil, fmt.Errorf("dataset %s: out-of-core (no materialized CSR) has no host layout", d.Spec.Name)
-	}
 	v, _ := d.layouts.LoadOrStore(parts, new(layoutMemo))
 	e := v.(*layoutMemo)
 	e.once.Do(func() {
-		e.l, e.err = graph.NewLayout(d.Graph, d.Feat, d.Spec.FeatDim, parts, graph.HashOwner(parts))
+		var src graph.TopoSource = d.Topo
+		if d.Graph != nil {
+			src = d.Graph
+		}
+		e.l, e.err = graph.NewLayout(src, d.Feat, d.Spec.FeatDim, parts, graph.HashOwner(parts))
 		if e.err == nil && d.Spec.Weighted {
 			e.l.AttachEdgeWeights(graph.HashEdgeWeight)
 		}
@@ -412,7 +413,7 @@ func (d *Dataset) generateSplits(rng *rand.Rand) {
 	}
 	nLabeled := int64(float64(s.Nodes) * s.LabelRatio)
 	if nLabeled < int64(s.NumClasses) {
-		nLabeled = min64(int64(s.NumClasses), s.Nodes)
+		nLabeled = min(int64(s.NumClasses), s.Nodes)
 	}
 	ids := rng.Perm(int(s.Nodes))[:nLabeled]
 	nTrain := int64(float64(nLabeled) * s.TrainFrac)
@@ -499,11 +500,4 @@ func gcd(a, b int64) int64 {
 		a, b = b, a%b
 	}
 	return a
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

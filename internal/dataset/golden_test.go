@@ -89,7 +89,11 @@ func mapLayout(t *testing.T, d *Dataset) *graph.Partitioned {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return l.Map(comm)
+	p, err := l.Map(comm, graph.Paging{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 // goldenHashes generates every golden case and hashes its arrays.

@@ -35,19 +35,17 @@ func TestAdjMatchesGlobalIndexReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	csr := randomCSR(t, 500, 3000, 42)
-	resident, err := Partition(csr, nil, 0, comm)
+	resident := mapLayout(t, csr, nil, 0, comm, Paging{})
+	l, err := NewLayout(csr, nil, 0, comm.Size(), HashOwner(comm.Size()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	weighted, err := Partition(csr, nil, 0, comm)
+	l.AttachEdgeWeights(HashEdgeWeight)
+	weighted, err := l.Map(comm, Paging{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	weighted.AttachEdgeWeights(HashEdgeWeight)
-	paged, err := PartitionPaged(CSRTopo{csr}, nil, 0, comm, topostore.Options{PageEdges: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
+	paged := mapLayout(t, csr, nil, 0, comm, Paging{Topo: true, TopoOpts: topostore.Options{PageEdges: 7}})
 	for name, p := range map[string]*Partitioned{"resident": resident, "weighted": weighted, "paged": paged} {
 		for v := int64(0); v < csr.N; v++ {
 			gid := p.Owner[v]
@@ -120,10 +118,7 @@ func TestDegreeOrderMatchesComparator(t *testing.T) {
 			return want[i] < want[j]
 		})
 
-		pg, err := Partition(csr, nil, 0, comm)
-		if err != nil {
-			t.Fatal(err)
-		}
+		pg := mapLayout(t, csr, nil, 0, comm, Paging{})
 		got := pg.DegreeOrder()
 		if !slices.Equal(got, want) {
 			t.Fatalf("n=%d: degree order diverges from the comparator", n)
@@ -131,10 +126,7 @@ func TestDegreeOrderMatchesComparator(t *testing.T) {
 		if again := pg.DegreeOrder(); &again[0] != &got[0] {
 			t.Fatalf("n=%d: DegreeOrder recomputed", n)
 		}
-		paged, err := PartitionPaged(CSRTopo{csr}, nil, 0, comm, topostore.Options{PageEdges: 64})
-		if err != nil {
-			t.Fatal(err)
-		}
+		paged := mapLayout(t, csr, nil, 0, comm, Paging{Topo: true, TopoOpts: topostore.Options{PageEdges: 64}})
 		if !slices.Equal(paged.DegreeOrder(), want) {
 			t.Fatalf("n=%d: paged degree order diverges", n)
 		}

@@ -176,6 +176,15 @@ func countingSort(row []int64, hist []int32) {
 	}
 }
 
+// NumNodes returns the node count (TopoSource).
+func (c *CSR) NumNodes() int64 { return c.N }
+
+// FillNeighbors writes neighbour slots [k0, k1) of node v into dst
+// (TopoSource).
+func (c *CSR) FillNeighbors(v, k0, k1 int64, dst []int64) {
+	copy(dst, c.Col[c.RowPtr[v]+k0:c.RowPtr[v]+k1])
+}
+
 // NumEdges returns the number of stored (directed) edges.
 func (c *CSR) NumEdges() int64 { return c.RowPtr[c.N] }
 

@@ -47,7 +47,7 @@ type memFeats struct {
 }
 
 // MemFeatures wraps a sharded feature slab (n rows by dim) as a
-// FeatureSource. Partition installs it automatically; exported for tests
+// FeatureSource. Layout.Map installs it over the slab; exported for tests
 // and for callers that build feature tables by hand.
 func MemFeatures(mem *wholemem.Memory[float32], n int64, dim int) FeatureSource {
 	return &memFeats{mem: mem, n: n, dim: dim}

@@ -137,11 +137,21 @@ func testPartition(t *testing.T) (*sim.Machine, *CSR, []float32, *Partitioned) {
 	for i := range feat {
 		feat[i] = float32(i)
 	}
-	p, err := Partition(csr, feat, dim, comm)
+	return m, csr, feat, mapLayout(t, csr, feat, dim, comm, Paging{})
+}
+
+// mapLayout maps the hash layout of csr and feat on comm with paging pg.
+func mapLayout(t *testing.T, csr *CSR, feat []float32, dim int, comm *wholemem.Comm, pg Paging) *Partitioned {
+	t.Helper()
+	l, err := NewLayout(csr, feat, dim, comm.Size(), HashOwner(comm.Size()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m, csr, feat, p
+	p, err := l.Map(comm, pg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 func TestPartitionPreservesTopology(t *testing.T) {
@@ -204,7 +214,7 @@ func TestPartitionRejectsBadFeatures(t *testing.T) {
 	m := sim.NewMachine(sim.DGXA100(1))
 	comm, _ := wholemem.NewComm(m.NodeDevs(0))
 	csr := randomCSR(t, 10, 20, 1)
-	if _, err := Partition(csr, make([]float32, 7), 3, comm); err == nil {
+	if _, err := NewLayout(csr, make([]float32, 7), 3, comm.Size(), HashOwner(comm.Size())); err == nil {
 		t.Error("bad feature length accepted")
 	}
 }
@@ -213,10 +223,7 @@ func TestPartitionNilFeatures(t *testing.T) {
 	m := sim.NewMachine(sim.DGXA100(1))
 	comm, _ := wholemem.NewComm(m.NodeDevs(0))
 	csr := randomCSR(t, 50, 100, 2)
-	p, err := Partition(csr, nil, 0, comm)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := mapLayout(t, csr, nil, 0, comm, Paging{})
 	if p.Feat != nil {
 		t.Error("Feat should be nil")
 	}

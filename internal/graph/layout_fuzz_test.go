@@ -6,12 +6,13 @@ import (
 	"testing"
 
 	"wholegraph/internal/sim"
+	"wholegraph/internal/topostore"
 	"wholegraph/internal/wholemem"
 )
 
-// copiedLayout is the partition as it was built before the layout viewed
-// the dataset: per-rank copies of the row pointers, of the column array as
-// GlobalIDs, of the feature rows and of the edge weights.
+// copiedLayout is the partition built the plain way, edge by edge: per-rank
+// copies of the row pointers, of the column array as GlobalIDs, of the
+// feature rows and of the edge weights.
 type copiedLayout struct {
 	owner         []GlobalID
 	orig, rowPtr  [][]int64
@@ -85,14 +86,16 @@ func fuzzCSR(rng *rand.Rand, n int64, hubs int) *CSR {
 
 // FuzzLayout builds random graphs — empty rows, hub rows, duplicate
 // entries — on one to eight ranks under a hash, a range or a random owner,
-// with features and edge weights each optional, and holds the viewing
-// layout to copiedLayout, the per-rank copies it replaced: for every node,
-// Adj's degree, first edge index and neighbour GlobalIDs, the column
-// entries read through Col, the feature rows GatherRows and ReadRow return
-// and the edge weights; unaligned ranges and single elements read through
-// the kernels; the Table IV byte counts; and every device's clock and
-// counters after Map and those reads, against the copies mapped and read
-// the way they were.
+// with features and edge weights each optional, and holds the layout mapped
+// resident to copiedLayout: for every node, Adj's degree, first edge index
+// and neighbour GlobalIDs, the column entries read through Col, the feature
+// rows GatherRows and ReadRow return and the edge weights; unaligned ranges
+// and single elements read through the kernels; the Table IV byte counts;
+// and every device's clock and counters after Map and those reads, against
+// the copies mapped and read the same way. The same placement over a source
+// that is no CSR, mapped with paged topology, must place every node and row
+// pointer alike and read every column entry through the topostore accessor
+// as the resident view does; a weighted layout must refuse paged topology.
 func FuzzLayout(f *testing.F) {
 	f.Add(int64(1), uint16(200), uint8(8), uint8(0), uint8(3), true, false)
 	f.Add(int64(2), uint16(50), uint8(3), uint8(1), uint8(0), false, true)
@@ -137,7 +140,10 @@ func FuzzLayout(f *testing.F) {
 		if weighted {
 			l.AttachEdgeWeights(HashEdgeWeight)
 		}
-		p := l.Map(comm())
+		p, err := l.Map(comm(), Paging{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		ref := copyLayout(csr, feat, dim, parts, ownerOf, weighted)
 		refComm := comm()
 		var refFeat *wholemem.Memory[float32]
@@ -231,5 +237,35 @@ func FuzzLayout(f *testing.F) {
 				t.Fatalf("rank %d: clock %g, stats %+v; copied layout %g, %+v", r, d.Now(), d.Stats, rd.Now(), rd.Stats)
 			}
 		}
+
+		if _, err := l.Map(comm(), Paging{Topo: true}); weighted && err == nil {
+			t.Fatal("a weighted layout mapped with paged topology")
+		}
+		gl, err := NewLayout(struct{ TopoSource }{csr}, feat, dim, parts, ownerOf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pp, err := gl.Map(comm(), Paging{Topo: true, TopoOpts: topostore.Options{PageEdges: 1 + rng.Intn(64)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(pp.Owner, p.Owner) || !slices.EqualFunc(pp.Orig, p.Orig, slices.Equal) {
+			t.Fatal("the paged map placed nodes differently")
+		}
+		for r := 0; r < parts; r++ {
+			if !slices.Equal(pp.RowPtr.Shard(r), p.RowPtr.Shard(r)) {
+				t.Fatalf("rank %d: paged row pointers differ", r)
+			}
+		}
+		if pp.PagedTopo().NumEdges() != p.Col.Len() {
+			t.Fatalf("paged store of %d edges, want %d", pp.PagedTopo().NumEdges(), p.Col.Len())
+		}
+		acc := pp.PagedTopo().Begin(pp.Comm.Devs[rng.Intn(parts)])
+		for e := int64(0); e < p.Col.Len(); e++ {
+			if got, want := acc.At(e), p.Col.Get(e); got != want {
+				t.Fatalf("edge %d: paged %v, resident %v", e, GlobalID(got), GlobalID(want))
+			}
+		}
+		acc.Flush("fuzz")
 	})
 }

@@ -44,14 +44,14 @@ type Partitioned struct {
 	// rowBase[r] and colBase[r] are the global feature-row and edge index
 	// of rank r's first node (colBase[parts] the edge total).
 	rowBase, colBase []int64
-	// csr is the graph Col views. Under paged topology (PartitionPaged) csr
-	// and Col are nil and topo serves column pages on demand.
+	// csr is the graph Col views. Under paged topology csr and Col are nil
+	// and topo serves column pages on demand.
 	csr  *CSR
 	topo *topostore.Store
 
 	// featSrc serves feature-row gathers: a memFeats adapter over Feat
-	// when the graph was partitioned with a slab, or a paged store
-	// installed with SetFeatures. Nil when the graph has no features.
+	// when the layout was mapped with its slab, or a paged store installed
+	// with SetFeatures. Nil when the graph has no features.
 	featSrc FeatureSource
 
 	// deg memoises DegreeOrder. Behind a pointer so that a copied
@@ -64,25 +64,6 @@ type degreeMemo struct {
 	order []int64
 }
 
-// Partition distributes csr and its node features (row-major, feat[dim*i:]
-// for node i; may be nil) across the communicator using the paper's hash
-// partitioning. It performs the real data placement and charges each rank's
-// allocation/IPC setup cost.
-func Partition(csr *CSR, feat []float32, dim int, comm *wholemem.Comm) (*Partitioned, error) {
-	return PartitionBy(csr, feat, dim, comm, HashOwner(comm.Size()))
-}
-
-// PartitionBy is Partition with an explicit node-to-rank assignment,
-// enabling the partition-strategy ablation (hash vs range vs
-// community-aware placement). ownerOf must return a rank in [0, comm.Size).
-func PartitionBy(csr *CSR, feat []float32, dim int, comm *wholemem.Comm, ownerOf func(v int64) int) (*Partitioned, error) {
-	l, err := NewLayout(csr, feat, dim, comm.Size(), ownerOf)
-	if err != nil {
-		return nil, err
-	}
-	return l.Map(comm), nil
-}
-
 // HashOwner returns the paper's node-to-rank assignment over parts ranks.
 func HashOwner(parts int) func(int64) int {
 	return func(v int64) int { return RankFor(v, parts) }
@@ -91,12 +72,12 @@ func HashOwner(parts int) func(int64) int {
 // Layout is the host half of a partition: which rank owns each node, every
 // rank's row pointers and the edge weights, a pure function of the graph,
 // the rank count and the owner. The column array and the feature rows are
-// not copied: Map views them in the CSR and the slab. A layout holds no
-// communicator and charges nothing; Map places it on one. It is read-only
-// once built, so every store that maps it shares its arrays and its
-// DegreeOrder.
+// not copied: Map views them in the CSR and the slab, or serves the columns
+// page by page from the source. A layout holds no communicator and charges
+// nothing; Map places it on one. It is read-only once built, so every store
+// that maps it shares its arrays and its DegreeOrder.
 type Layout struct {
-	csr              *CSR
+	src              TopoSource
 	feat             []float32 // nil without features
 	dim              int
 	owner            []GlobalID
@@ -107,21 +88,23 @@ type Layout struct {
 	deg              *degreeMemo
 }
 
-// NewLayout places csr and its node features (row-major, feat[dim*i:] for
-// node i; may be nil) on parts ranks: node v goes to rank ownerOf(v), locals
-// in original-ID order, and every edge is stored with its source. The ranks'
-// row pointers are built one rank per claim on the dense kernels' pool.
-func NewLayout(csr *CSR, feat []float32, dim, parts int, ownerOf func(v int64) int) (*Layout, error) {
-	if feat != nil && int64(len(feat)) != csr.N*int64(dim) {
-		return nil, fmt.Errorf("graph: feature length %d != N*dim = %d", len(feat), csr.N*int64(dim))
+// NewLayout places src's nodes and their features (row-major, feat[dim*i:]
+// for node i; may be nil) on parts ranks: node v goes to rank ownerOf(v),
+// locals in original-ID order, and every edge is stored with its source. The
+// ranks' row pointers are built one rank per claim on the dense kernels'
+// pool.
+func NewLayout(src TopoSource, feat []float32, dim, parts int, ownerOf func(v int64) int) (*Layout, error) {
+	n := src.NumNodes()
+	if feat != nil && int64(len(feat)) != n*int64(dim) {
+		return nil, fmt.Errorf("graph: feature length %d != N*dim = %d", len(feat), n*int64(dim))
 	}
-	owner, orig, err := place(csr.N, parts, ownerOf)
+	owner, orig, err := place(n, parts, ownerOf)
 	if err != nil {
 		return nil, err
 	}
-	rowPtr := rowPtrs(orig, csr.Degree)
+	rowPtr := rowPtrs(orig, src.Degree)
 	return &Layout{
-		csr: csr, feat: feat, dim: dim, owner: owner, orig: orig, deg: new(degreeMemo),
+		src: src, feat: feat, dim: dim, owner: owner, orig: orig, deg: new(degreeMemo),
 		rowBase: rowBases(orig), colBase: colBases(rowPtr), rowPtr: rowPtr,
 	}, nil
 }
@@ -195,58 +178,79 @@ func colBases(rowPtr [][]int64) []int64 {
 // column shards, holding w(src, dst) over original node IDs; w is called
 // from several goroutines at once. Call it before the layout is shared.
 func (l *Layout) AttachEdgeWeights(w func(u, v int64) float32) {
-	l.edgeW = edgeWeights(l.csr, l.orig, l.colBase, w)
-}
-
-// Map places the layout on comm, which must have as many ranks as the
-// layout: each table is charged as AllocSharded charges it, in the order
-// row pointers, columns, features, edge weights. It shares the layout's
-// arrays, and its columns and features are views over the CSR and the
-// slab. The Partitioned and its Memory values are new, so per-store state
-// (a table's Kind, a SetFeatures source) stays per store.
-func (l *Layout) Map(comm *wholemem.Comm) *Partitioned {
-	p := &Partitioned{
-		Comm: comm, N: l.csr.N, Dim: l.dim, Owner: l.owner, Orig: l.orig, csr: l.csr,
-		rowBase: l.rowBase, colBase: l.colBase, deg: l.deg,
-		RowPtr: wholemem.Map(comm, l.rowPtr),
-		Col:    colView(comm, l.csr, l.owner, l.orig, l.rowPtr),
-	}
-	if l.feat != nil {
-		p.Feat = featView(comm, l.feat, l.dim, l.orig)
-		p.featSrc = MemFeatures(p.Feat, l.csr.N, l.dim)
-	}
-	if l.edgeW != nil {
-		p.EdgeW = wholemem.Map(comm, l.edgeW)
-	}
-	return p
-}
-
-// AttachEdgeWeights allocates the per-edge weight table (sharded like the
-// edge array) and fills it with w(src, dst) over original node IDs, calling
-// w from several goroutines at once. Edge weights live in distributed shared
-// memory like everything else and are gathered per sampled edge during batch
-// construction.
-func (p *Partitioned) AttachEdgeWeights(w func(u, v int64) float32) {
-	if p.topo != nil {
-		panic("graph: AttachEdgeWeights requires a materialized column array (paged topology does not store edge weights)")
-	}
-	p.EdgeW = wholemem.Map(p.Comm, edgeWeights(p.csr, p.Orig, p.colBase, w))
-}
-
-// edgeWeights returns w(src, dst) for every edge of csr, sharded like the
-// column array.
-func edgeWeights(csr *CSR, orig [][]int64, colBase []int64, w func(u, v int64) float32) [][]float32 {
-	out := make([][]float32, len(orig))
-	perRank(len(orig), func(r int) {
-		ws := make([]float32, 0, colBase[r+1]-colBase[r])
-		for _, u := range orig[r] {
-			for _, v := range csr.Neighbors(u) {
-				ws = append(ws, w(u, v))
+	out := make([][]float32, len(l.orig))
+	perRank(len(l.orig), func(r int) {
+		rp := l.rowPtr[r]
+		ws := make([]float32, rp[len(rp)-1])
+		var nbrs []int64
+		for li, u := range l.orig[r] {
+			lo, hi := rp[li], rp[li+1]
+			nbrs = slices.Grow(nbrs[:0], int(hi-lo))[:hi-lo]
+			l.src.FillNeighbors(u, 0, hi-lo, nbrs)
+			for k, v := range nbrs {
+				ws[lo+int64(k)] = w(u, v)
 			}
 		}
 		out[r] = ws
 	})
-	return out
+	l.edgeW = out
+}
+
+// Paging names the tables a store does not keep resident when it maps a
+// layout; the zero value keeps every table resident.
+type Paging struct {
+	// Topo serves the columns page by page from a topostore built with
+	// TopoOpts instead of viewing the CSR's: every neighbour is then read
+	// through the store's accessor, whatever the layout's source. Only the
+	// row pointers stay resident (8 bytes a node: 0.9 GB for papers100M,
+	// against ~26 GB of columns).
+	Topo     bool
+	TopoOpts topostore.Options
+	// Features maps no feature slab: the store installs a source of its own
+	// with SetFeatures.
+	Features bool
+}
+
+// Map places the layout on comm, which must have as many ranks as the
+// layout. Each table it keeps is charged as AllocSharded charges it, in the
+// order row pointers, columns, features, edge weights; a paged topology store
+// is built and attached to comm's devices last. It shares the layout's
+// arrays, and its columns and features are views over the CSR and the slab.
+// The Partitioned and its Memory values are new, so per-store state (a
+// table's Kind, a SetFeatures source, a topostore's caches) stays per store.
+func (l *Layout) Map(comm *wholemem.Comm, pg Paging) (*Partitioned, error) {
+	csr, _ := l.src.(*CSR)
+	switch {
+	case csr == nil && !pg.Topo:
+		return nil, fmt.Errorf("graph: the layout's source has no column array to view; it needs paged topology")
+	case l.edgeW != nil && pg.Topo:
+		return nil, fmt.Errorf("graph: edge weights require a resident column array, not paged topology")
+	}
+	p := &Partitioned{
+		Comm: comm, N: l.src.NumNodes(), Dim: l.dim, Owner: l.owner, Orig: l.orig,
+		rowBase: l.rowBase, colBase: l.colBase, deg: l.deg,
+		RowPtr: wholemem.Map(comm, l.rowPtr),
+	}
+	if !pg.Topo {
+		p.csr = csr
+		p.Col = colView(comm, csr, l.owner, l.orig, l.rowPtr)
+	}
+	if l.feat != nil && !pg.Features {
+		p.Feat = featView(comm, l.feat, l.dim, l.orig)
+		p.featSrc = MemFeatures(p.Feat, p.N, l.dim)
+	}
+	if l.edgeW != nil {
+		p.EdgeW = wholemem.Map(comm, l.edgeW)
+	}
+	if pg.Topo {
+		ts, err := topostore.New(l.colBase[len(l.orig)], l.pagedFill(), pg.TopoOpts)
+		if err != nil {
+			return nil, err
+		}
+		ts.Attach(comm.Devs...)
+		p.topo = ts
+	}
+	return p, nil
 }
 
 // colView views csr's column array as the column shards: rank r's shard is

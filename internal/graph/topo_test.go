@@ -8,11 +8,11 @@ import (
 	"wholegraph/internal/wholemem"
 )
 
-// TestPartitionPagedMatchesMaterialized: PartitionPaged over a CSR's
-// TopoSource view must agree with Partition on everything observable —
+// TestPagedMapMatchesResident: one layout mapped with paged topology must
+// agree with the same layout mapped resident on everything observable —
 // ownership, degrees, edge indices, decoded neighbors, features — with a
 // page size small enough that fills span page, row, and rank boundaries.
-func TestPartitionPagedMatchesMaterialized(t *testing.T) {
+func TestPagedMapMatchesResident(t *testing.T) {
 	m := sim.NewMachine(sim.DGXA100(1))
 	comm, err := wholemem.NewComm(m.NodeDevs(0))
 	if err != nil {
@@ -24,12 +24,16 @@ func TestPartitionPagedMatchesMaterialized(t *testing.T) {
 	for i := range feat {
 		feat[i] = float32(i)
 	}
-	mat, err := Partition(csr, feat, dim, comm)
+	l, err := NewLayout(csr, feat, dim, comm.Size(), HashOwner(comm.Size()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mat, err := l.Map(comm, Paging{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// PageEdges 7: every fill crosses rows; rank boundaries land mid-page.
-	pg, err := PartitionPaged(CSRTopo{csr}, feat, dim, comm, topostore.Options{PageEdges: 7})
+	pg, err := l.Map(comm, Paging{Topo: true, TopoOpts: topostore.Options{PageEdges: 7}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,8 +51,11 @@ func TestPartitionPagedMatchesMaterialized(t *testing.T) {
 			t.Fatalf("owner mismatch for node %d", v)
 		}
 		gid := pg.Owner[v]
-		_, pe0, pdeg := pg.Adj(gid)
+		pnbrs, pe0, pdeg := pg.Adj(gid)
 		_, me0, deg := mat.Adj(gid)
+		if pnbrs != nil {
+			t.Fatalf("node %d: the paged map read neighbours from the CSR", v)
+		}
 		if pdeg != deg {
 			t.Fatalf("degree mismatch for node %d", v)
 		}
@@ -88,19 +95,16 @@ func TestPartitionPagedMatchesMaterialized(t *testing.T) {
 	acc.Flush("test")
 }
 
-// TestPartitionPagedAccounting: paged structure bytes count only the
-// resident RowPtr shards; the virtual column is reported by the store.
-func TestPartitionPagedAccounting(t *testing.T) {
+// TestPagedMapAccounting: paged structure bytes count only the resident
+// RowPtr shards; the virtual column is reported by the store.
+func TestPagedMapAccounting(t *testing.T) {
 	m := sim.NewMachine(sim.DGXA100(1))
 	comm, err := wholemem.NewComm(m.NodeDevs(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	csr := randomCSR(t, 200, 1000, 7)
-	p, err := PartitionPaged(CSRTopo{csr}, nil, 0, comm, topostore.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := mapLayout(t, csr, nil, 0, comm, Paging{Topo: true})
 	var structure int64
 	for _, b := range p.StructureBytesPerRank() {
 		structure += b
@@ -114,20 +118,33 @@ func TestPartitionPagedAccounting(t *testing.T) {
 	}
 }
 
-// TestPartitionPagedRejectsEdgeWeights: edge weights require a
-// materialized column array.
-func TestPartitionPagedRejectsEdgeWeights(t *testing.T) {
+// TestMapRejectsUnservableTables: a layout maps with paged topology only
+// without edge weights, and with resident columns only over a CSR.
+func TestMapRejectsUnservableTables(t *testing.T) {
 	m := sim.NewMachine(sim.DGXA100(1))
 	comm, _ := wholemem.NewComm(m.NodeDevs(0))
 	csr := randomCSR(t, 50, 100, 3)
-	p, err := PartitionPaged(CSRTopo{csr}, nil, 0, comm, topostore.Options{})
+	weighted, err := NewLayout(csr, nil, 0, comm.Size(), HashOwner(comm.Size()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("AttachEdgeWeights on a paged partition did not panic")
+	weighted.AttachEdgeWeights(func(u, v int64) float32 { return 1 })
+	generated, err := NewLayout(struct{ TopoSource }{csr}, nil, 0, comm.Size(), HashOwner(comm.Size()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]struct {
+		l  *Layout
+		pg Paging
+	}{
+		"weights under paged topology":   {weighted, Paging{Topo: true}},
+		"resident columns without a CSR": {generated, Paging{}},
+	} {
+		if _, err := c.l.Map(comm, c.pg); err == nil {
+			t.Errorf("%s: mapped", name)
 		}
-	}()
-	p.AttachEdgeWeights(func(u, v int64) float32 { return 1 })
+	}
+	if _, err := generated.Map(comm, Paging{Topo: true}); err != nil {
+		t.Errorf("paged topology over a generated source: %v", err)
+	}
 }

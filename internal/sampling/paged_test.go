@@ -37,13 +37,12 @@ func samplePaged(t *testing.T, csr *graph.CSR, policy blockcache.Policy, paged b
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pg *graph.Partitioned
-	if paged {
-		pg, err = graph.PartitionPaged(graph.CSRTopo{G: csr}, nil, 0, comm,
-			topostore.Options{PageEdges: 256, CacheBytes: 48 * (256*8 + 16), Policy: policy})
-	} else {
-		pg, err = graph.Partition(csr, nil, 0, comm)
+	l, err := graph.NewLayout(csr, nil, 0, comm.Size(), graph.HashOwner(comm.Size()))
+	if err != nil {
+		t.Fatal(err)
 	}
+	pg, err := l.Map(comm, graph.Paging{Topo: paged,
+		TopoOpts: topostore.Options{PageEdges: 256, CacheBytes: 48 * (256*8 + 16), Policy: policy}})
 	if err != nil {
 		t.Fatal(err)
 	}

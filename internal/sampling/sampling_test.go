@@ -165,7 +165,11 @@ func buildPartitioned(t *testing.T) (*sim.Machine, *dataset.Dataset, *graph.Part
 	if err != nil {
 		t.Fatal(err)
 	}
-	pg, err := graph.Partition(ds.Graph, ds.Feat, ds.Spec.FeatDim, comm)
+	l, err := ds.HashLayout(comm.Size())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg, err := l.Map(comm, graph.Paging{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -235,53 +235,3 @@ func DropoutInto(dst, a, mask *Dense, p float32, src *xrand.Source) {
 	}
 	maskMul(dst.V, a.V, mask.V)
 }
-
-// BCEWithLogits computes the mean binary cross-entropy of labels (0 or 1)
-// under sigmoid(scores), where scores is an [n x 1] column. If grad is
-// non-nil it receives d(loss)/d(scores) = (sigmoid(s) - y)/n. The
-// log1p(exp(·)) form is numerically stable for large |s|.
-func BCEWithLogits(scores *Dense, labels []float32, grad *Dense) float64 {
-	if scores.C != 1 || len(labels) != scores.R {
-		panic("tensor: BCEWithLogits shape mismatch")
-	}
-	n := float64(scores.R)
-	var loss float64
-	for i, y := range labels {
-		s := float64(scores.V[i])
-		// loss_i = max(s,0) - s*y + log(1+exp(-|s|))
-		loss += math.Max(s, 0) - s*float64(y) + math.Log1p(math.Exp(-math.Abs(s)))
-		if grad != nil {
-			sig := 1 / (1 + math.Exp(-s))
-			grad.V[i] = float32((sig - float64(y)) / n)
-		}
-	}
-	return loss / n
-}
-
-// AUC estimates the area under the ROC curve for scores with binary labels
-// by exact pairwise comparison (ties count half).
-func AUC(scores []float64, labels []float32) float64 {
-	var pos, neg []float64
-	for i, y := range labels {
-		if y > 0.5 {
-			pos = append(pos, scores[i])
-		} else {
-			neg = append(neg, scores[i])
-		}
-	}
-	if len(pos) == 0 || len(neg) == 0 {
-		return 0.5
-	}
-	var wins float64
-	for _, p := range pos {
-		for _, q := range neg {
-			switch {
-			case p > q:
-				wins++
-			case p == q:
-				wins += 0.5
-			}
-		}
-	}
-	return wins / float64(len(pos)*len(neg))
-}

@@ -374,65 +374,6 @@ func TestGlorotScale(t *testing.T) {
 	}
 }
 
-func TestBCEWithLogits(t *testing.T) {
-	// Zero scores: loss = ln 2, grad = (0.5 - y)/n.
-	s := New(4, 1)
-	labels := []float32{1, 0, 1, 0}
-	grad := New(4, 1)
-	loss := BCEWithLogits(s, labels, grad)
-	if !almostEq(loss, math.Log(2), 1e-9) {
-		t.Fatalf("loss = %g, want ln2", loss)
-	}
-	for i, y := range labels {
-		want := (0.5 - float64(y)) / 4
-		if !almostEq(float64(grad.V[i]), want, 1e-6) {
-			t.Fatalf("grad[%d] = %g, want %g", i, grad.V[i], want)
-		}
-	}
-	// Numeric gradient check on random scores.
-	rng := rand.New(rand.NewSource(2))
-	sc := Randn(6, 1, 2, rng)
-	lbl := []float32{1, 1, 0, 1, 0, 0}
-	g := New(6, 1)
-	BCEWithLogits(sc, lbl, g)
-	const eps = 1e-3
-	for i := range sc.V {
-		orig := sc.V[i]
-		sc.V[i] = orig + eps
-		lp := BCEWithLogits(sc, lbl, nil)
-		sc.V[i] = orig - eps
-		lm := BCEWithLogits(sc, lbl, nil)
-		sc.V[i] = orig
-		num := (lp - lm) / (2 * eps)
-		if !almostEq(num, float64(g.V[i]), 1e-4) {
-			t.Fatalf("bce grad[%d] = %g, numeric %g", i, g.V[i], num)
-		}
-	}
-	// Stability at extreme logits.
-	ext := FromSlice(2, 1, []float32{80, -80})
-	if l := BCEWithLogits(ext, []float32{1, 0}, nil); math.IsNaN(l) || math.IsInf(l, 0) || l > 1e-6 {
-		t.Errorf("extreme-logit loss = %g", l)
-	}
-}
-
-func TestAUC(t *testing.T) {
-	// Perfect separation.
-	if a := AUC([]float64{3, 4, 1, 2}, []float32{1, 1, 0, 0}); a != 1 {
-		t.Errorf("perfect AUC = %g", a)
-	}
-	// Inverted.
-	if a := AUC([]float64{1, 2, 3, 4}, []float32{1, 1, 0, 0}); a != 0 {
-		t.Errorf("inverted AUC = %g", a)
-	}
-	// All ties -> 0.5, one-class -> 0.5.
-	if a := AUC([]float64{1, 1, 1, 1}, []float32{1, 0, 1, 0}); a != 0.5 {
-		t.Errorf("tied AUC = %g", a)
-	}
-	if a := AUC([]float64{1, 2}, []float32{1, 1}); a != 0.5 {
-		t.Errorf("one-class AUC = %g", a)
-	}
-}
-
 func TestSetWorkersClamps(t *testing.T) {
 	prev := SetWorkers(-3)
 	if Workers() != 1 {

@@ -23,7 +23,7 @@ import (
 // caller's, for the fill's own use. Implementations must be deterministic
 // — each value a function of its edge index alone — and safe for
 // concurrent calls with distinct dst and scratch buffers
-// (graph.PartitionPaged provides one backed by a graph.TopoSource).
+// (graph.Layout.Map builds one over the layout's graph.TopoSource).
 type Fill func(e0, e1 int64, dst []uint64, scratch []int64)
 
 // fillRun is the granule at which a resident page's payload is produced:

@@ -196,9 +196,6 @@ func (m *Memory[T]) Len() int64 { return m.n }
 // Bytes returns the total allocation size in bytes.
 func (m *Memory[T]) Bytes() int64 { return m.n * m.eb }
 
-// ElemBytes returns the element size in bytes.
-func (m *Memory[T]) ElemBytes() int64 { return m.eb }
-
 // Comm returns the communicator the memory is allocated over.
 func (m *Memory[T]) Comm() *Comm { return m.comm }
 

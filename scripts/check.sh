@@ -82,9 +82,11 @@ go test -run '^$' -fuzz '^FuzzTopoAccess$' -fuzztime 10s ./internal/topostore
 go test -run '^$' -fuzz '^FuzzFromCOO$' -fuzztime 10s ./internal/graph
 # Random graphs (empty rows, hubs, duplicate entries) on one to eight ranks
 # under hash, range and random owners, with and without features and edge
-# weights: the layout that views the CSR and the slab against the per-rank
-# copies it replaced — adjacency, GlobalIDs, gathered bits, edge weights,
-# Table IV bytes and every device's clock and counters.
+# weights: the layout mapped resident against per-rank copies built edge by
+# edge — adjacency, GlobalIDs, gathered bits, edge weights, Table IV bytes and
+# every device's clock and counters — and mapped paged over a source that is
+# no CSR, every column entry read through the topostore accessor against the
+# resident view.
 go test -run '^$' -fuzz '^FuzzLayout$' -fuzztime 10s ./internal/graph
 # Arbitrary dataset files, each loaded as given and again with its checksum
 # trailer made to match, so mutations reach the structure checks: Load never
