@@ -321,29 +321,6 @@ func BenchmarkGraphEpochReplay(b *testing.B) { benchmarkGraphEpoch(b, true) }
 
 // --- Benches for the extension modules ---
 
-func BenchmarkPageRank(b *testing.B) {
-	ds, err := wholegraph.GenerateDataset(wholegraph.OgbnProducts.Scaled(0.0005))
-	if err != nil {
-		b.Fatal(err)
-	}
-	machine := wholegraph.NewDGXA100(1)
-	store, err := wholegraph.NewStore(machine, 0, ds)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := wholegraph.PageRank(store.PG, 0.85, 1e-6, 50)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(res.Time*1e3, "virtual-ms")
-			b.ReportMetric(float64(res.Iterations), "iters")
-		}
-	}
-}
-
 func BenchmarkFullGraphInference(b *testing.B) {
 	ds, err := wholegraph.GenerateDataset(wholegraph.OgbnProducts.Scaled(0.0005))
 	if err != nil {

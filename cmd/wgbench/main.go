@@ -55,7 +55,6 @@ var experiments = []struct {
 	{"abl-unique", "ablation: hash-table vs sort AppendUnique", wrap(bench.AblationUnique)},
 	{"abl-dedup", "ablation: gather with vs without deduplication", wrap(bench.AblationDedup)},
 	{"infer", "offline inference: sampled vs full-graph layer-wise", wrap(bench.Inference)},
-	{"abl-cache", "ablation: hot-node feature cache sizes", wrap(bench.AblationCache)},
 	{"abl-hw", "ablation: NVSwitch vs PCIe-only fabric", wrap(bench.AblationHardware)},
 	{"abl-part", "ablation: hash vs range vs community node placement", wrap(bench.AblationPartition)},
 	{"abl-pipeline", "ablation: cross-iteration batch prefetch vs sequential", wrap(bench.AblationPipeline)},
@@ -64,7 +63,6 @@ var experiments = []struct {
 	{"abl-featstore", "ablation: flat slab vs paged+encoded out-of-core feature store", wrap(bench.AblationFeatstore)},
 	{"abl-oocgraph", "ablation: in-RAM CSR vs paged topology with prefetch and admission", wrap(bench.AblationOOCGraph)},
 	{"featstore-full", "out-of-core papers100M: paged features and topology at full scale", wrap(bench.FeatstoreFull)},
-	{"analytics", "PageRank and connected components over the shared store", wrap(bench.Analytics)},
 	{"serving", "online serving: dynamic batching vs batch=1", wrap(bench.Serving)},
 }
 

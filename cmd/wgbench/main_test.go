@@ -31,13 +31,13 @@ func TestReportCarriesEveryKnob(t *testing.T) {
 			args, want[key] = append(args, "-"+f.Name, "admit"), "admit"
 		}
 	})
-	if len(want) != 13 {
-		t.Fatalf("%d execution/storage flags bound, want 13", len(want))
+	if len(want) != 12 {
+		t.Fatalf("%d execution/storage flags bound, want 12", len(want))
 	}
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
-	cfg.Totals.CacheHits = 3
+	cfg.Totals.CommSeconds = 3
 	buf, err := json.Marshal(jsonReport{Config: cfg, GOMAXPROCS: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +60,7 @@ func TestReportCarriesEveryKnob(t *testing.T) {
 			t.Errorf("report train.%s = %v, the command line set %v", key, got.Train[key], v)
 		}
 	}
-	if got.Totals["cache_hits"] != 3.0 {
+	if got.Totals["comm_seconds"] != 3.0 {
 		t.Errorf("report totals = %v", got.Totals)
 	}
 }

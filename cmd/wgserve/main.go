@@ -34,6 +34,7 @@ func main() {
 		slo       = flag.Float64("slo", 10e-3, "latency SLO reported against, virtual seconds")
 		deadline  = flag.Float64("deadline", 0, "drop requests not launched within this, virtual seconds (0 = never)")
 		queueCap  = flag.Int("queue-cap", 0, "per-replica queue bound; arrivals beyond it are shed (0 = 8*max-batch)")
+		cacheRows = flag.Int("cache-rows", 0, "hot-node feature cache size in rows per replica (0 = no cache)")
 		skew      = flag.Float64("skew", 0, "Zipf popularity skew over the degree ranking (>1; 0 = uniform)")
 		policy    = flag.String("policy", "cache", "routing policy: cache, owner, rr")
 		seed      = flag.Int64("seed", 1, "random seed (fixes arrivals, nodes and sampling)")
@@ -44,7 +45,7 @@ func main() {
 	// binding rather than a second declaration.
 	var storage wholegraph.TrainOptions
 	storage.BindExecFlags(flag.CommandLine,
-		"cache-rows", "paged-features", "feat-encoding", "feat-page-rows", "feat-cache-mb", "cache-policy")
+		"paged-features", "feat-encoding", "feat-page-rows", "feat-cache-mb", "cache-policy")
 	flag.Parse()
 
 	fanouts, err := wholegraph.ParseFanouts(*fanoutStr)
@@ -72,6 +73,23 @@ func main() {
 	if err := wholegraph.CheckModel(*model, mcfg); err != nil {
 		fatal(err)
 	}
+	if err := storage.Check(); err != nil {
+		fatal(err)
+	}
+	so, err := storage.StoreOptions()
+	if err != nil {
+		fatal(err)
+	}
+	sopts := wholegraph.ServeOptions{
+		Rate: *rate, Requests: *requests, MaxBatch: *maxBatch,
+		MaxDelay: *maxDelay, SLO: *slo, Deadline: *deadline,
+		QueueCap: *queueCap, CacheRows: *cacheRows, Fanouts: fanouts,
+		Skew: *skew, Policy: wholegraph.ServePolicy(*policy), Seed: *seed,
+		Store: so,
+	}
+	if err := sopts.Normalize().Validate(); err != nil {
+		fatal(err)
+	}
 	fmt.Printf("generating %s at scale %g...\n", *dsName, *scale)
 	ds, err := wholegraph.GenerateDataset(spec)
 	if err != nil {
@@ -80,17 +98,6 @@ func main() {
 
 	machine := wholegraph.NewMachine(cfg)
 	m := wholegraph.NewModel(*model, mcfg)
-	so, err := storage.StoreOptions()
-	if err != nil {
-		fatal(err)
-	}
-	sopts := wholegraph.ServeOptions{
-		Rate: *rate, Requests: *requests, MaxBatch: *maxBatch,
-		MaxDelay: *maxDelay, SLO: *slo, Deadline: *deadline,
-		QueueCap: *queueCap, CacheRows: storage.CacheRows, Fanouts: fanouts,
-		Skew: *skew, Policy: wholegraph.ServePolicy(*policy), Seed: *seed,
-		Store: so,
-	}
 	srv, err := wholegraph.NewServer(machine, 0, ds, m, sopts)
 	if err != nil {
 		fatal(err)
@@ -128,7 +135,7 @@ func main() {
 		line := fmt.Sprintf("  replica %d: %d reqs (%d served, %d shed, %d t/out), %d batches, busy %.2f/%.2f ms compute/copy",
 			st.Replica, st.Requests, st.Served, st.Shed, st.TimedOut,
 			st.Batches, st.BusySeconds*1e3, st.CopyBusySeconds*1e3)
-		if storage.CacheRows > 0 {
+		if *cacheRows > 0 {
 			line += fmt.Sprintf(", cache hit %.0f%%", 100*st.CacheHitRate)
 		}
 		fmt.Println(line)

@@ -140,10 +140,6 @@ func main() {
 		}
 		fmt.Printf("\ntest accuracy: %.3f\n", acc)
 	}
-	if hits, misses := trainer.CacheStats(); hits+misses > 0 {
-		fmt.Printf("feature cache: %d hits / %d misses (%.1f%% hit rate)\n",
-			hits, misses, 100*float64(hits)/float64(hits+misses))
-	}
 	if fst := trainer.FeatStoreStats(); fst.Hits+fst.Misses > 0 {
 		fmt.Printf("%v, %d pages allocated\n", fst, fst.PagesAllocated)
 	}

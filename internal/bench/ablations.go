@@ -1,7 +1,6 @@
 package bench
 
 import (
-	fcache "wholegraph/internal/cache"
 	"wholegraph/internal/core"
 	"wholegraph/internal/dataset"
 	"wholegraph/internal/graph"
@@ -177,60 +176,6 @@ func AblationDedup(cfg Config) ([]DedupRow, error) {
 			row.Dataset, row.UniqueRows, row.SampledRows,
 			fmtSeconds(row.DedupTime), fmtSeconds(row.NoDedupTime),
 			row.NoDedupTime/row.DedupTime)
-	}
-	return rows, nil
-}
-
-// CacheRow reports one cache size in the caching ablation.
-type CacheRow struct {
-	Fraction   float64 // cached fraction of the graph's nodes
-	HitRate    float64
-	GatherTime float64 // summed feature-gather time over the run
-}
-
-// AblationCache evaluates the PaGraph-style hot-node feature cache as an
-// extension: per-GPU caches of the highest-degree nodes' rows cut NVLink
-// traffic; on NVSwitch hardware the win is modest (remote HBM is already
-// fast), which is the quantitative reason WholeGraph can skip caching.
-func AblationCache(cfg Config) ([]CacheRow, error) {
-	cfg = cfg.normalize()
-	ds, err := generate(dataset.OgbnProducts.Scaled(cfg.Scale))
-	if err != nil {
-		return nil, err
-	}
-	opts := cfg.trainOpts("graphsage")
-	cfg.printf("Ablation: hot-node feature cache (GraphSAGE batches, ogbn-products)\n")
-	cfg.printf("%10s %10s %14s\n", "cached", "hit rate", "gather total")
-	var rows []CacheRow
-	for _, frac := range []float64{0, 0.1, 0.25, 0.5} {
-		store, err := flatStore(ds)
-		if err != nil {
-			return nil, err
-		}
-		m := store.Machine
-		ld := core.NewLoader(store, m.Devs[0], opts.Fanouts, cfg.Seed)
-		var fc *fcache.FeatureCache
-		if frac > 0 {
-			fc, err = fcache.NewDegreeCache(store.PG, m.Devs[0], int(float64(ds.Spec.Nodes)*frac))
-			if err != nil {
-				return nil, err
-			}
-			ld.WithCache(fc)
-		}
-		m.Reset() // cache fill is one-time
-		var gather float64
-		n := len(firstTrain(ds, opts.Batch))
-		for it := 0; it < 4; it++ {
-			off := (it * n) % (len(ds.Train) - n + 1)
-			_, tm := ld.BuildBatch(ds.Train[off : off+n])
-			gather += tm.Gather
-		}
-		row := CacheRow{Fraction: frac, GatherTime: gather}
-		if fc != nil {
-			row.HitRate = fc.HitRate()
-		}
-		rows = append(rows, row)
-		cfg.printf("%9.0f%% %9.2f%% %14s\n", 100*frac, 100*row.HitRate, fmtSeconds(row.GatherTime))
 	}
 	return rows, nil
 }

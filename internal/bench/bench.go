@@ -43,7 +43,7 @@ type Config struct {
 	// Train is the template of every trainer's options: trainOpts and
 	// accuracyOpts copy it and set only what the experiment fixes (model,
 	// batch shape, seed), so its execution and storage knobs — Pipeline,
-	// CacheRows, PagedFeatures, ... — apply to every WholeGraph trainer.
+	// PagedFeatures, ... — apply to every WholeGraph trainer.
 	// Model math and accuracy are bit-identical under all of them (raw
 	// feature encoding); virtual times and hit rates move.
 	Train train.Options `json:"train"`

@@ -409,28 +409,6 @@ func TestInferenceExperiment(t *testing.T) {
 	}
 }
 
-func TestAblationCache(t *testing.T) {
-	rows, err := AblationCache(testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 || rows[0].Fraction != 0 {
-		t.Fatalf("unexpected rows %+v", rows)
-	}
-	for i := 1; i < len(rows); i++ {
-		if rows[i].HitRate < rows[i-1].HitRate {
-			t.Errorf("hit rate not monotone in cache size: %+v", rows)
-		}
-		if rows[i].GatherTime > rows[0].GatherTime {
-			t.Errorf("cache at %.0f%% made gathering slower: %g > %g",
-				100*rows[i].Fraction, rows[i].GatherTime, rows[0].GatherTime)
-		}
-	}
-	if rows[3].GatherTime >= rows[0].GatherTime {
-		t.Error("a 50% cache should reduce gather time")
-	}
-}
-
 func TestAblationHardware(t *testing.T) {
 	rows, err := AblationHardware(testCfg())
 	if err != nil {
@@ -450,24 +428,6 @@ func TestAblationHardware(t *testing.T) {
 	}
 	if dgx.WGEpoch >= pcie.WGEpoch {
 		t.Errorf("WholeGraph on DGX (%g) should beat itself on PCIe (%g)", dgx.WGEpoch, pcie.WGEpoch)
-	}
-}
-
-func TestAnalyticsExperiment(t *testing.T) {
-	rows, err := Analytics(testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.PRIterations == 0 || r.CCIterations == 0 || r.Components == 0 {
-			t.Errorf("%s: incomplete run %+v", r.Dataset, r)
-		}
-		if r.PRTime <= 0 || r.CCTime <= 0 {
-			t.Errorf("%s: missing virtual time %+v", r.Dataset, r)
-		}
 	}
 }
 

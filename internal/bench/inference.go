@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"wholegraph/internal/analytics"
 	"wholegraph/internal/autograd"
 	"wholegraph/internal/core"
 	"wholegraph/internal/dataset"
@@ -132,59 +131,4 @@ func dedupIDs(ids []int64, n int64) []int64 {
 		ids[i] = v
 	}
 	return ids
-}
-
-// AnalyticsRow reports the graph-analytics runs on one dataset.
-type AnalyticsRow struct {
-	Dataset      string
-	PRIterations int
-	PRTime       float64
-	CCIterations int
-	CCTime       float64
-	Components   int
-}
-
-// Analytics exercises the paper's closing claim that the distributed
-// shared-memory store also serves classic sparse graph algorithms: PageRank
-// and connected components run over the same partitioned storage the GNN
-// pipeline uses, each rank pulling neighbor state through peer access.
-func Analytics(cfg Config) ([]AnalyticsRow, error) {
-	cfg = cfg.normalize()
-	cfg.printf("Graph analytics over the shared store (PageRank d=0.85, label-prop CC)\n")
-	cfg.printf("%-22s %8s %12s %8s %12s %12s\n",
-		"dataset", "PR iters", "PR time", "CC iters", "CC time", "components")
-	specs := cfg.datasets()
-	if cfg.Quick {
-		specs = specs[:2]
-	}
-	var rows []AnalyticsRow
-	for _, spec := range specs {
-		ds, err := generate(spec)
-		if err != nil {
-			return nil, err
-		}
-		store, err := flatStore(ds)
-		if err != nil {
-			return nil, err
-		}
-		pr, err := analytics.PageRank(store.PG, 0.85, 1e-7, 100)
-		if err != nil {
-			return nil, err
-		}
-		cc, err := analytics.ConnectedComponents(store.PG, 200)
-		if err != nil {
-			return nil, err
-		}
-		row := AnalyticsRow{
-			Dataset:      spec.Name,
-			PRIterations: pr.Iterations, PRTime: pr.Time,
-			CCIterations: cc.Iterations, CCTime: cc.Time,
-			Components: cc.Components,
-		}
-		rows = append(rows, row)
-		cfg.printf("%-22s %8d %12s %8d %12s %12d\n",
-			row.Dataset, row.PRIterations, fmtSeconds(row.PRTime),
-			row.CCIterations, fmtSeconds(row.CCTime), row.Components)
-	}
-	return rows, nil
 }

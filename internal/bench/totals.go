@@ -8,19 +8,17 @@ import (
 	"wholegraph/internal/train"
 )
 
-// Totals is what a run's trainers added up to: hot-row cache traffic, both
-// paged stores' BlockCache counters, step-graph counters and the collective
-// engine's link traffic. An experiment cell folds each trainer in when it is
-// done with it; Fold copies numbers and keeps no pointer, so a cell's
-// machine, stores and caches are garbage the moment the cell returns. Reached
-// through Config.Totals, one value per run. Unlocked: concurrent cells each
-// fold into a value of their own, which runCells adds up after the join.
+// Totals is what a run's trainers added up to: both paged stores'
+// BlockCache counters, step-graph counters and the collective engine's link
+// traffic. An experiment cell folds each trainer in when it is done with it;
+// Fold copies numbers and keeps no pointer, so a cell's machine and stores
+// are garbage the moment the cell returns. Reached through Config.Totals, one
+// value per run. Unlocked: concurrent cells each fold into a value of their
+// own, which runCells adds up after the join.
 type Totals struct {
-	CacheHits   int64                 `json:"cache_hits"`
-	CacheMisses int64                 `json:"cache_misses"`
-	FeatStore   blockcache.CacheStats `json:"featstore"`
-	TopoStore   blockcache.CacheStats `json:"topostore"`
-	Graph       train.GraphCounters   `json:"graph_counters"`
+	FeatStore blockcache.CacheStats `json:"featstore"`
+	TopoStore blockcache.CacheStats `json:"topostore"`
+	Graph     train.GraphCounters   `json:"graph_counters"`
 	// NVLink and InfiniBand egress bytes and stream-seconds spent in
 	// collectives, summed over every device of every folded machine.
 	NVLinkTxBytes float64 `json:"nvlink_tx_bytes"`
@@ -43,7 +41,6 @@ func (t *Totals) Fold(tr *train.Trainer) {
 		TopoStore: tr.TopoStoreStats().CacheStats,
 		Graph:     tr.GraphStats(),
 	}
-	o.CacheHits, o.CacheMisses = tr.CacheStats()
 	for _, d := range tr.Machine.Devs {
 		o.NVLinkTxBytes += d.Stats.NVLinkTxBytes
 		o.IBTxBytes += d.Stats.IBTxBytes
@@ -57,8 +54,6 @@ func (t *Totals) add(o *Totals) {
 	if t == nil {
 		return
 	}
-	t.CacheHits += o.CacheHits
-	t.CacheMisses += o.CacheMisses
 	t.FeatStore.Add(o.FeatStore)
 	t.TopoStore.Add(o.TopoStore)
 	t.Graph.Add(o.Graph)
@@ -71,10 +66,6 @@ func (t *Totals) add(o *Totals) {
 // moved.
 func (t *Totals) Report() string {
 	var s string
-	if n := t.CacheHits + t.CacheMisses; n > 0 {
-		s += fmt.Sprintf("feature cache: %d hits / %d misses (%.1f%% hit rate)\n",
-			t.CacheHits, t.CacheMisses, 100*float64(t.CacheHits)/float64(n))
-	}
 	if t.FeatStore.Hits+t.FeatStore.Misses > 0 {
 		s += fmt.Sprintf("feature store: %v, %d pages allocated\n", t.FeatStore, t.FeatStore.PagesAllocated)
 	}

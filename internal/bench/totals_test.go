@@ -7,19 +7,17 @@ import (
 	"testing"
 	"time"
 
-	"wholegraph/internal/cache"
 	"wholegraph/internal/dataset"
 	"wholegraph/internal/train"
 )
 
-// knobbedConfig turns on every kind of counter Totals carries: hot-row
-// caches, both paged stores under eviction pressure, step graphs.
+// knobbedConfig turns on every kind of counter Totals carries: both paged
+// stores under eviction pressure, step graphs.
 func knobbedConfig() Config {
 	return Config{
 		Quick: true, Scale: 2e-4, Epochs: 2, Seed: 1,
 		Train: train.Options{
-			CacheRows: 40, Schedule: true,
-			PagedFeatures: true, FeatPageRows: 16, FeatCacheMB: 1,
+			Schedule: true, PagedFeatures: true, FeatPageRows: 16, FeatCacheMB: 1,
 			PagedTopo: true, TopoPageEdges: 256, TopoCacheMB: 1,
 		},
 	}
@@ -46,11 +44,11 @@ func TestTotalsSerialEqualsParallel(t *testing.T) {
 	if s.Report() != p.Report() {
 		t.Errorf("closing lines differ\nserial   %s\nparallel %s", s.Report(), p.Report())
 	}
-	if s.CacheHits == 0 || s.FeatStore.Misses == 0 || s.FeatStore.Evictions == 0 ||
+	if s.FeatStore.Misses == 0 || s.FeatStore.Evictions == 0 ||
 		s.TopoStore.Misses == 0 || s.Graph.Captures == 0 || s.CommSeconds == 0 {
 		t.Errorf("a kind of counter never moved, so its fold was not exercised:\n%s", s.Report())
 	}
-	for _, line := range []string{"feature cache: ", "feature store: ", "topology store: ", "step graphs: ", "collectives: "} {
+	for _, line := range []string{"feature store: ", "topology store: ", "step graphs: ", "collectives: "} {
 		if !strings.Contains(s.Report(), line) {
 			t.Errorf("closing lines lack %q:\n%s", line, s.Report())
 		}
@@ -67,14 +65,13 @@ func liveHeap() uint64 {
 }
 
 // TestTotalsKeepNothingAlive: Fold copies numbers, so once an experiment
-// returns, every machine, paged store and hot-row cache its cells built is
-// garbage. Two readings of that. The live heap does not grow over repeated
-// runs of an experiment that builds 36 trainers (behind a registry of
-// machines, stores and caches it grew by 19 MiB a run). And a single cell's
-// trainer and hot-row cache are finalized; the machine and the paged store
-// cannot carry finalizers of their own — Machine and Device, Store and
-// Partitioned point at each other, and Go never finalizes a cycle — which is
-// why the heap is the witness for those.
+// returns, every machine and paged store its cells built is garbage. Two
+// readings of that. The live heap does not grow over repeated runs of an
+// experiment that builds 36 trainers (behind a registry of machines and
+// stores it grew by 19 MiB a run). And a single cell's trainer is finalized;
+// the machine and the paged store cannot carry finalizers of their own —
+// Machine and Device, Store and Partitioned point at each other, and Go never
+// finalizes a cycle — which is why the heap is the witness for those.
 func TestTotalsKeepNothingAlive(t *testing.T) {
 	cfg := knobbedConfig().normalize()
 	cfg.Totals = &Totals{}
@@ -96,7 +93,7 @@ func TestTotalsKeepNothingAlive(t *testing.T) {
 		t.Fatal(err)
 	}
 	var freed atomic.Int32
-	const want = 2
+	const want = 1
 	cell := func() {
 		tr, err := newTrainer(FwWholeGraph, 1, ds, cfg.trainOpts("graphsage"))
 		if err != nil {
@@ -105,12 +102,11 @@ func TestTotalsKeepNothingAlive(t *testing.T) {
 		defer cfg.Totals.Fold(tr)
 		tr.RunEpoch()
 		runtime.SetFinalizer(tr, func(*train.Trainer) { freed.Add(1) })
-		runtime.SetFinalizer(tr.Caches()[0], func(*cache.FeatureCache) { freed.Add(1) })
 	}
 	cell()
 	for deadline := time.Now().Add(5 * time.Second); freed.Load() < want; time.Sleep(10 * time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d of %d finalizers ran: something still holds the cell's trainer or cache", freed.Load(), want)
+			t.Fatalf("%d of %d finalizers ran: something still holds the cell's trainer", freed.Load(), want)
 		}
 		runtime.GC()
 	}

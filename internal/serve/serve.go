@@ -158,6 +158,8 @@ func (o Options) Validate() error {
 		return fmt.Errorf("serve: Deadline must be finite and >= 0, got %g", o.Deadline)
 	case o.QueueCap < 1:
 		return fmt.Errorf("serve: QueueCap must be >= 1, got %d", o.QueueCap)
+	case o.CacheRows < 0:
+		return fmt.Errorf("serve: CacheRows must be >= 0, got %d", o.CacheRows)
 	case !finite(o.Skew) || (o.Skew != 0 && o.Skew <= 1):
 		return fmt.Errorf("serve: Skew must be finite and > 1 (or 0 for uniform), got %g", o.Skew)
 	}

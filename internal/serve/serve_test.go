@@ -342,6 +342,7 @@ func TestOptionsValidate(t *testing.T) {
 		{MaxDelay: -1},
 		{Deadline: -1},
 		{QueueCap: -1},
+		{CacheRows: -5},
 		{Skew: 0.5},
 		{Policy: "nope"},
 	}

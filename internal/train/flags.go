@@ -36,7 +36,6 @@ func (o *Options) BindExecFlags(fs *flag.FlagSet, names ...string) {
 		all = flag.NewFlagSet("", flag.ContinueOnError)
 	}
 	all.BoolVar(&o.Pipeline, "pipeline", o.Pipeline, "overlap batch building with training on each device's copy stream (WholeGraph only; identical math, shorter virtual epochs)")
-	all.IntVar(&o.CacheRows, "cache-rows", o.CacheRows, "hot-node feature cache size in rows per worker or replica (WholeGraph only; 0 = no cache)")
 	all.BoolVar(&o.OverlapGrads, "overlap-grads", o.OverlapGrads, "overlap bucketed gradient AllReduce with backward on the copy stream (WholeGraph only; identical math, different virtual epochs)")
 	all.BoolVar(&o.Schedule, "schedule", o.Schedule, "capture the training step once per loader slot and replay it through the whole-step DAG scheduler (WholeGraph only; identical math, shorter virtual epochs)")
 	all.BoolVar(&o.PagedFeatures, "paged-features", o.PagedFeatures, "serve features from the out-of-core paged store (WholeGraph only; bit-identical math with raw encoding)")

@@ -37,7 +37,7 @@ func presetOptions() Options {
 	return Options{
 		Arch: "gcn", Batch: 11, Fanouts: []int{2, 3}, Hidden: 13, Heads: 3,
 		Dropout: 0.125, LR: 0.5, Seed: 9,
-		Pipeline: true, CacheRows: 17, OverlapGrads: true, Schedule: true,
+		Pipeline: true, OverlapGrads: true, Schedule: true,
 		PagedFeatures: true, FeatEncoding: "f16", FeatPageRows: 19, FeatCacheMB: 23,
 		PagedTopo: true, TopoPageEdges: 29, TopoCacheMB: 31, PrefetchPages: 37, CachePolicy: "admit",
 	}
@@ -154,8 +154,8 @@ func TestExecFlagJSONKeys(t *testing.T) {
 			t.Errorf("-%s: no Options field tagged json:%q", f.Name, key)
 		}
 	})
-	if n != 13 {
-		t.Errorf("%d execution/storage flags, want 13", n)
+	if n != 12 {
+		t.Errorf("%d execution/storage flags, want 12", n)
 	}
 }
 
@@ -164,7 +164,7 @@ func TestExecFlagJSONKeys(t *testing.T) {
 func TestBindExecFlagsSubset(t *testing.T) {
 	var o, full Options
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	o.BindExecFlags(fs, "cache-rows", "paged-features", "cache-policy")
+	o.BindExecFlags(fs, "feat-cache-mb", "paged-features", "cache-policy")
 	all := flag.NewFlagSet("all", flag.ContinueOnError)
 	full.BindExecFlags(all)
 	var names []string
@@ -176,13 +176,13 @@ func TestBindExecFlagsSubset(t *testing.T) {
 		}
 	})
 	sort.Strings(names)
-	if got := strings.Join(names, " "); got != "cache-policy cache-rows paged-features" {
+	if got := strings.Join(names, " "); got != "cache-policy feat-cache-mb paged-features" {
 		t.Errorf("subset declared %q", got)
 	}
-	if err := fs.Parse([]string{"-paged-features", "-cache-rows", "40", "-cache-policy=admit"}); err != nil {
+	if err := fs.Parse([]string{"-paged-features", "-feat-cache-mb", "40", "-cache-policy=admit"}); err != nil {
 		t.Fatal(err)
 	}
-	if want := (Options{PagedFeatures: true, CacheRows: 40, CachePolicy: "admit"}); !reflect.DeepEqual(o, want) {
+	if want := (Options{PagedFeatures: true, FeatCacheMB: 40, CachePolicy: "admit"}); !reflect.DeepEqual(o, want) {
 		t.Errorf("parsed %+v", o)
 	}
 	defer func() {

@@ -149,47 +149,3 @@ func TestPipelinedOverlapBound(t *testing.T) {
 		t.Errorf("pipelined Crit %g >= Total %g: no overlap visible", p.Timing.Crit, p.Timing.Total())
 	}
 }
-
-// TestPipelinedWithCacheEquivalence: the feature cache changes only where
-// gathered bytes come from, never their values — training with CacheRows
-// must reproduce the uncached model bit-for-bit while serving hits.
-func TestPipelinedWithCacheEquivalence(t *testing.T) {
-	ds := eqDataset(t)
-	run := func(cacheRows int) (*train.Trainer, train.EpochStats) {
-		m := sim.NewMachine(sim.DGXA100(1))
-		opts := eqOpts("graphsage")
-		opts.Pipeline = true
-		opts.CacheRows = cacheRows
-		tr, err := train.New(m, ds, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tr, tr.RunEpoch()
-	}
-	plain, plainStats := run(0)
-	cached, cachedStats := run(2000)
-
-	if plainStats.Loss != cachedStats.Loss || plainStats.TrainAcc != cachedStats.TrainAcc {
-		t.Errorf("cache changed training outputs: %+v vs %+v", plainStats, cachedStats)
-	}
-	pp, cp := plain.Models[0].Params().Params(), cached.Models[0].Params().Params()
-	for i := range pp {
-		for j := range pp[i].W.V {
-			if pp[i].W.V[j] != cp[i].W.V[j] {
-				t.Fatalf("param %s[%d] differs with cache", pp[i].Name, j)
-			}
-		}
-	}
-	hits, misses := cached.CacheStats()
-	if hits == 0 {
-		t.Error("cache served no hits")
-	}
-	if h, m := plain.CacheStats(); h != 0 || m != 0 {
-		t.Errorf("uncached trainer reports cache traffic: %d hits %d misses", h, m)
-	}
-	if len(cached.Caches()) != 1 {
-		t.Fatalf("caches = %d, want 1", len(cached.Caches()))
-	}
-	t.Logf("cache: %d hits %d misses (%.1f%% hit rate)", hits, misses,
-		100*cached.Caches()[0].HitRate())
-}

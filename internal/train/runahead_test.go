@@ -14,13 +14,11 @@ import (
 )
 
 // epochRun is everything a short training run leaves behind that a caller
-// can observe: epoch statistics, an evaluation between epochs, the hot-row
-// caches' counters after every epoch, the step-graph counters, and every
-// device's two stream clocks, Stats and trace.
+// can observe: epoch statistics, an evaluation between epochs, the step-graph
+// counters, and every device's two stream clocks, Stats and trace.
 type epochRun struct {
 	stats  []train.EpochStats
 	acc    float64
-	cache  [][2]int64
 	graphs train.GraphCounters
 	clocks [][2]float64
 	devs   []sim.DeviceStats
@@ -45,8 +43,6 @@ func runAheadRun(t *testing.T, ds *dataset.Dataset, opts train.Options, nodes in
 	var r epochRun
 	epoch := func() {
 		r.stats = append(r.stats, tr.RunEpoch())
-		hits, misses := tr.CacheStats()
-		r.cache = append(r.cache, [2]int64{hits, misses})
 	}
 	epoch()
 	epoch()
@@ -93,12 +89,12 @@ func trimTrain(t *testing.T, ds *dataset.Dataset) (batch int) {
 // level: with sim.SetParallel on every epoch is planned, batches are built
 // ahead of their steps and each epoch's first ones during the step before,
 // with it off nothing is, and the two runs agree bit for bit in every epoch
-// statistic (Timing included), the evaluation between epochs, the cache and
-// step-graph counters, both stream clocks and the Stats of every device, and
-// worker 0's trace — over resident, weighted, cached and paged stores, one
-// and three real workers, a shard whose batch list wraps, a capped epoch,
-// the sequential and the pipelined loop, and the fully optimised two-node
-// shape (GAT, captured and scheduled steps, overlapped gradients).
+// statistic (Timing included), the evaluation between epochs, the step-graph
+// counters, both stream clocks and the Stats of every device, and worker 0's
+// trace — over resident, weighted and paged stores, one and three real
+// workers, a shard whose batch list wraps, a capped epoch, the sequential and
+// the pipelined loop, and the fully optimised two-node shape (GAT, captured
+// and scheduled steps, overlapped gradients).
 func TestRunAheadEqualsInline(t *testing.T) {
 	plain := eqDataset(t)
 	wspec := dataset.OgbnProducts.Scaled(0.001)
@@ -121,14 +117,12 @@ func TestRunAheadEqualsInline(t *testing.T) {
 		{"wrapping-shard", wrapping, func(o *train.Options) { o.RealWorkers = 3; o.Batch = wrapBatch }, 1},
 		{"capped", plain, func(o *train.Options) { o.RealWorkers = 2; o.MaxItersPerEpoch = 3 }, 1},
 		{"weighted-gcn", weighted, func(o *train.Options) { o.Arch = "gcn" }, 1},
-		{"cached", plain, func(o *train.Options) { o.CacheRows = 200; o.RealWorkers = 2 }, 1},
 		{"captured", plain, func(o *train.Options) { o.Schedule = true }, 1},
 		{"paged", plain, func(o *train.Options) {
 			o.PagedFeatures, o.PagedTopo = true, true
 			o.FeatPageRows, o.TopoPageEdges, o.PrefetchPages = 16, 256, 4
 		}, 1},
 		{"pipelined", plain, func(o *train.Options) { o.Pipeline = true; o.RealWorkers = 2 }, 1},
-		{"pipelined-cached", plain, func(o *train.Options) { o.Pipeline = true; o.CacheRows = 200 }, 1},
 		{"pipelined-capped", plain, func(o *train.Options) { o.Pipeline = true; o.MaxItersPerEpoch = 1 }, 1},
 		{"sched-2node", plain, func(o *train.Options) {
 			o.Arch = "gat"
@@ -148,9 +142,8 @@ func TestRunAheadEqualsInline(t *testing.T) {
 			if inline.acc != ahead.acc {
 				t.Errorf("evaluation between epochs: inline %v, run-ahead %v", inline.acc, ahead.acc)
 			}
-			if !reflect.DeepEqual(inline.cache, ahead.cache) || inline.graphs != ahead.graphs {
-				t.Errorf("cache hits/misses per epoch inline %v, run-ahead %v; step graphs inline %+v, run-ahead %+v",
-					inline.cache, ahead.cache, inline.graphs, ahead.graphs)
+			if inline.graphs != ahead.graphs {
+				t.Errorf("step graphs inline %+v, run-ahead %+v", inline.graphs, ahead.graphs)
 			}
 			if !reflect.DeepEqual(inline.clocks, ahead.clocks) {
 				t.Errorf("stream clocks differ:\n inline    %v\n run-ahead %v", inline.clocks, ahead.clocks)

@@ -36,10 +36,8 @@ func TestScheduleBitIdentical(t *testing.T) {
 }
 
 // TestScheduleComposes runs the scheduler together with the prefetch
-// pipeline, bucketed gradient overlap and the hot-node feature cache across
-// two real workers: all overlays on, results still bit-identical to the
-// plain eager path without a cache (the cache moves only the local/remote
-// split of gather charges the scheduler places).
+// pipeline and bucketed gradient overlap across two real workers: all
+// overlays on, results still bit-identical to the plain eager path.
 func TestScheduleComposes(t *testing.T) {
 	opts := smallOpts("graphsage")
 	opts.Batch = 8
@@ -49,10 +47,9 @@ func TestScheduleComposes(t *testing.T) {
 	all.Schedule = true
 	all.Pipeline = true
 	all.OverlapGrads = true
-	all.CacheRows = 64
 	pStats, pParams, _, _ := graphRun(t, plain, 1, 3)
 	aStats, aParams, atr, _ := graphRun(t, all, 1, 3)
-	compareRuns(t, "pipeline+overlap+cache+schedule", pStats, aStats, pParams, aParams)
+	compareRuns(t, "pipeline+overlap+schedule", pStats, aStats, pParams, aParams)
 	if gc := atr.GraphStats(); gc.Replays == 0 || gc.Scheduled != gc.Replays {
 		t.Errorf("composed run never scheduled a replay: %+v", gc)
 	}

@@ -23,7 +23,6 @@ import (
 
 	"wholegraph/internal/autograd"
 	"wholegraph/internal/blockcache"
-	"wholegraph/internal/cache"
 	"wholegraph/internal/core"
 	"wholegraph/internal/dataset"
 	"wholegraph/internal/featstore"
@@ -70,11 +69,6 @@ type Options struct {
 	// sequential run; only virtual time improves. Ignored when a loader
 	// does not implement PrefetchingLoader (the host-memory baselines).
 	Pipeline bool `json:"pipeline"`
-	// CacheRows, when positive, fronts each worker's feature gathers with
-	// a degree-ordered hot-node cache of that many rows (internal/cache).
-	// Gather values are unchanged; only the local/remote traffic split —
-	// and therefore virtual gather time — moves.
-	CacheRows int `json:"cache_rows"`
 	// OverlapGrads overlaps gradient synchronization with the backward
 	// pass: parameters are bucketed per layer (DDP-style) and each bucket's
 	// hierarchical AllReduce is issued on the copy stream the moment
@@ -330,8 +324,7 @@ type Trainer struct {
 	// the runtime fills an assertion site's type cache with an allocation at
 	// a random call.
 	parts  []loaderParts
-	caches []*cache.FeatureCache // per real worker; empty without Options.CacheRows
-	shards [][]int64             // training shard per worker slot (all devices)
+	shards [][]int64 // training shard per worker slot (all devices)
 	rng    *rand.Rand
 	epoch  int
 
@@ -421,9 +414,7 @@ func (ep *epochScratch) listEpoch(i, measured int) {
 }
 
 // New builds a WholeGraph trainer: it partitions the store onto every node
-// (charging setup) and instantiates identical model replicas. With
-// Options.CacheRows it also builds one degree-ordered feature cache per
-// worker, charging the one-time fill.
+// (charging setup) and instantiates identical model replicas.
 func New(m *sim.Machine, ds *dataset.Dataset, opts Options) (*Trainer, error) {
 	opts = opts.Normalize()
 	if _, err := opts.modelConfig(ds); err != nil {
@@ -447,29 +438,13 @@ func New(m *sim.Machine, ds *dataset.Dataset, opts Options) (*Trainer, error) {
 		}
 		stores = append(stores, s)
 	}
-	var caches []*cache.FeatureCache
-	var cacheErr error
 	t, err := NewCustom(m, ds, opts, func(w int, dev *sim.Device) BatchLoader {
-		ld := core.NewLoader(stores[0], dev, opts.Fanouts, opts.Seed+int64(w))
-		if opts.CacheRows > 0 && cacheErr == nil {
-			fc, err := cache.NewDegreeCache(stores[0].PG, dev, opts.CacheRows)
-			if err != nil {
-				cacheErr = err
-				return ld
-			}
-			caches = append(caches, fc)
-			ld.WithCache(fc)
-		}
-		return ld
+		return core.NewLoader(stores[0], dev, opts.Fanouts, opts.Seed+int64(w))
 	})
 	if err != nil {
 		return nil, err
 	}
-	if cacheErr != nil {
-		return nil, fmt.Errorf("train: building feature cache: %w", cacheErr)
-	}
 	t.Stores = stores
-	t.caches = caches
 	return t, nil
 }
 
@@ -931,20 +906,6 @@ func (t *Trainer) Predict(ids []int64) ([][]float32, error) {
 
 // Worker0Device returns the traced device of the first real worker.
 func (t *Trainer) Worker0Device() *sim.Device { return t.loaders[0].Device() }
-
-// Caches returns the per-worker feature caches; empty when the trainer was
-// built without Options.CacheRows (or through NewCustom).
-func (t *Trainer) Caches() []*cache.FeatureCache { return t.caches }
-
-// CacheStats sums hit/miss counts across the per-worker feature caches.
-// Both are zero when no cache is attached.
-func (t *Trainer) CacheStats() (hits, misses int64) {
-	for _, c := range t.caches {
-		hits += c.Hits
-		misses += c.Misses
-	}
-	return hits, misses
-}
 
 // FeatStoreStats aggregates BlockCache counters across every node's paged
 // feature store. The zero Stats is returned when the trainer is not paged.

@@ -126,12 +126,3 @@ func (m *Memory[T]) ReadRange(d *sim.Device, start, count int64, dst []T, tag st
 	cost.RandBytes = 0
 	return d.Kernel(cost)
 }
-
-// ChargeAccess charges d for a kernel that already moved its data through
-// host-side Get/Set during construction of an op-specific structure. It
-// exists so composite ops (e.g. the sampler, which interleaves reads with
-// computation) can account their traffic in one launch instead of one
-// launch per Memory call.
-func (m *Memory[T]) ChargeAccess(d *sim.Device, localElems, remoteElems int64, segBytes float64, tag string) float64 {
-	return d.Kernel(m.accessCost(float64(localElems*m.eb), float64(remoteElems*m.eb), segBytes, 0, tag))
-}

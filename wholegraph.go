@@ -33,7 +33,6 @@ package wholegraph
 import (
 	"strings"
 
-	"wholegraph/internal/analytics"
 	"wholegraph/internal/baseline"
 	"wholegraph/internal/core"
 	"wholegraph/internal/dataset"
@@ -354,21 +353,6 @@ const (
 func NewServer(m *Machine, node int, ds *Dataset, model Model, opts ServeOptions) (*Server, error) {
 	return serve.New(m, node, ds, model, opts)
 }
-
-// --- Graph analytics ---
-
-// PageRankResult holds converged PageRank values and run statistics.
-type PageRankResult = analytics.PageRankResult
-
-// CCResult holds connected-component labels and run statistics.
-type CCResult = analytics.CCResult
-
-// PageRank runs damped power iteration over the partitioned store, each
-// rank pulling neighbor state through shared memory.
-var PageRank = analytics.PageRank
-
-// ConnectedComponents runs label propagation over the partitioned store.
-var ConnectedComponents = analytics.ConnectedComponents
 
 // --- Shared memory (advanced) ---
 

@@ -76,7 +76,6 @@ func TestNewTrainerRejectsBadOptions(t *testing.T) {
 		{"Options.LR ", wholegraph.TrainOptions{LR: -1}},
 		{"Options.LR ", wholegraph.TrainOptions{LR: math.NaN()}},
 		{"Options.MaxItersPerEpoch ", wholegraph.TrainOptions{MaxItersPerEpoch: -3}},
-		{"Options.CacheRows ", wholegraph.TrainOptions{CacheRows: -5}},
 		{"Options.Heads ", wholegraph.TrainOptions{Heads: -2}},
 		{"Options.PrefetchPages ", wholegraph.TrainOptions{PrefetchPages: -1}},
 		{"dropout probability 1.5", wholegraph.TrainOptions{Dropout: 1.5}},
@@ -256,20 +255,6 @@ func TestFacadeExtensions(t *testing.T) {
 	ds, err := wholegraph.GenerateDataset(wholegraph.OgbnProducts.Scaled(0.0005))
 	if err != nil {
 		t.Fatal(err)
-	}
-	store, err := wholegraph.NewStore(machine, 0, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Analytics.
-	pr, err := wholegraph.PageRank(store.PG, 0.85, 1e-6, 30)
-	if err != nil || len(pr.Rank) != int(ds.Graph.N) {
-		t.Fatalf("pagerank: %v", err)
-	}
-	cc, err := wholegraph.ConnectedComponents(store.PG, 100)
-	if err != nil || cc.Components == 0 {
-		t.Fatalf("cc: %v", err)
 	}
 
 	// Full-graph inference through the facade.
