@@ -128,15 +128,6 @@ func (c *FeatureCache) HitRate() float64 {
 // to the source in one gather, which applies its own (page-fault-aware)
 // pricing.
 func (c *FeatureCache) GatherRows(rows []int64, dim int, dst []float32, tag string) float64 {
-	return c.GatherRowsOn(c.Dev, rows, dim, dst, tag)
-}
-
-// GatherRowsOn is GatherRows charging dev, which must be the cache's device
-// or a staging twin of it (the loader's run-ahead builds).
-func (c *FeatureCache) GatherRowsOn(dev *sim.Device, rows []int64, dim int, dst []float32, tag string) float64 {
-	if dev.Real() != c.Dev {
-		panic(fmt.Sprintf("cache: gather on device %d through the cache of device %d", dev.ID, c.Dev.ID))
-	}
 	if dim != c.PG.Dim {
 		panic(fmt.Sprintf("cache: dim %d != feature dim %d", dim, c.PG.Dim))
 	}
@@ -144,13 +135,13 @@ func (c *FeatureCache) GatherRowsOn(dev *sim.Device, rows []int64, dim int, dst 
 		panic("cache: dst too small")
 	}
 	if ranked, ok := c.src.(graph.RankedFeatures); ok {
-		return c.gatherRanked(dev, ranked, rows, dim, dst, tag)
+		return c.gatherRanked(ranked, rows, dim, dst, tag)
 	}
-	return c.gatherDelegate(dev, rows, dim, dst, tag)
+	return c.gatherDelegate(rows, dim, dst, tag)
 }
 
-func (c *FeatureCache) gatherRanked(dev *sim.Device, src graph.RankedFeatures, rows []int64, dim int, dst []float32, tag string) float64 {
-	rank := c.PG.Comm.RankOfDevice(dev)
+func (c *FeatureCache) gatherRanked(src graph.RankedFeatures, rows []int64, dim int, dst []float32, tag string) float64 {
+	rank := c.PG.Comm.RankOfDevice(c.Dev)
 	var localElems, remoteElems int64
 	for i, row := range rows {
 		out := dst[i*dim : (i+1)*dim]
@@ -169,7 +160,7 @@ func (c *FeatureCache) gatherRanked(dev *sim.Device, src graph.RankedFeatures, r
 			remoteElems += int64(dim)
 		}
 	}
-	return dev.Kernel(sim.KernelCost{
+	return c.Dev.Kernel(sim.KernelCost{
 		RandBytes:      float64(4 * localElems),
 		RemoteBytes:    float64(4 * remoteElems),
 		RemoteSegBytes: float64(4 * dim),
@@ -178,7 +169,7 @@ func (c *FeatureCache) gatherRanked(dev *sim.Device, src graph.RankedFeatures, r
 	})
 }
 
-func (c *FeatureCache) gatherDelegate(dev *sim.Device, rows []int64, dim int, dst []float32, tag string) float64 {
+func (c *FeatureCache) gatherDelegate(rows []int64, dim int, dst []float32, tag string) float64 {
 	c.missRows = c.missRows[:0]
 	c.missIdx = c.missIdx[:0]
 	var localElems int64
@@ -200,14 +191,14 @@ func (c *FeatureCache) gatherDelegate(dev *sim.Device, rows []int64, dim int, ds
 			c.missBuf = make([]float32, need)
 		}
 		c.missBuf = c.missBuf[:need]
-		total += c.src.GatherRows(dev, c.missRows, dim, c.missBuf, tag)
+		total += c.src.GatherRows(c.Dev, c.missRows, dim, c.missBuf, tag)
 		for k, i := range c.missIdx {
 			copy(dst[i*dim:(i+1)*dim], c.missBuf[k*dim:(k+1)*dim])
 		}
 	}
 	if localElems > 0 {
 		// The cache-served rows: one local HBM read/write pass.
-		total += dev.Kernel(sim.KernelCost{
+		total += c.Dev.Kernel(sim.KernelCost{
 			RandBytes:   float64(4 * localElems),
 			StreamBytes: float64(4 * localElems),
 			Tag:         tag,

@@ -160,9 +160,11 @@ type buildBody struct {
 	// of the build recorded on the loader's twin, for apply to issue on the
 	// device. Empty when the build charged the device directly.
 	sample, gather []sim.Charge
-	// targets is the list a build started ahead of its call is of, and
-	// failed the value that build panicked with (nil if it did not).
+	// targets is the list a build started ahead of its call is of, rng the
+	// sampler's stream from before it, and failed the value that build
+	// panicked with (nil if it did not).
 	targets []int64
+	rng     sampling.RNGState
 	failed  any
 }
 
@@ -179,25 +181,25 @@ type buildBody struct {
 // records the charges into the body; apply issues them on the device at the
 // call point, so the clocks, Stats and trace are those of a build that ran
 // there. Prefetching overlaps virtual time only. Plan overlaps host
-// execution: it announces the next BuildBatch or Prefetch calls, and while
-// the caller works on batch k a builder goroutine computes batch k+1 into a
-// body no readable batch shows. Speculate does the same for the first
-// builds of a plan not announced yet, undoing them if something else is
-// built first.
+// execution: it hints the next BuildBatch or Prefetch calls, and while the
+// caller works on batch k a builder goroutine computes batch k+1 into a
+// body no readable batch shows. Every build ahead can be undone: it saves
+// the sampler's stream before it starts, and a call that builds anything
+// else rewinds the stream and computes at the call.
 //
-// Ownership: the loader — device, faces, bodies, plan — belongs to its
+// Ownership: the loader — device, faces, bodies, hint — belongs to its
 // worker's goroutine. Between the start of a run-ahead build and the call
 // that joins it, the builder goroutine owns the sampler (its RNG and
-// sampling.Scratch), the hot-row cache's counters, the twin and the bodies
-// in ahead, and reads ahead; it never touches the device, a face or a body
-// a face shows to the caller. The store is immutable. The send on
-// buildJobs and the one on done order the hand-overs, so no locking is
-// involved.
+// sampling.Scratch), the twin and the bodies in ahead, and reads ahead; it
+// never touches the device, a face or a body a face shows to the caller.
+// The store is immutable. The send on buildJobs and the one on done order
+// the hand-overs, so no locking is involved.
 //
-// Stores whose reads consult the clock (paged features or topology compare
-// page-ready times with it and run the copy-stream event dance) cannot be
-// staged: bdev is then the device itself, compute charges it at the call
-// point, and a plan only checks the call order.
+// A loader whose reads have effects a rewind cannot undo builds at the call
+// point: over paged features or topology (which compare page-ready times
+// with the clock and run the copy-stream event dance) and through a hot-row
+// cache (which counts every lookup), bdev is the device itself, compute
+// charges it at the call point, and Plan is a no-op.
 type Loader struct {
 	Store   *Store
 	Dev     *sim.Device
@@ -217,26 +219,15 @@ type Loader struct {
 	// prefetched build.
 	pending bool
 
-	// plan holds the announced target lists not handed out yet. ahead holds,
-	// in order, the nAhead bodies of builds started ahead of their calls: of
-	// plan[0], plan[1], … or, with spec set, of the lists Speculate was
-	// given. running is set while a builder goroutine fills them; it reports
-	// on done.
+	// plan holds the hinted target lists not handed out yet. ahead holds,
+	// in order, the nAhead bodies of builds started ahead of their calls, of
+	// plan[0], plan[1], …; running is set while a builder goroutine fills
+	// them; it reports on done.
 	plan    [][]int64
 	ahead   [2]*buildBody
 	nAhead  int
 	running bool
 	done    chan struct{}
-
-	// spec marks the builds in ahead as speculative: snap holds the sampler
-	// stream and cache counters from before them, and, once they are
-	// joined, the counts their lookups added.
-	spec bool
-	snap struct {
-		rng                  sampling.RNGState
-		hits, misses         int64
-		specHits, specMisses int64
-	}
 
 	// PrefetchPages scratch: the predicted page ids of one store.
 	pfIDs []int32
@@ -273,12 +264,18 @@ func NewLoader(s *Store, dev *sim.Device, fanouts []int, seed int64) *Loader {
 func (l *Loader) Device() *sim.Device { return l.Dev }
 
 // WithCache routes the loader's feature gathers through a hot-node cache
-// (see internal/cache); the cache must belong to the same device.
+// (see internal/cache); the cache must belong to the same device. Call it
+// before the first build: from then on the loader builds at the call point,
+// charging the device directly, since a build ahead would count lookups in
+// the cache that undoing it could not take back.
 func (l *Loader) WithCache(c *cache.FeatureCache) *Loader {
 	if c != nil && c.Dev != l.Dev {
 		panic("core: cache bound to a different device")
 	}
 	l.cache = c
+	if c != nil {
+		l.bdev, l.sampler.Dev = l.Dev, l.Dev
+	}
 	return l
 }
 
@@ -325,13 +322,12 @@ func (t *Timing) Add(o Timing) {
 // device's current stream (the compute stream in the sequential training
 // path) at the time of the call, whether or not the host math ran ahead of
 // it. The returned batch aliases loader scratch and is valid only until the
-// next-but-one build on this loader begins — with a plan open, that is
+// next-but-one build on this loader begins — with a hint open, that is
 // inside the next BuildBatch call.
 func (l *Loader) BuildBatch(targets []int64) (*gnn.Batch, Timing) {
 	if l.pending {
 		panic("core: BuildBatch with a prefetch pending; Collect it first")
 	}
-	l.mustBePlanned(targets)
 	b := l.take(targets)
 	f := l.bind(b)
 	l.next ^= 1
@@ -341,127 +337,73 @@ func (l *Loader) BuildBatch(targets []int64) (*gnn.Batch, Timing) {
 	return &f.batch, b.tm
 }
 
-// Plan announces the target lists of the next len(lists) builds, in order,
-// so they may run ahead of their calls on a second goroutine: batch
-// contents, Timing, clocks, Stats and trace are those of the same calls
-// without a plan. While a plan is open every build must be the BuildBatch or
-// Prefetch of its head — anything else panics — and lists and the slices it
-// holds must not change. A build runs ahead from one build call to the
-// next; once the last planned call has returned nothing of the plan is left.
-// A plan that begins with the lists of outstanding speculative builds adopts
-// them; any other discards them first.
+// Plan hints the target lists of the next builds, in order, so that they
+// may run ahead of their calls on a builder goroutine: batch contents,
+// Timing, clocks, Stats and trace are those of the same calls without a
+// hint. A BuildBatch or Prefetch of the hint's head takes the build run
+// ahead for it and starts the next one; any other build first undoes every
+// build ahead, rewinding the sampler's stream to where the oldest started,
+// and drops the hint. Plan keeps the builds ahead that its first lists match
+// and undoes the rest; when none is left it starts the builds of its first
+// lists, at most two. lists and the slices it holds must not change while
+// they are hinted. A no-op on a loader that builds at the call point.
 func (l *Loader) Plan(lists [][]int64) {
-	if len(l.plan) > 0 {
-		panic(fmt.Sprintf("core: Plan with %d planned builds outstanding", len(l.plan)))
-	}
 	if l.pending {
 		panic("core: Plan with a prefetch pending; Collect it first")
 	}
-	if l.spec {
-		l.Join()
-		adopt := l.nAhead <= len(lists)
-		for i := 0; adopt && i < l.nAhead; i++ {
-			adopt = slices.Equal(l.ahead[i].targets, lists[i])
-		}
-		if !adopt {
-			l.rollback()
-		} else {
-			l.spec = false
-			if l.cache != nil {
-				l.cache.Hits += l.snap.specHits
-				l.cache.Misses += l.snap.specMisses
-			}
-		}
-	}
-	l.plan = lists
-}
-
-// Speculate starts the builds of the first lists of a plan not announced
-// yet — at most two — on the builder goroutine: the trainer hands it the
-// next epoch's first batches during this epoch's last step. Nothing is
-// bound or charged. A Plan that begins with the same lists adopts the
-// builds; any other build first, or a Plan that begins otherwise, discards
-// them and rewinds the sampler's stream and the cache's counters to where
-// they stood, so batches, Timing, clocks, Stats and trace are those of
-// never speculating. A no-op on stores that cannot be staged, and while
-// builds run ahead already.
-func (l *Loader) Speculate(lists [][]int64) {
-	if len(l.plan) > 0 {
-		panic(fmt.Sprintf("core: Speculate with %d planned builds outstanding", len(l.plan)))
-	}
-	if l.pending {
-		panic("core: Speculate with a prefetch pending; Collect it first")
-	}
-	if l.bdev == l.Dev || l.nAhead > 0 || len(lists) == 0 {
+	if l.bdev == l.Dev {
 		return
 	}
-	l.spec = true
-	l.sampler.SaveRNG(&l.snap.rng)
-	if l.cache != nil {
-		l.snap.hits, l.snap.misses = l.cache.Hits, l.cache.Misses
+	keep := 0
+	for keep < min(l.nAhead, len(lists)) && slices.Equal(l.ahead[keep].targets, lists[keep]) {
+		keep++
 	}
-	l.startAhead(lists[:min(len(lists), len(l.ahead))])
+	l.undo(keep)
+	l.plan = lists
+	if l.nAhead == 0 && len(lists) > 0 {
+		l.startAhead(lists[:min(len(lists), len(l.ahead))])
+	}
 }
 
 // Join waits for the builds running ahead, if any. When it returns no
-// goroutine works for the loader, and the cache's counters hold no lookup
-// of a speculative build: those are set aside until a Plan adopts it.
+// goroutine works for the loader.
 func (l *Loader) Join() {
-	if !l.running {
+	if l.running {
+		<-l.done
+		l.running = false
+	}
+}
+
+// undo discards the builds ahead from the keep-th on and rewinds the
+// sampler's stream to where the first of them started.
+func (l *Loader) undo(keep int) {
+	if keep == l.nAhead {
 		return
 	}
-	<-l.done
-	l.running = false
-	if l.spec && l.cache != nil {
-		c := l.cache
-		l.snap.specHits, l.snap.specMisses = c.Hits-l.snap.hits, c.Misses-l.snap.misses
-		c.Hits, c.Misses = l.snap.hits, l.snap.misses
-	}
-}
-
-// rollback discards speculative builds and rewinds the sampler's stream;
-// the join has rewound the cache's counters.
-func (l *Loader) rollback() {
 	l.Join()
-	l.sampler.RestoreRNG(&l.snap.rng)
-	l.ahead = [2]*buildBody{}
-	l.nAhead = 0
-	l.spec = false
+	l.sampler.RestoreRNG(&l.ahead[keep].rng)
+	clear(l.ahead[keep:])
+	l.nAhead = keep
 }
 
-// mustBePlanned panics unless targets may be built now: under a plan only
-// its head may.
-func (l *Loader) mustBePlanned(targets []int64) {
-	if len(l.plan) > 0 && !slices.Equal(l.plan[0], targets) {
-		// A build that ran ahead has consumed sampler RNG for the planned
-		// list and cannot be undone.
-		panic(fmt.Sprintf("core: build out of plan: %d targets that are not the next planned list (%d targets, %d lists outstanding)",
-			len(targets), len(l.plan[0]), len(l.plan)))
-	}
-}
-
-// take returns a body holding the build of targets, which mustBePlanned
-// has let through: the one run ahead for it, or a free one computed into
-// here. Under a plan it consumes the head; speculative builds are discarded
-// first.
+// take returns a body holding the build of targets: the one run ahead for
+// it if targets is the hint's head, or a free one computed into here. A build
+// of anything else undoes the builds ahead and drops the hint first.
 func (l *Loader) take(targets []int64) *buildBody {
-	if l.spec {
-		l.rollback()
-	}
-	if len(l.plan) > 0 {
-		l.plan = l.plan[1:]
-		if l.nAhead > 0 {
-			l.Join()
-			b := l.ahead[0]
-			l.ahead = [2]*buildBody{l.ahead[1]}
-			l.nAhead--
-			if p := b.failed; p != nil {
-				b.failed = nil
-				l.ahead, l.nAhead, l.plan = [2]*buildBody{}, 0, nil
-				panic(p)
-			}
-			return b
+	if len(l.plan) == 0 || !slices.Equal(l.plan[0], targets) {
+		l.undo(0)
+		l.plan = nil
+	} else if l.plan = l.plan[1:]; l.nAhead > 0 {
+		l.Join()
+		b := l.ahead[0]
+		l.ahead = [2]*buildBody{l.ahead[1]}
+		l.nAhead--
+		if p := b.failed; p != nil {
+			b.failed = nil
+			l.ahead, l.nAhead, l.plan = [2]*buildBody{}, 0, nil
+			panic(p)
 		}
+		return b
 	}
 	b := l.freeBody()
 	l.compute(b, targets)
@@ -490,10 +432,10 @@ func (l *Loader) bind(b *buildBody) *batchFace {
 	return f
 }
 
-// runAhead starts the build of the plan's head on the builder goroutine, if
-// none is ahead and the store can be staged.
+// runAhead starts the build of the hint's head on the builder goroutine, if
+// none is ahead.
 func (l *Loader) runAhead() {
-	if len(l.plan) > 0 && l.nAhead == 0 && l.bdev != l.Dev {
+	if len(l.plan) > 0 && l.nAhead == 0 {
 		l.startAhead(l.plan[:1])
 	}
 }
@@ -531,10 +473,12 @@ func runBuilder() {
 	}
 }
 
-// buildAhead runs l's ahead builds in order and reports on done.
+// buildAhead runs l's ahead builds in order, each after saving the
+// sampler's stream into its body, and reports on done.
 func (l *Loader) buildAhead() {
 	defer func() { l.done <- struct{}{} }()
 	for i, b := range l.ahead[:l.nAhead] {
+		l.sampler.SaveRNG(&b.rng)
 		// A panic travels to the call that takes this build, and to those of
 		// the builds after it, which never ran.
 		if l.computeAhead(b); b.failed != nil {
@@ -558,9 +502,8 @@ func (l *Loader) computeAhead(b *buildBody) {
 // bound to the face not showing the most recently returned batch; the copy
 // stream first waits for that face's release event, so a prefetch can never
 // overwrite a batch compute still reads. Exactly one Collect must follow
-// before the next Prefetch or BuildBatch. Under a plan targets must be its
-// head, and the build of the next planned list starts on the builder
-// goroutine.
+// before the next Prefetch or BuildBatch. When targets is the hint's head,
+// the build of the next hinted list starts on the builder goroutine.
 //
 // Prefetching changes only which virtual timeline the build is charged to:
 // the sampler RNG and dedup order are those of a sequential BuildBatch
@@ -569,7 +512,6 @@ func (l *Loader) Prefetch(targets []int64) {
 	if l.pending {
 		panic("core: Prefetch with a prefetch already pending")
 	}
-	l.mustBePlanned(targets)
 	f := &l.faces[l.next]
 	// The build starts no earlier than its issue point on the current
 	// (compute) stream — a stream cannot run work before the host enqueued
@@ -750,7 +692,7 @@ func (l *Loader) compute(b *buildBody, targets []int64) {
 		b.tm.Sample = t1 - t0
 	}
 	if l.cache != nil {
-		l.cache.GatherRowsOn(dev, rows, dim, b.feat.V, "gather.feat")
+		l.cache.GatherRows(rows, dim, b.feat.V, "gather.feat")
 	} else {
 		pg.Features().GatherRows(dev, rows, dim, b.feat.V, "gather.feat")
 	}

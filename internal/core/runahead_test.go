@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"wholegraph/internal/cache"
 	"wholegraph/internal/dataset"
 	"wholegraph/internal/gnn"
+	"wholegraph/internal/sampling"
 	"wholegraph/internal/sim"
 )
 
@@ -60,26 +62,27 @@ type drive struct {
 	// pipelined builds through Prefetch, Collect and Release, as the
 	// pipelined trainer does, instead of BuildBatch.
 	pipelined bool
-	// planned announces each epoch's builds first.
+	// planned hints each epoch's builds first, and during each epoch's last
+	// step the next epoch's first builds — one sequentially, two pipelined —
+	// joining them after it, as RunEpoch does.
 	planned bool
-	// speculate hands the loader the next epoch's first builds during each
-	// epoch's last step — one sequentially, two pipelined — and joins them
-	// after it, as RunEpoch does.
-	speculate bool
-	// between builds an unplanned batch between epochs, as Evaluate does.
-	between bool
+	// midway builds another list than the hinted one in the middle of each
+	// epoch; between builds an unhinted batch between epochs, as Evaluate
+	// does.
+	midway, between bool
 }
 
 // loaderRun is what runBuilds' calls left behind that a caller can observe:
 // every build's record, the cache's counters after every epoch, the
-// device's final Stats and trace; and how many epochs adopted speculative
-// builds.
+// device's final Stats and trace; how many epochs kept builds run ahead
+// for them, and after how many Plan calls builds ran ahead.
 type loaderRun struct {
-	recs    []buildRecord
-	counts  [][2]int64
-	stats   sim.DeviceStats
-	trace   []sim.Interval
-	adopted int
+	recs       []buildRecord
+	counts     [][2]int64
+	stats      sim.DeviceStats
+	trace      []sim.Interval
+	adopted    int
+	plansAhead int
 }
 
 // runBuilds drives two epochs of six builds over three target lists (so the
@@ -88,6 +91,7 @@ type loaderRun struct {
 // batch, charge a step's worth of compute.
 func runBuilds(t *testing.T, ds *dataset.Dataset, name string, cached bool, d drive) loaderRun {
 	t.Helper()
+	waitNoBuilders(t, "before "+name)
 	m, s := goldenStoreOn(t, ds, name)
 	m.Reset()
 	dev := m.Devs[1]
@@ -110,19 +114,31 @@ func runBuilds(t *testing.T, ds *dataset.Dataset, name string, cached bool, d dr
 		return lists
 	}
 	var r loaderRun
+	plan := func(lists [][]int64) {
+		ld.Plan(lists)
+		if ld.nAhead > 0 || builderGoroutines() > 0 {
+			r.plansAhead++
+		}
+	}
 	record := func(b *gnn.Batch, tm Timing) {
 		r.recs = append(r.recs, buildRecord{hashBatch(b), tm, dev.StreamNow(sim.StreamCompute), dev.StreamNow(sim.StreamCopy)})
 	}
 	lists := epochLists(0)
 	for e := 0; e < 2; e++ {
 		next := epochLists(e + 1)
+		built := lists
+		if d.midway {
+			built = slices.Clone(lists)
+			built[3] = sets[e][:8]
+		}
 		if d.planned {
-			ld.Plan(lists)
-			if ld.nAhead > 0 {
+			ahead := ld.nAhead > 0
+			plan(lists)
+			if ahead && ld.nAhead > 0 && !ld.running {
 				r.adopted++
 			}
 		}
-		for i, targets := range lists {
+		for i, targets := range built {
 			var b *gnn.Batch
 			var tm Timing
 			if d.pipelined {
@@ -130,18 +146,18 @@ func runBuilds(t *testing.T, ds *dataset.Dataset, name string, cached bool, d dr
 					ld.Prefetch(targets)
 				}
 				b, tm = ld.Collect()
-				if i+1 < len(lists) {
-					ld.Prefetch(lists[i+1])
+				if i+1 < len(built) {
+					ld.Prefetch(built[i+1])
 				}
 			} else {
 				b, tm = ld.BuildBatch(targets)
 			}
-			if d.speculate && i == len(lists)-1 {
+			if d.planned && i == len(built)-1 {
 				n := 1
 				if d.pipelined {
 					n = 2
 				}
-				ld.Speculate(next[:n])
+				plan(next[:n])
 			}
 			// The builder is already filling another body: reading this batch
 			// in full is what the race detector checks the two against.
@@ -151,14 +167,21 @@ func runBuilds(t *testing.T, ds *dataset.Dataset, name string, cached bool, d dr
 				ld.Release()
 			}
 		}
-		if d.speculate {
+		if d.planned {
 			ld.Join()
 		}
 		if fc != nil {
 			r.counts = append(r.counts, [2]int64{fc.Hits, fc.Misses})
 		}
 		if d.between {
-			record(ld.BuildBatch(sets[e][:8]))
+			other := sets[e][:8]
+			if d.pipelined {
+				ld.Prefetch(other)
+				record(ld.Collect())
+				ld.Release()
+			} else {
+				record(ld.BuildBatch(other))
+			}
 		}
 		lists = next
 	}
@@ -166,8 +189,8 @@ func runBuilds(t *testing.T, ds *dataset.Dataset, name string, cached bool, d dr
 	return r
 }
 
-// storeCases are the loader's store flavours: resident, weighted, cached and
-// paged (which cannot run ahead and builds at the call).
+// storeCases are the loader's store flavours: resident and weighted, which
+// run ahead, and cached and paged, which build at the call.
 var storeCases = []struct {
 	store  string
 	cached bool
@@ -201,13 +224,10 @@ func sameRuns(t *testing.T, name string, want, got loaderRun) {
 	}
 }
 
-// TestPlannedEqualsUnplanned is the pin of run-ahead as a pure refactor of
-// values: announcing the builds changes nothing a caller can observe — batch
-// contents, Timing, either stream clock after every call, the device's
-// Stats, its trace intervals, the cache's counters — on resident, weighted,
-// cached and paged stores, through BuildBatch and through
-// Prefetch/Collect/Release. scripts/check.sh race-stresses it.
-func TestPlannedEqualsUnplanned(t *testing.T) {
+// runCases runs every store case sequentially and pipelined with and
+// without a hint, the other drive fields as given, and compares the two.
+// check sees the hinted run and whether its loader can build ahead.
+func runCases(t *testing.T, base drive, check func(name string, staged bool, got loaderRun)) {
 	plain, weighted := goldenDataset(t, false), goldenDataset(t, true)
 	for _, tc := range storeCases {
 		ds := plain
@@ -215,99 +235,84 @@ func TestPlannedEqualsUnplanned(t *testing.T) {
 			ds = weighted
 		}
 		for _, pipelined := range []bool{false, true} {
-			name := tc.store
-			if tc.cached {
-				name += "+cache"
-			}
-			if pipelined {
-				name += "/pipelined"
-			}
-			want := runBuilds(t, ds, tc.store, tc.cached, drive{pipelined: pipelined})
-			got := runBuilds(t, ds, tc.store, tc.cached, drive{pipelined: pipelined, planned: true})
+			name := fmt.Sprintf("%s cached=%v pipelined=%v", tc.store, tc.cached, pipelined)
+			d := base
+			d.pipelined, d.planned = pipelined, false
+			want := runBuilds(t, ds, tc.store, tc.cached, d)
+			d.planned = true
+			got := runBuilds(t, ds, tc.store, tc.cached, d)
 			sameRuns(t, name, want, got)
+			staged := !tc.cached && (tc.store == "resident" || tc.store == "weighted")
+			check(name, staged, got)
 		}
 	}
 }
 
-// TestSpeculationEqualsNone: a speculative build that a plan adopts gives
-// what building the planned list at its call does, and one that an
-// out-of-plan build undoes gives what never speculating does — batches,
-// Timing, both clocks, Stats, trace and the cache's counters, read after
-// every epoch while the speculation is outstanding — sequentially and
-// pipelined. scripts/check.sh race-stresses it.
-func TestSpeculationEqualsNone(t *testing.T) {
-	ds := goldenDataset(t, false)
-	for _, tc := range storeCases {
-		if tc.store == "weighted" {
-			continue
-		}
-		staged := tc.store == "resident"
-		for _, pipelined := range []bool{false, true} {
-			for _, between := range []bool{false, true} {
-				name := fmt.Sprintf("%s cached=%v pipelined=%v between=%v", tc.store, tc.cached, pipelined, between)
-				want := runBuilds(t, ds, tc.store, tc.cached, drive{pipelined: pipelined, between: between})
-				got := runBuilds(t, ds, tc.store, tc.cached, drive{pipelined: pipelined, planned: true, speculate: true, between: between})
-				sameRuns(t, name, want, got)
-				// The second epoch follows one with a speculation.
-				wantAdopted := 0
-				if staged && !between {
-					wantAdopted = 1
-				}
-				if got.adopted != wantAdopted {
-					t.Errorf("%s: %d epochs adopted speculative builds, want %d", name, got.adopted, wantAdopted)
+// TestPlannedEqualsUnplanned is the pin of run-ahead as a pure refactor of
+// values: hinting the builds, and the next epoch's first ones during each
+// epoch's last step, changes nothing a caller can observe — batch contents,
+// Timing, either stream clock after every call, the device's Stats, its
+// trace intervals, the cache's counters after every epoch while the next
+// epoch's builds are ahead — on resident, weighted, cached and paged
+// stores, through BuildBatch and through Prefetch/Collect/Release; with an
+// unhinted build between the epochs (as Evaluate makes) those builds are
+// undone, and without one the next epoch keeps them. A loader that builds at
+// the call — cached or paged — never builds ahead and starts no builder
+// goroutine. scripts/check.sh race-stresses it.
+func TestPlannedEqualsUnplanned(t *testing.T) {
+	for _, between := range []bool{false, true} {
+		runCases(t, drive{between: between}, func(name string, staged bool, got loaderRun) {
+			wantAdopted, wantAhead := 0, 0
+			if staged {
+				wantAhead = 4 // two epochs' hints and two next-epoch hints
+				if !between {
+					wantAdopted = 1 // the second epoch follows a next-epoch hint
 				}
 			}
-		}
+			if got.adopted != wantAdopted {
+				t.Errorf("%s between=%v: %d epochs kept builds run ahead, want %d", name, between, got.adopted, wantAdopted)
+			}
+			if got.plansAhead != wantAhead {
+				t.Errorf("%s between=%v: builds ran ahead after %d Plan calls, want %d", name, between, got.plansAhead, wantAhead)
+			}
+		})
 	}
 }
 
-func mustPanic(t *testing.T, what, want string, fn func()) {
-	t.Helper()
-	defer func() {
-		t.Helper()
-		r := recover()
-		if r == nil {
-			t.Errorf("%s did not panic", what)
-			return
+// TestOffHintBuildsEqualUnplanned: a BuildBatch or Prefetch of another list
+// than the hinted head — in the middle of an epoch, and between epochs as
+// Evaluate makes one — undoes every build ahead and gives what the same
+// calls give unhinted, on every store, sequentially and pipelined.
+// scripts/check.sh race-stresses it.
+func TestOffHintBuildsEqualUnplanned(t *testing.T) {
+	runCases(t, drive{midway: true, between: true}, func(name string, staged bool, got loaderRun) {
+		if got.adopted != 0 {
+			t.Errorf("%s: %d epochs kept builds run ahead across an unhinted build", name, got.adopted)
 		}
-		if msg, ok := r.(string); !ok || !strings.Contains(msg, want) {
-			t.Errorf("%s panicked with %v, want a message containing %q", what, r, want)
-		}
-	}()
-	fn()
+	})
 }
 
-// TestOutOfPlanCallsPanic: while a plan is open the only build allowed is
-// that of its head, through BuildBatch or Prefetch — on stores that run
-// ahead and on stores that cannot alike.
-func TestOutOfPlanCallsPanic(t *testing.T) {
+// TestPlanWithPrefetchPendingPanics: a hint cannot be given while a
+// prefetched batch waits to be collected, on stores that build ahead and on
+// stores that cannot alike; collected, it can.
+func TestPlanWithPrefetchPendingPanics(t *testing.T) {
 	for _, name := range []string{"resident", "pagedtopo"} {
 		m, s := goldenStore(t, name)
 		m.Reset()
-		a, b, c := s.DS.Train[0:16], s.DS.Train[16:32], s.DS.Train[32:48]
+		a := s.DS.Train[0:16]
 		ld := NewLoader(s, m.Devs[0], []int{5, 5}, 1)
-		ld.Plan([][]int64{a, b, c})
-		mustPanic(t, name+": a second Plan", "planned builds outstanding", func() { ld.Plan([][]int64{a}) })
-		mustPanic(t, name+": Speculate under a plan", "planned builds outstanding", func() { ld.Speculate([][]int64{a}) })
-		mustPanic(t, name+": Prefetch of the wrong list", "out of plan", func() { ld.Prefetch(b) })
-		mustPanic(t, name+": BuildBatch of the wrong list", "out of plan", func() { ld.BuildBatch(b) })
-		ld.BuildBatch(a)
-		mustPanic(t, name+": BuildBatch of a skipped-to list", "out of plan", func() { ld.BuildBatch(c) })
-		ld.Prefetch(b)
+		ld.Prefetch(a)
+		func() {
+			defer func() {
+				if msg, ok := recover().(string); !ok || !strings.Contains(msg, "prefetch pending") {
+					t.Errorf("%s: Plan over a pending prefetch panicked with %q, want a message naming the prefetch", name, msg)
+				}
+			}()
+			ld.Plan([][]int64{a})
+		}()
 		ld.Collect()
-		ld.Release()
-		ld.BuildBatch(c)
-		// Drained: anything goes again.
+		ld.Plan([][]int64{a})
 		ld.BuildBatch(a)
-		ld.Prefetch(b)
-		mustPanic(t, name+": Plan over a pending prefetch", "prefetch pending", func() { ld.Plan([][]int64{a}) })
-		mustPanic(t, name+": Speculate over a pending prefetch", "prefetch pending", func() { ld.Speculate([][]int64{a}) })
-		ld.Collect()
-		ld.Plan(nil)
-		ld.BuildBatch(c)
-		if prev := m.Devs[0].SetStream(sim.StreamCompute); prev != sim.StreamCompute {
-			t.Errorf("%s: a refused call left the device on stream %v", name, prev)
-		}
 	}
 }
 
@@ -355,10 +360,10 @@ func TestBuilderPanicSurfacesAtJoin(t *testing.T) {
 	waitNoBuilders(t, "after a builder panic")
 }
 
-// TestNoBuilderOutlivesItsPlan: a build runs only from one planned
-// BuildBatch to the next. Nothing is left once a plan is drained, and a plan
-// abandoned halfway leaves nothing either — its last build finishes and its
-// builder goes idle holding nothing, so a dropped loader is collectable.
+// TestNoBuilderOutlivesItsPlan: a build runs ahead only until the call that
+// takes it. Nothing is left once a hint is drained, and a hint abandoned
+// halfway leaves nothing either — its last build finishes and its builder
+// goes idle holding nothing, so a dropped loader is collectable.
 func TestNoBuilderOutlivesItsPlan(t *testing.T) {
 	m, s := goldenStore(t, "resident")
 	m.Reset()
@@ -371,19 +376,19 @@ func TestNoBuilderOutlivesItsPlan(t *testing.T) {
 	}
 	waitNoBuilders(t, "after a drained plan")
 
-	// The finalizer goes on the loader's cache, which nothing else holds:
+	// The finalizer goes on the loader's sampler, which nothing else holds:
 	// the loader itself sits on a cycle (its faces point into it), and
 	// finalizers of objects on a cycle are not guaranteed to run.
 	collected := make(chan struct{})
 	func() {
-		fc, err := cache.NewDegreeCache(s.PG, m.Devs[1], 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		runtime.SetFinalizer(fc, func(*cache.FeatureCache) { close(collected) })
-		dropped := NewLoader(s, m.Devs[1], []int{5, 5}, 1).WithCache(fc)
+		dropped := NewLoader(s, m.Devs[1], []int{5, 5}, 1)
+		runtime.SetFinalizer(dropped.sampler, func(*sampling.GPUSampler) { close(collected) })
 		dropped.Plan(lists)
-		dropped.BuildBatch(lists[0]) // list 1 is now building ahead; nobody will ask for it
+		dropped.BuildBatch(lists[0])
+		dropped.BuildBatch(lists[1]) // list 2 is now building ahead; nobody will ask for it
+		if dropped.nAhead != 1 {
+			t.Fatalf("%d builds ahead of an abandoned hint, want 1", dropped.nAhead)
+		}
 	}()
 	waitNoBuilders(t, "after an abandoned plan")
 	deadline := time.After(5 * time.Second)
@@ -402,17 +407,17 @@ func TestNoBuilderOutlivesItsPlan(t *testing.T) {
 // TestPlannedBuildsAllocFree: in the steady state a planned build costs no
 // allocation — the builder goroutine starts from a function value the
 // loader keeps and reports on a channel it keeps — whether it goes through
-// BuildBatch or Prefetch, and whether the epoch's first builds were
-// speculated and adopted.
+// BuildBatch or Prefetch, and with the epoch's first builds hinted during
+// the epoch before and kept.
 func TestPlannedBuildsAllocFree(t *testing.T) {
 	m, s := goldenStore(t, "resident")
 	m.Reset()
 	lists := [][]int64{s.DS.Train[0:16], s.DS.Train[16:32], s.DS.Train[0:16], s.DS.Train[16:32]}
 	for _, pipelined := range []bool{false, true} {
 		ld := NewLoader(s, m.Devs[1], []int{5, 40}, 3)
-		speculated := 1
+		first := 1
 		if pipelined {
-			speculated = 2
+			first = 2
 		}
 		epoch := func() {
 			ld.Plan(lists)
@@ -430,7 +435,7 @@ func TestPlannedBuildsAllocFree(t *testing.T) {
 				}
 				ld.Release()
 			}
-			ld.Speculate(lists[:speculated])
+			ld.Plan(lists[:first])
 			ld.Join()
 		}
 		for range 3 {

@@ -54,14 +54,21 @@ type Options struct {
 	Policy blockcache.Policy
 }
 
-func (o Options) normalize() Options {
-	if o.PageRows <= 0 {
+// normalize fills the defaults of zero fields and refuses negative ones.
+func (o Options) normalize() (Options, error) {
+	switch {
+	case o.PageRows < 0:
+		return o, fmt.Errorf("featstore: negative PageRows %d", o.PageRows)
+	case o.CacheBytes < 0:
+		return o, fmt.Errorf("featstore: negative CacheBytes %d", o.CacheBytes)
+	}
+	if o.PageRows == 0 {
 		o.PageRows = 256
 	}
-	if o.CacheBytes <= 0 {
+	if o.CacheBytes == 0 {
 		o.CacheBytes = 256 << 20
 	}
-	return o
+	return o, nil
 }
 
 // Store is the paged feature table. It implements graph.FeatureSource:
@@ -123,7 +130,10 @@ func (g *gather) fillPages(claimant, lo, hi int) {
 
 // New builds a store over src. Attach devices before gathering.
 func New(src RowSource, opts Options) (*Store, error) {
-	opts = opts.normalize()
+	opts, err := opts.normalize()
+	if err != nil {
+		return nil, err
+	}
 	n, dim := src.NumRows(), src.Dim()
 	if n < 0 || dim <= 0 {
 		return nil, fmt.Errorf("featstore: bad source shape %d x %d", n, dim)

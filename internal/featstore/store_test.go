@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"wholegraph/internal/blockcache"
@@ -40,6 +41,31 @@ func prefetchRows(s *Store, dev *sim.Device, rows []int64, maxPages int) int {
 		}
 	}
 	return s.PrefetchPages(dev, ids)
+}
+
+// TestNewRefusesNegativeOptions: a negative page size or budget is an error
+// naming the field; zero means the default.
+func TestNewRefusesNegativeOptions(t *testing.T) {
+	src := testSource(rand.New(rand.NewSource(1)), 10, 4)
+	for _, tc := range []struct {
+		opts Options
+		want string // "" for accepted
+	}{
+		{Options{}, ""},
+		{Options{PageRows: -7}, "PageRows"},
+		{Options{CacheBytes: -3 << 20}, "CacheBytes"},
+		{Options{PageRows: 16, CacheBytes: -1}, "CacheBytes"},
+	} {
+		s, err := New(src, tc.opts)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%+v refused: %v", tc.opts, err)
+		case tc.want == "" && (s.opts.PageRows != 256 || s.opts.CacheBytes != 256<<20):
+			t.Errorf("%+v ran on %+v, want the defaults", tc.opts, s.opts)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%+v: error %v, want one naming %s", tc.opts, err, tc.want)
+		}
+	}
 }
 
 // TestGatherRawBitExact: gathering through the paged store with the raw

@@ -3,6 +3,7 @@ package serve_test
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"wholegraph/internal/dataset"
@@ -353,6 +354,23 @@ func TestOptionsValidate(t *testing.T) {
 	}
 	if err := (serve.Options{}).Normalize().Validate(); err != nil {
 		t.Errorf("defaults rejected: %v", err)
+	}
+}
+
+// TestNewRefusesNegativePageRows: a paged deployment given a negative page
+// size is refused by the feature store, not run on the default pages.
+func TestNewRefusesNegativePageRows(t *testing.T) {
+	ds := testDataset(t)
+	opts := baseOpts()
+	opts.Store.PagedFeatures = true
+	opts.Store.Feat.PageRows = -7
+	model := gnn.NewSAGE(gnn.Config{
+		InDim: ds.Spec.FeatDim, Hidden: 16, Classes: ds.Spec.NumClasses,
+		Layers: len(opts.Normalize().Fanouts), Backend: spops.BackendNative, Seed: 7,
+	})
+	_, err := serve.New(sim.NewMachine(sim.DGXA100(1)), 0, ds, model, opts)
+	if err == nil || !strings.Contains(err.Error(), "PageRows") {
+		t.Errorf("serve.New with PageRows -7: error %v, want one naming PageRows", err)
 	}
 }
 

@@ -46,14 +46,21 @@ type Options struct {
 	Policy blockcache.Policy
 }
 
-func (o Options) normalize() Options {
-	if o.PageEdges <= 0 {
+// normalize fills the defaults of zero fields and refuses negative ones.
+func (o Options) normalize() (Options, error) {
+	switch {
+	case o.PageEdges < 0:
+		return o, fmt.Errorf("topostore: negative PageEdges %d", o.PageEdges)
+	case o.CacheBytes < 0:
+		return o, fmt.Errorf("topostore: negative CacheBytes %d", o.CacheBytes)
+	}
+	if o.PageEdges == 0 {
 		o.PageEdges = 4096
 	}
-	if o.CacheBytes <= 0 {
+	if o.CacheBytes == 0 {
 		o.CacheBytes = 256 << 20
 	}
-	return o
+	return o, nil
 }
 
 // colPage is one page of a blockcache.Table: a column range whose entries
@@ -103,7 +110,10 @@ type Store struct {
 
 // New builds a store over numEdges column entries served by fill.
 func New(numEdges int64, fill Fill, opts Options) (*Store, error) {
-	opts = opts.normalize()
+	opts, err := opts.normalize()
+	if err != nil {
+		return nil, err
+	}
 	if numEdges < 0 {
 		return nil, fmt.Errorf("topostore: negative edge count %d", numEdges)
 	}

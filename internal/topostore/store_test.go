@@ -2,6 +2,7 @@ package topostore
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"wholegraph/internal/blockcache"
@@ -28,6 +29,30 @@ func newTestStore(t *testing.T, numEdges int64, opts Options) (*Store, *sim.Devi
 	m := sim.NewMachine(sim.DGXA100(1))
 	s.Attach(m.Devs...)
 	return s, m.Devs[0]
+}
+
+// TestNewRefusesNegativeOptions: a negative page size or budget is an error
+// naming the field; zero means the default.
+func TestNewRefusesNegativeOptions(t *testing.T) {
+	for _, tc := range []struct {
+		opts Options
+		want string // "" for accepted
+	}{
+		{Options{}, ""},
+		{Options{PageEdges: -7}, "PageEdges"},
+		{Options{CacheBytes: -3 << 20}, "CacheBytes"},
+		{Options{PageEdges: 64, CacheBytes: -1}, "CacheBytes"},
+	} {
+		s, err := New(100, testFill, tc.opts)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%+v refused: %v", tc.opts, err)
+		case tc.want == "" && (s.opts.PageEdges != 4096 || s.opts.CacheBytes != 256<<20):
+			t.Errorf("%+v ran on %+v, want the defaults", tc.opts, s.opts)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%+v: error %v, want one naming %s", tc.opts, err, tc.want)
+		}
+	}
 }
 
 // TestAccessDecodesExact: At returns the fill values bit-exactly across

@@ -74,9 +74,9 @@ func TestSteadyStatePipelinedEpochAllocs(t *testing.T) {
 	steadyStateAllocs(t, opts, false)
 }
 
-// TestSteadyStateRunAheadEpochAllocs: planning an epoch, building its
-// batches ahead on a second goroutine and speculating the next epoch's first
-// ones adds nothing — the plan lives in the trainer's scratch and the
+// TestSteadyStateRunAheadEpochAllocs: hinting an epoch, building its
+// batches ahead on a second goroutine and the next epoch's first ones during
+// its last step adds nothing — the hint lives in the trainer's scratch and the
 // builder starts from a function value and reports on a channel the loader
 // keeps — on the sequential and the pipelined loop. (One real worker runs
 // inline under sim.RunParallel, so the builders are the only goroutines

@@ -47,7 +47,7 @@ func runAheadRun(t *testing.T, ds *dataset.Dataset, opts train.Options, nodes in
 	epoch()
 	epoch()
 	// Evaluate builds through worker 0's loader while its first builds of
-	// the third epoch are speculative: the third epoch matches only if the
+	// the third epoch run ahead: the third epoch matches only if the
 	// evaluation undid them and found, and left, the sampler where an inline
 	// run does.
 	if r.acc, err = tr.Evaluate(ds.Val, 96); err != nil {
@@ -190,9 +190,9 @@ func TestRunAheadMatchesParent(t *testing.T) {
 	}
 }
 
-// TestNothingOutlivesRunEpoch: when RunEpoch returns its plans are drained
-// and its speculative builds joined — no builder goroutine is left — and a
-// trainer nobody holds is collected with everything it built, on the
+// TestNothingOutlivesRunEpoch: when RunEpoch returns its hints are drained
+// and the next epoch's first builds joined — no builder goroutine is left —
+// and a trainer nobody holds is collected with everything it built, on the
 // sequential and the pipelined loop.
 func TestNothingOutlivesRunEpoch(t *testing.T) {
 	prev := sim.SetParallel(true)

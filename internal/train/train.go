@@ -292,18 +292,15 @@ type loaderParts struct {
 	pages    PagePrefetcher
 }
 
-// BatchPlanner is a BatchLoader that can be told the target lists of its
-// next builds in advance, so that it may build ahead of them (core.Loader's
-// run-ahead builder). RunEpoch announces each worker's epoch through it when
-// the loader offers it, and the next epoch's first lists during this
-// epoch's last step.
+// BatchPlanner is a BatchLoader that can be hinted the target lists of its
+// next builds, so that it may build ahead of them (core.Loader's run-ahead
+// builder). RunEpoch hints each worker's epoch through it when the loader
+// offers it, and the next epoch's first lists during this epoch's last step.
 type BatchPlanner interface {
-	// Plan announces the target lists of the next len(lists) builds, in
-	// order; lists stays untouched until the last of them returns.
+	// Plan hints the target lists of the next builds, in order; lists stays
+	// untouched while hinted. A build of anything else undoes the builds
+	// ahead and drops the hint; a later Plan keeps those its lists begin with.
 	Plan(lists [][]int64)
-	// Speculate starts the first builds of the next Plan's lists ahead;
-	// a build of anything else first undoes them.
-	Speculate(lists [][]int64)
 	// Join waits for the builds running ahead.
 	Join()
 }
@@ -610,13 +607,13 @@ func maxComputeTime(m *sim.Machine) float64 {
 // losses, gradients and model state are bit-identical; only the virtual
 // clocks differ.
 //
-// With parallel execution on, each worker's loader is told its epoch's
+// With parallel execution on, each worker's loader is hinted its epoch's
 // builds (BatchPlanner) and builds batch it+1 on a second goroutine while
-// iteration it computes; during the last step it builds the next epoch's
-// first one or two batches, which the next epoch adopts and anything built
-// in between (Evaluate, Predict) undoes. RunEpoch joins those builds before
-// it returns. With parallel execution off everything stays on this
-// goroutine.
+// iteration it computes; during the last step it is hinted the next epoch's
+// first one (sequential) or two (pipelined) batches and builds them, which
+// the next epoch's hint keeps and anything built in between (Evaluate,
+// Predict) undoes. RunEpoch joins those builds before it returns. With
+// parallel execution off everything stays on this goroutine.
 func (t *Trainer) RunEpoch() EpochStats {
 	t.epoch++
 	stats := EpochStats{Epoch: t.epoch}
@@ -659,7 +656,7 @@ func (t *Trainer) RunEpoch() EpochStats {
 	// RNG streams, so they run on real goroutines. (Both per-worker functions
 	// are made once per epoch, not per iteration: each is a heap closure.)
 	var it int
-	var speculate bool
+	var planNext bool
 	forward := func(w int) {
 		ld := t.loaders[w]
 		dev := ld.Device()
@@ -681,8 +678,8 @@ func (t *Trainer) RunEpoch() EpochStats {
 				pl.Prefetch(targets[it+1])
 			}
 		}
-		if p := t.parts[w].plan; speculate && p != nil {
-			p.Speculate(next[w][:min(lookahead+1, measured)])
+		if p := t.parts[w].plan; planNext && p != nil {
+			p.Plan(next[w][:min(lookahead+1, measured)])
 		}
 		// Fault prefetch: predict the pages of the batch after the last one
 		// being built (whose own build already faults its pages) and migrate
@@ -729,8 +726,8 @@ func (t *Trainer) RunEpoch() EpochStats {
 		}
 		// The next epoch's draws, taken now so that its first builds can run
 		// during this last step.
-		speculate = plan && it == measured-1
-		if speculate {
+		planNext = plan && it == measured-1
+		if planNext {
 			t.drawEpoch(ep, ep.cur^1)
 			ep.listEpoch(ep.cur^1, measured)
 			ep.drawn = true
