@@ -62,10 +62,13 @@ type drive struct {
 	// pipelined builds through Prefetch, Collect and Release, as the
 	// pipelined trainer does, instead of BuildBatch.
 	pipelined bool
-	// planned hints each epoch's builds first, and during each epoch's last
-	// step the next epoch's first builds — one sequentially, two pipelined —
-	// joining them after it, as RunEpoch does.
+	// planned hints each epoch's builds first and joins the builder after
+	// the epoch's last step.
 	planned bool
+	// hintNext, on a planned drive, also hints the next epoch's first builds
+	// — one sequentially, two pipelined — during each epoch's last step, as
+	// RunEpoch does.
+	hintNext bool
 	// midway builds another list than the hinted one in the middle of each
 	// epoch; between builds an unhinted batch between epochs, as Evaluate
 	// does.
@@ -152,7 +155,7 @@ func runBuilds(t *testing.T, ds *dataset.Dataset, name string, cached bool, d dr
 			} else {
 				b, tm = ld.BuildBatch(targets)
 			}
-			if d.planned && i == len(built)-1 {
+			if d.planned && d.hintNext && i == len(built)-1 {
 				n := 1
 				if d.pipelined {
 					n = 2
@@ -249,19 +252,38 @@ func runCases(t *testing.T, base drive, check func(name string, staged bool, got
 }
 
 // TestPlannedEqualsUnplanned is the pin of run-ahead as a pure refactor of
-// values: hinting the builds, and the next epoch's first ones during each
-// epoch's last step, changes nothing a caller can observe — batch contents,
-// Timing, either stream clock after every call, the device's Stats, its
-// trace intervals, the cache's counters after every epoch while the next
-// epoch's builds are ahead — on resident, weighted, cached and paged
-// stores, through BuildBatch and through Prefetch/Collect/Release; with an
-// unhinted build between the epochs (as Evaluate makes) those builds are
-// undone, and without one the next epoch keeps them. A loader that builds at
-// the call — cached or paged — never builds ahead and starts no builder
-// goroutine. scripts/check.sh race-stresses it.
+// values: hinting each epoch's builds changes nothing a caller can observe —
+// batch contents, Timing, either stream clock after every call, the device's
+// Stats, its trace intervals, the cache's counters after every epoch — on
+// resident, weighted, cached and paged stores, through BuildBatch and through
+// Prefetch/Collect/Release. A loader that builds at the call — cached or
+// paged — never builds ahead and starts no builder goroutine.
+// scripts/check.sh race-stresses it.
 func TestPlannedEqualsUnplanned(t *testing.T) {
+	runCases(t, drive{}, func(name string, staged bool, got loaderRun) {
+		wantAhead := 0
+		if staged {
+			wantAhead = 2 // one hint per epoch
+		}
+		if got.adopted != 0 {
+			t.Errorf("%s: %d epochs kept builds run ahead with no next-epoch hint", name, got.adopted)
+		}
+		if got.plansAhead != wantAhead {
+			t.Errorf("%s: builds ran ahead after %d Plan calls, want %d", name, got.plansAhead, wantAhead)
+		}
+	})
+}
+
+// TestSpeculationEqualsNone: the next epoch's first builds, hinted during
+// each epoch's last step before that epoch's own hint, change nothing a
+// caller can observe — batches, Timing, both clocks, Stats, trace and the
+// cache's counters, read after every epoch while those builds are ahead —
+// whether the next epoch's hint keeps them or an unhinted build between the
+// epochs (as Evaluate makes) undoes them, sequentially and pipelined, on
+// every store. scripts/check.sh race-stresses it.
+func TestSpeculationEqualsNone(t *testing.T) {
 	for _, between := range []bool{false, true} {
-		runCases(t, drive{between: between}, func(name string, staged bool, got loaderRun) {
+		runCases(t, drive{hintNext: true, between: between}, func(name string, staged bool, got loaderRun) {
 			wantAdopted, wantAhead := 0, 0
 			if staged {
 				wantAhead = 4 // two epochs' hints and two next-epoch hints
@@ -285,7 +307,7 @@ func TestPlannedEqualsUnplanned(t *testing.T) {
 // calls give unhinted, on every store, sequentially and pipelined.
 // scripts/check.sh race-stresses it.
 func TestOffHintBuildsEqualUnplanned(t *testing.T) {
-	runCases(t, drive{midway: true, between: true}, func(name string, staged bool, got loaderRun) {
+	runCases(t, drive{hintNext: true, midway: true, between: true}, func(name string, staged bool, got loaderRun) {
 		if got.adopted != 0 {
 			t.Errorf("%s: %d epochs kept builds run ahead across an unhinted build", name, got.adopted)
 		}

@@ -51,7 +51,7 @@ go test -race -count=10 -cpu 1,4 ./internal/tensor
 # and through Prefetch/Collect/Release (every batch read in full while the
 # next one is built), with the next epoch's first builds kept or undone, and
 # with builds off the hint mid-epoch, at three GOMAXPROCS settings.
-targeted run '^(TestPlannedEqualsUnplanned|TestOffHintBuildsEqualUnplanned)$' ./internal/core -race -count=10 -cpu 1,2,4
+targeted run '^(TestPlannedEqualsUnplanned|TestSpeculationEqualsNone|TestOffHintBuildsEqualUnplanned)$' ./internal/core -race -count=10 -cpu 1,2,4
 # A training step is one function whichever shape it takes — eager, capture,
 # scheduled replay, the fallback of a loader that never reuses a batch — and each worker writes its graph map, counters and bucket gates
 # inside sim.RunParallel: hammer the step golden's three shapes on two real
