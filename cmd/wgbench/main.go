@@ -10,8 +10,8 @@
 //	wgbench -exp table3 -parallel    # fan independent cells across cores
 //	wgbench -exp all -json out.json  # machine-readable results
 //	wgbench -exp fig9 -cpuprofile cpu.pb.gz -memprofile mem.pb.gz
-//	wgbench -exp table5 -pipeline -cache-rows 500  # overlapped loaders + feature cache
-//	wgbench -exp abl-overlap-grads -overlap-grads  # bucketed gradient/backward overlap
+//	wgbench -exp table5 -pipeline -paged-features  # overlapped loaders over paged features
+//	wgbench -exp abl-overlap-grads   # bucketed gradient/backward overlap, on against off
 //
 // Reported times are virtual seconds from the machine simulation; see
 // EXPERIMENTS.md for the paper-vs-measured comparison and the scaling
@@ -60,7 +60,7 @@ var experiments = []struct {
 	{"abl-pipeline", "ablation: cross-iteration batch prefetch vs sequential", wrap(bench.AblationPipeline)},
 	{"abl-overlap-grads", "ablation: bucketed gradient AllReduce overlapped with backward", wrap(bench.AblationOverlapGrads)},
 	{"abl-graph", "ablation: step capture/replay vs eager per-kernel dispatch", wrap(bench.AblationGraph)},
-	{"abl-featstore", "ablation: flat slab vs paged+encoded out-of-core feature store", wrap(bench.AblationFeatstore)},
+	{"abl-featstore", "ablation: flat slab vs paged out-of-core feature store", wrap(bench.AblationFeatstore)},
 	{"abl-oocgraph", "ablation: in-RAM CSR vs paged topology with prefetch and admission", wrap(bench.AblationOOCGraph)},
 	{"featstore-full", "out-of-core papers100M: paged features and topology at full scale", wrap(bench.FeatstoreFull)},
 	{"serving", "online serving: dynamic batching vs batch=1", wrap(bench.Serving)},

@@ -31,8 +31,8 @@ func TestReportCarriesEveryKnob(t *testing.T) {
 			args, want[key] = append(args, "-"+f.Name, "admit"), "admit"
 		}
 	})
-	if len(want) != 12 {
-		t.Fatalf("%d execution/storage flags bound, want 12", len(want))
+	if len(want) != 11 {
+		t.Fatalf("%d execution/storage flags bound, want 11", len(want))
 	}
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)

@@ -45,7 +45,7 @@ func main() {
 	// binding rather than a second declaration.
 	var storage wholegraph.TrainOptions
 	storage.BindExecFlags(flag.CommandLine,
-		"paged-features", "feat-encoding", "feat-page-rows", "feat-cache-mb", "cache-policy")
+		"paged-features", "feat-page-rows", "feat-cache-mb", "cache-policy")
 	flag.Parse()
 
 	fanouts, err := wholegraph.ParseFanouts(*fanoutStr)

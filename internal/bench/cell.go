@@ -7,11 +7,10 @@ import (
 	"time"
 
 	"wholegraph/internal/baseline"
+	"wholegraph/internal/blockcache"
 	"wholegraph/internal/core"
 	"wholegraph/internal/dataset"
-	"wholegraph/internal/featstore"
 	"wholegraph/internal/sim"
-	"wholegraph/internal/topostore"
 	"wholegraph/internal/train"
 )
 
@@ -41,8 +40,8 @@ type cellRun struct {
 	stats  []train.EpochStats // the measured epochs
 	losses []float64          // every epoch's loss, warm-up included
 	tot    Totals             // the trainer's counters, as folded
-	feat   featstore.Stats
-	topo   topostore.Stats
+	feat   blockcache.Stats
+	topo   blockcache.Stats
 	// With cell.timed: the least host ns per iteration over the measured
 	// epochs, and their heap allocations and iterations.
 	nsIter  float64

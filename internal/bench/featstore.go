@@ -11,29 +11,27 @@ import (
 )
 
 // FeatstoreVariantRow is one row of the paged-feature-store ablation: the
-// flat in-memory slab against the paged store under each encoding.
+// flat in-memory slab against the paged store.
 type FeatstoreVariantRow struct {
-	Variant    string    // "flat", "paged/raw", "paged/f16", "paged/q8"
+	Variant    string    // "flat", "paged/raw"
 	EpochTime  float64   // virtual seconds, last epoch
 	GatherTime float64   // virtual seconds in the gather phase, last epoch
 	Losses     []float64 // per-epoch training loss
 	// BitIdentical reports whether every epoch's loss equals the flat
-	// baseline's bit-for-bit. Must hold for paged/raw; must not be relied
-	// on for the lossy encodings.
+	// baseline's bit-for-bit. Must hold for paged/raw.
 	BitIdentical  bool
 	HitRate       float64 // BlockCache page hit rate
-	EncodedBytes  int64   // total encoded feature bytes (virtual)
-	ResidentBytes int64   // encoded bytes resident in BlockCaches after the run
+	EncodedBytes  int64   // the paged feature table's bytes (virtual)
+	ResidentBytes int64   // page bytes resident in BlockCaches after the run
 }
 
 // AblationFeatstore compares training through the flat feature slab against
-// the out-of-core paged store (§IV ablation style): the raw encoding must
-// reproduce the slab bit-for-bit while bounding feature residency, and the
-// lossy encodings trade feature precision for a 2-4x smaller working set.
+// the out-of-core paged store (§IV ablation style): the paged store must
+// reproduce the slab bit-for-bit while bounding feature residency.
 func AblationFeatstore(cfg Config) ([]FeatstoreVariantRow, error) {
 	cfg = cfg.normalize()
 	spec := dataset.OgbnProducts.Scaled(cfg.Scale)
-	cfg.printf("Feature store ablation: flat slab vs paged+encoded host features (%s, GraphSAGE)\n", spec.Name)
+	cfg.printf("Feature store ablation: flat slab vs paged host features (%s, GraphSAGE)\n", spec.Name)
 	ds, err := generate(spec)
 	if err != nil {
 		return nil, err
@@ -43,10 +41,10 @@ func AblationFeatstore(cfg Config) ([]FeatstoreVariantRow, error) {
 		epochs = 2
 	}
 	var cells []cell
-	for _, enc := range []string{"", "raw", "f16", "q8"} {
+	for _, paged := range []bool{false, true} {
 		c := cell{fw: FwWholeGraph, ds: ds, opts: cfg.trainOpts("graphsage"), epochs: epochs}
-		c.opts.PagedFeatures, c.opts.FeatEncoding = enc != "", enc
-		if enc != "" && c.opts.FeatPageRows == 0 {
+		c.opts.PagedFeatures = paged
+		if paged && c.opts.FeatPageRows == 0 {
 			c.opts.FeatPageRows = 64
 		}
 		cells = append(cells, c)
@@ -56,7 +54,7 @@ func AblationFeatstore(cfg Config) ([]FeatstoreVariantRow, error) {
 		return nil, err
 	}
 	cfg.printf("%-10s %12s %12s %12s %9s %12s %12s %6s\n",
-		"variant", "epoch", "gather", "final loss", "hit rate", "encoded", "resident", "exact")
+		"variant", "epoch", "gather", "final loss", "hit rate", "table", "resident", "exact")
 	var rows []FeatstoreVariantRow
 	for i, r := range runs {
 		row := FeatstoreVariantRow{
@@ -65,8 +63,8 @@ func AblationFeatstore(cfg Config) ([]FeatstoreVariantRow, error) {
 		}
 		hit, enc, res := "-", "-", "-"
 		if cells[i].opts.PagedFeatures {
-			row.Variant = "paged/" + cells[i].opts.FeatEncoding
-			row.HitRate, row.EncodedBytes, row.ResidentBytes = r.feat.HitRate(), r.feat.EncodedBytes, r.feat.ResidentBytes
+			row.Variant = "paged/raw"
+			row.HitRate, row.EncodedBytes, row.ResidentBytes = r.feat.HitRate(), r.feat.TableBytes, r.feat.ResidentBytes
 			hit, enc, res = fmtPct(row.HitRate), fmtBytes(row.EncodedBytes), fmtBytes(row.ResidentBytes)
 		}
 		rows = append(rows, row)
@@ -92,7 +90,6 @@ type FeatstoreFullResult struct {
 	// full column array without materializing it.
 	EdgesRequested int64
 	EdgesStored    int64
-	Encoding       string
 	PageRows       int
 	Epochs         int
 	EpochTime      float64 // virtual seconds per epoch (last epoch)
@@ -100,7 +97,7 @@ type FeatstoreFullResult struct {
 	HitRate        float64
 	// FlatSlabBytes is the float32 slab the paged store replaces (the
 	// out-of-core win: this never materializes). EncodedBytes is the
-	// virtual encoded feature total; ResidentBytes what the BlockCaches
+	// paged feature table's virtual bytes; ResidentBytes what the BlockCaches
 	// held; CacheBudgetBytes their configured ceiling.
 	FlatSlabBytes    int64
 	EncodedBytes     int64
@@ -149,11 +146,8 @@ func FeatstoreFull(cfg Config) (*FeatstoreFullResult, error) {
 	opts := cfg.trainOpts("graphsage")
 	opts.PagedFeatures = true
 	opts.PagedTopo = true
-	if opts.FeatEncoding == "" {
-		opts.FeatEncoding = "raw"
-	}
 	if opts.FeatPageRows == 0 {
-		// Small pages keep the on-demand page encodes (O(PageRows x dim)
+		// Small pages keep the on-demand page fills (O(PageRows x dim)
 		// host work per miss) tractable at 1e8-node scale.
 		opts.FeatPageRows = 16
 	}
@@ -171,23 +165,22 @@ func FeatstoreFull(cfg Config) (*FeatstoreFullResult, error) {
 	}
 	res.EpochTime, res.FinalLoss = r.last().EpochTime, r.last().Loss
 	fst := r.feat
-	res.Encoding = fst.Encoding
-	res.PageRows = fst.PageRows
+	res.PageRows = fst.PageItems
 	res.HitRate = fst.HitRate()
 	res.FlatSlabBytes = spec.Nodes * int64(spec.FeatDim) * 4
-	res.EncodedBytes = fst.EncodedBytes
+	res.EncodedBytes = fst.TableBytes
 	res.ResidentBytes = fst.ResidentBytes
 	res.CacheBudgetBytes = fst.CacheBytes
 	tst := r.topo
-	res.TopoBytes = tst.TopoBytes
+	res.TopoBytes = tst.TableBytes
 	res.TopoResidentBytes = tst.ResidentBytes
 	res.TopoCacheBytes = tst.CacheBytes
 	res.TopoHitRate = tst.HitRate()
 	res.HostRSSBytes = hostRSSBytes()
 	avoided := res.FlatSlabBytes + res.TopoBytes
 	res.RSSUnderSlab = res.HostRSSBytes > 0 && res.HostRSSBytes < avoided
-	cfg.printf("features: encoding %s, %d rows/page, hit rate %.1f%%, resident %s of %s budget\n",
-		res.Encoding, res.PageRows, 100*res.HitRate,
+	cfg.printf("features: %d rows/page, hit rate %.1f%%, resident %s of %s budget\n",
+		res.PageRows, 100*res.HitRate,
 		fmtBytes(res.ResidentBytes), fmtBytes(res.CacheBudgetBytes))
 	cfg.printf("topology: %s virtual column array, hit rate %.1f%%, resident %s of %s budget\n",
 		fmtBytes(res.TopoBytes), 100*res.TopoHitRate,

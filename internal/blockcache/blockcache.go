@@ -1,11 +1,11 @@
 // Package blockcache is the paged half of the out-of-core stores,
-// internal/featstore (encoded feature pages) and internal/topostore (decoded
-// CSR column ranges). BlockCache is the byte-budgeted per-device page cache
-// — plain LRU replacement plus an opt-in TinyLFU-style frequency-sketch
+// internal/featstore (float32 feature rows) and internal/topostore (CSR
+// column entries). BlockCache is the byte-budgeted per-device page cache —
+// plain LRU replacement plus an opt-in TinyLFU-style frequency-sketch
 // admission policy, with hit/miss/eviction/prefetch/admission counters —
-// and Table (table.go) is everything the stores do with it: residency per
-// device, the access batch, the Unified-Memory fault service, prefetch and
-// page recycling.
+// and Table (table.go) is everything the stores do with it: the one page
+// type, residency per device, the access batch, the Unified-Memory fault
+// service, prefetch, page recycling and the stores' Stats.
 package blockcache
 
 import (
@@ -234,8 +234,8 @@ func (c *BlockCache) unlink(e *blockEntry) {
 
 // CacheStats is a point-in-time snapshot of one BlockCache, or — through Add
 // — the sum over several. It is the one statement of the page-cache counters:
-// featstore.Stats and topostore.Stats embed it, the trainer and the bench
-// totals add it up, and every CLI prints its String.
+// Stats embeds it, the trainer and the bench totals add it up, and every CLI
+// prints its String.
 type CacheStats struct {
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`
@@ -294,4 +294,39 @@ func (c *BlockCache) Stats() CacheStats {
 		ResidentBytes: c.bytes, ResidentPages: len(c.entries),
 		CapacityBytes: c.capacity,
 	}
+}
+
+// Stats is a paged table's shape with the sum of every attached device's
+// cache counters (promoted from the embedded CacheStats): what Table.Stats
+// reports for one machine node, and — through Add — for all of them.
+type Stats struct {
+	Name       string `json:"name"`
+	Unit       string `json:"unit"`
+	PageItems  int    `json:"page_items"`
+	Pages      int    `json:"pages"`
+	TableBytes int64  `json:"table_bytes"`
+	CacheBytes int64  `json:"cache_budget_bytes"`
+	Devices    int    `json:"devices"`
+	Policy     string `json:"policy"`
+	CacheStats
+}
+
+// Add folds another machine node's table into st. Every node pages the same
+// table, so the first one's shape stands for all of them; budgets, devices
+// and counters sum. The zero Stats — a table that is not paged — adds
+// nothing.
+func (st *Stats) Add(o Stats) {
+	if st.Devices == 0 {
+		st.Name, st.Unit, st.PageItems, st.Pages, st.TableBytes, st.Policy =
+			o.Name, o.Unit, o.PageItems, o.Pages, o.TableBytes, o.Policy
+	}
+	st.CacheBytes += o.CacheBytes
+	st.Devices += o.Devices
+	st.CacheStats.Add(o.CacheStats)
+}
+
+// String is the table's one-line report.
+func (st Stats) String() string {
+	return fmt.Sprintf("%s (%d %s/page, %s): %v of %.1f MiB budget",
+		st.Name, st.PageItems, st.Unit, st.Policy, st.CacheStats, float64(st.CacheBytes)/(1<<20))
 }

@@ -203,3 +203,26 @@ func TestCacheStatsAddHitRateString(t *testing.T) {
 		t.Errorf("String() = %q, want %q", sum.String(), line)
 	}
 }
+
+// TestStatsAddString: Add folds machine nodes that page one table — the
+// first node's shape stands, budgets, devices and counters sum, a zero Stats
+// (a node whose table is resident) adds nothing — and String is the one-line
+// report the CLIs print.
+func TestStatsAddString(t *testing.T) {
+	node := Stats{Name: "featstore", Unit: "rows", PageItems: 16, Pages: 9, TableBytes: 4608,
+		CacheBytes: 3 << 19, Devices: 8, Policy: "lru", CacheStats: CacheStats{Hits: 1, Misses: 3, ResidentBytes: 1 << 20}}
+	var sum Stats
+	sum.Add(Stats{})
+	sum.Add(node)
+	sum.Add(node)
+	want := node
+	want.CacheBytes, want.Devices = 3<<20, 16
+	want.CacheStats.Add(node.CacheStats)
+	if sum != want {
+		t.Errorf("Add twice = %+v, want %+v", sum, want)
+	}
+	const line = "featstore (16 rows/page, lru): 2 page hits / 6 misses (25.0% hit rate), 0 evictions, 0 prefetch hits, 0 admission rejects, 2.0 MiB resident of 3.0 MiB budget"
+	if sum.String() != line {
+		t.Errorf("String() = %q, want %q", sum.String(), line)
+	}
+}

@@ -8,34 +8,75 @@ import (
 	"wholegraph/internal/tensor"
 )
 
-// Page is a Block that a Table faults in, stamps and recycles. It is a
-// residency record first — id, footprint and ready event are fixed the
-// moment it is faulted in, and they are all the cache and the virtual clock
-// ever look at — whose payload the owning store produces as it is read.
-type Page interface {
-	Block
-	// Reset re-targets the page — fresh or recycled — at page id holding n
-	// items, with nothing of its payload produced and no ready event,
-	// reusing its buffers when they are big enough.
-	Reset(id int32, n int)
-	// ReadyEvent points at the copy-stream event after which the page is
-	// resident on its device: set by the fault service that migrated it,
-	// read by a demand hit so that it joins a prefetch still in flight
-	// instead of reading the future.
-	ReadyEvent() *sim.Event
+// Page is one page of a Table: PageItems items (fewer on the table's last
+// page) of Shape.ItemVals values each, produced as they are first read,
+// Shape.Granule items at a time — a feature row, a run of column entries.
+// It is a residency record first: its id, footprint and ready event are
+// fixed the moment it is faulted in, and they are all the cache and the
+// virtual clock ever look at. The owning store produces the values, each a
+// function of its index alone, so what a read sees never depends on touch
+// order or cache history.
+type Page[V any] struct {
+	id int32
+	// Vals holds the page's items, one after another.
+	Vals []V
+	// have marks the produced granules (bit g = granule g).
+	have  []uint64
+	bytes int64
+	// ready is the copy-stream event after which the page is resident on
+	// its device: set by the fault service that migrated it, read by a
+	// demand hit so that it joins a prefetch still in flight instead of
+	// reading the future.
+	ready sim.Event
+}
+
+// ID returns the page's index in its table.
+func (p *Page[V]) ID() int32 { return p.id }
+
+// CacheBytes implements Block: the payload plus the page metadata.
+func (p *Page[V]) CacheBytes() int64 { return p.bytes }
+
+// Ready returns the copy-stream event after which the page is resident; the
+// zero Event for a page no fault service has stamped yet.
+func (p *Page[V]) Ready() sim.Event { return p.ready }
+
+// Has reports whether granule g has been produced.
+func (p *Page[V]) Has(g int) bool { return p.have[g>>6]&(1<<(g&63)) != 0 }
+
+// Mark records granule g as produced.
+func (p *Page[V]) Mark(g int) { p.have[g>>6] |= 1 << (g & 63) }
+
+// reset re-targets the page — fresh or recycled — at page id holding n items
+// of shape s, nothing produced and no ready event, reusing its buffers when
+// they are big enough.
+func (p *Page[V]) reset(id int32, n int, s *Shape) {
+	vals := n * s.ItemVals
+	if cap(p.Vals) < vals {
+		p.Vals = make([]V, vals)
+	}
+	words := ((n+s.Granule-1)/s.Granule + 63) / 64
+	if cap(p.have) < words {
+		p.have = make([]uint64, words)
+	}
+	*p = Page[V]{id: id, Vals: p.Vals[:vals], have: p.have[:words], bytes: int64(n*s.ItemBytes + s.MetaBytes)}
+	clear(p.have)
 }
 
 // Shape is what a Table needs to know about the table it pages.
 type Shape struct {
-	// Name is the owning package; every trace tag starts with it.
-	Name string
-	// Items is the table's length (rows, column entries) and PageItems the
-	// items per page; the last page may be partial.
+	// Name is the owning package; every trace tag starts with it. Unit
+	// names an item in reports ("rows", "edges").
+	Name, Unit string
+	// Items is the table's length and PageItems the items per page; the
+	// last page may be partial.
 	Items     int64
 	PageItems int
-	// ItemBytes is the payload of one item and MetaBytes the per-page
-	// metadata charged on top of a page's payload.
-	ItemBytes, MetaBytes int
+	// ItemVals is the values an item holds and ItemBytes their payload;
+	// MetaBytes is the per-page metadata charged on top of a page's payload.
+	ItemVals, ItemBytes, MetaBytes int
+	// Granule is the items a page produces together, on the first read of
+	// any of them.
+	Granule int
 	// CacheBytes is each attached device's BlockCache budget.
 	CacheBytes int64
 	Policy     Policy
@@ -44,36 +85,37 @@ type Shape struct {
 // Table is one out-of-core table served page by page from per-device
 // BlockCaches: the residency, fault-service, prefetch and page-recycling
 // half of internal/featstore and internal/topostore, which differ only in
-// what a page holds. A missing page is faulted in over the Unified-Memory
-// path on the device's copy stream; a resident one is read from local HBM.
-// The table is immutable after construction; all mutable state lives in the
-// per-device batches.
-type Table[P Page] struct {
-	shape   Shape
-	nPages  int32
-	newPage func() P
+// how a page's values are produced. A missing page is faulted in over the
+// Unified-Memory path on the device's copy stream; a resident one is read
+// from local HBM. The table is immutable after construction; all mutable
+// state lives in the per-device batches.
+type Table[V any] struct {
+	shape  Shape
+	nPages int32
 	// wsGB is the table's footprint, the UM working set the fault-latency
 	// model sees.
 	wsGB float64
 	// batches holds one entry per attached device. The slice is extended
 	// only by Attach (before training starts); lookups are read-only.
-	batches []*Batch[P]
+	batches []*Batch[V]
 
 	demand, prefetch serviceTags
 	ready, join      string
+	// onTake, when set, sees every page take hands out (the table tests'
+	// record of what an operation produced).
+	onTake func(*Page[V])
 }
 
 // serviceTags label one fault service's intervals in the trace.
 type serviceTags struct{ issue, fault, pagein string }
 
-// NewTable builds the table of the given shape; newPage allocates an empty
-// page when none can be recycled. Attach devices before the first batch.
-func NewTable[P Page](shape Shape, newPage func() P) *Table[P] {
+// NewTable builds the table of the given shape. Attach devices before the
+// first batch.
+func NewTable[V any](shape Shape) *Table[V] {
 	n := shape.Name
-	return &Table[P]{
+	return &Table[V]{
 		shape:    shape,
 		nPages:   int32((shape.Items + int64(shape.PageItems) - 1) / int64(shape.PageItems)),
-		newPage:  newPage,
 		wsGB:     float64(shape.Items*int64(shape.ItemBytes)) / 1e9,
 		demand:   serviceTags{n + ".issue", n + ".fault", n + ".pagein"},
 		prefetch: serviceTags{n + ".prefetch.issue", n + ".prefetch.fault", n + ".prefetch"},
@@ -85,10 +127,10 @@ func NewTable[P Page](shape Shape, newPage func() P) *Table[P] {
 // Attach gives each device its own BlockCache and batch. Call once per
 // device before the first access; attaching mid-training would race with
 // lookups.
-func (t *Table[P]) Attach(devs ...*sim.Device) {
+func (t *Table[V]) Attach(devs ...*sim.Device) {
 	pageBytes := int64(t.shape.PageItems*t.shape.ItemBytes + t.shape.MetaBytes)
 	for _, d := range devs {
-		b := &Batch[P]{
+		b := &Batch[V]{
 			t: t, dev: d, Index: len(t.batches),
 			bc:    NewBlockCache(t.shape.CacheBytes, t.shape.Policy),
 			slots: make(map[int32]int32),
@@ -100,31 +142,36 @@ func (t *Table[P]) Attach(devs ...*sim.Device) {
 }
 
 // NumPages returns the page count (last page possibly partial).
-func (t *Table[P]) NumPages() int { return int(t.nPages) }
+func (t *Table[V]) NumPages() int { return int(t.nPages) }
 
 // Devices returns the number of attached devices.
-func (t *Table[P]) Devices() int { return len(t.batches) }
+func (t *Table[V]) Devices() int { return len(t.batches) }
 
 // PageOf returns the page holding item i.
-func (t *Table[P]) PageOf(i int64) int32 { return int32(i / int64(t.shape.PageItems)) }
+func (t *Table[V]) PageOf(i int64) int32 { return int32(i / int64(t.shape.PageItems)) }
 
 // Span returns page id's item range [lo, hi).
-func (t *Table[P]) Span(id int32) (lo, hi int64) {
+func (t *Table[V]) Span(id int32) (lo, hi int64) {
 	lo = int64(id) * int64(t.shape.PageItems)
 	return lo, min(lo+int64(t.shape.PageItems), t.shape.Items)
 }
 
-// Stats sums the attached devices' cache counters and page pools.
-func (t *Table[P]) Stats() CacheStats {
-	var st CacheStats
+// Stats reports the table's shape with the sum of the attached devices'
+// cache counters and page pools.
+func (t *Table[V]) Stats() Stats {
+	st := Stats{
+		Name: t.shape.Name, Unit: t.shape.Unit, PageItems: t.shape.PageItems,
+		Pages: int(t.nPages), TableBytes: t.shape.Items * int64(t.shape.ItemBytes),
+		CacheBytes: t.shape.CacheBytes, Devices: len(t.batches), Policy: t.shape.Policy.String(),
+	}
 	for _, b := range t.batches {
-		st.Add(b.bc.Stats())
+		st.CacheStats.Add(b.bc.Stats())
 		st.PagesAllocated += b.allocated.Load()
 	}
 	return st
 }
 
-func (t *Table[P]) batchFor(dev *sim.Device) *Batch[P] {
+func (t *Table[V]) batchFor(dev *sim.Device) *Batch[V] {
 	for _, b := range t.batches {
 		if b.dev == dev {
 			return b
@@ -146,8 +193,8 @@ func (t *Table[P]) batchFor(dev *sim.Device) *Batch[P] {
 // (tensor.Fanout, as many as Claimants allows) is the production of the
 // payload of pages the batch already holds, split so that no page — its
 // payload, its bitmap words — is seen by two of them.
-type Batch[P Page] struct {
-	t   *Table[P]
+type Batch[V any] struct {
+	t   *Table[V]
 	dev *sim.Device
 	bc  *BlockCache
 	// Index is the device's position in attach order, for the owning
@@ -158,35 +205,35 @@ type Batch[P Page] struct {
 	// which lists them in first-touch order, resident or not: a page the
 	// cache rejected or has since evicted still serves the batch from here.
 	slots map[int32]int32
-	pages []P
+	pages []*Page[V]
 	// fresh are the pages missed and not yet charged, missBytes their
 	// footprint; inflight is the latest ready event among the batch's hits.
-	fresh     []P
+	fresh     []*Page[V]
 	missBytes int64
 	inflight  sim.Event
 	// spare recycles the pages bc drops; released when a batch ends. Its
 	// bound follows the largest batch seen (End): cachePages, the pages the
 	// budget holds plus one, on top of the pages one batch pinned.
-	spare      FreeList[P]
+	spare      FreeList[*Page[V]]
 	cachePages int
-	// allocated counts the pages newPage made for this device.
+	// allocated counts the pages made for this device.
 	allocated atomic.Int64
 }
 
 // Begin opens dev's access batch. One batch per device: Begin over a batch
 // that still holds unflushed misses panics (see End).
-func (t *Table[P]) Begin(dev *sim.Device) *Batch[P] {
+func (t *Table[V]) Begin(dev *sim.Device) *Batch[V] {
 	b := t.batchFor(dev)
 	b.End()
 	return b
 }
 
 // Page resolves page id for the batch; see Slot.
-func (b *Batch[P]) Page(id int32) P { return b.pages[b.Slot(id)] }
+func (b *Batch[V]) Page(id int32) *Page[V] { return b.pages[b.Slot(id)] }
 
 // Pages lists the pages the batch has touched, indexed by slot. Valid until
 // End.
-func (b *Batch[P]) Pages() []P { return b.pages }
+func (b *Batch[V]) Pages() []*Page[V] { return b.pages }
 
 // Slot resolves page id for the batch and returns its index in Pages: one
 // cache lookup per distinct page per batch, a miss faulted in host-side at
@@ -194,20 +241,20 @@ func (b *Batch[P]) Pages() []P { return b.pages }
 // policy rejects still serves this batch; only residency for later batches
 // changes. Slots count up from zero in first-touch order, so a store can
 // sort what it reads by page without a second lookup.
-func (b *Batch[P]) Slot(id int32) int {
+func (b *Batch[V]) Slot(id int32) int {
 	if slot, ok := b.slots[id]; ok {
 		return int(slot)
 	}
-	pg, hit := b.bc.Get(id).(P)
+	pg, hit := b.bc.Get(id).(*Page[V])
 	if !hit {
 		pg = b.take(id)
 		b.bc.Put(id, pg, &b.spare.Dropped)
 		b.fresh = append(b.fresh, pg)
 		b.missBytes += pg.CacheBytes()
-	} else if ready := *pg.ReadyEvent(); ready.T > b.inflight.T {
+	} else if pg.ready.T > b.inflight.T {
 		// A page a prefetch may still be migrating: Flush joins its ready
 		// event.
-		b.inflight = ready
+		b.inflight = pg.ready
 	}
 	b.slots[id] = int32(len(b.pages))
 	b.pages = append(b.pages, pg)
@@ -215,14 +262,17 @@ func (b *Batch[P]) Slot(id int32) int {
 }
 
 // take returns an empty page id, recycled when one is free.
-func (b *Batch[P]) take(id int32) P {
+func (b *Batch[V]) take(id int32) *Page[V] {
 	pg, ok := b.spare.Take()
 	if !ok {
-		pg = b.t.newPage()
+		pg = new(Page[V])
 		b.allocated.Add(1)
 	}
 	lo, hi := b.t.Span(id)
-	pg.Reset(id, int(hi-lo))
+	pg.reset(id, int(hi-lo), &b.t.shape)
+	if b.t.onTake != nil {
+		b.t.onTake(pg)
+	}
 	return pg
 }
 
@@ -230,7 +280,7 @@ func (b *Batch[P]) take(id int32) P {
 // page missed since Begin or the last Flush — and makes the current stream
 // wait for the migration plus any in-flight prefetched page the batch
 // touched. Returns the number of pages faulted.
-func (b *Batch[P]) Flush() int {
+func (b *Batch[V]) Flush() int {
 	faulted := len(b.fresh)
 	if faulted > 0 {
 		b.dev.WaitEvent(b.service(&b.t.demand), b.t.ready)
@@ -247,7 +297,7 @@ func (b *Batch[P]) Flush() int {
 // not forget its faults — the missed pages are already in the cache, and
 // ending (or reopening) the batch before Flush would leave their migration
 // uncharged.
-func (b *Batch[P]) End() {
+func (b *Batch[V]) End() {
 	if len(b.fresh) > 0 {
 		panic(fmt.Sprintf("%s: batch on device %d ended with %d unflushed page faults", b.t.shape.Name, b.dev.ID, len(b.fresh)))
 	}
@@ -268,7 +318,7 @@ func (b *Batch[P]) End() {
 // demand hit/miss counters; under PolicyAdmit the sketch can reject a
 // speculative page outright, in which case no fault is charged. Returns the
 // number of pages actually faulted.
-func (t *Table[P]) Prefetch(dev *sim.Device, ids []int32) int {
+func (t *Table[V]) Prefetch(dev *sim.Device, ids []int32) int {
 	b := t.batchFor(dev)
 	if len(b.fresh) > 0 {
 		panic(fmt.Sprintf("%s: prefetch on device %d inside a batch with unflushed page faults", t.shape.Name, dev.ID))
@@ -296,7 +346,7 @@ func (t *Table[P]) Prefetch(dev *sim.Device, ids []int32) int {
 // current stream's issue point, per-page fault latency following the Table I
 // UM model at the table's working-set size, then the payload at UM bulk
 // bandwidth. Every serviced page is stamped with the returned ready event.
-func (b *Batch[P]) service(tags *serviceTags) sim.Event {
+func (b *Batch[V]) service(tags *serviceTags) sim.Event {
 	dev := b.dev
 	issue := dev.RecordEvent()
 	prev := dev.SetStream(sim.StreamCopy)
@@ -306,7 +356,7 @@ func (b *Batch[P]) service(tags *serviceTags) sim.Event {
 	ready := dev.RecordEvent()
 	dev.SetStream(prev)
 	for _, pg := range b.fresh {
-		*pg.ReadyEvent() = ready
+		pg.ready = ready
 	}
 	b.fresh, b.missBytes = b.fresh[:0], 0
 	return ready

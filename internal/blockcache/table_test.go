@@ -9,46 +9,35 @@ import (
 	"wholegraph/internal/tensor"
 )
 
-// tablePage is the trivial page type of the table suite: no payload, only
-// what the table itself looks at, plus a log of every Reset so a test can
-// see which pages an operation produced.
-type tablePage struct {
-	id    int32
-	n     int
-	ready sim.Event
-	log   *[]*tablePage
-}
+// tablePage is the page of the table suite: one uint32 value per item, of
+// which the table itself looks at none.
+type tablePage = Page[uint32]
 
 const tableItemBytes, tableMetaBytes = 4, 12
-
-func (p *tablePage) CacheBytes() int64      { return int64(p.n)*tableItemBytes + tableMetaBytes }
-func (p *tablePage) ReadyEvent() *sim.Event { return &p.ready }
-func (p *tablePage) Reset(id int32, n int) {
-	*p = tablePage{id: id, n: n, log: p.log}
-	if p.log != nil {
-		*p.log = append(*p.log, p)
-	}
-}
 
 // tablePageBytes is the footprint of a full 10-item page.
 const tablePageBytes = 10*tableItemBytes + tableMetaBytes
 
 // newTestTable pages 1003 items 10 to a page (a partial last page) under a
 // budget of budgetPages full pages per device, attached to every device of a
-// fresh DGX node. Resets are appended to *log when log is non-nil.
-func newTestTable(policy Policy, budgetPages int64, log *[]*tablePage) (*Table[*tablePage], []*sim.Device) {
-	t := NewTable(Shape{
-		Name: "test", Items: 1003, PageItems: 10,
-		ItemBytes: tableItemBytes, MetaBytes: tableMetaBytes,
+// fresh DGX node. Every page take hands out is appended to *log when log is
+// non-nil.
+func newTestTable(policy Policy, budgetPages int64, log *[]*tablePage) (*Table[uint32], []*sim.Device) {
+	t := NewTable[uint32](Shape{
+		Name: "test", Unit: "items", Items: 1003, PageItems: 10,
+		ItemVals: 1, ItemBytes: tableItemBytes, MetaBytes: tableMetaBytes, Granule: 1,
 		CacheBytes: budgetPages * tablePageBytes, Policy: policy,
-	}, func() *tablePage { return &tablePage{log: log} })
+	})
+	if log != nil {
+		t.onTake = func(pg *tablePage) { *log = append(*log, pg) }
+	}
 	devs := sim.NewMachine(sim.DGXA100(1)).Devs
 	t.Attach(devs...)
 	return t, devs
 }
 
 // demand runs one whole batch over ids and returns the pages faulted.
-func demand(t *Table[*tablePage], dev *sim.Device, ids ...int32) int {
+func demand(t *Table[uint32], dev *sim.Device, ids ...int32) int {
 	b := t.Begin(dev)
 	for _, id := range ids {
 		b.Page(id)
@@ -74,15 +63,57 @@ func TestTableShape(t *testing.T) {
 	}
 }
 
+// TestPageLayout: a page holds its items' values and one bit per granule,
+// sized for the partial last page too; its footprint is the items' payload
+// plus the page metadata; a recycled page comes back with every granule
+// unproduced. Stats reports the shape beside the counters.
+func TestPageLayout(t *testing.T) {
+	tab := NewTable[uint64](Shape{
+		Name: "cols", Unit: "edges", Items: 5000, PageItems: 4200,
+		ItemVals: 2, ItemBytes: 16, MetaBytes: 16, Granule: 64,
+		CacheBytes: 1, Policy: PolicyLRU, // one page: every miss recycles the last
+	})
+	dev := sim.NewMachine(sim.DGXA100(1)).Devs[0]
+	tab.Attach(dev)
+	for _, c := range []struct {
+		id           int32
+		items, words int
+	}{{0, 4200, 2}, {1, 800, 1}, {0, 4200, 2}} { // 66 granules, then 13
+		b := tab.Begin(dev)
+		pg := b.Page(c.id)
+		if pg.ID() != c.id || len(pg.Vals) != 2*c.items || len(pg.have) != c.words || pg.CacheBytes() != int64(16*c.items+16) {
+			t.Errorf("page %d: %d values, %d bitmap words, %d bytes; want %d, %d, %d",
+				c.id, len(pg.Vals), len(pg.have), pg.CacheBytes(), 2*c.items, c.words, 16*c.items+16)
+		}
+		last := (c.items+63)/64 - 1
+		for _, g := range []int{0, last} {
+			if pg.Has(g) {
+				t.Errorf("page %d: granule %d produced before any read", c.id, g)
+			}
+			pg.Mark(g)
+		}
+		if !pg.Has(0) || !pg.Has(last) || (last > 1 && pg.Has(1)) {
+			t.Errorf("page %d: Mark set the wrong granules", c.id)
+		}
+		b.Flush()
+		b.End()
+	}
+	st := tab.Stats()
+	if st.Name != "cols" || st.Unit != "edges" || st.PageItems != 4200 || st.Pages != 2 || st.TableBytes != 80000 ||
+		st.CacheBytes != 1 || st.Devices != 1 || st.Policy != "lru" || st.Misses != 3 || st.PagesAllocated != 2 {
+		t.Errorf("Stats() = %+v", st)
+	}
+}
+
 // TestTableBatches is the behaviour both stores inherit, one case each.
 func TestTableBatches(t *testing.T) {
 	cases := []struct {
 		name   string
 		policy Policy
 		budget int64
-		run    func(t *testing.T, tab *Table[*tablePage], dev *sim.Device, log *[]*tablePage)
+		run    func(t *testing.T, tab *Table[uint32], dev *sim.Device, log *[]*tablePage)
 	}{
-		{"miss then hit", PolicyLRU, 8, func(t *testing.T, tab *Table[*tablePage], dev *sim.Device, log *[]*tablePage) {
+		{"miss then hit", PolicyLRU, 8, func(t *testing.T, tab *Table[uint32], dev *sim.Device, log *[]*tablePage) {
 			t0 := dev.Now()
 			if n := demand(tab, dev, 1, 2, 1, 3, 100); n != 4 {
 				t.Fatalf("first batch faulted %d pages, want 4", n)
@@ -105,7 +136,7 @@ func TestTableBatches(t *testing.T) {
 				t.Errorf("hit batch took %g s, miss batch %g s", hitTime, missTime)
 			}
 		}},
-		{"eviction under pressure", PolicyLRU, 3, func(t *testing.T, tab *Table[*tablePage], dev *sim.Device, log *[]*tablePage) {
+		{"eviction under pressure", PolicyLRU, 3, func(t *testing.T, tab *Table[uint32], dev *sim.Device, log *[]*tablePage) {
 			// One batch touches more pages than the budget: every page
 			// still serves the batch, identity intact, although the cache
 			// dropped it long before End.
@@ -138,7 +169,7 @@ func TestTableBatches(t *testing.T) {
 				}
 			}
 		}},
-		{"join of an in-flight prefetch", PolicyLRU, 8, func(t *testing.T, tab *Table[*tablePage], dev *sim.Device, log *[]*tablePage) {
+		{"join of an in-flight prefetch", PolicyLRU, 8, func(t *testing.T, tab *Table[uint32], dev *sim.Device, log *[]*tablePage) {
 			if n := tab.Prefetch(dev, []int32{0, 1, 2, -1, 1000}); n != 3 {
 				t.Fatalf("prefetched %d pages, want 3 (out-of-range ids skipped)", n)
 			}
@@ -170,7 +201,7 @@ func TestTableBatches(t *testing.T) {
 				t.Errorf("re-prefetching resident pages faulted %d", n)
 			}
 		}},
-		{"rejected prefetch uncharged", PolicyAdmit, 2, func(t *testing.T, tab *Table[*tablePage], dev *sim.Device, log *[]*tablePage) {
+		{"rejected prefetch uncharged", PolicyAdmit, 2, func(t *testing.T, tab *Table[uint32], dev *sim.Device, log *[]*tablePage) {
 			for i := 0; i < 20; i++ { // two hot pages fill the budget
 				demand(tab, dev, 0, 1)
 			}
@@ -197,7 +228,7 @@ func TestTableBatches(t *testing.T) {
 				t.Errorf("the cold pages displaced %d hot ones", n)
 			}
 		}},
-		{"recycled page forgets its event", PolicyLRU, 1, func(t *testing.T, tab *Table[*tablePage], dev *sim.Device, log *[]*tablePage) {
+		{"recycled page forgets its event", PolicyLRU, 1, func(t *testing.T, tab *Table[uint32], dev *sim.Device, log *[]*tablePage) {
 			tab.Prefetch(dev, []int32{0})
 			first := (*log)[0]
 			if first.ready.T <= 0 {
@@ -212,14 +243,14 @@ func TestTableBatches(t *testing.T) {
 			b.Flush()
 			b.End()
 		}},
-		{"a batch may not forget its faults", PolicyLRU, 4, func(t *testing.T, tab *Table[*tablePage], dev *sim.Device, log *[]*tablePage) {
+		{"a batch may not forget its faults", PolicyLRU, 4, func(t *testing.T, tab *Table[uint32], dev *sim.Device, log *[]*tablePage) {
 			ops := []struct {
 				name string
-				op   func(b *Batch[*tablePage])
+				op   func(b *Batch[uint32])
 			}{
-				{"Begin", func(*Batch[*tablePage]) { tab.Begin(dev) }},
-				{"End", func(b *Batch[*tablePage]) { b.End() }},
-				{"Prefetch", func(*Batch[*tablePage]) { tab.Prefetch(dev, []int32{9}) }},
+				{"Begin", func(*Batch[uint32]) { tab.Begin(dev) }},
+				{"End", func(b *Batch[uint32]) { b.End() }},
+				{"Prefetch", func(*Batch[uint32]) { tab.Prefetch(dev, []int32{9}) }},
 			}
 			for i, o := range ops {
 				b := tab.Begin(dev)
@@ -318,7 +349,7 @@ func TestTableConservation(t *testing.T) {
 // batch: devices share nothing, so each ends with the counters and clocks of
 // the same sequence run alone — the -race surface of the per-device state.
 func TestTableConcurrentDevices(t *testing.T) {
-	run := func(tab *Table[*tablePage], dev *sim.Device, slot int) {
+	run := func(tab *Table[uint32], dev *sim.Device, slot int) {
 		rng := rand.New(rand.NewSource(int64(100 + slot)))
 		for it := 0; it < 60; it++ {
 			if it%3 == 0 {
@@ -347,13 +378,13 @@ func TestTableConcurrentDevices(t *testing.T) {
 		for slot, dev := range devs {
 			alone, d := newTestTable(PolicyLRU, budget, nil)
 			run(alone, d[0], slot)
-			sum.Add(alone.Stats())
+			sum.Add(alone.Stats().CacheStats)
 			if got, want := dev.StreamNow(sim.StreamCopy), d[0].StreamNow(sim.StreamCopy); got != want {
 				t.Errorf("budget %d slot %d: copy stream at %g, alone %g", budget, slot, got, want)
 			}
 		}
 		sum.CapacityBytes = tab.Stats().CapacityBytes // eight caches attached, four driven
-		if got := tab.Stats(); got != sum || got.Evictions == 0 {
+		if got := tab.Stats().CacheStats; got != sum || got.Evictions == 0 {
 			t.Errorf("budget %d: table stats %+v, per-device runs sum to %+v", budget, got, sum)
 		}
 	}

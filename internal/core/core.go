@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"slices"
 
+	"wholegraph/internal/blockcache"
 	"wholegraph/internal/cache"
 	"wholegraph/internal/dataset"
 	"wholegraph/internal/featstore"
@@ -60,10 +61,9 @@ func NewStore(m *sim.Machine, node int, ds *dataset.Dataset) (*Store, error) {
 	return NewStoreOpts(m, node, ds, StoreOptions{})
 }
 
-// NewStoreOpts is NewStore with explicit storage backends. Decoded
-// values are bit-identical across all backend combinations (Raw feature
-// encoding): paging changes virtual time and cache hit rates, never
-// training results.
+// NewStoreOpts is NewStore with explicit storage backends. The values read
+// are bit-identical across all backend combinations: paging changes virtual
+// time and cache hit rates, never training results.
 func NewStoreOpts(m *sim.Machine, node int, ds *dataset.Dataset, opts StoreOptions) (*Store, error) {
 	if ds.Feat == nil && ds.Gen != nil && !opts.PagedFeatures {
 		return nil, fmt.Errorf("core: %s has no materialized feature slab; it requires the paged feature store (StoreOptions.PagedFeatures)", ds.Spec.Name)
@@ -111,6 +111,18 @@ func (s *Store) FeatStore() *featstore.Store {
 // TopoStore returns the paged topology store behind a paged-topology
 // store, or nil when the column array is materialized.
 func (s *Store) TopoStore() *topostore.Store { return s.PG.PagedTopo() }
+
+// PagedStats reports the paged feature and topology stores' Stats; the zero
+// Stats for a table that is resident.
+func (s *Store) PagedStats() (feat, topo blockcache.Stats) {
+	if fs := s.FeatStore(); fs != nil {
+		feat = fs.Stats()
+	}
+	if ts := s.TopoStore(); ts != nil {
+		topo = ts.Stats()
+	}
+	return feat, topo
+}
 
 // partitionRows adapts the dataset's per-node rows to the partitioned
 // feature-row order (rank-major, FeatRow indices) the loader gathers with.

@@ -17,6 +17,38 @@ func testSource(rng *rand.Rand, rows, dim int) *SliceSource {
 	return &SliceSource{Data: randMatrix(rng, rows, dim), D: dim}
 }
 
+func randMatrix(rng *rand.Rand, rows, dim int) []float32 {
+	m := make([]float32, rows*dim)
+	for i := range m {
+		// Mix magnitudes and signs, with occasional exact zeros and
+		// denormal-ish values.
+		switch rng.Intn(8) {
+		case 0:
+			m[i] = 0
+		case 1:
+			m[i] = float32(rng.NormFloat64()) * 1e-20
+		case 2:
+			m[i] = float32(rng.NormFloat64()) * 1e6
+		default:
+			m[i] = float32(rng.NormFloat64())
+		}
+	}
+	return m
+}
+
+// checkRows fails unless got holds, row after row, the source bits of rows.
+func checkRows(t *testing.T, what string, src *SliceSource, rows []int64, got []float32) {
+	t.Helper()
+	dim := int64(src.D)
+	for i, row := range rows {
+		for j, want := range src.Data[row*dim : (row+1)*dim] {
+			if g := got[int64(i)*dim+int64(j)]; math.Float32bits(g) != math.Float32bits(want) {
+				t.Fatalf("%s: row %d col %d: %#08x, source %#08x", what, row, j, math.Float32bits(g), math.Float32bits(want))
+			}
+		}
+	}
+}
+
 func newTestStore(t *testing.T, src RowSource, opts Options) (*Store, *sim.Device) {
 	t.Helper()
 	s, err := New(src, opts)
@@ -43,8 +75,9 @@ func prefetchRows(s *Store, dev *sim.Device, rows []int64, maxPages int) int {
 	return s.PrefetchPages(dev, ids)
 }
 
-// TestNewRefusesNegativeOptions: a negative page size or budget is an error
-// naming the field; zero means the default.
+// TestNewRefusesNegativeOptions: a negative page size or budget, or a page
+// format other than Raw, is an error naming the field; zero means the
+// default.
 func TestNewRefusesNegativeOptions(t *testing.T) {
 	src := testSource(rand.New(rand.NewSource(1)), 10, 4)
 	for _, tc := range []struct {
@@ -55,6 +88,7 @@ func TestNewRefusesNegativeOptions(t *testing.T) {
 		{Options{PageRows: -7}, "PageRows"},
 		{Options{CacheBytes: -3 << 20}, "CacheBytes"},
 		{Options{PageRows: 16, CacheBytes: -1}, "CacheBytes"},
+		{Options{Encoding: 1}, "Encoding"},
 	} {
 		s, err := New(src, tc.opts)
 		switch {
@@ -68,9 +102,9 @@ func TestNewRefusesNegativeOptions(t *testing.T) {
 	}
 }
 
-// TestGatherRawBitExact: gathering through the paged store with the raw
-// encoding returns the source rows bit-identically, in any order, across
-// page boundaries and the partial last page.
+// TestGatherRawBitExact: gathering through the paged store returns the
+// source rows bit-identically, in any order, across page boundaries and the
+// partial last page.
 func TestGatherRawBitExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	const rows, dim = 1000, 7
@@ -86,13 +120,52 @@ func TestGatherRawBitExact(t *testing.T) {
 	idx[0], idx[1] = rows-1, 0 // cover both extremes incl. partial page
 	dst := make([]float32, len(idx)*dim)
 	s.GatherRows(dev, idx, dim, dst, "test")
-	for i, row := range idx {
-		for j := 0; j < dim; j++ {
-			want := src.Data[row*int64(dim)+int64(j)]
-			got := dst[i*dim+j]
-			if math.Float32bits(got) != math.Float32bits(want) {
-				t.Fatalf("row %d col %d: %g != %g", row, j, got, want)
+	checkRows(t, "gather", src, idx, dst)
+}
+
+// TestRawRoundtripBitExact: over random shapes — tiny tables, one-row and
+// partial pages, widths from 1 to 24 — every row comes back with its source
+// bits on first touch and again from the resident page.
+func TestRawRoundtripBitExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 50; trial++ {
+		rows, dim := 1+rng.Intn(40), 1+rng.Intn(24)
+		src := testSource(rng, rows, dim)
+		s, dev := newTestStore(t, src, Options{PageRows: 1 + rng.Intn(8)})
+		dst := make([]float32, dim)
+		for pass := 0; pass < 2; pass++ {
+			for row := int64(0); row < int64(rows); row++ {
+				s.GatherRows(dev, []int64{row}, dim, dst, "t")
+				checkRows(t, fmt.Sprintf("trial %d pass %d", trial, pass), src, []int64{row}, dst)
 			}
+		}
+	}
+}
+
+// TestZeroRowPage: a store over no rows has no pages and no table bytes, and
+// a gather of no rows charges an empty read.
+func TestZeroRowPage(t *testing.T) {
+	s, dev := newTestStore(t, &SliceSource{D: 16}, Options{})
+	if st := s.Stats(); s.NumPages() != 0 || st.Pages != 0 || st.TableBytes != 0 {
+		t.Errorf("zero-row store: %d pages, %+v", s.NumPages(), st)
+	}
+	s.GatherRows(dev, nil, 16, nil, "t")
+	if st := s.Stats(); st.Hits+st.Misses != 0 {
+		t.Errorf("a gather of no rows looked pages up: %+v", st)
+	}
+}
+
+// TestParseEncoding: the raw format's three spellings parse; every other
+// name, the retired lossy ones included, is an error.
+func TestParseEncoding(t *testing.T) {
+	for _, in := range []string{"", "raw", "float32"} {
+		if got, err := ParseEncoding(in); err != nil || got != Raw {
+			t.Errorf("ParseEncoding(%q) = %v, %v; want Raw", in, got, err)
+		}
+	}
+	for _, in := range []string{"f16", "q8", "zstd", "RAW"} {
+		if _, err := ParseEncoding(in); err == nil {
+			t.Errorf("ParseEncoding(%q) accepted", in)
 		}
 	}
 }
@@ -136,7 +209,7 @@ func TestGatherChargesMissesThenHits(t *testing.T) {
 }
 
 // TestGatherEvictsUnderPressure: a budget far below the touched working
-// set forces evictions while every gather still decodes correct values.
+// set forces evictions while every gather still returns correct values.
 func TestGatherEvictsUnderPressure(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const rows, dim = 2048, 8
@@ -223,126 +296,104 @@ func TestStoreConcurrentGathers(t *testing.T) {
 	}
 }
 
-// eagerRow decodes row of a page materialized whole from src in one pass
-// — the reference a demand-materialized page must reproduce.
-func eagerRow(s *Store, src *SliceSource, row int64, dst []float32) {
-	lo, hi := s.tab.Span(s.PageOf(row))
-	pg := encodePage(s.opts.Encoding, src.Data[lo*int64(src.D):hi*int64(src.D)], int(hi-lo), src.D)
-	pg.decodeRow(s.opts.Encoding, int(row-lo), src.D, dst)
-}
-
 // TestDemandMaterializationMatchesEagerFill: whatever order rows are
 // touched in — repeats, the partial last page, pages that arrived by
-// prefetch, one-row gathers, all three encodings — every read decodes
-// exactly what filling the whole page up front would have given.
+// prefetch, one-row gathers — every read returns exactly the source row that
+// filling the whole page up front would have copied.
 func TestDemandMaterializationMatchesEagerFill(t *testing.T) {
 	const rows, dim, pageRows = 1003, 6, 32 // 1003/32: partial last page
-	for _, enc := range []Encoding{Raw, Float16, Quant8} {
-		for seed := int64(1); seed <= 5; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			src := testSource(rng, rows, dim)
-			pageBytes := int64(pageRows*dim*enc.BytesPerElem()) + 8
-			s, dev := newTestStore(t, src, Options{Encoding: enc, PageRows: pageRows, CacheBytes: 5 * pageBytes})
-			want := make([]float32, dim)
-			check := func(what string, row int64, got []float32) {
-				t.Helper()
-				eagerRow(s, src, row, want)
-				for j := range want {
-					if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
-						t.Fatalf("%v seed %d %s row %d col %d: %g != eager %g", enc, seed, what, row, j, got[j], want[j])
-					}
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		src := testSource(rng, rows, dim)
+		pageBytes := int64(pageRows*dim*4) + 8
+		s, dev := newTestStore(t, src, Options{PageRows: pageRows, CacheBytes: 5 * pageBytes})
+		check := func(what string, row int64, got []float32) {
+			t.Helper()
+			checkRows(t, fmt.Sprintf("seed %d %s", seed, what), src, []int64{row}, got)
+		}
+		for round := 0; round < 40; round++ {
+			idx := make([]int64, 1+rng.Intn(24))
+			for i := range idx {
+				idx[i] = rng.Int63n(rows)
+			}
+			if rng.Intn(3) == 0 {
+				idx[0] = rows - 1 - rng.Int63n(rows%pageRows) // partial page
+			}
+			if len(idx) > 2 {
+				idx[len(idx)-1] = idx[0] // a repeat inside the batch
+			}
+			switch rng.Intn(3) {
+			case 0:
+				prefetchRows(s, dev, idx, rng.Intn(4))
+				fallthrough
+			case 1:
+				dst := make([]float32, len(idx)*dim)
+				s.GatherRows(dev, idx, dim, dst, "t")
+				for i, row := range idx {
+					check("gather", row, dst[i*dim:(i+1)*dim])
+				}
+			default:
+				got := make([]float32, dim)
+				for _, row := range idx {
+					s.GatherRows(dev, []int64{row}, dim, got, "t")
+					check("one-row gather", row, got)
 				}
 			}
-			for round := 0; round < 40; round++ {
-				idx := make([]int64, 1+rng.Intn(24))
-				for i := range idx {
-					idx[i] = rng.Int63n(rows)
-				}
-				if rng.Intn(3) == 0 {
-					idx[0] = rows - 1 - rng.Int63n(rows%pageRows) // partial page
-				}
-				if len(idx) > 2 {
-					idx[len(idx)-1] = idx[0] // a repeat inside the batch
-				}
-				switch rng.Intn(3) {
-				case 0:
-					prefetchRows(s, dev, idx, rng.Intn(4))
-					fallthrough
-				case 1:
-					dst := make([]float32, len(idx)*dim)
-					s.GatherRows(dev, idx, dim, dst, "t")
-					for i, row := range idx {
-						check("gather", row, dst[i*dim:(i+1)*dim])
-					}
-				default:
-					got := make([]float32, dim)
-					for _, row := range idx {
-						s.GatherRows(dev, []int64{row}, dim, got, "t")
-						check("one-row gather", row, got)
-					}
-				}
-			}
-			if st := s.Stats(); st.Evictions == 0 || st.Hits == 0 {
-				t.Fatalf("%v seed %d: test exercised no eviction or no hit: %+v", enc, seed, st)
-			}
+		}
+		if st := s.Stats(); st.Evictions == 0 || st.Hits == 0 {
+			t.Fatalf("seed %d: test exercised no eviction or no hit: %+v", seed, st)
 		}
 	}
 }
 
 // TestRecycledPagesInsideOneGather: with a budget of one or two pages a
-// single gather evicts pages it is still decoding from, and later faults
+// single gather evicts pages it is still copying from, and later faults
 // reuse recycled buffers; every value must still match the source, on one
 // device and on four driven concurrently (the -race surface).
 func TestRecycledPagesInsideOneGather(t *testing.T) {
 	const rows, dim, pageRows = 640, 8, 16
-	for _, enc := range []Encoding{Raw, Float16, Quant8} {
-		for _, budgetPages := range []int64{1, 2} {
-			rng := rand.New(rand.NewSource(9))
-			src := testSource(rng, rows, dim)
-			pageBytes := int64(pageRows*dim*enc.BytesPerElem()) + 8
-			s, err := New(src, Options{Encoding: enc, PageRows: pageRows, CacheBytes: budgetPages * pageBytes})
-			if err != nil {
-				t.Fatal(err)
-			}
-			m := sim.NewMachine(sim.DGXA100(1))
-			devs := m.Devs[:4]
-			s.Attach(devs...)
-			run := func(r int) {
-				lr := rand.New(rand.NewSource(int64(100 + r)))
-				idx := make([]int64, 48)
-				dst := make([]float32, len(idx)*dim)
-				want := make([]float32, dim)
-				for it := 0; it < 30; it++ {
-					for i := range idx {
-						idx[i] = lr.Int63n(rows)
-					}
-					// Interleave two pages so each is needed again after
-					// later misses have pushed it out of the cache.
-					idx[0], idx[10], idx[20], idx[30], idx[40] = 0, 17, 1, 18, 2
-					if it%3 == 0 {
-						prefetchRows(s, devs[r], idx[5:], 3)
-					}
-					s.GatherRows(devs[r], idx, dim, dst, "t")
-					for i, row := range idx {
-						eagerRow(s, src, row, want)
-						for j := range want {
-							if math.Float32bits(dst[i*dim+j]) != math.Float32bits(want[j]) {
-								t.Errorf("%v budget %d rank %d iter %d: row %d col %d wrong", enc, budgetPages, r, it, row, j)
-								return
-							}
-						}
+	for _, budgetPages := range []int64{1, 2} {
+		rng := rand.New(rand.NewSource(9))
+		src := testSource(rng, rows, dim)
+		pageBytes := int64(pageRows*dim*4) + 8
+		s, err := New(src, Options{PageRows: pageRows, CacheBytes: budgetPages * pageBytes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := sim.NewMachine(sim.DGXA100(1))
+		devs := m.Devs[:4]
+		s.Attach(devs...)
+		run := func(r int) {
+			lr := rand.New(rand.NewSource(int64(100 + r)))
+			idx := make([]int64, 48)
+			dst := make([]float32, len(idx)*dim)
+			for it := 0; it < 30; it++ {
+				for i := range idx {
+					idx[i] = lr.Int63n(rows)
+				}
+				// Interleave two pages so each is needed again after
+				// later misses have pushed it out of the cache.
+				idx[0], idx[10], idx[20], idx[30], idx[40] = 0, 17, 1, 18, 2
+				if it%3 == 0 {
+					prefetchRows(s, devs[r], idx[5:], 3)
+				}
+				s.GatherRows(devs[r], idx, dim, dst, "t")
+				for i, row := range idx {
+					if !slices.Equal(dst[i*dim:(i+1)*dim], src.Data[row*dim:(row+1)*dim]) {
+						t.Errorf("budget %d rank %d iter %d: row %d wrong", budgetPages, r, it, row)
+						return
 					}
 				}
 			}
-			run(0)
-			sim.RunParallel(len(devs), run)
-			st := s.Stats()
-			if st.Evictions == 0 {
-				t.Fatalf("%v budget %d: no evictions: %+v", enc, budgetPages, st)
-			}
-			if st.ResidentBytes > int64(len(devs))*budgetPages*pageBytes {
-				t.Errorf("%v budget %d: resident %d over budget", enc, budgetPages, st.ResidentBytes)
-			}
+		}
+		run(0)
+		sim.RunParallel(len(devs), run)
+		st := s.Stats()
+		if st.Evictions == 0 {
+			t.Fatalf("budget %d: no evictions: %+v", budgetPages, st)
+		}
+		if st.ResidentBytes > int64(len(devs))*budgetPages*pageBytes {
+			t.Errorf("budget %d: resident %d over budget", budgetPages, st.ResidentBytes)
 		}
 	}
 }
@@ -356,30 +407,28 @@ func TestSteadyStateFaultingGatherAllocs(t *testing.T) {
 	const rows, dim, pageRows = 4096, 16, 16
 	rng := rand.New(rand.NewSource(10))
 	src := testSource(rng, rows, dim)
-	for _, enc := range []Encoding{Raw, Float16, Quant8} {
-		pageBytes := int64(pageRows*dim*enc.BytesPerElem()) + 8
-		s, dev := newTestStore(t, src, Options{Encoding: enc, PageRows: pageRows, CacheBytes: 16 * pageBytes})
-		idx := make([]int64, 32)
-		dst := make([]float32, len(idx)*dim)
-		next := int64(0)
-		gather := func() {
-			for i := range idx { // 32 rows on 16 fresh pages: all misses
-				idx[i] = next % rows
-				next += pageRows / 2
-			}
-			s.GatherRows(dev, idx, dim, dst, "t")
+	pageBytes := int64(pageRows*dim*4) + 8
+	s, dev := newTestStore(t, src, Options{PageRows: pageRows, CacheBytes: 16 * pageBytes})
+	idx := make([]int64, 32)
+	dst := make([]float32, len(idx)*dim)
+	next := int64(0)
+	gather := func() {
+		for i := range idx { // 32 rows on 16 fresh pages: all misses
+			idx[i] = next % rows
+			next += pageRows / 2
 		}
-		for i := 0; i < 8; i++ {
-			gather()
-		}
-		before := s.Stats()
-		if avg := testing.AllocsPerRun(50, gather); avg != 0 {
-			t.Errorf("%v: faulting gather allocates %.1f objects per call, want 0", enc, avg)
-		}
-		after := s.Stats()
-		if after.Misses-before.Misses < 50*16 || after.Evictions == before.Evictions {
-			t.Fatalf("%v: gathers did not fault and evict: %+v -> %+v", enc, before, after)
-		}
+		s.GatherRows(dev, idx, dim, dst, "t")
+	}
+	for i := 0; i < 8; i++ {
+		gather()
+	}
+	before := s.Stats()
+	if avg := testing.AllocsPerRun(50, gather); avg != 0 {
+		t.Errorf("faulting gather allocates %.1f objects per call, want 0", avg)
+	}
+	after := s.Stats()
+	if after.Misses-before.Misses < 50*16 || after.Evictions == before.Evictions {
+		t.Fatalf("gathers did not fault and evict: %+v -> %+v", before, after)
 	}
 }
 
@@ -434,26 +483,14 @@ func TestStatsSumPerDeviceCaches(t *testing.T) {
 	if want := float64(hits) / float64(hits+misses); st.HitRate() != want {
 		t.Errorf("HitRate() = %v, want %v", st.HitRate(), want)
 	}
-	// Two machine nodes page the same table: counters, devices and budgets
-	// sum, the table's shape does not.
-	var twice Stats
-	twice.Add(st)
-	twice.Add(st)
-	want := st
-	want.Devices, want.CacheBytes = 2*st.Devices, 2*st.CacheBytes
-	want.CacheStats.Add(st.CacheStats)
-	if twice != want {
-		t.Errorf("Stats.Add twice: %+v, want %+v", twice, want)
-	}
 }
 
 // TestGatherFanoutEquivalence: with the fill shared between two and four
 // claimants a run of gathers — evicting, prefetching, repeating rows inside
 // a batch, reading the partial last page — returns the bits, leaves every
 // cache counter and stops both device clocks exactly where the inline fill
-// (one worker, and sim.SetParallel(false)) does. Run under -race: pages, dst
-// rows and the per-claimant staging buffers are the state the claimants
-// must not share.
+// (one worker, and sim.SetParallel(false)) does. Run under -race: pages,
+// their bitmaps and dst rows are the state the claimants must not share.
 func TestGatherFanoutEquivalence(t *testing.T) {
 	defer tensor.SetWorkers(tensor.SetWorkers(1))
 	defer sim.SetParallel(sim.SetParallel(true))
@@ -464,12 +501,12 @@ func TestGatherFanoutEquivalence(t *testing.T) {
 	src := testSource(rand.New(rand.NewSource(9)), rows, dim)
 	type outcome struct {
 		values        []uint32
-		stats         Stats
+		stats         blockcache.Stats
 		compute, copy float64
 	}
-	run := func(enc Encoding, policy blockcache.Policy) outcome {
-		pageBytes := int64(pageRows*dim*enc.BytesPerElem() + pageMetaBytes)
-		s, dev := newTestStore(t, src, Options{Encoding: enc, PageRows: pageRows, CacheBytes: 40 * pageBytes, Policy: policy})
+	run := func(policy blockcache.Policy) outcome {
+		pageBytes := int64(pageRows*dim*4 + pageMetaBytes)
+		s, dev := newTestStore(t, src, Options{PageRows: pageRows, CacheBytes: 40 * pageBytes, Policy: policy})
 		rng := rand.New(rand.NewSource(10))
 		var out outcome
 		idx := make([]int64, batch)
@@ -487,35 +524,97 @@ func TestGatherFanoutEquivalence(t *testing.T) {
 		}
 		out.stats, out.compute, out.copy = s.Stats(), dev.StreamNow(sim.StreamCompute), dev.StreamNow(sim.StreamCopy)
 		if out.stats.Evictions == 0 || out.stats.Hits == 0 || out.stats.PrefetchHits == 0 {
-			t.Fatalf("%v/%v: the run left a path untaken: %v", enc, policy, out.stats)
+			t.Fatalf("%v: the run left a path untaken: %v", policy, out.stats)
 		}
 		return out
 	}
-	for _, enc := range []Encoding{Raw, Float16, Quant8} {
-		for _, policy := range []blockcache.Policy{blockcache.PolicyLRU, blockcache.PolicyAdmit} {
-			want := run(enc, policy)
-			check := func(mode string) {
-				t.Helper()
-				got := run(enc, policy)
-				if !slices.Equal(got.values, want.values) {
-					t.Errorf("%v/%v %s: gathered values differ from the inline fill", enc, policy, mode)
-				}
-				if got.stats != want.stats || got.compute != want.compute || got.copy != want.copy {
-					t.Errorf("%v/%v %s: stats %+v clocks %v/%v, inline %+v clocks %v/%v",
-						enc, policy, mode, got.stats, got.compute, got.copy, want.stats, want.compute, want.copy)
-				}
+	for _, policy := range []blockcache.Policy{blockcache.PolicyLRU, blockcache.PolicyAdmit} {
+		want := run(policy)
+		check := func(mode string) {
+			t.Helper()
+			got := run(policy)
+			if !slices.Equal(got.values, want.values) {
+				t.Errorf("%v %s: gathered values differ from the inline fill", policy, mode)
 			}
-			for _, w := range []int{2, 4} {
-				tensor.SetWorkers(w)
-				if blockcache.Claimants(4*batch*dim) != w {
-					t.Fatalf("a %d-row gather is below the fan-out cutoff", batch)
-				}
-				check(fmt.Sprintf("%d workers", w))
+			if got.stats != want.stats || got.compute != want.compute || got.copy != want.copy {
+				t.Errorf("%v %s: stats %+v clocks %v/%v, inline %+v clocks %v/%v",
+					policy, mode, got.stats, got.compute, got.copy, want.stats, want.compute, want.copy)
 			}
-			sim.SetParallel(false)
-			check("SetParallel(false)")
-			sim.SetParallel(true)
-			tensor.SetWorkers(1)
 		}
+		for _, w := range []int{2, 4} {
+			tensor.SetWorkers(w)
+			if blockcache.Claimants(4*batch*dim) != w {
+				t.Fatalf("a %d-row gather is below the fan-out cutoff", batch)
+			}
+			check(fmt.Sprintf("%d workers", w))
+		}
+		sim.SetParallel(false)
+		check("SetParallel(false)")
+		sim.SetParallel(true)
+		tensor.SetWorkers(1)
 	}
+}
+
+// FuzzGatherRows drives gathers over arbitrary float32 bit patterns — NaN
+// payloads, ±Inf, ±0, denormals — with random page sizes, budgets of one to
+// four pages and random row lists (duplicates, rows on several pages, any
+// order), each list gathered twice. Whatever the bits, every gathered row is
+// its source row bit for bit: on first touch, from a resident page and after
+// the page was evicted and produced again; and every gather looks each
+// distinct page it reads up exactly once (Hits+Misses).
+func FuzzGatherRows(f *testing.F) {
+	le := func(vals ...uint32) []byte {
+		var b []byte
+		for _, v := range vals {
+			b = append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+		}
+		return b
+	}
+	f.Add(le(0x3f800000, 0xbf800000, 0x40490fdb, 0x00000000), uint8(5), uint8(3), uint8(2), uint8(0), []byte{4, 0, 3, 3, 1})
+	f.Add(le(0x7fc00001, 0xffc12345, 0x7f800000, 0xff800000, 0x80000000), uint8(7), uint8(2), uint8(3), uint8(1), []byte{6, 6, 2, 0, 5, 1, 3}) // NaN payloads, ±Inf, -0
+	f.Add(le(0x00000001, 0x807fffff, 0x00800000, 0x7f7fffff, 0xff7fffff), uint8(9), uint8(4), uint8(1), uint8(3), []byte{8, 0, 8, 7, 2, 9, 4}) // denormals, extremes
+	f.Add(le(0x42280000), uint8(39), uint8(8), uint8(15), uint8(2), []byte{39, 0, 17, 38, 16, 1, 20, 33, 2})                                   // one value, partial last page
+	f.Fuzz(func(t *testing.T, raw []byte, nRows, nDim, nPage, nBudget uint8, order []byte) {
+		rows, dim, pageRows := 1+int(nRows)%40, 1+int(nDim)%9, 1+int(nPage)%16
+		if len(raw) < 4 {
+			raw = append(raw, 0, 0, 0, 0)
+		}
+		src := &SliceSource{Data: make([]float32, rows*dim), D: dim}
+		for i := range src.Data {
+			o := 4 * (i % (len(raw) / 4))
+			bits := uint32(raw[o]) | uint32(raw[o+1])<<8 | uint32(raw[o+2])<<16 | uint32(raw[o+3])<<24
+			src.Data[i] = math.Float32frombits(bits + uint32(i/(len(raw)/4))) // later repeats differ
+		}
+		pageBytes := int64(pageRows*dim*4 + pageMetaBytes)
+		s, dev := newTestStore(t, src, Options{PageRows: pageRows, CacheBytes: (1 + int64(nBudget)%4) * pageBytes})
+		// Cut order into lists of one to seven rows; the list lengths come
+		// from the bytes as well.
+		var lists [][]int64
+		for len(order) > 0 {
+			n := min(1+int(order[0])%7, len(order))
+			list := make([]int64, n)
+			for i, b := range order[:n] {
+				list[i] = int64(b) % int64(rows)
+			}
+			lists, order = append(lists, list), order[n:]
+		}
+		lookups := int64(0)
+		for pass := 0; pass < 2; pass++ {
+			for _, list := range lists {
+				dst := make([]float32, len(list)*dim)
+				s.GatherRows(dev, list, dim, dst, "t")
+				checkRows(t, fmt.Sprintf("pass %d list %v", pass, list), src, list, dst)
+				var pages []int32
+				for _, row := range list {
+					if id := s.PageOf(row); !slices.Contains(pages, id) {
+						pages = append(pages, id)
+					}
+				}
+				lookups += int64(len(pages))
+			}
+		}
+		if st := s.Stats(); st.Hits+st.Misses != lookups {
+			t.Fatalf("%d hits + %d misses, but the gathers read %d distinct pages", st.Hits, st.Misses, lookups)
+		}
+	})
 }

@@ -9,7 +9,7 @@ import (
 // graph. The historical backing is a flat *wholemem.Memory[float32] slab
 // sharded across the GPUs (the paper's design); the paged feature store
 // (internal/featstore) provides an out-of-core alternative whose rows are
-// decoded from compressed host-resident pages on demand. Consumers — the
+// produced into host-resident pages on demand. Consumers — the
 // batch loader, the hot-node cache, inference, serving — gather through
 // this interface and never see which backing is installed.
 type FeatureSource interface {

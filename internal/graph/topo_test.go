@@ -113,7 +113,7 @@ func TestPagedMapAccounting(t *testing.T) {
 	if structure != want {
 		t.Errorf("paged structure bytes = %d, want %d", structure, want)
 	}
-	if got := p.PagedTopo().TopoBytes(); got != csr.NumEdges()*8 {
+	if got := p.PagedTopo().Stats().TableBytes; got != csr.NumEdges()*8 {
 		t.Errorf("virtual topo bytes = %d, want %d", got, csr.NumEdges()*8)
 	}
 }

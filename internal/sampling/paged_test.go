@@ -21,7 +21,7 @@ type pagedOutcome struct {
 	neighbors     []graph.GlobalID
 	edgePos       []int64
 	offsets       []int64
-	stats         topostore.Stats
+	stats         blockcache.Stats
 	compute, copy float64
 	// reads is the size of the last second-hop kernel.
 	reads int

@@ -34,10 +34,10 @@ import (
 	"math/rand"
 
 	"wholegraph/internal/autograd"
+	"wholegraph/internal/blockcache"
 	"wholegraph/internal/cache"
 	"wholegraph/internal/core"
 	"wholegraph/internal/dataset"
-	"wholegraph/internal/featstore"
 	"wholegraph/internal/gnn"
 	"wholegraph/internal/sim"
 	"wholegraph/internal/tensor"
@@ -141,7 +141,8 @@ func (o Options) Normalize() Options {
 
 // Validate rejects unusable option combinations. Every rate, duration and
 // skew must be finite: a NaN rate stalls the batcher, and a NaN delay runs
-// the virtual clock backwards.
+// the virtual clock backwards. Every fanout must be at least 1, as
+// train.Options.Check asks.
 func (o Options) Validate() error {
 	switch {
 	case !finite(o.Rate) || o.Rate <= 0:
@@ -162,6 +163,11 @@ func (o Options) Validate() error {
 		return fmt.Errorf("serve: CacheRows must be >= 0, got %d", o.CacheRows)
 	case !finite(o.Skew) || (o.Skew != 0 && o.Skew <= 1):
 		return fmt.Errorf("serve: Skew must be finite and > 1 (or 0 for uniform), got %g", o.Skew)
+	}
+	for hop, fan := range o.Fanouts {
+		if fan < 1 {
+			return fmt.Errorf("serve: Fanouts[%d] must be >= 1, got %d", hop, fan)
+		}
 	}
 	switch o.Policy {
 	case PolicyCacheAware, PolicyOwner, PolicyRoundRobin:
@@ -251,11 +257,9 @@ func (s *Server) Replicas() int { return len(s.replicas) }
 
 // FeatStoreStats snapshots the paged feature store's BlockCache counters;
 // the zero Stats when Options.Store.PagedFeatures is off.
-func (s *Server) FeatStoreStats() featstore.Stats {
-	if fs := s.Store.FeatStore(); fs != nil {
-		return fs.Stats()
-	}
-	return featstore.Stats{}
+func (s *Server) FeatStoreStats() blockcache.Stats {
+	feat, _ := s.Store.PagedStats()
+	return feat
 }
 
 // Caches returns the per-replica feature caches (nil entries when

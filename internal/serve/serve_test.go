@@ -346,6 +346,8 @@ func TestOptionsValidate(t *testing.T) {
 		{CacheRows: -5},
 		{Skew: 0.5},
 		{Policy: "nope"},
+		{Fanouts: []int{-3, 2}},
+		{Fanouts: []int{2, 0}},
 	}
 	for i, o := range bad {
 		if err := o.Normalize().Validate(); err == nil {

@@ -38,10 +38,10 @@ type Options struct {
 	// 32 KiB of payload). The last page may be partial.
 	PageEdges int
 	// CacheBytes is each attached device's BlockCache budget in bytes of
-	// decoded column payload (default 256 MiB).
+	// column payload (default 256 MiB).
 	CacheBytes int64
 	// Policy selects the BlockCache replacement/admission policy
-	// (default blockcache.PolicyLRU). Residency-only: decoded neighbors
+	// (default blockcache.PolicyLRU). Residency-only: the neighbors read
 	// are identical under either policy.
 	Policy blockcache.Policy
 }
@@ -63,47 +63,17 @@ func (o Options) normalize() (Options, error) {
 	return o, nil
 }
 
-// colPage is one page of a blockcache.Table: a column range whose entries
-// are filled run by run as they are first read (see fillRun). Values are a
-// pure function of the edge index, so reads decode the same in any order.
-type colPage struct {
-	id  int32
-	col []uint64
-	// have marks the filled runs (bit g = entries [g*fillRun, (g+1)*fillRun)).
-	have  []uint64
-	ready sim.Event
-}
-
 // pageMetaBytes is the per-page metadata charged on top of the payload.
 const pageMetaBytes = 16
 
-// CacheBytes implements blockcache.Block.
-func (p *colPage) CacheBytes() int64 { return int64(len(p.col))*8 + pageMetaBytes }
-
-// ReadyEvent implements blockcache.Page.
-func (p *colPage) ReadyEvent() *sim.Event { return &p.ready }
-
-// Reset implements blockcache.Page: n entries, none filled.
-func (p *colPage) Reset(id int32, n int) {
-	if cap(p.col) < n {
-		p.col = make([]uint64, n)
-	}
-	words := (n + 64*fillRun - 1) / (64 * fillRun)
-	if cap(p.have) < words {
-		p.have = make([]uint64, words)
-	}
-	*p = colPage{id: id, col: p.col[:n], have: p.have[:words]}
-	clear(p.have)
-}
-
-// Store is the paged column table: what a column page holds, over a
-// blockcache.Table that keeps pages resident per device. Immutable after
+// Store is the paged column table: the run fills behind a column page, over
+// a blockcache.Table that keeps pages resident per device. Immutable after
 // construction; all mutable state lives in the per-device accesses.
 type Store struct {
 	fill     Fill
 	opts     Options
 	numEdges int64
-	tab      *blockcache.Table[*colPage]
+	tab      *blockcache.Table[uint64]
 	// accs holds one Access per attached device, in attach order.
 	accs []*Access
 }
@@ -120,11 +90,11 @@ func New(numEdges int64, fill Fill, opts Options) (*Store, error) {
 	if fill == nil {
 		return nil, fmt.Errorf("topostore: nil fill function")
 	}
-	tab := blockcache.NewTable(blockcache.Shape{
-		Name: "topostore", Items: numEdges, PageItems: opts.PageEdges,
-		ItemBytes: 8, MetaBytes: pageMetaBytes,
+	tab := blockcache.NewTable[uint64](blockcache.Shape{
+		Name: "topostore", Unit: "edges", Items: numEdges, PageItems: opts.PageEdges,
+		ItemVals: 1, ItemBytes: 8, MetaBytes: pageMetaBytes, Granule: fillRun,
 		CacheBytes: opts.CacheBytes, Policy: opts.Policy,
-	}, func() *colPage { return new(colPage) })
+	})
 	return &Store{fill: fill, opts: opts, numEdges: numEdges, tab: tab}, nil
 }
 
@@ -145,27 +115,22 @@ func (s *Store) NumEdges() int64 { return s.numEdges }
 // NumPages returns the page count (last page possibly partial).
 func (s *Store) NumPages() int { return s.tab.NumPages() }
 
-// TopoBytes returns the virtual column footprint — what a materialized
-// wholemem Col array would occupy, and the UM working set the
-// fault-latency model sees.
-func (s *Store) TopoBytes() int64 { return s.numEdges * 8 }
-
 // PageOf returns the page holding global edge index e.
 func (s *Store) PageOf(e int64) int32 { return s.tab.PageOf(e) }
 
 // at returns entry off of pg, first filling the run around it if no
 // earlier read has. The host pays for the runs that are read; the virtual
 // clock charged the whole page when it was faulted in.
-func (s *Store) at(pg *colPage, off int64, scratch *[fillRun]int64) uint64 {
-	g := off / fillRun
-	if pg.have[g>>6]&(1<<(g&63)) == 0 {
-		r0 := g * fillRun
-		r1 := min(r0+fillRun, int64(len(pg.col)))
-		lo := int64(pg.id) * int64(s.opts.PageEdges)
-		s.fill(lo+r0, lo+r1, pg.col[r0:r1], scratch[:r1-r0])
-		pg.have[g>>6] |= 1 << (g & 63)
+func (s *Store) at(pg *blockcache.Page[uint64], off int64, scratch *[fillRun]int64) uint64 {
+	g := int(off / fillRun)
+	if !pg.Has(g) {
+		r0 := int64(g) * fillRun
+		r1 := min(r0+fillRun, int64(len(pg.Vals)))
+		lo, _ := s.tab.Span(pg.ID())
+		s.fill(lo+r0, lo+r1, pg.Vals[r0:r1], scratch[:r1-r0])
+		pg.Mark(g)
 	}
-	return pg.col[off]
+	return pg.Vals[off]
 }
 
 // Begin starts a page-aware access batch on dev: At decodes single
@@ -183,7 +148,7 @@ func (s *Store) Begin(dev *sim.Device) *Access {
 // Access is an open access batch; see Store.Begin.
 type Access struct {
 	s *Store
-	b *blockcache.Batch[*colPage]
+	b *blockcache.Batch[uint64]
 	// scratch is one fill workspace per claimant of a Read; At uses the
 	// first.
 	scratch [][fillRun]int64
@@ -252,7 +217,7 @@ func (a *Access) fillPages(claimant, lo, hi int) {
 	pages, pageEdges := a.b.Pages(), int64(a.s.opts.PageEdges)
 	for p := lo; p < hi; p++ {
 		pg := pages[p]
-		first := int64(pg.id) * pageEdges
+		first := int64(pg.ID()) * pageEdges
 		for _, i := range a.reads.Of(p) {
 			a.dst[i] = a.s.at(pg, a.edges[i]-first, &a.scratch[claimant])
 		}
@@ -277,42 +242,6 @@ func (s *Store) PrefetchPages(dev *sim.Device, ids []int32) int {
 	return s.tab.Prefetch(dev, ids)
 }
 
-// Stats is the store's configuration with the sum of every attached
-// device's BlockCache counters (promoted from the embedded CacheStats).
-type Stats struct {
-	PageEdges  int    `json:"page_edges"`
-	Pages      int    `json:"pages"`
-	TopoBytes  int64  `json:"topo_bytes"`
-	CacheBytes int64  `json:"cache_budget_bytes"`
-	Devices    int    `json:"devices"`
-	Policy     string `json:"policy"`
-	blockcache.CacheStats
-}
-
-// Add folds another machine node's store into st. Every node pages the same
-// graph, so the first store's shape (page size, pages, column bytes, policy)
-// stands for all of them; budgets, devices and counters sum.
-func (st *Stats) Add(o Stats) {
-	if st.Devices == 0 {
-		st.PageEdges, st.Pages, st.TopoBytes, st.Policy = o.PageEdges, o.Pages, o.TopoBytes, o.Policy
-	}
-	st.CacheBytes += o.CacheBytes
-	st.Devices += o.Devices
-	st.CacheStats.Add(o.CacheStats)
-}
-
-// String is the store's one-line report.
-func (st Stats) String() string {
-	return fmt.Sprintf("topology store (%d edges/page, %s): %v of %.1f MiB budget",
-		st.PageEdges, st.Policy, st.CacheStats, float64(st.CacheBytes)/(1<<20))
-}
-
-// Stats snapshots the aggregate counters.
-func (s *Store) Stats() Stats {
-	return Stats{
-		PageEdges: s.opts.PageEdges, Pages: s.NumPages(),
-		TopoBytes: s.TopoBytes(), CacheBytes: s.opts.CacheBytes,
-		Devices: s.tab.Devices(), Policy: s.opts.Policy.String(),
-		CacheStats: s.tab.Stats(),
-	}
-}
+// Stats reports the store's shape and the sum of every attached device's
+// BlockCache counters.
+func (s *Store) Stats() blockcache.Stats { return s.tab.Stats() }

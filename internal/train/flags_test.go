@@ -16,10 +16,11 @@ import (
 )
 
 // notAFlag lists the Options fields no command line sets: harness and
-// library knobs. A field is either here or bound in flags.go.
+// library knobs, and FeatEncoding, whose one value is the default. A field
+// is either here or bound in flags.go.
 var notAFlag = map[string]bool{
 	"Backend": true, "RealWorkers": true, "MaxItersPerEpoch": true,
-	"Trace": true,
+	"Trace": true, "FeatEncoding": true,
 }
 
 // boundFlags returns a flag set with both groups bound to o.
@@ -38,7 +39,7 @@ func presetOptions() Options {
 		Arch: "gcn", Batch: 11, Fanouts: []int{2, 3}, Hidden: 13, Heads: 3,
 		Dropout: 0.125, LR: 0.5, Seed: 9,
 		Pipeline: true, OverlapGrads: true, Schedule: true,
-		PagedFeatures: true, FeatEncoding: "f16", FeatPageRows: 19, FeatCacheMB: 23,
+		PagedFeatures: true, FeatPageRows: 19, FeatCacheMB: 23,
 		PagedTopo: true, TopoPageEdges: 29, TopoCacheMB: 31, PrefetchPages: 37, CachePolicy: "admit",
 	}
 }
@@ -154,8 +155,8 @@ func TestExecFlagJSONKeys(t *testing.T) {
 			t.Errorf("-%s: no Options field tagged json:%q", f.Name, key)
 		}
 	})
-	if n != 12 {
-		t.Errorf("%d execution/storage flags, want 12", n)
+	if n != 11 {
+		t.Errorf("%d execution/storage flags, want 11", n)
 	}
 }
 
@@ -246,7 +247,8 @@ func TestStoreOptionsTranslation(t *testing.T) {
 	for _, o := range []Options{
 		{},
 		{CachePolicy: "admit"},
-		{PagedFeatures: true, FeatEncoding: "q8", FeatPageRows: 64, FeatCacheMB: 3, CachePolicy: "admit"},
+		{PagedFeatures: true, FeatEncoding: "float32", FeatPageRows: 64, FeatCacheMB: 3, CachePolicy: "admit"},
+		{PagedFeatures: true, FeatEncoding: "q8"}, // a retired lossy format
 		{PagedTopo: true, TopoPageEdges: 512, TopoCacheMB: 1},
 		{FeatEncoding: "bogus"}, // unread while features are resident
 		{CachePolicy: "bogus"},

@@ -147,14 +147,14 @@ func TestTwoNodeStoreStatsShape(t *testing.T) {
 	want := f0
 	want.Devices, want.CacheBytes = f0.Devices+f1.Devices, f0.CacheBytes+f1.CacheBytes
 	want.CacheStats.Add(f1.CacheStats)
-	if fs != want || fs.Pages != f1.Pages || fs.EncodedBytes != f1.EncodedBytes || fs.Misses == 0 {
+	if fs != want || fs.Pages != f1.Pages || fs.TableBytes != f1.TableBytes || fs.Misses == 0 {
 		t.Errorf("feature store stats %#v, want %#v", fs, want)
 	}
 	t0, t1, ts := tr.Stores[0].TopoStore().Stats(), tr.Stores[1].TopoStore().Stats(), tr.TopoStoreStats()
 	wantT := t0
 	wantT.Devices, wantT.CacheBytes = t0.Devices+t1.Devices, t0.CacheBytes+t1.CacheBytes
 	wantT.CacheStats.Add(t1.CacheStats)
-	if ts != wantT || ts.Pages != t1.Pages || ts.TopoBytes != t1.TopoBytes || ts.Misses == 0 {
+	if ts != wantT || ts.Pages != t1.Pages || ts.TableBytes != t1.TableBytes || ts.Misses == 0 {
 		t.Errorf("topology store stats %#v, want %#v", ts, wantT)
 	}
 }

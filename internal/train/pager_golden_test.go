@@ -65,8 +65,8 @@ func pagerGoldenRun(t *testing.T, policy string, pipeline bool) [3]uint64 {
 	out[1] = h.Sum64()
 	h.Reset()
 	fs, ts := tr.FeatStoreStats(), tr.TopoStoreStats()
-	hashStore(h, fs.PageRows, fs.Pages, fs.EncodedBytes, fs.CacheBytes, fs.Devices, fs.Policy, fs.CacheStats)
-	hashStore(h, ts.PageEdges, ts.Pages, ts.TopoBytes, ts.CacheBytes, ts.Devices, ts.Policy, ts.CacheStats)
+	hashStore(h, fs)
+	hashStore(h, ts)
 	out[2] = h.Sum64()
 	if fs.Evictions == 0 || ts.Evictions == 0 || fs.PrefetchHits+ts.PrefetchHits == 0 {
 		t.Errorf("%s pipeline=%v: run too small to exercise the pager: %v / %v", policy, pipeline, fs, ts)
@@ -79,9 +79,10 @@ func pagerGoldenRun(t *testing.T, policy string, pipeline bool) [3]uint64 {
 
 // hashStore writes one paged store's shape — page size, pages, table bytes,
 // per-node budget sum, devices, policy — and every cache counter.
-func hashStore(w io.Writer, pageItems, pages int, tableBytes, budget int64, devices int, policy string, c blockcache.CacheStats) {
+func hashStore(w io.Writer, st blockcache.Stats) {
+	c := st.CacheStats
 	fmt.Fprintf(w, "%d %d %d %d %d %s | %d %d %d %d %d %d %d %d %d\n",
-		pageItems, pages, tableBytes, budget, devices, policy,
+		st.PageItems, st.Pages, st.TableBytes, st.CacheBytes, st.Devices, st.Policy,
 		c.Hits, c.Misses, c.Evictions, c.PrefetchHits, c.AdmissionRejects,
 		c.ResidentBytes, c.ResidentPages, c.CapacityBytes, c.PagesAllocated)
 }

@@ -88,16 +88,17 @@ type Options struct {
 	// gradients and model state are bit-identical to eager execution.
 	// Composes with Pipeline and OverlapGrads.
 	Schedule bool `json:"schedule"`
-	// PagedFeatures serves node features from the paged, compressed
-	// feature store (internal/featstore) instead of the flat wholemem
-	// slab: rows decode out of per-GPU LRU BlockCaches and page misses pay
-	// the Unified-Memory fault cost on the copy stream. With the raw
-	// encoding losses are bit-identical to the slab path; f16/q8 are
-	// lossy and opt-in. Required for out-of-core datasets
+	// PagedFeatures serves node features from the paged feature store
+	// (internal/featstore) instead of the flat wholemem slab: rows are
+	// read out of per-GPU LRU BlockCaches and page misses pay the
+	// Unified-Memory fault cost on the copy stream. Losses are
+	// bit-identical to the slab path. Required for out-of-core datasets
 	// (dataset.GenerateOutOfCore), whose slab was never materialized.
 	PagedFeatures bool `json:"paged_features"`
-	// FeatEncoding selects the page codec ("raw", "f16", "q8"; default
-	// raw). Only meaningful with PagedFeatures.
+	// FeatEncoding names the page format: "", "raw" or "float32", the one
+	// raw float32 format (featstore.ParseEncoding); no flag sets it. It
+	// stays because the benchmark module (benchmark/train.go) reads it,
+	// and goes with that module's next edit (ROADMAP items 9 and 21).
 	FeatEncoding string `json:"feat_encoding"`
 	// FeatPageRows is the paged store's rows-per-page (0 = 256).
 	FeatPageRows int `json:"feat_page_rows"`
@@ -459,6 +460,12 @@ func NewCustom(m *sim.Machine, ds *dataset.Dataset, opts Options,
 	t.shards = core.ShardTraining(ds.Train, totalWorkers)
 	if opts.RealWorkers > m.Cfg.GPUsPerNode {
 		return nil, fmt.Errorf("train: RealWorkers %d > GPUs per node %d", opts.RealWorkers, m.Cfg.GPUsPerNode)
+	}
+	// Worker w trains on every len(m.Devs)-th target from the w-th on; one
+	// with none would divide its epoch by zero batches.
+	if n := len(ds.Train); n < opts.RealWorkers {
+		return nil, fmt.Errorf("train: %s's training split has %d nodes, so real worker %d of %d would have no targets",
+			ds.Spec.Name, n, n, opts.RealWorkers)
 	}
 	for w := 0; w < opts.RealWorkers; w++ {
 		t.Models = append(t.Models, gnn.New(opts.Arch, cfg))
@@ -904,26 +911,26 @@ func (t *Trainer) Predict(ids []int64) ([][]float32, error) {
 // Worker0Device returns the traced device of the first real worker.
 func (t *Trainer) Worker0Device() *sim.Device { return t.loaders[0].Device() }
 
-// FeatStoreStats aggregates BlockCache counters across every node's paged
-// feature store. The zero Stats is returned when the trainer is not paged.
-func (t *Trainer) FeatStoreStats() featstore.Stats {
-	var agg featstore.Stats
-	for _, s := range t.Stores {
-		if fs := s.FeatStore(); fs != nil {
-			agg.Add(fs.Stats())
-		}
-	}
-	return agg
+// FeatStoreStats sums every node's paged feature store; the zero Stats when
+// features are resident.
+func (t *Trainer) FeatStoreStats() blockcache.Stats {
+	feat, _ := t.storeStats()
+	return feat
 }
 
-// TopoStoreStats aggregates BlockCache counters across every node's paged
-// topology store. The zero Stats is returned when topology is resident.
-func (t *Trainer) TopoStoreStats() topostore.Stats {
-	var agg topostore.Stats
+// TopoStoreStats sums every node's paged topology store; the zero Stats when
+// topology is resident.
+func (t *Trainer) TopoStoreStats() blockcache.Stats {
+	_, topo := t.storeStats()
+	return topo
+}
+
+// storeStats sums the two paged stores' Stats over every node.
+func (t *Trainer) storeStats() (feat, topo blockcache.Stats) {
 	for _, s := range t.Stores {
-		if ts := s.TopoStore(); ts != nil {
-			agg.Add(ts.Stats())
-		}
+		f, tp := s.PagedStats()
+		feat.Add(f)
+		topo.Add(tp)
 	}
-	return agg
+	return feat, topo
 }

@@ -172,6 +172,32 @@ func TestNewCustomRejectsDropoutOutOfRange(t *testing.T) {
 	}
 }
 
+// A training split with fewer nodes than real workers leaves a worker with no
+// targets. NewCustom must refuse it, naming the split size and the worker,
+// before any loader is built: at two workers and one node an epoch divided
+// by the idle worker's zero batches, and at one worker and no nodes it
+// returned NaN loss and accuracy.
+func TestNewCustomRejectsWorkerWithoutTargets(t *testing.T) {
+	for _, c := range []struct {
+		train, workers int
+		want           string
+	}{
+		{1, 2, "training split has 1 nodes, so real worker 1 of 2 would have no targets"},
+		{0, 1, "training split has 0 nodes, so real worker 0 of 1 would have no targets"},
+	} {
+		opts := smallOpts("graphsage")
+		opts.RealWorkers = c.workers
+		ds := &dataset.Dataset{Spec: dataset.OgbnProducts.Scaled(0.001), Train: make([]int64, c.train)}
+		_, err := NewCustom(sim.NewMachine(sim.DGXA100(1)), ds, opts, func(int, *sim.Device) BatchLoader {
+			t.Fatalf("%d targets, %d workers: a loader was built", c.train, c.workers)
+			return nil
+		})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%d targets, %d workers: error %v, want one saying %q", c.train, c.workers, err, c.want)
+		}
+	}
+}
+
 func TestMultiNodeScaling(t *testing.T) {
 	ds := smallDataset(t)
 	epoch := func(nodes int) float64 {
@@ -314,38 +340,6 @@ func TestPagedRawBitIdentical(t *testing.T) {
 	for e := range flatPar {
 		if gotPar[e].Loss != flatPar[e].Loss {
 			t.Errorf("epoch %d: parallel paged loss %v != parallel flat %v", e, gotPar[e].Loss, flatPar[e].Loss)
-		}
-	}
-}
-
-// TestPagedLossyTrains: lossy encodings are opt-in and must still learn;
-// stats plumbing reports the encoding and cache activity.
-func TestPagedLossyTrains(t *testing.T) {
-	ds := smallDataset(t)
-	for _, enc := range []string{"f16", "q8"} {
-		m := sim.NewMachine(sim.DGXA100(1))
-		opts := smallOpts("graphsage")
-		opts.PagedFeatures = true
-		opts.FeatEncoding = enc
-		opts.FeatPageRows = 64
-		tr, err := New(m, ds, opts)
-		if err != nil {
-			t.Fatalf("%s: %v", enc, err)
-		}
-		first := tr.RunEpoch()
-		var last EpochStats
-		for e := 0; e < 5; e++ {
-			last = tr.RunEpoch()
-		}
-		if !(last.Loss < first.Loss) {
-			t.Errorf("%s: loss did not improve (%v -> %v)", enc, first.Loss, last.Loss)
-		}
-		st := tr.FeatStoreStats()
-		if st.Encoding != enc {
-			t.Errorf("stats encoding %q, want %q", st.Encoding, enc)
-		}
-		if st.Hits+st.Misses == 0 {
-			t.Errorf("%s: no page lookups recorded", enc)
 		}
 	}
 }

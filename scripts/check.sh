@@ -72,8 +72,9 @@ targeted run '^TestTableConcurrentDevices$' ./internal/blockcache -race -count=2
 # the fill behind them, a few pages at a time, to the dense kernels' pool
 # (tensor.Fanout, itself hammered with ./internal/tensor above): one worker
 # against two and four — gathered bits, sampled neighbourhoods, every cache
-# counter, both device clocks — with pages, bitmap words and per-claimant
-# scratch as the state two claimants must never share (~90 s and ~40 s).
+# counter, both device clocks — with pages, bitmap words and the topology
+# fill's per-claimant scratch as the state two claimants must never share
+# (~90 s and ~40 s).
 targeted run '^TestGatherFanoutEquivalence$' ./internal/featstore -race -count=20 -cpu 1,2,4
 targeted run '^TestPagedSamplingFanoutEquivalence$' ./internal/sampling -race -count=20 -cpu 1,2,4
 # Dataset set-up shares the host's cores: the feature slab's noise is filled
@@ -92,8 +93,9 @@ targeted run '^TestGenerateGolden$' ./internal/dataset -race -count=5 -cpu 1,2,4
 for target in FuzzReLU FuzzReLUGrad FuzzAxpy FuzzAdam FuzzMatMul; do
 	targeted fuzz "^$target\$" ./internal/tensor -fuzztime 10s
 done
-# The three page codecs over arbitrary float32 bits and page shapes.
-targeted fuzz '^FuzzPageCodec$' ./internal/featstore -fuzztime 10s
+# Gathers of arbitrary float32 bits through random page sizes, budgets and
+# row lists: every row bit-exact, one lookup per distinct page per gather.
+targeted fuzz '^FuzzGatherRows$' ./internal/featstore -fuzztime 10s
 # Random batches of edge reads through the batched, fanned-out Access.Read
 # against At one edge at a time and against the fill function itself.
 targeted fuzz '^FuzzTopoAccess$' ./internal/topostore -fuzztime 10s
