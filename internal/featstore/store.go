@@ -236,13 +236,13 @@ func (s *Store) GatherRows(dev *sim.Device, rows []int64, dim int, dst []float32
 	}
 	b.Flush()
 
-	bytes := 4 * len(rows) * dim
+	payload := 4 * len(rows) * dim
 	g.pages, g.rows, g.dst = b.Pages(), rows, dst
 	g.reads.Group(len(g.pages))
-	tensor.Fanout(blockcache.Claimants(bytes), len(g.pages), fillChunk, g.fill)
+	tensor.Fanout(blockcache.Claimants(payload), len(g.pages), fillChunk, g.fill)
 	g.pages, g.rows, g.dst = nil, nil, nil
 	b.End()
-	dev.Kernel(sim.KernelCost{RandBytes: float64(bytes), StreamBytes: float64(bytes), Tag: tag})
+	dev.Kernel(sim.KernelCost{RandBytes: float64(payload), StreamBytes: float64(payload), Tag: tag})
 	return dev.Now() - t0
 }
 

@@ -464,8 +464,8 @@ func NewCustom(m *sim.Machine, ds *dataset.Dataset, opts Options,
 	// Worker w trains on every len(m.Devs)-th target from the w-th on; one
 	// with none would divide its epoch by zero batches.
 	if n := len(ds.Train); n < opts.RealWorkers {
-		return nil, fmt.Errorf("train: %s's training split has %d nodes, so real worker %d of %d would have no targets",
-			ds.Spec.Name, n, n, opts.RealWorkers)
+		return nil, fmt.Errorf("train: %s has %d training nodes for %d real workers; worker %d would have no targets",
+			ds.Spec.Name, n, opts.RealWorkers, n)
 	}
 	for w := 0; w < opts.RealWorkers; w++ {
 		t.Models = append(t.Models, gnn.New(opts.Arch, cfg))

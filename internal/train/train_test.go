@@ -182,8 +182,8 @@ func TestNewCustomRejectsWorkerWithoutTargets(t *testing.T) {
 		train, workers int
 		want           string
 	}{
-		{1, 2, "training split has 1 nodes, so real worker 1 of 2 would have no targets"},
-		{0, 1, "training split has 0 nodes, so real worker 0 of 1 would have no targets"},
+		{1, 2, "has 1 training nodes for 2 real workers; worker 1 would have no targets"},
+		{0, 1, "has 0 training nodes for 1 real workers; worker 0 would have no targets"},
 	} {
 		opts := smallOpts("graphsage")
 		opts.RealWorkers = c.workers
