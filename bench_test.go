@@ -321,26 +321,6 @@ func BenchmarkGraphEpochReplay(b *testing.B) { benchmarkGraphEpoch(b, true) }
 
 // --- Benches for the extension modules ---
 
-func BenchmarkFullGraphInference(b *testing.B) {
-	ds, err := wholegraph.GenerateDataset(wholegraph.OgbnProducts.Scaled(0.0005))
-	if err != nil {
-		b.Fatal(err)
-	}
-	machine := wholegraph.NewDGXA100(1)
-	tr, err := wholegraph.NewTrainer(machine, ds, wholegraph.TrainOptions{
-		Arch: "gcn", Batch: 32, Fanouts: []int{4, 4}, Hidden: 16,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := wholegraph.FullGraphInference(tr.Stores[0], tr.Models[0]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkAblationStorage(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows, err := bench.AblationStorage(benchCfg())

@@ -26,6 +26,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -33,11 +34,13 @@ import (
 	"wholegraph/internal/dataset"
 )
 
-var experiments = []struct {
+type experiment struct {
 	name string
 	desc string
 	run  func(bench.Config) (any, error)
-}{
+}
+
+var experiments = []experiment{
 	{"table1", "UM vs GPUDirect P2P access latency", wrap(bench.Table1)},
 	{"table2", "evaluation datasets", wrap(bench.Table2)},
 	{"table3", "accuracy parity across frameworks", wrap(bench.Table3)},
@@ -54,7 +57,6 @@ var experiments = []struct {
 	{"abl-storage", "ablation: P2P vs UM vs pinned-host feature storage", wrap(bench.AblationStorage)},
 	{"abl-unique", "ablation: hash-table vs sort AppendUnique", wrap(bench.AblationUnique)},
 	{"abl-dedup", "ablation: gather with vs without deduplication", wrap(bench.AblationDedup)},
-	{"infer", "offline inference: sampled vs full-graph layer-wise", wrap(bench.Inference)},
 	{"abl-hw", "ablation: NVSwitch vs PCIe-only fabric", wrap(bench.AblationHardware)},
 	{"abl-part", "ablation: hash vs range vs community node placement", wrap(bench.AblationPartition)},
 	{"abl-pipeline", "ablation: cross-iteration batch prefetch vs sequential", wrap(bench.AblationPipeline)},
@@ -121,9 +123,10 @@ func main() {
 		return
 	}
 
-	want := map[string]bool{}
-	for _, n := range strings.Split(*exp, ",") {
-		want[strings.TrimSpace(n)] = true
+	selected, err := selectExperiments(*exp)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "wgbench: -exp: %v (use -list)\n", err)
+		os.Exit(2)
 	}
 	report := jsonReport{Config: cfg, GOMAXPROCS: runtime.GOMAXPROCS(0), StartedAt: time.Now()}
 	if *cpuProf != "" {
@@ -155,11 +158,7 @@ func main() {
 		}()
 	}
 	start := time.Now()
-	ran := 0
-	for _, e := range experiments {
-		if !want["all"] && !want[e.name] {
-			continue
-		}
+	for _, e := range selected {
 		t0 := time.Now()
 		res, err := e.run(cfg)
 		if err != nil {
@@ -171,11 +170,6 @@ func main() {
 		report.Experiments = append(report.Experiments, jsonExperiment{
 			Name: e.name, Desc: e.desc, WallSeconds: wall.Seconds(), Result: res,
 		})
-		ran++
-	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "wgbench: no experiment matched %q (use -list)\n", *exp)
-		os.Exit(2)
 	}
 	fmt.Print(cfg.Totals.Report())
 	if *jsonPath != "" {
@@ -190,8 +184,30 @@ func main() {
 			fmt.Fprintf(os.Stderr, "wgbench: writing %s: %v\n", *jsonPath, err)
 			os.Exit(1)
 		}
-		fmt.Printf("wrote %d experiment results to %s\n", ran, *jsonPath)
+		fmt.Printf("wrote %d experiment results to %s\n", len(selected), *jsonPath)
 	}
+}
+
+// selectExperiments returns the experiments a comma-separated -exp list
+// names, in table order; "all" names every one. A name the table does not
+// hold is an error, so a typo refuses the whole run instead of being
+// skipped while the rest of the list runs.
+func selectExperiments(list string) ([]experiment, error) {
+	want := map[string]bool{}
+	for _, n := range strings.Split(list, ",") {
+		n = strings.TrimSpace(n)
+		if n != "all" && !slices.ContainsFunc(experiments, func(e experiment) bool { return e.name == n }) {
+			return nil, fmt.Errorf("unknown experiment %q", n)
+		}
+		want[n] = true
+	}
+	var sel []experiment
+	for _, e := range experiments {
+		if want["all"] || want[e.name] {
+			sel = append(sel, e)
+		}
+	}
+	return sel, nil
 }
 
 func names() string {

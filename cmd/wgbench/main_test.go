@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"flag"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -62,5 +63,41 @@ func TestReportCarriesEveryKnob(t *testing.T) {
 	}
 	if got.Totals["comm_seconds"] != 3.0 {
 		t.Errorf("report totals = %v", got.Totals)
+	}
+}
+
+// TestSelectExperiments: -exp runs the named experiments in table order,
+// "all" runs every one, and a list holding any name the table lacks is
+// refused whole, naming it, rather than run without it.
+func TestSelectExperiments(t *testing.T) {
+	all := names()
+	for _, tc := range []struct {
+		list, want, unknown string
+	}{
+		{list: "table1", want: "table1"},
+		{list: "table5,table1", want: "table1, table5"},
+		{list: " fig8 , table1,fig8", want: "table1, fig8"},
+		{list: "all", want: all},
+		{list: "table1,all", want: all},
+		{list: "table1,bogus", unknown: "bogus"},
+		{list: "infer", unknown: "infer"},
+		{list: "all,bogus", unknown: "bogus"},
+		{list: "table1,", unknown: ""},
+		{list: "", unknown: ""},
+	} {
+		sel, err := selectExperiments(tc.list)
+		if tc.want == "" {
+			if want := fmt.Sprintf("unknown experiment %q", tc.unknown); err == nil || err.Error() != want {
+				t.Errorf("-exp %q: selected %d, err %v; want error %q", tc.list, len(sel), err, want)
+			}
+			continue
+		}
+		var got []string
+		for _, e := range sel {
+			got = append(got, e.name)
+		}
+		if err != nil || strings.Join(got, ", ") != tc.want {
+			t.Errorf("-exp %q: selected %v, err %v; want %s", tc.list, got, err, tc.want)
+		}
 	}
 }

@@ -38,7 +38,6 @@ func main() {
 		weighted  = flag.Bool("weighted", false, "attach synthetic edge weights (weighted aggregation)")
 		outOfCore = flag.Bool("out-of-core", false, "generate the dataset without materializing features or topology (implies -paged-features and -paged-topo)")
 		traceOut  = flag.String("trace-out", "", "write worker 0's device timeline as a Chrome trace JSON")
-		fullInfer = flag.Bool("full-infer", false, "run full-graph layer-wise inference after training (WholeGraph only)")
 		saveModel = flag.String("save-model", "", "write the trained model's parameters to a checkpoint file")
 		loadModel = flag.String("load-model", "", "initialize the model from a checkpoint before training")
 	)
@@ -148,18 +147,6 @@ func main() {
 	}
 	if tst := trainer.TopoStoreStats(); tst.Hits+tst.Misses > 0 {
 		fmt.Printf("%v, %d pages allocated\n", tst, tst.PagesAllocated)
-	}
-	if *fullInfer {
-		if len(trainer.Stores) == 0 {
-			fatal(fmt.Errorf("-full-infer requires -framework wholegraph"))
-		}
-		t0 := machine.MaxTime()
-		out, err := wholegraph.FullGraphInference(trainer.Stores[0], trainer.Models[0])
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("full-graph inference: %d nodes embedded in %s (virtual)\n",
-			out.R, ms(machine.MaxTime()-t0))
 	}
 	if *saveModel != "" {
 		if err := trainer.Models[0].Params().SaveFile(*saveModel); err != nil {

@@ -1,9 +1,6 @@
 package bench
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestAblationFeatstore(t *testing.T) {
 	rows, err := AblationFeatstore(testCfg())
@@ -60,26 +57,5 @@ func TestFeatstoreFull(t *testing.T) {
 	}
 	if res.TopoResidentBytes > res.TopoCacheBytes {
 		t.Errorf("topo resident %d over budget %d", res.TopoResidentBytes, res.TopoCacheBytes)
-	}
-}
-
-func TestInferenceScaleClampSurfaced(t *testing.T) {
-	cfg := testCfg() // scale 2e-4: below the 1e-3 floor
-	var sb strings.Builder
-	cfg.W = &sb
-	rows, err := Inference(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) == 0 {
-		t.Fatal("no rows")
-	}
-	for _, r := range rows {
-		if !r.ScaleClamped || r.Scale != 2e-4 || r.ScaleUsed != 1e-3 {
-			t.Errorf("clamp not surfaced in result: %+v", r)
-		}
-	}
-	if !strings.Contains(sb.String(), "below the 1e-3 floor") {
-		t.Error("clamp note not printed")
 	}
 }

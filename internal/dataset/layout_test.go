@@ -44,11 +44,10 @@ func TestLayoutViewsAreReadOnly(t *testing.T) {
 	col, feat := slices.Clone(d.Graph.Col), slices.Clone(d.Feat)
 	dim := p.Dim
 	writes := map[string]func(){
-		"Feat.Set":         func() { p.Feat.Set(0, 42) },
-		"Feat.FillFrom":    func() { p.Feat.FillFrom(make([]float32, dim)) },
-		"Feat.ScatterRows": func() { p.Feat.ScatterRows(p.Comm.Devs[0], []int64{1}, dim, make([]float32, dim), "test") },
-		"Col.Set":          func() { p.Col.Set(0, 42) },
-		"Col.FillFrom":     func() { p.Col.FillFrom([]uint64{42}) },
+		"Feat.Set":      func() { p.Feat.Set(0, 42) },
+		"Feat.FillFrom": func() { p.Feat.FillFrom(make([]float32, dim)) },
+		"Col.Set":       func() { p.Col.Set(0, 42) },
+		"Col.FillFrom":  func() { p.Col.FillFrom([]uint64{42}) },
 	}
 	for name, write := range writes {
 		func() {

@@ -59,9 +59,9 @@ func (b *Batch) Validate() error {
 // BatchSize returns the number of final target nodes.
 func (b *Batch) BatchSize() int { return b.Blocks[len(b.Blocks)-1].NumTargets }
 
-// Model is a GNN producing logits for a batch's final targets. Its layers
-// can also be applied one at a time to a single block, which full-graph
-// layer-wise inference (internal/infer) and serving build on. All four
+// Model is a GNN producing logits for a batch's final targets, for training
+// and serving alike. Each architecture supplies its layers through
+// ForwardLayer, which the shared forward applies block by block. All four
 // built-in architectures implement it.
 type Model interface {
 	// Forward binds the parameters on tp and returns the logits
@@ -74,8 +74,6 @@ type Model interface {
 	Name() string
 	// Config returns the model's hyperparameters.
 	Config() Config
-	// NumLayers returns the layer count.
-	NumLayers() int
 	// ForwardLayer applies layer l to block blk over input features x
 	// (whose tape must already have the model's parameters bound). last
 	// marks the output layer (no activation/dropout); train enables
@@ -119,7 +117,7 @@ type Config struct {
 // every target row, and returns dst; targets are the first NumTargets input
 // nodes, so the column index equals the row index. GCN and GAT aggregate
 // over the closed neighborhood, and keep one dst per layer as model-private
-// scratch (each concurrent worker or inference rank owns its own model
+// scratch (each concurrent worker or serving replica owns its own model
 // replica), whose slices are truncated and reused, so the steady state
 // rebuilds the closed neighborhood without allocating. The result is valid
 // until the next call with the same dst; the records reading it run their

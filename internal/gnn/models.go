@@ -29,9 +29,6 @@ func (m *base) Params() *nn.ParamSet { return &m.ps }
 // Config implements Model.
 func (m *base) Config() Config { return m.cfg }
 
-// NumLayers implements Model.
-func (m *base) NumLayers() int { return m.cfg.Layers }
-
 // GCN is a sampled graph convolutional network: every layer averages over
 // the closed (self-loop-augmented) sampled neighborhood and applies a
 // linear transform; ReLU and dropout between layers.

@@ -193,22 +193,20 @@ func FuzzLayout(f *testing.F) {
 		dev, refDev := p.Comm.Devs[0], refComm.Devs[0]
 		if e := p.Col.Len(); e > 0 {
 			start := rng.Int63n(e)
-			got, want := make([]uint64, e-start), make([]uint64, e-start)
-			p.Col.ReadRange(dev, start, e-start, got, "fuzz")
-			refCol.ReadRange(refDev, start, e-start, want, "fuzz")
-			idx := []int64{rng.Int63n(e), rng.Int63n(e), start}
-			got, want = append(got, 0, 0, 0), append(want, 0, 0, 0)
-			p.Col.GatherElems(dev, idx, got[len(got)-3:], "fuzz")
-			refCol.GatherElems(refDev, idx, want[len(want)-3:], "fuzz")
+			idx := append(indexRange(start, e), rng.Int63n(e), rng.Int63n(e), start)
+			got, want := make([]uint64, len(idx)), make([]uint64, len(idx))
+			p.Col.GatherElems(dev, idx, got, "fuzz")
+			refCol.GatherElems(refDev, idx, want, "fuzz")
 			if !slices.Equal(got, want) {
-				t.Fatalf("column range from %d or elements %v differ", start, idx)
+				t.Fatalf("column range from %d or elements %v differ", start, idx[len(idx)-3:])
 			}
 		}
 		if feat != nil {
 			start := rng.Int63n(p.Feat.Len())
-			got, want := make([]float32, p.Feat.Len()-start), make([]float32, p.Feat.Len()-start)
-			p.Feat.ReadRange(dev, start, p.Feat.Len()-start, got, "fuzz")
-			refFeat.ReadRange(refDev, start, refFeat.Len()-start, want, "fuzz")
+			idx := indexRange(start, p.Feat.Len())
+			got, want := make([]float32, len(idx)), make([]float32, len(idx))
+			p.Feat.GatherElems(dev, idx, got, "fuzz")
+			refFeat.GatherElems(refDev, idx, want, "fuzz")
 			if !slices.Equal(got, want) {
 				t.Fatalf("feature range from %d differs", start)
 			}
@@ -268,4 +266,13 @@ func FuzzLayout(f *testing.F) {
 		}
 		acc.Flush("fuzz")
 	})
+}
+
+// indexRange returns the global indices lo, lo+1, …, hi-1.
+func indexRange(lo, hi int64) []int64 {
+	idx := make([]int64, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		idx = append(idx, i)
+	}
+	return idx
 }

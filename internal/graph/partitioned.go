@@ -313,18 +313,6 @@ func (p *Partitioned) Adj(gid GlobalID) (nbrs []int64, e0, deg int64) {
 	return nbrs, p.colBase[rank] + lo, hi - lo
 }
 
-// AppendNeighbors appends the GlobalIDs of every neighbour of each node of
-// gids, in order, to dst: a host read of the materialized column array.
-func (p *Partitioned) AppendNeighbors(dst []GlobalID, gids []GlobalID) []GlobalID {
-	for _, gid := range gids {
-		nbrs, _, _ := p.Adj(gid)
-		for _, v := range nbrs {
-			dst = append(dst, p.Owner[v])
-		}
-	}
-	return dst
-}
-
 // DegreeOrder returns every node ID ordered by out-degree descending, ties
 // by ascending ID: the popularity ranking under neighbor sampling, which the
 // hot-row caches fill in and the serving router and request generator rank

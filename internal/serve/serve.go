@@ -1,13 +1,13 @@
 // Package serve implements online GNN inference serving over the
 // distributed shared-memory store — the request-driven counterpart of the
-// offline pipelines in internal/train and internal/infer.
+// offline training pipeline in internal/train.
 //
 // The paper's argument is that irregular feature gathering dominates GNN
 // workloads (Figure 8), and an online serving layer exercises exactly that
 // cost under open-loop load: each request asks for the model's prediction
 // on one seed node, which requires sampling its multi-hop neighborhood,
 // deduplicating it, gathering the input features through peer access, and
-// running a layer-wise forward. The subsystem simulates, in virtual time:
+// running the model forward. The subsystem simulates, in virtual time:
 //
 //   - a seeded open-loop request generator (Poisson arrivals, optionally
 //     Zipf-skewed toward high-degree nodes),
@@ -273,8 +273,8 @@ func (s *Server) Caches() []*cache.FeatureCache {
 }
 
 // Run generates the request stream, routes it, serves it, and returns the
-// aggregated result. Model weights are synchronized to replica 0's model
-// at the start, like infer.Engine.Run. Each call continues the machine's
+// aggregated result. Every replica's weights are copied from s.Model at
+// the start. Each call continues the machine's
 // virtual clocks from wherever they are; benchmarks Reset between runs. It
 // fails when Rate is so low that arrival times overflow to +Inf.
 func (s *Server) Run() (*Result, error) {

@@ -13,8 +13,7 @@ import (
 // compute and the copy stream, which are two timelines of one owned device,
 // never split across goroutines — append to its trace, or update its stats. Shared allocations (wholemem shards, the
 // partitioned graph, generated datasets) are read-only during parallel
-// regions; writes to shared tables must target disjoint ranges (as the
-// scatter of layer-wise inference does). Barriers, collectives
+// regions; writes to shared tables must target disjoint ranges. Barriers, collectives
 // (sim.Barrier, the collective.go entry points, nccl) and Machine.MaxTime touch many
 // clocks at once and therefore run only from the orchestrating goroutine,
 // outside RunParallel regions.

@@ -18,7 +18,7 @@ import "math/bits"
 //
 // Ownership: an Arena is NOT safe for concurrent use. Under sim.RunParallel
 // each worker goroutine owns its own arena (one per training worker, one
-// per inference rank), exactly like it owns its device clock; arenas must
+// per serving replica), exactly like it owns its device clock; arenas must
 // never be shared across slots of a parallel region.
 type Arena struct {
 	slabs   [48][][]float32
@@ -151,8 +151,8 @@ func (a *Arena) PutHeader(d *Dense) { a.putHeader(d) }
 
 // Reset drops every pooled slab and header, releasing the arena's memory to
 // the garbage collector. Call it between workload phases whose tensor
-// shapes differ wildly (e.g. switching from training to full-graph
-// inference); the steady-state loop never needs it.
+// shapes differ wildly (e.g. switching from training to serving); the
+// steady-state loop never needs it.
 func (a *Arena) Reset() {
 	for i := range a.slabs {
 		a.slabs[i] = nil

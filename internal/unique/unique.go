@@ -101,7 +101,7 @@ func (t *table) insert(key uint64, v int32) (slot int, found bool) {
 // arrays, the per-position slot record and the Result buffers all persist
 // across calls, so the steady-state sampling loop pays no allocation for
 // deduplication after warm-up. A Deduper is owned by one goroutine (one per
-// training worker / inference rank under sim.RunParallel) and the Result it
+// training worker / serving replica under sim.RunParallel) and the Result it
 // returns is only valid until its next AppendUnique call.
 //
 // Reuse is invisible in the output: the table size (and hence the

@@ -79,50 +79,3 @@ func (m *Memory[T]) GatherElems(d *sim.Device, idx []int64, dst []T, tag string)
 	lb, rb := m.splitBytes(nLocal, int64(len(idx)))
 	return d.Kernel(m.accessCost(lb, rb, float64(m.eb), float64(int64(len(idx))*m.eb), tag))
 }
-
-// ScatterRows writes rows from src into the allocation at the given row
-// indices (row r occupies dim consecutive elements starting at r*dim).
-func (m *Memory[T]) ScatterRows(d *sim.Device, rows []int64, dim int, src []T, tag string) float64 {
-	if int64(len(src)) < int64(len(rows))*int64(dim) {
-		panic("wholemem: ScatterRows src too small")
-	}
-	m.mustWrite()
-	rank := m.comm.mustRank(d)
-	var nLocal int64
-	for i, row := range rows {
-		start := row * int64(dim)
-		r, off := m.locate(start)
-		if r == rank {
-			nLocal += int64(dim)
-		}
-		copy(m.shards[r][off:off+int64(dim)], src[i*dim:(i+1)*dim])
-	}
-	lb, rb := m.splitBytes(nLocal, int64(len(rows))*int64(dim))
-	return d.Kernel(m.accessCost(lb, rb, float64(int64(dim)*m.eb),
-		float64(int64(len(rows))*int64(dim)*m.eb), tag))
-}
-
-// ReadRange reads count consecutive elements starting at global index start
-// into dst. Contiguous ranges achieve near-peak bandwidth (large segments).
-func (m *Memory[T]) ReadRange(d *sim.Device, start, count int64, dst []T, tag string) float64 {
-	if int64(len(dst)) < count {
-		panic("wholemem: ReadRange dst too small")
-	}
-	rank := m.comm.mustRank(d)
-	var nLocal int64
-	for i := int64(0); i < count; {
-		r, off := m.locate(start + i)
-		n := min(m.ShardLen(r)-off, count-i)
-		m.read(r, off, dst[i:i+n])
-		if r == rank {
-			nLocal += n
-		}
-		i += n
-	}
-	lb, rb := m.splitBytes(nLocal, count)
-	cost := m.accessCost(lb, rb, 4096, float64(count*m.eb), tag)
-	// Sequential local reads stream rather than random-access.
-	cost.StreamBytes += cost.RandBytes
-	cost.RandBytes = 0
-	return d.Kernel(cost)
-}

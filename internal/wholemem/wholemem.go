@@ -138,7 +138,7 @@ func Map[T Elem](c *Comm, shards [][]T) *Memory[T] {
 // rows[r] rows of width elements, and read(r, li, k, dst), called from
 // several goroutines at once, copies elements k and on of its local row li
 // into dst, as many as fit before the row ends, and returns how many. A view
-// is read-only: Set, FillFrom and ScatterRows panic on it.
+// is read-only: Set and FillFrom panic on it.
 func View[T Elem](c *Comm, rows []int64, width int64, read func(r int, li, k int64, dst []T) int) *Memory[T] {
 	m := &Memory[T]{view: read, width: width, firstRow: make([]int64, len(rows))}
 	sizes := make([]int64, len(rows))

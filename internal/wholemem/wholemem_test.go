@@ -127,7 +127,7 @@ func TestGatherRows(t *testing.T) {
 	}
 }
 
-func TestGatherElemsAndScatter(t *testing.T) {
+func TestGatherElems(t *testing.T) {
 	m, c := testComm(t)
 	mem := Alloc[int64](c, 256)
 	for i := int64(0); i < 256; i++ {
@@ -143,26 +143,22 @@ func TestGatherElemsAndScatter(t *testing.T) {
 			t.Fatalf("elem %d = %d", gi, dst[i])
 		}
 	}
-	// Scatter rows of width 2.
-	src := []int64{-1, -2, -3, -4}
-	mem.ScatterRows(d, []int64{10, 100}, 2, src, "s")
-	if mem.Get(20) != -1 || mem.Get(21) != -2 || mem.Get(200) != -3 || mem.Get(201) != -4 {
-		t.Error("scatter wrote wrong locations")
-	}
-}
 
-func TestReadRangeCrossesShards(t *testing.T) {
-	m, c := testComm(t)
-	mem := Alloc[int32](c, 80) // 10 per shard
+	// A run of consecutive indices that starts inside shard 0, spans all
+	// of shards 1-2 and ends inside shard 3 reads every element in order.
+	small := Alloc[int32](c, 80) // 10 per shard
 	for i := int64(0); i < 80; i++ {
-		mem.Set(i, int32(i))
+		small.Set(i, int32(i))
 	}
-	m.Reset()
-	dst := make([]int32, 35)
-	mem.ReadRange(c.Devs[2], 5, 35, dst, "r")
-	for i := int64(0); i < 35; i++ {
-		if dst[i] != int32(5+i) {
-			t.Fatalf("dst[%d] = %d, want %d", i, dst[i], 5+i)
+	run := make([]int64, 35)
+	for i := range run {
+		run[i] = 5 + int64(i)
+	}
+	got := make([]int32, len(run))
+	small.GatherElems(c.Devs[2], run, got, "r")
+	for i, gi := range run {
+		if got[i] != int32(gi) {
+			t.Fatalf("got[%d] = %d, want %d", i, got[i], gi)
 		}
 	}
 }

@@ -39,7 +39,6 @@ import (
 	"wholegraph/internal/gather"
 	"wholegraph/internal/gnn"
 	"wholegraph/internal/graph"
-	"wholegraph/internal/infer"
 	"wholegraph/internal/sampling"
 	"wholegraph/internal/serve"
 	"wholegraph/internal/sim"
@@ -78,7 +77,7 @@ func NewMachine(cfg MachineConfig) *Machine { return sim.NewMachine(cfg) }
 func DGXA100Config(nodes int) MachineConfig { return sim.DGXA100(nodes) }
 
 // SetParallel toggles real-goroutine execution of simulated workers
-// (training workers, inference ranks, gather pipelines). It is on by
+// (training workers, serving replicas, gather pipelines). It is on by
 // default; turning it off forces the serial reference path. Both paths
 // produce bit-identical results and virtual times — only wall-clock time
 // changes. Returns the previous setting.
@@ -231,8 +230,8 @@ var DistributedGather = gather.Distributed
 
 // --- Models and training ---
 
-// Model is a GNN producing logits for a batch's target nodes. Its layers
-// also apply one at a time, as full-graph inference and serving require.
+// Model is a GNN producing logits for a batch's target nodes, for training
+// and serving alike.
 type Model = gnn.Model
 
 // ModelConfig holds GNN hyperparameters.
@@ -288,11 +287,6 @@ var NewLoader = core.NewLoader
 func NewTrainer(m *Machine, ds *Dataset, opts TrainOptions) (*Trainer, error) {
 	return train.New(m, ds, opts)
 }
-
-// FullGraphInference computes the model's output for every node of the
-// store via layer-wise propagation over shared memory (offline inference:
-// each embedding computed exactly once, no sampling).
-var FullGraphInference = infer.FullGraph
 
 // BaselineFlavor selects which host-memory baseline framework to emulate.
 type BaselineFlavor = baseline.Flavor
