@@ -1,6 +1,7 @@
 // Command wggen generates and inspects the synthetic evaluation graphs:
 // it prints size, degree distribution and split statistics, and can export
-// the edge list and labels for external tooling.
+// the edge list and labels as TSV for external tooling. Nothing reads a
+// dataset back: every tool regenerates it from the same dataset and scale.
 //
 // Usage:
 //
@@ -24,7 +25,6 @@ func main() {
 		scale     = flag.Float64("scale", 1e-3, "dataset scale factor")
 		edgesOut  = flag.String("edges-out", "", "write the directed edge list as TSV")
 		labelsOut = flag.String("labels-out", "", "write node labels (-1 = unlabeled) as TSV")
-		saveOut   = flag.String("save", "", "write the full dataset in binary form (reload with wgtrain -load)")
 	)
 	flag.Parse()
 
@@ -69,12 +69,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("labels written: %s\n", *labelsOut)
-	}
-	if *saveOut != "" {
-		if err := ds.SaveFile(*saveOut); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("dataset saved:  %s\n", *saveOut)
 	}
 }
 

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	wgserve -rate 50000 -max-batch 16 -slo 0.01
-//	wgserve -replicas 8 -cache-rows 500 -skew 1.3 -policy cache
+//	wgserve -replicas 8 -cache-rows 500 -skew 1.3
 //	wgserve -max-batch 1 -json single.json   # unbatched baseline
 package main
 
@@ -36,7 +36,6 @@ func main() {
 		queueCap  = flag.Int("queue-cap", 0, "per-replica queue bound; arrivals beyond it are shed (0 = 8*max-batch)")
 		cacheRows = flag.Int("cache-rows", 0, "hot-node feature cache size in rows per replica (0 = no cache)")
 		skew      = flag.Float64("skew", 0, "Zipf popularity skew over the degree ranking (>1; 0 = uniform)")
-		policy    = flag.String("policy", "cache", "routing policy: cache, owner, rr")
 		seed      = flag.Int64("seed", 1, "random seed (fixes arrivals, nodes and sampling)")
 		jsonPath  = flag.String("json", "", "write the aggregated result as JSON to this path")
 		trace     = flag.Bool("trace", false, "print the per-request trace")
@@ -84,7 +83,7 @@ func main() {
 		Rate: *rate, Requests: *requests, MaxBatch: *maxBatch,
 		MaxDelay: *maxDelay, SLO: *slo, Deadline: *deadline,
 		QueueCap: *queueCap, CacheRows: *cacheRows, Fanouts: fanouts,
-		Skew: *skew, Policy: wholegraph.ServePolicy(*policy), Seed: *seed,
+		Skew: *skew, Seed: *seed,
 		Store: so,
 	}
 	if err := sopts.Normalize().Validate(); err != nil {

@@ -2,10 +2,14 @@
 // WholeGraph pipeline or one of the host-memory baselines, printing
 // per-epoch virtual timings, phase breakdowns and accuracy.
 //
+// The dataset is generated from -dataset and -scale; -out-of-core generates
+// it without materializing features or topology.
+//
 // Usage:
 //
 //	wgtrain -dataset ogbn-products -scale 0.001 -model graphsage -epochs 10
 //	wgtrain -framework dgl -model gat -batch 64 -fanouts 5,5 -hidden 32
+//	wgtrain -dataset ogbn-papers100M -scale 0.001 -out-of-core
 package main
 
 import (
@@ -34,7 +38,6 @@ func main() {
 		nodes     = flag.Int("nodes", 1, "simulated DGX-A100 nodes")
 		epochs    = flag.Int("epochs", 10, "training epochs")
 		evalEvery = flag.Int("eval-every", 1, "epochs between validation runs (0 = never)")
-		loadPath  = flag.String("load", "", "load a dataset saved with wggen -save instead of generating")
 		weighted  = flag.Bool("weighted", false, "attach synthetic edge weights (weighted aggregation)")
 		outOfCore = flag.Bool("out-of-core", false, "generate the dataset without materializing features or topology (implies -paged-features and -paged-topo)")
 		traceOut  = flag.String("trace-out", "", "write worker 0's device timeline as a Chrome trace JSON")
@@ -42,46 +45,41 @@ func main() {
 		loadModel = flag.String("load-model", "", "initialize the model from a checkpoint before training")
 	)
 	flag.Parse()
-	// Everything a flag alone can get wrong is refused before a dataset is
-	// generated or loaded.
+	// Everything a flag alone can get wrong is refused before the dataset is
+	// generated.
 	if err := wholegraph.DGXA100Config(*nodes).Validate(); err != nil {
 		fatal(fmt.Errorf("-nodes %d: %w", *nodes, err))
 	}
 	if *epochs < 0 || *evalEvery < 0 {
 		fatal(fmt.Errorf("-epochs %d, -eval-every %d: want non-negative counts", *epochs, *evalEvery))
 	}
+	if *outOfCore {
+		opts.PagedFeatures, opts.PagedTopo = true, true
+	}
+	if *weighted && opts.PagedTopo {
+		fatal(fmt.Errorf("-weighted: edge weights need a resident column array, not -paged-topo or -out-of-core"))
+	}
 	if err := opts.Check(); err != nil {
 		fatal(err)
 	}
+	spec, ok := wholegraph.LookupDataset(*dsName)
+	if !ok {
+		fatal(fmt.Errorf("unknown dataset %q", *dsName))
+	}
+	if err := wholegraph.CheckScale(*scale); err != nil {
+		fatal(err)
+	}
 
-	var err error
-	var ds *wholegraph.Dataset
-	if *loadPath != "" {
-		fmt.Printf("loading dataset from %s...\n", *loadPath)
-		ds, err = wholegraph.LoadDataset(*loadPath)
-		if err != nil {
-			fatal(err)
-		}
-	} else {
-		spec, ok := wholegraph.LookupDataset(*dsName)
-		if !ok {
-			fatal(fmt.Errorf("unknown dataset %q", *dsName))
-		}
-		if err := wholegraph.CheckScale(*scale); err != nil {
-			fatal(err)
-		}
-		spec = spec.Scaled(*scale)
-		spec.Weighted = *weighted
-		fmt.Printf("generating %s at scale %g...\n", *dsName, *scale)
-		if *outOfCore {
-			opts.PagedFeatures, opts.PagedTopo = true, true
-			ds, err = wholegraph.GenerateDatasetOutOfCore(spec)
-		} else {
-			ds, err = wholegraph.GenerateDataset(spec)
-		}
-		if err != nil {
-			fatal(err)
-		}
+	spec = spec.Scaled(*scale)
+	spec.Weighted = *weighted
+	fmt.Printf("generating %s at scale %g...\n", *dsName, *scale)
+	generate := wholegraph.GenerateDataset
+	if *outOfCore {
+		generate = wholegraph.GenerateDatasetOutOfCore
+	}
+	ds, err := generate(spec)
+	if err != nil {
+		fatal(err)
 	}
 	if ds.Graph != nil {
 		fmt.Printf("graph: %d nodes, %d stored edges, %d train / %d val / %d test\n",

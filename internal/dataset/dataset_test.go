@@ -1,14 +1,9 @@
 package dataset
 
 import (
-	"bytes"
-	"io"
 	"math"
-	"os"
-	"strings"
 	"testing"
 
-	"wholegraph/internal/graph"
 	"wholegraph/internal/tensor"
 )
 
@@ -257,121 +252,6 @@ func TestNoSelfLoops(t *testing.T) {
 	}
 }
 
-func TestSaveLoadRoundTrip(t *testing.T) {
-	orig, err := Generate(smallSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := t.TempDir() + "/ds.bin"
-	if err := orig.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Save encodes through one chunk-sized buffer, not a copy of each array.
-	if n := allocatedBy(func() { err = orig.Save(io.Discard) }); err != nil || n > saveAllocBound {
-		t.Errorf("Save of %d bytes allocated %d (bound %d), err %v", len(raw), n, saveAllocBound, err)
-	}
-	var got *Dataset
-	if n := allocatedBy(func() { got, err = Load(bytes.NewReader(raw)) }); n > loadAllocBound(len(raw)) {
-		t.Errorf("Load of %d bytes allocated %d", len(raw), n)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Spec != orig.Spec {
-		t.Fatalf("spec mismatch: %+v vs %+v", got.Spec, orig.Spec)
-	}
-	if got.Graph.N != orig.Graph.N || got.Graph.NumEdges() != orig.Graph.NumEdges() {
-		t.Fatal("graph size mismatch")
-	}
-	for i := range orig.Graph.Col {
-		if got.Graph.Col[i] != orig.Graph.Col[i] {
-			t.Fatalf("col %d differs", i)
-		}
-	}
-	for i := range orig.Feat {
-		if got.Feat[i] != orig.Feat[i] {
-			t.Fatalf("feat %d differs", i)
-		}
-	}
-	for i := range orig.Labels {
-		if got.Labels[i] != orig.Labels[i] {
-			t.Fatalf("label %d differs", i)
-		}
-	}
-	for i := range orig.Train {
-		if got.Train[i] != orig.Train[i] {
-			t.Fatalf("train %d differs", i)
-		}
-	}
-}
-
-func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(strings.NewReader("not a dataset")); err == nil {
-		t.Error("garbage accepted")
-	}
-	if _, err := Load(strings.NewReader("WGDS")); err == nil {
-		t.Error("truncated file accepted")
-	}
-	// Wrong version.
-	var sb strings.Builder
-	sb.WriteString("WGDS")
-	sb.Write([]byte{99, 0, 0, 0})
-	if _, err := Load(strings.NewReader(sb.String())); err == nil {
-		t.Error("wrong version accepted")
-	}
-}
-
-// TestLoadDetectsCorruption: flipping any byte after the version word makes
-// the CRC-32C trailer reject the file.
-func TestLoadDetectsCorruption(t *testing.T) {
-	orig, err := Generate(smallSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := t.TempDir() + "/ds.bin"
-	if err := orig.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, off := range []int{16, len(raw) / 2, len(raw) - 10} {
-		bad := append([]byte(nil), raw...)
-		bad[off] ^= 0x01
-		_, err := Load(bytes.NewReader(bad))
-		if err == nil {
-			t.Fatalf("corruption at offset %d accepted", off)
-		}
-		if !strings.Contains(err.Error(), "checksum") && !strings.Contains(err.Error(), "read") {
-			t.Logf("offset %d surfaced as: %v", off, err)
-		}
-	}
-	// Truncation (losing part of the trailer) is also rejected.
-	if _, err := Load(bytes.NewReader(raw[:len(raw)-2])); err == nil {
-		t.Error("truncated trailer accepted")
-	}
-}
-
-// TestLoadRejectsV1: pre-checksum files are refused with a clear message
-// instead of being misparsed.
-func TestLoadRejectsV1(t *testing.T) {
-	var buf bytes.Buffer
-	buf.WriteString("WGDS")
-	buf.Write([]byte{1, 0, 0, 0})
-	_, err := Load(&buf)
-	if err == nil {
-		t.Fatal("v1 file accepted")
-	}
-	if !strings.Contains(err.Error(), "version 1") {
-		t.Errorf("unhelpful v1 error: %v", err)
-	}
-}
-
 // TestOutOfCoreEquivalence: GenerateOutOfCore must agree with its in-RAM
 // twin MaterializeOutOfCore on everything — adjacency (hash-defined vs
 // materialized CSR), labels, splits, and every feature row bit-exactly —
@@ -470,10 +350,6 @@ func TestOutOfCoreEquivalence(t *testing.T) {
 			}
 		}
 	}
-	// Out-of-core datasets cannot be saved (no slab, no CSR to write).
-	if err := ooc.Save(&bytes.Buffer{}); err == nil {
-		t.Error("Save accepted an out-of-core dataset")
-	}
 }
 
 // TestEdgeGenDeterminism: two independently constructed generators agree,
@@ -568,53 +444,6 @@ func TestCheckScale(t *testing.T) {
 	for _, f := range []float64{1e-9, 1e-3, 1, 3} {
 		if err := CheckScale(f); err != nil {
 			t.Errorf("CheckScale(%v) = %v", f, err)
-		}
-	}
-}
-
-// TestLoadRejectsBadStructure: a file whose checksum holds but whose arrays
-// do not describe a graph of N nodes is refused, with an error naming the
-// array, instead of failing later in a store or mid-epoch.
-func TestLoadRejectsBadStructure(t *testing.T) {
-	tiny := func() *Dataset {
-		return &Dataset{
-			Spec:   Spec{Name: "tiny", Nodes: 4, FeatDim: 2, NumClasses: 2},
-			Graph:  &graph.CSR{N: 4, RowPtr: []int64{0, 2, 2, 3, 4}, Col: []int64{1, 2, 0, 3}},
-			Feat:   make([]float32, 8),
-			Labels: []int32{0, 1, 0, 1},
-			Train:  []int64{0, 1}, Val: []int64{2}, Test: []int64{3},
-		}
-	}
-	for _, c := range []struct {
-		defect string
-		edit   func(d *Dataset)
-		want   string
-	}{
-		{"none", func(*Dataset) {}, ""},
-		{"no features", func(d *Dataset) { d.Feat = nil }, ""},
-		{"rowptr not from 0", func(d *Dataset) { d.Graph.RowPtr[0] = 1 }, "RowPtr"},
-		{"rowptr not to len(Col)", func(d *Dataset) { d.Graph.RowPtr[4] = 3 }, "RowPtr"},
-		{"rowptr falls", func(d *Dataset) { d.Graph.RowPtr[2] = 1 }, "RowPtr[2]"},
-		{"column past N", func(d *Dataset) { d.Graph.Col[3] = 4 + 7 }, "Col[3]"},
-		{"negative column", func(d *Dataset) { d.Graph.Col[0] = -1 }, "Col[0]"},
-		{"negative train ID", func(d *Dataset) { d.Train[0] = -4 }, "Train[0]"},
-		{"val ID past N", func(d *Dataset) { d.Val[0] = 4 }, "Val[0]"},
-		{"test ID past N", func(d *Dataset) { d.Test[0] = 9 }, "Test[0]"},
-		{"short slab", func(d *Dataset) { d.Feat = d.Feat[:7] }, "len(Feat)"},
-		{"short labels", func(d *Dataset) { d.Labels = d.Labels[:3] }, "len(Labels)"},
-	} {
-		d := tiny()
-		c.edit(d)
-		var buf bytes.Buffer
-		if err := d.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		_, err := Load(&buf)
-		switch {
-		case c.want == "" && err != nil:
-			t.Errorf("%s: %v", c.defect, err)
-		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
-			t.Errorf("%s: error %v, want one naming %s", c.defect, err, c.want)
 		}
 	}
 }

@@ -10,14 +10,15 @@ import (
 )
 
 // FuzzServe drives the batcher with random arrival rates, stream lengths,
-// batch caps, delays, deadlines, queue bounds, routing policies, skews and
-// cache sizes on a tiny dataset. Either Validate rejects the options (or Run
-// reports an arrival clock that overflows), or the run keeps its books:
+// batch caps, delays, deadlines, queue bounds, routing policy spellings,
+// skews and cache sizes on a tiny dataset. A spelling other than "" or
+// PolicyCacheAware must be refused. Either Validate rejects the options (or
+// Run reports an arrival clock that overflows), or the run keeps its books:
 // every offered request is served, shed or timed out; a served request
 // launches no earlier than it arrived and completes no earlier than it
-// launched; no batch exceeds MaxBatch; owner routing sends each request to
-// its node's owner rank; and a second deployment given the same input
-// produces an equal trace.
+// launched; no batch exceeds MaxBatch; with no cache, routing sends each
+// request to its node's owner rank; and a second deployment given the same
+// input produces an equal trace.
 func FuzzServe(f *testing.F) {
 	type in struct {
 		rate               float64
@@ -41,11 +42,13 @@ func FuzzServe(f *testing.F) {
 		{5000, 100, 16, 0, 0, 0, 0, nan, 0},
 		{5e-324, 10, 4, 0, 0, 0, 0, 0, 0}, // arrivals past the largest float64
 		{5000, 100, 16, 0, 0, 0, 4, 0, 0}, // unknown policy
+		{80000, 400, 1, 0, 0, 0, 0, 1.5, 300},
+		{20000, 300, 4, 1e-3, 1e-3, 8, 1, 0, 0},
 	} {
 		f.Add(c.rate, c.requests, c.maxBatch, c.maxDelay, c.deadline, c.queueCap, c.policy, c.skew, c.cacheRows)
 	}
 	ds := testDataset(f)
-	policies := []serve.Policy{"", serve.PolicyCacheAware, serve.PolicyOwner, serve.PolicyRoundRobin, "bogus"}
+	policies := []serve.Policy{"", serve.PolicyCacheAware, "owner", "rr", "bogus"}
 	f.Fuzz(func(t *testing.T, rate float64, requests, maxBatch int, maxDelay, deadline float64,
 		queueCap int, policy uint8, skew float64, cacheRows int) {
 		// Bound the sizes so one input runs in milliseconds; the sign is
@@ -56,7 +59,11 @@ func FuzzServe(f *testing.F) {
 			CacheRows: cacheRows % 4096, Fanouts: []int{3, 3}, Skew: skew,
 			Policy: policies[int(policy)%len(policies)], Seed: 5,
 		}
-		if opts.Normalize().Validate() != nil {
+		err := opts.Normalize().Validate()
+		if p := opts.Policy; p != "" && p != serve.PolicyCacheAware && err == nil {
+			t.Fatalf("routing policy %q accepted", p)
+		}
+		if err != nil {
 			return
 		}
 		runOnce := func() (*serve.Server, *serve.Result) {
@@ -86,7 +93,7 @@ func FuzzServe(f *testing.F) {
 			if q.BatchSize > o.MaxBatch {
 				t.Fatalf("request %d in a batch of %d, MaxBatch %d", q.ID, q.BatchSize, o.MaxBatch)
 			}
-			if o.Policy == serve.PolicyOwner {
+			if o.CacheRows == 0 {
 				if owner := s.Store.PG.Owner[q.Node].Rank(); q.Replica != owner {
 					t.Fatalf("request %d for node %d routed to replica %d, owner %d", q.ID, q.Node, q.Replica, owner)
 				}

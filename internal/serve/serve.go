@@ -43,25 +43,18 @@ import (
 	"wholegraph/internal/tensor"
 )
 
-// Policy selects how arriving requests are routed to replicas. All
-// policies are static (computable from the request alone plus a running
-// counter), which keeps the per-replica serving loops independent and
-// lets them run under sim.RunParallel.
+// Policy names how arriving requests are routed to replicas.
+// PolicyCacheAware is the only policy.
 type Policy string
 
-const (
-	// PolicyCacheAware routes hot nodes — whose feature rows every
-	// non-owner replica caches — round-robin across all replicas, and
-	// cold nodes to the rank that owns their feature shard. With no cache
-	// configured it degrades to PolicyOwner.
-	PolicyCacheAware Policy = "cache"
-	// PolicyOwner routes every request to the rank owning the seed
-	// node's feature row (the hash partition balances load in
-	// expectation and the seed row gather is always local).
-	PolicyOwner Policy = "owner"
-	// PolicyRoundRobin ignores locality and spreads requests evenly.
-	PolicyRoundRobin Policy = "rr"
-)
+// PolicyCacheAware routes hot nodes — whose feature rows every non-owner
+// replica caches — round-robin across all replicas, and cold nodes to the
+// rank that owns their feature shard, where the seed row gather is local.
+// With no cache configured every request goes to its owner. Routing is
+// static (computable from the request alone plus a running counter), which
+// keeps the per-replica serving loops independent and lets them run under
+// sim.RunParallel.
+const PolicyCacheAware Policy = "cache"
 
 // Options configures a serving run. Zero values take defaults via
 // Normalize.
@@ -95,7 +88,7 @@ type Options struct {
 	// degree ranking (rank 0 = highest degree), modelling the popularity
 	// skew of real traffic; 0 draws them uniformly.
 	Skew float64
-	// Policy is the routing policy (default PolicyCacheAware).
+	// Policy is the routing policy: "" or PolicyCacheAware.
 	Policy Policy
 	// Seed fixes the arrival process and seed-node draw.
 	Seed int64
@@ -169,10 +162,8 @@ func (o Options) Validate() error {
 			return fmt.Errorf("serve: Fanouts[%d] must be >= 1, got %d", hop, fan)
 		}
 	}
-	switch o.Policy {
-	case PolicyCacheAware, PolicyOwner, PolicyRoundRobin:
-	default:
-		return fmt.Errorf("serve: unknown routing policy %q", o.Policy)
+	if o.Policy != "" && o.Policy != PolicyCacheAware {
+		return fmt.Errorf("serve: unknown routing policy %q (the only one is %q)", o.Policy, PolicyCacheAware)
 	}
 	return nil
 }
@@ -191,11 +182,11 @@ type Server struct {
 	replicas []*replica
 	// byDegree maps a popularity rank (0 = hottest) to a node ID: the
 	// store's degree ranking, shared with the replica caches. Set when
-	// Opts.Skew draws seed nodes by popularity or the cache-aware router
-	// needs hotness. rankOf is its lazily-built inverse, indexed by node.
+	// Opts.Skew draws seed nodes by popularity or the router needs
+	// hotness. rankOf is its lazily-built inverse, indexed by node.
 	byDegree []int64
 	rankOf   []uint32
-	rr       int // round-robin cursor shared by the routing policies
+	rr       int // round-robin cursor over the hot requests
 }
 
 // New builds a serving deployment: the dataset is partitioned over the
@@ -246,7 +237,7 @@ func New(m *sim.Machine, node int, ds *dataset.Dataset, model gnn.Model, opts Op
 		rep.tape = autograd.NewTapeArena(tensor.NewArena())
 		s.replicas = append(s.replicas, rep)
 	}
-	if opts.Skew > 1 || (opts.Policy == PolicyCacheAware && opts.CacheRows > 0) {
+	if opts.Skew > 1 || opts.CacheRows > 0 {
 		s.byDegree = store.PG.DegreeOrder()
 	}
 	return s, nil
@@ -325,9 +316,8 @@ func (s *Server) generate() []*Request {
 	return reqs
 }
 
-// route assigns every request a replica under the configured policy and
-// returns the per-replica streams (still in arrival order), each sized by a
-// first counting pass.
+// route assigns every request a replica and returns the per-replica streams
+// (still in arrival order), each sized by a first counting pass.
 func (s *Server) route(reqs []*Request) [][]*Request {
 	counts := make([]int, len(s.replicas))
 	for _, q := range reqs {
@@ -346,28 +336,17 @@ func (s *Server) route(reqs []*Request) [][]*Request {
 
 // routeOne picks the replica for one request. Static by design: routing
 // must not depend on queue state, so the replica streams are fixed before
-// serving starts and the replicas can run concurrently.
+// serving starts and the replicas can run concurrently. A row within the
+// cache capacity of the degree ranking is local on its owner and cached
+// everywhere else, so any replica serves it from local memory — spread
+// those round-robin. Cold rows go to their owner, whose shard holds them.
 func (s *Server) routeOne(q *Request) int {
-	n := len(s.replicas)
-	switch s.Opts.Policy {
-	case PolicyRoundRobin:
-		r := s.rr % n
+	if s.Opts.CacheRows > 0 && s.degreeRank(q.Node) < int64(s.Opts.CacheRows) {
+		r := s.rr % len(s.replicas)
 		s.rr++
 		return r
-	case PolicyOwner:
-		return s.Store.PG.Owner[q.Node].Rank()
-	default: // PolicyCacheAware
-		// A row within the cache capacity of the degree ranking is local
-		// on its owner and cached everywhere else, so any replica serves
-		// it from local memory — spread those round-robin. Cold rows go
-		// to their owner, whose shard holds them.
-		if s.Opts.CacheRows > 0 && s.degreeRank(q.Node) < int64(s.Opts.CacheRows) {
-			r := s.rr % n
-			s.rr++
-			return r
-		}
-		return s.Store.PG.Owner[q.Node].Rank()
 	}
+	return s.Store.PG.Owner[q.Node].Rank()
 }
 
 // degreeRank returns the node's position in the degree ranking (0 =

@@ -228,20 +228,11 @@ func TestDeadlineTimeouts(t *testing.T) {
 func TestRoutingPolicies(t *testing.T) {
 	ds := testDataset(t)
 
-	t.Run("round-robin", func(t *testing.T) {
-		opts := baseOpts()
-		opts.Policy = serve.PolicyRoundRobin
-		res := run(t, ds, 4, opts)
-		for i, q := range res.Trace {
-			if q.Replica != i%4 {
-				t.Fatalf("request %d routed to %d, want %d", i, q.Replica, i%4)
-			}
-		}
-	})
-
+	// With no cache there are no hot rows: every request goes to its owner.
 	t.Run("owner", func(t *testing.T) {
 		opts := baseOpts()
-		opts.Policy = serve.PolicyOwner
+		opts.Policy = serve.PolicyCacheAware
+		opts.CacheRows = 0
 		_, s := newServer(t, ds, 4, opts)
 		res, err := s.Run()
 		if err != nil {
@@ -356,6 +347,16 @@ func TestOptionsValidate(t *testing.T) {
 	}
 	if err := (serve.Options{}).Normalize().Validate(); err != nil {
 		t.Errorf("defaults rejected: %v", err)
+	}
+	// Cache-aware is the one routing policy; a refusal names the spelling.
+	for _, p := range []serve.Policy{"owner", "rr", "Cache"} {
+		err := serve.Options{Policy: p}.Normalize().Validate()
+		if err == nil || !strings.Contains(err.Error(), `"`+string(p)+`"`) {
+			t.Errorf("policy %q: error %v, want one naming it", p, err)
+		}
+	}
+	if err := (serve.Options{Policy: serve.PolicyCacheAware}).Normalize().Validate(); err != nil {
+		t.Errorf("cache-aware policy rejected: %v", err)
 	}
 }
 

@@ -50,11 +50,14 @@ func (m *Memory[T]) GatherRows(d *sim.Device, rows []int64, dim int, dst []T, ta
 		panic("wholemem: GatherRows dst too small")
 	}
 	rank := m.comm.mustRank(d)
+	lo, hi := m.starts[rank], m.starts[rank+1]
 	var nLocal int64
 	for i, row := range rows {
-		if m.ReadRow(row, dst[i*dim:(i+1)*dim]) == rank {
-			nLocal += int64(dim)
-		}
+		m.ReadRow(row, dst[i*dim:(i+1)*dim])
+		// The row's elements on the caller's rank: the whole row or none of
+		// it, unless the row crosses a shard boundary.
+		first := row * int64(dim)
+		nLocal += max(0, min(first+int64(dim), hi)-max(first, lo))
 	}
 	lb, rb := m.splitBytes(nLocal, int64(len(rows))*int64(dim))
 	dst2 := float64(int64(len(rows)) * int64(dim) * m.eb) // dst write

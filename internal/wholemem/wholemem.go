@@ -80,7 +80,7 @@ type Memory[T Elem] struct {
 	comm   *Comm
 	n      int64
 	shards [][]T   // pointer table entry per rank, as mapped by IPC; read-only outer slice; nil for a view
-	starts []int64 // global element index where each shard begins
+	starts []int64 // global element index where each shard begins, then Len
 	eb     int64
 	kind   Kind
 
@@ -168,6 +168,7 @@ func setup[T Elem](c *Comm, m *Memory[T], sizes []int64) *Memory[T] {
 		d.Malloc(float64(n * m.eb))
 		handles[r] = ipcHandle{rank: r, mem: r + 1}
 	}
+	m.starts = append(m.starts, m.n)
 	// Step 2: AllGather the handles so each rank holds all of them, issued
 	// through the step-level engine so the ring transfers occupy the links
 	// and show up in comm traces like every other collective.
@@ -202,7 +203,7 @@ func (m *Memory[T]) Comm() *Comm { return m.comm }
 // RankOf returns the rank holding global element index i.
 func (m *Memory[T]) RankOf(i int64) int {
 	// Shards are contiguous in global index order; binary search.
-	lo, hi := 0, len(m.starts)-1
+	lo, hi := 0, len(m.starts)-2
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
 		if m.starts[mid] <= i {
@@ -227,12 +228,7 @@ func (m *Memory[T]) Shard(r int) []T {
 }
 
 // ShardLen returns the number of elements on rank r.
-func (m *Memory[T]) ShardLen(r int) int64 {
-	if r+1 < len(m.starts) {
-		return m.starts[r+1] - m.starts[r]
-	}
-	return m.n - m.starts[r]
-}
+func (m *Memory[T]) ShardLen(r int) int64 { return m.starts[r+1] - m.starts[r] }
 
 func (m *Memory[T]) read(r int, off int64, dst []T) {
 	if m.view == nil {
@@ -246,16 +242,30 @@ func (m *Memory[T]) read(r int, off int64, dst []T) {
 }
 
 // ReadRow copies row row of len(dst) elements, global elements
-// row*len(dst) on, into dst without charging any cost, and returns the rank
-// holding it.
-func (m *Memory[T]) ReadRow(row int64, dst []T) int {
-	r, off := m.locate(row * int64(len(dst)))
-	if m.view != nil && int64(len(dst)) == m.width {
+// row*len(dst) on, into dst without charging any cost. A row that crosses a
+// shard boundary, which only an allocation not sized in whole rows has, is
+// read piecewise from each rank holding part of it.
+func (m *Memory[T]) ReadRow(row int64, dst []T) {
+	w := int64(len(dst))
+	r, off := m.locate(row * w)
+	switch {
+	case m.view == nil && off+w <= int64(len(m.shards[r])):
+		copy(dst, m.shards[r][off:])
+	case m.view != nil && w == m.width:
 		m.view(r, row-m.firstRow[r], 0, dst)
-	} else {
-		m.read(r, off, dst)
+	default:
+		m.readAcross(r, off, dst)
 	}
-	return r
+}
+
+// readAcross copies dst from rank r's local element off on, continuing into
+// the following ranks' shards where r's ends.
+func (m *Memory[T]) readAcross(r int, off int64, dst []T) {
+	for len(dst) > 0 {
+		n := min(int64(len(dst)), m.ShardLen(r)-off)
+		m.read(r, off, dst[:n])
+		dst, r, off = dst[n:], r+1, 0
+	}
 }
 
 func (m *Memory[T]) mustWrite() {

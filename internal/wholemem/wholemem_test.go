@@ -127,6 +127,45 @@ func TestGatherRows(t *testing.T) {
 	}
 }
 
+// TestGatherRowsAcrossShards: Alloc splits elements with no regard to row
+// width, so 30 elements over 8 ranks give 4-element shards and rows of width
+// 3 that cross shard boundaries. GatherRows reads each such row piecewise
+// and charges every element to the rank that holds it.
+func TestGatherRowsAcrossShards(t *testing.T) {
+	m, c := testComm(t)
+	const rowsN, dim = 10, 3
+	mem := Alloc[float32](c, rowsN*dim)
+	for i := range mem.Len() {
+		mem.Set(i, float32(100+i))
+	}
+	rows := make([]int64, rowsN)
+	for i := range rows {
+		rows[i] = int64(i)
+	}
+	for _, rank := range []int{0, 1, 7} {
+		m.Reset()
+		d := c.Devs[rank]
+		dst := make([]float32, rowsN*dim)
+		mem.GatherRows(d, rows, dim, dst, "g")
+		var local int64
+		for i := range mem.Len() {
+			if dst[i] != mem.Get(i) {
+				t.Fatalf("rank %d: element %d = %g, want %g", rank, i, dst[i], mem.Get(i))
+			}
+			if mem.RankOf(i) == rank {
+				local++
+			}
+		}
+		eb := int64(4)
+		if want := float64((local + mem.Len()) * eb); d.Stats.LocalBytes != want {
+			t.Errorf("rank %d: local bytes %g, want %g (%d local elements and the dst write)", rank, d.Stats.LocalBytes, want, local)
+		}
+		if want := float64((mem.Len() - local) * eb); d.Stats.RemoteBytes != want {
+			t.Errorf("rank %d: remote bytes %g, want %g", rank, d.Stats.RemoteBytes, want)
+		}
+	}
+}
+
 func TestGatherElems(t *testing.T) {
 	m, c := testComm(t)
 	mem := Alloc[int64](c, 256)

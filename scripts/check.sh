@@ -111,12 +111,6 @@ targeted fuzz '^FuzzFromCOO$' ./internal/graph -fuzztime 10s
 # no CSR, every column entry read through the topostore accessor against the
 # resident view.
 targeted fuzz '^FuzzLayout$' ./internal/graph -fuzztime 10s
-# Arbitrary dataset files, each loaded as given and again with its checksum
-# trailer made to match, so mutations reach the structure checks: Load never
-# panics, allocates no more than a few times the input plus one read chunk
-# whatever a length prefix claims, and what it returns passes the structure
-# checks and survives Save and Load unchanged.
-targeted fuzz '^FuzzDatasetLoad$' ./internal/dataset -fuzztime 10s
 # Every collective over random machine shapes, payloads, AlltoAllv byte
 # matrices and start gates: link bytes conserved, no clock going back, no
 # device done before its gate, two fresh machines identical.
@@ -137,10 +131,11 @@ targeted fuzz '^FuzzForwardNoGrad$' ./internal/gnn -fuzztime 10s
 # and on the final parameters, and two scheduled runs hash equal.
 targeted fuzz '^FuzzStepShapes$' ./internal/train -fuzztime 10s
 # The serving batcher over random rates, stream lengths, batch caps, delays,
-# deadlines, queue bounds, policies, skews and cache sizes: rejected by
-# Validate, or every request accounted for, no batch over its cap, no request
-# done before it launched or launched before it arrived, owner routing to the
-# owner, and two deployments given one input tracing equal.
+# deadlines, queue bounds, policy spellings, skews and cache sizes: rejected
+# by Validate (every spelling but "" and "cache" must be), or every request
+# accounted for, no batch over its cap, no request done before it launched
+# or launched before it arrived, every request routed to its owner when there
+# is no cache, and two deployments given one input tracing equal.
 targeted fuzz '^FuzzServe$' ./internal/serve -fuzztime 10s
 # The copied Go 1 math/rand source over random seeds, draw counts, bounds and
 # Zipf shapes: its Int63, Uint64, Float32, Float64, Int63n and Zipf streams

@@ -154,9 +154,6 @@ func MaterializeDatasetOutOfCore(spec DatasetSpec) (*Dataset, error) {
 	return dataset.MaterializeOutOfCore(spec)
 }
 
-// LoadDataset reads a dataset saved with Dataset.SaveFile (or wggen -save).
-func LoadDataset(path string) (*Dataset, error) { return dataset.LoadFile(path) }
-
 // WriteChromeTrace serializes the recorded device timelines in the Chrome
 // Trace Event format (view in chrome://tracing or Perfetto). Enable
 // TrainOptions.Trace or Device.Tracing first.
@@ -308,16 +305,6 @@ func NewBaselineTrainer(m *Machine, ds *Dataset, opts TrainOptions, flavor Basel
 // ServeOptions configures an online serving run (arrival rate, dynamic
 // batching, admission control, SLO); zero values take defaults.
 type ServeOptions = serve.Options
-
-// ServePolicy selects how requests are routed to replicas.
-type ServePolicy = serve.Policy
-
-// Serving routing policies.
-const (
-	ServeCacheAware = serve.PolicyCacheAware
-	ServeOwner      = serve.PolicyOwner
-	ServeRoundRobin = serve.PolicyRoundRobin
-)
 
 // Server serves online node-inference requests over a store with dynamic
 // batching: one replica per GPU of the node, Poisson arrivals, bounded

@@ -285,24 +285,6 @@ func TestFacadeExtensions(t *testing.T) {
 	}
 }
 
-func TestFacadeDatasetIO(t *testing.T) {
-	ds, err := wholegraph.GenerateDataset(wholegraph.OgbnProducts.Scaled(0.0005))
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := t.TempDir() + "/d.bin"
-	if err := ds.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := wholegraph.LoadDataset(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Graph.N != ds.Graph.N {
-		t.Error("load round trip lost nodes")
-	}
-}
-
 // flagTables renders the two groups of train.Options flags as the README
 // shows them: name, -json key (execution/storage group) and help text.
 func flagTables() string {
