@@ -115,6 +115,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "wgbench: -scale: %v\n", err)
 		os.Exit(2)
 	}
+	// A knob no run can use is refused before the first experiment, not
+	// by the first cell that builds a store from it.
+	if err := cfg.Train.Check(); err != nil {
+		fmt.Fprintf(os.Stderr, "wgbench: %v\n", err)
+		os.Exit(2)
+	}
 
 	if *list {
 		for _, e := range experiments {

@@ -62,6 +62,16 @@ func main() {
 	if err := opts.Check(); err != nil {
 		fatal(err)
 	}
+	fw := strings.ToLower(*framework)
+	switch fw {
+	case "wholegraph", "wg":
+	case "dgl", "pyg":
+		if opts.PagedTopo {
+			fatal(fmt.Errorf("-framework %s: the host-memory baselines sample from an in-RAM graph, not -paged-topo or -out-of-core", fw))
+		}
+	default:
+		fatal(fmt.Errorf("unknown framework %q", *framework))
+	}
 	spec, ok := wholegraph.LookupDataset(*dsName)
 	if !ok {
 		fatal(fmt.Errorf("unknown dataset %q", *dsName))
@@ -92,15 +102,13 @@ func main() {
 	machine := wholegraph.NewDGXA100(*nodes)
 	opts.Trace = *traceOut != ""
 	var trainer *wholegraph.Trainer
-	switch strings.ToLower(*framework) {
-	case "wholegraph", "wg":
-		trainer, err = wholegraph.NewTrainer(machine, ds, opts)
+	switch fw {
 	case "dgl":
 		trainer, err = wholegraph.NewBaselineTrainer(machine, ds, opts, wholegraph.DGL)
 	case "pyg":
 		trainer, err = wholegraph.NewBaselineTrainer(machine, ds, opts, wholegraph.PyG)
 	default:
-		err = fmt.Errorf("unknown framework %q", *framework)
+		trainer, err = wholegraph.NewTrainer(machine, ds, opts)
 	}
 	if err != nil {
 		fatal(err)

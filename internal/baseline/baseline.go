@@ -173,11 +173,13 @@ func (l *HostLoader) BuildBatch(targets []int64) (*gnn.Batch, core.Timing) {
 // worker), so workers sample concurrently in virtual time and may run on
 // real goroutines under sim.RunParallel; the first worker uses the node's
 // primary CPU, keeping single-worker virtual times identical to earlier
-// revisions.
+// revisions. Options.Schedule is ignored: the stock frameworks dispatch
+// every kernel eagerly.
 func New(m *sim.Machine, ds *dataset.Dataset, opts train.Options, flavor Flavor) (*train.Trainer, error) {
 	if ds.Graph == nil {
 		return nil, fmt.Errorf("baseline: %s is out-of-core (no materialized CSR); the host-memory baselines sample from an in-RAM graph", ds.Spec.Name)
 	}
+	opts.Schedule = false
 	if flavor == DGL {
 		opts.Backend = spops.BackendDGL
 	} else {

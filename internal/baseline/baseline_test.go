@@ -1,6 +1,8 @@
 package baseline
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"wholegraph/internal/dataset"
@@ -187,5 +189,44 @@ func TestBaselineUtilizationLow(t *testing.T) {
 func TestFlavorName(t *testing.T) {
 	if FlavorName(DGL) != "DGL" || FlavorName(PyG) != "PyG" {
 		t.Error("flavor names changed")
+	}
+}
+
+// TestBaselineIgnoresSchedule: the stock frameworks dispatch every kernel
+// eagerly, so a baseline trainer built with Options.Schedule captures
+// nothing and charges, trains and times exactly what one built without it
+// does — every device's clocks and Stats, every host executor's clock,
+// every epoch's statistics.
+func TestBaselineIgnoresSchedule(t *testing.T) {
+	ds := smallDataset(t)
+	run := func(flavor Flavor, schedule bool) (string, *train.Trainer) {
+		m := sim.NewMachine(sim.DGXA100(1))
+		opts := smallOpts()
+		opts.Batch, opts.RealWorkers, opts.Schedule = 8, 2, schedule
+		tr, err := New(m, ds, opts, flavor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		for e := 0; e < 2; e++ {
+			fmt.Fprintf(&b, "%+v\n", tr.RunEpoch())
+		}
+		for _, d := range m.Devs {
+			fmt.Fprintf(&b, "%v %v %+v\n", d.StreamNow(sim.StreamCompute), d.StreamNow(sim.StreamCopy), d.Stats)
+		}
+		for _, c := range m.CPUs {
+			fmt.Fprintf(&b, "%v\n", c.Now())
+		}
+		return b.String(), tr
+	}
+	for _, flavor := range []Flavor{DGL, PyG} {
+		eager, _ := run(flavor, false)
+		sched, tr := run(flavor, true)
+		if gc := tr.GraphStats(); gc.Active() {
+			t.Errorf("%s: a baseline ran the step-graph machinery: %v", FlavorName(flavor), gc)
+		}
+		if sched != eager {
+			t.Errorf("%s: Schedule moved the run:\n%s\nwant\n%s", FlavorName(flavor), sched, eager)
+		}
 	}
 }

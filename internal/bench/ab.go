@@ -34,14 +34,14 @@ type GraphRow struct {
 	// this is deterministic: replay skips the tape rebuild, so its
 	// allocations drop to buffer rebinding plus kernel-dispatch residue.
 	EagerAllocsIter, GraphAllocsIter float64
-	// Captures / Replays / Invalidations from the graph run's trainer.
-	Captures, Replays, Invalidations int64
+	// Captures / Replays from the graph run's trainer.
+	Captures, Replays int64
 	// LossMatch: every epoch's loss was bit-identical between the two runs.
 	LossMatch bool
 }
 
-// AblationGraph evaluates step capture/replay (train.Options.Schedule): the
-// first iteration per loader slot records the step DAG, later iterations
+// AblationGraph evaluates step capture/replay (train.Options.Schedule): a
+// worker's first iteration records the step DAG, later iterations
 // replay it through the whole-step scheduler with one graph launch instead
 // of a kernel launch per kernel and with no host-side tape rebuild.
 // Reported per cell: the virtual epoch-time win, the measured host ns and
@@ -95,7 +95,7 @@ func AblationGraph(cfg Config) ([]GraphRow, error) {
 			EagerHostNsIter: eager.nsIter, GraphHostNsIter: graph.nsIter,
 			EagerAllocsIter: float64(eager.mallocs) / float64(eager.iters),
 			GraphAllocsIter: float64(graph.mallocs) / float64(graph.iters),
-			Captures:        gc.Captures, Replays: gc.Replays, Invalidations: gc.Invalidations,
+			Captures:        gc.Captures, Replays: gc.Replays,
 			LossMatch: slices.Equal(eager.losses, graph.losses),
 		}
 		rows = append(rows, r)

@@ -140,11 +140,11 @@ func (p *partitionRows) FillRow(row int64, dst []float32) {
 // batchFace is what a caller of the loader holds: a gnn.Batch, its Feat
 // header and its SubCSR objects, at addresses that never change. Binding a
 // build to a face copies the build body's slice headers and SubCSR values
-// into it — O(layers) — so a face keeps its identity, the key step-graph
-// captures are held under, whichever body it shows. ready is recorded on
-// the copy stream when a prefetched build has been issued; free is recorded
-// on the compute stream when the face's batch has been consumed (Release).
-// The zero events never block.
+// into it — O(layers), the copy a trainer's step makes into its worker's
+// own input header under train.Options.Schedule. ready is recorded on the
+// copy stream when a prefetched build has been issued; free is recorded on
+// the compute stream when the face's batch has been consumed (Release). The
+// zero events never block.
 type batchFace struct {
 	batch  gnn.Batch
 	feat   tensor.Dense

@@ -37,7 +37,7 @@ func (o *Options) BindExecFlags(fs *flag.FlagSet, names ...string) {
 	}
 	all.BoolVar(&o.Pipeline, "pipeline", o.Pipeline, "overlap batch building with training on each device's copy stream (WholeGraph only; identical math, shorter virtual epochs)")
 	all.BoolVar(&o.OverlapGrads, "overlap-grads", o.OverlapGrads, "overlap bucketed gradient AllReduce with backward on the copy stream (WholeGraph only; identical math, different virtual epochs)")
-	all.BoolVar(&o.Schedule, "schedule", o.Schedule, "capture the training step once per loader slot and replay it through the whole-step DAG scheduler (WholeGraph only; identical math, shorter virtual epochs)")
+	all.BoolVar(&o.Schedule, "schedule", o.Schedule, "capture the training step once per worker and replay it through the whole-step DAG scheduler (WholeGraph only; identical math, shorter virtual epochs)")
 	all.BoolVar(&o.PagedFeatures, "paged-features", o.PagedFeatures, "serve features from the out-of-core paged store (WholeGraph only; bit-identical math)")
 	all.IntVar(&o.FeatPageRows, "feat-page-rows", o.FeatPageRows, "paged-store rows per page (0 = default)")
 	all.IntVar(&o.FeatCacheMB, "feat-cache-mb", o.FeatCacheMB, "paged-store per-device BlockCache budget in MiB (0 = default)")

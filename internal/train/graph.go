@@ -2,7 +2,6 @@ package train
 
 import (
 	"fmt"
-	"slices"
 
 	"wholegraph/internal/autograd"
 	"wholegraph/internal/gnn"
@@ -15,38 +14,31 @@ import (
 // Step capture/replay (Options.Schedule): the training loop re-runs an
 // identical op sequence every iteration, yet the eager path re-records the
 // tape, re-dispatches every op and pays KernelLaunch per kernel — the host
-// overhead CUDA Graphs eliminate. Here the first iteration on each batch
-// face runs eagerly on a tape of its own, which the step keeps instead of
-// resetting: a kept tape is the captured step. Later iterations on the same
-// face replay it (autograd.Tape.Replay runs the same records' forwards into
-// the same buffers, and the backward reuses the last pass's gradient
-// buffers): no re-recording, only parameter rebinding, and the device
-// charges one GraphLaunch instead of one KernelLaunch per kernel
+// overhead CUDA Graphs eliminate. Here a worker's first Schedule step runs
+// eagerly on a tape of its own, which the step keeps instead of resetting:
+// a kept tape is the captured step. Every later step replays it
+// (autograd.Tape.Replay runs the same records' forwards into the same
+// buffers, and the backward reuses the last pass's gradient buffers): no
+// re-recording, only parameter rebinding, and the device charges one
+// GraphLaunch instead of one KernelLaunch per kernel
 // (sim.BeginGraphReplay), placed by the whole-step scheduler (DESIGN.md
 // §13). Loss/accuracy, gradient averaging and the optimizer stay live
 // outside the tape, so losses, gradients and model state are bit-identical
 // to eager execution.
 //
-// Captures tolerate varying row counts (every kernel reads shapes from the
-// live block/feature buffers); they are keyed by batch identity and
-// invalidated when the batch's structure moves (feature tensor or block
-// pointers replaced), falling back to an eager re-capture. Loaders that
-// never reuse batch objects (the host-memory baselines) blow through
-// maxGraphsPerWorker and drop to permanent eager fallback, releasing their
-// graphs.
-
-// maxGraphsPerWorker bounds how many captured step graphs a worker keeps.
-// The WholeGraph loader's two batch faces need two; anything past this means
-// the loader does not reuse batch objects and capture cannot pay off.
-const maxGraphsPerWorker = 4
+// A captured graph reads its inputs through fixed addresses: each worker
+// owns one input header (a gnn.Batch, its Feat header and its SubCSR
+// values), and every Schedule step binds the batch it is given into that
+// header before the forward or the replay. Every kernel reads shapes live
+// from the header, so one graph per worker serves every batch of every
+// loader, whichever batch object the loader hands out.
 
 // stepResult is one worker's loss/accuracy from a training step.
 type stepResult struct {
 	loss, acc float64
 }
 
-// stepGraph is one captured training step for one batch face: its kept
-// tape.
+// stepGraph is one worker's captured training step: its kept tape.
 type stepGraph struct {
 	tape   *autograd.Tape
 	logits *autograd.Var
@@ -54,29 +46,44 @@ type stepGraph struct {
 	// paramVars snapshots the capture tape's parameter bindings so replays
 	// can point the optimizer back at them.
 	paramVars []*autograd.Var
-	// Structural identity at capture: replay is valid only while the batch
-	// still presents these exact objects.
-	feat   *tensor.Dense
-	blocks []*spops.SubCSR
 }
 
 // workerGraphs is one real worker's capture machinery. The trainer keeps one
 // per worker, and each worker touches only its own inside the parallel
-// region, mirroring device ownership. A worker with Fallbacks > 0 runs
-// eagerly for good and keeps no graph.
+// region, mirroring device ownership.
 type workerGraphs struct {
-	graphs map[*gnn.Batch]*stepGraph
-	rec    *sched.Recorder // records each replay's charges for the scheduler
+	// in is the input header the worker's step graph reads every batch
+	// through; in.Feat points at feat and in.Blocks at blocks.
+	in     gnn.Batch
+	feat   tensor.Dense
+	blocks []spops.SubCSR
+	graph  *stepGraph // nil until the worker's first Schedule step captures it
+	rec    *sched.Recorder
 	count  GraphCounters
 }
 
+// bind copies b into the worker's input header and returns the header. The
+// copy is O(layers) — slice headers and SubCSR values, as core.Loader.bind
+// makes from a build body to a face — and b's buffers are read in place.
+func (wg *workerGraphs) bind(b *gnn.Batch) *gnn.Batch {
+	for i, blk := range b.Blocks {
+		wg.blocks[i] = *blk
+	}
+	wg.feat = *b.Feat
+	wg.in.Labels = b.Labels
+	return &wg.in
+}
+
 // GraphCounters aggregates the step-graph machinery's counters across
-// workers. All zero unless Options.Schedule ran.
+// workers. All zero unless Options.Schedule ran. Invalidations and
+// Fallbacks always read 0 and Scheduled always equals Replays: a capture
+// never goes stale and a worker never falls back to eager, and every replay
+// is scheduled. They stay because the benchmark module reads them.
 type GraphCounters struct {
-	Captures      int64 `json:"captures"`      // eager-priced capture iterations
+	Captures      int64 `json:"captures"`      // eager-priced capture iterations, one per worker
 	Replays       int64 `json:"replays"`       // iterations replayed from a captured graph
-	Invalidations int64 `json:"invalidations"` // captures dropped because batch structure moved
-	Fallbacks     int64 `json:"fallbacks"`     // workers that dropped to permanent eager fallback
+	Invalidations int64 `json:"invalidations"` // always 0
+	Fallbacks     int64 `json:"fallbacks"`     // always 0
 	Scheduled     int64 `json:"scheduled"`     // replays routed through the whole-step scheduler (all of them)
 }
 
@@ -84,18 +91,16 @@ type GraphCounters struct {
 func (c *GraphCounters) Add(o GraphCounters) {
 	c.Captures += o.Captures
 	c.Replays += o.Replays
-	c.Invalidations += o.Invalidations
-	c.Fallbacks += o.Fallbacks
 	c.Scheduled += o.Scheduled
 }
 
 // Active reports whether the capture machinery ran at all.
-func (c GraphCounters) Active() bool { return c.Captures+c.Replays+c.Fallbacks > 0 }
+func (c GraphCounters) Active() bool { return c.Captures+c.Replays > 0 }
 
 // String is the counters' one-line report.
 func (c GraphCounters) String() string {
-	return fmt.Sprintf("step graphs: %d captures / %d replays (%d scheduled), %d invalidations, %d fallbacks",
-		c.Captures, c.Replays, c.Scheduled, c.Invalidations, c.Fallbacks)
+	return fmt.Sprintf("step graphs: %d captures / %d replays (%d scheduled)",
+		c.Captures, c.Replays, c.Scheduled)
 }
 
 // GraphStats sums the capture machinery's counters across workers.
@@ -113,63 +118,44 @@ func (t *Trainer) ensureGraphState() {
 	}
 	t.gs = make([]workerGraphs, len(t.Models))
 	for w := range t.gs {
-		t.gs[w].graphs = make(map[*gnn.Batch]*stepGraph, maxGraphsPerWorker)
-		t.gs[w].rec = sched.NewRecorder()
-	}
-}
-
-// graphFor looks up worker w's captured graph for b. It returns the graph to
-// replay, or nil and whether this eager step should capture one: a graph
-// whose batch structure moved is dropped and re-captured, and a worker whose
-// loader does not reuse batch objects falls back to eager for good, dropping
-// the graphs it holds. Runs inside the parallel region.
-func (t *Trainer) graphFor(w int, b *gnn.Batch) (g *stepGraph, capture bool) {
-	if !t.Opts.Schedule {
-		return nil, false
-	}
-	wg := &t.gs[w]
-	c := &wg.count
-	if c.Fallbacks > 0 {
-		return nil, false
-	}
-	if g, ok := wg.graphs[b]; ok {
-		if b.Feat == g.feat && slices.Equal(b.Blocks, g.blocks) {
-			c.Replays++
-			c.Scheduled++
-			return g, false
+		wg := &t.gs[w]
+		wg.blocks = make([]spops.SubCSR, len(t.Opts.Fanouts))
+		wg.in.Blocks = make([]*spops.SubCSR, len(wg.blocks))
+		for i := range wg.blocks {
+			wg.in.Blocks[i] = &wg.blocks[i]
 		}
-		// Structure moved under the same batch object: drop and re-capture.
-		delete(wg.graphs, b)
-		c.Invalidations++
+		wg.in.Feat = &wg.feat
+		wg.rec = sched.NewRecorder()
 	}
-	if len(wg.graphs) >= maxGraphsPerWorker {
-		// The loader is not reusing batch objects; capture cannot amortize.
-		c.Fallbacks++
-		clear(wg.graphs)
-		return nil, false
-	}
-	c.Captures++
-	return nil, true
 }
 
 // step is one worker's training step on batch b: forward, loss and
 // accuracy, backward. Eagerly it runs on the worker's arena tape, Reset
-// first; a capture records on a fresh tape over the same arena that b's
-// step graph then keeps; and a replay re-runs a kept tape inside one graph
-// launch (sim.BeginGraphReplay) through the whole-step scheduler
-// (DESIGN.md §13), which records the replay's charges into a DAG instead of
-// the clocks. A replay's host math follows the tape's dependencies on up to
-// tensor.Workers() goroutines while its charges and observers keep record
-// order on this one (DESIGN.md §9), so losses, gradients, model state and
-// clocks are bit-identical to eager. Runs inside the parallel region.
+// first. Under Schedule it binds b into the worker's input header first;
+// the worker's first such step records on a fresh tape over the same arena,
+// which the worker's step graph then keeps, and every later one re-runs
+// the kept tape inside one graph launch (sim.BeginGraphReplay) through the
+// whole-step scheduler (DESIGN.md §13), which records the replay's charges
+// into a DAG instead of the clocks. A replay's host math follows the tape's
+// dependencies on up to tensor.Workers() goroutines while its charges and
+// observers keep record order on this one (DESIGN.md §9), so losses,
+// gradients, model state and clocks are bit-identical to eager. Runs inside
+// the parallel region.
 func (t *Trainer) step(w int, b *gnn.Batch) stepResult {
 	mdl, dev := t.Models[w], t.loaders[w].Device()
-	g, capture := t.graphFor(w, b)
+	var wg *workerGraphs
+	var g *stepGraph
+	if t.Opts.Schedule {
+		wg = &t.gs[w]
+		b, g = wg.bind(b), wg.graph
+	}
 	var tp *autograd.Tape
 	var logits *autograd.Var
 	var grad *tensor.Dense
 	if g != nil {
-		rec := t.gs[w].rec
+		wg.count.Replays++
+		wg.count.Scheduled++
+		rec := wg.rec
 		tp, logits, grad = g.tape, g.logits, g.grad
 		mdl.Params().RebindVars(g.paramVars)
 		rec.Reset()
@@ -181,7 +167,8 @@ func (t *Trainer) step(w int, b *gnn.Batch) stepResult {
 		grad.ResizeUninit(logits.Value.R, logits.Value.C) // CrossEntropy sets every element
 	} else {
 		tp = t.tapes[w]
-		if capture {
+		if wg != nil {
+			wg.count.Captures++
 			// The kept tape draws from the worker's arena too: one goroutine
 			// owns them all, and its replays' gradients share one pool.
 			tp = autograd.NewTapeArena(tp.Arena())
@@ -206,17 +193,15 @@ func (t *Trainer) step(w int, b *gnn.Batch) stepResult {
 	}
 	tp.BackwardHooked(logits, grad, watch, onReady)
 	switch {
-	case capture:
-		t.gs[w].graphs[b] = &stepGraph{
+	case g != nil:
+		t.scheduled(w, dev, g)
+	case wg != nil:
+		wg.graph = &stepGraph{
 			tape:      tp,
 			logits:    logits,
 			grad:      grad,
 			paramVars: mdl.Params().BoundVars(nil),
-			feat:      b.Feat,
-			blocks:    slices.Clone(b.Blocks),
 		}
-	case g != nil:
-		t.scheduled(w, dev, g)
 	}
 	return res
 }

@@ -1,9 +1,12 @@
 package train
 
 import (
+	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
+	"wholegraph/internal/core"
 	"wholegraph/internal/gnn"
 	"wholegraph/internal/sim"
 	"wholegraph/internal/tensor"
@@ -60,8 +63,8 @@ func compareRuns(t *testing.T, label string, aStats, bStats []EpochStats, aParam
 // capture/replay: for every architecture, training with Schedule must
 // produce bit-identical losses, accuracies and final parameters to eager
 // execution — replay re-runs the same math in the same order, including the
-// dropout RNG draws — while captures and replays actually happen and the
-// worker keeps no more graphs than its loader has batch faces.
+// dropout RNG draws — while the worker captures once and replays every
+// later step.
 func TestCaptureGraphBitIdentical(t *testing.T) {
 	for _, arch := range []string{"gcn", "graphsage", "gat", "gin"} {
 		t.Run(arch, func(t *testing.T) {
@@ -77,17 +80,17 @@ func TestCaptureGraphBitIdentical(t *testing.T) {
 			if gc.Captures == 0 || gc.Replays == 0 {
 				t.Errorf("%s: expected captures and replays, got %d/%d", arch, gc.Captures, gc.Replays)
 			}
-			if gc.Captures > maxGraphsPerWorker {
-				t.Errorf("%s: %d captures for a 2-slot loader", arch, gc.Captures)
+			if gc.Captures != 1 {
+				t.Errorf("%s: %d captures for one worker, want 1", arch, gc.Captures)
 			}
 		})
 	}
 }
 
-// TestCaptureGraphReducesEpochTime pins the virtual-time claim: once both
-// loader slots are captured, a replay-only epoch must be strictly faster
-// than the same eager epoch (same seeds, identical compute) because replay
-// charges one graph launch instead of one kernel launch per kernel.
+// TestCaptureGraphReducesEpochTime pins the virtual-time claim: once the
+// step is captured, a replay-only epoch must be strictly faster than the
+// same eager epoch (same seeds, identical compute) because replay charges
+// one graph launch instead of one kernel launch per kernel.
 func TestCaptureGraphReducesEpochTime(t *testing.T) {
 	opts := smallOpts("graphsage")
 	opts.Batch = 8
@@ -111,8 +114,8 @@ func TestCaptureGraphReducesEpochTime(t *testing.T) {
 
 // TestCaptureGraphComposes runs capture/replay together with the prefetch
 // pipeline and bucketed gradient overlap: all three overlays on, results
-// still bit-identical to the plain eager path, and every worker's captures
-// stay within maxGraphsPerWorker.
+// still bit-identical to the plain eager path, and every worker captures
+// once.
 func TestCaptureGraphComposes(t *testing.T) {
 	opts := smallOpts("graphsage")
 	opts.Batch = 8
@@ -129,8 +132,8 @@ func TestCaptureGraphComposes(t *testing.T) {
 	if gc.Replays == 0 {
 		t.Error("composed run never replayed")
 	}
-	if gc.Captures > int64(opts.RealWorkers*maxGraphsPerWorker) {
-		t.Errorf("%d captures for %d workers", gc.Captures, opts.RealWorkers)
+	if gc.Captures != int64(opts.RealWorkers) {
+		t.Errorf("%d captures for %d workers, want one per worker", gc.Captures, opts.RealWorkers)
 	}
 }
 
@@ -177,83 +180,99 @@ func TestCaptureGraphSerialParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestCaptureGraphInvalidatesOnStructureChange simulates a batch whose
-// structure moved under a captured graph (the feature tensor replaced): the
-// replay-validity check must catch it, re-capture eagerly, and keep the
-// training trajectory bit-identical to a run that never invalidated.
-func TestCaptureGraphInvalidatesOnStructureChange(t *testing.T) {
-	opts := smallOpts("graphsage")
-	opts.Batch = 8
-	opts.Schedule = true
-
-	m := sim.NewMachine(sim.DGXA100(1))
-	ds := smallDataset(t)
-	tr, err := New(m, ds, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var losses []float64
-	losses = append(losses, tr.RunEpoch().Loss, tr.RunEpoch().Loss)
-	// Pretend the loader replaced the feature tensor of one captured slot.
-	for _, g := range tr.gs[0].graphs {
-		g.feat = tensor.New(1, 1)
-		break
-	}
-	losses = append(losses, tr.RunEpoch().Loss, tr.RunEpoch().Loss)
-	gc := tr.GraphStats()
-	if gc.Invalidations == 0 {
-		t.Fatalf("structure change not invalidated (captures=%d replays=%d)", gc.Captures, gc.Replays)
-	}
-	if gc.Replays == 0 || gc.Scheduled != gc.Replays {
-		t.Errorf("no scheduled replays after re-capture: %+v", gc)
-	}
-
-	ref := opts
-	refStats, _, _, _ := graphRun(t, ref, 1, 4)
-	for e, l := range losses {
-		if refStats[e].Loss != l {
-			t.Errorf("epoch %d: loss after invalidation %v differs from undisturbed run %v", e+1, l, refStats[e].Loss)
-		}
-	}
+// featSwapLoader hands out one batch object from every build, whose Feat
+// it points at a header of its own, a different one from build to build:
+// the batch object stays while the structure under it moves.
+type featSwapLoader struct {
+	*core.Loader
+	batch gnn.Batch
+	feats [2]tensor.Dense
+	n     int
 }
 
-// TestCaptureGraphFallsBackOnChurningBatches covers loaders that never reuse
-// batch objects: once a worker exceeds maxGraphsPerWorker distinct batches
-// it must drop to permanent eager execution with results identical to
-// Schedule=false.
-func TestCaptureGraphFallsBackOnChurningBatches(t *testing.T) {
-	opts := smallOpts("gcn")
-	opts.Batch = 8
-	opts.Schedule = true
+func (l *featSwapLoader) BuildBatch(targets []int64) (*gnn.Batch, core.Timing) {
+	b, tm := l.Loader.BuildBatch(targets)
+	f := &l.feats[l.n%2]
+	l.n++
+	*f = *b.Feat
+	l.batch = gnn.Batch{Blocks: b.Blocks, Feat: f, Labels: b.Labels}
+	return &l.batch, tm
+}
 
-	m := sim.NewMachine(sim.DGXA100(1))
+// TestCaptureGraphOnePerWorker: a worker's step graph reads every batch
+// through the worker's own input header, so it does not depend on which
+// batch object it saw. Under a loader that hands out a new batch object
+// from every build, and under one that keeps its batch object but swaps
+// the Feat header under it, each worker captures once and replays every
+// later step, with losses, accuracies and final parameters bit-identical
+// to Schedule=false — on one worker, and on two real workers run serially
+// and on goroutines.
+func TestCaptureGraphOnePerWorker(t *testing.T) {
 	ds := smallDataset(t)
-	tr, err := New(m, ds, opts)
-	if err != nil {
-		t.Fatal(err)
+	loaders := map[string]func(*core.Store, Options) func(int, *sim.Device) BatchLoader{
+		"fresh-batches": func(s *core.Store, o Options) func(int, *sim.Device) BatchLoader {
+			return func(w int, dev *sim.Device) BatchLoader {
+				return freshBatchLoader{core.NewLoader(s, dev, o.Fanouts, o.Seed+int64(w))}
+			}
+		},
+		"swapped-feat": func(s *core.Store, o Options) func(int, *sim.Device) BatchLoader {
+			return func(w int, dev *sim.Device) BatchLoader {
+				return &featSwapLoader{Loader: core.NewLoader(s, dev, o.Fanouts, o.Seed+int64(w))}
+			}
+		},
 	}
-	// Pre-poison worker 0's graph cache as if earlier iterations saw
-	// maxGraphsPerWorker one-shot batch objects.
-	tr.ensureGraphState()
-	for i := 0; i < maxGraphsPerWorker; i++ {
-		tr.gs[0].graphs[&gnn.Batch{}] = &stepGraph{}
+	run := func(mk func(*core.Store, Options) func(int, *sim.Device) BatchLoader, opts Options, parallel bool) ([]EpochStats, [][][]float32, *Trainer) {
+		prev := sim.SetParallel(parallel)
+		defer sim.SetParallel(prev)
+		m := sim.NewMachine(sim.DGXA100(1))
+		store, err := core.NewStore(m, 0, ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := NewCustom(m, ds, opts, mk(store, opts.Normalize()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stats []EpochStats
+		for e := 0; e < 3; e++ {
+			stats = append(stats, tr.RunEpoch())
+		}
+		var params [][][]float32
+		for _, mdl := range tr.Models {
+			var ps [][]float32
+			for _, p := range mdl.Params().Params() {
+				ps = append(ps, slices.Clone(p.W.V))
+			}
+			params = append(params, ps)
+		}
+		return stats, params, tr
 	}
-	stats := tr.RunEpoch()
-	if tr.gs[0].count.Fallbacks == 0 {
-		t.Fatal("worker did not fall back to eager execution")
-	}
-	if n := len(tr.gs[0].graphs); n != 0 {
-		t.Errorf("fallback worker still holds %d step graphs", n)
-	}
-	if gc := tr.GraphStats(); gc.Captures != 0 || gc.Replays != 0 || gc.Scheduled != gc.Replays || gc.Fallbacks == 0 {
-		t.Errorf("fallback worker counters off: %+v", gc)
-	}
-
-	eager := opts
-	eager.Schedule = false
-	eStats, _, _, _ := graphRun(t, eager, 1, 1)
-	if stats.Loss != eStats[0].Loss {
-		t.Errorf("fallback loss %v differs from eager %v", stats.Loss, eStats[0].Loss)
+	for name, mk := range loaders {
+		for _, c := range []struct {
+			workers  int
+			parallel bool
+		}{{1, false}, {2, false}, {2, true}} {
+			t.Run(fmt.Sprintf("%s/workers=%d/parallel=%v", name, c.workers, c.parallel), func(t *testing.T) {
+				opts := smallOpts("graphsage")
+				opts.Batch = 8
+				opts.RealWorkers = c.workers
+				eStats, eParams, _ := run(mk, opts, c.parallel)
+				opts.Schedule = true
+				gStats, gParams, gtr := run(mk, opts, c.parallel)
+				compareRuns(t, name, eStats, gStats, eParams, gParams)
+				steps := int64(len(gStats) * gStats[0].Iters * c.workers)
+				want := GraphCounters{Captures: int64(c.workers), Replays: steps - int64(c.workers)}
+				want.Scheduled = want.Replays
+				if gc := gtr.GraphStats(); gc != want || want.Replays == 0 {
+					t.Errorf("%s: step graphs %+v over %d steps, want %+v", name, gc, steps, want)
+				}
+				for w := range gtr.gs {
+					if gtr.gs[w].graph == nil {
+						t.Errorf("%s: worker %d holds no step graph", name, w)
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -298,11 +317,10 @@ func TestCaptureGraphEvaluateInterleaved(t *testing.T) {
 	}
 }
 
-// TestReplayEpochAllocs pins the host side of capture/replay: once both
-// loader faces are captured, a replay epoch — no re-recording, the backward
-// reusing the last pass's gradient buffers — allocates no more than the
-// eager steady state, and stays under the same per-iteration budget
-// (epochAllocBudget).
+// TestReplayEpochAllocs pins the host side of capture/replay: once the step
+// is captured, a replay epoch — no re-recording, the backward reusing the
+// last pass's gradient buffers — allocates no more than the eager steady
+// state, and stays under the same per-iteration budget (epochAllocBudget).
 func TestReplayEpochAllocs(t *testing.T) {
 	prev := sim.SetParallel(false)
 	defer sim.SetParallel(prev)
@@ -317,7 +335,7 @@ func TestReplayEpochAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr.RunEpoch() // warm-up + capture of both ring slots
+		tr.RunEpoch() // warm-up + capture
 		tr.RunEpoch()
 		tr.RunEpoch()
 		iters = tr.ItersPerEpoch()

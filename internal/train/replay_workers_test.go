@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"wholegraph/internal/dataset"
-	"wholegraph/internal/gnn"
 	"wholegraph/internal/sim"
 	"wholegraph/internal/tensor"
 )
@@ -94,14 +93,14 @@ func BenchmarkReplayStep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tr.RunEpoch() // captures both batch faces
-	var batch *gnn.Batch
-	for batch = range tr.gs[0].graphs {
-		break
-	}
-	if batch == nil {
+	tr.RunEpoch() // captures the worker's step graph
+	wg := &tr.gs[0]
+	if wg.graph == nil {
 		b.Fatal("no step graph captured")
 	}
+	// The worker's input header still holds the epoch's last batch; binding
+	// it into itself replays that batch.
+	batch := &wg.in
 	dev := tr.loaders[0].Device()
 	b.ReportAllocs()
 	b.ResetTimer()

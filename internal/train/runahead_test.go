@@ -154,8 +154,8 @@ func TestRunAheadEqualsInline(t *testing.T) {
 			if len(inline.trace) == 0 || !reflect.DeepEqual(inline.trace, ahead.trace) {
 				t.Errorf("worker 0 trace: %d intervals inline, %d run-ahead, or contents differ", len(inline.trace), len(ahead.trace))
 			}
-			if opts.Schedule && inline.graphs.Captures != 2 {
-				t.Errorf("%d step-graph captures, want one per face", inline.graphs.Captures)
+			if workers := int64(opts.Normalize().RealWorkers); opts.Schedule && inline.graphs.Captures != workers {
+				t.Errorf("%d step-graph captures, want one per worker (%d)", inline.graphs.Captures, workers)
 			}
 			if inline.stats[0].Iters < 2 {
 				t.Fatalf("%d iteration per epoch: nothing to build ahead", inline.stats[0].Iters)

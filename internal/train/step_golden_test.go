@@ -15,16 +15,18 @@ import (
 // stream clocks and DeviceStats plus every epoch's statistics and the
 // trainer's GraphStats, and worker 0's trace. A different hash is a change
 // of virtual time, of a counter or of the order of charges, not of host
-// cost.
+// cost. The two Schedule rows were re-recorded when each worker came to
+// keep one step graph that reads every batch through the worker's own input
+// header: a worker captures once instead of once per loader face, and the
+// fresh-batch loader replays instead of falling back to eager.
 var stepGolden = map[string][2]uint64{
-	"graphsage/eager+overlap":    {0x3bdc00e8cea9aa53, 0xfa6780af897bc08e},
-	"gat/sched":                  {0x1e1fd600c8389aa8, 0xc58f9a93899d13b0},
-	"gcn/fresh-batches-fallback": {0x4dbad446f63f0635, 0x9cf3796c890a06ca},
+	"graphsage/eager+overlap": {0x3bdc00e8cea9aa53, 0xfa6780af897bc08e},
+	"gat/sched":               {0x49587e74bba233b8, 0x467919790ab61305},
+	"gcn/fresh-batches":       {0xd069298f10159d2d, 0x98ee2234fbff00a1},
 }
 
 // freshBatchLoader hands out a new *gnn.Batch from every build, over the
-// same slot buffers, so step capture never finds a batch it has seen: it
-// captures maxGraphsPerWorker times and then falls back to eager.
+// same slot buffers: no batch object is ever seen twice.
 type freshBatchLoader struct{ *core.Loader }
 
 func (l freshBatchLoader) BuildBatch(targets []int64) (*gnn.Batch, core.Timing) {
@@ -67,23 +69,24 @@ func stepGoldenRun(t *testing.T, opts Options, bucket int, fresh bool) [2]uint64
 		extra += fmt.Sprintf("%+v\n", tr.RunEpoch())
 	}
 	gc := tr.GraphStats()
-	extra += fmt.Sprintf("%+v\n", gc)
+	// The counters in the line GraphCounters.String printed when the rows
+	// were recorded, so that the hash pins the counters and not the wording
+	// of the report.
+	extra += fmt.Sprintf("step graphs: %d captures / %d replays (%d scheduled), %d invalidations, %d fallbacks\n",
+		gc.Captures, gc.Replays, gc.Scheduled, gc.Invalidations, gc.Fallbacks)
 	if opts.OverlapGrads && len(tr.ov.buckets) < 2 {
 		t.Errorf("%s: %d gradient bucket(s), want at least 2", opts.Arch, len(tr.ov.buckets))
 	}
-	switch {
-	case fresh && (gc.Captures != maxGraphsPerWorker*2 || gc.Fallbacks != 2 || gc.Replays != 0):
-		t.Errorf("fresh batches: want %d captures, 2 fallbacks, no replay: %+v", maxGraphsPerWorker*2, gc)
-	case !fresh && opts.Schedule && (gc.Replays == 0 || gc.Scheduled != gc.Replays):
-		t.Errorf("%s: no scheduled replay: %+v", opts.Arch, gc)
+	if opts.Schedule && (gc.Captures != int64(opts.RealWorkers) || gc.Replays == 0 || gc.Scheduled != gc.Replays) {
+		t.Errorf("%s: want one capture per worker and scheduled replays: %+v", opts.Arch, gc)
 	}
 	return hashMachine(m, extra)
 }
 
 // TestStepGolden pins every shape a training step takes — eager with
-// bucketed gradient overlap, scheduled replay, and the permanent eager
-// fallback of a loader that never reuses a batch — to the clocks, counters
-// and trace recorded before the step paths were merged.
+// bucketed gradient overlap, and capture then scheduled replay from the
+// core loader and from a loader that never reuses a batch object — to the
+// clocks, counters and trace recorded before the step paths were merged.
 func TestStepGolden(t *testing.T) {
 	base := func(arch string) Options {
 		o := smallOpts(arch)
@@ -104,7 +107,7 @@ func TestStepGolden(t *testing.T) {
 	}{
 		{"graphsage/eager+overlap", sage, 16 << 10, false},
 		{"gat/sched", gatSched, 0, false},
-		{"gcn/fresh-batches-fallback", fresh, 0, true},
+		{"gcn/fresh-batches", fresh, 0, true},
 	}
 	for _, r := range runs {
 		got := stepGoldenRun(t, r.opts, r.bucket, r.fresh)

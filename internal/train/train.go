@@ -78,15 +78,16 @@ type Options struct {
 	// improves. Composes with Pipeline.
 	OverlapGrads bool `json:"overlap_grads"`
 	// Schedule captures each worker's training step as a replayable graph
-	// (CUDA-Graph style): the first iteration on a batch face records the
-	// op sequence on a tape that is kept, and later iterations replay it
+	// (CUDA-Graph style): the worker's first iteration records the op
+	// sequence on a tape that is kept, and every later iteration replays it
 	// inside one graph launch through the whole-step scheduler
 	// (internal/sched, DESIGN.md §9 and §13), which list-schedules the
 	// step's dependency DAG onto the compute and copy streams — never
-	// slower than the serial order it falls back to. A change of batch
-	// structure invalidates the capture and re-captures eagerly. Losses,
-	// gradients and model state are bit-identical to eager execution.
-	// Composes with Pipeline and OverlapGrads.
+	// slower than the serial order it falls back to. The graph reads every
+	// batch through the worker's own input header, so one capture per
+	// worker serves every batch. Losses, gradients and model state are
+	// bit-identical to eager execution. Composes with Pipeline and
+	// OverlapGrads. The host-memory baselines ignore it (baseline.New).
 	Schedule bool `json:"schedule"`
 	// PagedFeatures serves node features from the paged feature store
 	// (internal/featstore) instead of the flat wholemem slab: rows are
@@ -180,8 +181,9 @@ func (o Options) modelConfig(ds *dataset.Dataset) (gnn.Config, error) {
 // Check reports why no run can use o, whatever the dataset: whatever
 // gnn.Check refuses of its architecture, hidden size, heads and dropout, a
 // negative number in any other numeric field but Seed (a NaN learning rate
-// too) or a fanout below 1 — each named. Zeros are checked as Normalize
-// fills them, so a command can check its flags before it builds a dataset.
+// too), a fanout below 1 or a storage spelling StoreOptions refuses — each
+// named. Zeros are checked as Normalize fills them, so a command can check
+// its flags before it builds a dataset.
 func (o Options) Check() error {
 	o = o.Normalize()
 	if err := gnn.Check(o.Arch, gnn.Config{Hidden: o.Hidden, Heads: o.Heads, Dropout: o.Dropout}); err != nil {
@@ -205,7 +207,8 @@ func (o Options) Check() error {
 			return fmt.Errorf("train: Options.Fanouts[%d] is %d; want a positive fanout", hop, fan)
 		}
 	}
-	return nil
+	_, err := o.StoreOptions()
+	return err
 }
 
 // StoreOptions translates the storage knobs' user spellings — policy and

@@ -53,10 +53,12 @@ go test -race -count=10 -cpu 1,4 ./internal/tensor
 # with builds off the hint mid-epoch, at three GOMAXPROCS settings.
 targeted run '^(TestPlannedEqualsUnplanned|TestSpeculationEqualsNone|TestOffHintBuildsEqualUnplanned)$' ./internal/core -race -count=10 -cpu 1,2,4
 # A training step is one function whichever shape it takes — eager, capture,
-# scheduled replay, the fallback of a loader that never reuses a batch — and each worker writes its graph map, counters and bucket gates
-# inside sim.RunParallel: hammer the step golden's three shapes on two real
-# workers at three GOMAXPROCS settings (~16 s).
-targeted run '^TestStepGolden$' ./internal/train -race -count=10 -cpu 1,2,4
+# scheduled replay — and each worker writes its input header, step graph,
+# counters and bucket gates inside sim.RunParallel: hammer the step golden's
+# three shapes on two real workers, and one capture per worker under loaders
+# that hand out a new batch object or a new Feat header from every build, at
+# three GOMAXPROCS settings (~15 s).
+targeted run '^(TestStepGolden|TestCaptureGraphOnePerWorker)$' ./internal/train -race -count=10 -cpu 1,2,4
 # A replayed step runs its records' math on up to tensor.Workers() goroutines —
 # the worker's own and helpers from the dense kernels' pool, each pricing on a
 # graph twin — while charges and observers keep record order: hammer every

@@ -52,7 +52,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 // TestNewTrainerRejectsBadOptions: every option value that cannot describe
 // a run — negative sizes and counts, a negative or NaN learning rate, a
 // fanout below 1, a dropout outside [0, 1], a GAT whose heads do not divide
-// its hidden size — is an error from NewTrainer naming the field, not a
+// its hidden size, an unknown cache policy or page encoding — is an error from NewTrainer naming the field, not a
 // panic in the middle of RunEpoch, and the same error from Check, which
 // needs no dataset.
 func TestNewTrainerRejectsBadOptions(t *testing.T) {
@@ -80,6 +80,8 @@ func TestNewTrainerRejectsBadOptions(t *testing.T) {
 		{"Options.PrefetchPages ", wholegraph.TrainOptions{PrefetchPages: -1}},
 		{"dropout probability 1.5", wholegraph.TrainOptions{Dropout: 1.5}},
 		{"multiple of 3 heads", wholegraph.TrainOptions{Arch: "gat", Hidden: 32, Heads: 3}},
+		{`cache policy "bogus"`, wholegraph.TrainOptions{CachePolicy: "bogus"}},
+		{`encoding "bogus"`, wholegraph.TrainOptions{PagedFeatures: true, FeatEncoding: "bogus"}},
 	} {
 		opts := tc.opts
 		if opts.Fanouts == nil {
